@@ -31,7 +31,6 @@
 package async
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -226,23 +225,89 @@ type event struct {
 	seq  int // tiebreaker for determinism
 }
 
+// eventQueue is a binary min-heap of events on the key (time, seq). Every
+// seq is used once, so the key is a strict total order and the pop
+// sequence does not depend on how the heap happens to be laid out. It is
+// typed, unlike container/heap, which boxes each event on the way in and
+// again on the way out.
 type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
 	if q[i].time != q[j].time {
 		return q[i].time < q[j].time
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	*q = h
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.Less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	*q = h
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if child+1 < last && h.Less(child+1, child) {
+			child++
+		}
+		if !h.Less(child, i) {
+			break
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+	return top
+}
+
+// snapshots hands out the copies of a model that gossip queues on a peer.
+// The copies are real — the sender keeps training while its model waits in
+// the peer's queue — but their buffers are recycled: merge returns a
+// drained queue's buffers, and take reuses them before allocating.
+type snapshots struct {
+	free []tensor.Vector
+	vecs []tensor.Vector // merge's operand list, reused
+}
+
+func (s *snapshots) take(src tensor.Vector) tensor.Vector {
+	var buf tensor.Vector
+	if k := len(s.free); k > 0 {
+		buf, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		buf = tensor.NewVector(len(src))
+	}
+	copy(buf, src)
+	return buf
+}
+
+// merge averages params with every queued model, in queue order, then
+// empties the queue into the free list. The queue's slots are cleared with
+// it, so no queue can still reach a buffer that take may hand out again.
+//
+// Known defect, kept because every async result is pinned to it (ROADMAP,
+// "Async merge drops the node's own model"): MeanVectorTo zeroes params
+// before reading it back as the first operand.
+func (s *snapshots) merge(params tensor.Vector, queue *[]tensor.Vector) {
+	s.vecs = append(append(s.vecs[:0], params), *queue...)
+	tensor.MeanVectorTo(params, s.vecs)
+	s.free = append(s.free, *queue...)
+	clear(*queue)
+	*queue = (*queue)[:0]
 }
 
 type asyncNode struct {
@@ -339,12 +404,12 @@ func Run(cfg Config) (*Result, error) {
 		probe.RunStart(&res.Manifest)
 	}
 	queue := &eventQueue{}
-	heap.Init(queue)
 	seq := 0
 	push := func(t float64, kind eventKind, node int) {
-		heap.Push(queue, event{time: t, kind: kind, node: node, seq: seq})
+		queue.push(event{time: t, kind: kind, node: node, seq: seq})
 		seq++
 	}
+	var snaps snapshots
 	for i := 0; i < n; i++ {
 		// Stagger starts by a fraction of the node's own step time so the
 		// fleet does not begin in lockstep.
@@ -461,8 +526,8 @@ func Run(cfg Config) (*Result, error) {
 		return vf.CommCostWh(nd.id)
 	}
 
-	for queue.Len() > 0 {
-		ev := heap.Pop(queue).(event)
+	for len(*queue) > 0 {
+		ev := queue.pop()
 		if ev.time > cfg.Horizon {
 			break
 		}
@@ -517,11 +582,7 @@ func Run(cfg Config) (*Result, error) {
 		// 1. Merge everything that arrived while we were busy (AD-PSGD
 		//    pairwise averaging, generalized to k pending models).
 		if len(nd.incoming) > 0 {
-			vecs := make([]tensor.Vector, 0, len(nd.incoming)+1)
-			vecs = append(vecs, nd.params)
-			vecs = append(vecs, nd.incoming...)
-			tensor.MeanVectorTo(nd.params, vecs)
-			nd.incoming = nd.incoming[:0]
+			snaps.merge(nd.params, &nd.incoming)
 			nd.net.SetParams(nd.params)
 		}
 
@@ -590,8 +651,8 @@ func Run(cfg Config) (*Result, error) {
 			res.DroppedGossips++
 			probe.DroppedSends(vf.TraceRound(now), 1)
 		} else {
-			nodes[peer].incoming = append(nodes[peer].incoming, nd.params.Clone())
-			nd.incoming = append(nd.incoming, nodes[peer].params.Clone())
+			nodes[peer].incoming = append(nodes[peer].incoming, snaps.take(nd.params))
+			nd.incoming = append(nd.incoming, snaps.take(nodes[peer].params))
 			res.GossipsSent++
 		}
 

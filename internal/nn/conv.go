@@ -16,6 +16,7 @@ type Conv2D struct {
 	outC, kH, kW  int
 	pad           int
 	outH, outW    int
+	r             *rng.RNG      // draws the initial kernels in Bind
 	K             tensor.Vector // kernels, len outC*inC*kH*kW
 	B             tensor.Vector // len outC
 	gK, gB        tensor.Vector
@@ -24,28 +25,23 @@ type Conv2D struct {
 	dIn           tensor.Vector
 }
 
-// NewConv2D constructs the layer. Output spatial size is
-// H+2*pad-kH+1 (stride fixed at 1); it panics if that is not positive.
+// NewConv2D constructs the layer; New draws its kernels He-normal from r.
+// Output spatial size is H+2*pad-kH+1 (stride fixed at 1); it panics if
+// that is not positive.
 func NewConv2D(inC, inH, inW, outC, kH, kW, pad int, r *rng.RNG) *Conv2D {
 	outH := inH + 2*pad - kH + 1
 	outW := inW + 2*pad - kW + 1
 	if outH <= 0 || outW <= 0 {
 		panic(fmt.Sprintf("nn: Conv2D output %dx%d not positive", outH, outW))
 	}
-	l := &Conv2D{
+	return &Conv2D{
 		inC: inC, inH: inH, inW: inW,
 		outC: outC, kH: kH, kW: kW, pad: pad,
-		outH: outH, outW: outW,
-		K:      tensor.NewVector(outC * inC * kH * kW),
-		B:      tensor.NewVector(outC),
-		gK:     tensor.NewVector(outC * inC * kH * kW),
-		gB:     tensor.NewVector(outC),
+		outH: outH, outW: outW, r: r,
 		lastIn: tensor.NewVector(inC * inH * inW),
 		outBuf: tensor.NewVector(outC * outH * outW),
 		dIn:    tensor.NewVector(inC * inH * inW),
 	}
-	heInit(l.K, inC*kH*kW, r)
-	return l
 }
 
 func (l *Conv2D) InSize() int  { return l.inC * l.inH * l.inW }
@@ -128,12 +124,19 @@ func (l *Conv2D) Backward(dOut tensor.Vector) tensor.Vector {
 	return l.dIn
 }
 
-func (l *Conv2D) Params() []tensor.Vector { return []tensor.Vector{l.K, l.B} }
-func (l *Conv2D) Grads() []tensor.Vector  { return []tensor.Vector{l.gK, l.gB} }
+func (l *Conv2D) ParamSize() int { return l.outC*l.inC*l.kH*l.kW + l.outC }
+
+func (l *Conv2D) Bind(params, grads tensor.Vector) {
+	nk := len(params) - l.outC
+	l.K, l.B = params[:nk], params[nk:]
+	l.gK, l.gB = grads[:nk], grads[nk:]
+	heInit(l.K, l.inC*l.kH*l.kW, l.r)
+}
 
 // MaxPool2D is a max-pooling layer with square window and equal stride
 // (window == stride, the common non-overlapping form).
 type MaxPool2D struct {
+	stateless
 	c, inH, inW int
 	win         int
 	outH, outW  int
@@ -202,6 +205,3 @@ func (l *MaxPool2D) Backward(dOut tensor.Vector) tensor.Vector {
 	}
 	return l.dIn
 }
-
-func (l *MaxPool2D) Params() []tensor.Vector { return nil }
-func (l *MaxPool2D) Grads() []tensor.Vector  { return nil }

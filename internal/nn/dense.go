@@ -9,35 +9,28 @@ import (
 // so that parameter counts can be matched exactly against reference
 // architectures that omit it.
 type Dense struct {
-	in, out int
-	W       *tensor.Matrix // out x in
-	B       tensor.Vector  // nil when bias is disabled
-	gW      *tensor.Matrix
-	gB      tensor.Vector
+	in, out  int
+	withBias bool
+	r        *rng.RNG       // draws the initial weights in Bind
+	W        *tensor.Matrix // out x in
+	B        tensor.Vector  // nil when bias is disabled
+	gW       *tensor.Matrix
+	gB       tensor.Vector
 
 	lastIn tensor.Vector
 	outBuf tensor.Vector
 	dIn    tensor.Vector
 }
 
-// NewDense returns a Dense layer with He-normal initialized weights, the
-// right default for ReLU networks. Pass withBias=false to omit the bias.
+// NewDense returns a Dense layer whose weights New draws He-normal from r,
+// the right default for ReLU networks. Pass withBias=false to omit the bias.
 func NewDense(in, out int, withBias bool, r *rng.RNG) *Dense {
-	l := &Dense{
-		in:     in,
-		out:    out,
-		W:      tensor.NewMatrix(out, in),
-		gW:     tensor.NewMatrix(out, in),
+	return &Dense{
+		in: in, out: out, withBias: withBias, r: r,
 		lastIn: tensor.NewVector(in),
 		outBuf: tensor.NewVector(out),
 		dIn:    tensor.NewVector(in),
 	}
-	heInit(l.W.Data, in, r)
-	if withBias {
-		l.B = tensor.NewVector(out)
-		l.gB = tensor.NewVector(out)
-	}
-	return l
 }
 
 func (l *Dense) InSize() int  { return l.in }
@@ -65,18 +58,21 @@ func (l *Dense) Backward(dOut tensor.Vector) tensor.Vector {
 	return l.dIn
 }
 
-func (l *Dense) Params() []tensor.Vector {
-	if l.B == nil {
-		return []tensor.Vector{l.W.Data}
+func (l *Dense) ParamSize() int {
+	if l.withBias {
+		return l.out*l.in + l.out
 	}
-	return []tensor.Vector{l.W.Data, l.B}
+	return l.out * l.in
 }
 
-func (l *Dense) Grads() []tensor.Vector {
-	if l.gB == nil {
-		return []tensor.Vector{l.gW.Data}
+func (l *Dense) Bind(params, grads tensor.Vector) {
+	nw := l.out * l.in
+	l.W = &tensor.Matrix{Rows: l.out, Cols: l.in, Data: params[:nw]}
+	l.gW = &tensor.Matrix{Rows: l.out, Cols: l.in, Data: grads[:nw]}
+	heInit(l.W.Data, l.in, l.r)
+	if l.withBias {
+		l.B, l.gB = params[nw:], grads[nw:]
 	}
-	return []tensor.Vector{l.gW.Data, l.gB}
 }
 
 // heInit fills w with He-normal weights: N(0, 2/fanIn).

@@ -27,6 +27,7 @@ func (n *Network) SetTraining(training bool) {
 // scales survivors by 1/(1-Rate) (inverted dropout), acting as identity at
 // inference time.
 type Dropout struct {
+	stateless
 	n        int
 	rate     float64
 	r        *rng.RNG
@@ -93,11 +94,9 @@ func (l *Dropout) Backward(dOut tensor.Vector) tensor.Vector {
 	return l.dIn
 }
 
-func (l *Dropout) Params() []tensor.Vector { return nil }
-func (l *Dropout) Grads() []tensor.Vector  { return nil }
-
 // AvgPool2D averages each win x win block (window == stride).
 type AvgPool2D struct {
+	stateless
 	c, inH, inW int
 	win         int
 	outH, outW  int
@@ -167,6 +166,3 @@ func (l *AvgPool2D) Backward(dOut tensor.Vector) tensor.Vector {
 	}
 	return l.dIn
 }
-
-func (l *AvgPool2D) Params() []tensor.Vector { return nil }
-func (l *AvgPool2D) Grads() []tensor.Vector  { return nil }

@@ -46,14 +46,7 @@ func analyticGrad(net *Network, xs []tensor.Vector, ys []int) tensor.Vector {
 		}
 	}
 	grad := tensor.NewVector(net.ParamCount())
-	off := 0
-	for _, l := range net.layers {
-		for _, g := range l.Grads() {
-			copy(grad[off:off+len(g)], g)
-			off += len(g)
-		}
-	}
-	tensor.ScaleTo(grad, 1/float64(len(xs)), grad)
+	tensor.ScaleTo(grad, 1/float64(len(xs)), net.grads)
 	return grad
 }
 

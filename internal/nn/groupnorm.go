@@ -35,20 +35,14 @@ func NewGroupNorm(c, h, w, groups int) *GroupNorm {
 	if groups <= 0 || c%groups != 0 {
 		panic(fmt.Sprintf("nn: GroupNorm groups=%d does not divide channels=%d", groups, c))
 	}
-	l := &GroupNorm{
+	return &GroupNorm{
 		c: c, h: h, w: w, groups: groups,
-		gamma:  tensor.NewVector(c),
-		beta:   tensor.NewVector(c),
-		gGamma: tensor.NewVector(c),
-		gBeta:  tensor.NewVector(c),
 		lastIn: tensor.NewVector(c * h * w),
 		xhat:   tensor.NewVector(c * h * w),
 		invStd: tensor.NewVector(groups),
 		outBuf: tensor.NewVector(c * h * w),
 		dIn:    tensor.NewVector(c * h * w),
 	}
-	l.gamma.Fill(1)
-	return l
 }
 
 func (l *GroupNorm) InSize() int  { return l.c * l.h * l.w }
@@ -123,5 +117,10 @@ func (l *GroupNorm) Backward(dOut tensor.Vector) tensor.Vector {
 	return l.dIn
 }
 
-func (l *GroupNorm) Params() []tensor.Vector { return []tensor.Vector{l.gamma, l.beta} }
-func (l *GroupNorm) Grads() []tensor.Vector  { return []tensor.Vector{l.gGamma, l.gBeta} }
+func (l *GroupNorm) ParamSize() int { return 2 * l.c }
+
+func (l *GroupNorm) Bind(params, grads tensor.Vector) {
+	l.gamma, l.beta = params[:l.c], params[l.c:]
+	l.gGamma, l.gBeta = grads[:l.c], grads[l.c:]
+	l.gamma.Fill(1)
+}

@@ -8,6 +8,20 @@
 // allocation-free after construction, which matters when 256 simulated
 // nodes each own a model. Networks are NOT safe for concurrent use; in the
 // simulator every node goroutine owns its own Network.
+//
+// # Flat parameter layout
+//
+// A Network owns one contiguous parameter vector and one gradient vector
+// of the same length; layers own no parameter storage. New binds every
+// parameterised layer to a window of both, in layer order and, within a
+// layer, weights before bias (Dense W then B, Conv2D K then B, GroupNorm
+// gamma then beta), and the layer draws its initial weights there — so
+// the constructors' RNG is consumed by New, in layer order. That vector
+// is the model x_i the nodes exchange and every checkpoint stores, so
+// CopyParamsTo, SetParams and the optimizers are one pass over one slice,
+// and a write through SetParams is at once visible to every layer. Only
+// the owning node's goroutine writes it — TrainBatch and SetParams —
+// whereas Params hands out the same memory read-only.
 package nn
 
 import (
@@ -18,8 +32,7 @@ import (
 
 // Layer is one differentiable stage of a network. Forward retains whatever
 // state Backward needs, so calls must alternate Forward then Backward for
-// the same sample. Params and Grads return matching views of the layer's
-// parameter and gradient blocks; stateless layers return nil.
+// the same sample.
 type Layer interface {
 	// InSize and OutSize are the flat input/output lengths.
 	InSize() int
@@ -30,14 +43,24 @@ type Layer interface {
 	// Backward consumes dLoss/dOut and returns dLoss/dIn, accumulating
 	// parameter gradients. The returned slice is an internal buffer.
 	Backward(dOut tensor.Vector) tensor.Vector
-	// Params returns views of the layer's parameter blocks.
-	Params() []tensor.Vector
-	// Grads returns views of the gradient blocks, aligned with Params.
-	Grads() []tensor.Vector
+	// ParamSize is the layer's trainable parameter count.
+	ParamSize() int
+	// Bind gives the layer its storage: params and grads, both of length
+	// ParamSize, become its parameters and its gradient accumulator, and
+	// it initialises the parameters there. New calls it once, in layer
+	// order; a layer cannot run before that.
+	Bind(params, grads tensor.Vector)
 }
+
+// stateless is embedded by the layers that have no parameters.
+type stateless struct{}
+
+func (stateless) ParamSize() int          { return 0 }
+func (stateless) Bind(_, _ tensor.Vector) {}
 
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
+	stateless
 	n    int
 	out  tensor.Vector
 	dIn  tensor.Vector
@@ -78,11 +101,9 @@ func (l *ReLU) Backward(dOut tensor.Vector) tensor.Vector {
 	return l.dIn
 }
 
-func (l *ReLU) Params() []tensor.Vector { return nil }
-func (l *ReLU) Grads() []tensor.Vector  { return nil }
-
 // Tanh applies the hyperbolic tangent element-wise.
 type Tanh struct {
+	stateless
 	n   int
 	out tensor.Vector
 	dIn tensor.Vector
@@ -112,9 +133,6 @@ func (l *Tanh) Backward(dOut tensor.Vector) tensor.Vector {
 	}
 	return l.dIn
 }
-
-func (l *Tanh) Params() []tensor.Vector { return nil }
-func (l *Tanh) Grads() []tensor.Vector  { return nil }
 
 func tanh(x float64) float64 {
 	// Stable formulation: tanh(x) = sign(x) * (1 - e) / (1 + e), e = exp(-2|x|).

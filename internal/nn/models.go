@@ -56,8 +56,9 @@ func FEMNISTCNN(r *rng.RNG) *Network {
 // bias/mixing dynamics the paper studies.
 func LogisticRegression(dim, classes int, r *rng.RNG) *Network {
 	l := NewDense(dim, classes, true, r)
+	n := New(l)
 	xavierInit(l.W.Data, dim, classes, r)
-	return New(l)
+	return n
 }
 
 // MLP builds dim -> hidden... -> classes with ReLU between linear layers.
@@ -69,9 +70,9 @@ func MLP(dim int, hidden []int, classes int, r *rng.RNG) *Network {
 		in = h
 	}
 	out := NewDense(in, classes, true, r)
-	xavierInit(out.W.Data, in, classes, r)
-	layers = append(layers, out)
-	return New(layers...)
+	n := New(append(layers, out)...)
+	xavierInit(out.W.Data, in, classes, r) // out is the last layer New drew for
+	return n
 }
 
 // SmallCNN builds a compact convolutional model for c x h x w inputs:

@@ -15,12 +15,16 @@ func abs(x float64) float64  { return math.Abs(x) }
 // exactly the loss/optimizer combination of the paper (SGD + Cross-Entropy,
 // Section 4.2). The zero value is not usable; build with New.
 type Network struct {
-	layers  []Layer
-	nParams int
-	probs   tensor.Vector // softmax scratch, len = class count
+	layers []Layer
+	// params and grads hold every layer's block back to back, in layer
+	// order; the layers work on windows of them (see the package comment).
+	params, grads tensor.Vector
+	probs         tensor.Vector // softmax scratch, len = class count
 }
 
-// New builds a network, validating that consecutive layer sizes chain.
+// New builds a network: it validates that consecutive layer sizes chain,
+// allocates the parameter and gradient vectors, and binds each layer to
+// its window of them in layer order (which is when weights are drawn).
 func New(layers ...Layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: empty network")
@@ -31,11 +35,21 @@ func New(layers ...Layer) *Network {
 				i-1, layers[i-1].OutSize(), i, layers[i].InSize()))
 		}
 	}
-	n := &Network{layers: layers, probs: tensor.NewVector(layers[len(layers)-1].OutSize())}
+	size := 0
 	for _, l := range layers {
-		for _, p := range l.Params() {
-			n.nParams += len(p)
-		}
+		size += l.ParamSize()
+	}
+	n := &Network{
+		layers: layers,
+		params: tensor.NewVector(size),
+		grads:  tensor.NewVector(size),
+		probs:  tensor.NewVector(layers[len(layers)-1].OutSize()),
+	}
+	off := 0
+	for _, l := range layers {
+		end := off + l.ParamSize()
+		l.Bind(n.params[off:end], n.grads[off:end])
+		off = end
 	}
 	return n
 }
@@ -48,7 +62,12 @@ func (n *Network) OutSize() int { return n.layers[len(n.layers)-1].OutSize() }
 
 // ParamCount returns the total number of trainable parameters, the |x| of
 // Table 1 in the paper.
-func (n *Network) ParamCount() int { return n.nParams }
+func (n *Network) ParamCount() int { return len(n.params) }
+
+// Params returns the model vector x_i itself, not a copy. It is read-only
+// for callers and changes under them whenever the network trains or
+// SetParams runs.
+func (n *Network) Params() tensor.Vector { return n.params }
 
 // Forward runs the network and returns the logits (an internal buffer).
 func (n *Network) Forward(x tensor.Vector) tensor.Vector {
@@ -62,37 +81,19 @@ func (n *Network) Forward(x tensor.Vector) tensor.Vector {
 // CopyParamsTo serializes all parameters into dst, which must have length
 // ParamCount. This is the model vector x_i that nodes exchange.
 func (n *Network) CopyParamsTo(dst tensor.Vector) {
-	checkSize("Network params", len(dst), n.nParams)
-	off := 0
-	for _, l := range n.layers {
-		for _, p := range l.Params() {
-			copy(dst[off:off+len(p)], p)
-			off += len(p)
-		}
-	}
+	checkSize("Network params", len(dst), len(n.params))
+	copy(dst, n.params)
 }
 
 // SetParams loads all parameters from src (length ParamCount), the inverse
 // of CopyParamsTo. Aggregated neighbor averages re-enter the model here.
 func (n *Network) SetParams(src tensor.Vector) {
-	checkSize("Network params", len(src), n.nParams)
-	off := 0
-	for _, l := range n.layers {
-		for _, p := range l.Params() {
-			copy(p, src[off:off+len(p)])
-			off += len(p)
-		}
-	}
+	checkSize("Network params", len(src), len(n.params))
+	copy(n.params, src)
 }
 
 // ZeroGrads clears every accumulated gradient.
-func (n *Network) ZeroGrads() {
-	for _, l := range n.layers {
-		for _, g := range l.Grads() {
-			g.Zero()
-		}
-	}
-}
+func (n *Network) ZeroGrads() { n.grads.Zero() }
 
 // SoftmaxCrossEntropy computes the loss for one sample and writes
 // dLoss/dLogits into dLogits (probs - onehot). logits and dLogits may alias.
@@ -135,28 +136,9 @@ func SoftmaxCrossEntropy(logits tensor.Vector, label int, dLogits tensor.Vector)
 // It returns the mean loss. This is one inner iteration of Algorithm 1,
 // lines 5-6.
 func (n *Network) TrainBatch(xs []tensor.Vector, ys []int, lr float64) float64 {
-	if len(xs) == 0 || len(xs) != len(ys) {
-		panic(fmt.Sprintf("nn: bad batch: %d inputs, %d labels", len(xs), len(ys)))
-	}
-	n.ZeroGrads()
-	total := 0.0
-	for i, x := range xs {
-		logits := n.Forward(x)
-		copy(n.probs, logits)
-		total += SoftmaxCrossEntropy(n.probs, ys[i], n.probs)
-		d := n.probs
-		for j := len(n.layers) - 1; j >= 0; j-- {
-			d = n.layers[j].Backward(d)
-		}
-	}
-	scale := -lr / float64(len(xs))
-	for _, l := range n.layers {
-		params, grads := l.Params(), l.Grads()
-		for k := range params {
-			tensor.AXPY(params[k], scale, grads[k])
-		}
-	}
-	return total / float64(len(xs))
+	loss := n.AccumulateGradients(xs, ys)
+	tensor.AXPY(n.params, -lr/float64(len(xs)), n.grads)
+	return loss
 }
 
 // Loss returns the mean cross-entropy of the network on the given samples

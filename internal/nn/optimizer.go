@@ -24,7 +24,7 @@ type SGD struct {
 	Nesterov    bool
 	WeightDecay float64
 
-	velocity []tensor.Vector // one buffer per parameter block, lazily sized
+	velocity tensor.Vector // one entry per parameter, sized on first use
 }
 
 // NewSGD returns a plain SGD optimizer.
@@ -41,36 +41,28 @@ func (o *SGD) Step(net *Network, batchSize int) {
 		panic(fmt.Sprintf("nn: SGD step with batch size %d", batchSize))
 	}
 	scale := 1.0 / float64(batchSize)
-	blockIdx := 0
-	for _, l := range net.layers {
-		params, grads := l.Params(), l.Grads()
-		for k := range params {
-			p, g := params[k], grads[k]
-			if o.Momentum == 0 {
-				for i := range p {
-					step := g[i]*scale + o.WeightDecay*p[i]
-					p[i] -= o.LR * step
-				}
-				blockIdx++
-				continue
-			}
-			if blockIdx >= len(o.velocity) {
-				o.velocity = append(o.velocity, tensor.NewVector(len(p)))
-			}
-			v := o.velocity[blockIdx]
-			if len(v) != len(p) {
-				panic("nn: SGD bound to a different network")
-			}
-			for i := range p {
-				grad := g[i]*scale + o.WeightDecay*p[i]
-				v[i] = o.Momentum*v[i] + grad
-				if o.Nesterov {
-					p[i] -= o.LR * (grad + o.Momentum*v[i])
-				} else {
-					p[i] -= o.LR * v[i]
-				}
-			}
-			blockIdx++
+	p, g := net.params, net.grads
+	if o.Momentum == 0 {
+		for i := range p {
+			step := g[i]*scale + o.WeightDecay*p[i]
+			p[i] -= o.LR * step
+		}
+		return
+	}
+	if o.velocity == nil {
+		o.velocity = tensor.NewVector(len(p))
+	}
+	v := o.velocity
+	if len(v) != len(p) {
+		panic("nn: SGD bound to a different network")
+	}
+	for i := range p {
+		grad := g[i]*scale + o.WeightDecay*p[i]
+		v[i] = o.Momentum*v[i] + grad
+		if o.Nesterov {
+			p[i] -= o.LR * (grad + o.Momentum*v[i])
+		} else {
+			p[i] -= o.LR * v[i]
 		}
 	}
 }
@@ -78,11 +70,7 @@ func (o *SGD) Step(net *Network, batchSize int) {
 // Reset clears momentum state (used when the model is overwritten by an
 // aggregation step and stale velocity would point in an outdated
 // direction).
-func (o *SGD) Reset() {
-	for _, v := range o.velocity {
-		v.Zero()
-	}
-}
+func (o *SGD) Reset() { o.velocity.Zero() }
 
 // TrainBatchWith runs one forward/backward pass over the batch and lets the
 // optimizer apply the update. It returns the mean loss.

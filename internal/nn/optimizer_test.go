@@ -111,11 +111,9 @@ func TestSGDReset(t *testing.T) {
 	opt := NewMomentumSGD(0.1, 0.9, false)
 	net.TrainBatchWith(opt, xs, ys)
 	opt.Reset()
-	for _, v := range opt.velocity {
-		for _, x := range v {
-			if x != 0 {
-				t.Fatal("Reset left velocity non-zero")
-			}
+	for _, x := range opt.velocity {
+		if x != 0 {
+			t.Fatal("Reset left velocity non-zero")
 		}
 	}
 }

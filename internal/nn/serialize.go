@@ -96,11 +96,7 @@ func ReadVector(r io.Reader) (tensor.Vector, error) {
 }
 
 // SaveParams writes the network's parameters as a checkpoint to w.
-func (n *Network) SaveParams(w io.Writer) error {
-	params := tensor.NewVector(n.ParamCount())
-	n.CopyParamsTo(params)
-	return WriteVector(w, params)
-}
+func (n *Network) SaveParams(w io.Writer) error { return WriteVector(w, n.params) }
 
 // LoadParams reads a checkpoint from r into the network. The parameter
 // count must match the network exactly and the checksum must verify.

@@ -5,12 +5,18 @@
 // own RNG streams, and a real transport endpoint. A round executes in
 // barriered phases that mirror Algorithm 1/2:
 //
-//  1. local phase — nodes that participate train E local SGD steps;
-//  2. share phase — every node sends its half-step model x^{t-1/2} to all
-//     neighbors through the transport;
-//  3. aggregate phase — every node receives one model per neighbor and
-//     applies the W-weighted average;
+//  1. local phase — nodes that participate train E local SGD steps, then
+//     every node publishes its model into its half-step buffer x^{t-1/2};
+//  2. share phase — every node sends that buffer to all neighbors through
+//     the transport (the in-process transport passes the slice itself);
+//  3. aggregate phase — every node receives one model per neighbor, forms
+//     the W-weighted average in its own aggregation buffer and commits it
+//     to its model;
 //  4. (optionally) evaluation on the shared test set.
+//
+// A half-step buffer is written only in phase 1 and read by the neighbors
+// only in phase 3, with a barrier after each, so sharing it is safe; see
+// docs/ARCHITECTURE.md for who may write which buffer when.
 //
 // When a harvest fleet is attached (Config.Harvest), every round also closes
 // with a battery update — idle and communication draw, then ambient energy
@@ -439,7 +445,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	acct := energy.NewAccountant(n)
-	evaluator := newEvaluator(&cfg, paramCount)
+	evaluator := newEvaluator(&cfg, nodes, paramCount)
 	result := &Result{TrainedRounds: make([]int, n)}
 	cumHarvestWh := 0.0
 
@@ -493,6 +499,18 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Checkpoint != nil {
 		ckParams = tensor.NewVector(paramCount)
 		revivedMask = make([]bool, n)
+	}
+
+	// Scratch for the all-reduce aggregation: the fleet mean and the list
+	// of half-step buffers it averages (the buffers never move).
+	var globalMean tensor.Vector
+	var halves []tensor.Vector
+	if cfg.Algo.Aggregation == core.AggGlobal {
+		globalMean = tensor.NewVector(paramCount)
+		halves = make([]tensor.Vector, n)
+		for i, nd := range nodes {
+			halves[i] = nd.half
+		}
 	}
 
 	for t := 0; t < cfg.Rounds; t++ {
@@ -687,14 +705,9 @@ func Run(cfg Config) (*Result, error) {
 			// Hypothetical all-reduce (Figure 1): global average of all
 			// half-step models, applied everywhere.
 			probe.PhaseStart(obs.PhaseAggregate)
-			mean := tensor.NewVector(paramCount)
-			halves := make([]tensor.Vector, n)
-			for i, nd := range nodes {
-				halves[i] = nd.half
-			}
-			tensor.MeanVectorTo(mean, halves)
+			tensor.MeanVectorTo(globalMean, halves)
 			parallelFor(n, func(i int) {
-				copy(nodes[i].agg, mean)
+				copy(nodes[i].agg, globalMean)
 				nodes[i].net.SetParams(nodes[i].agg)
 			})
 			probe.PhaseEnd(t, obs.PhaseAggregate)
@@ -706,6 +719,9 @@ func Run(cfg Config) (*Result, error) {
 			// rounds a dead node sends nothing, and live nodes still
 			// transmit to every neighbor — the radio cannot know a peer is
 			// down — with the dead-node wrapper losing those messages.
+			// nd.half goes out as it is: the in-process transport hands the
+			// slice to every receiver, and nothing writes it again before
+			// next round's training phase, two barriers from here.
 			parallelFor(n, func(i int) {
 				nd := nodes[i]
 				if dropRound && !live[i] {
@@ -870,12 +886,8 @@ func Run(cfg Config) (*Result, error) {
 		result.FinalSoC = cfg.Harvest.SoCs()
 	}
 	if evaluator.globalVec != nil {
-		models := make([]tensor.Vector, n)
-		for i, nd := range nodes {
-			models[i] = nd.agg
-		}
 		result.FinalGlobalParams = tensor.NewVector(paramCount)
-		tensor.MeanVectorTo(result.FinalGlobalParams, models)
+		tensor.MeanVectorTo(result.FinalGlobalParams, evaluator.models)
 	}
 	if probe.Enabled() {
 		trained := 0
@@ -991,22 +1003,37 @@ func parallelFor(n int, fn func(i int)) {
 	par.For(n, 0, fn)
 }
 
-// evaluator owns the shared test subset and the scratch network used to
-// score the global average model.
+// evaluator owns the shared test subset, the scratch network used to score
+// the global average model, and the buffers every evaluation reuses.
 type evaluator struct {
 	cfg       *Config
 	globalNet *nn.Network
 	globalVec tensor.Vector
 	evalRNG   *rng.RNG
+
+	accs   []float64       // per-node accuracy; the last fill is Result.FinalNodeAccs
+	models []tensor.Vector // every node's post-aggregation buffer (nd.agg)
+	xs     []tensor.Vector // the evaluation samples: the whole test set,
+	ys     []int           // or a subsample redrawn per evaluation
+	redraw bool
 }
 
-func newEvaluator(cfg *Config, paramCount int) *evaluator {
-	ev := &evaluator{cfg: cfg, evalRNG: rng.Derive(cfg.Seed, 0xe7a1)}
+func newEvaluator(cfg *Config, nodes []*nodeState, paramCount int) *evaluator {
+	ev := &evaluator{cfg: cfg, evalRNG: rng.Derive(cfg.Seed, 0xe7a1), accs: make([]float64, len(nodes))}
 	if cfg.EvalGlobalModel || cfg.TrackConsensus {
 		ev.globalVec = tensor.NewVector(paramCount)
+		ev.models = make([]tensor.Vector, len(nodes))
+		for i, nd := range nodes {
+			ev.models[i] = nd.agg
+		}
 	}
 	if cfg.EvalGlobalModel {
 		ev.globalNet = cfg.ModelFactory(-1, rng.Derive(cfg.Seed, 0xe7a1, 1))
+	}
+	if k := cfg.EvalSubsample; k > 0 && k < cfg.Test.Len() {
+		ev.xs, ev.ys, ev.redraw = make([]tensor.Vector, k), make([]int, k), true
+	} else {
+		ev.xs, ev.ys = cfg.Test.Inputs(), cfg.Test.Labels()
 	}
 	return ev
 }
@@ -1014,41 +1041,32 @@ func newEvaluator(cfg *Config, paramCount int) *evaluator {
 // subset picks the evaluation samples for this round: the full test set, or
 // a deterministic subsample shared by all nodes.
 func (ev *evaluator) subset() ([]tensor.Vector, []int) {
-	test := ev.cfg.Test
-	if ev.cfg.EvalSubsample <= 0 || ev.cfg.EvalSubsample >= test.Len() {
-		return test.Inputs(), test.Labels()
+	if ev.redraw {
+		test := ev.cfg.Test
+		for i, j := range ev.evalRNG.Perm(test.Len())[:len(ev.xs)] {
+			ev.xs[i] = test.Samples[j].X
+			ev.ys[i] = test.Samples[j].Y
+		}
 	}
-	idx := ev.evalRNG.Perm(test.Len())[:ev.cfg.EvalSubsample]
-	xs := make([]tensor.Vector, len(idx))
-	ys := make([]int, len(idx))
-	for i, j := range idx {
-		xs[i] = test.Samples[j].X
-		ys[i] = test.Samples[j].Y
-	}
-	return xs, ys
+	return ev.xs, ev.ys
 }
 
 func (ev *evaluator) evaluate(nodes []*nodeState, round int, m *RoundMetrics) []float64 {
 	xs, ys := ev.subset()
-	accs := make([]float64, len(nodes))
 	parallelFor(len(nodes), func(i int) {
-		accs[i] = nodes[i].net.Accuracy(xs, ys)
+		ev.accs[i] = nodes[i].net.Accuracy(xs, ys)
 	})
-	m.MeanAcc, m.StdAcc = metrics.MeanStd(accs)
+	m.MeanAcc, m.StdAcc = metrics.MeanStd(ev.accs)
 	if ev.globalVec != nil {
-		models := make([]tensor.Vector, len(nodes))
-		for i, nd := range nodes {
-			// nd.agg holds the post-aggregation model of this round.
-			models[i] = nd.agg
-		}
-		tensor.MeanVectorTo(ev.globalVec, models)
+		// nd.agg holds the post-aggregation model of this round.
+		tensor.MeanVectorTo(ev.globalVec, ev.models)
 		if ev.cfg.TrackConsensus {
-			m.Consensus = metrics.ConsensusDistance(models)
+			m.Consensus = metrics.ConsensusDistance(ev.models)
 		}
 		if ev.globalNet != nil {
 			ev.globalNet.SetParams(ev.globalVec)
 			m.GlobalAcc = ev.globalNet.Accuracy(xs, ys)
 		}
 	}
-	return accs
+	return ev.accs
 }

@@ -23,16 +23,23 @@ import (
 // 2-shard non-IID partition.
 func testConfig(t *testing.T, seed uint64) Config {
 	t.Helper()
-	g, err := graph.Regular(8, 4, seed)
+	return testConfigNodes(t, seed, 8)
+}
+
+// testConfigNodes is testConfig at another fleet size, 60 training
+// samples per node.
+func testConfigNodes(t *testing.T, seed uint64, nodes int) Config {
+	t.Helper()
+	g, err := graph.Regular(nodes, 4, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := dataset.SyntheticConfig{Classes: 6, Dim: 8, Train: 480, Test: 120, Noise: 0.8, Seed: seed}
+	cfg := dataset.SyntheticConfig{Classes: 6, Dim: 8, Train: 60 * nodes, Test: 120, Noise: 0.8, Seed: seed}
 	train, test, err := dataset.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := dataset.ShardPartition(train, 8, 2, seed)
+	part, err := dataset.ShardPartition(train, nodes, 2, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +134,42 @@ func TestRunTCPMatchesLocal(t *testing.T) {
 			t.Fatalf("round %d: local %.6f != tcp %.6f", i,
 				resLocal.History[i].MeanAcc, resTCP.History[i].MeanAcc)
 		}
+	}
+}
+
+// Local shares the sender's half-step buffer with every receiver while TCP
+// delivers a private copy per edge; a 16-node run must not be able to tell
+// the difference, down to the last bit of the consensus model.
+func TestRunSharedVectorsMatchTCPBitForBit(t *testing.T) {
+	run := func(net transport.Network) *Result {
+		cfg := testConfigNodes(t, 23, 16)
+		cfg.Rounds = 8
+		gamma, _ := core.NewGamma(2, 1)
+		cfg.Algo = core.SkipTrain(gamma)
+		cfg.EvalGlobalModel = true
+		cfg.Network = net
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	tcpNet, err := transport.NewTCP(16, "127.0.0.1", 64)
+	if err != nil {
+		t.Skipf("no localhost sockets: %v", err)
+	}
+	defer tcpNet.Close()
+	local, tcp := run(nil), run(tcpNet)
+	if len(local.FinalGlobalParams) == 0 || len(local.FinalGlobalParams) != len(tcp.FinalGlobalParams) {
+		t.Fatalf("consensus models have %d and %d parameters", len(local.FinalGlobalParams), len(tcp.FinalGlobalParams))
+	}
+	for i, v := range local.FinalGlobalParams {
+		if math.Float64bits(v) != math.Float64bits(tcp.FinalGlobalParams[i]) {
+			t.Fatalf("parameter %d: local %v != tcp %v", i, v, tcp.FinalGlobalParams[i])
+		}
+	}
+	if local.FinalGlobalAcc != tcp.FinalGlobalAcc || local.FinalMeanAcc != tcp.FinalMeanAcc {
+		t.Fatalf("accuracy differs: local %v/%v, tcp %v/%v", local.FinalGlobalAcc, local.FinalMeanAcc, tcp.FinalGlobalAcc, tcp.FinalMeanAcc)
 	}
 }
 
@@ -444,8 +487,9 @@ func TestMeanModelPreservationProperty(t *testing.T) {
 }
 
 func TestHalfStepVectorIsolation(t *testing.T) {
-	// Mutating a received vector must not corrupt the sender (transport
-	// copies). Detected indirectly: two identical runs where one evaluates
+	// Reading the shared models must not disturb training (nothing writes a
+	// published half-step before the round's barrier, and evaluation only
+	// reads). Detected indirectly: two identical runs where one evaluates
 	// every round (extra reads) must match exactly.
 	cfg1 := testConfig(t, 19)
 	cfg1.EvalEvery = 1

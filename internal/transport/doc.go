@@ -12,6 +12,23 @@
 // simulator is agnostic to which one it is given — runs are bit-identical
 // across transports.
 //
+// # Who owns Message.Vec
+//
+// Receivers never write Vec, on any backend. What the sender may do with
+// its buffer after Send returns depends on the backend:
+//
+//   - Local delivers the sender's slice itself. The sender must leave it
+//     unwritten until every receiver has finished reading — in the round
+//     engine, until the aggregate phase has joined. The engine meets this
+//     by sending a half-step buffer it writes once per round, before the
+//     share phase; nothing is copied per edge.
+//   - TCP serializes Vec before Send returns and the receiving side
+//     decodes into a vector of its own, so the sender is free at once.
+//   - DeadNode and Flaky forward the Message untouched (or drop it) and
+//     inherit the rule of the network they wrap.
+//
+// Code that must run over any Network follows the strictest rule, Local's.
+//
 // # Fault-injection wrappers
 //
 // Two wrappers compose over any Network to model imperfect links:

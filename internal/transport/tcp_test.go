@@ -46,6 +46,27 @@ func TestTCPSendRecv(t *testing.T) {
 	}
 }
 
+// The wire still isolates: what TestLocalSendSharesVector shows shared
+// over Local arrives over TCP in memory of its own, so a sender that
+// overwrites its buffer after Send returns cannot reach the receiver.
+func TestTCPSendIsolatesVector(t *testing.T) {
+	net := newTCPNet(t, 2)
+	e0, _ := net.Endpoint(0)
+	e1, _ := net.Endpoint(1)
+	vec := tensor.Vector{1, 2}
+	if err := e0.Send(1, Message{Kind: KindModel, Vec: vec}); err != nil {
+		t.Fatal(err)
+	}
+	vec[0] = 99
+	m, err := e1.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &m.Vec[0] == &vec[0] || m.Vec[0] != 1 || m.Vec[1] != 2 {
+		t.Fatalf("TCP delivered %v sharing=%t, want an isolated {1 2}", m.Vec, &m.Vec[0] == &vec[0])
+	}
+}
+
 func TestTCPBidirectional(t *testing.T) {
 	net := newTCPNet(t, 2)
 	e0, _ := net.Endpoint(0)

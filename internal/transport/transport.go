@@ -32,6 +32,10 @@ func ValidKind(k Kind) bool { return k >= KindModel && k <= KindProgress }
 
 // Message is one transfer between nodes. Vec is the flat model vector; for
 // KindControl messages it may be empty.
+//
+// Vec is read-only on the receiving side. Over Local it is the sender's
+// own slice, not a copy (see Endpoint.Send); over TCP it is a slice the
+// codec allocated for this message.
 type Message struct {
 	From  int
 	To    int
@@ -45,7 +49,11 @@ type Message struct {
 // node).
 type Endpoint interface {
 	// Send delivers m to node `to`. It blocks only when the destination
-	// inbox (or socket buffer) is full.
+	// inbox (or socket buffer) is full. The sender must not write m.Vec
+	// again until every receiver is done reading it — in the round engine,
+	// until the round's aggregate phase has joined: Local hands receivers
+	// the very slice, so a model is published once per round into a buffer
+	// that is frozen till that barrier, not copied once per edge.
 	Send(to int, m Message) error
 	// Recv blocks until a message arrives or the endpoint closes, in which
 	// case it returns ErrClosed.
@@ -66,13 +74,17 @@ type Network interface {
 // ErrClosed is returned by Recv after Close.
 var ErrClosed = errors.New("transport: endpoint closed")
 
-// Local is an in-process Network backed by buffered channels.
+// Local is an in-process Network backed by buffered channels. Messages
+// carry the sender's vector itself (see Endpoint.Send).
 type Local struct {
 	n       int
 	inboxes []chan Message
+	mu      sync.Mutex // guards claimed
 	claimed []bool
-	mu      sync.Mutex
-	closed  bool
+	// done is closed by Close. The inboxes never are: a Send that races
+	// Close must find a channel it can still send on.
+	done      chan struct{}
+	closeOnce sync.Once
 }
 
 // NewLocal creates a channel network for n nodes with the given per-node
@@ -83,7 +95,7 @@ func NewLocal(n, capacity int) (*Local, error) {
 	if n < 1 || capacity < 1 {
 		return nil, fmt.Errorf("transport: invalid local network n=%d capacity=%d", n, capacity)
 	}
-	l := &Local{n: n, inboxes: make([]chan Message, n), claimed: make([]bool, n)}
+	l := &Local{n: n, inboxes: make([]chan Message, n), claimed: make([]bool, n), done: make(chan struct{})}
 	for i := range l.inboxes {
 		l.inboxes[i] = make(chan Message, capacity)
 	}
@@ -101,11 +113,11 @@ func (l *Local) Endpoint(node int) (Endpoint, error) {
 	if node < 0 || node >= l.n {
 		return nil, fmt.Errorf("transport: node %d out of range [0,%d)", node, l.n)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	if l.isClosed() {
 		return nil, ErrClosed
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.claimed[node] {
 		return nil, fmt.Errorf("transport: endpoint %d already claimed", node)
 	}
@@ -116,16 +128,17 @@ func (l *Local) Endpoint(node int) (Endpoint, error) {
 // Close shuts the network down; subsequent Recv calls drain remaining
 // messages then return ErrClosed.
 func (l *Local) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	for _, ch := range l.inboxes {
-		close(ch)
-	}
+	l.closeOnce.Do(func() { close(l.done) })
 	return nil
+}
+
+func (l *Local) isClosed() bool {
+	select {
+	case <-l.done:
+		return true
+	default:
+		return false
+	}
 }
 
 func (e *localEndpoint) Send(to int, m Message) error {
@@ -134,27 +147,31 @@ func (e *localEndpoint) Send(to int, m Message) error {
 	}
 	m.From = e.node
 	m.To = to
-	// Copy the vector: the sender reuses its buffer next round, and shared
-	// memory must behave like the wire.
-	if m.Vec != nil {
-		m.Vec = m.Vec.Clone()
-	}
-	e.net.mu.Lock()
-	closed := e.net.closed
-	e.net.mu.Unlock()
-	if closed {
+	if e.net.isClosed() {
 		return ErrClosed
 	}
-	e.net.inboxes[to] <- m
-	return nil
+	select {
+	case e.net.inboxes[to] <- m:
+		return nil
+	case <-e.net.done:
+		return ErrClosed
+	}
 }
 
 func (e *localEndpoint) Recv() (Message, error) {
-	m, ok := <-e.net.inboxes[e.node]
-	if !ok {
+	inbox := e.net.inboxes[e.node]
+	select {
+	case m := <-inbox:
+		return m, nil
+	case <-e.net.done:
+	}
+	// Closed: hand out what is queued before reporting it.
+	select {
+	case m := <-inbox:
+		return m, nil
+	default:
 		return Message{}, ErrClosed
 	}
-	return m, nil
 }
 
 func (e *localEndpoint) Close() error { return nil }

@@ -170,17 +170,91 @@ func TestLocalSendRecv(t *testing.T) {
 	}
 }
 
-func TestLocalSendCopiesVector(t *testing.T) {
-	net, _ := NewLocal(2, 4)
+// Local hands the receiver the sender's own backing array: publishing a
+// model costs no copy per edge. The price is the freeze-until-barrier rule
+// on Endpoint.Send — the sender may write the buffer again only once every
+// receiver has finished reading, which in the round engine is after the
+// aggregate phase has joined. TestTCPSendIsolatesVector is the wire's side
+// of the same contract.
+func TestLocalSendSharesVector(t *testing.T) {
+	net, _ := NewLocal(3, 4)
 	defer net.Close()
 	e0, _ := net.Endpoint(0)
 	e1, _ := net.Endpoint(1)
+	e2, _ := net.Endpoint(2)
 	vec := tensor.Vector{1, 2}
-	e0.Send(1, Message{Kind: KindModel, Vec: vec})
-	vec[0] = 99 // sender mutates its buffer after sending
-	m, _ := e1.Recv()
-	if m.Vec[0] != 1 {
-		t.Fatal("transport must copy payloads; sender mutation leaked")
+	for _, to := range []int{1, 2} {
+		if err := e0.Send(to, Message{Kind: KindModel, Vec: vec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ep := range []Endpoint{e1, e2} {
+		m, err := ep.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &m.Vec[0] != &vec[0] {
+			t.Fatal("Local must deliver the sender's vector itself, not a copy")
+		}
+	}
+}
+
+// A Send racing Close must come back with nil or ErrClosed, never panic
+// on a closed inbox, and a sender blocked on a full inbox must be released.
+// Not skipped in -short: the CI race job is where this test earns its keep.
+func TestLocalSendCloseHammer(t *testing.T) {
+	for iter := 0; iter < 200; iter++ {
+		net, _ := NewLocal(4, 2) // small inboxes, so some senders block
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < 4; i++ {
+			ep, _ := net.Endpoint(i)
+			wg.Add(1)
+			go func(i int, ep Endpoint) {
+				defer wg.Done()
+				<-start
+				for k := 0; ; k++ {
+					err := ep.Send((i+1+k%3)%4, Message{Round: k, Kind: KindControl})
+					if errors.Is(err, ErrClosed) {
+						return
+					}
+					if err != nil {
+						t.Errorf("Send racing Close = %v, want nil or ErrClosed", err)
+						return
+					}
+				}
+			}(i, ep)
+		}
+		close(start)
+		net.Close()
+		wg.Wait()
+	}
+}
+
+// Recv on a closed Local drains what is queued, then reports ErrClosed
+// forever — the behaviour Close documents and TCP already has a test for.
+func TestLocalRecvOnClosedDrainsThenErrs(t *testing.T) {
+	net, _ := NewLocal(2, 4)
+	e0, _ := net.Endpoint(0)
+	e1, _ := net.Endpoint(1)
+	for r := 0; r < 2; r++ {
+		if err := e0.Send(1, Message{Round: r, Kind: KindControl}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Close()
+	for r := 0; r < 2; r++ {
+		if m, err := e1.Recv(); err != nil || m.Round != r {
+			t.Fatalf("queued message %d after Close: %+v, %v", r, m, err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := e1.Recv(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Recv %d on drained closed network = %v, want ErrClosed", i, err)
+		}
+	}
+	if err := e0.Send(1, Message{Kind: KindControl}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Send after Close = %v, want ErrClosed", err)
 	}
 }
 

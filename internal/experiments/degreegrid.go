@@ -49,6 +49,16 @@ type DegreeGammaResult struct {
 // warm reruns recompute nothing.
 func TableDegreeGamma(o Options, degrees []int) (*DegreeGammaResult, error) {
 	o = o.Defaults()
+	res, err := degreeGammaResult(o, degrees)
+	if err != nil {
+		return nil, err
+	}
+	res.Render(o.Out)
+	return res, nil
+}
+
+// degreeGammaResult is TableDegreeGamma without the rendering.
+func degreeGammaResult(o Options, degrees []int) (*DegreeGammaResult, error) {
 	if len(degrees) == 0 {
 		degrees = DefaultDegreeGrid()
 	}
@@ -62,8 +72,9 @@ func TableDegreeGamma(o Options, degrees []int) (*DegreeGammaResult, error) {
 	for ri, regime := range regimes {
 		res.Regimes[ri] = regime.Name
 	}
+	data := lazyGammaData(o) // one dataset for every degree's world
 	for di, degree := range degrees {
-		w, err := newGammaWorldDegree(o, degree)
+		w, err := newGammaWorld(o, degree, data)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: degree grid d=%d: %w", degree, err)
 		}
@@ -78,7 +89,6 @@ func TableDegreeGamma(o Options, degrees []int) (*DegreeGammaResult, error) {
 		}
 	}
 	res.TopologyDistinct, res.ArrivalDistinct, res.Dominant = degreeGammaDominance(res.Best)
-	res.Render(o.Out)
 	return res, nil
 }
 

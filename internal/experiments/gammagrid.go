@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -178,17 +180,31 @@ type GammaHarvestRow struct {
 }
 
 // gammaWorld bundles the per-table immutable inputs shared by all cells:
-// topology, data, and the device fleet shape. Everything here is read-only
-// during the grid fan-out.
+// its own fields are what a cell's cache key needs, data is what only a
+// computing cell needs. Everything is read-only during the grid fan-out.
 type gammaWorld struct {
 	o           Options
 	graph       *graph.Graph
 	weights     *graph.Weights
-	part        dataset.Partition
-	val         *dataset.Dataset
-	devices     []energy.Device
-	workload    energy.Workload
 	meanTrainWh float64
+	data        func() (*gammaData, error)
+}
+
+// gammaData is the half of the world a cache hit never touches. The
+// first cell that actually computes builds it, under the pool; none of it
+// depends on the topology, so the worlds of a degree grid share one.
+type gammaData struct {
+	part     dataset.Partition
+	val      *dataset.Dataset
+	devices  []energy.Device
+	workload energy.Workload
+}
+
+func lazyGammaData(o Options) func() (*gammaData, error) {
+	return sync.OnceValues(func() (*gammaData, error) {
+		part, val, _, err := cifarLikeData(o)
+		return &gammaData{part, val, energy.AssignDevices(o.Nodes, energy.Devices()), energy.CIFAR10Workload()}, err
+	})
 }
 
 // RunGammaGrid evaluates the 4x4 Γ grid under one harvest regime: every
@@ -197,62 +213,49 @@ type gammaWorld struct {
 // is bit-identical at any GOMAXPROCS.
 func RunGammaGrid(o Options, regime GammaRegime) (*GammaGridResult, error) {
 	o = o.Defaults()
-	w, err := newGammaWorld(o)
+	w, err := newGammaWorld(o, 6, lazyGammaData(o))
 	if err != nil {
 		return nil, err
 	}
 	return w.runRegime(regime)
 }
 
-func newGammaWorld(o Options) (*gammaWorld, error) {
-	return newGammaWorldDegree(o, 6)
-}
-
-// newGammaWorldDegree builds the shared world on a d-regular topology —
-// the degree axis of the degree-coupled grid (TableDegreeGamma). The
-// graph fingerprint in each cell manifest covers the degree, so cells
-// from different degrees never collide in the cache while identical
-// (degree, regime, Γ) cells from overlapping sweeps dedupe.
-func newGammaWorldDegree(o Options, degree int) (*gammaWorld, error) {
+// newGammaWorld builds the shared world on a d-regular topology — d is
+// the degree axis of the degree-coupled grid (TableDegreeGamma), 6 the
+// paper's. The graph fingerprint in each cell manifest covers the degree,
+// so cells from different degrees never collide in the cache while
+// identical (degree, regime, Γ) cells from overlapping sweeps dedupe.
+func newGammaWorld(o Options, degree int, data func() (*gammaData, error)) (*gammaWorld, error) {
 	g, weights, err := topologyFor(o.Nodes, degree, o.Seed)
 	if err != nil {
 		return nil, err
 	}
-	part, val, _, err := cifarLikeData(o)
-	if err != nil {
-		return nil, err
-	}
-	workload := energy.CIFAR10Workload()
 	return &gammaWorld{
 		o:           o,
 		graph:       g,
 		weights:     weights,
-		part:        part,
-		val:         val,
-		devices:     energy.AssignDevices(o.Nodes, energy.Devices()),
-		workload:    workload,
-		meanTrainWh: energy.NetworkRoundWh(o.Nodes, energy.Devices(), workload) / float64(o.Nodes),
+		meanTrainWh: energy.NetworkRoundWh(o.Nodes, energy.Devices(), energy.CIFAR10Workload()) / float64(o.Nodes),
+		data:        data,
 	}, nil
 }
 
 // cellManifest is the content-addressable identity of one (regime, Γt,
 // Γs) cell: every Options and regime field that changes the computed bits
-// is hashed, so sweep.KeyFromManifest(cellManifest(...)) is a safe cache
-// key. Deliberately excluded, because they cannot change the bits:
+// is hashed, so sweep.KeyFromManifest(cellManifest(...).Build()) is a safe
+// cache key. Deliberately excluded, because they cannot change the bits:
 // FleetEngine (pointer and SoA are pinned bit-identical by
 // internal/harvest/difftest — a cell computed on either engine serves
 // both), Probe/Out (telemetry is read-only), EvalEvery (cells always run
 // with EvalEvery 0), and worker count (GOMAXPROCS is unhashed by design).
-func (w *gammaWorld) cellManifest(regime GammaRegime, traceName string, gt, gs int) obs.RunManifest {
+// regimeKeys builds it once per regime and re-sets only the two Γ fields.
+func (w *gammaWorld) cellManifest(regime GammaRegime, traceName string, gt, gs int) *obs.ManifestBuilder {
 	o := w.o
 	fo := gammaGridFleetOptions()
-	return obs.NewManifest("gammacell", regime.Name, o.Seed).
+	b := obs.NewManifest("gammacell", regime.Name, o.Seed).
 		Scale(o.Nodes, o.Rounds).
 		Set("regime", regime.Name).
 		Set("trace", traceName).
 		Setf("graph", "%016x", w.graph.Fingerprint()).
-		Setf("gamma_train", "%d", gt).
-		Setf("gamma_sync", "%d", gs).
 		Setf("lr", "%g", o.LR).
 		Setf("batch", "%d", o.BatchSize).
 		Setf("local_steps", "%d", o.LocalSteps).
@@ -263,8 +266,24 @@ func (w *gammaWorld) cellManifest(regime GammaRegime, traceName string, gt, gs i
 		Set("policy", "soc-threshold").
 		Setf("min_soc", "%g", gammaGridMinSoC).
 		Setf("fleet_capacity_rounds", "%g", fo.CapacityRounds).
-		Setf("fleet_initial_soc", "%g", fo.InitialSoC).
-		Build()
+		Setf("fleet_initial_soc", "%g", fo.InitialSoC)
+	return setGamma(b, gt, gs)
+}
+
+func setGamma(b *obs.ManifestBuilder, gt, gs int) *obs.ManifestBuilder {
+	return b.Set("gamma_train", strconv.Itoa(gt)).Set("gamma_sync", strconv.Itoa(gs))
+}
+
+// regimeKeys derives a regime's sixteen cell keys (keys[gs-1][gt-1]) off
+// one builder; each equals KeyFromManifest(cellManifest(...).Build()).
+func (w *gammaWorld) regimeKeys(regime GammaRegime, traceName string) (keys [gammaGridMax][gammaGridMax]sweep.CellKey) {
+	b := w.cellManifest(regime, traceName, 1, 1)
+	for gs := range keys {
+		for gt := range keys[gs] {
+			keys[gs][gt] = sweep.KeyFromBuilder(setGamma(b, gt+1, gs+1))
+		}
+	}
+	return keys
 }
 
 func (w *gammaWorld) runRegime(regime GammaRegime) (*GammaGridResult, error) {
@@ -296,10 +315,8 @@ func (w *gammaWorld) runRegime(regime GammaRegime) (*GammaGridResult, error) {
 	// under their content hash, unkeyed grids behave exactly as before.
 	var key func(gt, gs int) sweep.CellKey
 	if w.o.Sweep != nil {
-		traceName := sample.Name()
-		key = func(gt, gs int) sweep.CellKey {
-			return sweep.KeyFromManifest(w.cellManifest(regime, traceName, gt, gs))
-		}
+		keys := w.regimeKeys(regime, sample.Name())
+		key = func(gt, gs int) sweep.CellKey { return keys[gs-1][gt-1] }
 	}
 	grid, err := gammaCells(w.o.Sweep, key, func(gt, gs int) (GammaHarvestCell, error) {
 		start := time.Now()
@@ -333,6 +350,10 @@ func (w *gammaWorld) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, 
 	fail := func(err error) (GammaHarvestCell, error) {
 		return GammaHarvestCell{}, fmt.Errorf("experiments: gamma grid %s Γt=%d Γs=%d: %w", regime.Name, gt, gs, err)
 	}
+	d, err := w.data()
+	if err != nil {
+		return fail(err)
+	}
 	gamma, err := core.NewGamma(gt, gs)
 	if err != nil {
 		return fail(err)
@@ -341,7 +362,7 @@ func (w *gammaWorld) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, 
 	if err != nil {
 		return fail(err)
 	}
-	fleet, err := harvest.NewEngine(o.FleetEngine, w.devices, w.workload, trace, gammaGridFleetOptions())
+	fleet, err := harvest.NewEngine(o.FleetEngine, d.devices, d.workload, trace, gammaGridFleetOptions())
 	if err != nil {
 		return fail(err)
 	}
@@ -355,9 +376,9 @@ func (w *gammaWorld) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, 
 		Rounds:       o.Rounds,
 		ModelFactory: modelFactory(32, 10),
 		LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-		Partition: w.part, Test: w.val, // tuned on the validation split
+		Partition: d.part, Test: d.val, // tuned on the validation split
 		EvalEvery: 0, EvalSubsample: o.EvalSubsample,
-		Devices: w.devices, Workload: w.workload,
+		Devices: d.devices, Workload: d.workload,
 		Harvest: fleet,
 		Seed:    o.Seed,
 	})
@@ -392,21 +413,33 @@ func (w *gammaWorld) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, 
 // stochastic state is per-node.
 func TableGammaHarvest(o Options) ([]GammaHarvestRow, error) {
 	o = o.Defaults()
-	w, err := newGammaWorld(o)
+	grids, rows, err := gammaHarvest(o)
 	if err != nil {
 		return nil, err
 	}
-	var rows []GammaHarvestRow
-	for _, regime := range GammaGridRegimes(o) {
-		res, err := w.runRegime(regime)
-		if err != nil {
-			return nil, err
-		}
+	for _, res := range grids {
 		res.Render(o.Out)
-		rows = append(rows, GammaHarvestRow{Regime: res.Regime, Trace: res.Trace, Best: res.Best})
 	}
 	RenderGammaHarvestRows(o.Out, rows)
 	return rows, nil
+}
+
+// gammaHarvest is TableGammaHarvest without the rendering — all the sweep
+// handlers, which have no reader, run. o must be completed by Defaults.
+func gammaHarvest(o Options) (grids []*GammaGridResult, rows []GammaHarvestRow, err error) {
+	w, err := newGammaWorld(o, 6, lazyGammaData(o))
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, regime := range GammaGridRegimes(o) {
+		res, err := w.runRegime(regime)
+		if err != nil {
+			return nil, nil, err
+		}
+		grids = append(grids, res)
+		rows = append(rows, GammaHarvestRow{Regime: res.Regime, Trace: res.Trace, Best: res.Best})
+	}
+	return grids, rows, nil
 }
 
 // RenderGammaHarvestRows writes the per-regime summary table. It is

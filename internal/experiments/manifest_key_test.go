@@ -13,7 +13,7 @@ import (
 func cellHash(t *testing.T, o Options, degree, regimeIdx, gt, gs int) string {
 	t.Helper()
 	o = o.Defaults()
-	w, err := newGammaWorldDegree(o, degree)
+	w, err := newGammaWorld(o, degree, lazyGammaData(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func cellHash(t *testing.T, o Options, degree, regimeIdx, gt, gs int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sweep.KeyFromManifest(w.cellManifest(regime, sample.Name(), gt, gs)).ConfigHash
+	return sweep.KeyFromManifest(w.cellManifest(regime, sample.Name(), gt, gs).Build()).ConfigHash
 }
 
 // TestCellManifestKeyStability is the key-stability table: every knob that
@@ -115,5 +115,60 @@ func TestManifestEngineAndBatteryShapeHashed(t *testing.T) {
 	}
 	if h := build("sim", 12, 0.75); h != base {
 		t.Error("identical configs hash differently")
+	}
+}
+
+// TestCellKeyGoldenBytes pins the key bytes themselves. The literals were
+// produced by the commit before cell keys stopped going through
+// ManifestBuilder.Build (a map of fields, sorted, Fprintf'd into the
+// hasher); every cache directory users filled since is addressed by them.
+// TestCellManifestKeyStability above would still pass if every hash moved
+// together — this is the test a key-derivation refactor that silently
+// orphans those caches fails.
+func TestCellKeyGoldenBytes(t *testing.T) {
+	for _, g := range []struct {
+		degree, regime, gt, gs int
+		hash                   string
+	}{
+		{6, 1, 2, 3, "4f2b59064732e32ab7ed7d161e8bb2f9"},
+		{6, 0, 1, 1, "efce7301298c4b4eecf97a69721f30b7"},
+		{4, 3, 4, 2, "45cf57a39a8f55f82adf5807dde99e51"},
+		{8, 4, 3, 4, "802bc313d43416ee10345aff6c136464"},
+		{6, 2, 4, 4, "e5d85a2da33424a9d89e69bbf26deb94"},
+	} {
+		if h := cellHash(t, tiny(), g.degree, g.regime, g.gt, g.gs); h != g.hash {
+			t.Errorf("degree %d regime %d Γt=%d Γs=%d: ConfigHash %s, golden %s", g.degree, g.regime, g.gt, g.gs, h, g.hash)
+		}
+	}
+}
+
+// The keys a grid actually looks cells up by (regimeKeys: one builder per
+// regime, two fields re-set per cell, no manifest) equal the keys of the
+// full per-cell manifests for all 80 cells of a table, and no two collide.
+func TestRegimeKeysMatchCellManifests(t *testing.T) {
+	o := tiny().Defaults()
+	w, err := newGammaWorld(o, 6, lazyGammaData(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[sweep.CellKey]bool{}
+	for _, regime := range GammaGridRegimes(o) {
+		sample, err := regime.Trace(o, w.meanTrainWh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := w.regimeKeys(regime, sample.Name())
+		for gs := 1; gs <= gammaGridMax; gs++ {
+			for gt := 1; gt <= gammaGridMax; gt++ {
+				want := sweep.KeyFromManifest(w.cellManifest(regime, sample.Name(), gt, gs).Build())
+				if got := keys[gs-1][gt-1]; got != want {
+					t.Fatalf("%s Γt=%d Γs=%d: fast key %s, manifest key %s", regime.Name, gt, gs, got, want)
+				}
+				seen[want] = true
+			}
+		}
+	}
+	if len(seen) != 80 {
+		t.Fatalf("%d distinct keys for 80 cells", len(seen))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/harvest"
@@ -302,5 +303,143 @@ func TestTableDegreeGammaReproducibleAcrossGOMAXPROCS(t *testing.T) {
 	}
 	if a.Dominant != b.Dominant {
 		t.Fatalf("verdict differs: %q vs %q", a.Dominant, b.Dominant)
+	}
+}
+
+// allocatedBytes is the heap volume f allocates, at GOMAXPROCS 1 so no
+// other goroutine's allocations are counted with it.
+func allocatedBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSweepWarmPathCheapAndLazy holds the all-hit path to what it serves:
+// keys, store lookups and payload decodes. Nothing a hit does not need —
+// the dataset above all, which cost more than the rest of a warm request
+// together while newGammaWorld built it eagerly — may come back.
+func TestSweepWarmPathCheapAndLazy(t *testing.T) {
+	o := tiny()
+	o.Rounds = 8
+	store := sweep.NewMemStore(0)
+	degrees := []int{4, 6, 8}
+	o.Sweep = sweep.NewRunner(store, nil)
+	if _, err := TableGammaHarvest(o); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TableDegreeGamma(o, degrees); err != nil {
+		t.Fatal(err)
+	}
+
+	// Measured 1796 allocations for the warm table, rendering to
+	// io.Discard included: 22.5 per cell (it was 7764, 97 per cell, with
+	// per-cell manifests, build-info parses and the eager dataset). The
+	// budget is that plus a quarter.
+	const perCellBudget = 28
+	warmTable := func() {
+		o.Sweep = sweep.NewRunner(store, nil)
+		if _, err := TableGammaHarvest(o); err != nil {
+			t.Fatal(err)
+		}
+		if st := o.Sweep.Stats(); !st.AllHits() || st.Cells != 80 {
+			t.Fatalf("warm table stats %+v", st)
+		}
+	}
+	if n := testing.AllocsPerRun(5, warmTable); n > 80*perCellBudget {
+		t.Errorf("warm TableGammaHarvest: %.0f allocations, %.1f per cell; budget %d per cell", n, n/80, perCellBudget)
+	}
+
+	// Three degrees, 240 hits (measured 179 736 bytes), against one
+	// dataset (230 664 bytes): had any of the three worlds built its
+	// data, the grid could not come in under it.
+	warmDegrees := allocatedBytes(func() {
+		o.Sweep = sweep.NewRunner(store, nil)
+		if _, err := TableDegreeGamma(o, degrees); err != nil {
+			t.Fatal(err)
+		}
+		if st := o.Sweep.Stats(); !st.AllHits() || st.Cells != 240 {
+			t.Fatalf("warm degree grid stats %+v", st)
+		}
+	})
+	dataset := allocatedBytes(func() {
+		if _, _, _, err := cifarLikeData(o.Defaults()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if warmDegrees >= dataset {
+		t.Errorf("warm TableDegreeGamma allocated %d bytes, one cifarLikeData call %d: a dataset was built on the hit path", warmDegrees, dataset)
+	}
+}
+
+// holeStore is a Store with one key knocked out until it is Put again.
+type holeStore struct {
+	sweep.Store
+	mu     sync.Mutex
+	hole   sweep.CellKey
+	filled bool
+}
+
+func (h *holeStore) Get(k sweep.CellKey) (sweep.CellResult, bool, error) {
+	h.mu.Lock()
+	miss := k == h.hole && !h.filled
+	h.mu.Unlock()
+	if miss {
+		return sweep.CellResult{}, false, nil
+	}
+	return h.Store.Get(k)
+}
+
+func (h *holeStore) Put(res sweep.CellResult) error {
+	h.mu.Lock()
+	h.filled = h.filled || res.Key == h.hole
+	h.mu.Unlock()
+	return h.Store.Put(res)
+}
+
+// The world's data is built by the first cell that computes, wherever in
+// the grid that is: when fifteen cells hit and only the last one misses,
+// the dataset is built mid-grid, under the pool, and that cell still
+// equals the uncached path's bit for bit — at GOMAXPROCS 1 and 8.
+func TestSweepLastCellOnlyMissBuildsWorldMidGrid(t *testing.T) {
+	o := tiny()
+	o.Rounds = 8
+	regime := GammaGridRegimes(o)[3] // markov-lo: stateful trace
+	plain, err := RunGammaGrid(o, regime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := sweep.NewMemStore(0)
+	o.Sweep = sweep.NewRunner(store, nil)
+	if _, err := RunGammaGrid(o, regime); err != nil {
+		t.Fatal(err)
+	}
+	last := sweep.CellKey{ConfigHash: cellHash(t, o, 6, 3, gammaGridMax, gammaGridMax), Revision: obs.GitRevision()}
+	if _, ok, _ := store.Get(last); !ok {
+		t.Fatalf("cold fill did not store the last cell under %s", last)
+	}
+	for _, procs := range []int{1, 8} {
+		old := runtime.GOMAXPROCS(procs)
+		o.Sweep = sweep.NewRunner(&holeStore{Store: store, hole: last}, nil)
+		got, err := RunGammaGrid(o, regime)
+		runtime.GOMAXPROCS(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := o.Sweep.Stats(); st.Hits != 15 || st.Misses != 1 {
+			t.Fatalf("GOMAXPROCS %d: stats %+v, want 15 hits and the last cell's miss", procs, st)
+		}
+		for gs := range plain.Grid {
+			for gt := range plain.Grid[gs] {
+				if got.Grid[gs][gt] != plain.Grid[gs][gt] {
+					t.Fatalf("GOMAXPROCS %d, Γt=%d Γs=%d:\nwith one miss %+v\nuncached      %+v", procs, gt+1, gs+1, got.Grid[gs][gt], plain.Grid[gs][gt])
+				}
+			}
+		}
+		if got.Best != plain.Best {
+			t.Fatalf("GOMAXPROCS %d: best %+v, uncached %+v", procs, got.Best, plain.Best)
+		}
 	}
 }

@@ -8,11 +8,11 @@ import (
 
 // Job kinds served by a sweep server with RegisterSweepHandlers installed.
 const (
-	// JobGammaGrid runs TableGammaHarvest (the 5-regime 4x4 Γ search) and
-	// replies with its []GammaHarvestRow.
+	// JobGammaGrid computes TableGammaHarvest's rows (the 5-regime 4x4 Γ
+	// search) and replies with the []GammaHarvestRow; nothing is rendered.
 	JobGammaGrid = "gamma-grid"
-	// JobDegreeGrid runs TableDegreeGamma (degree x regime x Γ) and
-	// replies with its DegreeGammaResult.
+	// JobDegreeGrid computes TableDegreeGamma's result (degree x regime x
+	// Γ) and replies with the DegreeGammaResult; nothing is rendered.
 	JobDegreeGrid = "degree-grid"
 )
 
@@ -52,13 +52,14 @@ func RegisterSweepHandlers(s *sweep.Server) {
 		if err != nil {
 			return nil, err
 		}
-		return TableGammaHarvest(p.options(r))
+		_, rows, err := gammaHarvest(p.options(r))
+		return rows, err
 	})
 	s.Handle(JobDegreeGrid, func(r *sweep.Runner, raw json.RawMessage) (any, error) {
 		p, err := decode(raw)
 		if err != nil {
 			return nil, err
 		}
-		return TableDegreeGamma(p.options(r), p.Degrees)
+		return degreeGammaResult(p.options(r), p.Degrees)
 	})
 }

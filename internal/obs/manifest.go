@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
+	"strconv"
+	"sync"
 )
 
 // RunManifest is a run's content-addressable identity: everything needed
@@ -47,31 +49,40 @@ type RunManifest struct {
 }
 
 // ManifestBuilder accumulates config fields and derives the stable hash.
+// Fields are kept as "key=value" lines in key order — the order they are
+// hashed in — so re-setting a field and hashing again formats nothing else.
 type ManifestBuilder struct {
-	engine, label string
-	seed          uint64
-	nodes, rounds int
-	fields        map[string]string
+	m           RunManifest // the identity fields; Build fills in the rest
+	head        string      // "engine=…\nseed=…\n", hashed first
+	keys, lines []string    // parallel; lines[i] = keys[i] + "=" + value
 }
 
 // NewManifest starts a manifest for one run of the named engine.
 func NewManifest(engine, label string, seed uint64) *ManifestBuilder {
-	return &ManifestBuilder{engine: engine, label: label, seed: seed, fields: map[string]string{}}
+	b := &ManifestBuilder{m: RunManifest{Engine: engine, Label: label, Seed: seed}}
+	b.head = fmt.Sprintf("engine=%s\nseed=%d\n", engine, seed)
+	b.keys, b.lines = make([]string, 0, 24), make([]string, 0, 24) // the engines' manifests fit
+	return b
 }
 
 // Scale records the run's node count and horizon (also hashed as config
 // fields).
 func (b *ManifestBuilder) Scale(nodes, rounds int) *ManifestBuilder {
-	b.nodes, b.rounds = nodes, rounds
-	b.Set("nodes", fmt.Sprint(nodes))
-	b.Set("rounds", fmt.Sprint(rounds))
+	b.m.Nodes, b.m.Rounds = nodes, rounds
+	b.Set("nodes", strconv.Itoa(nodes))
+	b.Set("rounds", strconv.Itoa(rounds))
 	return b
 }
 
 // Set records one config field. Last write per key wins; keys are sorted
 // before hashing, so call order never matters.
 func (b *ManifestBuilder) Set(key, value string) *ManifestBuilder {
-	b.fields[key] = value
+	i, ok := slices.BinarySearch(b.keys, key)
+	if !ok {
+		b.keys = slices.Insert(b.keys, i, key)
+		b.lines = slices.Insert(b.lines, i, "")
+	}
+	b.lines[i] = key + "=" + value
 	return b
 }
 
@@ -80,39 +91,34 @@ func (b *ManifestBuilder) Setf(key, format string, args ...any) *ManifestBuilder
 	return b.Set(key, fmt.Sprintf(format, args...))
 }
 
-// Build finalizes the manifest: sorts the fields, hashes them with the
-// engine name and seed, and stamps the build identity.
-func (b *ManifestBuilder) Build() RunManifest {
-	keys := make([]string, 0, len(b.fields))
-	for k := range b.fields {
-		keys = append(keys, k)
+// ConfigHash is Build().ConfigHash with no manifest built around it — all
+// a cache lookup needs: the digest of head and the "key=value\n" lines.
+func (b *ManifestBuilder) ConfigHash() string {
+	buf := append(make([]byte, 0, 512), b.head...)
+	for _, line := range b.lines {
+		buf = append(append(buf, line...), '\n')
 	}
-	sort.Strings(keys)
-	cfg := make([]string, len(keys))
-	h := sha256.New()
-	fmt.Fprintf(h, "engine=%s\nseed=%d\n", b.engine, b.seed)
-	for i, k := range keys {
-		cfg[i] = k + "=" + b.fields[k]
-		fmt.Fprintf(h, "%s\n", cfg[i])
-	}
-	sum := h.Sum(nil)
-	return RunManifest{
-		Engine:      b.engine,
-		Label:       b.label,
-		Seed:        b.seed,
-		Nodes:       b.nodes,
-		Rounds:      b.rounds,
-		ConfigHash:  hex.EncodeToString(sum[:16]),
-		Config:      cfg,
-		GoVersion:   runtime.Version(),
-		GitRevision: gitRevision(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:16])
 }
 
-// gitRevision reads the VCS revision the binary was built from, when the
-// toolchain stamped one.
-func gitRevision() string {
+// Build finalizes the manifest: hashes the sorted fields with the engine
+// name and seed, and stamps the build identity.
+func (b *ManifestBuilder) Build() RunManifest {
+	m := b.m
+	m.ConfigHash = b.ConfigHash()
+	m.Config = append([]string{}, b.lines...)
+	m.GoVersion = runtime.Version()
+	m.GitRevision = gitRevision()
+	m.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	return m
+}
+
+// GitRevision is the VCS revision the binary was built from, "" when the
+// toolchain stamped none. Build info is fixed per process: parsed once.
+func GitRevision() string { return gitRevision() }
+
+var gitRevision = sync.OnceValue(func() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return ""
@@ -130,4 +136,4 @@ func gitRevision() string {
 		rev += "+dirty"
 	}
 	return rev
-}
+})

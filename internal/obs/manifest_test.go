@@ -1,7 +1,11 @@
 package obs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -75,5 +79,70 @@ func TestManifestHashIgnoresGOMAXPROCS(t *testing.T) {
 	}
 	if b.GOMAXPROCS != 3 {
 		t.Fatalf("GOMAXPROCS not recorded: %d", b.GOMAXPROCS)
+	}
+}
+
+// eighteenFields is a builder of the sweep cell manifest's shape: Scale's
+// two fields plus sixteen more.
+func eighteenFields() *ManifestBuilder {
+	b := NewManifest("gammacell", "markov-lo", 7).Scale(16, 20)
+	for i, k := range []string{"regime", "trace", "graph", "gamma_train", "gamma_sync", "lr", "batch",
+		"local_steps", "train_per_node", "test_samples", "noise", "eval_subsample", "policy", "min_soc",
+		"fleet_capacity_rounds", "fleet_initial_soc"} {
+		b.Setf(k, "v%d", i)
+	}
+	return b
+}
+
+// ConfigHash is pinned to its documented input — "engine=…\nseed=…\n",
+// then the "key=value\n" lines sorted by key — by hashing that text here
+// with nothing shared with the builder, and to a literal recorded before
+// the builder stopped using a map and fmt.Fprintf. On-disk sweep caches
+// are addressed by these bytes.
+func TestManifestConfigHashFormat(t *testing.T) {
+	b := eighteenFields()
+	m := b.Build()
+	if len(m.Config) != 18 || !sort.StringsAreSorted(m.Config) {
+		t.Fatalf("Config not the 18 sorted fields: %q", m.Config)
+	}
+	text := "engine=gammacell\nseed=7\n" + strings.Join(m.Config, "\n") + "\n"
+	sum := sha256.Sum256([]byte(text))
+	if want := hex.EncodeToString(sum[:16]); m.ConfigHash != want || b.ConfigHash() != want {
+		t.Fatalf("ConfigHash %s (Build) / %s (ConfigHash), documented format hashes to %s", m.ConfigHash, b.ConfigHash(), want)
+	}
+	if want := "63976bcd2bc51c789ffc7bb2ccdc55f7"; m.ConfigHash != want {
+		t.Fatalf("ConfigHash %s, the parent commit's builder gave %s", m.ConfigHash, want)
+	}
+	// Sorting is by key, not by line: '-' sorts before '=' but "a" before "a-b".
+	if got := NewManifest("e", "", 1).Set("a-b", "2").Set("a", "1").Build().Config; got[0] != "a=1" || got[1] != "a-b=2" {
+		t.Fatalf("fields sorted by line, not by key: %q", got)
+	}
+	// Re-setting a field replaces its line in place.
+	if h := b.Set("gamma_sync", "other").ConfigHash(); h == m.ConfigHash {
+		t.Fatal("re-set field did not move the hash")
+	}
+	if h := b.Set("gamma_sync", "v4").ConfigHash(); h != m.ConfigHash {
+		t.Fatalf("restoring the field gave %s, want %s", h, m.ConfigHash)
+	}
+	if empty := NewManifest("e", "", 1).Build(); empty.Config == nil {
+		t.Fatal("a field-less manifest must still encode config as [], not null")
+	}
+}
+
+// The VCS revision is read once per process: two Builds agree with each
+// other and with GitRevision, and a Build no longer pays for a
+// debug.ParseBuildInfo — measured 3 allocations on an 18-field builder
+// (the Config slice and hex.EncodeToString's two), against 50 when every
+// Build re-parsed the build info.
+func TestManifestRevisionReadOnce(t *testing.T) {
+	b := eighteenFields()
+	if a, c := b.Build(), b.Build(); a.GitRevision != c.GitRevision || a.GitRevision != GitRevision() {
+		t.Fatalf("revision moved between Builds: %q, %q, GitRevision() %q", a.GitRevision, c.GitRevision, GitRevision())
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = b.Build() }); n > 4 {
+		t.Fatalf("Build allocates %v times, budget 4", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = b.ConfigHash() }); n > 2 {
+		t.Fatalf("ConfigHash allocates %v times, budget 2 (hex.EncodeToString's)", n)
 	}
 }

@@ -37,6 +37,12 @@ func KeyFromManifest(m obs.RunManifest) CellKey {
 	return CellKey{ConfigHash: m.ConfigHash, Revision: m.GitRevision}
 }
 
+// KeyFromBuilder is KeyFromManifest(b.Build()) for callers that only look
+// cells up: it hashes the builder's fields and materialises no manifest.
+func KeyFromBuilder(b *obs.ManifestBuilder) CellKey {
+	return CellKey{ConfigHash: b.ConfigHash(), Revision: obs.GitRevision()}
+}
+
 // Valid reports whether the key can address a cache entry. A zero key
 // (no config hash) marks a cell as uncacheable; the scheduler computes it
 // fresh every time.

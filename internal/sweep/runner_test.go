@@ -3,6 +3,8 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -240,5 +242,54 @@ func TestScopedStatsAndProbeEvents(t *testing.T) {
 		if ev.Kind != obs.KindCell || !strings.HasPrefix(ev.Label, "miss ") {
 			t.Fatalf("unexpected event %+v", ev)
 		}
+	}
+}
+
+// A cell file that no longer decodes is one miss, not a grid that fails
+// for ever: the damaged cell is recomputed to the same value and
+// rewritten, the other cells still hit, and the rerun after that is all
+// hits again. Each run gets a fresh memory tier over the same directory,
+// like a daemon restart.
+func TestGridCorruptCellFileIsOneMiss(t *testing.T) {
+	disk := newFileStore(t)
+	var calls int64
+	run := func() ([]cellValue, Stats) {
+		t.Helper()
+		r := NewRunner(Tiered(NewMemStore(0), disk), nil)
+		got, err := Grid(r, 8, gridKeys(8, ""), computeCell(&calls))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, r.Stats()
+	}
+	cold, st := run()
+	if st.Misses != 8 {
+		t.Fatalf("cold stats %+v", st)
+	}
+
+	path := filepath.Join(disk.Dir(), gridKeys(8, "")(5).fileName())
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, whole[:len(whole)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	healed, st := run()
+	if st.Misses != 1 || st.Hits != 7 || calls != 9 {
+		t.Fatalf("run over a truncated cell file: stats %+v, %d computes; want 1 miss, 7 hits, 9 computes", st, calls)
+	}
+	again, st := run()
+	if !st.AllHits() || calls != 9 {
+		t.Fatalf("run after the rewrite: stats %+v, %d computes; want all hits", st, calls)
+	}
+	for i := range cold {
+		if healed[i] != cold[i] || again[i] != cold[i] {
+			t.Fatalf("cell %d: cold %+v, healed %+v, again %+v", i, cold[i], healed[i], again[i])
+		}
+	}
+	if b, err := os.ReadFile(path + ".corrupt"); err != nil || len(b) != len(whole)/2 {
+		t.Fatalf("truncated file not kept aside: %d bytes, %v", len(b), err)
 	}
 }

@@ -109,7 +109,8 @@ func (s *FileStore) Dir() string { return s.dir }
 // (file names for non-hex keys are digests, so distinct keys could share
 // a name; a mismatch reads as a miss, never as wrong data).
 func (s *FileStore) Get(k CellKey) (CellResult, bool, error) {
-	b, err := os.ReadFile(filepath.Join(s.dir, k.fileName()))
+	path := filepath.Join(s.dir, k.fileName())
+	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return CellResult{}, false, nil
 	}
@@ -118,7 +119,10 @@ func (s *FileStore) Get(k CellKey) (CellResult, bool, error) {
 	}
 	var res CellResult
 	if err := json.Unmarshal(b, &res); err != nil {
-		return CellResult{}, false, fmt.Errorf("sweep: decode cell %s: %w", k, err)
+		// Damaged on disk: it can never be served, so set it aside (best
+		// effort) and let the cell be recomputed and rewritten.
+		_ = os.Rename(path, path+".corrupt")
+		return CellResult{}, false, nil
 	}
 	if res.Key != k {
 		return CellResult{}, false, nil

@@ -153,12 +153,27 @@ func TestFileStoreAtomicAndRestartable(t *testing.T) {
 	if _, ok, err := fs2.Get(k); !ok || err != nil {
 		t.Fatalf("restarted store Get = ok=%v err=%v", ok, err)
 	}
-	// Corrupt entries read as misses-with-error, never as wrong data.
-	if err := os.WriteFile(filepath.Join(dir, k.fileName()), []byte("{not json"), 0o644); err != nil {
+	// Corrupt entries read as plain misses, never as wrong data and never
+	// as an error every later request for the key would hit again: the
+	// file is set aside and the key can be rewritten and served.
+	path := filepath.Join(dir, k.fileName())
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := fs2.Get(k); ok || err == nil {
-		t.Fatalf("corrupt entry Get = ok=%v err=%v", ok, err)
+	if _, ok, err := fs2.Get(k); ok || err != nil {
+		t.Fatalf("corrupt entry Get = ok=%v err=%v, want a miss", ok, err)
+	}
+	if b, err := os.ReadFile(path + ".corrupt"); err != nil || string(b) != "{not json" {
+		t.Fatalf("corrupt file not set aside: %q, %v", b, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("corrupt file still in place: %v", err)
+	}
+	if err := fs2.Put(CellResult{Key: k, Payload: json.RawMessage(`{"v":2}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok, err := fs2.Get(k); !ok || err != nil || string(res.Payload) != `{"v":2}` {
+		t.Fatalf("rewritten entry Get = %s ok=%v err=%v", res.Payload, ok, err)
 	}
 }
 

@@ -122,6 +122,9 @@ func (b *Batcher) Next(size int) ([]tensor.Vector, []int) {
 	if size > b.ds.Len() {
 		size = b.ds.Len()
 	}
+	if cap(b.xs) < size {
+		b.xs, b.ys = make([]tensor.Vector, 0, size), make([]int, 0, size)
+	}
 	b.xs = b.xs[:0]
 	b.ys = b.ys[:0]
 	for len(b.xs) < size {

@@ -168,6 +168,27 @@ func TestBatcherClampsOversizedBatch(t *testing.T) {
 	}
 }
 
+func TestBatcherSizesItsSlicesOnce(t *testing.T) {
+	cfg := SyntheticConfig{Classes: 2, Dim: 2, Train: 64, Test: 4, Noise: 1, Seed: 7}
+	train, _ := mustGenerate(t, cfg)
+	// The first call makes the two returned slices, whole; growing them by
+	// doubling took ten allocations at batch 16.
+	r := rng.New(4)
+	build := testing.AllocsPerRun(4, func() { NewBatcher(train, r) })
+	first := testing.AllocsPerRun(4, func() { NewBatcher(train, r).Next(16) })
+	if first-build != 2 {
+		t.Fatalf("first Next(16) made %v allocations, want 2", first-build)
+	}
+	b := NewBatcher(train, r)
+	xs, _ := b.Next(16)
+	if again := testing.AllocsPerRun(8, func() { b.Next(16) }); again != 0 {
+		t.Fatalf("a later Next(16) made %v allocations", again)
+	}
+	if ys, _ := b.Next(16); &ys[0] != &xs[0] {
+		t.Fatal("Next returned a fresh slice instead of reusing its own")
+	}
+}
+
 func TestClassHistogramAndSubset(t *testing.T) {
 	d := &Dataset{NumClasses: 3, Dim: 1, Samples: []Sample{
 		{X: []float64{0}, Y: 0}, {X: []float64{1}, Y: 1},

@@ -22,7 +22,8 @@ type Conv2D struct {
 	gK, gB        tensor.Vector
 	lastIn        tensor.Vector
 	outBuf        tensor.Vector
-	dIn           tensor.Vector
+	dIn           tensor.Vector // nil in a network's first layer: nothing reads it
+	first         bool
 }
 
 // NewConv2D constructs the layer; New draws its kernels He-normal from r.
@@ -40,12 +41,12 @@ func NewConv2D(inC, inH, inW, outC, kH, kW, pad int, r *rng.RNG) *Conv2D {
 		outH: outH, outW: outW, r: r,
 		lastIn: tensor.NewVector(inC * inH * inW),
 		outBuf: tensor.NewVector(outC * outH * outW),
-		dIn:    tensor.NewVector(inC * inH * inW),
 	}
 }
 
-func (l *Conv2D) InSize() int  { return l.inC * l.inH * l.inW }
-func (l *Conv2D) OutSize() int { return l.outC * l.outH * l.outW }
+func (l *Conv2D) InSize() int   { return l.inC * l.inH * l.inW }
+func (l *Conv2D) OutSize() int  { return l.outC * l.outH * l.outW }
+func (l *Conv2D) noLayerBelow() { l.first = true }
 
 // OutShape returns the output (channels, height, width).
 func (l *Conv2D) OutShape() (c, h, w int) { return l.outC, l.outH, l.outW }
@@ -88,6 +89,7 @@ func (l *Conv2D) Forward(in tensor.Vector) tensor.Vector {
 func (l *Conv2D) Backward(dOut tensor.Vector) tensor.Vector {
 	checkSize("Conv2D", len(dOut), l.OutSize())
 	l.dIn.Zero()
+	var dInPlane tensor.Vector
 	for oc := 0; oc < l.outC; oc++ {
 		dPlane := dOut[oc*l.outH*l.outW : (oc+1)*l.outH*l.outW]
 		for oy := 0; oy < l.outH; oy++ {
@@ -99,7 +101,9 @@ func (l *Conv2D) Backward(dOut tensor.Vector) tensor.Vector {
 				l.gB[oc] += g
 				for ic := 0; ic < l.inC; ic++ {
 					inPlane := l.lastIn[ic*l.inH*l.inW : (ic+1)*l.inH*l.inW]
-					dInPlane := l.dIn[ic*l.inH*l.inW : (ic+1)*l.inH*l.inW]
+					if !l.first {
+						dInPlane = l.dIn[ic*l.inH*l.inW : (ic+1)*l.inH*l.inW]
+					}
 					kBase := ((oc*l.inC + ic) * l.kH) * l.kW
 					for ky := 0; ky < l.kH; ky++ {
 						iy := oy + ky - l.pad
@@ -114,7 +118,9 @@ func (l *Conv2D) Backward(dOut tensor.Vector) tensor.Vector {
 							idx := iy*l.inW + ix
 							kIdx := kBase + ky*l.kW + kx
 							l.gK[kIdx] += g * inPlane[idx]
-							dInPlane[idx] += g * l.K[kIdx]
+							if dInPlane != nil {
+								dInPlane[idx] += g * l.K[kIdx]
+							}
 						}
 					}
 				}
@@ -131,6 +137,9 @@ func (l *Conv2D) Bind(params, grads tensor.Vector) {
 	l.K, l.B = params[:nk], params[nk:]
 	l.gK, l.gB = grads[:nk], grads[nk:]
 	heInit(l.K, l.inC*l.kH*l.kW, l.r)
+	if !l.first {
+		l.dIn = tensor.NewVector(l.InSize())
+	}
 }
 
 // MaxPool2D is a max-pooling layer with square window and equal stride

@@ -17,28 +17,25 @@ type Dense struct {
 	gW       *tensor.Matrix
 	gB       tensor.Vector
 
-	lastIn tensor.Vector
+	lastIn tensor.Vector // the caller's slice, held from Forward to Backward
 	outBuf tensor.Vector
-	dIn    tensor.Vector
+	dIn    tensor.Vector // nil in a network's first layer: nothing reads it
+	first  bool
 }
 
 // NewDense returns a Dense layer whose weights New draws He-normal from r,
 // the right default for ReLU networks. Pass withBias=false to omit the bias.
 func NewDense(in, out int, withBias bool, r *rng.RNG) *Dense {
-	return &Dense{
-		in: in, out: out, withBias: withBias, r: r,
-		lastIn: tensor.NewVector(in),
-		outBuf: tensor.NewVector(out),
-		dIn:    tensor.NewVector(in),
-	}
+	return &Dense{in: in, out: out, withBias: withBias, r: r, outBuf: tensor.NewVector(out)}
 }
 
-func (l *Dense) InSize() int  { return l.in }
-func (l *Dense) OutSize() int { return l.out }
+func (l *Dense) InSize() int   { return l.in }
+func (l *Dense) OutSize() int  { return l.out }
+func (l *Dense) noLayerBelow() { l.first = true }
 
 func (l *Dense) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("Dense", len(in), l.in)
-	copy(l.lastIn, in)
+	l.lastIn = in
 	tensor.MatVecTo(l.outBuf, l.W, in)
 	if l.B != nil {
 		for i := range l.outBuf {
@@ -53,6 +50,9 @@ func (l *Dense) Backward(dOut tensor.Vector) tensor.Vector {
 	tensor.OuterAcc(l.gW, dOut, l.lastIn)
 	if l.gB != nil {
 		tensor.AXPY(l.gB, 1, dOut)
+	}
+	if l.first {
+		return nil
 	}
 	tensor.MatTVecTo(l.dIn, l.W, dOut)
 	return l.dIn
@@ -72,6 +72,9 @@ func (l *Dense) Bind(params, grads tensor.Vector) {
 	heInit(l.W.Data, l.in, l.r)
 	if l.withBias {
 		l.B, l.gB = params[nw:], grads[nw:]
+	}
+	if !l.first {
+		l.dIn = tensor.NewVector(l.in)
 	}
 }
 

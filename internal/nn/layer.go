@@ -20,8 +20,13 @@
 // is the model x_i the nodes exchange and every checkpoint stores, so
 // CopyParamsTo, SetParams and the optimizers are one pass over one slice,
 // and a write through SetParams is at once visible to every layer. Only
-// the owning node's goroutine writes it — TrainBatch and SetParams —
-// whereas Params hands out the same memory read-only.
+// the owning node's goroutine writes it — TrainBatch, SetParams and
+// MixParams (the neighborhood average, summed straight into it) — whereas
+// Params hands out the same memory read-only.
+//
+// Between Forward and Backward, Dense holds the slice it was given, not a
+// copy: a sample or the buffer of the layer below, neither of which changes
+// meanwhile. A first-layer Dense or Conv2D computes no input gradient (New).
 package nn
 
 import (
@@ -41,7 +46,8 @@ type Layer interface {
 	// slice is an internal buffer valid until the next Forward.
 	Forward(in tensor.Vector) tensor.Vector
 	// Backward consumes dLoss/dOut and returns dLoss/dIn, accumulating
-	// parameter gradients. The returned slice is an internal buffer.
+	// parameter gradients. The returned slice is an internal buffer, or
+	// nil from a network's first layer.
 	Backward(dOut tensor.Vector) tensor.Vector
 	// ParamSize is the layer's trainable parameter count.
 	ParamSize() int

@@ -25,6 +25,7 @@ type Network struct {
 // New builds a network: it validates that consecutive layer sizes chain,
 // allocates the parameter and gradient vectors, and binds each layer to
 // its window of them in layer order (which is when weights are drawn).
+// Nothing reads the first layer's input gradient, so it is told to skip it.
 func New(layers ...Layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: empty network")
@@ -44,6 +45,9 @@ func New(layers ...Layer) *Network {
 		params: tensor.NewVector(size),
 		grads:  tensor.NewVector(size),
 		probs:  tensor.NewVector(layers[len(layers)-1].OutSize()),
+	}
+	if l, ok := layers[0].(interface{ noLayerBelow() }); ok {
+		l.noLayerBelow()
 	}
 	off := 0
 	for _, l := range layers {
@@ -66,7 +70,7 @@ func (n *Network) ParamCount() int { return len(n.params) }
 
 // Params returns the model vector x_i itself, not a copy. It is read-only
 // for callers and changes under them whenever the network trains or
-// SetParams runs.
+// SetParams or MixParams runs.
 func (n *Network) Params() tensor.Vector { return n.params }
 
 // Forward runs the network and returns the logits (an internal buffer).
@@ -90,6 +94,13 @@ func (n *Network) CopyParamsTo(dst tensor.Vector) {
 func (n *Network) SetParams(src tensor.Vector) {
 	checkSize("Network params", len(src), len(n.params))
 	copy(n.params, src)
+}
+
+// MixParams overwrites the model with sum_k weights[k]*vecs[k], Algorithm
+// 1's aggregation (line 8), in one pass (tensor.WeightedSumTo). No operand
+// may be Params itself: a node's own term is its published half-step copy.
+func (n *Network) MixParams(weights []float64, vecs []tensor.Vector) {
+	tensor.WeightedSumTo(n.params, weights, vecs)
 }
 
 // ZeroGrads clears every accumulated gradient.

@@ -9,13 +9,15 @@
 //     every node publishes its model into its half-step buffer x^{t-1/2};
 //  2. share phase — every node sends that buffer to all neighbors through
 //     the transport (the in-process transport passes the slice itself);
-//  3. aggregate phase — every node receives one model per neighbor, forms
-//     the W-weighted average in its own aggregation buffer and commits it
-//     to its model;
+//  3. aggregate phase — every node receives one model per neighbor and
+//     sums the W-weighted average straight into its own model vector
+//     (nn.Network.MixParams), reading its half-step copy as its own term;
 //  4. (optionally) evaluation on the shared test set.
 //
 // A half-step buffer is written only in phase 1 and read by the neighbors
-// only in phase 3, with a barrier after each, so sharing it is safe; see
+// only in phase 3, with a barrier after each, so sharing it is safe; it is
+// the only model-sized buffer beside the network, whose own vector is the
+// post-aggregation state that evaluation and checkpoints read. See
 // docs/ARCHITECTURE.md for who may write which buffer when.
 //
 // When a harvest fleet is attached (Config.Harvest), every round also closes
@@ -40,6 +42,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -381,11 +384,30 @@ type nodeState struct {
 	batcher *dataset.Batcher
 	policy  *rng.RNG
 	half    tensor.Vector // x^{t-1/2}, the shared model
-	agg     tensor.Vector // aggregation buffer
 	ep      transport.Endpoint
-	inbox   map[int]tensor.Vector // neighbor -> model, refilled per round
+	// slots[k] is this round's model from neighbor Graph.Adj[id][k], nil
+	// outside phase 3; mixW and mixV list the aggregation's operands.
+	slots   []tensor.Vector
+	mixW    []float64
+	mixV    []tensor.Vector
 	trained int
 	err     error
+}
+
+// accept files a received model under its sender's adjacency position;
+// anything but one round-t model per live neighbor is an error on the spot.
+func (nd *nodeState) accept(msg transport.Message, t int, adj []int, live []bool) error {
+	k := slices.Index(adj, msg.From)
+	switch {
+	case msg.Round != t:
+		return fmt.Errorf("sim: node %d got a round %d message from %d in round %d", nd.id, msg.Round, msg.From, t)
+	case k < 0 || (live != nil && !live[msg.From]):
+		return fmt.Errorf("sim: node %d got a model from %d in round %d, which is not a live neighbor", nd.id, msg.From, t)
+	case nd.slots[k] != nil:
+		return fmt.Errorf("sim: node %d got a duplicate model from %d in round %d", nd.id, msg.From, t)
+	}
+	nd.slots[k] = msg.Vec
+	return nil
 }
 
 // Run executes the experiment.
@@ -438,9 +460,10 @@ func Run(cfg Config) (*Result, error) {
 			batcher: dataset.NewBatcher(cfg.Partition[i], rng.Derive(cfg.Seed, uint64(i), 0xba7c4)),
 			policy:  rng.Derive(cfg.Seed, uint64(i), 0x90a1c),
 			half:    tensor.NewVector(model.ParamCount()),
-			agg:     tensor.NewVector(model.ParamCount()),
 			ep:      ep,
-			inbox:   make(map[int]tensor.Vector, cfg.Graph.Degree(i)),
+			slots:   make([]tensor.Vector, cfg.Graph.Degree(i)),
+			mixW:    make([]float64, 1+cfg.Graph.Degree(i)),
+			mixV:    make([]tensor.Vector, 1+cfg.Graph.Degree(i)),
 		}
 	}
 
@@ -608,9 +631,9 @@ func Run(cfg Config) (*Result, error) {
 					i := rv.Node
 					rj := checkpoint.Rejoin{
 						Node: i, Round: t, Staleness: rv.Staleness,
-						// nd.agg holds the frozen post-aggregation model:
-						// dead rounds copy the held half-step into it.
-						Current: nodes[i].agg,
+						// Nothing has written a dead node's model since the
+						// aggregation before it died.
+						Current: nodes[i].net.Params(),
 					}
 					if snap, ok, err := ck.Load(i); err != nil {
 						return nil, fmt.Errorf("sim: load snapshot for node %d: %w", i, err)
@@ -627,7 +650,7 @@ func Run(cfg Config) (*Result, error) {
 							if mean == nil {
 								mean = tensor.NewVector(paramCount)
 							}
-							tensor.AXPY(mean, 1, nodes[j].agg)
+							tensor.AXPY(mean, 1, nodes[j].net.Params())
 							cnt++
 						}
 					}
@@ -706,10 +729,7 @@ func Run(cfg Config) (*Result, error) {
 			// half-step models, applied everywhere.
 			probe.PhaseStart(obs.PhaseAggregate)
 			tensor.MeanVectorTo(globalMean, halves)
-			parallelFor(n, func(i int) {
-				copy(nodes[i].agg, globalMean)
-				nodes[i].net.SetParams(nodes[i].agg)
-			})
+			parallelFor(n, func(i int) { nodes[i].net.SetParams(globalMean) })
 			probe.PhaseEnd(t, obs.PhaseAggregate)
 		default:
 			probe.PhaseStart(obs.PhaseShare)
@@ -741,8 +761,9 @@ func Run(cfg Config) (*Result, error) {
 			probe.PhaseStart(obs.PhaseAggregate)
 			// Phase 3: receive exactly one model per live neighbor, then
 			// apply the W-row average (Algorithm 1, line 8) — the
-			// renormalized row on drop rounds. Dead nodes receive nothing
-			// and hold their model (their row of W is the identity).
+			// renormalized row on drop rounds — in adjacency order, over the
+			// node's own parameters; its own term is nd.half. Dead nodes
+			// receive nothing and hold their model (W's row is the identity).
 			var liveMask []bool
 			if dropRound {
 				liveMask = live
@@ -750,40 +771,29 @@ func Run(cfg Config) (*Result, error) {
 			parallelFor(n, func(i int) {
 				nd := nodes[i]
 				if dropRound && !live[i] {
-					copy(nd.agg, nd.half)
 					return
 				}
-				deg := cfg.Graph.LiveDegree(liveMask, i)
-				for k := 0; k < deg; k++ {
+				for k := cfg.Graph.LiveDegree(liveMask, i); k > 0; k-- {
 					msg, err := nd.ep.Recv()
+					if err == nil {
+						err = nd.accept(msg, t, cfg.Graph.Adj[i], liveMask)
+					}
 					if err != nil {
 						nd.err = err
 						return
 					}
-					if msg.Round != t {
-						nd.err = fmt.Errorf("sim: node %d got round %d message in round %d", i, msg.Round, t)
-						return
-					}
-					if _, dup := nd.inbox[msg.From]; dup {
-						nd.err = fmt.Errorf("sim: node %d got duplicate message from %d", i, msg.From)
-						return
-					}
-					nd.inbox[msg.From] = msg.Vec
 				}
-				tensor.ScaleTo(nd.agg, roundWeights.Self[i], nd.half)
-				for k, j := range cfg.Graph.Adj[i] {
-					if dropRound && !live[j] {
+				// One model per live neighbor, no two alike: every live slot is filled.
+				w, v := nd.mixW[:1], nd.mixV[:1]
+				w[0], v[0] = roundWeights.Self[i], nd.half
+				for k, vec := range nd.slots {
+					if vec == nil {
 						continue // edge down this round: weight 0, no message
 					}
-					vec, ok := nd.inbox[j]
-					if !ok {
-						nd.err = fmt.Errorf("sim: node %d missing model from neighbor %d", i, j)
-						return
-					}
-					tensor.AXPY(nd.agg, roundWeights.Nbr[i][k], vec)
-					delete(nd.inbox, j)
+					w, v = append(w, roundWeights.Nbr[i][k]), append(v, vec)
+					nd.slots[k] = nil
 				}
-				nd.net.SetParams(nd.agg)
+				nd.net.MixParams(w, v)
 			})
 			if err := firstError(nodes); err != nil {
 				return nil, err
@@ -1012,7 +1022,7 @@ type evaluator struct {
 	evalRNG   *rng.RNG
 
 	accs   []float64       // per-node accuracy; the last fill is Result.FinalNodeAccs
-	models []tensor.Vector // every node's post-aggregation buffer (nd.agg)
+	models []tensor.Vector // every node's model vector (net.Params)
 	xs     []tensor.Vector // the evaluation samples: the whole test set,
 	ys     []int           // or a subsample redrawn per evaluation
 	redraw bool
@@ -1024,7 +1034,7 @@ func newEvaluator(cfg *Config, nodes []*nodeState, paramCount int) *evaluator {
 		ev.globalVec = tensor.NewVector(paramCount)
 		ev.models = make([]tensor.Vector, len(nodes))
 		for i, nd := range nodes {
-			ev.models[i] = nd.agg
+			ev.models[i] = nd.net.Params()
 		}
 	}
 	if cfg.EvalGlobalModel {
@@ -1058,7 +1068,6 @@ func (ev *evaluator) evaluate(nodes []*nodeState, round int, m *RoundMetrics) []
 	})
 	m.MeanAcc, m.StdAcc = metrics.MeanStd(ev.accs)
 	if ev.globalVec != nil {
-		// nd.agg holds the post-aggregation model of this round.
 		tensor.MeanVectorTo(ev.globalVec, ev.models)
 		if ev.cfg.TrackConsensus {
 			m.Consensus = metrics.ConsensusDistance(ev.models)

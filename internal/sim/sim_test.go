@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -546,6 +547,86 @@ func TestTransportFailureSurfaces(t *testing.T) {
 	}
 }
 
+// misdelivering rewrites what one node receives, standing in for a
+// transport that delivers the wrong thing.
+type misdelivering struct {
+	transport.Network
+	node    int
+	rewrite func(transport.Message) transport.Message
+}
+
+func (n *misdelivering) Endpoint(node int) (transport.Endpoint, error) {
+	ep, err := n.Network.Endpoint(node)
+	if err != nil || node != n.node {
+		return ep, err
+	}
+	return &misdeliveringEndpoint{ep, n.rewrite}, nil
+}
+
+type misdeliveringEndpoint struct {
+	transport.Endpoint
+	rewrite func(transport.Message) transport.Message
+}
+
+func (e *misdeliveringEndpoint) Recv() (transport.Message, error) {
+	m, err := e.Endpoint.Recv()
+	return e.rewrite(m), err
+}
+
+func TestMisdeliveredModelsFailTheRound(t *testing.T) {
+	// A model from a node that is no neighbor, a second model from the same
+	// neighbor, or one stamped with another round must stop the run with an
+	// error that names the receiver, the sender and the round.
+	g := testConfig(t, 22).Graph
+	stray := -1
+	for j := 1; j < g.N && stray < 0; j++ {
+		if !g.HasEdge(0, j) {
+			stray = j
+		}
+	}
+	first := -1
+	for name, tc := range map[string]struct {
+		rewrite func(transport.Message) transport.Message
+		want    []string
+	}{
+		"stray sender": {
+			func(m transport.Message) transport.Message { m.From = stray; return m },
+			[]string{"node 0", fmt.Sprintf("from %d", stray), "round 0", "not a live neighbor"},
+		},
+		"duplicate sender": {
+			func(m transport.Message) transport.Message {
+				if first < 0 {
+					first = m.From
+				}
+				m.From = first
+				return m
+			},
+			[]string{"node 0", "duplicate", "round 0"},
+		},
+		"wrong round": {
+			func(m transport.Message) transport.Message { m.Round += 3; return m },
+			[]string{"node 0", "round 3 message", "in round 0"},
+		},
+	} {
+		cfg := testConfig(t, 22)
+		inner, err := transport.NewLocal(8, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Network = &misdelivering{Network: inner, node: 0, rewrite: tc.rewrite}
+		_, err = Run(cfg)
+		inner.Close()
+		if err == nil {
+			t.Fatalf("%s: run succeeded", name)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not mention %q", name, err, want)
+			}
+		}
+	}
+}
+
 // harvestScenario is the shared scenario cell behind the sim harvest
 // tests: the difftest table generator builds the trace, fleet, and policy,
 // so these tests exercise the same construction path the engine
@@ -827,7 +908,13 @@ func TestHarvestBatteriesBindParticipation(t *testing.T) {
 // nodes deplete below the cutoff and leave the live set.
 func brownoutConfig(t *testing.T, seed uint64) Config {
 	t.Helper()
-	cfg := testConfig(t, seed)
+	return brownoutConfigNodes(t, seed, 8)
+}
+
+// brownoutConfigNodes is brownoutConfig at another fleet size.
+func brownoutConfigNodes(t *testing.T, seed uint64, nodes int) Config {
+	t.Helper()
+	cfg := testConfigNodes(t, seed, nodes)
 	devices := energy.AssignDevices(cfg.Graph.N, energy.Devices())
 	w := energy.CIFAR10Workload()
 	meanTrainWh := energy.NetworkRoundWh(cfg.Graph.N, energy.Devices(), w) / float64(cfg.Graph.N)

@@ -4,15 +4,15 @@
 // flat parameter vectors) and matrix-vector products for dense layers.
 //
 // All kernels are allocation-free when given destination slices, so the hot
-// training loop produces no garbage. Parallel variants split work across
-// goroutines for the large vectors that appear when mixing whole models.
+// training loop produces no garbage, and serial: the simulator fans nodes,
+// not kernels, out over the cores. WeightedSumTo, MatVecTo and OuterAcc pass
+// over memory fewer times than the naive loops but sum every output element
+// in the same order, so they match them bit for bit (tensor_test.go).
 package tensor
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Vector is a dense float64 vector.
@@ -145,16 +145,37 @@ func ArgMax(v Vector) int {
 	return bi
 }
 
-// WeightedSumTo computes dst = sum_k weights[k] * vecs[k]. All vectors must
-// share dst's length. This is the aggregation step of D-PSGD (Algorithm 1,
-// line 8): the new model is the W-weighted average of neighborhood models.
+// WeightedSumTo computes dst = sum_k weights[k] * vecs[k], the aggregation
+// step of D-PSGD (Algorithm 1, line 8): the new model is the W-weighted
+// average of neighborhood models. Each element is summed in operand order,
+// ((w0*v0 + w1*v1) + w2*v2) + ..., as ScaleTo then one AXPY per further
+// operand would, in one pass over dst. It needs at least one operand, all of
+// dst's length and none aliasing dst, and checks that before it writes dst.
 func WeightedSumTo(dst Vector, weights []float64, vecs []Vector) {
-	if len(weights) != len(vecs) {
-		panic(fmt.Sprintf("tensor: %d weights for %d vectors", len(weights), len(vecs)))
+	if len(weights) != len(vecs) || len(vecs) == 0 {
+		panic(fmt.Sprintf("tensor: %d weights for %d vectors, want equal and at least one", len(weights), len(vecs)))
 	}
-	dst.Zero()
-	for k, w := range weights {
-		AXPY(dst, w, vecs[k])
+	for k, v := range vecs {
+		if len(v) != len(dst) {
+			panic(fmt.Sprintf("tensor: weighted-sum operand %d has length %d, dst %d", k, len(v), len(dst)))
+		}
+	}
+	const block = 1024 // 8 KB of dst and of three operands: first-level cache
+	for lo := 0; lo < len(dst); lo += block {
+		hi := min(lo+block, len(dst))
+		d := dst[lo:hi]
+		ScaleTo(d, weights[0], vecs[0][lo:hi])
+		k := 1
+		for ; k+3 <= len(vecs); k += 3 {
+			wa, wb, wc := weights[k], weights[k+1], weights[k+2]
+			a, b, c := vecs[k][lo:][:len(d)], vecs[k+1][lo:][:len(d)], vecs[k+2][lo:][:len(d)]
+			for i := range d {
+				d[i] = d[i] + wa*a[i] + wb*b[i] + wc*c[i]
+			}
+		}
+		for ; k < len(vecs); k++ {
+			AXPY(d, weights[k], vecs[k][lo:hi])
+		}
 	}
 }
 
@@ -169,43 +190,6 @@ func MeanVectorTo(dst Vector, vecs []Vector) {
 	for _, v := range vecs {
 		AXPY(dst, inv, v)
 	}
-}
-
-// parallelThreshold is the vector length below which parallel kernels fall
-// back to the serial path; goroutine fan-out only pays off for big models.
-const parallelThreshold = 1 << 14
-
-// ParallelAXPY computes dst += alpha * x using all available cores for
-// large vectors.
-func ParallelAXPY(dst Vector, alpha float64, x Vector) {
-	checkLen2(len(dst), len(x))
-	n := len(dst)
-	workers := runtime.GOMAXPROCS(0)
-	if n < parallelThreshold || workers < 2 {
-		AXPY(dst, alpha, x)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			d, s := dst[lo:hi], x[lo:hi]
-			for i, xv := range s {
-				d[i] += alpha * xv
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // Matrix is a dense row-major matrix.
@@ -238,17 +222,31 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// MatVecTo computes dst = m * x (dst length Rows, x length Cols).
+// MatVecTo computes dst = m * x (dst length Rows, x length Cols), four rows
+// a pass so their add chains overlap; each is still summed j = 0..Cols-1.
 func MatVecTo(dst Vector, m *Matrix, x Vector) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic(fmt.Sprintf("tensor: MatVec shape mismatch: (%dx%d) * %d -> %d",
 			m.Rows, m.Cols, len(x), len(dst)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	n, i := len(x), 0
+	for ; i+4 <= len(dst); i += 4 {
+		rows := m.Data[i*n : (i+4)*n]
+		r0, r1, r2, r3 := rows[:n], rows[n:][:n], rows[2*n:][:n], rows[3*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, xv := range x {
+			s0 += r0[j] * xv
+			s1 += r1[j] * xv
+			s2 += r2[j] * xv
+			s3 += r3[j] * xv
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(dst); i++ {
+		row := m.Data[i*n:][:n]
 		s := 0.0
-		for j, w := range row {
-			s += w * x[j]
+		for j, xv := range x {
+			s += row[j] * xv
 		}
 		dst[i] = s
 	}
@@ -261,12 +259,11 @@ func MatTVecTo(dst Vector, m *Matrix, x Vector) {
 			m.Rows, m.Cols, len(x), len(dst)))
 	}
 	dst.Zero()
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		xi := x[i]
+	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
+		row := m.Data[i*len(dst):][:len(dst)]
 		for j, w := range row {
 			dst[j] += w * xi
 		}
@@ -284,9 +281,14 @@ func OuterAcc(m *Matrix, a, b Vector) {
 		if av == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, bv := range b {
-			row[j] += av * bv
+		row := m.Data[i*len(b):][:len(b)]
+		j := 0
+		for ; j+4 <= len(b); j += 4 {
+			r, c := row[j:j+4:j+4], b[j:j+4:j+4]
+			r[0], r[1], r[2], r[3] = r[0]+av*c[0], r[1]+av*c[1], r[2]+av*c[2], r[3]+av*c[3]
+		}
+		for ; j < len(b); j++ {
+			row[j] += av * b[j]
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -131,22 +132,146 @@ func TestMeanVector(t *testing.T) {
 	}
 }
 
-func TestParallelAXPYMatchesSerial(t *testing.T) {
-	r := rng.New(2)
-	for _, n := range []int{0, 1, 100, parallelThreshold, parallelThreshold + 17, 1 << 16} {
-		x := NewVector(n)
-		d1 := NewVector(n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-			d1[i] = r.NormFloat64()
+// awkward fills v with values that exercise every branch a kernel could
+// take a short cut on: normals, exact zeros of both signs (the == 0 skip
+// paths, and -0 + 0 = +0), subnormals and values whose products underflow.
+func awkward(r *rng.RNG, v Vector) {
+	for i := range v {
+		switch r.Intn(8) {
+		case 0:
+			v[i] = 0
+		case 1:
+			v[i] = math.Copysign(0, -1)
+		case 2:
+			v[i] = math.Float64frombits(uint64(1 + r.Intn(1<<20))) // subnormal
+		case 3:
+			v[i] = r.NormFloat64() * 1e-160
+		default:
+			v[i] = r.NormFloat64()
 		}
-		d2 := d1.Clone()
-		AXPY(d1, 0.37, x)
-		ParallelAXPY(d2, 0.37, x)
-		for i := range d1 {
-			if d1[i] != d2[i] {
-				t.Fatalf("n=%d: parallel differs from serial at %d", n, i)
+	}
+}
+
+func sameBits(t *testing.T, what string, got, want Vector) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d is %v (%#x), reference %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// The fused kernel must not move one bit against the loop it replaced in
+// the simulator: ScaleTo for the first operand, then one AXPY per further
+// operand, in operand order.
+func TestWeightedSumMatchesScaleThenAXPYBitForBit(t *testing.T) {
+	r := rng.New(2)
+	for _, n := range []int{0, 1, 7, 1023, 1024, 1025, 44042} {
+		for k := 1; k <= 9; k++ {
+			weights := make(Vector, k)
+			awkward(r, weights)
+			vecs := make([]Vector, k)
+			for i := range vecs {
+				vecs[i] = NewVector(n)
+				awkward(r, vecs[i])
 			}
+			want, got := NewVector(n), NewVector(n)
+			ScaleTo(want, weights[0], vecs[0])
+			for i := 1; i < k; i++ {
+				AXPY(want, weights[i], vecs[i])
+			}
+			got.Fill(math.NaN()) // whatever dst held must not leak into the sum
+			WeightedSumTo(got, weights, vecs)
+			sameBits(t, fmt.Sprintf("n=%d k=%d", n, k), got, want)
+		}
+	}
+}
+
+func TestWeightedSumChecksOperandsBeforeWriting(t *testing.T) {
+	for name, tc := range map[string]struct {
+		weights []float64
+		vecs    []Vector
+	}{
+		"short last operand": {[]float64{0.5, 0.25, 0.25}, []Vector{{1, 2, 3}, {4, 5, 6}, {7, 8}}},
+		"missing operand":    {[]float64{0.5, 0.25, 0.25}, []Vector{{1, 2, 3}, {4, 5, 6}}},
+		"no operands":        {nil, nil},
+	} {
+		dst := Vector{-1, -2, -3}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: want panic", name)
+				}
+			}()
+			WeightedSumTo(dst, tc.weights, tc.vecs)
+		}()
+		if dst[0] != -1 || dst[1] != -2 || dst[2] != -3 {
+			t.Fatalf("%s: dst half-written before the panic: %v", name, dst)
+		}
+	}
+}
+
+// Four rows per pass must give every row the sum the one-row loop gives it.
+func TestMatVecMatchesPerRowLoopBitForBit(t *testing.T) {
+	r := rng.New(4)
+	for _, rows := range []int{1, 3, 4, 5, 10, 1024} {
+		for _, cols := range []int{0, 1, 7, 32, 43} {
+			m := NewMatrix(rows, cols)
+			awkward(r, m.Data)
+			x := NewVector(cols)
+			awkward(r, x)
+			want, got := NewVector(rows), NewVector(rows)
+			for i := 0; i < rows; i++ {
+				s := 0.0
+				for j, w := range m.Row(i) {
+					s += w * x[j]
+				}
+				want[i] = s
+			}
+			got.Fill(math.NaN())
+			MatVecTo(got, m, x)
+			sameBits(t, fmt.Sprintf("%dx%d", rows, cols), got, want)
+		}
+	}
+}
+
+// The unrolled OuterAcc and the re-sliced MatTVecTo against the loops as
+// first written, zero-skips included.
+func TestOuterAccAndMatTVecMatchNaiveLoopsBitForBit(t *testing.T) {
+	r := rng.New(5)
+	for _, rows := range []int{1, 3, 10} {
+		for _, cols := range []int{0, 1, 3, 4, 5, 32, 43} {
+			m := NewMatrix(rows, cols)
+			awkward(r, m.Data)
+			a, b := NewVector(rows), NewVector(cols)
+			awkward(r, a)
+			awkward(r, b)
+			wantT := NewVector(cols)
+			for i, av := range a {
+				if av == 0 {
+					continue
+				}
+				for j, w := range m.Row(i) {
+					wantT[j] += w * av
+				}
+			}
+			gotT := NewVector(cols)
+			gotT.Fill(math.NaN())
+			MatTVecTo(gotT, m, a)
+			sameBits(t, fmt.Sprintf("MatTVecTo %dx%d", rows, cols), gotT, wantT)
+
+			want := m.Clone()
+			for i, av := range a {
+				if av == 0 {
+					continue
+				}
+				for j, bv := range b {
+					want.Data[i*cols+j] += av * bv
+				}
+			}
+			OuterAcc(m, a, b)
+			sameBits(t, fmt.Sprintf("OuterAcc %dx%d", rows, cols), m.Data, want.Data)
 		}
 	}
 }
@@ -311,14 +436,5 @@ func BenchmarkAXPY90K(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		AXPY(d, 0.5, x)
-	}
-}
-
-func BenchmarkParallelAXPY1M7(b *testing.B) {
-	// FEMNIST CNN of the paper: 1,690,046 params.
-	x, d := NewVector(1690046), NewVector(1690046)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ParallelAXPY(d, 0.5, x)
 	}
 }

@@ -47,6 +47,7 @@ func NewConv2D(inC, inH, inW, outC, kH, kW, pad int, r *rng.RNG) *Conv2D {
 func (l *Conv2D) InSize() int   { return l.inC * l.inH * l.inW }
 func (l *Conv2D) OutSize() int  { return l.outC * l.outH * l.outW }
 func (l *Conv2D) noLayerBelow() { l.first = true }
+func (l *Conv2D) swapBuffers()  { l.K, l.gK, l.B, l.gB = l.gK, l.K, l.gB, l.B }
 
 // OutShape returns the output (channels, height, width).
 func (l *Conv2D) OutShape() (c, h, w int) { return l.outC, l.outH, l.outW }

@@ -32,6 +32,7 @@ func NewDense(in, out int, withBias bool, r *rng.RNG) *Dense {
 func (l *Dense) InSize() int   { return l.in }
 func (l *Dense) OutSize() int  { return l.out }
 func (l *Dense) noLayerBelow() { l.first = true }
+func (l *Dense) swapBuffers()  { l.W, l.gW, l.B, l.gB = l.gW, l.W, l.gB, l.B }
 
 func (l *Dense) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("Dense", len(in), l.in)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -155,5 +157,95 @@ func TestModelTrafficAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
 			t.Errorf("%s allocates %v objects per call", name, allocs)
 		}
+	}
+}
+
+func sameBits(a, b tensor.Vector) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestMixParamsSwapsBuffers pins what MixParams does to the two flat
+// vectors: the W-weighted sum lands in the gradient vector, which becomes
+// the model — in the network and in every layer's windows — with no copy
+// and no allocation, while every operand, the old model included, stays
+// as a neighbor would still be reading it. Checked after one exchange and
+// after two, when the vectors are back where New put them.
+func TestMixParamsSwapsBuffers(t *testing.T) {
+	for name, build := range map[string]func(seed uint64) *Network{
+		"logreg":   func(s uint64) *Network { return LogisticRegression(32, 10, rng.New(s)) },
+		"mlp":      func(s uint64) *Network { return MLP(32, []int{64}, 10, rng.New(s)) },
+		"smallcnn": func(s uint64) *Network { return SmallCNN(2, 4, 4, 10, rng.New(s)) },
+		"conv-gn": func(s uint64) *Network {
+			r := rng.New(s)
+			return New(NewConv2D(2, 4, 4, 4, 3, 3, 1, r), NewGroupNorm(4, 4, 4, 2), NewReLU(4*4*4), NewDense(4*4*4, 10, true, r))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			net, fresh := build(7), build(1)
+			stepOnce(net) // every block off its initial value, gradients non-zero
+			xs, ys := toyBatch(rng.New(5), 32, 10, 6)
+			weights := []float64{0.5, 0.3, 0.2}
+			vecs := []tensor.Vector{nil, build(8).Params(), build(9).Params()}
+			for swaps := 1; swaps <= 2; swaps++ {
+				old := net.Params()
+				before := old.Clone()
+				want := tensor.NewVector(len(old))
+				tensor.ScaleTo(want, weights[0], old)
+				tensor.AXPY(want, weights[1], vecs[1])
+				tensor.AXPY(want, weights[2], vecs[2])
+				vecs[0] = old
+				net.MixParams(weights, vecs)
+
+				got := net.Params()
+				if &got[0] == &old[0] || !sameBits(old, before) {
+					t.Fatalf("swap %d: the old model vector was written, or is still the model", swaps)
+				}
+				if !sameBits(got, want) {
+					t.Fatalf("swap %d: Params is not the ScaleTo+AXPY sum", swaps)
+				}
+				off := 0
+				for k, b := range blocks(net) {
+					if &b[0] != &got[off] {
+						t.Fatalf("swap %d: block %d is not the window of Params at %d", swaps, k, off)
+					}
+					off += len(b)
+				}
+				if off != len(got) {
+					t.Fatalf("swap %d: blocks cover %d of %d parameters", swaps, off, len(got))
+				}
+				fresh.SetParams(want)
+				if !sameBits(net.Forward(xs[0]), fresh.Forward(xs[0])) || net.Accuracy(xs, ys) != fresh.Accuracy(xs, ys) {
+					t.Fatalf("swap %d: Forward does not run on the mixed model", swaps)
+				}
+				// fresh's gradient vector has never held anything but gradients;
+				// net's holds the previous model until the train step zeroes it.
+				net.TrainBatch(xs, ys, 0.05)
+				fresh.TrainBatch(xs, ys, 0.05)
+				if !sameBits(net.Params(), fresh.Params()) {
+					t.Fatalf("swap %d: a train step after the mix differs from one on a fresh network", swaps)
+				}
+			}
+
+			if allocs := testing.AllocsPerRun(20, func() {
+				vecs[0] = net.Params()
+				net.MixParams(weights, vecs)
+			}); allocs != 0 {
+				t.Errorf("MixParams allocates %v objects per call", allocs)
+			}
+
+			model, params, grads := net.Params(), net.Params().Clone(), net.grads.Clone()
+			vecs[0], vecs[2] = model, vecs[2][1:]
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("MixParams accepted an operand of the wrong length")
+					}
+				}()
+				net.MixParams(weights, vecs)
+			}()
+			if &net.Params()[0] != &model[0] || !sameBits(model, params) || !sameBits(net.grads, grads) {
+				t.Error("a rejected MixParams wrote a vector or exchanged them")
+			}
+		})
 	}
 }

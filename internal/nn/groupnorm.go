@@ -47,6 +47,9 @@ func NewGroupNorm(c, h, w, groups int) *GroupNorm {
 
 func (l *GroupNorm) InSize() int  { return l.c * l.h * l.w }
 func (l *GroupNorm) OutSize() int { return l.c * l.h * l.w }
+func (l *GroupNorm) swapBuffers() {
+	l.gamma, l.gGamma, l.beta, l.gBeta = l.gGamma, l.gamma, l.gBeta, l.beta
+}
 
 func (l *GroupNorm) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("GroupNorm", len(in), l.InSize())

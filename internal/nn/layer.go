@@ -20,9 +20,10 @@
 // is the model x_i the nodes exchange and every checkpoint stores, so
 // CopyParamsTo, SetParams and the optimizers are one pass over one slice,
 // and a write through SetParams is at once visible to every layer. Only
-// the owning node's goroutine writes it — TrainBatch, SetParams and
-// MixParams (the neighborhood average, summed straight into it) — whereas
-// Params hands out the same memory read-only.
+// the owning node's goroutine writes it — TrainBatch and SetParams —
+// whereas Params hands out the same memory read-only. MixParams sums the
+// neighborhood average into the gradient vector, idle between train steps,
+// and swaps the two (swapBuffers), so a model neighbors read stays intact.
 //
 // Between Forward and Backward, Dense holds the slice it was given, not a
 // copy: a sample or the buffer of the layer below, neither of which changes
@@ -54,7 +55,8 @@ type Layer interface {
 	// Bind gives the layer its storage: params and grads, both of length
 	// ParamSize, become its parameters and its gradient accumulator, and
 	// it initialises the parameters there. New calls it once, in layer
-	// order; a layer cannot run before that.
+	// order; a layer cannot run before that. A layer with parameters also
+	// has the unexported swapBuffers, which MixParams calls to exchange them.
 	Bind(params, grads tensor.Vector)
 }
 

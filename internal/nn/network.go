@@ -70,7 +70,7 @@ func (n *Network) ParamCount() int { return len(n.params) }
 
 // Params returns the model vector x_i itself, not a copy. It is read-only
 // for callers and changes under them whenever the network trains or
-// SetParams or MixParams runs.
+// SetParams runs; after MixParams it is another slice, so never hold it.
 func (n *Network) Params() tensor.Vector { return n.params }
 
 // Forward runs the network and returns the logits (an internal buffer).
@@ -96,11 +96,22 @@ func (n *Network) SetParams(src tensor.Vector) {
 	copy(n.params, src)
 }
 
-// MixParams overwrites the model with sum_k weights[k]*vecs[k], Algorithm
-// 1's aggregation (line 8), in one pass (tensor.WeightedSumTo). No operand
-// may be Params itself: a node's own term is its published half-step copy.
+// MixParams replaces the model with sum_k weights[k]*vecs[k], Algorithm
+// 1's aggregation (line 8): one pass (tensor.WeightedSumTo) into the gradient
+// vector, idle between train steps, then a swap of the two vectors in the
+// network and in every layer. Nothing is copied or allocated and no operand
+// is written, so a node's own term is Params itself. It invalidates the
+// accumulated gradients and every slice Params returned before: such a
+// slice keeps the model from before the mix until the next gradient
+// accumulation zeroes it.
 func (n *Network) MixParams(weights []float64, vecs []tensor.Vector) {
-	tensor.WeightedSumTo(n.params, weights, vecs)
+	tensor.WeightedSumTo(n.grads, weights, vecs)
+	n.params, n.grads = n.grads, n.params
+	for _, l := range n.layers {
+		if l.ParamSize() > 0 {
+			l.(interface{ swapBuffers() }).swapBuffers()
+		}
+	}
 }
 
 // ZeroGrads clears every accumulated gradient.

@@ -80,9 +80,10 @@ func (n *Network) TrainBatchWith(opt Optimizer, xs []tensor.Vector, ys []int) fl
 	return loss
 }
 
-// AccumulateGradients zeroes the gradient buffers, then accumulates
-// dLoss/dTheta summed over the batch (not averaged), returning the mean
-// loss. Callers apply the update themselves (see Optimizer).
+// AccumulateGradients zeroes the gradient buffers (after MixParams they
+// hold the model from before the mix), then accumulates dLoss/dTheta summed
+// over the batch (not averaged), returning the mean loss. Callers apply the
+// update themselves (see Optimizer).
 func (n *Network) AccumulateGradients(xs []tensor.Vector, ys []int) float64 {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		panic(fmt.Sprintf("nn: bad batch: %d inputs, %d labels", len(xs), len(ys)))

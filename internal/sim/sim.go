@@ -5,20 +5,20 @@
 // own RNG streams, and a real transport endpoint. A round executes in
 // barriered phases that mirror Algorithm 1/2:
 //
-//  1. local phase — nodes that participate train E local SGD steps, then
-//     every node publishes its model into its half-step buffer x^{t-1/2};
-//  2. share phase — every node sends that buffer to all neighbors through
+//  1. local phase — nodes that participate train E local SGD steps; a
+//     node's model vector then holds its half-step model x^{t-1/2};
+//  2. share phase — every node sends that vector to all neighbors through
 //     the transport (the in-process transport passes the slice itself);
 //  3. aggregate phase — every node receives one model per neighbor and
-//     sums the W-weighted average straight into its own model vector
-//     (nn.Network.MixParams), reading its half-step copy as its own term;
+//     sums the W-weighted average, its own vector first, into its idle
+//     gradient vector, which becomes its model (nn.Network.MixParams);
 //  4. (optionally) evaluation on the shared test set.
 //
-// A half-step buffer is written only in phase 1 and read by the neighbors
-// only in phase 3, with a barrier after each, so sharing it is safe; it is
-// the only model-sized buffer beside the network, whose own vector is the
-// post-aggregation state that evaluation and checkpoints read. See
-// docs/ARCHITECTURE.md for who may write which buffer when.
+// The vector a node sends is written only in phase 1 and only read in
+// phase 3, with a barrier after each, and is its idle gradient vector from
+// then on, so sharing it is safe; a node holds no other model-sized buffer.
+// Every mix re-points net.Params(), so evaluation and checkpoints call it
+// at use. See docs/ARCHITECTURE.md for who may write which vector when.
 //
 // When a harvest fleet is attached (Config.Harvest), every round also closes
 // with a battery update — idle and communication draw, then ambient energy
@@ -383,7 +383,6 @@ type nodeState struct {
 	net     *nn.Network
 	batcher *dataset.Batcher
 	policy  *rng.RNG
-	half    tensor.Vector // x^{t-1/2}, the shared model
 	ep      transport.Endpoint
 	// slots[k] is this round's model from neighbor Graph.Adj[id][k], nil
 	// outside phase 3; mixW and mixV list the aggregation's operands.
@@ -459,7 +458,6 @@ func Run(cfg Config) (*Result, error) {
 			net:     model,
 			batcher: dataset.NewBatcher(cfg.Partition[i], rng.Derive(cfg.Seed, uint64(i), 0xba7c4)),
 			policy:  rng.Derive(cfg.Seed, uint64(i), 0x90a1c),
-			half:    tensor.NewVector(model.ParamCount()),
 			ep:      ep,
 			slots:   make([]tensor.Vector, cfg.Graph.Degree(i)),
 			mixW:    make([]float64, 1+cfg.Graph.Degree(i)),
@@ -468,7 +466,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	acct := energy.NewAccountant(n)
-	evaluator := newEvaluator(&cfg, nodes, paramCount)
+	evaluator := newEvaluator(&cfg, paramCount)
 	result := &Result{TrainedRounds: make([]int, n)}
 	cumHarvestWh := 0.0
 
@@ -495,8 +493,10 @@ func Run(cfg Config) (*Result, error) {
 	// The SoC quantile sketch streams per-round charge percentiles without
 	// materializing a per-node slice; allocated once, reset per round.
 	var socSketch *obs.Sketch
+	var observeSoC func(float64)
 	if cfg.Harvest != nil {
 		socSketch = obs.NewSoCSketch()
+		observeSoC = socSketch.Observe // bound once: a method value allocates
 	}
 	// prevLive remembers the previous round's live mask (nil = all live)
 	// so the probe can emit brown-out/revival transitions; maintained only
@@ -525,15 +525,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Scratch for the all-reduce aggregation: the fleet mean and the list
-	// of half-step buffers it averages (the buffers never move).
+	// of models it averages, refilled every round (see modelsOf).
 	var globalMean tensor.Vector
-	var halves []tensor.Vector
+	var allModels []tensor.Vector
 	if cfg.Algo.Aggregation == core.AggGlobal {
 		globalMean = tensor.NewVector(paramCount)
-		halves = make([]tensor.Vector, n)
-		for i, nd := range nodes {
-			halves[i] = nd.half
-		}
+		allModels = make([]tensor.Vector, n)
 	}
 
 	for t := 0; t < cfg.Rounds; t++ {
@@ -691,10 +688,8 @@ func Run(cfg Config) (*Result, error) {
 		parallelFor(n, func(i int) {
 			nd := nodes[i]
 			if dropRound && !live[i] {
-				// Browned out: the CPU is unpowered, so the node neither
-				// trains nor refreshes its shared model; it holds state
-				// until it recharges past the cutoff.
-				nd.net.CopyParamsTo(nd.half)
+				// Browned out: the CPU is unpowered, so the node does not
+				// train; it holds state until it recharges past the cutoff.
 				return
 			}
 			if kind == core.RoundTrain {
@@ -714,7 +709,6 @@ func Run(cfg Config) (*Result, error) {
 					}
 				}
 			}
-			nd.net.CopyParamsTo(nd.half)
 		})
 		for i := range nodes {
 			m.TrainedCount += boolToInt(nodes[i].trained > result.TrainedRounds[i])
@@ -728,7 +722,7 @@ func Run(cfg Config) (*Result, error) {
 			// Hypothetical all-reduce (Figure 1): global average of all
 			// half-step models, applied everywhere.
 			probe.PhaseStart(obs.PhaseAggregate)
-			tensor.MeanVectorTo(globalMean, halves)
+			tensor.MeanVectorTo(globalMean, modelsOf(allModels, nodes))
 			parallelFor(n, func(i int) { nodes[i].net.SetParams(globalMean) })
 			probe.PhaseEnd(t, obs.PhaseAggregate)
 		default:
@@ -739,16 +733,16 @@ func Run(cfg Config) (*Result, error) {
 			// rounds a dead node sends nothing, and live nodes still
 			// transmit to every neighbor — the radio cannot know a peer is
 			// down — with the dead-node wrapper losing those messages.
-			// nd.half goes out as it is: the in-process transport hands the
-			// slice to every receiver, and nothing writes it again before
-			// next round's training phase, two barriers from here.
+			// The model vector goes out in place: the in-process transport
+			// hands the slice to every receiver, phase 3 writes the sender's
+			// other vector, and this one is next written two barriers on.
 			parallelFor(n, func(i int) {
 				nd := nodes[i]
 				if dropRound && !live[i] {
 					return
 				}
 				for _, j := range cfg.Graph.Adj[i] {
-					if err := nd.ep.Send(j, transport.Message{Round: t, Kind: transport.KindModel, Vec: nd.half}); err != nil {
+					if err := nd.ep.Send(j, transport.Message{Round: t, Kind: transport.KindModel, Vec: nd.net.Params()}); err != nil {
 						nd.err = err
 						return
 					}
@@ -761,9 +755,9 @@ func Run(cfg Config) (*Result, error) {
 			probe.PhaseStart(obs.PhaseAggregate)
 			// Phase 3: receive exactly one model per live neighbor, then
 			// apply the W-row average (Algorithm 1, line 8) — the
-			// renormalized row on drop rounds — in adjacency order, over the
-			// node's own parameters; its own term is nd.half. Dead nodes
-			// receive nothing and hold their model (W's row is the identity).
+			// renormalized row on drop rounds — own term first, then adjacency
+			// order, into the idle gradient vector, which becomes the model.
+			// Dead nodes receive nothing and hold theirs (W's row is the identity).
 			var liveMask []bool
 			if dropRound {
 				liveMask = live
@@ -785,7 +779,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				// One model per live neighbor, no two alike: every live slot is filled.
 				w, v := nd.mixW[:1], nd.mixV[:1]
-				w[0], v[0] = roundWeights.Self[i], nd.half
+				w[0], v[0] = roundWeights.Self[i], nd.net.Params()
 				for k, vec := range nd.slots {
 					if vec == nil {
 						continue // edge down this round: weight 0, no message
@@ -840,7 +834,7 @@ func Run(cfg Config) (*Result, error) {
 			// the quantile sketch; the full per-node snapshot (an O(nodes)
 			// allocation every round) is opt-in via TrackSoC.
 			socSketch.Reset()
-			m.MeanSoC, m.MinSoC, m.Depleted = cfg.Harvest.SoCStats(socSketch.Observe)
+			m.MeanSoC, m.MinSoC, m.Depleted = cfg.Harvest.SoCStats(observeSoC)
 			m.SoCP50 = socSketch.Quantile(0.50)
 			m.SoCP90 = socSketch.Quantile(0.90)
 			m.SoCP99 = socSketch.Quantile(0.99)
@@ -897,7 +891,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if evaluator.globalVec != nil {
 		result.FinalGlobalParams = tensor.NewVector(paramCount)
-		tensor.MeanVectorTo(result.FinalGlobalParams, evaluator.models)
+		tensor.MeanVectorTo(result.FinalGlobalParams, modelsOf(evaluator.models, nodes))
 	}
 	if probe.Enabled() {
 		trained := 0
@@ -1022,20 +1016,25 @@ type evaluator struct {
 	evalRNG   *rng.RNG
 
 	accs   []float64       // per-node accuracy; the last fill is Result.FinalNodeAccs
-	models []tensor.Vector // every node's model vector (net.Params)
+	models []tensor.Vector // scratch for modelsOf
 	xs     []tensor.Vector // the evaluation samples: the whole test set,
 	ys     []int           // or a subsample redrawn per evaluation
 	redraw bool
 }
 
-func newEvaluator(cfg *Config, nodes []*nodeState, paramCount int) *evaluator {
-	ev := &evaluator{cfg: cfg, evalRNG: rng.Derive(cfg.Seed, 0xe7a1), accs: make([]float64, len(nodes))}
+// modelsOf fills dst afresh at each use: MixParams re-points every Params.
+func modelsOf(dst []tensor.Vector, nodes []*nodeState) []tensor.Vector {
+	for i, nd := range nodes {
+		dst[i] = nd.net.Params()
+	}
+	return dst
+}
+
+func newEvaluator(cfg *Config, paramCount int) *evaluator {
+	ev := &evaluator{cfg: cfg, evalRNG: rng.Derive(cfg.Seed, 0xe7a1), accs: make([]float64, cfg.Graph.N)}
 	if cfg.EvalGlobalModel || cfg.TrackConsensus {
 		ev.globalVec = tensor.NewVector(paramCount)
-		ev.models = make([]tensor.Vector, len(nodes))
-		for i, nd := range nodes {
-			ev.models[i] = nd.net.Params()
-		}
+		ev.models = make([]tensor.Vector, cfg.Graph.N)
 	}
 	if cfg.EvalGlobalModel {
 		ev.globalNet = cfg.ModelFactory(-1, rng.Derive(cfg.Seed, 0xe7a1, 1))
@@ -1068,7 +1067,7 @@ func (ev *evaluator) evaluate(nodes []*nodeState, round int, m *RoundMetrics) []
 	})
 	m.MeanAcc, m.StdAcc = metrics.MeanStd(ev.accs)
 	if ev.globalVec != nil {
-		tensor.MeanVectorTo(ev.globalVec, ev.models)
+		tensor.MeanVectorTo(ev.globalVec, modelsOf(ev.models, nodes))
 		if ev.cfg.TrackConsensus {
 			m.Consensus = metrics.ConsensusDistance(ev.models)
 		}

@@ -138,7 +138,7 @@ func TestRunTCPMatchesLocal(t *testing.T) {
 	}
 }
 
-// Local shares the sender's half-step buffer with every receiver while TCP
+// Local shares the sender's live model vector with every receiver while TCP
 // delivers a private copy per edge; a 16-node run must not be able to tell
 // the difference, down to the last bit of the consensus model.
 func TestRunSharedVectorsMatchTCPBitForBit(t *testing.T) {
@@ -489,7 +489,7 @@ func TestMeanModelPreservationProperty(t *testing.T) {
 
 func TestHalfStepVectorIsolation(t *testing.T) {
 	// Reading the shared models must not disturb training (nothing writes a
-	// published half-step before the round's barrier, and evaluation only
+	// published model vector before the round's barrier, and evaluation only
 	// reads). Detected indirectly: two identical runs where one evaluates
 	// every round (extra reads) must match exactly.
 	cfg1 := testConfig(t, 19)

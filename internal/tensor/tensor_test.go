@@ -164,10 +164,12 @@ func sameBits(t *testing.T, what string, got, want Vector) {
 
 // The fused kernel must not move one bit against the loop it replaced in
 // the simulator: ScaleTo for the first operand, then one AXPY per further
-// operand, in operand order.
+// operand, in operand order. One to nine operands take every path through
+// it (zero to two passes of three operands, then a tail of zero to two
+// AXPYs), on lengths below, at and across the 1 024-element block.
 func TestWeightedSumMatchesScaleThenAXPYBitForBit(t *testing.T) {
 	r := rng.New(2)
-	for _, n := range []int{0, 1, 7, 1023, 1024, 1025, 44042} {
+	for _, n := range []int{0, 1, 7, 1023, 1024, 1025, 2500, 44042} {
 		for k := 1; k <= 9; k++ {
 			weights := make(Vector, k)
 			awkward(r, weights)

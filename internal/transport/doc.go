@@ -20,8 +20,9 @@
 //   - Local delivers the sender's slice itself. The sender must leave it
 //     unwritten until every receiver has finished reading — in the round
 //     engine, until the aggregate phase has joined. The engine meets this
-//     by sending a half-step buffer it writes once per round, before the
-//     share phase; nothing is copied per edge.
+//     by sending the model vector itself: the aggregate phase writes the
+//     sender's other (gradient) vector and the two then trade roles, so
+//     nothing is copied, per edge or per sender.
 //   - TCP serializes Vec before Send returns and the receiving side
 //     decodes into a vector of its own, so the sender is free at once.
 //   - DeadNode and Flaky forward the Message untouched (or drop it) and

@@ -52,8 +52,8 @@ type Endpoint interface {
 	// inbox (or socket buffer) is full. The sender must not write m.Vec
 	// again until every receiver is done reading it — in the round engine,
 	// until the round's aggregate phase has joined: Local hands receivers
-	// the very slice, so a model is published once per round into a buffer
-	// that is frozen till that barrier, not copied once per edge.
+	// the very slice, so the engine sends its model vector in place, frozen
+	// till past that barrier, and copies nothing per edge or per round.
 	Send(to int, m Message) error
 	// Recv blocks until a message arrives or the endpoint closes, in which
 	// case it returns ErrClosed.

@@ -11,8 +11,8 @@
 //
 // With -server the job executes on the sweep service: cells are served
 // from its content-addressed cache where possible, per-cell progress
-// streams back live (-progress prints it), and the rendered tables are
-// produced locally from the reply. -expect-all-hits exits 1 unless every
+// streams back live when -progress asks for it (the daemon sends none
+// otherwise), and the rendered tables are produced locally from the reply. -expect-all-hits exits 1 unless every
 // cell was a cache hit — CI uses it to assert warm reruns recompute
 // nothing. Without -server, -cache/-workers memoize locally on disk.
 package main

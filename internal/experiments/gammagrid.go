@@ -267,20 +267,18 @@ func (w *gammaWorld) cellManifest(regime GammaRegime, traceName string, gt, gs i
 		Setf("min_soc", "%g", gammaGridMinSoC).
 		Setf("fleet_capacity_rounds", "%g", fo.CapacityRounds).
 		Setf("fleet_initial_soc", "%g", fo.InitialSoC)
-	return setGamma(b, gt, gs)
-}
-
-func setGamma(b *obs.ManifestBuilder, gt, gs int) *obs.ManifestBuilder {
 	return b.Set("gamma_train", strconv.Itoa(gt)).Set("gamma_sync", strconv.Itoa(gs))
 }
 
 // regimeKeys derives a regime's sixteen cell keys (keys[gs-1][gt-1]) off
-// one builder; each equals KeyFromManifest(cellManifest(...).Build()).
+// one builder, Γs re-set per row and Γt per cell; each equals
+// KeyFromManifest(cellManifest(...).Build()).
 func (w *gammaWorld) regimeKeys(regime GammaRegime, traceName string) (keys [gammaGridMax][gammaGridMax]sweep.CellKey) {
 	b := w.cellManifest(regime, traceName, 1, 1)
 	for gs := range keys {
+		b.Set("gamma_sync", strconv.Itoa(gs+1))
 		for gt := range keys[gs] {
-			keys[gs][gt] = sweep.KeyFromBuilder(setGamma(b, gt+1, gs+1))
+			keys[gs][gt] = sweep.KeyFromBuilder(b.Set("gamma_train", strconv.Itoa(gt+1)))
 		}
 	}
 	return keys

@@ -99,7 +99,9 @@ func (b *ManifestBuilder) ConfigHash() string {
 		buf = append(append(buf, line...), '\n')
 	}
 	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:16])
+	var digest [32]byte
+	hex.Encode(digest[:], sum[:16])
+	return string(digest[:])
 }
 
 // Build finalizes the manifest: hashes the sorted fields with the engine

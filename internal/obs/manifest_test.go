@@ -131,9 +131,9 @@ func TestManifestConfigHashFormat(t *testing.T) {
 
 // The VCS revision is read once per process: two Builds agree with each
 // other and with GitRevision, and a Build no longer pays for a
-// debug.ParseBuildInfo — measured 3 allocations on an 18-field builder
-// (the Config slice and hex.EncodeToString's two), against 50 when every
-// Build re-parsed the build info.
+// debug.ParseBuildInfo — measured 2 allocations on an 18-field builder
+// (the Config slice and the digest string, hex-encoded on the stack),
+// against 50 when every Build re-parsed the build info.
 func TestManifestRevisionReadOnce(t *testing.T) {
 	b := eighteenFields()
 	if a, c := b.Build(), b.Build(); a.GitRevision != c.GitRevision || a.GitRevision != GitRevision() {
@@ -142,7 +142,7 @@ func TestManifestRevisionReadOnce(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = b.Build() }); n > 4 {
 		t.Fatalf("Build allocates %v times, budget 4", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = b.ConfigHash() }); n > 2 {
-		t.Fatalf("ConfigHash allocates %v times, budget 2 (hex.EncodeToString's)", n)
+	if n := testing.AllocsPerRun(100, func() { _ = b.ConfigHash() }); n > 1 {
+		t.Fatalf("ConfigHash allocates %v times, budget 1 (the digest string)", n)
 	}
 }

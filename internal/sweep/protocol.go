@@ -1,31 +1,40 @@
 package sweep
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
 // The sweep service speaks the transport wire format: each frame is one
-// transport.Message whose Vec carries a JSON document via
-// transport.PackBytes. Round echoes the client's job sequence number.
+// transport byte frame carrying a JSON document, Round echoing the
+// client's job sequence number.
 //
 //	client -> server   KindJob       JobRequest
-//	server -> client   KindProgress  obs.Event   (zero or more per job)
+//	server -> client   KindProgress  obs.Event   (one per cell, only when JobRequest.Progress)
 //	server -> client   KindResult    JobReply    (exactly one per job)
 //
 // A connection carries one job at a time but stays open across jobs —
 // clients amortize the dial and the server's cache stays warm across
-// submissions.
+// submissions. Progress is opt-in per job: an unsubscribed job formats,
+// encodes and sends nothing per cell. Frames are encoded in place, one
+// buffer per direction; a document read off the wire aliases the read
+// buffer until the next read. Mixed versions: a client from before
+// Progress never sets it, so its `gridsearch -progress` prints no cell
+// lines; this client discards an older server's unasked-for progress.
 
 // JobRequest names a registered workload and carries its parameters.
 type JobRequest struct {
-	Kind   string          `json:"kind"`
-	Params json.RawMessage `json:"params,omitempty"`
+	Kind     string          `json:"kind"`
+	Params   json.RawMessage `json:"params,omitempty"`
+	Progress bool            `json:"progress,omitempty"` // subscribes the job to its per-cell progress frames
 }
 
 // JobReply closes a job: the workload's JSON result, the job's cache
@@ -37,58 +46,61 @@ type JobReply struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// writeFrame JSON-encodes v and writes it as one framed message.
-func writeFrame(w io.Writer, kind transport.Kind, seq int, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("sweep: encode frame: %w", err)
-	}
-	vec, err := transport.PackBytes(b)
-	if err != nil {
-		return err
-	}
-	return transport.WriteMessage(w, transport.Message{Round: seq, Kind: kind, Vec: vec})
-}
+const frameWriteTimeout = 10 * time.Second // per frame: a peer that stops reading is cut off, not waited on
+const maxRetainedFrame = 1 << 20           // a buffer grown past this by one outsized frame is let go after it
 
-// decodeFrame unpacks a framed JSON document into v.
-func decodeFrame(m transport.Message, v any) error {
-	b, err := transport.UnpackBytes(m.Vec)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(b, v); err != nil {
-		return fmt.Errorf("sweep: decode %T frame: %w", v, err)
-	}
-	return nil
-}
-
-// progressSink forwards probe events to the client as KindProgress
-// frames. Write errors are sticky: once the connection fails, remaining
-// events are dropped and the job runs to completion (its cells still land
-// in the cache for the client's retry).
-type progressSink struct {
-	w   io.Writer
-	mu  *connWriteMu
-	seq int
-}
-
-// connWriteMu serializes all writes on one connection: progress frames
-// are emitted from pool workers while the result frame comes from the
-// job goroutine.
-type connWriteMu struct {
-	mu     sync.Mutex
+// frameConn is one connection's codec, the same on both ends. wmu orders
+// the server's writers (progress from pool workers, the result from the job
+// goroutine); broken is sticky: a failed write cuts the stream mid-frame.
+type frameConn struct {
+	conn   net.Conn
+	br     *bufio.Reader
+	rbuf   []byte
+	wmu    sync.Mutex
 	broken bool
+	wbuf   bytes.Buffer
 }
 
-func (s *progressSink) Emit(ev obs.Event) {
-	s.mu.mu.Lock()
-	defer s.mu.mu.Unlock()
-	if s.mu.broken {
-		return
-	}
-	if err := writeFrame(s.w, transport.KindProgress, s.seq, ev); err != nil {
-		s.mu.broken = true
-	}
+func newFrameConn(conn net.Conn) *frameConn {
+	return &frameConn{conn: conn, br: bufio.NewReader(conn)}
 }
 
-func (s *progressSink) Close() error { return nil }
+// read returns the next frame; doc is valid until the next read.
+func (c *frameConn) read() (kind transport.Kind, seq int, doc []byte, err error) {
+	if cap(c.rbuf) > maxRetainedFrame {
+		c.rbuf = nil
+	}
+	return transport.ReadBytesFrame(c.br, &c.rbuf)
+}
+
+// write sends v as one frame under the write deadline: json.Marshal's
+// bytes (Encode's, less its newline) behind the reserved header.
+func (c *frameConn) write(kind transport.Kind, seq int, v any) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.broken {
+		return fmt.Errorf("connection broken by an earlier failed write")
+	}
+	c.wbuf.Reset()
+	c.wbuf.Write(make([]byte, transport.BytesFrameReserve))
+	if err := json.NewEncoder(&c.wbuf).Encode(v); err != nil { // the Encoder stays on the stack
+		return fmt.Errorf("encode frame: %w", err)
+	}
+	frame, err := transport.FinishBytesFrame(c.wbuf.Bytes()[:c.wbuf.Len()-1], kind, seq)
+	if err == nil {
+		_ = c.conn.SetWriteDeadline(time.Now().Add(frameWriteTimeout)) // fails only on a closed conn, as the Write then does
+		_, err = c.conn.Write(frame)
+		c.broken = err != nil
+	}
+	if c.wbuf.Cap() > maxRetainedFrame {
+		c.wbuf = bytes.Buffer{}
+	}
+	return err
+}
+
+// progressSink forwards probe events as KindProgress frames; once a write
+// fails the rest are dropped and the job runs on, its cells still cached.
+type progressSink func(obs.Event)
+
+func (f progressSink) Emit(ev obs.Event) { f(ev) }
+func (progressSink) Close() error        { return nil }

@@ -116,17 +116,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	wmu := &connWriteMu{}
+	fc := newFrameConn(conn)
 	for {
-		m, err := transport.ReadMessage(conn)
+		kind, seq, doc, err := fc.read()
 		if err != nil {
 			return // client went away or stream corrupt
 		}
-		reply := s.runJob(conn, wmu, m)
-		wmu.mu.Lock()
-		err = writeFrame(conn, transport.KindResult, m.Round, reply)
-		wmu.mu.Unlock()
-		if err != nil {
+		if fc.write(transport.KindResult, seq, s.runJob(fc, kind, seq, doc)) != nil {
 			return
 		}
 	}
@@ -134,13 +130,13 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // runJob executes one job frame and builds its reply; workload panics and
 // errors become reply errors, never a dead connection.
-func (s *Server) runJob(conn net.Conn, wmu *connWriteMu, m transport.Message) (reply JobReply) {
-	if m.Kind != transport.KindJob {
-		return JobReply{Error: fmt.Sprintf("unexpected frame kind %d", m.Kind)}
+func (s *Server) runJob(fc *frameConn, kind transport.Kind, seq int, doc []byte) (reply JobReply) {
+	if kind != transport.KindJob {
+		return JobReply{Error: fmt.Sprintf("unexpected frame kind %d", kind)}
 	}
 	var req JobRequest
-	if err := decodeFrame(m, &req); err != nil {
-		return JobReply{Error: err.Error()}
+	if err := json.Unmarshal(doc, &req); err != nil {
+		return JobReply{Error: "decode job request: " + err.Error()}
 	}
 	s.mu.Lock()
 	h, ok := s.handlers[req.Kind]
@@ -149,7 +145,10 @@ func (s *Server) runJob(conn net.Conn, wmu *connWriteMu, m transport.Message) (r
 		return JobReply{Error: fmt.Sprintf("unknown job kind %q", req.Kind)}
 	}
 
-	probe := obs.NewProbe(&progressSink{w: conn, mu: wmu, seq: m.Round})
+	var probe *obs.Probe // nil unless subscribed: no label, event or frame per cell
+	if req.Progress {    // a failed write is sticky in fc: later events are dropped, the job runs on
+		probe = obs.NewProbe(progressSink(func(ev obs.Event) { _ = fc.write(transport.KindProgress, seq, ev) }))
+	}
 	scoped := s.runner.Scope(probe)
 	defer func() {
 		reply.Stats = scoped.Stats()

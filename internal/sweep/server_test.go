@@ -181,4 +181,8 @@ func TestServerCloseIdempotentAndUnblocksClients(t *testing.T) {
 	if _, _, err := c.Do("square", squareParams{Values: []int{1}}, nil); err == nil {
 		t.Fatal("Do against a closed server must error")
 	}
+	// The job failed on the connection, so the client refuses the next one.
+	if _, _, err := c.Do("square", squareParams{Values: []int{1}}, nil); err == nil || !strings.Contains(err.Error(), "redial") {
+		t.Fatalf("Do on a client whose connection was lost = %v, want a redial error", err)
+	}
 }

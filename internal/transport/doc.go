@@ -10,7 +10,10 @@
 // the same messages over real sockets (examples/tcpcluster and the
 // transport tests run nodes as genuine network peers on localhost). The
 // simulator is agnostic to which one it is given — runs are bit-identical
-// across transports.
+// across transports. The sweep service sends JSON documents in the same
+// frames, encoded and checked in place (bytes.go); PackBytes/UnpackBytes
+// remain only as the reference encoding for tests and the benchmark probe,
+// slated for deletion with ROADMAP item 5's wire-format change.
 //
 // # Who owns Message.Vec
 //

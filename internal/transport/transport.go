@@ -16,13 +16,10 @@ const (
 	KindModel Kind = iota + 1
 	// KindControl carries scheduling/coordination signals.
 	KindControl
-	// KindJob carries a sweep-service job request (JSON packed into Vec
-	// via PackBytes).
+	// KindJob, KindResult and KindProgress are the sweep service's JSON
+	// byte frames: a job request, its reply, one progress event of it.
 	KindJob
-	// KindResult carries a sweep-service job reply (JSON via PackBytes).
 	KindResult
-	// KindProgress carries one streamed obs.Event for an in-flight job
-	// (JSON via PackBytes).
 	KindProgress
 )
 

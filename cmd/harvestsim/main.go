@@ -39,8 +39,8 @@
 // crossing — the computation is discarded but its partial energy stays
 // spent. One trace round spans the fleet-mean step duration, so -rounds,
 // -peak, and -period describe the same ambient process as the round
-// engine. Flags tied to round-engine machinery (-engine, -dropdead,
-// -rejoin, -ckptdir, -grid) conflict with -async.
+// engine. Flags tied to round-engine machinery (-dropdead, -rejoin,
+// -ckptdir, -grid) conflict with -async.
 //
 // With -grid, instead of a single run the command evaluates the full 4x4
 // Γtrain x Γsync grid under the harvest regime selected by -trace (each
@@ -97,7 +97,6 @@ import (
 func main() {
 	var (
 		nodes    = flag.Int("nodes", 96, "fleet size")
-		engine   = flag.String("engine", "pointer", "fleet engine: pointer | soa (struct-of-arrays; bit-identical, built for large fleets)")
 		degree   = flag.Int("degree", 6, "topology degree")
 		rounds   = flag.Int("rounds", 96, "total rounds T")
 		period   = flag.Int("period", 24, "rounds per simulated day (diurnal trace)")
@@ -192,16 +191,13 @@ func main() {
 	// same silent-ignore hazard as -gs without -gt: reject it.
 	// -async replaces the round engine with the event-driven one. The
 	// flags below configure machinery that only exists in the round
-	// engine (pointer/SoA round fleets, per-round dropout, checkpoint
-	// rejoin), so setting one alongside -async is a usage error, not a
-	// silent no-op.
+	// engine (per-round dropout, checkpoint rejoin), so setting one
+	// alongside -async is a usage error, not a silent no-op.
 	if *asyncRun {
 		if *grid {
 			usageError("-grid searches schedules on the round engine; it cannot be combined with -async")
 		}
-		roundOnly := map[string]bool{
-			"engine": true, "dropdead": true, "rejoin": true, "ckptdir": true,
-		}
+		roundOnly := map[string]bool{"dropdead": true, "rejoin": true, "ckptdir": true}
 		var ignored []string
 		flag.Visit(func(f *flag.Flag) {
 			if roundOnly[f.Name] {
@@ -241,10 +237,9 @@ func main() {
 		minSoC: *minSoC, lowSoC: *lowSoC, highSoC: *highSoC, exponent: *exponent,
 		cutoff: *cutoff, idle: *idle, dropDead: *dropDead,
 		rejoin: *rejoin, ckptDir: *ckptDir,
-		grid:   *grid,
-		async:  *asyncRun,
-		engine: *engine,
-		gt:     *gt, gs: *gs, lr: *lr, batch: *batch, steps: *steps,
+		grid:  *grid,
+		async: *asyncRun,
+		gt:    *gt, gs: *gs, lr: *lr, batch: *batch, steps: *steps,
 		evalInt: *evalInt, seed: *seed,
 		probe: probe,
 	})
@@ -291,7 +286,6 @@ type runConfig struct {
 	rejoin, ckptDir                 string
 	grid                            bool
 	async                           bool
-	engine                          string
 	gt, gs                          int
 	lr                              float64
 	batch, steps, evalInt           int
@@ -479,7 +473,7 @@ func run(c runConfig) error {
 		return err
 	}
 
-	fleet, err := harvest.NewEngine(c.engine, devices, workload, trace, harvest.Options{
+	fleet, err := harvest.NewFleet(devices, workload, trace, harvest.Options{
 		CapacityRounds: capacity,
 		InitialSoC:     initSoC,
 		// Options treats InitialSoC 0 as "unset"; the flag's 0 means empty.
@@ -814,8 +808,7 @@ func runGrid(c runConfig) error {
 	res, err := experiments.RunGammaGrid(experiments.Options{
 		Nodes: c.nodes, Rounds: c.rounds, Seed: c.seed,
 		LR: c.lr, BatchSize: c.batch, LocalSteps: c.steps,
-		FleetEngine: c.engine,
-		Probe:       c.probe,
+		Probe: c.probe,
 	}, regime)
 	if err != nil {
 		return err

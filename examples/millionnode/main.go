@@ -1,17 +1,17 @@
-// Million-node example: the struct-of-arrays fleet engine sweeping a
-// planetary-scale solar fleet through a multi-day mission.
+// Million-node example: the fused fleet sweep carrying a planetary-scale
+// solar fleet through a multi-day mission.
 //
 // One million nodes spread around the globe (internal/harvest's Diurnal
 // trace with LongitudePhase) each carry a small battery and train whenever
 // their state of charge clears a threshold — the paper's SoC-threshold
-// participation rule. The SoAFleet engine keeps all battery state in flat
-// parallel slices and fuses the participation decision, battery update,
-// harvest, and liveness count into a single pass per node
-// (SweepThreshold), so a 1M-node round costs milliseconds and the whole
-// mission finishes in well under a minute on a laptop. The engine is
-// bit-identical to the pointer-based Fleet (pinned by
-// internal/harvest/difftest) — this example just runs the same physics a
-// thousand times bigger.
+// participation rule. harvest.Fleet keeps all battery state in flat
+// parallel slices and SweepThreshold fuses the participation decision,
+// battery update, harvest, and liveness count into a single pass per node,
+// so a 1M-node round costs milliseconds and the whole mission finishes in
+// well under a minute on a laptop. It is the same fleet and the same
+// battery kernel every simulation in this repository runs (pinned against a
+// reference oracle by internal/harvest/difftest) — this example just runs
+// the physics a thousand times bigger.
 //
 // The sweep streams telemetry (internal/obs) while it runs — a live
 // progress line with per-round participation and node-round throughput —
@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fleet, err := harvest.NewSoAFleet(devices, w, trace, harvest.Options{
+	fleet, err := harvest.NewFleet(devices, w, trace, harvest.Options{
 		CapacityRounds: 12,
 		InitialSoC:     0.5,
 	})

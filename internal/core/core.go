@@ -148,10 +148,10 @@ func TrainingProbability(tau int, tTrain float64) float64 {
 }
 
 // BatteryView is the per-node battery state a charge-aware policy may
-// consult — and drain — while deciding. harvest.Fleet implements it; the
-// engine threads it through RoundContext so policies no longer hold fleet
-// pointers of their own. All methods are safe for concurrent use across
-// distinct nodes.
+// consult — and drain — while deciding. harvest.Fleet (round time) and
+// harvest.VFleet (virtual time) implement it; the engine threads it through
+// RoundContext so policies no longer hold fleet pointers of their own. All
+// methods are safe for concurrent use across distinct nodes.
 type BatteryView interface {
 	// SoC returns node's state of charge in [0, 1].
 	SoC(node int) float64
@@ -235,26 +235,6 @@ type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
 }
-
-// LegacyPolicy is the pre-RoundContext participation contract: policies
-// that decide from the round index alone. Wrap one with AdaptLegacy to use
-// it anywhere a Policy is expected.
-type LegacyPolicy interface {
-	Participate(node, t int, r *rng.RNG) bool
-	Name() string
-}
-
-// AdaptLegacy lifts a LegacyPolicy into the context-passing contract by
-// forwarding ctx.Round as the round index.
-func AdaptLegacy(p LegacyPolicy) Policy { return legacyPolicy{p} }
-
-type legacyPolicy struct{ p LegacyPolicy }
-
-func (l legacyPolicy) Participate(node int, ctx RoundContext, r *rng.RNG) bool {
-	return l.p.Participate(node, ctx.Round, r)
-}
-
-func (l legacyPolicy) Name() string { return l.p.Name() }
 
 // ResettablePolicy is implemented by policies that carry run state — spent
 // budgets, dormancy flags — which a second run would silently inherit.

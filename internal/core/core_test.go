@@ -186,28 +186,6 @@ func TestGreedyPolicyExhaustsBudget(t *testing.T) {
 	}
 }
 
-// TestLegacyPolicyAdapter pins the migration path for old-contract
-// policies: wrapped, they see ctx.Round as their round index and keep
-// their name.
-func TestLegacyPolicyAdapter(t *testing.T) {
-	legacy := evenRounds{}
-	p := AdaptLegacy(legacy)
-	if p.Name() != "even-rounds" {
-		t.Fatalf("adapter name %q", p.Name())
-	}
-	r := rng.New(3)
-	for i := 0; i < 6; i++ {
-		if got := p.Participate(0, at(i), r); got != (i%2 == 0) {
-			t.Fatalf("round %d: adapter gave %v", i, got)
-		}
-	}
-}
-
-type evenRounds struct{}
-
-func (evenRounds) Participate(_, t int, _ *rng.RNG) bool { return t%2 == 0 }
-func (evenRounds) Name() string                          { return "even-rounds" }
-
 // TestBudgetPoliciesResettable pins the ResettablePolicy contract on the
 // budget-backed policies: consumed after any training, rewound by Reset,
 // and replaying the first run exactly.

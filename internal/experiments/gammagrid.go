@@ -243,10 +243,8 @@ func newGammaWorld(o Options, degree int, data func() (*gammaData, error)) (*gam
 // Γs) cell: every Options and regime field that changes the computed bits
 // is hashed, so sweep.KeyFromManifest(cellManifest(...).Build()) is a safe
 // cache key. Deliberately excluded, because they cannot change the bits:
-// FleetEngine (pointer and SoA are pinned bit-identical by
-// internal/harvest/difftest — a cell computed on either engine serves
-// both), Probe/Out (telemetry is read-only), EvalEvery (cells always run
-// with EvalEvery 0), and worker count (GOMAXPROCS is unhashed by design).
+// Probe/Out (telemetry is read-only), EvalEvery (cells always run with
+// EvalEvery 0), and worker count (GOMAXPROCS is unhashed by design).
 // regimeKeys builds it once per regime and re-sets only the two Γ fields.
 func (w *gammaWorld) cellManifest(regime GammaRegime, traceName string, gt, gs int) *obs.ManifestBuilder {
 	o := w.o
@@ -360,7 +358,7 @@ func (w *gammaWorld) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, 
 	if err != nil {
 		return fail(err)
 	}
-	fleet, err := harvest.NewEngine(o.FleetEngine, d.devices, d.workload, trace, gammaGridFleetOptions())
+	fleet, err := harvest.NewFleet(d.devices, d.workload, trace, gammaGridFleetOptions())
 	if err != nil {
 		return fail(err)
 	}

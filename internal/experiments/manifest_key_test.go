@@ -27,9 +27,8 @@ func cellHash(t *testing.T, o Options, degree, regimeIdx, gt, gs int) string {
 
 // TestCellManifestKeyStability is the key-stability table: every knob that
 // changes a cell's computed bits must move its ConfigHash, and every knob
-// that cannot — telemetry, the memo runner itself, the fleet engine
-// (pointer and SoA are pinned bit-identical), worker count — must leave it
-// untouched. A key that under-hashes serves stale bits; one that
+// that cannot — telemetry, the memo runner itself, worker count — must
+// leave it untouched. A key that under-hashes serves stale bits; one that
 // over-hashes silently destroys the cache's hit rate.
 func TestCellManifestKeyStability(t *testing.T) {
 	base := cellHash(t, tiny(), 6, 1, 2, 3)
@@ -66,8 +65,6 @@ func TestCellManifestKeyStability(t *testing.T) {
 	})
 
 	t.Run("identical", func(t *testing.T) {
-		soa := tiny()
-		soa.FleetEngine = "soa"
 		probed := tiny()
 		probed.Probe = obs.NewProbe(obs.NewMemory())
 		swept := tiny()
@@ -75,10 +72,9 @@ func TestCellManifestKeyStability(t *testing.T) {
 		evalEvery := tiny()
 		evalEvery.EvalEvery = 1 // cells always run EvalEvery 0
 		cases := map[string]string{
-			"fleet-engine-soa": cellHash(t, soa, 6, 1, 2, 3),
-			"probe-attached":   cellHash(t, probed, 6, 1, 2, 3),
-			"sweep-attached":   cellHash(t, swept, 6, 1, 2, 3),
-			"eval-every":       cellHash(t, evalEvery, 6, 1, 2, 3),
+			"probe-attached": cellHash(t, probed, 6, 1, 2, 3),
+			"sweep-attached": cellHash(t, swept, 6, 1, 2, 3),
+			"eval-every":     cellHash(t, evalEvery, 6, 1, 2, 3),
 		}
 		old := runtime.GOMAXPROCS(1)
 		cases["gomaxprocs"] = cellHash(t, tiny(), 6, 1, 2, 3)

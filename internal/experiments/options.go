@@ -53,13 +53,6 @@ type Options struct {
 	EvalEvery     int
 	EvalSubsample int
 
-	// FleetEngine selects the harvest fleet implementation for grid
-	// runners: harvest.EnginePointer (default when empty) or
-	// harvest.EngineSoA. The engines are bit-identical (pinned by
-	// internal/harvest/difftest), so this only trades memory layout for
-	// speed at large fleet sizes.
-	FleetEngine string
-
 	// Probe optionally attaches the observability layer (internal/obs):
 	// grid runners emit run boundaries and one cell event per completed
 	// grid cell (label, wall clock, headline accuracy). The probe is NOT

@@ -7,28 +7,24 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/harvest"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
 
-// TestSweepCacheCrossEngineBitIdentical is the cache-correctness
-// differential: a grid computed cold on the pointer fleet, the same grid
-// served entirely from cache to the SoA fleet, and the same grid computed
-// fresh on the SoA fleet must agree bit-for-bit, cell by cell and as JSON
-// bytes. This is what licenses excluding FleetEngine from the cell key —
-// the engines are pinned bit-identical by internal/harvest/difftest, so a
-// cached cell serves both. (Forced-revision invalidation is pinned at the
-// sweep layer: see sweep.TestGridRevisionChangeInvalidates.)
-func TestSweepCacheCrossEngineBitIdentical(t *testing.T) {
+// TestSweepCacheColdCachedFreshBitIdentical is the cache-correctness
+// differential: a grid computed cold, the same grid served entirely from
+// that cache, and the same grid recomputed fresh against an empty store
+// must agree bit-for-bit, cell by cell and as JSON bytes — a hit is a
+// recompute. (Forced-revision invalidation is pinned at the sweep layer:
+// see sweep.TestGridRevisionChangeInvalidates.)
+func TestSweepCacheColdCachedFreshBitIdentical(t *testing.T) {
 	o := tiny()
 	o.Rounds = 8
 	regime := GammaGridRegimes(o)[3] // markov-lo: stateful trace, hardest case
 
 	store := sweep.NewMemStore(0)
-	runGrid := func(engine string, st sweep.Store) (*GammaGridResult, sweep.Stats) {
+	runGrid := func(st sweep.Store) (*GammaGridResult, sweep.Stats) {
 		oo := o
-		oo.FleetEngine = engine
 		r := sweep.NewRunner(st, nil)
 		oo.Sweep = r
 		res, err := RunGammaGrid(oo, regime)
@@ -38,23 +34,23 @@ func TestSweepCacheCrossEngineBitIdentical(t *testing.T) {
 		return res, r.Stats()
 	}
 
-	cold, st := runGrid(harvest.EnginePointer, store)
+	cold, st := runGrid(store)
 	if st.Misses != 16 || st.Hits != 0 {
-		t.Fatalf("cold pointer run stats %+v", st)
+		t.Fatalf("cold run stats %+v", st)
 	}
-	cached, st := runGrid(harvest.EngineSoA, store)
+	cached, st := runGrid(store)
 	if !st.AllHits() || st.Cells != 16 {
-		t.Fatalf("soa run against warm cache stats %+v", st)
+		t.Fatalf("run against warm cache stats %+v", st)
 	}
-	fresh, st := runGrid(harvest.EngineSoA, sweep.NewMemStore(0))
+	fresh, st := runGrid(sweep.NewMemStore(0))
 	if st.Misses != 16 {
-		t.Fatalf("fresh soa run stats %+v", st)
+		t.Fatalf("fresh run stats %+v", st)
 	}
 
 	for gs := range cold.Grid {
 		for gt := range cold.Grid[gs] {
 			if cold.Grid[gs][gt] != cached.Grid[gs][gt] || cold.Grid[gs][gt] != fresh.Grid[gs][gt] {
-				t.Fatalf("cell Γt=%d Γs=%d diverges:\npointer-cold %+v\nsoa-cached  %+v\nsoa-fresh   %+v",
+				t.Fatalf("cell Γt=%d Γs=%d diverges:\ncold   %+v\ncached %+v\nfresh  %+v",
 					gt+1, gs+1, cold.Grid[gs][gt], cached.Grid[gs][gt], fresh.Grid[gs][gt])
 			}
 		}

@@ -1,9 +1,11 @@
-// Package difftest is the differential test harness for the two fleet
-// engines: it drives a pointer-based harvest.Fleet and a struct-of-arrays
-// harvest.SoAFleet through identical randomized scenario schedules and
-// verifies they stay bit-identical — full per-node state, cumulative
-// ledgers, whole-fleet statistics, and the streaming SoC quantile sketch —
-// after every round.
+// Package difftest is the differential test harness for the battery
+// arithmetic: it drives the production harvest.Fleet and an independently
+// written reference — one oracle Battery struct per node (oracle.go) —
+// through identical randomized scenario schedules and verifies they stay
+// bit-identical — full per-node state, cumulative ledgers, whole-fleet
+// statistics, and the streaming SoC quantile sketch — after every round.
+// FuzzBatteryKernel does the same for random operation sequences on
+// one-node fleets, in round time and in virtual time.
 //
 // The harness doubles as reusable test infrastructure: Scenarios()
 // generates the (trace × policy × liveness × cutoff) table, and a Scenario
@@ -26,7 +28,7 @@ import (
 )
 
 // Trace kinds a Scenario can name. Each builds a fresh, independently
-// seeded generator per call, so the two engines never share trace state.
+// seeded generator per call, so the two sides never share trace state.
 const (
 	TraceConstant = "constant"
 	TraceDiurnal  = "diurnal"
@@ -94,7 +96,7 @@ func (s Scenario) meanTrainWh() float64 {
 
 // NewTrace builds a fresh trace generator for the scenario. Every call
 // returns an independent instance with identical behavior — the property
-// the differential driver needs to feed two engines the same arrivals.
+// the differential driver needs to feed both sides the same arrivals.
 func (s Scenario) NewTrace() (harvest.Trace, error) {
 	mean := s.meanTrainWh()
 	switch s.Trace {
@@ -121,8 +123,8 @@ func (s Scenario) NewTrace() (harvest.Trace, error) {
 }
 
 // NewPolicy builds a fresh participation policy for the scenario. Stateful
-// policies (hysteresis dormancy) are per-engine state, so the driver calls
-// this once per engine.
+// policies (hysteresis dormancy) are per-side state, so the driver calls
+// this once per side.
 func (s Scenario) NewPolicy() (core.Policy, error) {
 	switch s.Policy {
 	case PolicyAlways:
@@ -148,24 +150,24 @@ func (s Scenario) Schedule() core.Schedule {
 	return core.AllTrain{}
 }
 
-// Instance is one engine's complete scenario binding: the engine plus its
+// Instance is one complete scenario binding: a production fleet plus its
 // private trace, policy, and (optional) forecaster instances.
 type Instance struct {
-	Engine     harvest.Engine
+	Fleet      *harvest.Fleet
 	Trace      harvest.Trace
 	Policy     core.Policy
 	Forecaster harvest.Forecaster
 }
 
-// Build constructs a fresh Instance for the given engine kind
-// (harvest.EnginePointer or harvest.EngineSoA). Nothing is shared with any
-// other Instance, so two of them can be driven in lockstep and compared.
-func (s Scenario) Build(kind string) (*Instance, error) {
+// Build constructs a fresh Instance. Nothing is shared with any other
+// Instance, so two of them can be driven in lockstep and compared — and
+// sim, analyze and experiment tests draw well-formed harvest setups from it.
+func (s Scenario) Build() (*Instance, error) {
 	trace, err := s.NewTrace()
 	if err != nil {
 		return nil, err
 	}
-	eng, err := harvest.NewEngine(kind, s.Devices(), s.Workload(), trace, s.Options)
+	fleet, err := harvest.NewFleet(s.Devices(), s.Workload(), trace, s.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -173,32 +175,13 @@ func (s Scenario) Build(kind string) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst := &Instance{Engine: eng, Trace: trace, Policy: policy}
+	inst := &Instance{Fleet: fleet, Trace: trace, Policy: policy}
 	if s.Horizon > 0 {
 		if inst.Forecaster, err = harvest.NewOracle(trace); err != nil {
 			return nil, err
 		}
 	}
 	return inst, nil
-}
-
-// Fleet builds a fresh pointer-based fleet with its own trace — the
-// builder sim and experiment tests use for well-formed harvest setups.
-func (s Scenario) Fleet() (*harvest.Fleet, error) {
-	trace, err := s.NewTrace()
-	if err != nil {
-		return nil, err
-	}
-	return harvest.NewFleet(s.Devices(), s.Workload(), trace, s.Options)
-}
-
-// SoAFleet builds a fresh struct-of-arrays fleet with its own trace.
-func (s Scenario) SoAFleet() (*harvest.SoAFleet, error) {
-	trace, err := s.NewTrace()
-	if err != nil {
-		return nil, err
-	}
-	return harvest.NewSoAFleet(s.Devices(), s.Workload(), trace, s.Options)
 }
 
 // Scenarios generates the differential table: the cross product of every
@@ -262,25 +245,32 @@ func Scenarios() []Scenario {
 	return out
 }
 
-// Diff drives a fresh pointer fleet and a fresh SoA fleet through the
-// scenario in lockstep and returns an error describing the first
-// divergence — any comparison is exact (==), never within-epsilon. A nil
-// return means the two engines were bit-identical after every round.
+// Diff drives a fresh production fleet and a fresh reference fleet (one
+// oracle Battery per node, oracle.go) through the scenario in lockstep and
+// returns an error describing the first divergence — any comparison is
+// exact (==), never within-epsilon. A nil return means the fleet matched
+// the oracle bit for bit after every round.
 func Diff(s Scenario) error {
-	a, err := s.Build(harvest.EnginePointer)
+	a, err := s.Build()
 	if err != nil {
-		return fmt.Errorf("difftest %s: pointer build: %w", s.Name, err)
+		return fmt.Errorf("difftest %s: fleet build: %w", s.Name, err)
 	}
-	b, err := s.Build(harvest.EngineSoA)
+	// The reference side owns a second trace, policy and forecaster; the
+	// fleet built with them only lends its shape and is never driven.
+	b, err := s.Build()
 	if err != nil {
-		return fmt.Errorf("difftest %s: soa build: %w", s.Name, err)
+		return fmt.Errorf("difftest %s: reference build: %w", s.Name, err)
 	}
-	if err := compare(-1, s, a.Engine, b.Engine); err != nil {
+	ref := newRefFleet(b.Fleet, b.Trace, s.Options)
+	if err := compare(-1, s, a.Fleet, ref); err != nil {
 		return err
 	}
+	if a.Fleet.Consumed() {
+		return fmt.Errorf("difftest %s: fresh fleet reports Consumed", s.Name)
+	}
 	schedule := s.Schedule()
-	// Per-node decision RNGs: one set per engine, identically derived, so
-	// a probabilistic policy draws the same stream on both sides.
+	// Per-node decision RNGs: one set per side, identically derived, so a
+	// probabilistic policy draws the same stream on both.
 	rngsA := decisionRNGs(s)
 	rngsB := decisionRNGs(s)
 	maskRNG := rng.Derive(s.Seed, 0xd1ffe)
@@ -291,63 +281,75 @@ func Diff(s Scenario) error {
 	}
 	for t := 0; t < s.Rounds; t++ {
 		if s.ResetAt > 0 && t == s.ResetAt {
-			if err := resetInstance(a); err != nil {
-				return fmt.Errorf("difftest %s: pointer reset: %w", s.Name, err)
+			if err := a.Fleet.Reset(); err != nil {
+				return fmt.Errorf("difftest %s: fleet reset: %w", s.Name, err)
 			}
-			if err := resetInstance(b); err != nil {
-				return fmt.Errorf("difftest %s: soa reset: %w", s.Name, err)
+			if a.Fleet.Consumed() {
+				return fmt.Errorf("difftest %s: fleet still Consumed after Reset", s.Name)
+			}
+			// The reference starts over from the shape fleet, which was
+			// never driven, on its rewound trace.
+			if tr, ok := b.Trace.(harvest.TraceResetter); ok {
+				tr.ResetTrace()
+			}
+			ref = newRefFleet(b.Fleet, b.Trace, s.Options)
+			for _, p := range []core.Policy{a.Policy, b.Policy} {
+				if rp, ok := p.(core.ResettablePolicy); ok {
+					rp.Reset()
+				}
 			}
 			rngsA, rngsB = decisionRNGs(s), decisionRNGs(s)
 		}
 		kind := schedule.Kind(t)
 		if kind == core.RoundTrain {
 			for i := 0; i < s.Nodes; i++ {
-				da := decide(a, i, t, s, kind, schedule, scratchA, rngsA[i])
-				db := decide(b, i, t, s, kind, schedule, scratchB, rngsB[i])
+				da := decide(a, a.Fleet, i, t, s, kind, schedule, scratchA, rngsA[i])
+				db := decide(b, ref, i, t, s, kind, schedule, scratchB, rngsB[i])
 				if da != db {
-					return fmt.Errorf("difftest %s: round %d node %d: pointer decision %v, soa decision %v", s.Name, t, i, da, db)
+					return fmt.Errorf("difftest %s: round %d node %d: fleet decision %v, reference decision %v", s.Name, t, i, da, db)
 				}
 			}
 		}
-		// The same liveness mask feeds both engines; harvest rows come
-		// from each engine's private trace.
-		var ra, rb []float64
+		// The same liveness mask feeds both sides; harvest rows come from
+		// each side's private trace.
+		var mask []bool
 		if s.DropProb > 0 {
-			mask := make([]bool, s.Nodes)
+			mask = make([]bool, s.Nodes)
 			for i := range mask {
 				mask[i] = !maskRNG.Bernoulli(s.DropProb)
 			}
-			ra = a.Engine.EndRoundLive(t, mask)
-			rb = b.Engine.EndRoundLive(t, mask)
+		}
+		var ra []float64
+		if mask != nil {
+			ra = a.Fleet.EndRoundLive(t, mask)
 		} else {
-			ra = a.Engine.EndRound(t)
-			rb = b.Engine.EndRound(t)
+			ra = a.Fleet.EndRound(t)
 		}
-		if err := compareRows("round harvest", t, s, ra, rb); err != nil {
+		if err := compareRows("round harvest", t, s, ra, ref.endRound(t, mask)); err != nil {
 			return err
 		}
-		if err := compareRows("arrived", t, s, a.Engine.RoundArrivedWh(), b.Engine.RoundArrivedWh()); err != nil {
+		if err := compareRows("arrived", t, s, a.Fleet.RoundArrivedWh(), ref.roundArrived); err != nil {
 			return err
 		}
-		if err := compare(t, s, a.Engine, b.Engine); err != nil {
+		if err := compare(t, s, a.Fleet, ref); err != nil {
 			return err
 		}
 	}
-	if a.Engine.Consumed() != b.Engine.Consumed() {
-		return fmt.Errorf("difftest %s: Consumed() diverges: pointer %v, soa %v", s.Name, a.Engine.Consumed(), b.Engine.Consumed())
+	if s.Rounds > 0 && !a.Fleet.Consumed() {
+		return fmt.Errorf("difftest %s: fleet with closed rounds does not report Consumed", s.Name)
 	}
 	return nil
 }
 
-// decide runs one node's participation decision against one engine,
-// building the same round context the sim engine would.
-func decide(inst *Instance, i, t int, s Scenario, kind core.RoundKind, schedule core.Schedule, scratch []float64, r *rng.RNG) bool {
+// decide runs one node's participation decision against one side's battery
+// view, building the same round context the sim engine would.
+func decide(inst *Instance, battery core.BatteryView, i, t int, s Scenario, kind core.RoundKind, schedule core.Schedule, scratch []float64, r *rng.RNG) bool {
 	ctx := core.RoundContext{
 		Round:    t,
 		Horizon:  s.Rounds,
 		Kind:     kind,
 		Schedule: schedule,
-		Battery:  inst.Engine,
+		Battery:  battery,
 	}
 	if inst.Forecaster != nil {
 		inst.Forecaster.Forecast(i, t, scratch)
@@ -364,105 +366,102 @@ func decisionRNGs(s Scenario) []*rng.RNG {
 	return out
 }
 
-func resetInstance(inst *Instance) error {
-	if err := inst.Engine.Reset(); err != nil {
-		return err
-	}
-	if rp, ok := inst.Policy.(core.ResettablePolicy); ok {
-		rp.Reset()
-	}
-	return nil
-}
-
-// sketchQuantiles are the probe points compared between the two engines'
-// SoC sketches each round.
+// sketchQuantiles are the probe points compared between the fleet's
+// streamed SoC sketch and one fed from the reference each round.
 var sketchQuantiles = []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
 
-// compare checks every whole-fleet statistic and every per-node view the
-// Engine surface exposes, plus the obs SoC sketch both engines feed
-// through SoCStats. t = -1 labels the pre-run comparison.
-func compare(t int, s Scenario, a, b harvest.Engine) error {
+// compare checks every per-node view and every whole-fleet statistic the
+// fleet exposes against the reference — the statistics recomputed here from
+// the reference's per-node state, in index order — plus the obs SoC sketch
+// fed through SoCStats. t = -1 labels the pre-run comparison.
+func compare(t int, s Scenario, f *harvest.Fleet, ref *refFleet) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("difftest %s: round %d: %s", s.Name, t, fmt.Sprintf(format, args...))
 	}
-	if a.Nodes() != b.Nodes() {
-		return fail("nodes %d vs %d", a.Nodes(), b.Nodes())
+	n := len(ref.batteries)
+	if f.Nodes() != n {
+		return fail("nodes %d vs %d", f.Nodes(), n)
 	}
-	for i := 0; i < a.Nodes(); i++ {
-		type nodeProbe struct {
-			name string
-			fn   func(harvest.Engine, int) float64
-		}
-		for _, p := range []nodeProbe{
-			{"ChargeWh", harvest.Engine.ChargeWh},
-			{"SoC", harvest.Engine.SoC},
-			{"CapacityWh", harvest.Engine.CapacityWh},
-			{"CutoffWh", harvest.Engine.CutoffWh},
-			{"TrainCostWh", harvest.Engine.TrainCostWh},
-			{"OverheadWh", harvest.Engine.OverheadWh},
-			{"NodeHarvestedWh", harvest.Engine.NodeHarvestedWh},
-			{"NodeConsumedWh", harvest.Engine.NodeConsumedWh},
+	socs, live := make([]float64, n), make([]bool, n)
+	sumSoC, minSoC, depleted := 0.0, ref.SoC(0), 0
+	refSketch := obs.NewSoCSketch()
+	for i := 0; i < n; i++ {
+		for _, p := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"ChargeWh", f.ChargeWh(i), ref.ChargeWh(i)},
+			{"SoC", f.SoC(i), ref.SoC(i)},
+			{"CapacityWh", f.CapacityWh(i), ref.CapacityWh(i)},
+			{"CutoffWh", f.CutoffWh(i), ref.CutoffWh(i)},
+			{"TrainCostWh", f.TrainCostWh(i), ref.TrainCostWh(i)},
+			{"OverheadWh", f.OverheadWh(i), ref.OverheadWh(i)},
+			{"NodeHarvestedWh", f.NodeHarvestedWh(i), ref.harvested[i]},
+			{"NodeConsumedWh", f.NodeConsumedWh(i), ref.consumed[i]},
 		} {
-			if va, vb := p.fn(a, i), p.fn(b, i); va != vb {
-				return fail("node %d %s: pointer %v, soa %v", i, p.name, va, vb)
+			if p.got != p.want {
+				return fail("node %d %s: fleet %v, reference %v", i, p.name, p.got, p.want)
 			}
 		}
-		if ua, ub := a.Usable(i), b.Usable(i); ua != ub {
-			return fail("node %d Usable: pointer %v, soa %v", i, ua, ub)
+		socs[i], live[i] = ref.SoC(i), ref.batteries[i].Usable()
+		if f.Usable(i) != live[i] {
+			return fail("node %d Usable: fleet %v, reference %v", i, f.Usable(i), live[i])
 		}
+		sumSoC += socs[i]
+		minSoC = math.Min(minSoC, socs[i])
+		if !live[i] {
+			depleted++
+		}
+		refSketch.Observe(socs[i])
 	}
-	type fleetProbe struct {
-		name string
-		fn   func(harvest.Engine) float64
-	}
-	for _, p := range []fleetProbe{
-		{"MeanSoC", harvest.Engine.MeanSoC},
-		{"MinSoC", harvest.Engine.MinSoC},
-		{"HarvestedWh", harvest.Engine.HarvestedWh},
-		{"ConsumedWh", harvest.Engine.ConsumedWh},
-		{"WastedWh", harvest.Engine.WastedWh},
+	meanSoC := sumSoC / float64(n)
+	for _, p := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"MeanSoC", f.MeanSoC(), meanSoC},
+		{"HarvestedWh", f.HarvestedWh(), total(ref.harvested)},
+		{"ConsumedWh", f.ConsumedWh(), total(ref.consumed)},
+		{"WastedWh", f.WastedWh(), total(ref.wasted)},
 	} {
-		if va, vb := p.fn(a), p.fn(b); va != vb {
-			return fail("%s: pointer %v, soa %v", p.name, va, vb)
+		if p.got != p.want {
+			return fail("%s: fleet %v, reference %v", p.name, p.got, p.want)
 		}
 	}
-	if da, db := a.DepletedCount(), b.DepletedCount(); da != db {
-		return fail("DepletedCount: pointer %d, soa %d", da, db)
+	if got := f.DepletedCount(); got != depleted {
+		return fail("DepletedCount: fleet %d, reference %d", got, depleted)
 	}
-	if la, lb := a.LiveCount(), b.LiveCount(); la != lb {
-		return fail("LiveCount: pointer %d, soa %d", la, lb)
+	if got := f.LiveCount(); got != n-depleted {
+		return fail("LiveCount: fleet %d, reference %d", got, n-depleted)
 	}
-	if err := compareRows("SoCs", t, s, a.SoCs(), b.SoCs()); err != nil {
+	if err := compareRows("SoCs", t, s, f.SoCs(), socs); err != nil {
 		return err
 	}
-	la, lb := a.Live(), b.Live()
-	for i := range la {
-		if la[i] != lb[i] {
-			return fail("Live mask node %d: pointer %v, soa %v", i, la[i], lb[i])
+	for i, l := range f.Live() {
+		if l != live[i] {
+			return fail("Live mask node %d: fleet %v, reference %v", i, l, live[i])
 		}
 	}
-	skA, skB := obs.NewSoCSketch(), obs.NewSoCSketch()
-	meanA, minA, depA := a.SoCStats(skA.Observe)
-	meanB, minB, depB := b.SoCStats(skB.Observe)
-	if meanA != meanB || minA != minB || depA != depB {
-		return fail("SoCStats: pointer (%v, %v, %d), soa (%v, %v, %d)", meanA, minA, depA, meanB, minB, depB)
+	sketch := obs.NewSoCSketch()
+	if mean, min, dep := f.SoCStats(sketch.Observe); mean != meanSoC || min != minSoC || dep != depleted {
+		return fail("SoCStats: fleet (%v, %v, %d), reference (%v, %v, %d)", mean, min, dep, meanSoC, minSoC, depleted)
 	}
 	for _, q := range sketchQuantiles {
-		qa, qb := skA.Quantile(q), skB.Quantile(q)
+		qa, qb := sketch.Quantile(q), refSketch.Quantile(q)
 		if qa != qb && !(math.IsNaN(qa) && math.IsNaN(qb)) {
-			return fail("sketch quantile %g: pointer %v, soa %v", q, qa, qb)
+			return fail("sketch quantile %g: fleet %v, reference %v", q, qa, qb)
 		}
 	}
 	return nil
 }
 
-func compareRows(what string, t int, s Scenario, a, b []float64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("difftest %s: round %d: %s length %d vs %d", s.Name, t, what, len(a), len(b))
+func compareRows(what string, t int, s Scenario, got, want []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("difftest %s: round %d: %s length %d vs %d", s.Name, t, what, len(got), len(want))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Errorf("difftest %s: round %d: %s node %d: pointer %v, soa %v", s.Name, t, what, i, a[i], b[i])
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("difftest %s: round %d: %s node %d: fleet %v, reference %v", s.Name, t, what, i, got[i], want[i])
 		}
 	}
 	return nil

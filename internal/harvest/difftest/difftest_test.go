@@ -4,13 +4,14 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/harvest"
 )
 
 // TestEnginesBitIdentical runs every cell of the differential table: for
-// each (trace × policy × liveness × cutoff) scenario the pointer fleet and
-// the SoA fleet must agree exactly — per-node charge, ledgers, statistics,
-// and sketch quantiles — after every round.
+// each (trace × policy × liveness × cutoff) scenario the production fleet
+// and the reference fleet of oracle batteries must agree exactly — per-node
+// charge, ledgers, statistics, and sketch quantiles — after every round.
 func TestEnginesBitIdentical(t *testing.T) {
 	for _, s := range Scenarios() {
 		t.Run(s.Name, func(t *testing.T) {
@@ -41,21 +42,20 @@ func TestEnginesBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		if err := Diff(s); err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		// Also capture one engine's final state to compare across settings.
-		inst, err := s.Build(harvest.EngineSoA)
+		// Also capture the fleet's final state to compare across settings.
+		inst, err := s.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		policy := inst.Policy
 		for tt := 0; tt < s.Rounds; tt++ {
 			for i := 0; i < s.Nodes; i++ {
-				// Threshold policies ignore the RNG; Context builds the
+				// Threshold policies ignore the RNG and need only the
 				// minimal battery-backed round context.
-				policy.Participate(i, inst.Engine.Context(tt), nil)
+				inst.Policy.Participate(i, core.RoundContext{Round: tt, Kind: core.RoundTrain, Battery: inst.Fleet}, nil)
 			}
-			inst.Engine.EndRound(tt)
+			inst.Fleet.EndRound(tt)
 		}
-		return inst.Engine.SoCs()
+		return inst.Fleet.SoCs()
 	}
 	serial := run(1)
 	parallel := run(8)
@@ -71,15 +71,12 @@ func TestEnginesBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 func TestScenarioBuildersReject(t *testing.T) {
 	s := Scenarios()[0]
 	s.Trace = "no-such-trace"
-	if _, err := s.Build(harvest.EnginePointer); err == nil {
+	if _, err := s.Build(); err == nil {
 		t.Fatal("unknown trace kind built successfully")
 	}
 	s = Scenarios()[0]
 	s.Policy = "no-such-policy"
-	if _, err := s.Build(harvest.EnginePointer); err == nil {
+	if _, err := s.Build(); err == nil {
 		t.Fatal("unknown policy kind built successfully")
-	}
-	if _, err := harvest.NewEngine("no-such-engine", s.Devices(), s.Workload(), harvest.Constant{Wh: 1}, harvest.Options{}); err == nil {
-		t.Fatal("unknown engine kind built successfully")
 	}
 }

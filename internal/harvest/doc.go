@@ -10,18 +10,31 @@
 //
 // # Components
 //
-//   - Battery is a per-node charge state machine: capacity in Wh, a
-//     brown-out cutoff below which the node cannot operate, harvesting
-//     clamped at capacity, and all-or-nothing training consumption
-//     (TryConsume never takes a node below its cutoff mid-round).
+//   - The battery kernel (kernel.go) is the arithmetic of one battery as
+//     five pure scalar functions: drain clamps at empty, store clamps at
+//     capacity (the rest of an arrival is wasted), tryConsume is the
+//     all-or-nothing training spend that never takes a node below its
+//     brown-out cutoff, and timeToCharge/timeToCutoff solve the two
+//     crossings on a linear trajectory. Nothing else in the package moves
+//     a charge or tests it against its bounds.
 //   - Trace generates the per-round harvested energy — constant trickle,
 //     diurnal/solar sinusoid with per-node phase (longitude), a Markov
 //     on-off chain for bursty sources, or a CSV replay.
-//   - Fleet binds one battery per node to its device's training cost
-//     (energy.Device × energy.Workload) and advances all batteries each
-//     round: pay idle and communication draw, then harvest. EndRoundLive
-//     is the brown-out-aware variant where dead nodes owe idle draw only —
-//     their radio never powered up.
+//   - A bank (bank.go) is the state of a whole population — charge,
+//     capacity, cutoff, per-device costs (energy.Device × energy.Workload)
+//     and the harvest/consumption/waste ledgers as flat parallel slices —
+//     with the two ledgered operations on it: consume (a load a node may
+//     refuse) and settle (pay the unavoidable draw, then store the
+//     arrival).
+//   - Fleet drives a bank in round time: TryTrain, then a close-out that
+//     pays idle and communication draw and harvests. EndRoundLive is the
+//     brown-out-aware variant where dead nodes owe idle draw only — their
+//     radio never powered up — and SweepThreshold fuses decision, drain,
+//     harvest and liveness count into one sharded pass for million-node
+//     fleets.
+//   - VFleet drives a bank along a per-node clock in continuous virtual
+//     time, for the event-driven engine (internal/async): crossings are
+//     solved and scheduled, not polled.
 //   - The policies in policy.go implement core.Policy from live
 //     state-of-charge, generalizing Eq. 5's static p_i to p_i^t =
 //     f(SoC_i^t): threshold, hysteresis (dormant until recharged),
@@ -50,4 +63,8 @@
 // experiment seed, and all fleet state is strictly per-node, so simulations
 // remain bit-reproducible regardless of GOMAXPROCS or goroutine
 // interleaving.
+//
+// The subpackage difftest holds the reference oracle — a plain Battery
+// struct with the same arithmetic written out independently — and drives
+// both fleets against it bit for bit.
 package harvest

@@ -5,86 +5,40 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/par"
 )
 
-// Options tunes a Fleet. The zero value is completed with sensible defaults
-// by NewFleet.
-type Options struct {
-	// CapacityRounds overrides each battery's capacity to this many
-	// training rounds' worth of energy on its own device, instead of the
-	// device profile's full battery. A phone's 17 Wh battery spans
-	// thousands of scaled training rounds, so absolute state of charge
-	// barely moves; harvesting-class hardware runs off supercaps holding a
-	// handful of rounds. Set this to put SoC — and the SoC-driven policies
-	// — on a meaningful scale. 0 keeps the device battery.
-	CapacityRounds float64
-	// InitialRounds sets every node's initial charge to this many training
-	// rounds' worth of energy on its own device (clamped to capacity). It
-	// takes precedence over InitialSoC and is the natural unit for scaled
-	// simulations where full smartphone batteries would never bind.
-	InitialRounds float64
-	// InitialSoC is the initial state of charge as a fraction of capacity
-	// in [0, 1]. Ignored when InitialRounds > 0. The zero value means
-	// "unset" and defaults to 1 (full); set StartEmpty for batteries that
-	// begin the mission drained.
-	InitialSoC float64
-	// StartEmpty starts every battery at zero charge (a wake-with-the-sun
-	// deployment), overriding InitialSoC and InitialRounds.
-	StartEmpty bool
-	// CutoffSoC is the brown-out level as a fraction of capacity.
-	// Default 0 (batteries usable down to empty).
-	CutoffSoC float64
-	// IdleWh is the always-on per-round draw every node pays regardless of
-	// participation. Default 0.
-	IdleWh float64
-	// CommFrac prices one sharing/aggregation round as this fraction of the
-	// node's training-round cost. Default energy.CommShareOfTraining, the
-	// paper's measured ~1/216 ratio. Set negative to disable comm draw.
-	CommFrac float64
-}
-
-func (o Options) defaults() Options {
-	if o.InitialRounds <= 0 && o.InitialSoC == 0 {
-		o.InitialSoC = 1
-	}
-	if o.CommFrac == 0 {
-		o.CommFrac = energy.CommShareOfTraining
-	}
-	if o.CommFrac < 0 {
-		o.CommFrac = 0
-	}
-	return o
-}
-
-// Fleet binds one Battery per node to its device's per-round costs and a
-// harvest Trace, and advances the whole population round by round.
+// Fleet is the round-time driver of a bank of batteries bound to a harvest
+// Trace: it adds the round structure — TryTrain, the close-out, the fused
+// sweep, Reset — to the bank's flat state, ledgers and read-only views.
 //
 // Within a round the engine (internal/sim) drives the fleet in two steps:
 // policies call TryTrain(i) for nodes that decide to train, then EndRound
 // pays every node's idle and communication draw and harvests ambient
-// energy. All mutable state is strictly per-node, so TryTrain may be called
-// concurrently for distinct nodes; EndRound and the whole-fleet statistics
-// must not race with per-node calls. EndRound itself shards the close-out
-// across GOMAXPROCS workers for large fleets — bit-identical to the serial
-// path because no cross-node state exists.
+// energy. SweepThreshold fuses both steps with the paper's SoC-threshold
+// rule into one pass for million-node fleets. All mutable state is strictly
+// per-node, so TryTrain may be called concurrently for distinct nodes;
+// EndRound*, SweepThreshold, Reset, Consumed and the whole-fleet statistics
+// must not race with per-node calls or each other. EndRound itself shards
+// the close-out across GOMAXPROCS workers for large fleets — bit-identical
+// to the serial path because no cross-node state exists.
 type Fleet struct {
-	batteries []Battery
-	initialWh []float64 // construction-time charge, for Reset
-	trainWh   []float64 // per-round training cost of node i's device
-	commWh    []float64 // per-round sharing cost of node i's device
-	idleWh    float64
+	bank
+	initialWh []float64 // construction-time charge (post-clamp), for Reset
 	trace     Trace
 
-	harvested    []float64 // cumulative stored harvest per node
-	consumed     []float64 // cumulative train+idle+comm drain per node
-	wasted       []float64 // per-node harvest that arrived with the battery full
-	roundHarvest []float64 // scratch: last EndRound's per-node stored harvest
-	roundArrived []float64 // scratch: last EndRound's per-node arrived harvest
+	roundHarvest []float64 // scratch: last round's per-node stored harvest
+	roundArrived []float64 // scratch: last round's per-node arrived harvest
 
-	// roundsClosed counts EndRound calls since construction or Reset. A
-	// fleet with closed rounds has drained batteries, advanced any stateful
-	// trace, and accumulated ledgers; sim.Run refuses such a fleet so state
-	// can never leak silently between runs (Consumed/Reset).
+	// Sweep scratch, allocated by the first SweepThreshold: a fleet driven
+	// per node (every grid cell) never pays for it.
+	rowBuf     []float64    // RowTrace bulk fill for the current round
+	shardStats []sweepShard // per-shard accumulators
+
+	// roundsClosed counts EndRound/SweepThreshold calls since construction
+	// or Reset. A fleet with closed rounds has drained batteries, advanced
+	// any stateful trace, and accumulated ledgers; sim.Run refuses such a
+	// fleet so state can never leak silently between runs (Consumed/Reset).
 	roundsClosed int
 }
 
@@ -92,40 +46,34 @@ type Fleet struct {
 // comes from its device under workload w (Eq. 2), its battery capacity from
 // the device profile, and its recharge from trace.
 func NewFleet(devices []energy.Device, w energy.Workload, trace Trace, opt Options) (*Fleet, error) {
-	spec, err := buildFleetSpec(devices, w, trace, opt)
+	b, err := newBank(devices, w, trace, opt)
 	if err != nil {
 		return nil, err
 	}
 	n := len(devices)
 	f := &Fleet{
-		batteries:    make([]Battery, n),
-		initialWh:    spec.initialWh, // post-clamp, so Reset restores exactly
-		trainWh:      spec.trainWh,
-		commWh:       spec.commWh,
-		idleWh:       spec.idleWh,
+		bank:         b,
+		initialWh:    make([]float64, n),
 		trace:        trace,
-		harvested:    make([]float64, n),
-		consumed:     make([]float64, n),
-		wasted:       make([]float64, n),
 		roundHarvest: make([]float64, n),
 		roundArrived: make([]float64, n),
 	}
-	for i := range f.batteries {
-		f.batteries[i] = Battery{
-			CapacityWh: spec.capacityWh[i],
-			CutoffWh:   spec.cutoffWh[i],
-			chargeWh:   spec.initialWh[i],
-		}
-	}
+	copy(f.initialWh, b.chargeWh)
 	return f, nil
+}
+
+// NewSoAFleet forwards to NewFleet. It exists only because bench/, which
+// only a benchmark PR may edit, still calls it; it goes with ROADMAP item
+// 1(a). Nothing else may call it.
+func NewSoAFleet(devices []energy.Device, w energy.Workload, trace Trace, opt Options) (*Fleet, error) {
+	return NewFleet(devices, w, trace, opt)
 }
 
 // Consumed reports whether the fleet carries history a new run would
 // silently inherit: a closed round (drained batteries, advanced trace
 // state, idle/comm ledgers) or any training drain — TryTrain spends
 // battery charge even when no round was ever closed. sim.Run rejects a
-// consumed fleet; call Reset (or build a fresh fleet) between runs. Like
-// the other whole-fleet statistics it must not race with per-node calls.
+// consumed fleet; call Reset (or build a fresh fleet) between runs.
 func (f *Fleet) Consumed() bool { return f.roundsClosed > 0 || sum(f.consumed) > 0 }
 
 // Reset rewinds the fleet to its construction state: every battery back to
@@ -151,29 +99,13 @@ func (f *Fleet) Reset() error {
 	default:
 		return fmt.Errorf("harvest: trace %s is not resettable (implement TraceResetter); build a fresh fleet instead", f.trace.Name())
 	}
-	for i := range f.batteries {
-		f.batteries[i].chargeWh = f.initialWh[i]
-		f.harvested[i] = 0
-		f.consumed[i] = 0
-		f.wasted[i] = 0
-		f.roundHarvest[i] = 0
-		f.roundArrived[i] = 0
+	copy(f.chargeWh, f.initialWh)
+	for _, ledger := range [][]float64{f.harvested, f.consumed, f.wasted, f.roundHarvest, f.roundArrived} {
+		clear(ledger)
 	}
 	f.roundsClosed = 0
 	return nil
 }
-
-// Nodes returns the fleet size.
-func (f *Fleet) Nodes() int { return len(f.batteries) }
-
-// SoC returns node i's state of charge in [0, 1].
-func (f *Fleet) SoC(i int) float64 { return f.batteries[i].SoC() }
-
-// ChargeWh returns node i's charge level in Wh.
-func (f *Fleet) ChargeWh(i int) float64 { return f.batteries[i].ChargeWh() }
-
-// Usable reports whether node i is above its brown-out cutoff.
-func (f *Fleet) Usable(i int) bool { return f.batteries[i].Usable() }
 
 // Live snapshots the fleet's live set: live[i] reports that node i is above
 // its brown-out cutoff and can power its radio this round. The simulation
@@ -181,52 +113,22 @@ func (f *Fleet) Usable(i int) bool { return f.batteries[i].Usable() }
 // graph.RenormalizeLive and the transport's dead-node wrapper, so liveness
 // is decided once per round from battery state, never mid-phase.
 func (f *Fleet) Live() []bool {
-	live := make([]bool, len(f.batteries))
-	for i := range f.batteries {
-		live[i] = f.batteries[i].Usable()
+	live := make([]bool, len(f.chargeWh))
+	for i := range live {
+		live[i] = f.Usable(i)
 	}
 	return live
 }
-
-// LiveCount returns how many nodes are above their brown-out cutoff.
-func (f *Fleet) LiveCount() int { return len(f.batteries) - f.DepletedCount() }
-
-// TrainCostWh returns the per-round training cost of node i's device.
-func (f *Fleet) TrainCostWh(i int) float64 { return f.trainWh[i] }
-
-// CapacityWh returns node i's battery capacity in Wh.
-func (f *Fleet) CapacityWh(i int) float64 { return f.batteries[i].CapacityWh }
-
-// CutoffWh returns node i's brown-out level in Wh.
-func (f *Fleet) CutoffWh(i int) float64 { return f.batteries[i].CutoffWh }
-
-// OverheadWh returns the per-round non-training draw node i pays regardless
-// of participation: the always-on idle draw plus its sharing cost.
-func (f *Fleet) OverheadWh(i int) float64 { return f.idleWh + f.commWh[i] }
 
 // A Fleet is the battery state charge-aware policies see through the round
 // context.
 var _ core.BatteryView = (*Fleet)(nil)
 
-// Context returns the direct-drive round context for round t: an all-train
-// round backed by this fleet, with no schedule or forecast attached. The
-// sim engine builds richer contexts itself; this is for tests and tools
-// that exercise policies against a fleet directly.
-func (f *Fleet) Context(t int) core.RoundContext {
-	return core.RoundContext{Round: t, Kind: core.RoundTrain, Battery: f}
-}
-
 // TryTrain atomically spends node i's training-round energy, reporting
 // whether the battery could afford it. Policies call this after deciding to
 // train; it is the only training drain path. Safe for concurrent use across
 // distinct nodes.
-func (f *Fleet) TryTrain(i int) bool {
-	if !f.batteries[i].TryConsume(f.trainWh[i]) {
-		return false
-	}
-	f.consumed[i] += f.trainWh[i]
-	return true
-}
+func (f *Fleet) TryTrain(i int) bool { return f.consume(i, f.trainWh[i]) }
 
 // EndRound closes round t: every node pays its communication and idle draw
 // (clamped at empty — dead nodes cannot pay), then harvests trace energy
@@ -241,23 +143,26 @@ func (f *Fleet) EndRound(t int) []float64 { return f.endRound(t, nil) }
 // nil mask recovers EndRound exactly.
 func (f *Fleet) EndRoundLive(t int, live []bool) []float64 { return f.endRound(t, live) }
 
+// parallelMinNodes is the fleet size below which a round stays serial:
+// goroutine fan-out only pays for itself on large fleets. A test hook
+// lowers it to pin serial/parallel bit-identity.
+var parallelMinNodes = 256
+
 func (f *Fleet) endRound(t int, live []bool) []float64 {
-	// The round close-out is sharded across workers for big fleets: every
-	// write below is to node-i state only (battery, ledgers, scratch), and
-	// Trace implementations are documented race-free across distinct nodes,
-	// so the parallel path is bit-identical to the serial one.
-	parallelFor(len(f.batteries), func(i int) {
-		b := &f.batteries[i]
+	// The close-out is sharded across workers for big fleets: every write
+	// below is to node-i state only, and Trace implementations are
+	// documented race-free across distinct nodes, so the parallel path is
+	// bit-identical to the serial one. The trace is read per node here —
+	// SweepThreshold alone uses the RowTrace bulk fill — so a fleet built
+	// fresh per grid cell never allocates a row buffer or warms Diurnal's
+	// day-row cache for the few dozen rounds it lives.
+	par.For(len(f.chargeWh), parallelMinNodes, func(i int) {
 		draw := f.idleWh
 		if live == nil || live[i] {
 			draw += f.commWh[i]
 		}
-		f.consumed[i] += b.Drain(draw)
 		arrived := f.trace.HarvestWh(i, t)
-		stored := b.Harvest(arrived)
-		f.harvested[i] += stored
-		f.wasted[i] += arrived - stored
-		f.roundHarvest[i] = stored
+		f.roundHarvest[i] = f.settle(i, draw, arrived)
 		f.roundArrived[i] = arrived
 	})
 	// Written outside the parallel region: endRound itself is whole-fleet
@@ -275,93 +180,37 @@ func (f *Fleet) RoundArrivedWh() []float64 { return f.roundArrived }
 
 // SoCStats computes the fleet's whole-population charge statistics in one
 // pass: mean and minimum state of charge plus the depleted count, visiting
-// nodes in index order so results are bit-identical to the separate
-// MeanSoC/MinSoC/DepletedCount sweeps. When observe is non-nil it receives
-// every node's SoC in the same pass — the hook the engine points at a
-// streaming quantile sketch (internal/obs) so SoC percentiles exist
-// without materializing a per-node slice. Like the other whole-fleet
-// statistics it must not race with per-node calls.
+// nodes in index order so the mean is bit-identical to MeanSoC. When
+// observe is non-nil it receives every node's SoC in the same pass — the
+// hook the engine points at a streaming quantile sketch (internal/obs) so
+// SoC percentiles exist without materializing a per-node slice.
 func (f *Fleet) SoCStats(observe func(soc float64)) (mean, min float64, depleted int) {
 	sum := 0.0
-	min = f.batteries[0].SoC()
-	for i := range f.batteries {
-		s := f.batteries[i].SoC()
+	min = f.SoC(0)
+	for i := range f.chargeWh {
+		s := f.SoC(i)
 		sum += s
 		if s < min {
 			min = s
 		}
-		if !f.batteries[i].Usable() {
+		if !f.Usable(i) {
 			depleted++
 		}
 		if observe != nil {
 			observe(s)
 		}
 	}
-	return sum / float64(len(f.batteries)), min, depleted
+	return sum / float64(len(f.chargeWh)), min, depleted
 }
 
 // SoCs returns a snapshot of every node's state of charge.
 func (f *Fleet) SoCs() []float64 {
-	out := make([]float64, len(f.batteries))
-	for i := range f.batteries {
-		out[i] = f.batteries[i].SoC()
+	out := make([]float64, len(f.chargeWh))
+	for i := range out {
+		out[i] = f.SoC(i)
 	}
 	return out
 }
 
-// MeanSoC returns the fleet-average state of charge.
-func (f *Fleet) MeanSoC() float64 {
-	s := 0.0
-	for i := range f.batteries {
-		s += f.batteries[i].SoC()
-	}
-	return s / float64(len(f.batteries))
-}
-
-// MinSoC returns the lowest state of charge in the fleet.
-func (f *Fleet) MinSoC() float64 {
-	min := f.batteries[0].SoC()
-	for i := 1; i < len(f.batteries); i++ {
-		if s := f.batteries[i].SoC(); s < min {
-			min = s
-		}
-	}
-	return min
-}
-
-// DepletedCount returns how many nodes sit at or below their cutoff.
-func (f *Fleet) DepletedCount() int {
-	n := 0
-	for i := range f.batteries {
-		if !f.batteries[i].Usable() {
-			n++
-		}
-	}
-	return n
-}
-
-// HarvestedWh returns the total energy stored from harvesting so far.
-func (f *Fleet) HarvestedWh() float64 { return sum(f.harvested) }
-
-// ConsumedWh returns the total energy drained (training + comm + idle).
-func (f *Fleet) ConsumedWh() float64 { return sum(f.consumed) }
-
-// WastedWh returns harvest energy that arrived while batteries were full.
-func (f *Fleet) WastedWh() float64 { return sum(f.wasted) }
-
-// NodeHarvestedWh returns node i's cumulative stored harvest.
-func (f *Fleet) NodeHarvestedWh(i int) float64 { return f.harvested[i] }
-
-// NodeConsumedWh returns node i's cumulative drain.
-func (f *Fleet) NodeConsumedWh(i int) float64 { return f.consumed[i] }
-
 // TraceName reports the attached trace's identity for logs and tables.
 func (f *Fleet) TraceName() string { return f.trace.Name() }
-
-func sum(xs []float64) float64 {
-	t := 0.0
-	for _, v := range xs {
-		t += v
-	}
-	return t
-}

@@ -121,8 +121,8 @@ func TestFleetDepletedCountAndStats(t *testing.T) {
 	if got := f.DepletedCount(); got != f.Nodes() {
 		t.Fatalf("depleted %d, want all %d", got, f.Nodes())
 	}
-	if f.MinSoC() > 1e-9 || f.MeanSoC() > 1e-9 {
-		t.Fatalf("stats nonzero on empty fleet: min=%v mean=%v", f.MinSoC(), f.MeanSoC())
+	if _, min, _ := f.SoCStats(nil); min > 1e-9 || f.MeanSoC() > 1e-9 {
+		t.Fatalf("stats nonzero on empty fleet: min=%v mean=%v", min, f.MeanSoC())
 	}
 	socs := f.SoCs()
 	if len(socs) != f.Nodes() {
@@ -287,7 +287,7 @@ func TestFleetLiveSnapshot(t *testing.T) {
 	}
 	// Brown node 0 out (idle draw can push past the cutoff where training
 	// cannot): it leaves the live set, others stay.
-	f.batteries[0].Drain(f.ChargeWh(0))
+	f.chargeWh[0] = 0
 	live = f.Live()
 	if live[0] {
 		t.Fatal("browned-out node 0 still reported live")
@@ -510,8 +510,9 @@ func TestFleetConsumedByTryTrainOnly(t *testing.T) {
 	}
 }
 
-// SoCStats must be bit-identical to the three single-statistic passes it
-// replaces, and feed every SoC to the observer in index order.
+// SoCStats must be bit-identical to the single-statistic passes it replaces
+// (the minimum recomputed here from the snapshot), and feed every SoC to the
+// observer in index order.
 func TestFleetSoCStats(t *testing.T) {
 	trace, err := NewDiurnal(0.01, 8, LongitudePhase(8))
 	if err != nil {
@@ -525,11 +526,15 @@ func TestFleetSoCStats(t *testing.T) {
 		f.EndRound(r)
 		var observed []float64
 		mean, min, depleted := f.SoCStats(func(s float64) { observed = append(observed, s) })
-		if mean != f.MeanSoC() || min != f.MinSoC() || depleted != f.DepletedCount() {
-			t.Fatalf("round %d: SoCStats (%v, %v, %d) != (%v, %v, %d)",
-				r, mean, min, depleted, f.MeanSoC(), f.MinSoC(), f.DepletedCount())
-		}
 		socs := f.SoCs()
+		wantMin := socs[0]
+		for _, s := range socs {
+			wantMin = math.Min(wantMin, s)
+		}
+		if mean != f.MeanSoC() || min != wantMin || depleted != f.DepletedCount() {
+			t.Fatalf("round %d: SoCStats (%v, %v, %d) != (%v, %v, %d)",
+				r, mean, min, depleted, f.MeanSoC(), wantMin, f.DepletedCount())
+		}
 		if len(observed) != len(socs) {
 			t.Fatalf("round %d: observer saw %d values, fleet has %d", r, len(observed), len(socs))
 		}

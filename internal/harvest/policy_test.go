@@ -36,6 +36,12 @@ func policyFleet(t *testing.T, trace Trace, opt Options) *Fleet {
 	return f
 }
 
+// fleetContext is the direct-drive round context for round t: an all-train
+// round backed by f, with no schedule or forecast attached.
+func fleetContext(f *Fleet, t int) core.RoundContext {
+	return core.RoundContext{Round: t, Kind: core.RoundTrain, Battery: f}
+}
+
 func TestSoCThreshold(t *testing.T) {
 	f := policyFleet(t, Constant{0}, Options{InitialSoC: 0.5})
 	p, err := NewSoCThreshold(0.4)
@@ -43,11 +49,11 @@ func TestSoCThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(1)
-	if !p.Participate(0, f.Context(0), r) {
+	if !p.Participate(0, fleetContext(f, 0), r) {
 		t.Fatal("SoC 0.5 >= 0.4 should train")
 	}
 	p.MinSoC = 0.6
-	if p.Participate(0, f.Context(1), r) {
+	if p.Participate(0, fleetContext(f, 1), r) {
 		t.Fatal("SoC below threshold should skip")
 	}
 	if _, err := NewSoCThreshold(1.5); err == nil {
@@ -66,7 +72,7 @@ func TestSoCThresholdDrainsExactlyOnTrain(t *testing.T) {
 	}
 	r := rng.New(1)
 	before := f.ChargeWh(1)
-	if !p.Participate(1, f.Context(0), r) {
+	if !p.Participate(1, fleetContext(f, 0), r) {
 		t.Fatal("affordable round refused")
 	}
 	if got := before - f.ChargeWh(1); math.Abs(got-f.TrainCostWh(1)) > 1e-12 {
@@ -107,7 +113,7 @@ func TestSoCHysteresisBand(t *testing.T) {
 	r := rng.New(2)
 	trained := 0
 	for round := 0; round < 200 && !p.Dormant(0); round++ {
-		if p.Participate(0, f.Context(round), r) {
+		if p.Participate(0, fleetContext(f, round), r) {
 			trained++
 		}
 	}
@@ -118,13 +124,13 @@ func TestSoCHysteresisBand(t *testing.T) {
 		t.Fatal("draining node never went dormant")
 	}
 	// Recharge into the band but below high: still dormant.
-	f.batteries[0].chargeWh = 0.0012 * f.batteries[0].CapacityWh
-	if p.Participate(0, f.Context(999), r) || !p.Dormant(0) {
+	f.chargeWh[0] = 0.0012 * f.capacityWh[0]
+	if p.Participate(0, fleetContext(f, 999), r) || !p.Dormant(0) {
 		t.Fatal("node inside the band must stay dormant")
 	}
 	// Recharge above high: resumes.
-	f.batteries[0].chargeWh = 0.5 * f.batteries[0].CapacityWh
-	if !p.Participate(0, f.Context(1000), r) {
+	f.chargeWh[0] = 0.5 * f.capacityWh[0]
+	if !p.Participate(0, fleetContext(f, 1000), r) {
 		t.Fatal("recharged node should resume training")
 	}
 	if p.Dormant(0) {
@@ -182,7 +188,7 @@ func TestSoCProportionalConsumesOnlyWhenTraining(t *testing.T) {
 	before := f.ChargeWh(0)
 	trained := 0
 	for round := 0; round < 50; round++ {
-		if p.Participate(0, f.Context(round), r) {
+		if p.Participate(0, fleetContext(f, round), r) {
 			trained++
 		}
 	}
@@ -218,7 +224,7 @@ func TestSoCHysteresisResetReplays(t *testing.T) {
 		for tt := 0; tt < rounds; tt++ {
 			n := 0
 			for i := 0; i < f.Nodes(); i++ {
-				if p.Participate(i, f.Context(tt), nil) {
+				if p.Participate(i, fleetContext(f, tt), nil) {
 					n++
 				}
 			}

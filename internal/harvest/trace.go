@@ -35,8 +35,8 @@ type TraceResetter interface {
 // values in one call: HarvestRowWh(t, out) must leave out[i] bit-identical
 // to what HarvestWh(i, t) would have returned, for every i in range, and
 // must advance any per-node state exactly as len(out) individual calls
-// would. A fleet engine uses it in place of the per-node calls — at most
-// once per round, from a single goroutine — so implementations may keep
+// would. Fleet.SweepThreshold uses it in place of the per-node calls — at
+// most once per round, from a single goroutine — so implementations may keep
 // whole-row caches that HarvestWh itself must never touch (per-node
 // HarvestWh calls stay race-free across nodes).
 //
@@ -128,8 +128,8 @@ func (d *Diurnal) HarvestWh(node, t int) float64 {
 
 // HarvestRowWh fills the whole round-t row (RowTrace), serving repeats of a
 // day slot from the row cache: after the first simulated day the sinusoid
-// is never evaluated again, which is what carries the struct-of-arrays
-// fleet past the pointer engine on diurnal workloads.
+// is never evaluated again, which is most of what the fused sweep gains
+// over the per-node close-out on diurnal workloads.
 func (d *Diurnal) HarvestRowWh(t int, out []float64) {
 	slot := t % d.period
 	if row, ok := d.rows[slot]; ok && len(row) == len(out) {

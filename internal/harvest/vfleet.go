@@ -8,23 +8,23 @@ import (
 	"repro/internal/energy"
 )
 
-// VFleet is the continuous-virtual-time fleet engine behind the
-// event-driven async simulator: the same battery geometry and ledgers as
-// Fleet/SoAFleet (built from the same validated fleetSpec), but advanced
-// along a per-node clock measured in virtual seconds instead of closed in
-// lockstep rounds. The engine maps wall-ish virtual seconds onto trace
-// rounds through RoundSeconds — trace round k spans seconds
+// VFleet is the virtual-time driver behind the event-driven async
+// simulator: the same bank of batteries as Fleet (same constructor core,
+// same ledgered consume/settle, same kernel), but advanced along a per-node
+// clock measured in virtual seconds instead of
+// closed in lockstep rounds. The engine maps wall-ish virtual seconds onto
+// trace rounds through RoundSeconds — trace round k spans seconds
 // [k·RoundSeconds, (k+1)·RoundSeconds) — and VFleet quantizes every trace
 // to a per-round-uniform rate whose round totals come from the trace's
 // continuous face (ContinuousTrace.EnergyBetween: exact closed form for
 // Constant/Diurnal, step integration for Markov/Replay). Within one trace
 // round the trajectory is therefore linear, which makes the brown-out and
-// charge-arrival crossings exactly solvable by the shared
-// timeToCharge/timeToCutoff solvers: the engine schedules them as events
-// instead of polling per round.
+// charge-arrival crossings exactly solvable by the kernel's
+// timeToCharge/timeToCutoff: the engine schedules them as events instead
+// of polling per round.
 //
-// Accounting model, mirroring the round engines at finer granularity:
-// each AdvanceTo sub-interval (at most one trace round) pays drain before
+// Accounting model, mirroring the round fleet at finer granularity:
+// each settled sub-interval (at most one trace round) pays drain before
 // storing harvest, drain clamping at empty and harvest at capacity; the
 // harvested/consumed/wasted ledgers accumulate exactly what the batteries
 // realize, so harvested − consumed − wasted = ΔCharge holds to float
@@ -39,58 +39,35 @@ import (
 // VFleet is driven from the async engine's single event-loop goroutine
 // and makes no concurrency promises.
 type VFleet struct {
+	bank
 	trace    ContinuousTrace
 	roundSec float64
-
-	batteries []Battery
-	trainWh   []float64
-	commWh    []float64
-	idleWh    float64 // per trace round
+	clock    []float64 // per-node virtual-time cursor: how far settle has integrated
 
 	// pending marks nodes whose TryTrain was admitted but whose training
 	// drain has not been realized yet (TrainStep does that continuously).
 	pending []bool
-
-	harvested []float64 // cumulative stored harvest per node
-	consumed  []float64 // cumulative train+idle+comm drain per node
-	wasted    []float64 // per-node harvest that arrived with the battery full
 }
 
-// NewVFleet builds the continuous-time engine for the same fleet shape
+// NewVFleet builds the virtual-time fleet for the same fleet shape
 // NewFleet accepts, plus the seconds-per-trace-round mapping.
 func NewVFleet(devices []energy.Device, w energy.Workload, trace Trace, opt Options, roundSeconds float64) (*VFleet, error) {
-	if roundSeconds <= 0 || math.IsNaN(roundSeconds) || math.IsInf(roundSeconds, 0) {
+	if !(roundSeconds > 0 && roundSeconds <= math.MaxFloat64) {
 		return nil, fmt.Errorf("harvest: invalid round duration %v seconds", roundSeconds)
 	}
-	spec, err := buildFleetSpec(devices, w, trace, opt)
+	b, err := newBank(devices, w, trace, opt)
 	if err != nil {
 		return nil, err
 	}
 	n := len(devices)
-	f := &VFleet{
-		trace:     AsContinuous(trace, n),
-		roundSec:  roundSeconds,
-		batteries: make([]Battery, n),
-		trainWh:   spec.trainWh,
-		commWh:    spec.commWh,
-		idleWh:    spec.idleWh,
-		pending:   make([]bool, n),
-		harvested: make([]float64, n),
-		consumed:  make([]float64, n),
-		wasted:    make([]float64, n),
-	}
-	for i := range f.batteries {
-		f.batteries[i] = Battery{
-			CapacityWh: spec.capacityWh[i],
-			CutoffWh:   spec.cutoffWh[i],
-			chargeWh:   spec.initialWh[i],
-		}
-	}
-	return f, nil
+	return &VFleet{
+		bank:     b,
+		trace:    AsContinuous(trace, n),
+		roundSec: roundSeconds,
+		clock:    make([]float64, n),
+		pending:  make([]bool, n),
+	}, nil
 }
-
-// Nodes returns the fleet size.
-func (f *VFleet) Nodes() int { return len(f.batteries) }
 
 // RoundSeconds returns the virtual seconds one trace round spans.
 func (f *VFleet) RoundSeconds() float64 { return f.roundSec }
@@ -99,104 +76,30 @@ func (f *VFleet) RoundSeconds() float64 { return f.roundSec }
 func (f *VFleet) TraceRound(t float64) int { return int(t / f.roundSec) }
 
 // Clock returns node i's virtual-time cursor in seconds.
-func (f *VFleet) Clock(i int) float64 { return f.batteries[i].Clock() }
-
-// SoC returns node i's state of charge in [0, 1] (core.BatteryView).
-func (f *VFleet) SoC(i int) float64 { return f.batteries[i].SoC() }
-
-// ChargeWh returns node i's charge level in Wh (core.BatteryView).
-func (f *VFleet) ChargeWh(i int) float64 { return f.batteries[i].ChargeWh() }
-
-// CapacityWh returns node i's battery capacity in Wh (core.BatteryView).
-func (f *VFleet) CapacityWh(i int) float64 { return f.batteries[i].CapacityWh }
-
-// CutoffWh returns node i's brown-out level in Wh (core.BatteryView).
-func (f *VFleet) CutoffWh(i int) float64 { return f.batteries[i].CutoffWh }
-
-// TrainCostWh returns the training cost of one step on node i's device
-// (core.BatteryView).
-func (f *VFleet) TrainCostWh(i int) float64 { return f.trainWh[i] }
+func (f *VFleet) Clock(i int) float64 { return f.clock[i] }
 
 // CommCostWh returns node i's per-gossip communication lump — what
 // TrySync spends.
 func (f *VFleet) CommCostWh(i int) float64 { return f.commWh[i] }
 
-// OverheadWh returns the non-training draw node i pays per trace round —
-// idle plus one gossip's communication cost (core.BatteryView). For the
-// planning policies this is the same per-round approximation the
-// synchronous fleet charges; the realized async draw differs when a node
-// gossips more or less than once per trace round.
-func (f *VFleet) OverheadWh(i int) float64 { return f.idleWh + f.commWh[i] }
-
-// Usable reports whether node i is above its brown-out cutoff.
-func (f *VFleet) Usable(i int) bool { return f.batteries[i].Usable() }
-
-// LiveCount returns how many nodes are above their cutoff.
-func (f *VFleet) LiveCount() int { return len(f.batteries) - f.DepletedCount() }
-
-// DepletedCount returns how many nodes sit at or below their cutoff.
-func (f *VFleet) DepletedCount() int {
-	n := 0
-	for i := range f.batteries {
-		if !f.batteries[i].Usable() {
-			n++
-		}
-	}
-	return n
-}
-
-// MeanSoC returns the fleet-average state of charge.
-func (f *VFleet) MeanSoC() float64 {
-	s := 0.0
-	for i := range f.batteries {
-		s += f.batteries[i].SoC()
-	}
-	return s / float64(len(f.batteries))
-}
-
-// TotalChargeWh returns the fleet's total stored energy — the audit
-// baseline on run_start and the ChargeWh field of ledger checkpoints.
-func (f *VFleet) TotalChargeWh() float64 {
-	s := 0.0
-	for i := range f.batteries {
-		s += f.batteries[i].ChargeWh()
-	}
-	return s
-}
-
-// HarvestedWh returns total energy stored from harvesting so far.
-func (f *VFleet) HarvestedWh() float64 { return sum(f.harvested) }
-
-// ConsumedWh returns total energy drained (training + comm + idle).
-func (f *VFleet) ConsumedWh() float64 { return sum(f.consumed) }
-
-// WastedWh returns harvest that arrived while batteries were full.
-func (f *VFleet) WastedWh() float64 { return sum(f.wasted) }
-
-// NodeConsumedWh returns node i's cumulative drain.
-func (f *VFleet) NodeConsumedWh(i int) float64 { return f.consumed[i] }
-
 // TraceName reports the attached trace's identity.
 func (f *VFleet) TraceName() string { return f.trace.Name() }
 
-// TryTrain admits or refuses node i's next training step by the same
-// all-or-nothing affordability rule as Battery.TryConsume — the charge
-// must cover the full training cost without dipping below the cutoff —
-// but defers the drain itself to TrainStep, which realizes it
-// continuously across the step (core.BatteryView; the battery policies
-// end their decision with this call). The node must be advanced to the
+// TryTrain admits or refuses node i's next training step by the kernel's
+// all-or-nothing affordability rule (tryConsume) — the charge must cover
+// the full training cost without dipping below the cutoff — but defers the
+// drain itself to TrainStep, which realizes it continuously across the
+// step (core.BatteryView; the battery policies end their decision with
+// this call). The node must be advanced to the
 // decision time first. A second admission before the first is realized or
 // cleared just re-reports it.
 func (f *VFleet) TryTrain(i int) bool {
 	if f.pending[i] {
 		return true
 	}
-	b := &f.batteries[i]
-	if b.ChargeWh()-f.trainWh[i] < b.CutoffWh {
-		return false
-	}
-	f.pending[i] = true
-	return true
+	_, ok := tryConsume(f.chargeWh[i], f.cutoffWh[i], f.trainWh[i])
+	f.pending[i] = ok
+	return ok
 }
 
 // Pending reports whether node i has an admitted, unrealized training
@@ -211,13 +114,7 @@ func (f *VFleet) ClearPending(i int) { f.pending[i] = false }
 // TrySync atomically spends node i's per-gossip communication energy as a
 // lump at its current clock, reporting affordability — the async
 // counterpart of the per-round comm draw EndRound levies on live nodes.
-func (f *VFleet) TrySync(i int) bool {
-	if !f.batteries[i].TryConsume(f.commWh[i]) {
-		return false
-	}
-	f.consumed[i] += f.commWh[i]
-	return true
-}
+func (f *VFleet) TrySync(i int) bool { return f.consume(i, f.commWh[i]) }
 
 // rateWhPerSec returns the harvest rate (Wh/s) in effect during trace
 // round k: the round's continuous-time energy spread uniformly over its
@@ -246,8 +143,8 @@ func (f *VFleet) AdvanceDetect(i int, t float64) (stopT float64, browned bool) {
 // consistent. Nodes mid-step have already realized their step eagerly
 // (clock ahead of t) and are left alone.
 func (f *VFleet) AdvanceAll(t float64) {
-	for i := range f.batteries {
-		if f.batteries[i].Clock() < t {
+	for i := range f.clock {
+		if f.clock[i] < t {
 			f.run(i, t, 0, false)
 		}
 	}
@@ -265,7 +162,7 @@ func (f *VFleet) TrainStep(i int, end float64) (stopT float64, browned bool) {
 		panic("harvest: TrainStep without an admitted TryTrain")
 	}
 	f.pending[i] = false
-	start := f.batteries[i].Clock()
+	start := f.clock[i]
 	if end <= start {
 		return start, false
 	}
@@ -278,26 +175,26 @@ func (f *VFleet) TrainStep(i int, end float64) (stopT float64, browned bool) {
 // solved exactly on the linear sub-interval trajectory. Returns the time
 // reached and whether it stopped at a crossing.
 func (f *VFleet) run(i int, t float64, loadW float64, detect bool) (float64, bool) {
-	b := &f.batteries[i]
 	idleW := f.idleWh / f.roundSec
-	for b.Clock() < t {
-		k := int(b.Clock() / f.roundSec)
+	for f.clock[i] < t {
+		clock := f.clock[i]
+		k := int(clock / f.roundSec)
 		segEnd := math.Min(t, float64(k+1)*f.roundSec)
-		if segEnd <= b.Clock() { // float dust on a round boundary
+		if segEnd <= clock { // float dust on a round boundary
 			segEnd = t
 		}
 		harvestW := f.rateWhPerSec(i, k)
 		drainW := idleW + loadW
-		if detect && b.Usable() {
-			if rel := b.TimeToCutoff(drainW - harvestW); b.Clock()+rel < segEnd {
-				cross := b.Clock() + rel
+		if detect && f.Usable(i) {
+			if rel := timeToCutoff(f.chargeWh[i], f.cutoffWh[i], harvestW-drainW); clock+rel < segEnd {
+				cross := clock + rel
 				f.settle(i, cross, harvestW, drainW)
 				// The crossing time is exact in real arithmetic; float
 				// round-off can leave the charge a few ulps off the
 				// cutoff. Snap onto it, booking the dust, so a browned
 				// node is never Usable.
-				if b.ChargeWh() > b.CutoffWh {
-					f.consumed[i] += b.Drain(b.ChargeWh() - b.CutoffWh)
+				if f.Usable(i) {
+					f.bank.settle(i, f.chargeWh[i]-f.cutoffWh[i], 0)
 				}
 				return cross, true
 			}
@@ -307,15 +204,18 @@ func (f *VFleet) run(i int, t float64, loadW float64, detect bool) (float64, boo
 	return t, false
 }
 
-// settle advances node i's battery to t under constant rates and books
-// the chunk into the ledgers.
+// settle integrates constant harvest and drain rates (Wh/s) from node i's
+// clock to t — drain before harvest, the order Fleet.EndRound applies per
+// round — and moves the clock to t. run splits intervals at rate changes
+// (trace round boundaries) and at solved crossings, so the rates are
+// genuinely constant within one call; t at or before the clock is a no-op.
 func (f *VFleet) settle(i int, t, harvestW, drainW float64) {
-	b := &f.batteries[i]
-	dt := t - b.Clock()
-	stored, drained := b.AdvanceTo(t, harvestW, drainW)
-	f.harvested[i] += stored
-	f.consumed[i] += drained
-	f.wasted[i] += harvestW*dt - stored
+	dt := t - f.clock[i]
+	if dt <= 0 {
+		return
+	}
+	f.clock[i] = t
+	f.bank.settle(i, drainW*dt, harvestW*dt)
 }
 
 // ScanAfford simulates node i forward from its current state under idle
@@ -330,10 +230,10 @@ func (f *VFleet) settle(i int, t, harvestW, drainW float64) {
 // simply realized early and replays identically when the clock reaches
 // it.
 func (f *VFleet) ScanAfford(i int, costWh, deadline float64) (wake, brown float64) {
-	b := &f.batteries[i]
-	target := b.CutoffWh + costWh
-	charge := b.ChargeWh()
-	clock := b.Clock()
+	capacity, cutoff := f.capacityWh[i], f.cutoffWh[i]
+	target := cutoff + costWh
+	charge := f.chargeWh[i]
+	clock := f.clock[i]
 	idleW := f.idleWh / f.roundSec
 	brown = math.Inf(1)
 	if charge >= target {
@@ -345,19 +245,20 @@ func (f *VFleet) ScanAfford(i int, costWh, deadline float64) (wake, brown float6
 		if segEnd <= clock {
 			segEnd = deadline
 		}
-		net := f.rateWhPerSec(i, k) - idleW
-		if math.IsInf(brown, 1) && charge > b.CutoffWh {
-			if rel := timeToCutoff(charge, b.CutoffWh, net); clock+rel < segEnd {
+		harvestW := f.rateWhPerSec(i, k)
+		net := harvestW - idleW
+		if math.IsInf(brown, 1) && charge > cutoff {
+			if rel := timeToCutoff(charge, cutoff, net); clock+rel < segEnd {
 				brown = clock + rel
 			}
 		}
-		if rel := timeToCharge(charge, target, b.CapacityWh, net); clock+rel <= segEnd {
+		if rel := timeToCharge(charge, target, capacity, net); clock+rel <= segEnd {
 			return clock + rel, brown
 		}
-		// Settle the segment with the same clamp order run applies.
+		// Settle the segment exactly as settle would.
 		dt := segEnd - clock
-		charge -= math.Min(idleW*dt, charge)
-		charge += math.Min(f.rateWhPerSec(i, k)*dt, b.CapacityWh-charge)
+		charge, _ = drain(charge, idleW*dt)
+		charge, _ = store(charge, capacity, harvestW*dt)
 		clock = segEnd
 		if charge >= target {
 			return clock, brown

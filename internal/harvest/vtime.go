@@ -2,7 +2,7 @@ package harvest
 
 import "math"
 
-// Continuous virtual time. The round-driven engines sample a Trace once
+// Continuous virtual time. The round-driven fleet samples a Trace once
 // per (node, round); the event-driven async engine lives between rounds —
 // a training step starts and ends at arbitrary virtual times, and
 // brown-out/wake crossings fall mid-round. ContinuousTrace is the

@@ -3,8 +3,6 @@ package harvest
 import (
 	"math"
 	"testing"
-
-	"repro/internal/energy"
 )
 
 func TestConstantEnergyBetween(t *testing.T) {
@@ -183,81 +181,67 @@ func TestAsContinuous(t *testing.T) {
 	}
 }
 
+// oneNodeVFleet is a bare one-node virtual-time fleet with the given
+// battery, for driving settle directly.
+func oneNodeVFleet(capacity, charge, cutoff float64) *VFleet {
+	return &VFleet{clock: []float64{0}, bank: bank{
+		chargeWh: []float64{charge}, capacityWh: []float64{capacity}, cutoffWh: []float64{cutoff},
+		harvested: []float64{0}, consumed: []float64{0}, wasted: []float64{0},
+	}}
+}
+
+// TestBatteryAdvanceTo pins settle, the virtual-time advance of one battery
+// under constant rates: drain before harvest, both clamps, the ledgers, the
+// clock, and the no-op at or before the clock.
 func TestBatteryAdvanceTo(t *testing.T) {
-	b, err := NewBattery(10, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := oneNodeVFleet(10, 5, 1)
 	// Net +0.5/s for 4s: drain 2, harvest 4.
-	stored, drained := b.AdvanceTo(4, 1.0, 0.5)
-	if math.Abs(stored-4) > 1e-12 || math.Abs(drained-2) > 1e-12 {
+	f.settle(0, 4, 1.0, 0.5)
+	if stored, drained := f.harvested[0], f.consumed[0]; math.Abs(stored-4) > 1e-12 || math.Abs(drained-2) > 1e-12 {
 		t.Fatalf("stored %v drained %v, want 4, 2", stored, drained)
 	}
-	if math.Abs(b.ChargeWh()-7) > 1e-12 || b.Clock() != 4 {
-		t.Fatalf("charge %v clock %v, want 7, 4", b.ChargeWh(), b.Clock())
+	if math.Abs(f.ChargeWh(0)-7) > 1e-12 || f.Clock(0) != 4 {
+		t.Fatalf("charge %v clock %v, want 7, 4", f.ChargeWh(0), f.Clock(0))
 	}
 	// Time at or before the clock is a no-op.
-	if s, d := b.AdvanceTo(4, 1, 1); s != 0 || d != 0 {
-		t.Fatalf("no-op advance moved energy: %v, %v", s, d)
+	f.settle(0, 4, 1, 1)
+	f.settle(0, 3, 1, 1)
+	if f.harvested[0] != 4 || f.consumed[0] != 2 || f.wasted[0] != 0 || f.Clock(0) != 4 {
+		t.Fatalf("no-op advance moved energy or time: %v, %v, %v, clock %v", f.harvested[0], f.consumed[0], f.wasted[0], f.Clock(0))
 	}
-	// Harvest clamps at capacity: 7 + 10·1 caps at 10, 7 wasted implicitly.
-	stored, _ = b.AdvanceTo(14, 1.0, 0)
-	if math.Abs(stored-3) > 1e-12 || math.Abs(b.ChargeWh()-10) > 1e-12 {
-		t.Fatalf("clamped store %v charge %v, want 3, 10", stored, b.ChargeWh())
+	// Harvest clamps at capacity: 7 + 10·1 caps at 10, 7 wasted.
+	f.settle(0, 14, 1.0, 0)
+	if stored := f.harvested[0] - 4; math.Abs(stored-3) > 1e-12 || math.Abs(f.ChargeWh(0)-10) > 1e-12 || math.Abs(f.wasted[0]-7) > 1e-12 {
+		t.Fatalf("clamped store %v charge %v wasted %v, want 3, 10, 7", stored, f.ChargeWh(0), f.wasted[0])
 	}
 	// Drain clamps at empty.
-	_, drained = b.AdvanceTo(100, 0, 1.0)
-	if math.Abs(drained-10) > 1e-12 || b.ChargeWh() != 0 {
-		t.Fatalf("clamped drain %v charge %v, want 10, 0", drained, b.ChargeWh())
+	f.settle(0, 100, 0, 1.0)
+	if drained := f.consumed[0] - 2; math.Abs(drained-10) > 1e-12 || f.ChargeWh(0) != 0 {
+		t.Fatalf("clamped drain %v charge %v, want 10, 0", drained, f.ChargeWh(0))
 	}
 }
 
 func TestBatteryCrossingSolvers(t *testing.T) {
-	b, err := NewBattery(10, 4, 1)
-	if err != nil {
-		t.Fatal(err)
+	const capacity, charge, cutoff = 10.0, 4.0, 1.0
+	if got := timeToCharge(charge, 7, capacity, 0.5); math.Abs(got-6) > 1e-12 {
+		t.Fatalf("timeToCharge rising = %v, want 6", got)
 	}
-	if got := b.TimeToCharge(7, 0.5); math.Abs(got-6) > 1e-12 {
-		t.Fatalf("TimeToCharge rising = %v, want 6", got)
+	if got := timeToCharge(charge, 3, capacity, -2); got != 0 {
+		t.Fatalf("timeToCharge already there = %v, want 0", got)
 	}
-	if got := b.TimeToCharge(3, -2); got != 0 {
-		t.Fatalf("TimeToCharge already there = %v, want 0", got)
+	if got := timeToCharge(charge, 7, capacity, 0); !math.IsInf(got, 1) {
+		t.Fatalf("timeToCharge flat = %v, want +Inf", got)
 	}
-	if got := b.TimeToCharge(7, 0); !math.IsInf(got, 1) {
-		t.Fatalf("TimeToCharge flat = %v, want +Inf", got)
+	if got := timeToCharge(charge, 11, capacity, 5); !math.IsInf(got, 1) {
+		t.Fatalf("timeToCharge beyond capacity = %v, want +Inf", got)
 	}
-	if got := b.TimeToCharge(11, 5); !math.IsInf(got, 1) {
-		t.Fatalf("TimeToCharge beyond capacity = %v, want +Inf", got)
+	if got := timeToCutoff(charge, cutoff, -0.5); math.Abs(got-6) > 1e-12 {
+		t.Fatalf("timeToCutoff falling = %v, want 6", got)
 	}
-	if got := b.TimeToCutoff(0.5); math.Abs(got-6) > 1e-12 {
-		t.Fatalf("TimeToCutoff falling = %v, want 6", got)
+	if got := timeToCutoff(charge, cutoff, 0.5); !math.IsInf(got, 1) {
+		t.Fatalf("timeToCutoff charging = %v, want +Inf", got)
 	}
-	if got := b.TimeToCutoff(-0.5); !math.IsInf(got, 1) {
-		t.Fatalf("TimeToCutoff charging = %v, want +Inf", got)
-	}
-	drained, err2 := NewBattery(10, 1, 1)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	if got := drained.TimeToCutoff(0.5); got != 0 {
-		t.Fatalf("TimeToCutoff at cutoff = %v, want 0", got)
-	}
-}
-
-func TestSoAFleetCrossingSolversMatchBattery(t *testing.T) {
-	devs := energy.AssignDevices(4, energy.Devices())
-	f, err := NewSoAFleet(devs, energy.CIFAR10Workload(), Constant{Wh: 0}, Options{CapacityRounds: 8, InitialSoC: 0.5, CutoffSoC: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < f.Nodes(); i++ {
-		b := Battery{CapacityWh: f.CapacityWh(i), CutoffWh: f.CutoffWh(i), chargeWh: f.ChargeWh(i)}
-		target := f.CutoffWh(i) + 2*f.TrainCostWh(i)
-		if got, want := f.TimeToCharge(i, target, 0.25), b.TimeToCharge(target, 0.25); got != want {
-			t.Fatalf("node %d TimeToCharge: soa %v battery %v", i, got, want)
-		}
-		if got, want := f.TimeToCutoff(i, 0.125), b.TimeToCutoff(0.125); got != want {
-			t.Fatalf("node %d TimeToCutoff: soa %v battery %v", i, got, want)
-		}
+	if got := timeToCutoff(cutoff, cutoff, -0.5); got != 0 {
+		t.Fatalf("timeToCutoff at cutoff = %v, want 0", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/harvest"
 	"repro/internal/harvest/difftest"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -16,9 +15,11 @@ import (
 )
 
 // scenarioConfig binds one difftest scenario cell to a small training
-// problem on the requested engine, so the auditor sees the same trace ×
-// policy × liveness grid the engine differential suite pins.
-func scenarioConfig(t *testing.T, s difftest.Scenario, kind string) sim.Config {
+// problem, so the auditor sees the same trace × policy × liveness grid the
+// differential suite pins. With rewound set the fleet has a past: four
+// rounds through the bulk SweepThreshold path, then Reset — the grid-search
+// reuse path, which Reset promises replays a fresh fleet bit for bit.
+func scenarioConfig(t *testing.T, s difftest.Scenario, rewound bool) sim.Config {
 	t.Helper()
 	g, err := graph.Regular(s.Nodes, 4, s.Seed)
 	if err != nil {
@@ -33,9 +34,17 @@ func scenarioConfig(t *testing.T, s difftest.Scenario, kind string) sim.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := s.Build(kind)
+	inst, err := s.Build()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rewound {
+		for r := 0; r < 4; r++ {
+			inst.Fleet.SweepThreshold(r, 0.3)
+		}
+		if err := inst.Fleet.Reset(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cfg := sim.Config{
 		Graph:   g,
@@ -54,7 +63,7 @@ func scenarioConfig(t *testing.T, s difftest.Scenario, kind string) sim.Config {
 		Seed:       s.Seed,
 		Devices:    s.Devices(),
 		Workload:   s.Workload(),
-		Harvest:    inst.Engine,
+		Harvest:    inst.Fleet,
 		TrackSoC:   true,
 	}
 	// Cutoff cells drive the dead-topology path, matching the liveness
@@ -68,12 +77,14 @@ func scenarioConfig(t *testing.T, s difftest.Scenario, kind string) sim.Config {
 }
 
 // The auditor, attached live as a sink, must pass every scenario of the
-// engine differential table on BOTH fleet engines: conservation within
-// EnergyTol each round, brown-out/revival alternation, counters, phase
-// accounting. This is the end-to-end guarantee that the invariants the
-// auditor enforces are invariants the simulator actually maintains.
+// differential table, on a fresh fleet ("pointer": driven per node only)
+// and on one that first ran the bulk sweep path and was Reset ("soa"; the
+// subtest names predate the merge of the two fleet engines): conservation
+// within EnergyTol each round, brown-out/revival alternation, counters,
+// phase accounting. This is the end-to-end guarantee that the invariants
+// the auditor enforces are invariants the simulator actually maintains.
 func TestAuditorCleanOnLiveScenarioStreams(t *testing.T) {
-	engines := []string{harvest.EnginePointer, harvest.EngineSoA}
+	engines := []string{"pointer", "soa"}
 	for k, s := range difftest.Scenarios() {
 		if s.Nodes > 112 {
 			continue // /large cells: same physics, only slower here
@@ -85,7 +96,7 @@ func TestAuditorCleanOnLiveScenarioStreams(t *testing.T) {
 			s, kind := s, kind
 			t.Run(s.Name+"/"+kind, func(t *testing.T) {
 				t.Parallel()
-				cfg := scenarioConfig(t, s, kind)
+				cfg := scenarioConfig(t, s, kind == "soa")
 				auditor := analyze.NewAuditor()
 				mem := obs.NewMemory()
 				cfg.Probe = obs.NewProbe(obs.Multi(auditor, mem))

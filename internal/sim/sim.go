@@ -92,16 +92,14 @@ type Config struct {
 	Devices  []energy.Device
 	Workload energy.Workload
 
-	// Harvest optionally attaches a battery/harvesting fleet engine
-	// (internal/harvest) covering Graph.N nodes — the pointer-based
-	// harvest.Fleet or the struct-of-arrays harvest.SoAFleet, which are
-	// bit-identical. Training drains batteries only through the harvest
-	// policies' TryTrain — pair the fleet with a charge-aware Algo.Policy —
-	// while the engine closes every round with EndRound: idle and
-	// communication draw, then ambient harvest. State-of-charge statistics
-	// land in RoundMetrics; set TrackSoC to also record the full per-node
-	// SoC snapshot each round.
-	Harvest  harvest.Engine
+	// Harvest optionally attaches a battery/harvesting fleet
+	// (internal/harvest) covering Graph.N nodes. Training drains batteries
+	// only through the harvest policies' TryTrain — pair the fleet with a
+	// charge-aware Algo.Policy — while the engine closes every round with
+	// EndRound: idle and communication draw, then ambient harvest.
+	// State-of-charge statistics land in RoundMetrics; set TrackSoC to also
+	// record the full per-node SoC snapshot each round.
+	Harvest  *harvest.Fleet
 	TrackSoC bool
 
 	// Forecast attaches a harvest forecaster (internal/harvest): on every
@@ -480,7 +478,7 @@ func Run(cfg Config) (*Result, error) {
 		// Harvest-coupled runs stamp the fleet's initial total charge on
 		// run_start — the baseline the energy-conservation audit
 		// (obs/analyze) integrates per-round deltas from.
-		probe.RunStartCharge(&result.Manifest, fleetChargeWh(cfg.Harvest))
+		probe.RunStartCharge(&result.Manifest, cfg.Harvest.TotalChargeWh())
 	} else {
 		probe.RunStart(&result.Manifest)
 	}
@@ -876,7 +874,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				stats.ConsumedWh = consumed - prevConsumedWh
 				stats.WastedWh = wasted - prevWastedWh
-				stats.ChargeWh = fleetChargeWh(cfg.Harvest)
+				stats.ChargeWh = cfg.Harvest.TotalChargeWh()
 				prevConsumedWh, prevWastedWh = consumed, wasted
 			}
 			probe.RoundEnd(t, stats)
@@ -901,17 +899,6 @@ func Run(cfg Config) (*Result, error) {
 		probe.RunEnd(cfg.Rounds, trained)
 	}
 	return result, nil
-}
-
-// fleetChargeWh sums the fleet's per-node battery charge — the total the
-// probe stamps on run_start and every harvest round_end so the energy
-// audit can track ΔCharge round to round.
-func fleetChargeWh(e harvest.Engine) float64 {
-	total := 0.0
-	for i := 0; i < e.Nodes(); i++ {
-		total += e.ChargeWh(i)
-	}
-	return total
 }
 
 // buildManifest derives the run's content-addressable identity from every
@@ -950,7 +937,7 @@ func buildManifest(cfg *Config, paramCount int) obs.RunManifest {
 		b.Setf("fleet_capacity_wh", "%g", capWh).
 			Setf("fleet_cutoff_wh", "%g", cutWh).
 			Setf("fleet_overhead_wh", "%g", ovWh).
-			Setf("fleet_initial_wh", "%g", fleetChargeWh(cfg.Harvest))
+			Setf("fleet_initial_wh", "%g", cfg.Harvest.TotalChargeWh())
 	}
 	if cfg.Forecast != nil {
 		b.Set("forecast", cfg.Forecast.Name()).

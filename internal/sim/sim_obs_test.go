@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/harvest"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 )
@@ -179,11 +178,17 @@ func TestResultManifestStamped(t *testing.T) {
 
 // Every round_end on a harvest run must carry the per-round energy ledger,
 // and the ledger must conserve: prevCharge + harvested - consumed - wasted
-// equals the new fleet charge within analyze.EnergyTol, on both engines.
+// equals the new fleet charge within analyze.EnergyTol — on a fresh fleet
+// ("pointer": driven per node only) and on one that first ran the bulk
+// sweep path and was Reset ("soa"); the subtest names predate the merge of
+// the two fleet engines.
 func TestRoundEndEnergyLedgerConserves(t *testing.T) {
-	for _, engine := range []string{harvest.EnginePointer, harvest.EngineSoA} {
-		t.Run(engine, func(t *testing.T) {
-			cfg := harvestEngineConfig(t, 17, engine)
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T, uint64) Config
+	}{{"pointer", harvestConfig}, {"soa", rewoundHarvestConfig}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.build(t, 17)
 			cfg.Rounds = 16
 			mem := obs.NewMemory()
 			cfg.Probe = obs.NewProbe(mem)

@@ -642,28 +642,39 @@ func harvestScenario(seed uint64, nodes int) difftest.Scenario {
 	}
 }
 
-// harvestEngineConfig attaches a diurnal harvest fleet — built by the
-// difftest scenario generator on the requested engine — and a
-// charge-proportional policy to the standard test config.
-func harvestEngineConfig(t *testing.T, seed uint64, engine string) Config {
+// harvestConfig attaches a diurnal harvest fleet — built by the difftest
+// scenario generator — and a charge-proportional policy to the standard
+// test config.
+func harvestConfig(t *testing.T, seed uint64) Config {
 	t.Helper()
 	cfg := testConfig(t, seed)
 	s := harvestScenario(seed, cfg.Graph.N)
-	inst, err := s.Build(engine)
+	inst, err := s.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Algo = core.Algorithm{Label: "harvest", Schedule: s.Schedule(), Policy: inst.Policy}
 	cfg.Devices = s.Devices()
 	cfg.Workload = s.Workload()
-	cfg.Harvest = inst.Engine
+	cfg.Harvest = inst.Fleet
 	cfg.TrackSoC = true
 	return cfg
 }
 
-func harvestConfig(t *testing.T, seed uint64) Config {
+// rewoundHarvestConfig is harvestConfig on a fleet with a past: four rounds
+// through the bulk SweepThreshold path (row buffer, shard scratch, the
+// trace's day-row cache), then Reset — the grid-search reuse path. Reset
+// promises such a fleet replays a fresh one bit for bit.
+func rewoundHarvestConfig(t *testing.T, seed uint64) Config {
 	t.Helper()
-	return harvestEngineConfig(t, seed, harvest.EnginePointer)
+	cfg := harvestConfig(t, seed)
+	for r := 0; r < 4; r++ {
+		cfg.Harvest.SweepThreshold(r, 0.3)
+	}
+	if err := cfg.Harvest.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 func TestHarvestFleetWiring(t *testing.T) {
@@ -703,14 +714,13 @@ func TestHarvestFleetWiring(t *testing.T) {
 }
 
 // TestHarvestSimEngineParity runs the full simulation — training, gossip,
-// and the harvest loop — once on the pointer fleet and once on the
-// struct-of-arrays fleet and requires bit-identical results. This extends
-// the engine-level differential suite (internal/harvest/difftest) through
-// sim.Run: the engines must be interchangeable behind Config.Harvest, not
-// just in isolation.
+// and the harvest loop — once on a fresh fleet and once on a fleet that
+// first ran the bulk sweep path and was Reset, and requires bit-identical
+// results: behind Config.Harvest the two drive paths of the one fleet leave
+// nothing the other can see. (The arithmetic itself is pinned against the
+// reference oracle by internal/harvest/difftest.)
 func TestHarvestSimEngineParity(t *testing.T) {
-	run := func(engine string) *Result {
-		cfg := harvestEngineConfig(t, 6, engine)
+	run := func(cfg Config) *Result {
 		cfg.Rounds = 24
 		res, err := Run(cfg)
 		if err != nil {
@@ -718,23 +728,23 @@ func TestHarvestSimEngineParity(t *testing.T) {
 		}
 		return res
 	}
-	pointer := run(harvest.EnginePointer)
-	soa := run(harvest.EngineSoA)
-	if pointer.FinalMeanAcc != soa.FinalMeanAcc ||
-		pointer.TotalHarvestWh != soa.TotalHarvestWh ||
-		pointer.TotalWastedWh != soa.TotalWastedWh {
-		t.Fatalf("engines diverge: pointer (acc %v, harvest %v, wasted %v), soa (acc %v, harvest %v, wasted %v)",
-			pointer.FinalMeanAcc, pointer.TotalHarvestWh, pointer.TotalWastedWh,
-			soa.FinalMeanAcc, soa.TotalHarvestWh, soa.TotalWastedWh)
+	fresh := run(harvestConfig(t, 6))
+	rewound := run(rewoundHarvestConfig(t, 6))
+	if fresh.FinalMeanAcc != rewound.FinalMeanAcc ||
+		fresh.TotalHarvestWh != rewound.TotalHarvestWh ||
+		fresh.TotalWastedWh != rewound.TotalWastedWh {
+		t.Fatalf("runs diverge: fresh (acc %v, harvest %v, wasted %v), rewound (acc %v, harvest %v, wasted %v)",
+			fresh.FinalMeanAcc, fresh.TotalHarvestWh, fresh.TotalWastedWh,
+			rewound.FinalMeanAcc, rewound.TotalHarvestWh, rewound.TotalWastedWh)
 	}
-	for i := range pointer.FinalSoC {
-		if pointer.FinalSoC[i] != soa.FinalSoC[i] {
-			t.Fatalf("node %d final SoC: pointer %v, soa %v", i, pointer.FinalSoC[i], soa.FinalSoC[i])
+	for i := range fresh.FinalSoC {
+		if fresh.FinalSoC[i] != rewound.FinalSoC[i] {
+			t.Fatalf("node %d final SoC: fresh %v, rewound %v", i, fresh.FinalSoC[i], rewound.FinalSoC[i])
 		}
 	}
-	for r := range pointer.TrainedRounds {
-		if pointer.TrainedRounds[r] != soa.TrainedRounds[r] {
-			t.Fatalf("node %d trained-rounds: pointer %d, soa %d", r, pointer.TrainedRounds[r], soa.TrainedRounds[r])
+	for r := range fresh.TrainedRounds {
+		if fresh.TrainedRounds[r] != rewound.TrainedRounds[r] {
+			t.Fatalf("node %d trained-rounds: fresh %d, rewound %d", r, fresh.TrainedRounds[r], rewound.TrainedRounds[r])
 		}
 	}
 }

@@ -113,18 +113,23 @@ func NewBatcher(ds *Dataset, r *rng.RNG) *Batcher {
 	return b
 }
 
+// Reserve makes the two slices Next returns, whole, for batches of up to
+// size samples: a caller that knows its batch size calls it at set-up, and
+// then no Next allocates.
+func (b *Batcher) Reserve(size int) {
+	if size = min(size, b.ds.Len()); cap(b.xs) < size {
+		b.xs, b.ys = make([]tensor.Vector, 0, size), make([]int, 0, size)
+	}
+}
+
 // Next returns the next minibatch of up to size samples. The returned
 // slices are reused across calls.
 func (b *Batcher) Next(size int) ([]tensor.Vector, []int) {
 	if size <= 0 {
 		panic("dataset: non-positive batch size")
 	}
-	if size > b.ds.Len() {
-		size = b.ds.Len()
-	}
-	if cap(b.xs) < size {
-		b.xs, b.ys = make([]tensor.Vector, 0, size), make([]int, 0, size)
-	}
+	size = min(size, b.ds.Len())
+	b.Reserve(size)
 	b.xs = b.xs[:0]
 	b.ys = b.ys[:0]
 	for len(b.xs) < size {

@@ -179,6 +179,12 @@ func TestBatcherSizesItsSlicesOnce(t *testing.T) {
 	if first-build != 2 {
 		t.Fatalf("first Next(16) made %v allocations, want 2", first-build)
 	}
+	// Reserve makes them at set-up instead, and the first call then makes none.
+	reserve := testing.AllocsPerRun(4, func() { NewBatcher(train, r).Reserve(16) })
+	reserved := testing.AllocsPerRun(4, func() { b := NewBatcher(train, r); b.Reserve(16); b.Next(16) })
+	if reserve-build != 2 || reserved != reserve {
+		t.Fatalf("Reserve(16) made %v allocations and the first Next(16) after it %v, want 2 and 0", reserve-build, reserved-reserve)
+	}
 	b := NewBatcher(train, r)
 	xs, _ := b.Next(16)
 	if again := testing.AllocsPerRun(8, func() { b.Next(16) }); again != 0 {

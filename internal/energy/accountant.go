@@ -21,7 +21,6 @@ type Accountant struct {
 	trainWh   []float64
 	commWh    []float64
 	harvestWh []float64
-	perRound  []float64 // network-wide training energy indexed by round
 }
 
 // NewAccountant creates an accountant for n nodes.
@@ -30,16 +29,11 @@ func NewAccountant(n int) *Accountant {
 		harvestWh: make([]float64, n)}
 }
 
-// AddTraining charges node i with wh watt-hours of training energy in the
-// given round.
-func (a *Accountant) AddTraining(node, round int, wh float64) {
+// AddTraining charges node i with wh watt-hours of training energy.
+func (a *Accountant) AddTraining(node int, wh float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.trainWh[node] += wh
-	for len(a.perRound) <= round {
-		a.perRound = append(a.perRound, 0)
-	}
-	a.perRound[round] += wh
 }
 
 // AddCommunication charges node i with wh watt-hours of sharing/aggregation
@@ -114,20 +108,6 @@ func (a *Accountant) NodeTrainingWh(i int) float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.trainWh[i]
-}
-
-// CumulativeByRound returns the cumulative network training energy after
-// each round, the x-axis of the paper's accuracy-vs-energy plots (Fig. 5-6).
-func (a *Accountant) CumulativeByRound() []float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]float64, len(a.perRound))
-	acc := 0.0
-	for i, v := range a.perRound {
-		acc += v
-		out[i] = acc
-	}
-	return out
 }
 
 // Budget tracks the remaining training rounds τ_i of every node in the

@@ -138,18 +138,14 @@ func TestAssignDevicesRoundRobin(t *testing.T) {
 
 func TestAccountantTotals(t *testing.T) {
 	a := NewAccountant(3)
-	a.AddTraining(0, 0, 1.5)
-	a.AddTraining(1, 0, 2.5)
-	a.AddTraining(0, 1, 1.0)
+	a.AddTraining(0, 1.5)
+	a.AddTraining(1, 2.5)
+	a.AddTraining(0, 1.0)
 	if got := a.TotalTrainingWh(); math.Abs(got-5.0) > 1e-12 {
 		t.Fatalf("total = %v", got)
 	}
 	if got := a.NodeTrainingWh(0); math.Abs(got-2.5) > 1e-12 {
 		t.Fatalf("node 0 = %v", got)
-	}
-	cum := a.CumulativeByRound()
-	if len(cum) != 2 || math.Abs(cum[0]-4.0) > 1e-12 || math.Abs(cum[1]-5.0) > 1e-12 {
-		t.Fatalf("cumulative = %v", cum)
 	}
 }
 
@@ -170,7 +166,7 @@ func TestAccountantConcurrent(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			for r := 0; r < 100; r++ {
-				a.AddTraining(n, r, 0.01)
+				a.AddTraining(n, 0.01)
 				a.AddCommunication(n, 0.001)
 			}
 		}(n)
@@ -274,7 +270,7 @@ func TestWorkloadFor(t *testing.T) {
 
 func TestAccountantHarvestLedger(t *testing.T) {
 	a := NewAccountant(3)
-	a.AddTraining(0, 0, 10)
+	a.AddTraining(0, 10)
 	a.AddCommunication(1, 2)
 	a.AddHarvest(0, 4)
 	a.AddHarvest(2, 2)

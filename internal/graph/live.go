@@ -53,8 +53,14 @@ func (g *Graph) MeanLiveDegree(live []bool) float64 {
 // nodes; each fragment then runs consensus in isolation for the round.
 // Dead nodes belong to no component; zero live nodes means zero components.
 func (g *Graph) LiveComponents(live []bool) int {
-	seen := make([]bool, g.N)
-	queue := make([]int, 0, g.N)
+	return g.LiveComponentsScratch(live, make([]bool, g.N), make([]int, 0, g.N))
+}
+
+// LiveComponentsScratch is LiveComponents over the caller's scratch, for a
+// caller that scans every round: seen has length N and any contents, queue
+// capacity N (a node is queued at most once), so nothing is allocated.
+func (g *Graph) LiveComponentsScratch(live, seen []bool, queue []int) int {
+	clear(seen)
 	components := 0
 	for s := 0; s < g.N; s++ {
 		if seen[s] || (live != nil && !live[s]) {
@@ -63,10 +69,8 @@ func (g *Graph) LiveComponents(live []bool) int {
 		components++
 		seen[s] = true
 		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.Adj[u] {
+		for head := 0; head < len(queue); head++ {
+			for _, v := range g.Adj[queue[head]] {
 				if !seen[v] && (live == nil || live[v]) {
 					seen[v] = true
 					queue = append(queue, v)
@@ -97,10 +101,18 @@ func RenormalizeLive(g *Graph, live []bool) *Weights {
 	if live == nil {
 		return Metropolis(g)
 	}
-	w := &Weights{Self: make([]float64, g.N), Nbr: make([][]float64, g.N)}
+	w := NewWeights(g)
+	RenormalizeLiveTo(w, g, live)
+	return w
+}
+
+// RenormalizeLiveTo refills w, which is aligned with g (NewWeights), with
+// RenormalizeLive's matrix for a non-nil mask: every entry is overwritten,
+// so a caller renormalizing every round keeps one Weights.
+func RenormalizeLiveTo(w *Weights, g *Graph, live []bool) {
 	for i := 0; i < g.N; i++ {
-		row := make([]float64, len(g.Adj[i]))
-		w.Nbr[i] = row
+		row := w.Nbr[i]
+		clear(row)
 		if !live[i] {
 			w.Self[i] = 1
 			continue
@@ -116,5 +128,4 @@ func RenormalizeLive(g *Graph, live []bool) *Weights {
 		}
 		w.Self[i] = 1 - sum
 	}
-	return w
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -153,5 +154,41 @@ func TestRenormalizeLiveProperty(t *testing.T) {
 		if math.Abs(liveBefore-liveAfter) > 1e-9 {
 			t.Fatalf("draw %d: live mass %v -> %v", draw, liveBefore, liveAfter)
 		}
+	}
+}
+
+// TestLiveScansReuseCallerState pins the two per-round forms against the
+// allocating ones: one scratch pair and one Weights carried across random
+// masks give LiveComponents' count and RenormalizeLive's matrix exactly,
+// whatever the previous mask left behind, and allocate nothing.
+func TestLiveScansReuseCallerState(t *testing.T) {
+	g, err := Regular(24, 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen, queue, w := make([]bool, g.N), make([]int, 0, g.N), NewWeights(g)
+	live := make([]bool, g.N)
+	r := rng.New(0x5c4a)
+	for draw := 0; draw < 200; draw++ {
+		for i := range live {
+			live[i] = r.Float64() < 0.6
+		}
+		if got, want := g.LiveComponentsScratch(live, seen, queue), g.LiveComponents(live); got != want {
+			t.Fatalf("draw %d: %d components over reused scratch, want %d", draw, got, want)
+		}
+		RenormalizeLiveTo(w, g, live)
+		fresh := RenormalizeLive(g, live)
+		for i := range fresh.Nbr {
+			if w.Self[i] != fresh.Self[i] || !slices.Equal(w.Nbr[i], fresh.Nbr[i]) {
+				t.Fatalf("draw %d: refilled row %d is %v %v, want %v %v", draw, i, w.Self[i], w.Nbr[i], fresh.Self[i], fresh.Nbr[i])
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		g.LiveComponentsScratch(live, seen, queue)
+		g.LiveComponentsScratch(nil, seen, queue)
+		RenormalizeLiveTo(w, g, live)
+	}); allocs != 0 {
+		t.Fatalf("the per-round scans allocate %v times, want 0", allocs)
 	}
 }

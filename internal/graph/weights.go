@@ -16,6 +16,15 @@ type Weights struct {
 	Nbr  [][]float64
 }
 
+// NewWeights returns the zero matrix aligned with g.
+func NewWeights(g *Graph) *Weights {
+	w := &Weights{Self: make([]float64, g.N), Nbr: make([][]float64, g.N)}
+	for i, adj := range g.Adj {
+		w.Nbr[i] = make([]float64, len(adj))
+	}
+	return w
+}
+
 // Metropolis computes the Metropolis-Hastings weights of Section 2.2:
 //
 //	W_ij = 1 / (max(deg(i), deg(j)) + 1)   for edges (i,j)
@@ -24,15 +33,13 @@ type Weights struct {
 // The result is symmetric and doubly stochastic for any undirected graph,
 // the condition D-PSGD needs to converge to a stationary point of Eq. (1).
 func Metropolis(g *Graph) *Weights {
-	w := &Weights{Self: make([]float64, g.N), Nbr: make([][]float64, g.N)}
-	for i := 0; i < g.N; i++ {
-		row := make([]float64, len(g.Adj[i]))
+	w := NewWeights(g)
+	for i, row := range w.Nbr {
 		sum := 0.0
 		for k, j := range g.Adj[i] {
 			row[k] = 1.0 / float64(max(g.Degree(i), g.Degree(j))+1)
 			sum += row[k]
 		}
-		w.Nbr[i] = row
 		w.Self[i] = 1 - sum
 	}
 	return w
@@ -43,14 +50,12 @@ func Metropolis(g *Graph) *Weights {
 // irregular graphs; on regular graphs it coincides with Metropolis-Hastings.
 // Included as the ablation baseline for the mixing-matrix choice.
 func Uniform(g *Graph) *Weights {
-	w := &Weights{Self: make([]float64, g.N), Nbr: make([][]float64, g.N)}
-	for i := 0; i < g.N; i++ {
+	w := NewWeights(g)
+	for i, row := range w.Nbr {
 		share := 1.0 / float64(g.Degree(i)+1)
-		row := make([]float64, len(g.Adj[i]))
 		for k := range row {
 			row[k] = share
 		}
-		w.Nbr[i] = row
 		w.Self[i] = share
 	}
 	return w

@@ -29,6 +29,13 @@ type Fleet struct {
 
 	roundHarvest []float64 // scratch: last round's per-node stored harvest
 	roundArrived []float64 // scratch: last round's per-node arrived harvest
+	liveMask     []bool    // scratch: the last Live snapshot
+
+	// The round being closed, read by closeNode — the close-out's per-node
+	// body, bound once so that a round allocates no closure.
+	closeT    int
+	closeLive []bool
+	closeNode func(i int)
 
 	// Sweep scratch, allocated by the first SweepThreshold: a fleet driven
 	// per node (every grid cell) never pays for it.
@@ -57,7 +64,9 @@ func NewFleet(devices []energy.Device, w energy.Workload, trace Trace, opt Optio
 		trace:        trace,
 		roundHarvest: make([]float64, n),
 		roundArrived: make([]float64, n),
+		liveMask:     make([]bool, n),
 	}
+	f.closeNode = f.settleNode
 	copy(f.initialWh, b.chargeWh)
 	return f, nil
 }
@@ -111,13 +120,14 @@ func (f *Fleet) Reset() error {
 // its brown-out cutoff and can power its radio this round. The simulation
 // engine takes this snapshot at the start of every round and feeds it to
 // graph.RenormalizeLive and the transport's dead-node wrapper, so liveness
-// is decided once per round from battery state, never mid-phase.
+// is decided once per round from battery state, never mid-phase. The slice
+// is the fleet's own and is refilled by the next Live call: read it before
+// then, or copy it.
 func (f *Fleet) Live() []bool {
-	live := make([]bool, len(f.chargeWh))
-	for i := range live {
-		live[i] = f.Usable(i)
+	for i := range f.liveMask {
+		f.liveMask[i] = f.Usable(i)
 	}
-	return live
+	return f.liveMask
 }
 
 // A Fleet is the battery state charge-aware policies see through the round
@@ -134,21 +144,14 @@ func (f *Fleet) TryTrain(i int) bool { return f.consume(i, f.trainWh[i]) }
 // (clamped at empty — dead nodes cannot pay), then harvests trace energy
 // into its battery. It returns the per-node energy actually stored this
 // round; the slice is reused by the next EndRound call.
-func (f *Fleet) EndRound(t int) []float64 { return f.endRound(t, nil) }
+func (f *Fleet) EndRound(t int) []float64 { return f.EndRoundLive(t, nil) }
 
 // EndRoundLive closes round t like EndRound, but nodes marked dead in the
 // liveness mask pay only their idle draw: a browned-out radio sends and
 // receives nothing, so it owes no communication energy. This is the
 // battery-side counterpart of dropping the node's edges for the round; a
 // nil mask recovers EndRound exactly.
-func (f *Fleet) EndRoundLive(t int, live []bool) []float64 { return f.endRound(t, live) }
-
-// parallelMinNodes is the fleet size below which a round stays serial:
-// goroutine fan-out only pays for itself on large fleets. A test hook
-// lowers it to pin serial/parallel bit-identity.
-var parallelMinNodes = 256
-
-func (f *Fleet) endRound(t int, live []bool) []float64 {
+func (f *Fleet) EndRoundLive(t int, live []bool) []float64 {
 	// The close-out is sharded across workers for big fleets: every write
 	// below is to node-i state only, and Trace implementations are
 	// documented race-free across distinct nodes, so the parallel path is
@@ -156,19 +159,28 @@ func (f *Fleet) endRound(t int, live []bool) []float64 {
 	// SweepThreshold alone uses the RowTrace bulk fill — so a fleet built
 	// fresh per grid cell never allocates a row buffer or warms Diurnal's
 	// day-row cache for the few dozen rounds it lives.
-	par.For(len(f.chargeWh), parallelMinNodes, func(i int) {
-		draw := f.idleWh
-		if live == nil || live[i] {
-			draw += f.commWh[i]
-		}
-		arrived := f.trace.HarvestWh(i, t)
-		f.roundHarvest[i] = f.settle(i, draw, arrived)
-		f.roundArrived[i] = arrived
-	})
-	// Written outside the parallel region: endRound itself is whole-fleet
-	// and documented not to race with per-node calls.
+	f.closeT, f.closeLive = t, live
+	par.For(len(f.chargeWh), parallelMinNodes, f.closeNode)
+	// Written outside the parallel region: the close-out itself is
+	// whole-fleet and documented not to race with per-node calls.
 	f.roundsClosed++
 	return f.roundHarvest
+}
+
+// parallelMinNodes is the fleet size below which a round stays serial:
+// goroutine fan-out only pays for itself on large fleets. A test hook
+// lowers it to pin serial/parallel bit-identity.
+var parallelMinNodes = 256
+
+// settleNode closes round closeT for node i.
+func (f *Fleet) settleNode(i int) {
+	draw := f.idleWh
+	if f.closeLive == nil || f.closeLive[i] {
+		draw += f.commWh[i]
+	}
+	arrived := f.trace.HarvestWh(i, f.closeT)
+	f.roundHarvest[i] = f.settle(i, draw, arrived)
+	f.roundArrived[i] = arrived
 }
 
 // RoundArrivedWh returns the per-node energy that arrived during the last

@@ -271,6 +271,30 @@ func TestFleetInitialOptionsValidationAndStartEmpty(t *testing.T) {
 	}
 }
 
+// Live hands out one fleet-owned mask: the second call overwrites what the
+// first returned (the documented lifetime), every entry is the node's Usable
+// state at the call, and no call allocates.
+func TestFleetLiveReusesItsMask(t *testing.T) {
+	f := testFleet(t, Constant{0}, Options{CapacityRounds: 4, InitialSoC: 1, CutoffSoC: 0.5})
+	first := f.Live()
+	f.chargeWh[0] = 0
+	second := f.Live()
+	if &first[0] != &second[0] {
+		t.Fatal("Live returned a fresh slice: the mask is not reused")
+	}
+	if first[0] {
+		t.Fatal("the second Live call did not overwrite the first call's slice")
+	}
+	for i, l := range second {
+		if l != f.Usable(i) {
+			t.Fatalf("live[%d] = %v, Usable = %v", i, l, f.Usable(i))
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { f.EndRoundLive(0, f.Live()) }); allocs != 0 {
+		t.Fatalf("Live + EndRoundLive allocate %v times per round, want 0", allocs)
+	}
+}
+
 func TestFleetLiveSnapshot(t *testing.T) {
 	f := testFleet(t, Constant{0}, Options{CapacityRounds: 4, InitialSoC: 1, CutoffSoC: 0.5})
 	live := f.Live()

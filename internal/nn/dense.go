@@ -11,10 +11,10 @@ import (
 type Dense struct {
 	in, out  int
 	withBias bool
-	r        *rng.RNG       // draws the initial weights in Bind
-	W        *tensor.Matrix // out x in
-	B        tensor.Vector  // nil when bias is disabled
-	gW       *tensor.Matrix
+	r        *rng.RNG      // draws the initial weights in Bind
+	W        tensor.Matrix // out x in; a header over the network's vector, held by value
+	B        tensor.Vector // nil when bias is disabled
+	gW       tensor.Matrix
 	gB       tensor.Vector
 
 	lastIn tensor.Vector // the caller's slice, held from Forward to Backward
@@ -37,7 +37,7 @@ func (l *Dense) swapBuffers()  { l.W, l.gW, l.B, l.gB = l.gW, l.W, l.gB, l.B }
 func (l *Dense) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("Dense", len(in), l.in)
 	l.lastIn = in
-	tensor.MatVecTo(l.outBuf, l.W, in)
+	tensor.MatVecTo(l.outBuf, &l.W, in)
 	if l.B != nil {
 		for i := range l.outBuf {
 			l.outBuf[i] += l.B[i]
@@ -48,14 +48,14 @@ func (l *Dense) Forward(in tensor.Vector) tensor.Vector {
 
 func (l *Dense) Backward(dOut tensor.Vector) tensor.Vector {
 	checkSize("Dense", len(dOut), l.out)
-	tensor.OuterAcc(l.gW, dOut, l.lastIn)
+	tensor.OuterAcc(&l.gW, dOut, l.lastIn)
 	if l.gB != nil {
 		tensor.AXPY(l.gB, 1, dOut)
 	}
 	if l.first {
 		return nil
 	}
-	tensor.MatTVecTo(l.dIn, l.W, dOut)
+	tensor.MatTVecTo(l.dIn, &l.W, dOut)
 	return l.dIn
 }
 
@@ -68,8 +68,8 @@ func (l *Dense) ParamSize() int {
 
 func (l *Dense) Bind(params, grads tensor.Vector) {
 	nw := l.out * l.in
-	l.W = &tensor.Matrix{Rows: l.out, Cols: l.in, Data: params[:nw]}
-	l.gW = &tensor.Matrix{Rows: l.out, Cols: l.in, Data: grads[:nw]}
+	l.W = tensor.Matrix{Rows: l.out, Cols: l.in, Data: params[:nw]}
+	l.gW = tensor.Matrix{Rows: l.out, Cols: l.in, Data: grads[:nw]}
 	heInit(l.W.Data, l.in, l.r)
 	if l.withBias {
 		l.B, l.gB = params[nw:], grads[nw:]

@@ -45,7 +45,9 @@ func TestPaperModelsForwardBackward(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		loss := net.TrainBatch([]tensor.Vector{x}, []int{1}, 0.01)
+		xs, ys := []tensor.Vector{x}, []int{1}
+		loss := net.Loss(xs, ys)
+		net.TrainBatch(xs, ys, 0.01)
 		if loss <= 0 || loss != loss {
 			t.Fatalf("%s: implausible loss %v", name, loss)
 		}

@@ -120,6 +120,18 @@ func (n *Network) ZeroGrads() { n.grads.Zero() }
 // SoftmaxCrossEntropy computes the loss for one sample and writes
 // dLoss/dLogits into dLogits (probs - onehot). logits and dLogits may alias.
 func SoftmaxCrossEntropy(logits tensor.Vector, label int, dLogits tensor.Vector) float64 {
+	p := softmaxGrad(logits, label, dLogits)
+	// Clamp to avoid -Inf on (impossible in exact arithmetic) p == 0.
+	if p < 1e-300 {
+		p = 1e-300
+	}
+	return -math.Log(p)
+}
+
+// softmaxGrad is SoftmaxCrossEntropy without the loss: it writes probs -
+// onehot into dLogits and returns the label's probability, which a caller
+// that wants the loss takes the logarithm of and TrainBatch drops.
+func softmaxGrad(logits tensor.Vector, label int, dLogits tensor.Vector) float64 {
 	if label < 0 || label >= len(logits) {
 		panic(fmt.Sprintf("nn: label %d out of range for %d classes", label, len(logits)))
 	}
@@ -136,31 +148,21 @@ func SoftmaxCrossEntropy(logits tensor.Vector, label int, dLogits tensor.Vector)
 		dLogits[i] = e
 		sum += e
 	}
-	loss := 0.0
 	for i := range dLogits {
-		p := dLogits[i] / sum
-		if i == label {
-			// Clamp to avoid -Inf on (impossible in exact arithmetic) p == 0.
-			if p < 1e-300 {
-				p = 1e-300
-			}
-			loss = -math.Log(p)
-			dLogits[i] = dLogits[i]/sum - 1
-		} else {
-			dLogits[i] = p
-		}
+		dLogits[i] /= sum
 	}
-	return loss
+	p := dLogits[label]
+	dLogits[label] = p - 1
+	return p
 }
 
 // TrainBatch performs one SGD step on a mini-batch: it accumulates gradients
 // of the mean cross-entropy over the batch and applies params -= lr * grad.
-// It returns the mean loss. This is one inner iteration of Algorithm 1,
-// lines 5-6.
-func (n *Network) TrainBatch(xs []tensor.Vector, ys []int, lr float64) float64 {
-	loss := n.AccumulateGradients(xs, ys)
+// It computes no loss (see Loss). This is one inner iteration of Algorithm
+// 1, lines 5-6.
+func (n *Network) TrainBatch(xs []tensor.Vector, ys []int, lr float64) {
+	n.accumulate(xs, ys, false)
 	tensor.AXPY(n.params, -lr/float64(len(xs)), n.grads)
-	return loss
 }
 
 // Loss returns the mean cross-entropy of the network on the given samples
@@ -171,9 +173,7 @@ func (n *Network) Loss(xs []tensor.Vector, ys []int) float64 {
 	}
 	total := 0.0
 	for i, x := range xs {
-		logits := n.Forward(x)
-		copy(n.probs, logits)
-		total += SoftmaxCrossEntropy(n.probs, ys[i], n.probs)
+		total += SoftmaxCrossEntropy(n.Forward(x), ys[i], n.probs)
 	}
 	return total / float64(len(xs))
 }

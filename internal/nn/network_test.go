@@ -122,14 +122,23 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-func TestTrainBatchReturnsMeanLoss(t *testing.T) {
-	net := LogisticRegression(3, 2, rng.New(4))
-	xs := []tensor.Vector{{1, 0, 0}, {0, 1, 0}}
-	ys := []int{0, 1}
+// TrainBatch computes no loss. The path that does, AccumulateGradients,
+// reports Loss's mean, and the gradients TrainBatch steps along are that
+// path's bit for bit (lr 0 leaves the model where it was).
+func TestTrainBatchMatchesLossPathGradients(t *testing.T) {
+	net := MLP(3, []int{5}, 2, rng.New(4))
+	xs := []tensor.Vector{{1, 0, 0}, {0, 1, 0}, {0.5, -2, 1}}
+	ys := []int{0, 1, 1}
 	lossBefore := net.Loss(xs, ys)
-	got := net.TrainBatch(xs, ys, 0) // lr 0: loss reported must equal pre-update loss
-	if math.Abs(got-lossBefore) > 1e-12 {
-		t.Fatalf("TrainBatch loss %v != Loss %v", got, lossBefore)
+	if got := net.AccumulateGradients(xs, ys); got != lossBefore {
+		t.Fatalf("AccumulateGradients loss %v != Loss %v", got, lossBefore)
+	}
+	want := net.grads.Clone()
+	net.TrainBatch(xs, ys, 0)
+	for i := range want {
+		if net.grads[i] != want[i] {
+			t.Fatalf("gradient %d: %v without the loss, %v with it", i, net.grads[i], want[i])
+		}
 	}
 }
 
@@ -152,8 +161,9 @@ func TestDeterministicTraining(t *testing.T) {
 	n1, xs1, ys1 := build()
 	n2, xs2, ys2 := build()
 	for i := 0; i < 5; i++ {
-		l1 := n1.TrainBatch(xs1, ys1, 0.1)
-		l2 := n2.TrainBatch(xs2, ys2, 0.1)
+		l1, l2 := n1.Loss(xs1, ys1), n2.Loss(xs2, ys2)
+		n1.TrainBatch(xs1, ys1, 0.1)
+		n2.TrainBatch(xs2, ys2, 0.1)
 		if l1 != l2 {
 			t.Fatalf("training not deterministic at step %d: %v vs %v", i, l1, l2)
 		}

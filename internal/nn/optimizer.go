@@ -85,15 +85,23 @@ func (n *Network) TrainBatchWith(opt Optimizer, xs []tensor.Vector, ys []int) fl
 // over the batch (not averaged), returning the mean loss. Callers apply the
 // update themselves (see Optimizer).
 func (n *Network) AccumulateGradients(xs []tensor.Vector, ys []int) float64 {
+	return n.accumulate(xs, ys, true)
+}
+
+// accumulate is AccumulateGradients; without withLoss it skips the one
+// logarithm per sample the loss costs and returns 0.
+func (n *Network) accumulate(xs []tensor.Vector, ys []int, withLoss bool) float64 {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		panic(fmt.Sprintf("nn: bad batch: %d inputs, %d labels", len(xs), len(ys)))
 	}
 	n.ZeroGrads()
 	total := 0.0
 	for i, x := range xs {
-		logits := n.Forward(x)
-		copy(n.probs, logits)
-		total += SoftmaxCrossEntropy(n.probs, ys[i], n.probs)
+		if withLoss {
+			total += SoftmaxCrossEntropy(n.Forward(x), ys[i], n.probs)
+		} else {
+			softmaxGrad(n.Forward(x), ys[i], n.probs)
+		}
 		d := n.probs
 		for j := len(n.layers) - 1; j >= 0; j-- {
 			d = n.layers[j].Backward(d)

@@ -32,7 +32,8 @@ func TestPlainSGDMatchesTrainBatch(t *testing.T) {
 	xs, ys := toyBatch(r, 4, 2, 8)
 	opt := NewSGD(0.1)
 	for step := 0; step < 5; step++ {
-		la := a.TrainBatch(xs, ys, 0.1)
+		la := a.Loss(xs, ys)
+		a.TrainBatch(xs, ys, 0.1)
 		lb := b.TrainBatchWith(opt, xs, ys)
 		if la != lb {
 			t.Fatalf("step %d: losses differ %v vs %v", step, la, lb)

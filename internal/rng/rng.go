@@ -132,11 +132,20 @@ func (r *RNG) NormFloat64() float64 {
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermTo(p)
+	return p
+}
+
+// PermTo fills p with a random permutation of [0, len(p)): Perm into the
+// caller's buffer, draw for draw.
+func (r *RNG) PermTo(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
+	for i := len(p) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
 }
 
 // Shuffle performs a Fisher-Yates shuffle of n elements using swap.

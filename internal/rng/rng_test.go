@@ -146,6 +146,35 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// PermTo is Perm into the caller's buffer: over a dirty buffer it gives the
+// permutation Perm — and a Shuffle of the identity, the form Perm had —
+// gives from the same state, draw for draw, and leaves the generator where
+// they leave it.
+func TestPermToMatchesPermDrawForDraw(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 10, 257} {
+		a, b, c := New(11), New(11), New(11)
+		buf := make([]int, n)
+		for i := range buf {
+			buf[i] = -7
+		}
+		a.PermTo(buf)
+		want := b.Perm(n)
+		shuffled := make([]int, n)
+		for i := range shuffled {
+			shuffled[i] = i
+		}
+		c.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for i := range want {
+			if buf[i] != want[i] || buf[i] != shuffled[i] {
+				t.Fatalf("n=%d: PermTo %v, Perm %v, Shuffle %v", n, buf, want, shuffled)
+			}
+		}
+		if x, y, z := a.Uint64(), b.Uint64(), c.Uint64(); x != y || x != z {
+			t.Fatalf("n=%d: generators diverge after the permutation: %d %d %d", n, x, y, z)
+		}
+	}
+}
+
 func TestBernoulliExtremes(t *testing.T) {
 	r := New(10)
 	for i := 0; i < 1000; i++ {

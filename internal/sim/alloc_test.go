@@ -1,0 +1,109 @@
+package sim
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// gridCellConfig is a Γ-grid cell in miniature: Γ(1,3) with a
+// charge-proportional policy over a diurnal fleet, routing through depleted
+// nodes, evaluated after the last round only, on a subsample.
+func gridCellConfig(t *testing.T, seed uint64) Config {
+	t.Helper()
+	cfg := harvestConfig(t, seed)
+	gamma, err := core.NewGamma(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Algo.Schedule = gamma
+	cfg.TrackSoC, cfg.EvalEvery, cfg.EvalSubsample = false, 0, 40
+	return cfg
+}
+
+// TestRunAllocsIndependentOfRounds pins allocation as a set-up cost: at
+// GOMAXPROCS 1 (above it par.For spawns its workers per phase) a run of 3R
+// rounds allocates exactly as often as one of R rounds, in plain D-PSGD
+// under Γ(1,3), in a harvest-coupled grid cell, in drop-and-renormalize
+// rounds, and when every round evaluates on a redrawn subsample.
+func TestRunAllocsIndependentOfRounds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		name   string
+		config func(t *testing.T) Config
+	}{
+		{"plain-gamma", func(t *testing.T) Config {
+			cfg := testConfig(t, 81)
+			gamma, err := core.NewGamma(1, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Algo, cfg.EvalEvery = core.SkipTrain(gamma), 0
+			return cfg
+		}},
+		{"harvest-grid-cell", func(t *testing.T) Config { return gridCellConfig(t, 82) }},
+		{"drop-dead-nodes", func(t *testing.T) Config { return brownoutConfig(t, 83) }},
+		{"eval-every-round", func(t *testing.T) Config {
+			cfg := testConfig(t, 84)
+			cfg.EvalEvery, cfg.EvalSubsample = 1, 40
+			return cfg
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The least of a few measurements: a collection in mid-run empties
+			// the sync.Pools (fmt's, under the manifest) and adds a stray
+			// allocation or two. Configs are built outside the measurement: a
+			// fleet and a policy serve one run each.
+			allocs := func(rounds int) float64 {
+				least := math.Inf(1)
+				for try := 0; try < 5; try++ {
+					cfgs := []Config{tc.config(t), tc.config(t)} // AllocsPerRun warms up once
+					least = min(least, testing.AllocsPerRun(1, func() {
+						cfgs[0].Rounds = rounds
+						res, err := Run(cfgs[0])
+						cfgs = cfgs[1:]
+						if err != nil {
+							t.Fatal(err)
+						}
+						if tc.name == "drop-dead-nodes" && res.TotalDroppedSends == 0 {
+							t.Fatal("no send was dropped: the trace did not brown any node out")
+						}
+					}))
+				}
+				return least
+			}
+			if short, long := allocs(12), allocs(36); long != short {
+				t.Fatalf("12 rounds allocate %v times, 36 rounds %v: %v allocations per round inside the loop", short, long, (long-short)/24)
+			}
+		})
+	}
+}
+
+// TestHoistedRoundStateBitIdentical: the phase bodies share round state
+// written between barriers; the drop-mode and harvest-coupled runs give the
+// same bits at GOMAXPROCS 1 and 8 (and, under -race, share it cleanly).
+func TestHoistedRoundStateBitIdentical(t *testing.T) {
+	for name, config := range map[string]func(*testing.T, uint64) Config{
+		"harvest-grid-cell": gridCellConfig,
+		"drop-dead-nodes":   brownoutConfig,
+	} {
+		digest := func(procs int) string {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			cfg := config(t, 85)
+			cfg.EvalEvery, cfg.EvalGlobalModel = 1, true
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resultDigest(res)
+		}
+		if serial, wide := digest(1), digest(8); serial != wide {
+			t.Errorf("%s: digest %s at GOMAXPROCS 1, %s at 8", name, serial, wide)
+		}
+	}
+}

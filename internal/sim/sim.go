@@ -407,21 +407,123 @@ func (nd *nodeState) accept(msg transport.Message, t int, adj []int, live []bool
 	return nil
 }
 
-// Run executes the experiment.
+// run is what the phase bodies of one Run share: the node slab and the
+// current round's view, which the loop writes between barriers and the
+// bodies only read. The bodies are methods, bound once before the loop, so
+// a round allocates no closure; each writes node-i state only.
+type run struct {
+	cfg      *Config
+	nodes    []nodeState
+	acct     *energy.Accountant
+	forecast [][]float64 // per-node forecast windows, reused every round
+
+	ctx core.RoundContext // Round and Kind are the current round's
+	// dead is the live mask on rounds where the topology actually loses
+	// edges — the transport silences them and weights is the matrix rebuilt
+	// over the live subgraph — and nil on all others (configured Weights).
+	dead    []bool
+	weights *graph.Weights
+}
+
+// down reports that node i is browned out on a round that drops dead nodes:
+// unpowered, it neither trains, sends nor receives and holds its model (W's
+// row is the identity) until it recharges past the cutoff.
+func (r *run) down(i int) bool { return r.dead != nil && !r.dead[i] }
+
+// train is phase 1: a participating node decides from its own RoundContext
+// — the shared start-of-round view (round, horizon, schedule, battery) plus
+// its private forecast window — so decisions are independent of worker
+// interleaving.
+func (r *run) train(i int) {
+	cfg, nd := r.cfg, &r.nodes[i]
+	if r.ctx.Kind != core.RoundTrain || r.down(i) {
+		return
+	}
+	ctx := r.ctx
+	if r.forecast != nil {
+		cfg.Forecast.Forecast(i, r.ctx.Round, r.forecast[i])
+		ctx.Forecast = r.forecast[i]
+	}
+	if !cfg.Algo.Policy.Participate(i, ctx, nd.policy) {
+		return
+	}
+	for e := 0; e < cfg.LocalSteps; e++ {
+		xs, ys := nd.batcher.Next(cfg.BatchSize)
+		nd.net.TrainBatch(xs, ys, cfg.LR)
+	}
+	nd.trained++
+	if cfg.Devices != nil {
+		r.acct.AddTraining(i, cfg.Devices[i].TrainRoundWh(cfg.Workload))
+	}
+}
+
+// share is phase 2: all sends complete before any receive (inboxes are
+// buffered beyond the per-round in-flight maximum, so sends never block and
+// the receive phase cannot deadlock). On drop rounds live nodes still
+// transmit to every neighbor — the radio cannot know a peer is down — with
+// the dead-node wrapper losing those messages. The model vector goes out in
+// place: the in-process transport hands the slice to every receiver, phase
+// 3 writes the sender's other vector, and this one is next written two
+// barriers on.
+func (r *run) share(i int) {
+	nd := &r.nodes[i]
+	if r.down(i) {
+		return
+	}
+	for _, j := range r.cfg.Graph.Adj[i] {
+		if err := nd.ep.Send(j, transport.Message{Round: r.ctx.Round, Kind: transport.KindModel, Vec: nd.net.Params()}); err != nil {
+			nd.err = err
+			return
+		}
+	}
+}
+
+// aggregate is phase 3: receive exactly one model per live neighbor, then
+// apply the W-row average (Algorithm 1, line 8) — the renormalized row on
+// drop rounds — own term first, then adjacency order, into the idle
+// gradient vector, which becomes the model.
+func (r *run) aggregate(i int) {
+	g, nd := r.cfg.Graph, &r.nodes[i]
+	if r.down(i) {
+		return
+	}
+	for k := g.LiveDegree(r.dead, i); k > 0; k-- {
+		msg, err := nd.ep.Recv()
+		if err == nil {
+			err = nd.accept(msg, r.ctx.Round, g.Adj[i], r.dead)
+		}
+		if err != nil {
+			nd.err = err
+			return
+		}
+	}
+	// One model per live neighbor, no two alike: every live slot is filled.
+	w, v := nd.mixW[:1], nd.mixV[:1]
+	w[0], v[0] = r.weights.Self[i], nd.net.Params()
+	for k, vec := range nd.slots {
+		if vec == nil {
+			continue // edge down this round: weight 0, no message
+		}
+		w, v = append(w, r.weights.Nbr[i][k]), append(v, vec)
+		nd.slots[k] = nil
+	}
+	nd.net.MixParams(w, v)
+}
+
+// Run executes the experiment. Everything a round needs is allocated before
+// the first one; see "Allocation discipline" in docs/ARCHITECTURE.md.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := cfg.Graph.N
+	g, n := cfg.Graph, cfg.Graph.N
 
 	net := cfg.Network
+	maxDeg, edges := 0, 0
+	for i := 0; i < n; i++ {
+		maxDeg, edges = max(maxDeg, g.Degree(i)), edges+g.Degree(i)
+	}
 	if net == nil {
-		maxDeg := 0
-		for i := 0; i < n; i++ {
-			if d := cfg.Graph.Degree(i); d > maxDeg {
-				maxDeg = d
-			}
-		}
 		var err error
 		net, err = transport.NewLocal(n, 2*maxDeg+4)
 		if err != nil {
@@ -433,12 +535,17 @@ func Run(cfg Config) (*Result, error) {
 	// radio silence is enforced at the transport no matter which network
 	// backs the run (channels or TCP).
 	var deadNet *transport.DeadNode
+	var liveWeights *graph.Weights // drop rounds renormalize into it
 	if cfg.DropDeadNodes {
-		deadNet = &transport.DeadNode{Inner: net}
+		deadNet, liveWeights = &transport.DeadNode{Inner: net}, graph.NewWeights(g)
 		net = deadNet
 	}
 
-	nodes := make([]*nodeState, n)
+	// Node state is a few slabs, not a heap object per field per node: one
+	// []nodeState, and all slots/mixV and all mixW as windows of two slices.
+	r := &run{cfg: &cfg, nodes: make([]nodeState, n), acct: energy.NewAccountant(n)}
+	nodes, acct := r.nodes, r.acct
+	vecs, ws := make([]tensor.Vector, 2*edges+n), make([]float64, edges+n)
 	var paramCount int
 	for i := 0; i < n; i++ {
 		model := cfg.ModelFactory(i, rng.Derive(cfg.Seed, uint64(i), 0x1417))
@@ -451,21 +558,24 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		nodes[i] = &nodeState{
+		d := g.Degree(i)
+		nodes[i] = nodeState{
 			id:      i,
 			net:     model,
 			batcher: dataset.NewBatcher(cfg.Partition[i], rng.Derive(cfg.Seed, uint64(i), 0xba7c4)),
 			policy:  rng.Derive(cfg.Seed, uint64(i), 0x90a1c),
 			ep:      ep,
-			slots:   make([]tensor.Vector, cfg.Graph.Degree(i)),
-			mixW:    make([]float64, 1+cfg.Graph.Degree(i)),
-			mixV:    make([]tensor.Vector, 1+cfg.Graph.Degree(i)),
+			slots:   vecs[:d:d],
+			mixV:    vecs[d : 2*d+1 : 2*d+1],
+			mixW:    ws[: d+1 : d+1],
 		}
+		nodes[i].batcher.Reserve(cfg.BatchSize)
+		vecs, ws = vecs[2*d+1:], ws[d+1:]
 	}
+	train, share, aggregate := r.train, r.share, r.aggregate
 
-	acct := energy.NewAccountant(n)
-	evaluator := newEvaluator(&cfg, paramCount)
-	result := &Result{TrainedRounds: make([]int, n)}
+	evaluator := newEvaluator(&cfg, nodes, paramCount)
+	result := &Result{TrainedRounds: make([]int, n), History: make([]RoundMetrics, 0, cfg.Rounds)}
 	cumHarvestWh := 0.0
 
 	// Every run carries its content-addressable identity; the probe (when
@@ -502,14 +612,20 @@ func Run(cfg Config) (*Result, error) {
 	var prevLive []bool
 
 	// Per-node forecast scratch: one window per node, reused every round,
-	// so the training fan-out allocates nothing. Each slice is written and
+	// so the training fan-out allocates nothing. Each window is written and
 	// read only by its own node's goroutine within a phase.
-	var forecastScratch [][]float64
-	if cfg.Forecast != nil {
-		forecastScratch = make([][]float64, n)
-		for i := range forecastScratch {
-			forecastScratch[i] = make([]float64, cfg.ForecastHorizon)
+	if h := cfg.ForecastHorizon; cfg.Forecast != nil {
+		r.forecast = make([][]float64, n)
+		for i, flat := 0, make([]float64, n*h); i < n; i++ {
+			r.forecast[i] = flat[i*h : (i+1)*h : (i+1)*h]
 		}
+	}
+	// Scratch for the live-set phase's component scan.
+	var seen []bool
+	var queue []int
+	haveLiveSource := cfg.Liveness != nil || cfg.Harvest != nil
+	if haveLiveSource {
+		seen, queue = make([]bool, n), make([]int, 0, n)
 	}
 
 	// Scratch for the checkpoint/rejoin phase: one snapshot buffer and the
@@ -526,13 +642,20 @@ func Run(cfg Config) (*Result, error) {
 	// of models it averages, refilled every round (see modelsOf).
 	var globalMean tensor.Vector
 	var allModels []tensor.Vector
+	var adoptMean func(i int)
 	if cfg.Algo.Aggregation == core.AggGlobal {
 		globalMean = tensor.NewVector(paramCount)
 		allModels = make([]tensor.Vector, n)
+		adoptMean = func(i int) { nodes[i].net.SetParams(globalMean) }
 	}
 
+	r.ctx = core.RoundContext{Horizon: cfg.Rounds, Schedule: cfg.Algo.Schedule}
+	if cfg.Harvest != nil {
+		r.ctx.Battery = cfg.Harvest
+	}
 	for t := 0; t < cfg.Rounds; t++ {
 		kind := cfg.Algo.Schedule.Kind(t)
+		r.ctx.Round, r.ctx.Kind = t, kind
 		m := RoundMetrics{Round: t, Kind: kind}
 		probe.RoundStart(t, kind.String())
 
@@ -541,7 +664,6 @@ func Run(cfg Config) (*Result, error) {
 		// independent of phase interleaving.
 		probe.PhaseStart(obs.PhaseLiveSet)
 		var live []bool
-		haveLiveSource := cfg.Liveness != nil || cfg.Harvest != nil
 		if cfg.Liveness != nil {
 			live = cfg.Liveness(t)
 			if live != nil && len(live) != n {
@@ -557,19 +679,17 @@ func Run(cfg Config) (*Result, error) {
 			if live != nil {
 				m.LiveCount = countTrue(live)
 			}
-			m.MeanLiveDegree = cfg.Graph.MeanLiveDegree(live)
-			m.LiveComponents = cfg.Graph.LiveComponents(live)
+			m.MeanLiveDegree = g.MeanLiveDegree(live)
+			m.LiveComponents = g.LiveComponentsScratch(live, seen, queue)
 		}
-		// dropRound marks rounds where the topology actually loses edges:
-		// the transport silences them and the mixing matrix is rebuilt over
-		// the live subgraph. All-live rounds keep the configured Weights.
-		dropRound := false
-		roundWeights := cfg.Weights
+		// A round drops dead nodes only when some node is in fact dead (see
+		// run.dead); all-live rounds keep the configured Weights.
+		r.dead, r.weights = nil, cfg.Weights
 		if cfg.DropDeadNodes {
 			deadNet.SetLive(live)
-			if live != nil && countTrue(live) < n {
-				dropRound = true
-				roundWeights = graph.RenormalizeLive(cfg.Graph, live)
+			if live != nil && m.LiveCount < n {
+				r.dead, r.weights = live, liveWeights
+				graph.RenormalizeLiveTo(liveWeights, g, live)
 			}
 		}
 		probe.PhaseEnd(t, obs.PhaseLiveSet)
@@ -674,42 +794,11 @@ func Run(cfg Config) (*Result, error) {
 			probe.PhaseEnd(t, obs.PhaseRejoin)
 		}
 
-		// Phase 1: local training. Every participating node decides from
-		// its own RoundContext: the shared start-of-round view (round,
-		// horizon, schedule, battery) plus its private forecast window, so
-		// decisions are independent of worker interleaving.
+		// Phase 1: local training (run.train).
 		probe.PhaseStart(obs.PhaseTrain)
-		roundCtx := core.RoundContext{Round: t, Horizon: cfg.Rounds, Kind: kind, Schedule: cfg.Algo.Schedule}
-		if cfg.Harvest != nil {
-			roundCtx.Battery = cfg.Harvest
-		}
-		parallelFor(n, func(i int) {
-			nd := nodes[i]
-			if dropRound && !live[i] {
-				// Browned out: the CPU is unpowered, so the node does not
-				// train; it holds state until it recharges past the cutoff.
-				return
-			}
-			if kind == core.RoundTrain {
-				ctx := roundCtx
-				if forecastScratch != nil {
-					cfg.Forecast.Forecast(i, t, forecastScratch[i])
-					ctx.Forecast = forecastScratch[i]
-				}
-				if cfg.Algo.Policy.Participate(i, ctx, nd.policy) {
-					for e := 0; e < cfg.LocalSteps; e++ {
-						xs, ys := nd.batcher.Next(cfg.BatchSize)
-						nd.net.TrainBatch(xs, ys, cfg.LR)
-					}
-					nd.trained++
-					if cfg.Devices != nil {
-						acct.AddTraining(i, t, cfg.Devices[i].TrainRoundWh(cfg.Workload))
-					}
-				}
-			}
-		})
+		parallelFor(n, train)
 		for i := range nodes {
-			m.TrainedCount += boolToInt(nodes[i].trained > result.TrainedRounds[i])
+			m.TrainedCount += nodes[i].trained - result.TrainedRounds[i] // 0 or 1
 			result.TrainedRounds[i] = nodes[i].trained
 		}
 		probe.PhaseEnd(t, obs.PhaseTrain)
@@ -721,72 +810,17 @@ func Run(cfg Config) (*Result, error) {
 			// half-step models, applied everywhere.
 			probe.PhaseStart(obs.PhaseAggregate)
 			tensor.MeanVectorTo(globalMean, modelsOf(allModels, nodes))
-			parallelFor(n, func(i int) { nodes[i].net.SetParams(globalMean) })
+			parallelFor(n, adoptMean)
 			probe.PhaseEnd(t, obs.PhaseAggregate)
 		default:
 			probe.PhaseStart(obs.PhaseShare)
-			// Phase 2: all sends complete before any receive (inboxes are
-			// buffered beyond the per-round in-flight maximum, so sends
-			// never block and the receive phase cannot deadlock). On drop
-			// rounds a dead node sends nothing, and live nodes still
-			// transmit to every neighbor — the radio cannot know a peer is
-			// down — with the dead-node wrapper losing those messages.
-			// The model vector goes out in place: the in-process transport
-			// hands the slice to every receiver, phase 3 writes the sender's
-			// other vector, and this one is next written two barriers on.
-			parallelFor(n, func(i int) {
-				nd := nodes[i]
-				if dropRound && !live[i] {
-					return
-				}
-				for _, j := range cfg.Graph.Adj[i] {
-					if err := nd.ep.Send(j, transport.Message{Round: t, Kind: transport.KindModel, Vec: nd.net.Params()}); err != nil {
-						nd.err = err
-						return
-					}
-				}
-			})
+			parallelFor(n, share)
 			if err := firstError(nodes); err != nil {
 				return nil, err
 			}
 			probe.PhaseEnd(t, obs.PhaseShare)
 			probe.PhaseStart(obs.PhaseAggregate)
-			// Phase 3: receive exactly one model per live neighbor, then
-			// apply the W-row average (Algorithm 1, line 8) — the
-			// renormalized row on drop rounds — own term first, then adjacency
-			// order, into the idle gradient vector, which becomes the model.
-			// Dead nodes receive nothing and hold theirs (W's row is the identity).
-			var liveMask []bool
-			if dropRound {
-				liveMask = live
-			}
-			parallelFor(n, func(i int) {
-				nd := nodes[i]
-				if dropRound && !live[i] {
-					return
-				}
-				for k := cfg.Graph.LiveDegree(liveMask, i); k > 0; k-- {
-					msg, err := nd.ep.Recv()
-					if err == nil {
-						err = nd.accept(msg, t, cfg.Graph.Adj[i], liveMask)
-					}
-					if err != nil {
-						nd.err = err
-						return
-					}
-				}
-				// One model per live neighbor, no two alike: every live slot is filled.
-				w, v := nd.mixW[:1], nd.mixV[:1]
-				w[0], v[0] = roundWeights.Self[i], nd.net.Params()
-				for k, vec := range nd.slots {
-					if vec == nil {
-						continue // edge down this round: weight 0, no message
-					}
-					w, v = append(w, roundWeights.Nbr[i][k]), append(v, vec)
-					nd.slots[k] = nil
-				}
-				nd.net.MixParams(w, v)
-			})
+			parallelFor(n, aggregate)
 			if err := firstError(nodes); err != nil {
 				return nil, err
 			}
@@ -794,7 +828,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if cfg.Devices != nil {
 			for i := 0; i < n; i++ {
-				if dropRound && !live[i] {
+				if r.down(i) {
 					continue // radio off: no sharing, no comm energy
 				}
 				acct.AddCommunication(i, cfg.Devices[i].TrainRoundWh(cfg.Workload)*energy.CommShareOfTraining)
@@ -813,13 +847,7 @@ func Run(cfg Config) (*Result, error) {
 			// mirrors it so energy reports pair harvested with consumed.
 			// On drop rounds dead nodes owe idle draw only — their radio
 			// never powered up.
-			var roundHarvest []float64
-			if dropRound {
-				roundHarvest = cfg.Harvest.EndRoundLive(t, live)
-			} else {
-				roundHarvest = cfg.Harvest.EndRound(t)
-			}
-			for i, wh := range roundHarvest {
+			for i, wh := range cfg.Harvest.EndRoundLive(t, r.dead) {
 				acct.AddHarvest(i, wh)
 				cumHarvestWh += wh
 			}
@@ -847,10 +875,9 @@ func Run(cfg Config) (*Result, error) {
 		// Phase 4: evaluation.
 		if shouldEval(t, cfg.Rounds, cfg.EvalEvery) {
 			probe.PhaseStart(obs.PhaseEval)
-			nodeAccs := evaluator.evaluate(nodes, t, &m)
+			result.FinalNodeAccs = evaluator.evaluate(&m)
 			m.Evaluated = true
 			result.FinalMeanAcc, result.FinalStdAcc, result.FinalGlobalAcc = m.MeanAcc, m.StdAcc, m.GlobalAcc
-			result.FinalNodeAccs = nodeAccs
 			probe.PhaseEnd(t, obs.PhaseEval)
 			probe.Eval(t, m.MeanAcc, m.StdAcc)
 		}
@@ -962,10 +989,10 @@ func shouldEval(t, rounds, every int) bool {
 	return (t+1)%every == 0
 }
 
-func firstError(nodes []*nodeState) error {
-	for _, nd := range nodes {
-		if nd.err != nil {
-			return nd.err
+func firstError(nodes []nodeState) error {
+	for i := range nodes {
+		if nodes[i].err != nil {
+			return nodes[i].err
 		}
 	}
 	return nil
@@ -981,13 +1008,6 @@ func countTrue(bs []bool) int {
 	return n
 }
 
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // parallelFor runs fn(0..n-1) across GOMAXPROCS workers and waits
 // (internal/par); every phase body writes node-i state only.
 func parallelFor(n int, fn func(i int)) {
@@ -998,6 +1018,7 @@ func parallelFor(n int, fn func(i int)) {
 // the global average model, and the buffers every evaluation reuses.
 type evaluator struct {
 	cfg       *Config
+	nodes     []nodeState
 	globalNet *nn.Network
 	globalVec tensor.Vector
 	evalRNG   *rng.RNG
@@ -1006,19 +1027,21 @@ type evaluator struct {
 	models []tensor.Vector // scratch for modelsOf
 	xs     []tensor.Vector // the evaluation samples: the whole test set,
 	ys     []int           // or a subsample redrawn per evaluation
-	redraw bool
+	perm   []int           // the redraw's permutation of the test set; nil = no redraw
+	score  func(i int)     // scoreNode, bound once
 }
 
 // modelsOf fills dst afresh at each use: MixParams re-points every Params.
-func modelsOf(dst []tensor.Vector, nodes []*nodeState) []tensor.Vector {
-	for i, nd := range nodes {
-		dst[i] = nd.net.Params()
+func modelsOf(dst []tensor.Vector, nodes []nodeState) []tensor.Vector {
+	for i := range nodes {
+		dst[i] = nodes[i].net.Params()
 	}
 	return dst
 }
 
-func newEvaluator(cfg *Config, paramCount int) *evaluator {
-	ev := &evaluator{cfg: cfg, evalRNG: rng.Derive(cfg.Seed, 0xe7a1), accs: make([]float64, cfg.Graph.N)}
+func newEvaluator(cfg *Config, nodes []nodeState, paramCount int) *evaluator {
+	ev := &evaluator{cfg: cfg, nodes: nodes, evalRNG: rng.Derive(cfg.Seed, 0xe7a1), accs: make([]float64, cfg.Graph.N)}
+	ev.score = ev.scoreNode
 	if cfg.EvalGlobalModel || cfg.TrackConsensus {
 		ev.globalVec = tensor.NewVector(paramCount)
 		ev.models = make([]tensor.Vector, cfg.Graph.N)
@@ -1027,40 +1050,35 @@ func newEvaluator(cfg *Config, paramCount int) *evaluator {
 		ev.globalNet = cfg.ModelFactory(-1, rng.Derive(cfg.Seed, 0xe7a1, 1))
 	}
 	if k := cfg.EvalSubsample; k > 0 && k < cfg.Test.Len() {
-		ev.xs, ev.ys, ev.redraw = make([]tensor.Vector, k), make([]int, k), true
+		ev.xs, ev.ys, ev.perm = make([]tensor.Vector, k), make([]int, k), make([]int, cfg.Test.Len())
 	} else {
 		ev.xs, ev.ys = cfg.Test.Inputs(), cfg.Test.Labels()
 	}
 	return ev
 }
 
-// subset picks the evaluation samples for this round: the full test set, or
-// a deterministic subsample shared by all nodes.
-func (ev *evaluator) subset() ([]tensor.Vector, []int) {
-	if ev.redraw {
-		test := ev.cfg.Test
-		for i, j := range ev.evalRNG.Perm(test.Len())[:len(ev.xs)] {
-			ev.xs[i] = test.Samples[j].X
-			ev.ys[i] = test.Samples[j].Y
+func (ev *evaluator) scoreNode(i int) { ev.accs[i] = ev.nodes[i].net.Accuracy(ev.xs, ev.ys) }
+
+// evaluate scores every node on this round's samples: the full test set, or
+// a deterministic subsample shared by all nodes, redrawn with rng.Perm's
+// draws into the evaluator's own buffers.
+func (ev *evaluator) evaluate(m *RoundMetrics) []float64 {
+	if ev.perm != nil {
+		ev.evalRNG.PermTo(ev.perm)
+		for i, j := range ev.perm[:len(ev.xs)] {
+			ev.xs[i], ev.ys[i] = ev.cfg.Test.Samples[j].X, ev.cfg.Test.Samples[j].Y
 		}
 	}
-	return ev.xs, ev.ys
-}
-
-func (ev *evaluator) evaluate(nodes []*nodeState, round int, m *RoundMetrics) []float64 {
-	xs, ys := ev.subset()
-	parallelFor(len(nodes), func(i int) {
-		ev.accs[i] = nodes[i].net.Accuracy(xs, ys)
-	})
+	parallelFor(len(ev.nodes), ev.score)
 	m.MeanAcc, m.StdAcc = metrics.MeanStd(ev.accs)
 	if ev.globalVec != nil {
-		tensor.MeanVectorTo(ev.globalVec, modelsOf(ev.models, nodes))
+		tensor.MeanVectorTo(ev.globalVec, modelsOf(ev.models, ev.nodes))
 		if ev.cfg.TrackConsensus {
 			m.Consensus = metrics.ConsensusDistance(ev.models)
 		}
 		if ev.globalNet != nil {
 			ev.globalNet.SetParams(ev.globalVec)
-			m.GlobalAcc = ev.globalNet.Accuracy(xs, ys)
+			m.GlobalAcc = ev.globalNet.Accuracy(ev.xs, ev.ys)
 		}
 	}
 	return ev.accs

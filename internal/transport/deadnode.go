@@ -6,18 +6,20 @@ import "sync"
 // wrappers: a per-round liveness mask plus a counter of messages lost on
 // dead edges. Callers hold their own lock around every method.
 type liveGate struct {
-	live    []bool
+	live    []bool // nil, or buf
+	buf     []bool // the gate's copy of the last mask, kept across nil rounds
 	dropped int
 }
 
-// set installs the live set, copying the mask so the caller may reuse its
-// slice. A nil mask marks every node live.
+// set installs the live set, copying the mask into the gate's own buffer so
+// the caller may reuse its slice. A nil mask marks every node live.
 func (g *liveGate) set(live []bool) {
 	if live == nil {
 		g.live = nil
 		return
 	}
-	g.live = append(g.live[:0:0], live...)
+	g.buf = append(g.buf[:0], live...)
+	g.live = g.buf
 }
 
 // edgeDown reports whether the (from, to) edge is incident to a dead node,

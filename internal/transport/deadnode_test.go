@@ -103,3 +103,25 @@ func TestFlakyRespectsLiveSet(t *testing.T) {
 		t.Fatalf("live edge skipped injection: %v", err)
 	}
 }
+
+// SetLive copies the mask into the gate's own buffer: the caller may reuse
+// its slice at once, and installing a mask allocates only the first time,
+// all-live (nil) rounds in between included.
+func TestSetLiveCopiesIntoItsOwnBuffer(t *testing.T) {
+	inner, _ := NewLocal(2, 4)
+	dn := &DeadNode{Inner: inner}
+	defer dn.Close()
+	mask := []bool{true, false}
+	dn.SetLive(mask)
+	mask[1] = true // the caller's slice, reused: the gate must not see it
+	e0, _ := dn.Endpoint(0)
+	if err := e0.Send(1, Message{Kind: KindControl}); err != nil {
+		t.Fatal(err)
+	}
+	if dn.Dropped() != 1 {
+		t.Fatalf("Dropped = %d, want 1: the gate read the caller's slice", dn.Dropped())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { dn.SetLive(nil); dn.SetLive(mask) }); allocs != 0 {
+		t.Fatalf("SetLive allocates %v times per round, want 0", allocs)
+	}
+}

@@ -87,7 +87,7 @@ type Local struct {
 // NewLocal creates a channel network for n nodes with the given per-node
 // inbox capacity. Capacity must exceed the maximum number of in-flight
 // messages per node (for round-synchronous exchange: 2x the node degree is
-// safe; the default engine uses 4x).
+// safe; the default engine uses 2*maxDeg+4).
 func NewLocal(n, capacity int) (*Local, error) {
 	if n < 1 || capacity < 1 {
 		return nil, fmt.Errorf("transport: invalid local network n=%d capacity=%d", n, capacity)

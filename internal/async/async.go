@@ -117,11 +117,11 @@ func (c *Config) validate() error {
 	switch {
 	case c.Graph == nil:
 		return fmt.Errorf("async: nil graph")
-	case c.Horizon <= 0:
-		return fmt.Errorf("async: non-positive horizon %v", c.Horizon)
+	case !(c.Horizon > 0 && c.Horizon < math.Inf(1)):
+		return fmt.Errorf("async: horizon %v is not positive and finite", c.Horizon)
 	case c.ModelFactory == nil:
 		return fmt.Errorf("async: nil model factory")
-	case c.LR <= 0 || c.BatchSize < 1 || c.LocalSteps < 1:
+	case !(c.LR > 0 && c.LR < math.Inf(1)) || c.BatchSize < 1 || c.LocalSteps < 1:
 		return fmt.Errorf("async: bad hyperparameters")
 	case len(c.Partition) != c.Graph.N:
 		return fmt.Errorf("async: partition for %d nodes, graph has %d", len(c.Partition), c.Graph.N)
@@ -131,8 +131,10 @@ func (c *Config) validate() error {
 		return fmt.Errorf("async: %d devices for %d nodes", len(c.Devices), c.Graph.N)
 	case c.Algo.Schedule == nil || c.Algo.Policy == nil:
 		return fmt.Errorf("async: incomplete algorithm")
-	case c.RoundSeconds < 0:
-		return fmt.Errorf("async: negative round duration %v", c.RoundSeconds)
+	case !(c.RoundSeconds >= 0 && c.RoundSeconds < math.Inf(1)):
+		return fmt.Errorf("async: round duration %v is not finite and non-negative", c.RoundSeconds)
+	case !(c.EvalEverySeconds >= 0):
+		return fmt.Errorf("async: evaluation period %v is negative or NaN", c.EvalEverySeconds)
 	}
 	// Battery- and forecast-aware policies need the state they decide
 	// from; with a trace attached they run natively on the virtual-time
@@ -337,15 +339,17 @@ func Run(cfg Config) (*Result, error) {
 		cfg.SyncSpeedup = 10
 	}
 	n := cfg.Graph.N
-	nodes := make([]*asyncNode, n)
+	nodes, models := make([]*asyncNode, n), make([]tensor.Vector, n)
 	var paramCount int
+	var grads tensor.Vector // the event loop is serial: one gradient vector serves every node
 	for i := 0; i < n; i++ {
 		model := cfg.ModelFactory(i, rng.Derive(cfg.Seed, uint64(i), 0xa51c))
 		if i == 0 {
-			paramCount = model.ParamCount()
+			paramCount, grads = model.ParamCount(), tensor.NewVector(model.ParamCount())
 		} else if model.ParamCount() != paramCount {
 			return nil, fmt.Errorf("async: heterogeneous model sizes")
 		}
+		model.LendGrads(grads)
 		nodes[i] = &asyncNode{
 			id:      i,
 			net:     model,
@@ -355,6 +359,7 @@ func Run(cfg Config) (*Result, error) {
 			params:  tensor.NewVector(paramCount),
 		}
 		nodes[i].net.CopyParamsTo(nodes[i].params)
+		models[i] = nodes[i].params
 	}
 
 	// Per-node step durations and the step-count horizon threaded into
@@ -431,15 +436,24 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
+	// The evaluation samples are the whole test set, or a subsample redrawn
+	// per evaluation, with rng.Perm's draws, into buffers built once.
 	trainWh := 0.0
 	evalRNG := rng.Derive(cfg.Seed, 0xe7a1)
+	accs, xs, ys := make([]float64, n), cfg.Test.Inputs(), cfg.Test.Labels()
+	var perm []int
+	if k := cfg.EvalSubsample; k > 0 && k < cfg.Test.Len() {
+		xs, ys, perm = xs[:k], ys[:k], make([]int, cfg.Test.Len())
+	}
 	evaluate := func(t float64) {
-		xs, ys := evalSubset(cfg, evalRNG)
-		accs := make([]float64, n)
-		models := make([]tensor.Vector, n)
+		if perm != nil {
+			evalRNG.PermTo(perm)
+			for i, j := range perm[:len(xs)] {
+				xs[i], ys[i] = cfg.Test.Samples[j].X, cfg.Test.Samples[j].Y
+			}
+		}
 		for i, nd := range nodes {
 			accs[i] = nd.net.Accuracy(xs, ys)
-			models[i] = nd.params
 		}
 		mean, std := metrics.MeanStd(accs)
 		steps := 0
@@ -734,19 +748,4 @@ func buildManifest(cfg *Config, paramCount int, roundSec float64) obs.RunManifes
 		}
 	}
 	return b.Build()
-}
-
-func evalSubset(cfg Config, r *rng.RNG) ([]tensor.Vector, []int) {
-	test := cfg.Test
-	if cfg.EvalSubsample <= 0 || cfg.EvalSubsample >= test.Len() {
-		return test.Inputs(), test.Labels()
-	}
-	idx := r.Perm(test.Len())[:cfg.EvalSubsample]
-	xs := make([]tensor.Vector, len(idx))
-	ys := make([]int, len(idx))
-	for i, j := range idx {
-		xs[i] = test.Samples[j].X
-		ys[i] = test.Samples[j].Y
-	}
-	return xs, ys
 }

@@ -203,6 +203,35 @@ func TestAsyncStepsCap(t *testing.T) {
 	}
 }
 
+// Every float range is written as the condition a valid value satisfies, so
+// NaN and the infinities fail it: a NaN learning rate used to pass "LR <= 0"
+// and run to a 10% final accuracy. An infinite horizon would never finish,
+// so it comes after the cases that stop a parent of this test at once.
+func TestAsyncNonFiniteFloatsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"lr NaN", func(c *Config) { c.LR = nan }},
+		{"lr +Inf", func(c *Config) { c.LR = inf }},
+		{"lr -Inf", func(c *Config) { c.LR = -inf }},
+		{"eval period NaN", func(c *Config) { c.EvalEverySeconds = nan }},
+		{"eval period negative", func(c *Config) { c.EvalEverySeconds = -1 }},
+		{"round seconds NaN", func(c *Config) { c.RoundSeconds = nan }},
+		{"round seconds +Inf", func(c *Config) { c.RoundSeconds = inf }},
+		{"horizon NaN", func(c *Config) { c.Horizon = nan }},
+		{"horizon -Inf", func(c *Config) { c.Horizon = -inf }},
+		{"horizon +Inf", func(c *Config) { c.Horizon = inf }},
+	} {
+		cfg := testConfig(t, 8)
+		tc.mutate(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Fatalf("%s: want validation error", tc.name)
+		}
+	}
+}
+
 func TestAsyncValidation(t *testing.T) {
 	mutations := map[string]func(*Config){
 		"nil graph":  func(c *Config) { c.Graph = nil },

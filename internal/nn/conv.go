@@ -47,7 +47,6 @@ func NewConv2D(inC, inH, inW, outC, kH, kW, pad int, r *rng.RNG) *Conv2D {
 func (l *Conv2D) InSize() int   { return l.inC * l.inH * l.inW }
 func (l *Conv2D) OutSize() int  { return l.outC * l.outH * l.outW }
 func (l *Conv2D) noLayerBelow() { l.first = true }
-func (l *Conv2D) swapBuffers()  { l.K, l.gK, l.B, l.gB = l.gK, l.K, l.gB, l.B }
 
 // OutShape returns the output (channels, height, width).
 func (l *Conv2D) OutShape() (c, h, w int) { return l.outC, l.outH, l.outW }
@@ -133,10 +132,11 @@ func (l *Conv2D) Backward(dOut tensor.Vector) tensor.Vector {
 
 func (l *Conv2D) ParamSize() int { return l.outC*l.inC*l.kH*l.kW + l.outC }
 
-func (l *Conv2D) Bind(params, grads tensor.Vector) {
+func (l *Conv2D) bindGrads(grads tensor.Vector) { l.gK, l.gB = grads[:len(l.K)], grads[len(l.K):] }
+
+func (l *Conv2D) Bind(params tensor.Vector) {
 	nk := len(params) - l.outC
 	l.K, l.B = params[:nk], params[nk:]
-	l.gK, l.gB = grads[:nk], grads[nk:]
 	heInit(l.K, l.inC*l.kH*l.kW, l.r)
 	if !l.first {
 		l.dIn = tensor.NewVector(l.InSize())

@@ -15,7 +15,7 @@ type Dense struct {
 	W        tensor.Matrix // out x in; a header over the network's vector, held by value
 	B        tensor.Vector // nil when bias is disabled
 	gW       tensor.Matrix
-	gB       tensor.Vector
+	gB       tensor.Vector // empty when bias is disabled
 
 	lastIn tensor.Vector // the caller's slice, held from Forward to Backward
 	outBuf tensor.Vector
@@ -32,7 +32,6 @@ func NewDense(in, out int, withBias bool, r *rng.RNG) *Dense {
 func (l *Dense) InSize() int   { return l.in }
 func (l *Dense) OutSize() int  { return l.out }
 func (l *Dense) noLayerBelow() { l.first = true }
-func (l *Dense) swapBuffers()  { l.W, l.gW, l.B, l.gB = l.gW, l.W, l.gB, l.B }
 
 func (l *Dense) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("Dense", len(in), l.in)
@@ -49,7 +48,7 @@ func (l *Dense) Forward(in tensor.Vector) tensor.Vector {
 func (l *Dense) Backward(dOut tensor.Vector) tensor.Vector {
 	checkSize("Dense", len(dOut), l.out)
 	tensor.OuterAcc(&l.gW, dOut, l.lastIn)
-	if l.gB != nil {
+	if l.B != nil {
 		tensor.AXPY(l.gB, 1, dOut)
 	}
 	if l.first {
@@ -66,17 +65,21 @@ func (l *Dense) ParamSize() int {
 	return l.out * l.in
 }
 
-func (l *Dense) Bind(params, grads tensor.Vector) {
+func (l *Dense) Bind(params tensor.Vector) {
 	nw := l.out * l.in
 	l.W = tensor.Matrix{Rows: l.out, Cols: l.in, Data: params[:nw]}
-	l.gW = tensor.Matrix{Rows: l.out, Cols: l.in, Data: grads[:nw]}
 	heInit(l.W.Data, l.in, l.r)
 	if l.withBias {
-		l.B, l.gB = params[nw:], grads[nw:]
+		l.B = params[nw:]
 	}
 	if !l.first {
 		l.dIn = tensor.NewVector(l.in)
 	}
+}
+
+func (l *Dense) bindGrads(grads tensor.Vector) {
+	nw := l.out * l.in
+	l.gW, l.gB = tensor.Matrix{Rows: l.out, Cols: l.in, Data: grads[:nw]}, grads[nw:]
 }
 
 // heInit fills w with He-normal weights: N(0, 2/fanIn).

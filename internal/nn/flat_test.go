@@ -164,88 +164,185 @@ func sameBits(a, b tensor.Vector) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// TestMixParamsSwapsBuffers pins what MixParams does to the two flat
-// vectors: the W-weighted sum lands in the gradient vector, which becomes
-// the model — in the network and in every layer's windows — with no copy
-// and no allocation, while every operand, the old model included, stays
-// as a neighbor would still be reading it. Checked after one exchange and
-// after two, when the vectors are back where New put them.
-func TestMixParamsSwapsBuffers(t *testing.T) {
-	for name, build := range map[string]func(seed uint64) *Network{
-		"logreg":   func(s uint64) *Network { return LogisticRegression(32, 10, rng.New(s)) },
-		"mlp":      func(s uint64) *Network { return MLP(32, []int{64}, 10, rng.New(s)) },
-		"smallcnn": func(s uint64) *Network { return SmallCNN(2, 4, 4, 10, rng.New(s)) },
-		"conv-gn": func(s uint64) *Network {
-			r := rng.New(s)
-			return New(NewConv2D(2, 4, 4, 4, 3, 3, 1, r), NewGroupNorm(4, 4, 4, 2), NewReLU(4*4*4), NewDense(4*4*4, 10, true, r))
-		},
-	} {
+// testNets are the architectures the mix and lending tests run on: every
+// parameterised layer kind, with and without a layer below it.
+var testNets = map[string]func(seed uint64) *Network{
+	"logreg":   func(s uint64) *Network { return LogisticRegression(32, 10, rng.New(s)) },
+	"mlp":      func(s uint64) *Network { return MLP(32, []int{64}, 10, rng.New(s)) },
+	"smallcnn": func(s uint64) *Network { return SmallCNN(2, 4, 4, 10, rng.New(s)) },
+	"conv-gn": func(s uint64) *Network {
+		r := rng.New(s)
+		return New(NewConv2D(2, 4, 4, 4, 3, 3, 1, r), NewGroupNorm(4, 4, 4, 2), NewReLU(4*4*4), NewDense(4*4*4, 10, true, r))
+	},
+}
+
+// mixAll is Mix over the whole parameter range with scratch of its own.
+func mixAll(rows []MixRow) {
+	p := rows[0].Net.ParamCount()
+	Mix(rows, 0, p, tensor.NewVector(len(rows)*min(MixBlock, p)), make([]tensor.Vector, 8))
+}
+
+// TestMixInPlace pins what Mix does to the one model vector: the W-weighted
+// sum, as ScaleTo then one AXPY per operand gives it, lands in Params itself
+// — the same slice before and after, every layer's block still its window —
+// with no allocation, while operands that are not being mixed stay as they
+// were. Two networks that are each other's operands both get the sum of the
+// models from before the mix, whichever sub-range a call covers.
+func TestMixInPlace(t *testing.T) {
+	for name, build := range testNets {
 		t.Run(name, func(t *testing.T) {
 			net, fresh := build(7), build(1)
-			stepOnce(net) // every block off its initial value, gradients non-zero
+			stepOnce(net) // every block off its initial value
 			xs, ys := toyBatch(rng.New(5), 32, 10, 6)
 			weights := []float64{0.5, 0.3, 0.2}
-			vecs := []tensor.Vector{nil, build(8).Params(), build(9).Params()}
-			for swaps := 1; swaps <= 2; swaps++ {
-				old := net.Params()
-				before := old.Clone()
-				want := tensor.NewVector(len(old))
-				tensor.ScaleTo(want, weights[0], old)
-				tensor.AXPY(want, weights[1], vecs[1])
-				tensor.AXPY(want, weights[2], vecs[2])
-				vecs[0] = old
-				net.MixParams(weights, vecs)
+			model := net.Params()
+			others := []tensor.Vector{build(8).Params(), build(9).Params()}
+			rows := []MixRow{{net, weights, []tensor.Vector{model, others[0], others[1]}}}
+			kept := []tensor.Vector{others[0].Clone(), others[1].Clone()}
+			for mixes := 1; mixes <= 2; mixes++ {
+				want := tensor.NewVector(len(model))
+				tensor.ScaleTo(want, weights[0], model)
+				tensor.AXPY(want, weights[1], others[0])
+				tensor.AXPY(want, weights[2], others[1])
+				mixAll(rows)
 
 				got := net.Params()
-				if &got[0] == &old[0] || !sameBits(old, before) {
-					t.Fatalf("swap %d: the old model vector was written, or is still the model", swaps)
+				if &got[0] != &model[0] || len(got) != len(model) {
+					t.Fatalf("mix %d: Params names another slice", mixes)
 				}
 				if !sameBits(got, want) {
-					t.Fatalf("swap %d: Params is not the ScaleTo+AXPY sum", swaps)
+					t.Fatalf("mix %d: Params is not the ScaleTo+AXPY sum", mixes)
+				}
+				if !sameBits(others[0], kept[0]) || !sameBits(others[1], kept[1]) {
+					t.Fatalf("mix %d: an operand that is no network's model was written", mixes)
 				}
 				off := 0
 				for k, b := range blocks(net) {
 					if &b[0] != &got[off] {
-						t.Fatalf("swap %d: block %d is not the window of Params at %d", swaps, k, off)
+						t.Fatalf("mix %d: block %d is not the window of Params at %d", mixes, k, off)
 					}
 					off += len(b)
 				}
 				if off != len(got) {
-					t.Fatalf("swap %d: blocks cover %d of %d parameters", swaps, off, len(got))
+					t.Fatalf("mix %d: blocks cover %d of %d parameters", mixes, off, len(got))
 				}
 				fresh.SetParams(want)
 				if !sameBits(net.Forward(xs[0]), fresh.Forward(xs[0])) || net.Accuracy(xs, ys) != fresh.Accuracy(xs, ys) {
-					t.Fatalf("swap %d: Forward does not run on the mixed model", swaps)
+					t.Fatalf("mix %d: Forward does not run on the mixed model", mixes)
 				}
-				// fresh's gradient vector has never held anything but gradients;
-				// net's holds the previous model until the train step zeroes it.
 				net.TrainBatch(xs, ys, 0.05)
 				fresh.TrainBatch(xs, ys, 0.05)
 				if !sameBits(net.Params(), fresh.Params()) {
-					t.Fatalf("swap %d: a train step after the mix differs from one on a fresh network", swaps)
+					t.Fatalf("mix %d: a train step after the mix differs from one on a fresh network", mixes)
 				}
 			}
 
-			if allocs := testing.AllocsPerRun(20, func() {
-				vecs[0] = net.Params()
-				net.MixParams(weights, vecs)
-			}); allocs != 0 {
-				t.Errorf("MixParams allocates %v objects per call", allocs)
+			sums, ops := tensor.NewVector(min(MixBlock, len(model))), make([]tensor.Vector, 3)
+			if allocs := testing.AllocsPerRun(20, func() { Mix(rows, 0, len(model), sums, ops) }); allocs != 0 {
+				t.Errorf("Mix allocates %v objects per call", allocs)
 			}
 
-			model, params, grads := net.Params(), net.Params().Clone(), net.grads.Clone()
-			vecs[0], vecs[2] = model, vecs[2][1:]
+			before := model.Clone()
+			rows[0].V[2] = others[1][1:]
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Error("MixParams accepted an operand of the wrong length")
+						t.Error("Mix accepted an operand of the wrong length")
 					}
 				}()
-				net.MixParams(weights, vecs)
+				mixAll(rows)
 			}()
-			if &net.Params()[0] != &model[0] || !sameBits(model, params) || !sameBits(net.grads, grads) {
-				t.Error("a rejected MixParams wrote a vector or exchanged them")
+			if !sameBits(model, before) {
+				t.Error("a rejected Mix wrote the model")
 			}
+
+			// Each the other's operand, a third network holding its model
+			// (no operands), over the whole range and over two ragged halves.
+			for _, cuts := range [][]int{{0, len(model)}, {0, len(model) / 3, len(model)}} {
+				a, b, c := build(11), build(12), build(13)
+				pa, pb, pc := a.Params().Clone(), b.Params().Clone(), c.Params().Clone()
+				three := []MixRow{
+					{a, []float64{0.6, 0.4}, []tensor.Vector{a.Params(), b.Params()}},
+					{b, []float64{0.7, 0.3}, []tensor.Vector{b.Params(), a.Params()}},
+					{Net: c},
+				}
+				for k := 1; k < len(cuts); k++ {
+					Mix(three, cuts[k-1], cuts[k], tensor.NewVector(3*MixBlock), make([]tensor.Vector, 2))
+				}
+				wantA, wantB := tensor.NewVector(len(pa)), tensor.NewVector(len(pa))
+				tensor.WeightedSumTo(wantA, three[0].W, []tensor.Vector{pa, pb})
+				tensor.WeightedSumTo(wantB, three[1].W, []tensor.Vector{pb, pa})
+				if !sameBits(a.Params(), wantA) || !sameBits(b.Params(), wantB) || !sameBits(c.Params(), pc) {
+					t.Errorf("cuts %v: two networks mixing each other's models did not both read the models from before the mix", cuts)
+				}
+			}
+		})
+	}
+}
+
+// trainSteps runs three plain and three Nesterov-momentum steps and returns
+// the momentum steps' losses.
+func trainSteps(net *Network, opt Optimizer, xs []tensor.Vector, ys []int) (losses [3]float64) {
+	for k := range losses {
+		net.TrainBatch(xs, ys, 0.05)
+		losses[k] = net.TrainBatchWith(opt, xs, ys)
+	}
+	return losses
+}
+
+// TestLentGradsMatchOwned: New allocates no gradient vector; a network
+// trains into one it was lent, or into its own from the first accumulation
+// on, to the same bits under both update rules; two networks taking turns
+// on one lent vector match two that each own theirs; lending allocates
+// nothing; and an optimizer step before any accumulation says so.
+func TestLentGradsMatchOwned(t *testing.T) {
+	for name, build := range testNets {
+		t.Run(name, func(t *testing.T) {
+			xs, ys := toyBatch(rng.New(5), 32, 10, 6)
+			momentum := func() Optimizer { return NewMomentumSGD(0.05, 0.9, true) }
+			ownA, ownB, lentA, lentB := build(7), build(8), build(7), build(8)
+			if ownA.grads != nil {
+				t.Fatal("New allocated a gradient vector")
+			}
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); msg != "nn: SGD step on a network that has accumulated no gradients" {
+						t.Errorf("SGD.Step before any accumulation: recovered %q", msg)
+					}
+				}()
+				NewSGD(0.05).Step(ownA, 1)
+			}()
+
+			g := tensor.NewVector(ownA.ParamCount())
+			lentA.LendGrads(g)
+			if trainSteps(ownA, momentum(), xs, ys) != trainSteps(lentA, momentum(), xs, ys) || !sameBits(ownA.Params(), lentA.Params()) {
+				t.Fatal("training into a lent gradient vector differs from training into an owned one")
+			}
+			if len(ownA.grads) != ownA.ParamCount() || &lentA.grads[0] != &g[0] {
+				t.Fatal("the owning network has no gradient vector of its own, or the lent one is not in use")
+			}
+
+			optOwnA, optOwnB, optLentA, optLentB := momentum(), momentum(), momentum(), momentum()
+			for turn := 0; turn < 3; turn++ {
+				lentA.LendGrads(g)
+				la, oa := trainSteps(lentA, optLentA, xs, ys), trainSteps(ownA, optOwnA, xs, ys)
+				lentB.LendGrads(g)
+				lb, ob := trainSteps(lentB, optLentB, xs, ys), trainSteps(ownB, optOwnB, xs, ys)
+				if la != oa || lb != ob || !sameBits(lentA.Params(), ownA.Params()) || !sameBits(lentB.Params(), ownB.Params()) {
+					t.Fatalf("turn %d: two networks sharing one lent vector differ from two owning theirs", turn)
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, func() { lentA.LendGrads(g) }); allocs != 0 {
+				t.Errorf("LendGrads allocates %v objects per call", allocs)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("LendGrads accepted a vector of the wrong length")
+					}
+				}()
+				lentA.LendGrads(g[1:])
+			}()
 		})
 	}
 }

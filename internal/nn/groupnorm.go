@@ -47,9 +47,6 @@ func NewGroupNorm(c, h, w, groups int) *GroupNorm {
 
 func (l *GroupNorm) InSize() int  { return l.c * l.h * l.w }
 func (l *GroupNorm) OutSize() int { return l.c * l.h * l.w }
-func (l *GroupNorm) swapBuffers() {
-	l.gamma, l.gGamma, l.beta, l.gBeta = l.gGamma, l.gamma, l.gBeta, l.beta
-}
 
 func (l *GroupNorm) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("GroupNorm", len(in), l.InSize())
@@ -122,8 +119,9 @@ func (l *GroupNorm) Backward(dOut tensor.Vector) tensor.Vector {
 
 func (l *GroupNorm) ParamSize() int { return 2 * l.c }
 
-func (l *GroupNorm) Bind(params, grads tensor.Vector) {
+func (l *GroupNorm) Bind(params tensor.Vector) {
 	l.gamma, l.beta = params[:l.c], params[l.c:]
-	l.gGamma, l.gBeta = grads[:l.c], grads[l.c:]
 	l.gamma.Fill(1)
 }
+
+func (l *GroupNorm) bindGrads(grads tensor.Vector) { l.gGamma, l.gBeta = grads[:l.c], grads[l.c:] }

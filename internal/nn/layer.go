@@ -11,19 +11,18 @@
 //
 // # Flat parameter layout
 //
-// A Network owns one contiguous parameter vector and one gradient vector
-// of the same length; layers own no parameter storage. New binds every
-// parameterised layer to a window of both, in layer order and, within a
-// layer, weights before bias (Dense W then B, Conv2D K then B, GroupNorm
-// gamma then beta), and the layer draws its initial weights there — so
-// the constructors' RNG is consumed by New, in layer order. That vector
-// is the model x_i the nodes exchange and every checkpoint stores, so
-// CopyParamsTo, SetParams and the optimizers are one pass over one slice,
-// and a write through SetParams is at once visible to every layer. Only
-// the owning node's goroutine writes it — TrainBatch and SetParams —
-// whereas Params hands out the same memory read-only. MixParams sums the
-// neighborhood average into the gradient vector, idle between train steps,
-// and swaps the two (swapBuffers), so a model neighbors read stays intact.
+// A Network owns one contiguous parameter vector; layers own no parameter
+// storage. New binds every parameterised layer to a window of it, in layer
+// order and, within a layer, weights before bias (Dense W then B, Conv2D K
+// then B, GroupNorm gamma then beta), and the layer draws its initial
+// weights there — so the constructors' RNG is consumed by New, in layer
+// order. That vector is the model x_i the nodes exchange and every
+// checkpoint stores, so CopyParamsTo, SetParams and the optimizers are one
+// pass over one slice, and a write through SetParams is at once visible to
+// every layer. Only nn writes it — TrainBatch, SetParams and Mix, which
+// averages neighborhoods in place — whereas Params hands out the same
+// memory read-only. It is a node's only model-sized state: gradients, laid
+// out the same way, go into a vector the network is lent (LendGrads).
 //
 // Between Forward and Backward, Dense holds the slice it was given, not a
 // copy: a sample or the buffer of the layer below, neither of which changes
@@ -52,19 +51,19 @@ type Layer interface {
 	Backward(dOut tensor.Vector) tensor.Vector
 	// ParamSize is the layer's trainable parameter count.
 	ParamSize() int
-	// Bind gives the layer its storage: params and grads, both of length
-	// ParamSize, become its parameters and its gradient accumulator, and
-	// it initialises the parameters there. New calls it once, in layer
-	// order; a layer cannot run before that. A layer with parameters also
-	// has the unexported swapBuffers, which MixParams calls to exchange them.
-	Bind(params, grads tensor.Vector)
+	// Bind gives the layer its storage: params, of length ParamSize,
+	// becomes its parameters and it initialises them there. New calls it
+	// once, in layer order; a layer cannot run before that. A layer with
+	// parameters also has the unexported bindGrads, through which LendGrads
+	// hands it the window of the gradient vector Backward accumulates into.
+	Bind(params tensor.Vector)
 }
 
 // stateless is embedded by the layers that have no parameters.
 type stateless struct{}
 
-func (stateless) ParamSize() int          { return 0 }
-func (stateless) Bind(_, _ tensor.Vector) {}
+func (stateless) ParamSize() int       { return 0 }
+func (stateless) Bind(_ tensor.Vector) {}
 
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {

@@ -16,16 +16,16 @@ func abs(x float64) float64  { return math.Abs(x) }
 // Section 4.2). The zero value is not usable; build with New.
 type Network struct {
 	layers []Layer
-	// params and grads hold every layer's block back to back, in layer
-	// order; the layers work on windows of them (see the package comment).
+	// params and grads hold every layer's block back to back, in layer order;
+	// the layers work on windows of them. grads is nil until it is needed.
 	params, grads tensor.Vector
 	probs         tensor.Vector // softmax scratch, len = class count
 }
 
 // New builds a network: it validates that consecutive layer sizes chain,
-// allocates the parameter and gradient vectors, and binds each layer to
-// its window of them in layer order (which is when weights are drawn).
-// Nothing reads the first layer's input gradient, so it is told to skip it.
+// allocates the parameter vector — no gradient vector, see LendGrads — and
+// binds each layer to its window of it in layer order (which is when weights
+// are drawn). Nothing reads the first layer's input gradient: it is skipped.
 func New(layers ...Layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: empty network")
@@ -43,7 +43,6 @@ func New(layers ...Layer) *Network {
 	n := &Network{
 		layers: layers,
 		params: tensor.NewVector(size),
-		grads:  tensor.NewVector(size),
 		probs:  tensor.NewVector(layers[len(layers)-1].OutSize()),
 	}
 	if l, ok := layers[0].(interface{ noLayerBelow() }); ok {
@@ -52,7 +51,7 @@ func New(layers ...Layer) *Network {
 	off := 0
 	for _, l := range layers {
 		end := off + l.ParamSize()
-		l.Bind(n.params[off:end], n.grads[off:end])
+		l.Bind(n.params[off:end])
 		off = end
 	}
 	return n
@@ -68,9 +67,9 @@ func (n *Network) OutSize() int { return n.layers[len(n.layers)-1].OutSize() }
 // Table 1 in the paper.
 func (n *Network) ParamCount() int { return len(n.params) }
 
-// Params returns the model vector x_i itself, not a copy. It is read-only
-// for callers and changes under them whenever the network trains or
-// SetParams runs; after MixParams it is another slice, so never hold it.
+// Params returns the model vector x_i itself, not a copy: the same slice
+// for the network's life. It is read-only for callers and changes under them
+// whenever the network trains or SetParams or Mix runs.
 func (n *Network) Params() tensor.Vector { return n.params }
 
 // Forward runs the network and returns the logits (an internal buffer).
@@ -96,26 +95,65 @@ func (n *Network) SetParams(src tensor.Vector) {
 	copy(n.params, src)
 }
 
-// MixParams replaces the model with sum_k weights[k]*vecs[k], Algorithm
-// 1's aggregation (line 8): one pass (tensor.WeightedSumTo) into the gradient
-// vector, idle between train steps, then a swap of the two vectors in the
-// network and in every layer. Nothing is copied or allocated and no operand
-// is written, so a node's own term is Params itself. It invalidates the
-// accumulated gradients and every slice Params returned before: such a
-// slice keeps the model from before the mix until the next gradient
-// accumulation zeroes it.
-func (n *Network) MixParams(weights []float64, vecs []tensor.Vector) {
-	tensor.WeightedSumTo(n.grads, weights, vecs)
-	n.params, n.grads = n.grads, n.params
-	for _, l := range n.layers {
-		if l.ParamSize() > 0 {
-			l.(interface{ swapBuffers() }).swapBuffers()
+// MixBlock is how many elements of every model Mix sums before it writes
+// them back. With 16 nodes of a few hundred parameters (a Γ-grid cell) a
+// longer scratch is more memory than the gradient vectors LendGrads saves.
+const MixBlock = 256
+
+// MixRow has Mix make Net's model sum_k W[k]*V[k], or with no operands keep it.
+type MixRow struct {
+	Net *Network
+	W   []float64
+	V   []tensor.Vector
+}
+
+// Mix is Algorithm 1's aggregation (line 8) over elements [lo, hi) of every
+// row's network at once, each summed in operand order (tensor.WeightedSumTo).
+// It sums a block for every row, into sums, before it writes that block to
+// any network: by then nothing has the block left to read, so operands may
+// be the networks' own Params and the mix is in place. sums holds
+// len(rows)*min(MixBlock, hi-lo) elements, ops as many as the longest V.
+func Mix(rows []MixRow, lo, hi int, sums tensor.Vector, ops []tensor.Vector) {
+	for ; lo < hi; lo += MixBlock {
+		n := min(MixBlock, hi-lo)
+		for i, row := range rows {
+			for k, v := range row.V {
+				checkSize("Mix operand", len(v), len(row.Net.params))
+				ops[k] = v[lo : lo+n]
+			}
+			if len(row.V) > 0 {
+				tensor.WeightedSumTo(sums[i*n:(i+1)*n], row.W, ops[:len(row.V)])
+			}
+		}
+		for i, row := range rows {
+			if len(row.V) > 0 {
+				copy(row.Net.params[lo:lo+n], sums[i*n:(i+1)*n])
+			}
 		}
 	}
 }
 
-// ZeroGrads clears every accumulated gradient.
-func (n *Network) ZeroGrads() { n.grads.Zero() }
+// LendGrads makes g, of length ParamCount, the vector the network
+// accumulates gradients into. A gradient is live only from its accumulation
+// to the update that follows, so networks that train in turn can share one.
+func (n *Network) LendGrads(g tensor.Vector) {
+	checkSize("Network gradients", len(g), len(n.params))
+	n.grads = g
+	for _, l := range n.layers {
+		if size := l.ParamSize(); size > 0 {
+			l.(interface{ bindGrads(tensor.Vector) }).bindGrads(g[:size])
+			g = g[size:]
+		}
+	}
+}
+
+// ZeroGrads clears the gradient vector; a network lent none allocates one.
+func (n *Network) ZeroGrads() {
+	if n.grads == nil {
+		n.LendGrads(tensor.NewVector(len(n.params)))
+	}
+	n.grads.Zero()
+}
 
 // SoftmaxCrossEntropy computes the loss for one sample and writes
 // dLoss/dLogits into dLogits (probs - onehot). logits and dLogits may alias.

@@ -42,6 +42,9 @@ func (o *SGD) Step(net *Network, batchSize int) {
 	}
 	scale := 1.0 / float64(batchSize)
 	p, g := net.params, net.grads
+	if g == nil {
+		panic("nn: SGD step on a network that has accumulated no gradients")
+	}
 	if o.Momentum == 0 {
 		for i := range p {
 			step := g[i]*scale + o.WeightDecay*p[i]
@@ -80,10 +83,10 @@ func (n *Network) TrainBatchWith(opt Optimizer, xs []tensor.Vector, ys []int) fl
 	return loss
 }
 
-// AccumulateGradients zeroes the gradient buffers (after MixParams they
-// hold the model from before the mix), then accumulates dLoss/dTheta summed
-// over the batch (not averaged), returning the mean loss. Callers apply the
-// update themselves (see Optimizer).
+// AccumulateGradients zeroes the gradient vector (a lent one holds another
+// network's gradients), then accumulates dLoss/dTheta summed over the batch
+// (not averaged), returning the mean loss. Callers apply the update
+// themselves (see Optimizer).
 func (n *Network) AccumulateGradients(xs []tensor.Vector, ys []int) float64 {
 	return n.accumulate(xs, ys, true)
 }

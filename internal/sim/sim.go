@@ -9,16 +9,16 @@
 //     node's model vector then holds its half-step model x^{t-1/2};
 //  2. share phase — every node sends that vector to all neighbors through
 //     the transport (the in-process transport passes the slice itself);
-//  3. aggregate phase — every node receives one model per neighbor and
-//     sums the W-weighted average, its own vector first, into its idle
-//     gradient vector, which becomes its model (nn.Network.MixParams);
+//  3. aggregate phase — every node collects one model per neighbor, then
+//     all W-weighted averages, a node's own vector first, are taken block
+//     by block and written over the models in place (nn.Mix);
 //  4. (optionally) evaluation on the shared test set.
 //
-// The vector a node sends is written only in phase 1 and only read in
-// phase 3, with a barrier after each, and is its idle gradient vector from
-// then on, so sharing it is safe; a node holds no other model-sized buffer.
-// Every mix re-points net.Params(), so evaluation and checkpoints call it
-// at use. See docs/ARCHITECTURE.md for who may write which vector when.
+// The vector a node sends is its only model-sized state. It is written in
+// phase 1 and in phase 3's mix, where a block of it is written only once
+// every average that reads the block is summed, so sharing it is safe; the
+// gradient vectors belong to the run, one per train worker. See
+// docs/ARCHITECTURE.md for who may write which vector when.
 //
 // When a harvest fleet is attached (Config.Harvest), every round also closes
 // with a battery update — idle and communication draw, then ambient energy
@@ -42,6 +42,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 
 	"repro/internal/checkpoint"
@@ -175,8 +177,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("sim: need >= 1 round, got %d", c.Rounds)
 	case c.ModelFactory == nil:
 		return fmt.Errorf("sim: nil model factory")
-	case c.LR <= 0:
-		return fmt.Errorf("sim: non-positive learning rate %v", c.LR)
+	case !(c.LR > 0 && c.LR < math.Inf(1)):
+		return fmt.Errorf("sim: learning rate %v is not positive and finite", c.LR)
 	case c.BatchSize < 1 || c.LocalSteps < 1:
 		return fmt.Errorf("sim: bad batch/steps %d/%d", c.BatchSize, c.LocalSteps)
 	case len(c.Partition) != c.Graph.N:
@@ -185,10 +187,15 @@ func (c *Config) validate() error {
 		return fmt.Errorf("sim: empty test set")
 	case c.Algo.Schedule == nil || c.Algo.Policy == nil:
 		return fmt.Errorf("sim: incomplete algorithm")
+	case len(c.Weights.Self) != c.Graph.N || len(c.Weights.Nbr) != c.Graph.N:
+		return fmt.Errorf("sim: weights for %d nodes, graph has %d", len(c.Weights.Self), c.Graph.N)
 	}
 	for i, p := range c.Partition {
 		if p.Len() == 0 {
 			return fmt.Errorf("sim: node %d has empty partition", i)
+		}
+		if len(c.Weights.Nbr[i]) != c.Graph.Degree(i) {
+			return fmt.Errorf("sim: weights give node %d %d neighbors, the graph %d", i, len(c.Weights.Nbr[i]), c.Graph.Degree(i))
 		}
 	}
 	if c.Devices != nil {
@@ -383,10 +390,8 @@ type nodeState struct {
 	policy  *rng.RNG
 	ep      transport.Endpoint
 	// slots[k] is this round's model from neighbor Graph.Adj[id][k], nil
-	// outside phase 3; mixW and mixV list the aggregation's operands.
+	// outside phase 3.
 	slots   []tensor.Vector
-	mixW    []float64
-	mixV    []tensor.Vector
 	trained int
 	err     error
 }
@@ -416,6 +421,14 @@ type run struct {
 	nodes    []nodeState
 	acct     *energy.Accountant
 	forecast [][]float64 // per-node forecast windows, reused every round
+	// grads is the free list of gradient vectors, one per train worker: a
+	// node takes one for its train call and puts it back.
+	grads chan tensor.Vector
+	// collect lists node i's operands in rows[i] (none: it holds its model);
+	// each mix worker averages through its own share of sums and ops.
+	rows []nn.MixRow
+	sums tensor.Vector
+	ops  []tensor.Vector
 
 	ctx core.RoundContext // Round and Kind are the current round's
 	// dead is the live mask on rounds where the topology actually loses
@@ -447,10 +460,13 @@ func (r *run) train(i int) {
 	if !cfg.Algo.Policy.Participate(i, ctx, nd.policy) {
 		return
 	}
+	g := <-r.grads
+	nd.net.LendGrads(g)
 	for e := 0; e < cfg.LocalSteps; e++ {
 		xs, ys := nd.batcher.Next(cfg.BatchSize)
 		nd.net.TrainBatch(xs, ys, cfg.LR)
 	}
+	r.grads <- g
 	nd.trained++
 	if cfg.Devices != nil {
 		r.acct.AddTraining(i, cfg.Devices[i].TrainRoundWh(cfg.Workload))
@@ -462,9 +478,9 @@ func (r *run) train(i int) {
 // the receive phase cannot deadlock). On drop rounds live nodes still
 // transmit to every neighbor — the radio cannot know a peer is down — with
 // the dead-node wrapper losing those messages. The model vector goes out in
-// place: the in-process transport hands the slice to every receiver, phase
-// 3 writes the sender's other vector, and this one is next written two
-// barriers on.
+// place: the in-process transport hands the slice to every receiver, and it
+// is next written in phase 3's mix, a block at a time, each after the last
+// read of that block.
 func (r *run) share(i int) {
 	nd := &r.nodes[i]
 	if r.down(i) {
@@ -478,12 +494,13 @@ func (r *run) share(i int) {
 	}
 }
 
-// aggregate is phase 3: receive exactly one model per live neighbor, then
-// apply the W-row average (Algorithm 1, line 8) — the renormalized row on
-// drop rounds — own term first, then adjacency order, into the idle
-// gradient vector, which becomes the model.
-func (r *run) aggregate(i int) {
-	g, nd := r.cfg.Graph, &r.nodes[i]
+// collect is the first half of phase 3: receive exactly one model per live
+// neighbor and list the operands of the W-row average (Algorithm 1, line 8)
+// — the renormalized row on drop rounds — own term first, then adjacency
+// order. It writes no model, so a round that fails here leaves all intact.
+func (r *run) collect(i int) {
+	g, nd, row := r.cfg.Graph, &r.nodes[i], &r.rows[i]
+	row.W, row.V = row.W[:0], row.V[:0]
 	if r.down(i) {
 		return
 	}
@@ -498,16 +515,22 @@ func (r *run) aggregate(i int) {
 		}
 	}
 	// One model per live neighbor, no two alike: every live slot is filled.
-	w, v := nd.mixW[:1], nd.mixV[:1]
-	w[0], v[0] = r.weights.Self[i], nd.net.Params()
+	row.W, row.V = append(row.W, r.weights.Self[i]), append(row.V, nd.net.Params())
 	for k, vec := range nd.slots {
 		if vec == nil {
 			continue // edge down this round: weight 0, no message
 		}
-		w, v = append(w, r.weights.Nbr[i][k]), append(v, vec)
+		row.W, row.V = append(row.W, r.weights.Nbr[i][k]), append(row.V, vec)
 		nd.slots[k] = nil
 	}
-	nd.net.MixParams(w, v)
+}
+
+// mix is the second half: worker w, of as many as there are gradient vectors,
+// averages its share of the elements of every model, in place (nn.Mix).
+func (r *run) mix(w int) {
+	k := cap(r.grads)
+	p, s, o := r.rows[0].Net.ParamCount(), len(r.sums)/k, len(r.ops)/k
+	nn.Mix(r.rows, w*p/k, (w+1)*p/k, r.sums[w*s:(w+1)*s], r.ops[w*o:(w+1)*o])
 }
 
 // Run executes the experiment. Everything a round needs is allocated before
@@ -542,10 +565,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Node state is a few slabs, not a heap object per field per node: one
-	// []nodeState, and all slots/mixV and all mixW as windows of two slices.
-	r := &run{cfg: &cfg, nodes: make([]nodeState, n), acct: energy.NewAccountant(n)}
+	// []nodeState, and every list of vectors and of weights as windows of two
+	// slices. Each train and mix worker has a gradient vector and a scratch.
+	workers := min(runtime.GOMAXPROCS(0), n)
+	r := &run{cfg: &cfg, nodes: make([]nodeState, n), acct: energy.NewAccountant(n),
+		grads: make(chan tensor.Vector, workers), rows: make([]nn.MixRow, n)}
 	nodes, acct := r.nodes, r.acct
-	vecs, ws := make([]tensor.Vector, 2*edges+n), make([]float64, edges+n)
+	vecs, ws := make([]tensor.Vector, 2*edges+2*n+workers*(maxDeg+1)), make([]float64, edges+n)
+	models, vecs := vecs[:n:n], vecs[n:] // models[i] is node i's Params, for good
 	var paramCount int
 	for i := 0; i < n; i++ {
 		model := cfg.ModelFactory(i, rng.Derive(cfg.Seed, uint64(i), 0x1417))
@@ -566,15 +593,19 @@ func Run(cfg Config) (*Result, error) {
 			policy:  rng.Derive(cfg.Seed, uint64(i), 0x90a1c),
 			ep:      ep,
 			slots:   vecs[:d:d],
-			mixV:    vecs[d : 2*d+1 : 2*d+1],
-			mixW:    ws[: d+1 : d+1],
 		}
 		nodes[i].batcher.Reserve(cfg.BatchSize)
+		models[i] = model.Params()
+		r.rows[i] = nn.MixRow{Net: model, W: ws[: 0 : d+1], V: vecs[d : d : 2*d+1]}
 		vecs, ws = vecs[2*d+1:], ws[d+1:]
 	}
-	train, share, aggregate := r.train, r.share, r.aggregate
+	r.sums, r.ops = tensor.NewVector(workers*n*min(nn.MixBlock, paramCount)), vecs
+	for w := 0; w < workers; w++ {
+		r.grads <- tensor.NewVector(paramCount)
+	}
+	train, share, collect, mix := r.train, r.share, r.collect, r.mix
 
-	evaluator := newEvaluator(&cfg, nodes, paramCount)
+	evaluator := newEvaluator(&cfg, nodes, models, paramCount)
 	result := &Result{TrainedRounds: make([]int, n), History: make([]RoundMetrics, 0, cfg.Rounds)}
 	cumHarvestWh := 0.0
 
@@ -638,14 +669,11 @@ func Run(cfg Config) (*Result, error) {
 		revivedMask = make([]bool, n)
 	}
 
-	// Scratch for the all-reduce aggregation: the fleet mean and the list
-	// of models it averages, refilled every round (see modelsOf).
+	// Scratch for the all-reduce aggregation: the fleet mean.
 	var globalMean tensor.Vector
-	var allModels []tensor.Vector
 	var adoptMean func(i int)
 	if cfg.Algo.Aggregation == core.AggGlobal {
 		globalMean = tensor.NewVector(paramCount)
-		allModels = make([]tensor.Vector, n)
 		adoptMean = func(i int) { nodes[i].net.SetParams(globalMean) }
 	}
 
@@ -809,7 +837,7 @@ func Run(cfg Config) (*Result, error) {
 			// Hypothetical all-reduce (Figure 1): global average of all
 			// half-step models, applied everywhere.
 			probe.PhaseStart(obs.PhaseAggregate)
-			tensor.MeanVectorTo(globalMean, modelsOf(allModels, nodes))
+			tensor.MeanVectorTo(globalMean, models)
 			parallelFor(n, adoptMean)
 			probe.PhaseEnd(t, obs.PhaseAggregate)
 		default:
@@ -820,10 +848,11 @@ func Run(cfg Config) (*Result, error) {
 			}
 			probe.PhaseEnd(t, obs.PhaseShare)
 			probe.PhaseStart(obs.PhaseAggregate)
-			parallelFor(n, aggregate)
+			parallelFor(n, collect)
 			if err := firstError(nodes); err != nil {
 				return nil, err
 			}
+			parallelFor(workers, mix)
 			probe.PhaseEnd(t, obs.PhaseAggregate)
 		}
 		if cfg.Devices != nil {
@@ -916,7 +945,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if evaluator.globalVec != nil {
 		result.FinalGlobalParams = tensor.NewVector(paramCount)
-		tensor.MeanVectorTo(result.FinalGlobalParams, modelsOf(evaluator.models, nodes))
+		tensor.MeanVectorTo(result.FinalGlobalParams, models)
 	}
 	if probe.Enabled() {
 		trained := 0
@@ -1024,27 +1053,18 @@ type evaluator struct {
 	evalRNG   *rng.RNG
 
 	accs   []float64       // per-node accuracy; the last fill is Result.FinalNodeAccs
-	models []tensor.Vector // scratch for modelsOf
+	models []tensor.Vector // every node's Params
 	xs     []tensor.Vector // the evaluation samples: the whole test set,
 	ys     []int           // or a subsample redrawn per evaluation
 	perm   []int           // the redraw's permutation of the test set; nil = no redraw
 	score  func(i int)     // scoreNode, bound once
 }
 
-// modelsOf fills dst afresh at each use: MixParams re-points every Params.
-func modelsOf(dst []tensor.Vector, nodes []nodeState) []tensor.Vector {
-	for i := range nodes {
-		dst[i] = nodes[i].net.Params()
-	}
-	return dst
-}
-
-func newEvaluator(cfg *Config, nodes []nodeState, paramCount int) *evaluator {
-	ev := &evaluator{cfg: cfg, nodes: nodes, evalRNG: rng.Derive(cfg.Seed, 0xe7a1), accs: make([]float64, cfg.Graph.N)}
+func newEvaluator(cfg *Config, nodes []nodeState, models []tensor.Vector, paramCount int) *evaluator {
+	ev := &evaluator{cfg: cfg, nodes: nodes, models: models, evalRNG: rng.Derive(cfg.Seed, 0xe7a1), accs: make([]float64, cfg.Graph.N)}
 	ev.score = ev.scoreNode
 	if cfg.EvalGlobalModel || cfg.TrackConsensus {
 		ev.globalVec = tensor.NewVector(paramCount)
-		ev.models = make([]tensor.Vector, cfg.Graph.N)
 	}
 	if cfg.EvalGlobalModel {
 		ev.globalNet = cfg.ModelFactory(-1, rng.Derive(cfg.Seed, 0xe7a1, 1))
@@ -1072,7 +1092,7 @@ func (ev *evaluator) evaluate(m *RoundMetrics) []float64 {
 	parallelFor(len(ev.nodes), ev.score)
 	m.MeanAcc, m.StdAcc = metrics.MeanStd(ev.accs)
 	if ev.globalVec != nil {
-		tensor.MeanVectorTo(ev.globalVec, modelsOf(ev.models, ev.nodes))
+		tensor.MeanVectorTo(ev.globalVec, ev.models)
 		if ev.cfg.TrackConsensus {
 			m.Consensus = metrics.ConsensusDistance(ev.models)
 		}

@@ -415,6 +415,46 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// The learning rate's range is written as the condition a valid value
+// satisfies, so NaN and +Inf fail it: both used to pass "LR <= 0" and run to
+// a 10% final accuracy.
+func TestNonFiniteLearningRateRejected(t *testing.T) {
+	for _, lr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.05} {
+		cfg := testConfig(t, 15)
+		cfg.LR = lr
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "learning rate") {
+			t.Fatalf("LR %v: Run returned %v, want a learning-rate error", lr, err)
+		}
+	}
+}
+
+// Weights built for another graph are rejected by validate, with the node
+// whose row does not fit, not by an index panic inside a worker goroutine.
+func TestWeightsOfAnotherGraphRejected(t *testing.T) {
+	cfg := testConfig(t, 15)
+	smaller, err := graph.Regular(6, 4, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := graph.Ring(cfg.Graph.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		want string
+	}{
+		{"fewer nodes", smaller, "weights for 6 nodes, graph has 8"},
+		{"same nodes, other degrees", ring, "node 0 2 neighbors, the graph 4"},
+	} {
+		cfg.Weights = graph.Metropolis(tc.g)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestCumulativeEnergyMonotone(t *testing.T) {
 	cfg := testConfig(t, 16)
 	cfg.Devices = energy.AssignDevices(8, energy.Devices())

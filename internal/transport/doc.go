@@ -20,12 +20,13 @@
 // Receivers never write Vec, on any backend. What the sender may do with
 // its buffer after Send returns depends on the backend:
 //
-//   - Local delivers the sender's slice itself. The sender must leave it
-//     unwritten until every receiver has finished reading — in the round
-//     engine, until the aggregate phase has joined. The engine meets this
-//     by sending the model vector itself: the aggregate phase writes the
-//     sender's other (gradient) vector and the two then trade roles, so
-//     nothing is copied, per edge or per sender.
+//   - Local delivers the sender's slice itself. The sender must leave an
+//     element of it unwritten until every receiver has finished reading
+//     that element. The round engine sends the model vector itself and
+//     next writes it in the aggregate phase's mix, block by block, each
+//     block only after every sum that reads it — the sender's own and each
+//     receiver's — is taken (nn.Mix), so nothing is copied, per edge or
+//     per sender, and a node has no second vector.
 //   - TCP serializes Vec before Send returns and the receiving side
 //     decodes into a vector of its own, so the sender is free at once.
 //   - DeadNode and Flaky forward the Message untouched (or drop it) and

@@ -46,11 +46,12 @@ type Message struct {
 // node).
 type Endpoint interface {
 	// Send delivers m to node `to`. It blocks only when the destination
-	// inbox (or socket buffer) is full. The sender must not write m.Vec
-	// again until every receiver is done reading it — in the round engine,
-	// until the round's aggregate phase has joined: Local hands receivers
-	// the very slice, so the engine sends its model vector in place, frozen
-	// till past that barrier, and copies nothing per edge or per round.
+	// inbox (or socket buffer) is full. The sender must not write an element
+	// of m.Vec again until every receiver is done reading that element:
+	// Local hands receivers the very slice, so the round engine sends its
+	// model vector in place, next writes it in the aggregate phase's mix —
+	// block by block, each after every reader of that block — and copies
+	// nothing per edge or per round.
 	Send(to int, m Message) error
 	// Recv blocks until a message arrives or the endpoint closes, in which
 	// case it returns ErrClosed.

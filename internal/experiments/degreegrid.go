@@ -49,7 +49,7 @@ type DegreeGammaResult struct {
 // warm reruns recompute nothing.
 func TableDegreeGamma(o Options, degrees []int) (*DegreeGammaResult, error) {
 	o = o.Defaults()
-	res, err := degreeGammaResult(o, degrees)
+	res, err := degreeGammaResult(o, degrees, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -57,8 +57,9 @@ func TableDegreeGamma(o Options, degrees []int) (*DegreeGammaResult, error) {
 	return res, nil
 }
 
-// degreeGammaResult is TableDegreeGamma without the rendering.
-func degreeGammaResult(o Options, degrees []int) (*DegreeGammaResult, error) {
+// degreeGammaResult is TableDegreeGamma without the rendering; memo is the
+// calling sweep server's, nil elsewhere.
+func degreeGammaResult(o Options, degrees []int, memo *identityMemo) (*DegreeGammaResult, error) {
 	if len(degrees) == 0 {
 		degrees = DefaultDegreeGrid()
 	}
@@ -74,13 +75,13 @@ func degreeGammaResult(o Options, degrees []int) (*DegreeGammaResult, error) {
 	}
 	data := lazyGammaData(o) // one dataset for every degree's world
 	for di, degree := range degrees {
-		w, err := newGammaWorld(o, degree, data)
+		w, err := newGammaWorld(o, degree, regimes, data, memo)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: degree grid d=%d: %w", degree, err)
 		}
 		res.Best[di] = make([]GammaHarvestCell, len(regimes))
-		for ri, regime := range regimes {
-			gr, err := w.runRegime(regime)
+		for ri := range regimes {
+			gr, err := w.runRegime(ri)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: degree grid d=%d: %w", degree, err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"strconv"
@@ -44,28 +45,23 @@ const gammaGridMax = 4
 // lowest-indexed cell's. This is the uncached entry point; keyed grids go
 // through gammaCells with a sweep.Runner.
 func forEachGammaCell[C any](run func(gt, gs int) (C, error)) ([][]C, error) {
-	return gammaCells(nil, nil, run)
+	return gammaCells(nil, new(gammaKeys), run)
 }
+
+// gammaKeys are one grid's cell keys, keys[gs-1][gt-1]; a zero key marks
+// its cell uncacheable, so the zero value is an unkeyed grid.
+type gammaKeys [gammaGridMax][gammaGridMax]sweep.CellKey
 
 // gammaCells executes the Γ grid through the sweep scheduler: cells with
 // a key are served from the runner's cache when present and computed
-// (then cached) otherwise; a nil runner or nil key degrades to the plain
+// (then cached) otherwise; a nil runner or zero keys degrade to the plain
 // pool fan-out. Cached and computed cells are interchangeable
 // bit-for-bit (see sweep.Grid), so a grid's values are independent of
 // which cells hit.
-func gammaCells[C any](r *sweep.Runner, key func(gt, gs int) sweep.CellKey, run func(gt, gs int) (C, error)) ([][]C, error) {
-	at := func(k int) (gt, gs int) { return k%gammaGridMax + 1, k/gammaGridMax + 1 }
-	var keyAt func(int) sweep.CellKey
-	if key != nil {
-		keyAt = func(k int) sweep.CellKey {
-			gt, gs := at(k)
-			return key(gt, gs)
-		}
-	}
-	cells, err := sweep.Grid(r, gammaGridMax*gammaGridMax, keyAt, func(k int) (C, error) {
-		gt, gs := at(k)
-		return run(gt, gs)
-	})
+func gammaCells[C any](r *sweep.Runner, keys *gammaKeys, run func(gt, gs int) (C, error)) ([][]C, error) {
+	cells, err := sweep.Grid(r, gammaGridMax*gammaGridMax,
+		func(k int) sweep.CellKey { return keys[k/gammaGridMax][k%gammaGridMax] },
+		func(k int) (C, error) { return run(k%gammaGridMax+1, k/gammaGridMax+1) })
 	if err != nil {
 		return nil, err
 	}
@@ -180,14 +176,81 @@ type GammaHarvestRow struct {
 }
 
 // gammaWorld bundles the per-table immutable inputs shared by all cells:
-// its own fields are what a cell's cache key needs, data is what only a
-// computing cell needs. Everything is read-only during the grid fan-out.
+// id is what a cache lookup needs; the topology and data are what only a
+// computing cell needs, each built by the first cell that does. Everything
+// is read-only during the grid fan-out.
 type gammaWorld struct {
 	o           Options
-	graph       *graph.Graph
-	weights     *graph.Weights
+	degree      int
+	regimes     []GammaRegime
+	id          *gridIdentity
 	meanTrainWh float64
 	data        func() (*gammaData, error)
+
+	topologyOnce sync.Once
+	graph        *graph.Graph
+	weights      *graph.Weights
+	topologyErr  error
+}
+
+func (w *gammaWorld) buildTopology() error {
+	w.topologyOnce.Do(func() { w.graph, w.weights, w.topologyErr = topologyFor(w.o.Nodes, w.degree, w.o.Seed) })
+	return w.topologyErr
+}
+
+// gridIdentity is what a grid needs before any cell runs, a pure function
+// of the completed Options, the degree and the build: a few KB with no
+// graph or data behind them, safe to hand to every later job.
+type gridIdentity struct {
+	fingerprint uint64           // of the topology
+	regimes     []regimeIdentity // parallel to the world's regimes
+}
+
+type regimeIdentity struct {
+	trace string // the trace's report name
+	keys  gammaKeys
+}
+
+// identityMemo keeps the identities of the keyed standard-regime grids one
+// sweep server has served: a repeated or overlapping job builds no graph,
+// samples no trace, hashes no manifest. The key is the whole completed
+// Options less its three handles, plus the degree, so a field cellManifest
+// hashes one day is already in it. A full memo is cleared (rederiving is
+// one graph build and always right); a nil memo remembers nothing.
+type identityMemo struct {
+	mu       sync.Mutex
+	m        map[identityKey]*gridIdentity
+	capacity int // identityMemoCap, entries of about 6 KB, when zero
+}
+
+const identityMemoCap = 64
+
+type identityKey struct {
+	o      Options
+	degree int
+}
+
+func (m *identityMemo) get(o Options, degree int) *gridIdentity {
+	if m == nil || o.Sweep == nil {
+		return nil
+	}
+	o.Sweep, o.Probe, o.Out = nil, nil, nil
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.m[identityKey{o, degree}]
+}
+
+func (m *identityMemo) put(o Options, degree int, id *gridIdentity) {
+	if m == nil || o.Sweep == nil {
+		return
+	}
+	o.Sweep, o.Probe, o.Out = nil, nil, nil
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.m == nil || len(m.m) >= cmp.Or(m.capacity, identityMemoCap) {
+		m.m = map[identityKey]*gridIdentity{}
+	}
+	m.m[identityKey{o, degree}] = id
 }
 
 // gammaData is the half of the world a cache hit never touches. The
@@ -213,11 +276,11 @@ func lazyGammaData(o Options) func() (*gammaData, error) {
 // is bit-identical at any GOMAXPROCS.
 func RunGammaGrid(o Options, regime GammaRegime) (*GammaGridResult, error) {
 	o = o.Defaults()
-	w, err := newGammaWorld(o, 6, lazyGammaData(o))
+	w, err := newGammaWorld(o, 6, []GammaRegime{regime}, lazyGammaData(o), nil)
 	if err != nil {
 		return nil, err
 	}
-	return w.runRegime(regime)
+	return w.runRegime(0)
 }
 
 // newGammaWorld builds the shared world on a d-regular topology — d is
@@ -225,18 +288,36 @@ func RunGammaGrid(o Options, regime GammaRegime) (*GammaGridResult, error) {
 // paper's. The graph fingerprint in each cell manifest covers the degree,
 // so cells from different degrees never collide in the cache while
 // identical (degree, regime, Γ) cells from overlapping sweeps dedupe.
-func newGammaWorld(o Options, degree int, data func() (*gammaData, error)) (*gammaWorld, error) {
-	g, weights, err := topologyFor(o.Nodes, degree, o.Seed)
-	if err != nil {
+//
+// A memo that holds the grid's identity supplies it and nothing is built
+// (regimes must then be GammaGridRegimes(o)). Otherwise the graph is built
+// for its fingerprint and kept for the cells, each regime's trace is
+// sampled once for its report name, a keyed grid derives its keys, and the
+// memo keeps the result — unless anything failed to build.
+func newGammaWorld(o Options, degree int, regimes []GammaRegime, data func() (*gammaData, error), memo *identityMemo) (*gammaWorld, error) {
+	w := &gammaWorld{
+		o: o, degree: degree, regimes: regimes, data: data, id: memo.get(o, degree),
+		meanTrainWh: energy.NetworkRoundWh(o.Nodes, energy.Devices(), energy.CIFAR10Workload()) / float64(o.Nodes),
+	}
+	if w.id != nil {
+		return w, nil
+	}
+	if err := w.buildTopology(); err != nil {
 		return nil, err
 	}
-	return &gammaWorld{
-		o:           o,
-		graph:       g,
-		weights:     weights,
-		meanTrainWh: energy.NetworkRoundWh(o.Nodes, energy.Devices(), energy.CIFAR10Workload()) / float64(o.Nodes),
-		data:        data,
-	}, nil
+	w.id = &gridIdentity{fingerprint: w.graph.Fingerprint(), regimes: make([]regimeIdentity, len(regimes))}
+	for ri, regime := range regimes {
+		sample, err := regime.Trace(o, w.meanTrainWh)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: gamma grid %s: %w", regime.Name, err)
+		}
+		w.id.regimes[ri].trace = sample.Name()
+		if o.Sweep != nil { // keyed cells cache under their content hash, an unkeyed grid runs as it always did
+			w.id.regimes[ri].keys = w.regimeKeys(regime, sample.Name())
+		}
+	}
+	memo.put(o, degree, w.id)
+	return w, nil
 }
 
 // cellManifest is the content-addressable identity of one (regime, Γt,
@@ -253,7 +334,7 @@ func (w *gammaWorld) cellManifest(regime GammaRegime, traceName string, gt, gs i
 		Scale(o.Nodes, o.Rounds).
 		Set("regime", regime.Name).
 		Set("trace", traceName).
-		Setf("graph", "%016x", w.graph.Fingerprint()).
+		Setf("graph", "%016x", w.id.fingerprint).
 		Setf("lr", "%g", o.LR).
 		Setf("batch", "%d", o.BatchSize).
 		Setf("local_steps", "%d", o.LocalSteps).
@@ -271,7 +352,7 @@ func (w *gammaWorld) cellManifest(regime GammaRegime, traceName string, gt, gs i
 // regimeKeys derives a regime's sixteen cell keys (keys[gs-1][gt-1]) off
 // one builder, Γs re-set per row and Γt per cell; each equals
 // KeyFromManifest(cellManifest(...).Build()).
-func (w *gammaWorld) regimeKeys(regime GammaRegime, traceName string) (keys [gammaGridMax][gammaGridMax]sweep.CellKey) {
+func (w *gammaWorld) regimeKeys(regime GammaRegime, traceName string) (keys gammaKeys) {
 	b := w.cellManifest(regime, traceName, 1, 1)
 	for gs := range keys {
 		b.Set("gamma_sync", strconv.Itoa(gs+1))
@@ -282,13 +363,8 @@ func (w *gammaWorld) regimeKeys(regime GammaRegime, traceName string) (keys [gam
 	return keys
 }
 
-func (w *gammaWorld) runRegime(regime GammaRegime) (*GammaGridResult, error) {
-	// Sample the trace once for its report name; the sample is discarded and
-	// every cell builds its own.
-	sample, err := regime.Trace(w.o, w.meanTrainWh)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: gamma grid %s: %w", regime.Name, err)
-	}
+func (w *gammaWorld) runRegime(ri int) (*GammaGridResult, error) {
+	regime, id := w.regimes[ri], &w.id.regimes[ri]
 	// One run_start/run_end pair per regime; each completed cell emits one
 	// cell event. Cells fan out across workers, so cell events arrive in
 	// wall-clock order — the probe's sinks are concurrency-safe, and the
@@ -298,23 +374,16 @@ func (w *gammaWorld) runRegime(regime GammaRegime) (*GammaGridResult, error) {
 	if p.Enabled() {
 		manifest := obs.NewManifest("gammagrid", regime.Name, w.o.Seed).
 			Scale(w.o.Nodes, w.o.Rounds).
-			Set("trace", sample.Name()).
+			Set("trace", id.trace).
 			Setf("grid", "%dx%d", gammaGridMax, gammaGridMax).
-			Setf("graph", "%016x", w.graph.Fingerprint()).
+			Setf("graph", "%016x", w.id.fingerprint).
 			Setf("lr", "%g", w.o.LR).
 			Setf("batch", "%d", w.o.BatchSize).
 			Setf("local_steps", "%d", w.o.LocalSteps).
 			Build()
 		p.RunStart(&manifest)
 	}
-	// Keys only exist when a sweep runner is attached: keyed cells cache
-	// under their content hash, unkeyed grids behave exactly as before.
-	var key func(gt, gs int) sweep.CellKey
-	if w.o.Sweep != nil {
-		keys := w.regimeKeys(regime, sample.Name())
-		key = func(gt, gs int) sweep.CellKey { return keys[gs-1][gt-1] }
-	}
-	grid, err := gammaCells(w.o.Sweep, key, func(gt, gs int) (GammaHarvestCell, error) {
+	grid, err := gammaCells(w.o.Sweep, &id.keys, func(gt, gs int) (GammaHarvestCell, error) {
 		start := time.Now()
 		cell, err := w.runCell(regime, gt, gs)
 		if err == nil && p.Enabled() {
@@ -333,7 +402,7 @@ func (w *gammaWorld) runRegime(regime GammaRegime) (*GammaGridResult, error) {
 	p.RunEnd(gammaGridMax*gammaGridMax, 0)
 	return &GammaGridResult{
 		Regime: regime.Name,
-		Trace:  sample.Name(),
+		Trace:  id.trace,
 		Grid:   grid,
 		Best: bestGammaCell(grid,
 			func(c GammaHarvestCell) float64 { return c.FinalAcc },
@@ -348,6 +417,9 @@ func (w *gammaWorld) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, 
 	}
 	d, err := w.data()
 	if err != nil {
+		return fail(err)
+	}
+	if err := w.buildTopology(); err != nil {
 		return fail(err)
 	}
 	gamma, err := core.NewGamma(gt, gs)
@@ -409,7 +481,7 @@ func (w *gammaWorld) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, 
 // stochastic state is per-node.
 func TableGammaHarvest(o Options) ([]GammaHarvestRow, error) {
 	o = o.Defaults()
-	grids, rows, err := gammaHarvest(o)
+	grids, rows, err := gammaHarvest(o, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -421,14 +493,16 @@ func TableGammaHarvest(o Options) ([]GammaHarvestRow, error) {
 }
 
 // gammaHarvest is TableGammaHarvest without the rendering — all the sweep
-// handlers, which have no reader, run. o must be completed by Defaults.
-func gammaHarvest(o Options) (grids []*GammaGridResult, rows []GammaHarvestRow, err error) {
-	w, err := newGammaWorld(o, 6, lazyGammaData(o))
+// handlers, which have no reader, run, and they alone bring a memo. o
+// must be completed by Defaults.
+func gammaHarvest(o Options, memo *identityMemo) (grids []*GammaGridResult, rows []GammaHarvestRow, err error) {
+	regimes := GammaGridRegimes(o)
+	w, err := newGammaWorld(o, 6, regimes, lazyGammaData(o), memo)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, regime := range GammaGridRegimes(o) {
-		res, err := w.runRegime(regime)
+	for ri := range regimes {
+		res, err := w.runRegime(ri)
 		if err != nil {
 			return nil, nil, err
 		}

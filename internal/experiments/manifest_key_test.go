@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"math/rand/v2"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -13,16 +15,11 @@ import (
 func cellHash(t *testing.T, o Options, degree, regimeIdx, gt, gs int) string {
 	t.Helper()
 	o = o.Defaults()
-	w, err := newGammaWorld(o, degree, lazyGammaData(o))
+	w, err := newGammaWorld(o, degree, GammaGridRegimes(o), lazyGammaData(o), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	regime := GammaGridRegimes(o)[regimeIdx]
-	sample, err := regime.Trace(o, w.meanTrainWh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sweep.KeyFromManifest(w.cellManifest(regime, sample.Name(), gt, gs).Build()).ConfigHash
+	return sweep.KeyFromManifest(w.cellManifest(w.regimes[regimeIdx], w.id.regimes[regimeIdx].trace, gt, gs).Build()).ConfigHash
 }
 
 // TestCellManifestKeyStability is the key-stability table: every knob that
@@ -143,21 +140,18 @@ func TestCellKeyGoldenBytes(t *testing.T) {
 // full per-cell manifests for all 80 cells of a table, and no two collide.
 func TestRegimeKeysMatchCellManifests(t *testing.T) {
 	o := tiny().Defaults()
-	w, err := newGammaWorld(o, 6, lazyGammaData(o))
+	o.Sweep = sweep.NewRunner(nil, nil)
+	w, err := newGammaWorld(o, 6, GammaGridRegimes(o), lazyGammaData(o), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[sweep.CellKey]bool{}
-	for _, regime := range GammaGridRegimes(o) {
-		sample, err := regime.Trace(o, w.meanTrainWh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := w.regimeKeys(regime, sample.Name())
+	for ri, regime := range w.regimes {
+		id := w.id.regimes[ri]
 		for gs := 1; gs <= gammaGridMax; gs++ {
 			for gt := 1; gt <= gammaGridMax; gt++ {
-				want := sweep.KeyFromManifest(w.cellManifest(regime, sample.Name(), gt, gs).Build())
-				if got := keys[gs-1][gt-1]; got != want {
+				want := sweep.KeyFromManifest(w.cellManifest(regime, id.trace, gt, gs).Build())
+				if got := id.keys[gs-1][gt-1]; got != want {
 					t.Fatalf("%s Γt=%d Γs=%d: fast key %s, manifest key %s", regime.Name, gt, gs, got, want)
 				}
 				seen[want] = true
@@ -166,5 +160,124 @@ func TestRegimeKeysMatchCellManifests(t *testing.T) {
 	}
 	if len(seen) != 80 {
 		t.Fatalf("%d distinct keys for 80 cells", len(seen))
+	}
+}
+
+// hashedFieldVariants is tiny() (first) and one copy per Options field
+// that cellManifest hashes, each differing from tiny() in that field alone.
+func hashedFieldVariants() (names []string, variants []Options) {
+	for _, v := range []struct {
+		name string
+		edit func(*Options)
+	}{
+		{"base", func(o *Options) {}},
+		{"seed", func(o *Options) { o.Seed++ }},
+		{"nodes", func(o *Options) { o.Nodes = 32 }},
+		{"rounds", func(o *Options) { o.Rounds++ }},
+		{"lr", func(o *Options) { o.LR = 0.1 }},
+		{"batch", func(o *Options) { o.BatchSize++ }},
+		{"local_steps", func(o *Options) { o.LocalSteps++ }},
+		{"train_per_node", func(o *Options) { o.TrainPerNode++ }},
+		{"test_samples", func(o *Options) { o.TestSamples++ }},
+		{"noise", func(o *Options) { o.Noise = 3.0 }},
+		{"eval_subsample", func(o *Options) { o.EvalSubsample++ }},
+	} {
+		o := tiny().Defaults()
+		v.edit(&o)
+		names, variants = append(names, v.name), append(variants, o)
+	}
+	return names, variants
+}
+
+// TestIdentityMemoServesFreshKeys interleaves random Options x degree
+// through one memo of capacity 4: whatever the memo serves equals the
+// identity derived fresh for that job — fingerprint, trace names and all
+// eighty keys — it never holds more than its capacity, and it does serve
+// (a memo that always missed would pass the first check).
+func TestIdentityMemoServesFreshKeys(t *testing.T) {
+	memo := &identityMemo{capacity: 4}
+	runner := sweep.NewRunner(nil, nil)
+	_, variants := hashedFieldVariants()
+	for i := range variants {
+		variants[i].Sweep = runner
+	}
+	degrees := []int{4, 6, 8}
+	r := rand.New(rand.NewPCG(7, 11))
+	served := 0
+	for step := 0; step < 300; step++ {
+		// A small working set most of the time, so entries are hit before
+		// the memo fills and clears; the whole space now and then.
+		o, degree := variants[r.IntN(2)], degrees[r.IntN(2)]
+		if r.IntN(4) == 0 {
+			o, degree = variants[r.IntN(len(variants))], degrees[r.IntN(len(degrees))]
+		}
+		if step%2 == 1 {
+			o.Out, o.Probe = &strings.Builder{}, obs.NewProbe(obs.NewMemory()) // handles are not identity
+		}
+		held := memo.get(o, degree)
+		got, err := newGammaWorld(o, degree, GammaGridRegimes(o), lazyGammaData(o), memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held != nil {
+			if got.id != held {
+				t.Fatalf("step %d: the memo held an identity and the world derived another", step)
+			}
+			served++
+		}
+		fresh, err := newGammaWorld(o, degree, GammaGridRegimes(o), lazyGammaData(o), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.id.fingerprint != fresh.id.fingerprint || len(got.id.regimes) != len(fresh.regimes) {
+			t.Fatalf("step %d: fingerprint %016x over %d regimes, fresh %016x over %d", step, got.id.fingerprint, len(got.id.regimes), fresh.id.fingerprint, len(fresh.regimes))
+		}
+		for ri, regime := range fresh.regimes {
+			want := regimeIdentity{fresh.id.regimes[ri].trace, fresh.regimeKeys(regime, fresh.id.regimes[ri].trace)}
+			if got.id.regimes[ri] != want {
+				t.Fatalf("step %d, %s: served identity differs from the fresh one:\n%+v\n%+v", step, regime.Name, got.id.regimes[ri], want)
+			}
+		}
+		if n := len(memo.m); n > memo.capacity {
+			t.Fatalf("step %d: memo holds %d identities, capacity %d", step, n, memo.capacity)
+		}
+	}
+	if served < 100 {
+		t.Fatalf("the memo served %d of 300 lookups: the interleaving never exercises a hit", served)
+	}
+}
+
+// Two jobs that differ in any one hashed field, or in the degree, never
+// share a memo entry; two that differ only in their handles do. An
+// unkeyed grid neither reads nor feeds the memo, and a world that fails to
+// build leaves nothing behind.
+func TestIdentityMemoKeySeparatesHashedFields(t *testing.T) {
+	names, variants := hashedFieldVariants()
+	base := variants[0]
+	base.Sweep = sweep.NewRunner(nil, nil)
+	memo := &identityMemo{}
+	if _, err := newGammaWorld(base, 6, GammaGridRegimes(base), lazyGammaData(base), memo); err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range variants {
+		o.Sweep = sweep.NewRunner(nil, nil) // another job's runner
+		if hit := memo.get(o, 6) != nil; hit != (i == 0) {
+			t.Errorf("%s: a lookup after the base job hit = %v", names[i], hit)
+		}
+	}
+	if memo.get(base, 8) != nil {
+		t.Error("degree 8 shares degree 6's entry")
+	}
+
+	memo = &identityMemo{}
+	unkeyed := variants[0]
+	if _, err := newGammaWorld(unkeyed, 6, GammaGridRegimes(unkeyed), lazyGammaData(unkeyed), memo); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newGammaWorld(base, 17, GammaGridRegimes(base), lazyGammaData(base), memo); err == nil {
+		t.Fatal("a 17-regular graph on 16 nodes built")
+	}
+	if len(memo.m) != 0 {
+		t.Fatalf("memo holds %d entries after an unkeyed grid and a failed world", len(memo.m))
 	}
 }

@@ -1,8 +1,9 @@
 // Package sweep is the memoized sweep service: grid experiments submit
 // cells content-addressed by their obs.RunManifest hash, cached results
-// are served instantly, uncached cells fan out across a bounded
-// internal/par pool, and per-cell progress streams through internal/obs
-// sinks. A Server/Client pair exposes the scheduler over the
+// are served instantly (a cell's bytes are the contract; the memory tier
+// also keeps the value decoded from them, so a hit is a copy), uncached
+// cells fan out across a bounded internal/par pool, and per-cell progress
+// streams through internal/obs sinks. A Server/Client pair exposes the scheduler over the
 // internal/transport wire format so long-running sweepd daemons absorb
 // repeated and overlapping sweeps from many clients — the "heavy traffic"
 // path where the same (config, seed, revision) cell is computed once,

@@ -82,7 +82,8 @@ func (c *frameConn) write(kind transport.Kind, seq int, v any) error {
 		return fmt.Errorf("connection broken by an earlier failed write")
 	}
 	c.wbuf.Reset()
-	c.wbuf.Write(make([]byte, transport.BytesFrameReserve))
+	var reserve [transport.BytesFrameReserve]byte
+	c.wbuf.Write(reserve[:])
 	if err := json.NewEncoder(&c.wbuf).Encode(v); err != nil { // the Encoder stays on the stack
 		return fmt.Errorf("encode frame: %w", err)
 	}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -32,10 +33,9 @@ func (s Stats) String() string {
 
 // flight is one in-progress computation other waiters can share.
 type flight struct {
-	done    chan struct{}
-	payload []byte
-	wallNs  int64
-	err     error
+	done chan struct{}
+	res  CellResult
+	err  error
 }
 
 // runnerCore is the shared scheduler state: the store, the worker bound,
@@ -94,16 +94,6 @@ func (r *Runner) Stats() Stats {
 	return r.stats
 }
 
-// Pool returns the runner's worker pool (the default pool for nil
-// runners), so callers can reuse the same concurrency bound for
-// non-cell work.
-func (r *Runner) Pool() *par.Pool {
-	if r == nil || r.core == nil {
-		return nil
-	}
-	return r.core.pool
-}
-
 func (r *Runner) record(verdict string, k CellKey, wallNs int64) {
 	if r == nil {
 		return
@@ -138,6 +128,14 @@ func (r *Runner) record(verdict string, k CellKey, wallNs int64) {
 // bytes, so out[i] is identical whether this call computed the cell or a
 // previous run did. Errors are never cached; like par.ForErr, every cell
 // runs to completion and the lowest-index error is returned.
+//
+// A cell is decoded once: when T is plain data — no pointer, slice, map,
+// interface, chan or func anywhere in it; strings are immutable and fine —
+// the memory tier keeps the decoded value beside its bytes and the next
+// hit copies it out. It is decode(payload) by construction, so the
+// paragraph above stays true. A T that holds a reference would share its
+// backing store between requests and is decoded every time; a kept value
+// of another type is decoded over.
 func Grid[T any](r *Runner, n int, key func(i int) CellKey, compute func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	var core *runnerCore
@@ -146,6 +144,10 @@ func Grid[T any](r *Runner, n int, key func(i int) CellKey, compute func(i int) 
 	}
 	if core == nil {
 		core = &runnerCore{inflight: map[CellKey]*flight{}}
+	}
+	var keeper valueKeeper // the memory tier, when it may keep a T
+	if plainData(reflect.TypeFor[T]()) {
+		keeper, _ = core.store.(valueKeeper)
 	}
 	err := core.pool.ForErr(n, 0, func(i int) error {
 		var k CellKey
@@ -162,7 +164,7 @@ func Grid[T any](r *Runner, n int, key func(i int) CellKey, compute func(i int) 
 			r.record("miss", k, time.Since(start).Nanoseconds())
 			return nil
 		}
-		payload, verdict, wallNs, err := core.cell(k, func() ([]byte, error) {
+		res, verdict, err := core.cell(k, func() ([]byte, error) {
 			v, err := compute(i)
 			if err != nil {
 				return nil, err
@@ -176,10 +178,17 @@ func Grid[T any](r *Runner, n int, key func(i int) CellKey, compute func(i int) 
 		if err != nil {
 			return err
 		}
-		if err := json.Unmarshal(payload, &out[i]); err != nil {
-			return fmt.Errorf("sweep: decode cell %s: %w", k, err)
+		if v, ok := res.value.(T); ok {
+			out[i] = v
+		} else {
+			if err := json.Unmarshal(res.Payload, &out[i]); err != nil {
+				return fmt.Errorf("sweep: decode cell %s: %w", k, err)
+			}
+			if keeper != nil {
+				keeper.keep(k, res.Payload, out[i])
+			}
 		}
-		r.record(verdict, k, wallNs)
+		r.record(verdict, k, res.ElapsedNs)
 		return nil
 	})
 	if err != nil {
@@ -188,16 +197,29 @@ func Grid[T any](r *Runner, n int, key func(i int) CellKey, compute func(i int) 
 	return out, nil
 }
 
+// plainData reports whether copies of a t made by assignment share nothing.
+func plainData(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return plainData(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !plainData(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return t.Kind() <= reflect.Complex128 || t.Kind() == reflect.String // the scalar kinds
+}
+
 // cell resolves one keyed cell: store hit, shared in-flight computation,
 // or a fresh compute that is stored before anyone else can observe it.
-func (c *runnerCore) cell(k CellKey, computeRaw func() ([]byte, error)) (payload []byte, verdict string, wallNs int64, err error) {
+func (c *runnerCore) cell(k CellKey, computeRaw func() ([]byte, error)) (res CellResult, verdict string, err error) {
 	if c.store != nil {
 		res, ok, err := c.store.Get(k)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		if ok {
-			return res.Payload, "hit", res.ElapsedNs, nil
+		if err != nil || ok {
+			return res, "hit", err
 		}
 	}
 	c.mu.Lock()
@@ -207,20 +229,16 @@ func (c *runnerCore) cell(k CellKey, computeRaw func() ([]byte, error)) (payload
 	if f, ok := c.inflight[k]; ok {
 		c.mu.Unlock()
 		<-f.done
-		return f.payload, "shared", f.wallNs, f.err
+		return f.res, "shared", f.err
 	}
 	// Double-check the store under the lock: a flight for k may have
 	// completed (Put + deregister) between our miss above and here, and
 	// computing again would waste the work singleflight exists to save.
 	if c.store != nil {
 		res, ok, gerr := c.store.Get(k)
-		if gerr != nil {
+		if gerr != nil || ok {
 			c.mu.Unlock()
-			return nil, "", 0, gerr
-		}
-		if ok {
-			c.mu.Unlock()
-			return res.Payload, "hit", res.ElapsedNs, nil
+			return res, "hit", gerr
 		}
 	}
 	f := &flight{done: make(chan struct{})}
@@ -228,16 +246,15 @@ func (c *runnerCore) cell(k CellKey, computeRaw func() ([]byte, error)) (payload
 	c.mu.Unlock()
 
 	start := time.Now()
-	f.payload, f.err = computeRaw()
-	f.wallNs = time.Since(start).Nanoseconds()
+	f.res.Key = k
+	f.res.Payload, f.err = computeRaw()
+	f.res.ElapsedNs = time.Since(start).Nanoseconds()
 	if f.err == nil && c.store != nil {
-		if perr := c.store.Put(CellResult{Key: k, Payload: f.payload, ElapsedNs: f.wallNs}); perr != nil {
-			f.err = perr
-		}
+		f.err = c.store.Put(f.res)
 	}
 	c.mu.Lock()
 	delete(c.inflight, k)
 	c.mu.Unlock()
 	close(f.done)
-	return f.payload, "miss", f.wallNs, f.err
+	return f.res, "miss", f.err
 }

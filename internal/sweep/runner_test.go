@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -291,5 +292,190 @@ func TestGridCorruptCellFileIsOneMiss(t *testing.T) {
 	}
 	if b, err := os.ReadFile(path + ".corrupt"); err != nil || len(b) != len(whole)/2 {
 		t.Fatalf("truncated file not kept aside: %d bytes, %v", len(b), err)
+	}
+}
+
+// countedCell is plain data whose decodes are counted, so a test can tell a
+// hit that copied a kept value from one that ran encoding/json.
+type countedCell struct {
+	Index int     `json:"index"`
+	Acc   float64 `json:"acc"`
+}
+
+var countedDecodes atomic.Int64
+
+func (c *countedCell) UnmarshalJSON(b []byte) error {
+	countedDecodes.Add(1)
+	type plain countedCell
+	return json.Unmarshal(b, (*plain)(c))
+}
+
+// countedGrid runs n cells over store and returns them with the number of
+// payload decodes the run made.
+func countedGrid(t *testing.T, store Store, n int) ([]countedCell, int64) {
+	t.Helper()
+	before := countedDecodes.Load()
+	got, err := Grid(NewRunner(store, nil), n, gridKeys(n, ""), func(i int) (countedCell, error) {
+		return countedCell{Index: i, Acc: float64(i) / 7}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, countedDecodes.Load() - before
+}
+
+// TestGridDecodesACellOnce holds the typed tier to the contract it must not
+// bend: the kept value is decode(payload), it lives and dies with those
+// bytes, only the memory tier holds it, and the first hit after anything
+// that dropped it decodes again.
+func TestGridDecodesACellOnce(t *testing.T) {
+	const n = 6
+	for _, tc := range []struct {
+		name  string
+		store func(t *testing.T) Store
+		kept  bool
+	}{
+		{"memory", func(*testing.T) Store { return NewMemStore(0) }, true},
+		{"tiered", func(t *testing.T) Store { return Tiered(NewMemStore(0), newFileStore(t)) }, true},
+		{"file only", func(t *testing.T) Store { return newFileStore(t) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := tc.store(t)
+			warmDecodes := int64(n) // a store that keeps no value decodes every hit
+			if tc.kept {
+				warmDecodes = 0
+			}
+			cold, decodes := countedGrid(t, store, n)
+			if decodes != n {
+				t.Fatalf("cold run decoded %d payloads, want %d: a miss decodes back from the stored bytes", decodes, n)
+			}
+			for run := 0; run < 2; run++ {
+				warm, decodes := countedGrid(t, store, n)
+				if decodes != warmDecodes {
+					t.Fatalf("warm run %d decoded %d payloads, want %d", run, decodes, warmDecodes)
+				}
+				for i := range cold {
+					if warm[i] != cold[i] {
+						t.Fatalf("warm run %d, cell %d: %+v, cold %+v", run, i, warm[i], cold[i])
+					}
+				}
+			}
+			for i := 0; i < n; i++ {
+				res, ok, err := store.Get(gridKeys(n, "")(i))
+				if !ok || err != nil {
+					t.Fatalf("cell %d: ok=%v err=%v", i, ok, err)
+				}
+				var decoded countedCell
+				if err := json.Unmarshal(res.Payload, &decoded); err != nil {
+					t.Fatal(err)
+				}
+				if kept, ok := res.value.(countedCell); ok != tc.kept || (ok && kept != decoded) {
+					t.Fatalf("cell %d: kept value %+v (%v), decode(payload) %+v, want kept=%v", i, res.value, ok, decoded, tc.kept)
+				}
+			}
+
+			// New bytes under a key drop the old value with the old bytes.
+			k := gridKeys(n, "")(2)
+			if err := store.Put(CellResult{Key: k, Payload: json.RawMessage(`{"index":2,"acc":0.5}`)}); err != nil {
+				t.Fatal(err)
+			}
+			for run, want := range []int64{max(warmDecodes, 1), warmDecodes} { // only the replaced cell lost its value
+				got, decodes := countedGrid(t, store, n)
+				if got[2] != (countedCell{Index: 2, Acc: 0.5}) || got[1] != cold[1] {
+					t.Fatalf("run %d after Put: cells %+v", run, got[1:3])
+				}
+				if decodes != want {
+					t.Fatalf("run %d after Put decoded %d payloads, want %d", run, decodes, want)
+				}
+			}
+		})
+	}
+}
+
+// Eviction drops a kept value with its entry and a restarted daemon starts
+// with none: the first hit after either decodes, the second does not.
+func TestGridDecodesAgainAfterEvictionAndRestart(t *testing.T) {
+	disk := newFileStore(t)
+	mem := NewMemStore(1)
+	store := Tiered(mem, disk)
+	if _, decodes := countedGrid(t, store, 1); decodes != 1 {
+		t.Fatalf("cold run decoded %d payloads", decodes)
+	}
+	if _, decodes := countedGrid(t, store, 1); decodes != 0 {
+		t.Fatalf("warm run decoded %d payloads", decodes)
+	}
+	if err := mem.Put(CellResult{Key: mustKey(99, "evictor"), Payload: json.RawMessage(`1`)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := mem.Get(gridKeys(1, "")(0)); ok || mem.Len() != 1 {
+		t.Fatal("the cell was not evicted from the memory tier")
+	}
+	for _, stage := range []struct {
+		name  string
+		store Store
+	}{{"eviction", store}, {"restart", Tiered(NewMemStore(0), disk)}} {
+		for run, want := range []int64{1, 0} {
+			got, decodes := countedGrid(t, stage.store, 1)
+			if decodes != want || got[0] != (countedCell{}) {
+				t.Fatalf("hit %d after %s: %d decodes (want %d), cell %+v", run, stage.name, decodes, want, got[0])
+			}
+		}
+	}
+}
+
+// A cell type that holds a reference is never kept: every hit decodes its
+// own copy, so a caller that writes through one cannot reach another's.
+// And a value kept for one type is not served as another.
+func TestGridNeverKeepsOrCrossesTypes(t *testing.T) {
+	type sliceCell struct {
+		Vals []int `json:"vals"`
+	}
+	store := NewMemStore(0)
+	run := func() []sliceCell {
+		got, err := Grid(NewRunner(store, nil), 3, gridKeys(3, "slices"), func(i int) (sliceCell, error) {
+			return sliceCell{Vals: []int{i, i + 1}}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	run()
+	first := run()
+	first[1].Vals[0] = 99
+	if again := run(); again[1].Vals[0] != 1 || &again[1].Vals[0] == &first[1].Vals[0] {
+		t.Fatalf("a hit saw another request's write: %+v", again[1])
+	}
+	if res, _, _ := store.Get(gridKeys(3, "slices")(1)); res.value != nil {
+		t.Fatalf("a value with a slice in it was kept: %+v", res.value)
+	}
+	for typ, want := range map[reflect.Type]bool{
+		reflect.TypeFor[countedCell](): true,
+		reflect.TypeFor[[2]struct {
+			S string
+			C complex64
+		}](): true,
+		reflect.TypeFor[sliceCell]():            false,
+		reflect.TypeFor[struct{ P *int }]():     false,
+		reflect.TypeFor[[1]map[string]int]():    false,
+		reflect.TypeFor[struct{ E error }]():    false,
+		reflect.TypeFor[struct{ F func() }]():   false,
+		reflect.TypeFor[struct{ C chan int }](): false,
+	} {
+		if plainData(typ) != want {
+			t.Errorf("plainData(%v) = %v", typ, !want)
+		}
+	}
+
+	// cellValue and countedCell share a wire shape and here a key.
+	var calls int64
+	if _, err := Grid(NewRunner(store, nil), 3, gridKeys(3, ""), computeCell(&calls)); err != nil {
+		t.Fatal(err)
+	}
+	if got, decodes := countedGrid(t, store, 3); decodes != 3 || got[2] != (countedCell{Index: 2, Acc: 2.0 / 7}) {
+		t.Fatalf("a grid of another type over kept cellValues: %d decodes, %+v", decodes, got[2])
+	}
+	if _, decodes := countedGrid(t, store, 3); decodes != 0 {
+		t.Fatalf("the second grid of the new type decoded %d payloads", decodes)
 	}
 }

@@ -51,10 +51,6 @@ func NewServer(addr string, store Store, pool *par.Pool) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Runner returns the server's shared scheduler handle (its stats
-// accumulate across all jobs).
-func (s *Server) Runner() *Runner { return s.runner }
-
 // Handle registers a workload under kind. Registrations must complete
 // before Serve.
 func (s *Server) Handle(kind string, h Handler) {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
@@ -14,10 +15,14 @@ import (
 // took (telemetry only — not part of the identity). Payload bytes are
 // stored and served verbatim, which is what makes a cache hit
 // byte-identical to the compute that produced it.
+//
+// value is what Grid decoded from Payload, kept by the memory tier alone
+// to spare the next hit the decode; it is never encoded, sent or compared.
 type CellResult struct {
 	Key       CellKey         `json:"key"`
 	Payload   json.RawMessage `json:"payload"`
 	ElapsedNs int64           `json:"elapsed_ns,omitempty"`
+	value     any
 }
 
 // Store is a cell cache. Implementations must be safe for concurrent use;
@@ -27,7 +32,15 @@ type Store interface {
 	Put(res CellResult) error
 }
 
-// MemStore is an in-memory LRU Store. capacity <= 0 means unbounded.
+// valueKeeper is the memory tier as Grid uses it: keep attaches the value
+// decoded from payload to k's entry, unless its bytes are no longer those.
+type valueKeeper interface {
+	keep(k CellKey, payload []byte, v any)
+}
+
+// MemStore is an in-memory LRU Store. capacity <= 0 means unbounded. A
+// kept value lives and dies with the bytes it was decoded from: Put
+// replaces the entry, eviction drops it, and capacity bounds both.
 type MemStore struct {
 	mu       sync.Mutex
 	capacity int
@@ -59,6 +72,7 @@ func (s *MemStore) Put(res CellResult) error {
 	if !res.Key.Valid() {
 		return fmt.Errorf("sweep: cannot store invalid key")
 	}
+	res.value = nil // a value enters through keep alone, checked against the bytes
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[res.Key]; ok {
@@ -73,6 +87,16 @@ func (s *MemStore) Put(res CellResult) error {
 		delete(s.items, oldest.Value.(*CellResult).Key)
 	}
 	return nil
+}
+
+func (s *MemStore) keep(k CellKey, payload []byte, v any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.items[k]; ok {
+		if res := el.Value.(*CellResult); bytes.Equal(res.Payload, payload) {
+			res.value = v
+		}
+	}
 }
 
 // Len reports the number of cached entries.
@@ -179,6 +203,12 @@ func (t *tiered) Get(k CellKey) (CellResult, bool, error) {
 		return CellResult{}, false, err
 	}
 	return res, true, nil
+}
+
+func (t *tiered) keep(k CellKey, payload []byte, v any) {
+	if vk, ok := t.mem.(valueKeeper); ok {
+		vk.keep(k, payload, v)
+	}
 }
 
 func (t *tiered) Put(res CellResult) error {

@@ -192,3 +192,33 @@ func TestTieredPromotesDiskHits(t *testing.T) {
 		t.Fatal("disk hit was not promoted into mem")
 	}
 }
+
+// keep attaches a value only to the bytes it was decoded from: a decode
+// that raced a Put of new bytes, or outlived its entry, keeps nothing.
+func TestKeepChecksTheBytes(t *testing.T) {
+	for name, store := range map[string]Store{"memory": NewMemStore(0), "tiered": Tiered(NewMemStore(0), newFileStore(t))} {
+		k := mustKey(1, "keep")
+		replaced, current := json.RawMessage(`1`), json.RawMessage(`2`)
+		if err := store.Put(CellResult{Key: k, Payload: current}); err != nil {
+			t.Fatal(err)
+		}
+		keeper := store.(valueKeeper)
+		keeper.keep(k, replaced, 1)
+		if res, _, _ := store.Get(k); res.value != nil {
+			t.Errorf("%s: a value decoded from replaced bytes was kept: %v", name, res.value)
+		}
+		keeper.keep(mustKey(2, "keep"), current, 2) // no such entry
+		keeper.keep(k, current, 2)
+		if res, _, _ := store.Get(k); res.value != 2 {
+			t.Errorf("%s: kept value %v, want 2", name, res.value)
+		}
+		res, _, _ := store.Get(k)
+		res.Payload = replaced
+		if err := store.Put(res); err != nil { // a Put never brings a value in with it
+			t.Fatal(err)
+		}
+		if res, _, _ := store.Get(k); res.value != nil || string(res.Payload) != "1" {
+			t.Errorf("%s: a Put carried a value in: %+v", name, res)
+		}
+	}
+}

@@ -13,27 +13,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/async"
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/harvest"
-	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/sweep"
-	"repro/internal/tensor"
-	"repro/internal/transport"
 )
 
 var benchScale = flag.Int("benchscale", 32, "nodes per benchmark experiment (paper: 256)")
@@ -386,47 +376,6 @@ func BenchmarkAblationSpectralGap(b *testing.B) {
 	}
 }
 
-// BenchmarkTransportLocal measures a full engine round over the channel
-// transport.
-func BenchmarkTransportLocal(b *testing.B) {
-	g, w, part, test := benchWorld(b, 16, 4, 46)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runBench(b, g, w, part, test, core.DPSGD(), 4, 46)
-	}
-}
-
-// BenchmarkTransportTCP measures the same engine rounds over real TCP.
-func BenchmarkTransportTCP(b *testing.B) {
-	g, w, part, test := benchWorld(b, 16, 4, 46)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		net, err := transport.NewTCP(16, "127.0.0.1", 64)
-		if err != nil {
-			b.Skip("no localhost sockets")
-		}
-		b.StartTimer()
-		res, err := sim.Run(sim.Config{
-			Graph: g, Weights: w, Algo: core.DPSGD(), Rounds: 4,
-			ModelFactory: func(node int, r *rng.RNG) *nn.Network {
-				return nn.LogisticRegression(32, 10, r)
-			},
-			LR: 0.2, BatchSize: 16, LocalSteps: 8,
-			Partition: part, Test: test,
-			EvalEvery: 0, EvalSubsample: 240,
-			Network: net, Seed: 46,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = res
-		b.StopTimer()
-		net.Close()
-		b.StartTimer()
-	}
-}
-
 // BenchmarkConsensusContraction measures pure synchronization rounds: the
 // speed at which consensus distance contracts under W (no training).
 func BenchmarkConsensusContraction(b *testing.B) {
@@ -473,186 +422,6 @@ func repeat(v, n int) []int {
 	return out
 }
 
-// Sanity: the metrics package is exercised at the root level too.
-func BenchmarkMovingAverage(b *testing.B) {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i % 17)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		metrics.MovingAverage(xs, 9)
-	}
-}
-
-// BenchmarkAblationCompressedGossip compares consensus contraction under
-// exact gossip vs top-k sparsified gossip with error feedback (the
-// communication-reduction direction of the paper's related work). It
-// reports the consensus-distance ratio after 50 mixing rounds: exact
-// gossip contracts geometrically, while naively compressed gossip stalls
-// at a noise floor (the reason CHOCO-style compressed consensus adds a
-// damped mixing step) — at a quarter of the bandwidth.
-func BenchmarkAblationCompressedGossip(b *testing.B) {
-	var exactRatio, compressedRatio float64
-	for it := 0; it < b.N; it++ {
-		const n, dim, rounds = 32, 256, 50
-		g, err := graph.Regular(n, 4, 48)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w := graph.Metropolis(g)
-		run := func(k int) float64 {
-			r := rng.New(48)
-			vecs := make([]tensor.Vector, n)
-			for i := range vecs {
-				vecs[i] = tensor.NewVector(dim)
-				for j := range vecs[i] {
-					vecs[i][j] = r.NormFloat64()
-				}
-			}
-			efs := make([]*compress.ErrorFeedback, n)
-			for i := range efs {
-				efs[i] = compress.NewErrorFeedback(dim)
-			}
-			initial := metrics.ConsensusDistance(vecs)
-			for round := 0; round < rounds; round++ {
-				// Each node broadcasts a (possibly compressed) snapshot and
-				// applies the W-weighted average of what it received.
-				shared := make([]tensor.Vector, n)
-				for i := range vecs {
-					if k <= 0 || k >= dim {
-						shared[i] = vecs[i].Clone()
-					} else {
-						shared[i] = efs[i].Compress(vecs[i], k).Dense()
-					}
-				}
-				next := make([]tensor.Vector, n)
-				for i := range vecs {
-					acc := tensor.NewVector(dim)
-					tensor.AXPY(acc, w.Self[i], shared[i])
-					for kk, j := range g.Adj[i] {
-						tensor.AXPY(acc, w.Nbr[i][kk], shared[j])
-					}
-					next[i] = acc
-				}
-				vecs = next
-			}
-			return metrics.ConsensusDistance(vecs) / initial
-		}
-		exactRatio = run(0)
-		compressedRatio = run(dim / 4) // keep 25% of coordinates
-		once(it, func() {
-			fmt.Printf("AblationCompressedGossip: consensus ratio after 50 rounds: exact=%.2e, top-25%%+EF=%.2e\n",
-				exactRatio, compressedRatio)
-		})
-	}
-	b.ReportMetric(exactRatio, "exact-ratio")
-	b.ReportMetric(compressedRatio, "topk-ratio")
-}
-
-// BenchmarkGammaGrid measures the harvest-aware Γ-schedule grid search of
-// TableGammaHarvest: one regime's 4x4 grid, every cell a fresh-fleet
-// harvest-coupled simulation, cells fanned out across GOMAXPROCS workers
-// (internal/par). BenchmarkGammaGridSerial pins the GOMAXPROCS=1 baseline
-// so the parallel speedup is tracked release over release; both produce
-// bit-identical grids (cells write preallocated slots).
-func BenchmarkGammaGrid(b *testing.B)       { benchGammaGrid(b, 0) }
-func BenchmarkGammaGridSerial(b *testing.B) { benchGammaGrid(b, 1) }
-
-func benchGammaGrid(b *testing.B, procs int) {
-	if procs > 0 {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-	}
-	o := experiments.Options{Nodes: *benchScale, Rounds: 32, Seed: 42}
-	regime := experiments.GammaGridRegimes(o)[1] // diurnal-lo
-	var res *experiments.GammaGridResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunGammaGrid(o, regime)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(i, func() { res.Render(os.Stdout) })
-	}
-	b.ReportMetric(res.Best.FinalAcc, "best-acc-pct")
-	b.ReportMetric(float64(res.Best.GammaTrain*10+res.Best.GammaSync), "best-gamma-ts")
-}
-
-// BenchmarkSweepWarmVsCold measures the memoized sweep service's value on
-// its headline workload: the full TableGammaHarvest (5 regimes x 16
-// cells). Every iteration runs the search cold against an empty cell
-// store and again warm against the store the cold run just filled, and
-// reports both phases plus the warm speedup — the factor the
-// content-addressed cache buys on an unchanged config. The warm phase
-// recomputes nothing (80/80 hits); its cost is store lookups and JSON
-// decodes.
-func BenchmarkSweepWarmVsCold(b *testing.B) {
-	o := opts(16)
-	var coldNs, warmNs int64
-	for i := 0; i < b.N; i++ {
-		store := sweep.NewMemStore(0)
-
-		o.Sweep = sweep.NewRunner(store, nil)
-		start := time.Now()
-		rows, err := experiments.TableGammaHarvest(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		coldNs += time.Since(start).Nanoseconds()
-		if st := o.Sweep.Stats(); st.Hits != 0 {
-			b.Fatalf("cold phase hit the cache: %s", st)
-		}
-
-		o.Sweep = sweep.NewRunner(store, nil)
-		start = time.Now()
-		warm, err := experiments.TableGammaHarvest(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		warmNs += time.Since(start).Nanoseconds()
-		if st := o.Sweep.Stats(); !st.AllHits() {
-			b.Fatalf("warm phase recomputed: %s", st)
-		}
-		for j := range rows {
-			if rows[j] != warm[j] {
-				b.Fatalf("row %d differs warm vs cold", j)
-			}
-		}
-	}
-	// No first-iteration print here: this benchmark is in the obstool
-	// snapshot set, and stdout emitted mid-benchmark would split the result
-	// line `obstool bench` parses. The metrics below carry the story.
-	b.ReportMetric(float64(coldNs)/float64(b.N)/1e6, "cold-ms")
-	b.ReportMetric(float64(warmNs)/float64(b.N)/1e6, "warm-ms")
-	b.ReportMetric(float64(coldNs)/float64(warmNs), "warm-speedup")
-}
-
-// BenchmarkSweepColdWorkers pins the sweep scheduler's worker scaling on
-// one cold 4x4 grid (diurnal-lo): the same simulations fanned over pools
-// of 1, 2, and 4 workers. Grids are bit-identical at every width; only
-// wall clock moves.
-func BenchmarkSweepColdWorkers1(b *testing.B) { benchSweepCold(b, 1) }
-func BenchmarkSweepColdWorkers2(b *testing.B) { benchSweepCold(b, 2) }
-func BenchmarkSweepColdWorkers4(b *testing.B) { benchSweepCold(b, 4) }
-
-func benchSweepCold(b *testing.B, workers int) {
-	o := opts(16)
-	regime := experiments.GammaGridRegimes(o)[1] // diurnal-lo
-	for i := 0; i < b.N; i++ {
-		o.Sweep = sweep.NewRunner(sweep.NewMemStore(0), par.NewPool(workers))
-		res, err := experiments.RunGammaGrid(o, regime)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st := o.Sweep.Stats(); st.Misses != 16 {
-			b.Fatalf("cold grid stats %s", st)
-		}
-		_ = res
-	}
-	b.ReportMetric(float64(workers), "workers")
-}
-
 // BenchmarkSection51Fairness quantifies the Section 5.1 bias discussion:
 // participation inequality (Gini) and budget-accuracy correlation of
 // SkipTrain-constrained vs energy-oblivious D-PSGD.
@@ -669,89 +438,6 @@ func BenchmarkSection51Fairness(b *testing.B) {
 	}
 	b.ReportMetric(res.Constrained.ParticipationGini, "gini")
 	b.ReportMetric(res.Constrained.BudgetAccCorr, "budget-acc-corr")
-}
-
-// BenchmarkHarvestFleetRound measures the per-round battery-update hot path
-// of the harvesting subsystem at scale: 1k nodes stepping through 1k rounds
-// of TryTrain + EndRound (diurnal trace) per iteration. This is the loop a
-// million-device deployment would shard, so its ns/node-round and allocation
-// profile anchor the perf trajectory. The fleet is built once and rewound
-// with Fleet.Reset per iteration — the cheap fresh-state path the grid
-// searches rely on — so construction noise stays out of the measurement.
-func BenchmarkHarvestFleetRound(b *testing.B) {
-	const (
-		nodes  = 1000
-		rounds = 1000
-	)
-	devices := energy.AssignDevices(nodes, energy.Devices())
-	w := energy.CIFAR10Workload()
-	trace, err := harvest.NewDiurnal(0.01, 24, harvest.LongitudePhase(nodes))
-	if err != nil {
-		b.Fatal(err)
-	}
-	fleet, err := harvest.NewFleet(devices, w, trace, harvest.Options{CapacityRounds: 12, InitialSoC: 0.5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fleet.Reset(); err != nil {
-			b.Fatal(err)
-		}
-		for t := 0; t < rounds; t++ {
-			for node := 0; node < nodes; node++ {
-				if fleet.SoC(node) > 0.2 {
-					fleet.TryTrain(node)
-				}
-			}
-			fleet.EndRound(t)
-		}
-		if fleet.HarvestedWh() <= 0 {
-			b.Fatal("fleet harvested nothing")
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes*rounds), "ns/node-round")
-}
-
-// BenchmarkSoAFleetRound measures the fleet on the exact scenario of
-// BenchmarkHarvestFleetRound — 1k nodes, 1k rounds, diurnal trace,
-// train-above-0.2-SoC policy — driven through the fused SweepThreshold
-// instead of the per-node TryTrain + EndRound: the participation decision,
-// battery update, harvest, and liveness count in one pass per node, with
-// the diurnal row served from the day-row cache. (The name is the one
-// BENCH_*.json and CI's regress step key on.)
-func BenchmarkSoAFleetRound(b *testing.B) {
-	const (
-		nodes  = 1000
-		rounds = 1000
-	)
-	devices := energy.AssignDevices(nodes, energy.Devices())
-	w := energy.CIFAR10Workload()
-	trace, err := harvest.NewDiurnal(0.01, 24, harvest.LongitudePhase(nodes))
-	if err != nil {
-		b.Fatal(err)
-	}
-	fleet, err := harvest.NewFleet(devices, w, trace, harvest.Options{CapacityRounds: 12, InitialSoC: 0.5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fleet.Reset(); err != nil {
-			b.Fatal(err)
-		}
-		for t := 0; t < rounds; t++ {
-			fleet.SweepThreshold(t, 0.2)
-		}
-		if fleet.HarvestedWh() <= 0 {
-			b.Fatal("fleet harvested nothing")
-		}
-	}
-	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N*nodes*rounds)
-	b.ReportMetric(perOp, "ns/node-round")
-	b.ReportMetric(1e3/perOp, "Mnode-rounds/s")
 }
 
 // BenchmarkHorizonPlan measures the MPC planning hot path at fleet scale:
@@ -807,132 +493,4 @@ func BenchmarkHorizonPlan(b *testing.B) {
 		b.Fatal("planner never scheduled a training round")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/plan")
-}
-
-// BenchmarkHarvestFleetRoundParallel measures the same hot path with the
-// policy loop fanned out across GOMAXPROCS workers (the engine's phase
-// pattern) and EndRound sharding internally — the million-node
-// configuration of the ROADMAP perf item. Results are bit-identical to the
-// serial benchmark because all fleet state is per-node.
-func BenchmarkHarvestFleetRoundParallel(b *testing.B) {
-	const (
-		nodes  = 1000
-		rounds = 1000
-	)
-	devices := energy.AssignDevices(nodes, energy.Devices())
-	w := energy.CIFAR10Workload()
-	workers := runtime.GOMAXPROCS(0)
-	trace, err := harvest.NewDiurnal(0.01, 24, harvest.LongitudePhase(nodes))
-	if err != nil {
-		b.Fatal(err)
-	}
-	fleet, err := harvest.NewFleet(devices, w, trace, harvest.Options{CapacityRounds: 12, InitialSoC: 0.5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fleet.Reset(); err != nil {
-			b.Fatal(err)
-		}
-		chunk := (nodes + workers - 1) / workers
-		for t := 0; t < rounds; t++ {
-			var wg sync.WaitGroup
-			for lo := 0; lo < nodes; lo += chunk {
-				hi := lo + chunk
-				if hi > nodes {
-					hi = nodes
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for node := lo; node < hi; node++ {
-						if fleet.SoC(node) > 0.2 {
-							fleet.TryTrain(node)
-						}
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-			fleet.EndRound(t)
-		}
-		if fleet.HarvestedWh() <= 0 {
-			b.Fatal("fleet harvested nothing")
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes*rounds), "ns/node-round")
-}
-
-// BenchmarkAsyncHarvestEventLoop measures the event-driven intermittency
-// engine end to end: a 64-node fleet on a scarce diurnal trace, every
-// local step an admission check plus a continuous battery integration,
-// sleeping nodes woken at solved charge-arrival crossings, and in-flight
-// steps interrupted at exact cutoff crossings. LocalSteps 1 on a small
-// model keeps SGD cheap, so the heap, crossing solvers, and per-segment
-// trace integration dominate — the cost the refactor added over the
-// budget-contract step clock.
-func BenchmarkAsyncHarvestEventLoop(b *testing.B) {
-	const nodes = 64
-	g, err := graph.Regular(nodes, 6, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := dataset.SyntheticConfig{Classes: 10, Dim: 16, Train: nodes * 24, Test: 240, Noise: 2.5, Seed: 42}
-	train, testAll, err := dataset.Generate(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	part, err := dataset.ShardPartition(train, nodes, 2, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	devices := energy.AssignDevices(nodes, energy.Devices())
-	w := energy.CIFAR10Workload()
-	mean := energy.NetworkRoundWh(nodes, energy.Devices(), w) / float64(nodes)
-	stepSec := 0.0
-	for _, d := range devices {
-		stepSec += d.TrainRoundSeconds(w)
-	}
-	stepSec /= nodes
-	const traceRounds = 96
-	steps := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trace, err := harvest.NewDiurnal(1.2*mean, 24, harvest.LongitudePhase(nodes))
-		if err != nil {
-			b.Fatal(err)
-		}
-		policy, err := harvest.NewSoCThreshold(0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := async.Run(async.Config{
-			Graph:        g,
-			Algo:         core.Algorithm{Label: "bench", Schedule: core.AllTrain{}, Policy: policy},
-			Horizon:      traceRounds * stepSec,
-			ModelFactory: func(node int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(16, 10, r) },
-			LR:           0.2, BatchSize: 8, LocalSteps: 1,
-			Partition: part, Test: testAll,
-			Devices: devices, Workload: w,
-			Trace: trace,
-			FleetOptions: harvest.Options{
-				CapacityRounds: 8, InitialSoC: 0.3, CutoffSoC: 0.1, IdleWh: 0.2 * mean,
-			},
-			RoundSeconds: stepSec,
-			Seed:         42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps = 0
-		for _, s := range res.StepsPerNode {
-			steps += s
-		}
-		if steps == 0 || res.Brownouts == 0 {
-			b.Fatalf("event loop idle: %d steps, %d brown-outs", steps, res.Brownouts)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
 }

@@ -1,20 +1,18 @@
 // Command obstool is the offline side of the observability layer
-// (internal/obs + internal/obs/analyze): it turns `go test -bench`
-// output into the committed BENCH_*.json perf-trajectory snapshots,
-// validates JSONL telemetry event streams, audits and summarizes runs,
-// diffs two runs by manifest, and gates benchmark regressions.
+// (internal/obs + internal/obs/analyze): it validates JSONL telemetry
+// event streams, audits and summarizes runs, and diffs two runs by
+// manifest.
 //
-//	go test -run '^$' -bench 'HarvestFleetRound|HorizonPlan' . | obstool bench -o BENCH_6.json -label "PR 6"
 //	obstool events run.jsonl        # validate a harvestsim -events stream
 //	obstool report run.jsonl        # audit + summarize one run
 //	obstool diff a.jsonl b.jsonl    # compare two runs by manifest
-//	obstool regress BENCH_6.json BENCH_7.json   # perf gate
 //
 // All subcommands exit 0 on success, 1 on malformed input or a failed
-// audit/gate, and 2 on a usage error — matching the other cmd/ binaries.
+// audit, and 2 on a usage error — matching the other cmd/ binaries.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,50 +24,59 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usageError("need a subcommand: bench | events | report | diff | regress")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one obstool invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		return usageError(stderr, "need a subcommand: events | report | diff")
 	}
-	var err error
-	switch os.Args[1] {
-	case "bench":
-		err = runBench(os.Args[2:])
+	var sub func([]string, io.Writer, io.Writer) error
+	switch args[0] {
 	case "events":
-		err = runEvents(os.Args[2:])
+		sub = runEvents
 	case "report":
-		err = runReport(os.Args[2:])
+		sub = runReport
 	case "diff":
-		err = runDiff(os.Args[2:])
-	case "regress":
-		err = runRegress(os.Args[2:])
+		sub = runDiff
 	case "-h", "-help", "--help":
-		usage(os.Stderr)
-		return
+		usage(stderr)
+		return 0
 	default:
-		usageError(fmt.Sprintf("unknown subcommand %q (want bench, events, report, diff, or regress)", os.Args[1]))
+		return usageError(stderr, fmt.Sprintf("unknown subcommand %q (want events, report, or diff)", args[0]))
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+	err := sub(args[1:], stdout, stderr)
+	var u errUsage
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &u):
+		return usageError(stderr, string(u))
+	default:
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
 	}
 }
 
-// usageError reports a flag-validation failure and exits with the
+// errUsage is a subcommand's argument error; run reports it through
+// usageError.
+type errUsage string
+
+func (e errUsage) Error() string { return string(e) }
+
+// usageError reports a flag-validation failure and returns the
 // conventional usage status.
-func usageError(msg string) {
-	fmt.Fprintln(os.Stderr, "error:", msg)
-	fmt.Fprintln(os.Stderr, "run with -h for usage")
-	os.Exit(2)
+func usageError(stderr io.Writer, msg string) int {
+	fmt.Fprintln(stderr, "error:", msg)
+	fmt.Fprintln(stderr, "run with -h for usage")
+	return 2
 }
 
 func usage(out io.Writer) {
 	fmt.Fprint(out, `obstool processes the simulator's telemetry artifacts (internal/obs).
 
 Usage:
-
-  go test -run '^$' -bench ... . | obstool bench [-o file.json] [-label text]
-      Parse benchmark output from stdin and write the BENCH_*.json
-      perf-trajectory snapshot (name-sorted results, Go version, git
-      revision). -o defaults to stdout.
 
   obstool events file.jsonl
       Validate a JSONL telemetry event stream (harvestsim -events): every
@@ -89,65 +96,35 @@ Usage:
       Compare two runs by their manifests and reconstructed reports:
       flags config-hash/seed/revision drift and prints accuracy, energy,
       and wall-time deltas.
-
-  obstool regress [-tol 0.2] [-metric ns/node-round] old.json new.json
-      Compare two BENCH_*.json snapshots and exit 1 when a tracked metric
-      regressed past the tolerance. Benchmarks present on only one side
-      are warnings, never failures. -metric may repeat.
 `)
 }
 
-// runBench parses `go test -bench` output on stdin into the committed
-// BENCH_*.json format.
-func runBench(args []string) error {
-	fs := flag.NewFlagSet("obstool bench", flag.ExitOnError)
-	out := fs.String("o", "", "output file (default stdout)")
-	label := fs.String("label", "", "snapshot label recorded in the file (e.g. \"PR 6\")")
-	if err := fs.Parse(args); err != nil {
-		return err
+// parseFlags parses a subcommand's flags, reporting a bad flag as a
+// usage error.
+func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage(err.Error())
 	}
-	if fs.NArg() > 0 {
-		usageError("bench reads stdin and takes no positional arguments")
-	}
-	results, err := obs.ParseBench(os.Stdin)
-	if err != nil {
-		return err
-	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		fh, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer fh.Close()
-		w = fh
-	}
-	if err := obs.WriteBenchJSON(w, *label, results); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "parsed %d benchmark results\n", len(results))
-	return nil
+	return err
 }
 
 // runEvents validates a JSONL event stream and prints its summary.
-func runEvents(args []string) error {
-	fs := flag.NewFlagSet("obstool events", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
+func runEvents(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("obstool events", flag.ContinueOnError)
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		usageError("events takes exactly one file argument (\"-\" for stdin)")
+		return errUsage("events takes exactly one file argument (\"-\" for stdin)")
 	}
-	r := io.Reader(os.Stdin)
-	if path := fs.Arg(0); path != "-" {
-		fh, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer fh.Close()
-		r = fh
+	fh, err := openArg(fs.Arg(0))
+	if err != nil {
+		return err
 	}
-	stats, err := obs.ValidateEvents(r)
+	defer fh.Close()
+	stats, err := obs.ValidateEvents(fh)
 	if err != nil {
 		return err
 	}
@@ -156,9 +133,9 @@ func runEvents(args []string) error {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
-	fmt.Printf("valid: %d events, %d rounds\n", stats.Events, stats.Rounds)
+	fmt.Fprintf(stdout, "valid: %d events, %d rounds\n", stats.Events, stats.Rounds)
 	for _, k := range kinds {
-		fmt.Printf("  %-13s %d\n", k, stats.Kinds[k])
+		fmt.Fprintf(stdout, "  %-13s %d\n", k, stats.Kinds[k])
 	}
 	return nil
 }
@@ -172,14 +149,14 @@ func openArg(path string) (io.ReadCloser, error) {
 }
 
 // runReport audits one stream and prints its reconstructed run summary.
-func runReport(args []string) error {
-	fs := flag.NewFlagSet("obstool report", flag.ExitOnError)
+func runReport(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("obstool report", flag.ContinueOnError)
 	md := fs.Bool("md", false, "render the report as markdown")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		usageError("report takes exactly one file argument (\"-\" for stdin)")
+		return errUsage("report takes exactly one file argument (\"-\" for stdin)")
 	}
 	fh, err := openArg(fs.Arg(0))
 	if err != nil {
@@ -199,12 +176,12 @@ func runReport(args []string) error {
 	auditor.Close()
 	rep := analyze.FromEvents(events)
 	if *md {
-		rep.WriteMarkdown(os.Stdout)
+		rep.WriteMarkdown(stdout)
 	} else {
-		rep.WriteText(os.Stdout)
+		rep.WriteText(stdout)
 	}
-	fmt.Println()
-	fmt.Print(auditor.Summary())
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, auditor.Summary())
 	if !auditor.Ok() {
 		return fmt.Errorf("audit found %d violation(s)", len(auditor.Violations())+auditor.Overflow())
 	}
@@ -212,13 +189,13 @@ func runReport(args []string) error {
 }
 
 // runDiff compares two runs by manifest and reconstructed report.
-func runDiff(args []string) error {
-	fs := flag.NewFlagSet("obstool diff", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
+func runDiff(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("obstool diff", flag.ContinueOnError)
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 	if fs.NArg() != 2 {
-		usageError("diff takes exactly two stream file arguments")
+		return errUsage("diff takes exactly two stream file arguments")
 	}
 	reports := make([]*analyze.Report, 2)
 	for i := 0; i < 2; i++ {
@@ -234,48 +211,6 @@ func runDiff(args []string) error {
 		reports[i] = rep
 	}
 	d := analyze.DiffReports(reports[0], reports[1])
-	d.WriteText(os.Stdout, fs.Arg(0), fs.Arg(1))
-	return nil
-}
-
-// runRegress gates a new bench snapshot against an old one.
-func runRegress(args []string) error {
-	fs := flag.NewFlagSet("obstool regress", flag.ExitOnError)
-	tol := fs.Float64("tol", 0.2, "allowed relative slowdown before a metric counts as regressed")
-	var metrics metricList
-	fs.Var(&metrics, "metric", "tracked metric to compare (repeatable; default ns/node-round)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		usageError("regress takes exactly two BENCH_*.json file arguments (old new)")
-	}
-	files := make([]obs.BenchFile, 2)
-	for i := 0; i < 2; i++ {
-		fh, err := openArg(fs.Arg(i))
-		if err != nil {
-			return err
-		}
-		bf, err := obs.ReadBenchJSON(fh)
-		fh.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", fs.Arg(i), err)
-		}
-		files[i] = bf
-	}
-	res := analyze.CompareBench(files[0], files[1], metrics, *tol)
-	res.WriteText(os.Stdout, fs.Arg(0), fs.Arg(1), *tol)
-	if res.Regressions > 0 {
-		return fmt.Errorf("%d tracked metric(s) regressed past %.0f%%", res.Regressions, 100**tol)
-	}
-	return nil
-}
-
-// metricList is a repeatable -metric flag; nil means the default set.
-type metricList []string
-
-func (m *metricList) String() string { return fmt.Sprint([]string(*m)) }
-func (m *metricList) Set(v string) error {
-	*m = append(*m, v)
+	d.WriteText(stdout, fs.Arg(0), fs.Arg(1))
 	return nil
 }

@@ -43,9 +43,9 @@ type sweepShard struct {
 // pays its communication draw (EndRound semantics; drive EndRoundLive
 // directly for dead-radio accounting).
 //
-// This is the million-node path (examples/millionnode,
-// BenchmarkSoAFleetRound), so unlike EndRound it reads the trace through
-// the RowTrace bulk fill when the trace has one. The pass runs serially
+// This is the million-node path (examples/millionnode; the benchmark's
+// harvest.soa_ns_per_node_round), so unlike EndRound it reads the trace
+// through the RowTrace bulk fill when the trace has one. The pass runs serially
 // below parallelMinNodes nodes and shards across workers above it — in
 // fixed sweepShardSize ranges with stats merged in shard order, so results
 // are independent of GOMAXPROCS. After the first call, which allocates the

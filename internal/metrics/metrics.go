@@ -60,32 +60,6 @@ func Last(xs []float64) float64 {
 	return xs[len(xs)-1]
 }
 
-// MovingAverage smooths xs with a centered window of the given width
-// (clipped at the edges), used to read convergence trends off noisy
-// accuracy curves.
-func MovingAverage(xs []float64, window int) []float64 {
-	if window < 1 {
-		window = 1
-	}
-	out := make([]float64, len(xs))
-	half := window / 2
-	for i := range xs {
-		lo, hi := i-half, i+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		s := 0.0
-		for j := lo; j <= hi; j++ {
-			s += xs[j]
-		}
-		out[i] = s / float64(hi-lo+1)
-	}
-	return out
-}
-
 // RoundsToTarget returns the first x-value at which ys reaches target
 // (series sorted by xs ascending), or -1 if it never does. Used for the
 // time-to-accuracy readings behind the paper's "boosted convergence speed"

@@ -70,32 +70,6 @@ func TestLast(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	xs := []float64{0, 10, 0, 10, 0}
-	sm := MovingAverage(xs, 3)
-	if len(sm) != 5 {
-		t.Fatal("length changed")
-	}
-	// Middle points average their neighbors.
-	if math.Abs(sm[2]-20.0/3) > 1e-12 {
-		t.Fatalf("sm[2] = %v", sm[2])
-	}
-	// Window 1 is identity.
-	id := MovingAverage(xs, 1)
-	for i := range xs {
-		if id[i] != xs[i] {
-			t.Fatal("window-1 moving average must be identity")
-		}
-	}
-	// Degenerate window clamps to 1.
-	id0 := MovingAverage(xs, 0)
-	for i := range xs {
-		if id0[i] != xs[i] {
-			t.Fatal("window-0 must clamp to identity")
-		}
-	}
-}
-
 func TestRoundsToTarget(t *testing.T) {
 	xs := []float64{10, 20, 30}
 	ys := []float64{0.4, 0.6, 0.8}

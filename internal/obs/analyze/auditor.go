@@ -5,8 +5,7 @@
 // alternation, counter monotonicity, phase-time accounting — live during
 // a run or offline over a JSONL file), the Report builder (reconstructing
 // outage episodes, SoC timelines, and phase breakdowns from an event
-// stream), cross-run diffing by manifest, and the BENCH_*.json regression
-// gate behind `obstool regress`.
+// stream), and cross-run diffing by manifest.
 //
 // The auditor is what lets a manifest-keyed run be trusted as a cache
 // entry (the ROADMAP's memoized-sweep service): a stream that passes is

@@ -22,9 +22,8 @@
 // The package also provides the streaming quantile Sketch (SoC percentiles
 // without materializing per-node slices), the RunManifest (a
 // content-addressable run identity: config hash, seed, Go version, git
-// revision — the future cache key of the memoized sweep service), and the
-// benchmark-output → JSON harness behind cmd/obstool and the persisted
-// BENCH_*.json perf trajectory.
+// revision — the cache key of the memoized sweep service), and
+// ValidateEvents, the JSONL stream check behind `obstool events`.
 package obs
 
 import (

@@ -122,41 +122,3 @@ func TestValidateEventsRejectsBadStreams(t *testing.T) {
 		t.Fatalf("multi-run stream rejected: stats=%+v err=%v", stats, err)
 	}
 }
-
-func TestParseBench(t *testing.T) {
-	const out = `goos: linux
-goarch: amd64
-BenchmarkHarvestFleetRound-8   	      21	  52031854 ns/op	 49.96 ns/node-round	       0 B/op	       3 allocs/op
-BenchmarkHorizonPlan   	    1000	      1000 ns/op
-PASS
-ok  	repro	1.0s
-`
-	results, err := ParseBench(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("parsed %d results, want 2", len(results))
-	}
-	r := results[0]
-	if r.Name != "BenchmarkHarvestFleetRound" || r.Procs != 8 || r.Iterations != 21 {
-		t.Fatalf("bad first result: %+v", r)
-	}
-	if r.Metrics["ns/op"] != 52031854 || r.Metrics["ns/node-round"] != 49.96 || r.Metrics["allocs/op"] != 3 {
-		t.Fatalf("bad metrics: %+v", r.Metrics)
-	}
-	if results[1].Procs != 1 {
-		t.Fatalf("suffix-less benchmark should report procs 1, got %d", results[1].Procs)
-	}
-	if _, err := ParseBench(strings.NewReader("PASS\nok x 1s\n")); err == nil {
-		t.Fatal("benchless input should error")
-	}
-
-	var buf bytes.Buffer
-	if err := WriteBenchJSON(&buf, "test", results); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"label": "test"`) || !strings.Contains(buf.String(), "BenchmarkHorizonPlan") {
-		t.Fatalf("bench JSON missing fields:\n%s", buf.String())
-	}
-}

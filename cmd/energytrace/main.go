@@ -6,28 +6,34 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/report"
 )
 
-func main() {
-	var detail = flag.Bool("detail", false, "also print the derivation of every trace value")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	o := experiments.Options{Out: os.Stdout}
-	experiments.Table2(o)
+// run executes one energytrace invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("energytrace", stderr)
+	detail := fs.Bool("detail", false, "also print the derivation of every trace value")
+	if err := cli.Parse(fs, args); err != nil {
+		return cli.Exit(stderr, err)
+	}
+
+	experiments.Table2(experiments.Options{Out: stdout})
 
 	cifar, femnist := energy.CIFAR10Workload(), energy.FEMNISTWorkload()
 	perRoundCIFAR := energy.NetworkRoundWh(experiments.PaperNodes, energy.Devices(), cifar)
 	perRoundFEMNIST := energy.NetworkRoundWh(experiments.PaperNodes, energy.Devices(), femnist)
-	fmt.Printf("\nnetwork of %d nodes, one training round: CIFAR-10 %.4f Wh, FEMNIST %.4f Wh\n",
+	fmt.Fprintf(stdout, "\nnetwork of %d nodes, one training round: CIFAR-10 %.4f Wh, FEMNIST %.4f Wh\n",
 		experiments.PaperNodes, perRoundCIFAR, perRoundFEMNIST)
-	fmt.Printf("D-PSGD totals: CIFAR-10 %.2f Wh over %d rounds (paper: 1510.04), FEMNIST %.2f Wh over %d rounds (paper: 14914.38)\n",
+	fmt.Fprintf(stdout, "D-PSGD totals: CIFAR-10 %.2f Wh over %d rounds (paper: 1510.04), FEMNIST %.2f Wh over %d rounds (paper: 14914.38)\n",
 		perRoundCIFAR*float64(experiments.PaperRoundsCIFAR), experiments.PaperRoundsCIFAR,
 		perRoundFEMNIST*float64(experiments.PaperRoundsFEMNIST), experiments.PaperRoundsFEMNIST)
 
@@ -39,6 +45,7 @@ func main() {
 				d.Name, d.PowerWatts, d.InferenceSeconds*1000,
 				d.TrainRoundSeconds(cifar), d.TrainRoundSeconds(femnist), d.BatteryWh)
 		}
-		tb.Render(os.Stdout)
+		tb.Render(stdout)
 	}
+	return 0
 }

@@ -4,32 +4,56 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/report"
 )
 
-func main() {
-	var (
-		nodes  = flag.Int("nodes", 48, "nodes per experiment (paper: 256)")
-		rounds = flag.Int("rounds", 64, "rounds per experiment (paper: 1000/3000)")
-		seed   = flag.Uint64("seed", 42, "experiment seed")
-		outDir = flag.String("out", "results", "directory for CSV series")
-		paper  = flag.Bool("paper", false, "run at full paper scale (256 nodes; slow)")
-	)
-	flag.Parse()
-	if *paper {
-		*nodes = experiments.PaperNodes
-		*rounds = experiments.PaperRoundsCIFAR
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one figures invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("figures", stderr)
+	nodes := fs.Int("nodes", 48, "nodes per experiment (paper: 256)")
+	rounds := fs.Int("rounds", 64, "rounds per experiment (paper: 1000/3000)")
+	seed := fs.Uint64("seed", 42, "experiment seed")
+	outDir := fs.String("out", "results", "directory for CSV series")
+	paper := fs.Bool("paper", false, "run at full paper scale (256 nodes; slow)")
+	err := cli.Parse(fs, args)
+	if err == nil {
+		err = cli.Check(fs, []cli.Rule{
+			{Flags: "nodes rounds", Want: "no -paper, which sets the scale", OK: func() bool { return !*paper }},
+		})
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fail(err)
+	if err == nil {
+		if *paper {
+			*nodes, *rounds = experiments.PaperNodes, experiments.PaperRoundsCIFAR
+		}
+		err = figures(stdout, *outDir, experiments.Options{Nodes: *nodes, Rounds: *rounds, Seed: *seed, Out: stdout})
 	}
-	o := experiments.Options{Nodes: *nodes, Rounds: *rounds, Seed: *seed, Out: os.Stdout}
+	return cli.Exit(stderr, err)
+}
+
+// figures renders everything to stdout and writes the CSV series to dir.
+func figures(stdout io.Writer, dir string, o experiments.Options) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	section := func(name string) { fmt.Fprintf(stdout, "\n===== %s =====\n", name) }
+	writeCSV := func(name string, headers []string, cols ...[]float64) error {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		return report.CSV(f, headers, cols...)
+	}
 
 	section("Table 1")
 	experiments.Table1(o)
@@ -39,25 +63,27 @@ func main() {
 	section("Figure 1")
 	f1, err := experiments.Figure1(o)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	writeCSV(*outDir, "figure1.csv", []string{"round", "dpsgd_acc", "allreduce_acc"},
-		f1.DPSGD.X, f1.DPSGD.Y, f1.AllReduce.Y)
+	if err := writeCSV("figure1.csv", []string{"round", "dpsgd_acc", "allreduce_acc"},
+		f1.DPSGD.X, f1.DPSGD.Y, f1.AllReduce.Y); err != nil {
+		return err
+	}
 
 	section("Figure 2")
 	if err := experiments.Figure2(o); err != nil {
-		fail(err)
+		return err
 	}
 
 	section("Figure 3")
 	if _, err := experiments.Figure3(o, nil); err != nil {
-		fail(err)
+		return err
 	}
 
 	section("Figure 4")
 	f4, err := experiments.Figure4(o)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	var rds, accs, stds []float64
 	for _, p := range f4.Points {
@@ -65,32 +91,38 @@ func main() {
 		accs = append(accs, p.MeanAcc)
 		stds = append(stds, p.StdAcc)
 	}
-	writeCSV(*outDir, "figure4.csv", []string{"round", "mean_acc", "std_acc"}, rds, accs, stds)
+	if err := writeCSV("figure4.csv", []string{"round", "mean_acc", "std_acc"}, rds, accs, stds); err != nil {
+		return err
+	}
 
 	section("Figure 5")
 	f5, err := experiments.Figure5(o, nil, nil)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	for _, a := range f5.Arms {
 		name := fmt.Sprintf("figure5_%s_d%d_%s.csv", a.Dataset, a.Degree, sanitize(a.Algo))
-		writeCSV(*outDir, name, []string{"round", "acc", "energy_wh"},
-			a.AccVsRound.X, a.AccVsRound.Y, a.AccVsEnergy.X)
+		if err := writeCSV(name, []string{"round", "acc", "energy_wh"},
+			a.AccVsRound.X, a.AccVsRound.Y, a.AccVsEnergy.X); err != nil {
+			return err
+		}
 	}
 
 	section("Figure 6")
 	f6, err := experiments.Figure6(o, nil, nil)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	for _, a := range f6.Arms {
 		name := fmt.Sprintf("figure6_%s_d%d_%s.csv", a.Dataset, a.Degree, sanitize(a.Algo))
-		writeCSV(*outDir, name, []string{"energy_wh", "acc"}, a.AccVsEnergy.X, a.AccVsEnergy.Y)
+		if err := writeCSV(name, []string{"energy_wh", "acc"}, a.AccVsEnergy.X, a.AccVsEnergy.Y); err != nil {
+			return err
+		}
 	}
 
 	section("Figure 7")
 	if err := experiments.Figure7(o); err != nil {
-		fail(err)
+		return err
 	}
 
 	section("Table 3")
@@ -99,42 +131,20 @@ func main() {
 	t4 := experiments.Table4(o, f6)
 	section("Section 5.1 fairness (extension)")
 	if _, err := experiments.Section51Fairness(o); err != nil {
-		fail(err)
+		return err
 	}
 	section("Headline")
 	experiments.SummaryHeadline(o, t3, t4)
-	fmt.Printf("\nCSV series written to %s/\n", *outDir)
+	fmt.Fprintf(stdout, "\nCSV series written to %s/\n", dir)
+	return nil
 }
 
-func section(name string) {
-	fmt.Printf("\n===== %s =====\n", name)
-}
-
+// sanitize maps every rune but an ASCII letter or digit to '_'.
 func sanitize(s string) string {
-	out := []rune{}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
+	return strings.Map(func(r rune) rune {
+		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' {
+			return r
 		}
-	}
-	return string(out)
-}
-
-func writeCSV(dir, name string, headers []string, cols ...[]float64) {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		fail(err)
-	}
-	defer f.Close()
-	if err := report.CSV(f, headers, cols...); err != nil {
-		fail(err)
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "error:", err)
-	os.Exit(1)
+		return '_'
+	}, s)
 }

@@ -12,72 +12,94 @@
 // With -server the job executes on the sweep service: cells are served
 // from its content-addressed cache where possible, per-cell progress
 // streams back live when -progress asks for it (the daemon sends none
-// otherwise), and the rendered tables are produced locally from the reply. -expect-all-hits exits 1 unless every
-// cell was a cache hit — CI uses it to assert warm reruns recompute
-// nothing. Without -server, -cache/-workers memoize locally on disk.
+// otherwise), and the rendered tables are produced locally from the
+// reply. -expect-all-hits exits 1 unless every cell was a cache hit — CI
+// uses it to assert warm reruns recompute nothing. Without -server,
+// -cache/-workers memoize locally on disk.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sweep"
 )
 
-func main() {
-	var (
-		nodes   = flag.Int("nodes", 48, "number of nodes (paper: 256)")
-		rounds  = flag.Int("rounds", 64, "rounds per grid cell (paper: 1000)")
-		seed    = flag.Uint64("seed", 42, "experiment seed")
-		degrees = flag.String("degrees", "", "comma-separated topology degrees (default: job-specific)")
-		job     = flag.String("job", "figure3", "figure3 | gamma (harvest-aware Γ search) | degree (degree x regime grid)")
-		server  = flag.String("server", "", "sweepd address; runs -job gamma|degree on the service")
-		cache   = flag.String("cache", "", "local runs: memoize cells in this directory")
-		workers = flag.Int("workers", 0, "local runs: worker pool size (0 = GOMAXPROCS)")
-		expect  = flag.Bool("expect-all-hits", false, "with -server: exit 1 unless every cell was a cache hit")
-		prog    = flag.Bool("progress", false, "with -server: print streamed per-cell progress")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	degs, err := parseDegrees(*degrees, *job)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(2)
-	}
-	o := experiments.Options{Nodes: *nodes, Rounds: *rounds, Seed: *seed, Out: os.Stdout}
+// config is the parsed command line; the flags bind straight into it.
+type config struct {
+	nodes, rounds, workers  int
+	seed                    uint64
+	degrees, job            string
+	server, cache           string
+	expectAllHits, progress bool
+}
 
-	if *server != "" {
-		err = runRemote(*server, *job, experiments.SweepJobParams{
-			Nodes: *nodes, Rounds: *rounds, Seed: *seed, Degrees: degs,
-		}, *expect, *prog)
-	} else {
-		err = runLocal(o, *job, degs, *cache, *workers)
+// run executes one gridsearch invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	var c config
+	fs := cli.NewFlagSet("gridsearch", stderr)
+	fs.IntVar(&c.nodes, "nodes", 48, "number of nodes (paper: 256)")
+	fs.IntVar(&c.rounds, "rounds", 64, "rounds per grid cell (paper: 1000)")
+	fs.Uint64Var(&c.seed, "seed", 42, "experiment seed")
+	fs.StringVar(&c.degrees, "degrees", "", "comma-separated topology degrees (default: job-specific)")
+	fs.StringVar(&c.job, "job", "figure3", "figure3 | gamma (harvest-aware Γ search) | degree (degree x regime grid)")
+	fs.StringVar(&c.server, "server", "", "sweepd address; runs -job gamma|degree on the service")
+	fs.StringVar(&c.cache, "cache", "", "local runs: memoize cells in this directory")
+	fs.IntVar(&c.workers, "workers", 0, "local runs: worker pool size (0 = GOMAXPROCS)")
+	fs.BoolVar(&c.expectAllHits, "expect-all-hits", false, "with -server: exit 1 unless every cell was a cache hit")
+	fs.BoolVar(&c.progress, "progress", false, "with -server: print streamed per-cell progress")
+	err := cli.Parse(fs, args)
+	if err == nil {
+		err = cli.Check(fs, c.rules())
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+	if err == nil {
+		err = c.run(stdout)
+	}
+	return cli.Exit(stderr, err)
+}
+
+// rules is the flag table: the local-only and server-only flags.
+func (c *config) rules() []cli.Rule {
+	return []cli.Rule{
+		{Flags: "cache workers", Want: "a local run (no -server)", OK: func() bool { return c.server == "" }},
+		{Flags: "expect-all-hits progress", Want: "-server", OK: func() bool { return c.server != "" }},
+		{Flags: "degrees", Want: "-job figure3 or degree", OK: func() bool { return c.job != "gamma" }},
 	}
 }
 
-func parseDegrees(s, job string) ([]int, error) {
+// run executes the job locally, or on the -server.
+func (c *config) run(stdout io.Writer) error {
+	degs, err := parseDegrees(c.degrees)
+	if err != nil {
+		return err
+	}
+	if c.server != "" {
+		return c.runRemote(stdout, experiments.SweepJobParams{Nodes: c.nodes, Rounds: c.rounds, Seed: c.seed, Degrees: degs})
+	}
+	return c.runLocal(stdout, degs)
+}
+
+// parseDegrees reads -degrees; empty leaves each job its own default axis
+// (Figure 3: 6,8,10; the degree grid: 4,6,8).
+func parseDegrees(s string) ([]int, error) {
 	if s == "" {
-		if job == "figure3" {
-			return []int{6, 8, 10}, nil // Figure 3's historical default axis
-		}
-		return nil, nil // job-specific default (degree grid: 4,6,8)
+		return nil, nil
 	}
 	var degs []int
 	for _, part := range strings.Split(s, ",") {
 		d, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad degree %q: %v", part, err)
+			return nil, cli.Usagef("bad degree %q: %v", part, err)
 		}
 		degs = append(degs, d)
 	}
@@ -86,19 +108,20 @@ func parseDegrees(s, job string) ([]int, error) {
 
 // runLocal executes the job in-process, with an optional on-disk memo
 // store so repeated local runs skip computed cells just like the service.
-func runLocal(o experiments.Options, job string, degs []int, cache string, workers int) error {
-	if cache != "" || workers != 0 {
+func (c *config) runLocal(stdout io.Writer, degs []int) error {
+	o := experiments.Options{Nodes: c.nodes, Rounds: c.rounds, Seed: c.seed, Out: stdout}
+	if c.cache != "" || c.workers != 0 {
 		var store sweep.Store
-		if cache != "" {
-			disk, err := sweep.NewFileStore(cache)
+		if c.cache != "" {
+			disk, err := sweep.NewFileStore(c.cache)
 			if err != nil {
 				return err
 			}
 			store = sweep.Tiered(sweep.NewMemStore(0), disk)
 		}
-		o.Sweep = sweep.NewRunner(store, par.NewPool(workers))
+		o.Sweep = sweep.NewRunner(store, par.NewPool(c.workers))
 	}
-	switch job {
+	switch c.job {
 	case "figure3":
 		res, err := experiments.Figure3(o, degs)
 		if err != nil {
@@ -106,7 +129,7 @@ func runLocal(o experiments.Options, job string, degs []int, cache string, worke
 		}
 		for i, deg := range res.Degrees {
 			b := res.Best[i]
-			fmt.Printf("tuned for %d-regular: Γtrain=%d Γsync=%d\n", deg, b.GammaTrain, b.GammaSync)
+			fmt.Fprintf(stdout, "tuned for %d-regular: Γtrain=%d Γsync=%d\n", deg, b.GammaTrain, b.GammaSync)
 		}
 	case "gamma":
 		if _, err := experiments.TableGammaHarvest(o); err != nil {
@@ -117,40 +140,35 @@ func runLocal(o experiments.Options, job string, degs []int, cache string, worke
 			return err
 		}
 	default:
-		return fmt.Errorf("unknown job %q (want figure3, gamma, or degree)", job)
+		return fmt.Errorf("unknown job %q (want figure3, gamma, or degree)", c.job)
 	}
 	if o.Sweep != nil {
-		fmt.Printf("sweep: %s\n", o.Sweep.Stats())
+		fmt.Fprintf(stdout, "sweep: %s\n", o.Sweep.Stats())
 	}
 	return nil
 }
 
 // runRemote submits the job to a sweepd server and renders the reply.
-func runRemote(addr, job string, params experiments.SweepJobParams, expectAllHits, progress bool) error {
-	var kind string
-	switch job {
-	case "gamma":
-		kind = experiments.JobGammaGrid
-	case "degree":
-		kind = experiments.JobDegreeGrid
-	default:
-		return fmt.Errorf("job %q cannot run on a server (want gamma or degree)", job)
+func (c *config) runRemote(stdout io.Writer, params experiments.SweepJobParams) error {
+	kind := map[string]string{"gamma": experiments.JobGammaGrid, "degree": experiments.JobDegreeGrid}[c.job]
+	if kind == "" {
+		return fmt.Errorf("job %q cannot run on a server (want gamma or degree)", c.job)
 	}
-	c, err := sweep.Dial(addr)
+	client, err := sweep.Dial(c.server)
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	defer client.Close()
 
 	var onEvent func(obs.Event)
-	if progress {
+	if c.progress {
 		onEvent = func(ev obs.Event) {
 			if ev.Kind == obs.KindCell {
-				fmt.Printf("cell %-60s %8.1fms\n", ev.Label, float64(ev.WallNs)/1e6)
+				fmt.Fprintf(stdout, "cell %-60s %8.1fms\n", ev.Label, float64(ev.WallNs)/1e6)
 			}
 		}
 	}
-	raw, stats, err := c.Do(kind, params, onEvent)
+	raw, stats, err := client.Do(kind, params, onEvent)
 	if err != nil {
 		return err
 	}
@@ -160,16 +178,16 @@ func runRemote(addr, job string, params experiments.SweepJobParams, expectAllHit
 		if err := json.Unmarshal(raw, &rows); err != nil {
 			return fmt.Errorf("decode %s reply: %w", kind, err)
 		}
-		experiments.RenderGammaHarvestRows(os.Stdout, rows)
+		experiments.RenderGammaHarvestRows(stdout, rows)
 	case experiments.JobDegreeGrid:
 		var res experiments.DegreeGammaResult
 		if err := json.Unmarshal(raw, &res); err != nil {
 			return fmt.Errorf("decode %s reply: %w", kind, err)
 		}
-		res.Render(os.Stdout)
+		res.Render(stdout)
 	}
-	fmt.Printf("sweep: %s\n", stats)
-	if expectAllHits && !stats.AllHits() {
+	fmt.Fprintf(stdout, "sweep: %s\n", stats)
+	if c.expectAllHits && !stats.AllHits() {
 		return fmt.Errorf("expected a fully warm cache, got %s", stats)
 	}
 	return nil

@@ -12,25 +12,23 @@
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run executes one obstool invocation and returns its exit status.
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		return usageError(stderr, "need a subcommand: events | report | diff")
+		return cli.Exit(stderr, cli.UsageError("need a subcommand: events | report | diff"))
 	}
 	var sub func([]string, io.Writer, io.Writer) error
 	switch args[0] {
@@ -44,33 +42,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 0
 	default:
-		return usageError(stderr, fmt.Sprintf("unknown subcommand %q (want events, report, or diff)", args[0]))
+		return cli.Exit(stderr, cli.Usagef("unknown subcommand %q (want events, report, or diff)", args[0]))
 	}
-	err := sub(args[1:], stdout, stderr)
-	var u errUsage
-	switch {
-	case err == nil, errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.As(err, &u):
-		return usageError(stderr, string(u))
-	default:
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-}
-
-// errUsage is a subcommand's argument error; run reports it through
-// usageError.
-type errUsage string
-
-func (e errUsage) Error() string { return string(e) }
-
-// usageError reports a flag-validation failure and returns the
-// conventional usage status.
-func usageError(stderr io.Writer, msg string) int {
-	fmt.Fprintln(stderr, "error:", msg)
-	fmt.Fprintln(stderr, "run with -h for usage")
-	return 2
+	return cli.Exit(stderr, sub(args[1:], stdout, stderr))
 }
 
 func usage(out io.Writer) {
@@ -99,27 +73,14 @@ Usage:
 `)
 }
 
-// parseFlags parses a subcommand's flags, reporting a bad flag as a
-// usage error.
-func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
-	fs.SetOutput(stderr)
-	err := fs.Parse(args)
-	if err != nil && !errors.Is(err, flag.ErrHelp) {
-		return errUsage(err.Error())
-	}
-	return err
-}
-
 // runEvents validates a JSONL event stream and prints its summary.
 func runEvents(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("obstool events", flag.ContinueOnError)
-	if err := parseFlags(fs, args, stderr); err != nil {
+	fs := cli.NewFlagSet("obstool events", stderr)
+	files, err := cli.Args(fs, args, 1, `exactly one file argument ("-" for stdin)`)
+	if err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
-		return errUsage("events takes exactly one file argument (\"-\" for stdin)")
-	}
-	fh, err := openArg(fs.Arg(0))
+	fh, err := openArg(files[0])
 	if err != nil {
 		return err
 	}
@@ -128,13 +89,8 @@ func runEvents(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	kinds := make([]string, 0, len(stats.Kinds))
-	for k := range stats.Kinds {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
 	fmt.Fprintf(stdout, "valid: %d events, %d rounds\n", stats.Events, stats.Rounds)
-	for _, k := range kinds {
+	for _, k := range slices.Sorted(maps.Keys(stats.Kinds)) {
 		fmt.Fprintf(stdout, "  %-13s %d\n", k, stats.Kinds[k])
 	}
 	return nil
@@ -150,15 +106,13 @@ func openArg(path string) (io.ReadCloser, error) {
 
 // runReport audits one stream and prints its reconstructed run summary.
 func runReport(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("obstool report", flag.ContinueOnError)
+	fs := cli.NewFlagSet("obstool report", stderr)
 	md := fs.Bool("md", false, "render the report as markdown")
-	if err := parseFlags(fs, args, stderr); err != nil {
+	files, err := cli.Args(fs, args, 1, `exactly one file argument ("-" for stdin)`)
+	if err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
-		return errUsage("report takes exactly one file argument (\"-\" for stdin)")
-	}
-	fh, err := openArg(fs.Arg(0))
+	fh, err := openArg(files[0])
 	if err != nil {
 		return err
 	}
@@ -190,27 +144,25 @@ func runReport(args []string, stdout, stderr io.Writer) error {
 
 // runDiff compares two runs by manifest and reconstructed report.
 func runDiff(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("obstool diff", flag.ContinueOnError)
-	if err := parseFlags(fs, args, stderr); err != nil {
+	fs := cli.NewFlagSet("obstool diff", stderr)
+	files, err := cli.Args(fs, args, 2, "exactly two stream file arguments")
+	if err != nil {
 		return err
 	}
-	if fs.NArg() != 2 {
-		return errUsage("diff takes exactly two stream file arguments")
-	}
 	reports := make([]*analyze.Report, 2)
-	for i := 0; i < 2; i++ {
-		fh, err := openArg(fs.Arg(i))
+	for i, file := range files {
+		fh, err := openArg(file)
 		if err != nil {
 			return err
 		}
 		rep, err := analyze.ReadReport(fh)
 		fh.Close()
 		if err != nil {
-			return fmt.Errorf("%s: %w", fs.Arg(i), err)
+			return fmt.Errorf("%s: %w", file, err)
 		}
 		reports[i] = rep
 	}
 	d := analyze.DiffReports(reports[0], reports[1])
-	d.WriteText(stdout, fs.Arg(0), fs.Arg(1))
+	d.WriteText(stdout, files[0], files[1])
 	return nil
 }

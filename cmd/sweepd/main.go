@@ -14,44 +14,43 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/par"
 	"repro/internal/sweep"
 )
 
-func main() {
-	var (
-		addr    = flag.String("addr", "127.0.0.1:7600", "listen address")
-		cache   = flag.String("cache", "", "cell cache directory (empty = in-memory only)")
-		mem     = flag.Int("mem", 4096, "in-memory LRU capacity in cells (0 = unbounded)")
-		workers = flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "error: unexpected arguments %v\n", flag.Args())
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run serves until SIGINT or SIGTERM and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("sweepd", stderr)
+	addr := fs.String("addr", "127.0.0.1:7600", "listen address")
+	cache := fs.String("cache", "", "cell cache directory (empty = in-memory only)")
+	mem := fs.Int("mem", 4096, "in-memory LRU capacity in cells (0 = unbounded)")
+	workers := fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
+	if err := cli.Parse(fs, args); err != nil {
+		return cli.Exit(stderr, err)
 	}
 
 	var store sweep.Store = sweep.NewMemStore(*mem)
 	if *cache != "" {
 		disk, err := sweep.NewFileStore(*cache)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			return cli.Exit(stderr, err)
 		}
 		store = sweep.Tiered(sweep.NewMemStore(*mem), disk)
 	}
 
 	srv, err := sweep.NewServer(*addr, store, par.NewPool(*workers))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		return cli.Exit(stderr, err)
 	}
 	experiments.RegisterSweepHandlers(srv)
 
@@ -59,21 +58,14 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigs
-		fmt.Fprintln(os.Stderr, "sweepd: shutting down")
+		fmt.Fprintln(stderr, "sweepd: shutting down")
 		srv.Close()
 	}()
 
-	fmt.Printf("sweepd: serving on %s (cache %s, %d workers)\n",
-		srv.Addr(), cacheDesc(*cache), par.NewPool(*workers).Workers())
-	if err := srv.Serve(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+	desc := *cache
+	if desc == "" {
+		desc = "in-memory"
 	}
-}
-
-func cacheDesc(dir string) string {
-	if dir == "" {
-		return "in-memory"
-	}
-	return dir
+	fmt.Fprintf(stdout, "sweepd: serving on %s (cache %s, %d workers)\n", srv.Addr(), desc, par.NewPool(*workers).Workers())
+	return cli.Exit(stderr, srv.Serve())
 }

@@ -23,27 +23,30 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/energy"
 	"repro/internal/harvest"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 )
 
-func main() {
-	var (
-		nodes  = flag.Int("nodes", 1_000_000, "fleet size")
-		days   = flag.Int("days", 4, "mission length in simulated days")
-		period = flag.Int("period", 24, "rounds per simulated day")
-		minSoC = flag.Float64("minsoc", 0.2, "train when SoC exceeds this threshold")
-		peak   = flag.Float64("peak", 1.5, "solar peak as a multiple of the mean per-round training cost")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("millionnode", stderr)
+	nodes := fs.Int("nodes", 1_000_000, "fleet size")
+	days := fs.Int("days", 4, "mission length in simulated days")
+	period := fs.Int("period", 24, "rounds per simulated day")
+	minSoC := fs.Float64("minsoc", 0.2, "train when SoC exceeds this threshold")
+	peak := fs.Float64("peak", 1.5, "solar peak as a multiple of the mean per-round training cost")
+	if err := cli.Parse(fs, args); err != nil {
+		return cli.Exit(stderr, err)
+	}
 	rounds := *days * *period
 
 	devices := energy.AssignDevices(*nodes, energy.Devices())
@@ -51,17 +54,17 @@ func main() {
 	meanTrainWh := energy.NetworkRoundWh(*nodes, energy.Devices(), w) / float64(*nodes)
 	trace, err := harvest.NewDiurnal(*peak*meanTrainWh, *period, harvest.LongitudePhase(*nodes))
 	if err != nil {
-		log.Fatal(err)
+		return cli.Exit(stderr, err)
 	}
 	fleet, err := harvest.NewFleet(devices, w, trace, harvest.Options{
 		CapacityRounds: 12,
 		InitialSoC:     0.5,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return cli.Exit(stderr, err)
 	}
 
-	fmt.Printf("million-node fleet: %d nodes, %d rounds (%d days x %d rounds), trace %s\n",
+	fmt.Fprintf(stdout, "million-node fleet: %d nodes, %d rounds (%d days x %d rounds), trace %s\n",
 		*nodes, rounds, *days, *period, fleet.TraceName())
 
 	// Telemetry: a live progress line on stderr (round, participation,
@@ -71,7 +74,7 @@ func main() {
 	// so the energy ledger is reported once from the fleet's cumulative
 	// counters instead.
 	mem := obs.NewMemory()
-	probe := obs.NewProbe(obs.Multi(obs.NewProgress(os.Stderr), mem))
+	probe := obs.NewProbe(obs.Multi(obs.NewProgress(stderr), mem))
 	manifest := obs.NewManifest("millionnode", "soa-threshold-sweep", 0).
 		Scale(*nodes, rounds).
 		Set("trace", fleet.TraceName()).
@@ -95,15 +98,16 @@ func main() {
 	probe.RunEnd(rounds, totalTrained)
 
 	rep := analyze.FromEvents(mem.Events())
-	fmt.Fprintln(os.Stderr)
-	rep.WriteText(os.Stdout)
+	fmt.Fprintln(stderr)
+	rep.WriteText(stdout)
 
 	mean, min, depleted := fleet.SoCStats(nil)
-	fmt.Printf("\nfinal fleet: mean SoC %.3f, min SoC %.3f, depleted %d/%d\n",
+	fmt.Fprintf(stdout, "\nfinal fleet: mean SoC %.3f, min SoC %.3f, depleted %d/%d\n",
 		mean, min, depleted, fleet.Nodes())
-	fmt.Printf("energy: harvested %.1f Wh, consumed %.1f Wh, wasted %.1f Wh\n",
+	fmt.Fprintf(stdout, "energy: harvested %.1f Wh, consumed %.1f Wh, wasted %.1f Wh\n",
 		fleet.HarvestedWh(), fleet.ConsumedWh(), fleet.WastedWh())
 	nodeRounds := float64(*nodes) * float64(rounds)
-	fmt.Printf("swept %.0fM node-rounds in %v (%.1fM node-rounds/s)\n",
+	fmt.Fprintf(stdout, "swept %.0fM node-rounds in %v (%.1fM node-rounds/s)\n",
 		nodeRounds/1e6, elapsed.Round(time.Millisecond), nodeRounds/elapsed.Seconds()/1e6)
+	return 0
 }

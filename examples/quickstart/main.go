@@ -10,9 +10,10 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/energy"
@@ -23,7 +24,16 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	if err := cli.Parse(cli.NewFlagSet("quickstart", stderr), args); err != nil {
+		return cli.Exit(stderr, err)
+	}
+	return cli.Exit(stderr, quickstart(stdout))
+}
+
+func quickstart(stdout io.Writer) error {
 	const (
 		nodes  = 16
 		degree = 4
@@ -34,7 +44,7 @@ func main() {
 	// 1. Build the communication topology and its mixing matrix.
 	g, err := graph.Regular(nodes, degree, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	weights := graph.Metropolis(g)
 
@@ -45,16 +55,16 @@ func main() {
 	}
 	train, test, err := dataset.Generate(data)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	part, err := dataset.ShardPartition(train, nodes, 2, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 3. Run both algorithms with identical data, models, and seeds.
-	run := func(algo core.Algorithm) *sim.Result {
-		res, err := sim.Run(sim.Config{
+	simulate := func(algo core.Algorithm) (*sim.Result, error) {
+		return sim.Run(sim.Config{
 			Graph: g, Weights: weights,
 			Algo:   algo,
 			Rounds: rounds,
@@ -68,14 +78,15 @@ func main() {
 			Workload:  energy.CIFAR10Workload(),
 			Seed:      seed,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
 	}
-
-	dpsgd := run(core.DPSGD())
-	skip := run(core.SkipTrain(core.Gamma{GammaTrain: 2, GammaSync: 2}))
+	dpsgd, err := simulate(core.DPSGD())
+	if err != nil {
+		return err
+	}
+	skip, err := simulate(core.SkipTrain(core.Gamma{GammaTrain: 2, GammaSync: 2}))
+	if err != nil {
+		return err
+	}
 
 	// 4. Compare.
 	tb := report.NewTable("Quickstart: 16 nodes, 4-regular, 40 rounds",
@@ -84,7 +95,7 @@ func main() {
 		dpsgd.FinalMeanAcc*100, dpsgd.FinalStdAcc*100, dpsgd.TotalTrainWh, dpsgd.TrainedRounds[0])
 	tb.AddRowf("SkipTrain(2,2)|%.2f|%.2f|%.4f|%d",
 		skip.FinalMeanAcc*100, skip.FinalStdAcc*100, skip.TotalTrainWh, skip.TrainedRounds[0])
-	tb.Render(os.Stdout)
+	tb.Render(stdout)
 
 	curve := func(r *sim.Result) []float64 {
 		var ys []float64
@@ -93,7 +104,8 @@ func main() {
 		}
 		return ys
 	}
-	fmt.Printf("\nD-PSGD    %s\nSkipTrain %s\n", report.Sparkline(curve(dpsgd)), report.Sparkline(curve(skip)))
-	fmt.Printf("\nSkipTrain used %.0f%% of D-PSGD's training energy.\n",
+	fmt.Fprintf(stdout, "\nD-PSGD    %s\nSkipTrain %s\n", report.Sparkline(curve(dpsgd)), report.Sparkline(curve(skip)))
+	fmt.Fprintf(stdout, "\nSkipTrain used %.0f%% of D-PSGD's training energy.\n",
 		skip.TotalTrainWh/dpsgd.TotalTrainWh*100)
+	return nil
 }

@@ -12,10 +12,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -26,7 +28,16 @@ import (
 	"repro/internal/transport"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	if err := cli.Parse(cli.NewFlagSet("tcpcluster", stderr), args); err != nil {
+		return cli.Exit(stderr, err)
+	}
+	return cli.Exit(stderr, tcpcluster(stdout))
+}
+
+func tcpcluster(stdout io.Writer) error {
 	const (
 		nodes  = 8
 		degree = 4
@@ -36,17 +47,17 @@ func main() {
 
 	g, err := graph.Regular(nodes, degree, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	weights := graph.Metropolis(g)
 	data := dataset.SyntheticConfig{Classes: 6, Dim: 16, Train: nodes * 40, Test: 300, Noise: 2.0, Seed: seed}
 	train, test, err := dataset.Generate(data)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	part, err := dataset.ShardPartition(train, nodes, 2, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	base := sim.Config{
@@ -65,24 +76,24 @@ func main() {
 	// Run 1: in-process channel transport.
 	local, err := sim.Run(base)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Run 2: every node listens on a real localhost TCP port.
 	tcpNet, err := transport.NewTCP(nodes, "127.0.0.1", 64)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer tcpNet.Close()
-	fmt.Println("node listen addresses:")
+	fmt.Fprintln(stdout, "node listen addresses:")
 	for i := 0; i < nodes; i++ {
-		fmt.Printf("  node %d: %s\n", i, tcpNet.Addr(i))
+		fmt.Fprintf(stdout, "  node %d: %s\n", i, tcpNet.Addr(i))
 	}
 	cfgTCP := base
 	cfgTCP.Network = tcpNet
 	overTCP, err := sim.Run(cfgTCP)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	tb := report.NewTable("\nChannel vs TCP transport (same seed)",
@@ -91,16 +102,17 @@ func main() {
 		mt := overTCP.Evaluations()[i]
 		tb.AddRowf("%d|%.3f|%.3f|%v", m.Round+1, m.MeanAcc*100, mt.MeanAcc*100, m.MeanAcc == mt.MeanAcc)
 	}
-	tb.Render(os.Stdout)
+	tb.Render(stdout)
 
 	// Wire accounting: per round every node ships one model per neighbor.
 	paramCount := nn.LogisticRegression(16, 6, rng.New(0)).ParamCount()
 	msgBytes := transport.EncodedSize(paramCount)
 	totalMsgs := nodes * degree * rounds
-	fmt.Printf("\nwire traffic: %d model messages x %d bytes = %.1f MiB over %d rounds\n",
+	fmt.Fprintf(stdout, "\nwire traffic: %d model messages x %d bytes = %.1f MiB over %d rounds\n",
 		totalMsgs, msgBytes, float64(totalMsgs*msgBytes)/(1<<20), rounds)
 	if local.FinalMeanAcc != overTCP.FinalMeanAcc {
-		log.Fatal("transport changed the result — determinism broken")
+		return errors.New("transport changed the result — determinism broken")
 	}
-	fmt.Println("trajectories identical across transports — the engine is wire-agnostic.")
+	fmt.Fprintln(stdout, "trajectories identical across transports — the engine is wire-agnostic.")
+	return nil
 }

@@ -11,9 +11,10 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -23,7 +24,16 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	if err := cli.Parse(cli.NewFlagSet("topologysweep", stderr), args); err != nil {
+		return cli.Exit(stderr, err)
+	}
+	return cli.Exit(stderr, topologysweep(stdout))
+}
+
+func topologysweep(stdout io.Writer) error {
 	const (
 		nodes  = 32
 		rounds = 48
@@ -33,11 +43,11 @@ func main() {
 	data := dataset.SyntheticConfig{Classes: 10, Dim: 32, Train: nodes * 40, Test: 400, Noise: 2.5, Seed: seed}
 	train, test, err := dataset.Generate(data)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	part, err := dataset.ShardPartition(train, nodes, 2, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	type arm struct {
@@ -47,19 +57,19 @@ func main() {
 	var arms []arm
 	ring, err := graph.Ring(nodes)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	arms = append(arms, arm{"ring (d=2)", ring})
 	for _, d := range []int{4, 6, 8, 10} {
 		g, err := graph.Regular(nodes, d, seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		arms = append(arms, arm{fmt.Sprintf("%d-regular", d), g})
 	}
 	full, err := graph.Complete(nodes)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	arms = append(arms, arm{"complete", full})
 
@@ -81,12 +91,13 @@ func main() {
 			Seed:      seed,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tb.AddRowf("%s|%.4f|%.2f|%.2f", a.name, gap, res.FinalMeanAcc*100, res.FinalStdAcc*100)
 	}
-	tb.Render(os.Stdout)
-	fmt.Println("\nLarger spectral gaps mix models faster: accuracy rises and the")
-	fmt.Println("spread across nodes falls as the topology densifies — the paper's")
-	fmt.Println("rationale for tuning Γsync per degree.")
+	tb.Render(stdout)
+	fmt.Fprintln(stdout, "\nLarger spectral gaps mix models faster: accuracy rises and the")
+	fmt.Fprintln(stdout, "spread across nodes falls as the topology densifies — the paper's")
+	fmt.Fprintln(stdout, "rationale for tuning Γsync per degree.")
+	return nil
 }

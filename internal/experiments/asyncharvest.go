@@ -41,7 +41,7 @@ func TableAsyncHarvest(o Options) ([]AsyncHarvestRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	part, _, test, err := cifarLikeData(o)
+	part, _, test, err := CIFARLikeData(o)
 	if err != nil {
 		return nil, err
 	}

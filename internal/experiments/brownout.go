@@ -79,7 +79,7 @@ func TableBrownout(o Options) ([]BrownoutRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	part, _, test, err := cifarLikeData(o)
+	part, _, test, err := CIFARLikeData(o)
 	if err != nil {
 		return nil, err
 	}

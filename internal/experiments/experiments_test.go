@@ -221,7 +221,7 @@ func TestFigure6BudgetsRespectedPerNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	gr := res.Arm("Greedy", "cifar", 4)
-	budget := scaledBudgets(o.Nodes, o.Rounds, PaperRoundsCIFAR, energy.CIFAR10Workload(), 0.10)
+	budget := ScaledBudgets(o.Nodes, o.Rounds, PaperRoundsCIFAR, energy.CIFAR10Workload(), 0.10)
 	for i, tr := range gr.TrainedRounds {
 		if tr > budget.Initial(i) {
 			t.Fatalf("greedy node %d trained %d rounds with budget %d", i, tr, budget.Initial(i))
@@ -367,19 +367,19 @@ func TestSummaryHeadlineRenders(t *testing.T) {
 }
 
 func TestGammaForDegreeMatchesSection43(t *testing.T) {
-	if g := gammaForDegree(6); g.GammaTrain != 4 || g.GammaSync != 4 {
+	if g := GammaForDegree(6); g.GammaTrain != 4 || g.GammaSync != 4 {
 		t.Fatal("6-regular should be (4,4)")
 	}
-	if g := gammaForDegree(8); g.GammaTrain != 3 || g.GammaSync != 3 {
+	if g := GammaForDegree(8); g.GammaTrain != 3 || g.GammaSync != 3 {
 		t.Fatal("8-regular should be (3,3)")
 	}
-	if g := gammaForDegree(10); g.GammaTrain != 4 || g.GammaSync != 2 {
+	if g := GammaForDegree(10); g.GammaTrain != 4 || g.GammaSync != 2 {
 		t.Fatal("10-regular should be (4,2)")
 	}
 }
 
 func TestScaledBudgetsProfile(t *testing.T) {
-	b := scaledBudgets(8, 100, 1000, energy.CIFAR10Workload(), 0.10)
+	b := ScaledBudgets(8, 100, 1000, energy.CIFAR10Workload(), 0.10)
 	// tau values 272,324,681,272 scaled by 100/1000 -> 27,32,68,27.
 	want := []int{27, 32, 68, 27, 27, 32, 68, 27}
 	for i, w := range want {

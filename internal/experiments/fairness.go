@@ -30,7 +30,7 @@ func Section51Fairness(o Options) (*Section51Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	part, _, test, err := cifarLikeData(o)
+	part, _, test, err := CIFARLikeData(o)
 	if err != nil {
 		return nil, err
 	}
@@ -61,9 +61,9 @@ func Section51Fairness(o Options) (*Section51Result, error) {
 		return metrics.NewFairnessReport(res.FinalNodeAccs, res.TrainedRounds, budgets, groups)
 	}
 
-	gamma := gammaForDegree(6)
+	gamma := GammaForDegree(6)
 	constrained, err := runOne(core.SkipTrainConstrained(gamma, o.Rounds,
-		scaledBudgets(o.Nodes, o.Rounds, PaperRoundsCIFAR, workload, 0.10), o.Nodes))
+		ScaledBudgets(o.Nodes, o.Rounds, PaperRoundsCIFAR, workload, 0.10), o.Nodes))
 	if err != nil {
 		return nil, err
 	}

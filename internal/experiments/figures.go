@@ -35,7 +35,7 @@ func Figure1(o Options) (*Figure1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	part, _, test, err := cifarLikeData(o)
+	part, _, test, err := CIFARLikeData(o)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +154,7 @@ func Figure3(o Options, degrees []int) (*Figure3Result, error) {
 	if len(degrees) == 0 {
 		degrees = []int{6, 8, 10}
 	}
-	part, val, _, err := cifarLikeData(o)
+	part, val, _, err := CIFARLikeData(o)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +277,7 @@ func Figure4(o Options) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	part, _, test, err := cifarLikeData(o)
+	part, _, test, err := CIFARLikeData(o)
 	if err != nil {
 		return nil, err
 	}
@@ -363,10 +363,10 @@ func (r *Figure5Result) Arm(algo, ds string, degree int) *Figure5Arm {
 	return nil
 }
 
-// gammaForDegree returns the tuned (Γtrain, Γsync) of Section 4.3 for each
+// GammaForDegree returns the tuned (Γtrain, Γsync) of Section 4.3 for each
 // topology degree: (4,4) for 6-regular, (3,3) for 8-regular, (4,2) for
 // 10-regular; defaults to (4,4) otherwise.
-func gammaForDegree(deg int) core.Gamma {
+func GammaForDegree(deg int) core.Gamma {
 	switch deg {
 	case 8:
 		return core.Gamma{GammaTrain: 3, GammaSync: 3}
@@ -398,7 +398,7 @@ func Figure5(o Options, degrees []int, datasets []string) (*Figure5Result, error
 		var err error
 		switch ds {
 		case "cifar":
-			part, _, test, err = cifarLikeData(o)
+			part, _, test, err = CIFARLikeData(o)
 			classes, workload, paperRounds = 10, energy.CIFAR10Workload(), PaperRoundsCIFAR
 		case "femnist":
 			part, _, test, err = femnistLikeData(o)
@@ -414,7 +414,7 @@ func Figure5(o Options, degrees []int, datasets []string) (*Figure5Result, error
 			if err != nil {
 				return nil, err
 			}
-			gamma := gammaForDegree(deg)
+			gamma := GammaForDegree(deg)
 			for _, algo := range []core.Algorithm{core.DPSGD(), core.SkipTrain(gamma)} {
 				cfg := sim.Config{
 					Graph: g, Weights: w,
@@ -540,7 +540,7 @@ func Figure6(o Options, degrees []int, datasets []string) (*Figure6Result, error
 		var err error
 		switch ds {
 		case "cifar":
-			part, _, test, err = cifarLikeData(o)
+			part, _, test, err = CIFARLikeData(o)
 			classes, workload, paperRounds, fraction = 10, energy.CIFAR10Workload(), PaperRoundsCIFAR, 0.10
 		case "femnist":
 			part, _, test, err = femnistLikeData(o)
@@ -556,15 +556,15 @@ func Figure6(o Options, degrees []int, datasets []string) (*Figure6Result, error
 			if err != nil {
 				return nil, err
 			}
-			gamma := gammaForDegree(deg)
+			gamma := GammaForDegree(deg)
 			algos := []func() core.Algorithm{
 				func() core.Algorithm { return core.DPSGD() },
 				func() core.Algorithm {
-					return core.Greedy(scaledBudgets(o.Nodes, o.Rounds, paperRounds, workload, fraction))
+					return core.Greedy(ScaledBudgets(o.Nodes, o.Rounds, paperRounds, workload, fraction))
 				},
 				func() core.Algorithm {
 					return core.SkipTrainConstrained(gamma, o.Rounds,
-						scaledBudgets(o.Nodes, o.Rounds, paperRounds, workload, fraction), o.Nodes)
+						ScaledBudgets(o.Nodes, o.Rounds, paperRounds, workload, fraction), o.Nodes)
 				},
 			}
 			for _, mk := range algos {
@@ -625,7 +625,7 @@ func (r *Figure6Result) render(o Options) {
 // CIFAR-like 2-shard partition and the FEMNIST-like writer partition.
 func Figure7(o Options) error {
 	o = o.Defaults()
-	cifarPart, _, _, err := cifarLikeData(o)
+	cifarPart, _, _, err := CIFARLikeData(o)
 	if err != nil {
 		return err
 	}

@@ -265,7 +265,7 @@ type gammaData struct {
 
 func lazyGammaData(o Options) func() (*gammaData, error) {
 	return sync.OnceValues(func() (*gammaData, error) {
-		part, val, _, err := cifarLikeData(o)
+		part, val, _, err := CIFARLikeData(o)
 		return &gammaData{part, val, energy.AssignDevices(o.Nodes, energy.Devices()), energy.CIFAR10Workload()}, err
 	})
 }

@@ -61,7 +61,7 @@ func TableHarvest(o Options) ([]HarvestRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	part, _, test, err := cifarLikeData(o)
+	part, _, test, err := CIFARLikeData(o)
 	if err != nil {
 		return nil, err
 	}

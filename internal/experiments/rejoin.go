@@ -103,7 +103,7 @@ func TableRejoin(o Options) ([]RejoinRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	part, _, test, err := cifarLikeData(o)
+	part, _, test, err := CIFARLikeData(o)
 	if err != nil {
 		return nil, err
 	}

@@ -368,12 +368,12 @@ func TestSweepWarmPathCheapAndLazy(t *testing.T) {
 		}
 	})
 	dataset := allocatedBytes(func() {
-		if _, _, _, err := cifarLikeData(o.Defaults()); err != nil {
+		if _, _, _, err := CIFARLikeData(o.Defaults()); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if warmDegrees >= dataset {
-		t.Errorf("warm TableDegreeGamma allocated %d bytes, one cifarLikeData call %d: a dataset was built on the hit path", warmDegrees, dataset)
+		t.Errorf("warm TableDegreeGamma allocated %d bytes, one CIFARLikeData call %d: a dataset was built on the hit path", warmDegrees, dataset)
 	}
 
 	// The whole request, both ends in this process: client encode, frame,

@@ -87,7 +87,7 @@ func Table3(o Options, fig5 *Figure5Result) []Table3Row {
 				if algo == "D-PSGD" {
 					trainRounds = paperRounds
 				} else {
-					trainRounds = core.CountTrainRounds(gammaForDegree(deg), paperRounds)
+					trainRounds = core.CountTrainRounds(GammaForDegree(deg), paperRounds)
 				}
 				row.EnergyWh[deg] = paperEnergyWh(trainRounds, workload)
 				if fig5 != nil {

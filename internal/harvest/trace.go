@@ -101,8 +101,8 @@ const diurnalRowCacheMaxValues = 8 << 20
 // NewDiurnal validates and returns a diurnal trace. phase maps a node to its
 // day-fraction offset in [0, 1); nil means all nodes share the same sun.
 func NewDiurnal(peakWh float64, period int, phase func(node int) float64) (*Diurnal, error) {
-	if peakWh <= 0 {
-		return nil, fmt.Errorf("harvest: non-positive diurnal peak %v", peakWh)
+	if !(peakWh > 0 && peakWh < math.Inf(1)) {
+		return nil, fmt.Errorf("harvest: diurnal peak %v is not positive and finite", peakWh)
 	}
 	if period < 2 {
 		return nil, fmt.Errorf("harvest: diurnal period %d < 2 rounds", period)
@@ -189,9 +189,9 @@ func NewMarkovOnOff(n int, onWh, pOnOff, pOffOn float64, seed uint64) (*MarkovOn
 	switch {
 	case n < 1:
 		return nil, fmt.Errorf("harvest: markov trace for %d nodes", n)
-	case onWh <= 0:
-		return nil, fmt.Errorf("harvest: non-positive on-state harvest %v", onWh)
-	case pOnOff < 0 || pOnOff > 1 || pOffOn < 0 || pOffOn > 1:
+	case !(onWh > 0 && onWh < math.Inf(1)):
+		return nil, fmt.Errorf("harvest: on-state harvest %v is not positive and finite", onWh)
+	case !(pOnOff >= 0 && pOnOff <= 1 && pOffOn >= 0 && pOffOn <= 1):
 		return nil, fmt.Errorf("harvest: markov probabilities (%v, %v) outside [0,1]", pOnOff, pOffOn)
 	}
 	m := &MarkovOnOff{onWh: onWh, pOnOff: pOnOff, pOffOn: pOffOn, seed: seed,

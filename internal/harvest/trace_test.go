@@ -132,6 +132,26 @@ func TestMarkovOnOffValidates(t *testing.T) {
 	}
 }
 
+// TestTraceMagnitudesRejectNonFinite: a NaN or infinite peak, on-state
+// harvest or transition probability is refused, not carried into every
+// battery as a NaN charge.
+func TestTraceMagnitudesRejectNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewDiurnal(bad, 24, nil); err == nil {
+			t.Errorf("NewDiurnal accepted peak %v", bad)
+		}
+		if _, err := NewMarkovOnOff(2, bad, 0.5, 0.5, 1); err == nil {
+			t.Errorf("NewMarkovOnOff accepted on-state harvest %v", bad)
+		}
+		if _, err := NewMarkovOnOff(2, 1, bad, 0.5, 1); err == nil {
+			t.Errorf("NewMarkovOnOff accepted on→off probability %v", bad)
+		}
+		if _, err := NewMarkovOnOff(2, 1, 0.5, bad, 1); err == nil {
+			t.Errorf("NewMarkovOnOff accepted off→on probability %v", bad)
+		}
+	}
+}
+
 func TestReplayWrapsAround(t *testing.T) {
 	p, err := NewReplay([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if err != nil {

@@ -17,6 +17,25 @@ func TestGolden(t *testing.T) {
 	clitest.Golden(t, run, "gamma-cache", "-job", "gamma", "-nodes", "8", "-rounds", "4", "-cache", "TMP")
 }
 
+// TestFigure3Cache runs Figure 3 through -cache twice: the first run
+// fills sixteen cells, the second is served all sixteen, and both print
+// what the uncached run prints, plus the sweep line. -workers alone runs
+// the cells through the scheduler too.
+func TestFigure3Cache(t *testing.T) {
+	args := []string{"-nodes", "12", "-rounds", "4", "-degrees", "4"}
+	_, plain := clitest.Exec(t, run, args...)
+	cached := append(args, "-cache", t.TempDir())
+	for _, sweepLine := range []string{
+		"sweep: cells=16 hits=0 misses=16 shared=0\n",
+		"sweep: cells=16 hits=16 misses=0 shared=0\n",
+	} {
+		if code, got := clitest.Exec(t, run, cached...); code != 0 || got != plain+sweepLine {
+			t.Errorf("%q: exit %d, want the uncached output and %q, got:\n%s", cached, code, sweepLine, got)
+		}
+	}
+	clitest.Line(t, run, "sweep: cells=16 hits=0 misses=16 shared=0", append(args, "-workers", "1")...)
+}
+
 // serve starts an in-memory sweep daemon on a loopback port.
 func serve(t *testing.T) string {
 	srv, err := sweep.NewServer("127.0.0.1:0", sweep.NewMemStore(0), par.NewPool(1))

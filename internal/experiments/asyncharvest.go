@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/harvest"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -37,119 +36,12 @@ type AsyncHarvestRow struct {
 // see the same stretch of the ambient process.
 func TableAsyncHarvest(o Options) ([]AsyncHarvestRow, error) {
 	o = o.Defaults()
-	g, weights, err := topologyFor(o.Nodes, 6, o.Seed)
+	w := newWorld(o, cifar, 6)
+	rows, err := brownoutGrid(w, 2, func(regime GammaRegime, leg int) (AsyncHarvestRow, error) {
+		return asyncHarvestLeg(w, regime, []string{"sync", "async"}[leg])
+	})
 	if err != nil {
 		return nil, err
-	}
-	part, _, test, err := CIFARLikeData(o)
-	if err != nil {
-		return nil, err
-	}
-	devices := energy.AssignDevices(o.Nodes, energy.Devices())
-	workload := energy.CIFAR10Workload()
-	meanTrainWh := energy.NetworkRoundWh(o.Nodes, energy.Devices(), workload) / float64(o.Nodes)
-	meanStepSec := 0.0
-	for _, d := range devices {
-		meanStepSec += d.TrainRoundSeconds(workload)
-	}
-	meanStepSec /= float64(len(devices))
-
-	schedule := core.AllTrain{}
-	var rows []AsyncHarvestRow
-	for _, regime := range brownoutRegimes(o, meanTrainWh) {
-		// Sync leg: the round engine with the physical dead-node model
-		// (dropped edges), the closest analogue of the event engine's
-		// dropped gossips.
-		trace, err := regime.trace()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: async-harvest %s: %w", regime.name, err)
-		}
-		fleet, err := harvest.NewFleet(devices, workload, trace, brownoutFleetOptions(meanTrainWh))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: async-harvest %s: %w", regime.name, err)
-		}
-		policy, err := harvest.NewSoCThreshold(0.35)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: async-harvest %s: %w", regime.name, err)
-		}
-		res, err := sim.Run(sim.Config{
-			Graph: g, Weights: weights,
-			Algo:         core.Algorithm{Label: "sync/" + regime.name, Schedule: schedule, Policy: policy},
-			Rounds:       o.Rounds,
-			ModelFactory: modelFactory(32, 10),
-			LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-			Partition: part, Test: test,
-			EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample,
-			Devices: devices, Workload: workload,
-			Harvest:       fleet,
-			DropDeadNodes: true,
-			Seed:          o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: async-harvest sync/%s: %w", regime.name, err)
-		}
-		trained, depletedSum := 0, 0.0
-		for _, tr := range res.TrainedRounds {
-			trained += tr
-		}
-		for _, m := range res.History {
-			depletedSum += float64(m.Depleted)
-		}
-		rows = append(rows, AsyncHarvestRow{
-			Regime:        regime.name,
-			Engine:        "sync-round",
-			FinalAcc:      res.FinalMeanAcc * 100,
-			Steps:         o.Nodes * o.Rounds,
-			Trained:       trained,
-			BrownoutShare: 100 * depletedSum / (float64(len(res.History)) * float64(o.Nodes)),
-			HarvestedWh:   res.TotalHarvestWh,
-			ConsumedWh:    fleet.ConsumedWh(),
-		})
-
-		// Async leg: same trace parameters and seed on a fresh instance,
-		// same fleet shaping and policy, horizon spanning the same
-		// o.Rounds trace rounds.
-		atrace, err := regime.trace()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: async-harvest %s: %w", regime.name, err)
-		}
-		apolicy, err := harvest.NewSoCThreshold(0.35)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: async-harvest %s: %w", regime.name, err)
-		}
-		ares, err := async.Run(async.Config{
-			Graph:        g,
-			Algo:         core.Algorithm{Label: "async/" + regime.name, Schedule: schedule, Policy: apolicy},
-			Horizon:      float64(o.Rounds) * meanStepSec,
-			ModelFactory: modelFactory(32, 10),
-			LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-			Partition: part, Test: test,
-			Devices: devices, Workload: workload,
-			Trace:            atrace,
-			FleetOptions:     brownoutFleetOptions(meanTrainWh),
-			RoundSeconds:     meanStepSec,
-			EvalEverySeconds: float64(o.EvalEvery) * meanStepSec,
-			EvalSubsample:    o.EvalSubsample,
-			Seed:             o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: async-harvest async/%s: %w", regime.name, err)
-		}
-		asteps, atrained := 0, 0
-		for i := range ares.StepsPerNode {
-			asteps += ares.StepsPerNode[i]
-			atrained += ares.TrainedSteps[i]
-		}
-		rows = append(rows, AsyncHarvestRow{
-			Regime:        regime.name,
-			Engine:        "async-event",
-			FinalAcc:      ares.FinalMeanAcc * 100,
-			Steps:         asteps,
-			Trained:       atrained,
-			BrownoutShare: 100 * ares.BrownoutShare,
-			HarvestedWh:   ares.HarvestedWh,
-			ConsumedWh:    ares.ConsumedWh,
-		})
 	}
 
 	tb := report.NewTable("Intermittency engines: round-synchronous vs event-driven under identical harvest traces (sim scale)",
@@ -161,4 +53,88 @@ func TableAsyncHarvest(o Options) ([]AsyncHarvestRow, error) {
 	}
 	tb.Render(o.Out)
 	return rows, nil
+}
+
+// asyncHarvestLeg runs one engine, "sync" or "async", under regime. Both
+// legs share the trace parameters and seed (each on a fresh instance), the
+// fleet shaping and the policy. The sync leg is the round engine with the
+// physical dead-node model (dropped edges), the closest analogue of the
+// event engine's dropped gossips; the async leg's horizon spans the same
+// o.Rounds trace rounds at the fleet-mean step duration.
+func asyncHarvestLeg(w *world, regime GammaRegime, leg string) (AsyncHarvestRow, error) {
+	fail := func(err error) (AsyncHarvestRow, error) {
+		return AsyncHarvestRow{}, fmt.Errorf("experiments: async-harvest %s/%s: %w", leg, regime.Name, err)
+	}
+	policy, err := harvest.NewSoCThreshold(0.35)
+	if err != nil {
+		return fail(err)
+	}
+	cfg, err := w.config(core.Algorithm{Label: leg + "/" + regime.Name, Schedule: core.AllTrain{}, Policy: policy})
+	if err != nil {
+		return fail(err)
+	}
+	fleetOptions := brownoutFleetOptions(w.meanTrainWh)
+	if leg == "sync" {
+		if _, err := w.fleet(&cfg, regime, fleetOptions); err != nil {
+			return fail(err)
+		}
+		cfg.DropDeadNodes = true
+		res, err := sim.Run(cfg)
+		if err != nil {
+			return fail(err)
+		}
+		t := tallyRun(cfg, res)
+		return AsyncHarvestRow{
+			Regime:        regime.Name,
+			Engine:        "sync-round",
+			FinalAcc:      res.FinalMeanAcc * 100,
+			Steps:         w.o.Nodes * w.o.Rounds,
+			Trained:       t.trained,
+			BrownoutShare: t.deadShare,
+			HarvestedWh:   res.TotalHarvestWh,
+			ConsumedWh:    cfg.Harvest.ConsumedWh(),
+		}, nil
+	}
+	trace, err := regime.Trace(w.o, w.meanTrainWh)
+	if err != nil {
+		return fail(err)
+	}
+	meanStepSec := 0.0
+	for _, d := range cfg.Devices {
+		meanStepSec += d.TrainRoundSeconds(cfg.Workload)
+	}
+	meanStepSec /= float64(len(cfg.Devices))
+	res, err := async.Run(async.Config{
+		Graph:        cfg.Graph,
+		Algo:         cfg.Algo,
+		Horizon:      float64(cfg.Rounds) * meanStepSec,
+		ModelFactory: cfg.ModelFactory,
+		LR:           cfg.LR, BatchSize: cfg.BatchSize, LocalSteps: cfg.LocalSteps,
+		Partition: cfg.Partition, Test: cfg.Test,
+		Devices: cfg.Devices, Workload: cfg.Workload,
+		Trace:            trace,
+		FleetOptions:     fleetOptions,
+		RoundSeconds:     meanStepSec,
+		EvalEverySeconds: float64(cfg.EvalEvery) * meanStepSec,
+		EvalSubsample:    cfg.EvalSubsample,
+		Seed:             cfg.Seed,
+	})
+	if err != nil {
+		return fail(err)
+	}
+	steps, trained := 0, 0
+	for i := range res.StepsPerNode {
+		steps += res.StepsPerNode[i]
+		trained += res.TrainedSteps[i]
+	}
+	return AsyncHarvestRow{
+		Regime:        regime.Name,
+		Engine:        "async-event",
+		FinalAcc:      res.FinalMeanAcc * 100,
+		Steps:         steps,
+		Trained:       trained,
+		BrownoutShare: 100 * res.BrownoutShare,
+		HarvestedWh:   res.HarvestedWh,
+		ConsumedWh:    res.ConsumedWh,
+	}, nil
 }

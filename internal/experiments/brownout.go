@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/harvest"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // The brown-out scenario table isolates one modeling decision: what the
@@ -47,26 +46,17 @@ func brownoutFleetOptions(meanTrainWh float64) harvest.Options {
 	}
 }
 
-// brownoutRegime is one harvest regime of the brown-out experiment family:
-// a named trace constructor shared by TableBrownout and TableRejoin so both
-// compare over identical fleets.
-type brownoutRegime struct {
-	name  string
-	trace func() (harvest.Trace, error)
-}
-
-// brownoutRegimes returns the two standard regimes: diurnal/solar (regular,
-// predictable outages sweeping the fleet) and bursty Markov (irregular
-// outages of random length).
-func brownoutRegimes(o Options, meanTrainWh float64) []brownoutRegime {
-	return []brownoutRegime{
-		{"diurnal", func() (harvest.Trace, error) {
-			return harvest.NewDiurnal(1.2*meanTrainWh, diurnalPeriod(o.Rounds), harvest.LongitudePhase(o.Nodes))
-		}},
-		{"markov", func() (harvest.Trace, error) {
-			return harvest.NewMarkovOnOff(o.Nodes, 1.4*meanTrainWh, 0.25, 0.35, o.Seed)
-		}},
-	}
+// brownoutGrid runs arms 0..arms-1 of a table under each of the two
+// standard regimes of the brown-out experiment family, regime-major,
+// through one fan-out. TableBrownout, TableRejoin, TableForecast and
+// TableAsyncHarvest all run on it, so all compare over identical fleets:
+// diurnal/solar (regular, predictable outages sweeping the fleet) and
+// bursty Markov (irregular outages of random length).
+func brownoutGrid[R any](w *world, arms int, run func(regime GammaRegime, arm int) (R, error)) ([]R, error) {
+	regimes := []GammaRegime{diurnalRegime("diurnal", 1.2), markovRegime("markov", 1.4, 0.25, 0.35)}
+	return sweep.Grid(w.o.Sweep, len(regimes)*arms, nil, func(i int) (R, error) {
+		return run(regimes[i/arms], i%arms)
+	})
 }
 
 // TableBrownout runs the 2x2 brown-out comparison (harvest regime x
@@ -75,85 +65,42 @@ func brownoutRegimes(o Options, meanTrainWh float64) []brownoutRegime {
 // snapshotted once per round, so rows are identical at any GOMAXPROCS.
 func TableBrownout(o Options) ([]BrownoutRow, error) {
 	o = o.Defaults()
-	g, weights, err := topologyFor(o.Nodes, 6, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	part, _, test, err := CIFARLikeData(o)
-	if err != nil {
-		return nil, err
-	}
-	devices := energy.AssignDevices(o.Nodes, energy.Devices())
-	workload := energy.CIFAR10Workload()
-	meanTrainWh := energy.NetworkRoundWh(o.Nodes, energy.Devices(), workload) / float64(o.Nodes)
-
-	regimes := brownoutRegimes(o, meanTrainWh)
-
-	schedule := core.AllTrain{}
-	trainSlots := core.CountTrainRounds(schedule, o.Rounds)
-	var rows []BrownoutRow
-	for _, regime := range regimes {
-		for _, drop := range []bool{false, true} {
-			mode := "route-through-dead"
-			if drop {
-				mode = "drop-and-renormalize"
-			}
-			trace, err := regime.trace()
-			if err != nil {
-				return nil, fmt.Errorf("experiments: brownout %s: %w", regime.name, err)
-			}
-			fleet, err := harvest.NewFleet(devices, workload, trace, brownoutFleetOptions(meanTrainWh))
-			if err != nil {
-				return nil, fmt.Errorf("experiments: brownout %s: %w", regime.name, err)
-			}
-			policy, err := harvest.NewSoCThreshold(0.35)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: brownout %s: %w", regime.name, err)
-			}
-			res, err := sim.Run(sim.Config{
-				Graph: g, Weights: weights,
-				Algo:         core.Algorithm{Label: regime.name + "/" + mode, Schedule: schedule, Policy: policy},
-				Rounds:       o.Rounds,
-				ModelFactory: modelFactory(32, 10),
-				LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-				Partition: part, Test: test,
-				EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample,
-				Devices: devices, Workload: workload,
-				Harvest:       fleet,
-				DropDeadNodes: drop,
-				Seed:          o.Seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: brownout %s/%s: %w", regime.name, mode, err)
-			}
-			trained := 0
-			for _, tr := range res.TrainedRounds {
-				trained += tr
-			}
-			var liveSum, degSum, compSum float64
-			minLive := o.Nodes
-			for _, m := range res.History {
-				liveSum += float64(m.LiveCount)
-				degSum += m.MeanLiveDegree
-				compSum += float64(m.LiveComponents)
-				if m.LiveCount < minLive {
-					minLive = m.LiveCount
-				}
-			}
-			nRounds := float64(len(res.History))
-			rows = append(rows, BrownoutRow{
-				Regime:        regime.name,
-				Mode:          mode,
-				FinalAcc:      res.FinalMeanAcc * 100,
-				Participation: 100 * float64(trained) / float64(o.Nodes*trainSlots),
-				MeanLivePct:   100 * liveSum / (nRounds * float64(o.Nodes)),
-				MinLive:       minLive,
-				MeanLiveDeg:   degSum / nRounds,
-				MeanComps:     compSum / nRounds,
-				DroppedSends:  res.TotalDroppedSends,
-				DepletedEnd:   res.History[len(res.History)-1].Depleted,
-			})
+	w := newWorld(o, cifar, 6)
+	modes := []string{"route-through-dead", "drop-and-renormalize"}
+	rows, err := brownoutGrid(w, len(modes), func(regime GammaRegime, arm int) (BrownoutRow, error) {
+		mode := modes[arm]
+		cfg, res, err := w.harvestRun(regime.Name+"/"+mode, regime, brownoutFleetOptions(w.meanTrainWh), func(cfg *sim.Config, _ harvest.Trace) (err error) {
+			cfg.DropDeadNodes = mode == "drop-and-renormalize"
+			cfg.Algo.Policy, err = harvest.NewSoCThreshold(0.35)
+			return err
+		})
+		if err != nil {
+			return BrownoutRow{}, fmt.Errorf("experiments: brownout %s/%s: %w", regime.Name, mode, err)
 		}
+		var liveSum, degSum, compSum float64
+		minLive := o.Nodes
+		for _, m := range res.History {
+			liveSum += float64(m.LiveCount)
+			degSum += m.MeanLiveDegree
+			compSum += float64(m.LiveComponents)
+			minLive = min(minLive, m.LiveCount)
+		}
+		nRounds := float64(len(res.History))
+		return BrownoutRow{
+			Regime:        regime.Name,
+			Mode:          mode,
+			FinalAcc:      res.FinalMeanAcc * 100,
+			Participation: tallyRun(cfg, res).participation,
+			MeanLivePct:   100 * liveSum / (nRounds * float64(o.Nodes)),
+			MinLive:       minLive,
+			MeanLiveDeg:   degSum / nRounds,
+			MeanComps:     compSum / nRounds,
+			DroppedSends:  res.TotalDroppedSends,
+			DepletedEnd:   res.History[len(res.History)-1].Depleted,
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	tb := report.NewTable("Brown-out communication model: routing through dead nodes vs dropping their edges (sim scale)",

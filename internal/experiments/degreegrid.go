@@ -63,30 +63,21 @@ func degreeGammaResult(o Options, degrees []int, memo *identityMemo) (*DegreeGam
 	if len(degrees) == 0 {
 		degrees = DefaultDegreeGrid()
 	}
-	regimes := GammaGridRegimes(o)
 	res := &DegreeGammaResult{
 		Degrees: degrees,
-		Regimes: make([]string, len(regimes)),
-		Traces:  make([]string, len(regimes)),
+		Regimes: make([]string, len(gammaGridRegimes)),
+		Traces:  make([]string, len(gammaGridRegimes)),
 		Best:    make([][]GammaHarvestCell, len(degrees)),
 	}
-	for ri, regime := range regimes {
-		res.Regimes[ri] = regime.Name
-	}
-	data := lazyGammaData(o) // one dataset for every degree's world
+	base := newWorld(o, cifar, degrees[0]) // one dataset for every degree's world
 	for di, degree := range degrees {
-		w, err := newGammaWorld(o, degree, regimes, data, memo)
+		_, rows, err := gammaHarvest(base.at(degree), memo)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: degree grid d=%d: %w", degree, err)
 		}
-		res.Best[di] = make([]GammaHarvestCell, len(regimes))
-		for ri := range regimes {
-			gr, err := w.runRegime(ri)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: degree grid d=%d: %w", degree, err)
-			}
-			res.Best[di][ri] = gr.Best
-			res.Traces[ri] = gr.Trace
+		res.Best[di] = make([]GammaHarvestCell, len(rows))
+		for ri, row := range rows {
+			res.Best[di][ri], res.Regimes[ri], res.Traces[ri] = row.Best, row.Regime, row.Trace
 		}
 	}
 	res.TopologyDistinct, res.ArrivalDistinct, res.Dominant = degreeGammaDominance(res.Best)

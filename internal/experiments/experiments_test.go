@@ -3,12 +3,14 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/metrics"
 )
 
 // tiny returns fast options for unit tests; benches use bigger scales.
@@ -682,25 +684,15 @@ func TestTableRejoinOrderingAtScale(t *testing.T) {
 	}
 }
 
-// TestTableRejoinReproducibleAcrossGOMAXPROCS pins the second half of the
-// acceptance criterion: every row is bit-identical at GOMAXPROCS 1 and 8.
-func TestTableRejoinReproducibleAcrossGOMAXPROCS(t *testing.T) {
-	run := func(procs int) []RejoinRow {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		rows, err := TableRejoin(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	serial := run(1)
-	wide := run(8)
-	for i := range serial {
-		if serial[i] != wide[i] {
-			t.Fatalf("row %d differs across GOMAXPROCS:\n%+v\n%+v", i, serial[i], wide[i])
+// forecastRowFor returns the row of a (regime, policy) pair, and whether it
+// exists — the lookup the acceptance pins use.
+func forecastRowFor(rows []ForecastRow, regime, policy string) (ForecastRow, bool) {
+	for _, r := range rows {
+		if r.Regime == regime && r.Policy == policy {
+			return r, true
 		}
 	}
+	return ForecastRow{}, false
 }
 
 func TestTableForecastStructure(t *testing.T) {
@@ -718,7 +710,7 @@ func TestTableForecastStructure(t *testing.T) {
 	}
 	for _, regime := range []string{"diurnal", "markov"} {
 		for _, arm := range arms {
-			r, ok := ForecastRowFor(rows, regime, arm.name)
+			r, ok := forecastRowFor(rows, regime, arm.name)
 			if !ok {
 				t.Fatalf("row %s/%s missing", regime, arm.name)
 			}
@@ -735,8 +727,8 @@ func TestTableForecastStructure(t *testing.T) {
 		}
 		// The offline-optimal window is the whole horizon; the day-window
 		// arms see one simulated day.
-		full, _ := ForecastRowFor(rows, regime, "offline-optimal")
-		day, _ := ForecastRowFor(rows, regime, "oracle-mpc")
+		full, _ := forecastRowFor(rows, regime, "offline-optimal")
+		day, _ := forecastRowFor(rows, regime, "oracle-mpc")
 		if full.Horizon != o.Rounds || day.Horizon != diurnalPeriod(o.Rounds) {
 			t.Fatalf("%s windows: offline %d (want %d), oracle %d (want %d)",
 				regime, full.Horizon, o.Rounds, day.Horizon, diurnalPeriod(o.Rounds))
@@ -760,9 +752,9 @@ func TestTableForecastOrderingAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, ok1 := ForecastRowFor(rows, "diurnal", "oracle-mpc")
-	persist, ok2 := ForecastRowFor(rows, "diurnal", "persistence-mpc")
-	prop, ok3 := ForecastRowFor(rows, "diurnal", "soc-proportional")
+	oracle, ok1 := forecastRowFor(rows, "diurnal", "oracle-mpc")
+	persist, ok2 := forecastRowFor(rows, "diurnal", "persistence-mpc")
+	prop, ok3 := forecastRowFor(rows, "diurnal", "soc-proportional")
 	if !ok1 || !ok2 || !ok3 {
 		t.Fatalf("diurnal rows missing: %+v", rows)
 	}
@@ -771,30 +763,6 @@ func TestTableForecastOrderingAtScale(t *testing.T) {
 	}
 	if persist.FinalAcc < prop.FinalAcc {
 		t.Fatalf("persistence-MPC %.2f%% below soc-proportional %.2f%%", persist.FinalAcc, prop.FinalAcc)
-	}
-}
-
-// TestTableForecastReproducibleAcrossGOMAXPROCS pins bit-identity for the
-// forecast table — including the persistence arms, whose Observe feedback
-// runs serially after each round's battery update.
-func TestTableForecastReproducibleAcrossGOMAXPROCS(t *testing.T) {
-	run := func(procs int) []ForecastRow {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		o := tiny()
-		o.Rounds = 16
-		rows, err := TableForecast(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	serial := run(1)
-	wide := run(8)
-	for i := range serial {
-		if serial[i] != wide[i] {
-			t.Fatalf("row %d differs across GOMAXPROCS:\n%+v\n%+v", i, serial[i], wide[i])
-		}
 	}
 }
 
@@ -818,30 +786,6 @@ func TestTableRejoinCatchUpHalfLifeMovesWithRegime(t *testing.T) {
 	}
 	if diurnal == markov {
 		t.Fatalf("best half-life identical (%g) across regimes; rows: %+v", diurnal, rows)
-	}
-}
-
-// TestTableBrownoutReproducibleAcrossGOMAXPROCS is the acceptance pin for
-// the brown-out table: every row — both modes, both regimes — must be
-// bit-identical no matter how many workers the engine uses.
-func TestTableBrownoutReproducibleAcrossGOMAXPROCS(t *testing.T) {
-	run := func(procs int) []BrownoutRow {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		o := tiny()
-		o.Rounds = 16
-		rows, err := TableBrownout(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	serial := run(1)
-	wide := run(8)
-	for i := range serial {
-		if serial[i] != wide[i] {
-			t.Fatalf("row %d differs across GOMAXPROCS:\n%+v\n%+v", i, serial[i], wide[i])
-		}
 	}
 }
 
@@ -885,23 +829,64 @@ func TestTableAsyncHarvest(t *testing.T) {
 	}
 }
 
-func TestTableAsyncHarvestReproducibleAcrossGOMAXPROCS(t *testing.T) {
-	run := func(procs int) []AsyncHarvestRow {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		o := tiny()
-		o.Rounds = 16
-		rows, err := TableAsyncHarvest(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	serial := run(1)
-	wide := run(8)
-	for i := range serial {
-		if serial[i] != wide[i] {
-			t.Fatalf("row %d differs across GOMAXPROCS:\n%+v\n%+v", i, serial[i], wide[i])
-		}
+// TestReproducibleAcrossGOMAXPROCS pins bit-identity for every experiment
+// whose runs fan out: each row — every field, curves included — is equal,
+// floats by ==, at GOMAXPROCS 1 (the serial path) and 8. The rejoin table
+// runs at its default scale, as it always has here; the forecast table's
+// persistence arms exercise Observe feedback, which runs serially after
+// each round's battery update.
+func TestReproducibleAcrossGOMAXPROCS(t *testing.T) {
+	short := tiny()
+	short.Rounds = 16
+	for _, tc := range []struct {
+		name string
+		rows func() (any, error)
+	}{
+		{"TableRejoin", func() (any, error) { return TableRejoin(Options{}) }},
+		{"TableForecast", func() (any, error) { return TableForecast(short) }},
+		{"TableBrownout", func() (any, error) { return TableBrownout(short) }},
+		{"TableAsyncHarvest", func() (any, error) { return TableAsyncHarvest(short) }},
+		{"TableHarvest", func() (any, error) { return TableHarvest(short) }},
+		{"Figure5", func() (any, error) {
+			res, err := Figure5(short, nil, nil)
+			if err != nil {
+				return nil, err
+			}
+			return res.Arms, nil
+		}},
+		{"Figure6", func() (any, error) {
+			res, err := Figure6(short, nil, nil)
+			if err != nil {
+				return nil, err
+			}
+			return res.Arms, nil
+		}},
+		{"Section51Fairness", func() (any, error) {
+			res, err := Section51Fairness(short)
+			if err != nil {
+				return nil, err
+			}
+			return []metrics.FairnessReport{*res.Constrained, *res.Baseline}, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			at := func(procs int) reflect.Value {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				rows, err := tc.rows()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return reflect.ValueOf(rows)
+			}
+			serial, wide := at(1), at(8)
+			if serial.Len() == 0 || serial.Len() != wide.Len() {
+				t.Fatalf("%d rows serially, %d at GOMAXPROCS 8", serial.Len(), wide.Len())
+			}
+			for i := range serial.Len() {
+				if a, b := serial.Index(i).Interface(), wide.Index(i).Interface(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("row %d differs across GOMAXPROCS:\n%+v\n%+v", i, a, b)
+				}
+			}
+		})
 	}
 }

@@ -2,13 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // Section51Result quantifies the fairness discussion of the paper's
@@ -26,52 +27,33 @@ type Section51Result struct {
 // accuracy.
 func Section51Fairness(o Options) (*Section51Result, error) {
 	o = o.Defaults()
-	g, w, err := topologyFor(o.Nodes, 6, o.Seed)
-	if err != nil {
-		return nil, err
+	w := newWorld(o, cifar, 6)
+	algos := []core.Algorithm{
+		core.SkipTrainConstrained(GammaForDegree(6), o.Rounds, w.budgets(), o.Nodes),
+		core.DPSGD(),
 	}
-	part, _, test, err := CIFARLikeData(o)
-	if err != nil {
-		return nil, err
-	}
-	devices := energy.AssignDevices(o.Nodes, energy.Devices())
-	groups := make([]string, o.Nodes)
-	budgets := make([]float64, o.Nodes)
-	workload := energy.CIFAR10Workload()
-	for i, d := range devices {
-		groups[i] = d.Name
-		budgets[i] = float64(d.RoundBudget(workload, 0.10))
-	}
-
-	runOne := func(algo core.Algorithm) (*metrics.FairnessReport, error) {
-		res, err := sim.Run(sim.Config{
-			Graph: g, Weights: w,
-			Algo:         algo,
-			Rounds:       o.Rounds,
-			ModelFactory: modelFactory(32, 10),
-			LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-			Partition: part, Test: test,
-			EvalEvery: 0, EvalSubsample: o.EvalSubsample,
-			Devices: devices, Workload: workload,
-			Seed: o.Seed,
-		})
+	reports, err := sweep.Grid(o.Sweep, len(algos), nil, func(i int) (*metrics.FairnessReport, error) {
+		cfg, err := w.config(algos[i])
 		if err != nil {
 			return nil, err
 		}
+		cfg.EvalEvery = 0
+		res, err := sim.Run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		groups := make([]string, len(cfg.Devices))
+		budgets := make([]float64, len(cfg.Devices))
+		for n, d := range cfg.Devices {
+			groups[n] = d.Name
+			budgets[n] = float64(d.RoundBudget(cfg.Workload, w.ds.budgetShare))
+		}
 		return metrics.NewFairnessReport(res.FinalNodeAccs, res.TrainedRounds, budgets, groups)
-	}
-
-	gamma := GammaForDegree(6)
-	constrained, err := runOne(core.SkipTrainConstrained(gamma, o.Rounds,
-		ScaledBudgets(o.Nodes, o.Rounds, PaperRoundsCIFAR, workload, 0.10), o.Nodes))
+	})
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := runOne(core.DPSGD())
-	if err != nil {
-		return nil, err
-	}
-	out := &Section51Result{Constrained: constrained, Baseline: baseline}
+	out := &Section51Result{Constrained: reports[0], Baseline: reports[1]}
 	out.render(o)
 	return out, nil
 }
@@ -87,12 +69,7 @@ func (r *Section51Result) render(o Options) {
 		r.Constrained.Spread*100, r.Baseline.Spread*100)
 	tb.Render(o.Out)
 	// Per-group accuracies, stable order.
-	var names []string
-	for n := range r.Constrained.AccByGroup {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(r.Constrained.AccByGroup)) {
 		fmt.Fprintf(o.Out, "  %-26s constrained %.2f%%  baseline %.2f%%\n",
 			n, r.Constrained.AccByGroup[n]*100, r.Baseline.AccByGroup[n]*100)
 	}

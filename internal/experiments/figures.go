@@ -10,6 +10,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // Series is one labeled curve: x (rounds or Wh) against y (accuracy).
@@ -31,36 +32,20 @@ type Figure1Result struct {
 // The paper reports an ~10% accuracy boost for all-reduce.
 func Figure1(o Options) (*Figure1Result, error) {
 	o = o.Defaults()
-	g, w, err := topologyFor(o.Nodes, 6, o.Seed)
+	w := newWorld(o, cifar, 6)
+	algos := []core.Algorithm{core.DPSGD(), core.AllReduce()}
+	runs, err := sweep.Grid(o.Sweep, len(algos), nil, func(i int) (*sim.Result, error) {
+		cfg, err := w.config(algos[i])
+		if err != nil {
+			return nil, err
+		}
+		cfg.EvalGlobalModel = algos[i].Aggregation == core.AggGlobal
+		return sim.Run(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	part, _, test, err := CIFARLikeData(o)
-	if err != nil {
-		return nil, err
-	}
-	base := sim.Config{
-		Graph: g, Weights: w,
-		Rounds:       o.Rounds,
-		ModelFactory: modelFactory(32, 10),
-		LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-		Partition: part, Test: test,
-		EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample,
-		Seed: o.Seed,
-	}
-	dCfg := base
-	dCfg.Algo = core.DPSGD()
-	dRes, err := sim.Run(dCfg)
-	if err != nil {
-		return nil, err
-	}
-	aCfg := base
-	aCfg.Algo = core.AllReduce()
-	aCfg.EvalGlobalModel = true
-	aRes, err := sim.Run(aCfg)
-	if err != nil {
-		return nil, err
-	}
+	dRes, aRes := runs[0], runs[1]
 	out := &Figure1Result{
 		DPSGD:     Series{Label: "D-PSGD"},
 		AllReduce: Series{Label: "All reduce"},
@@ -154,33 +139,25 @@ func Figure3(o Options, degrees []int) (*Figure3Result, error) {
 	if len(degrees) == 0 {
 		degrees = []int{6, 8, 10}
 	}
-	part, val, _, err := CIFARLikeData(o)
-	if err != nil {
-		return nil, err
-	}
 	res := &Figure3Result{Degrees: degrees}
+	base := newWorld(o, cifar, degrees[0])
 	for _, deg := range degrees {
-		g, w, err := topologyFor(o.Nodes, deg, o.Seed)
+		w := base.at(deg)
+		keys, err := figure3Keys(w)
 		if err != nil {
 			return nil, err
 		}
-		// Cells run on the shared grid runner (gammagrid.go): fanned out
-		// across workers into preallocated slots, bit-identical to the
-		// serial loop, with the best cell seeded from a real cell.
-		grid, err := forEachGammaCell(func(gt, gs int) (Figure3Cell, error) {
+		// Cells run on the shared grid runner (gammagrid.go), keyed when
+		// o.Sweep can serve them, with the best cell seeded from a real
+		// cell.
+		grid, err := gammaCells(o.Sweep, &keys, func(gt, gs int) (Figure3Cell, error) {
 			gamma, err := core.NewGamma(gt, gs)
 			if err != nil {
 				return Figure3Cell{}, err
 			}
-			cfg := sim.Config{
-				Graph: g, Weights: w,
-				Algo:         core.SkipTrain(gamma),
-				Rounds:       o.Rounds,
-				ModelFactory: modelFactory(32, 10),
-				LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-				Partition: part, Test: val, // tuned on the validation split
-				EvalEvery: 0, EvalSubsample: o.EvalSubsample,
-				Seed: o.Seed,
+			cfg, err := w.tuneConfig(core.SkipTrain(gamma))
+			if err != nil {
+				return Figure3Cell{}, err
 			}
 			r, err := sim.Run(cfg)
 			if err != nil {
@@ -204,41 +181,33 @@ func Figure3(o Options, degrees []int) (*Figure3Result, error) {
 	return res, nil
 }
 
+// figure3Keys are the keys of w's Figure 3 cells when o.Sweep can serve
+// them, zero otherwise. Their engine, "figure3cell", is their own: no
+// Figure 3 cell answers for a harvest grid's cell of the same Γ.
+func figure3Keys(w *world) (keys gammaKeys, err error) {
+	if w.o.Sweep != nil {
+		if err = w.buildTopology(); err == nil {
+			keys = gridKeys(tuningManifest(w.o, "figure3cell", "", w.graph.Fingerprint()))
+		}
+	}
+	return keys, err
+}
+
 func (r *Figure3Result) render(o Options) {
-	rowNames := []string{"1", "2", "3", "4"}
 	for di, deg := range r.Degrees {
-		h := &report.Heatmap{
-			Title:    fmt.Sprintf("Figure 3: %d-regular. Validation accuracy [%%]", deg),
-			RowLabel: "Γs", ColLabel: "Γt",
-			RowNames: rowNames, ColNames: rowNames,
-			Cells:          make([][]float64, 4),
-			HigherIsBetter: true,
-		}
-		for gs := 0; gs < 4; gs++ {
-			h.Cells[gs] = make([]float64, 4)
-			for gt := 0; gt < 4; gt++ {
-				h.Cells[gs][gt] = r.Grid[di][gs][gt].ValAcc
-			}
-		}
-		h.SetMark(r.Best[di].GammaSync-1, r.Best[di].GammaTrain-1)
+		best := r.Best[di]
+		h := gammaHeatmap(fmt.Sprintf("Figure 3: %d-regular. Validation accuracy [%%]", deg),
+			r.Grid[di], func(c Figure3Cell) float64 { return c.ValAcc })
+		h.HigherIsBetter = true
+		h.SetMark(best.GammaSync-1, best.GammaTrain-1)
 		h.Render(o.Out)
 		fmt.Fprintf(o.Out, "best: Γtrain=%d Γsync=%d (%.1f%%, %.0f Wh at paper scale)\n\n",
-			r.Best[di].GammaTrain, r.Best[di].GammaSync, r.Best[di].ValAcc, r.Best[di].PaperEnergyWh)
+			best.GammaTrain, best.GammaSync, best.ValAcc, best.PaperEnergyWh)
 	}
 	// Energy heatmap (schedule-only, identical for every topology).
-	eh := &report.Heatmap{
-		Title:    "Figure 3 (right): Energy [Wh] at paper scale",
-		RowLabel: "Γs", ColLabel: "Γt",
-		RowNames: rowNames, ColNames: rowNames,
-		Cells:  make([][]float64, 4),
-		Format: "%.0f",
-	}
-	for gs := 0; gs < 4; gs++ {
-		eh.Cells[gs] = make([]float64, 4)
-		for gt := 0; gt < 4; gt++ {
-			eh.Cells[gs][gt] = r.Grid[0][gs][gt].PaperEnergyWh
-		}
-	}
+	eh := gammaHeatmap("Figure 3 (right): Energy [Wh] at paper scale",
+		r.Grid[0], func(c Figure3Cell) float64 { return c.PaperEnergyWh })
+	eh.Format = "%.0f"
 	eh.Render(o.Out)
 }
 
@@ -273,24 +242,11 @@ func Figure4(o Options) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, w, err := topologyFor(o.Nodes, 6, o.Seed)
+	cfg, err := newWorld(o, cifar, 6).config(core.SkipTrain(gamma))
 	if err != nil {
 		return nil, err
 	}
-	part, _, test, err := CIFARLikeData(o)
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.Config{
-		Graph: g, Weights: w,
-		Algo:         core.SkipTrain(gamma),
-		Rounds:       o.Rounds,
-		ModelFactory: modelFactory(32, 10),
-		LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-		Partition: part, Test: test,
-		EvalEvery: 1, EvalSubsample: o.EvalSubsample,
-		Seed: o.Seed,
-	}
+	cfg.EvalEvery = 1
 	res, err := sim.Run(cfg)
 	if err != nil {
 		return nil, err
@@ -303,27 +259,20 @@ func Figure4(o Options) (*Figure4Result, error) {
 		tail = len(evals)
 	}
 	evals = evals[len(evals)-tail:]
-	var dSync, dTrain float64
-	var nSync, nTrain int
+	var intoSync, intoTrain []float64
 	for i, m := range evals {
 		out.Points = append(out.Points, Figure4Point{Round: m.Round, Kind: m.Kind, MeanAcc: m.MeanAcc * 100, StdAcc: m.StdAcc * 100})
-		if i > 0 {
-			delta := (m.MeanAcc - evals[i-1].MeanAcc) * 100
-			if m.Kind == core.RoundSync {
-				dSync += delta
-				nSync++
-			} else {
-				dTrain += delta
-				nTrain++
-			}
+		if i == 0 {
+			continue
+		}
+		if delta := (m.MeanAcc - evals[i-1].MeanAcc) * 100; m.Kind == core.RoundSync {
+			intoSync = append(intoSync, delta)
+		} else {
+			intoTrain = append(intoTrain, delta)
 		}
 	}
-	if nSync > 0 {
-		out.MeanDeltaIntoSync = dSync / float64(nSync)
-	}
-	if nTrain > 0 {
-		out.MeanDeltaIntoTrain = dTrain / float64(nTrain)
-	}
+	out.MeanDeltaIntoSync, _ = metrics.MeanStd(intoSync)
+	out.MeanDeltaIntoTrain, _ = metrics.MeanStd(intoTrain)
 	tb := report.NewTable("Figure 4: SkipTrain test accuracy per round (final stretch)",
 		"round", "kind", "mean acc %", "std %")
 	for _, p := range out.Points {
@@ -354,10 +303,14 @@ type Figure5Result struct {
 
 // Arm retrieves an arm by keys; nil if absent.
 func (r *Figure5Result) Arm(algo, ds string, degree int) *Figure5Arm {
-	for i := range r.Arms {
-		a := &r.Arms[i]
-		if a.Algo == algo && a.Dataset == ds && a.Degree == degree {
-			return a
+	return findArm(r.Arms, func(a *Figure5Arm) bool { return a.Algo == algo && a.Dataset == ds && a.Degree == degree })
+}
+
+// findArm is the first of arms that match accepts, nil if none does.
+func findArm[A any](arms []A, match func(*A) bool) *A {
+	for i := range arms {
+		if match(&arms[i]) {
+			return &arms[i]
 		}
 	}
 	return nil
@@ -382,102 +335,87 @@ func GammaForDegree(deg int) core.Gamma {
 // curves (energy at paper scale).
 func Figure5(o Options, degrees []int, datasets []string) (*Figure5Result, error) {
 	o = o.Defaults()
-	if len(degrees) == 0 {
-		degrees = []int{6, 8, 10}
+	arms, err := armGrid(o, datasets, degrees, []namedAlgo{
+		{"D-PSGD", func(*world) core.Algorithm { return core.DPSGD() }},
+		{"SkipTrain", func(w *world) core.Algorithm { return core.SkipTrain(GammaForDegree(w.degree)) }},
+	}, figure5Arm)
+	if err != nil {
+		return nil, err
 	}
-	if len(datasets) == 0 {
-		datasets = []string{"cifar", "femnist"}
-	}
-	res := &Figure5Result{}
-	for _, ds := range datasets {
-		var part dataset.Partition
-		var test *dataset.Dataset
-		var classes int
-		var workload energy.Workload
-		var paperRounds int
-		var err error
-		switch ds {
-		case "cifar":
-			part, _, test, err = CIFARLikeData(o)
-			classes, workload, paperRounds = 10, energy.CIFAR10Workload(), PaperRoundsCIFAR
-		case "femnist":
-			part, _, test, err = femnistLikeData(o)
-			classes, workload, paperRounds = 62, energy.FEMNISTWorkload(), PaperRoundsFEMNIST
-		default:
-			return nil, fmt.Errorf("experiments: unknown dataset %q", ds)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, deg := range degrees {
-			g, w, err := topologyFor(o.Nodes, deg, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			gamma := GammaForDegree(deg)
-			for _, algo := range []core.Algorithm{core.DPSGD(), core.SkipTrain(gamma)} {
-				cfg := sim.Config{
-					Graph: g, Weights: w,
-					Algo:         algo,
-					Rounds:       o.Rounds,
-					ModelFactory: modelFactory(32, classes),
-					LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-					Partition: part, Test: test,
-					EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample,
-					Seed: o.Seed,
-				}
-				r, err := sim.Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				arm := Figure5Arm{Algo: algoKey(algo), Dataset: ds, Degree: deg, FinalAcc: r.FinalMeanAcc * 100}
-				// Energy per scheduled train round at paper scale.
-				perRound := energy.NetworkRoundWh(PaperNodes, energy.Devices(), workload)
-				trainedSoFar := 0
-				for _, m := range r.History {
-					if m.Kind == core.RoundTrain {
-						trainedSoFar++
-					}
-					if !m.Evaluated {
-						continue
-					}
-					arm.AccVsRound.X = append(arm.AccVsRound.X, float64(m.Round+1))
-					arm.AccVsRound.Y = append(arm.AccVsRound.Y, m.MeanAcc*100)
-					// Scale the round axis to the paper horizon for the
-					// energy axis: fraction of schedule elapsed times the
-					// paper's total schedule energy.
-					paperTrainRounds := core.CountTrainRounds(algo.Schedule, paperRounds)
-					frac := float64(trainedSoFar) / float64(maxInt(1, core.CountTrainRounds(algo.Schedule, o.Rounds)))
-					arm.AccVsEnergy.X = append(arm.AccVsEnergy.X, frac*float64(paperTrainRounds)*perRound)
-					arm.AccVsEnergy.Y = append(arm.AccVsEnergy.Y, m.MeanAcc*100)
-				}
-				arm.PaperEnergyWh = float64(core.CountTrainRounds(algo.Schedule, paperRounds)) * perRound
-				arm.AccVsRound.Label = arm.Algo
-				arm.AccVsEnergy.Label = arm.Algo
-				res.Arms = append(res.Arms, arm)
-			}
-		}
-	}
+	res := &Figure5Result{Arms: arms}
 	res.render(o)
 	return res, nil
 }
 
-func algoKey(a core.Algorithm) string {
-	switch a.Schedule.(type) {
-	case core.AllTrain:
-		if a.Policy.Name() == "greedy" {
-			return "Greedy"
-		}
-		if a.Aggregation == core.AggGlobal {
-			return "All-Reduce"
-		}
-		return "D-PSGD"
-	default:
-		if a.Policy.Name() == "probabilistic" {
-			return "SkipTrain-constrained"
-		}
-		return "SkipTrain"
+// namedAlgo is one algorithm of Figures 5 and 6 under the name the
+// figures and Tables 3 and 4 give it, built for a world.
+type namedAlgo struct {
+	name  string
+	build func(*world) core.Algorithm
+}
+
+// armGrid runs every algorithm on every (dataset, degree) world through
+// one fan-out and returns the arms dataset-major, then by degree, then by
+// algorithm. The worlds of a dataset share its data. No degrees means the
+// paper's 6, 8 and 10; no datasets means both.
+func armGrid[A any](o Options, datasets []string, degrees []int, algos []namedAlgo, arm func(*world, namedAlgo) (A, error)) ([]A, error) {
+	if len(degrees) == 0 {
+		degrees = []int{6, 8, 10}
 	}
+	if len(datasets) == 0 {
+		datasets = []string{cifar.name, femnist.name}
+	}
+	var worlds []*world
+	for _, name := range datasets {
+		ds, ok := datasetSpecs[name]
+		if !ok {
+			return nil, fmt.Errorf("experiments: unknown dataset %q", name)
+		}
+		base := newWorld(o, ds, degrees[0])
+		for _, deg := range degrees {
+			worlds = append(worlds, base.at(deg))
+		}
+	}
+	return sweep.Grid(o.Sweep, len(worlds)*len(algos), nil, func(i int) (A, error) {
+		return arm(worlds[i/len(algos)], algos[i%len(algos)])
+	})
+}
+
+func figure5Arm(w *world, a namedAlgo) (Figure5Arm, error) {
+	algo := a.build(w)
+	cfg, err := w.config(algo)
+	if err != nil {
+		return Figure5Arm{}, err
+	}
+	r, err := sim.Run(cfg)
+	if err != nil {
+		return Figure5Arm{}, err
+	}
+	arm := Figure5Arm{Algo: a.name, Dataset: w.ds.name, Degree: w.degree, FinalAcc: r.FinalMeanAcc * 100}
+	arm.AccVsRound.Label, arm.AccVsEnergy.Label = a.name, a.name
+	// Energy per scheduled train round at paper scale.
+	perRound := energy.NetworkRoundWh(PaperNodes, energy.Devices(), w.ds.workload)
+	paperTrainRounds := core.CountTrainRounds(algo.Schedule, w.ds.paperRounds)
+	simTrainRounds := max(1, core.CountTrainRounds(algo.Schedule, cfg.Rounds))
+	trainedSoFar := 0
+	for _, m := range r.History {
+		if m.Kind == core.RoundTrain {
+			trainedSoFar++
+		}
+		if !m.Evaluated {
+			continue
+		}
+		arm.AccVsRound.X = append(arm.AccVsRound.X, float64(m.Round+1))
+		arm.AccVsRound.Y = append(arm.AccVsRound.Y, m.MeanAcc*100)
+		// Scale the round axis to the paper horizon for the energy axis:
+		// fraction of schedule elapsed times the paper's total schedule
+		// energy.
+		frac := float64(trainedSoFar) / float64(simTrainRounds)
+		arm.AccVsEnergy.X = append(arm.AccVsEnergy.X, frac*float64(paperTrainRounds)*perRound)
+		arm.AccVsEnergy.Y = append(arm.AccVsEnergy.Y, m.MeanAcc*100)
+	}
+	arm.PaperEnergyWh = float64(paperTrainRounds) * perRound
+	return arm, nil
 }
 
 func (r *Figure5Result) render(o Options) {
@@ -510,13 +448,7 @@ type Figure6Result struct {
 
 // Arm retrieves an arm by keys; nil if absent.
 func (r *Figure6Result) Arm(algo, ds string, degree int) *Figure6Arm {
-	for i := range r.Arms {
-		a := &r.Arms[i]
-		if a.Algo == algo && a.Dataset == ds && a.Degree == degree {
-			return a
-		}
-	}
-	return nil
+	return findArm(r.Arms, func(a *Figure6Arm) bool { return a.Algo == algo && a.Dataset == ds && a.Degree == degree })
 }
 
 // Figure6 reproduces the energy-constrained comparison: D-PSGD (energy
@@ -524,92 +456,48 @@ func (r *Figure6Result) Arm(algo, ds string, degree int) *Figure6Arm {
 // (probabilistic spreading), with per-node budgets from the device traces.
 func Figure6(o Options, degrees []int, datasets []string) (*Figure6Result, error) {
 	o = o.Defaults()
-	if len(degrees) == 0 {
-		degrees = []int{6, 8, 10}
+	arms, err := armGrid(o, datasets, degrees, []namedAlgo{
+		{"D-PSGD", func(*world) core.Algorithm { return core.DPSGD() }},
+		{"Greedy", func(w *world) core.Algorithm { return core.Greedy(w.budgets()) }},
+		{"SkipTrain-constrained", func(w *world) core.Algorithm {
+			return core.SkipTrainConstrained(GammaForDegree(w.degree), o.Rounds, w.budgets(), o.Nodes)
+		}},
+	}, figure6Arm)
+	if err != nil {
+		return nil, err
 	}
-	if len(datasets) == 0 {
-		datasets = []string{"cifar", "femnist"}
-	}
-	res := &Figure6Result{}
-	for _, ds := range datasets {
-		var part dataset.Partition
-		var test *dataset.Dataset
-		var classes, paperRounds int
-		var workload energy.Workload
-		var fraction float64
-		var err error
-		switch ds {
-		case "cifar":
-			part, _, test, err = CIFARLikeData(o)
-			classes, workload, paperRounds, fraction = 10, energy.CIFAR10Workload(), PaperRoundsCIFAR, 0.10
-		case "femnist":
-			part, _, test, err = femnistLikeData(o)
-			classes, workload, paperRounds, fraction = 62, energy.FEMNISTWorkload(), PaperRoundsFEMNIST, 0.50
-		default:
-			return nil, fmt.Errorf("experiments: unknown dataset %q", ds)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, deg := range degrees {
-			g, w, err := topologyFor(o.Nodes, deg, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			gamma := GammaForDegree(deg)
-			algos := []func() core.Algorithm{
-				func() core.Algorithm { return core.DPSGD() },
-				func() core.Algorithm {
-					return core.Greedy(ScaledBudgets(o.Nodes, o.Rounds, paperRounds, workload, fraction))
-				},
-				func() core.Algorithm {
-					return core.SkipTrainConstrained(gamma, o.Rounds,
-						ScaledBudgets(o.Nodes, o.Rounds, paperRounds, workload, fraction), o.Nodes)
-				},
-			}
-			for _, mk := range algos {
-				algo := mk()
-				cfg := sim.Config{
-					Graph: g, Weights: w,
-					Algo:         algo,
-					Rounds:       o.Rounds,
-					ModelFactory: modelFactory(32, classes),
-					LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-					Partition: part, Test: test,
-					EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample,
-					Devices:  energy.AssignDevices(o.Nodes, energy.Devices()),
-					Workload: workload,
-					Seed:     o.Seed,
-				}
-				r, err := sim.Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				arm := Figure6Arm{
-					Algo: algoKey(algo), Dataset: ds, Degree: deg,
-					FinalAcc:      r.FinalMeanAcc * 100,
-					TrainedRounds: r.TrainedRounds,
-				}
-				// Scale consumed energy to paper scale: each scaled train
-				// round represents paperRounds/o.Rounds paper rounds.
-				perPaperRound := energy.NetworkRoundWh(PaperNodes, energy.Devices(), workload)
-				scale := float64(paperRounds) / float64(o.Rounds) * float64(PaperNodes) / float64(o.Nodes)
-				arm.ConsumedWh = r.TotalTrainWh * scale
-				for _, m := range r.History {
-					if !m.Evaluated {
-						continue
-					}
-					arm.AccVsEnergy.X = append(arm.AccVsEnergy.X, m.CumTrainWh*scale)
-					arm.AccVsEnergy.Y = append(arm.AccVsEnergy.Y, m.MeanAcc*100)
-				}
-				arm.AccVsEnergy.Label = arm.Algo
-				_ = perPaperRound
-				res.Arms = append(res.Arms, arm)
-			}
-		}
-	}
+	res := &Figure6Result{Arms: arms}
 	res.render(o)
 	return res, nil
+}
+
+func figure6Arm(w *world, a namedAlgo) (Figure6Arm, error) {
+	cfg, err := w.config(a.build(w))
+	if err != nil {
+		return Figure6Arm{}, err
+	}
+	r, err := sim.Run(cfg)
+	if err != nil {
+		return Figure6Arm{}, err
+	}
+	arm := Figure6Arm{
+		Algo: a.name, Dataset: w.ds.name, Degree: w.degree,
+		AccVsEnergy:   Series{Label: a.name},
+		FinalAcc:      r.FinalMeanAcc * 100,
+		TrainedRounds: r.TrainedRounds,
+	}
+	// Scale consumed energy to paper scale: each scaled train round
+	// represents paperRounds/o.Rounds paper rounds.
+	scale := float64(w.ds.paperRounds) / float64(w.o.Rounds) * float64(PaperNodes) / float64(w.o.Nodes)
+	arm.ConsumedWh = r.TotalTrainWh * scale
+	for _, m := range r.History {
+		if !m.Evaluated {
+			continue
+		}
+		arm.AccVsEnergy.X = append(arm.AccVsEnergy.X, m.CumTrainWh*scale)
+		arm.AccVsEnergy.Y = append(arm.AccVsEnergy.Y, m.MeanAcc*100)
+	}
+	return arm, nil
 }
 
 func (r *Figure6Result) render(o Options) {
@@ -633,30 +521,20 @@ func Figure7(o Options) error {
 	if err != nil {
 		return err
 	}
-	counts := func(p dataset.Partition, nodes int) [][]int {
-		out := make([][]int, nodes)
-		for i := 0; i < nodes; i++ {
-			out[i] = p[i].ClassHistogram()
+	// counts are the first ten nodes' histograms over the first classes.
+	counts := func(p dataset.Partition, classes int) [][]int {
+		out := make([][]int, 10)
+		for i := range out {
+			out[i] = p[i].ClassHistogram()[:classes]
 		}
 		return out
 	}
 	report.DotPlot(o.Out, "Figure 7 (left): CIFAR-like 2-shard class distribution, first 10 nodes",
-		counts(cifarPart, 10))
+		counts(cifarPart, cifar.classes))
 	// FEMNIST has 62 classes; show the first 16 rows for readability.
-	fem := counts(femnistPart, 10)
-	for i := range fem {
-		fem[i] = fem[i][:16]
-	}
 	report.DotPlot(o.Out, "Figure 7 (right): FEMNIST-like writer class distribution (classes 0-15), first 10 nodes",
-		fem)
+		counts(femnistPart, 16))
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TimeToAccuracy extracts, for every Figure 5 arm, the first round and the

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/harvest"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -37,25 +37,13 @@ type ForecastRow struct {
 // row: the planned trajectory keeps this much capacity above the cutoff.
 const forecastReserveSoC = 0.05
 
-// forecastFleetOptions mirrors the brown-out world — supercap capacity, a
-// real cutoff, always-on idle draw — so surviving the forecast trough is
-// what the planner's lookahead is for.
-func forecastFleetOptions(meanTrainWh float64) harvest.Options {
-	return harvest.Options{
-		CapacityRounds: 10,
-		InitialSoC:     0.6,
-		CutoffSoC:      0.25,
-		IdleWh:         0.2 * meanTrainWh,
-	}
-}
-
 // forecastArm is one policy family of the comparison. Arms without a
 // forecaster run the reactive baselines; MPC arms share one HorizonPlan
 // configuration and differ only in what feeds their forecast window.
 type forecastArm struct {
 	name       string
 	horizon    func(o Options) int // forecast window; 0 = no forecaster
-	forecaster func(o Options, trace harvest.Trace, horizon int) (harvest.Forecaster, error)
+	forecaster func(o Options, trace harvest.Trace) (harvest.Forecaster, error)
 	policy     func() (core.Policy, error)
 }
 
@@ -67,10 +55,10 @@ func forecastArms() []forecastArm {
 	day := func(o Options) int { return diurnalPeriod(o.Rounds) }
 	full := func(o Options) int { return o.Rounds }
 	mpc := func() (core.Policy, error) { return harvest.NewHorizonPlan(forecastReserveSoC) }
-	oracle := func(_ Options, trace harvest.Trace, _ int) (harvest.Forecaster, error) {
+	oracle := func(_ Options, trace harvest.Trace) (harvest.Forecaster, error) {
 		return harvest.NewOracle(trace)
 	}
-	persistence := func(o Options, _ harvest.Trace, _ int) (harvest.Forecaster, error) {
+	persistence := func(o Options, _ harvest.Trace) (harvest.Forecaster, error) {
 		return harvest.NewPersistence(o.Nodes, diurnalPeriod(o.Rounds))
 	}
 	return []forecastArm{
@@ -88,87 +76,43 @@ func forecastArms() []forecastArm {
 // any GOMAXPROCS.
 func TableForecast(o Options) ([]ForecastRow, error) {
 	o = o.Defaults()
-	g, weights, err := topologyFor(o.Nodes, 6, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	part, _, test, err := CIFARLikeData(o)
-	if err != nil {
-		return nil, err
-	}
-	devices := energy.AssignDevices(o.Nodes, energy.Devices())
-	workload := energy.CIFAR10Workload()
-	meanTrainWh := energy.NetworkRoundWh(o.Nodes, energy.Devices(), workload) / float64(o.Nodes)
-
-	schedule := core.AllTrain{}
-	trainSlots := core.CountTrainRounds(schedule, o.Rounds)
-	var rows []ForecastRow
-	for _, regime := range brownoutRegimes(o, meanTrainWh) {
-		for _, arm := range forecastArms() {
-			fail := func(err error) ([]ForecastRow, error) {
-				return nil, fmt.Errorf("experiments: forecast %s/%s: %w", regime.name, arm.name, err)
+	w := newWorld(o, cifar, 6)
+	arms := forecastArms()
+	rows, err := brownoutGrid(w, len(arms), func(regime GammaRegime, i int) (ForecastRow, error) {
+		arm := arms[i]
+		// The fleet mirrors the brown-out world — supercap capacity, a
+		// real cutoff, always-on idle draw — so surviving the forecast
+		// trough is what the planner's lookahead is for.
+		cfg, res, err := w.harvestRun(regime.Name+"/"+arm.name, regime, brownoutFleetOptions(w.meanTrainWh), func(cfg *sim.Config, trace harvest.Trace) (err error) {
+			cfg.DropDeadNodes = true
+			if cfg.Algo.Policy, err = arm.policy(); err != nil || arm.forecaster == nil {
+				return err
 			}
-			trace, err := regime.trace()
-			if err != nil {
-				return fail(err)
-			}
-			fleet, err := harvest.NewFleet(devices, workload, trace, forecastFleetOptions(meanTrainWh))
-			if err != nil {
-				return fail(err)
-			}
-			policy, err := arm.policy()
-			if err != nil {
-				return fail(err)
-			}
-			horizon := 0
-			var forecaster harvest.Forecaster
-			if arm.forecaster != nil {
-				horizon = arm.horizon(o)
-				if forecaster, err = arm.forecaster(o, trace, horizon); err != nil {
-					return fail(err)
-				}
-			}
-			res, err := sim.Run(sim.Config{
-				Graph: g, Weights: weights,
-				Algo:         core.Algorithm{Label: regime.name + "/" + arm.name, Schedule: schedule, Policy: policy},
-				Rounds:       o.Rounds,
-				ModelFactory: modelFactory(32, 10),
-				LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-				Partition: part, Test: test,
-				EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample,
-				Devices: devices, Workload: workload,
-				Harvest:         fleet,
-				Forecast:        forecaster,
-				ForecastHorizon: horizon,
-				DropDeadNodes:   true,
-				Seed:            o.Seed,
-			})
-			if err != nil {
-				return fail(err)
-			}
-			trained := 0
-			for _, tr := range res.TrainedRounds {
-				trained += tr
-			}
-			var deadSum float64
-			for _, m := range res.History {
-				deadSum += float64(m.Depleted)
-			}
-			fname := "-"
-			if forecaster != nil {
-				fname = forecaster.Name()
-			}
-			rows = append(rows, ForecastRow{
-				Regime:        regime.name,
-				Policy:        arm.name,
-				Forecaster:    fname,
-				Horizon:       horizon,
-				FinalAcc:      res.FinalMeanAcc * 100,
-				Participation: 100 * float64(trained) / float64(o.Nodes*trainSlots),
-				DeadShare:     100 * deadSum / (float64(len(res.History)) * float64(o.Nodes)),
-				WastedWh:      res.TotalWastedWh,
-			})
+			cfg.ForecastHorizon = arm.horizon(o)
+			cfg.Forecast, err = arm.forecaster(o, trace)
+			return err
+		})
+		if err != nil {
+			return ForecastRow{}, fmt.Errorf("experiments: forecast %s/%s: %w", regime.Name, arm.name, err)
 		}
+		fname := "-"
+		if cfg.Forecast != nil {
+			fname = cfg.Forecast.Name()
+		}
+		t := tallyRun(cfg, res)
+		return ForecastRow{
+			Regime:        regime.Name,
+			Policy:        arm.name,
+			Forecaster:    fname,
+			Horizon:       cfg.ForecastHorizon,
+			FinalAcc:      res.FinalMeanAcc * 100,
+			Participation: t.participation,
+			DeadShare:     t.deadShare,
+			WastedWh:      res.TotalWastedWh,
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	tb := report.NewTable("Forecast-aware participation: MPC planning vs reactive SoC rules (drop-and-renormalize, sim scale)",
@@ -176,7 +120,7 @@ func TableForecast(o Options) ([]ForecastRow, error) {
 	for _, r := range rows {
 		window := "-"
 		if r.Horizon > 0 {
-			window = fmt.Sprintf("%d", r.Horizon)
+			window = strconv.Itoa(r.Horizon)
 		}
 		tb.AddRowf("%s|%s|%s|%s|%.2f|%.1f|%.1f|%.4f",
 			r.Regime, r.Policy, r.Forecaster, window, r.FinalAcc,
@@ -184,15 +128,4 @@ func TableForecast(o Options) ([]ForecastRow, error) {
 	}
 	tb.Render(o.Out)
 	return rows, nil
-}
-
-// ForecastRowFor returns the row of a (regime, policy) pair, and whether it
-// exists — the lookup the acceptance pins use.
-func ForecastRowFor(rows []ForecastRow, regime, policy string) (ForecastRow, bool) {
-	for _, r := range rows {
-		if r.Regime == regime && r.Policy == policy {
-			return r, true
-		}
-	}
-	return ForecastRow{}, false
 }

@@ -4,14 +4,12 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/energy"
-	"repro/internal/graph"
 	"repro/internal/harvest"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -30,23 +28,13 @@ import (
 //
 // Both searches — Figure3's and TableGammaHarvest's — run on the shared
 // grid runner below: cells are independent simulations fanned out across
-// workers (internal/par) with each result written into its preallocated
-// slot, so tables are bit-identical to the serial path at any GOMAXPROCS.
+// workers through the sweep scheduler, each result written into its
+// preallocated slot, so tables are bit-identical to the serial path at any
+// GOMAXPROCS and a keyed cell is served from the cache when present.
 
 // gammaGridMax is the per-axis extent of the search: Γtrain and Γsync each
 // range over 1..gammaGridMax, matching Figure 3.
 const gammaGridMax = 4
-
-// forEachGammaCell evaluates all gammaGridMax² schedule cells with the
-// given per-cell body, fanning cells out across workers. Each cell writes
-// only its own preallocated slot and errors land in per-cell slots, so
-// the returned grid — layout grid[gs-1][gt-1], like Figure3Result — is
-// identical at any worker count, and the reported error is always the
-// lowest-indexed cell's. This is the uncached entry point; keyed grids go
-// through gammaCells with a sweep.Runner.
-func forEachGammaCell[C any](run func(gt, gs int) (C, error)) ([][]C, error) {
-	return gammaCells(nil, new(gammaKeys), run)
-}
 
 // gammaKeys are one grid's cell keys, keys[gs-1][gt-1]; a zero key marks
 // its cell uncacheable, so the zero value is an unkeyed grid.
@@ -55,7 +43,9 @@ type gammaKeys [gammaGridMax][gammaGridMax]sweep.CellKey
 // gammaCells executes the Γ grid through the sweep scheduler: cells with
 // a key are served from the runner's cache when present and computed
 // (then cached) otherwise; a nil runner or zero keys degrade to the plain
-// pool fan-out. Cached and computed cells are interchangeable
+// pool fan-out. The grid's layout is grid[gs-1][gt-1], like
+// Figure3Result, and the reported error is the lowest-indexed cell's.
+// Cached and computed cells are interchangeable
 // bit-for-bit (see sweep.Grid), so a grid's values are independent of
 // which cells hit.
 func gammaCells[C any](r *sweep.Runner, keys *gammaKeys, run func(gt, gs int) (C, error)) ([][]C, error) {
@@ -93,16 +83,39 @@ func bestGammaCell[C any](grid [][]C, acc, energyWh func(C) float64) C {
 	return best
 }
 
-// GammaRegime is one harvest regime of the Γ-schedule search: a named
-// fresh-trace constructor. The constructor is called once per grid cell —
-// stateful traces (Markov chains) must be built fresh (or Reset) per cell
-// so no chain state leaks between cells; sim.Run additionally rejects any
+// GammaRegime is one harvest regime: a named fresh-trace constructor. The
+// Γ-schedule search, the harvest scenarios and the brown-out family all
+// name their regimes with it. The constructor is called once per run —
+// stateful traces (Markov chains) must be built fresh (or Reset) per run
+// so no chain state leaks between runs; sim.Run additionally rejects any
 // fleet consumed by a prior run.
 type GammaRegime struct {
 	Name string
-	// Trace builds a fresh trace for one cell. meanTrainWh is the fleet's
+	// Trace builds a fresh trace for one run. meanTrainWh is the fleet's
 	// mean per-round training cost, the natural unit for trace magnitudes.
 	Trace func(o Options, meanTrainWh float64) (harvest.Trace, error)
+}
+
+// constantRegime, diurnalRegime and markovRegime are the three arrival
+// processes every regime is one of, with magnitudes in units of a node's
+// mean per-round training cost: a constant trickle, a solar fleet spread
+// over longitudes, and a bursty on/off Markov source.
+func constantRegime(name string, share float64) GammaRegime {
+	return GammaRegime{name, func(_ Options, mean float64) (harvest.Trace, error) {
+		return harvest.Constant{Wh: share * mean}, nil
+	}}
+}
+
+func diurnalRegime(name string, peak float64) GammaRegime {
+	return GammaRegime{name, func(o Options, mean float64) (harvest.Trace, error) {
+		return harvest.NewDiurnal(peak*mean, diurnalPeriod(o.Rounds), harvest.LongitudePhase(o.Nodes))
+	}}
+}
+
+func markovRegime(name string, on, pOnOff, pOffOn float64) GammaRegime {
+	return GammaRegime{name, func(o Options, mean float64) (harvest.Trace, error) {
+		return harvest.NewMarkovOnOff(o.Nodes, on*mean, pOnOff, pOffOn, o.Seed)
+	}}
 }
 
 // GammaGridRegimes returns the standard regimes of the harvest-aware
@@ -111,26 +124,16 @@ type GammaRegime struct {
 // amplitudes, and the bursty Markov regime at two duty cycles. Sweeping
 // amplitude and duty cycle is the point: the selected Γ should move with
 // the arrival process, not just with its presence.
-func GammaGridRegimes(o Options) []GammaRegime {
-	diurnal := func(amp float64) func(Options, float64) (harvest.Trace, error) {
-		return func(o Options, mean float64) (harvest.Trace, error) {
-			return harvest.NewDiurnal(amp*mean, diurnalPeriod(o.Rounds), harvest.LongitudePhase(o.Nodes))
-		}
-	}
-	markov := func(pOnOff, pOffOn float64) func(Options, float64) (harvest.Trace, error) {
-		return func(o Options, mean float64) (harvest.Trace, error) {
-			return harvest.NewMarkovOnOff(o.Nodes, 1.2*mean, pOnOff, pOffOn, o.Seed)
-		}
-	}
-	return []GammaRegime{
-		{"fixed-budget", func(Options, float64) (harvest.Trace, error) {
-			return harvest.Constant{Wh: 0}, nil
-		}},
-		{"diurnal-lo", diurnal(0.7)},      // dim sun: harvest binds hard
-		{"diurnal-hi", diurnal(1.6)},      // bright sun: waste, not supply, binds
-		{"markov-lo", markov(0.45, 0.15)}, // duty cycle 0.25: long off spells
-		{"markov-hi", markov(0.15, 0.45)}, // duty cycle 0.75: mostly on
-	}
+func GammaGridRegimes(o Options) []GammaRegime { return slices.Clone(gammaGridRegimes) }
+
+// gammaGridRegimes is built once: a regime reads its Options when it
+// builds a trace, so the grids share the list read-only.
+var gammaGridRegimes = []GammaRegime{
+	constantRegime("fixed-budget", 0),
+	diurnalRegime("diurnal-lo", 0.7),           // dim sun: harvest binds hard
+	diurnalRegime("diurnal-hi", 1.6),           // bright sun: waste, not supply, binds
+	markovRegime("markov-lo", 1.2, 0.45, 0.15), // duty cycle 0.25: long off spells
+	markovRegime("markov-hi", 1.2, 0.15, 0.45), // duty cycle 0.75: mostly on
 }
 
 // gammaGridFleetOptions puts every regime's fleet on the same supercap
@@ -175,27 +178,13 @@ type GammaHarvestRow struct {
 	Best   GammaHarvestCell
 }
 
-// gammaWorld bundles the per-table immutable inputs shared by all cells:
-// id is what a cache lookup needs; the topology and data are what only a
-// computing cell needs, each built by the first cell that does. Everything
-// is read-only during the grid fan-out.
-type gammaWorld struct {
-	o           Options
-	degree      int
-	regimes     []GammaRegime
-	id          *gridIdentity
-	meanTrainWh float64
-	data        func() (*gammaData, error)
-
-	topologyOnce sync.Once
-	graph        *graph.Graph
-	weights      *graph.Weights
-	topologyErr  error
-}
-
-func (w *gammaWorld) buildTopology() error {
-	w.topologyOnce.Do(func() { w.graph, w.weights, w.topologyErr = topologyFor(w.o.Nodes, w.degree, w.o.Seed) })
-	return w.topologyErr
+// gammaGrid is one world's Γ search under a list of regimes: id is what a
+// cache lookup needs; the world's topology and data are what only a
+// computing cell needs, each built by the first cell that does.
+type gammaGrid struct {
+	*world
+	regimes []GammaRegime
+	id      *gridIdentity
 }
 
 // gridIdentity is what a grid needs before any cell runs, a pure function
@@ -230,44 +219,30 @@ type identityKey struct {
 	degree int
 }
 
+func memoKey(o Options, degree int) identityKey {
+	o.Sweep, o.Probe, o.Out = nil, nil, nil
+	return identityKey{o, degree}
+}
+
 func (m *identityMemo) get(o Options, degree int) *gridIdentity {
 	if m == nil || o.Sweep == nil {
 		return nil
 	}
-	o.Sweep, o.Probe, o.Out = nil, nil, nil
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.m[identityKey{o, degree}]
+	return m.m[memoKey(o, degree)]
 }
 
 func (m *identityMemo) put(o Options, degree int, id *gridIdentity) {
 	if m == nil || o.Sweep == nil {
 		return
 	}
-	o.Sweep, o.Probe, o.Out = nil, nil, nil
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.m == nil || len(m.m) >= cmp.Or(m.capacity, identityMemoCap) {
 		m.m = map[identityKey]*gridIdentity{}
 	}
-	m.m[identityKey{o, degree}] = id
-}
-
-// gammaData is the half of the world a cache hit never touches. The
-// first cell that actually computes builds it, under the pool; none of it
-// depends on the topology, so the worlds of a degree grid share one.
-type gammaData struct {
-	part     dataset.Partition
-	val      *dataset.Dataset
-	devices  []energy.Device
-	workload energy.Workload
-}
-
-func lazyGammaData(o Options) func() (*gammaData, error) {
-	return sync.OnceValues(func() (*gammaData, error) {
-		part, val, _, err := CIFARLikeData(o)
-		return &gammaData{part, val, energy.AssignDevices(o.Nodes, energy.Devices()), energy.CIFAR10Workload()}, err
-	})
+	m.m[memoKey(o, degree)] = id
 }
 
 // RunGammaGrid evaluates the 4x4 Γ grid under one harvest regime: every
@@ -276,84 +251,87 @@ func lazyGammaData(o Options) func() (*gammaData, error) {
 // is bit-identical at any GOMAXPROCS.
 func RunGammaGrid(o Options, regime GammaRegime) (*GammaGridResult, error) {
 	o = o.Defaults()
-	w, err := newGammaWorld(o, 6, []GammaRegime{regime}, lazyGammaData(o), nil)
+	g, err := newGammaGrid(newWorld(o, cifar, 6), []GammaRegime{regime}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return w.runRegime(0)
+	return g.runRegime(0)
 }
 
-// newGammaWorld builds the shared world on a d-regular topology — d is
-// the degree axis of the degree-coupled grid (TableDegreeGamma), 6 the
-// paper's. The graph fingerprint in each cell manifest covers the degree,
-// so cells from different degrees never collide in the cache while
-// identical (degree, regime, Γ) cells from overlapping sweeps dedupe.
+// newGammaGrid searches w's topology — its degree is the degree axis of
+// the degree-coupled grid (TableDegreeGamma), 6 the paper's. The graph
+// fingerprint in each cell manifest covers the degree, so cells from
+// different degrees never collide in the cache while identical (degree,
+// regime, Γ) cells from overlapping sweeps dedupe.
 //
 // A memo that holds the grid's identity supplies it and nothing is built
-// (regimes must then be GammaGridRegimes(o)). Otherwise the graph is built
+// (regimes must then be gammaGridRegimes). Otherwise the graph is built
 // for its fingerprint and kept for the cells, each regime's trace is
 // sampled once for its report name, a keyed grid derives its keys, and the
 // memo keeps the result — unless anything failed to build.
-func newGammaWorld(o Options, degree int, regimes []GammaRegime, data func() (*gammaData, error), memo *identityMemo) (*gammaWorld, error) {
-	w := &gammaWorld{
-		o: o, degree: degree, regimes: regimes, data: data, id: memo.get(o, degree),
-		meanTrainWh: energy.NetworkRoundWh(o.Nodes, energy.Devices(), energy.CIFAR10Workload()) / float64(o.Nodes),
-	}
-	if w.id != nil {
-		return w, nil
+func newGammaGrid(w *world, regimes []GammaRegime, memo *identityMemo) (*gammaGrid, error) {
+	g := &gammaGrid{world: w, regimes: regimes, id: memo.get(w.o, w.degree)}
+	if g.id != nil {
+		return g, nil
 	}
 	if err := w.buildTopology(); err != nil {
 		return nil, err
 	}
-	w.id = &gridIdentity{fingerprint: w.graph.Fingerprint(), regimes: make([]regimeIdentity, len(regimes))}
+	g.id = &gridIdentity{fingerprint: w.graph.Fingerprint(), regimes: make([]regimeIdentity, len(regimes))}
 	for ri, regime := range regimes {
-		sample, err := regime.Trace(o, w.meanTrainWh)
+		sample, err := regime.Trace(w.o, w.meanTrainWh)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: gamma grid %s: %w", regime.Name, err)
 		}
-		w.id.regimes[ri].trace = sample.Name()
-		if o.Sweep != nil { // keyed cells cache under their content hash, an unkeyed grid runs as it always did
-			w.id.regimes[ri].keys = w.regimeKeys(regime, sample.Name())
+		g.id.regimes[ri].trace = sample.Name()
+		if w.o.Sweep != nil { // keyed cells cache under their content hash, an unkeyed grid runs as it always did
+			g.id.regimes[ri].keys = gridKeys(g.cellManifest(regime, sample.Name(), 1, 1))
 		}
 	}
-	memo.put(o, degree, w.id)
-	return w, nil
+	memo.put(w.o, w.degree, g.id)
+	return g, nil
 }
 
-// cellManifest is the content-addressable identity of one (regime, Γt,
-// Γs) cell: every Options and regime field that changes the computed bits
-// is hashed, so sweep.KeyFromManifest(cellManifest(...).Build()) is a safe
-// cache key. Deliberately excluded, because they cannot change the bits:
-// Probe/Out (telemetry is read-only), EvalEvery (cells always run with
-// EvalEvery 0), and worker count (GOMAXPROCS is unhashed by design).
-// regimeKeys builds it once per regime and re-sets only the two Γ fields.
-func (w *gammaWorld) cellManifest(regime GammaRegime, traceName string, gt, gs int) *obs.ManifestBuilder {
-	o := w.o
-	fo := gammaGridFleetOptions()
-	b := obs.NewManifest("gammacell", regime.Name, o.Seed).
+// tuningManifest starts the manifest of Γ-tuning work — a grid's run or
+// one cell — on o and the graph: every Options field that changes the
+// computed bits, so sweep.KeyFromManifest of a finished cell manifest is
+// a safe cache key.
+// Deliberately excluded, because they cannot change the bits: Probe/Out
+// (telemetry is read-only), EvalEvery (tuning cells always run with
+// EvalEvery 0), and worker count (GOMAXPROCS is unhashed by design). Each
+// kind of cell hashes under its own engine name, so no two kinds share a
+// key.
+func tuningManifest(o Options, engine, label string, fingerprint uint64) *obs.ManifestBuilder {
+	return obs.NewManifest(engine, label, o.Seed).
 		Scale(o.Nodes, o.Rounds).
-		Set("regime", regime.Name).
-		Set("trace", traceName).
-		Setf("graph", "%016x", w.id.fingerprint).
+		Setf("graph", "%016x", fingerprint).
 		Setf("lr", "%g", o.LR).
 		Setf("batch", "%d", o.BatchSize).
 		Setf("local_steps", "%d", o.LocalSteps).
 		Setf("train_per_node", "%d", o.TrainPerNode).
 		Setf("test_samples", "%d", o.TestSamples).
 		Setf("noise", "%g", o.Noise).
-		Setf("eval_subsample", "%d", o.EvalSubsample).
+		Setf("eval_subsample", "%d", o.EvalSubsample)
+}
+
+// cellManifest is the identity of one (regime, Γt, Γs) cell of a harvest
+// grid: tuningManifest plus every regime and fleet field.
+func (g *gammaGrid) cellManifest(regime GammaRegime, traceName string, gt, gs int) *obs.ManifestBuilder {
+	fo := gammaGridFleetOptions()
+	return tuningManifest(g.o, "gammacell", regime.Name, g.id.fingerprint).
+		Set("regime", regime.Name).
+		Set("trace", traceName).
 		Set("policy", "soc-threshold").
 		Setf("min_soc", "%g", gammaGridMinSoC).
 		Setf("fleet_capacity_rounds", "%g", fo.CapacityRounds).
-		Setf("fleet_initial_soc", "%g", fo.InitialSoC)
-	return b.Set("gamma_train", strconv.Itoa(gt)).Set("gamma_sync", strconv.Itoa(gs))
+		Setf("fleet_initial_soc", "%g", fo.InitialSoC).
+		Set("gamma_train", strconv.Itoa(gt)).Set("gamma_sync", strconv.Itoa(gs))
 }
 
-// regimeKeys derives a regime's sixteen cell keys (keys[gs-1][gt-1]) off
-// one builder, Γs re-set per row and Γt per cell; each equals
-// KeyFromManifest(cellManifest(...).Build()).
-func (w *gammaWorld) regimeKeys(regime GammaRegime, traceName string) (keys gammaKeys) {
-	b := w.cellManifest(regime, traceName, 1, 1)
+// gridKeys derives sixteen cell keys (keys[gs-1][gt-1]) off one builder,
+// Γs re-set per row and Γt per cell: a regime's, off its cellManifest,
+// each equal KeyFromManifest(cellManifest(..., gt, gs).Build()).
+func gridKeys(b *obs.ManifestBuilder) (keys gammaKeys) {
 	for gs := range keys {
 		b.Set("gamma_sync", strconv.Itoa(gs+1))
 		for gt := range keys[gs] {
@@ -363,29 +341,24 @@ func (w *gammaWorld) regimeKeys(regime GammaRegime, traceName string) (keys gamm
 	return keys
 }
 
-func (w *gammaWorld) runRegime(ri int) (*GammaGridResult, error) {
-	regime, id := w.regimes[ri], &w.id.regimes[ri]
+func (g *gammaGrid) runRegime(ri int) (*GammaGridResult, error) {
+	regime, id := g.regimes[ri], &g.id.regimes[ri]
 	// One run_start/run_end pair per regime; each completed cell emits one
 	// cell event. Cells fan out across workers, so cell events arrive in
 	// wall-clock order — the probe's sinks are concurrency-safe, and the
 	// grid itself stays bit-identical (preallocated slots, no probe inside
 	// the per-cell sims).
-	p := w.o.Probe
+	p := g.o.Probe
 	if p.Enabled() {
-		manifest := obs.NewManifest("gammagrid", regime.Name, w.o.Seed).
-			Scale(w.o.Nodes, w.o.Rounds).
+		manifest := tuningManifest(g.o, "gammagrid", regime.Name, g.id.fingerprint).
 			Set("trace", id.trace).
 			Setf("grid", "%dx%d", gammaGridMax, gammaGridMax).
-			Setf("graph", "%016x", w.id.fingerprint).
-			Setf("lr", "%g", w.o.LR).
-			Setf("batch", "%d", w.o.BatchSize).
-			Setf("local_steps", "%d", w.o.LocalSteps).
 			Build()
 		p.RunStart(&manifest)
 	}
-	grid, err := gammaCells(w.o.Sweep, &id.keys, func(gt, gs int) (GammaHarvestCell, error) {
+	grid, err := gammaCells(g.o.Sweep, &id.keys, func(gt, gs int) (GammaHarvestCell, error) {
 		start := time.Now()
-		cell, err := w.runCell(regime, gt, gs)
+		cell, err := g.runCell(regime, gt, gs)
 		if err == nil && p.Enabled() {
 			p.Emit(obs.Event{
 				Kind: obs.KindCell, Round: -1, Node: -1,
@@ -410,27 +383,11 @@ func (w *gammaWorld) runRegime(ri int) (*GammaGridResult, error) {
 	}, nil
 }
 
-func (w *gammaWorld) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, error) {
-	o := w.o
+func (g *gammaGrid) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, error) {
 	fail := func(err error) (GammaHarvestCell, error) {
 		return GammaHarvestCell{}, fmt.Errorf("experiments: gamma grid %s Γt=%d Γs=%d: %w", regime.Name, gt, gs, err)
 	}
-	d, err := w.data()
-	if err != nil {
-		return fail(err)
-	}
-	if err := w.buildTopology(); err != nil {
-		return fail(err)
-	}
 	gamma, err := core.NewGamma(gt, gs)
-	if err != nil {
-		return fail(err)
-	}
-	trace, err := regime.Trace(o, w.meanTrainWh)
-	if err != nil {
-		return fail(err)
-	}
-	fleet, err := harvest.NewFleet(d.devices, d.workload, trace, gammaGridFleetOptions())
 	if err != nil {
 		return fail(err)
 	}
@@ -438,26 +395,17 @@ func (w *gammaWorld) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, 
 	if err != nil {
 		return fail(err)
 	}
-	res, err := sim.Run(sim.Config{
-		Graph: w.graph, Weights: w.weights,
-		Algo:         core.Algorithm{Label: regime.Name + "/" + gamma.Name(), Schedule: gamma, Policy: policy},
-		Rounds:       o.Rounds,
-		ModelFactory: modelFactory(32, 10),
-		LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-		Partition: d.part, Test: d.val, // tuned on the validation split
-		EvalEvery: 0, EvalSubsample: o.EvalSubsample,
-		Devices: d.devices, Workload: d.workload,
-		Harvest: fleet,
-		Seed:    o.Seed,
-	})
+	cfg, err := g.tuneConfig(core.Algorithm{Label: regime.Name + "/" + gamma.Name(), Schedule: gamma, Policy: policy})
 	if err != nil {
 		return fail(err)
 	}
-	trained := 0
-	for _, tr := range res.TrainedRounds {
-		trained += tr
+	if _, err := g.fleet(&cfg, regime, gammaGridFleetOptions()); err != nil {
+		return fail(err)
 	}
-	slots := core.CountTrainRounds(gamma, o.Rounds)
+	res, err := sim.Run(cfg)
+	if err != nil {
+		return fail(err)
+	}
 	arrived := res.TotalHarvestWh + res.TotalWastedWh
 	wastedFrac := 0.0
 	if arrived > 0 {
@@ -466,9 +414,9 @@ func (w *gammaWorld) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, 
 	return GammaHarvestCell{
 		GammaTrain: gt, GammaSync: gs,
 		FinalAcc:      res.FinalMeanAcc * 100,
-		Participation: 100 * float64(trained) / float64(o.Nodes*slots),
+		Participation: tallyRun(cfg, res).participation,
 		HarvestedWh:   res.TotalHarvestWh,
-		ConsumedWh:    fleet.ConsumedWh(),
+		ConsumedWh:    cfg.Harvest.ConsumedWh(),
 		WastedWh:      res.TotalWastedWh,
 		WastedFrac:    wastedFrac,
 	}, nil
@@ -481,7 +429,7 @@ func (w *gammaWorld) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, 
 // stochastic state is per-node.
 func TableGammaHarvest(o Options) ([]GammaHarvestRow, error) {
 	o = o.Defaults()
-	grids, rows, err := gammaHarvest(o, nil)
+	grids, rows, err := gammaHarvest(newWorld(o, cifar, 6), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -492,17 +440,16 @@ func TableGammaHarvest(o Options) ([]GammaHarvestRow, error) {
 	return rows, nil
 }
 
-// gammaHarvest is TableGammaHarvest without the rendering — all the sweep
-// handlers, which have no reader, run, and they alone bring a memo. o
-// must be completed by Defaults.
-func gammaHarvest(o Options, memo *identityMemo) (grids []*GammaGridResult, rows []GammaHarvestRow, err error) {
-	regimes := GammaGridRegimes(o)
-	w, err := newGammaWorld(o, 6, regimes, lazyGammaData(o), memo)
+// gammaHarvest is TableGammaHarvest on w without the rendering — all the
+// sweep handlers, which have no reader, run, and they alone bring a memo.
+func gammaHarvest(w *world, memo *identityMemo) (grids []*GammaGridResult, rows []GammaHarvestRow, err error) {
+	regimes := gammaGridRegimes
+	g, err := newGammaGrid(w, regimes, memo)
 	if err != nil {
 		return nil, nil, err
 	}
 	for ri := range regimes {
-		res, err := w.runRegime(ri)
+		res, err := g.runRegime(ri)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -529,23 +476,31 @@ func RenderGammaHarvestRows(out io.Writer, rows []GammaHarvestRow) {
 // Render writes the regime's validation-accuracy heatmap (best cell
 // starred) and the best-cell summary line.
 func (r *GammaGridResult) Render(out io.Writer) {
-	rowNames := []string{"1", "2", "3", "4"}
-	h := &report.Heatmap{
-		Title:    fmt.Sprintf("Γ grid under %s (%s): validation accuracy [%%]", r.Regime, r.Trace),
-		RowLabel: "Γs", ColLabel: "Γt",
-		RowNames: rowNames, ColNames: rowNames,
-		Cells:          make([][]float64, gammaGridMax),
-		HigherIsBetter: true,
-	}
-	for gs := 0; gs < gammaGridMax; gs++ {
-		h.Cells[gs] = make([]float64, gammaGridMax)
-		for gt := 0; gt < gammaGridMax; gt++ {
-			h.Cells[gs][gt] = r.Grid[gs][gt].FinalAcc
-		}
-	}
+	h := gammaHeatmap(fmt.Sprintf("Γ grid under %s (%s): validation accuracy [%%]", r.Regime, r.Trace),
+		r.Grid, func(c GammaHarvestCell) float64 { return c.FinalAcc })
+	h.HigherIsBetter = true
 	h.SetMark(r.Best.GammaSync-1, r.Best.GammaTrain-1)
 	h.Render(out)
 	fmt.Fprintf(out, "best: Γtrain=%d Γsync=%d (%.1f%%, harvested %.4f Wh, consumed %.4f Wh, wasted %.1f%%)\n\n",
 		r.Best.GammaTrain, r.Best.GammaSync, r.Best.FinalAcc,
 		r.Best.HarvestedWh, r.Best.ConsumedWh, 100*r.Best.WastedFrac)
+}
+
+// gammaHeatmap is the Γs x Γt heatmap of one value of every cell of a grid
+// laid out grid[gs-1][gt-1].
+func gammaHeatmap[C any](title string, grid [][]C, value func(C) float64) *report.Heatmap {
+	names := []string{"1", "2", "3", "4"}
+	h := &report.Heatmap{
+		Title:    title,
+		RowLabel: "Γs", ColLabel: "Γt",
+		RowNames: names, ColNames: names,
+		Cells: make([][]float64, len(grid)),
+	}
+	for gs, row := range grid {
+		h.Cells[gs] = make([]float64, len(row))
+		for gt, c := range row {
+			h.Cells[gs][gt] = value(c)
+		}
+	}
+	return h
 }

@@ -99,7 +99,7 @@ func TestRunGammaGridSingleRegime(t *testing.T) {
 // 0 Wh as "best". Seeded from the first cell, the tie-break toward lower
 // energy must pick the cheapest real cell.
 func TestBestGammaCellSeedsFromFirstCell(t *testing.T) {
-	grid, err := forEachGammaCell(func(gt, gs int) (Figure3Cell, error) {
+	grid, err := gammaCells(nil, new(gammaKeys), func(gt, gs int) (Figure3Cell, error) {
 		return Figure3Cell{
 			GammaTrain: gt, GammaSync: gs,
 			ValAcc:        0, // every cell ties at zero accuracy
@@ -120,7 +120,7 @@ func TestBestGammaCellSeedsFromFirstCell(t *testing.T) {
 		t.Fatalf("tie-break picked %+v, want the cheapest cell (1,1)", best)
 	}
 	// With distinct accuracies the maximum wins regardless of energy.
-	grid2, err := forEachGammaCell(func(gt, gs int) (Figure3Cell, error) {
+	grid2, err := gammaCells(nil, new(gammaKeys), func(gt, gs int) (Figure3Cell, error) {
 		return Figure3Cell{GammaTrain: gt, GammaSync: gs,
 			ValAcc: float64(10*gt + gs), PaperEnergyWh: 1}, nil
 	})
@@ -135,8 +135,8 @@ func TestBestGammaCellSeedsFromFirstCell(t *testing.T) {
 	}
 }
 
-func TestForEachGammaCellSurfacesLowestCellError(t *testing.T) {
-	_, err := forEachGammaCell(func(gt, gs int) (Figure3Cell, error) {
+func TestGammaCellsSurfaceLowestCellError(t *testing.T) {
+	_, err := gammaCells(nil, new(gammaKeys), func(gt, gs int) (Figure3Cell, error) {
 		if gs >= 3 {
 			return Figure3Cell{}, &cellErr{gt, gs}
 		}

@@ -4,13 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/harvest"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/report"
-	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // The harvesting scenario table extends the paper's evaluation beyond its
@@ -39,147 +37,76 @@ type HarvestRow struct {
 	HarvestAccCorr float64 // Pearson corr. of a node's stored harvest vs its final accuracy
 }
 
-// harvestScenario bundles one (trace, policy) configuration. Policies are
-// fleet-free — they read battery state through the round context — so the
-// constructor needs only the fleet size.
-type harvestScenario struct {
-	name   string
-	trace  func(o Options, meanTrainWh float64) (harvest.Trace, error)
-	policy func(nodes int) (core.Policy, error)
-}
-
-// harvestFleetCapacityRounds puts batteries on a supercap scale where state
-// of charge moves visibly within a laptop-scale horizon.
-const harvestFleetCapacityRounds = 12
-
 // TableHarvest runs the harvesting scenario family on CIFAR-like data and
 // renders the comparison: a solar fleet spread over longitudes, a bursty
 // Markov source, a constant trickle charger, and the no-recharge baseline.
 func TableHarvest(o Options) ([]HarvestRow, error) {
 	o = o.Defaults()
-	g, weights, err := topologyFor(o.Nodes, 6, o.Seed)
-	if err != nil {
-		return nil, err
+	w := newWorld(o, cifar, 6)
+	// Each scenario pairs a regime with a policy. Policies are fleet-free —
+	// they read battery state through the round context — so the
+	// hysteresis constructor needs only the fleet size.
+	scenarios := []struct {
+		regime GammaRegime
+		policy func() (core.Policy, error)
+	}{
+		{constantRegime("dark (no recharge)", 0), func() (core.Policy, error) { return harvest.NewSoCThreshold(0) }},
+		// 60% of a round's cost arrives per round: steady-state
+		// participation settles near the replenishment rate.
+		{constantRegime("trickle charger", 0.6), func() (core.Policy, error) { return harvest.NewSoCThreshold(0.2) }},
+		{diurnalRegime("solar diurnal", 1.5), func() (core.Policy, error) { return harvest.NewSoCProportional(1) }},
+		{markovRegime("bursty markov", 1.2, 0.25, 0.35), func() (core.Policy, error) {
+			return harvest.NewSoCHysteresis(o.Nodes, 0.15, 0.4)
+		}},
 	}
-	part, _, test, err := CIFARLikeData(o)
-	if err != nil {
-		return nil, err
-	}
-	devices := energy.AssignDevices(o.Nodes, energy.Devices())
-	workload := energy.CIFAR10Workload()
-	meanTrainWh := energy.NetworkRoundWh(o.Nodes, energy.Devices(), workload) / float64(o.Nodes)
+	// Batteries on a supercap scale, where state of charge moves visibly
+	// within a laptop-scale horizon.
+	fleetOptions := harvest.Options{CapacityRounds: 12, InitialSoC: 0.5}
 
-	scenarios := []harvestScenario{
-		{
-			name: "dark (no recharge)",
-			trace: func(Options, float64) (harvest.Trace, error) {
-				return harvest.Constant{Wh: 0}, nil
-			},
-			policy: func(int) (core.Policy, error) {
-				return harvest.NewSoCThreshold(0)
-			},
-		},
-		{
-			name: "trickle charger",
-			trace: func(_ Options, mean float64) (harvest.Trace, error) {
-				// 60% of a round's cost arrives per round: steady-state
-				// participation settles near the replenishment rate.
-				return harvest.Constant{Wh: 0.6 * mean}, nil
-			},
-			policy: func(int) (core.Policy, error) {
-				return harvest.NewSoCThreshold(0.2)
-			},
-		},
-		{
-			name: "solar diurnal",
-			trace: func(o Options, mean float64) (harvest.Trace, error) {
-				return harvest.NewDiurnal(1.5*mean, diurnalPeriod(o.Rounds), harvest.LongitudePhase(o.Nodes))
-			},
-			policy: func(int) (core.Policy, error) {
-				return harvest.NewSoCProportional(1)
-			},
-		},
-		{
-			name: "bursty markov",
-			trace: func(o Options, mean float64) (harvest.Trace, error) {
-				return harvest.NewMarkovOnOff(o.Nodes, 1.2*mean, 0.25, 0.35, o.Seed)
-			},
-			policy: func(nodes int) (core.Policy, error) {
-				return harvest.NewSoCHysteresis(nodes, 0.15, 0.4)
-			},
-		},
-	}
-
-	schedule := core.AllTrain{}
-	trainSlots := core.CountTrainRounds(schedule, o.Rounds)
-	var rows []HarvestRow
-	for _, sc := range scenarios {
-		trace, err := sc.trace(o, meanTrainWh)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q: %w", sc.name, err)
+	rows, err := sweep.Grid(o.Sweep, len(scenarios), nil, func(i int) (HarvestRow, error) {
+		sc := scenarios[i]
+		fail := func(err error) (HarvestRow, error) {
+			return HarvestRow{}, fmt.Errorf("experiments: scenario %q: %w", sc.regime.Name, err)
 		}
-		fleet, err := harvest.NewFleet(devices, workload, trace, harvest.Options{
-			CapacityRounds: harvestFleetCapacityRounds,
-			InitialSoC:     0.5,
+		cfg, res, err := w.harvestRun(sc.regime.Name, sc.regime, fleetOptions, func(cfg *sim.Config, _ harvest.Trace) (err error) {
+			cfg.Algo.Policy, err = sc.policy()
+			return err
 		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q: %w", sc.name, err)
+			return fail(err)
 		}
-		policy, err := sc.policy(o.Nodes)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q: %w", sc.name, err)
-		}
-		res, err := sim.Run(sim.Config{
-			Graph: g, Weights: weights,
-			Algo:   core.Algorithm{Label: sc.name, Schedule: schedule, Policy: policy},
-			Rounds: o.Rounds,
-			ModelFactory: func(node int, r *rng.RNG) *nn.Network {
-				return nn.LogisticRegression(32, 10, r)
-			},
-			LR: o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-			Partition: part, Test: test,
-			EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample,
-			Devices: devices, Workload: workload,
-			Harvest: fleet,
-			Seed:    o.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q: %w", sc.name, err)
-		}
-		trained := 0
+		fleet := cfg.Harvest
 		trainedPerNode := make([]float64, o.Nodes)
 		harvestPerNode := make([]float64, o.Nodes)
 		for i, tr := range res.TrainedRounds {
-			trained += tr
 			trainedPerNode[i] = float64(tr)
 			harvestPerNode[i] = fleet.NodeHarvestedWh(i)
 		}
 		gini, err := metrics.Gini(trainedPerNode)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q: %w", sc.name, err)
+			return fail(err)
 		}
 		corr, err := metrics.Pearson(harvestPerNode, res.FinalNodeAccs)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q: %w", sc.name, err)
+			return fail(err)
 		}
-		meanSoC := 0.0
-		for _, s := range res.FinalSoC {
-			meanSoC += s
-		}
-		meanSoC /= float64(len(res.FinalSoC))
-		rows = append(rows, HarvestRow{
-			Scenario:       sc.name,
+		meanSoC, _ := metrics.MeanStd(res.FinalSoC)
+		return HarvestRow{
+			Scenario:       sc.regime.Name,
 			Trace:          fleet.TraceName(),
-			Policy:         policy.Name(),
+			Policy:         cfg.Algo.Policy.Name(),
 			FinalAcc:       res.FinalMeanAcc * 100,
-			Participation:  100 * float64(trained) / float64(o.Nodes*trainSlots),
+			Participation:  tallyRun(cfg, res).participation,
 			MeanFinalSoC:   meanSoC,
 			Depleted:       res.History[len(res.History)-1].Depleted,
 			HarvestedWh:    res.TotalHarvestWh,
 			ConsumedWh:     fleet.ConsumedWh(),
 			TrainGini:      gini,
 			HarvestAccCorr: corr,
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	tb := report.NewTable("Harvesting scenarios: charge-aware policies under ambient energy (sim scale)",
@@ -197,12 +124,5 @@ func TableHarvest(o Options) ([]HarvestRow, error) {
 // diurnalPeriod picks a day length that gives a horizon at least two full
 // day/night cycles, so waves are visible at any experiment scale.
 func diurnalPeriod(rounds int) int {
-	period := rounds / 2
-	if period > 24 {
-		period = 24
-	}
-	if period < 2 {
-		period = 2
-	}
-	return period
+	return max(min(rounds/2, 24), 2)
 }

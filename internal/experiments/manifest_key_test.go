@@ -15,11 +15,24 @@ import (
 func cellHash(t *testing.T, o Options, degree, regimeIdx, gt, gs int) string {
 	t.Helper()
 	o = o.Defaults()
-	w, err := newGammaWorld(o, degree, GammaGridRegimes(o), lazyGammaData(o), nil)
+	w, err := newGammaGrid(newWorld(o, cifar, degree), GammaGridRegimes(o), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sweep.KeyFromManifest(w.cellManifest(w.regimes[regimeIdx], w.id.regimes[regimeIdx].trace, gt, gs).Build()).ConfigHash
+}
+
+// figure3Hash is the cache key hash of Figure 3's (Γt, Γs) cell on the
+// d-regular topology under the given options.
+func figure3Hash(t *testing.T, o Options, degree, gt, gs int) string {
+	t.Helper()
+	o = o.Defaults()
+	o.Sweep = sweep.NewRunner(nil, nil)
+	keys, err := figure3Keys(newWorld(o, cifar, degree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys[gs-1][gt-1].ConfigHash
 }
 
 // TestCellManifestKeyStability is the key-stability table: every knob that
@@ -51,6 +64,14 @@ func TestCellManifestKeyStability(t *testing.T) {
 			"regime":  cellHash(t, tiny(), 6, 3, 2, 3),
 			"gamma-t": cellHash(t, tiny(), 6, 1, 3, 3),
 			"gamma-s": cellHash(t, tiny(), 6, 1, 2, 4),
+			// A Figure 3 cell never answers for the harvest cell of the
+			// same degree and Γ, nor for another Figure 3 cell.
+			"figure3":         figure3Hash(t, tiny(), 6, 2, 3),
+			"figure3-seed":    figure3Hash(t, seed, 6, 2, 3),
+			"figure3-lr":      figure3Hash(t, lr, 6, 2, 3),
+			"figure3-degree":  figure3Hash(t, tiny(), 8, 2, 3),
+			"figure3-gamma-t": figure3Hash(t, tiny(), 6, 3, 3),
+			"figure3-gamma-s": figure3Hash(t, tiny(), 6, 2, 4),
 		}
 		seen := map[string]string{base: "base"}
 		for name, h := range cases {
@@ -79,6 +100,16 @@ func TestCellManifestKeyStability(t *testing.T) {
 		for name, h := range cases {
 			if h != base {
 				t.Errorf("%s moved the hash: %s != %s", name, h, base)
+			}
+		}
+		figure3 := figure3Hash(t, tiny(), 6, 2, 3)
+		for name, h := range map[string]string{
+			"figure3-again":      figure3Hash(t, tiny(), 6, 2, 3),
+			"figure3-probe":      figure3Hash(t, probed, 6, 2, 3),
+			"figure3-eval-every": figure3Hash(t, evalEvery, 6, 2, 3),
+		} {
+			if h != figure3 {
+				t.Errorf("%s moved the hash: %s != %s", name, h, figure3)
 			}
 		}
 	})
@@ -135,13 +166,13 @@ func TestCellKeyGoldenBytes(t *testing.T) {
 	}
 }
 
-// The keys a grid actually looks cells up by (regimeKeys: one builder per
+// The keys a grid actually looks cells up by (gridKeys: one builder per
 // regime, two fields re-set per cell, no manifest) equal the keys of the
 // full per-cell manifests for all 80 cells of a table, and no two collide.
 func TestRegimeKeysMatchCellManifests(t *testing.T) {
 	o := tiny().Defaults()
 	o.Sweep = sweep.NewRunner(nil, nil)
-	w, err := newGammaWorld(o, 6, GammaGridRegimes(o), lazyGammaData(o), nil)
+	w, err := newGammaGrid(newWorld(o, cifar, 6), GammaGridRegimes(o), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +246,7 @@ func TestIdentityMemoServesFreshKeys(t *testing.T) {
 			o.Out, o.Probe = &strings.Builder{}, obs.NewProbe(obs.NewMemory()) // handles are not identity
 		}
 		held := memo.get(o, degree)
-		got, err := newGammaWorld(o, degree, GammaGridRegimes(o), lazyGammaData(o), memo)
+		got, err := newGammaGrid(newWorld(o, cifar, degree), GammaGridRegimes(o), memo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +256,7 @@ func TestIdentityMemoServesFreshKeys(t *testing.T) {
 			}
 			served++
 		}
-		fresh, err := newGammaWorld(o, degree, GammaGridRegimes(o), lazyGammaData(o), nil)
+		fresh, err := newGammaGrid(newWorld(o, cifar, degree), GammaGridRegimes(o), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +264,7 @@ func TestIdentityMemoServesFreshKeys(t *testing.T) {
 			t.Fatalf("step %d: fingerprint %016x over %d regimes, fresh %016x over %d", step, got.id.fingerprint, len(got.id.regimes), fresh.id.fingerprint, len(fresh.regimes))
 		}
 		for ri, regime := range fresh.regimes {
-			want := regimeIdentity{fresh.id.regimes[ri].trace, fresh.regimeKeys(regime, fresh.id.regimes[ri].trace)}
+			want := regimeIdentity{fresh.id.regimes[ri].trace, gridKeys(fresh.cellManifest(regime, fresh.id.regimes[ri].trace, 1, 1))}
 			if got.id.regimes[ri] != want {
 				t.Fatalf("step %d, %s: served identity differs from the fresh one:\n%+v\n%+v", step, regime.Name, got.id.regimes[ri], want)
 			}
@@ -256,7 +287,7 @@ func TestIdentityMemoKeySeparatesHashedFields(t *testing.T) {
 	base := variants[0]
 	base.Sweep = sweep.NewRunner(nil, nil)
 	memo := &identityMemo{}
-	if _, err := newGammaWorld(base, 6, GammaGridRegimes(base), lazyGammaData(base), memo); err != nil {
+	if _, err := newGammaGrid(newWorld(base, cifar, 6), GammaGridRegimes(base), memo); err != nil {
 		t.Fatal(err)
 	}
 	for i, o := range variants {
@@ -271,10 +302,10 @@ func TestIdentityMemoKeySeparatesHashedFields(t *testing.T) {
 
 	memo = &identityMemo{}
 	unkeyed := variants[0]
-	if _, err := newGammaWorld(unkeyed, 6, GammaGridRegimes(unkeyed), lazyGammaData(unkeyed), memo); err != nil {
+	if _, err := newGammaGrid(newWorld(unkeyed, cifar, 6), GammaGridRegimes(unkeyed), memo); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newGammaWorld(base, 17, GammaGridRegimes(base), lazyGammaData(base), memo); err == nil {
+	if _, err := newGammaGrid(newWorld(base, cifar, 17), GammaGridRegimes(base), memo); err == nil {
 		t.Fatal("a 17-regular graph on 16 nodes built")
 	}
 	if len(memo.m) != 0 {

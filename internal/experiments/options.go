@@ -13,14 +13,12 @@
 package experiments
 
 import (
+	"cmp"
 	"io"
 
 	"repro/internal/dataset"
 	"repro/internal/energy"
-	"repro/internal/graph"
-	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/sweep"
 )
 
@@ -60,54 +58,33 @@ type Options struct {
 	// per-round events would drown the signal. Nil is the off state.
 	Probe *obs.Probe
 
-	// Sweep optionally routes grid cells through the memoized sweep
-	// scheduler (internal/sweep): cells are content-addressed by their
-	// manifest hash, cached results are served instead of recomputed, and
-	// overlapping grids dedupe. Nil runs every cell fresh (the historical
-	// behavior). Sweep never affects computed values — cached cells are
-	// bit-identical to fresh ones — so, like Probe, it is not part of any
-	// cell's cache key.
+	// Sweep optionally routes every experiment's runs through the memoized
+	// sweep scheduler (internal/sweep): they fan out on its pool, and the
+	// Γ grids' cells — Figure 3's and the harvest searches' — are
+	// content-addressed by their manifest hash, so cached results are
+	// served instead of recomputed and overlapping grids dedupe. Nil runs
+	// every cell fresh on the default pool. Sweep never affects computed
+	// values — cached cells are bit-identical to fresh ones — so, like
+	// Probe, it is not part of any cell's cache key.
 	Sweep *sweep.Runner
 }
 
 // Defaults fills unset fields with laptop-scale values.
 func (o Options) Defaults() Options {
-	if o.Nodes == 0 {
-		o.Nodes = 48
-	}
-	if o.Rounds == 0 {
-		o.Rounds = 64
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
+	o.Nodes = cmp.Or(o.Nodes, 48)
+	o.Rounds = cmp.Or(o.Rounds, 64)
+	o.Seed = cmp.Or(o.Seed, 42)
 	if o.Out == nil {
 		o.Out = io.Discard
 	}
-	if o.LR == 0 {
-		o.LR = 0.2
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 16
-	}
-	if o.LocalSteps == 0 {
-		o.LocalSteps = 8
-	}
-	if o.TrainPerNode == 0 {
-		o.TrainPerNode = 40
-	}
-	if o.TestSamples == 0 {
-		o.TestSamples = 640
-	}
-	if o.Noise == 0 {
-		o.Noise = 2.5
-	}
-	if o.EvalEvery == 0 {
-		o.EvalEvery = 8
-	}
-	if o.EvalSubsample == 0 {
-		o.EvalSubsample = 320
-	}
+	o.LR = cmp.Or(o.LR, 0.2)
+	o.BatchSize = cmp.Or(o.BatchSize, 16)
+	o.LocalSteps = cmp.Or(o.LocalSteps, 8)
+	o.TrainPerNode = cmp.Or(o.TrainPerNode, 40)
+	o.TestSamples = cmp.Or(o.TestSamples, 640)
+	o.Noise = cmp.Or(o.Noise, 2.5)
+	o.EvalEvery = cmp.Or(o.EvalEvery, 8)
+	o.EvalSubsample = cmp.Or(o.EvalSubsample, 320)
 	return o
 }
 
@@ -156,22 +133,6 @@ func femnistLikeData(o Options) (part dataset.Partition, val, test *dataset.Data
 	return part, val, test, nil
 }
 
-// modelFactory returns the scaled model builder for a dataset geometry.
-func modelFactory(dim, classes int) func(int, *rng.RNG) *nn.Network {
-	return func(node int, r *rng.RNG) *nn.Network {
-		return nn.LogisticRegression(dim, classes, r)
-	}
-}
-
-// topologyFor builds the d-regular graph and Metropolis weights.
-func topologyFor(nodes, degree int, seed uint64) (*graph.Graph, *graph.Weights, error) {
-	g, err := graph.Regular(nodes, degree, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, graph.Metropolis(g), nil
-}
-
 // paperEnergyWh returns the exact network training energy at paper scale
 // for a given number of training rounds: trainRounds * sum of per-device
 // round energies over 256 nodes.
@@ -186,12 +147,7 @@ func ScaledBudgets(nodes, rounds, paperRounds int, w energy.Workload, fraction f
 	assigned := energy.AssignDevices(nodes, energy.Devices())
 	taus := make([]int, nodes)
 	for i, d := range assigned {
-		tau := d.RoundBudget(w, fraction)
-		scaled := tau * rounds / paperRounds
-		if scaled < 1 {
-			scaled = 1
-		}
-		taus[i] = scaled
+		taus[i] = max(1, d.RoundBudget(w, fraction)*rounds/paperRounds)
 	}
 	return energy.NewBudget(taus)
 }

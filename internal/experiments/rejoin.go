@@ -5,8 +5,6 @@ import (
 	"math"
 
 	"repro/internal/checkpoint"
-	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/harvest"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -59,22 +57,17 @@ func rejoinFleetOptions(meanTrainWh float64) harvest.Options {
 // distribution pulls the blend.
 var CatchUpHalfLives = []float64{1, 2, 4}
 
-// rejoinRules returns the strategies under comparison — the stale baseline,
-// the neighborhood restore, and CatchUp at every swept half-life — rebuilt
-// per run so no state leaks between cells.
-func rejoinRules() ([]checkpoint.RejoinRule, error) {
-	rules := []checkpoint.RejoinRule{
-		checkpoint.ResumeStale{},
-		checkpoint.RestoreCheckpoint{},
+// rejoinRule returns strategy i of the comparison — the stale baseline,
+// the neighborhood restore, then CatchUp at every swept half-life — built
+// fresh so no state leaks between runs. There are 2+len(CatchUpHalfLives).
+func rejoinRule(i int) (checkpoint.RejoinRule, error) {
+	switch i {
+	case 0:
+		return checkpoint.ResumeStale{}, nil
+	case 1:
+		return checkpoint.RestoreCheckpoint{}, nil
 	}
-	for _, h := range CatchUpHalfLives {
-		catchUp, err := checkpoint.NewCatchUp(h)
-		if err != nil {
-			return nil, err
-		}
-		rules = append(rules, catchUp)
-	}
-	return rules, nil
+	return checkpoint.NewCatchUp(CatchUpHalfLives[i-2])
 }
 
 // BestCatchUpHalfLife returns the accuracy-maximal CatchUp half-life among
@@ -99,84 +92,45 @@ func BestCatchUpHalfLife(rows []RejoinRow, regime string) float64 {
 // the frozen start-of-round state in node order.
 func TableRejoin(o Options) ([]RejoinRow, error) {
 	o = o.Defaults()
-	g, weights, err := topologyFor(o.Nodes, 6, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	part, _, test, err := CIFARLikeData(o)
-	if err != nil {
-		return nil, err
-	}
-	devices := energy.AssignDevices(o.Nodes, energy.Devices())
-	workload := energy.CIFAR10Workload()
-	meanTrainWh := energy.NetworkRoundWh(o.Nodes, energy.Devices(), workload) / float64(o.Nodes)
-
-	schedule := core.AllTrain{}
-	trainSlots := core.CountTrainRounds(schedule, o.Rounds)
-	var rows []RejoinRow
-	for _, regime := range brownoutRegimes(o, meanTrainWh) {
-		rules, err := rejoinRules()
+	w := newWorld(o, cifar, 6)
+	rows, err := brownoutGrid(w, 2+len(CatchUpHalfLives), func(regime GammaRegime, arm int) (RejoinRow, error) {
+		fail := func(err error) (RejoinRow, error) {
+			return RejoinRow{}, fmt.Errorf("experiments: rejoin %s: %w", regime.Name, err)
+		}
+		rule, err := rejoinRule(arm)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		for _, rule := range rules {
-			trace, err := regime.trace()
-			if err != nil {
-				return nil, fmt.Errorf("experiments: rejoin %s: %w", regime.name, err)
+		cfg, res, err := w.harvestRun(regime.Name+"/"+rule.Name(), regime, rejoinFleetOptions(w.meanTrainWh), func(cfg *sim.Config, _ harvest.Trace) (err error) {
+			cfg.DropDeadNodes = true
+			if cfg.Algo.Policy, err = harvest.NewSoCThreshold(0.45); err != nil {
+				return err
 			}
-			fleet, err := harvest.NewFleet(devices, workload, trace, rejoinFleetOptions(meanTrainWh))
-			if err != nil {
-				return nil, fmt.Errorf("experiments: rejoin %s: %w", regime.name, err)
-			}
-			policy, err := harvest.NewSoCThreshold(0.45)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: rejoin %s: %w", regime.name, err)
-			}
-			mgr, err := checkpoint.NewManager(o.Nodes, nil, rule)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: rejoin %s: %w", regime.name, err)
-			}
-			res, err := sim.Run(sim.Config{
-				Graph: g, Weights: weights,
-				Algo:         core.Algorithm{Label: regime.name + "/" + rule.Name(), Schedule: schedule, Policy: policy},
-				Rounds:       o.Rounds,
-				ModelFactory: modelFactory(32, 10),
-				LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-				Partition: part, Test: test,
-				EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample,
-				Devices: devices, Workload: workload,
-				Harvest:       fleet,
-				DropDeadNodes: true,
-				Checkpoint:    mgr,
-				Seed:          o.Seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: rejoin %s/%s: %w", regime.name, rule.Name(), err)
-			}
-			trained := 0
-			for _, tr := range res.TrainedRounds {
-				trained += tr
-			}
-			var deadSum float64
-			maxStale := 0
-			for _, m := range res.History {
-				deadSum += float64(m.Depleted)
-				if m.MaxStaleness > maxStale {
-					maxStale = m.MaxStaleness
-				}
-			}
-			rows = append(rows, RejoinRow{
-				Regime:        regime.name,
-				Rule:          rule.Name(),
-				FinalAcc:      res.FinalMeanAcc * 100,
-				Participation: 100 * float64(trained) / float64(o.Nodes*trainSlots),
-				Revivals:      res.TotalRevivals,
-				Restores:      res.TotalRestores,
-				MeanStaleness: res.MeanRejoinStaleness(),
-				MaxStaleness:  maxStale,
-				DeadShare:     100 * deadSum / (float64(len(res.History)) * float64(o.Nodes)),
-			})
+			cfg.Checkpoint, err = checkpoint.NewManager(o.Nodes, nil, rule)
+			return err
+		})
+		if err != nil {
+			return fail(err)
 		}
+		maxStale := 0
+		for _, m := range res.History {
+			maxStale = max(maxStale, m.MaxStaleness)
+		}
+		t := tallyRun(cfg, res)
+		return RejoinRow{
+			Regime:        regime.Name,
+			Rule:          rule.Name(),
+			FinalAcc:      res.FinalMeanAcc * 100,
+			Participation: t.participation,
+			Revivals:      res.TotalRevivals,
+			Restores:      res.TotalRestores,
+			MeanStaleness: res.MeanRejoinStaleness(),
+			MaxStaleness:  maxStale,
+			DeadShare:     t.deadShare,
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	tb := report.NewTable("Rejoin after brown-out: what a revived node resumes with (drop-and-renormalize, sim scale)",

@@ -319,7 +319,7 @@ func allocatedBytes(f func()) uint64 {
 // TestSweepWarmPathCheapAndLazy holds the all-hit path to what it serves:
 // store lookups that copy kept values out, under keys a server derives
 // once. Nothing a hit does not need — the dataset above all, which cost
-// more than the rest of a warm request together while newGammaWorld built
+// more than the rest of a warm request together while the grid's world built
 // it eagerly, then 80 payload decodes and a graph per request — may come
 // back.
 func TestSweepWarmPathCheapAndLazy(t *testing.T) {
@@ -495,13 +495,13 @@ func TestSweepLastCellOnlyMissBuildsWorldMidGrid(t *testing.T) {
 	o = o.Defaults()
 	regimes := GammaGridRegimes(o)
 	o.Sweep = sweep.NewRunner(store, nil)
-	if _, err := newGammaWorld(o, 6, regimes, lazyGammaData(o), memo); err != nil {
+	if _, err := newGammaGrid(newWorld(o, cifar, 6), regimes, memo); err != nil {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{1, 8} {
 		old := runtime.GOMAXPROCS(procs)
 		o.Sweep = sweep.NewRunner(&holeStore{Store: store, hole: last}, nil)
-		w, err := newGammaWorld(o, 6, regimes, lazyGammaData(o), memo)
+		w, err := newGammaGrid(newWorld(o, cifar, 6), regimes, memo)
 		if err != nil || w.graph != nil {
 			t.Fatalf("world over a memoized identity: graph built = %v, err %v", w.graph != nil, err)
 		}

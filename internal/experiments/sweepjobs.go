@@ -81,7 +81,7 @@ func registerSweepHandlers(s *sweep.Server, memo *identityMemo) {
 		if err != nil {
 			return nil, err
 		}
-		_, rows, err := gammaHarvest(p.options(r), memo)
+		_, rows, err := gammaHarvest(newWorld(p.options(r), cifar, 6), memo)
 		return rows, err
 	})
 	s.Handle(JobDegreeGrid, func(r *sweep.Runner, raw json.RawMessage) (any, error) {

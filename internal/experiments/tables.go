@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/report"
@@ -12,14 +11,12 @@ import (
 // Table1 prints the simulation hyperparameters (paper Table 1).
 func Table1(o Options) {
 	o = o.Defaults()
-	c := config.CIFAR10Defaults()
-	f := config.FEMNISTDefaults()
 	tb := report.NewTable("Table 1: Simulation hyperparameters", "Hyperparameter", "Description", "CIFAR-10", "FEMNIST")
-	tb.AddRow("η", "Learning rate", fmt.Sprintf("%.1f", c.LearningRate), fmt.Sprintf("%.1f", f.LearningRate))
-	tb.AddRow("|ξ|", "Batch size", fmt.Sprintf("%d", c.BatchSize), fmt.Sprintf("%d", f.BatchSize))
-	tb.AddRow("E", "Local steps", fmt.Sprintf("%d", c.LocalSteps), fmt.Sprintf("%d", f.LocalSteps))
-	tb.AddRow("|x|", "Model size", fmt.Sprintf("%d", c.ModelSize), fmt.Sprintf("%d", f.ModelSize))
-	tb.AddRow("T", "Total rounds", fmt.Sprintf("%d", c.Rounds), fmt.Sprintf("%d", f.Rounds))
+	tb.AddRow("η", "Learning rate", "0.1", "0.1")
+	tb.AddRow("|ξ|", "Batch size", "32", "16")
+	tb.AddRow("E", "Local steps", "20", "7")
+	tb.AddRow("|x|", "Model size", "89834", "1690046")
+	tb.AddRow("T", "Total rounds", "1000", "3000")
 	tb.Render(o.Out)
 }
 
@@ -71,27 +68,18 @@ type Table3Row struct {
 // Figure 5 when provided.
 func Table3(o Options, fig5 *Figure5Result) []Table3Row {
 	o = o.Defaults()
-	degrees := []int{6, 8, 10}
 	rows := []Table3Row{}
-	for _, ds := range []string{"cifar", "femnist"} {
-		workload := energy.CIFAR10Workload()
-		paperRounds := PaperRoundsCIFAR
-		if ds == "femnist" {
-			workload = energy.FEMNISTWorkload()
-			paperRounds = PaperRoundsFEMNIST
-		}
+	for _, ds := range []datasetSpec{cifar, femnist} {
 		for _, algo := range []string{"SkipTrain", "D-PSGD"} {
-			row := Table3Row{Algo: algo, Dataset: ds, EnergyWh: map[int]float64{}, Acc: map[int]float64{}}
-			for _, deg := range degrees {
-				var trainRounds int
-				if algo == "D-PSGD" {
-					trainRounds = paperRounds
-				} else {
-					trainRounds = core.CountTrainRounds(GammaForDegree(deg), paperRounds)
+			row := Table3Row{Algo: algo, Dataset: ds.name, EnergyWh: map[int]float64{}, Acc: map[int]float64{}}
+			for _, deg := range []int{6, 8, 10} {
+				trainRounds := ds.paperRounds
+				if algo == "SkipTrain" {
+					trainRounds = core.CountTrainRounds(GammaForDegree(deg), ds.paperRounds)
 				}
-				row.EnergyWh[deg] = paperEnergyWh(trainRounds, workload)
+				row.EnergyWh[deg] = paperEnergyWh(trainRounds, ds.workload)
 				if fig5 != nil {
-					if arm := fig5.Arm(algo, ds, deg); arm != nil {
+					if arm := fig5.Arm(algo, ds.name, deg); arm != nil {
 						row.Acc[deg] = arm.FinalAcc
 					}
 				}
@@ -99,24 +87,26 @@ func Table3(o Options, fig5 *Figure5Result) []Table3Row {
 			rows = append(rows, row)
 		}
 	}
-	tb := report.NewTable("Table 3: Training energy and average test accuracy (energy exact at paper scale)",
+	renderSummary(o, "Table 3: Training energy and average test accuracy (energy exact at paper scale)", "%.2f", rows)
+	return rows
+}
+
+// renderSummary writes Table 3 or 4: energy (in energyVerb's format) and
+// accuracy per degree, one line per (algorithm, dataset) row.
+func renderSummary(o Options, title, energyVerb string, rows []Table3Row) {
+	tb := report.NewTable(title,
 		"Algorithm", "Dataset", "E Wh (6)", "E Wh (8)", "E Wh (10)", "Acc% (6)", "Acc% (8)", "Acc% (10)")
 	for _, r := range rows {
-		tb.AddRowf("%s|%s|%.2f|%.2f|%.2f|%.2f|%.2f|%.2f",
+		tb.AddRowf("%s|%s|"+energyVerb+"|"+energyVerb+"|"+energyVerb+"|%.2f|%.2f|%.2f",
 			r.Algo, r.Dataset, r.EnergyWh[6], r.EnergyWh[8], r.EnergyWh[10],
 			r.Acc[6], r.Acc[8], r.Acc[10])
 	}
 	tb.Render(o.Out)
-	return rows
 }
 
-// Table4Row is one (algorithm, dataset) row of the constrained summary.
-type Table4Row struct {
-	Algo     string
-	Dataset  string
-	EnergyWh map[int]float64
-	Acc      map[int]float64
-}
+// Table4Row is one (algorithm, dataset) row of the constrained summary,
+// shaped like Table 3's.
+type Table4Row = Table3Row
 
 // Table4 reproduces the energy-constrained summary (paper Table 4) from the
 // Figure 6 runs: consumed training energy (scaled to paper units) and final
@@ -129,7 +119,6 @@ type Table4Row struct {
 // matching the spirit of "up to 12% higher accuracy at the same energy".
 func Table4(o Options, fig6 *Figure6Result) []Table4Row {
 	o = o.Defaults()
-	degrees := []int{6, 8, 10}
 	rows := []Table4Row{}
 	if fig6 == nil {
 		return rows
@@ -137,7 +126,7 @@ func Table4(o Options, fig6 *Figure6Result) []Table4Row {
 	for _, ds := range []string{"cifar", "femnist"} {
 		for _, algo := range []string{"SkipTrain-constrained", "Greedy", "D-PSGD"} {
 			row := Table4Row{Algo: algo, Dataset: ds, EnergyWh: map[int]float64{}, Acc: map[int]float64{}}
-			for _, deg := range degrees {
+			for _, deg := range []int{6, 8, 10} {
 				arm := fig6.Arm(algo, ds, deg)
 				if arm == nil {
 					continue
@@ -149,9 +138,7 @@ func Table4(o Options, fig6 *Figure6Result) []Table4Row {
 					if c := fig6.Arm("SkipTrain-constrained", ds, deg); c != nil {
 						budget = c.ConsumedWh
 					}
-					acc, e := accuracyAtEnergy(arm.AccVsEnergy, budget)
-					row.EnergyWh[deg] = e
-					row.Acc[deg] = acc
+					row.Acc[deg], row.EnergyWh[deg] = accuracyAtEnergy(arm.AccVsEnergy, budget)
 				} else {
 					row.EnergyWh[deg] = arm.ConsumedWh
 					row.Acc[deg] = arm.FinalAcc
@@ -160,14 +147,7 @@ func Table4(o Options, fig6 *Figure6Result) []Table4Row {
 			rows = append(rows, row)
 		}
 	}
-	tb := report.NewTable("Table 4: Energy-constrained summary (paper-scale Wh)",
-		"Algorithm", "Dataset", "E Wh (6)", "E Wh (8)", "E Wh (10)", "Acc% (6)", "Acc% (8)", "Acc% (10)")
-	for _, r := range rows {
-		tb.AddRowf("%s|%s|%.1f|%.1f|%.1f|%.2f|%.2f|%.2f",
-			r.Algo, r.Dataset, r.EnergyWh[6], r.EnergyWh[8], r.EnergyWh[10],
-			r.Acc[6], r.Acc[8], r.Acc[10])
-	}
-	tb.Render(o.Out)
+	renderSummary(o, "Table 4: Energy-constrained summary (paper-scale Wh)", "%.1f", rows)
 	return rows
 }
 
@@ -191,48 +171,31 @@ func accuracyAtEnergy(s Series, budget float64) (acc, energyAt float64) {
 // 12pp (constrained) accuracy gain over D-PSGD".
 func SummaryHeadline(o Options, t3 []Table3Row, t4 []Table4Row) {
 	o = o.Defaults()
-	var bestGainU, bestGainC float64
-	var energyRatio float64
+	st, dp := cifarRow(t3, "SkipTrain"), cifarRow(t3, "D-PSGD")
+	sc, dc := cifarRow(t4, "SkipTrain-constrained"), cifarRow(t4, "D-PSGD")
+	var bestGainU, bestGainC, energyRatio float64
 	for _, deg := range []int{6, 8, 10} {
-		var st, dp Table3Row
-		for _, r := range t3 {
-			if r.Dataset != "cifar" {
-				continue
-			}
-			if r.Algo == "SkipTrain" {
-				st = r
-			} else if r.Algo == "D-PSGD" {
-				dp = r
-			}
-		}
 		if dp.EnergyWh != nil && st.EnergyWh != nil && dp.EnergyWh[deg] > 0 {
-			if g := st.Acc[deg] - dp.Acc[deg]; g > bestGainU {
-				bestGainU = g
-			}
+			bestGainU = max(bestGainU, st.Acc[deg]-dp.Acc[deg])
 			if r := st.EnergyWh[deg] / dp.EnergyWh[deg]; energyRatio == 0 || r < energyRatio {
 				energyRatio = r
 			}
 		}
-	}
-	for _, deg := range []int{6, 8, 10} {
-		var sc, dp Table4Row
-		for _, r := range t4 {
-			if r.Dataset != "cifar" {
-				continue
-			}
-			if r.Algo == "SkipTrain-constrained" {
-				sc = r
-			} else if r.Algo == "D-PSGD" {
-				dp = r
-			}
-		}
-		if sc.Acc != nil && dp.Acc != nil {
-			if g := sc.Acc[deg] - dp.Acc[deg]; g > bestGainC {
-				bestGainC = g
-			}
+		if sc.Acc != nil && dc.Acc != nil {
+			bestGainC = max(bestGainC, sc.Acc[deg]-dc.Acc[deg])
 		}
 	}
 	fmt.Fprintf(o.Out, "headline: SkipTrain energy ratio vs D-PSGD: %.2f (paper: ~0.5)\n", energyRatio)
 	fmt.Fprintf(o.Out, "headline: best unconstrained accuracy gain: %+.1f pp (paper: up to +7)\n", bestGainU)
 	fmt.Fprintf(o.Out, "headline: best constrained accuracy gain:   %+.1f pp (paper: up to +12)\n", bestGainC)
+}
+
+// cifarRow is algo's CIFAR-10 row of a summary table, zero if absent.
+func cifarRow(rows []Table3Row, algo string) Table3Row {
+	for _, r := range rows {
+		if r.Dataset == cifar.name && r.Algo == algo {
+			return r
+		}
+	}
+	return Table3Row{}
 }

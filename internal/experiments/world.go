@@ -1,0 +1,189 @@
+package experiments
+
+import (
+	"sync"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/energy"
+	"repro/internal/graph"
+	"repro/internal/harvest"
+	"repro/internal/nn"
+	"repro/internal/rng"
+	"repro/internal/sim"
+)
+
+// Every experiment that trains draws its inputs from one world, its run
+// configuration from world.config, and — when it has more than one run —
+// its fan-out from sweep.Grid over o.Sweep: each run writes its own
+// preallocated slot, the lowest-index error is the one reported, and the
+// results are bit-identical at any GOMAXPROCS. Only the Γ grids key their
+// cells (gammagrid.go); every other run passes the zero key and is
+// computed fresh.
+
+// datasetSpec is one dataset's scaled stand-in and the paper setting it
+// stands for.
+type datasetSpec struct {
+	name        string
+	classes     int
+	workload    energy.Workload
+	paperRounds int
+	budgetShare float64 // battery share of the constrained setting (Table 2)
+	build       func(Options) (part dataset.Partition, val, test *dataset.Dataset, err error)
+}
+
+var (
+	cifar   = datasetSpec{"cifar", 10, energy.CIFAR10Workload(), PaperRoundsCIFAR, 0.10, CIFARLikeData}
+	femnist = datasetSpec{"femnist", 62, energy.FEMNISTWorkload(), PaperRoundsFEMNIST, 0.50, femnistLikeData}
+	// datasetSpecs looks the datasets of Figures 5 and 6 up by name.
+	datasetSpecs = map[string]datasetSpec{cifar.name: cifar, femnist.name: femnist}
+)
+
+// world is what the runs of one experiment share on one d-regular
+// topology: the graph, built by the first run that needs it, and the data
+// and device assignment, likewise — and shared with every other degree's
+// world made by at. Everything is read-only once built, so runs fan out
+// over it freely, and a run that is served from a cache builds neither.
+type world struct {
+	o           Options
+	ds          datasetSpec
+	degree      int
+	meanTrainWh float64 // a node's mean per-round training cost, the unit of trace magnitudes
+	data        func() (*worldData, error)
+
+	topologyOnce sync.Once
+	graph        *graph.Graph
+	weights      *graph.Weights
+	topologyErr  error
+}
+
+type worldData struct {
+	part      dataset.Partition
+	val, test *dataset.Dataset
+	devices   []energy.Device
+}
+
+// newWorld is ds's world on the d-regular topology; o must be completed by
+// Defaults.
+func newWorld(o Options, ds datasetSpec, degree int) *world {
+	return &world{
+		o: o, ds: ds, degree: degree,
+		meanTrainWh: energy.NetworkRoundWh(o.Nodes, energy.Devices(), ds.workload) / float64(o.Nodes),
+		data: sync.OnceValues(func() (*worldData, error) {
+			part, val, test, err := ds.build(o)
+			return &worldData{part, val, test, energy.AssignDevices(o.Nodes, energy.Devices())}, err
+		}),
+	}
+}
+
+// at is the world on another degree: its own topology, the same data.
+func (w *world) at(degree int) *world {
+	return &world{o: w.o, ds: w.ds, degree: degree, meanTrainWh: w.meanTrainWh, data: w.data}
+}
+
+func (w *world) buildTopology() error {
+	w.topologyOnce.Do(func() {
+		g, err := graph.Regular(w.o.Nodes, w.degree, w.o.Seed)
+		if err != nil {
+			w.topologyErr = err
+			return
+		}
+		w.graph, w.weights = g, graph.Metropolis(g)
+	})
+	return w.topologyErr
+}
+
+// config is the sim.Config of one run of algo on w, evaluated on the test
+// split every o.EvalEvery rounds. The caller sets only what its arms vary:
+// the fleet, DropDeadNodes, Checkpoint or Forecast.
+func (w *world) config(algo core.Algorithm) (sim.Config, error) {
+	d, err := w.data()
+	if err != nil {
+		return sim.Config{}, err
+	}
+	if err := w.buildTopology(); err != nil {
+		return sim.Config{}, err
+	}
+	o := w.o
+	return sim.Config{
+		Graph: w.graph, Weights: w.weights,
+		Algo:         algo,
+		Rounds:       o.Rounds,
+		ModelFactory: func(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(32, w.ds.classes, r) },
+		LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
+		Partition: d.part, Test: d.test,
+		EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample,
+		Devices: d.devices, Workload: w.ds.workload,
+		Seed: o.Seed,
+	}, nil
+}
+
+// tuneConfig is config evaluated once, at the end, on the validation
+// split: how Figure 3 and the harvest grids choose Γ.
+func (w *world) tuneConfig(algo core.Algorithm) (sim.Config, error) {
+	cfg, err := w.config(algo)
+	if err == nil {
+		d, _ := w.data() // built by config
+		cfg.Test, cfg.EvalEvery = d.val, 0
+	}
+	return cfg, err
+}
+
+// fleet puts cfg on a fresh fleet — regime's trace, built for this run,
+// charging batteries shaped by opts — and returns the trace.
+func (w *world) fleet(cfg *sim.Config, regime GammaRegime, opts harvest.Options) (harvest.Trace, error) {
+	trace, err := regime.Trace(w.o, w.meanTrainWh)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Harvest, err = harvest.NewFleet(cfg.Devices, cfg.Workload, trace, opts)
+	return trace, err
+}
+
+// harvestRun is one run of a harvest table: label training every round
+// on a fresh fleet of regime's trace shaped by opts. set fills in what the
+// arm varies — the policy always, and any of DropDeadNodes, Checkpoint or
+// a forecaster of the run's trace.
+func (w *world) harvestRun(label string, regime GammaRegime, opts harvest.Options, set func(*sim.Config, harvest.Trace) error) (sim.Config, *sim.Result, error) {
+	cfg, err := w.config(core.Algorithm{Label: label, Schedule: core.AllTrain{}})
+	if err != nil {
+		return cfg, nil, err
+	}
+	trace, err := w.fleet(&cfg, regime, opts)
+	if err == nil {
+		err = set(&cfg, trace)
+	}
+	if err != nil {
+		return cfg, nil, err
+	}
+	res, err := sim.Run(cfg)
+	return cfg, res, err
+}
+
+// budgets are w's per-node round budgets of the constrained setting,
+// scaled to the simulated horizon.
+func (w *world) budgets() *energy.Budget {
+	return ScaledBudgets(w.o.Nodes, w.o.Rounds, w.ds.paperRounds, w.ds.workload, w.ds.budgetShare)
+}
+
+// tally is what the tables read off a finished run besides its accuracy.
+type tally struct {
+	trained       int     // rounds trained, summed over nodes
+	participation float64 // trained over the schedule's train slots, %
+	deadShare     float64 // mean share of the fleet below cutoff per round, %
+}
+
+func tallyRun(cfg sim.Config, res *sim.Result) tally {
+	var t tally
+	for _, tr := range res.TrainedRounds {
+		t.trained += tr
+	}
+	nodes := len(res.TrainedRounds)
+	t.participation = 100 * float64(t.trained) / float64(nodes*core.CountTrainRounds(cfg.Algo.Schedule, cfg.Rounds))
+	var dead float64
+	for _, m := range res.History {
+		dead += float64(m.Depleted)
+	}
+	t.deadShare = 100 * dead / (float64(len(res.History)) * float64(nodes))
+	return t
+}

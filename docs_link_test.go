@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -125,4 +126,142 @@ func TestHeadingAnchors(t *testing.T) {
 			t.Fatalf("anchor %q missing from %v", want, anchors)
 		}
 	}
+}
+
+// docIdent matches pkg.Name and pkg.Name.Member: a lower-case package name
+// followed by one or two exported identifiers.
+var docIdent = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+
+// declaredIdents collects what a package declares in its non-test files:
+// its package-level names and method names, and for each type its methods,
+// fields and interface methods, with those of same-package embedded types
+// promoted.
+func declaredIdents(pkg *goPackage) (names map[string]bool, members map[string]map[string]bool) {
+	names, members = map[string]bool{}, map[string]map[string]bool{}
+	embeds := map[string][]string{}
+	add := func(typ, member string) {
+		if members[typ] == nil {
+			members[typ] = map[string]bool{}
+		}
+		members[typ][member] = true
+	}
+	for _, f := range pkg.files {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil {
+				names[fn.Name.Name] = true // docs write pkg.Method too
+				add(receiverType(fn), fn.Name.Name)
+				continue
+			}
+			for _, o := range declOwners(d) {
+				names[o] = true
+			}
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				var fields *ast.FieldList
+				switch t := ts.Type.(type) {
+				case *ast.StructType:
+					fields = t.Fields
+				case *ast.InterfaceType:
+					fields = t.Methods
+				}
+				if fields == nil {
+					continue
+				}
+				for _, field := range fields.List {
+					for _, n := range field.Names {
+						add(ts.Name.Name, n.Name)
+					}
+					if len(field.Names) == 0 {
+						typ := field.Type
+						if star, ok := typ.(*ast.StarExpr); ok {
+							typ = star.X
+						}
+						if id, ok := typ.(*ast.Ident); ok {
+							add(ts.Name.Name, id.Name)
+							embeds[ts.Name.Name] = append(embeds[ts.Name.Name], id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	// Promote embedded members until nothing changes.
+	for changed := true; changed; {
+		changed = false
+		for typ, inner := range embeds {
+			for _, e := range inner {
+				for m := range members[e] {
+					if !members[typ][m] {
+						add(typ, m)
+						changed = true
+					}
+				}
+			}
+		}
+	}
+	return names, members
+}
+
+// TestDocsIdentifiers fails when README.md or docs/ARCHITECTURE.md names
+// pkg.Name or pkg.Name.Member for a package under internal/ and the package
+// declares no such identifier in its non-test files — a doc left stale by a
+// rename or a deletion. Name may be a package-level name or a method name;
+// Member must be a method, field or interface method of type Name (or, when
+// Name is not a type, of some type of the package).
+func TestDocsIdentifiers(t *testing.T) {
+	module, sources := moduleSources(t)
+	pkgs, _, err := parseModule(module, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := internalPackages(pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, file := range []string{"README.md", "docs/ARCHITECTURE.md"} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docIdent.FindAllStringSubmatch(string(data), -1) {
+			pkg, name, member := m[1], m[2], m[3]
+			dir, ok := dirs[pkg]
+			if !ok {
+				continue
+			}
+			checked++
+			names, members := declaredIdents(pkgs[dir])
+			switch {
+			case !names[name]:
+				t.Errorf("%s: %s names %s.%s, which package %s does not declare", file, m[0], pkg, name, dir)
+			case member == "":
+			case members[name] != nil && !members[name][member]:
+				t.Errorf("%s: %s names member %s of %s.%s, which has none of that name", file, m[0], member, pkg, name)
+			case members[name] == nil && !anyMember(members, member):
+				t.Errorf("%s: %s names member %s, which no type of package %s has", file, m[0], member, dir)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no pkg.Name references found; the identifier checker is not seeing the docs")
+	}
+	t.Logf("%d pkg.Name references checked", checked)
+}
+
+// anyMember reports whether some type's members include member.
+func anyMember(members map[string]map[string]bool, member string) bool {
+	for _, ms := range members {
+		if ms[member] {
+			return true
+		}
+	}
+	return false
 }

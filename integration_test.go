@@ -6,7 +6,6 @@ package repro_test
 import (
 	"bytes"
 	"math"
-	"os"
 	"strings"
 	"testing"
 
@@ -65,16 +64,16 @@ func TestGlobalModelCheckpointDeployment(t *testing.T) {
 		t.Fatal("FinalGlobalParams missing with EvalGlobalModel set")
 	}
 	// Checkpoint through bytes.
-	staging := factory(-1, rng.New(1))
-	staging.SetParams(res.FinalGlobalParams)
 	var buf bytes.Buffer
-	if err := staging.SaveParams(&buf); err != nil {
+	if err := nn.WriteVector(&buf, res.FinalGlobalParams); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := nn.ReadVector(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	deployed := factory(-1, rng.New(2))
-	if err := deployed.LoadParams(&buf); err != nil {
-		t.Fatal(err)
-	}
+	deployed.SetParams(loaded)
 	acc := deployed.Accuracy(test.Inputs(), test.Labels())
 	if math.Abs(acc-res.FinalGlobalAcc) > 1e-12 {
 		t.Fatalf("deployed model accuracy %.6f != engine-reported %.6f", acc, res.FinalGlobalAcc)
@@ -178,52 +177,5 @@ func TestExperimentLayerDeterminism(t *testing.T) {
 		if a.Arms[i].FinalAcc != b.Arms[i].FinalAcc {
 			t.Fatalf("arm %d: %.6f vs %.6f", i, a.Arms[i].FinalAcc, b.Arms[i].FinalAcc)
 		}
-	}
-}
-
-// TestTraceFileDrivesExperiment ships traces through a file and runs an
-// experiment with the reloaded devices, matching the built-in result.
-func TestTraceFileDrivesExperiment(t *testing.T) {
-	path := t.TempDir() + "/traces.csv"
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := energy.WriteTraces(f, energy.Devices()); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	rf, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
-	loaded, err := energy.ReadTraces(rf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(devices []energy.Device) float64 {
-		g, w, part, test := integrationWorld(t, 8, 33)
-		res, err := sim.Run(sim.Config{
-			Graph: g, Weights: w,
-			Algo:   core.DPSGD(),
-			Rounds: 6,
-			ModelFactory: func(node int, r *rng.RNG) *nn.Network {
-				return nn.LogisticRegression(16, 8, r)
-			},
-			LR: 0.1, BatchSize: 8, LocalSteps: 2,
-			Partition: part, Test: test,
-			EvalEvery: 0,
-			Devices:   energy.AssignDevices(8, devices),
-			Workload:  energy.CIFAR10Workload(),
-			Seed:      33,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TotalTrainWh
-	}
-	if a, b := run(energy.Devices()), run(loaded); math.Abs(a-b) > 1e-12 {
-		t.Fatalf("trace-file devices give different energy: %v vs %v", a, b)
 	}
 }

@@ -51,7 +51,8 @@ type Config struct {
 	Graph *graph.Graph
 	// Algo supplies the schedule and participation policy. Aggregation is
 	// always pairwise gossip averaging (AD-PSGD style); the Weights matrix
-	// of the synchronous engine is not used.
+	// of the synchronous engine is not used, and an algorithm that asks for
+	// global averaging (core.AggGlobal) is rejected.
 	Algo core.Algorithm
 	// Horizon is the virtual time to simulate, in seconds.
 	Horizon float64
@@ -131,10 +132,17 @@ func (c *Config) validate() error {
 		return fmt.Errorf("async: %d devices for %d nodes", len(c.Devices), c.Graph.N)
 	case c.Algo.Schedule == nil || c.Algo.Policy == nil:
 		return fmt.Errorf("async: incomplete algorithm")
+	case c.Algo.Aggregation == core.AggGlobal:
+		return fmt.Errorf("async: %s averages globally, but the asynchronous engine only gossips pairwise", c.Algo.Label)
 	case !(c.RoundSeconds >= 0 && c.RoundSeconds < math.Inf(1)):
 		return fmt.Errorf("async: round duration %v is not finite and non-negative", c.RoundSeconds)
 	case !(c.EvalEverySeconds >= 0):
 		return fmt.Errorf("async: evaluation period %v is negative or NaN", c.EvalEverySeconds)
+	}
+	for i, p := range c.Partition {
+		if p.Len() == 0 {
+			return fmt.Errorf("async: node %d has empty partition", i)
+		}
 	}
 	// Battery- and forecast-aware policies need the state they decide
 	// from; with a trace attached they run natively on the virtual-time
@@ -147,6 +155,9 @@ func (c *Config) validate() error {
 	}
 	if _, ok := c.Algo.Policy.(core.ForecastDependent); ok && c.Forecast == nil {
 		return fmt.Errorf("async: policy %s plans over a forecast window and needs Config.Forecast", c.Algo.Policy.Name())
+	}
+	if rp, ok := c.Algo.Policy.(core.ResettablePolicy); ok && rp.Consumed() {
+		return fmt.Errorf("async: policy %s already consumed by a prior run; call Reset or build a fresh policy", c.Algo.Policy.Name())
 	}
 	if c.Forecast != nil {
 		if c.Trace == nil {

@@ -2,6 +2,7 @@ package async
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -189,6 +190,37 @@ func TestAsyncBudgetRespected(t *testing.T) {
 	}
 }
 
+// A budget policy spends its budget in a run. A second run on the same
+// policy would train nothing at all, so it is rejected as sim.Run rejects
+// it, and runs again once reset.
+func TestAsyncRejectsConsumedPolicy(t *testing.T) {
+	cfg := testConfig(t, 6)
+	budgets := make([]int, 12)
+	for i := range budgets {
+		budgets[i] = 3
+	}
+	policy := core.Greedy(energy.NewBudget(budgets)).Policy
+	cfg.Algo.Policy = policy
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "already consumed by a prior run") {
+		t.Fatalf("rerun on a consumed policy: err = %v", err)
+	}
+	policy.(core.ResettablePolicy).Reset()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained := 0
+	for _, n := range res.TrainedSteps {
+		trained += n
+	}
+	if trained == 0 {
+		t.Fatal("a reset policy trained no step")
+	}
+}
+
 func TestAsyncStepsCap(t *testing.T) {
 	cfg := testConfig(t, 7)
 	cfg.StepsPerNode = 5
@@ -242,6 +274,11 @@ func TestAsyncValidation(t *testing.T) {
 		"devices":    func(c *Config) { c.Devices = c.Devices[:3] },
 		"partition":  func(c *Config) { c.Partition = c.Partition[:3] },
 		"nil policy": func(c *Config) { c.Algo.Policy = nil },
+		// The engine only gossips pairwise: All-Reduce is refused, not run
+		// as gossip under its label.
+		"global aggregation": func(c *Config) { c.Algo = core.AllReduce() },
+		// A node with no local data has nothing to draw batches from.
+		"empty partition": func(c *Config) { c.Partition[3] = c.Partition[3].Subset(nil) },
 		// Battery/forecast policies run natively when a trace is attached
 		// (see harvest_test.go); without one they would silently never
 		// train, so the config is rejected.
@@ -361,10 +398,10 @@ func TestAsyncTelemetry(t *testing.T) {
 	if plain.Manifest.ConfigHash != probed.Manifest.ConfigHash {
 		t.Fatal("identical configs hashed differently")
 	}
-	if mem.Count(obs.KindRunStart) != 1 || mem.Count(obs.KindRunEnd) != 1 {
-		t.Fatalf("run events: %d start, %d end", mem.Count(obs.KindRunStart), mem.Count(obs.KindRunEnd))
+	if countKind(mem.Events(), obs.KindRunStart) != 1 || countKind(mem.Events(), obs.KindRunEnd) != 1 {
+		t.Fatalf("run events: %d start, %d end", countKind(mem.Events(), obs.KindRunStart), countKind(mem.Events(), obs.KindRunEnd))
 	}
-	if got, want := mem.Count(obs.KindEval), len(probed.History); got != want {
+	if got, want := countKind(mem.Events(), obs.KindEval), len(probed.History); got != want {
 		t.Fatalf("eval events = %d, want %d (one per snapshot)", got, want)
 	}
 	for _, ev := range mem.Events() {
@@ -475,4 +512,15 @@ func TestAsyncContextCarriesHorizon(t *testing.T) {
 			}
 		}
 	}
+}
+
+// countKind counts the events of the given kind.
+func countKind(events []obs.Event, kind string) int {
+	n := 0
+	for _, ev := range events {
+		if ev.Kind == kind {
+			n++
+		}
+	}
+	return n
 }

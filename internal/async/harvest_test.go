@@ -239,10 +239,10 @@ func TestAsyncHarvestAuditorClean(t *testing.T) {
 		if !auditor.Ok() {
 			t.Fatalf("%s: auditor found violations:\n%s", family, auditor.Summary())
 		}
-		if res.Brownouts > 0 && mem.Count(obs.KindBrownout) == 0 {
+		if res.Brownouts > 0 && countKind(mem.Events(), obs.KindBrownout) == 0 {
 			t.Fatalf("%s: %d brown-outs but no brownout events", family, res.Brownouts)
 		}
-		if mem.Count(obs.KindRoundEnd) == 0 {
+		if countKind(mem.Events(), obs.KindRoundEnd) == 0 {
 			t.Fatalf("%s: no ledger checkpoints in the stream", family)
 		}
 		// Ledger checkpoints and brownouts carry the virtual clock.

@@ -179,7 +179,7 @@ func TestTrackerLifecycle(t *testing.T) {
 	if len(died) != 1 || died[0] != 0 || len(revived) != 0 {
 		t.Fatalf("round 1: died=%v revived=%v", died, revived)
 	}
-	if !tr.Dead(0) || tr.Dead(1) || !tr.Dead(2) {
+	if !tr.dead[0] || tr.dead[1] || !tr.dead[2] {
 		t.Fatal("dead mask wrong after round 1")
 	}
 	// Round 4: everyone back. Node 0 missed rounds 1-3 (staleness 3);
@@ -194,7 +194,7 @@ func TestTrackerLifecycle(t *testing.T) {
 	if revived[1] != (Revival{Node: 2, Staleness: 4}) {
 		t.Fatalf("node 2 revival %+v", revived[1])
 	}
-	if tr.LastLive(1) != 4 || tr.LastLive(0) != 4 {
+	if tr.lastLive[1] != 4 || tr.lastLive[0] != 4 {
 		t.Fatal("lastLive not advanced")
 	}
 	// Dead for exactly one round -> staleness 1.
@@ -343,7 +343,7 @@ func TestManagerWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Nodes() != 4 || m.Store().Nodes() != 4 || m.Rule().Name() != "resume-stale" {
+	if m.Nodes() != 4 || m.store.Nodes() != 4 || m.Rule().Name() != "resume-stale" {
 		t.Fatal("manager accessors wrong")
 	}
 	died, revived := m.BeginRound(0, []bool{true, false, true, true})
@@ -361,7 +361,7 @@ func TestManagerWiring(t *testing.T) {
 	if len(revived) != 1 || revived[0] != (Revival{Node: 1, Staleness: 1}) {
 		t.Fatalf("revival %+v", revived)
 	}
-	if m.Tracker().LastLive(1) != 1 {
+	if m.Tracker().lastLive[1] != 1 {
 		t.Fatal("tracker not advanced through manager")
 	}
 }

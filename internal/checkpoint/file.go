@@ -43,9 +43,6 @@ func NewFileStore(dir string, n int) (*FileStore, error) {
 // Nodes returns the number of nodes the store covers.
 func (s *FileStore) Nodes() int { return s.n }
 
-// Dir returns the directory snapshots are written under.
-func (s *FileStore) Dir() string { return s.dir }
-
 func (s *FileStore) path(node int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("node-%04d.ckpt", node))
 }

@@ -45,9 +45,6 @@ func (m *Manager) Nodes() int { return m.tr.Nodes() }
 // Rule returns the configured rejoin rule.
 func (m *Manager) Rule() RejoinRule { return m.rule }
 
-// Store returns the backing snapshot store.
-func (m *Manager) Store() Store { return m.store }
-
 // Tracker returns the per-node staleness tracker.
 func (m *Manager) Tracker() *Tracker { return m.tr }
 

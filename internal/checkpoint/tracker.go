@@ -42,12 +42,6 @@ func (tr *Tracker) LastObserved() int { return tr.lastRound }
 // Nodes returns the number of tracked nodes.
 func (tr *Tracker) Nodes() int { return len(tr.dead) }
 
-// Dead reports whether node i was dead at the last observed round.
-func (tr *Tracker) Dead(i int) bool { return tr.dead[i] }
-
-// LastLive returns the last round node i completed live (-1 before any).
-func (tr *Tracker) LastLive(i int) int { return tr.lastLive[i] }
-
 // Observe ingests round t's live mask (nil means all live) and returns the
 // nodes that died and revived this round, in ascending node order. Observe
 // must be called once per round with t strictly increasing; going

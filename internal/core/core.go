@@ -238,9 +238,9 @@ type Policy interface {
 
 // ResettablePolicy is implemented by policies that carry run state — spent
 // budgets, dormancy flags — which a second run would silently inherit.
-// sim.Run rejects a consumed policy the same way it rejects a consumed
-// harvest fleet; Reset rewinds the policy so the next run replays the
-// first bit-for-bit.
+// Both engines, sim.Run and async.Run, reject a consumed policy (sim.Run
+// as it rejects a consumed harvest fleet); Reset rewinds the policy so the
+// next run replays the first bit-for-bit.
 type ResettablePolicy interface {
 	Policy
 	// Reset rewinds the policy to its construction state.
@@ -250,12 +250,14 @@ type ResettablePolicy interface {
 }
 
 // BatteryDependent marks policies that can only decide from live battery
-// state: sim.Run rejects them when no harvest fleet is attached, instead
-// of letting them silently never train.
+// state: both engines reject them when no battery is attached (sim.Run's
+// harvest fleet, async.Run's trace), instead of letting them silently
+// never train.
 type BatteryDependent interface{ RequiresBattery() }
 
 // ForecastDependent marks policies that can only decide from a harvest
-// forecast window: sim.Run rejects them when no forecaster is attached.
+// forecast window: both engines, sim.Run and async.Run, reject them when no
+// forecaster is attached.
 type ForecastDependent interface{ RequiresForecast() }
 
 // AlwaysTrain participates in every training round (unconstrained setting).

@@ -44,8 +44,7 @@ func TestGenerateBalanced(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := CIFARLike(7)
-	cfg.Train, cfg.Test = 100, 40
+	cfg := SyntheticConfig{Classes: 10, Dim: 32, Train: 100, Test: 40, Noise: 1.0, Seed: 7}
 	a1, b1 := mustGenerate(t, cfg)
 	a2, b2 := mustGenerate(t, cfg)
 	for i := range a1.Samples {
@@ -61,8 +60,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateSeedsDiffer(t *testing.T) {
-	cfg := CIFARLike(1)
-	cfg.Train, cfg.Test = 50, 20
+	cfg := SyntheticConfig{Classes: 10, Dim: 32, Train: 50, Test: 20, Noise: 1.0, Seed: 1}
 	a, _ := mustGenerate(t, cfg)
 	cfg.Seed = 2
 	b, _ := mustGenerate(t, cfg)

@@ -49,80 +49,6 @@ func ShardPartition(d *Dataset, n, shardsPerNode int, seed uint64) (Partition, e
 	return p, nil
 }
 
-// IIDPartition deals samples round-robin after a shuffle, giving every node
-// an (approximately) IID slice of the global distribution.
-func IIDPartition(d *Dataset, n int, seed uint64) (Partition, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dataset: bad IID partition n=%d", n)
-	}
-	if d.Len() < n {
-		return nil, fmt.Errorf("dataset: %d samples for %d nodes", d.Len(), n)
-	}
-	r := rng.Derive(seed, 0x11d)
-	order := r.Perm(d.Len())
-	p := make(Partition, n)
-	for i := 0; i < n; i++ {
-		var idx []int
-		for j := i; j < len(order); j += n {
-			idx = append(idx, order[j])
-		}
-		p[i] = d.Subset(idx)
-	}
-	return p, nil
-}
-
-// DirichletPartition assigns samples with per-class node proportions drawn
-// from a symmetric Dirichlet(alpha). Small alpha concentrates each class on
-// few nodes. This is the standard alternative non-IID scheme and is used in
-// ablation benches.
-func DirichletPartition(d *Dataset, n int, alpha float64, seed uint64) (Partition, error) {
-	if n < 1 || alpha <= 0 {
-		return nil, fmt.Errorf("dataset: bad dirichlet partition n=%d alpha=%v", n, alpha)
-	}
-	r := rng.Derive(seed, 0xd121)
-	// Group sample indices per class.
-	perClass := make([][]int, d.NumClasses)
-	for i, s := range d.Samples {
-		perClass[s.Y] = append(perClass[s.Y], i)
-	}
-	idxPerNode := make([][]int, n)
-	for _, members := range perClass {
-		if len(members) == 0 {
-			continue
-		}
-		r.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-		// Dirichlet proportions via the power-of-uniform approximation used
-		// elsewhere in the package (adequate for partition skew control).
-		w := make([]float64, n)
-		sum := 0.0
-		for i := range w {
-			u := r.Float64()
-			if u == 0 {
-				u = 1e-12
-			}
-			w[i] = pow(u, 1/alpha)
-			sum += w[i]
-		}
-		pos := 0
-		for i := 0; i < n; i++ {
-			take := int(float64(len(members)) * w[i] / sum)
-			if i == n-1 {
-				take = len(members) - pos
-			}
-			if pos+take > len(members) {
-				take = len(members) - pos
-			}
-			idxPerNode[i] = append(idxPerNode[i], members[pos:pos+take]...)
-			pos += take
-		}
-	}
-	p := make(Partition, n)
-	for i := range p {
-		p[i] = d.Subset(idxPerNode[i])
-	}
-	return p, nil
-}
-
 // WriterPartition maps the top-n writers (by sample count) to nodes,
 // reproducing the paper's FEMNIST setup: "we pick the top-256 clients with
 // the highest number of samples, and map each to a node".
@@ -135,41 +61,4 @@ func WriterPartition(writers []WriterData, n int) (Partition, error) {
 		p[i] = writers[i].Samples
 	}
 	return p, nil
-}
-
-// MinLen returns the smallest local dataset size across nodes.
-func (p Partition) MinLen() int {
-	if len(p) == 0 {
-		return 0
-	}
-	m := p[0].Len()
-	for _, d := range p[1:] {
-		if d.Len() < m {
-			m = d.Len()
-		}
-	}
-	return m
-}
-
-// TotalLen returns the sum of local dataset sizes.
-func (p Partition) TotalLen() int {
-	t := 0
-	for _, d := range p {
-		t += d.Len()
-	}
-	return t
-}
-
-// DistinctLabels returns, for each node, how many distinct labels appear in
-// its local data — the quantity Fig. 7 of the paper visualizes.
-func (p Partition) DistinctLabels() []int {
-	out := make([]int, len(p))
-	for i, d := range p {
-		seen := map[int]bool{}
-		for _, s := range d.Samples {
-			seen[s.Y] = true
-		}
-		out[i] = len(seen)
-	}
-	return out
 }

@@ -15,6 +15,28 @@ func genFor(t *testing.T, classes, train int, seed uint64) *Dataset {
 	return d
 }
 
+// totalLen is the sum of p's local dataset sizes.
+func totalLen(p Partition) int {
+	t := 0
+	for _, d := range p {
+		t += d.Len()
+	}
+	return t
+}
+
+// distinctLabels counts, per node, the distinct labels in its local data.
+func distinctLabels(p Partition) []int {
+	out := make([]int, len(p))
+	for i, d := range p {
+		seen := map[int]bool{}
+		for _, s := range d.Samples {
+			seen[s.Y] = true
+		}
+		out[i] = len(seen)
+	}
+	return out
+}
+
 func TestShardPartitionCoversAllSamples(t *testing.T) {
 	d := genFor(t, 10, 1000, 1)
 	p, err := ShardPartition(d, 16, 2, 1)
@@ -24,8 +46,8 @@ func TestShardPartitionCoversAllSamples(t *testing.T) {
 	if len(p) != 16 {
 		t.Fatalf("partition size %d", len(p))
 	}
-	if p.TotalLen() != d.Len() {
-		t.Fatalf("partition covers %d of %d samples", p.TotalLen(), d.Len())
+	if totalLen(p) != d.Len() {
+		t.Fatalf("partition covers %d of %d samples", totalLen(p), d.Len())
 	}
 	// No sample assigned twice.
 	seen := map[*float64]bool{}
@@ -49,7 +71,7 @@ func TestShardPartitionLimitsLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	atMost2 := 0
-	for _, n := range p.DistinctLabels() {
+	for _, n := range distinctLabels(p) {
 		if n > 4 {
 			t.Fatalf("node with %d distinct labels; shard partition broken", n)
 		}
@@ -85,80 +107,6 @@ func TestShardPartitionErrors(t *testing.T) {
 	}
 	if _, err := ShardPartition(d, 100, 2, 1); err == nil {
 		t.Fatal("want error for too many shards")
-	}
-}
-
-func TestIIDPartitionBalanced(t *testing.T) {
-	d := genFor(t, 10, 1000, 6)
-	p, err := IIDPartition(d, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.TotalLen() != 1000 {
-		t.Fatalf("IID covers %d", p.TotalLen())
-	}
-	for i, local := range p {
-		if local.Len() != 100 {
-			t.Fatalf("node %d has %d samples", i, local.Len())
-		}
-		// IID nodes should see most labels.
-		if n := p.DistinctLabels()[i]; n < 8 {
-			t.Fatalf("IID node %d sees only %d labels", i, n)
-		}
-	}
-}
-
-func TestIIDPartitionErrors(t *testing.T) {
-	d := genFor(t, 2, 4, 7)
-	if _, err := IIDPartition(d, 0, 1); err == nil {
-		t.Fatal("want error for n=0")
-	}
-	if _, err := IIDPartition(d, 10, 1); err == nil {
-		t.Fatal("want error for more nodes than samples")
-	}
-}
-
-func TestDirichletPartitionSkew(t *testing.T) {
-	d := genFor(t, 10, 2000, 8)
-	skewed, err := DirichletPartition(d, 10, 0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniform, err := DirichletPartition(d, 10, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := func(p Partition) float64 {
-		s := 0.0
-		for _, n := range p.DistinctLabels() {
-			s += float64(n)
-		}
-		return s / float64(len(p))
-	}
-	if mean(skewed) >= mean(uniform) {
-		t.Fatalf("alpha=0.1 gives %.1f mean labels, alpha=100 gives %.1f; skew inverted",
-			mean(skewed), mean(uniform))
-	}
-}
-
-func TestDirichletPartitionCovers(t *testing.T) {
-	d := genFor(t, 5, 500, 9)
-	p, err := DirichletPartition(d, 7, 0.5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.TotalLen() != 500 {
-		t.Fatalf("dirichlet covers %d of 500", p.TotalLen())
-	}
-}
-
-func TestDirichletPartitionErrors(t *testing.T) {
-	d := genFor(t, 2, 10, 10)
-	if _, err := DirichletPartition(d, 2, 0, 1); err == nil {
-		t.Fatal("want error for alpha=0")
-	}
-	if _, err := DirichletPartition(d, 0, 1, 1); err == nil {
-		t.Fatal("want error for n=0")
 	}
 }
 
@@ -201,21 +149,9 @@ func TestShardPartitionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return p.TotalLen() == d.Len()
+		return totalLen(p) == d.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMinLen(t *testing.T) {
-	var p Partition
-	if p.MinLen() != 0 {
-		t.Fatal("empty partition MinLen should be 0")
-	}
-	d := genFor(t, 4, 100, 13)
-	p, _ = IIDPartition(d, 4, 1)
-	if p.MinLen() != 25 {
-		t.Fatalf("MinLen = %d", p.MinLen())
 	}
 }

@@ -34,12 +34,6 @@ func (c SyntheticConfig) Validate() error {
 	return nil
 }
 
-// CIFARLike returns the default 10-class configuration standing in for
-// CIFAR-10 at simulation scale.
-func CIFARLike(seed uint64) SyntheticConfig {
-	return SyntheticConfig{Classes: 10, Dim: 32, Train: 12800, Test: 2560, Noise: 1.0, Seed: seed}
-}
-
 // FEMNISTLike returns the default 62-class configuration standing in for
 // FEMNIST at simulation scale. Samples are generated per writer via
 // GenerateWriters; this config sets the shared geometry.

@@ -73,41 +73,11 @@ func (a *Accountant) AddHarvest(node int, wh float64) {
 	a.harvestWh[node] += wh
 }
 
-// TotalHarvestedWh returns the network-wide stored harvest so far.
-func (a *Accountant) TotalHarvestedWh() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	t := 0.0
-	for _, v := range a.harvestWh {
-		t += v
-	}
-	return t
-}
-
 // NodeHarvestedWh returns node i's stored harvest so far.
 func (a *Accountant) NodeHarvestedWh(i int) float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.harvestWh[i]
-}
-
-// TotalConsumedWh returns training plus communication energy, the quantity
-// harvested energy offsets in the net-energy ledger.
-func (a *Accountant) TotalConsumedWh() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	t := 0.0
-	for i := range a.trainWh {
-		t += a.trainWh[i] + a.commWh[i]
-	}
-	return t
-}
-
-// NodeTrainingWh returns node i's training energy so far.
-func (a *Accountant) NodeTrainingWh(i int) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.trainWh[i]
 }
 
 // Budget tracks the remaining training rounds τ_i of every node in the
@@ -125,16 +95,6 @@ func NewBudget(rounds []int) *Budget {
 	rem := make([]int, len(rounds))
 	copy(rem, rounds)
 	return &Budget{remaining: rem, initial: init}
-}
-
-// BudgetFromDevices computes τ_i for every node from its assigned device,
-// workload, and battery fraction (Table 2's "Training rounds" columns).
-func BudgetFromDevices(assigned []Device, w Workload, batteryFraction float64) *Budget {
-	rounds := make([]int, len(assigned))
-	for i, d := range assigned {
-		rounds[i] = d.RoundBudget(w, batteryFraction)
-	}
-	return NewBudget(rounds)
 }
 
 // Remaining returns node i's remaining training rounds.
@@ -157,15 +117,6 @@ func (b *Budget) Consume(i int) bool {
 	}
 	b.remaining[i]--
 	return true
-}
-
-// TotalInitial returns the sum of all initial budgets.
-func (b *Budget) TotalInitial() int {
-	t := 0
-	for _, v := range b.initial {
-		t += v
-	}
-	return t
 }
 
 // Used returns the total training rounds consumed so far across all nodes —

@@ -159,10 +159,3 @@ func NetworkRoundWh(n int, devices []Device, w Workload) float64 {
 	}
 	return total
 }
-
-// WorkloadFor builds a Workload from a model's parameter count and the
-// training hyperparameters, the glue between the nn package and the energy
-// model: energy.WorkloadFor(net.ParamCount(), batch, localSteps).
-func WorkloadFor(params, batchSize, localSteps int) Workload {
-	return Workload{Params: params, BatchSize: batchSize, LocalSteps: localSteps}
-}

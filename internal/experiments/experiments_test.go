@@ -86,7 +86,7 @@ func TestFigure3GridAndEnergy(t *testing.T) {
 		{4, 2}: 1009, {4, 1}: 1208, {3, 3}: 757, {4, 3}: 864,
 	}
 	for k, wantWh := range cases {
-		got := res.EnergyCell(k[0], k[1])
+		got := energyCell(res, k[0], k[1])
 		if math.Abs(got-wantWh) > 1.5 {
 			t.Fatalf("energy cell Γt=%d Γs=%d: %.1f Wh, paper shows %.0f", k[0], k[1], got, wantWh)
 		}
@@ -95,6 +95,11 @@ func TestFigure3GridAndEnergy(t *testing.T) {
 	if res.Best[0].GammaTrain < 1 || res.Best[0].GammaTrain > 4 {
 		t.Fatalf("best cell invalid: %+v", res.Best[0])
 	}
+}
+
+// energyCell is the paper-scale energy of Figure 3's (Γt, Γs) cell.
+func energyCell(r *Figure3Result, gt, gs int) float64 {
+	return r.Grid[0][gs-1][gt-1].PaperEnergyWh
 }
 
 func TestFigure3EnergyMonotoneInGammaTrain(t *testing.T) {
@@ -107,7 +112,7 @@ func TestFigure3EnergyMonotoneInGammaTrain(t *testing.T) {
 	// Fixing Γsync, energy grows with Γtrain (paper Section 4.3).
 	for gs := 1; gs <= 4; gs++ {
 		for gt := 2; gt <= 4; gt++ {
-			if res.EnergyCell(gt, gs) <= res.EnergyCell(gt-1, gs) {
+			if energyCell(res, gt, gs) <= energyCell(res, gt-1, gs) {
 				t.Fatalf("energy not increasing in Γtrain at Γs=%d", gs)
 			}
 		}
@@ -396,33 +401,6 @@ func last(xs []float64) float64 {
 		return 0
 	}
 	return xs[len(xs)-1]
-}
-
-func TestTimeToAccuracy(t *testing.T) {
-	o := tiny()
-	o.Rounds = 32
-	res, err := Figure5(o, []int{6}, []string{"cifar"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tta := res.TimeTo(15) // well below final accuracy: must be reached
-	if len(tta) != 2 {
-		t.Fatalf("arms = %d", len(tta))
-	}
-	for _, x := range tta {
-		if x.Round <= 0 {
-			t.Fatalf("%s: round-to-15%% = %v", x.Algo, x.Round)
-		}
-		if x.Wh < 0 {
-			t.Fatalf("%s: energy-to-15%% = %v", x.Algo, x.Wh)
-		}
-	}
-	// Unreachable target: all -1.
-	for _, x := range res.TimeTo(101) {
-		if x.Round != -1 || x.Wh != -1 {
-			t.Fatal("unreachable target must report -1")
-		}
-	}
 }
 
 func TestTableHarvestScenarios(t *testing.T) {

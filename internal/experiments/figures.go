@@ -211,11 +211,6 @@ func (r *Figure3Result) render(o Options) {
 	eh.Render(o.Out)
 }
 
-// EnergyCell returns the paper-scale energy of a (Γt, Γs) cell.
-func (r *Figure3Result) EnergyCell(gt, gs int) float64 {
-	return r.Grid[0][gs-1][gt-1].PaperEnergyWh
-}
-
 // Figure4Point is one evaluated round near convergence.
 type Figure4Point struct {
 	Round   int
@@ -535,29 +530,4 @@ func Figure7(o Options) error {
 	report.DotPlot(o.Out, "Figure 7 (right): FEMNIST-like writer class distribution (classes 0-15), first 10 nodes",
 		counts(femnistPart, 16))
 	return nil
-}
-
-// TimeToAccuracy extracts, for every Figure 5 arm, the first round and the
-// first paper-scale energy at which the arm reaches the target accuracy
-// (percent). Entries are -1 when the arm never reaches it. This quantifies
-// the paper's claim that synchronization rounds accelerate convergence.
-type TimeToAccuracy struct {
-	Algo    string
-	Dataset string
-	Degree  int
-	Round   float64
-	Wh      float64
-}
-
-// TimeTo computes time-to-accuracy for all arms.
-func (r *Figure5Result) TimeTo(targetPct float64) []TimeToAccuracy {
-	var out []TimeToAccuracy
-	for _, a := range r.Arms {
-		out = append(out, TimeToAccuracy{
-			Algo: a.Algo, Dataset: a.Dataset, Degree: a.Degree,
-			Round: metrics.RoundsToTarget(a.AccVsRound.X, a.AccVsRound.Y, targetPct),
-			Wh:    metrics.RoundsToTarget(a.AccVsEnergy.X, a.AccVsEnergy.Y, targetPct),
-		})
-	}
-	return out
 }

@@ -294,8 +294,8 @@ func newGammaGrid(w *world, regimes []GammaRegime, memo *identityMemo) (*gammaGr
 
 // tuningManifest starts the manifest of Γ-tuning work — a grid's run or
 // one cell — on o and the graph: every Options field that changes the
-// computed bits, so sweep.KeyFromManifest of a finished cell manifest is
-// a safe cache key.
+// computed bits, so sweep.KeyFromBuilder of a finished cell manifest is a
+// safe cache key.
 // Deliberately excluded, because they cannot change the bits: Probe/Out
 // (telemetry is read-only), EvalEvery (tuning cells always run with
 // EvalEvery 0), and worker count (GOMAXPROCS is unhashed by design). Each
@@ -330,7 +330,7 @@ func (g *gammaGrid) cellManifest(regime GammaRegime, traceName string, gt, gs in
 
 // gridKeys derives sixteen cell keys (keys[gs-1][gt-1]) off one builder,
 // Γs re-set per row and Γt per cell: a regime's, off its cellManifest,
-// each equal KeyFromManifest(cellManifest(..., gt, gs).Build()).
+// each the config hash and revision of cellManifest(..., gt, gs).Build().
 func gridKeys(b *obs.ManifestBuilder) (keys gammaKeys) {
 	for gs := range keys {
 		b.Set("gamma_sync", strconv.Itoa(gs+1))

@@ -19,7 +19,7 @@ func cellHash(t *testing.T, o Options, degree, regimeIdx, gt, gs int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sweep.KeyFromManifest(w.cellManifest(w.regimes[regimeIdx], w.id.regimes[regimeIdx].trace, gt, gs).Build()).ConfigHash
+	return w.cellManifest(w.regimes[regimeIdx], w.id.regimes[regimeIdx].trace, gt, gs).Build().ConfigHash
 }
 
 // figure3Hash is the cache key hash of Figure 3's (Γt, Γs) cell on the
@@ -181,7 +181,8 @@ func TestRegimeKeysMatchCellManifests(t *testing.T) {
 		id := w.id.regimes[ri]
 		for gs := 1; gs <= gammaGridMax; gs++ {
 			for gt := 1; gt <= gammaGridMax; gt++ {
-				want := sweep.KeyFromManifest(w.cellManifest(regime, id.trace, gt, gs).Build())
+				m := w.cellManifest(regime, id.trace, gt, gs).Build()
+				want := sweep.CellKey{ConfigHash: m.ConfigHash, Revision: m.GitRevision}
 				if got := id.keys[gs-1][gt-1]; got != want {
 					t.Fatalf("%s Γt=%d Γs=%d: fast key %s, manifest key %s", regime.Name, gt, gs, got, want)
 				}

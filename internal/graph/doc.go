@@ -18,11 +18,9 @@
 //	W_ii = 1 - Σ_j W_ij,
 //
 // which are symmetric and doubly stochastic on any undirected graph — the
-// condition D-PSGD needs to converge. Uniform neighborhood averaging is
-// included as the ablation baseline (row-stochastic only). Weights are
-// stored row-indexed against Graph.Adj so the simulator's aggregation loop
-// reads them with no searching; CheckDoublyStochastic, CheckSymmetric, and
-// SpectralGap provide the diagnostics the ablations report.
+// condition D-PSGD needs to converge. Weights are stored row-indexed
+// against Graph.Adj so the simulator's aggregation loop reads them with no
+// searching; SpectralGap provides the diagnostic the ablations report.
 //
 // # Live sets and brown-outs
 //
@@ -30,8 +28,9 @@
 // silences the node's radio, taking every incident edge down for the
 // round. The live-set API (live.go) treats that as an induced subgraph
 // G[live] over the powered nodes: LiveDegree, MeanLiveDegree, and
-// LiveComponents describe the effective topology, and RenormalizeLive
-// rebuilds the Metropolis-Hastings matrix over G[live] — dead rows become
+// LiveComponentsScratch describe the effective topology, and
+// RenormalizeLiveTo rebuilds the Metropolis-Hastings matrix over G[live]
+// into a caller's Weights — dead rows become
 // the identity, so the matrix stays symmetric and doubly stochastic on the
 // whole index set while the live component mixes exactly as Metropolis
 // would on G[live]. The simulation engine calls it once per round when

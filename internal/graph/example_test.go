@@ -25,18 +25,19 @@ func ExampleMetropolis() {
 }
 
 // Brown out two opposite nodes of a ring: the live subgraph splits into two
-// arcs, and RenormalizeLive rebuilds Metropolis-Hastings weights over it so
-// mixing stays doubly stochastic — dead rows become the identity.
-func ExampleRenormalizeLive() {
+// arcs, and RenormalizeLiveTo rebuilds Metropolis-Hastings weights over it
+// so mixing stays doubly stochastic — dead rows become the identity.
+func ExampleRenormalizeLiveTo() {
 	g, err := graph.Ring(6)
 	if err != nil {
 		panic(err)
 	}
 	live := []bool{true, false, true, true, false, true}
-	fmt.Printf("live components: %d\n", g.LiveComponents(live))
+	fmt.Printf("live components: %d\n", g.LiveComponentsScratch(live, make([]bool, g.N), nil))
 	fmt.Printf("live degree of 0: %d\n", g.LiveDegree(live, 0))
 
-	w := graph.RenormalizeLive(g, live)
+	w := graph.NewWeights(g)
+	graph.RenormalizeLiveTo(w, g, live)
 	// Node 0 kept only the edge to node 5 (both now degree 1): weight 1/2.
 	fmt.Printf("W_01 = %.1f, W_05 = %.1f, W_00 = %.1f\n", w.Nbr[0][0], w.Nbr[0][1], w.Self[0])
 	// Dead node 1 holds its state: identity row.

@@ -39,25 +39,6 @@ func (g *Graph) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// HasEdge reports whether (i, j) is an edge.
-func (g *Graph) HasEdge(i, j int) bool {
-	for _, k := range g.Adj[i] {
-		if k == j {
-			return true
-		}
-	}
-	return false
-}
-
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, nbrs := range g.Adj {
-		total += len(nbrs)
-	}
-	return total / 2
-}
-
 // IsRegular reports whether every node has degree d.
 func (g *Graph) IsRegular(d int) bool {
 	for i := 0; i < g.N; i++ {
@@ -90,18 +71,6 @@ func (g *Graph) IsConnected() bool {
 		}
 	}
 	return count == g.N
-}
-
-// IsSymmetric reports whether every edge appears in both adjacency lists.
-func (g *Graph) IsSymmetric() bool {
-	for i := 0; i < g.N; i++ {
-		for _, j := range g.Adj[i] {
-			if !g.HasEdge(j, i) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Ring returns the cycle graph on n nodes (2-regular for n >= 3).
@@ -301,18 +270,4 @@ func insertionSort(a []int) {
 			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -48,17 +48,13 @@ func (g *Graph) MeanLiveDegree(live []bool) float64 {
 	return float64(total) / float64(count)
 }
 
-// LiveComponents counts the connected components of the induced subgraph
-// G[live]. A connected topology can fragment when brown-outs remove cut
-// nodes; each fragment then runs consensus in isolation for the round.
+// LiveComponentsScratch counts the connected components of the induced
+// subgraph G[live]. A connected topology can fragment when brown-outs remove
+// cut nodes; each fragment then runs consensus in isolation for the round.
 // Dead nodes belong to no component; zero live nodes means zero components.
-func (g *Graph) LiveComponents(live []bool) int {
-	return g.LiveComponentsScratch(live, make([]bool, g.N), make([]int, 0, g.N))
-}
-
-// LiveComponentsScratch is LiveComponents over the caller's scratch, for a
-// caller that scans every round: seen has length N and any contents, queue
-// capacity N (a node is queued at most once), so nothing is allocated.
+// A caller scans every round, so the scratch is its own: seen has length N
+// and any contents, queue capacity N (a node is queued at most once), and
+// nothing is allocated.
 func (g *Graph) LiveComponentsScratch(live, seen []bool, queue []int) int {
 	clear(seen)
 	components := 0
@@ -81,9 +77,10 @@ func (g *Graph) LiveComponentsScratch(live, seen []bool, queue []int) int {
 	return components
 }
 
-// RenormalizeLive rebuilds the Metropolis-Hastings mixing matrix over the
-// induced subgraph G[live], keeping the Weights aligned with the full
-// graph's adjacency so the aggregation loop needs no re-indexing:
+// RenormalizeLiveTo refills w, which is aligned with g (NewWeights), with
+// the Metropolis-Hastings mixing matrix over the induced subgraph G[live]
+// for a non-nil mask, keeping the Weights aligned with the full graph's
+// adjacency so the aggregation loop needs no re-indexing:
 //
 //	W_ij = 1 / (max(dlive(i), dlive(j)) + 1)  for live i, j with edge (i,j)
 //	W_ij = 0                                  when i or j is dead
@@ -92,23 +89,11 @@ func (g *Graph) LiveComponentsScratch(live, seen []bool, queue []int) int {
 //
 // where dlive is LiveDegree. The result is symmetric and row-stochastic,
 // and — because dead rows and columns reduce to the identity — doubly
-// stochastic on the whole index set, so CheckDoublyStochastic and
-// CheckSymmetric hold verbatim. On the live component this is exactly
+// stochastic on the whole index set. On the live component this is exactly
 // Metropolis applied to G[live]: consensus contracts there while dead
 // nodes hold their state, which is the drop-and-renormalize aggregation
-// rule for brown-out rounds. A nil mask returns Metropolis(g).
-func RenormalizeLive(g *Graph, live []bool) *Weights {
-	if live == nil {
-		return Metropolis(g)
-	}
-	w := NewWeights(g)
-	RenormalizeLiveTo(w, g, live)
-	return w
-}
-
-// RenormalizeLiveTo refills w, which is aligned with g (NewWeights), with
-// RenormalizeLive's matrix for a non-nil mask: every entry is overwritten,
-// so a caller renormalizing every round keeps one Weights.
+// rule for brown-out rounds. Every entry is overwritten, so a caller
+// renormalizing every round keeps one Weights.
 func RenormalizeLiveTo(w *Weights, g *Graph, live []bool) {
 	for i := 0; i < g.N; i++ {
 		row := w.Nbr[i]

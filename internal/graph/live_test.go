@@ -55,20 +55,20 @@ func TestLiveComponents(t *testing.T) {
 		{[]bool{false, false, false, false, false, false}, 0},
 	}
 	for _, c := range cases {
-		if got := ring.LiveComponents(c.live); got != c.want {
-			t.Fatalf("LiveComponents(%v) = %d, want %d", c.live, got, c.want)
+		if got := ring.LiveComponentsScratch(c.live, make([]bool, ring.N), nil); got != c.want {
+			t.Fatalf("LiveComponentsScratch(%v) = %d, want %d", c.live, got, c.want)
 		}
 	}
 }
 
 func TestRenormalizeLiveNilEqualsMetropolis(t *testing.T) {
 	g, _ := Regular(24, 4, 17)
-	mh, rn := Metropolis(g), RenormalizeLive(g, nil)
+	mh, rn := Metropolis(g), renormalizeLive(g, nil)
 	allLive := make([]bool, g.N)
 	for i := range allLive {
 		allLive[i] = true
 	}
-	rnAll := RenormalizeLive(g, allLive)
+	rnAll := renormalizeLive(g, allLive)
 	for i := 0; i < g.N; i++ {
 		if mh.Self[i] != rn.Self[i] || mh.Self[i] != rnAll.Self[i] {
 			t.Fatalf("self weight differs at %d", i)
@@ -87,7 +87,7 @@ func TestRenormalizeLiveDeadRowsIdentity(t *testing.T) {
 	for i := range live {
 		live[i] = i%3 != 0
 	}
-	w := RenormalizeLive(g, live)
+	w := renormalizeLive(g, live)
 	for i := 0; i < g.N; i++ {
 		if live[i] {
 			continue
@@ -127,7 +127,7 @@ func TestRenormalizeLiveProperty(t *testing.T) {
 		for i := range live {
 			live[i] = r.Float64() < density
 		}
-		w := RenormalizeLive(g, live)
+		w := renormalizeLive(g, live)
 		if err := w.CheckSymmetric(g, 1e-12); err != nil {
 			t.Fatalf("draw %d (n=%d d=%d): %v", draw, n, d, err)
 		}
@@ -157,10 +157,10 @@ func TestRenormalizeLiveProperty(t *testing.T) {
 	}
 }
 
-// TestLiveScansReuseCallerState pins the two per-round forms against the
-// allocating ones: one scratch pair and one Weights carried across random
-// masks give LiveComponents' count and RenormalizeLive's matrix exactly,
-// whatever the previous mask left behind, and allocate nothing.
+// TestLiveScansReuseCallerState pins the two per-round scans against fresh
+// state: one scratch pair and one Weights carried across random masks give
+// the count over fresh scratch and the matrix refilled into fresh Weights
+// exactly, whatever the previous mask left behind, and allocate nothing.
 func TestLiveScansReuseCallerState(t *testing.T) {
 	g, err := Regular(24, 4, 9)
 	if err != nil {
@@ -173,11 +173,11 @@ func TestLiveScansReuseCallerState(t *testing.T) {
 		for i := range live {
 			live[i] = r.Float64() < 0.6
 		}
-		if got, want := g.LiveComponentsScratch(live, seen, queue), g.LiveComponents(live); got != want {
+		if got, want := g.LiveComponentsScratch(live, seen, queue), g.LiveComponentsScratch(live, make([]bool, g.N), nil); got != want {
 			t.Fatalf("draw %d: %d components over reused scratch, want %d", draw, got, want)
 		}
 		RenormalizeLiveTo(w, g, live)
-		fresh := RenormalizeLive(g, live)
+		fresh := renormalizeLive(g, live)
 		for i := range fresh.Nbr {
 			if w.Self[i] != fresh.Self[i] || !slices.Equal(w.Nbr[i], fresh.Nbr[i]) {
 				t.Fatalf("draw %d: refilled row %d is %v %v, want %v %v", draw, i, w.Self[i], w.Nbr[i], fresh.Self[i], fresh.Nbr[i])

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/rng"
@@ -43,73 +42,6 @@ func Metropolis(g *Graph) *Weights {
 		w.Self[i] = 1 - sum
 	}
 	return w
-}
-
-// Uniform computes plain neighborhood averaging: W_ij = 1/(deg(i)+1) for
-// each neighbor and self. It is row-stochastic but NOT doubly stochastic on
-// irregular graphs; on regular graphs it coincides with Metropolis-Hastings.
-// Included as the ablation baseline for the mixing-matrix choice.
-func Uniform(g *Graph) *Weights {
-	w := NewWeights(g)
-	for i, row := range w.Nbr {
-		share := 1.0 / float64(g.Degree(i)+1)
-		for k := range row {
-			row[k] = share
-		}
-		w.Self[i] = share
-	}
-	return w
-}
-
-// CheckDoublyStochastic verifies that rows and columns of W sum to 1 within
-// tol and that all entries are non-negative. Column sums require the graph
-// for indexing.
-func (w *Weights) CheckDoublyStochastic(g *Graph, tol float64) error {
-	colSum := make([]float64, g.N)
-	for i := 0; i < g.N; i++ {
-		if w.Self[i] < -tol {
-			return fmt.Errorf("graph: negative self weight at %d: %v", i, w.Self[i])
-		}
-		row := w.Self[i]
-		colSum[i] += w.Self[i]
-		for k, j := range g.Adj[i] {
-			v := w.Nbr[i][k]
-			if v < -tol {
-				return fmt.Errorf("graph: negative weight (%d,%d): %v", i, j, v)
-			}
-			row += v
-			colSum[j] += v
-		}
-		if math.Abs(row-1) > tol {
-			return fmt.Errorf("graph: row %d sums to %v", i, row)
-		}
-	}
-	for j, s := range colSum {
-		if math.Abs(s-1) > tol {
-			return fmt.Errorf("graph: column %d sums to %v", j, s)
-		}
-	}
-	return nil
-}
-
-// CheckSymmetric verifies W_ij == W_ji within tol.
-func (w *Weights) CheckSymmetric(g *Graph, tol float64) error {
-	for i := 0; i < g.N; i++ {
-		for k, j := range g.Adj[i] {
-			// find i in j's adjacency
-			wji := math.NaN()
-			for k2, i2 := range g.Adj[j] {
-				if i2 == i {
-					wji = w.Nbr[j][k2]
-					break
-				}
-			}
-			if math.IsNaN(wji) || math.Abs(w.Nbr[i][k]-wji) > tol {
-				return fmt.Errorf("graph: W[%d,%d]=%v but W[%d,%d]=%v", i, j, w.Nbr[i][k], j, i, wji)
-			}
-		}
-	}
-	return nil
 }
 
 // Apply computes dst = W * src for per-node scalar values (used by the

@@ -56,7 +56,7 @@
 // takes that snapshot at the start of every round; with dead-node dropout
 // enabled (sim.Config.DropDeadNodes) the mask also silences the node's
 // edges (transport.DeadNode) and re-normalizes the mixing matrix
-// (graph.RenormalizeLive), so a brown-out affects computation and
+// (graph.RenormalizeLiveTo), so a brown-out affects computation and
 // communication alike.
 //
 // Every stochastic trace owns per-node RNG streams derived from the

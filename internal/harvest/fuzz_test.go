@@ -1,9 +1,31 @@
 package harvest
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"testing"
 )
+
+// WriteReplay writes a harvest schedule (wh[t][node]) as CSV.
+func WriteReplay(w io.Writer, wh [][]float64) error {
+	if _, err := NewReplay(wh); err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintln(bw, replayHeader); err != nil {
+		return err
+	}
+	for t, row := range wh {
+		for i, v := range row {
+			if _, err := fmt.Fprintf(bw, "%d,%d,%g\n", t, i, v); err != nil {
+				return err
+			}
+		}
+	}
+	return bw.Flush()
+}
 
 // FuzzReplayTraceCSV throws arbitrary bytes at the replay CSV parser and
 // checks the invariants that hold for anything it accepts:

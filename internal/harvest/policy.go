@@ -96,9 +96,6 @@ func (*SoCHysteresis) Name() string { return "soc-hysteresis" }
 // RequiresBattery marks the policy core.BatteryDependent.
 func (*SoCHysteresis) RequiresBattery() {}
 
-// Dormant reports whether node is currently in the dormant phase.
-func (p *SoCHysteresis) Dormant(node int) bool { return p.dormant[node] }
-
 // Reset wakes every node (core.ResettablePolicy): dormancy is run state,
 // not configuration, so a fleet rewound with Fleet.Reset needs its
 // hysteresis policy Reset too (or rebuilt) for the next run to replay the
@@ -238,41 +235,9 @@ func trainSlot(ctx core.RoundContext, k int) bool {
 	return ctx.Schedule == nil || ctx.Schedule.Kind(ctx.Round+k) == core.RoundTrain
 }
 
-// Plan solves the window's greedy knapsack and returns the per-round
-// training decisions: walking the window forward, each coordinated
-// training slot trains when the debited trajectory still survives to the
-// window's end with room for the reserve. Only plan[0] is ever executed
-// (Participate); the rest is the policy's forward view, exposed for tests
-// and introspection. Plan is read-only on the battery.
-func (p *HorizonPlan) Plan(node int, ctx core.RoundContext) []bool {
-	plan := make([]bool, len(ctx.Forecast))
-	b := ctx.Battery
-	if b == nil || len(ctx.Forecast) == 0 {
-		return plan
-	}
-	s := p.state(node, b)
-	charge := b.ChargeWh(node)
-	for k := range plan {
-		if trainSlot(ctx, k) && charge-s.cost >= s.reserve && survives(charge-s.cost, k, ctx.Forecast, s) {
-			plan[k] = true
-			charge -= s.cost
-		}
-		charge -= s.overhead
-		if charge < 0 {
-			charge = 0
-		}
-		charge += ctx.Forecast[k]
-		if charge > s.capacity {
-			charge = s.capacity
-		}
-	}
-	return plan
-}
-
 // Participate executes the plan's first decision: train now iff the round
 // is affordable above the reserve and the debited trajectory survives the
-// forecast window. Equivalent to Plan(node, ctx)[0] without materializing
-// the rest of the window.
+// forecast window. The rest of the window's plan is never materialized.
 func (p *HorizonPlan) Participate(node int, ctx core.RoundContext, _ *rng.RNG) bool {
 	b := ctx.Battery
 	if b == nil || len(ctx.Forecast) == 0 {

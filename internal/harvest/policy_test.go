@@ -112,7 +112,7 @@ func TestSoCHysteresisBand(t *testing.T) {
 	}
 	r := rng.New(2)
 	trained := 0
-	for round := 0; round < 200 && !p.Dormant(0); round++ {
+	for round := 0; round < 200 && !p.dormant[0]; round++ {
 		if p.Participate(0, fleetContext(f, round), r) {
 			trained++
 		}
@@ -120,12 +120,12 @@ func TestSoCHysteresisBand(t *testing.T) {
 	if trained == 0 {
 		t.Fatal("node never trained before going dormant")
 	}
-	if !p.Dormant(0) {
+	if !p.dormant[0] {
 		t.Fatal("draining node never went dormant")
 	}
 	// Recharge into the band but below high: still dormant.
 	f.chargeWh[0] = 0.0012 * f.capacityWh[0]
-	if p.Participate(0, fleetContext(f, 999), r) || !p.Dormant(0) {
+	if p.Participate(0, fleetContext(f, 999), r) || !p.dormant[0] {
 		t.Fatal("node inside the band must stay dormant")
 	}
 	// Recharge above high: resumes.
@@ -133,7 +133,7 @@ func TestSoCHysteresisBand(t *testing.T) {
 	if !p.Participate(0, fleetContext(f, 1000), r) {
 		t.Fatal("recharged node should resume training")
 	}
-	if p.Dormant(0) {
+	if p.dormant[0] {
 		t.Fatal("resumed node still marked dormant")
 	}
 }
@@ -445,4 +445,90 @@ func TestHorizonPlanReserveBinds(t *testing.T) {
 	if tight.Participate(0, planCtx(mk(), nil, 0, forecast), nil) {
 		t.Fatal("reserve margin did not bind")
 	}
+}
+
+// Plan solves the window's greedy knapsack and returns the per-round
+// training decisions: walking the window forward, each coordinated
+// training slot trains when the debited trajectory still survives to the
+// window's end with room for the reserve. Only plan[0] is ever executed
+// (Participate); the rest is the policy's forward view, which the tests
+// inspect. Plan is read-only on the battery.
+func (p *HorizonPlan) Plan(node int, ctx core.RoundContext) []bool {
+	plan := make([]bool, len(ctx.Forecast))
+	b := ctx.Battery
+	if b == nil || len(ctx.Forecast) == 0 {
+		return plan
+	}
+	s := p.state(node, b)
+	charge := b.ChargeWh(node)
+	for k := range plan {
+		if trainSlot(ctx, k) && charge-s.cost >= s.reserve && survives(charge-s.cost, k, ctx.Forecast, s) {
+			plan[k] = true
+			charge -= s.cost
+		}
+		charge -= s.overhead
+		if charge < 0 {
+			charge = 0
+		}
+		charge += ctx.Forecast[k]
+		if charge > s.capacity {
+			charge = s.capacity
+		}
+	}
+	return plan
+}
+
+// BenchmarkHorizonPlan measures the MPC planning hot path at fleet scale:
+// 1k nodes each solving the greedy knapsack over a 96-round forecast
+// window (an oracle window fill plus the survival-checked forward plan)
+// per iteration — the per-round planning cost a forecast-aware deployment
+// adds on top of the battery update. Plan is read-only on the battery, so
+// every iteration solves the identical problem.
+func BenchmarkHorizonPlan(b *testing.B) {
+	const (
+		nodes  = 1000
+		window = 96
+	)
+	devices := energy.AssignDevices(nodes, energy.Devices())
+	w := energy.CIFAR10Workload()
+	mean := energy.NetworkRoundWh(nodes, energy.Devices(), w) / float64(nodes)
+	trace, err := NewDiurnal(1.2*mean, 24, LongitudePhase(nodes))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fleet, err := NewFleet(devices, w, trace, Options{
+		CapacityRounds: 12, InitialSoC: 0.6, CutoffSoC: 0.2, IdleWh: 0.1 * mean,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	oracle, err := NewOracle(trace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	policy, err := NewHorizonPlan(0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	forecast := make([]float64, window)
+	planned := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for node := 0; node < nodes; node++ {
+			oracle.Forecast(node, 0, forecast)
+			ctx := core.RoundContext{Kind: core.RoundTrain, Battery: fleet, Forecast: forecast}
+			plan := policy.Plan(node, ctx)
+			for _, train := range plan {
+				if train {
+					planned++
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	if planned == 0 {
+		b.Fatal("planner never scheduled a training round")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/plan")
 }

@@ -10,8 +10,7 @@ import (
 
 // Replay I/O: harvest schedules travel as long-form CSV so recorded ambient
 // traces (solar logs, RF measurements) can be shipped, inspected, and
-// replayed — the same interchange role energy/traceio.go plays for device
-// profiles.
+// replayed.
 //
 // Format (header required, rows in any order, every (round, node) cell of
 // the rectangle exactly once):
@@ -21,25 +20,6 @@ import (
 //	0,1,0
 
 const replayHeader = "round,node,harvest_wh"
-
-// WriteReplay writes a harvest schedule (wh[t][node]) as CSV.
-func WriteReplay(w io.Writer, wh [][]float64) error {
-	if _, err := NewReplay(wh); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, replayHeader); err != nil {
-		return err
-	}
-	for t, row := range wh {
-		for i, v := range row {
-			if _, err := fmt.Fprintf(bw, "%d,%d,%g\n", t, i, v); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
 
 // ReadReplay parses a harvest schedule from CSV, validating that the rounds
 // and nodes form a complete rectangle with no duplicate cells.

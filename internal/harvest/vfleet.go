@@ -75,9 +75,6 @@ func (f *VFleet) RoundSeconds() float64 { return f.roundSec }
 // TraceRound returns the trace round in effect at virtual second t.
 func (f *VFleet) TraceRound(t float64) int { return int(t / f.roundSec) }
 
-// Clock returns node i's virtual-time cursor in seconds.
-func (f *VFleet) Clock(i int) float64 { return f.clock[i] }
-
 // CommCostWh returns node i's per-gossip communication lump — what
 // TrySync spends.
 func (f *VFleet) CommCostWh(i int) float64 { return f.commWh[i] }
@@ -101,10 +98,6 @@ func (f *VFleet) TryTrain(i int) bool {
 	f.pending[i] = ok
 	return ok
 }
-
-// Pending reports whether node i has an admitted, unrealized training
-// step.
-func (f *VFleet) Pending(i int) bool { return f.pending[i] }
 
 // ClearPending withdraws an admitted training step that the engine
 // decided not to run (e.g. the schedule made the step gossip-only after a

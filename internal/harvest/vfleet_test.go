@@ -68,7 +68,7 @@ func TestVFleetTrainStepBrownsOutMidStep(t *testing.T) {
 		if !f.TryTrain(i) {
 			t.Fatalf("step %d should be affordable", step)
 		}
-		end := f.Clock(i) + 5
+		end := f.clock[i] + 5
 		stop, browned := f.TrainStep(i, end)
 		if browned || stop != end {
 			t.Fatalf("step %d browned early at %v", step, stop)
@@ -116,7 +116,7 @@ func TestVFleetTrainStepAbortsAtCrossing(t *testing.T) {
 			t.Fatalf("unexpected brown-out at %v", stop)
 		}
 	}
-	if f.Pending(i) {
+	if f.pending[i] {
 		t.Fatal("pending flag survived TrainStep")
 	}
 }
@@ -143,7 +143,7 @@ func TestVFleetScanAffordWake(t *testing.T) {
 		t.Fatalf("wake %v inside short deadline, want +Inf", wake)
 	}
 	// The scan is pure: state untouched.
-	if f.Clock(i) != 0 || f.ChargeWh(i) != 0 {
+	if f.clock[i] != 0 || f.ChargeWh(i) != 0 {
 		t.Fatal("ScanAfford mutated battery state")
 	}
 }
@@ -195,18 +195,18 @@ func TestVFleetScanAffordMatchesRun(t *testing.T) {
 func TestVFleetPendingLifecycle(t *testing.T) {
 	f := vfleetFixture(t, Constant{Wh: 0}, Options{CapacityRounds: 8, InitialSoC: 1}, 10)
 	i := 0
-	if f.Pending(i) {
+	if f.pending[i] {
 		t.Fatal("fresh fleet has pending step")
 	}
 	if !f.TryTrain(i) {
 		t.Fatal("admission failed")
 	}
-	if !f.Pending(i) || !f.TryTrain(i) {
+	if !f.pending[i] || !f.TryTrain(i) {
 		t.Fatal("re-admission of pending step failed")
 	}
 	charge := f.ChargeWh(i)
 	f.ClearPending(i)
-	if f.Pending(i) || f.ChargeWh(i) != charge {
+	if f.pending[i] || f.ChargeWh(i) != charge {
 		t.Fatal("ClearPending leaked state or energy")
 	}
 	defer func() {
@@ -224,12 +224,12 @@ func TestVFleetAdvanceAllSkipsFutureClocks(t *testing.T) {
 	f.AdvanceNode(0, 50)
 	c0 := f.ChargeWh(0)
 	f.AdvanceAll(30)
-	if f.Clock(0) != 50 || f.ChargeWh(0) != c0 {
+	if f.clock[0] != 50 || f.ChargeWh(0) != c0 {
 		t.Fatal("AdvanceAll touched a node with a future clock")
 	}
 	for i := 1; i < f.Nodes(); i++ {
-		if f.Clock(i) != 30 {
-			t.Fatalf("node %d clock %v, want 30", i, f.Clock(i))
+		if f.clock[i] != 30 {
+			t.Fatalf("node %d clock %v, want 30", i, f.clock[i])
 		}
 	}
 }

@@ -200,14 +200,14 @@ func TestBatteryAdvanceTo(t *testing.T) {
 	if stored, drained := f.harvested[0], f.consumed[0]; math.Abs(stored-4) > 1e-12 || math.Abs(drained-2) > 1e-12 {
 		t.Fatalf("stored %v drained %v, want 4, 2", stored, drained)
 	}
-	if math.Abs(f.ChargeWh(0)-7) > 1e-12 || f.Clock(0) != 4 {
-		t.Fatalf("charge %v clock %v, want 7, 4", f.ChargeWh(0), f.Clock(0))
+	if math.Abs(f.ChargeWh(0)-7) > 1e-12 || f.clock[0] != 4 {
+		t.Fatalf("charge %v clock %v, want 7, 4", f.ChargeWh(0), f.clock[0])
 	}
 	// Time at or before the clock is a no-op.
 	f.settle(0, 4, 1, 1)
 	f.settle(0, 3, 1, 1)
-	if f.harvested[0] != 4 || f.consumed[0] != 2 || f.wasted[0] != 0 || f.Clock(0) != 4 {
-		t.Fatalf("no-op advance moved energy or time: %v, %v, %v, clock %v", f.harvested[0], f.consumed[0], f.wasted[0], f.Clock(0))
+	if f.harvested[0] != 4 || f.consumed[0] != 2 || f.wasted[0] != 0 || f.clock[0] != 4 {
+		t.Fatalf("no-op advance moved energy or time: %v, %v, %v, clock %v", f.harvested[0], f.consumed[0], f.wasted[0], f.clock[0])
 	}
 	// Harvest clamps at capacity: 7 + 10·1 caps at 10, 7 wasted.
 	f.settle(0, 14, 1.0, 0)

@@ -40,35 +40,3 @@ func ConsensusDistance(models []tensor.Vector) float64 {
 	}
 	return total / float64(len(models))
 }
-
-// Argmax returns the index of the maximum value (lowest index on ties).
-func Argmax(xs []float64) int {
-	best, bi := math.Inf(-1), -1
-	for i, x := range xs {
-		if x > best {
-			best, bi = x, i
-		}
-	}
-	return bi
-}
-
-// Last returns the final element of xs, or 0 when empty.
-func Last(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return xs[len(xs)-1]
-}
-
-// RoundsToTarget returns the first x-value at which ys reaches target
-// (series sorted by xs ascending), or -1 if it never does. Used for the
-// time-to-accuracy readings behind the paper's "boosted convergence speed"
-// claim: e.g. the round or Wh at which a curve first crosses 60%.
-func RoundsToTarget(xs, ys []float64, target float64) float64 {
-	for i := range ys {
-		if ys[i] >= target {
-			return xs[i]
-		}
-	}
-	return -1
-}

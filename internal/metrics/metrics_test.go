@@ -51,38 +51,3 @@ func TestConsensusDistanceEmpty(t *testing.T) {
 		t.Fatal("empty consensus distance should be 0")
 	}
 }
-
-func TestArgmax(t *testing.T) {
-	if Argmax([]float64{1, 3, 2}) != 1 {
-		t.Fatal("Argmax wrong")
-	}
-	if Argmax([]float64{3, 3}) != 0 {
-		t.Fatal("Argmax tie should pick lowest")
-	}
-	if Argmax(nil) != -1 {
-		t.Fatal("Argmax of empty should be -1")
-	}
-}
-
-func TestLast(t *testing.T) {
-	if Last([]float64{1, 2, 3}) != 3 || Last(nil) != 0 {
-		t.Fatal("Last wrong")
-	}
-}
-
-func TestRoundsToTarget(t *testing.T) {
-	xs := []float64{10, 20, 30}
-	ys := []float64{0.4, 0.6, 0.8}
-	if got := RoundsToTarget(xs, ys, 0.6); got != 20 {
-		t.Fatalf("RoundsToTarget = %v", got)
-	}
-	if got := RoundsToTarget(xs, ys, 0.9); got != -1 {
-		t.Fatalf("unreachable target = %v", got)
-	}
-	if got := RoundsToTarget(xs, ys, 0.1); got != 10 {
-		t.Fatalf("already-met target = %v", got)
-	}
-	if got := RoundsToTarget(nil, nil, 0.5); got != -1 {
-		t.Fatal("empty series should be -1")
-	}
-}

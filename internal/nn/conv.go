@@ -48,9 +48,6 @@ func (l *Conv2D) InSize() int   { return l.inC * l.inH * l.inW }
 func (l *Conv2D) OutSize() int  { return l.outC * l.outH * l.outW }
 func (l *Conv2D) noLayerBelow() { l.first = true }
 
-// OutShape returns the output (channels, height, width).
-func (l *Conv2D) OutShape() (c, h, w int) { return l.outC, l.outH, l.outW }
-
 func (l *Conv2D) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("Conv2D", len(in), l.InSize())
 	copy(l.lastIn, in)
@@ -176,9 +173,6 @@ func NewMaxPool2D(c, inH, inW, win int) *MaxPool2D {
 
 func (l *MaxPool2D) InSize() int  { return l.c * l.inH * l.inW }
 func (l *MaxPool2D) OutSize() int { return l.c * l.outH * l.outW }
-
-// OutShape returns the output (channels, height, width).
-func (l *MaxPool2D) OutShape() (c, h, w int) { return l.c, l.outH, l.outW }
 
 func (l *MaxPool2D) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("MaxPool2D", len(in), l.InSize())

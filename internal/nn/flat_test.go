@@ -27,7 +27,7 @@ func stepOnce(net *Network) {
 func savedBytes(t *testing.T, net *Network) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := net.SaveParams(&buf); err != nil {
+	if err := WriteVector(&buf, net.Params()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -55,7 +55,7 @@ func blocks(net *Network) [][]float64 {
 
 // TestNetworkFlatViews pins the flat layout: every layer's parameters are
 // windows of Network.Params in checkpoint order, a SetParams is visible
-// in each of them, and the bytes SaveParams writes — at initialisation and
+// in each of them, and the bytes WriteVector writes — at initialisation and
 // after a training step — are the ones the per-layer implementation wrote
 // (digests recorded at commit 968df6c, before the layout changed).
 func TestNetworkFlatViews(t *testing.T) {
@@ -126,9 +126,11 @@ func TestFlatLayoutLoadsOldParameterFile(t *testing.T) {
 			NewDense(4*2*2, 4, true, r))
 	}
 	loaded := build(1)
-	if err := loaded.LoadParams(bytes.NewReader(old)); err != nil {
+	params, err := ReadVector(bytes.NewReader(old))
+	if err != nil {
 		t.Fatal(err)
 	}
+	loaded.SetParams(params)
 	if !bytes.Equal(savedBytes(t, loaded), old) {
 		t.Fatal("old parameter file does not round-trip through the flat layout")
 	}
@@ -139,21 +141,34 @@ func TestFlatLayoutLoadsOldParameterFile(t *testing.T) {
 	}
 }
 
-// The steady-state model traffic allocates nothing: a train step with
-// either update rule, and the two whole-model copies.
+func toyBatch(r *rng.RNG, dim, classes, n int) ([]tensor.Vector, []int) {
+	xs := make([]tensor.Vector, n)
+	ys := make([]int, n)
+	for i := range xs {
+		xs[i] = tensor.NewVector(dim)
+		for j := range xs[i] {
+			xs[i][j] = r.NormFloat64()
+		}
+		if xs[i][0] > 0 {
+			ys[i] = 1
+		}
+	}
+	return xs, ys
+}
+
+// The steady-state model traffic allocates nothing: a train step and the
+// two whole-model copies.
 func TestModelTrafficAllocatesNothing(t *testing.T) {
 	r := rng.New(3)
 	xs, ys := toyBatch(r, 8, 3, 4)
 	net := MLP(8, []int{16}, 3, rng.New(4))
-	opt := NewMomentumSGD(0.05, 0.9, true)
 	buf := tensor.NewVector(net.ParamCount())
 	for name, fn := range map[string]func(){
-		"TrainBatch":     func() { net.TrainBatch(xs, ys, 0.05) },
-		"TrainBatchWith": func() { net.TrainBatchWith(opt, xs, ys) },
-		"CopyParamsTo":   func() { net.CopyParamsTo(buf) },
-		"SetParams":      func() { net.SetParams(buf) },
+		"TrainBatch":   func() { net.TrainBatch(xs, ys, 0.05) },
+		"CopyParamsTo": func() { net.CopyParamsTo(buf) },
+		"SetParams":    func() { net.SetParams(buf) },
 	} {
-		fn() // warm-up: the optimizer sizes its velocity on first use
+		fn() // warm-up: the first train step allocates the gradient vector
 		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
 			t.Errorf("%s allocates %v objects per call", name, allocs)
 		}
@@ -169,7 +184,7 @@ func sameBits(a, b tensor.Vector) bool {
 var testNets = map[string]func(seed uint64) *Network{
 	"logreg":   func(s uint64) *Network { return LogisticRegression(32, 10, rng.New(s)) },
 	"mlp":      func(s uint64) *Network { return MLP(32, []int{64}, 10, rng.New(s)) },
-	"smallcnn": func(s uint64) *Network { return SmallCNN(2, 4, 4, 10, rng.New(s)) },
+	"smallcnn": func(s uint64) *Network { return smallCNN(2, 4, 4, 10, rng.New(s)) },
 	"conv-gn": func(s uint64) *Network {
 		r := rng.New(s)
 		return New(NewConv2D(2, 4, 4, 4, 3, 3, 1, r), NewGroupNorm(4, 4, 4, 2), NewReLU(4*4*4), NewDense(4*4*4, 10, true, r))
@@ -280,54 +295,43 @@ func TestMixInPlace(t *testing.T) {
 	}
 }
 
-// trainSteps runs three plain and three Nesterov-momentum steps and returns
-// the momentum steps' losses.
-func trainSteps(net *Network, opt Optimizer, xs []tensor.Vector, ys []int) (losses [3]float64) {
+// trainSteps runs three train steps and returns the loss each started from,
+// which the gradient accumulation that computes it reports.
+func trainSteps(net *Network, xs []tensor.Vector, ys []int) (losses [3]float64) {
 	for k := range losses {
+		losses[k] = net.accumulate(xs, ys, true)
 		net.TrainBatch(xs, ys, 0.05)
-		losses[k] = net.TrainBatchWith(opt, xs, ys)
 	}
 	return losses
 }
 
 // TestLentGradsMatchOwned: New allocates no gradient vector; a network
 // trains into one it was lent, or into its own from the first accumulation
-// on, to the same bits under both update rules; two networks taking turns
-// on one lent vector match two that each own theirs; lending allocates
-// nothing; and an optimizer step before any accumulation says so.
+// on, to the same bits; two networks taking turns on one lent vector match
+// two that each own theirs; and lending allocates nothing.
 func TestLentGradsMatchOwned(t *testing.T) {
 	for name, build := range testNets {
 		t.Run(name, func(t *testing.T) {
 			xs, ys := toyBatch(rng.New(5), 32, 10, 6)
-			momentum := func() Optimizer { return NewMomentumSGD(0.05, 0.9, true) }
 			ownA, ownB, lentA, lentB := build(7), build(8), build(7), build(8)
 			if ownA.grads != nil {
 				t.Fatal("New allocated a gradient vector")
 			}
-			func() {
-				defer func() {
-					if msg, _ := recover().(string); msg != "nn: SGD step on a network that has accumulated no gradients" {
-						t.Errorf("SGD.Step before any accumulation: recovered %q", msg)
-					}
-				}()
-				NewSGD(0.05).Step(ownA, 1)
-			}()
 
 			g := tensor.NewVector(ownA.ParamCount())
 			lentA.LendGrads(g)
-			if trainSteps(ownA, momentum(), xs, ys) != trainSteps(lentA, momentum(), xs, ys) || !sameBits(ownA.Params(), lentA.Params()) {
+			if trainSteps(ownA, xs, ys) != trainSteps(lentA, xs, ys) || !sameBits(ownA.Params(), lentA.Params()) {
 				t.Fatal("training into a lent gradient vector differs from training into an owned one")
 			}
 			if len(ownA.grads) != ownA.ParamCount() || &lentA.grads[0] != &g[0] {
 				t.Fatal("the owning network has no gradient vector of its own, or the lent one is not in use")
 			}
 
-			optOwnA, optOwnB, optLentA, optLentB := momentum(), momentum(), momentum(), momentum()
 			for turn := 0; turn < 3; turn++ {
 				lentA.LendGrads(g)
-				la, oa := trainSteps(lentA, optLentA, xs, ys), trainSteps(ownA, optOwnA, xs, ys)
+				la, oa := trainSteps(lentA, xs, ys), trainSteps(ownA, xs, ys)
 				lentB.LendGrads(g)
-				lb, ob := trainSteps(lentB, optLentB, xs, ys), trainSteps(ownB, optOwnB, xs, ys)
+				lb, ob := trainSteps(lentB, xs, ys), trainSteps(ownB, xs, ys)
 				if la != oa || lb != ob || !sameBits(lentA.Params(), ownA.Params()) || !sameBits(lentB.Params(), ownB.Params()) {
 					t.Fatalf("turn %d: two networks sharing one lent vector differ from two owning theirs", turn)
 				}

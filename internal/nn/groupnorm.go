@@ -58,7 +58,11 @@ func (l *GroupNorm) Forward(in tensor.Vector) tensor.Vector {
 		lo := g * m
 		hi := lo + m
 		seg := in[lo:hi]
-		mean := tensor.Mean(seg)
+		mean := 0.0
+		for _, x := range seg {
+			mean += x
+		}
+		mean /= float64(m)
 		varSum := 0.0
 		for _, x := range seg {
 			d := x - mean
@@ -121,7 +125,9 @@ func (l *GroupNorm) ParamSize() int { return 2 * l.c }
 
 func (l *GroupNorm) Bind(params tensor.Vector) {
 	l.gamma, l.beta = params[:l.c], params[l.c:]
-	l.gamma.Fill(1)
+	for i := range l.gamma {
+		l.gamma[i] = 1
+	}
 }
 
 func (l *GroupNorm) bindGrads(grads tensor.Vector) { l.gGamma, l.gBeta = grads[:l.c], grads[l.c:] }

@@ -17,7 +17,7 @@
 // then B, GroupNorm gamma then beta), and the layer draws its initial
 // weights there — so the constructors' RNG is consumed by New, in layer
 // order. That vector is the model x_i the nodes exchange and every
-// checkpoint stores, so CopyParamsTo, SetParams and the optimizers are one
+// checkpoint stores, so CopyParamsTo, SetParams and the SGD update are one
 // pass over one slice, and a write through SetParams is at once visible to
 // every layer. Only nn writes it — TrainBatch, SetParams and Mix, which
 // averages neighborhoods in place — whereas Params hands out the same
@@ -106,55 +106,6 @@ func (l *ReLU) Backward(dOut tensor.Vector) tensor.Vector {
 		}
 	}
 	return l.dIn
-}
-
-// Tanh applies the hyperbolic tangent element-wise.
-type Tanh struct {
-	stateless
-	n   int
-	out tensor.Vector
-	dIn tensor.Vector
-}
-
-// NewTanh returns a Tanh over vectors of length n.
-func NewTanh(n int) *Tanh {
-	return &Tanh{n: n, out: tensor.NewVector(n), dIn: tensor.NewVector(n)}
-}
-
-func (l *Tanh) InSize() int  { return l.n }
-func (l *Tanh) OutSize() int { return l.n }
-
-func (l *Tanh) Forward(in tensor.Vector) tensor.Vector {
-	checkSize("Tanh", len(in), l.n)
-	for i, x := range in {
-		l.out[i] = tanh(x)
-	}
-	return l.out
-}
-
-func (l *Tanh) Backward(dOut tensor.Vector) tensor.Vector {
-	checkSize("Tanh", len(dOut), l.n)
-	for i, d := range dOut {
-		y := l.out[i]
-		l.dIn[i] = d * (1 - y*y)
-	}
-	return l.dIn
-}
-
-func tanh(x float64) float64 {
-	// Stable formulation: tanh(x) = sign(x) * (1 - e) / (1 + e), e = exp(-2|x|).
-	if x > 20 {
-		return 1
-	}
-	if x < -20 {
-		return -1
-	}
-	e := exp(-2 * abs(x))
-	t := (1 - e) / (1 + e)
-	if x < 0 {
-		return -t
-	}
-	return t
 }
 
 func checkSize(layer string, got, want int) {

@@ -6,10 +6,12 @@ import "repro/internal/rng"
 //
 //  1. Paper-exact architectures whose parameter counts match Table 1 of the
 //     paper bit-for-bit: CIFARGNLeNet (89,834) and FEMNISTCNN (1,690,046).
-//     These drive the energy model and can be trained (slowly) end to end.
-//  2. Scaled-down models (logistic regression, MLP, SmallCNN) used by the
-//     simulator so that 256-node experiments run on CPU-only machines while
-//     preserving the paper's learning dynamics (see README.md).
+//     They can be trained (slowly) end to end; no experiment runs them until
+//     real CIFAR-10/FEMNIST data is available. The energy model's workloads
+//     are the constants energy.CIFAR10Workload and energy.FEMNISTWorkload.
+//  2. Scaled-down models (logistic regression, MLP) used by the simulator so
+//     that 256-node experiments run on CPU-only machines while preserving
+//     the paper's learning dynamics (see README.md).
 
 // CIFARGNLeNet builds DecentralizePy's GN-LeNet for 3x32x32 inputs and 10
 // classes: three 5x5 convolutions (32, 32, 64 channels, padding 2), each
@@ -73,16 +75,4 @@ func MLP(dim int, hidden []int, classes int, r *rng.RNG) *Network {
 	n := New(append(layers, out)...)
 	xavierInit(out.W.Data, in, classes, r) // out is the last layer New drew for
 	return n
-}
-
-// SmallCNN builds a compact convolutional model for c x h x w inputs:
-// conv(8 channels, 3x3, pad 1) + ReLU + 2x2 pool + linear classifier.
-// It exercises the full conv/pool/backprop path at simulation-friendly cost.
-func SmallCNN(c, h, w, classes int, r *rng.RNG) *Network {
-	conv := NewConv2D(c, h, w, 8, 3, 3, 1, r)
-	relu := NewReLU(8 * h * w)
-	pool := NewMaxPool2D(8, h, w, 2)
-	pc, ph, pw := pool.OutShape()
-	fc := NewDense(pc*ph*pw, classes, true, r)
-	return New(conv, relu, pool, fc)
 }

@@ -46,7 +46,7 @@ func TestPaperModelsForwardBackward(t *testing.T) {
 			x[i] = r.NormFloat64()
 		}
 		xs, ys := []tensor.Vector{x}, []int{1}
-		loss := net.Loss(xs, ys)
+		loss := net.accumulate(xs, ys, true)
 		net.TrainBatch(xs, ys, 0.01)
 		if loss <= 0 || loss != loss {
 			t.Fatalf("%s: implausible loss %v", name, loss)
@@ -76,9 +76,20 @@ func TestMLPNoHidden(t *testing.T) {
 	}
 }
 
+// smallCNN builds a compact convolutional model for c x h x w inputs:
+// conv(8 channels, 3x3, pad 1) + ReLU + 2x2 pool + linear classifier. It
+// exercises the full conv/pool/backprop path at test-friendly cost.
+func smallCNN(c, h, w, classes int, r *rng.RNG) *Network {
+	conv := NewConv2D(c, h, w, 8, 3, 3, 1, r)
+	relu := NewReLU(8 * h * w)
+	pool := NewMaxPool2D(8, h, w, 2)
+	fc := NewDense(pool.OutSize(), classes, true, r)
+	return New(conv, relu, pool, fc)
+}
+
 func TestSmallCNNTrains(t *testing.T) {
 	r := rng.New(8)
-	net := SmallCNN(1, 8, 8, 2, r)
+	net := smallCNN(1, 8, 8, 2, r)
 	var xs []tensor.Vector
 	var ys []int
 	// Class 0: bright top half. Class 1: bright bottom half.

@@ -9,7 +9,6 @@ import (
 
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 func exp(x float64) float64  { return math.Exp(x) }
-func abs(x float64) float64  { return math.Abs(x) }
 
 // Network is an ordered stack of layers trained with softmax cross-entropy,
 // exactly the loss/optimizer combination of the paper (SGD + Cross-Entropy,
@@ -196,22 +195,32 @@ func softmaxGrad(logits tensor.Vector, label int, dLogits tensor.Vector) float64
 
 // TrainBatch performs one SGD step on a mini-batch: it accumulates gradients
 // of the mean cross-entropy over the batch and applies params -= lr * grad.
-// It computes no loss (see Loss). This is one inner iteration of Algorithm
-// 1, lines 5-6.
+// It computes no loss. This is one inner iteration of Algorithm 1, lines 5-6.
 func (n *Network) TrainBatch(xs []tensor.Vector, ys []int, lr float64) {
 	n.accumulate(xs, ys, false)
 	tensor.AXPY(n.params, -lr/float64(len(xs)), n.grads)
 }
 
-// Loss returns the mean cross-entropy of the network on the given samples
-// without updating parameters.
-func (n *Network) Loss(xs []tensor.Vector, ys []int) float64 {
-	if len(xs) == 0 {
-		return 0
+// accumulate zeroes the gradient vector (a lent one holds another network's
+// gradients), then accumulates dLoss/dTheta summed over the batch (not
+// averaged). With withLoss it returns the mean loss; without, it skips the
+// one logarithm per sample the loss costs and returns 0.
+func (n *Network) accumulate(xs []tensor.Vector, ys []int, withLoss bool) float64 {
+	if len(xs) == 0 || len(xs) != len(ys) {
+		panic(fmt.Sprintf("nn: bad batch: %d inputs, %d labels", len(xs), len(ys)))
 	}
+	n.ZeroGrads()
 	total := 0.0
 	for i, x := range xs {
-		total += SoftmaxCrossEntropy(n.Forward(x), ys[i], n.probs)
+		if withLoss {
+			total += SoftmaxCrossEntropy(n.Forward(x), ys[i], n.probs)
+		} else {
+			softmaxGrad(n.Forward(x), ys[i], n.probs)
+		}
+		d := n.probs
+		for j := len(n.layers) - 1; j >= 0; j-- {
+			d = n.layers[j].Backward(d)
+		}
 	}
 	return total / float64(len(xs))
 }

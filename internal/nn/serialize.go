@@ -18,10 +18,10 @@ import (
 //	params   count * 8 bytes
 //	crc32    uint32  IEEE checksum of the params bytes
 //
-// Only parameters are stored — architecture is code, so loading validates
-// the parameter count against the receiving network. The vector-level codec
-// (WriteVector/ReadVector) is shared with internal/checkpoint, whose stores
-// persist brown-out snapshots in the same format.
+// Only parameters are stored — architecture is code, so the reader validates
+// the parameter count against the receiving network (Network.Params is the
+// vector to write, SetParams takes the one read). internal/checkpoint's
+// stores persist brown-out snapshots in this format.
 
 const (
 	checkpointMagic   = 0x534b5054
@@ -93,21 +93,4 @@ func ReadVector(r io.Reader) (tensor.Vector, error) {
 		params[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	return params, nil
-}
-
-// SaveParams writes the network's parameters as a checkpoint to w.
-func (n *Network) SaveParams(w io.Writer) error { return WriteVector(w, n.params) }
-
-// LoadParams reads a checkpoint from r into the network. The parameter
-// count must match the network exactly and the checksum must verify.
-func (n *Network) LoadParams(r io.Reader) error {
-	params, err := ReadVector(r)
-	if err != nil {
-		return err
-	}
-	if len(params) != n.ParamCount() {
-		return fmt.Errorf("nn: checkpoint has %d params, network has %d", len(params), n.ParamCount())
-	}
-	n.SetParams(params)
-	return nil
 }

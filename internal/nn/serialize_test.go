@@ -8,16 +8,24 @@ import (
 	"repro/internal/tensor"
 )
 
+// saved is net's parameter vector written as a checkpoint.
+func saved(t *testing.T, net *Network) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteVector(&buf, net.Params()); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	src := MLP(6, []int{10}, 4, rng.New(1))
-	var buf bytes.Buffer
-	if err := src.SaveParams(&buf); err != nil {
+	params, err := ReadVector(saved(t, src))
+	if err != nil {
 		t.Fatal(err)
 	}
 	dst := MLP(6, []int{10}, 4, rng.New(99)) // different init
-	if err := dst.LoadParams(&buf); err != nil {
-		t.Fatal(err)
-	}
+	dst.SetParams(params)
 	ps := tensor.NewVector(src.ParamCount())
 	pd := tensor.NewVector(dst.ParamCount())
 	src.CopyParamsTo(ps)
@@ -37,27 +45,26 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// A checkpoint carries no architecture: the receiving network refuses a
+// parameter vector of another length.
 func TestCheckpointWrongArchitecture(t *testing.T) {
-	src := LogisticRegression(4, 3, rng.New(2))
-	var buf bytes.Buffer
-	if err := src.SaveParams(&buf); err != nil {
+	params, err := ReadVector(saved(t, LogisticRegression(4, 3, rng.New(2))))
+	if err != nil {
 		t.Fatal(err)
 	}
 	dst := LogisticRegression(5, 3, rng.New(3))
-	if err := dst.LoadParams(&buf); err == nil {
-		t.Fatal("mismatched parameter count must be rejected")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched parameter count must be rejected")
+		}
+	}()
+	dst.SetParams(params)
 }
 
 func TestCheckpointCorruption(t *testing.T) {
-	src := LogisticRegression(4, 3, rng.New(4))
-	var buf bytes.Buffer
-	if err := src.SaveParams(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := saved(t, LogisticRegression(4, 3, rng.New(4))).Bytes()
 	data[20] ^= 0xff // flip a param byte
-	if err := src.LoadParams(bytes.NewReader(data)); err == nil {
+	if _, err := ReadVector(bytes.NewReader(data)); err == nil {
 		t.Fatal("corrupted checkpoint must fail the crc")
 	}
 }
@@ -66,12 +73,7 @@ func TestCheckpointCorruption(t *testing.T) {
 // a corrupted count must surface as an error before any allocation — never
 // as a giant make() panic or OOM.
 func TestCheckpointImplausibleCount(t *testing.T) {
-	net := LogisticRegression(2, 2, rng.New(6))
-	var buf bytes.Buffer
-	if err := net.SaveParams(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := saved(t, LogisticRegression(2, 2, rng.New(6))).Bytes()
 	for i := 8; i < 16; i++ {
 		data[i] = 0xff // count = 2^64 - 1
 	}
@@ -81,18 +83,14 @@ func TestCheckpointImplausibleCount(t *testing.T) {
 }
 
 func TestCheckpointBadMagicAndTruncation(t *testing.T) {
-	net := LogisticRegression(2, 2, rng.New(5))
-	if err := net.LoadParams(bytes.NewReader([]byte("notacheckpoint!!"))); err == nil {
+	if _, err := ReadVector(bytes.NewReader([]byte("notacheckpoint!!"))); err == nil {
 		t.Fatal("bad magic must fail")
 	}
-	var buf bytes.Buffer
-	if err := net.SaveParams(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.LoadParams(bytes.NewReader(buf.Bytes()[:10])); err == nil {
+	data := saved(t, LogisticRegression(2, 2, rng.New(5))).Bytes()
+	if _, err := ReadVector(bytes.NewReader(data[:10])); err == nil {
 		t.Fatal("truncated header must fail")
 	}
-	if err := net.LoadParams(bytes.NewReader(buf.Bytes()[:buf.Len()-6])); err == nil {
+	if _, err := ReadVector(bytes.NewReader(data[:len(data)-6])); err == nil {
 		t.Fatal("truncated body must fail")
 	}
 }

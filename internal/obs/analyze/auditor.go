@@ -90,7 +90,7 @@ const maxViolations = 64
 
 // Auditor is an obs.Sink that checks streaming invariants as events
 // arrive — attach it live (harvestsim -audit) or replay a JSONL file
-// through it offline (AuditReader, `obstool report`). It is tolerant of
+// through it offline (ReadEvents, `obstool report`). It is tolerant of
 // every emitting engine's stream shape: runs without rounds (async, the
 // grid runner), multiple run_start/run_end segments in one stream (the
 // grid runner emits one per regime), and rounds without energy fields
@@ -343,19 +343,6 @@ func (a *Auditor) Summary() string {
 		fmt.Fprintf(&b, "  ... and %d more\n", a.overflow)
 	}
 	return b.String()
-}
-
-// AuditReader replays a JSONL event stream through a fresh Auditor. The
-// returned error covers stream-level problems only (unreadable input,
-// lines that are not JSON events); invariant breaches are in the
-// auditor's Violations.
-func AuditReader(r io.Reader) (*Auditor, error) {
-	a := NewAuditor()
-	if err := feedEvents(r, a.Emit); err != nil {
-		return a, err
-	}
-	a.Close()
-	return a, nil
 }
 
 // ReadEvents decodes a whole JSONL stream into memory — for callers that

@@ -385,21 +385,26 @@ func TestAuditorViolationCap(t *testing.T) {
 	}
 }
 
-// AuditReader must reject malformed JSONL but collect violations from
-// well-formed corrupt streams.
+// Auditing a JSONL stream, as obstool report does, must reject malformed
+// JSONL but collect violations from well-formed corrupt streams.
 func TestAuditReader(t *testing.T) {
-	if _, err := AuditReader(strings.NewReader("{not json\n")); err == nil {
+	if _, err := ReadEvents(strings.NewReader("{not json\n")); err == nil {
 		t.Fatal("malformed JSONL accepted")
 	}
 	jsonl := `{"kind":"run_start","round":-1,"node":-1,"manifest":{"engine":"sim","seed":1,"config_hash":"abc","config":[],"go_version":"go","gomaxprocs":1}}
 {"kind":"revival","round":0,"node":3}
 {"kind":"run_end","round":-1,"node":-1}
 `
-	a, err := AuditReader(strings.NewReader(jsonl))
+	events, err := ReadEvents(strings.NewReader(jsonl))
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := NewAuditor()
+	for _, ev := range events {
+		a.Emit(ev)
+	}
+	a.Close()
 	if a.Ok() {
-		t.Fatal("revival-without-brownout not flagged through AuditReader")
+		t.Fatal("revival-without-brownout not flagged in a replayed stream")
 	}
 }

@@ -13,9 +13,6 @@ type MetricDelta struct {
 	B    float64 `json:"b"`
 }
 
-// Delta returns B − A.
-func (d MetricDelta) Delta() float64 { return d.B - d.A }
-
 // RelDelta returns (B − A)/|A|, or 0 when A is 0.
 func (d MetricDelta) RelDelta() float64 {
 	if d.A == 0 {

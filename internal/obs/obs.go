@@ -31,9 +31,7 @@ import (
 	"time"
 )
 
-// Phase identifies one barriered section of an engine round. The sim
-// engine's phases map one-to-one; other engines use the subset that
-// applies (async: train and gossip).
+// Phase identifies one barriered section of a sim engine round.
 type Phase uint8
 
 const (
@@ -52,14 +50,12 @@ const (
 	PhaseBattery
 	// PhaseEval is the evaluation pass.
 	PhaseEval
-	// PhaseGossip is the async engine's gossip/merge work.
-	PhaseGossip
 
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
-	"liveset", "rejoin", "train", "share", "aggregate", "battery", "eval", "gossip",
+	"liveset", "rejoin", "train", "share", "aggregate", "battery", "eval",
 }
 
 // String returns the phase's event label.

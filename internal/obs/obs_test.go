@@ -73,7 +73,7 @@ func TestDroppedSendsSkipsZero(t *testing.T) {
 	p := NewProbe(mem)
 	p.DroppedSends(0, 0)
 	p.DroppedSends(0, 2)
-	if n := mem.Count(KindDropped); n != 1 {
+	if n := countKind(mem.Events(), KindDropped); n != 1 {
 		t.Fatalf("dropped events = %d, want 1 (zero counts skipped)", n)
 	}
 }

@@ -18,16 +18,6 @@ type Sink interface {
 	Close() error
 }
 
-// Null returns the no-op sink: every event is discarded. It exists so
-// callers can construct an always-valid sink chain; for a fully disabled
-// probe prefer a nil *Probe, which skips event construction entirely.
-func Null() Sink { return nullSink{} }
-
-type nullSink struct{}
-
-func (nullSink) Emit(Event)   {}
-func (nullSink) Close() error { return nil }
-
 // JSONLSink writes one JSON object per event per line. Emit is safe for
 // concurrent use; encoding errors are sticky and reported by Close.
 type JSONLSink struct {
@@ -215,21 +205,4 @@ func (s *MemorySink) Dropped() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// Count returns how many events of the given kind were emitted ("" counts
-// all).
-func (s *MemorySink) Count(kind string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if kind == "" {
-		return len(s.events)
-	}
-	n := 0
-	for _, ev := range s.events {
-		if ev.Kind == kind {
-			n++
-		}
-	}
-	return n
 }

@@ -11,14 +11,10 @@ import (
 // is a few kilobytes regardless of population size — the replacement for
 // materializing a per-node slice every round just to know P50/P99.
 //
-// Quantile error is bounded by one bin width: the reported value is the
-// midpoint of the bin containing the exact rank-q element, so it is within
-// BinWidth of the true quantile (within BinWidth/2 for in-range values).
-// Observations outside [lo, hi] clamp into the edge bins.
-//
-// Sketches of identical shape merge exactly (Merge), so per-shard sketches
-// can be combined into fleet-wide percentiles without re-observation — the
-// property the sharded fleet close-out and the sweep service rely on.
+// Quantile error is bounded by one bin width, (hi-lo)/bins: the reported
+// value is the midpoint of the bin containing the exact rank-q element, so
+// it is within one bin width of the true quantile (half of one for
+// in-range values). Observations outside [lo, hi] clamp into the edge bins.
 //
 // A Sketch is not safe for concurrent use; the engines observe from the
 // coordinator goroutine only.
@@ -67,15 +63,6 @@ func (s *Sketch) Observe(x float64) {
 	s.n++
 }
 
-// Count returns how many observations the sketch holds.
-func (s *Sketch) Count() uint64 { return s.n }
-
-// BinWidth returns the value width of one bin — the quantile error bound.
-func (s *Sketch) BinWidth() float64 { return s.width }
-
-// Bins returns the bin count.
-func (s *Sketch) Bins() int { return len(s.counts) }
-
 // Quantile returns the q-quantile (q clamped to [0, 1]) as the midpoint of
 // the bin holding the exact rank-ceil(q*n) observation. An empty sketch
 // returns NaN.
@@ -107,18 +94,4 @@ func (s *Sketch) Quantile(q float64) float64 {
 func (s *Sketch) Reset() {
 	clear(s.counts)
 	s.n = 0
-}
-
-// Merge adds every observation of o into s. The sketches must have the
-// same range and bin count.
-func (s *Sketch) Merge(o *Sketch) error {
-	if s.lo != o.lo || s.hi != o.hi || len(s.counts) != len(o.counts) {
-		return fmt.Errorf("obs: merging sketches of different shape: [%g,%g]/%d vs [%g,%g]/%d",
-			s.lo, s.hi, len(s.counts), o.lo, o.hi, len(o.counts))
-	}
-	for i, c := range o.counts {
-		s.counts[i] += c
-	}
-	s.n += o.n
-	return nil
 }

@@ -47,9 +47,9 @@ func TestSketchQuantileWithinOneBin(t *testing.T) {
 		for _, q := range []float64{0.5, 0.9, 0.99} {
 			got := sk.Quantile(q)
 			want := exactQuantile(sorted, q)
-			if math.Abs(got-want) > sk.BinWidth() {
+			if math.Abs(got-want) > sk.width {
 				t.Fatalf("trial %d (n=%d shape=%d): q%.2f = %.5f, exact %.5f, off by more than one bin (%.5f)",
-					trial, n, shape, q, got, want, sk.BinWidth())
+					trial, n, shape, q, got, want, sk.width)
 			}
 		}
 	}
@@ -66,13 +66,13 @@ func TestSketchClampsOutOfRange(t *testing.T) {
 	sk := NewSoCSketch()
 	sk.Observe(-0.5)
 	sk.Observe(1.5)
-	if n := sk.Count(); n != 2 {
+	if n := sk.n; n != 2 {
 		t.Fatalf("count = %d, want 2", n)
 	}
-	if q := sk.Quantile(0.01); q > sk.BinWidth() {
+	if q := sk.Quantile(0.01); q > sk.width {
 		t.Fatalf("low outlier landed at %v, want first bin", q)
 	}
-	if q := sk.Quantile(0.99); q < 1-sk.BinWidth() {
+	if q := sk.Quantile(0.99); q < 1-sk.width {
 		t.Fatalf("high outlier landed at %v, want last bin", q)
 	}
 }
@@ -83,40 +83,11 @@ func TestSketchResetClears(t *testing.T) {
 		sk.Observe(0.25)
 	}
 	sk.Reset()
-	if sk.Count() != 0 {
-		t.Fatalf("count after reset = %d", sk.Count())
+	if sk.n != 0 {
+		t.Fatalf("count after reset = %d", sk.n)
 	}
 	sk.Observe(0.75)
-	if q := sk.Quantile(0.5); math.Abs(q-0.75) > sk.BinWidth() {
+	if q := sk.Quantile(0.5); math.Abs(q-0.75) > sk.width {
 		t.Fatalf("post-reset quantile %v remembers pre-reset data", q)
-	}
-}
-
-func TestSketchMerge(t *testing.T) {
-	a, b, both := NewSoCSketch(), NewSoCSketch(), NewSoCSketch()
-	r := rng.New(11)
-	for i := 0; i < 500; i++ {
-		v := r.Float64()
-		both.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		if a.Quantile(q) != both.Quantile(q) {
-			t.Fatalf("merged q%.1f = %v, single-sketch %v", q, a.Quantile(q), both.Quantile(q))
-		}
-	}
-	other, err := NewSketch(0, 2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Merge(other); err == nil {
-		t.Fatal("merging sketches of different shape should fail")
 	}
 }

@@ -24,8 +24,7 @@ type Pool struct {
 }
 
 // NewPool returns a pool bounded to the given worker count. workers <= 0
-// means "track GOMAXPROCS at call time", matching the historical behavior
-// of the package-level For/ForErr.
+// means "track GOMAXPROCS at call time", as the package-level For does.
 func NewPool(workers int) *Pool {
 	if workers < 0 {
 		workers = 0
@@ -72,11 +71,6 @@ func (p *Pool) ForErr(n, minSerial int, fn func(i int) error) error {
 // For runs fn on the default (GOMAXPROCS-wide) pool. See Pool.For.
 func For(n, minSerial int, fn func(i int)) {
 	(*Pool)(nil).For(n, minSerial, fn)
-}
-
-// ForErr runs fn on the default (GOMAXPROCS-wide) pool. See Pool.ForErr.
-func ForErr(n, minSerial int, fn func(i int) error) error {
-	return (*Pool)(nil).ForErr(n, minSerial, fn)
 }
 
 func (p *Pool) forIndices(n, minSerial int, fn func(i int)) {

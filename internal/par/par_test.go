@@ -23,7 +23,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 func TestForErrReturnsLowestIndexError(t *testing.T) {
 	for _, minSerial := range []int{0, 1000} { // parallel and serial paths
 		var calls int64
-		err := ForErr(64, minSerial, func(i int) error {
+		err := (*Pool)(nil).ForErr(64, minSerial, func(i int) error {
 			atomic.AddInt64(&calls, 1)
 			if i == 7 || i == 41 {
 				return fmt.Errorf("cell %d failed", i)
@@ -41,10 +41,10 @@ func TestForErrReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestForErrNilOnSuccess(t *testing.T) {
-	if err := ForErr(16, 0, func(int) error { return nil }); err != nil {
+	if err := (*Pool)(nil).ForErr(16, 0, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForErr(0, 0, func(int) error { return errors.New("no") }); err != nil {
+	if err := (*Pool)(nil).ForErr(0, 0, func(int) error { return errors.New("no") }); err != nil {
 		t.Fatal("n=0 must not call fn")
 	}
 }

@@ -219,7 +219,8 @@ func mixConfig(p int) (Config, []*nn.Network, []tensor.Vector) {
 func mixReference(cfg *Config, t int, models []tensor.Vector) []tensor.Vector {
 	g, live, w := cfg.Graph, cfg.Liveness(t), cfg.Weights
 	if live != nil {
-		w = graph.RenormalizeLive(g, live)
+		w = graph.NewWeights(g)
+		graph.RenormalizeLiveTo(w, g, live)
 	}
 	next := make([]tensor.Vector, g.N)
 	for i := range next {

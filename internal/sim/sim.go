@@ -27,7 +27,7 @@
 // With Config.DropDeadNodes, brown-outs also silence the topology: every
 // round starts by snapshotting the live set, edges incident to dead nodes
 // go down for the round (transport.DeadNode), and the mixing matrix is
-// re-normalized over the live subgraph (graph.RenormalizeLive) so
+// re-normalized over the live subgraph (graph.RenormalizeLiveTo) so
 // aggregation stays doubly stochastic on the live component. With
 // Config.Checkpoint, live-set transitions additionally drive the
 // brown-out checkpoint/restore subsystem (internal/checkpoint): dying
@@ -120,7 +120,7 @@ type Config struct {
 	// live set (nodes above their brown-out cutoff), silences every edge
 	// incident to a dead node for the round (transport.DeadNode), and
 	// re-normalizes the mixing matrix over the induced live subgraph
-	// (graph.RenormalizeLive), so aggregation stays symmetric and
+	// (graph.RenormalizeLiveTo), so aggregation stays symmetric and
 	// doubly stochastic on the live component. Dead nodes freeze: no
 	// training, no sends, no receives, model held until they recharge, and
 	// they pay idle draw only (harvest.Fleet.EndRoundLive). Without this
@@ -336,7 +336,7 @@ type Result struct {
 	FinalNodeAccs []float64
 	// FinalGlobalParams is the average of all node models after the last
 	// round when EvalGlobalModel or TrackConsensus is set (nil otherwise).
-	// It is the deployable consensus model; save it with nn.SaveParams.
+	// It is the deployable consensus model; save it with nn.WriteVector.
 	FinalGlobalParams tensor.Vector
 	// Energy totals.
 	TotalTrainWh, TotalCommWh float64
@@ -824,7 +824,7 @@ func Run(cfg Config) (*Result, error) {
 
 		// Phase 1: local training (run.train).
 		probe.PhaseStart(obs.PhaseTrain)
-		parallelFor(n, train)
+		par.For(n, 0, train)
 		for i := range nodes {
 			m.TrainedCount += nodes[i].trained - result.TrainedRounds[i] // 0 or 1
 			result.TrainedRounds[i] = nodes[i].trained
@@ -838,21 +838,21 @@ func Run(cfg Config) (*Result, error) {
 			// half-step models, applied everywhere.
 			probe.PhaseStart(obs.PhaseAggregate)
 			tensor.MeanVectorTo(globalMean, models)
-			parallelFor(n, adoptMean)
+			par.For(n, 0, adoptMean)
 			probe.PhaseEnd(t, obs.PhaseAggregate)
 		default:
 			probe.PhaseStart(obs.PhaseShare)
-			parallelFor(n, share)
+			par.For(n, 0, share)
 			if err := firstError(nodes); err != nil {
 				return nil, err
 			}
 			probe.PhaseEnd(t, obs.PhaseShare)
 			probe.PhaseStart(obs.PhaseAggregate)
-			parallelFor(n, collect)
+			par.For(n, 0, collect)
 			if err := firstError(nodes); err != nil {
 				return nil, err
 			}
-			parallelFor(workers, mix)
+			par.For(workers, 0, mix)
 			probe.PhaseEnd(t, obs.PhaseAggregate)
 		}
 		if cfg.Devices != nil {
@@ -1037,12 +1037,6 @@ func countTrue(bs []bool) int {
 	return n
 }
 
-// parallelFor runs fn(0..n-1) across GOMAXPROCS workers and waits
-// (internal/par); every phase body writes node-i state only.
-func parallelFor(n int, fn func(i int)) {
-	par.For(n, 0, fn)
-}
-
 // evaluator owns the shared test subset, the scratch network used to score
 // the global average model, and the buffers every evaluation reuses.
 type evaluator struct {
@@ -1089,7 +1083,7 @@ func (ev *evaluator) evaluate(m *RoundMetrics) []float64 {
 			ev.xs[i], ev.ys[i] = ev.cfg.Test.Samples[j].X, ev.cfg.Test.Samples[j].Y
 		}
 	}
-	parallelFor(len(ev.nodes), ev.score)
+	par.For(len(ev.nodes), 0, ev.score)
 	m.MeanAcc, m.StdAcc = metrics.MeanStd(ev.accs)
 	if ev.globalVec != nil {
 		tensor.MeanVectorTo(ev.globalVec, ev.models)

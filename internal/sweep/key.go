@@ -33,13 +33,9 @@ type CellKey struct {
 	Revision string `json:"revision,omitempty"`
 }
 
-// KeyFromManifest derives the cache key of the run a manifest describes.
-func KeyFromManifest(m obs.RunManifest) CellKey {
-	return CellKey{ConfigHash: m.ConfigHash, Revision: m.GitRevision}
-}
-
-// KeyFromBuilder is KeyFromManifest(b.Build()) for callers that only look
-// cells up: it hashes the builder's fields and materialises no manifest.
+// KeyFromBuilder derives the cache key of the run a manifest builder
+// describes: b.Build()'s config hash and git revision, hashed off the
+// builder's fields with no manifest materialised.
 func KeyFromBuilder(b *obs.ManifestBuilder) CellKey {
 	return CellKey{ConfigHash: b.ConfigHash(), Revision: obs.GitRevision()}
 }

@@ -126,7 +126,7 @@ func (r *Runner) record(verdict string, k CellKey, wallNs int64) {
 // Cached and computed cells are interchangeable bit-for-bit: on a miss
 // the value is JSON-encoded, stored, and decoded back from those same
 // bytes, so out[i] is identical whether this call computed the cell or a
-// previous run did. Errors are never cached; like par.ForErr, every cell
+// previous run did. Errors are never cached; like par.Pool.ForErr, every cell
 // runs to completion and the lowest-index error is returned.
 //
 // A cell is decoded once: when T is plain data — no pointer, slice, map,

@@ -136,7 +136,7 @@ func TestGridSingleflightSharesInflightCells(t *testing.T) {
 	}
 }
 
-// Errors surface like par.ForErr (lowest index wins, every cell runs) and
+// Errors surface like par.Pool.ForErr (lowest index wins, every cell runs) and
 // are never cached.
 func TestGridErrorsNotCachedLowestIndexWins(t *testing.T) {
 	store := NewMemStore(0)
@@ -268,7 +268,7 @@ func TestGridCorruptCellFileIsOneMiss(t *testing.T) {
 		t.Fatalf("cold stats %+v", st)
 	}
 
-	path := filepath.Join(disk.Dir(), gridKeys(8, "")(5).fileName())
+	path := filepath.Join(disk.dir, gridKeys(8, "")(5).fileName())
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

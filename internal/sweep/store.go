@@ -126,9 +126,6 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return &FileStore{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *FileStore) Dir() string { return s.dir }
-
 // Get loads the entry for k, verifying the stored key actually matches
 // (file names for non-hex keys are digests, so distinct keys could share
 // a name; a mismatch reads as a miss, never as wrong data).

@@ -16,12 +16,12 @@ func mustKey(seed uint64, extra string) CellKey {
 	if extra != "" {
 		b.Set("extra", extra)
 	}
-	return KeyFromManifest(b.Build())
+	return KeyFromBuilder(b)
 }
 
-func TestKeyFromManifest(t *testing.T) {
-	m := obs.NewManifest("testcell", "label ignored", 1).Scale(4, 8).Build()
-	k := KeyFromManifest(m)
+func TestKeyFromBuilder(t *testing.T) {
+	b := obs.NewManifest("testcell", "label ignored", 1).Scale(4, 8)
+	k, m := KeyFromBuilder(b), b.Build()
 	if k.ConfigHash != m.ConfigHash {
 		t.Fatalf("key hash %q, manifest hash %q", k.ConfigHash, m.ConfigHash)
 	}

@@ -35,29 +35,6 @@ func (v Vector) Zero() {
 	}
 }
 
-// Fill sets every element of v to x.
-func (v Vector) Fill(x float64) {
-	for i := range v {
-		v[i] = x
-	}
-}
-
-// AddTo computes dst = a + b. The three slices must have equal length.
-func AddTo(dst, a, b Vector) {
-	checkLen3(len(dst), len(a), len(b))
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
-// SubTo computes dst = a - b.
-func SubTo(dst, a, b Vector) {
-	checkLen3(len(dst), len(a), len(b))
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
 // ScaleTo computes dst = s * a.
 func ScaleTo(dst Vector, s float64, a Vector) {
 	checkLen2(len(dst), len(a))
@@ -75,19 +52,6 @@ func AXPY(dst Vector, alpha float64, x Vector) {
 	}
 }
 
-// Dot returns the inner product of a and b.
-func Dot(a, b Vector) float64 {
-	checkLen2(len(a), len(b))
-	s := 0.0
-	for i, av := range a {
-		s += av * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v Vector) float64 { return math.Sqrt(Dot(v, v)) }
-
 // Dist2 returns the Euclidean distance between a and b.
 func Dist2(a, b Vector) float64 {
 	checkLen2(len(a), len(b))
@@ -97,37 +61,6 @@ func Dist2(a, b Vector) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// Sum returns the sum of the elements of v.
-func Sum(v Vector) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of v, or 0 for an empty vector.
-func Mean(v Vector) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return Sum(v) / float64(len(v))
-}
-
-// Std returns the population standard deviation of v.
-func Std(v Vector) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := Mean(v)
-	s := 0.0
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(v)))
 }
 
 // ArgMax returns the index of the largest element of v; ties resolve to the
@@ -206,14 +139,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Row returns a view (not a copy) of row i.
-func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
@@ -321,11 +248,5 @@ func MatMulTo(dst, a, b *Matrix) {
 func checkLen2(a, b int) {
 	if a != b {
 		panic(fmt.Sprintf("tensor: length mismatch %d vs %d", a, b))
-	}
-}
-
-func checkLen3(a, b, c int) {
-	if a != b || b != c {
-		panic(fmt.Sprintf("tensor: length mismatch %d vs %d vs %d", a, b, c))
 	}
 }

@@ -94,8 +94,8 @@ func TestFlakyRespectsLiveSet(t *testing.T) {
 	if err := e0.Send(1, Message{Kind: KindControl}); err != nil {
 		t.Fatalf("dead edge consumed a failure slot: %v", err)
 	}
-	if fl.Dropped() != 1 || fl.Sends() != 0 {
-		t.Fatalf("dropped=%d sends=%d, want 1/0", fl.Dropped(), fl.Sends())
+	if fl.Dropped() != 1 || fl.sends != 0 {
+		t.Fatalf("dropped=%d sends=%d, want 1/0", fl.Dropped(), fl.sends)
 	}
 	// Live edges still see the injected failures.
 	fl.SetLive(nil)

@@ -40,13 +40,6 @@ func (f *Flaky) Endpoint(node int) (Endpoint, error) {
 // Close closes the inner network.
 func (f *Flaky) Close() error { return f.Inner.Close() }
 
-// Sends returns the total sends attempted so far.
-func (f *Flaky) Sends() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.sends
-}
-
 // SetLive installs the live set for the current round (copied; nil marks
 // every node live). Messages on edges incident to dead nodes are dropped
 // without error and without consuming a failure-injection slot.

@@ -357,8 +357,8 @@ func TestFlakyInjectsFailures(t *testing.T) {
 	if fails != 3 {
 		t.Fatalf("expected 3 injected failures in 9 sends, got %d", fails)
 	}
-	if f.Sends() != 9 {
-		t.Fatalf("Sends() = %d", f.Sends())
+	if f.sends != 9 {
+		t.Fatalf("sends = %d", f.sends)
 	}
 }
 

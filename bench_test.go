@@ -21,6 +21,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/graph"
+	"repro/internal/harvest"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -454,4 +455,57 @@ func BenchmarkSection51Fairness(b *testing.B) {
 	}
 	b.ReportMetric(res.Constrained.ParticipationGini, "gini")
 	b.ReportMetric(res.Constrained.BudgetAccCorr, "budget-acc-corr")
+}
+
+// BenchmarkHorizonPlan measures the MPC planner's per-round decision at
+// fleet scale: 1k nodes each filling a 96-round oracle forecast window and
+// deciding whether to train now (HorizonPlan.Participate: the greedy
+// knapsack's first slot, survival-checked over the window) per iteration —
+// the per-round planning cost a forecast-aware deployment adds on top of
+// the battery update. Participate is read-only on the battery, so every
+// iteration solves the identical problem.
+func BenchmarkHorizonPlan(b *testing.B) {
+	const (
+		nodes  = 1000
+		window = 96
+	)
+	devices := energy.AssignDevices(nodes, energy.Devices())
+	w := energy.CIFAR10Workload()
+	mean := energy.NetworkRoundWh(nodes, energy.Devices(), w) / float64(nodes)
+	trace, err := harvest.NewDiurnal(1.2*mean, 24, harvest.LongitudePhase(nodes))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fleet, err := harvest.NewFleet(devices, w, trace, harvest.Options{
+		CapacityRounds: 12, InitialSoC: 0.6, CutoffSoC: 0.2, IdleWh: 0.1 * mean,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	oracle, err := harvest.NewOracle(trace)
+	if err != nil {
+		b.Fatal(err)
+	}
+	policy, err := harvest.NewHorizonPlan(0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	forecast := make([]float64, window)
+	trained := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for node := 0; node < nodes; node++ {
+			oracle.Forecast(node, 0, forecast)
+			ctx := core.RoundContext{Kind: core.RoundTrain, Battery: fleet, Forecast: forecast}
+			if policy.Participate(node, ctx, nil) {
+				trained++
+			}
+		}
+	}
+	b.StopTimer()
+	if trained == 0 {
+		b.Fatal("planner never scheduled a training round")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/decision")
 }

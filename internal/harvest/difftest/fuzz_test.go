@@ -140,36 +140,9 @@ func fuzzVirtualTime(t *testing.T, dev energy.Device, w energy.Workload, trace *
 			checkCharge(t, fleet.ChargeWh(0), &b, step, "TrySync")
 		}
 		until := b.Clock() + float64(1+op&0x1f)*7.5 // 7.5 s … 4 trace rounds
-		detect := op&0x40 != 0
-		stop, browned := until, false
-		if detect {
-			stop, browned = fleet.AdvanceDetect(0, until)
-		} else {
-			fleet.AdvanceNode(0, until)
-		}
-		// The oracle walks the same per-round-uniform quantization: split at
-		// trace round boundaries, and with detect at the solved crossing.
-		wantStop, wantBrowned := until, false
-		for b.Clock() < until && !wantBrowned {
-			k := int(b.Clock() / roundSec)
-			segEnd := math.Min(until, float64(k+1)*roundSec)
-			if segEnd <= b.Clock() {
-				segEnd = until
-			}
-			harvestW := trace.EnergyBetween(0, float64(k), float64(k+1)) / roundSec
-			if detect && b.Usable() {
-				if cross := b.Clock() + b.TimeToCutoff(idleW-harvestW); cross < segEnd {
-					b.AdvanceTo(cross, harvestW, idleW)
-					b.Drain(b.ChargeWh() - b.CutoffWh) // snap the round-off dust onto the cutoff
-					wantStop, wantBrowned = cross, true
-					continue
-				}
-			}
-			b.AdvanceTo(segEnd, harvestW, idleW)
-		}
-		if stop != wantStop || browned != wantBrowned {
-			t.Fatalf("step %d: advance stopped at (%v, %v), oracle (%v, %v)",
-				step, stop, browned, wantStop, wantBrowned)
+		browned, err := advanceVirtual(fleet, &b, trace, idleW, until, op&0x40 != 0)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 		// The snap is c − (c − cutoff), which round-off can leave one ulp
 		// above the cutoff (the fifth seed): pinned behaviour the async

@@ -132,6 +132,48 @@ func (b *Battery) TimeToCutoff(loadRateWh float64) float64 {
 	return (b.chargeWh - b.CutoffWh) / loadRateWh
 }
 
+// advanceVirtual advances node 0 of a one-node virtual-time fleet and the
+// oracle b from b's clock to until, and returns whether the fleet browned
+// out, or an error when the two disagree on where the advance stopped,
+// whether it browned out, or the clock it left the node at. With detect the
+// fleet stops at its solved brown-out crossing (AdvanceDetect); without, it
+// runs to until (AdvanceNode). The oracle walks the same per-round-uniform
+// quantization: it splits at trace round boundaries and, with detect, stops
+// at the solved crossing with the round-off dust snapped onto the cutoff.
+// Charges are left for the caller to compare.
+func advanceVirtual(fleet *harvest.VFleet, b *Battery, trace harvest.ContinuousTrace, idleW, until float64, detect bool) (browned bool, err error) {
+	roundSec := fleet.RoundSeconds()
+	stop := until
+	if detect {
+		stop, browned = fleet.AdvanceDetect(0, until)
+	} else {
+		fleet.AdvanceNode(0, until)
+	}
+	wantStop, wantBrowned := until, false
+	for b.clock < until && !wantBrowned {
+		k := int(b.clock / roundSec)
+		segEnd := math.Min(until, float64(k+1)*roundSec)
+		if segEnd <= b.clock {
+			segEnd = until
+		}
+		harvestW := trace.EnergyBetween(0, float64(k), float64(k+1)) / roundSec
+		if detect && b.Usable() {
+			if cross := b.clock + b.TimeToCutoff(idleW-harvestW); cross < segEnd {
+				b.AdvanceTo(cross, harvestW, idleW)
+				b.Drain(b.chargeWh - b.CutoffWh)
+				wantStop, wantBrowned = cross, true
+				continue
+			}
+		}
+		b.AdvanceTo(segEnd, harvestW, idleW)
+	}
+	if stop != wantStop || browned != wantBrowned || fleet.Clock(0) != b.clock {
+		return browned, fmt.Errorf("advance stopped at (%v, %v) clock %v, oracle (%v, %v) clock %v",
+			stop, browned, fleet.Clock(0), wantStop, wantBrowned, b.clock)
+	}
+	return browned, nil
+}
+
 // refFleet is the reference round fleet: one Battery per node, advanced the
 // way harvest.Fleet documents a round — TryTrain spends the training cost,
 // EndRound pays idle and communication draw and then harvests — with the

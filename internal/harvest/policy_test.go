@@ -477,58 +477,3 @@ func (p *HorizonPlan) Plan(node int, ctx core.RoundContext) []bool {
 	}
 	return plan
 }
-
-// BenchmarkHorizonPlan measures the MPC planning hot path at fleet scale:
-// 1k nodes each solving the greedy knapsack over a 96-round forecast
-// window (an oracle window fill plus the survival-checked forward plan)
-// per iteration — the per-round planning cost a forecast-aware deployment
-// adds on top of the battery update. Plan is read-only on the battery, so
-// every iteration solves the identical problem.
-func BenchmarkHorizonPlan(b *testing.B) {
-	const (
-		nodes  = 1000
-		window = 96
-	)
-	devices := energy.AssignDevices(nodes, energy.Devices())
-	w := energy.CIFAR10Workload()
-	mean := energy.NetworkRoundWh(nodes, energy.Devices(), w) / float64(nodes)
-	trace, err := NewDiurnal(1.2*mean, 24, LongitudePhase(nodes))
-	if err != nil {
-		b.Fatal(err)
-	}
-	fleet, err := NewFleet(devices, w, trace, Options{
-		CapacityRounds: 12, InitialSoC: 0.6, CutoffSoC: 0.2, IdleWh: 0.1 * mean,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	oracle, err := NewOracle(trace)
-	if err != nil {
-		b.Fatal(err)
-	}
-	policy, err := NewHorizonPlan(0.05)
-	if err != nil {
-		b.Fatal(err)
-	}
-	forecast := make([]float64, window)
-	planned := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for node := 0; node < nodes; node++ {
-			oracle.Forecast(node, 0, forecast)
-			ctx := core.RoundContext{Kind: core.RoundTrain, Battery: fleet, Forecast: forecast}
-			plan := policy.Plan(node, ctx)
-			for _, train := range plan {
-				if train {
-					planned++
-				}
-			}
-		}
-	}
-	b.StopTimer()
-	if planned == 0 {
-		b.Fatal("planner never scheduled a training round")
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/plan")
-}

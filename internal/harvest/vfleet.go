@@ -75,6 +75,9 @@ func (f *VFleet) RoundSeconds() float64 { return f.roundSec }
 // TraceRound returns the trace round in effect at virtual second t.
 func (f *VFleet) TraceRound(t float64) int { return int(t / f.roundSec) }
 
+// Clock returns node i's virtual-time cursor in seconds.
+func (f *VFleet) Clock(i int) float64 { return f.clock[i] }
+
 // CommCostWh returns node i's per-gossip communication lump — what
 // TrySync spends.
 func (f *VFleet) CommCostWh(i int) float64 { return f.commWh[i] }

@@ -143,6 +143,17 @@ func declOwners(d ast.Decl) []string {
 	return nil
 }
 
+// indexedLiteral reports whether a composite literal of type t keys its
+// elements by expression (a map, slice or array) rather than by field name.
+// An elided type is taken as a struct.
+func indexedLiteral(t ast.Expr) bool {
+	switch t.(type) {
+	case *ast.MapType, *ast.ArrayType:
+		return true
+	}
+	return false
+}
+
 // deadSurface lists every exported package-level identifier ("pkg.Name")
 // and every exported method ("pkg.Type.Method") declared in a non-test file
 // under internal/ that no non-test file of the module references. Package
@@ -150,7 +161,8 @@ func declOwners(d ast.Decl) []string {
 //
 // A package-level name is referenced by a qualified use from another
 // package, or by an unqualified use in its own package outside its own
-// declaration (for a type, outside its own methods). A method is referenced
+// declaration (for a type, outside its own methods); a struct-literal key
+// and a local of the same spelling are not uses. A method is referenced
 // when its name is selected anywhere, is declared in an interface type, or
 // is a standard-library interface method. A package that only _test.go
 // files import is test support and is skipped.
@@ -182,6 +194,19 @@ func deadSurface(module string, sources map[string]string) ([]string, error) {
 				}
 				aliases[alias] = target
 			}
+			// Declarations a resolved identifier may point at and still name
+			// a package-level object; any other resolution is a local.
+			topLevel := map[any]bool{}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					topLevel[d] = true
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						topLevel[spec] = true
+					}
+				}
+			}
 			for _, d := range f.Decls {
 				owners := declOwners(d)
 				var visit func(ast.Node) bool
@@ -206,7 +231,28 @@ func deadSurface(module string, sources map[string]string) ([]string, error) {
 						// Field, parameter and method names declare; the type refers.
 						ast.Inspect(n.Type, visit)
 						return false
+					case *ast.CompositeLit:
+						if n.Type != nil {
+							ast.Inspect(n.Type, visit)
+						}
+						for _, e := range n.Elts {
+							kv, ok := e.(*ast.KeyValueExpr)
+							if !ok {
+								ast.Inspect(e, visit)
+								continue
+							}
+							// A map, slice or array key is an expression; any other
+							// bare key names a struct field.
+							if _, bare := kv.Key.(*ast.Ident); !bare || indexedLiteral(n.Type) {
+								ast.Inspect(kv.Key, visit)
+							}
+							ast.Inspect(kv.Value, visit)
+						}
+						return false
 					case *ast.Ident:
+						if n.Obj != nil && !topLevel[n.Obj.Decl] {
+							return false // a local name shadowing the package-level one
+						}
 						for _, o := range owners {
 							if o == n.Name {
 								return false
@@ -379,6 +425,19 @@ func TestOnly()  {}
 func Inner() int { return 1 }
 
 var inner = Inner()
+
+type opts struct{ Seed, Shadowed int }
+
+func Seed()     {}
+func Shadowed() {}
+
+var _ = func(Shadowed int) opts { return opts{Seed: Shadowed} }
+`,
+		"internal/a/keys.go": `package a
+
+const Keyed = 1
+
+var _ = map[int]string{Keyed: "keyed"}
 `,
 		"internal/a/a_test.go": `package a
 
@@ -415,18 +474,21 @@ func main() { alias.BenchOnly() }
 		"a.Dead",        // a new dead name is flagged
 		"a.Lonely",      // its own fields and methods do not keep a type alive
 		"a.Lonely.Self", // a selector in a test does not count
+		"a.Seed",        // a struct-literal key of the same spelling is a field
+		"a.Shadowed",    // a parameter of the same spelling shadows it
 		"a.T.Unpicked",  // never selected, in no interface, no stdlib name
 		"a.TestOnly",    // test callers do not count
 	}
 	// Kept: Used and Picked (a cmd/ caller), Declared (an interface method),
 	// String (a stdlib method), BenchOnly (a bench/ caller under an alias),
-	// Inner (its own package), support.Help (a test-only-imported package).
+	// Inner (its own package), Keyed (a map-literal key in its own package),
+	// support.Help (a test-only-imported package).
 	if strings.Join(dead, " ") != strings.Join(want, " ") {
 		t.Fatalf("dead = %v, want %v", dead, want)
 	}
 
-	allowlist := "# header\na.Dead  # kept\na.Lonely # kept\na.Lonely.Self # kept\na.T.Unpicked # kept\na.TestOnly # kept\n"
-	if problems, n := checkSurface(dead, allowlist); len(problems) != 0 || n != 5 {
+	allowlist := "# header\na.Dead  # kept\na.Lonely # kept\na.Lonely.Self # kept\na.Seed # kept\na.Shadowed # kept\na.T.Unpicked # kept\na.TestOnly # kept\n"
+	if problems, n := checkSurface(dead, allowlist); len(problems) != 0 || n != 7 {
 		t.Fatalf("complete allowlist: %d lines, problems %v", n, problems)
 	}
 	problems, _ := checkSurface(dead[1:], allowlist+"a.Used # stale\n")
@@ -436,7 +498,7 @@ func main() { alias.BenchOnly() }
 		t.Fatalf("stale lines: problems %v", problems)
 	}
 	problems, _ = checkSurface(dead, "a.Lonely\n")
-	if len(problems) != 5 || !strings.Contains(strings.Join(problems, "\n"), "a.Lonely has no '# reason'") {
+	if len(problems) != 7 || !strings.Contains(strings.Join(problems, "\n"), "a.Lonely has no '# reason'") {
 		t.Fatalf("missing reason and missing lines: problems %v", problems)
 	}
 	var over strings.Builder

@@ -618,12 +618,7 @@ func (c *config) runAsync(stdout io.Writer, probe *obs.Probe) error {
 	if err != nil {
 		return err
 	}
-	roundSec := 0.0
-	for _, d := range w.devices {
-		roundSec += d.TrainRoundSeconds(w.workload)
-	}
-	roundSec /= float64(len(w.devices))
-
+	roundSec := energy.MeanTrainRoundSeconds(w.devices, w.workload)
 	horizon := float64(c.rounds) * roundSec
 	res, err := async.Run(async.Config{
 		Graph:        w.graph,

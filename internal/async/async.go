@@ -39,7 +39,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/graph"
 	"repro/internal/harvest"
-	"repro/internal/metrics"
+	"repro/internal/learner"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -71,9 +71,6 @@ type Config struct {
 	// Devices set per-node step durations and energy; required.
 	Devices  []energy.Device
 	Workload energy.Workload
-	// SyncSpeedup is how much faster a gossip-only step is than a training
-	// step (communication is cheap); default 10.
-	SyncSpeedup float64
 
 	// Trace attaches an energy-harvesting trace: nodes then run on real
 	// battery state (harvest.VFleet) instead of the pure step clock —
@@ -114,65 +111,39 @@ type Config struct {
 	Seed uint64
 }
 
-func (c *Config) validate() error {
+// syncSpeedup is how much faster a gossip-only step is than a training step
+// (communication is cheap).
+const syncSpeedup = 10
+
+// spec is the part of c both engines share (internal/learner).
+func (c *Config) spec() learner.Spec {
+	return learner.Spec{Graph: c.Graph, Algo: c.Algo, ModelFactory: c.ModelFactory, LR: c.LR,
+		BatchSize: c.BatchSize, LocalSteps: c.LocalSteps, Partition: c.Partition, Test: c.Test,
+		EvalSubsample: c.EvalSubsample, Devices: c.Devices, Workload: c.Workload, Seed: c.Seed,
+		Battery: c.Trace != nil, Forecast: c.Forecast, ForecastHorizon: c.ForecastHorizon}
+}
+
+// validate makes the checks both engines share, then the event engine's.
+func (c *Config) validate(s *learner.Spec) error {
+	if err := s.Validate(); err != nil {
+		return fmt.Errorf("async: %w", err)
+	}
+	_, learns := c.Forecast.(harvest.ForecastObserver)
 	switch {
-	case c.Graph == nil:
-		return fmt.Errorf("async: nil graph")
 	case !(c.Horizon > 0 && c.Horizon < math.Inf(1)):
 		return fmt.Errorf("async: horizon %v is not positive and finite", c.Horizon)
-	case c.ModelFactory == nil:
-		return fmt.Errorf("async: nil model factory")
-	case !(c.LR > 0 && c.LR < math.Inf(1)) || c.BatchSize < 1 || c.LocalSteps < 1:
-		return fmt.Errorf("async: bad hyperparameters")
-	case len(c.Partition) != c.Graph.N:
-		return fmt.Errorf("async: partition for %d nodes, graph has %d", len(c.Partition), c.Graph.N)
-	case c.Test == nil || c.Test.Len() == 0:
-		return fmt.Errorf("async: empty test set")
-	case len(c.Devices) != c.Graph.N:
-		return fmt.Errorf("async: %d devices for %d nodes", len(c.Devices), c.Graph.N)
-	case c.Algo.Schedule == nil || c.Algo.Policy == nil:
-		return fmt.Errorf("async: incomplete algorithm")
+	case c.Devices == nil:
+		return fmt.Errorf("async: no devices; they set every node's step duration")
 	case c.Algo.Aggregation == core.AggGlobal:
 		return fmt.Errorf("async: %s averages globally, but the asynchronous engine only gossips pairwise", c.Algo.Label)
 	case !(c.RoundSeconds >= 0 && c.RoundSeconds < math.Inf(1)):
 		return fmt.Errorf("async: round duration %v is not finite and non-negative", c.RoundSeconds)
 	case !(c.EvalEverySeconds >= 0):
 		return fmt.Errorf("async: evaluation period %v is negative or NaN", c.EvalEverySeconds)
+	case learns:
+		return fmt.Errorf("async: forecaster %s learns from per-round observations, which the event-driven engine does not produce", c.Forecast.Name())
 	}
-	for i, p := range c.Partition {
-		if p.Len() == 0 {
-			return fmt.Errorf("async: node %d has empty partition", i)
-		}
-	}
-	// Battery- and forecast-aware policies need the state they decide
-	// from; with a trace attached they run natively on the virtual-time
-	// fleet (this mirrors sim.Run's configuration-consistency checks, not
-	// an engine limitation).
-	if c.Trace == nil {
-		if _, ok := c.Algo.Policy.(core.BatteryDependent); ok {
-			return fmt.Errorf("async: policy %s decides from battery state and needs Config.Trace", c.Algo.Policy.Name())
-		}
-	}
-	if _, ok := c.Algo.Policy.(core.ForecastDependent); ok && c.Forecast == nil {
-		return fmt.Errorf("async: policy %s plans over a forecast window and needs Config.Forecast", c.Algo.Policy.Name())
-	}
-	if rp, ok := c.Algo.Policy.(core.ResettablePolicy); ok && rp.Consumed() {
-		return fmt.Errorf("async: policy %s already consumed by a prior run; call Reset or build a fresh policy", c.Algo.Policy.Name())
-	}
-	if c.Forecast != nil {
-		if c.Trace == nil {
-			return fmt.Errorf("async: Forecast requires a harvest trace to forecast")
-		}
-		if c.ForecastHorizon < 1 {
-			return fmt.Errorf("async: Forecast needs ForecastHorizon >= 1, got %d", c.ForecastHorizon)
-		}
-		if _, ok := c.Forecast.(harvest.ForecastObserver); ok {
-			return fmt.Errorf("async: forecaster %s learns from per-round observations, which the event-driven engine does not produce", c.Forecast.Name())
-		}
-	} else if c.ForecastHorizon != 0 {
-		return fmt.Errorf("async: ForecastHorizon %d given without a Forecast", c.ForecastHorizon)
-	}
-	return c.Workload.Validate()
+	return nil
 }
 
 // Snapshot is one evaluation point in virtual time.
@@ -308,9 +279,10 @@ func (s *snapshots) take(src tensor.Vector) tensor.Vector {
 	return buf
 }
 
-// merge averages params with every queued model, in queue order, then
-// empties the queue into the free list. The queue's slots are cleared with
-// it, so no queue can still reach a buffer that take may hand out again.
+// merge averages a node's model vector (its net.Params(), written in place)
+// with every queued model, in queue order, then empties the queue into the
+// free list. The queue's slots are cleared with it, so no queue can still
+// reach a buffer that take may hand out again.
 //
 // Known defect, kept because every async result is pinned to it (ROADMAP,
 // "Async merge drops the node's own model"): MeanVectorTo zeroes params
@@ -324,15 +296,10 @@ func (s *snapshots) merge(params tensor.Vector, queue *[]tensor.Vector) {
 }
 
 type asyncNode struct {
+	*learner.Node
 	id       int
-	net      *nn.Network
-	batcher  *dataset.Batcher
-	policy   *rng.RNG
 	gossip   *rng.RNG
-	params   tensor.Vector
 	incoming []tensor.Vector // models pushed by peers since last step
-	steps    int
-	trained  int
 
 	// Harvest-run state.
 	down        bool    // browned out (a brownout event was emitted)
@@ -343,34 +310,20 @@ type asyncNode struct {
 
 // Run executes the asynchronous simulation.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	spec := cfg.spec()
+	if err := cfg.validate(&spec); err != nil {
 		return nil, err
 	}
-	if cfg.SyncSpeedup <= 0 {
-		cfg.SyncSpeedup = 10
+	ln, err := spec.NewNodes(0xa51c)
+	if err != nil {
+		return nil, fmt.Errorf("async: %w", err)
 	}
 	n := cfg.Graph.N
-	nodes, models := make([]*asyncNode, n), make([]tensor.Vector, n)
-	var paramCount int
-	var grads tensor.Vector // the event loop is serial: one gradient vector serves every node
-	for i := 0; i < n; i++ {
-		model := cfg.ModelFactory(i, rng.Derive(cfg.Seed, uint64(i), 0xa51c))
-		if i == 0 {
-			paramCount, grads = model.ParamCount(), tensor.NewVector(model.ParamCount())
-		} else if model.ParamCount() != paramCount {
-			return nil, fmt.Errorf("async: heterogeneous model sizes")
-		}
-		model.LendGrads(grads)
-		nodes[i] = &asyncNode{
-			id:      i,
-			net:     model,
-			batcher: dataset.NewBatcher(cfg.Partition[i], rng.Derive(cfg.Seed, uint64(i), 0xba7c4)),
-			policy:  rng.Derive(cfg.Seed, uint64(i), 0x90a1c),
-			gossip:  rng.Derive(cfg.Seed, uint64(i), 0x905517),
-			params:  tensor.NewVector(paramCount),
-		}
-		nodes[i].net.CopyParamsTo(nodes[i].params)
-		models[i] = nodes[i].params
+	nodes := make([]asyncNode, n)
+	grads := tensor.NewVector(ln.ParamCount) // the event loop is serial: one gradient vector serves every node
+	for i := range nodes {
+		ln.Node[i].Net.LendGrads(grads)
+		nodes[i] = asyncNode{Node: &ln.Node[i], id: i, gossip: rng.Derive(cfg.Seed, uint64(i), 0x905517)}
 	}
 
 	// Per-node step durations and the step-count horizon threaded into
@@ -392,27 +345,16 @@ func Run(cfg Config) (*Result, error) {
 	roundSec := cfg.RoundSeconds
 	if cfg.Trace != nil {
 		if roundSec == 0 {
-			for _, s := range stepSec {
-				roundSec += s
-			}
-			roundSec /= float64(n)
+			roundSec = energy.MeanTrainRoundSeconds(cfg.Devices, cfg.Workload)
 		}
-		var err error
 		vf, err = harvest.NewVFleet(cfg.Devices, cfg.Workload, cfg.Trace, cfg.FleetOptions, roundSec)
 		if err != nil {
 			return nil, err
 		}
 	}
-	var forecastScratch [][]float64
-	if cfg.Forecast != nil {
-		forecastScratch = make([][]float64, n)
-		for i := range forecastScratch {
-			forecastScratch[i] = make([]float64, cfg.ForecastHorizon)
-		}
-	}
 
 	res := &Result{StepsPerNode: make([]int, n), TrainedSteps: make([]int, n)}
-	res.Manifest = buildManifest(&cfg, paramCount, roundSec)
+	res.Manifest = buildManifest(&cfg, &spec, ln.ParamCount, roundSec)
 	probe := cfg.Probe
 	if vf != nil {
 		probe.RunStartCharge(&res.Manifest, vf.TotalChargeWh())
@@ -447,39 +389,18 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// The evaluation samples are the whole test set, or a subsample redrawn
-	// per evaluation, with rng.Perm's draws, into buffers built once.
-	trainWh := 0.0
-	evalRNG := rng.Derive(cfg.Seed, 0xe7a1)
-	accs, xs, ys := make([]float64, n), cfg.Test.Inputs(), cfg.Test.Labels()
-	var perm []int
-	if k := cfg.EvalSubsample; k > 0 && k < cfg.Test.Len() {
-		xs, ys, perm = xs[:k], ys[:k], make([]int, cfg.Test.Len())
-	}
+	trainWh, steps, trained := 0.0, 0, 0 // fleet totals
+	evaluator := spec.NewEvaluator(ln, true, false)
 	evaluate := func(t float64) {
-		if perm != nil {
-			evalRNG.PermTo(perm)
-			for i, j := range perm[:len(xs)] {
-				xs[i], ys[i] = cfg.Test.Samples[j].X, cfg.Test.Samples[j].Y
-			}
-		}
-		for i, nd := range nodes {
-			accs[i] = nd.net.Accuracy(xs, ys)
-		}
-		mean, std := metrics.MeanStd(accs)
-		steps := 0
-		for _, nd := range nodes {
-			steps += nd.steps
-		}
+		sc := evaluator.Evaluate()
 		res.History = append(res.History, Snapshot{
-			Time: t, MeanAcc: mean, StdAcc: std,
-			Consensus:  metrics.ConsensusDistance(models),
+			Time: t, MeanAcc: sc.Mean, StdAcc: sc.Std, Consensus: sc.Consensus,
 			StepsTotal: steps, TrainWh: trainWh,
 		})
-		res.FinalMeanAcc, res.FinalStdAcc = mean, std
+		res.FinalMeanAcc, res.FinalStdAcc = sc.Mean, sc.Std
 		probe.Emit(obs.Event{
 			Kind: obs.KindEval, Round: len(res.History) - 1, Node: -1,
-			VTime: t, MeanAcc: mean, StdAcc: std, Steps: steps,
+			VTime: t, MeanAcc: sc.Mean, StdAcc: sc.Std, Steps: steps,
 		})
 	}
 
@@ -545,7 +466,7 @@ func Run(cfg Config) (*Result, error) {
 	// nextCostWh is the energy the node's next step slot needs — what a
 	// sleeping node must be able to afford before waking.
 	nextCostWh := func(nd *asyncNode) float64 {
-		if cfg.Algo.Schedule.Kind(nd.steps) == core.RoundTrain {
+		if cfg.Algo.Schedule.Kind(res.StepsPerNode[nd.id]) == core.RoundTrain {
 			return vf.TrainCostWh(nd.id)
 		}
 		return vf.CommCostWh(nd.id)
@@ -568,7 +489,7 @@ func Run(cfg Config) (*Result, error) {
 			continue
 		}
 
-		nd := nodes[ev.node]
+		nd := &nodes[ev.node]
 		now := ev.time
 
 		if ev.kind == evBrownout {
@@ -597,7 +518,7 @@ func Run(cfg Config) (*Result, error) {
 			// Fall through into the step logic below.
 		}
 
-		if cfg.StepsPerNode > 0 && nd.steps >= cfg.StepsPerNode {
+		if cfg.StepsPerNode > 0 && res.StepsPerNode[nd.id] >= cfg.StepsPerNode {
 			continue
 		}
 		if vf != nil {
@@ -607,24 +528,19 @@ func Run(cfg Config) (*Result, error) {
 		// 1. Merge everything that arrived while we were busy (AD-PSGD
 		//    pairwise averaging, generalized to k pending models).
 		if len(nd.incoming) > 0 {
-			snaps.merge(nd.params, &nd.incoming)
-			nd.net.SetParams(nd.params)
+			snaps.merge(nd.Net.Params(), &nd.incoming)
 		}
 
 		// 2. Decide the step kind from the node's own step counter — the
 		//    same Γ pattern and policy contract as the synchronous engine,
 		//    with the virtual-time battery and forecast state threaded
 		//    through the context when a fleet is attached.
-		ctx := core.VirtualContext(cfg.Algo.Schedule, nd.steps, hsteps[nd.id], nil, nil)
+		ctx := core.VirtualContext(cfg.Algo.Schedule, res.StepsPerNode[nd.id], hsteps[nd.id], nil, nil)
+		round := 0 // the trace round a forecast starts from
 		if vf != nil {
-			ctx.Battery = vf
-			if forecastScratch != nil {
-				cfg.Forecast.Forecast(nd.id, vf.TraceRound(now), forecastScratch[nd.id])
-				ctx.Forecast = forecastScratch[nd.id]
-			}
+			ctx.Battery, round = vf, vf.TraceRound(now)
 		}
-		trainingStep := ctx.Kind == core.RoundTrain &&
-			cfg.Algo.Policy.Participate(nd.id, ctx, nd.policy)
+		trainingStep := ctx.Kind == core.RoundTrain && spec.Participate(&ln, nd.id, ctx, round)
 		dur := stepSec[nd.id]
 
 		if trainingStep && vf != nil {
@@ -645,16 +561,12 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		if trainingStep {
-			for e := 0; e < cfg.LocalSteps; e++ {
-				xs, ys := nd.batcher.Next(cfg.BatchSize)
-				nd.net.TrainBatch(xs, ys, cfg.LR)
-			}
-			nd.net.CopyParamsTo(nd.params)
+			spec.Train(nd.Node)
 			trainWh += cfg.Devices[nd.id].TrainRoundWh(cfg.Workload)
-			nd.trained++
 			res.TrainedSteps[nd.id]++
+			trained++
 		} else {
-			dur /= cfg.SyncSpeedup
+			dur /= syncSpeedup
 			if vf != nil {
 				vf.ClearPending(nd.id)
 				if !vf.TrySync(nd.id) {
@@ -676,13 +588,13 @@ func Run(cfg Config) (*Result, error) {
 			res.DroppedGossips++
 			probe.DroppedSends(vf.TraceRound(now), 1)
 		} else {
-			nodes[peer].incoming = append(nodes[peer].incoming, snaps.take(nd.params))
-			nd.incoming = append(nd.incoming, snaps.take(nodes[peer].params))
+			nodes[peer].incoming = append(nodes[peer].incoming, snaps.take(nd.Net.Params()))
+			nd.incoming = append(nd.incoming, snaps.take(nodes[peer].Net.Params()))
 			res.GossipsSent++
 		}
 
-		nd.steps++
 		res.StepsPerNode[nd.id]++
+		steps++
 		if !trainingStep && vf != nil {
 			// The comm lump is already paid; idle draw can still brown the
 			// node during the (short) exchange. The gossip stands either
@@ -703,53 +615,34 @@ func Run(cfg Config) (*Result, error) {
 	res.TotalTrainWh = trainWh
 	if vf != nil {
 		down := 0.0
-		for _, nd := range nodes {
-			nd.wakePending = false
-			if nd.down {
+		for i := range nodes {
+			if nd := &nodes[i]; nd.down {
 				nd.downTotal += cfg.Horizon - nd.downSince
-				nd.down = false
 			}
-			down += nd.downTotal
+			down += nodes[i].downTotal
 		}
 		res.BrownoutShare = down / (float64(n) * cfg.Horizon)
 		res.HarvestedWh = vf.HarvestedWh()
 		res.ConsumedWh = vf.ConsumedWh()
 		res.WastedWh = vf.WastedWh()
 	}
-	if probe.Enabled() {
-		steps, trained := 0, 0
-		for i := range res.StepsPerNode {
-			steps += res.StepsPerNode[i]
-			trained += res.TrainedSteps[i]
-		}
-		probe.Emit(obs.Event{
-			Kind: obs.KindRunEnd, Round: -1, Node: -1,
-			VTime: cfg.Horizon, Steps: steps, Trained: trained,
-			Gossips: res.GossipsSent,
-		})
-	}
+	probe.Emit(obs.Event{
+		Kind: obs.KindRunEnd, Round: -1, Node: -1,
+		VTime: cfg.Horizon, Steps: steps, Trained: trained,
+		Gossips: res.GossipsSent,
+	})
 	return res, nil
 }
 
 // buildManifest derives the async run's content-addressable identity from
 // the experiment-defining config fields (GOMAXPROCS and telemetry excluded:
 // the event loop is serial and bit-reproducible regardless).
-func buildManifest(cfg *Config, paramCount int, roundSec float64) obs.RunManifest {
-	b := obs.NewManifest("async", cfg.Algo.Label, cfg.Seed).
-		Scale(cfg.Graph.N, 0).
-		Set("schedule", cfg.Algo.Schedule.Name()).
-		Set("policy", cfg.Algo.Policy.Name()).
-		Setf("graph", "%016x", cfg.Graph.Fingerprint()).
+func buildManifest(cfg *Config, spec *learner.Spec, paramCount int, roundSec float64) obs.RunManifest {
+	b := spec.Manifest("async", 0, paramCount).
 		Setf("horizon_s", "%g", cfg.Horizon).
 		Setf("steps_per_node", "%d", cfg.StepsPerNode).
-		Setf("lr", "%g", cfg.LR).
-		Setf("batch", "%d", cfg.BatchSize).
-		Setf("local_steps", "%d", cfg.LocalSteps).
-		Setf("params", "%d", paramCount).
-		Setf("sync_speedup", "%g", cfg.SyncSpeedup).
-		Setf("eval_every_s", "%g", cfg.EvalEverySeconds).
-		Setf("eval_subsample", "%d", cfg.EvalSubsample).
-		Setf("devices", "%d", len(cfg.Devices))
+		Setf("sync_speedup", "%g", float64(syncSpeedup)).
+		Setf("eval_every_s", "%g", cfg.EvalEverySeconds)
 	if cfg.Trace != nil {
 		b = b.Set("trace", cfg.Trace.Name()).
 			Setf("round_seconds", "%g", roundSec)

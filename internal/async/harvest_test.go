@@ -289,3 +289,23 @@ func TestAsyncHarvestRevivalStaleness(t *testing.T) {
 		t.Fatal("no revival ever happened under a diurnal trace")
 	}
 }
+
+// A stateful trace carried into a second run starts that run from where the
+// first left its chains, unless the fleet rewinds it: two runs on one config
+// and one Markov object must be the same run.
+func TestAsyncTraceReuseReplays(t *testing.T) {
+	cfg := harvestConfig(t, 9, nil)
+	cfg.Trace = scarceMarkov(t, cfg, 9)
+	first, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.HarvestedWh != again.HarvestedWh || first.FinalMeanAcc != again.FinalMeanAcc || first.Brownouts != again.Brownouts {
+		t.Fatalf("second run on the same trace differs: harvested %v vs %v Wh, accuracy %v vs %v, brown-outs %d vs %d",
+			first.HarvestedWh, again.HarvestedWh, first.FinalMeanAcc, again.FinalMeanAcc, first.Brownouts, again.Brownouts)
+	}
+}

@@ -159,3 +159,14 @@ func NetworkRoundWh(n int, devices []Device, w Workload) float64 {
 	}
 	return total
 }
+
+// MeanTrainRoundSeconds returns the fleet-mean training-round duration:
+// the sum of TrainRoundSeconds over devices, in order, divided by their
+// count.
+func MeanTrainRoundSeconds(devices []Device, w Workload) float64 {
+	total := 0.0
+	for _, d := range devices {
+		total += d.TrainRoundSeconds(w)
+	}
+	return total / float64(len(devices))
+}

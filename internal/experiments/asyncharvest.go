@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/harvest"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -99,11 +100,7 @@ func asyncHarvestLeg(w *world, regime GammaRegime, leg string) (AsyncHarvestRow,
 	if err != nil {
 		return fail(err)
 	}
-	meanStepSec := 0.0
-	for _, d := range cfg.Devices {
-		meanStepSec += d.TrainRoundSeconds(cfg.Workload)
-	}
-	meanStepSec /= float64(len(cfg.Devices))
+	meanStepSec := energy.MeanTrainRoundSeconds(cfg.Devices, cfg.Workload)
 	res, err := async.Run(async.Config{
 		Graph:        cfg.Graph,
 		Algo:         cfg.Algo,

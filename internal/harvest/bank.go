@@ -101,7 +101,9 @@ type bank struct {
 // newBank validates options and derives every node's costs, battery
 // geometry, and initial charge (clamped into [0, capacity]) from its device
 // profile — the shared constructor core of NewFleet and NewVFleet, so the
-// two time models cannot drift in how a fleet shape is interpreted.
+// two time models cannot drift in how a fleet shape is interpreted. It
+// rewinds a stateful trace (TraceResetter): a fleet starts from the trace's
+// first round, not from wherever a previous fleet on it left its chains.
 func newBank(devices []energy.Device, w energy.Workload, trace Trace, opt Options) (bank, error) {
 	if len(devices) == 0 {
 		return bank{}, fmt.Errorf("harvest: fleet needs at least one device")
@@ -114,6 +116,9 @@ func newBank(devices []energy.Device, w energy.Workload, trace Trace, opt Option
 	}
 	if err := opt.validate(); err != nil {
 		return bank{}, err
+	}
+	if tr, ok := trace.(TraceResetter); ok {
+		tr.ResetTrace()
 	}
 	opt = opt.defaults()
 	n := len(devices)

@@ -176,9 +176,9 @@ func LongitudePhase(n int) func(node int) float64 {
 type MarkovOnOff struct {
 	onWh           float64
 	pOnOff, pOffOn float64
-	seed           uint64
 	on             []bool
 	rngs           []*rng.RNG
+	start          []rng.RNG // each stream's state at construction
 }
 
 // markovStreamTag derives the per-node chain streams from the seed.
@@ -194,19 +194,24 @@ func NewMarkovOnOff(n int, onWh, pOnOff, pOffOn float64, seed uint64) (*MarkovOn
 	case !(pOnOff >= 0 && pOnOff <= 1 && pOffOn >= 0 && pOffOn <= 1):
 		return nil, fmt.Errorf("harvest: markov probabilities (%v, %v) outside [0,1]", pOnOff, pOffOn)
 	}
-	m := &MarkovOnOff{onWh: onWh, pOnOff: pOnOff, pOffOn: pOffOn, seed: seed,
-		on: make([]bool, n), rngs: make([]*rng.RNG, n)}
+	m := &MarkovOnOff{onWh: onWh, pOnOff: pOnOff, pOffOn: pOffOn,
+		on: make([]bool, n), rngs: make([]*rng.RNG, n), start: make([]rng.RNG, n)}
+	for i := range m.rngs {
+		m.rngs[i] = rng.Derive(seed, uint64(i), markovStreamTag)
+		m.start[i] = *m.rngs[i]
+	}
 	m.ResetTrace()
 	return m, nil
 }
 
-// ResetTrace rewinds every chain to the on state and re-derives the
-// per-node RNG streams from the original seed, so the next trajectory is
-// bit-identical to a freshly constructed trace (TraceResetter).
+// ResetTrace rewinds every chain to the on state and every per-node RNG
+// stream to its state at construction, in place, so the next trajectory is
+// bit-identical to a freshly constructed trace (TraceResetter). It
+// allocates nothing: every fleet built on the trace calls it.
 func (m *MarkovOnOff) ResetTrace() {
 	for i := range m.on {
 		m.on[i] = true
-		m.rngs[i] = rng.Derive(m.seed, uint64(i), markovStreamTag)
+		*m.rngs[i] = m.start[i]
 	}
 }
 

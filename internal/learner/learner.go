@@ -1,0 +1,228 @@
+// Package learner is what both engines do around their time model: every
+// node trains E local SGD steps on its shard, shares, averages, and is
+// scored on one test set, in sim.Run's barriered rounds or on async.Run's
+// event heap. Each engine builds a Spec from its Config and calls it.
+package learner
+
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/energy"
+	"repro/internal/graph"
+	"repro/internal/harvest"
+	"repro/internal/metrics"
+	"repro/internal/nn"
+	"repro/internal/obs"
+	"repro/internal/par"
+	"repro/internal/rng"
+	"repro/internal/tensor"
+)
+
+// Spec is the part of a run's configuration both engines share. Battery
+// reports battery state to decide from: sim's fleet or async's trace.
+type Spec struct {
+	Graph                 *graph.Graph
+	Algo                  core.Algorithm
+	ModelFactory          func(node int, r *rng.RNG) *nn.Network
+	LR                    float64
+	BatchSize, LocalSteps int
+	Partition             dataset.Partition
+	Test                  *dataset.Dataset
+	EvalSubsample         int
+	Devices               []energy.Device // optional here; async requires them
+	Workload              energy.Workload
+	Battery               bool
+	Forecast              harvest.Forecaster
+	ForecastHorizon       int
+	Seed                  uint64
+}
+
+// Validate makes every check both engines make; each adds its own prefix.
+func (s *Spec) Validate() error {
+	switch {
+	case s.Graph == nil:
+		return fmt.Errorf("nil graph")
+	case s.ModelFactory == nil:
+		return fmt.Errorf("nil model factory")
+	case !(s.LR > 0 && s.LR < math.Inf(1)):
+		return fmt.Errorf("learning rate %v is not positive and finite", s.LR)
+	case s.BatchSize < 1 || s.LocalSteps < 1:
+		return fmt.Errorf("bad batch/steps %d/%d", s.BatchSize, s.LocalSteps)
+	case len(s.Partition) != s.Graph.N:
+		return fmt.Errorf("partition for %d nodes, graph has %d", len(s.Partition), s.Graph.N)
+	case s.Test == nil || s.Test.Len() == 0:
+		return fmt.Errorf("empty test set")
+	case s.Algo.Schedule == nil || s.Algo.Policy == nil:
+		return fmt.Errorf("incomplete algorithm")
+	case s.Devices != nil && len(s.Devices) != s.Graph.N:
+		return fmt.Errorf("%d devices for %d nodes (use energy.AssignDevices)", len(s.Devices), s.Graph.N)
+	}
+	if i := slices.IndexFunc(s.Partition, func(p *dataset.Dataset) bool { return p.Len() == 0 }); i >= 0 {
+		return fmt.Errorf("node %d has empty partition", i)
+	}
+	if s.Devices != nil {
+		if err := s.Workload.Validate(); err != nil {
+			return err
+		}
+	}
+	// The policy's declared needs must be wired, and a policy carrying a
+	// prior run's state is rejected: state never leaks silently between runs.
+	p := s.Algo.Policy
+	if _, ok := p.(core.BatteryDependent); ok && !s.Battery {
+		return fmt.Errorf("policy %s decides from battery state and needs a harvest fleet or trace", p.Name())
+	}
+	if _, ok := p.(core.ForecastDependent); ok && s.Forecast == nil {
+		return fmt.Errorf("policy %s plans over a forecast window and needs Config.Forecast", p.Name())
+	}
+	if rp, ok := p.(core.ResettablePolicy); ok && rp.Consumed() {
+		return fmt.Errorf("policy %s already consumed by a prior run; call Reset or build a fresh policy", p.Name())
+	}
+	switch {
+	case s.Forecast != nil && !s.Battery:
+		return fmt.Errorf("Forecast requires a harvest fleet or trace to forecast")
+	case s.Forecast != nil && s.ForecastHorizon < 1:
+		return fmt.Errorf("Forecast needs ForecastHorizon >= 1, got %d", s.ForecastHorizon)
+	case s.Forecast == nil && s.ForecastHorizon != 0:
+		return fmt.Errorf("ForecastHorizon %d given without a Forecast", s.ForecastHorizon)
+	}
+	return nil
+}
+
+// Node is one node's learner state; each engine's per-node state embeds a
+// pointer to it.
+type Node struct {
+	Net     *nn.Network
+	Batcher *dataset.Batcher
+	Policy  *rng.RNG // what the participation policy draws from
+}
+
+// Nodes is every node's learner state. Params[i] is Node[i].Net.Params(),
+// node i's only model vector, for good.
+type Nodes struct {
+	Node       []Node
+	Params     []tensor.Vector
+	ParamCount int
+	forecast   []float64 // node i's forecast window is the i-th ForecastHorizon elements
+}
+
+// NewNodes builds every node: its model under the engine's own salt (which
+// keeps each engine's bits), batcher, policy RNG and forecast window. Every
+// model must have node 0's parameter count.
+func (s *Spec) NewNodes(salt uint64) (Nodes, error) {
+	n := s.Graph.N
+	ns := Nodes{Node: make([]Node, n), Params: make([]tensor.Vector, n)}
+	if s.Forecast != nil {
+		ns.forecast = make([]float64, n*s.ForecastHorizon)
+	}
+	for i := range ns.Node {
+		net := s.ModelFactory(i, rng.Derive(s.Seed, uint64(i), salt))
+		if p := net.ParamCount(); i > 0 && p != ns.ParamCount {
+			return Nodes{}, fmt.Errorf("node %d model has %d params, node 0 has %d", i, p, ns.ParamCount)
+		}
+		ns.ParamCount = net.ParamCount()
+		ns.Node[i] = Node{Net: net, Batcher: dataset.NewBatcher(s.Partition[i], rng.Derive(s.Seed, uint64(i), 0xba7c4)),
+			Policy: rng.Derive(s.Seed, uint64(i), 0x90a1c)}
+		ns.Node[i].Batcher.Reserve(s.BatchSize)
+		ns.Params[i] = net.Params()
+	}
+	return ns, nil
+}
+
+// Participate asks the policy whether node i trains in ctx, its forecast
+// window filled from trace round on. It writes node-i state only.
+func (s *Spec) Participate(ns *Nodes, i int, ctx core.RoundContext, round int) bool {
+	if h := s.ForecastHorizon; ns.forecast != nil {
+		ctx.Forecast = ns.forecast[i*h : (i+1)*h : (i+1)*h]
+		s.Forecast.Forecast(i, round, ctx.Forecast)
+	}
+	return s.Algo.Policy.Participate(i, ctx, ns.Node[i].Policy)
+}
+
+// Train runs E local SGD steps (Algorithm 1, lines 4-6) on a network that
+// holds a gradient vector no one else uses meanwhile.
+func (s *Spec) Train(nd *Node) {
+	for e := 0; e < s.LocalSteps; e++ {
+		xs, ys := nd.Batcher.Next(s.BatchSize)
+		nd.Net.TrainBatch(xs, ys, s.LR)
+	}
+}
+
+// Manifest starts the run's manifest with the fields both engines hash.
+func (s *Spec) Manifest(engine string, rounds, paramCount int) *obs.ManifestBuilder {
+	b := obs.NewManifest(engine, s.Algo.Label, s.Seed).Scale(s.Graph.N, rounds).
+		Set("schedule", s.Algo.Schedule.Name()).
+		Set("policy", s.Algo.Policy.Name()).
+		Setf("graph", "%016x", s.Graph.Fingerprint()).
+		Setf("lr", "%g", s.LR).
+		Setf("batch", "%d", s.BatchSize).
+		Setf("local_steps", "%d", s.LocalSteps).
+		Setf("params", "%d", paramCount).
+		Setf("eval_subsample", "%d", s.EvalSubsample)
+	if s.Devices != nil {
+		b.Setf("devices", "%d", len(s.Devices))
+	}
+	return b
+}
+
+// Score is one evaluation: the nodes' mean and spread of Top-1 accuracy and,
+// when asked for, their consensus distance and the mean model's accuracy.
+type Score struct{ Mean, Std, Consensus, Global float64 }
+
+// Evaluator scores every node on the test set or on EvalSubsample samples
+// redrawn per evaluation. Accs holds each node's last accuracy.
+type Evaluator struct {
+	Accs      []float64
+	ns        Nodes
+	test      *dataset.Dataset
+	consensus bool
+	global    *nn.Network // holds the mean model; nil when not asked for
+	draw      *rng.RNG
+	xs        []tensor.Vector
+	ys        []int
+	perm      []int       // the redraw's permutation of the test set; nil = no redraw
+	score     func(i int) // scoreNode, bound once
+}
+
+// NewEvaluator scores ns; consensus and global ask for those Score fields.
+func (s *Spec) NewEvaluator(ns Nodes, consensus, global bool) *Evaluator {
+	ev := &Evaluator{Accs: make([]float64, len(ns.Node)), ns: ns, test: s.Test, consensus: consensus,
+		draw: rng.Derive(s.Seed, 0xe7a1)}
+	ev.score = ev.scoreNode
+	if global {
+		ev.global = s.ModelFactory(-1, rng.Derive(s.Seed, 0xe7a1, 1))
+	}
+	if k := s.EvalSubsample; k > 0 && k < s.Test.Len() {
+		ev.xs, ev.ys, ev.perm = make([]tensor.Vector, k), make([]int, k), make([]int, s.Test.Len())
+	} else {
+		ev.xs, ev.ys = s.Test.Inputs(), s.Test.Labels()
+	}
+	return ev
+}
+
+// scoreNode writes Accs[i] only: nodes score in parallel to the same bits.
+func (ev *Evaluator) scoreNode(i int) { ev.Accs[i] = ev.ns.Node[i].Net.Accuracy(ev.xs, ev.ys) }
+
+// Evaluate draws this evaluation's samples (rng.Perm's draws) and scores.
+func (ev *Evaluator) Evaluate() Score {
+	if ev.perm != nil {
+		ev.draw.PermTo(ev.perm)
+		for i, j := range ev.perm[:len(ev.xs)] {
+			ev.xs[i], ev.ys[i] = ev.test.Samples[j].X, ev.test.Samples[j].Y
+		}
+	}
+	par.For(len(ev.Accs), 0, ev.score)
+	var sc Score
+	sc.Mean, sc.Std = metrics.MeanStd(ev.Accs)
+	if ev.consensus {
+		sc.Consensus = metrics.ConsensusDistance(ev.ns.Params)
+	}
+	if ev.global != nil {
+		tensor.MeanVectorTo(ev.global.Params(), ev.ns.Params)
+		sc.Global = ev.global.Accuracy(ev.xs, ev.ys)
+	}
+	return sc
+}

@@ -67,8 +67,9 @@ func (n *Network) OutSize() int { return n.layers[len(n.layers)-1].OutSize() }
 func (n *Network) ParamCount() int { return len(n.params) }
 
 // Params returns the model vector x_i itself, not a copy: the same slice
-// for the network's life. It is read-only for callers and changes under them
-// whenever the network trains or SetParams or Mix runs.
+// for the network's life. It changes whenever the network trains or SetParams
+// or Mix runs; only the network's owner writes it in place (async's merge,
+// the evaluator's mean model), and everyone else reads it only.
 func (n *Network) Params() tensor.Vector { return n.params }
 
 // Forward runs the network and returns the logits (an internal buffer).

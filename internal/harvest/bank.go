@@ -247,7 +247,7 @@ func (b *bank) MeanSoC() float64 {
 }
 
 // TotalChargeWh returns the fleet's total stored energy — the audit
-// baseline on run_start and the charge of every ledger checkpoint.
+// baseline on run_start and the charge each ledger checkpoint reports.
 func (b *bank) TotalChargeWh() float64 { return sum(b.chargeWh) }
 
 // HarvestedWh returns the total energy stored from harvesting so far.

@@ -10,7 +10,7 @@
 // The harness doubles as reusable test infrastructure: Scenarios()
 // generates the (trace × policy × liveness × cutoff) table, and a Scenario
 // builds fresh traces, fleets, policies, and forecasters on demand, so
-// fleet, forecast, and checkpoint tests in other packages can draw
+// fleet, forecast, and rejoin tests in other packages can draw
 // well-formed harvest setups from one table instead of hand-rolling their
 // own. (harvest's own in-package tests cannot import this package — it
 // imports harvest — which is why the differential tests live here.)

@@ -55,7 +55,7 @@
 // and Fleet.Live snapshots the whole fleet's mask. The simulation engine
 // takes that snapshot at the start of every round; with dead-node dropout
 // enabled (sim.Config.DropDeadNodes) the mask also silences the node's
-// edges (transport.DeadNode) and re-normalizes the mixing matrix
+// edges (nothing is sent to or from it) and re-normalizes the mixing matrix
 // (graph.RenormalizeLiveTo), so a brown-out affects computation and
 // communication alike.
 //

@@ -119,7 +119,7 @@ func (f *Fleet) Reset() error {
 // Live snapshots the fleet's live set: live[i] reports that node i is above
 // its brown-out cutoff and can power its radio this round. The simulation
 // engine takes this snapshot at the start of every round and feeds it to
-// graph.RenormalizeLiveTo and the transport's dead-node wrapper, so liveness
+// graph.RenormalizeLiveTo and its share phase, so liveness
 // is decided once per round from battery state, never mid-phase. The slice
 // is the fleet's own and is refilled by the next Live call: read it before
 // then, or copy it.

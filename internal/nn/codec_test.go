@@ -20,8 +20,8 @@ import (
 //
 // Only parameters are stored — architecture is code, so the reader validates
 // the parameter count against the receiving network (Network.Params is the
-// vector to write, SetParams takes the one read). internal/checkpoint's
-// stores persist brown-out snapshots in this format.
+// vector to write, SetParams takes the one read). The tests pin the flat
+// parameter layout through this format (testdata/mini_gnlenet_stepped.skpt).
 
 const (
 	checkpointMagic   = 0x534b5054
@@ -34,9 +34,9 @@ const (
 	maxCheckpointParams = 1 << 27
 )
 
-// WriteVector writes a parameter vector as a checkpoint to w. Encoding is
-// bit-exact: every float64 round-trips through ReadVector unchanged.
-func WriteVector(w io.Writer, params tensor.Vector) error {
+// writeVector writes a parameter vector as a checkpoint to w. Encoding is
+// bit-exact: every float64 round-trips through readVector unchanged.
+func writeVector(w io.Writer, params tensor.Vector) error {
 	var hdr [16]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], checkpointMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], checkpointVersion)
@@ -59,10 +59,10 @@ func WriteVector(w io.Writer, params tensor.Vector) error {
 	return nil
 }
 
-// ReadVector reads a checkpoint from r and returns the parameter vector.
+// readVector reads a checkpoint from r and returns the parameter vector.
 // The checksum must verify; the caller validates the length against its
 // receiving model.
-func ReadVector(r io.Reader) (tensor.Vector, error) {
+func readVector(r io.Reader) (tensor.Vector, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("nn: read checkpoint header: %w", err)

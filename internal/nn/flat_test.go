@@ -27,7 +27,7 @@ func stepOnce(net *Network) {
 func savedBytes(t *testing.T, net *Network) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteVector(&buf, net.Params()); err != nil {
+	if err := writeVector(&buf, net.Params()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -55,7 +55,7 @@ func blocks(net *Network) [][]float64 {
 
 // TestNetworkFlatViews pins the flat layout: every layer's parameters are
 // windows of Network.Params in checkpoint order, a SetParams is visible
-// in each of them, and the bytes WriteVector writes — at initialisation and
+// in each of them, and the bytes writeVector writes — at initialisation and
 // after a training step — are the ones the per-layer implementation wrote
 // (digests recorded at commit 968df6c, before the layout changed).
 func TestNetworkFlatViews(t *testing.T) {
@@ -126,7 +126,7 @@ func TestFlatLayoutLoadsOldParameterFile(t *testing.T) {
 			NewDense(4*2*2, 4, true, r))
 	}
 	loaded := build(1)
-	params, err := ReadVector(bytes.NewReader(old))
+	params, err := readVector(bytes.NewReader(old))
 	if err != nil {
 		t.Fatal(err)
 	}

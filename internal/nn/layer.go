@@ -16,8 +16,8 @@
 // order and, within a layer, weights before bias (Dense W then B, Conv2D K
 // then B, GroupNorm gamma then beta), and the layer draws its initial
 // weights there — so the constructors' RNG is consumed by New, in layer
-// order. That vector is the model x_i the nodes exchange and every
-// checkpoint stores, so CopyParamsTo, SetParams and the SGD update are one
+// order. That vector is the model x_i the nodes exchange and a parameter
+// file stores, so CopyParamsTo, SetParams and the SGD update are one
 // pass over one slice, and a write through SetParams is at once visible to
 // every layer. Only nn writes it — TrainBatch, SetParams and Mix, which
 // averages neighborhoods in place — whereas Params hands out the same

@@ -8,11 +8,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// saved is net's parameter vector written as a checkpoint.
+// saved is net's parameter vector written in the parameter file format.
 func saved(t *testing.T, net *Network) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteVector(&buf, net.Params()); err != nil {
+	if err := writeVector(&buf, net.Params()); err != nil {
 		t.Fatal(err)
 	}
 	return &buf
@@ -20,7 +20,7 @@ func saved(t *testing.T, net *Network) *bytes.Buffer {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	src := MLP(6, []int{10}, 4, rng.New(1))
-	params, err := ReadVector(saved(t, src))
+	params, err := readVector(saved(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // A checkpoint carries no architecture: the receiving network refuses a
 // parameter vector of another length.
 func TestCheckpointWrongArchitecture(t *testing.T) {
-	params, err := ReadVector(saved(t, LogisticRegression(4, 3, rng.New(2))))
+	params, err := readVector(saved(t, LogisticRegression(4, 3, rng.New(2))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestCheckpointWrongArchitecture(t *testing.T) {
 func TestCheckpointCorruption(t *testing.T) {
 	data := saved(t, LogisticRegression(4, 3, rng.New(4))).Bytes()
 	data[20] ^= 0xff // flip a param byte
-	if _, err := ReadVector(bytes.NewReader(data)); err == nil {
+	if _, err := readVector(bytes.NewReader(data)); err == nil {
 		t.Fatal("corrupted checkpoint must fail the crc")
 	}
 }
@@ -77,20 +77,20 @@ func TestCheckpointImplausibleCount(t *testing.T) {
 	for i := 8; i < 16; i++ {
 		data[i] = 0xff // count = 2^64 - 1
 	}
-	if _, err := ReadVector(bytes.NewReader(data)); err == nil {
+	if _, err := readVector(bytes.NewReader(data)); err == nil {
 		t.Fatal("implausible parameter count must be rejected")
 	}
 }
 
 func TestCheckpointBadMagicAndTruncation(t *testing.T) {
-	if _, err := ReadVector(bytes.NewReader([]byte("notacheckpoint!!"))); err == nil {
+	if _, err := readVector(bytes.NewReader([]byte("notacheckpoint!!"))); err == nil {
 		t.Fatal("bad magic must fail")
 	}
 	data := saved(t, LogisticRegression(2, 2, rng.New(5))).Bytes()
-	if _, err := ReadVector(bytes.NewReader(data[:10])); err == nil {
+	if _, err := readVector(bytes.NewReader(data[:10])); err == nil {
 		t.Fatal("truncated header must fail")
 	}
-	if _, err := ReadVector(bytes.NewReader(data[:len(data)-6])); err == nil {
+	if _, err := readVector(bytes.NewReader(data[:len(data)-6])); err == nil {
 		t.Fatal("truncated body must fail")
 	}
 }

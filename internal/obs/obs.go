@@ -38,7 +38,8 @@ const (
 	// PhaseLiveSet is the start-of-round liveness snapshot and mixing
 	// re-normalization.
 	PhaseLiveSet Phase = iota
-	// PhaseRejoin is the checkpoint/rejoin pass on live-set transitions.
+	// PhaseRejoin is the pass over live-set transitions that applies a
+	// rejoin rule to reviving nodes.
 	PhaseRejoin
 	// PhaseTrain is the local-training fan-out.
 	PhaseTrain

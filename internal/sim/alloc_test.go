@@ -27,7 +27,8 @@ func gridCellConfig(t *testing.T, seed uint64) Config {
 // GOMAXPROCS 1 (above it par.For spawns its workers per phase) a run of 3R
 // rounds allocates exactly as often as one of R rounds, in plain D-PSGD
 // under Γ(1,3), in a harvest-coupled grid cell, in drop-and-renormalize
-// rounds, and when every round evaluates on a redrawn subsample.
+// rounds with and without a rejoin rule, and when every round evaluates on
+// a redrawn subsample.
 func TestRunAllocsIndependentOfRounds(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation counts do not hold under the race detector")
@@ -48,6 +49,15 @@ func TestRunAllocsIndependentOfRounds(t *testing.T) {
 		}},
 		{"harvest-grid-cell", func(t *testing.T) Config { return gridCellConfig(t, 82) }},
 		{"drop-dead-nodes", func(t *testing.T) Config { return brownoutConfig(t, 83) }},
+		{"rejoin-catchup", func(t *testing.T) Config {
+			cfg := brownoutConfig(t, 83)
+			rule, err := NewCatchUp(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Rejoin = rule
+			return cfg
+		}},
 		{"eval-every-round", func(t *testing.T) Config {
 			cfg := testConfig(t, 84)
 			cfg.EvalEvery, cfg.EvalSubsample = 1, 40
@@ -72,6 +82,9 @@ func TestRunAllocsIndependentOfRounds(t *testing.T) {
 						}
 						if tc.name == "drop-dead-nodes" && res.TotalDroppedSends == 0 {
 							t.Fatal("no send was dropped: the trace did not brown any node out")
+						}
+						if tc.name == "rejoin-catchup" && res.TotalRestores == 0 {
+							t.Fatal("no revival was restored: the rejoin rule never ran")
 						}
 					}))
 				}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -39,19 +38,17 @@ func resultDigest(res *Result) string {
 // TestPostAggregationReadersPinned pins, against digests captured before
 // the aggregation buffer was removed, the two runs that between them go
 // through every reader of post-aggregation state: the evaluator's global
-// model, the consensus metric, FinalGlobalParams, the dying-node snapshot
-// and the rejoin rule's Current/NeighborMean on one side, the all-reduce
-// commit on the other.
+// model, the consensus metric, FinalGlobalParams and the rejoin rule's
+// frozen model and neighbor mean on one side, the all-reduce commit on the
+// other.
 func TestPostAggregationReadersPinned(t *testing.T) {
 	brownout := func() Config {
 		cfg := brownoutConfigNodes(t, 61, 12)
-		rule, err := checkpoint.NewCatchUp(2)
+		rule, err := NewCatchUp(2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cfg.Checkpoint, err = checkpoint.NewManager(cfg.Graph.N, nil, rule); err != nil {
-			t.Fatal(err)
-		}
+		cfg.Rejoin = rule
 		return cfg
 	}
 	allReduce := func() Config {
@@ -91,7 +88,7 @@ func TestPostAggregationReadersPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cfg.Checkpoint != nil && (res.TotalRestores == 0 || res.TotalDroppedSends == 0) {
+			if cfg.Rejoin != nil && (res.TotalRestores == 0 || res.TotalDroppedSends == 0) {
 				t.Fatalf("%s: %d restores, %d dropped sends: the rejoin path did not run", tc.name, res.TotalRestores, res.TotalDroppedSends)
 			}
 			if got := resultDigest(res); got != tc.want {

@@ -25,15 +25,13 @@
 // harvest — and the round metrics carry the fleet's state of charge.
 //
 // With Config.DropDeadNodes, brown-outs also silence the topology: every
-// round starts by snapshotting the live set, edges incident to dead nodes
-// go down for the round (transport.DeadNode), and the mixing matrix is
-// re-normalized over the live subgraph (graph.RenormalizeLiveTo) so
-// aggregation stays doubly stochastic on the live component. With
-// Config.Checkpoint, live-set transitions additionally drive the
-// brown-out checkpoint/restore subsystem (internal/checkpoint): dying
-// nodes get their last aggregated model snapshotted, reviving nodes get
-// a staleness-aware rejoin rule applied. See docs/ARCHITECTURE.md for
-// the full round walkthrough.
+// round starts by snapshotting the live set, no model is sent to or from a
+// dead node for the round, and the mixing matrix is re-normalized over the
+// live subgraph (graph.RenormalizeLiveTo) so aggregation stays doubly
+// stochastic on the live component. With Config.Rejoin, a reviving node's
+// frozen model is rewritten by a staleness-aware rejoin rule (rejoin.go)
+// before it trains again. See docs/ARCHITECTURE.md for the full round
+// walkthrough.
 //
 // Phases are fanned out across GOMAXPROCS workers, but all stochastic
 // state is per-node, so results are bit-identical regardless of
@@ -45,7 +43,6 @@ import (
 	"runtime"
 	"slices"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/energy"
@@ -116,11 +113,11 @@ type Config struct {
 
 	// DropDeadNodes makes node liveness a first-class, per-round property
 	// of the topology: at the start of every round the engine snapshots the
-	// live set (nodes above their brown-out cutoff), silences every edge
-	// incident to a dead node for the round (transport.DeadNode), and
-	// re-normalizes the mixing matrix over the induced live subgraph
-	// (graph.RenormalizeLiveTo), so aggregation stays symmetric and
-	// doubly stochastic on the live component. Dead nodes freeze: no
+	// live set (nodes above their brown-out cutoff), sends nothing to or
+	// from a dead node for the round, and re-normalizes the mixing matrix
+	// over the induced live subgraph (graph.RenormalizeLiveTo), so
+	// aggregation stays symmetric and doubly stochastic on the live
+	// component. Dead nodes freeze: no
 	// training, no sends, no receives, model held until they recharge, and
 	// they pay idle draw only (harvest.Fleet.EndRoundLive). Without this
 	// flag the engine routes sync traffic through depleted nodes unchanged
@@ -137,18 +134,15 @@ type Config struct {
 	// per-node Usable state.
 	Liveness func(t int) []bool
 
-	// Checkpoint attaches the brown-out checkpoint/restore subsystem
-	// (internal/checkpoint): at every death transition the dying node's
-	// post-aggregation model is snapshotted with its round stamp, and at
-	// every revival the manager's RejoinRule decides what the node resumes
-	// with — its frozen state (ResumeStale), the freshest aggregated state
-	// in its live neighborhood (RestoreCheckpoint), or a staleness-
-	// discounted blend of the two (CatchUp). Rejoins happen before the
-	// round's training phase and are applied in node order from the frozen
-	// start-of-round models, so runs stay bit-reproducible at any
-	// GOMAXPROCS. Requires DropDeadNodes (without it dead nodes never
-	// freeze, so there is nothing to restore from).
-	Checkpoint *checkpoint.Manager
+	// Rejoin decides what a node resumes with when it revives: its frozen
+	// model (ResumeStale), the freshest aggregated state in its live
+	// neighborhood (RestoreCheckpoint), or a staleness-discounted blend of
+	// the two (CatchUp). Rejoins happen before the round's training phase,
+	// in node order, each read only from neighbors that did not revive this
+	// round, so runs stay bit-reproducible at any GOMAXPROCS. Nil is off.
+	// Requires DropDeadNodes (without it dead nodes never freeze, so there
+	// is nothing to rejoin from).
+	Rejoin RejoinRule
 
 	// Network is the transport to use; nil selects an in-process channel
 	// network sized for the topology.
@@ -192,9 +186,9 @@ func (c *Config) validate(s *learner.Spec) error {
 			return fmt.Errorf("sim: weights give node %d %d neighbors, the graph %d", i, len(c.Weights.Nbr[i]), c.Graph.Degree(i))
 		}
 	}
-	// A fleet, learning forecaster or checkpoint manager that already ran
-	// carries drained batteries, observation history or snapshots; a second
-	// run on it would silently splice that history into this one.
+	// A fleet or learning forecaster that already ran carries drained
+	// batteries or observation history; a second run on it would silently
+	// splice that history into this one.
 	fc, learns := c.Forecast.(interface{ Consumed() bool })
 	switch {
 	case c.Harvest != nil && c.Harvest.Nodes() != c.Graph.N:
@@ -209,15 +203,8 @@ func (c *Config) validate(s *learner.Spec) error {
 		return fmt.Errorf("sim: DropDeadNodes needs a harvest fleet or a Liveness hook")
 	case c.DropDeadNodes && c.Algo.Aggregation == core.AggGlobal:
 		return fmt.Errorf("sim: DropDeadNodes requires neighborhood aggregation")
-	case c.Checkpoint == nil:
-		return nil
-	case !c.DropDeadNodes:
-		return fmt.Errorf("sim: Checkpoint requires DropDeadNodes (dead nodes must freeze to have state worth restoring)")
-	case c.Checkpoint.Nodes() != c.Graph.N:
-		return fmt.Errorf("sim: checkpoint manager covers %d nodes, graph has %d", c.Checkpoint.Nodes(), c.Graph.N)
-	case c.Checkpoint.Tracker().LastObserved() >= 0:
-		return fmt.Errorf("sim: checkpoint manager already observed round %d; build a fresh manager per run",
-			c.Checkpoint.Tracker().LastObserved())
+	case c.Rejoin != nil && !c.DropDeadNodes:
+		return fmt.Errorf("sim: Rejoin requires DropDeadNodes (dead nodes must freeze to have state worth rejoining from)")
 	}
 	return nil
 }
@@ -259,13 +246,15 @@ type RoundMetrics struct {
 	LiveCount      int     // nodes powered at the start of the round
 	MeanLiveDegree float64 // mean induced degree over live nodes
 	LiveComponents int     // connected components of the live subgraph
-	// DroppedSends counts messages lost on dead edges this round
-	// (Config.DropDeadNodes runs only; always 0 when routing through).
+	// DroppedSends counts the sends live nodes owed dead neighbors this
+	// round, which the share phase skips: the directed edges from a live
+	// node to a dead one (Config.DropDeadNodes runs only; always 0 when
+	// routing through).
 	DroppedSends int
-
-	// Checkpoint/rejoin state (Config.Checkpoint runs only).
+	// Revivals and their staleness, recorded whenever a live-set source
+	// exists; Restores needs a Config.Rejoin rule.
 	Revivals      int     // nodes back from a brown-out this round
-	Restores      int     // revivals whose rejoin rule replaced the stale in-RAM model
+	Restores      int     // revivals whose rejoin rule replaced the frozen model
 	MeanStaleness float64 // mean rounds-missed across this round's revivals (0 when none)
 	MaxStaleness  int     // largest rounds-missed across this round's revivals
 }
@@ -286,7 +275,7 @@ type Result struct {
 	FinalNodeAccs []float64
 	// FinalGlobalParams is the average of all node models after the last
 	// round when EvalGlobalModel or TrackConsensus is set (nil otherwise).
-	// It is the deployable consensus model; save it with nn.WriteVector.
+	// It is the deployable consensus model: Network.SetParams loads it.
 	FinalGlobalParams tensor.Vector
 	// Energy totals.
 	TotalTrainWh, TotalCommWh float64
@@ -299,12 +288,10 @@ type Result struct {
 	FinalSoC       []float64
 	// TrainedRounds counts how many rounds each node actually trained.
 	TrainedRounds []int
-	// TotalDroppedSends is the number of messages lost on dead edges over
-	// the whole run (Config.DropDeadNodes runs only).
+	// TotalDroppedSends sums DroppedSends over the run.
 	TotalDroppedSends int
 	// TotalRevivals and TotalRestores count brown-out rejoins over the
-	// whole run and how many of them replaced stale state
-	// (Config.Checkpoint runs only).
+	// whole run and how many of them replaced the frozen model.
 	TotalRevivals, TotalRestores int
 }
 
@@ -385,12 +372,80 @@ type run struct {
 	// over the live subgraph — and nil on all others (configured Weights).
 	dead    []bool
 	weights *graph.Weights
+	// lastLive[i] is the last round node i was live, -1 before round 0
+	// (every node counts as live before the run); nil without a live-set
+	// source. nbrMean is the rejoin rule's neighbor mean (Config.Rejoin).
+	lastLive []int
+	nbrMean  tensor.Vector
 }
 
 // down reports that node i is browned out on a round that drops dead nodes:
 // unpowered, it neither trains, sends nor receives and holds its model (W's
 // row is the identity) until it recharges past the cutoff.
 func (r *run) down(i int) bool { return r.dead != nil && !r.dead[i] }
+
+// alive reads a live mask, where nil means every node is live.
+func alive(live []bool, i int) bool { return live == nil || live[i] }
+
+// transitions is the one pass over lastLive after round t's live-set
+// snapshot: it emits the brown-outs and revivals, rejoins each revival (with
+// staleness t-1-lastLive[i]) and counts the sends live nodes owe dead
+// neighbors on drop rounds. lastLive moves to t only after the pass, so a
+// node that revives this round is never read as a live neighbor.
+func (r *run) transitions(live []bool, m *RoundMetrics) {
+	g, probe, t := r.cfg.Graph, r.cfg.Probe, r.ctx.Round
+	for i, last := range r.lastLive {
+		if !alive(live, i) {
+			if last == t-1 {
+				probe.Brownout(t, i)
+			}
+			continue
+		}
+		if r.dead != nil {
+			m.DroppedSends += g.Degree(i) - g.LiveDegree(live, i)
+		}
+		if stale := t - 1 - last; stale > 0 {
+			m.Revivals++
+			m.MeanStaleness += float64(stale)
+			m.MaxStaleness = max(m.MaxStaleness, stale)
+			if r.rejoin(i, stale, live) {
+				m.Restores++
+			}
+			probe.Revival(t, i, stale)
+		}
+	}
+	if m.Revivals > 0 {
+		m.MeanStaleness /= float64(m.Revivals)
+	}
+	for i := range r.lastLive {
+		if alive(live, i) {
+			r.lastLive[i] = t
+		}
+	}
+}
+
+// rejoin applies the rejoin rule to node i's frozen model, in place, with
+// the mean of its continuously-live neighbors (live this round and the
+// last: their models are round t-1's aggregates, and no rule writes them).
+func (r *run) rejoin(i, stale int, live []bool) bool {
+	if r.cfg.Rejoin == nil {
+		return false
+	}
+	mean, cnt := r.nbrMean, 0
+	clear(mean)
+	for _, j := range r.cfg.Graph.Adj[i] {
+		if alive(live, j) && r.lastLive[j] == r.ctx.Round-1 {
+			tensor.AXPY(mean, 1, r.nodes[j].Net.Params())
+			cnt++
+		}
+	}
+	if cnt == 0 {
+		mean = nil
+	} else {
+		tensor.ScaleTo(mean, 1/float64(cnt), mean)
+	}
+	return r.cfg.Rejoin.Apply(r.nodes[i].Net.Params(), stale, mean)
+}
 
 // train is phase 1: a participating node decides from its own RoundContext
 // — the shared start-of-round view (round, horizon, schedule, battery) plus
@@ -413,18 +468,20 @@ func (r *run) train(i int) {
 
 // share is phase 2: all sends complete before any receive (inboxes are
 // buffered beyond the per-round in-flight maximum, so sends never block and
-// the receive phase cannot deadlock). On drop rounds live nodes still
-// transmit to every neighbor — the radio cannot know a peer is down — with
-// the dead-node wrapper losing those messages. The model vector goes out in
-// place: the in-process transport hands the slice to every receiver, and it
-// is next written in phase 3's mix, a block at a time, each after the last
-// read of that block.
+// the receive phase cannot deadlock). On drop rounds nothing goes to or from
+// a dead node; the sends a live node skips are counted as DroppedSends by
+// run.transitions. The model vector goes out in place: the in-process
+// transport hands the slice to every receiver, and it is next written in
+// phase 3's mix, a block at a time, each after the last read of that block.
 func (r *run) share(i int) {
 	nd := &r.nodes[i]
 	if r.down(i) {
 		return
 	}
 	for _, j := range r.cfg.Graph.Adj[i] {
+		if r.down(j) {
+			continue
+		}
 		if err := nd.ep.Send(j, transport.Message{Round: r.ctx.Round, Kind: transport.KindModel, Vec: nd.Net.Params()}); err != nil {
 			nd.err = err
 			return
@@ -496,14 +553,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		defer net.Close()
 	}
-	// In dropout mode every endpoint goes through the dead-node wrapper, so
-	// radio silence is enforced at the transport no matter which network
-	// backs the run (channels or TCP).
-	var deadNet *transport.DeadNode
 	var liveWeights *graph.Weights // drop rounds renormalize into it
 	if cfg.DropDeadNodes {
-		deadNet, liveWeights = &transport.DeadNode{Inner: net}, graph.NewWeights(g)
-		net = deadNet
+		liveWeights = graph.NewWeights(g)
 	}
 
 	// Node state is a few slabs: the learner's nodes, a []nodeState pointing
@@ -562,27 +614,20 @@ func Run(cfg Config) (*Result, error) {
 		socSketch = obs.NewSoCSketch()
 		observeSoC = socSketch.Observe // bound once: a method value allocates
 	}
-	// prevLive remembers the previous round's live mask (nil = all live)
-	// so the probe can emit brown-out/revival transitions; maintained only
-	// while telemetry is on.
-	var prevLive []bool
-
-	// Scratch for the live-set phase's component scan.
+	// Scratch for the live-set phase's component scan, and the lastLive
+	// record, which shares the scan queue's slab.
 	var seen []bool
 	var queue []int
 	haveLiveSource := cfg.Liveness != nil || cfg.Harvest != nil
 	if haveLiveSource {
-		seen, queue = make([]bool, n), make([]int, 0, n)
+		slab := make([]int, 2*n)
+		seen, queue, r.lastLive = make([]bool, n), slab[:0:n], slab[n:]
+		for i := range r.lastLive {
+			r.lastLive[i] = -1
+		}
 	}
-
-	// Scratch for the checkpoint/rejoin phase: one snapshot buffer and the
-	// this-round revival mask. Per-revival vectors are allocated on demand —
-	// revivals are rare events.
-	var ckParams tensor.Vector
-	var revivedMask []bool
-	if cfg.Checkpoint != nil {
-		ckParams = tensor.NewVector(paramCount)
-		revivedMask = make([]bool, n)
+	if cfg.Rejoin != nil {
+		r.nbrMean = tensor.NewVector(paramCount)
 	}
 
 	// Scratch for the all-reduce aggregation: the fleet mean.
@@ -629,111 +674,23 @@ func Run(cfg Config) (*Result, error) {
 		// A round drops dead nodes only when some node is in fact dead (see
 		// run.dead); all-live rounds keep the configured Weights.
 		r.dead, r.weights = nil, cfg.Weights
-		if cfg.DropDeadNodes {
-			deadNet.SetLive(live)
-			if live != nil && m.LiveCount < n {
-				r.dead, r.weights = live, liveWeights
-				graph.RenormalizeLiveTo(liveWeights, g, live)
-			}
+		if cfg.DropDeadNodes && live != nil && m.LiveCount < n {
+			r.dead, r.weights = live, liveWeights
+			graph.RenormalizeLiveTo(liveWeights, g, live)
 		}
 		probe.PhaseEnd(t, obs.PhaseLiveSet)
 
-		// Brown-out/revival transitions, derived by diffing live masks round
-		// over round. Checkpoint runs emit revivals from the rejoin phase
-		// instead, where the staleness is known.
-		if probe.Enabled() && haveLiveSource {
-			for i := 0; i < n; i++ {
-				was := prevLive == nil || prevLive[i]
-				is := live == nil || live[i]
-				if was && !is {
-					probe.Brownout(t, i)
-				} else if !was && is && cfg.Checkpoint == nil {
-					probe.Revival(t, i, 0)
-				}
+		// Phase 0b: brown-outs, revivals and rejoins (run.transitions).
+		if haveLiveSource {
+			if cfg.Rejoin != nil {
+				probe.PhaseStart(obs.PhaseRejoin)
 			}
-			// Copy: the Liveness hook may reuse its slice next round.
-			if live == nil {
-				prevLive = nil
-			} else {
-				if prevLive == nil {
-					prevLive = make([]bool, n)
-				}
-				copy(prevLive, live)
+			r.transitions(live, &m)
+			if cfg.Rejoin != nil {
+				probe.PhaseEnd(t, obs.PhaseRejoin)
 			}
-		}
-
-		// Phase 0b: checkpoint/rejoin on live-set transitions. Dying nodes
-		// get their post-aggregation model snapshotted (stamped with the
-		// round that produced it); reviving nodes get the rejoin rule
-		// applied before any training. Rejoins are computed first — from
-		// the frozen start-of-round models — and applied second, in node
-		// order, so adjacent simultaneous revivals see identical inputs and
-		// results are bit-identical at any GOMAXPROCS.
-		if ck := cfg.Checkpoint; ck != nil {
-			probe.PhaseStart(obs.PhaseRejoin)
-			died, revived := ck.BeginRound(t, live)
-			for _, i := range died {
-				nodes[i].Net.CopyParamsTo(ckParams)
-				if err := ck.Snapshot(i, t-1, ckParams); err != nil {
-					return nil, fmt.Errorf("sim: snapshot dying node %d: %w", i, err)
-				}
-			}
-			if len(revived) > 0 {
-				clear(revivedMask)
-				for _, rv := range revived {
-					revivedMask[rv.Node] = true
-				}
-				resumed := make([]tensor.Vector, len(revived))
-				for k, rv := range revived {
-					i := rv.Node
-					rj := checkpoint.Rejoin{
-						Node: i, Round: t, Staleness: rv.Staleness,
-						// Nothing has written a dead node's model since the
-						// aggregation before it died.
-						Current: nodes[i].Net.Params(),
-					}
-					if snap, ok, err := ck.Load(i); err != nil {
-						return nil, fmt.Errorf("sim: load snapshot for node %d: %w", i, err)
-					} else if ok {
-						rj.Snapshot, rj.SnapshotRound = snap.Params, snap.Round
-					}
-					// Mean over continuously-live neighbors: live this round
-					// and not themselves reviving, so their models are fresh
-					// post-aggregation state from round t-1.
-					var mean tensor.Vector
-					cnt := 0
-					for _, j := range cfg.Graph.Adj[i] {
-						if (live == nil || live[j]) && !revivedMask[j] {
-							if mean == nil {
-								mean = tensor.NewVector(paramCount)
-							}
-							tensor.AXPY(mean, 1, nodes[j].Net.Params())
-							cnt++
-						}
-					}
-					if cnt > 0 {
-						tensor.ScaleTo(mean, 1/float64(cnt), mean)
-						rj.NeighborMean = mean
-					}
-					resumed[k] = tensor.NewVector(paramCount)
-					if ck.Rule().Apply(resumed[k], rj) {
-						m.Restores++
-					}
-					m.Revivals++
-					m.MeanStaleness += float64(rv.Staleness)
-					if rv.Staleness > m.MaxStaleness {
-						m.MaxStaleness = rv.Staleness
-					}
-					probe.Revival(t, i, rv.Staleness)
-				}
-				for k, rv := range revived {
-					nodes[rv.Node].Net.SetParams(resumed[k])
-				}
-				m.MeanStaleness /= float64(len(revived))
-				result.TotalRevivals += m.Revivals
-				result.TotalRestores += m.Restores
-			}
-			probe.PhaseEnd(t, obs.PhaseRejoin)
+			result.TotalRevivals += m.Revivals
+			result.TotalRestores += m.Restores
 		}
 
 		// Phase 1: local training (run.train).
@@ -777,10 +734,8 @@ func Run(cfg Config) (*Result, error) {
 				acct.AddCommunication(i, cfg.Devices[i].TrainRoundWh(cfg.Workload)*energy.CommShareOfTraining)
 			}
 		}
-		if deadNet != nil {
-			total := deadNet.Dropped()
-			m.DroppedSends = total - result.TotalDroppedSends
-			result.TotalDroppedSends = total
+		if cfg.DropDeadNodes {
+			result.TotalDroppedSends += m.DroppedSends
 			probe.DroppedSends(t, m.DroppedSends)
 		}
 		if cfg.Harvest != nil {
@@ -905,8 +860,8 @@ func buildManifest(cfg *Config, spec *learner.Spec, paramCount int) obs.RunManif
 		b.Set("forecast", cfg.Forecast.Name()).
 			Setf("forecast_horizon", "%d", cfg.ForecastHorizon)
 	}
-	if cfg.Checkpoint != nil {
-		b.Set("rejoin", cfg.Checkpoint.Rule().Name())
+	if cfg.Rejoin != nil {
+		b.Set("rejoin", cfg.Rejoin.Name())
 	}
 	return b.Build()
 }

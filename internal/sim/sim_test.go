@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -8,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/energy"
@@ -557,16 +557,20 @@ func TestFinalNodeAccsExposed(t *testing.T) {
 
 func TestTransportFailureSurfaces(t *testing.T) {
 	// A failing transport must abort the run with an error — never hang or
-	// deliver partial rounds.
-	cfg := testConfig(t, 21)
-	inner, err := transport.NewLocal(8, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Network = &transport.Flaky{Inner: inner, FailEvery: 50}
-	_, err = Run(cfg)
-	if err == nil {
-		t.Fatal("injected transport failure did not surface")
+	// deliver partial rounds — also while brown-outs silence some edges.
+	for _, drop := range []bool{false, true} {
+		cfg := testConfig(t, 21)
+		inner, err := transport.NewLocal(8, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Network = &transport.Flaky{Inner: inner, FailEvery: 50}
+		if drop {
+			cfg.DropDeadNodes, cfg.Liveness = true, func(t int) []bool { return churn(t, 8) }
+		}
+		if _, err = Run(cfg); !errors.Is(err, transport.ErrInjected) {
+			t.Fatalf("DropDeadNodes %v: injected transport failure did not surface: %v", drop, err)
+		}
 	}
 }
 
@@ -1096,6 +1100,72 @@ func TestDropDeadPreservesMeanModel(t *testing.T) {
 	}
 }
 
+// TestDroppedSendsAreLiveToDeadEdges: on a churning 16-node fleet each
+// round's DroppedSends is the number of directed edges from a live node to
+// a dead one, and the run — history, drops and final model — is
+// bit-identical over the in-process, TCP and pass-through Flaky transports.
+func TestDroppedSendsAreLiveToDeadEdges(t *testing.T) {
+	const n = 16
+	liveness := func(round int) []bool {
+		if round%4 == 3 {
+			return nil // an all-live round between churning ones
+		}
+		live := make([]bool, n)
+		for i := range live {
+			live[i] = (5*i+3*round)%7 > 1
+		}
+		return live
+	}
+	run := func(network string) *Result {
+		cfg := testConfigNodes(t, 46, n)
+		cfg.DropDeadNodes, cfg.Liveness, cfg.EvalGlobalModel = true, liveness, true
+		var err error
+		switch network {
+		case "tcp":
+			cfg.Network, err = transport.NewTCP(n, "127.0.0.1", 64)
+		case "flaky":
+			var inner *transport.Local
+			inner, err = transport.NewLocal(n, 64)
+			cfg.Network = &transport.Flaky{Inner: inner}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Network != nil {
+			defer cfg.Network.Close()
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", network, err)
+		}
+		return res
+	}
+	local := run("local")
+	g, total := testConfigNodes(t, 46, n).Graph, 0
+	for _, m := range local.History {
+		live, want := liveness(m.Round), 0
+		for i, adj := range g.Adj {
+			for _, j := range adj {
+				if live != nil && live[i] && !live[j] {
+					want++
+				}
+			}
+		}
+		if m.DroppedSends != want {
+			t.Errorf("round %d: %d dropped sends, %d directed live-to-dead edges", m.Round, m.DroppedSends, want)
+		}
+		total += want
+	}
+	if total == 0 || local.TotalDroppedSends != total {
+		t.Fatalf("TotalDroppedSends %d, want %d > 0", local.TotalDroppedSends, total)
+	}
+	for _, network := range []string{"tcp", "flaky"} {
+		if res := run(network); resultDigest(res) != resultDigest(local) || res.TotalDroppedSends != total {
+			t.Errorf("%s: run differs from the in-process one (%d dropped sends)", network, res.TotalDroppedSends)
+		}
+	}
+}
+
 func TestBrownoutDropoutEndToEnd(t *testing.T) {
 	res, err := Run(brownoutConfig(t, 33))
 	if err != nil {
@@ -1185,64 +1255,50 @@ func TestBrownoutDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 func TestCheckpointValidation(t *testing.T) {
-	mgr := func(n int) *checkpoint.Manager {
-		m, err := checkpoint.NewManager(n, nil, checkpoint.ResumeStale{})
+	cfg := testConfig(t, 40)
+	cfg.Rejoin = ResumeStale{}
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("Rejoin without DropDeadNodes should error")
+	}
+	// A rule is no run state: one value serves any number of runs, alike.
+	rule, err := NewCatchUp(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var digests []string
+	for range 2 {
+		cfg := brownoutConfig(t, 40)
+		cfg.Rejoin = rule
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		digests = append(digests, resultDigest(res))
 	}
-	cfg := testConfig(t, 40)
-	cfg.Checkpoint = mgr(8)
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("Checkpoint without DropDeadNodes should error")
-	}
-	cfg2 := brownoutConfig(t, 40)
-	cfg2.Checkpoint = mgr(5)
-	if _, err := Run(cfg2); err == nil {
-		t.Fatal("checkpoint/graph size mismatch should error")
-	}
-	// A manager is single-run state: its tracker's staleness bookkeeping
-	// would go negative if rounds restarted at 0.
-	cfg3 := brownoutConfig(t, 40)
-	cfg3.Checkpoint = mgr(8)
-	if _, err := Run(cfg3); err != nil {
-		t.Fatal(err)
-	}
-	cfg4 := brownoutConfig(t, 40)
-	cfg4.Checkpoint = cfg3.Checkpoint
-	if _, err := Run(cfg4); err == nil {
-		t.Fatal("reusing a checkpoint manager across runs should error")
+	if digests[0] != digests[1] {
+		t.Fatal("a rejoin rule reused across runs changed the second run")
 	}
 }
 
 // TestCheckpointResumeStaleIsBaseline pins that ResumeStale is exactly the
-// pre-checkpoint engine behavior: attaching the manager with the baseline
-// rule changes nothing about the learning trajectory — it only surfaces
-// revival accounting.
+// engine without a rule: the same history, revival accounting included,
+// and no restores.
 func TestCheckpointResumeStaleIsBaseline(t *testing.T) {
 	plain, err := Run(brownoutConfig(t, 41))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := brownoutConfig(t, 41)
-	var merr error
-	cfg.Checkpoint, merr = checkpoint.NewManager(cfg.Graph.N, nil, checkpoint.ResumeStale{})
-	if merr != nil {
-		t.Fatal(merr)
-	}
+	cfg.Rejoin = ResumeStale{}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range plain.History {
-		if plain.History[i].MeanAcc != res.History[i].MeanAcc ||
-			plain.History[i].MeanSoC != res.History[i].MeanSoC {
-			t.Fatalf("round %d: resume-stale diverged from plain run", i)
-		}
+	if resultDigest(plain) != resultDigest(res) {
+		t.Fatal("resume-stale diverged from the run without a rule")
 	}
 	if res.TotalRevivals == 0 {
-		t.Fatal("scenario produced no revivals; checkpoint path untested")
+		t.Fatal("scenario produced no revivals; rejoin path untested")
 	}
 	if res.TotalRestores != 0 {
 		t.Fatalf("resume-stale restored %d times", res.TotalRestores)
@@ -1269,21 +1325,17 @@ func TestCheckpointResumeStaleIsBaseline(t *testing.T) {
 // TestCheckpointRestoreChangesTrajectory: a restoring rule must actually
 // alter the run once revivals happen, and count its restores.
 func TestCheckpointRestoreChangesTrajectory(t *testing.T) {
-	run := func(rule checkpoint.RejoinRule) *Result {
+	run := func(rule RejoinRule) *Result {
 		cfg := brownoutConfig(t, 42)
-		var err error
-		cfg.Checkpoint, err = checkpoint.NewManager(cfg.Graph.N, nil, rule)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg.Rejoin = rule
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	stale := run(checkpoint.ResumeStale{})
-	restore := run(checkpoint.RestoreCheckpoint{})
+	stale := run(ResumeStale{})
+	restore := run(RestoreCheckpoint{})
 	if stale.TotalRevivals == 0 || restore.TotalRevivals != stale.TotalRevivals {
 		t.Fatalf("revivals: stale %d, restore %d (want equal and > 0)",
 			stale.TotalRevivals, restore.TotalRevivals)
@@ -1303,44 +1355,34 @@ func TestCheckpointRestoreChangesTrajectory(t *testing.T) {
 	}
 }
 
-// TestCheckpointScriptedLifecycle drives a known death/revival pattern
-// through a Liveness hook and checks snapshots and staleness exactly:
-// node 0 dies at round 3 (snapshot stamped round 2), stays dead through
-// round 5, revives at round 6 with staleness 3.
-func TestCheckpointScriptedLifecycle(t *testing.T) {
+// scriptedOutage keeps node 0 of n browned out in rounds 3-5.
+func scriptedOutage(n int) func(round int) []bool {
+	return func(round int) []bool {
+		live := make([]bool, n)
+		for i := range live {
+			live[i] = i != 0 || round < 3 || round >= 6
+		}
+		return live
+	}
+}
+
+// TestRejoinScriptedLifecycle drives a known death/revival pattern through
+// a Liveness hook and checks the rejoin exactly: node 0 was last live in
+// round 2, stays dead through round 5 and revives at round 6 with
+// staleness 3.
+func TestRejoinScriptedLifecycle(t *testing.T) {
 	cfg := testConfig(t, 43)
 	cfg.Rounds = 10
 	cfg.DropDeadNodes = true
-	cfg.Liveness = func(round int) []bool {
-		live := make([]bool, 8)
-		for i := range live {
-			live[i] = true
-		}
-		live[0] = round < 3 || round >= 6
-		return live
-	}
-	store, err := checkpoint.NewMemStore(8)
+	cfg.Liveness = scriptedOutage(8)
+	rule, err := NewCatchUp(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rule, err := checkpoint.NewCatchUp(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Checkpoint, err = checkpoint.NewManager(8, store, rule)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Rejoin = rule
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	snap, ok, err := store.Load(0)
-	if err != nil || !ok {
-		t.Fatalf("node 0 never snapshotted: ok=%v err=%v", ok, err)
-	}
-	if snap.Round != 2 {
-		t.Fatalf("snapshot stamped round %d, want 2", snap.Round)
 	}
 	if res.TotalRevivals != 1 || res.TotalRestores != 1 {
 		t.Fatalf("revivals/restores = %d/%d, want 1/1", res.TotalRevivals, res.TotalRestores)
@@ -1360,19 +1402,16 @@ func TestCheckpointScriptedLifecycle(t *testing.T) {
 	}
 }
 
-func TestCheckpointDeterministicAcrossGOMAXPROCS(t *testing.T) {
+func TestRejoinDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	run := func(procs int) *Result {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		cfg := brownoutConfig(t, 44)
-		rule, err := checkpoint.NewCatchUp(2)
+		rule, err := NewCatchUp(2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Checkpoint, err = checkpoint.NewManager(cfg.Graph.N, nil, rule)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg.Rejoin = rule
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -1381,13 +1420,14 @@ func TestCheckpointDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	serial := run(1)
 	wide := run(8)
-	if serial.TotalRevivals == 0 {
-		t.Fatal("scenario produced no revivals")
+	if serial.TotalRevivals == 0 || serial.TotalDroppedSends == 0 {
+		t.Fatalf("scenario produced %d revivals and %d dropped sends", serial.TotalRevivals, serial.TotalDroppedSends)
 	}
 	for r := range serial.History {
 		a, b := serial.History[r], wide.History[r]
 		if a.MeanAcc != b.MeanAcc || a.Revivals != b.Revivals || a.Restores != b.Restores ||
-			a.MeanStaleness != b.MeanStaleness || a.MaxStaleness != b.MaxStaleness {
+			a.MeanStaleness != b.MeanStaleness || a.MaxStaleness != b.MaxStaleness ||
+			a.DroppedSends != b.DroppedSends {
 			t.Fatalf("round %d differs across GOMAXPROCS: %+v vs %+v", r, a, b)
 		}
 	}

@@ -107,8 +107,8 @@ func (s *MemStore) Len() int {
 }
 
 // FileStore is a durable Store: one JSON document per cell under dir,
-// written atomically (temp file + rename, the checkpoint.FileStore
-// pattern) so a crash mid-write leaves either the old entry or none.
+// written atomically (temp file + rename) so a crash mid-write leaves
+// either the old entry or none.
 // Entries persist across daemon restarts; invalidation is structural —
 // a new code revision derives new keys, it never rewrites old entries.
 type FileStore struct {

@@ -29,26 +29,16 @@
 //     per sender, and a node has no second vector.
 //   - TCP serializes Vec before Send returns and the receiving side
 //     decodes into a vector of its own, so the sender is free at once.
-//   - DeadNode and Flaky forward the Message untouched (or drop it) and
-//     inherit the rule of the network they wrap.
+//   - Flaky forwards the Message untouched (or fails the send) and
+//     inherits the rule of the network it wraps.
 //
 // Code that must run over any Network follows the strictest rule, Local's.
 //
-// # Fault-injection wrappers
+// # Fault injection
 //
-// Two wrappers compose over any Network to model imperfect links:
-//
-//   - Flaky injects deterministic send failures (every n-th send errors),
-//     used to verify the engine surfaces transport errors instead of
-//     hanging or corrupting a round.
-//   - DeadNode models brown-outs at the radio level: a per-round live set
-//     marks unpowered nodes, and messages on edges incident to a dead node
-//     vanish silently — the sender still pays its transmit cost, exactly
-//     as a real radio would against an unpowered peer. Flaky understands
-//     the same live sets, so noisy links and dead links compose in one
-//     run.
-//
-// The simulation engine installs DeadNode automatically when dead-node
-// dropout is enabled (sim.Config.DropDeadNodes) and refreshes the live set
-// from battery state every round.
+// Flaky wraps any Network and injects deterministic send failures (every
+// n-th send errors), used to verify the engine surfaces transport errors
+// instead of hanging or corrupting a round. Brown-outs need no wrapper:
+// with dead-node dropout (sim.Config.DropDeadNodes) the engine sends
+// nothing to or from a dead node and counts the sends it skipped.
 package transport

@@ -33,29 +33,3 @@ func ExampleLocal() {
 	// Output:
 	// from 0 to 1: [0.5 -1.25]
 }
-
-// Silence a browned-out node for a round: messages on its edges vanish
-// without an error (the sender's radio cannot know the peer is dead), and
-// the wrapper counts the losses.
-func ExampleDeadNode() {
-	inner, err := transport.NewLocal(2, 4)
-	if err != nil {
-		panic(err)
-	}
-	net := &transport.DeadNode{Inner: inner}
-	defer net.Close()
-	a, _ := net.Endpoint(0)
-	b, _ := net.Endpoint(1)
-
-	net.SetLive([]bool{true, false}) // node 1 browned out
-	err = a.Send(1, transport.Message{Kind: transport.KindModel, Vec: tensor.Vector{1}})
-	fmt.Printf("send error: %v, dropped: %d\n", err, net.Dropped())
-
-	net.SetLive(nil) // node 1 recharged: edges restored
-	a.Send(1, transport.Message{Kind: transport.KindModel, Vec: tensor.Vector{2}})
-	m, _ := b.Recv()
-	fmt.Printf("delivered after recharge: %v\n", m.Vec)
-	// Output:
-	// send error: <nil>, dropped: 1
-	// delivered after recharge: [2]
-}

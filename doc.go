@@ -4,8 +4,8 @@
 // D-PSGD / Greedy / All-Reduce baselines, and every substrate they need —
 // a neural-network library, synthetic non-IID datasets, d-regular
 // topologies with Metropolis-Hastings mixing, smartphone energy traces,
-// battery dynamics with ambient-energy harvesting, channel and TCP
-// transports, and a deterministic round-synchronous simulation engine.
+// battery dynamics with ambient-energy harvesting, and a deterministic
+// round-synchronous simulation engine.
 //
 // The library lives under internal/; see README.md for the package map and
 // reproduction status, and ROADMAP.md for the growth plan. bench_test.go

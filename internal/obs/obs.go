@@ -43,9 +43,8 @@ const (
 	PhaseRejoin
 	// PhaseTrain is the local-training fan-out.
 	PhaseTrain
-	// PhaseShare is the model-sharing (send) fan-out.
-	PhaseShare
-	// PhaseAggregate is the receive-and-average fan-out.
+	// PhaseAggregate is the fan-out that lists each node's W-row operands
+	// and averages them.
 	PhaseAggregate
 	// PhaseBattery is the fleet battery close-out (drain + harvest).
 	PhaseBattery
@@ -56,7 +55,7 @@ const (
 )
 
 var phaseNames = [numPhases]string{
-	"liveset", "rejoin", "train", "share", "aggregate", "battery", "eval",
+	"liveset", "rejoin", "train", "aggregate", "battery", "eval",
 }
 
 // String returns the phase's event label.
@@ -214,8 +213,8 @@ func NewProbe(sink Sink) *Probe {
 }
 
 // Enabled reports whether the probe is live. Engines use it to gate work
-// that only exists to feed telemetry (e.g. live-set diffing for brown-out
-// events).
+// that only exists to feed telemetry (e.g. the round_end event's energy
+// ledger).
 func (p *Probe) Enabled() bool { return p != nil }
 
 // Emit sends one event to the sink. Safe on a nil probe.

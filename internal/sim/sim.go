@@ -1,24 +1,23 @@
 // Package sim is the round-synchronous decentralized-learning engine: the
 // Go counterpart of the DecentralizePy deployment the paper runs on.
 //
-// Every node is simulated with its own model, its own data partition, its
-// own RNG streams, and a real transport endpoint. A round executes in
-// barriered phases that mirror Algorithm 1/2:
+// Every node is simulated with its own model, its own data partition and
+// its own RNG streams, all in one process. A round executes in barriered
+// phases that mirror Algorithm 1/2:
 //
 //  1. local phase — nodes that participate train E local SGD steps; a
 //     node's model vector then holds its half-step model x^{t-1/2};
-//  2. share phase — every node sends that vector to all neighbors through
-//     the transport (the in-process transport passes the slice itself);
-//  3. aggregate phase — every node collects one model per neighbor, then
-//     all W-weighted averages, a node's own vector first, are taken block
-//     by block and written over the models in place (nn.Mix);
-//  4. (optionally) evaluation on the shared test set.
+//  2. aggregate phase — every node lists its W row's operands, its own
+//     vector first, then each live neighbor's vector in adjacency order, read
+//     where it lies; then all the W-weighted averages are taken block by
+//     block and written over the models in place (nn.Mix);
+//  3. (optionally) evaluation on the shared test set.
 //
-// The vector a node sends is its only model-sized state. It is written in
-// phase 1 and in phase 3's mix, where a block of it is written only once
-// every average that reads the block is summed, so sharing it is safe; the
-// gradient vectors belong to the run, one per train worker. See
-// docs/ARCHITECTURE.md for who may write which vector when.
+// A node's model vector is its only model-sized state. It is written in
+// phase 1 and in phase 2's mix, where a block of it is written only once
+// every average that reads the block is summed, so its neighbors may read
+// it in place; the gradient vectors belong to the run, one per train
+// worker. See docs/ARCHITECTURE.md for who may write which vector when.
 //
 // When a harvest fleet is attached (Config.Harvest), every round also closes
 // with a battery update — idle and communication draw, then ambient energy
@@ -35,13 +34,12 @@
 //
 // Phases are fanned out across GOMAXPROCS workers, but all stochastic
 // state is per-node, so results are bit-identical regardless of
-// parallelism or transport.
+// parallelism.
 package sim
 
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -54,7 +52,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/tensor"
-	"repro/internal/transport"
 )
 
 // Config describes one experiment run.
@@ -143,10 +140,6 @@ type Config struct {
 	// Requires DropDeadNodes (without it dead nodes never freeze, so there
 	// is nothing to rejoin from).
 	Rejoin RejoinRule
-
-	// Network is the transport to use; nil selects an in-process channel
-	// network sized for the topology.
-	Network transport.Network
 
 	// Probe optionally attaches the observability layer (internal/obs):
 	// the engine emits round boundaries, per-phase wall-clock timings,
@@ -246,10 +239,9 @@ type RoundMetrics struct {
 	LiveCount      int     // nodes powered at the start of the round
 	MeanLiveDegree float64 // mean induced degree over live nodes
 	LiveComponents int     // connected components of the live subgraph
-	// DroppedSends counts the sends live nodes owed dead neighbors this
-	// round, which the share phase skips: the directed edges from a live
-	// node to a dead one (Config.DropDeadNodes runs only; always 0 when
-	// routing through).
+	// DroppedSends counts the models live nodes withheld from dead
+	// neighbors this round: the directed edges from a live node to a dead
+	// one (Config.DropDeadNodes runs only; always 0 when routing through).
 	DroppedSends int
 	// Revivals and their staleness, recorded whenever a live-set source
 	// exists; Restores needs a Config.Rejoin rule.
@@ -320,43 +312,17 @@ func (r *Result) Evaluations() []RoundMetrics {
 	return out
 }
 
-type nodeState struct {
-	*learner.Node
-	id int
-	ep transport.Endpoint
-	// slots[k] is this round's model from neighbor Graph.Adj[id][k], nil
-	// outside phase 3.
-	slots   []tensor.Vector
-	trained int
-	err     error
-}
-
-// accept files a received model under its sender's adjacency position;
-// anything but one round-t model per live neighbor is an error on the spot.
-func (nd *nodeState) accept(msg transport.Message, t int, adj []int, live []bool) error {
-	k := slices.Index(adj, msg.From)
-	switch {
-	case msg.Round != t:
-		return fmt.Errorf("sim: node %d got a round %d message from %d in round %d", nd.id, msg.Round, msg.From, t)
-	case k < 0 || (live != nil && !live[msg.From]):
-		return fmt.Errorf("sim: node %d got a model from %d in round %d, which is not a live neighbor", nd.id, msg.From, t)
-	case nd.slots[k] != nil:
-		return fmt.Errorf("sim: node %d got a duplicate model from %d in round %d", nd.id, msg.From, t)
-	}
-	nd.slots[k] = msg.Vec
-	return nil
-}
-
 // run is what the phase bodies of one Run share: the node slab and the
 // current round's view, which the loop writes between barriers and the
 // bodies only read. The bodies are methods, bound once before the loop, so
 // a round allocates no closure; each writes node-i state only.
 type run struct {
-	cfg   *Config
-	spec  learner.Spec
-	ln    learner.Nodes
-	nodes []nodeState
-	acct  *energy.Accountant
+	cfg  *Config
+	spec learner.Spec
+	ln   learner.Nodes
+	// trained[i] counts the rounds node i trained (Result.TrainedRounds).
+	trained []int
+	acct    *energy.Accountant
 	// grads is the free list of gradient vectors, one per train worker: a
 	// node takes one for its train call and puts it back.
 	grads chan tensor.Vector
@@ -368,8 +334,9 @@ type run struct {
 
 	ctx core.RoundContext // Round and Kind are the current round's
 	// dead is the live mask on rounds where the topology actually loses
-	// edges — the transport silences them and weights is the matrix rebuilt
-	// over the live subgraph — and nil on all others (configured Weights).
+	// edges — collect reads no dead operand and weights is the matrix
+	// rebuilt over the live subgraph — and nil on all others (configured
+	// Weights).
 	dead    []bool
 	weights *graph.Weights
 	// lastLive[i] is the last round node i was live, -1 before round 0
@@ -380,8 +347,9 @@ type run struct {
 }
 
 // down reports that node i is browned out on a round that drops dead nodes:
-// unpowered, it neither trains, sends nor receives and holds its model (W's
-// row is the identity) until it recharges past the cutoff.
+// unpowered, it neither trains nor mixes, no neighbor reads its model, and
+// it holds that model (W's row is the identity) until it recharges past the
+// cutoff.
 func (r *run) down(i int) bool { return r.dead != nil && !r.dead[i] }
 
 // alive reads a live mask, where nil means every node is live.
@@ -435,7 +403,7 @@ func (r *run) rejoin(i, stale int, live []bool) bool {
 	clear(mean)
 	for _, j := range r.cfg.Graph.Adj[i] {
 		if alive(live, j) && r.lastLive[j] == r.ctx.Round-1 {
-			tensor.AXPY(mean, 1, r.nodes[j].Net.Params())
+			tensor.AXPY(mean, 1, r.ln.Params[j])
 			cnt++
 		}
 	}
@@ -444,7 +412,7 @@ func (r *run) rejoin(i, stale int, live []bool) bool {
 	} else {
 		tensor.ScaleTo(mean, 1/float64(cnt), mean)
 	}
-	return r.cfg.Rejoin.Apply(r.nodes[i].Net.Params(), stale, mean)
+	return r.cfg.Rejoin.Apply(r.ln.Params[i], stale, mean)
 }
 
 // train is phase 1: a participating node decides from its own RoundContext
@@ -452,71 +420,35 @@ func (r *run) rejoin(i, stale int, live []bool) bool {
 // its private forecast window — so decisions are independent of worker
 // interleaving.
 func (r *run) train(i int) {
-	cfg, nd := r.cfg, &r.nodes[i]
+	cfg, nd := r.cfg, &r.ln.Node[i]
 	if r.ctx.Kind != core.RoundTrain || r.down(i) || !r.spec.Participate(&r.ln, i, r.ctx, r.ctx.Round) {
 		return
 	}
 	g := <-r.grads
 	nd.Net.LendGrads(g)
-	r.spec.Train(nd.Node)
+	r.spec.Train(nd)
 	r.grads <- g
-	nd.trained++
+	r.trained[i]++
 	if cfg.Devices != nil {
 		r.acct.AddTraining(i, cfg.Devices[i].TrainRoundWh(cfg.Workload))
 	}
 }
 
-// share is phase 2: all sends complete before any receive (inboxes are
-// buffered beyond the per-round in-flight maximum, so sends never block and
-// the receive phase cannot deadlock). On drop rounds nothing goes to or from
-// a dead node; the sends a live node skips are counted as DroppedSends by
-// run.transitions. The model vector goes out in place: the in-process
-// transport hands the slice to every receiver, and it is next written in
-// phase 3's mix, a block at a time, each after the last read of that block.
-func (r *run) share(i int) {
-	nd := &r.nodes[i]
-	if r.down(i) {
-		return
-	}
-	for _, j := range r.cfg.Graph.Adj[i] {
-		if r.down(j) {
-			continue
-		}
-		if err := nd.ep.Send(j, transport.Message{Round: r.ctx.Round, Kind: transport.KindModel, Vec: nd.Net.Params()}); err != nil {
-			nd.err = err
-			return
-		}
-	}
-}
-
-// collect is the first half of phase 3: receive exactly one model per live
-// neighbor and list the operands of the W-row average (Algorithm 1, line 8)
-// — the renormalized row on drop rounds — own term first, then adjacency
-// order. It writes no model, so a round that fails here leaves all intact.
+// collect is the first half of phase 2: it lists the operands of node i's
+// W-row average (Algorithm 1, line 8) — the renormalized row on drop rounds
+// — own term first, then each live neighbor's model vector, read in place,
+// in adjacency order. A down node lists none: it holds its model.
 func (r *run) collect(i int) {
-	g, nd, row := r.cfg.Graph, &r.nodes[i], &r.rows[i]
+	row, models := &r.rows[i], r.ln.Params
 	row.W, row.V = row.W[:0], row.V[:0]
 	if r.down(i) {
 		return
 	}
-	for k := g.LiveDegree(r.dead, i); k > 0; k-- {
-		msg, err := nd.ep.Recv()
-		if err == nil {
-			err = nd.accept(msg, r.ctx.Round, g.Adj[i], r.dead)
+	row.W, row.V = append(row.W, r.weights.Self[i]), append(row.V, models[i])
+	for k, j := range r.cfg.Graph.Adj[i] {
+		if !r.down(j) {
+			row.W, row.V = append(row.W, r.weights.Nbr[i][k]), append(row.V, models[j])
 		}
-		if err != nil {
-			nd.err = err
-			return
-		}
-	}
-	// One model per live neighbor, no two alike: every live slot is filled.
-	row.W, row.V = append(row.W, r.weights.Self[i]), append(row.V, nd.Net.Params())
-	for k, vec := range nd.slots {
-		if vec == nil {
-			continue // edge down this round: weight 0, no message
-		}
-		row.W, row.V = append(row.W, r.weights.Nbr[i][k]), append(row.V, vec)
-		nd.slots[k] = nil
 	}
 }
 
@@ -541,50 +473,37 @@ func Run(cfg Config) (*Result, error) {
 	}
 	g, n, models, paramCount := cfg.Graph, cfg.Graph.N, ln.Params, ln.ParamCount
 
-	net := cfg.Network
 	maxDeg, edges := 0, 0
 	for i := 0; i < n; i++ {
 		maxDeg, edges = max(maxDeg, g.Degree(i)), edges+g.Degree(i)
-	}
-	if net == nil {
-		net, err = transport.NewLocal(n, 2*maxDeg+4)
-		if err != nil {
-			return nil, err
-		}
-		defer net.Close()
 	}
 	var liveWeights *graph.Weights // drop rounds renormalize into it
 	if cfg.DropDeadNodes {
 		liveWeights = graph.NewWeights(g)
 	}
 
-	// Node state is a few slabs: the learner's nodes, a []nodeState pointing
-	// into them, and every list of vectors and of weights as windows of two
-	// slices. Each train and mix worker has a gradient vector and a scratch.
+	// Node state is the learner's nodes plus every list of vectors and of
+	// weights as windows of two slices. Each train and mix worker has a
+	// gradient vector and a scratch.
 	workers := min(runtime.GOMAXPROCS(0), n)
-	r.ln, r.nodes, r.acct = ln, make([]nodeState, n), energy.NewAccountant(n)
+	result := &Result{TrainedRounds: make([]int, n), History: make([]RoundMetrics, 0, cfg.Rounds)}
+	r.ln, r.trained, r.acct = ln, result.TrainedRounds, energy.NewAccountant(n)
 	r.grads, r.rows = make(chan tensor.Vector, workers), make([]nn.MixRow, n)
-	nodes, acct := r.nodes, r.acct
-	vecs, ws := make([]tensor.Vector, 2*edges+n+workers*(maxDeg+1)), make([]float64, edges+n)
+	acct := r.acct
+	vecs, ws := make([]tensor.Vector, edges+n+workers*(maxDeg+1)), make([]float64, edges+n)
 	for i := 0; i < n; i++ {
-		ep, err := net.Endpoint(i)
-		if err != nil {
-			return nil, err
-		}
 		d := g.Degree(i)
-		nodes[i] = nodeState{Node: &ln.Node[i], id: i, ep: ep, slots: vecs[:d:d]}
-		r.rows[i] = nn.MixRow{Net: ln.Node[i].Net, W: ws[: 0 : d+1], V: vecs[d : d : 2*d+1]}
-		vecs, ws = vecs[2*d+1:], ws[d+1:]
+		r.rows[i] = nn.MixRow{Net: ln.Node[i].Net, W: ws[: 0 : d+1], V: vecs[: 0 : d+1]}
+		vecs, ws = vecs[d+1:], ws[d+1:]
 	}
 	r.sums, r.ops = tensor.NewVector(workers*n*min(nn.MixBlock, paramCount)), vecs
 	for w := 0; w < workers; w++ {
 		r.grads <- tensor.NewVector(paramCount)
 	}
-	train, share, collect, mix := r.train, r.share, r.collect, r.mix
+	train, collect, mix := r.train, r.collect, r.mix
 
 	evaluator := r.spec.NewEvaluator(ln, cfg.TrackConsensus, cfg.EvalGlobalModel)
-	result := &Result{TrainedRounds: make([]int, n), History: make([]RoundMetrics, 0, cfg.Rounds)}
-	cumHarvestWh := 0.0
+	cumHarvestWh, trainedTotal := 0.0, 0
 
 	// Every run carries its content-addressable identity; the probe (when
 	// attached) additionally streams it on run_start. Telemetry below is
@@ -635,7 +554,7 @@ func Run(cfg Config) (*Result, error) {
 	var adoptMean func(i int)
 	if cfg.Algo.Aggregation == core.AggGlobal {
 		globalMean = tensor.NewVector(paramCount)
-		adoptMean = func(i int) { nodes[i].Net.SetParams(globalMean) }
+		adoptMean = func(i int) { ln.Node[i].Net.SetParams(globalMean) }
 	}
 
 	r.ctx = core.RoundContext{Horizon: cfg.Rounds, Schedule: cfg.Algo.Schedule}
@@ -696,36 +615,26 @@ func Run(cfg Config) (*Result, error) {
 		// Phase 1: local training (run.train).
 		probe.PhaseStart(obs.PhaseTrain)
 		par.For(n, 0, train)
-		for i := range nodes {
-			m.TrainedCount += nodes[i].trained - result.TrainedRounds[i] // 0 or 1
-			result.TrainedRounds[i] = nodes[i].trained
+		for _, c := range r.trained {
+			m.TrainedCount += c
 		}
+		m.TrainedCount -= trainedTotal
+		trainedTotal += m.TrainedCount
 		probe.PhaseEnd(t, obs.PhaseTrain)
 
-		// Phases 2-3: share and aggregate.
+		// Phase 2: aggregate (run.collect, run.mix).
+		probe.PhaseStart(obs.PhaseAggregate)
 		switch cfg.Algo.Aggregation {
 		case core.AggGlobal:
 			// Hypothetical all-reduce (Figure 1): global average of all
 			// half-step models, applied everywhere.
-			probe.PhaseStart(obs.PhaseAggregate)
 			tensor.MeanVectorTo(globalMean, models)
 			par.For(n, 0, adoptMean)
-			probe.PhaseEnd(t, obs.PhaseAggregate)
 		default:
-			probe.PhaseStart(obs.PhaseShare)
-			par.For(n, 0, share)
-			if err := firstError(nodes); err != nil {
-				return nil, err
-			}
-			probe.PhaseEnd(t, obs.PhaseShare)
-			probe.PhaseStart(obs.PhaseAggregate)
 			par.For(n, 0, collect)
-			if err := firstError(nodes); err != nil {
-				return nil, err
-			}
 			par.For(workers, 0, mix)
-			probe.PhaseEnd(t, obs.PhaseAggregate)
 		}
+		probe.PhaseEnd(t, obs.PhaseAggregate)
 		if cfg.Devices != nil {
 			for i := 0; i < n; i++ {
 				if r.down(i) {
@@ -770,7 +679,7 @@ func Run(cfg Config) (*Result, error) {
 			probe.PhaseEnd(t, obs.PhaseBattery)
 		}
 
-		// Phase 4: evaluation.
+		// Phase 3: evaluation.
 		if shouldEval(t, cfg.Rounds, cfg.EvalEvery) {
 			probe.PhaseStart(obs.PhaseEval)
 			sc := evaluator.Evaluate()
@@ -817,20 +726,14 @@ func Run(cfg Config) (*Result, error) {
 		result.FinalGlobalParams = tensor.NewVector(paramCount)
 		tensor.MeanVectorTo(result.FinalGlobalParams, models)
 	}
-	if probe.Enabled() {
-		trained := 0
-		for _, c := range result.TrainedRounds {
-			trained += c
-		}
-		probe.RunEnd(cfg.Rounds, trained)
-	}
+	probe.RunEnd(cfg.Rounds, trainedTotal)
 	return result, nil
 }
 
 // buildManifest derives the run's content-addressable identity from every
 // experiment-defining config field. Anything that changes the computed bits
-// must be hashed here; anything that cannot (GOMAXPROCS, transport backend,
-// telemetry) must not be, or equivalent runs stop sharing a cache key.
+// must be hashed here; anything that cannot (GOMAXPROCS, telemetry) must not
+// be, or equivalent runs stop sharing a cache key.
 func buildManifest(cfg *Config, spec *learner.Spec, paramCount int) obs.RunManifest {
 	b := spec.Manifest("sim", cfg.Rounds, paramCount).
 		Setf("aggregation", "%d", cfg.Algo.Aggregation).
@@ -868,15 +771,6 @@ func buildManifest(cfg *Config, spec *learner.Spec, paramCount int) obs.RunManif
 
 func shouldEval(t, rounds, every int) bool {
 	return t == rounds-1 || (every > 0 && (t+1)%every == 0)
-}
-
-func firstError(nodes []nodeState) error {
-	for i := range nodes {
-		if nodes[i].err != nil {
-			return nodes[i].err
-		}
-	}
-	return nil
 }
 
 func countTrue(bs []bool) int {

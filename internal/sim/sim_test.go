@@ -1,11 +1,8 @@
 package sim
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -17,7 +14,6 @@ import (
 	"repro/internal/harvest/difftest"
 	"repro/internal/nn"
 	"repro/internal/rng"
-	"repro/internal/transport"
 )
 
 // testConfig builds a small but non-trivial experiment: 8 nodes on a
@@ -106,72 +102,6 @@ func TestRunSeedsDiffer(t *testing.T) {
 	r2, _ := Run(testConfig(t, 4))
 	if r1.FinalMeanAcc == r2.FinalMeanAcc && r1.History[0].MeanAcc == r2.History[0].MeanAcc {
 		t.Fatal("different seeds gave identical trajectories")
-	}
-}
-
-func TestRunTCPMatchesLocal(t *testing.T) {
-	// The same experiment over real TCP sockets must produce bit-identical
-	// results to the channel transport: the engine is transport-agnostic
-	// and fully deterministic.
-	cfgLocal := testConfig(t, 5)
-	cfgLocal.Rounds = 6
-	resLocal, err := Run(cfgLocal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgTCP := testConfig(t, 5)
-	cfgTCP.Rounds = 6
-	tcpNet, err := transport.NewTCP(cfgTCP.Graph.N, "127.0.0.1", 64)
-	if err != nil {
-		t.Skipf("no localhost sockets: %v", err)
-	}
-	defer tcpNet.Close()
-	cfgTCP.Network = tcpNet
-	resTCP, err := Run(cfgTCP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range resLocal.History {
-		if resLocal.History[i].MeanAcc != resTCP.History[i].MeanAcc {
-			t.Fatalf("round %d: local %.6f != tcp %.6f", i,
-				resLocal.History[i].MeanAcc, resTCP.History[i].MeanAcc)
-		}
-	}
-}
-
-// Local shares the sender's live model vector with every receiver while TCP
-// delivers a private copy per edge; a 16-node run must not be able to tell
-// the difference, down to the last bit of the consensus model.
-func TestRunSharedVectorsMatchTCPBitForBit(t *testing.T) {
-	run := func(net transport.Network) *Result {
-		cfg := testConfigNodes(t, 23, 16)
-		cfg.Rounds = 8
-		gamma, _ := core.NewGamma(2, 1)
-		cfg.Algo = core.SkipTrain(gamma)
-		cfg.EvalGlobalModel = true
-		cfg.Network = net
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	tcpNet, err := transport.NewTCP(16, "127.0.0.1", 64)
-	if err != nil {
-		t.Skipf("no localhost sockets: %v", err)
-	}
-	defer tcpNet.Close()
-	local, tcp := run(nil), run(tcpNet)
-	if len(local.FinalGlobalParams) == 0 || len(local.FinalGlobalParams) != len(tcp.FinalGlobalParams) {
-		t.Fatalf("consensus models have %d and %d parameters", len(local.FinalGlobalParams), len(tcp.FinalGlobalParams))
-	}
-	for i, v := range local.FinalGlobalParams {
-		if math.Float64bits(v) != math.Float64bits(tcp.FinalGlobalParams[i]) {
-			t.Fatalf("parameter %d: local %v != tcp %v", i, v, tcp.FinalGlobalParams[i])
-		}
-	}
-	if local.FinalGlobalAcc != tcp.FinalGlobalAcc || local.FinalMeanAcc != tcp.FinalMeanAcc {
-		t.Fatalf("accuracy differs: local %v/%v, tcp %v/%v", local.FinalGlobalAcc, local.FinalMeanAcc, tcp.FinalGlobalAcc, tcp.FinalMeanAcc)
 	}
 }
 
@@ -552,105 +482,6 @@ func TestFinalNodeAccsExposed(t *testing.T) {
 	mean /= 8
 	if math.Abs(mean-res.FinalMeanAcc) > 1e-12 {
 		t.Fatalf("per-node accuracies mean %v != reported %v", mean, res.FinalMeanAcc)
-	}
-}
-
-func TestTransportFailureSurfaces(t *testing.T) {
-	// A failing transport must abort the run with an error — never hang or
-	// deliver partial rounds — also while brown-outs silence some edges.
-	for _, drop := range []bool{false, true} {
-		cfg := testConfig(t, 21)
-		inner, err := transport.NewLocal(8, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Network = &transport.Flaky{Inner: inner, FailEvery: 50}
-		if drop {
-			cfg.DropDeadNodes, cfg.Liveness = true, func(t int) []bool { return churn(t, 8) }
-		}
-		if _, err = Run(cfg); !errors.Is(err, transport.ErrInjected) {
-			t.Fatalf("DropDeadNodes %v: injected transport failure did not surface: %v", drop, err)
-		}
-	}
-}
-
-// misdelivering rewrites what one node receives, standing in for a
-// transport that delivers the wrong thing.
-type misdelivering struct {
-	transport.Network
-	node    int
-	rewrite func(transport.Message) transport.Message
-}
-
-func (n *misdelivering) Endpoint(node int) (transport.Endpoint, error) {
-	ep, err := n.Network.Endpoint(node)
-	if err != nil || node != n.node {
-		return ep, err
-	}
-	return &misdeliveringEndpoint{ep, n.rewrite}, nil
-}
-
-type misdeliveringEndpoint struct {
-	transport.Endpoint
-	rewrite func(transport.Message) transport.Message
-}
-
-func (e *misdeliveringEndpoint) Recv() (transport.Message, error) {
-	m, err := e.Endpoint.Recv()
-	return e.rewrite(m), err
-}
-
-func TestMisdeliveredModelsFailTheRound(t *testing.T) {
-	// A model from a node that is no neighbor, a second model from the same
-	// neighbor, or one stamped with another round must stop the run with an
-	// error that names the receiver, the sender and the round.
-	g := testConfig(t, 22).Graph
-	stray := -1
-	for j := 1; j < g.N && stray < 0; j++ {
-		if !slices.Contains(g.Adj[0], j) {
-			stray = j
-		}
-	}
-	first := -1
-	for name, tc := range map[string]struct {
-		rewrite func(transport.Message) transport.Message
-		want    []string
-	}{
-		"stray sender": {
-			func(m transport.Message) transport.Message { m.From = stray; return m },
-			[]string{"node 0", fmt.Sprintf("from %d", stray), "round 0", "not a live neighbor"},
-		},
-		"duplicate sender": {
-			func(m transport.Message) transport.Message {
-				if first < 0 {
-					first = m.From
-				}
-				m.From = first
-				return m
-			},
-			[]string{"node 0", "duplicate", "round 0"},
-		},
-		"wrong round": {
-			func(m transport.Message) transport.Message { m.Round += 3; return m },
-			[]string{"node 0", "round 3 message", "in round 0"},
-		},
-	} {
-		cfg := testConfig(t, 22)
-		inner, err := transport.NewLocal(8, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Network = &misdelivering{Network: inner, node: 0, rewrite: tc.rewrite}
-		_, err = Run(cfg)
-		inner.Close()
-		if err == nil {
-			t.Fatalf("%s: run succeeded", name)
-		}
-		for _, want := range tc.want {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("%s: error %q does not mention %q", name, err, want)
-			}
-		}
 	}
 }
 
@@ -1102,8 +933,7 @@ func TestDropDeadPreservesMeanModel(t *testing.T) {
 
 // TestDroppedSendsAreLiveToDeadEdges: on a churning 16-node fleet each
 // round's DroppedSends is the number of directed edges from a live node to
-// a dead one, and the run — history, drops and final model — is
-// bit-identical over the in-process, TCP and pass-through Flaky transports.
+// a dead one.
 func TestDroppedSendsAreLiveToDeadEdges(t *testing.T) {
 	const n = 16
 	liveness := func(round int) []bool {
@@ -1116,35 +946,16 @@ func TestDroppedSendsAreLiveToDeadEdges(t *testing.T) {
 		}
 		return live
 	}
-	run := func(network string) *Result {
-		cfg := testConfigNodes(t, 46, n)
-		cfg.DropDeadNodes, cfg.Liveness, cfg.EvalGlobalModel = true, liveness, true
-		var err error
-		switch network {
-		case "tcp":
-			cfg.Network, err = transport.NewTCP(n, "127.0.0.1", 64)
-		case "flaky":
-			var inner *transport.Local
-			inner, err = transport.NewLocal(n, 64)
-			cfg.Network = &transport.Flaky{Inner: inner}
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cfg.Network != nil {
-			defer cfg.Network.Close()
-		}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", network, err)
-		}
-		return res
+	cfg := testConfigNodes(t, 46, n)
+	cfg.DropDeadNodes, cfg.Liveness = true, liveness
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	local := run("local")
-	g, total := testConfigNodes(t, 46, n).Graph, 0
-	for _, m := range local.History {
+	total := 0
+	for _, m := range res.History {
 		live, want := liveness(m.Round), 0
-		for i, adj := range g.Adj {
+		for i, adj := range cfg.Graph.Adj {
 			for _, j := range adj {
 				if live != nil && live[i] && !live[j] {
 					want++
@@ -1156,13 +967,8 @@ func TestDroppedSendsAreLiveToDeadEdges(t *testing.T) {
 		}
 		total += want
 	}
-	if total == 0 || local.TotalDroppedSends != total {
-		t.Fatalf("TotalDroppedSends %d, want %d > 0", local.TotalDroppedSends, total)
-	}
-	for _, network := range []string{"tcp", "flaky"} {
-		if res := run(network); resultDigest(res) != resultDigest(local) || res.TotalDroppedSends != total {
-			t.Errorf("%s: run differs from the in-process one (%d dropped sends)", network, res.TotalDroppedSends)
-		}
+	if total == 0 || res.TotalDroppedSends != total {
+		t.Fatalf("TotalDroppedSends %d, want %d > 0", res.TotalDroppedSends, total)
 	}
 }
 

@@ -17,18 +17,18 @@ import (
 )
 
 // referenceFrame is the wire encoding frameConn must reproduce byte for
-// byte: json.Marshal, packed into a vector, written as a model message.
+// byte: json.Marshal, packed into a vector, marshalled as a message.
 func referenceFrame(t *testing.T, kind transport.Kind, seq int, doc []byte) []byte {
 	t.Helper()
 	vec, err := transport.PackBytes(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w bytes.Buffer
-	if err := transport.WriteMessage(&w, transport.Message{Kind: kind, Round: seq, Vec: vec}); err != nil {
+	frame, err := transport.Marshal(nil, transport.Message{Kind: kind, Round: seq, Vec: vec})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return w.Bytes()
+	return frame
 }
 
 func TestFrameWireGolden(t *testing.T) {
@@ -92,19 +92,16 @@ func rawJob(t *testing.T, conn net.Conn, seq int, request string) (progress []ob
 	if _, err := conn.Write(referenceFrame(t, transport.KindJob, seq, []byte(request))); err != nil {
 		t.Fatal(err)
 	}
+	var buf []byte
 	for {
-		m, err := transport.ReadMessage(conn)
+		kind, round, doc, err := transport.ReadBytesFrame(conn, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		doc, err := transport.UnpackBytes(m.Vec)
-		if err != nil {
-			t.Fatal(err)
+		if round != seq {
+			t.Fatalf("frame echoes seq %d, want %d", round, seq)
 		}
-		if m.Round != seq {
-			t.Fatalf("frame echoes seq %d, want %d", m.Round, seq)
-		}
-		switch m.Kind {
+		switch kind {
 		case transport.KindProgress:
 			var ev obs.Event
 			if err := json.Unmarshal(doc, &ev); err != nil {
@@ -117,7 +114,7 @@ func rawJob(t *testing.T, conn net.Conn, seq int, request string) (progress []ob
 			}
 			return progress, reply
 		default:
-			t.Fatalf("unexpected frame kind %d", m.Kind)
+			t.Fatalf("unexpected frame kind %d", kind)
 		}
 	}
 }

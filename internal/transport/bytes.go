@@ -18,7 +18,8 @@ import (
 // exactly, so arbitrary bytes survive the Marshal/Unmarshal path. The
 // service itself frames in place with FinishBytesFrame and ReadBytesFrame;
 // PackBytes and UnpackBytes stay as the reference encoding for the tests and
-// the benchmark probe, and go when ROADMAP item 5 changes the wire format.
+// the benchmark probe, and go when the benchmark retires its transport rows
+// and the byte frames move into the sweep service (ROADMAP items 1 and 14).
 
 // MaxPackedBytes caps a packed byte payload; it mirrors MaxPayload on the
 // element count ((MaxPayload-1) elements of 8 bytes each).
@@ -65,7 +66,8 @@ const BytesFrameReserve = headerSize + 8
 
 // FinishBytesFrame completes in place a frame whose document follows
 // BytesFrameReserve reserved bytes of buf: padded to a whole element, header
-// and length element filled in, it is WriteMessage's bytes for PackBytes(document).
+// and length element filled in, it is Marshal's bytes for a Message carrying
+// PackBytes(document).
 func FinishBytesFrame(buf []byte, kind Kind, round int) ([]byte, error) {
 	n := len(buf) - BytesFrameReserve
 	buf = append(buf, make([]byte, -n&7)...)
@@ -81,7 +83,7 @@ func FinishBytesFrame(buf []byte, kind Kind, round int) ([]byte, error) {
 
 // ReadBytesFrame reads one byte frame from r into *buf, grown as needed and
 // meant to be passed again; doc aliases it until the next read. Every check
-// ReadMessage + UnpackBytes make is made here, before the document is read.
+// Unmarshal + UnpackBytes make is made here, before the document is read.
 func ReadBytesFrame(r io.Reader, buf *[]byte) (kind Kind, round int, doc []byte, err error) {
 	b := slices.Grow((*buf)[:0], BytesFrameReserve)[:BytesFrameReserve]
 	if _, err := io.ReadFull(r, b); err != nil {

@@ -96,23 +96,24 @@ func TestUnknownKindStillRejected(t *testing.T) {
 }
 
 // referenceFrame is the encoding the byte-frame codec must reproduce: the
-// document packed into a vector and written as a model message.
+// document packed into a vector and marshalled as a message.
 func referenceFrame(t testing.TB, kind Kind, round int, doc []byte) []byte {
 	t.Helper()
 	vec, err := PackBytes(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w bytes.Buffer
-	if err := WriteMessage(&w, Message{Kind: kind, Round: round, Vec: vec}); err != nil {
+	frame, err := Marshal(nil, Message{Kind: kind, Round: round, Vec: vec})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return w.Bytes()
+	return frame
 }
 
-// referenceRead is the decoding ReadBytesFrame must agree with.
+// referenceRead is the decoding ReadBytesFrame must agree with: the first
+// message of in, unmarshalled whole, then unpacked.
 func referenceRead(in []byte) (Kind, int, []byte, error) {
-	m, err := ReadMessage(bytes.NewReader(in))
+	m, _, err := Unmarshal(in)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -158,7 +159,7 @@ func TestBytesFrameMatchesPackedMessage(t *testing.T) {
 }
 
 // FuzzBytesFrame is differential: on arbitrary input ReadBytesFrame and
-// the reference path (ReadMessage + UnpackBytes) agree on accept/reject
+// the reference path (Unmarshal + UnpackBytes) agree on accept/reject
 // and, on accept, on kind, round and document.
 func FuzzBytesFrame(f *testing.F) {
 	good := referenceFrame(f, KindResult, 3, []byte(`{"stats":{"cells":1}}`))
@@ -200,7 +201,7 @@ func FuzzBytesFrame(f *testing.F) {
 	f.Add(mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[13:17], 0xffffffff) })) // round with the sign bit
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		// Both readers allocate what the count field claims before reading
+		// ReadBytesFrame allocates what the count field claims before reading
 		// it; a claim far beyond the input is the truncated-payload case at
 		// up to 128 MiB per execution, which smaller claims already cover.
 		if len(in) >= headerSize {

@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/tensor"
@@ -99,36 +98,4 @@ func Unmarshal(b []byte) (Message, int, error) {
 		}
 	}
 	return m, need, nil
-}
-
-// WriteMessage writes the framed encoding of m to w.
-func WriteMessage(w io.Writer, m Message) error {
-	buf, err := Marshal(make([]byte, 0, EncodedSize(len(m.Vec))), m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadMessage reads one framed message from r.
-func ReadMessage(r io.Reader) (Message, error) {
-	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return Message{}, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != magic {
-		return Message{}, fmt.Errorf("transport: bad magic on stream")
-	}
-	count := binary.LittleEndian.Uint32(hdr[17:21])
-	if count > MaxPayload {
-		return Message{}, fmt.Errorf("transport: payload length %d exceeds max", count)
-	}
-	full := make([]byte, headerSize+8*int(count))
-	copy(full, hdr)
-	if _, err := io.ReadFull(r, full[headerSize:]); err != nil {
-		return Message{}, err
-	}
-	m, _, err := Unmarshal(full)
-	return m, err
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Move a model vector between two nodes over the in-process channel
-// network — the same Endpoint contract the TCP transport implements.
+// network: the receiver gets the sender's slice itself.
 func ExampleLocal() {
 	net, err := transport.NewLocal(2, 4)
 	if err != nil {

@@ -31,8 +31,8 @@ func ValidKind(k Kind) bool { return k >= KindModel && k <= KindProgress }
 // KindControl messages it may be empty.
 //
 // Vec is read-only on the receiving side. Over Local it is the sender's
-// own slice, not a copy (see Endpoint.Send); over TCP it is a slice the
-// codec allocated for this message.
+// own slice, not a copy (see Endpoint.Send); decoded by Unmarshal it is a
+// slice allocated for this message.
 type Message struct {
 	From  int
 	To    int
@@ -46,12 +46,9 @@ type Message struct {
 // node).
 type Endpoint interface {
 	// Send delivers m to node `to`. It blocks only when the destination
-	// inbox (or socket buffer) is full. The sender must not write an element
-	// of m.Vec again until every receiver is done reading that element:
-	// Local hands receivers the very slice, so the round engine sends its
-	// model vector in place, next writes it in the aggregate phase's mix —
-	// block by block, each after every reader of that block — and copies
-	// nothing per edge or per round.
+	// inbox is full. The sender must not write an element of m.Vec again
+	// until every receiver is done reading that element: Local hands
+	// receivers the very slice and copies nothing.
 	Send(to int, m Message) error
 	// Recv blocks until a message arrives or the endpoint closes, in which
 	// case it returns ErrClosed.
@@ -60,20 +57,11 @@ type Endpoint interface {
 	Close() error
 }
 
-// Network hands out endpoints for node IDs in [0, N).
-type Network interface {
-	// Endpoint returns the endpoint of the given node. Each node's endpoint
-	// may be requested once.
-	Endpoint(node int) (Endpoint, error)
-	// Close shuts down the whole network.
-	Close() error
-}
-
 // ErrClosed is returned by Recv after Close.
 var ErrClosed = errors.New("transport: endpoint closed")
 
-// Local is an in-process Network backed by buffered channels. Messages
-// carry the sender's vector itself (see Endpoint.Send).
+// Local is an in-process network of n nodes backed by buffered channels.
+// Messages carry the sender's vector itself (see Endpoint.Send).
 type Local struct {
 	n       int
 	inboxes []chan Message
@@ -87,8 +75,7 @@ type Local struct {
 
 // NewLocal creates a channel network for n nodes with the given per-node
 // inbox capacity. Capacity must exceed the maximum number of in-flight
-// messages per node (for round-synchronous exchange: 2x the node degree is
-// safe; the default engine uses 2*maxDeg+4).
+// messages per node, or Send blocks until the receiver catches up.
 func NewLocal(n, capacity int) (*Local, error) {
 	if n < 1 || capacity < 1 {
 		return nil, fmt.Errorf("transport: invalid local network n=%d capacity=%d", n, capacity)
@@ -105,8 +92,8 @@ type localEndpoint struct {
 	net  *Local
 }
 
-// Endpoint returns the endpoint of node. It errors on repeated claims so a
-// misconfigured simulation fails loudly instead of stealing messages.
+// Endpoint returns the endpoint of node. Each node's endpoint may be
+// claimed once: a repeated claim errors instead of stealing messages.
 func (l *Local) Endpoint(node int) (Endpoint, error) {
 	if node < 0 || node >= l.n {
 		return nil, fmt.Errorf("transport: node %d out of range [0,%d)", node, l.n)

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -127,26 +126,33 @@ func TestCodecProperty(t *testing.T) {
 	}
 }
 
+// Messages marshalled back to back into one stream decode in order:
+// Unmarshal reports exactly the bytes of the first.
 func TestStreamReadWrite(t *testing.T) {
-	var buf bytes.Buffer
+	var buf []byte
 	msgs := []Message{
 		{From: 0, To: 1, Round: 1, Kind: KindModel, Vec: tensor.Vector{1, 2, 3}},
 		{From: 1, To: 0, Round: 1, Kind: KindControl},
 		{From: 2, To: 1, Round: 2, Kind: KindModel, Vec: tensor.Vector{-1}},
 	}
 	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
+		var err error
+		if buf, err = Marshal(buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, want := range msgs {
-		got, err := ReadMessage(&buf)
+		got, n, err := Unmarshal(buf)
 		if err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
-		if got.From != want.From || got.Round != want.Round || len(got.Vec) != len(want.Vec) {
-			t.Fatalf("msg %d mismatch: %+v", i, got)
+		if n != EncodedSize(len(want.Vec)) || got.From != want.From || got.Round != want.Round || len(got.Vec) != len(want.Vec) {
+			t.Fatalf("msg %d mismatch: %+v (%d bytes)", i, got, n)
 		}
+		buf = buf[n:]
+	}
+	if len(buf) != 0 {
+		t.Fatalf("%d bytes left over", len(buf))
 	}
 }
 
@@ -173,9 +179,7 @@ func TestLocalSendRecv(t *testing.T) {
 // Local hands the receiver the sender's own backing array: publishing a
 // model costs no copy per edge. The price is the freeze-until-barrier rule
 // on Endpoint.Send — the sender may write the buffer again only once every
-// receiver has finished reading, which in the round engine is after the
-// aggregate phase has joined. TestTCPSendIsolatesVector is the wire's side
-// of the same contract.
+// receiver has finished reading.
 func TestLocalSendSharesVector(t *testing.T) {
 	net, _ := NewLocal(3, 4)
 	defer net.Close()
@@ -232,7 +236,7 @@ func TestLocalSendCloseHammer(t *testing.T) {
 }
 
 // Recv on a closed Local drains what is queued, then reports ErrClosed
-// forever — the behaviour Close documents and TCP already has a test for.
+// forever — the behaviour Close documents.
 func TestLocalRecvOnClosedDrainsThenErrs(t *testing.T) {
 	net, _ := NewLocal(2, 4)
 	e0, _ := net.Endpoint(0)
@@ -330,48 +334,5 @@ func TestLocalConcurrentExchange(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func TestFlakyInjectsFailures(t *testing.T) {
-	inner, _ := NewLocal(2, 8)
-	f := &Flaky{Inner: inner, FailEvery: 3}
-	defer f.Close()
-	e0, err := f.Endpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fails := 0
-	for i := 0; i < 9; i++ {
-		if err := e0.Send(1, Message{Kind: KindControl}); errors.Is(err, ErrInjected) {
-			fails++
-		}
-	}
-	if fails != 3 {
-		t.Fatalf("expected 3 injected failures in 9 sends, got %d", fails)
-	}
-	if f.sends != 9 {
-		t.Fatalf("sends = %d", f.sends)
-	}
-}
-
-func TestFlakyDisabled(t *testing.T) {
-	inner, _ := NewLocal(2, 8)
-	f := &Flaky{Inner: inner} // FailEvery 0: passthrough
-	defer f.Close()
-	e0, _ := f.Endpoint(0)
-	e1, _ := f.Endpoint(1)
-	if err := e0.Send(1, Message{Kind: KindModel, Vec: tensor.Vector{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := e1.Recv(); err != nil || m.Vec[0] != 1 {
-		t.Fatalf("passthrough broken: %v %+v", err, m)
 	}
 }

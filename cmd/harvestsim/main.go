@@ -509,9 +509,6 @@ func (c *config) runRound(stdout io.Writer, probe *obs.Probe) error {
 		Partition: w.part, Test: w.test,
 		EvalEvery: c.evalInt, EvalSubsample: 320,
 		Devices: w.devices, Workload: w.workload,
-		// The CLI reads only the streamed per-round SoC statistics and the
-		// final snapshot, so TrackSoC (an O(nodes) allocation per round)
-		// stays off.
 		Harvest:  fleet,
 		Forecast: w.forecaster, ForecastHorizon: w.fhorizon,
 		DropDeadNodes: c.dropDead,

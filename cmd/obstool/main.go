@@ -1,9 +1,7 @@
 // Command obstool is the offline side of the observability layer
-// (internal/obs + internal/obs/analyze): it validates JSONL telemetry
-// event streams, audits and summarizes runs, and diffs two runs by
-// manifest.
+// (internal/obs + internal/obs/analyze): it audits and summarizes JSONL
+// telemetry event streams, and diffs two runs by manifest.
 //
-//	obstool events run.jsonl        # validate a harvestsim -events stream
 //	obstool report run.jsonl        # audit + summarize one run
 //	obstool diff a.jsonl b.jsonl    # compare two runs by manifest
 //
@@ -14,12 +12,9 @@ package main
 import (
 	"fmt"
 	"io"
-	"maps"
 	"os"
-	"slices"
 
 	"repro/internal/cli"
-	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 )
 
@@ -28,12 +23,10 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run executes one obstool invocation and returns its exit status.
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		return cli.Exit(stderr, cli.UsageError("need a subcommand: events | report | diff"))
+		return cli.Exit(stderr, cli.UsageError("need a subcommand: report | diff"))
 	}
 	var sub func([]string, io.Writer, io.Writer) error
 	switch args[0] {
-	case "events":
-		sub = runEvents
 	case "report":
 		sub = runReport
 	case "diff":
@@ -42,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 0
 	default:
-		return cli.Exit(stderr, cli.Usagef("unknown subcommand %q (want events, report, or diff)", args[0]))
+		return cli.Exit(stderr, cli.Usagef("unknown subcommand %q (want report or diff)", args[0]))
 	}
 	return cli.Exit(stderr, sub(args[1:], stdout, stderr))
 }
@@ -52,15 +45,10 @@ func usage(out io.Writer) {
 
 Usage:
 
-  obstool events file.jsonl
-      Validate a JSONL telemetry event stream (harvestsim -events): every
-      line a well-formed event of a known kind, opening with a run_start
-      that carries a manifest config hash, closing with a run_end, rounds
-      properly bracketed and strictly increasing. Prints a per-kind
-      summary. "-" reads stdin.
-
   obstool report [-md] file.jsonl
-      Audit a stream against the analyze invariants (energy conservation,
+      Audit a stream (harvestsim -events) against the analyze invariants
+      (stream structure and known event kinds, a manifest config hash on
+      every run_start, round bracketing, energy conservation,
       brownout/revival alternation, counter monotonicity, phase-time
       accounting) and print a run summary: throughput, phase breakdown,
       SoC timelines, outage episodes, energy totals. -md emits markdown.
@@ -71,29 +59,6 @@ Usage:
       flags config-hash/seed/revision drift and prints accuracy, energy,
       and wall-time deltas.
 `)
-}
-
-// runEvents validates a JSONL event stream and prints its summary.
-func runEvents(args []string, stdout, stderr io.Writer) error {
-	fs := cli.NewFlagSet("obstool events", stderr)
-	files, err := cli.Args(fs, args, 1, `exactly one file argument ("-" for stdin)`)
-	if err != nil {
-		return err
-	}
-	fh, err := openArg(files[0])
-	if err != nil {
-		return err
-	}
-	defer fh.Close()
-	stats, err := obs.ValidateEvents(fh)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "valid: %d events, %d rounds\n", stats.Events, stats.Rounds)
-	for _, k := range slices.Sorted(maps.Keys(stats.Kinds)) {
-		fmt.Fprintf(stdout, "  %-13s %d\n", k, stats.Kinds[k])
-	}
-	return nil
 }
 
 // openArg opens a positional file argument, with "-" meaning stdin.

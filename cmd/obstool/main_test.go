@@ -37,9 +37,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"no args", nil, 2},
 		{"bench is gone", []string{"bench"}, 2},
 		{"regress is gone", []string{"regress", "a.json", "b.json"}, 2},
-		{"events on a valid stream", []string{"events", valid}, 0},
-		{"events on an unclosed round", []string{"events", unclosed}, 1},
+		{"events is gone", []string{"events", valid}, 2},
 		{"report on a valid stream", []string{"report", valid}, 0},
+		{"report on an unclosed round", []string{"report", unclosed}, 1},
 		{"report on broken energy conservation", []string{"report", leaking}, 1},
 		{"diff with one file", []string{"diff", valid}, 2},
 	}

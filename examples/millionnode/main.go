@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Setf("peak", "%g", *peak).
 		Setf("period", "%d", *period).
 		Build()
-	probe.RunStart(&manifest)
+	probe.RunStart(&manifest, 0)
 
 	totalTrained := 0
 	start := time.Now()
@@ -90,9 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		probe.RoundStart(t, "sweep")
 		stats := fleet.SweepThreshold(t, *minSoC)
 		totalTrained += stats.Trained
-		probe.RoundEnd(t, obs.RoundStats{
-			Trained: stats.Trained, Live: stats.Live, Depleted: stats.Depleted,
-		})
+		probe.RoundEnd(obs.Event{Round: t, Trained: stats.Trained, Live: stats.Live, Depleted: stats.Depleted})
 	}
 	elapsed := time.Since(start)
 	probe.RunEnd(rounds, totalTrained)

@@ -355,12 +355,11 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{StepsPerNode: make([]int, n), TrainedSteps: make([]int, n)}
 	res.Manifest = buildManifest(&cfg, &spec, ln.ParamCount, roundSec)
-	probe := cfg.Probe
+	probe, chargeWh := cfg.Probe, 0.0
 	if vf != nil {
-		probe.RunStartCharge(&res.Manifest, vf.TotalChargeWh())
-	} else {
-		probe.RunStart(&res.Manifest)
+		chargeWh = vf.TotalChargeWh()
 	}
+	probe.RunStart(&res.Manifest, chargeWh)
 	queue := &eventQueue{}
 	seq := 0
 	push := func(t float64, kind eventKind, node int) {

@@ -354,7 +354,7 @@ func (g *gammaGrid) runRegime(ri int) (*GammaGridResult, error) {
 			Set("trace", id.trace).
 			Setf("grid", "%dx%d", gammaGridMax, gammaGridMax).
 			Build()
-		p.RunStart(&manifest)
+		p.RunStart(&manifest, 0)
 	}
 	grid, err := gammaCells(g.o.Sweep, &id.keys, func(gt, gs int) (GammaHarvestCell, error) {
 		start := time.Now()

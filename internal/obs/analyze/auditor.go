@@ -26,7 +26,8 @@ import (
 
 // Violation classes, one per invariant family the Auditor checks.
 const (
-	// ClassStructure: stream shape — events before run_start, missing
+	// ClassStructure: stream shape — events of an unknown kind or before
+	// run_start, a run_start without a manifest config hash, missing
 	// run_end, run_start with a round still open.
 	ClassStructure = "structure"
 	// ClassRound: round bracketing and monotonicity — unpaired
@@ -159,6 +160,9 @@ func (a *Auditor) Emit(ev obs.Event) {
 		if a.openRound >= 0 {
 			a.violate(ev.Round, -1, ClassStructure, "run_start with round %d still open", a.openRound)
 		}
+		if ev.Manifest == nil || ev.Manifest.ConfigHash == "" {
+			a.violate(ev.Round, -1, ClassStructure, "run_start carries no manifest config hash")
+		}
 		// A new run segment: reset per-run state but keep violations.
 		a.runs++
 		a.openRound, a.lastRound = -1, -1
@@ -243,6 +247,9 @@ func (a *Auditor) Emit(ev obs.Event) {
 		if ev.Dropped <= 0 {
 			a.violate(ev.Round, -1, ClassCounter, "dropped_sends with count %d", ev.Dropped)
 		}
+	case obs.KindEval, obs.KindCell:
+	default:
+		a.violate(ev.Round, ev.Node, ClassStructure, "unknown event kind %q", ev.Kind)
 	}
 	a.seq++
 }

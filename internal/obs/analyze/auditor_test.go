@@ -1,6 +1,8 @@
 package analyze
 
 import (
+	"bytes"
+	"maps"
 	"strings"
 	"testing"
 
@@ -82,6 +84,36 @@ func TestAuditorDetectsEachInvariantClass(t *testing.T) {
 			evs := base()
 			return evs[:len(evs)-1]
 		}},
+		{"empty-stream", ClassStructure, func() []obs.Event { return nil }},
+		{"unknown-kind", ClassStructure, func() []obs.Event {
+			evs := base()
+			evs[3].Kind = "nonsense"
+			return evs
+		}},
+		{"run-start-without-config-hash", ClassStructure, func() []obs.Event {
+			evs := base()
+			evs[0].Manifest = nil
+			return evs
+		}},
+		{"round-start-while-open", ClassRound, func() []obs.Event {
+			var out []obs.Event
+			for _, ev := range base() {
+				if ev.Kind == obs.KindRoundEnd && ev.Round == 0 {
+					continue // round 1 opens over the still-open round 0
+				}
+				out = append(out, ev)
+			}
+			return out
+		}},
+		{"round-end-closes-other-round", ClassRound, func() []obs.Event {
+			evs := base()
+			for i := range evs {
+				if evs[i].Kind == obs.KindRoundEnd && evs[i].Round == 0 {
+					evs[i].Round = 3
+				}
+			}
+			return evs
+		}},
 		{"round-end-without-start", ClassRound, func() []obs.Event {
 			evs := base()
 			// Drop the first round_start (index 1).
@@ -95,6 +127,9 @@ func TestAuditorDetectsEachInvariantClass(t *testing.T) {
 				}
 			}
 			return evs
+		}},
+		{"round-open-at-stream-end", ClassRound, func() []obs.Event {
+			return base()[:2] // run_start, round_start 0
 		}},
 		{"round-left-open", ClassRound, func() []obs.Event {
 			var out []obs.Event
@@ -361,6 +396,13 @@ func TestAuditorToleratesRoundlessAndMultiRunStreams(t *testing.T) {
 	b.add(obs.Event{Kind: obs.KindCell, Round: -1, Node: -1, Label: "g1", Value: 0.5})
 	b.add(obs.Event{Kind: obs.KindCell, Round: -1, Node: -1, Label: "g2", Value: 0.6})
 	b.add(obs.Event{Kind: obs.KindRunEnd, Round: -1, Node: -1, Steps: 16})
+	// Segments 3 and 4: round numbering restarts with every run_start.
+	for range 2 {
+		b.add(obs.Event{Kind: obs.KindRunStart, Round: -1, Node: -1, Manifest: testManifest(4)})
+		b.add(obs.Event{Kind: obs.KindRoundStart, Round: 0, Node: -1})
+		b.add(obs.Event{Kind: obs.KindRoundEnd, Round: 0, Node: -1})
+		b.add(obs.Event{Kind: obs.KindRunEnd, Round: -1, Node: -1, Steps: 1})
+	}
 	a := audit(b.events)
 	if !a.Ok() {
 		t.Fatalf("roundless/multi-run stream flagged: %v", a.Violations())
@@ -388,8 +430,10 @@ func TestAuditorViolationCap(t *testing.T) {
 // Auditing a JSONL stream, as obstool report does, must reject malformed
 // JSONL but collect violations from well-formed corrupt streams.
 func TestAuditReader(t *testing.T) {
-	if _, err := ReadEvents(strings.NewReader("{not json\n")); err == nil {
-		t.Fatal("malformed JSONL accepted")
+	for _, bad := range []string{"{not json\n", "hello\n"} {
+		if _, err := ReadEvents(strings.NewReader(bad)); err == nil {
+			t.Fatalf("malformed JSONL %q accepted", bad)
+		}
 	}
 	jsonl := `{"kind":"run_start","round":-1,"node":-1,"manifest":{"engine":"sim","seed":1,"config_hash":"abc","config":[],"go_version":"go","gomaxprocs":1}}
 {"kind":"revival","round":0,"node":3}
@@ -406,5 +450,101 @@ func TestAuditReader(t *testing.T) {
 	a.Close()
 	if a.Ok() {
 		t.Fatal("revival-without-brownout not flagged in a replayed stream")
+	}
+}
+
+// Every corrupt JSONL stream is either refused by ReadEvents or flagged by
+// the Auditor, and a well-paired multi-run stream, whose round numbering
+// restarts with each run_start, reads back whole and audits clean.
+func TestAuditorRejectsBadJSONLStreams(t *testing.T) {
+	const runStart = `{"kind":"run_start","round":-1,"node":-1,"manifest":{"engine":"sim","seed":1,"config_hash":"ab","config":[],"go_version":"x","gomaxprocs":1}}` + "\n"
+	const runEnd = `{"kind":"run_end","round":-1,"node":-1}` + "\n"
+	cases := map[string]string{
+		"empty":          "",
+		"not json":       "hello\n",
+		"unknown kind":   `{"kind":"nonsense","round":0,"node":0}` + "\n",
+		"no run_start":   `{"kind":"round_start","round":0,"node":-1}` + "\n",
+		"no manifest":    `{"kind":"run_start","round":-1,"node":-1}` + "\n",
+		"missing runend": runStart,
+		"unpaired round_end": runStart +
+			`{"kind":"round_end","round":0,"node":-1}` + "\n" + runEnd,
+		"double round_start": runStart +
+			`{"kind":"round_start","round":0,"node":-1}` + "\n" +
+			`{"kind":"round_start","round":1,"node":-1}` + "\n" + runEnd,
+		"round_end number mismatch": runStart +
+			`{"kind":"round_start","round":0,"node":-1}` + "\n" +
+			`{"kind":"round_end","round":3,"node":-1}` + "\n" + runEnd,
+		"rounds not monotone": runStart +
+			`{"kind":"round_start","round":1,"node":-1}` + "\n" +
+			`{"kind":"round_end","round":1,"node":-1}` + "\n" +
+			`{"kind":"round_start","round":0,"node":-1}` + "\n" +
+			`{"kind":"round_end","round":0,"node":-1}` + "\n" + runEnd,
+		"round open at run_end": runStart +
+			`{"kind":"round_start","round":0,"node":-1}` + "\n" + runEnd,
+		"round open at stream end": runStart +
+			`{"kind":"round_start","round":0,"node":-1}` + "\n",
+	}
+	for name, stream := range cases {
+		events, err := ReadEvents(strings.NewReader(stream))
+		if err == nil && audit(events).Ok() {
+			t.Errorf("%s: stream audited clean, want an error or a violation", name)
+		}
+	}
+	// Each segment's run_end reports its one round, as the engines do.
+	const oneRoundEnd = `{"kind":"run_end","round":-1,"node":-1,"steps":1}` + "\n"
+	good := runStart +
+		`{"kind":"round_start","round":0,"node":-1}` + "\n" +
+		`{"kind":"round_end","round":0,"node":-1}` + "\n" + oneRoundEnd +
+		runStart +
+		`{"kind":"round_start","round":0,"node":-1}` + "\n" +
+		`{"kind":"round_end","round":0,"node":-1}` + "\n" + oneRoundEnd
+	events, err := ReadEvents(strings.NewReader(good))
+	if err != nil || len(events) != 8 {
+		t.Fatalf("multi-run stream read back %d events, err=%v; want 8", len(events), err)
+	}
+	if a := audit(events); !a.Ok() {
+		t.Fatalf("multi-run stream flagged:\n%s", a.Summary())
+	}
+}
+
+// A probe's stream, written by the JSONL sink and read back by ReadEvents,
+// must audit clean with every event kind intact: the round trip behind
+// `harvestsim -events` and `obstool report`.
+func TestJSONLRoundTripAuditsClean(t *testing.T) {
+	var buf bytes.Buffer
+	sink := obs.NewJSONL(&buf)
+	p := obs.NewProbe(sink)
+	p.RunStart(testManifest(4), 0)
+	for round := 0; round < 2; round++ {
+		p.RoundStart(round, "train")
+		p.PhaseStart(obs.PhaseTrain)
+		p.PhaseEnd(round, obs.PhaseTrain)
+		p.Brownout(round, 3)
+		p.Revival(round, 3, 1)
+		p.DroppedSends(round, 4)
+		p.Eval(round, 0.7, 0.05)
+		p.RoundEnd(obs.Event{Round: round, Trained: 3, Live: 4, MeanSoC: 0.5, SoCP50: 0.5, SoCP90: 0.8, SoCP99: 0.9})
+	}
+	p.RunEnd(2, 6)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := audit(events); !a.Ok() {
+		t.Fatalf("round-tripped stream flagged:\n%s", a.Summary())
+	}
+	kinds := map[string]int{}
+	for _, ev := range events {
+		kinds[ev.Kind]++
+	}
+	want := map[string]int{
+		obs.KindRunStart: 1, obs.KindRunEnd: 1, obs.KindRoundStart: 2, obs.KindRoundEnd: 2,
+		obs.KindPhase: 2, obs.KindBrownout: 2, obs.KindRevival: 2, obs.KindDropped: 2, obs.KindEval: 2,
+	}
+	if !maps.Equal(kinds, want) {
+		t.Fatalf("events by kind %v, want %v", kinds, want)
 	}
 }

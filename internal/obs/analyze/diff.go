@@ -25,9 +25,10 @@ func (d MetricDelta) RelDelta() float64 {
 // hash, seed, code revision — the manifest fields that decide whether
 // the runs are even comparable), then headline metric deltas.
 type Diff struct {
-	// SameConfig is true when both manifests carry the same config hash —
-	// the runs computed the same experiment.
-	SameConfig bool `json:"same_config"`
+	// SameConfig reports whether both manifests carry the same config hash
+	// — the runs computed the same experiment. It is nil when either stream
+	// has no manifest: then the runs' identity is unknown.
+	SameConfig *bool `json:"same_config"`
 	// ConfigDrift lists "key=value" config lines present in exactly one
 	// run (prefixed "-" for A-only, "+" for B-only).
 	ConfigDrift []string `json:"config_drift,omitempty"`
@@ -43,10 +44,11 @@ func DiffReports(a, b *Report) *Diff {
 	d := &Diff{}
 	am, bm := a.Manifest, b.Manifest
 	if am != nil && bm != nil {
-		d.SameConfig = am.ConfigHash == bm.ConfigHash
+		same := am.ConfigHash == bm.ConfigHash
+		d.SameConfig = &same
 		d.SeedDrift = am.Seed != bm.Seed
 		d.RevisionDrift = am.GitRevision != bm.GitRevision
-		if !d.SameConfig {
+		if !same {
 			inA := map[string]bool{}
 			for _, kv := range am.Config {
 				inA[kv] = true
@@ -88,9 +90,12 @@ func DiffReports(a, b *Report) *Diff {
 // WriteText renders the diff for `obstool diff`.
 func (d *Diff) WriteText(w io.Writer, labelA, labelB string) {
 	fmt.Fprintf(w, "run diff: %s vs %s\n", labelA, labelB)
-	if d.SameConfig {
+	switch {
+	case d.SameConfig == nil:
+		fmt.Fprintf(w, "  config: unknown (a stream carries no manifest)\n")
+	case *d.SameConfig:
 		fmt.Fprintf(w, "  config: identical hash (same experiment)\n")
-	} else {
+	default:
 		fmt.Fprintf(w, "  config: HASH DRIFT — runs are different experiments\n")
 		for _, line := range d.ConfigDrift {
 			fmt.Fprintf(w, "    %s\n", line)

@@ -64,7 +64,6 @@ func scenarioConfig(t *testing.T, s difftest.Scenario, rewound bool) sim.Config 
 		Devices:    s.Devices(),
 		Workload:   s.Workload(),
 		Harvest:    inst.Fleet,
-		TrackSoC:   true,
 	}
 	// Cutoff cells drive the dead-topology path, matching the liveness
 	// coverage of the differential table.

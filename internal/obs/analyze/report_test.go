@@ -2,6 +2,8 @@ package analyze
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -109,6 +111,8 @@ type nopCloser struct{ *bytes.Buffer }
 
 func (n *nopCloser) Close() error { return nil }
 
+// DiffReports flags identity drift only when both streams carry a
+// manifest; without one the runs' identity is unknown, not drifted.
 func TestDiffReportsFlagsDrift(t *testing.T) {
 	mkReport := func(seed uint64, extra string) *Report {
 		b := obs.NewManifest("sim", "x", seed).Scale(8, 4).Set("lr", "0.05")
@@ -122,26 +126,36 @@ func TestDiffReportsFlagsDrift(t *testing.T) {
 		}
 		return FromEvents(evs)
 	}
-	same := DiffReports(mkReport(1, ""), mkReport(1, ""))
-	if !same.SameConfig || same.SeedDrift || len(same.ConfigDrift) != 0 {
-		t.Fatalf("identical runs flagged: %+v", same)
+	bare := func() *Report {
+		return FromEvents([]obs.Event{{Kind: obs.KindRunEnd, Round: -1, Node: -1, WallNs: 1000, Steps: 4, Trained: 10}})
 	}
-	drift := DiffReports(mkReport(1, ""), mkReport(2, "0.3"))
-	if drift.SameConfig || !drift.SeedDrift {
-		t.Fatalf("drift not flagged: %+v", drift)
-	}
-	found := false
-	for _, line := range drift.ConfigDrift {
-		if line == "+cutoff=0.3" {
-			found = true
+	for _, tc := range []struct {
+		name      string
+		a, b      *Report
+		same      string // "true", "false" or "unknown"
+		seedDrift bool
+		drift     string // a config line present in b only, or "" for none
+		text      string
+	}{
+		{"identical", mkReport(1, ""), mkReport(1, ""), "true", false, "", "identical hash"},
+		{"drift", mkReport(1, ""), mkReport(2, "0.3"), "false", true, "+cutoff=0.3", "HASH DRIFT"},
+		{"no manifest in a", bare(), mkReport(1, ""), "unknown", false, "", "config: unknown"},
+		{"no manifest in b", mkReport(1, ""), bare(), "unknown", false, "", "config: unknown"},
+	} {
+		d := DiffReports(tc.a, tc.b)
+		same := "unknown"
+		if d.SameConfig != nil {
+			same = fmt.Sprint(*d.SameConfig)
 		}
-	}
-	if !found {
-		t.Fatalf("config drift lines: %v", drift.ConfigDrift)
-	}
-	var buf bytes.Buffer
-	drift.WriteText(&buf, "a", "b")
-	if !strings.Contains(buf.String(), "HASH DRIFT") {
-		t.Fatalf("diff text: %s", buf.String())
+		if same != tc.same || d.SeedDrift != tc.seedDrift || (tc.drift == "") != (len(d.ConfigDrift) == 0) ||
+			(tc.drift != "" && !slices.Contains(d.ConfigDrift, tc.drift)) {
+			t.Errorf("%s: same config %s, seed drift %v, config drift %v; want %s, %v, %v",
+				tc.name, same, d.SeedDrift, d.ConfigDrift, tc.same, tc.seedDrift, tc.drift)
+		}
+		var buf bytes.Buffer
+		d.WriteText(&buf, "a", "b")
+		if !strings.Contains(buf.String(), tc.text) || (tc.same == "unknown" && strings.Contains(buf.String(), "HASH DRIFT")) {
+			t.Errorf("%s: diff text lacks %q:\n%s", tc.name, tc.text, buf.String())
+		}
 	}
 }

@@ -1,10 +1,10 @@
 // Package obs is the streaming observability layer of the simulator: a
 // zero-overhead-when-disabled probe that the engines (internal/sim,
 // internal/async, the experiments grid runner) thread through their hot
-// paths, emitting structured events — round boundaries, per-phase
-// wall-clock and allocation counters, brown-outs, revivals, dropped sends,
-// evaluations — into pluggable sinks (JSONL files, a live progress line,
-// an in-memory buffer for tests, or nothing at all).
+// paths, emitting structured events — round boundaries, per-phase wall
+// clocks, brown-outs, revivals, dropped sends, evaluations — into pluggable
+// sinks (JSONL files, a live progress line, an in-memory buffer), or, with
+// a nil probe, nowhere.
 //
 // Three invariants shape the design:
 //
@@ -20,16 +20,13 @@
 //     greppable and trivially parseable by downstream tooling.
 //
 // The package also provides the streaming quantile Sketch (SoC percentiles
-// without materializing per-node slices), the RunManifest (a
+// without materializing per-node slices) and the RunManifest (a
 // content-addressable run identity: config hash, seed, Go version, git
-// revision — the cache key of the memoized sweep service), and
-// ValidateEvents, the JSONL stream check behind `obstool events`.
+// revision — the cache key of the memoized sweep service). Streams are
+// checked by obs/analyze's Auditor, live or offline (`obstool report`).
 package obs
 
-import (
-	"runtime/metrics"
-	"time"
-)
+import "time"
 
 // Phase identifies one barriered section of a sim engine round.
 type Phase uint8
@@ -75,10 +72,9 @@ const (
 	// KindRoundStart marks the beginning of round Round (Label = round kind).
 	KindRoundStart = "round_start"
 	// KindRoundEnd summarizes round Round: wall time, participation,
-	// liveness, and streamed SoC percentiles.
+	// liveness, streamed SoC percentiles and the fleet's energy ledger.
 	KindRoundEnd = "round_end"
-	// KindPhase reports one phase's wall clock (and, with
-	// Probe.TrackAllocs, allocation deltas) within round Round.
+	// KindPhase reports one phase's wall clock within round Round.
 	KindPhase = "phase"
 	// KindBrownout marks node Node dropping below its cutoff at round Round.
 	KindBrownout = "brownout"
@@ -109,10 +105,8 @@ type Event struct {
 	Phase string `json:"phase,omitempty"`
 	Label string `json:"label,omitempty"`
 
-	// Wall clock and allocation counters.
-	WallNs     int64 `json:"wall_ns,omitempty"`
-	Allocs     int64 `json:"allocs,omitempty"`
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
+	// Wall clock.
+	WallNs int64 `json:"wall_ns,omitempty"`
 
 	// Round and run counters.
 	Trained   int `json:"trained,omitempty"`
@@ -153,29 +147,6 @@ type Event struct {
 	Manifest *RunManifest `json:"manifest,omitempty"`
 }
 
-// RoundStats is the per-round summary a probe turns into a round_end
-// event. HasSoC distinguishes "no fleet attached" from all-zero charge;
-// HasEnergy likewise gates the per-round energy ledger fields.
-type RoundStats struct {
-	Trained  int
-	Live     int
-	Depleted int
-	HasSoC   bool
-	MeanSoC  float64
-	SoCP50   float64
-	SoCP90   float64
-	SoCP99   float64
-
-	// Per-round fleet energy ledger (Wh): what arrived, what training and
-	// idling drained, what overflowed full batteries, and the fleet's total
-	// charge after the round closed.
-	HasEnergy  bool
-	HarvestWh  float64
-	ConsumedWh float64
-	WastedWh   float64
-	ChargeWh   float64
-}
-
 // Probe is the handle engines emit telemetry through. A nil *Probe is the
 // disabled state: every method no-ops, so hot paths carry instrumentation
 // unconditionally and pay only a nil check when telemetry is off.
@@ -188,19 +159,9 @@ type RoundStats struct {
 type Probe struct {
 	sink Sink
 
-	// TrackAllocs additionally samples the runtime's cumulative heap
-	// allocation counters at phase boundaries, attaching per-phase
-	// alloc/byte deltas to phase events. Set before the run starts; the
-	// counters are process-wide, so concurrent allocating work outside the
-	// phase inflates them.
-	TrackAllocs bool
-
-	runStart    time.Time
-	roundStart  time.Time
-	phaseStart  [numPhases]time.Time
-	phaseAllocs [numPhases]uint64
-	phaseBytes  [numPhases]uint64
-	samples     []metrics.Sample
+	runStart   time.Time
+	roundStart time.Time
+	phaseStart [numPhases]time.Time
 }
 
 // NewProbe returns a probe emitting into sink. A nil sink yields a
@@ -212,9 +173,9 @@ func NewProbe(sink Sink) *Probe {
 	return &Probe{sink: sink}
 }
 
-// Enabled reports whether the probe is live. Engines use it to gate work
-// that only exists to feed telemetry (e.g. the round_end event's energy
-// ledger).
+// Enabled reports whether the probe is live. Callers use it to skip work
+// whose only product is telemetry, such as building the grid runner's
+// per-regime manifest.
 func (p *Probe) Enabled() bool { return p != nil }
 
 // Emit sends one event to the sink. Safe on a nil probe.
@@ -226,22 +187,11 @@ func (p *Probe) Emit(ev Event) {
 }
 
 // RunStart opens the run: stamps the wall clock and emits run_start
-// carrying the manifest.
-func (p *Probe) RunStart(m *RunManifest) {
-	if p == nil {
-		return
-	}
-	p.runStart = time.Now()
-	p.sink.Emit(Event{Kind: KindRunStart, Round: -1, Node: -1, Manifest: m})
-}
-
-// RunStartCharge is RunStart for harvest-coupled runs: the run_start
-// event additionally carries the fleet's initial total charge (Wh), the
-// baseline the energy-conservation audit integrates from. A fleet that
-// genuinely starts empty stamps nothing (the field is omitempty, zero Wh
-// drops out of the JSON) and the auditor baselines at the first
-// round_end instead.
-func (p *Probe) RunStartCharge(m *RunManifest, chargeWh float64) {
+// carrying the manifest and, for harvest-coupled runs, the fleet's initial
+// total charge (Wh) — the baseline the energy-conservation audit integrates
+// from. Zero Wh drops out of the JSON (omitempty), and the auditor then
+// baselines at the first round_end instead.
+func (p *Probe) RunStart(m *RunManifest, chargeWh float64) {
 	if p == nil {
 		return
 	}
@@ -271,34 +221,20 @@ func (p *Probe) RoundStart(t int, kind string) {
 	p.sink.Emit(Event{Kind: KindRoundStart, Round: t, Node: -1, Label: kind})
 }
 
-// RoundEnd summarizes round t.
-func (p *Probe) RoundEnd(t int, s RoundStats) {
+// RoundEnd emits ev, the summary of round ev.Round, as a round_end event:
+// it stamps the kind, the node (-1) and the round's wall clock.
+func (p *Probe) RoundEnd(ev Event) {
 	if p == nil {
 		return
 	}
-	ev := Event{
-		Kind: KindRoundEnd, Round: t, Node: -1,
-		WallNs:  time.Since(p.roundStart).Nanoseconds(),
-		Trained: s.Trained, Live: s.Live, Depleted: s.Depleted,
-	}
-	if s.HasSoC {
-		ev.MeanSoC, ev.SoCP50, ev.SoCP90, ev.SoCP99 = s.MeanSoC, s.SoCP50, s.SoCP90, s.SoCP99
-	}
-	if s.HasEnergy {
-		ev.HarvestWh, ev.ConsumedWh, ev.WastedWh, ev.ChargeWh = s.HarvestWh, s.ConsumedWh, s.WastedWh, s.ChargeWh
-	}
+	ev.Kind, ev.Node, ev.WallNs = KindRoundEnd, -1, time.Since(p.roundStart).Nanoseconds()
 	p.sink.Emit(ev)
 }
 
-// PhaseStart opens phase ph's timer (and allocation snapshot when
-// TrackAllocs is set).
+// PhaseStart opens phase ph's timer.
 func (p *Probe) PhaseStart(ph Phase) {
 	if p == nil {
 		return
-	}
-	if p.TrackAllocs {
-		allocs, bytes := p.readAllocs()
-		p.phaseAllocs[ph], p.phaseBytes[ph] = allocs, bytes
 	}
 	p.phaseStart[ph] = time.Now()
 }
@@ -308,16 +244,10 @@ func (p *Probe) PhaseEnd(t int, ph Phase) {
 	if p == nil {
 		return
 	}
-	ev := Event{
+	p.sink.Emit(Event{
 		Kind: KindPhase, Round: t, Node: -1, Phase: ph.String(),
 		WallNs: time.Since(p.phaseStart[ph]).Nanoseconds(),
-	}
-	if p.TrackAllocs {
-		allocs, bytes := p.readAllocs()
-		ev.Allocs = int64(allocs - p.phaseAllocs[ph])
-		ev.AllocBytes = int64(bytes - p.phaseBytes[ph])
-	}
-	p.sink.Emit(ev)
+	})
 }
 
 // Brownout marks node dropping below its cutoff at round t.
@@ -352,18 +282,4 @@ func (p *Probe) Eval(t int, meanAcc, stdAcc float64) {
 		return
 	}
 	p.sink.Emit(Event{Kind: KindEval, Round: t, Node: -1, MeanAcc: meanAcc, StdAcc: stdAcc})
-}
-
-// readAllocs samples the runtime's cumulative heap allocation counters
-// (objects, bytes) via runtime/metrics — no stop-the-world, unlike
-// runtime.ReadMemStats.
-func (p *Probe) readAllocs() (allocs, bytes uint64) {
-	if p.samples == nil {
-		p.samples = []metrics.Sample{
-			{Name: "/gc/heap/allocs:objects"},
-			{Name: "/gc/heap/allocs:bytes"},
-		}
-	}
-	metrics.Read(p.samples)
-	return p.samples[0].Value.Uint64(), p.samples[1].Value.Uint64()
 }

@@ -19,7 +19,7 @@ func gridCellConfig(t *testing.T, seed uint64) Config {
 		t.Fatal(err)
 	}
 	cfg.Algo.Schedule = gamma
-	cfg.TrackSoC, cfg.EvalEvery, cfg.EvalSubsample = false, 0, 40
+	cfg.EvalEvery, cfg.EvalSubsample = 0, 40
 	return cfg
 }
 

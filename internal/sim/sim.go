@@ -21,7 +21,8 @@
 //
 // When a harvest fleet is attached (Config.Harvest), every round also closes
 // with a battery update — idle and communication draw, then ambient energy
-// harvest — and the round metrics carry the fleet's state of charge.
+// harvest — and the round's record carries the fleet's state of charge and
+// energy ledger.
 //
 // With Config.DropDeadNodes, brown-outs also silence the topology: every
 // round starts by snapshotting the live set, no model is sent to or from a
@@ -92,10 +93,9 @@ type Config struct {
 	// only through the harvest policies' TryTrain — pair the fleet with a
 	// charge-aware Algo.Policy — while the engine closes every round with
 	// EndRound: idle and communication draw, then ambient harvest.
-	// State-of-charge statistics land in RoundMetrics; set TrackSoC to also
-	// record the full per-node SoC snapshot each round.
-	Harvest  *harvest.Fleet
-	TrackSoC bool
+	// State-of-charge statistics and the energy ledger land in RoundMetrics;
+	// the per-node charge is in Result.FinalSoC after the last round.
+	Harvest *harvest.Fleet
 
 	// Forecast attaches a harvest forecaster (internal/harvest): on every
 	// coordinated training round the engine fills the deciding node's
@@ -143,11 +143,12 @@ type Config struct {
 
 	// Probe optionally attaches the observability layer (internal/obs):
 	// the engine emits round boundaries, per-phase wall-clock timings,
-	// brown-out/revival events, dropped-send counts, evaluations, and
-	// streamed SoC percentiles into the probe's sink. A nil probe is the
-	// off state and costs one nil check per emission site. Telemetry is
-	// read-only and RNG-silent: a telemetry-on run produces bit-identical
-	// model state to the same run with telemetry off (pinned by test).
+	// brown-out/revival events, dropped-send counts, evaluations, and a
+	// round_end derived from each round's RoundMetrics into the probe's
+	// sink. A nil probe is the off state and costs one nil check per
+	// emission site. Telemetry is read-only and RNG-silent: a telemetry-on
+	// run produces the same History and model state, bit for bit, as the
+	// same run with telemetry off (pinned by test).
 	Probe *obs.Probe
 
 	Seed uint64
@@ -188,8 +189,6 @@ func (c *Config) validate(s *learner.Spec) error {
 		return fmt.Errorf("sim: harvest fleet covers %d nodes, graph has %d", c.Harvest.Nodes(), c.Graph.N)
 	case c.Harvest != nil && c.Harvest.Consumed():
 		return fmt.Errorf("sim: harvest fleet already consumed by a prior run; call Fleet.Reset or build a fresh fleet")
-	case c.TrackSoC && c.Harvest == nil:
-		return fmt.Errorf("sim: TrackSoC requires a harvest fleet")
 	case learns && fc.Consumed():
 		return fmt.Errorf("sim: forecaster %s already consumed by a prior run; call Reset or build a fresh forecaster", c.Forecast.Name())
 	case c.DropDeadNodes && c.Harvest == nil && c.Liveness == nil:
@@ -216,22 +215,24 @@ type RoundMetrics struct {
 	CumTrainWh   float64 // cumulative network training energy (Eq. 3)
 	CumCommWh    float64 // cumulative sharing/aggregation energy
 
-	// Battery state (only meaningful when Config.Harvest is set).
-	MeanSoC      float64 // fleet-average state of charge after the round
-	MinSoC       float64 // lowest state of charge in the fleet
-	Depleted     int     // nodes at or below their brown-out cutoff
-	CumHarvestWh float64 // cumulative stored ambient energy
-	CumWastedWh  float64 // cumulative harvest that arrived on full batteries
+	// Battery state and energy ledger (Config.Harvest runs only, zero
+	// otherwise). The ledger satisfies the fleet's energy-causality identity
+	// charge(t-1) + ArrivedWh - Δconsumed - Δwasted = ChargeWh, where the
+	// deltas are against the previous round's cumulative fields (zero before
+	// round 0) and charge(-1) is the fleet's initial charge.
+	MeanSoC       float64 // fleet-average state of charge after the round
+	MinSoC        float64 // lowest state of charge in the fleet
+	Depleted      int     // nodes at or below their brown-out cutoff
+	CumHarvestWh  float64 // cumulative stored ambient energy
+	ArrivedWh     float64 // energy that arrived this round, stored plus wasted
+	CumConsumedWh float64 // cumulative training, communication and idle drain
+	CumWastedWh   float64 // cumulative harvest that arrived on full batteries
+	ChargeWh      float64 // the fleet's total charge after the round
 	// SoCP50/P90/P99 are the fleet's state-of-charge percentiles after the
 	// round, streamed through a fixed-bin quantile sketch (internal/obs):
 	// exact to within one sketch bin (1/256) without materializing a
-	// per-node slice. Always filled on harvest runs.
+	// per-node slice.
 	SoCP50, SoCP90, SoCP99 float64
-	// SoCs is the full per-node SoC snapshot. It allocates O(nodes) per
-	// round and exists for consumers that need the exact distribution;
-	// set Config.TrackSoC to keep it. The streamed percentiles above are
-	// the allocation-free default.
-	SoCs []float64 // per-node SoC snapshot (Config.TrackSoC only)
 
 	// Live-topology state, recorded whenever a live-set source exists (a
 	// harvest fleet or a Liveness hook), in both route-through-dead and
@@ -510,20 +511,14 @@ func Run(cfg Config) (*Result, error) {
 	// strictly read-only and RNG-silent: probe calls observe engine state
 	// and wall clocks, never stochastic or model state.
 	result.Manifest = buildManifest(&cfg, &r.spec, paramCount)
-	probe := cfg.Probe
-	if probe.Enabled() && cfg.Harvest != nil {
-		// Harvest-coupled runs stamp the fleet's initial total charge on
-		// run_start — the baseline the energy-conservation audit
-		// (obs/analyze) integrates per-round deltas from.
-		probe.RunStartCharge(&result.Manifest, cfg.Harvest.TotalChargeWh())
-	} else {
-		probe.RunStart(&result.Manifest)
+	// Harvest-coupled runs stamp the fleet's initial total charge on
+	// run_start: the baseline the energy-conservation audit (obs/analyze)
+	// integrates the round_end ledgers from.
+	probe, chargeWh := cfg.Probe, 0.0
+	if cfg.Harvest != nil {
+		chargeWh = cfg.Harvest.TotalChargeWh()
 	}
-	// Snapshots of the fleet's cumulative drain/overflow ledgers at the
-	// previous round close, so round_end can carry this round's deltas.
-	// Maintained only while telemetry is on; reads only, so a probed run
-	// stays bit-identical to an unprobed one.
-	var prevConsumedWh, prevWastedWh float64
+	probe.RunStart(&result.Manifest, chargeWh)
 
 	// The SoC quantile sketch streams per-round charge percentiles without
 	// materializing a per-node slice; allocated once, reset per round.
@@ -660,22 +655,23 @@ func Run(cfg Config) (*Result, error) {
 			}
 			// Learning forecasters observe what the source delivered this
 			// round (stored + wasted), serially, after the battery update.
+			arrived := cfg.Harvest.RoundArrivedWh()
 			if fob, ok := cfg.Forecast.(harvest.ForecastObserver); ok {
-				fob.Observe(t, cfg.Harvest.RoundArrivedWh())
+				fob.Observe(t, arrived)
 			}
 			// One pass over the batteries yields mean/min/depleted and feeds
-			// the quantile sketch; the full per-node snapshot (an O(nodes)
-			// allocation every round) is opt-in via TrackSoC.
+			// the quantile sketch, without a per-node snapshot.
 			socSketch.Reset()
 			m.MeanSoC, m.MinSoC, m.Depleted = cfg.Harvest.SoCStats(observeSoC)
 			m.SoCP50 = socSketch.Quantile(0.50)
 			m.SoCP90 = socSketch.Quantile(0.90)
 			m.SoCP99 = socSketch.Quantile(0.99)
 			m.CumHarvestWh = cumHarvestWh
-			m.CumWastedWh = cfg.Harvest.WastedWh()
-			if cfg.TrackSoC {
-				m.SoCs = cfg.Harvest.SoCs()
+			for _, wh := range arrived {
+				m.ArrivedWh += wh
 			}
+			m.CumConsumedWh, m.CumWastedWh = cfg.Harvest.ConsumedWh(), cfg.Harvest.WastedWh()
+			m.ChargeWh = cfg.Harvest.TotalChargeWh()
 			probe.PhaseEnd(t, obs.PhaseBattery)
 		}
 
@@ -692,28 +688,7 @@ func Run(cfg Config) (*Result, error) {
 		m.CumTrainWh = acct.TotalTrainingWh()
 		m.CumCommWh = acct.TotalCommunicationWh()
 		result.History = append(result.History, m)
-		if probe.Enabled() {
-			stats := obs.RoundStats{Trained: m.TrainedCount, Live: m.LiveCount, Depleted: m.Depleted}
-			if cfg.Harvest != nil {
-				stats.HasSoC = true
-				stats.MeanSoC, stats.SoCP50, stats.SoCP90, stats.SoCP99 = m.MeanSoC, m.SoCP50, m.SoCP90, m.SoCP99
-				// This round's energy ledger: arrived harvest (pre-clamp, so
-				// stored + wasted), drain and overflow as deltas of the
-				// cumulative ledgers, and the closing total charge. Together
-				// they satisfy harvest − consumed − wasted = ΔCharge, the
-				// invariant obs/analyze audits.
-				consumed, wasted := cfg.Harvest.ConsumedWh(), cfg.Harvest.WastedWh()
-				stats.HasEnergy = true
-				for _, wh := range cfg.Harvest.RoundArrivedWh() {
-					stats.HarvestWh += wh
-				}
-				stats.ConsumedWh = consumed - prevConsumedWh
-				stats.WastedWh = wasted - prevWastedWh
-				stats.ChargeWh = cfg.Harvest.TotalChargeWh()
-				prevConsumedWh, prevWastedWh = consumed, wasted
-			}
-			probe.RoundEnd(t, stats)
-		}
+		probe.RoundEnd(roundEnd(result.History))
 	}
 	result.TotalTrainWh = acct.TotalTrainingWh()
 	result.TotalCommWh = acct.TotalCommunicationWh()
@@ -728,6 +703,23 @@ func Run(cfg Config) (*Result, error) {
 	}
 	probe.RunEnd(cfg.Rounds, trainedTotal)
 	return result, nil
+}
+
+// roundEnd derives the round_end event of the last record in h. Drain and
+// overflow stream as deltas of the cumulative ledgers against the record
+// before it (a zero record before round 0), so the event's harvest −
+// consumed − wasted = ΔCharge, the identity obs/analyze audits.
+func roundEnd(h []RoundMetrics) obs.Event {
+	m, prev := &h[len(h)-1], &RoundMetrics{}
+	if len(h) > 1 {
+		prev = &h[len(h)-2]
+	}
+	return obs.Event{
+		Round: m.Round, Trained: m.TrainedCount, Live: m.LiveCount, Depleted: m.Depleted,
+		MeanSoC: m.MeanSoC, SoCP50: m.SoCP50, SoCP90: m.SoCP90, SoCP99: m.SoCP99,
+		HarvestWh: m.ArrivedWh, ConsumedWh: m.CumConsumedWh - prev.CumConsumedWh,
+		WastedWh: m.CumWastedWh - prev.CumWastedWh, ChargeWh: m.ChargeWh,
+	}
 }
 
 // buildManifest derives the run's content-addressable identity from every

@@ -2,8 +2,9 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -11,7 +12,9 @@ import (
 )
 
 // Telemetry must be invisible to the simulation: the same run with a probe
-// attached produces bit-identical model state to the run without one.
+// attached produces bit-identical model state and History to the run
+// without one, and every streamed round_end is the event derived from its
+// round's record.
 func TestTelemetryBitIdentical(t *testing.T) {
 	run := func(attach bool) (*Result, *obs.MemorySink) {
 		cfg := harvestConfig(t, 6)
@@ -21,7 +24,6 @@ func TestTelemetryBitIdentical(t *testing.T) {
 		if attach {
 			mem = obs.NewMemory()
 			cfg.Probe = obs.NewProbe(mem)
-			cfg.Probe.TrackAllocs = true
 		}
 		res, err := Run(cfg)
 		if err != nil {
@@ -43,6 +45,21 @@ func TestTelemetryBitIdentical(t *testing.T) {
 	}
 	if plain.FinalMeanAcc != probed.FinalMeanAcc {
 		t.Fatalf("accuracy differs with telemetry on: %v vs %v", plain.FinalMeanAcc, probed.FinalMeanAcc)
+	}
+	if !reflect.DeepEqual(plain.History, probed.History) {
+		t.Fatal("History differs with telemetry on")
+	}
+	r := 0
+	for _, ev := range mem.Events() {
+		if ev.Kind != obs.KindRoundEnd {
+			continue
+		}
+		want := roundEnd(plain.History[:r+1])
+		want.Kind, want.Node, ev.WallNs = obs.KindRoundEnd, -1, 0
+		if ev != want {
+			t.Fatalf("round %d: streamed round_end %+v, derived from the record %+v", r, ev, want)
+		}
+		r++
 	}
 	if countKind(mem.Events(), obs.KindRunStart) != 1 || countKind(mem.Events(), obs.KindRunEnd) != 1 {
 		t.Fatalf("run events: %d start, %d end", countKind(mem.Events(), obs.KindRunStart), countKind(mem.Events(), obs.KindRunEnd))
@@ -83,28 +100,32 @@ func TestTelemetryDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// The streamed SoC percentiles must stay within one sketch bin of the
-// exact percentiles computed from the full TrackSoC snapshot.
+// The streamed SoC percentiles are filled on every harvest run, are
+// monotone in q, and stay within one sketch bin of the exact percentiles of
+// the per-node charge after each round.
 func TestSoCQuantilesMatchExact(t *testing.T) {
 	cfg := harvestConfig(t, 11)
 	cfg.Rounds = 20
+	socs := recordSoCs(&cfg)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	binWidth := 1.0 / obs.SoCBins
-	for _, m := range res.History {
-		if len(m.SoCs) != cfg.Graph.N {
-			t.Fatalf("round %d: TrackSoC snapshot has %d nodes", m.Round, len(m.SoCs))
+	for r, snapshot := range socs(res) {
+		m := res.History[r]
+		if len(snapshot) != cfg.Graph.N {
+			t.Fatalf("round %d: SoC snapshot has %d nodes", m.Round, len(snapshot))
 		}
-		sorted := append([]float64(nil), m.SoCs...)
-		sort.Float64s(sorted)
+		if math.IsNaN(m.SoCP50) || m.SoCP50 <= 0 {
+			t.Fatalf("round %d: streamed P50 = %v, want a real percentile", m.Round, m.SoCP50)
+		}
+		if m.SoCP50 > m.SoCP90+binWidth || m.SoCP90 > m.SoCP99+binWidth {
+			t.Fatalf("round %d: percentiles not monotone: %v %v %v", m.Round, m.SoCP50, m.SoCP90, m.SoCP99)
+		}
+		sorted := slices.Sorted(slices.Values(snapshot))
 		exact := func(q float64) float64 {
-			rank := int(math.Ceil(q * float64(len(sorted))))
-			if rank < 1 {
-				rank = 1
-			}
-			return sorted[rank-1]
+			return sorted[max(int(math.Ceil(q*float64(len(sorted)))), 1)-1]
 		}
 		for _, c := range []struct {
 			q    float64
@@ -123,20 +144,17 @@ func TestSoCQuantilesMatchExact(t *testing.T) {
 	}
 }
 
-// Without TrackSoC the per-round snapshot is not materialized, but the
-// streamed percentiles are still filled — the allocation fix's contract.
-func TestTrackSoCOffStreamsPercentilesOnly(t *testing.T) {
+// A plain harvest run, with no hook reading per-node charge, still fills
+// the streamed percentiles of every round, monotone in q, and records the
+// final per-node charge.
+func TestSoCPercentilesStreamedEveryRound(t *testing.T) {
 	cfg := harvestConfig(t, 13)
 	cfg.Rounds = 8
-	cfg.TrackSoC = false
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range res.History {
-		if m.SoCs != nil {
-			t.Fatalf("round %d: SoCs materialized without TrackSoC", m.Round)
-		}
 		if math.IsNaN(m.SoCP50) || m.SoCP50 <= 0 {
 			t.Fatalf("round %d: streamed P50 = %v, want a real percentile", m.Round, m.SoCP50)
 		}
@@ -145,7 +163,7 @@ func TestTrackSoCOffStreamsPercentilesOnly(t *testing.T) {
 		}
 	}
 	if len(res.FinalSoC) != cfg.Graph.N {
-		t.Fatal("FinalSoC should be recorded regardless of TrackSoC")
+		t.Fatalf("FinalSoC has %d nodes, want %d", len(res.FinalSoC), cfg.Graph.N)
 	}
 }
 

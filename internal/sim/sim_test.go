@@ -515,8 +515,25 @@ func harvestConfig(t *testing.T, seed uint64) Config {
 	cfg.Devices = s.Devices()
 	cfg.Workload = s.Workload()
 	cfg.Harvest = inst.Fleet
-	cfg.TrackSoC = true
 	return cfg
+}
+
+// recordSoCs makes cfg keep every node's state of charge after each round.
+// Its Liveness hook records fleet.SoCs() at the start of round t, which is
+// the charge after round t-1, and returns fleet.Live(), the engine's own
+// default live set, so the run's bits do not change. The returned function
+// reads the per-round snapshots off a finished run, the last round's from
+// Result.FinalSoC.
+func recordSoCs(cfg *Config) func(*Result) [][]float64 {
+	var socs [][]float64
+	fleet := cfg.Harvest
+	cfg.Liveness = func(t int) []bool {
+		if t > 0 {
+			socs = append(socs, fleet.SoCs())
+		}
+		return fleet.Live()
+	}
+	return func(res *Result) [][]float64 { return append(socs, res.FinalSoC) }
 }
 
 // rewoundHarvestConfig is harvestConfig on a fleet with a past: four rounds
@@ -538,6 +555,7 @@ func rewoundHarvestConfig(t *testing.T, seed uint64) Config {
 func TestHarvestFleetWiring(t *testing.T) {
 	cfg := harvestConfig(t, 6)
 	cfg.Rounds = 24
+	socs := recordSoCs(&cfg)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -555,12 +573,16 @@ func TestHarvestFleetWiring(t *testing.T) {
 	if trainedTotal == 0 {
 		t.Fatal("no node ever trained")
 	}
-	for _, m := range res.History {
+	perRound := socs(res)
+	if len(perRound) != len(res.History) {
+		t.Fatalf("%d SoC snapshots for %d rounds", len(perRound), len(res.History))
+	}
+	for r, m := range res.History {
 		if m.MeanSoC < 0 || m.MeanSoC > 1 || m.MinSoC > m.MeanSoC {
 			t.Fatalf("round %d SoC stats inconsistent: %+v", m.Round, m)
 		}
-		if len(m.SoCs) != cfg.Graph.N {
-			t.Fatalf("round %d SoC snapshot has %d nodes", m.Round, len(m.SoCs))
+		if len(perRound[r]) != cfg.Graph.N {
+			t.Fatalf("round %d SoC snapshot has %d nodes", m.Round, len(perRound[r]))
 		}
 	}
 	// Cumulative harvest is monotone.
@@ -611,27 +633,28 @@ func TestHarvestSimEngineParity(t *testing.T) {
 // same seed and config produce bit-identical SoC trajectories no matter how
 // many workers the engine fans phases out to.
 func TestHarvestDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	run := func(procs int) *Result {
+	run := func(procs int) (*Result, [][]float64) {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		cfg := harvestConfig(t, 7)
 		cfg.Rounds = 20
+		socs := recordSoCs(&cfg)
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, socs(res)
 	}
-	serial := run(1)
-	wide := run(8)
+	serial, serialSoCs := run(1)
+	wide, wideSoCs := run(8)
 	for r := range serial.History {
 		a, b := serial.History[r], wide.History[r]
 		if a.MeanSoC != b.MeanSoC || a.MinSoC != b.MinSoC || a.TrainedCount != b.TrainedCount {
 			t.Fatalf("round %d differs across GOMAXPROCS: %+v vs %+v", r, a, b)
 		}
-		for i := range a.SoCs {
-			if a.SoCs[i] != b.SoCs[i] {
-				t.Fatalf("round %d node %d SoC %v vs %v", r, i, a.SoCs[i], b.SoCs[i])
+		for i := range serialSoCs[r] {
+			if serialSoCs[r][i] != wideSoCs[r][i] {
+				t.Fatalf("round %d node %d SoC %v vs %v", r, i, serialSoCs[r][i], wideSoCs[r][i])
 			}
 		}
 	}
@@ -652,11 +675,6 @@ func TestHarvestConfigValidation(t *testing.T) {
 	cfg.Harvest = fleet
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("fleet/graph size mismatch should error")
-	}
-	cfg2 := testConfig(t, 8)
-	cfg2.TrackSoC = true
-	if _, err := Run(cfg2); err == nil {
-		t.Fatal("TrackSoC without fleet should error")
 	}
 }
 

@@ -288,8 +288,7 @@ func BenchmarkAblationUncoordinated(b *testing.B) {
 		coord := runBench(b, g, w, part, test,
 			core.SkipTrain(core.Gamma{GammaTrain: 2, GammaSync: 2}), rounds, 43)
 		// Uncoordinated: all-train schedule; every node flips p=0.5 per round.
-		budget := energy.NewBudget(repeat(rounds/2, *benchScale))
-		policy := core.NewProbabilisticPolicy(core.Gamma{GammaTrain: 1, GammaSync: 0}, rounds, budget, *benchScale)
+		policy := core.NewProbabilisticPolicy(core.Gamma{GammaTrain: 1, GammaSync: 0}, rounds, repeat(rounds/2, *benchScale))
 		uncoord := runBench(b, g, w, part, test,
 			core.Algorithm{Label: "uncoordinated", Schedule: core.AllTrain{}, Policy: policy},
 			rounds, 43)
@@ -401,7 +400,7 @@ func BenchmarkConsensusContraction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Run(sim.Config{
 			Graph: g, Weights: w,
-			Algo:   core.Greedy(energy.NewBudget(make([]int, *benchScale))),
+			Algo:   core.Greedy(make([]int, *benchScale)),
 			Rounds: 16,
 			ModelFactory: func(node int, r *rng.RNG) *nn.Network {
 				return nn.LogisticRegression(32, 10, r)

@@ -183,7 +183,7 @@ func (c *config) run(stdout io.Writer) error {
 	if c.gs >= 0 {
 		gamma.GammaSync = c.gs
 	}
-	budgets := func() *energy.Budget {
+	budgets := func() []int {
 		return experiments.ScaledBudgets(c.nodes, c.rounds, paperRounds, workload, fraction)
 	}
 	model := func(node int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(32, classes, r) }
@@ -195,7 +195,7 @@ func (c *config) run(stdout io.Writer) error {
 	case "skiptrain":
 		a = core.SkipTrain(gamma)
 	case "constrained":
-		a = core.SkipTrainConstrained(gamma, c.rounds, budgets(), c.nodes)
+		a = core.SkipTrainConstrained(gamma, c.rounds, budgets())
 	case "greedy":
 		a = core.Greedy(budgets())
 	case "allreduce":

@@ -91,7 +91,7 @@ func TestFairnessReportFromConstrainedRun(t *testing.T) {
 	gamma := core.Gamma{GammaTrain: 1, GammaSync: 1}
 	res, err := sim.Run(sim.Config{
 		Graph: g, Weights: w,
-		Algo:   core.SkipTrainConstrained(gamma, 24, energy.NewBudget(taus), 12),
+		Algo:   core.SkipTrainConstrained(gamma, 24, taus),
 		Rounds: 24,
 		ModelFactory: func(node int, r *rng.RNG) *nn.Network {
 			return nn.LogisticRegression(16, 8, r)

@@ -534,7 +534,8 @@ func Run(cfg Config) (*Result, error) {
 		//    same Γ pattern and policy contract as the synchronous engine,
 		//    with the virtual-time battery and forecast state threaded
 		//    through the context when a fleet is attached.
-		ctx := core.VirtualContext(cfg.Algo.Schedule, res.StepsPerNode[nd.id], hsteps[nd.id], nil, nil)
+		ctx := core.ContextAt(cfg.Algo.Schedule, res.StepsPerNode[nd.id], hsteps[nd.id])
+		ctx.Trained = res.TrainedSteps[nd.id]
 		round := 0 // the trace round a forecast starts from
 		if vf != nil {
 			ctx.Battery, round = vf, vf.TraceRound(now)

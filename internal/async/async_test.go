@@ -2,6 +2,7 @@ package async
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,7 +142,7 @@ func TestAsyncConsensusShrinks(t *testing.T) {
 	cfg := testConfig(t, 5)
 	// Gossip-only run: zero budgets mean nobody ever trains, so gossip
 	// must contract the consensus distance.
-	cfg.Algo = core.Greedy(energy.NewBudget(make([]int, 12)))
+	cfg.Algo = core.Greedy(make([]int, 12))
 	cfg.EvalEverySeconds = 25
 	res, err := Run(cfg)
 	if err != nil {
@@ -156,11 +157,7 @@ func TestAsyncConsensusShrinks(t *testing.T) {
 
 func TestAsyncBudgetRespected(t *testing.T) {
 	cfg := testConfig(t, 6)
-	budgets := make([]int, 12)
-	for i := range budgets {
-		budgets[i] = 3
-	}
-	cfg.Algo = core.Greedy(energy.NewBudget(budgets))
+	cfg.Algo = core.Greedy(taus(12, 3))
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,34 +169,98 @@ func TestAsyncBudgetRespected(t *testing.T) {
 	}
 }
 
-// A budget policy spends its budget in a run. A second run on the same
-// policy would train nothing at all, so it is rejected as sim.Run rejects
-// it, and runs again once reset.
-func TestAsyncRejectsConsumedPolicy(t *testing.T) {
+// taus is n per-node budgets of tau rounds each.
+func taus(n, tau int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = tau
+	}
+	return out
+}
+
+// Only a completed training step spends a budget unit. Batteries that start
+// empty refuse a node's first training steps; each refused step sleeps the
+// node until the charge arrives and is retried, so on a horizon long enough
+// to recharge every node trains its whole budget.
+func TestAsyncBudgetSpentOnlyByCompletedSteps(t *testing.T) {
 	cfg := testConfig(t, 6)
-	budgets := make([]int, 12)
-	for i := range budgets {
-		budgets[i] = 3
-	}
-	policy := core.Greedy(energy.NewBudget(budgets)).Policy
-	cfg.Algo.Policy = policy
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "already consumed by a prior run") {
-		t.Fatalf("rerun on a consumed policy: err = %v", err)
-	}
-	policy.(core.ResettablePolicy).Reset()
+	cfg.Algo = core.Greedy(taus(12, 3))
+	cfg.Trace = harvest.Constant{Wh: 0.5 * meanStepWh(cfg)}
+	cfg.FleetOptions = harvest.Options{CapacityRounds: 8, StartEmpty: true}
+	cfg.Horizon = 2000
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trained := 0
-	for _, n := range res.TrainedSteps {
-		trained += n
+	for i, tr := range res.TrainedSteps {
+		if tr != 3 {
+			t.Fatalf("node %d trained %d steps, want its whole budget of 3", i, tr)
+		}
 	}
-	if trained == 0 {
-		t.Fatal("a reset policy trained no step")
+}
+
+// One Greedy and one SkipTrain-constrained value each drive two runs: the
+// budget a node has spent is the engine's count of its trained steps, so the
+// policies hold no run state and the two runs are the same run.
+func TestBudgetPolicyServesManyRuns(t *testing.T) {
+	tau := []int{0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20}
+	gamma := core.Gamma{GammaTrain: 1, GammaSync: 1}
+	for _, algo := range []core.Algorithm{core.Greedy(tau), core.SkipTrainConstrained(gamma, 40, tau)} {
+		cfg := testConfig(t, 6)
+		cfg.Algo = algo
+		first, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", algo.Label, err)
+		}
+		again, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: a second run on one policy value: %v", algo.Label, err)
+		}
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("%s: the second run on one policy value differs from the first", algo.Label)
+		}
+		trained := 0
+		for i, tr := range first.TrainedSteps {
+			if tr > tau[i] {
+				t.Fatalf("%s: node %d trained %d steps with budget %d", algo.Label, i, tr, tau[i])
+			}
+			trained += tr
+		}
+		if trained == 0 {
+			t.Fatalf("%s: no node trained", algo.Label)
+		}
+	}
+}
+
+// A hysteresis policy carries its dormant nodes out of a run. A second run
+// on the same policy would start them asleep, so it is rejected as sim.Run
+// rejects it, and runs again once reset.
+func TestAsyncRejectsConsumedPolicy(t *testing.T) {
+	cfg := harvestConfig(t, 6, nil)
+	cfg.Trace = scarceDiurnal(t, cfg)
+	policy, err := harvest.NewSoCHysteresis(cfg.Graph.N, 0.3, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Algo.Policy = policy
+	first, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !policy.Consumed() {
+		t.Fatal("the first run left no node dormant")
+	}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "already consumed by a prior run") {
+		t.Fatalf("rerun on a consumed policy: err = %v", err)
+	}
+	policy.Reset()
+	again, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.FinalMeanAcc != again.FinalMeanAcc || !reflect.DeepEqual(first.TrainedSteps, again.TrainedSteps) {
+		t.Fatalf("post-Reset run differs: accuracy %v vs %v, trained %v vs %v",
+			first.FinalMeanAcc, again.FinalMeanAcc, first.TrainedSteps, again.TrainedSteps)
 	}
 }
 

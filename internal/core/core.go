@@ -12,10 +12,13 @@
 //     p_i = min(τ_i / T_train, 1) (SkipTrain-constrained, Section 3.2).
 //
 // A policy decides from the engine's per-node RoundContext — round index,
-// horizon, coordinated schedule, live battery state (BatteryView), and an
-// optional harvest forecast window — so charge- and forecast-aware
-// policies (internal/harvest) plug into the same contract as the paper's
-// static rules without smuggling engine state through their own fields.
+// horizon, coordinated schedule, the rounds the node has trained so far,
+// live battery state (BatteryView), and an optional harvest forecast
+// window — so charge- and forecast-aware policies (internal/harvest) plug
+// into the same contract as the paper's static rules without smuggling
+// engine state through their own fields. The budget policies read τ_i from
+// a plain slice and the spent budget from RoundContext.Trained, so one
+// policy value serves any number of runs.
 //
 // Every stochastic choice flows through a per-node RNG stream, so runs are
 // reproducible bit-for-bit.
@@ -24,7 +27,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/energy"
 	"repro/internal/rng"
 )
 
@@ -179,14 +181,19 @@ type BatteryView interface {
 // interleaving and runs stay bit-reproducible at any GOMAXPROCS. Optional
 // fields are nil when the run has no corresponding subsystem attached.
 type RoundContext struct {
-	// Round is t, 0-based.
+	// Round is t, 0-based. A virtual-time engine passes the node's own
+	// step counter: each node advances its own clock.
 	Round int
 	// Horizon is the total round count T. Virtual-time engines pass the
-	// node's step capacity within the simulated horizon (see
-	// VirtualContext); 0 when genuinely open-ended.
+	// node's step capacity within the simulated horizon; 0 when genuinely
+	// open-ended.
 	Horizon int
 	// Kind is the coordinated kind of this round.
 	Kind RoundKind
+	// Trained is the number of rounds (steps, in a virtual-time engine)
+	// the node has completed training before this one: τ_i minus Trained
+	// is its remaining budget (Algorithm 2).
+	Trained int
 	// Schedule is the coordinated schedule, letting planning policies see
 	// the kinds of future rounds. Nil means every round trains.
 	Schedule Schedule
@@ -211,33 +218,22 @@ func ContextAt(s Schedule, t, horizon int) RoundContext {
 	return ctx
 }
 
-// VirtualContext builds the round context a virtual-time engine presents
-// to a policy: the schedule slot is the node's local step counter (each
-// node advances its own clock, so "round" is per-node), while the battery
-// view and forecast window describe fleet state at the decision's virtual
-// time. Battery-aware and forecast-aware policies thereby run unchanged in
-// both the round-synchronous and the event-driven engine.
-func VirtualContext(s Schedule, step, horizon int, b BatteryView, forecast []float64) RoundContext {
-	ctx := ContextAt(s, step, horizon)
-	ctx.Battery = b
-	ctx.Forecast = forecast
-	return ctx
-}
-
 // Policy decides whether a node participates in a coordinated training
 // round, from whatever slice of the round context it cares about.
 // Implementations must be safe for concurrent use by distinct nodes; the
 // per-node RNG is owned by the calling node.
 type Policy interface {
 	// Participate reports whether node trains in round ctx.Round. It may
-	// consume from the node's energy budget or battery.
+	// drain the node's battery (BatteryView.TryTrain).
 	Participate(node int, ctx RoundContext, r *rng.RNG) bool
 	// Name identifies the policy in reports.
 	Name() string
 }
 
-// ResettablePolicy is implemented by policies that carry run state — spent
-// budgets, dormancy flags — which a second run would silently inherit.
+// ResettablePolicy is implemented by policies that carry run state — the
+// hysteresis policy's dormancy flags — which a second run would silently
+// inherit. The budget policies carry none: their spent budget is the
+// engine's RoundContext.Trained.
 // Both engines, sim.Run and async.Run, reject a consumed policy (sim.Run
 // as it rejects a consumed harvest fleet); Reset rewinds the policy so the
 // next run replays the first bit-for-bit.
@@ -270,69 +266,52 @@ func (AlwaysTrain) Participate(int, RoundContext, *rng.RNG) bool { return true }
 func (AlwaysTrain) Name() string { return "always" }
 
 // GreedyPolicy trains in every round while the budget lasts, then stops —
-// the Greedy baseline of Section 3.2.
+// the Greedy baseline of Section 3.2. Tau[i] is node i's budget τ_i; the
+// engine's count of node i's trained rounds (RoundContext.Trained) is what
+// it has spent, so the policy holds no run state.
 type GreedyPolicy struct {
-	Budget *energy.Budget
+	Tau []int
 }
 
-// Participate consumes one budget unit when available.
-func (p GreedyPolicy) Participate(node int, _ RoundContext, _ *rng.RNG) bool {
-	return p.Budget.Consume(node)
+// Participate trains while node has budget left.
+func (p GreedyPolicy) Participate(node int, ctx RoundContext, _ *rng.RNG) bool {
+	return ctx.Trained < p.Tau[node]
 }
 
 // Name returns "greedy".
 func (GreedyPolicy) Name() string { return "greedy" }
 
-// Reset restores the backing budget (ResettablePolicy).
-func (p GreedyPolicy) Reset() { p.Budget.Reset() }
-
-// Consumed reports whether any budget was spent (ResettablePolicy).
-func (p GreedyPolicy) Consumed() bool { return p.Budget.Used() > 0 }
-
 // ProbabilisticPolicy is the SkipTrain-constrained participation rule
 // (Algorithm 2, lines 5-7): in a coordinated training round a node with
-// remaining budget τ_i^t > 0 trains with probability p_i, spreading its
-// budget across the whole horizon.
+// remaining budget τ_i − Trained > 0 trains with probability p_i,
+// spreading its budget across the whole horizon.
 type ProbabilisticPolicy struct {
-	Budget *energy.Budget
-	probs  []float64
+	tau   []int
+	probs []float64
 }
 
 // NewProbabilisticPolicy derives per-node training probabilities from the
-// schedule, horizon, and budgets, per Eq. (4)-(5).
-func NewProbabilisticPolicy(g Gamma, T int, budget *energy.Budget, nodes int) *ProbabilisticPolicy {
+// schedule, horizon, and budgets τ, per Eq. (4)-(5).
+func NewProbabilisticPolicy(g Gamma, T int, tau []int) *ProbabilisticPolicy {
 	tTrain := g.TTrain(T)
-	probs := make([]float64, nodes)
+	probs := make([]float64, len(tau))
 	for i := range probs {
-		probs[i] = TrainingProbability(budget.Initial(i), tTrain)
+		probs[i] = TrainingProbability(tau[i], tTrain)
 	}
-	return &ProbabilisticPolicy{Budget: budget, probs: probs}
+	return &ProbabilisticPolicy{tau: tau, probs: probs}
 }
 
-// Probability exposes p_i for inspection and tests.
-func (p *ProbabilisticPolicy) Probability(node int) float64 { return p.probs[node] }
-
-// Participate implements Algorithm 2 lines 5-11: check budget, flip the
-// coin, and consume budget only when actually training.
-func (p *ProbabilisticPolicy) Participate(node int, _ RoundContext, r *rng.RNG) bool {
-	if p.Budget.Remaining(node) <= 0 {
+// Participate implements Algorithm 2 lines 5-11: check the budget, then
+// flip the coin.
+func (p *ProbabilisticPolicy) Participate(node int, ctx RoundContext, r *rng.RNG) bool {
+	if ctx.Trained >= p.tau[node] {
 		return false
 	}
-	if r.Float64() <= p.probs[node] {
-		return p.Budget.Consume(node)
-	}
-	return false
+	return r.Float64() <= p.probs[node]
 }
 
 // Name returns "probabilistic".
 func (*ProbabilisticPolicy) Name() string { return "probabilistic" }
-
-// Reset restores the backing budget (ResettablePolicy). The derived
-// probabilities are construction-time configuration and never drift.
-func (p *ProbabilisticPolicy) Reset() { p.Budget.Reset() }
-
-// Consumed reports whether any budget was spent (ResettablePolicy).
-func (p *ProbabilisticPolicy) Consumed() bool { return p.Budget.Used() > 0 }
 
 // Aggregation selects how models are combined after sharing.
 type Aggregation int
@@ -374,14 +353,14 @@ func SkipTrain(g Gamma) Algorithm {
 }
 
 // SkipTrainConstrained returns the energy-constrained SkipTrain variant
-// (Algorithm 2) for the given horizon and budgets.
-func SkipTrainConstrained(g Gamma, T int, budget *energy.Budget, nodes int) Algorithm {
+// (Algorithm 2) for the given horizon and per-node budgets τ.
+func SkipTrainConstrained(g Gamma, T int, tau []int) Algorithm {
 	return Algorithm{Label: fmt.Sprintf("SkipTrain-constrained Γt=%d Γs=%d", g.GammaTrain, g.GammaSync),
-		Schedule: g, Policy: NewProbabilisticPolicy(g, T, budget, nodes)}
+		Schedule: g, Policy: NewProbabilisticPolicy(g, T, tau)}
 }
 
-// Greedy returns the Greedy baseline: train every round until the budget is
-// exhausted, then only synchronize.
-func Greedy(budget *energy.Budget) Algorithm {
-	return Algorithm{Label: "Greedy", Schedule: AllTrain{}, Policy: GreedyPolicy{Budget: budget}}
+// Greedy returns the Greedy baseline: train every round until the budget τ
+// is exhausted, then only synchronize.
+func Greedy(tau []int) Algorithm {
+	return Algorithm{Label: "Greedy", Schedule: AllTrain{}, Policy: GreedyPolicy{Tau: tau}}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/energy"
 	"repro/internal/rng"
 )
 
@@ -162,113 +161,122 @@ func TestContextAt(t *testing.T) {
 	}
 }
 
-func TestGreedyPolicyExhaustsBudget(t *testing.T) {
-	b := energy.NewBudget([]int{3, 0})
-	p := GreedyPolicy{Budget: b}
-	r := rng.New(2)
-	got := 0
-	for i := 0; i < 10; i++ {
-		if p.Participate(0, at(i), r) {
-			got++
+// drive asks p about node for rounds rounds the way an engine does: each
+// context carries the rounds the node has trained so far, and a yes trains.
+func drive(p Policy, node, rounds int, r *rng.RNG) []bool {
+	out, trained := make([]bool, rounds), 0
+	for i := range out {
+		ctx := at(i)
+		ctx.Trained = trained
+		if out[i] = p.Participate(node, ctx, r); out[i] {
+			trained++
 		}
 	}
-	if got != 3 {
-		t.Fatalf("greedy trained %d rounds, want 3", got)
-	}
-	if p.Participate(1, at(0), r) {
-		t.Fatal("greedy with zero budget trained")
-	}
-	// Greedy trains its first 3 opportunities consecutively.
-	b2 := energy.NewBudget([]int{2})
-	p2 := GreedyPolicy{Budget: b2}
-	if !p2.Participate(0, at(0), r) || !p2.Participate(0, at(1), r) || p2.Participate(0, at(2), r) {
-		t.Fatal("greedy must train consecutively from the start")
-	}
+	return out
 }
 
-// TestBudgetPoliciesResettable pins the ResettablePolicy contract on the
-// budget-backed policies: consumed after any training, rewound by Reset,
-// and replaying the first run exactly.
-func TestBudgetPoliciesResettable(t *testing.T) {
-	var _ ResettablePolicy = GreedyPolicy{}
-	var _ ResettablePolicy = (*ProbabilisticPolicy)(nil)
-
-	b := energy.NewBudget([]int{2, 5})
-	p := GreedyPolicy{Budget: b}
-	if p.Consumed() {
-		t.Fatal("fresh policy reports consumed")
-	}
-	r := rng.New(4)
-	p.Participate(0, at(0), r)
-	if !p.Consumed() {
-		t.Fatal("spent budget not reported as consumed")
-	}
-	p.Reset()
-	if p.Consumed() || b.Remaining(0) != 2 || b.Remaining(1) != 5 {
-		t.Fatalf("Reset did not restore budgets: %d/%d", b.Remaining(0), b.Remaining(1))
-	}
-
-	g, _ := NewGamma(1, 1)
-	pb := NewProbabilisticPolicy(g, 100, energy.NewBudget([]int{20}), 1)
-	run := func() []bool {
-		out := make([]bool, 40)
-		rr := rng.Derive(11, 0)
-		for i := range out {
-			out[i] = pb.Participate(0, at(i), rr)
+func count(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
 		}
-		return out
 	}
-	first := run()
-	if !pb.Consumed() {
-		t.Fatal("probabilistic policy spent budget but reports fresh")
+	return n
+}
+
+func TestGreedyPolicyExhaustsBudget(t *testing.T) {
+	p := GreedyPolicy{Tau: []int{3, 0, 2}}
+	for _, c := range []struct {
+		name       string
+		node, want int
+	}{
+		{"tau_3", 0, 3},
+		{"zero_budget", 1, 0},
+		{"tau_2", 2, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := drive(p, c.node, 10, rng.New(2))
+			if count(got) != c.want {
+				t.Fatalf("greedy trained %d rounds, want %d", count(got), c.want)
+			}
+			// Greedy trains its first τ opportunities consecutively.
+			for i, g := range got {
+				if g != (i < c.want) {
+					t.Fatalf("round %d: trained=%v, want the first %d rounds", i, g, c.want)
+				}
+			}
+		})
 	}
-	pb.Reset()
-	if pb.Consumed() {
-		t.Fatal("Reset left the policy consumed")
-	}
-	replay := run()
-	for i := range first {
-		if first[i] != replay[i] {
-			t.Fatalf("round %d: replay diverged after Reset", i)
+	t.Run("exhausted", func(t *testing.T) {
+		ctx := at(7)
+		ctx.Trained = 3
+		if p.Participate(0, ctx, rng.New(2)) {
+			t.Fatal("greedy trained past its budget")
+		}
+	})
+}
+
+// TestBudgetPoliciesStateless pins that the budget policies carry no run
+// state: they are not ResettablePolicy, and one value replays a run
+// exactly, because the spent budget is the caller's RoundContext.Trained.
+func TestBudgetPoliciesStateless(t *testing.T) {
+	g, _ := NewGamma(1, 1)
+	for _, p := range []Policy{GreedyPolicy{Tau: []int{20}}, NewProbabilisticPolicy(g, 100, []int{20})} {
+		if _, ok := p.(ResettablePolicy); ok {
+			t.Fatalf("%s is a ResettablePolicy", p.Name())
+		}
+		first := drive(p, 0, 40, rng.Derive(11, 0))
+		replay := drive(p, 0, 40, rng.Derive(11, 0))
+		for i := range first {
+			if first[i] != replay[i] {
+				t.Fatalf("%s round %d: a second run with the same value diverged", p.Name(), i)
+			}
 		}
 	}
 }
 
 func TestProbabilisticPolicyBudget(t *testing.T) {
 	g, _ := NewGamma(1, 1)
-	b := energy.NewBudget([]int{5, 1000})
-	p := NewProbabilisticPolicy(g, 100, b, 2) // T_train = 50
-	if math.Abs(p.Probability(0)-0.1) > 1e-12 {
-		t.Fatalf("p_0 = %v, want 0.1", p.Probability(0))
+	p := NewProbabilisticPolicy(g, 100, []int{5, 1000, 0}) // T_train = 50
+	if math.Abs(p.probs[0]-0.1) > 1e-12 {
+		t.Fatalf("p_0 = %v, want 0.1", p.probs[0])
 	}
-	if p.Probability(1) != 1 {
-		t.Fatalf("p_1 = %v, want 1 (clamped)", p.Probability(1))
+	if p.probs[1] != 1 {
+		t.Fatalf("p_1 = %v, want 1 (clamped)", p.probs[1])
 	}
-	r := rng.New(3)
-	trained := 0
-	for i := 0; i < 1000; i++ {
-		if p.Participate(0, at(i), r) {
-			trained++
+	for _, c := range []struct {
+		name       string
+		node, want int
+	}{
+		{"exhausts_tau_5", 0, 5},
+		{"zero_budget", 2, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := count(drive(p, c.node, 1000, rng.New(3))); got != c.want {
+				t.Fatalf("node %d trained %d rounds, budget is %d", c.node, got, c.want)
+			}
+		})
+	}
+	t.Run("exhausted_before_coin", func(t *testing.T) {
+		// A spent budget refuses without drawing: the stream is untouched.
+		r, ref := rng.New(3), rng.New(3)
+		ctx := at(0)
+		ctx.Trained = 1000
+		if p.Participate(1, ctx, r) {
+			t.Fatal("probabilistic policy trained past its budget")
 		}
-	}
-	if trained != 5 {
-		t.Fatalf("node 0 trained %d rounds, budget is 5", trained)
-	}
+		if r.Float64() != ref.Float64() {
+			t.Fatal("an exhausted budget drew from the node's RNG")
+		}
+	})
 }
 
 func TestProbabilisticPolicyRate(t *testing.T) {
 	// With a huge budget and p=0.5, participation rate ~0.5.
 	g, _ := NewGamma(1, 1)
-	b := energy.NewBudget([]int{5000})
-	p := NewProbabilisticPolicy(g, 20000, b, 1) // T_train = 10000, p = 0.5
-	r := rng.New(4)
-	trained := 0
-	for i := 0; i < 2000; i++ {
-		if p.Participate(0, at(i), r) {
-			trained++
-		}
-	}
-	rate := float64(trained) / 2000
+	p := NewProbabilisticPolicy(g, 20000, []int{5000}) // T_train = 10000, p = 0.5
+	rate := float64(count(drive(p, 0, 2000, rng.New(4)))) / 2000
 	if math.Abs(rate-0.5) > 0.05 {
 		t.Fatalf("participation rate = %v, want ~0.5", rate)
 	}
@@ -277,14 +285,7 @@ func TestProbabilisticPolicyRate(t *testing.T) {
 func TestProbabilisticDeterministicPerSeed(t *testing.T) {
 	g, _ := NewGamma(2, 2)
 	run := func() []bool {
-		b := energy.NewBudget([]int{50})
-		p := NewProbabilisticPolicy(g, 100, b, 1)
-		r := rng.Derive(9, 0)
-		out := make([]bool, 100)
-		for i := range out {
-			out[i] = p.Participate(0, at(i), r)
-		}
-		return out
+		return drive(NewProbabilisticPolicy(g, 100, []int{50}), 0, 100, rng.Derive(9, 0))
 	}
 	a, bb := run(), run()
 	for i := range a {
@@ -305,8 +306,8 @@ func TestAlgorithmConstructors(t *testing.T) {
 	if a := SkipTrain(g); a.Schedule.Name() != "skiptrain(3,3)" {
 		t.Fatalf("SkipTrain: %+v", a)
 	}
-	b := energy.NewBudget([]int{10, 10})
-	if a := SkipTrainConstrained(g, 100, b, 2); a.Policy.Name() != "probabilistic" {
+	b := []int{10, 10}
+	if a := SkipTrainConstrained(g, 100, b); a.Policy.Name() != "probabilistic" {
 		t.Fatalf("SkipTrainConstrained: %+v", a)
 	}
 	if a := Greedy(b); a.Policy.Name() != "greedy" {

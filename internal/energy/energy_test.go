@@ -2,7 +2,6 @@ package energy
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -136,99 +135,11 @@ func TestAssignDevicesRoundRobin(t *testing.T) {
 	}
 }
 
-func TestAccountantTotals(t *testing.T) {
-	a := NewAccountant(3)
-	a.AddTraining(0, 1.5)
-	a.AddTraining(1, 2.5)
-	a.AddTraining(0, 1.0)
-	if got := a.TotalTrainingWh(); math.Abs(got-5.0) > 1e-12 {
-		t.Fatalf("total = %v", got)
-	}
-}
-
-func TestAccountantCommunication(t *testing.T) {
-	a := NewAccountant(2)
-	a.AddCommunication(0, 0.1)
-	a.AddCommunication(1, 0.2)
-	if got := a.TotalCommunicationWh(); math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("comm total = %v", got)
-	}
-}
-
-func TestAccountantConcurrent(t *testing.T) {
-	a := NewAccountant(8)
-	var wg sync.WaitGroup
-	for n := 0; n < 8; n++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			for r := 0; r < 100; r++ {
-				a.AddTraining(n, 0.01)
-				a.AddCommunication(n, 0.001)
-			}
-		}(n)
-	}
-	wg.Wait()
-	if got := a.TotalTrainingWh(); math.Abs(got-8.0) > 1e-9 {
-		t.Fatalf("concurrent total = %v, want 8.0", got)
-	}
-}
-
 func TestCommEnergyRatioMatchesPaper(t *testing.T) {
 	// The paper: training 1.51 kWh vs communication 7 Wh, "more than 200x".
 	ratio := 1 / CommShareOfTraining
 	if ratio < 200 || ratio > 230 {
 		t.Fatalf("comm ratio = %v, want ~216", ratio)
-	}
-}
-
-func TestBudgetConsume(t *testing.T) {
-	b := NewBudget([]int{2, 0})
-	if !b.Consume(0) || !b.Consume(0) {
-		t.Fatal("should consume 2 rounds")
-	}
-	if b.Consume(0) {
-		t.Fatal("budget overdrawn")
-	}
-	if b.Consume(1) {
-		t.Fatal("zero budget consumed")
-	}
-	if b.Remaining(0) != 0 || b.Initial(0) != 2 {
-		t.Fatal("remaining/initial wrong")
-	}
-}
-
-func TestBudgetConcurrentConsume(t *testing.T) {
-	b := NewBudget([]int{1000})
-	var wg sync.WaitGroup
-	consumed := make(chan bool, 2000)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				consumed <- b.Consume(0)
-			}
-		}()
-	}
-	wg.Wait()
-	close(consumed)
-	ok := 0
-	for c := range consumed {
-		if c {
-			ok++
-		}
-	}
-	if ok != 1000 {
-		t.Fatalf("consumed %d, want exactly 1000", ok)
-	}
-}
-
-func TestBudgetString(t *testing.T) {
-	b := NewBudget([]int{3})
-	b.Consume(0)
-	if got := b.String(); got != "budget{used 1/3 rounds}" {
-		t.Fatalf("String = %q", got)
 	}
 }
 
@@ -239,20 +150,4 @@ func TestAssignDevicesPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	AssignDevices(4, nil)
-}
-
-func TestAccountantHarvestLedger(t *testing.T) {
-	a := NewAccountant(3)
-	a.AddTraining(0, 10)
-	a.AddCommunication(1, 2)
-	a.AddHarvest(0, 4)
-	a.AddHarvest(2, 2)
-	for node, want := range []float64{4, 0, 2} {
-		if got := a.NodeHarvestedWh(node); got != want {
-			t.Fatalf("node %d harvested %v, want %v", node, got, want)
-		}
-	}
-	if got := a.TotalTrainingWh() + a.TotalCommunicationWh(); got != 12 {
-		t.Fatalf("total consumed %v, want 12", got)
-	}
 }

@@ -230,8 +230,8 @@ func TestFigure6BudgetsRespectedPerNode(t *testing.T) {
 	gr := res.Arm("Greedy", "cifar", 4)
 	budget := ScaledBudgets(o.Nodes, o.Rounds, PaperRoundsCIFAR, energy.CIFAR10Workload(), 0.10)
 	for i, tr := range gr.TrainedRounds {
-		if tr > budget.Initial(i) {
-			t.Fatalf("greedy node %d trained %d rounds with budget %d", i, tr, budget.Initial(i))
+		if tr > budget[i] {
+			t.Fatalf("greedy node %d trained %d rounds with budget %d", i, tr, budget[i])
 		}
 	}
 }
@@ -390,8 +390,8 @@ func TestScaledBudgetsProfile(t *testing.T) {
 	// tau values 272,324,681,272 scaled by 100/1000 -> 27,32,68,27.
 	want := []int{27, 32, 68, 27, 27, 32, 68, 27}
 	for i, w := range want {
-		if b.Initial(i) != w {
-			t.Fatalf("node %d budget %d, want %d", i, b.Initial(i), w)
+		if b[i] != w {
+			t.Fatalf("node %d budget %d, want %d", i, b[i], w)
 		}
 	}
 }

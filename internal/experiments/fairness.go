@@ -29,7 +29,7 @@ func Section51Fairness(o Options) (*Section51Result, error) {
 	o = o.Defaults()
 	w := newWorld(o, cifar, 6)
 	algos := []core.Algorithm{
-		core.SkipTrainConstrained(GammaForDegree(6), o.Rounds, w.budgets(), o.Nodes),
+		core.SkipTrainConstrained(GammaForDegree(6), o.Rounds, w.budgets()),
 		core.DPSGD(),
 	}
 	reports, err := sweep.Grid(o.Sweep, len(algos), nil, func(i int) (*metrics.FairnessReport, error) {

@@ -96,9 +96,9 @@ func Figure2(o Options) error {
 		return gamma.Kind(t).String()
 	}, 4)
 	// Constrained: probabilistic skips inside coordinated train rounds.
-	budget := energy.NewBudget([]int{2, 3, 4, 6})
-	policy := core.NewProbabilisticPolicy(gamma, horizon, budget, 4)
-	rngs := make([]*rng.RNG, 4)
+	// Each node's trained count is the budget it has spent.
+	policy := core.NewProbabilisticPolicy(gamma, horizon, []int{2, 3, 4, 6})
+	rngs, trained := make([]*rng.RNG, 4), make([]int, 4)
 	for i := range rngs {
 		rngs[i] = rng.Derive(o.Seed, uint64(i), 0xf16)
 	}
@@ -106,7 +106,10 @@ func Figure2(o Options) error {
 		if gamma.Kind(t) == core.RoundSync {
 			return "sync"
 		}
-		if policy.Participate(nd, core.ContextAt(gamma, t, horizon), rngs[nd]) {
+		ctx := core.ContextAt(gamma, t, horizon)
+		ctx.Trained = trained[nd]
+		if policy.Participate(nd, ctx, rngs[nd]) {
+			trained[nd]++
 			return "train"
 		}
 		return "sync"
@@ -455,7 +458,7 @@ func Figure6(o Options, degrees []int, datasets []string) (*Figure6Result, error
 		{"D-PSGD", func(*world) core.Algorithm { return core.DPSGD() }},
 		{"Greedy", func(w *world) core.Algorithm { return core.Greedy(w.budgets()) }},
 		{"SkipTrain-constrained", func(w *world) core.Algorithm {
-			return core.SkipTrainConstrained(GammaForDegree(w.degree), o.Rounds, w.budgets(), o.Nodes)
+			return core.SkipTrainConstrained(GammaForDegree(w.degree), o.Rounds, w.budgets())
 		}},
 	}, figure6Arm)
 	if err != nil {

@@ -143,11 +143,11 @@ func paperEnergyWh(trainRounds int, w energy.Workload) float64 {
 // ScaledBudgets shrinks the paper's device round budgets to a scaled
 // horizon: tau_scaled = max(1, tau * rounds / paperRounds), preserving the
 // heterogeneity profile of Table 2.
-func ScaledBudgets(nodes, rounds, paperRounds int, w energy.Workload, fraction float64) *energy.Budget {
+func ScaledBudgets(nodes, rounds, paperRounds int, w energy.Workload, fraction float64) []int {
 	assigned := energy.AssignDevices(nodes, energy.Devices())
 	taus := make([]int, nodes)
 	for i, d := range assigned {
 		taus[i] = max(1, d.RoundBudget(w, fraction)*rounds/paperRounds)
 	}
-	return energy.NewBudget(taus)
+	return taus
 }

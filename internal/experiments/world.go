@@ -162,7 +162,7 @@ func (w *world) harvestRun(label string, regime GammaRegime, opts harvest.Option
 
 // budgets are w's per-node round budgets of the constrained setting,
 // scaled to the simulated horizon.
-func (w *world) budgets() *energy.Budget {
+func (w *world) budgets() []int {
 	return ScaledBudgets(w.o.Nodes, w.o.Rounds, w.ds.paperRounds, w.ds.workload, w.ds.budgetShare)
 }
 

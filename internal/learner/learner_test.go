@@ -167,10 +167,20 @@ func TestSharedValidation(t *testing.T) {
 			f.battery()
 			f.algo.Policy = p
 		}},
-		{"consumed policy", "already consumed by a prior run", func(_ *testing.T, f fields) {
-			budget := energy.NewBudget([]int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
-			budget.Consume(0)
-			*f.algo = core.Greedy(budget)
+		{"consumed policy", "already consumed by a prior run", func(t *testing.T, f fields) {
+			p, err := harvest.NewSoCHysteresis(12, 0.1, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			empty, err := harvest.NewFleet(energy.AssignDevices(12, energy.Devices()), energy.CIFAR10Workload(), harvest.Constant{}, harvest.Options{StartEmpty: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := core.ContextAt(nil, 0, 0)
+			ctx.Battery = empty
+			p.Participate(0, ctx, nil) // an empty battery puts node 0 to sleep
+			f.battery()
+			f.algo.Policy = p
 		}},
 		{"forecaster without a battery", "Forecast requires a harvest fleet or trace", func(t *testing.T, f fields) {
 			*f.forecast, *f.fhorizon = oracle(t), 4

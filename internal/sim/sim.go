@@ -321,9 +321,12 @@ type run struct {
 	cfg  *Config
 	spec learner.Spec
 	ln   learner.Nodes
-	// trained[i] counts the rounds node i trained (Result.TrainedRounds).
-	trained []int
-	acct    *energy.Accountant
+	// trained[i] counts the rounds node i trained (Result.TrainedRounds):
+	// the budget it has spent, which its RoundContext.Trained carries.
+	// trainWh and commWh are the per-node Eq. 3 ledger (nil without
+	// Devices); node i writes only index i.
+	trained         []int
+	trainWh, commWh []float64
 	// grads is the free list of gradient vectors, one per train worker: a
 	// node takes one for its train call and puts it back.
 	grads chan tensor.Vector
@@ -421,8 +424,9 @@ func (r *run) rejoin(i, stale int, live []bool) bool {
 // its private forecast window — so decisions are independent of worker
 // interleaving.
 func (r *run) train(i int) {
-	cfg, nd := r.cfg, &r.ln.Node[i]
-	if r.ctx.Kind != core.RoundTrain || r.down(i) || !r.spec.Participate(&r.ln, i, r.ctx, r.ctx.Round) {
+	cfg, nd, ctx := r.cfg, &r.ln.Node[i], r.ctx
+	ctx.Trained = r.trained[i]
+	if ctx.Kind != core.RoundTrain || r.down(i) || !r.spec.Participate(&r.ln, i, ctx, ctx.Round) {
 		return
 	}
 	g := <-r.grads
@@ -431,7 +435,7 @@ func (r *run) train(i int) {
 	r.grads <- g
 	r.trained[i]++
 	if cfg.Devices != nil {
-		r.acct.AddTraining(i, cfg.Devices[i].TrainRoundWh(cfg.Workload))
+		r.trainWh[i] += cfg.Devices[i].TrainRoundWh(cfg.Workload)
 	}
 }
 
@@ -488,9 +492,11 @@ func Run(cfg Config) (*Result, error) {
 	// gradient vector and a scratch.
 	workers := min(runtime.GOMAXPROCS(0), n)
 	result := &Result{TrainedRounds: make([]int, n), History: make([]RoundMetrics, 0, cfg.Rounds)}
-	r.ln, r.trained, r.acct = ln, result.TrainedRounds, energy.NewAccountant(n)
+	r.ln, r.trained = ln, result.TrainedRounds
+	if cfg.Devices != nil {
+		r.trainWh, r.commWh = make([]float64, n), make([]float64, n)
+	}
 	r.grads, r.rows = make(chan tensor.Vector, workers), make([]nn.MixRow, n)
-	acct := r.acct
 	vecs, ws := make([]tensor.Vector, edges+n+workers*(maxDeg+1)), make([]float64, edges+n)
 	for i := 0; i < n; i++ {
 		d := g.Degree(i)
@@ -635,7 +641,7 @@ func Run(cfg Config) (*Result, error) {
 				if r.down(i) {
 					continue // radio off: no sharing, no comm energy
 				}
-				acct.AddCommunication(i, cfg.Devices[i].TrainRoundWh(cfg.Workload)*energy.CommShareOfTraining)
+				r.commWh[i] += cfg.Devices[i].TrainRoundWh(cfg.Workload) * energy.CommShareOfTraining
 			}
 		}
 		if cfg.DropDeadNodes {
@@ -645,12 +651,9 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.Harvest != nil {
 			probe.PhaseStart(obs.PhaseBattery)
 			// Close the battery round: idle+comm draw, then ambient harvest.
-			// The fleet's per-node ledger is authoritative; the accountant
-			// mirrors it so energy reports pair harvested with consumed.
 			// On drop rounds dead nodes owe idle draw only — their radio
 			// never powered up.
-			for i, wh := range cfg.Harvest.EndRoundLive(t, r.dead) {
-				acct.AddHarvest(i, wh)
+			for _, wh := range cfg.Harvest.EndRoundLive(t, r.dead) {
 				cumHarvestWh += wh
 			}
 			// Learning forecasters observe what the source delivered this
@@ -685,13 +688,11 @@ func Run(cfg Config) (*Result, error) {
 			probe.PhaseEnd(t, obs.PhaseEval)
 			probe.Eval(t, m.MeanAcc, m.StdAcc)
 		}
-		m.CumTrainWh = acct.TotalTrainingWh()
-		m.CumCommWh = acct.TotalCommunicationWh()
+		m.CumTrainWh, m.CumCommWh = sum(r.trainWh), sum(r.commWh)
 		result.History = append(result.History, m)
 		probe.RoundEnd(roundEnd(result.History))
 	}
-	result.TotalTrainWh = acct.TotalTrainingWh()
-	result.TotalCommWh = acct.TotalCommunicationWh()
+	result.TotalTrainWh, result.TotalCommWh = sum(r.trainWh), sum(r.commWh)
 	if cfg.Harvest != nil {
 		result.TotalHarvestWh = cumHarvestWh
 		result.TotalWastedWh = cfg.Harvest.WastedWh()
@@ -763,6 +764,15 @@ func buildManifest(cfg *Config, spec *learner.Spec, paramCount int) obs.RunManif
 
 func shouldEval(t, rounds, every int) bool {
 	return t == rounds-1 || (every > 0 && (t+1)%every == 0)
+}
+
+// sum adds vs in index order: the Eq. 3 totals are summed node by node.
+func sum(vs []float64) float64 {
+	t := 0.0
+	for _, v := range vs {
+		t += v
+	}
+	return t
 }
 
 func countTrue(bs []bool) int {

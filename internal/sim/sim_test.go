@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -169,8 +170,7 @@ func TestRoundKindsRecorded(t *testing.T) {
 func TestGreedyBudgetExhaustion(t *testing.T) {
 	cfg := testConfig(t, 8)
 	cfg.Rounds = 10
-	budget := energy.NewBudget([]int{3, 3, 3, 3, 0, 5, 100, 3})
-	cfg.Algo = core.Greedy(budget)
+	cfg.Algo = core.Greedy([]int{3, 3, 3, 3, 0, 5, 100, 3})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +188,7 @@ func TestConstrainedRespectsBudgets(t *testing.T) {
 	cfg := testConfig(t, 9)
 	cfg.Rounds = 20 // T_train = 10
 	budgets := []int{2, 4, 6, 8, 10, 12, 1, 0}
-	budget := energy.NewBudget(budgets)
-	cfg.Algo = core.SkipTrainConstrained(gamma, cfg.Rounds, budget, 8)
+	cfg.Algo = core.SkipTrainConstrained(gamma, cfg.Rounds, budgets)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +215,7 @@ func TestSyncOnlyPreservesMeanAndContracts(t *testing.T) {
 	// stochastic) and the consensus distance must shrink monotonically.
 	cfg := testConfig(t, 10)
 	cfg.Rounds = 15
-	cfg.Algo = core.Greedy(energy.NewBudget(make([]int, 8)))
+	cfg.Algo = core.Greedy(make([]int, 8))
 	cfg.EvalEvery = 1
 	cfg.EvalGlobalModel = true
 	cfg.TrackConsensus = true
@@ -405,6 +404,46 @@ func TestCumulativeEnergyMonotone(t *testing.T) {
 	}
 }
 
+// TestBudgetPolicyServesManyRuns drives one Greedy and one
+// SkipTrain-constrained value through two runs each, at GOMAXPROCS 1 and 8.
+// The budget a node has spent is the engine's count of its trained rounds,
+// so the policies hold no run state and the two runs are the same run.
+func TestBudgetPolicyServesManyRuns(t *testing.T) {
+	gamma, _ := core.NewGamma(1, 1)
+	tau := []int{2, 4, 6, 8, 10, 12, 1, 0}
+	for _, algo := range []core.Algorithm{core.Greedy(tau), core.SkipTrainConstrained(gamma, 20, tau)} {
+		run := func(procs int) *Result {
+			old := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(old)
+			cfg := testConfig(t, 58)
+			cfg.Rounds = 20
+			cfg.Devices = energy.AssignDevices(8, energy.Devices())
+			cfg.Workload = energy.CIFAR10Workload()
+			cfg.Algo = algo
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", algo.Label, err)
+			}
+			return res
+		}
+		serial, wide := run(1), run(8)
+		wide.Manifest.GOMAXPROCS = serial.Manifest.GOMAXPROCS // recorded, not hashed
+		if !reflect.DeepEqual(serial, wide) {
+			t.Fatalf("%s: the second run on one policy value differs from the first", algo.Label)
+		}
+		trained := 0
+		for i, tr := range serial.TrainedRounds {
+			if tr > tau[i] {
+				t.Fatalf("%s: node %d trained %d rounds with budget %d", algo.Label, i, tr, tau[i])
+			}
+			trained += tr
+		}
+		if trained == 0 {
+			t.Fatalf("%s: no node trained", algo.Label)
+		}
+	}
+}
+
 func TestMixedModelArchitecturesRejected(t *testing.T) {
 	cfg := testConfig(t, 17)
 	cfg.ModelFactory = func(node int, r *rng.RNG) *nn.Network {
@@ -426,7 +465,7 @@ func TestMeanModelPreservationProperty(t *testing.T) {
 	run := func(rounds int) float64 {
 		cfg := testConfig(t, 18)
 		cfg.Rounds = rounds
-		cfg.Algo = core.Greedy(energy.NewBudget(make([]int, 8)))
+		cfg.Algo = core.Greedy(make([]int, 8))
 		cfg.EvalGlobalModel = true
 		cfg.EvalEvery = 0
 		res, err := Run(cfg)
@@ -927,7 +966,7 @@ func TestDropDeadPreservesMeanModel(t *testing.T) {
 	run := func(rounds int) float64 {
 		cfg := testConfig(t, 32)
 		cfg.Rounds = rounds
-		cfg.Algo = core.Greedy(energy.NewBudget(make([]int, 8)))
+		cfg.Algo = core.Greedy(make([]int, 8))
 		cfg.EvalGlobalModel = true
 		cfg.EvalEvery = 0
 		cfg.DropDeadNodes = true
@@ -1345,24 +1384,29 @@ func TestForecastConfigValidation(t *testing.T) {
 // a policy carrying a prior run's state is rejected exactly like a
 // consumed fleet, and Reset reopens it for a bit-identical replay.
 func TestConsumedPolicyRejected(t *testing.T) {
-	cfg := testConfig(t, 51)
-	cfg.Rounds = 6
-	budget := energy.NewBudget([]int{3, 3, 3, 3, 3, 3, 3, 3})
-	cfg.Algo = core.Greedy(budget)
-	first, err := Run(cfg)
+	mkCfg := func(p *harvest.SoCHysteresis) Config {
+		cfg := brownoutConfig(t, 51)
+		cfg.Algo = core.Algorithm{Label: "hysteresis", Schedule: core.AllTrain{}, Policy: p}
+		return cfg
+	}
+	policy, err := harvest.NewSoCHysteresis(8, 0.5, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg2 := testConfig(t, 51)
-	cfg2.Rounds = 6
-	cfg2.Algo = core.Greedy(budget) // same spent budget
-	if _, err := Run(cfg2); err == nil {
+	first, err := Run(mkCfg(policy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !policy.Consumed() {
+		t.Fatal("the first run left no node dormant")
+	}
+	if _, err := Run(mkCfg(policy)); err == nil {
 		t.Fatal("Run accepted a policy consumed by a prior run")
 	} else if !strings.Contains(err.Error(), "consumed") {
 		t.Fatalf("unhelpful reuse error: %v", err)
 	}
-	budget.Reset()
-	again, err := Run(cfg2)
+	policy.Reset()
+	again, err := Run(mkCfg(policy))
 	if err != nil {
 		t.Fatal(err)
 	}

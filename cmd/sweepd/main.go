@@ -35,7 +35,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cache := fs.String("cache", "", "cell cache directory (empty = in-memory only)")
 	mem := fs.Int("mem", 4096, "in-memory LRU capacity in cells (0 = unbounded)")
 	workers := fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-	if err := cli.Parse(fs, args); err != nil {
+	err := cli.Parse(fs, args)
+	if err == nil {
+		err = cli.Check(fs, rules(mem, workers))
+	}
+	if err != nil {
 		return cli.Exit(stderr, err)
 	}
 
@@ -56,6 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
 	go func() {
 		<-sigs
 		fmt.Fprintln(stderr, "sweepd: shutting down")
@@ -68,4 +73,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "sweepd: serving on %s (cache %s, %d workers)\n", srv.Addr(), desc, par.NewPool(*workers).Workers())
 	return cli.Exit(stderr, srv.Serve())
+}
+
+// rules is the flag table: no negative size (0 is unbounded or GOMAXPROCS).
+func rules(mem, workers *int) []cli.Rule {
+	return []cli.Rule{
+		{Flags: "mem", Want: "a cell count ≥ 0", OK: func() bool { return *mem >= 0 }},
+		{Flags: "workers", Want: "a worker count ≥ 0", OK: func() bool { return *workers >= 0 }},
+	}
 }

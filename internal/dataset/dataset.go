@@ -13,6 +13,7 @@ package dataset
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -29,27 +30,33 @@ type Dataset struct {
 	Samples    []Sample
 	NumClasses int
 	Dim        int
+	columns    sync.Once // makes xs and ys on the first Inputs or Labels
+	xs         []tensor.Vector
+	ys         []int
 }
 
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Samples) }
 
-// Inputs returns the sample inputs as a slice of vectors (views, not copies).
+// Inputs returns the sample inputs as a slice of vectors (views, not
+// copies), made once and shared: callers only read it, and Samples must
+// not change after the first call.
 func (d *Dataset) Inputs() []tensor.Vector {
-	xs := make([]tensor.Vector, len(d.Samples))
-	for i := range d.Samples {
-		xs[i] = d.Samples[i].X
-	}
-	return xs
+	d.columns.Do(d.fillColumns)
+	return d.xs
 }
 
-// Labels returns the sample labels.
+// Labels returns the sample labels, shared as Inputs is.
 func (d *Dataset) Labels() []int {
-	ys := make([]int, len(d.Samples))
-	for i := range d.Samples {
-		ys[i] = d.Samples[i].Y
+	d.columns.Do(d.fillColumns)
+	return d.ys
+}
+
+func (d *Dataset) fillColumns() {
+	d.xs, d.ys = make([]tensor.Vector, len(d.Samples)), make([]int, len(d.Samples))
+	for i, s := range d.Samples {
+		d.xs[i], d.ys[i] = s.X, s.Y
 	}
-	return ys
 }
 
 // ClassHistogram returns the per-class sample counts.
@@ -106,10 +113,32 @@ type Batcher struct {
 
 // NewBatcher creates a batcher over ds with its own RNG stream.
 func NewBatcher(ds *Dataset, r *rng.RNG) *Batcher {
+	return new(Batcher).init(ds, r, make([]int, ds.Len()), nil, nil)
+}
+
+// NewBatchers is NewBatcher+Reserve(size) over every ds[i] with stream rs[i]
+// in four allocations: the permutations and batch slices are slab windows.
+func NewBatchers(ds []*Dataset, rs []rng.RNG, size int) []Batcher {
+	total, reserved := 0, 0
+	for _, d := range ds {
+		total, reserved = total+d.Len(), reserved+min(size, d.Len())
+	}
+	bs, order, xs, ys := make([]Batcher, len(ds)), make([]int, total), make([]tensor.Vector, reserved), make([]int, reserved)
+	for i, d := range ds {
+		n, k := d.Len(), min(size, d.Len())
+		bs[i].init(d, &rs[i], order[:n:n], xs[:0:k], ys[:0:k])
+		order, xs, ys = order[n:], xs[k:], ys[k:]
+	}
+	return bs
+}
+
+// init starts b on its first epoch (PermTo into order), batching into xs, ys.
+func (b *Batcher) init(ds *Dataset, r *rng.RNG, order []int, xs []tensor.Vector, ys []int) *Batcher {
 	if ds.Len() == 0 {
 		panic("dataset: batcher over empty dataset")
 	}
-	b := &Batcher{ds: ds, r: r, order: r.Perm(ds.Len())}
+	b.ds, b.r, b.order, b.xs, b.ys = ds, r, order, xs, ys
+	r.PermTo(order)
 	return b
 }
 
@@ -130,8 +159,7 @@ func (b *Batcher) Next(size int) ([]tensor.Vector, []int) {
 	}
 	size = min(size, b.ds.Len())
 	b.Reserve(size)
-	b.xs = b.xs[:0]
-	b.ys = b.ys[:0]
+	b.xs, b.ys = b.xs[:0], b.ys[:0]
 	for len(b.xs) < size {
 		if b.pos == len(b.order) {
 			b.r.Shuffle(len(b.order), func(i, j int) { b.order[i], b.order[j] = b.order[j], b.order[i] })

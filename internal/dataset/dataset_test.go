@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 func mustGenerate(t *testing.T, cfg SyntheticConfig) (*Dataset, *Dataset) {
@@ -190,6 +191,58 @@ func TestBatcherSizesItsSlicesOnce(t *testing.T) {
 	}
 	if ys, _ := b.Next(16); &ys[0] != &xs[0] {
 		t.Fatal("Next returned a fresh slice instead of reusing its own")
+	}
+}
+
+// NewBatchers' slab batchers equal NewBatcher+Reserve ones batch for batch
+// over three epochs of every shard, a shard shorter than the batch among
+// them, while all of them draw in turn: a batcher writing its neighbour's
+// window of the permutation or batch slabs shows as a wrong batch. The
+// whole set costs four allocations, and Next none.
+func TestNewBatchersMatchNewBatcher(t *testing.T) {
+	cfg := SyntheticConfig{Classes: 4, Dim: 3, Train: 64, Test: 4, Noise: 1, Seed: 8}
+	train, _ := mustGenerate(t, cfg)
+	var shards []*Dataset
+	for _, w := range [][2]int{{0, 3}, {3, 5}, {8, 17}, {25, 39}} {
+		idx := make([]int, w[1])
+		for i := range idx {
+			idx[i] = w[0] + i
+		}
+		shards = append(shards, train.Subset(idx))
+	}
+	const size = 5
+	rs := make([]rng.RNG, len(shards))
+	for i := range rs {
+		rng.DeriveTo(&rs[i], 9, uint64(i), 0xba7c4)
+	}
+	slab := NewBatchers(shards, rs, size)
+	ref := make([]*Batcher, len(shards))
+	for i, d := range shards {
+		ref[i] = NewBatcher(d, rng.Derive(9, uint64(i), 0xba7c4))
+		ref[i].Reserve(size)
+	}
+	xs, ys := make([][]tensor.Vector, len(slab)), make([][]int, len(slab))
+	for call := range 3*39/size + 1 { // three epochs of the longest shard
+		for i := range slab { // every batcher draws before any batch is checked
+			xs[i], ys[i] = slab[i].Next(size)
+		}
+		for i := range slab {
+			wx, wy := ref[i].Next(size)
+			if len(xs[i]) != len(wx) || len(ys[i]) != len(wy) {
+				t.Fatalf("shard %d call %d: batch of %d, want %d", i, call, len(xs[i]), len(wx))
+			}
+			for k := range wx {
+				if &xs[i][k][0] != &wx[k][0] || ys[i][k] != wy[k] {
+					t.Fatalf("shard %d (len %d) call %d: sample %d differs", i, shards[i].Len(), call, k)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(4, func() { NewBatchers(shards, rs, size) }); n != 4 {
+		t.Fatalf("NewBatchers over %d shards made %v allocations, want 4", len(shards), n)
+	}
+	if n := testing.AllocsPerRun(8, func() { slab[3].Next(size) }); n != 0 {
+		t.Fatalf("Next on a slab batcher made %v allocations", n)
 	}
 }
 

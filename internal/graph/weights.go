@@ -15,11 +15,15 @@ type Weights struct {
 	Nbr  [][]float64
 }
 
-// NewWeights returns the zero matrix aligned with g.
+// NewWeights returns the zero matrix aligned with g, rows in one slice.
 func NewWeights(g *Graph) *Weights {
-	w := &Weights{Self: make([]float64, g.N), Nbr: make([][]float64, g.N)}
+	edges := 0
+	for _, adj := range g.Adj {
+		edges += len(adj)
+	}
+	w, nbr := &Weights{Self: make([]float64, g.N), Nbr: make([][]float64, g.N)}, make([]float64, edges)
 	for i, adj := range g.Adj {
-		w.Nbr[i] = make([]float64, len(adj))
+		w.Nbr[i], nbr = nbr[:len(adj):len(adj)], nbr[len(adj):]
 	}
 	return w
 }

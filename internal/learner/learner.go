@@ -111,22 +111,28 @@ type Nodes struct {
 
 // NewNodes builds every node: its model under the engine's own salt (which
 // keeps each engine's bits), batcher, policy RNG and forecast window. Every
-// model must have node 0's parameter count.
+// model must have node 0's parameter count. Past the models, nodes cost no
+// allocation of their own: their streams and batchers are per-run slabs.
 func (s *Spec) NewNodes(salt uint64) (Nodes, error) {
 	n := s.Graph.N
 	ns := Nodes{Node: make([]Node, n), Params: make([]tensor.Vector, n)}
 	if s.Forecast != nil {
 		ns.forecast = make([]float64, n*s.ForecastHorizon)
 	}
+	rs := make([]rng.RNG, 3*n)
+	for i := range n {
+		rng.DeriveTo(&rs[i], s.Seed, uint64(i), salt)
+		rng.DeriveTo(&rs[n+i], s.Seed, uint64(i), 0xba7c4)
+		rng.DeriveTo(&rs[2*n+i], s.Seed, uint64(i), 0x90a1c)
+	}
+	batchers := dataset.NewBatchers(s.Partition, rs[n:2*n], s.BatchSize)
 	for i := range ns.Node {
-		net := s.ModelFactory(i, rng.Derive(s.Seed, uint64(i), salt))
+		net := s.ModelFactory(i, &rs[i])
 		if p := net.ParamCount(); i > 0 && p != ns.ParamCount {
 			return Nodes{}, fmt.Errorf("node %d model has %d params, node 0 has %d", i, p, ns.ParamCount)
 		}
 		ns.ParamCount = net.ParamCount()
-		ns.Node[i] = Node{Net: net, Batcher: dataset.NewBatcher(s.Partition[i], rng.Derive(s.Seed, uint64(i), 0xba7c4)),
-			Policy: rng.Derive(s.Seed, uint64(i), 0x90a1c)}
-		ns.Node[i].Batcher.Reserve(s.BatchSize)
+		ns.Node[i] = Node{Net: net, Batcher: &batchers[i], Policy: &rs[2*n+i]}
 		ns.Params[i] = net.Params()
 	}
 	return ns, nil

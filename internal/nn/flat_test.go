@@ -350,3 +350,20 @@ func TestLentGradsMatchOwned(t *testing.T) {
 		})
 	}
 }
+
+// The parameter vector and the softmax scratch are one allocation, the
+// scratch right after the parameters (nn.New); Params' capacity ends where
+// the scratch begins, so an append to a model vector copies it instead of
+// writing the scratch.
+func TestParamsCapacityEndsAtScratch(t *testing.T) {
+	for name, build := range testNets {
+		net := build(5)
+		p := net.Params()
+		if cap(p) != len(p) {
+			t.Fatalf("%s: Params has len %d, cap %d", name, len(p), cap(p))
+		}
+		if grown := append(p, 7); &grown[0] == &p[0] {
+			t.Fatalf("%s: an append to Params wrote past it, in place", name)
+		}
+	}
+}

@@ -22,9 +22,10 @@ type Network struct {
 }
 
 // New builds a network: it validates that consecutive layer sizes chain,
-// allocates the parameter vector — no gradient vector, see LendGrads — and
-// binds each layer to its window of it in layer order (which is when weights
-// are drawn). Nothing reads the first layer's input gradient: it is skipped.
+// allocates the parameter vector and the softmax scratch together — no
+// gradient vector, see LendGrads — and binds each layer to its window of
+// the parameters in layer order (which is when weights are drawn). Nothing
+// reads the first layer's input gradient: it is skipped.
 func New(layers ...Layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: empty network")
@@ -39,11 +40,9 @@ func New(layers ...Layer) *Network {
 	for _, l := range layers {
 		size += l.ParamSize()
 	}
-	n := &Network{
-		layers: layers,
-		params: tensor.NewVector(size),
-		probs:  tensor.NewVector(layers[len(layers)-1].OutSize()),
-	}
+	// The parameters' capacity ends where the scratch begins: an append copies.
+	buf := tensor.NewVector(size + layers[len(layers)-1].OutSize())
+	n := &Network{layers: layers, params: buf[:size:size], probs: buf[size:]}
 	if l, ok := layers[0].(interface{ noLayerBelow() }); ok {
 		l.noLayerBelow()
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -49,19 +50,27 @@ type RunManifest struct {
 }
 
 // ManifestBuilder accumulates config fields and derives the stable hash.
-// Fields are kept as "key=value" lines in key order — the order they are
-// hashed in — so re-setting a field and hashing again formats nothing else.
+// Every "key=value\n" line is appended to one buffer after the hashed head,
+// "engine=…\nseed=…\n"; fields indexes the lines in key order — the order
+// they are hashed in — so setting a field formats nothing but its value.
 type ManifestBuilder struct {
-	m           RunManifest // the identity fields; Build fills in the rest
-	head        string      // "engine=…\nseed=…\n", hashed first
-	keys, lines []string    // parallel; lines[i] = keys[i] + "=" + value
+	m      RunManifest // the identity fields; Build fills in the rest
+	buf    []byte      // the head, then the lines as set
+	head   int         // len of the head in buf
+	fields []field     // the lines, buf[start:end] with the '\n', sorted by key
+}
+
+type field struct {
+	key        string
+	start, end int
 }
 
 // NewManifest starts a manifest for one run of the named engine.
 func NewManifest(engine, label string, seed uint64) *ManifestBuilder {
 	b := &ManifestBuilder{m: RunManifest{Engine: engine, Label: label, Seed: seed}}
-	b.head = fmt.Sprintf("engine=%s\nseed=%d\n", engine, seed)
-	b.keys, b.lines = make([]string, 0, 24), make([]string, 0, 24) // the engines' manifests fit
+	b.buf = append(append(make([]byte, 0, 768), "engine="...), engine...) // the engines' manifests fit
+	b.buf = append(strconv.AppendUint(append(b.buf, "\nseed="...), seed, 10), '\n')
+	b.head, b.fields = len(b.buf), make([]field, 0, 24)
 	return b
 }
 
@@ -69,36 +78,46 @@ func NewManifest(engine, label string, seed uint64) *ManifestBuilder {
 // fields).
 func (b *ManifestBuilder) Scale(nodes, rounds int) *ManifestBuilder {
 	b.m.Nodes, b.m.Rounds = nodes, rounds
-	b.Set("nodes", strconv.Itoa(nodes))
-	b.Set("rounds", strconv.Itoa(rounds))
-	return b
+	return b.Set("nodes", strconv.Itoa(nodes)).Set("rounds", strconv.Itoa(rounds))
 }
 
 // Set records one config field. Last write per key wins; keys are sorted
 // before hashing, so call order never matters.
 func (b *ManifestBuilder) Set(key, value string) *ManifestBuilder {
-	i, ok := slices.BinarySearch(b.keys, key)
-	if !ok {
-		b.keys = slices.Insert(b.keys, i, key)
-		b.lines = slices.Insert(b.lines, i, "")
-	}
-	b.lines[i] = key + "=" + value
-	return b
+	return b.put(key, len(b.buf), append(append(append(b.buf, key...), '='), value...))
 }
 
 // Setf records one config field with fmt formatting.
 func (b *ManifestBuilder) Setf(key, format string, args ...any) *ManifestBuilder {
-	return b.Set(key, fmt.Sprintf(format, args...))
+	return b.put(key, len(b.buf), fmt.Appendf(append(append(b.buf, key...), '='), format, args...))
+}
+
+// put files key's line, appended to buf from start, in key order; a re-set
+// key's old line stays in buf as dead bytes.
+func (b *ManifestBuilder) put(key string, start int, buf []byte) *ManifestBuilder {
+	b.buf = append(buf, '\n')
+	f := field{key, start, len(b.buf)}
+	if i, ok := slices.BinarySearchFunc(b.fields, key, func(f field, key string) int { return strings.Compare(f.key, key) }); ok {
+		b.fields[i] = f
+	} else {
+		b.fields = slices.Insert(b.fields, i, f)
+	}
+	return b
+}
+
+// config appends the hashed text to dst: the head, then the lines by key.
+func (b *ManifestBuilder) config(dst []byte) []byte {
+	dst = append(dst, b.buf[:b.head]...)
+	for _, f := range b.fields {
+		dst = append(dst, b.buf[f.start:f.end]...)
+	}
+	return dst
 }
 
 // ConfigHash is Build().ConfigHash with no manifest built around it — all
 // a cache lookup needs: the digest of head and the "key=value\n" lines.
 func (b *ManifestBuilder) ConfigHash() string {
-	buf := append(make([]byte, 0, 512), b.head...)
-	for _, line := range b.lines {
-		buf = append(append(buf, line...), '\n')
-	}
-	sum := sha256.Sum256(buf)
+	sum := sha256.Sum256(b.config(make([]byte, 0, 1024)))
 	var digest [32]byte
 	hex.Encode(digest[:], sum[:16])
 	return string(digest[:])
@@ -108,8 +127,12 @@ func (b *ManifestBuilder) ConfigHash() string {
 // name and seed, and stamps the build identity.
 func (b *ManifestBuilder) Build() RunManifest {
 	m := b.m
-	m.ConfigHash = b.ConfigHash()
-	m.Config = append([]string{}, b.lines...)
+	m.ConfigHash, m.Config = b.ConfigHash(), make([]string, len(b.fields))
+	lines := string(b.config(make([]byte, 0, 1024))[b.head:])
+	for i, f := range b.fields {
+		n := f.end - f.start
+		m.Config[i], lines = lines[:n-1], lines[n:]
+	}
 	m.GoVersion = runtime.Version()
 	m.GitRevision = gitRevision()
 	m.GOMAXPROCS = runtime.GOMAXPROCS(0)

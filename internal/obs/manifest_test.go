@@ -94,6 +94,42 @@ func eighteenFields() *ManifestBuilder {
 	return b
 }
 
+// Setting a field formats into the builder's one buffer: NewManifest, Scale
+// and the sweep cell manifest's sixteen Set/Setf calls allocate as often as
+// NewManifest and Scale alone: the builder, its buffer and its index. (A boxed
+// Setf argument of 256 or more is the caller's allocation, not the
+// builder's; these are smaller.)
+func TestManifestSetAllocsIndependentOfFields(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
+	keys := []string{"regime", "trace", "graph", "gamma_train", "gamma_sync", "lr", "batch",
+		"local_steps", "train_per_node", "test_samples", "noise", "eval_subsample", "policy", "min_soc",
+		"fleet_capacity_rounds", "fleet_initial_soc"}
+	allocs := func(fields int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			b := NewManifest("gammacell", "markov-lo", 7).Scale(16, 20)
+			for i, k := range keys[:fields] {
+				if i%2 == 0 {
+					b.Setf(k, "v%d", i)
+				} else {
+					b.Set(k, "value")
+				}
+			}
+			b.Set("gamma_train", "3")
+		})
+	}
+	base := allocs(0)
+	for _, n := range []int{1, 8, 16} {
+		if got := allocs(n); got != base {
+			t.Fatalf("%d more fields: %v allocations, %v with none", n, got, base)
+		}
+	}
+	if base != 3 {
+		t.Fatalf("NewManifest and Scale allocate %v times, want 3", base)
+	}
+}
+
 // ConfigHash is pinned to its documented input — "engine=…\nseed=…\n",
 // then the "key=value\n" lines sorted by key — by hashing that text here
 // with nothing shared with the builder, and to a literal recorded before

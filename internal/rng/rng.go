@@ -32,27 +32,33 @@ func splitmix64(state *uint64) uint64 {
 }
 
 // New returns a generator seeded from the given seed.
-func New(seed uint64) *RNG {
-	r := &RNG{}
+func New(seed uint64) *RNG { return new(RNG).seed(seed) }
+
+// seed restarts r on the fresh stream of seed, with no cached variate.
+func (r *RNG) seed(seed uint64) *RNG {
 	sm := seed
-	r.s0 = splitmix64(&sm)
-	r.s1 = splitmix64(&sm)
-	r.s2 = splitmix64(&sm)
-	r.s3 = splitmix64(&sm)
+	*r = RNG{s0: splitmix64(&sm), s1: splitmix64(&sm), s2: splitmix64(&sm), s3: splitmix64(&sm)}
 	return r
 }
 
 // Derive returns a new independent generator whose stream is a pure function
 // of the given seed and the parts. It is the mechanism behind per-node,
 // per-purpose streams: Derive(seed, nodeID, streamTag).
-func Derive(seed uint64, parts ...uint64) *RNG {
+func Derive(seed uint64, parts ...uint64) *RNG { return New(derive(seed, parts)) }
+
+// DeriveTo restarts r on the stream Derive(seed, parts...) returns, so a
+// run can derive every node's streams into one slice.
+func DeriveTo(r *RNG, seed uint64, parts ...uint64) { r.seed(derive(seed, parts)) }
+
+// derive folds the parts into the seed Derive's generator starts from.
+func derive(seed uint64, parts []uint64) uint64 {
 	sm := seed
 	acc := splitmix64(&sm)
 	for _, p := range parts {
 		sm ^= p * 0x9e3779b97f4a7c15
 		acc ^= splitmix64(&sm)
 	}
-	return New(acc)
+	return acc
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

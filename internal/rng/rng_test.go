@@ -270,3 +270,40 @@ func BenchmarkNormFloat64(b *testing.B) {
 		_ = r.NormFloat64()
 	}
 }
+
+// DeriveTo restarts a generator in place on Derive's stream: for a table
+// of (seed, parts), into a slot of a shared slice whose neighbour is
+// drawing too and which held another stream with a cached normal variate,
+// 1 000 mixed draws equal Derive's — NormFloat64's cached second variate
+// among them.
+func TestDeriveToMatchesDerive(t *testing.T) {
+	for _, tc := range []struct {
+		seed  uint64
+		parts []uint64
+	}{
+		{0, nil}, {1, []uint64{0}}, {7, []uint64{3, 0x1417}}, {7, []uint64{3, 0xba7c4}},
+		{42, []uint64{0xe7a1, 1}}, {^uint64(0), []uint64{^uint64(0), 0, 1 << 63}},
+	} {
+		slab := make([]RNG, 2)
+		DeriveTo(&slab[0], 99, 1)
+		slab[1].seed(5)
+		slab[1].NormFloat64() // leaves a cached variate DeriveTo must drop
+		DeriveTo(&slab[1], tc.seed, tc.parts...)
+		want := Derive(tc.seed, tc.parts...)
+		for i := range 1000 {
+			slab[0].Uint64()
+			var got, exp uint64
+			switch i % 4 {
+			case 0:
+				got, exp = slab[1].Uint64(), want.Uint64()
+			case 1:
+				got, exp = math.Float64bits(slab[1].Float64()), math.Float64bits(want.Float64())
+			default: // two in a row: the pair's second variate comes from the cache
+				got, exp = math.Float64bits(slab[1].NormFloat64()), math.Float64bits(want.NormFloat64())
+			}
+			if got != exp {
+				t.Fatalf("seed %d parts %v: draw %d is %v in place, %v from Derive", tc.seed, tc.parts, i, got, exp)
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 )
 
 // gridCellConfig is a Γ-grid cell in miniature: Γ(1,3) with a
@@ -92,6 +93,47 @@ func TestRunAllocsIndependentOfRounds(t *testing.T) {
 			}
 			if short, long := allocs(12), allocs(36); long != short {
 				t.Fatalf("12 rounds allocate %v times, 36 rounds %v: %v allocations per round inside the loop", short, long, (long-short)/24)
+			}
+		})
+	}
+}
+
+// TestRunAllocsIndependentOfNodes is TestRunAllocsIndependentOfRounds'
+// companion for set-up: past the models, node state comes from per-run
+// slabs (learner.NewNodes), so a run of 32 nodes allocates exactly 24 times
+// the model factory's own per-node count more than a run of 8, in plain
+// D-PSGD with an evaluation every few rounds and in drop-and-renormalize
+// rounds over a harvest fleet. Fleets, partitions and graphs are inputs,
+// built outside the measurement.
+func TestRunAllocsIndependentOfNodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for name, config := range map[string]func(t *testing.T, seed uint64, nodes int) Config{
+		"plain":           testConfigNodes,
+		"drop-dead-nodes": brownoutConfigNodes,
+	} {
+		t.Run(name, func(t *testing.T) {
+			allocs := func(nodes int) float64 {
+				least := math.Inf(1)
+				for try := 0; try < 5; try++ {
+					cfgs := []Config{config(t, 86, nodes), config(t, 86, nodes)} // AllocsPerRun warms up once
+					least = min(least, testing.AllocsPerRun(1, func() {
+						_, err := Run(cfgs[0])
+						cfgs = cfgs[1:]
+						if err != nil {
+							t.Fatal(err)
+						}
+					}))
+				}
+				return least
+			}
+			cfg, r := config(t, 86, 8), rng.New(1)
+			perModel := testing.AllocsPerRun(10, func() { cfg.ModelFactory(0, r) })
+			if small, large := allocs(8), allocs(32); large-small != 24*perModel {
+				t.Fatalf("8 nodes allocate %v times, 32 nodes %v: %v per node beyond the model factory's %v",
+					small, large, (large-small)/24-perModel, perModel)
 			}
 		})
 	}

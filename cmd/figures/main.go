@@ -29,6 +29,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err == nil {
 		err = cli.Check(fs, []cli.Rule{
 			{Flags: "nodes rounds", Want: "no -paper, which sets the scale", OK: func() bool { return !*paper }},
+			{Flags: "nodes", Want: "a value ≥ 1", OK: func() bool { return *nodes >= 1 }},
+			{Flags: "rounds", Want: "a value ≥ 1", OK: func() bool { return *rounds >= 1 }},
 		})
 	}
 	if err == nil {

@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // rules is the flag table: where each single-run flag applies, and the
-// values -lr, -gt and -gs take.
+// values -nodes, -rounds, -lr, -gt and -gs take.
 func (c *config) rules() []cli.Rule {
 	single := func() bool { return c.exp == "" }
 	scheduled := func() bool {
@@ -82,6 +82,8 @@ func (c *config) rules() []cli.Rule {
 	}
 	const gamma = "-algo skiptrain, constrained or async-skiptrain"
 	return []cli.Rule{
+		{Flags: "nodes", Want: "a value ≥ 1", OK: func() bool { return c.nodes >= 1 }},
+		{Flags: "rounds", Want: "a value ≥ 1", OK: func() bool { return c.rounds >= 1 }},
 		{Flags: "algo dataset degree batch steps", Want: "a single run (no -exp)", OK: single},
 		{Flags: "lr", Want: "a single run (no -exp) and a finite value > 0", OK: func() bool { return single() && c.lr > 0 && c.lr <= math.MaxFloat64 }},
 		{Flags: "eval", Want: "a synchronous -algo (the async engine evaluates eight times a run)",

@@ -33,6 +33,8 @@ func TestFlagTable(t *testing.T) {
 	cases := map[string]struct {
 		without, with []string
 	}{
+		"nodes":   {[]string{"-nodes", "-4"}, []string{"-nodes", "8"}},
+		"rounds":  {[]string{"-rounds", "0"}, []string{"-rounds", "2"}},
 		"algo":    {[]string{"-exp", "fig9", "-algo", "dpsgd"}, []string{"-algo", "dpsgd"}},
 		"dataset": {[]string{"-exp", "fig9", "-dataset", "femnist"}, []string{"-dataset", "femnist"}},
 		"degree":  {[]string{"-exp", "fig9", "-degree", "4"}, []string{"-degree", "4"}},
@@ -80,5 +82,11 @@ func TestUsageErrors(t *testing.T) {
 		{"-lr", "+Inf", "-algo", "async"},
 	} {
 		clitest.Exit(t, run, 2, append([]string{"-nodes", "8", "-rounds", "4"}, args...)...)
+	}
+	// A negative node count once reached a whole experiment, which panicked.
+	for _, args := range [][]string{{"-exp", "fig3", "-nodes", "-4"}, {"-exp", "tables", "-rounds", "-4"}} {
+		if code, out := clitest.Exec(t, run, args...); code != 2 || out != "" {
+			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
+		}
 	}
 }

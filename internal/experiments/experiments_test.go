@@ -868,3 +868,38 @@ func TestReproducibleAcrossGOMAXPROCS(t *testing.T) {
 		})
 	}
 }
+
+// TestEntryPointsRefuseNegativeNodes: every entry point that returns an
+// error returns one for a negative node count, and none panics.
+func TestEntryPointsRefuseNegativeNodes(t *testing.T) {
+	o := Options{Nodes: -3, Rounds: 4}
+	for name, run := range map[string]func() error{
+		"Figure1":           func() error { _, err := Figure1(o); return err },
+		"Figure3":           func() error { _, err := Figure3(o, nil); return err },
+		"Figure4":           func() error { _, err := Figure4(o); return err },
+		"Figure5":           func() error { _, err := Figure5(o, nil, nil); return err },
+		"Figure6":           func() error { _, err := Figure6(o, nil, nil); return err },
+		"Figure7":           func() error { return Figure7(o) },
+		"Section51Fairness": func() error { _, err := Section51Fairness(o); return err },
+		"TableAsyncHarvest": func() error { _, err := TableAsyncHarvest(o); return err },
+		"TableBrownout":     func() error { _, err := TableBrownout(o); return err },
+		"TableDegreeGamma":  func() error { _, err := TableDegreeGamma(o, nil); return err },
+		"TableForecast":     func() error { _, err := TableForecast(o); return err },
+		"TableGammaHarvest": func() error { _, err := TableGammaHarvest(o); return err },
+		"TableHarvest":      func() error { _, err := TableHarvest(o); return err },
+		"TableRejoin":       func() error { _, err := TableRejoin(o); return err },
+		"RunGammaGrid":      func() error { _, err := RunGammaGrid(o, GammaGridRegimes(o)[0]); return err },
+		"CIFARLikeData":     func() error { _, _, _, err := CIFARLikeData(o.Defaults()); return err },
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s panics: %v", name, p)
+				}
+			}()
+			if err := run(); err == nil {
+				t.Errorf("%s: no error for %d nodes", name, o.Nodes)
+			}
+		}()
+	}
+}

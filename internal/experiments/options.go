@@ -142,8 +142,12 @@ func paperEnergyWh(trainRounds int, w energy.Workload) float64 {
 
 // ScaledBudgets shrinks the paper's device round budgets to a scaled
 // horizon: tau_scaled = max(1, tau * rounds / paperRounds), preserving the
-// heterogeneity profile of Table 2.
+// heterogeneity profile of Table 2. A negative node count has none; a
+// world refuses it when its data is built.
 func ScaledBudgets(nodes, rounds, paperRounds int, w energy.Workload, fraction float64) []int {
+	if nodes < 0 {
+		return nil
+	}
 	assigned := energy.AssignDevices(nodes, energy.Devices())
 	taus := make([]int, nodes)
 	for i, d := range assigned {

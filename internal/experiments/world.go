@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -70,8 +71,14 @@ func newWorld(o Options, ds datasetSpec, degree int) *world {
 		o: o, ds: ds, degree: degree,
 		meanTrainWh: energy.NetworkRoundWh(o.Nodes, energy.Devices(), ds.workload) / float64(o.Nodes),
 		data: sync.OnceValues(func() (*worldData, error) {
+			if o.Nodes < 0 {
+				return nil, fmt.Errorf("experiments: negative node count %d", o.Nodes)
+			}
 			part, val, test, err := ds.build(o)
-			return &worldData{part, val, test, energy.AssignDevices(o.Nodes, energy.Devices())}, err
+			if err != nil {
+				return nil, err
+			}
+			return &worldData{part, val, test, energy.AssignDevices(o.Nodes, energy.Devices())}, nil
 		}),
 	}
 }

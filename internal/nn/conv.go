@@ -20,7 +20,7 @@ type Conv2D struct {
 	K             tensor.Vector // kernels, len outC*inC*kH*kW
 	B             tensor.Vector // len outC
 	gK, gB        tensor.Vector
-	lastIn        tensor.Vector
+	lastIn        tensor.Vector // the caller's slice, held from Forward to Backward
 	outBuf        tensor.Vector
 	dIn           tensor.Vector // nil in a network's first layer: nothing reads it
 	first         bool
@@ -35,22 +35,23 @@ func NewConv2D(inC, inH, inW, outC, kH, kW, pad int, r *rng.RNG) *Conv2D {
 	if outH <= 0 || outW <= 0 {
 		panic(fmt.Sprintf("nn: Conv2D output %dx%d not positive", outH, outW))
 	}
-	return &Conv2D{
-		inC: inC, inH: inH, inW: inW,
-		outC: outC, kH: kH, kW: kW, pad: pad,
-		outH: outH, outW: outW, r: r,
-		lastIn: tensor.NewVector(inC * inH * inW),
-		outBuf: tensor.NewVector(outC * outH * outW),
-	}
+	return &Conv2D{inC: inC, inH: inH, inW: inW, outC: outC, kH: kH, kW: kW, pad: pad, outH: outH, outW: outW, r: r}
 }
 
 func (l *Conv2D) InSize() int   { return l.inC * l.inH * l.inW }
 func (l *Conv2D) OutSize() int  { return l.outC * l.outH * l.outW }
 func (l *Conv2D) noLayerBelow() { l.first = true }
 
+func (l *Conv2D) WorkSize() int {
+	if l.first {
+		return l.OutSize()
+	}
+	return l.OutSize() + l.InSize()
+}
+
 func (l *Conv2D) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("Conv2D", len(in), l.InSize())
-	copy(l.lastIn, in)
+	l.lastIn = in
 	for oc := 0; oc < l.outC; oc++ {
 		bias := l.B[oc]
 		outPlane := l.outBuf[oc*l.outH*l.outW : (oc+1)*l.outH*l.outW]
@@ -131,25 +132,25 @@ func (l *Conv2D) ParamSize() int { return l.outC*l.inC*l.kH*l.kW + l.outC }
 
 func (l *Conv2D) bindGrads(grads tensor.Vector) { l.gK, l.gB = grads[:len(l.K)], grads[len(l.K):] }
 
-func (l *Conv2D) Bind(params tensor.Vector) {
+func (l *Conv2D) Bind(params, work tensor.Vector) {
 	nk := len(params) - l.outC
-	l.K, l.B = params[:nk], params[nk:]
-	heInit(l.K, l.inC*l.kH*l.kW, l.r)
+	l.K, l.B = params[:nk:nk], params[nk:]
+	normalInit(l.K, 2.0/float64(l.inC*l.kH*l.kW), l.r)
+	l.outBuf = take(&work, l.OutSize())
 	if !l.first {
-		l.dIn = tensor.NewVector(l.InSize())
+		l.dIn = work
 	}
 }
 
 // MaxPool2D is a max-pooling layer with square window and equal stride
 // (window == stride, the common non-overlapping form).
 type MaxPool2D struct {
-	stateless
 	c, inH, inW int
 	win         int
 	outH, outW  int
 	outBuf      tensor.Vector
 	dIn         tensor.Vector
-	argmax      []int
+	argmax      tensor.Vector // input indices, exact as floats
 }
 
 // NewMaxPool2D pools each win x win block to its maximum. Input spatial
@@ -162,17 +163,19 @@ func NewMaxPool2D(c, inH, inW, win int) *MaxPool2D {
 	if outH == 0 || outW == 0 {
 		panic("nn: MaxPool2D window larger than input")
 	}
-	return &MaxPool2D{
-		c: c, inH: inH, inW: inW, win: win,
-		outH: outH, outW: outW,
-		outBuf: tensor.NewVector(c * outH * outW),
-		dIn:    tensor.NewVector(c * inH * inW),
-		argmax: make([]int, c*outH*outW),
-	}
+	return &MaxPool2D{c: c, inH: inH, inW: inW, win: win, outH: outH, outW: outW}
 }
 
-func (l *MaxPool2D) InSize() int  { return l.c * l.inH * l.inW }
-func (l *MaxPool2D) OutSize() int { return l.c * l.outH * l.outW }
+func (l *MaxPool2D) InSize() int    { return l.c * l.inH * l.inW }
+func (l *MaxPool2D) OutSize() int   { return l.c * l.outH * l.outW }
+func (l *MaxPool2D) ParamSize() int { return 0 }
+func (l *MaxPool2D) WorkSize() int  { return 2*l.OutSize() + l.InSize() }
+
+func (l *MaxPool2D) Bind(_, work tensor.Vector) {
+	n := l.OutSize()
+	l.outBuf, l.argmax = take(&work, n), take(&work, n)
+	l.dIn = work
+}
 
 func (l *MaxPool2D) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("MaxPool2D", len(in), l.InSize())
@@ -194,7 +197,7 @@ func (l *MaxPool2D) Forward(in tensor.Vector) tensor.Vector {
 				}
 				oIdx := (c*l.outH+oy)*l.outW + ox
 				l.outBuf[oIdx] = bestV
-				l.argmax[oIdx] = c*l.inH*l.inW + best
+				l.argmax[oIdx] = float64(c*l.inH*l.inW + best)
 			}
 		}
 	}
@@ -205,7 +208,7 @@ func (l *MaxPool2D) Backward(dOut tensor.Vector) tensor.Vector {
 	checkSize("MaxPool2D", len(dOut), l.OutSize())
 	l.dIn.Zero()
 	for i, d := range dOut {
-		l.dIn[l.argmax[i]] += d
+		l.dIn[int(l.argmax[i])] += d
 	}
 	return l.dIn
 }

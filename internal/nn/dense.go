@@ -11,6 +11,7 @@ import (
 type Dense struct {
 	in, out  int
 	withBias bool
+	glorot   bool          // Glorot-normal weights: the classifier of LogisticRegression and MLP
 	r        *rng.RNG      // draws the initial weights in Bind
 	W        tensor.Matrix // out x in; a header over the network's vector, held by value
 	B        tensor.Vector // nil when bias is disabled
@@ -26,12 +27,19 @@ type Dense struct {
 // NewDense returns a Dense layer whose weights New draws He-normal from r,
 // the right default for ReLU networks. Pass withBias=false to omit the bias.
 func NewDense(in, out int, withBias bool, r *rng.RNG) *Dense {
-	return &Dense{in: in, out: out, withBias: withBias, r: r, outBuf: tensor.NewVector(out)}
+	return &Dense{in: in, out: out, withBias: withBias, r: r}
 }
 
 func (l *Dense) InSize() int   { return l.in }
 func (l *Dense) OutSize() int  { return l.out }
 func (l *Dense) noLayerBelow() { l.first = true }
+
+func (l *Dense) WorkSize() int {
+	if l.first {
+		return l.out
+	}
+	return l.out + l.in
+}
 
 func (l *Dense) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("Dense", len(in), l.in)
@@ -65,15 +73,21 @@ func (l *Dense) ParamSize() int {
 	return l.out * l.in
 }
 
-func (l *Dense) Bind(params tensor.Vector) {
+func (l *Dense) Bind(params, work tensor.Vector) {
 	nw := l.out * l.in
-	l.W = tensor.Matrix{Rows: l.out, Cols: l.in, Data: params[:nw]}
-	heInit(l.W.Data, l.in, l.r)
+	l.W = tensor.Matrix{Rows: l.out, Cols: l.in, Data: params[:nw:nw]}
+	if l.glorot {
+		l.r.SkipNormals(nw) // the stream position these models' Glorot weights are pinned at
+		normalInit(l.W.Data, 2.0/float64(l.in+l.out), l.r)
+	} else {
+		normalInit(l.W.Data, 2.0/float64(l.in), l.r)
+	}
 	if l.withBias {
 		l.B = params[nw:]
 	}
+	l.outBuf = take(&work, l.out)
 	if !l.first {
-		l.dIn = tensor.NewVector(l.in)
+		l.dIn = work
 	}
 }
 
@@ -82,17 +96,10 @@ func (l *Dense) bindGrads(grads tensor.Vector) {
 	l.gW, l.gB = tensor.Matrix{Rows: l.out, Cols: l.in, Data: grads[:nw]}, grads[nw:]
 }
 
-// heInit fills w with He-normal weights: N(0, 2/fanIn).
-func heInit(w []float64, fanIn int, r *rng.RNG) {
-	std := sqrt(2.0 / float64(fanIn))
-	for i := range w {
-		w[i] = r.NormFloat64() * std
-	}
-}
-
-// xavierInit fills w with Glorot-normal weights: N(0, 2/(fanIn+fanOut)).
-func xavierInit(w []float64, fanIn, fanOut int, r *rng.RNG) {
-	std := sqrt(2.0 / float64(fanIn+fanOut))
+// normalInit fills w with N(0, variance) weights: He-normal at 2/fanIn,
+// Glorot-normal at 2/(fanIn+fanOut).
+func normalInit(w []float64, variance float64, r *rng.RNG) {
+	std := sqrt(variance)
 	for i := range w {
 		w[i] = r.NormFloat64() * std
 	}

@@ -2,12 +2,16 @@ package nn
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"fmt"
+	"maps"
 	"math"
 	"os"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -364,6 +368,78 @@ func TestParamsCapacityEndsAtScratch(t *testing.T) {
 		}
 		if grown := append(p, 7); &grown[0] == &p[0] {
 			t.Fatalf("%s: an append to Params wrote past it, in place", name)
+		}
+	}
+}
+
+// layerWindows lists every float slice net's layers hold, by layer and
+// field, with the softmax scratch: the reflection finds a buffer a layer
+// adds without the test naming it.
+func layerWindows(net *Network) map[string]tensor.Vector {
+	out := map[string]tensor.Vector{"probs": net.probs}
+	for i, l := range net.layers {
+		v := reflect.ValueOf(l).Elem()
+		for j := range v.NumField() {
+			f := v.Field(j)
+			name := fmt.Sprintf("layer %d %s.%s", i, v.Type().Name(), v.Type().Field(j).Name)
+			switch field := reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Interface().(type) {
+			case *tensor.Vector:
+				out[name] = *field
+			case *tensor.Matrix:
+				out[name] = field.Data
+			}
+		}
+	}
+	return out
+}
+
+// TestWorkspacesDisjoint extends TestParamsCapacityEndsAtScratch to every
+// window: right after New, each layer's parameters and buffers and the
+// softmax scratch are disjoint windows of the network's one vector that
+// together tile it, and each window's capacity ends with it — so no write
+// or append through one reaches another, and networks that train in
+// parallel share nothing.
+func TestWorkspacesDisjoint(t *testing.T) {
+	nets := map[string]func(seed uint64) *Network{
+		"cifar": func(s uint64) *Network { return CIFARGNLeNet(rng.New(s)) },
+		"mlp2":  func(s uint64) *Network { return MLP(6, []int{5, 4}, 3, rng.New(s)) },
+	}
+	maps.Copy(nets, testNets)
+	for name, build := range nets {
+		net := build(5)
+		total := net.ParamCount() + net.OutSize()
+		for _, l := range net.layers {
+			total += l.WorkSize()
+		}
+		base, covered := uintptr(unsafe.Pointer(&net.params[0])), 0
+		type span struct {
+			name   string
+			lo, hi uintptr
+		}
+		var spans []span
+		for field, w := range layerWindows(net) {
+			if len(w) == 0 {
+				continue
+			}
+			if cap(w) != len(w) {
+				t.Errorf("%s: %s has len %d, cap %d", name, field, len(w), cap(w))
+			}
+			lo := uintptr(unsafe.Pointer(&w[0]))
+			hi := lo + uintptr(len(w))*8
+			if lo < base || hi > base+uintptr(total)*8 {
+				t.Errorf("%s: %s is not a window of the network's vector", name, field)
+			}
+			spans = append(spans, span{field, lo, hi})
+			covered += len(w)
+		}
+		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+		for i := 1; i < len(spans); i++ {
+			if spans[i].lo < spans[i-1].hi {
+				t.Errorf("%s: %s overlaps %s", name, spans[i-1].name, spans[i].name)
+			}
+		}
+		if covered != total {
+			t.Errorf("%s: the windows hold %d floats, the network's vector %d", name, covered, total)
 		}
 	}
 }

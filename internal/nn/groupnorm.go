@@ -22,7 +22,6 @@ type GroupNorm struct {
 	gGamma  tensor.Vector
 	gBeta   tensor.Vector
 
-	lastIn tensor.Vector
 	xhat   tensor.Vector
 	invStd tensor.Vector // per group
 	outBuf tensor.Vector
@@ -35,22 +34,15 @@ func NewGroupNorm(c, h, w, groups int) *GroupNorm {
 	if groups <= 0 || c%groups != 0 {
 		panic(fmt.Sprintf("nn: GroupNorm groups=%d does not divide channels=%d", groups, c))
 	}
-	return &GroupNorm{
-		c: c, h: h, w: w, groups: groups,
-		lastIn: tensor.NewVector(c * h * w),
-		xhat:   tensor.NewVector(c * h * w),
-		invStd: tensor.NewVector(groups),
-		outBuf: tensor.NewVector(c * h * w),
-		dIn:    tensor.NewVector(c * h * w),
-	}
+	return &GroupNorm{c: c, h: h, w: w, groups: groups}
 }
 
-func (l *GroupNorm) InSize() int  { return l.c * l.h * l.w }
-func (l *GroupNorm) OutSize() int { return l.c * l.h * l.w }
+func (l *GroupNorm) InSize() int   { return l.c * l.h * l.w }
+func (l *GroupNorm) OutSize() int  { return l.c * l.h * l.w }
+func (l *GroupNorm) WorkSize() int { return 3*l.InSize() + l.groups }
 
 func (l *GroupNorm) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("GroupNorm", len(in), l.InSize())
-	copy(l.lastIn, in)
 	spatial := l.h * l.w
 	chPerGroup := l.c / l.groups
 	m := chPerGroup * spatial
@@ -123,8 +115,11 @@ func (l *GroupNorm) Backward(dOut tensor.Vector) tensor.Vector {
 
 func (l *GroupNorm) ParamSize() int { return 2 * l.c }
 
-func (l *GroupNorm) Bind(params tensor.Vector) {
-	l.gamma, l.beta = params[:l.c], params[l.c:]
+func (l *GroupNorm) Bind(params, work tensor.Vector) {
+	n := l.InSize()
+	l.gamma, l.beta = params[:l.c:l.c], params[l.c:]
+	l.xhat, l.invStd, l.outBuf = take(&work, n), take(&work, l.groups), take(&work, n)
+	l.dIn = work
 	for i := range l.gamma {
 		l.gamma[i] = 1
 	}

@@ -11,22 +11,27 @@
 //
 // # Flat parameter layout
 //
-// A Network owns one contiguous parameter vector; layers own no parameter
-// storage. New binds every parameterised layer to a window of it, in layer
-// order and, within a layer, weights before bias (Dense W then B, Conv2D K
-// then B, GroupNorm gamma then beta), and the layer draws its initial
-// weights there — so the constructors' RNG is consumed by New, in layer
-// order. That vector is the model x_i the nodes exchange and a parameter
-// file stores, so CopyParamsTo, SetParams and the SGD update are one
-// pass over one slice, and a write through SetParams is at once visible to
-// every layer. Only nn writes it — TrainBatch, SetParams and Mix, which
-// averages neighborhoods in place — whereas Params hands out the same
-// memory read-only. It is a node's only model-sized state: gradients, laid
-// out the same way, go into a vector the network is lent (LendGrads).
+// A Network is one allocation of floats, and layers own no storage: a
+// layer constructor allocates only its struct. The vector starts with the
+// parameters, then the softmax scratch, then every layer's buffers (its
+// output and input gradient, and GroupNorm's and MaxPool2D's scratch),
+// each a window whose capacity ends where the next begins.
+// New binds every parameterised layer to its window of the parameters, in
+// layer order and, within a layer, weights before bias (Dense W then B,
+// Conv2D K then B, GroupNorm gamma then beta), and the layer draws its
+// initial weights there — so the constructors' RNG is consumed by New, in
+// layer order. The parameters are the model x_i the nodes exchange and a
+// parameter file stores, so CopyParamsTo, SetParams and the SGD update are
+// one pass over one slice, and a write through SetParams is at once visible
+// to every layer. Only nn writes them — TrainBatch, SetParams and Mix,
+// which averages neighborhoods in place — whereas Params hands out the same
+// memory read-only. They are a node's only model-sized state: gradients,
+// laid out the same way, go into a vector the network is lent (LendGrads).
 //
-// Between Forward and Backward, Dense holds the slice it was given, not a
-// copy: a sample or the buffer of the layer below, neither of which changes
-// meanwhile. A first-layer Dense or Conv2D computes no input gradient (New).
+// Between Forward and Backward, Dense and Conv2D hold the slice they were
+// given, not a copy: a sample or the buffer of the layer below, neither of
+// which changes meanwhile. A first-layer Dense or Conv2D computes no input
+// gradient and has no buffer for it (New).
 package nn
 
 import (
@@ -49,63 +54,67 @@ type Layer interface {
 	// parameter gradients. The returned slice is an internal buffer, or
 	// nil from a network's first layer.
 	Backward(dOut tensor.Vector) tensor.Vector
-	// ParamSize is the layer's trainable parameter count.
+	// ParamSize is the layer's trainable parameter count, WorkSize the
+	// length of the buffers Forward and Backward write.
 	ParamSize() int
-	// Bind gives the layer its storage: params, of length ParamSize,
-	// becomes its parameters and it initialises them there. New calls it
-	// once, in layer order; a layer cannot run before that. A layer with
-	// parameters also has the unexported bindGrads, through which LendGrads
-	// hands it the window of the gradient vector Backward accumulates into.
-	Bind(params tensor.Vector)
+	WorkSize() int
+	// Bind gives the layer its storage, two windows of its network's
+	// vector: params, of length ParamSize, becomes its parameters and it
+	// initialises them there; work, of length WorkSize, becomes its
+	// buffers. New calls it once, in layer order; a layer cannot run before
+	// that. A layer with parameters also has the unexported bindGrads,
+	// through which LendGrads hands it the window of the gradient vector
+	// Backward accumulates into.
+	Bind(params, work tensor.Vector)
 }
-
-// stateless is embedded by the layers that have no parameters.
-type stateless struct{}
-
-func (stateless) ParamSize() int       { return 0 }
-func (stateless) Bind(_ tensor.Vector) {}
 
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
-	stateless
-	n    int
-	out  tensor.Vector
-	dIn  tensor.Vector
-	mask []bool
+	n        int
+	out, dIn tensor.Vector
 }
 
 // NewReLU returns a ReLU over vectors of length n.
-func NewReLU(n int) *ReLU {
-	return &ReLU{n: n, out: tensor.NewVector(n), dIn: tensor.NewVector(n), mask: make([]bool, n)}
-}
+func NewReLU(n int) *ReLU { return &ReLU{n: n} }
 
-func (l *ReLU) InSize() int  { return l.n }
-func (l *ReLU) OutSize() int { return l.n }
+func (l *ReLU) InSize() int                { return l.n }
+func (l *ReLU) OutSize() int               { return l.n }
+func (l *ReLU) ParamSize() int             { return 0 }
+func (l *ReLU) WorkSize() int              { return 2 * l.n }
+func (l *ReLU) Bind(_, work tensor.Vector) { l.out, l.dIn = work[:l.n:l.n], work[l.n:] }
 
 func (l *ReLU) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("ReLU", len(in), l.n)
 	for i, x := range in {
 		if x > 0 {
 			l.out[i] = x
-			l.mask[i] = true
 		} else {
 			l.out[i] = 0
-			l.mask[i] = false
 		}
 	}
 	return l.out
 }
 
+// Backward passes the gradient where the input was positive, which is
+// where the output is.
 func (l *ReLU) Backward(dOut tensor.Vector) tensor.Vector {
 	checkSize("ReLU", len(dOut), l.n)
 	for i, d := range dOut {
-		if l.mask[i] {
+		if l.out[i] > 0 {
 			l.dIn[i] = d
 		} else {
 			l.dIn[i] = 0
 		}
 	}
 	return l.dIn
+}
+
+// take cuts the first n elements off *v as a window whose capacity ends
+// with it: an append to the window copies instead of writing past it.
+func take(v *tensor.Vector, n int) tensor.Vector {
+	w := (*v)[:n:n]
+	*v = (*v)[n:]
+	return w
 }
 
 func checkSize(layer string, got, want int) {

@@ -58,21 +58,19 @@ func FEMNISTCNN(r *rng.RNG) *Network {
 // bias/mixing dynamics the paper studies.
 func LogisticRegression(dim, classes int, r *rng.RNG) *Network {
 	l := NewDense(dim, classes, true, r)
-	n := New(l)
-	xavierInit(l.W.Data, dim, classes, r)
-	return n
+	l.glorot = true
+	return New(l)
 }
 
 // MLP builds dim -> hidden... -> classes with ReLU between linear layers.
 func MLP(dim int, hidden []int, classes int, r *rng.RNG) *Network {
-	var layers []Layer
+	layers := make([]Layer, 0, 2*len(hidden)+1)
 	in := dim
 	for _, h := range hidden {
 		layers = append(layers, NewDense(in, h, true, r), NewReLU(h))
 		in = h
 	}
 	out := NewDense(in, classes, true, r)
-	n := New(append(layers, out)...)
-	xavierInit(out.W.Data, in, classes, r) // out is the last layer New drew for
-	return n
+	out.glorot = true
+	return New(append(layers, out)...)
 }

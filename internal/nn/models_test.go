@@ -1,6 +1,10 @@
 package nn
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -178,5 +182,79 @@ func BenchmarkForwardCIFARGNLeNet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Forward(x)
+	}
+}
+
+// TestModelInitPinned: the initial parameters of the simulator's models and
+// of GN-LeNet, and the generator's next draws after them, to the bit —
+// odd weight counts among them, which leave a normal variate cached.
+// Every pinned table starts from these weights.
+func TestModelInitPinned(t *testing.T) {
+	for name, tc := range map[string]struct {
+		build func(*rng.RNG) *Network
+		want  string
+	}{
+		"LogisticRegression(32, 10)": {
+			func(r *rng.RNG) *Network { return LogisticRegression(32, 10, r) },
+			"f2306f617a461452a153a8dc2171379533ef8aa878c5af3e64bbac6aeca997c1"},
+		"MLP(32, [1024], 10)": {
+			func(r *rng.RNG) *Network { return MLP(32, []int{1024}, 10, r) },
+			"6ad376edc78e06fd2d974605a22375baece856d656f6d83346bbae6522acac93"},
+		"CIFARGNLeNet": {CIFARGNLeNet, "4d2463f9feb1ac48e8beb2a6c6692261fda62b9578bb97a391ea6e6fa42b6f92"},
+		"LogisticRegression(7, 3)": {
+			func(r *rng.RNG) *Network { return LogisticRegression(7, 3, r) },
+			"ecad20af31f35da5f429e893aa69fa1f61d1d879ac77070c358470ed4d421709"},
+		"MLP(5, [3 7], 3)": {
+			func(r *rng.RNG) *Network { return MLP(5, []int{3, 7}, 3, r) },
+			"ea305ee20b0bea5d63b4183dc983b874ffd27308989d429ab456c15452842f31"},
+	} {
+		r := rng.New(7)
+		p := tc.build(r).Params()
+		h := sha256.New()
+		for _, v := range append(p[:len(p):len(p)], r.NormFloat64(), r.NormFloat64(), r.Float64()) {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: parameters and next draws hash to %s, want %s", name, got, tc.want)
+		}
+	}
+}
+
+// TestModelAllocs: building the simulator's models allocates the layers'
+// structs, the layer list, the Network and its one vector — nothing per
+// buffer — and training and scoring allocate nothing after the first step
+// (which allocates the gradient vector).
+func TestModelAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(*rng.RNG) *Network
+		most  float64
+	}{
+		{"LogisticRegression(32, 10)", func(r *rng.RNG) *Network { return LogisticRegression(32, 10, r) }, 4},
+		{"MLP(32, [1024], 10)", func(r *rng.RNG) *Network { return MLP(32, []int{1024}, 10, r) }, 6},
+	} {
+		r := rng.New(1)
+		n := testing.AllocsPerRun(10, func() { tc.build(r) })
+		t.Logf("%s: %v allocations a build", tc.name, n)
+		if n > tc.most {
+			t.Errorf("%s: %v allocations a build, want at most %v", tc.name, n, tc.most)
+		}
+		net := tc.build(r)
+		xs, ys := toyBatch(rng.New(2), 32, 10, 16)
+		for _, step := range []struct {
+			name string
+			fn   func()
+		}{
+			{"TrainBatch", func() { net.TrainBatch(xs, ys, 0.05) }},
+			{"Accuracy", func() { net.Accuracy(xs, ys) }},
+		} {
+			step.fn()
+			if n := testing.AllocsPerRun(10, step.fn); n != 0 {
+				t.Errorf("%s: %s allocates %v objects a call after the first", tc.name, step.name, n)
+			}
+		}
 	}
 }

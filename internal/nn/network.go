@@ -22,10 +22,10 @@ type Network struct {
 }
 
 // New builds a network: it validates that consecutive layer sizes chain,
-// allocates the parameter vector and the softmax scratch together — no
-// gradient vector, see LendGrads — and binds each layer to its window of
-// the parameters in layer order (which is when weights are drawn). Nothing
-// reads the first layer's input gradient: it is skipped.
+// allocates the parameters, the softmax scratch and every layer's buffers
+// as one vector — no gradient vector, see LendGrads — and binds each layer
+// to its windows of it in layer order (which is when weights are drawn).
+// Nothing reads the first layer's input gradient: it is skipped.
 func New(layers ...Layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: empty network")
@@ -36,21 +36,19 @@ func New(layers ...Layer) *Network {
 				i-1, layers[i-1].OutSize(), i, layers[i].InSize()))
 		}
 	}
-	size := 0
-	for _, l := range layers {
-		size += l.ParamSize()
-	}
-	// The parameters' capacity ends where the scratch begins: an append copies.
-	buf := tensor.NewVector(size + layers[len(layers)-1].OutSize())
-	n := &Network{layers: layers, params: buf[:size:size], probs: buf[size:]}
 	if l, ok := layers[0].(interface{ noLayerBelow() }); ok {
 		l.noLayerBelow()
 	}
-	off := 0
+	size, classes, work := 0, layers[len(layers)-1].OutSize(), 0
 	for _, l := range layers {
-		end := off + l.ParamSize()
-		l.Bind(n.params[off:end])
-		off = end
+		size += l.ParamSize()
+		work += l.WorkSize()
+	}
+	buf := tensor.NewVector(size + classes + work)
+	params := take(&buf, size)
+	n := &Network{layers: layers, params: params, probs: take(&buf, classes)}
+	for _, l := range layers {
+		l.Bind(take(&params, l.ParamSize()), take(&buf, l.WorkSize()))
 	}
 	return n
 }

@@ -121,18 +121,32 @@ func (r *RNG) NormFloat64() float64 {
 		r.haveGauss = false
 		return r.gauss
 	}
-	var u, v float64
-	for {
+	u := r.Float64()
+	for u == 0 {
 		u = r.Float64()
-		if u > 0 {
-			break
-		}
 	}
-	v = r.Float64()
+	v := r.Float64()
 	mag := math.Sqrt(-2 * math.Log(u))
-	r.gauss = mag * math.Sin(2*math.Pi*v)
+	sin, cos := math.Sincos(2 * math.Pi * v) // bit for bit math.Sin and math.Cos: one reduction, the same polynomials
+	r.gauss = mag * sin
 	r.haveGauss = true
-	return mag * math.Cos(2*math.Pi*v)
+	return mag * cos
+}
+
+// SkipNormals advances r exactly as k calls of NormFloat64 would, but
+// computes only the variate an odd k leaves cached.
+func (r *RNG) SkipNormals(k int) {
+	if k > 0 && r.haveGauss {
+		r.haveGauss, k = false, k-1
+	}
+	for ; k > 1; k -= 2 {
+		for r.Uint64()>>11 == 0 { // NormFloat64's rejection of u == 0
+		}
+		r.Uint64()
+	}
+	if k == 1 {
+		r.NormFloat64()
+	}
 }
 
 // Perm returns a random permutation of [0, n).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/rng"
 )
 
@@ -102,9 +103,9 @@ func TestRunAllocsIndependentOfRounds(t *testing.T) {
 // companion for set-up: past the models, node state comes from per-run
 // slabs (learner.NewNodes), so a run of 32 nodes allocates exactly 24 times
 // the model factory's own per-node count more than a run of 8, in plain
-// D-PSGD with an evaluation every few rounds and in drop-and-renormalize
-// rounds over a harvest fleet. Fleets, partitions and graphs are inputs,
-// built outside the measurement.
+// D-PSGD with an evaluation every few rounds, in the same with a two-hidden-
+// layer MLP and in drop-and-renormalize rounds over a harvest fleet.
+// Fleets, partitions and graphs are inputs, built outside the measurement.
 func TestRunAllocsIndependentOfNodes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation counts do not hold under the race detector")
@@ -113,6 +114,11 @@ func TestRunAllocsIndependentOfNodes(t *testing.T) {
 	for name, config := range map[string]func(t *testing.T, seed uint64, nodes int) Config{
 		"plain":           testConfigNodes,
 		"drop-dead-nodes": brownoutConfigNodes,
+		"mlp": func(t *testing.T, seed uint64, nodes int) Config {
+			cfg := testConfigNodes(t, seed, nodes)
+			cfg.ModelFactory = func(_ int, r *rng.RNG) *nn.Network { return nn.MLP(8, []int{16, 12}, 6, r) }
+			return cfg
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			allocs := func(nodes int) float64 {

@@ -31,6 +31,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			{Flags: "nodes rounds", Want: "no -paper, which sets the scale", OK: func() bool { return !*paper }},
 			{Flags: "nodes", Want: "a value ≥ 1", OK: func() bool { return *nodes >= 1 }},
 			{Flags: "rounds", Want: "a value ≥ 1", OK: func() bool { return *rounds >= 1 }},
+			{Flags: "seed", Want: "a value ≥ 1 (the experiments read seed 0 as 42)", OK: func() bool { return *seed != 0 }},
 		})
 	}
 	if err == nil {

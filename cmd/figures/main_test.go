@@ -28,7 +28,7 @@ func TestUsageErrors(t *testing.T) {
 	clitest.Exit(t, run, 2, "-nodes", "12", "extra", "-out", "TMP")
 	clitest.Exit(t, run, 2, "-paper", "-nodes", "12")
 	clitest.Exit(t, run, 2, "-paper", "-rounds", "4")
-	for _, args := range [][]string{{"-nodes", "-3"}, {"-nodes", "0"}, {"-rounds", "-4"}, {"-rounds", "0"}} {
+	for _, args := range [][]string{{"-nodes", "-3"}, {"-nodes", "0"}, {"-rounds", "-4"}, {"-rounds", "0"}, {"-seed", "0"}} {
 		if code, out := clitest.Exec(t, run, append(args, "-out", "TMP")...); code != 2 || out != "" {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
 		}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -68,12 +69,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return cli.Exit(stderr, err)
 }
 
-// rules is the flag table: the local-only and server-only flags.
+// rules is the flag table: the values the scale flags take, and the
+// local-only and server-only flags. The experiments read seed 0 as seed 42,
+// so -seed 0 is refused rather than silently renamed.
 func (c *config) rules() []cli.Rule {
+	local := func() bool { return c.server == "" }
 	return []cli.Rule{
-		{Flags: "cache workers", Want: "a local run (no -server)", OK: func() bool { return c.server == "" }},
+		{Flags: "nodes", Want: "a value ≥ 1", OK: func() bool { return c.nodes >= 1 }},
+		{Flags: "rounds", Want: "a value ≥ 1", OK: func() bool { return c.rounds >= 1 }},
+		{Flags: "seed", Want: "a value ≥ 1 (the experiments read seed 0 as 42)", OK: func() bool { return c.seed != 0 }},
+		{Flags: "cache", Want: "a local run (no -server)", OK: local},
+		{Flags: "workers", Want: "a local run (no -server) and a value ≥ 0", OK: func() bool { return local() && c.workers >= 0 }},
 		{Flags: "expect-all-hits progress", Want: "-server", OK: func() bool { return c.server != "" }},
-		{Flags: "degrees", Want: "-job figure3 or degree", OK: func() bool { return c.job != "gamma" }},
+		{Flags: "degrees", Want: "-job figure3 or degree and degrees ≥ 1", OK: func() bool {
+			degs, err := parseDegrees(c.degrees)
+			return c.job != "gamma" && err == nil && !slices.ContainsFunc(degs, func(d int) bool { return d < 1 })
+		}},
 	}
 }
 

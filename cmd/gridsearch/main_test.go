@@ -57,6 +57,9 @@ func TestFlagTable(t *testing.T) {
 	cases := map[string]struct {
 		without, with []string
 	}{
+		"nodes":           {[]string{"-job", "gamma", "-nodes", "0"}, []string{"-job", "gamma", "-nodes", "12"}},
+		"rounds":          {[]string{"-job", "gamma", "-rounds", "0"}, []string{"-job", "gamma", "-rounds", "1"}},
+		"seed":            {[]string{"-job", "gamma", "-seed", "0"}, []string{"-job", "gamma", "-seed", "7"}},
 		"cache":           {[]string{"-server", addr, "-job", "gamma", "-cache", "TMP"}, []string{"-job", "gamma", "-cache", "TMP"}},
 		"workers":         {[]string{"-server", addr, "-job", "gamma", "-workers", "1"}, []string{"-job", "gamma", "-workers", "1"}},
 		"expect-all-hits": {[]string{"-job", "gamma", "-expect-all-hits"}, []string{"-server", addr, "-job", "gamma", "-expect-all-hits"}},
@@ -86,4 +89,19 @@ func TestUsageErrors(t *testing.T) {
 	clitest.Exit(t, run, 0, "-h")
 	clitest.Exit(t, run, 2, "-nodes", "8", "extra", "-rounds", "2")
 	clitest.Exit(t, run, 2, "-degrees", "4,x")
+	// Each of these once ran: seed 0 as seed 42, a zero scale as the
+	// default one, negative workers as GOMAXPROCS, or built a world before
+	// failing on a zero degree.
+	for _, args := range [][]string{
+		{"-job", "gamma", "-seed", "0"},
+		{"-job", "gamma", "-nodes", "0"},
+		{"-job", "gamma", "-rounds", "0"},
+		{"-job", "gamma", "-workers", "-3"},
+		{"-job", "figure3", "-degrees", "0"},
+		{"-job", "degree", "-degrees", "4,0"},
+	} {
+		if code, out := clitest.Exec(t, run, args...); code != 2 || out != "" {
+			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
+		}
+	}
 }

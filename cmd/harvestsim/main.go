@@ -163,17 +163,21 @@ func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
 }
 
 // rules is the flag table: each flag that does not apply to every run,
-// with the condition under which it does, and the values -trace, -policy,
-// -peak, -fhorizon, -fnoise, -gt, -gs and -rejoin take. -grid runs the
-// experiment package's standard grid world (6-regular topology, shared
-// fleet shape and policy) and searches the schedule itself; -async has no
-// per-round dropout or rejoin rule.
+// with the condition under which it does, and the values -nodes, -rounds,
+// -seed, -trace, -policy, -peak, -fhorizon, -fnoise, -gt, -gs and -rejoin
+// take. -grid runs the experiment package's standard grid world (6-regular
+// topology, shared fleet shape and policy) and searches the schedule
+// itself, reading seed 0 as 42; -async has no per-round dropout or rejoin
+// rule.
 func (c *config) rules() []cli.Rule {
 	roundEngine := func() bool { return !c.grid && !c.async }
 	policyIs := func(name string) func() bool {
 		return func() bool { return !c.grid && c.policy == name }
 	}
 	return []cli.Rule{
+		{Flags: "nodes", Want: "a value ≥ 1", OK: func() bool { return c.nodes >= 1 }},
+		{Flags: "rounds", Want: "a value ≥ 1", OK: func() bool { return c.rounds >= 1 }},
+		{Flags: "seed", Want: "a single run (no -grid) or a value ≥ 1", OK: func() bool { return !c.grid || c.seed != 0 }},
 		{Flags: "trace", Want: "diurnal, constant, markov, or csv with -tracefile", OK: func() bool {
 			return c.trace == "diurnal" || c.trace == "constant" || c.trace == "markov" || c.trace == "csv" && c.traceFile != ""
 		}},

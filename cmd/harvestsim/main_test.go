@@ -26,7 +26,7 @@ func TestGolden(t *testing.T) {
 		{"async", []string{"-async", "-telemetry", "-audit", "-nodes", "8", "-rounds", "24", "-period", "6", "-cutoff", "0.25", "-idle", "0.2"}},
 		{"async-mpc", []string{"-async", "-policy", "mpc", "-fnoise", "0.3", "-nodes", "8", "-rounds", "24", "-period", "6", "-cutoff", "0.25", "-idle", "0.2"}},
 		{"grid-fixed-budget", []string{"-grid", "-audit", "-trace", "constant", "-peak", "0", "-nodes", "8", "-rounds", "4"}},
-		{"grid-markov", []string{"-grid", "-trace", "markov", "-nodes", "8", "-rounds", "4", "-seed", "0"}},
+		{"grid-markov", []string{"-grid", "-trace", "markov", "-nodes", "8", "-rounds", "4", "-seed", "42"}},
 		{"grid-csv", []string{"-grid", "-trace", "csv", "-tracefile", "testdata/trace.csv", "-nodes", "8", "-rounds", "4"}},
 	} {
 		clitest.Golden(t, run, g.name, g.args...)
@@ -42,6 +42,9 @@ func TestFlagTable(t *testing.T) {
 		value         string
 		without, with []string // context where the flag does not apply, and where it does
 	}{
+		"nodes":     {"8", nil, nil},
+		"rounds":    {"2", nil, nil},
+		"seed":      {"0", []string{"-grid"}, nil},
 		"trace":     {"csv", nil, []string{"-tracefile", csv}},
 		"tracefile": {csv, nil, []string{"-trace", "csv"}},
 		"peak":      {"2", []string{"-trace", "csv", "-tracefile", csv}, nil},
@@ -66,6 +69,8 @@ func TestFlagTable(t *testing.T) {
 		"fnoise":    {"0.2", []string{"-policy", "mpc-persist"}, []string{"-policy", "mpc"}},
 		"events":    {"TMP", nil, []string{"-telemetry"}},
 	}
+	// Flags that apply everywhere are refused at a value they do not take.
+	bad := map[string]string{"nodes": "0", "rounds": "0"}
 	var flags []string
 	for _, r := range new(config).rules() {
 		flags = append(flags, strings.Fields(r.Flags)...)
@@ -81,7 +86,11 @@ func TestFlagTable(t *testing.T) {
 		}
 		set := "-" + flag + "=" + tc.value
 		tiny := []string{"-nodes", "8", "-rounds", "2"}
-		clitest.Exit(t, run, 2, append(append(tiny, tc.without...), set)...)
+		if v, ok := bad[flag]; ok {
+			clitest.Exit(t, run, 2, append(tiny, "-"+flag+"="+v)...)
+		} else {
+			clitest.Exit(t, run, 2, append(append(tiny, tc.without...), set)...)
+		}
 		clitest.Exit(t, run, 0, append(append(tiny, tc.with...), set)...)
 	}
 }
@@ -96,6 +105,19 @@ func TestUsageErrors(t *testing.T) {
 	clitest.Exit(t, run, 2, "-dropdead", "-rejoin", "bogus")
 	clitest.Exit(t, run, 2, "-trace", "bogus")
 	clitest.Exit(t, run, 2, "-grid", "-async")
+	// Each of these once ran: the grid as seed 42 or as "0 nodes" over a
+	// 48-node world, and single runs until a world was built.
+	for _, args := range [][]string{
+		{"-grid", "-seed", "0"},
+		{"-grid", "-nodes", "0"},
+		{"-grid", "-rounds", "0"},
+		{"-nodes", "0"},
+		{"-async", "-rounds", "0"},
+	} {
+		if code, out := clitest.Exec(t, run, args...); code != 2 || out != "" {
+			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
+		}
+	}
 	// harvest.Constant is a literal, so the CLI checks -peak itself: a NaN
 	// peak once ran to "harvested NaN Wh" and picked a best Γ from NaNs.
 	for _, mode := range []string{"", "-async", "-grid"} {

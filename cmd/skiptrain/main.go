@@ -74,7 +74,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // rules is the flag table: where each single-run flag applies, and the
-// values -nodes, -rounds, -lr, -gt and -gs take.
+// values -nodes, -rounds, -seed, -lr, -gt and -gs take. A single run keeps
+// seed 0 as seed 0; the experiments read it as 42, so -exp refuses it.
 func (c *config) rules() []cli.Rule {
 	single := func() bool { return c.exp == "" }
 	scheduled := func() bool {
@@ -84,6 +85,7 @@ func (c *config) rules() []cli.Rule {
 	return []cli.Rule{
 		{Flags: "nodes", Want: "a value ≥ 1", OK: func() bool { return c.nodes >= 1 }},
 		{Flags: "rounds", Want: "a value ≥ 1", OK: func() bool { return c.rounds >= 1 }},
+		{Flags: "seed", Want: "a single run (no -exp) or a value ≥ 1 (the experiments read seed 0 as 42)", OK: func() bool { return single() || c.seed != 0 }},
 		{Flags: "algo dataset degree batch steps", Want: "a single run (no -exp)", OK: single},
 		{Flags: "lr", Want: "a single run (no -exp) and a finite value > 0", OK: func() bool { return single() && c.lr > 0 && c.lr <= math.MaxFloat64 }},
 		{Flags: "eval", Want: "a synchronous -algo (the async engine evaluates eight times a run)",

@@ -35,6 +35,7 @@ func TestFlagTable(t *testing.T) {
 	}{
 		"nodes":   {[]string{"-nodes", "-4"}, []string{"-nodes", "8"}},
 		"rounds":  {[]string{"-rounds", "0"}, []string{"-rounds", "2"}},
+		"seed":    {[]string{"-exp", "fig1", "-seed", "0"}, []string{"-seed", "0"}},
 		"algo":    {[]string{"-exp", "fig9", "-algo", "dpsgd"}, []string{"-algo", "dpsgd"}},
 		"dataset": {[]string{"-exp", "fig9", "-dataset", "femnist"}, []string{"-dataset", "femnist"}},
 		"degree":  {[]string{"-exp", "fig9", "-degree", "4"}, []string{"-degree", "4"}},
@@ -83,8 +84,9 @@ func TestUsageErrors(t *testing.T) {
 	} {
 		clitest.Exit(t, run, 2, append([]string{"-nodes", "8", "-rounds", "4"}, args...)...)
 	}
-	// A negative node count once reached a whole experiment, which panicked.
-	for _, args := range [][]string{{"-exp", "fig3", "-nodes", "-4"}, {"-exp", "tables", "-rounds", "-4"}} {
+	// A negative node count once reached a whole experiment, which panicked,
+	// and seed 0 once ran an experiment as seed 42.
+	for _, args := range [][]string{{"-exp", "fig3", "-nodes", "-4"}, {"-exp", "tables", "-rounds", "-4"}, {"-exp", "fig1", "-seed", "0"}} {
 		if code, out := clitest.Exec(t, run, args...); code != 2 || out != "" {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/harvest"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/rng"
 )
 
@@ -387,7 +388,7 @@ func TestAsyncTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(t, 5)
-	mem := obs.NewMemory()
+	mem := obstest.NewMemory()
 	cfg.Probe = obs.NewProbe(mem)
 	probed, err := Run(cfg)
 	if err != nil {

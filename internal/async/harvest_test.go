@@ -7,6 +7,7 @@ import (
 	"repro/internal/harvest"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/obs/obstest"
 )
 
 // harvestConfig is testConfig plus a trace sized so batteries genuinely
@@ -229,7 +230,7 @@ func TestAsyncHarvestAuditorClean(t *testing.T) {
 		}
 		cfg.FleetOptions = harvest.Options{CapacityRounds: 4, InitialSoC: 0.15, CutoffSoC: 0.1, IdleWh: 0.3 * meanStepWh(cfg)}
 		auditor := analyze.NewAuditor()
-		mem := obs.NewMemory()
+		mem := obstest.NewMemory()
 		cfg.Probe = obs.NewProbe(obs.Multi(mem, auditor))
 		res, err := Run(cfg)
 		if err != nil {
@@ -260,7 +261,7 @@ func TestAsyncHarvestRevivalStaleness(t *testing.T) {
 	cfg := harvestConfig(t, 26, nil)
 	cfg.Trace = scarceDiurnal(t, cfg)
 	cfg.FleetOptions = harvest.Options{CapacityRounds: 4, InitialSoC: 0.15, CutoffSoC: 0.1, IdleWh: 0.3 * meanStepWh(cfg)}
-	mem := obs.NewMemory()
+	mem := obstest.NewMemory()
 	cfg.Probe = obs.NewProbe(mem)
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)

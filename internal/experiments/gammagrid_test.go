@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
 
 func TestTableGammaHarvestStructure(t *testing.T) {
@@ -233,7 +234,7 @@ func TestGammaGridCellEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := obs.NewMemory()
+	mem := obstest.NewMemory()
 	o.Probe = obs.NewProbe(mem)
 	probed, err := RunGammaGrid(o, regime)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/sweep"
 )
 
@@ -84,7 +85,7 @@ func TestCellManifestKeyStability(t *testing.T) {
 
 	t.Run("identical", func(t *testing.T) {
 		probed := tiny()
-		probed.Probe = obs.NewProbe(obs.NewMemory())
+		probed.Probe = obs.NewProbe(obstest.NewMemory())
 		swept := tiny()
 		swept.Sweep = sweep.NewRunner(sweep.NewMemStore(0), nil)
 		evalEvery := tiny()
@@ -244,7 +245,7 @@ func TestIdentityMemoServesFreshKeys(t *testing.T) {
 			o, degree = variants[r.IntN(len(variants))], degrees[r.IntN(len(degrees))]
 		}
 		if step%2 == 1 {
-			o.Out, o.Probe = &strings.Builder{}, obs.NewProbe(obs.NewMemory()) // handles are not identity
+			o.Out, o.Probe = &strings.Builder{}, obs.NewProbe(obstest.NewMemory()) // handles are not identity
 		}
 		held := memo.get(o, degree)
 		got, err := newGammaGrid(newWorld(o, cifar, degree), GammaGridRegimes(o), memo)

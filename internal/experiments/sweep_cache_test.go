@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/par"
 	"repro/internal/sweep"
 )
@@ -122,7 +123,7 @@ func TestSweepProbeStreamsCellVerdicts(t *testing.T) {
 	regime := GammaGridRegimes(o)[0]
 	store := sweep.NewMemStore(0)
 
-	count := func(mem *obs.MemorySink, prefix string) int {
+	count := func(mem *obstest.MemorySink, prefix string) int {
 		n := 0
 		for _, ev := range mem.Events() {
 			if ev.Kind == obs.KindCell && strings.HasPrefix(ev.Label, prefix) {
@@ -131,8 +132,8 @@ func TestSweepProbeStreamsCellVerdicts(t *testing.T) {
 		}
 		return n
 	}
-	run := func() *obs.MemorySink {
-		mem := obs.NewMemory()
+	run := func() *obstest.MemorySink {
+		mem := obstest.NewMemory()
 		o.Sweep = sweep.NewRunner(store, nil).Scope(obs.NewProbe(mem))
 		if _, err := RunGammaGrid(o, regime); err != nil {
 			t.Fatal(err)

@@ -186,8 +186,8 @@ func (s Scenario) Build() (*Instance, error) {
 
 // Scenarios generates the differential table: the cross product of every
 // trace kind and policy kind, under shapes that exercise both liveness
-// paths, both schedules, a brown-out cutoff, idle draw, and the
-// serial/parallel threshold (small fleets stay serial, large ones shard).
+// paths, both schedules, a brown-out cutoff, idle draw, and fleet sizes
+// from 48 to 384 nodes.
 func Scenarios() []Scenario {
 	traces := []string{TraceConstant, TraceDiurnal, TraceMarkov, TraceReplay}
 	policies := []string{PolicyAlways, PolicyThreshold, PolicyHysteresis, PolicyProportional, PolicyHorizon}
@@ -226,9 +226,7 @@ func Scenarios() []Scenario {
 			out = append(out, s)
 		}
 	}
-	// The sharded close-out path: fleets past harvest's parallel threshold
-	// (256 nodes), one per trace kind, with mid-run reset on the stateful
-	// combinations.
+	// Larger fleets, one per trace kind, reset mid-run.
 	for ti, tr := range traces {
 		s := Scenario{
 			Name:    tr + "/large",

@@ -22,10 +22,9 @@ func TestEnginesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEnginesBitIdenticalAcrossGOMAXPROCS pins the sharded close-out path:
-// a fleet past the parallel threshold must produce the same bits whether
-// rounds close on one worker or eight. CI additionally runs the whole
-// package under GOMAXPROCS=1 and 8 with -race.
+// TestEnginesBitIdenticalAcrossGOMAXPROCS pins that a 512-node fleet
+// produces the same bits at GOMAXPROCS 1 and 8. CI additionally runs the
+// whole package under GOMAXPROCS=1 and 8 with -race.
 func TestEnginesBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	s := Scenario{
 		Name:    "gomaxprocs",

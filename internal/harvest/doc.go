@@ -26,12 +26,10 @@
 //     with the two ledgered operations on it: consume (a load a node may
 //     refuse) and settle (pay the unavoidable draw, then store the
 //     arrival).
-//   - Fleet drives a bank in round time: TryTrain, then a close-out that
-//     pays idle and communication draw and harvests. EndRoundLive is the
-//     brown-out-aware variant where dead nodes owe idle draw only — their
-//     radio never powered up — and SweepThreshold fuses decision, drain,
-//     harvest and liveness count into one sharded pass for million-node
-//     fleets.
+//   - Fleet drives a bank in round time: TryTrain, then a close-out — one
+//     serial pass over the nodes — that pays idle and communication draw
+//     and harvests. EndRoundLive is the brown-out-aware variant where dead
+//     nodes owe idle draw only: their radio never powered up.
 //   - VFleet drives a bank along a per-node clock in continuous virtual
 //     time, for the event-driven engine (internal/async): crossings are
 //     solved and scheduled, not polled.

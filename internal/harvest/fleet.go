@@ -5,23 +5,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/par"
 )
 
 // Fleet is the round-time driver of a bank of batteries bound to a harvest
-// Trace: it adds the round structure — TryTrain, the close-out, the fused
-// sweep, Reset — to the bank's flat state, ledgers and read-only views.
+// Trace: it adds the round structure — TryTrain, the close-out, Reset — to
+// the bank's flat state, ledgers and read-only views.
 //
 // Within a round the engine (internal/sim) drives the fleet in two steps:
 // policies call TryTrain(i) for nodes that decide to train, then EndRound
 // pays every node's idle and communication draw and harvests ambient
-// energy. SweepThreshold fuses both steps with the paper's SoC-threshold
-// rule into one pass for million-node fleets. All mutable state is strictly
+// energy in one serial pass over the nodes. All mutable state is strictly
 // per-node, so TryTrain may be called concurrently for distinct nodes;
-// EndRound*, SweepThreshold, Reset, Consumed and the whole-fleet statistics
-// must not race with per-node calls or each other. EndRound itself shards
-// the close-out across GOMAXPROCS workers for large fleets — bit-identical
-// to the serial path because no cross-node state exists.
+// EndRound*, Reset, Consumed and the whole-fleet statistics must not race
+// with per-node calls or each other.
 type Fleet struct {
 	bank
 	initialWh []float64 // construction-time charge (post-clamp), for Reset
@@ -31,21 +27,10 @@ type Fleet struct {
 	roundArrived []float64 // scratch: last round's per-node arrived harvest
 	liveMask     []bool    // scratch: the last Live snapshot
 
-	// The round being closed, read by closeNode — the close-out's per-node
-	// body, bound once so that a round allocates no closure.
-	closeT    int
-	closeLive []bool
-	closeNode func(i int)
-
-	// Sweep scratch, allocated by the first SweepThreshold: a fleet driven
-	// per node (every grid cell) never pays for it.
-	rowBuf     []float64    // RowTrace bulk fill for the current round
-	shardStats []sweepShard // per-shard accumulators
-
-	// roundsClosed counts EndRound/SweepThreshold calls since construction
-	// or Reset. A fleet with closed rounds has drained batteries, advanced
-	// any stateful trace, and accumulated ledgers; sim.Run refuses such a
-	// fleet so state can never leak silently between runs (Consumed/Reset).
+	// roundsClosed counts EndRound calls since construction or Reset. A
+	// fleet with closed rounds has drained batteries, advanced any stateful
+	// trace, and accumulated ledgers; sim.Run refuses such a fleet so state
+	// can never leak silently between runs (Consumed/Reset).
 	roundsClosed int
 }
 
@@ -66,7 +51,6 @@ func NewFleet(devices []energy.Device, w energy.Workload, trace Trace, opt Optio
 		roundArrived: make([]float64, n),
 		liveMask:     make([]bool, n),
 	}
-	f.closeNode = f.settleNode
 	copy(f.initialWh, b.chargeWh)
 	return f, nil
 }
@@ -152,35 +136,43 @@ func (f *Fleet) EndRound(t int) []float64 { return f.EndRoundLive(t, nil) }
 // battery-side counterpart of dropping the node's edges for the round; a
 // nil mask recovers EndRound exactly.
 func (f *Fleet) EndRoundLive(t int, live []bool) []float64 {
-	// The close-out is sharded across workers for big fleets: every write
-	// below is to node-i state only, and Trace implementations are
-	// documented race-free across distinct nodes, so the parallel path is
-	// bit-identical to the serial one. The trace is read per node here —
-	// SweepThreshold alone uses the RowTrace bulk fill — so a fleet built
-	// fresh per grid cell never allocates a row buffer or warms Diurnal's
-	// day-row cache for the few dozen rounds it lives.
-	f.closeT, f.closeLive = t, live
-	par.For(len(f.chargeWh), parallelMinNodes, f.closeNode)
-	// Written outside the parallel region: the close-out itself is
-	// whole-fleet and documented not to race with per-node calls.
+	for i := range f.chargeWh {
+		draw := f.idleWh
+		if live == nil || live[i] {
+			draw += f.commWh[i]
+		}
+		arrived := f.trace.HarvestWh(i, t)
+		f.roundHarvest[i] = f.settle(i, draw, arrived)
+		f.roundArrived[i] = arrived
+	}
 	f.roundsClosed++
 	return f.roundHarvest
 }
 
-// parallelMinNodes is the fleet size below which a round stays serial:
-// goroutine fan-out only pays for itself on large fleets. A test hook
-// lowers it to pin serial/parallel bit-identity.
-var parallelMinNodes = 256
+// SweepStats counts one SweepThreshold round.
+type SweepStats struct {
+	Trained, Live, Depleted int
+}
 
-// settleNode closes round closeT for node i.
-func (f *Fleet) settleNode(i int) {
-	draw := f.idleWh
-	if f.closeLive == nil || f.closeLive[i] {
-		draw += f.commWh[i]
+// SweepThreshold runs one round under the paper's SoC-threshold rule:
+//
+//	for i := range nodes { if SoC(i) > minSoC { TryTrain(i) } }
+//	EndRound(t)
+//	_, _, depleted := SoCStats(nil)
+//
+// It exists only because bench/, which only a benchmark PR may edit, still
+// calls it; it goes with ROADMAP item 1(a). Nothing else may call it.
+func (f *Fleet) SweepThreshold(t int, minSoC float64) SweepStats {
+	var s SweepStats
+	for i := range f.chargeWh {
+		if f.SoC(i) > minSoC && f.TryTrain(i) {
+			s.Trained++
+		}
 	}
-	arrived := f.trace.HarvestWh(i, f.closeT)
-	f.roundHarvest[i] = f.settle(i, draw, arrived)
-	f.roundArrived[i] = arrived
+	f.EndRound(t)
+	_, _, s.Depleted = f.SoCStats(nil)
+	s.Live = len(f.chargeWh) - s.Depleted
+	return s
 }
 
 // RoundArrivedWh returns the per-node energy that arrived during the last

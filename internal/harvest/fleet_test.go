@@ -2,6 +2,7 @@ package harvest
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -178,57 +179,6 @@ func TestFleetParallelTryTrainDeterministic(t *testing.T) {
 					round, i, serial[round][i], concurrent[round][i])
 			}
 		}
-	}
-}
-
-// TestEndRoundParallelMatchesSerial pins the sharded round close-out: with
-// the parallel path forced on (threshold lowered to cover the test fleet),
-// every ledger and battery trajectory must be bit-identical to the serial
-// path — all EndRound state is per-node, so worker count cannot matter.
-func TestEndRoundParallelMatchesSerial(t *testing.T) {
-	const nodes, rounds = 64, 60
-	run := func(minNodes int) (socs []float64, harvested, consumed, wasted float64) {
-		old := parallelMinNodes
-		parallelMinNodes = minNodes
-		defer func() { parallelMinNodes = old }()
-		devices := energy.AssignDevices(nodes, energy.Devices())
-		trace, err := NewMarkovOnOff(nodes, 0.01, 0.3, 0.4, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := NewFleet(devices, energy.CIFAR10Workload(), trace,
-			Options{CapacityRounds: 6, InitialSoC: 0.9, IdleWh: 1e-4, CutoffSoC: 0.1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		live := make([]bool, nodes)
-		for round := 0; round < rounds; round++ {
-			for i := 0; i < nodes; i++ {
-				if f.SoC(i) > 0.3 {
-					f.TryTrain(i)
-				}
-				live[i] = f.Usable(i)
-			}
-			if round%2 == 0 {
-				f.EndRound(round)
-			} else {
-				f.EndRoundLive(round, live)
-			}
-		}
-		return f.SoCs(), f.HarvestedWh(), f.ConsumedWh(), f.WastedWh()
-	}
-	serialSoC, sh, sc, sw := run(nodes + 1) // threshold above fleet: serial
-	parSoC, ph, pc, pw := run(1)            // threshold below fleet: parallel
-	if sh != ph || sc != pc || sw != pw {
-		t.Fatalf("ledgers differ: serial (%v,%v,%v) vs parallel (%v,%v,%v)", sh, sc, sw, ph, pc, pw)
-	}
-	for i := range serialSoC {
-		if serialSoC[i] != parSoC[i] {
-			t.Fatalf("node %d SoC %v (serial) != %v (parallel)", i, serialSoC[i], parSoC[i])
-		}
-	}
-	if sw <= 0 {
-		t.Fatal("scenario wasted no harvest; WastedWh ledger untested")
 	}
 }
 
@@ -534,6 +484,30 @@ func TestFleetConsumedByTryTrainOnly(t *testing.T) {
 	}
 }
 
+// TestFleetConsumedByTrainingRound: with no idle draw, no communication
+// cost and no harvest, a round's only energy movement is the training drain
+// of the nodes that trained, and that must be what the consumed ledger
+// holds — and what Reset clears.
+func TestFleetConsumedByTrainingRound(t *testing.T) {
+	f := testFleet(t, Constant{Wh: 0}, Options{CapacityRounds: 6, InitialSoC: 0.5, CommFrac: -1})
+	if trained, _ := driveFleet(f, 1); trained[0] != f.Nodes() {
+		t.Fatalf("trained %d of %d half-full nodes", trained[0], f.Nodes())
+	}
+	want := 0.0
+	for i := 0; i < f.Nodes(); i++ {
+		want += f.TrainCostWh(i)
+	}
+	if !f.Consumed() || f.ConsumedWh() != want {
+		t.Fatalf("consumed %v (Consumed %v), want the training drain %v", f.ConsumedWh(), f.Consumed(), want)
+	}
+	if err := f.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Consumed() || f.ConsumedWh() != 0 {
+		t.Fatal("fleet still consumed after Reset")
+	}
+}
+
 // SoCStats must be bit-identical to the single-statistic passes it replaces
 // (the minimum recomputed here from the snapshot), and feed every SoC to the
 // observer in index order.
@@ -571,5 +545,197 @@ func TestFleetSoCStats(t *testing.T) {
 	// A nil observer is the stats-only fast path.
 	if mean, _, _ := f.SoCStats(nil); mean != f.MeanSoC() {
 		t.Fatal("nil-observer SoCStats disagrees with MeanSoC")
+	}
+}
+
+// TestSweepMatchesThreePassSequence pins SweepThreshold to the sequence its
+// doc states: per-node charge, ledgers and scratch slices bit-identical to
+// the decide loop + EndRound, and trained, live and depleted counts equal
+// to the staged drive's.
+func TestSweepMatchesThreePassSequence(t *testing.T) {
+	mk := func() *Fleet {
+		trace, err := NewDiurnal(0.01, 8, LongitudePhase(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testFleet(t, trace, Options{CapacityRounds: 5, InitialSoC: 0.6, CutoffSoC: 0.2, IdleWh: 0.0005})
+	}
+	fused, staged := mk(), mk()
+	const minSoC = 0.3
+	for r := 0; r < 16; r++ {
+		stats := fused.SweepThreshold(r, minSoC)
+		trained := 0
+		for i := 0; i < staged.Nodes(); i++ {
+			if staged.SoC(i) > minSoC && staged.TryTrain(i) {
+				trained++
+			}
+		}
+		staged.EndRound(r)
+		_, _, depleted := staged.SoCStats(nil)
+		if stats.Trained != trained {
+			t.Fatalf("round %d: sweep trained %d, staged %d", r, stats.Trained, trained)
+		}
+		if stats.Depleted != depleted || stats.Live != staged.Nodes()-depleted {
+			t.Fatalf("round %d: sweep depleted/live (%d, %d), staged (%d, %d)",
+				r, stats.Depleted, stats.Live, depleted, staged.Nodes()-depleted)
+		}
+		// State bit-identity makes the post-round SoC statistics trivially
+		// equal too; pin it anyway since callers sample them after a sweep.
+		fm, fmin, fd := fused.SoCStats(nil)
+		sm, smin, sd := staged.SoCStats(nil)
+		if fm != sm || fmin != smin || fd != sd {
+			t.Fatalf("round %d: SoCStats diverge after sweep: (%v, %v, %d) vs (%v, %v, %d)",
+				r, fm, fmin, fd, sm, smin, sd)
+		}
+		for i := 0; i < fused.Nodes(); i++ {
+			if fused.ChargeWh(i) != staged.ChargeWh(i) {
+				t.Fatalf("round %d node %d: sweep charge %v, staged %v", r, i, fused.ChargeWh(i), staged.ChargeWh(i))
+			}
+			if fused.NodeConsumedWh(i) != staged.NodeConsumedWh(i) || fused.NodeHarvestedWh(i) != staged.NodeHarvestedWh(i) ||
+				fused.wasted[i] != staged.wasted[i] {
+				t.Fatalf("round %d node %d: sweep ledgers diverge", r, i)
+			}
+		}
+		for i, v := range fused.RoundArrivedWh() {
+			if v != staged.RoundArrivedWh()[i] {
+				t.Fatalf("round %d node %d: sweep arrived %v, staged %v", r, i, v, staged.RoundArrivedWh()[i])
+			}
+		}
+	}
+	if fused.Consumed() != staged.Consumed() {
+		t.Fatal("Consumed diverges between sweep and staged drive")
+	}
+}
+
+// TestSweepParallelMatchesSerial pins SweepThreshold's GOMAXPROCS
+// independence: state and statistics must be bit-identical at GOMAXPROCS 1
+// and 8.
+func TestSweepParallelMatchesSerial(t *testing.T) {
+	const nodes = 4096
+	run := func(procs int) ([]float64, []SweepStats) {
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		trace, err := NewDiurnal(0.01, 8, LongitudePhase(nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		devices := energy.AssignDevices(nodes, energy.Devices())
+		f, err := NewFleet(devices, energy.CIFAR10Workload(), trace,
+			Options{CapacityRounds: 5, InitialSoC: 0.6, CutoffSoC: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats []SweepStats
+		for r := 0; r < 10; r++ {
+			stats = append(stats, f.SweepThreshold(r, 0.3))
+		}
+		return f.SoCs(), stats
+	}
+	socSerial, statsSerial := run(1)
+	socParallel, statsParallel := run(8)
+	for i := range socSerial {
+		if socSerial[i] != socParallel[i] {
+			t.Fatalf("node %d SoC diverges across GOMAXPROCS: %v vs %v", i, socSerial[i], socParallel[i])
+		}
+	}
+	for r := range statsSerial {
+		if statsSerial[r] != statsParallel[r] {
+			t.Fatalf("round %d SweepStats diverge across GOMAXPROCS: %+v vs %+v", r, statsSerial[r], statsParallel[r])
+		}
+	}
+}
+
+// sweepAll is a threshold every state of charge exceeds: every node attempts
+// to train, as driveFleet's greedy TryTrain loop does.
+const sweepAll = -1
+
+// driveSweep mirrors driveFleet through SweepThreshold: greedy training,
+// returning the per-round (trained count, mean SoC) trajectory fingerprint.
+func driveSweep(f *Fleet, rounds int) (trained []int, meanSoC []float64) {
+	for t := 0; t < rounds; t++ {
+		trained = append(trained, f.SweepThreshold(t, sweepAll).Trained)
+		meanSoC = append(meanSoC, f.MeanSoC())
+	}
+	return trained, meanSoC
+}
+
+// TestSoAFleetResetAfterPartialRound resets a swept fleet that was left
+// mid-round — mid-grid-cell abandonment — and requires the replay to be
+// bit-identical from the start. ("SoA" in these names dates from when the
+// sweep was a separate engine.)
+func TestSoAFleetResetAfterPartialRound(t *testing.T) {
+	trace, err := NewMarkovOnOff(8, 0.004, 0.3, 0.3, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := testFleet(t, trace, Options{CapacityRounds: 6, InitialSoC: 0.5})
+	soc0 := f.SoCs()
+	trained1, soc1 := driveSweep(f, 12)
+	// Leave the fleet mid-round: extra training drain after the last
+	// close-out, so Reset must also rewind uncommitted TryTrain spending.
+	f.TryTrain(0)
+	f.TryTrain(3)
+	if err := f.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Consumed() {
+		t.Fatal("fleet still consumed after Reset")
+	}
+	if f.HarvestedWh() != 0 || f.ConsumedWh() != 0 || f.WastedWh() != 0 {
+		t.Fatalf("ledgers not zeroed: harvested %v consumed %v wasted %v",
+			f.HarvestedWh(), f.ConsumedWh(), f.WastedWh())
+	}
+	for i, s := range f.SoCs() {
+		if s != soc0[i] {
+			t.Fatalf("node %d SoC %v after Reset, want initial %v", i, s, soc0[i])
+		}
+	}
+	trained2, soc2 := driveSweep(f, 12)
+	for i := range trained1 {
+		if trained1[i] != trained2[i] || soc1[i] != soc2[i] {
+			t.Fatalf("round %d differs after Reset: (%d, %v) vs (%d, %v)",
+				i, trained1[i], soc1[i], trained2[i], soc2[i])
+		}
+	}
+}
+
+// TestSoAFleetResetRestoresClampedInitialCharge pins that Reset after a
+// sweep restores the post-clamp construction charge, not the raw option
+// value.
+func TestSoAFleetResetRestoresClampedInitialCharge(t *testing.T) {
+	f := testFleet(t, Constant{Wh: 0}, Options{CapacityRounds: 4, InitialRounds: 100})
+	if f.SoC(0) != 1 {
+		t.Fatalf("construction SoC %v, want clamped full", f.SoC(0))
+	}
+	f.SweepThreshold(0, sweepAll)
+	if err := f.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < f.Nodes(); i++ {
+		if f.SoC(i) != 1 {
+			t.Fatalf("node %d Reset SoC %v, want clamped full", i, f.SoC(i))
+		}
+	}
+}
+
+// TestSoAFleetResetTraceHandling: after a sweep, stateless traces reset
+// fine, and a stateful trace without TraceResetter — read once per node by
+// the sweep's close-out — must refuse.
+func TestSoAFleetResetTraceHandling(t *testing.T) {
+	for _, trace := range []Trace{Constant{Wh: 0.001}, mustDiurnal(t), mustReplay(t)} {
+		f := testFleet(t, trace, Options{CapacityRounds: 6, InitialSoC: 0.5})
+		f.SweepThreshold(0, sweepAll)
+		if err := f.Reset(); err != nil {
+			t.Fatalf("%s: %v", trace.Name(), err)
+		}
+	}
+	trace := &statefulTrace{}
+	f := testFleet(t, trace, Options{CapacityRounds: 6, InitialSoC: 0.5})
+	f.SweepThreshold(0, sweepAll)
+	if trace.calls != f.Nodes() {
+		t.Fatalf("the sweep read the trace %d times for %d nodes", trace.calls, f.Nodes())
+	}
+	if err := f.Reset(); err == nil {
+		t.Fatal("Reset accepted a stateful, non-resettable trace")
 	}
 }

@@ -7,9 +7,9 @@ import "math"
 // (round time) and VFleet (virtual time) keep charge in a bank's flat slices
 // and reach the clamp at empty, the clamp at capacity and the all-or-nothing
 // cutoff test only through these, so a change to the arithmetic lands once.
-// Each is small enough that the compiler inlines it into the fused sweep
-// loop (go build -gcflags=-m), and the three that return a pair have a
-// single exit so that, inlined, both results stay in registers there. The
+// Each is small enough that the compiler inlines it into its callers
+// (go build -gcflags=-m), and the three that return a pair have a single
+// exit so that, inlined, both results stay in registers there. The
 // reference oracle in difftest is written separately and must not call
 // them.
 

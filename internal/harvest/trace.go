@@ -31,23 +31,6 @@ type TraceResetter interface {
 	ResetTrace()
 }
 
-// RowTrace is implemented by traces that can fill a whole round's harvest
-// values in one call: HarvestRowWh(t, out) must leave out[i] bit-identical
-// to what HarvestWh(i, t) would have returned, for every i in range, and
-// must advance any per-node state exactly as len(out) individual calls
-// would. Fleet.SweepThreshold uses it in place of the per-node calls — at
-// most once per round, from a single goroutine — so implementations may keep
-// whole-row caches that HarvestWh itself must never touch (per-node
-// HarvestWh calls stay race-free across nodes).
-//
-// All built-in traces implement RowTrace. Constant and Replay fill rows
-// trivially; Diurnal amortizes its per-node sinusoid through a day-row
-// cache; MarkovOnOff advances every chain in index order.
-type RowTrace interface {
-	Trace
-	HarvestRowWh(t int, out []float64)
-}
-
 // Constant harvests the same amount every round on every node. Wh = 0 models
 // the paper's no-recharge setting where batteries only drain.
 type Constant struct{ Wh float64 }
@@ -59,13 +42,6 @@ func (c Constant) HarvestWh(int, int) float64 { return c.Wh }
 func (c Constant) ForecastWh(_, _ int, out []float64) {
 	for k := range out {
 		out[k] = c.Wh
-	}
-}
-
-// HarvestRowWh fills the whole row with the constant amount (RowTrace).
-func (c Constant) HarvestRowWh(_ int, out []float64) {
-	for i := range out {
-		out[i] = c.Wh
 	}
 }
 
@@ -83,20 +59,7 @@ type Diurnal struct {
 	peakWh float64
 	period int
 	phase  func(node int) float64
-
-	// rows caches one harvest row per day slot (t mod period) for the
-	// RowTrace bulk path. HarvestWh computes its value from t mod period
-	// too, so a cached row is bit-identical to recomputing it — the sun on
-	// day two is exactly the sun on day one. Only HarvestRowWh (documented
-	// single-goroutine) touches the cache; per-node HarvestWh never does,
-	// keeping concurrent per-node calls race-free. The cache is capped at
-	// diurnalRowCacheMaxValues values so million-node fleets don't pin
-	// period×nodes floats; past the cap rows are recomputed each call.
-	rows map[int][]float64
 }
-
-// diurnalRowCacheMaxValues caps the day-row cache at 8M float64s (64 MB).
-const diurnalRowCacheMaxValues = 8 << 20
 
 // NewDiurnal validates and returns a diurnal trace. phase maps a node to its
 // day-fraction offset in [0, 1); nil means all nodes share the same sun.
@@ -115,39 +78,15 @@ func NewDiurnal(peakWh float64, period int, phase func(node int) float64) (*Diur
 
 // HarvestWh returns the clipped sinusoid at round t for the node's phase.
 // The day fraction is computed from t mod period, so the value for round t
-// is bit-identical to the value for round t+period — the exact periodicity
-// the day-row cache of HarvestRowWh relies on. (Dividing the raw round
-// index instead would drift by an ulp across day boundaries.)
+// is bit-identical to the value for round t+period: the sun on day two is
+// exactly the sun on day one. (Dividing the raw round index instead would
+// drift by an ulp across day boundaries.)
 func (d *Diurnal) HarvestWh(node, t int) float64 {
 	frac := math.Mod(float64(t%d.period)/float64(d.period)+d.phase(node), 1)
 	if s := math.Sin(2 * math.Pi * frac); s > 0 {
 		return d.peakWh * s
 	}
 	return 0
-}
-
-// HarvestRowWh fills the whole round-t row (RowTrace), serving repeats of a
-// day slot from the row cache: after the first simulated day the sinusoid
-// is never evaluated again, which is most of what the fused sweep gains
-// over the per-node close-out on diurnal workloads.
-func (d *Diurnal) HarvestRowWh(t int, out []float64) {
-	slot := t % d.period
-	if row, ok := d.rows[slot]; ok && len(row) == len(out) {
-		copy(out, row)
-		return
-	}
-	for i := range out {
-		out[i] = d.HarvestWh(i, t)
-	}
-	if d.period*len(out) > diurnalRowCacheMaxValues {
-		return
-	}
-	if d.rows == nil {
-		d.rows = make(map[int][]float64, d.period)
-	}
-	row := make([]float64, len(out))
-	copy(row, out)
-	d.rows[slot] = row
 }
 
 // ForecastWh fills out[k] with the exact sinusoid value of round t+k
@@ -260,16 +199,6 @@ func (m *MarkovOnOff) ForecastWh(node, _ int, out []float64) {
 	}
 }
 
-// HarvestRowWh advances every node's chain one step in index order and
-// fills the row (RowTrace). Chains are per-node, so the row is
-// bit-identical to len(out) individual HarvestWh calls in any order; like
-// those calls it must happen exactly once per round.
-func (m *MarkovOnOff) HarvestRowWh(t int, out []float64) {
-	for i := range out {
-		out[i] = m.HarvestWh(i, t)
-	}
-}
-
 // Name returns e.g. "markov(on=0.01,p10=0.2,p01=0.3)".
 func (m *MarkovOnOff) Name() string {
 	return fmt.Sprintf("markov(on=%g,p10=%g,p01=%g)", m.onWh, m.pOnOff, m.pOffOn)
@@ -327,12 +256,6 @@ func (p *Replay) ForecastWh(node, t int, out []float64) {
 			out[k] = 0
 		}
 	}
-}
-
-// HarvestRowWh copies the recorded row for round t (RowTrace), wrapping
-// cyclically like HarvestWh.
-func (p *Replay) HarvestRowWh(t int, out []float64) {
-	copy(out, p.wh[t%len(p.wh)])
 }
 
 // Name returns e.g. "replay(96x24)".

@@ -251,71 +251,9 @@ func TestMarkovResetTraceReplaysBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRowTraceMatchesPerNode pins the RowTrace contract for every built-in
-// trace: one HarvestRowWh call must leave out[i] bit-identical to what a
-// twin instance returns from per-node HarvestWh calls, round after round —
-// including stateful chain advancement on MarkovOnOff.
-func TestRowTraceMatchesPerNode(t *testing.T) {
-	const nodes, rounds = 24, 40
-	mkReplay := func() Trace {
-		wh := make([][]float64, 16)
-		for r := range wh {
-			row := make([]float64, nodes)
-			for i := range row {
-				row[i] = float64(r*nodes+i) * 0.0001
-			}
-			wh[r] = row
-		}
-		p, err := NewReplay(wh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	cases := []struct {
-		name string
-		mk   func() Trace
-	}{
-		{"constant", func() Trace { return Constant{Wh: 0.004} }},
-		{"diurnal", func() Trace {
-			d, err := NewDiurnal(0.01, 8, LongitudePhase(nodes))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}},
-		{"markov", func() Trace {
-			m, err := NewMarkovOnOff(nodes, 0.01, 0.3, 0.4, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}},
-		{"replay", mkReplay},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			bulk, ok := tc.mk().(RowTrace)
-			if !ok {
-				t.Fatalf("%s does not implement RowTrace", tc.name)
-			}
-			perNode := tc.mk()
-			row := make([]float64, nodes)
-			for r := 0; r < rounds; r++ {
-				bulk.HarvestRowWh(r, row)
-				for i := 0; i < nodes; i++ {
-					if want := perNode.HarvestWh(i, r); row[i] != want {
-						t.Fatalf("round %d node %d: row %v, per-node %v", r, i, row[i], want)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestDiurnalPeriodicityExact pins the property the day-row cache relies
-// on: the harvest at round t and round t+period are the same bits, for
-// every phase, because the day fraction is computed from t mod period.
+// TestDiurnalPeriodicityExact pins that the harvest at round t and round
+// t+period are the same bits, for every phase, because the day fraction is
+// computed from t mod period.
 func TestDiurnalPeriodicityExact(t *testing.T) {
 	d, err := NewDiurnal(0.01, 24, LongitudePhase(7))
 	if err != nil {

@@ -118,7 +118,7 @@ func stepEnergyBetween(rate func(k int) float64, t0, t1 float64) float64 {
 // forward-looking crossing searches replay cached rates instead of
 // advancing the generator again. The cache grows with the highest round
 // touched (one float per node per round), which is fine at event-driven
-// scale; million-node round-driven sweeps never build one.
+// scale; the round-time Fleet never builds one.
 //
 // All mutable state is strictly per-node, so concurrent calls for
 // distinct nodes are race-free, matching the Trace contract.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/obs/obstest"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -17,8 +18,9 @@ import (
 // scenarioConfig binds one difftest scenario cell to a small training
 // problem, so the auditor sees the same trace × policy × liveness grid the
 // differential suite pins. With rewound set the fleet has a past: four
-// rounds through the bulk SweepThreshold path, then Reset — the grid-search
-// reuse path, which Reset promises replays a fresh fleet bit for bit.
+// rounds of threshold training (TryTrain, then EndRound), then Reset — the
+// grid-search reuse path, which Reset promises replays a fresh fleet bit
+// for bit.
 func scenarioConfig(t *testing.T, s difftest.Scenario, rewound bool) sim.Config {
 	t.Helper()
 	g, err := graph.Regular(s.Nodes, 4, s.Seed)
@@ -39,8 +41,14 @@ func scenarioConfig(t *testing.T, s difftest.Scenario, rewound bool) sim.Config 
 		t.Fatal(err)
 	}
 	if rewound {
+		f := inst.Fleet
 		for r := 0; r < 4; r++ {
-			inst.Fleet.SweepThreshold(r, 0.3)
+			for i := 0; i < f.Nodes(); i++ {
+				if f.SoC(i) > 0.3 {
+					f.TryTrain(i)
+				}
+			}
+			f.EndRound(r)
 		}
 		if err := inst.Fleet.Reset(); err != nil {
 			t.Fatal(err)
@@ -76,11 +84,10 @@ func scenarioConfig(t *testing.T, s difftest.Scenario, rewound bool) sim.Config 
 }
 
 // The auditor, attached live as a sink, must pass every scenario of the
-// differential table, on a fresh fleet ("pointer": driven per node only)
-// and on one that first ran the bulk sweep path and was Reset ("soa"; the
-// subtest names predate the merge of the two fleet engines): conservation
-// within EnergyTol each round, brown-out/revival alternation, counters,
-// phase accounting. This is the end-to-end guarantee that the invariants
+// differential table, on a fresh fleet ("pointer") and on one that first
+// ran four threshold rounds and was Reset ("soa"; the subtest names predate
+// the merge of the two fleet engines): conservation within EnergyTol each
+// round, brown-out/revival alternation, counters, phase accounting. This is the end-to-end guarantee that the invariants
 // the auditor enforces are invariants the simulator actually maintains.
 func TestAuditorCleanOnLiveScenarioStreams(t *testing.T) {
 	engines := []string{"pointer", "soa"}
@@ -97,7 +104,7 @@ func TestAuditorCleanOnLiveScenarioStreams(t *testing.T) {
 				t.Parallel()
 				cfg := scenarioConfig(t, s, kind == "soa")
 				auditor := analyze.NewAuditor()
-				mem := obs.NewMemory()
+				mem := obstest.NewMemory()
 				cfg.Probe = obs.NewProbe(obs.Multi(auditor, mem))
 				if _, err := sim.Run(cfg); err != nil {
 					t.Fatal(err)

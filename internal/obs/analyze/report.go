@@ -27,8 +27,8 @@ type OutageEpisode struct {
 
 // Report is a run reconstructed from its event stream: throughput, phase
 // breakdown, outage episodes, SoC percentile timelines, energy totals.
-// Build one live from a MemorySink via FromEvents or offline from JSONL
-// via ReadReport.
+// Build one from buffered events via FromEvents or offline from JSONL via
+// ReadReport.
 type Report struct {
 	Manifest *obs.RunManifest `json:"manifest,omitempty"`
 	Runs     int              `json:"runs"`

@@ -26,11 +26,11 @@ func TestNilProbeIsSafe(t *testing.T) {
 }
 
 func TestDroppedSendsSkipsZero(t *testing.T) {
-	mem := NewMemory()
+	mem := &recorder{}
 	p := NewProbe(mem)
 	p.DroppedSends(0, 0)
 	p.DroppedSends(0, 2)
-	if n := countKind(mem.Events(), KindDropped); n != 1 {
+	if n := countKind(mem.events, KindDropped); n != 1 {
 		t.Fatalf("dropped events = %d, want 1 (zero counts skipped)", n)
 	}
 }

@@ -159,50 +159,3 @@ func (m multiSink) Close() error {
 	}
 	return first
 }
-
-// MemorySink buffers events in order of arrival — the test double, and
-// the buffer behind post-run analysis (analyze.FromEvents). Limit, when
-// positive, caps the buffer: events past the cap are counted in
-// Dropped() and discarded, keeping long runs bounded.
-type MemorySink struct {
-	mu      sync.Mutex
-	events  []Event
-	dropped int
-
-	// Limit caps the buffer when positive (0 means unbounded). Set before
-	// the first Emit.
-	Limit int
-}
-
-// NewMemory returns an empty, unbounded in-memory sink.
-func NewMemory() *MemorySink { return &MemorySink{} }
-
-func (s *MemorySink) Emit(ev Event) {
-	s.mu.Lock()
-	if s.Limit > 0 && len(s.events) >= s.Limit {
-		s.dropped++
-	} else {
-		s.events = append(s.events, ev)
-	}
-	s.mu.Unlock()
-}
-
-// Close is a no-op.
-func (s *MemorySink) Close() error { return nil }
-
-// Events returns a copy of everything emitted so far.
-func (s *MemorySink) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Event, len(s.events))
-	copy(out, s.events)
-	return out
-}
-
-// Dropped returns how many events were discarded because the buffer was
-// at Limit.
-func (s *MemorySink) Dropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}

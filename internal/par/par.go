@@ -1,6 +1,6 @@
 // Package par holds the engine's worker fan-out primitive, shared by the
-// simulation phases (internal/sim), the fleet round close-out
-// (internal/harvest), and the sweep scheduler (internal/sweep). Callers
+// simulation phases (internal/sim), the learner's evaluation
+// (internal/learner), and the sweep scheduler (internal/sweep). Callers
 // guarantee fn(i) touches index-i state only, which makes results
 // bit-identical to a serial loop regardless of worker count or scheduling.
 package par
@@ -42,9 +42,11 @@ func (p *Pool) Workers() int {
 }
 
 // For runs fn(0..n-1) across the pool's workers and waits. Workloads with
-// fewer than minSerial items take the serial path outright — goroutine
-// fan-out only pays for itself above a caller-known size (use 0 to always
-// fan out).
+// fewer than minSerial items take the serial path outright (use 0 to always
+// fan out). Every index costs a channel receive: about 160–250 ns an index
+// at GOMAXPROCS 2 on a 2-vCPU host, measured on a battery close-out whose
+// body takes 50–60 ns (215–300 ns an index fanned out). A caller whose
+// body takes under a microsecond runs it in a plain loop instead.
 func (p *Pool) For(n, minSerial int, fn func(i int)) {
 	p.forIndices(n, minSerial, fn)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -109,7 +110,7 @@ func TestRevivalEventsCarryStaleness(t *testing.T) {
 		cfg.DropDeadNodes = true
 		cfg.Liveness = scriptedOutage(8)
 		cfg.Rejoin = rule
-		mem := obs.NewMemory()
+		mem := obstest.NewMemory()
 		cfg.Probe = obs.NewProbe(mem)
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)

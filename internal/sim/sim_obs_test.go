@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/obs/obstest"
 )
 
 // Telemetry must be invisible to the simulation: the same run with a probe
@@ -16,13 +17,13 @@ import (
 // without one, and every streamed round_end is the event derived from its
 // round's record.
 func TestTelemetryBitIdentical(t *testing.T) {
-	run := func(attach bool) (*Result, *obs.MemorySink) {
+	run := func(attach bool) (*Result, *obstest.MemorySink) {
 		cfg := harvestConfig(t, 6)
 		cfg.Rounds = 16
 		cfg.EvalGlobalModel = true
-		var mem *obs.MemorySink
+		var mem *obstest.MemorySink
 		if attach {
-			mem = obs.NewMemory()
+			mem = obstest.NewMemory()
 			cfg.Probe = obs.NewProbe(mem)
 		}
 		res, err := Run(cfg)
@@ -85,7 +86,7 @@ func TestTelemetryDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		cfg := harvestConfig(t, 9)
 		cfg.Rounds = 12
 		cfg.EvalGlobalModel = true
-		cfg.Probe = obs.NewProbe(obs.NewMemory())
+		cfg.Probe = obs.NewProbe(obstest.NewMemory())
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -197,9 +198,8 @@ func TestResultManifestStamped(t *testing.T) {
 // Every round_end on a harvest run must carry the per-round energy ledger,
 // and the ledger must conserve: prevCharge + harvested - consumed - wasted
 // equals the new fleet charge within analyze.EnergyTol — on a fresh fleet
-// ("pointer": driven per node only) and on one that first ran the bulk
-// sweep path and was Reset ("soa"); the subtest names predate the merge of
-// the two fleet engines.
+// ("pointer") and on one that first ran four threshold rounds and was Reset
+// ("soa"); the subtest names predate the merge of the two fleet engines.
 func TestRoundEndEnergyLedgerConserves(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -208,7 +208,7 @@ func TestRoundEndEnergyLedgerConserves(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.build(t, 17)
 			cfg.Rounds = 16
-			mem := obs.NewMemory()
+			mem := obstest.NewMemory()
 			cfg.Probe = obs.NewProbe(mem)
 			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)

@@ -576,14 +576,20 @@ func recordSoCs(cfg *Config) func(*Result) [][]float64 {
 }
 
 // rewoundHarvestConfig is harvestConfig on a fleet with a past: four rounds
-// through the bulk SweepThreshold path (row buffer, shard scratch, the
-// trace's day-row cache), then Reset — the grid-search reuse path. Reset
-// promises such a fleet replays a fresh one bit for bit.
+// of threshold training (TryTrain, then EndRound), then Reset — the
+// grid-search reuse path. Reset promises such a fleet replays a fresh one
+// bit for bit.
 func rewoundHarvestConfig(t *testing.T, seed uint64) Config {
 	t.Helper()
 	cfg := harvestConfig(t, seed)
+	f := cfg.Harvest
 	for r := 0; r < 4; r++ {
-		cfg.Harvest.SweepThreshold(r, 0.3)
+		for i := 0; i < f.Nodes(); i++ {
+			if f.SoC(i) > 0.3 {
+				f.TryTrain(i)
+			}
+		}
+		f.EndRound(r)
 	}
 	if err := cfg.Harvest.Reset(); err != nil {
 		t.Fatal(err)
@@ -634,10 +640,10 @@ func TestHarvestFleetWiring(t *testing.T) {
 
 // TestHarvestSimEngineParity runs the full simulation — training, gossip,
 // and the harvest loop — once on a fresh fleet and once on a fleet that
-// first ran the bulk sweep path and was Reset, and requires bit-identical
-// results: behind Config.Harvest the two drive paths of the one fleet leave
-// nothing the other can see. (The arithmetic itself is pinned against the
-// reference oracle by internal/harvest/difftest.)
+// first ran four threshold rounds and was Reset, and requires bit-identical
+// results: Reset leaves nothing of the first rounds for the run to see.
+// (The arithmetic itself is pinned against the reference oracle by
+// internal/harvest/difftest.)
 func TestHarvestSimEngineParity(t *testing.T) {
 	run := func(cfg Config) *Result {
 		cfg.Rounds = 24

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/par"
 )
 
@@ -217,7 +218,7 @@ func TestScopedStatsAndProbeEvents(t *testing.T) {
 	base := NewRunner(store, nil)
 	var calls int64
 
-	sink := &obs.MemorySink{}
+	sink := &obstest.MemorySink{}
 	scoped := base.Scope(obs.NewProbe(sink))
 	if _, err := Grid(scoped, 4, gridKeys(4, ""), computeCell(&calls)); err != nil {
 		t.Fatal(err)

@@ -1,25 +1,25 @@
 // Command gridsearch runs the Γ-schedule grid searches. The default job
 // regenerates Figure 3 — the Γtrain x Γsync grid on CIFAR-like data
 // across topology degrees — exactly as before. Two further jobs expose
-// the harvest-coupled searches, locally or against a sweepd server:
+// the harvest-coupled searches:
 //
-//	gridsearch                                    # Figure 3, local
+//	gridsearch                                    # Figure 3
 //	gridsearch -job gamma                         # harvest-aware Γ search
 //	gridsearch -job degree -degrees 4,6,8         # degree x regime x Γ grid
-//	gridsearch -job degree -server localhost:7600 -progress
-//	gridsearch -job gamma -server localhost:7600 -expect-all-hits
+//	gridsearch -job gamma -cache DIR              # memoize cells in DIR
+//	gridsearch -job gamma -cache DIR -expect-all-hits
 //
-// With -server the job executes on the sweep service: cells are served
-// from its content-addressed cache where possible, per-cell progress
-// streams back live when -progress asks for it (the daemon sends none
-// otherwise), and the rendered tables are produced locally from the
-// reply. -expect-all-hits exits 1 unless every cell was a cache hit — CI
-// uses it to assert warm reruns recompute nothing. Without -server,
-// -cache/-workers memoize locally on disk.
+// -cache memoizes every Γ-grid cell in a directory (internal/sweep): a
+// rerun, in this process or a later one, serves computed cells instead of
+// recomputing them and prints the same tables, plus a "sweep:" line with
+// the hit and miss counts. Several processes may share one directory; a
+// corrupt cell file is recomputed, not served. -expect-all-hits exits 1
+// unless every cell was a hit, so a warm rerun can assert it recomputed
+// nothing. A job larger than 4 096 nodes, 60 000 rounds or 16 degrees is
+// refused before anything runs.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sweep"
 )
@@ -38,11 +37,10 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // config is the parsed command line; the flags bind straight into it.
 type config struct {
-	nodes, rounds, workers  int
-	seed                    uint64
-	degrees, job            string
-	server, cache           string
-	expectAllHits, progress bool
+	nodes, rounds, workers int
+	seed                   uint64
+	degrees, job, cache    string
+	expectAllHits          bool
 }
 
 // run executes one gridsearch invocation and returns its exit status.
@@ -54,11 +52,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Uint64Var(&c.seed, "seed", 42, "experiment seed")
 	fs.StringVar(&c.degrees, "degrees", "", "comma-separated topology degrees (default: job-specific)")
 	fs.StringVar(&c.job, "job", "figure3", "figure3 | gamma (harvest-aware Γ search) | degree (degree x regime grid)")
-	fs.StringVar(&c.server, "server", "", "sweepd address; runs -job gamma|degree on the service")
-	fs.StringVar(&c.cache, "cache", "", "local runs: memoize cells in this directory")
-	fs.IntVar(&c.workers, "workers", 0, "local runs: worker pool size (0 = GOMAXPROCS)")
-	fs.BoolVar(&c.expectAllHits, "expect-all-hits", false, "with -server: exit 1 unless every cell was a cache hit")
-	fs.BoolVar(&c.progress, "progress", false, "with -server: print streamed per-cell progress")
+	fs.StringVar(&c.cache, "cache", "", "memoize cells in this directory")
+	fs.IntVar(&c.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.BoolVar(&c.expectAllHits, "expect-all-hits", false, "with -cache: exit 1 unless every cell was a cache hit")
 	err := cli.Parse(fs, args)
 	if err == nil {
 		err = cli.Check(fs, c.rules())
@@ -69,35 +65,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return cli.Exit(stderr, err)
 }
 
-// rules is the flag table: the values the scale flags take, and the
-// local-only and server-only flags. The experiments read seed 0 as seed 42,
-// so -seed 0 is refused rather than silently renamed.
+// The largest job the flag table takes. A grid cell builds every node's
+// model and data and runs every round, so these bound what one command
+// line can make the process allocate and compute.
+const (
+	maxNodes   = 4096
+	maxRounds  = 60000
+	maxDegrees = 16
+)
+
+// rules is the flag table: the values the scale flags take, and the flags
+// that need another. The experiments read seed 0 as seed 42, so -seed 0 is
+// refused rather than silently renamed.
 func (c *config) rules() []cli.Rule {
-	local := func() bool { return c.server == "" }
 	return []cli.Rule{
-		{Flags: "nodes", Want: "a value ≥ 1", OK: func() bool { return c.nodes >= 1 }},
-		{Flags: "rounds", Want: "a value ≥ 1", OK: func() bool { return c.rounds >= 1 }},
+		{Flags: "nodes", Want: fmt.Sprintf("a value in [1, %d]", maxNodes), OK: func() bool { return c.nodes >= 1 && c.nodes <= maxNodes }},
+		{Flags: "rounds", Want: fmt.Sprintf("a value in [1, %d]", maxRounds), OK: func() bool { return c.rounds >= 1 && c.rounds <= maxRounds }},
 		{Flags: "seed", Want: "a value ≥ 1 (the experiments read seed 0 as 42)", OK: func() bool { return c.seed != 0 }},
-		{Flags: "cache", Want: "a local run (no -server)", OK: local},
-		{Flags: "workers", Want: "a local run (no -server) and a value ≥ 0", OK: func() bool { return local() && c.workers >= 0 }},
-		{Flags: "expect-all-hits progress", Want: "-server", OK: func() bool { return c.server != "" }},
-		{Flags: "degrees", Want: "-job figure3 or degree and degrees ≥ 1", OK: func() bool {
+		{Flags: "workers", Want: "a value ≥ 0", OK: func() bool { return c.workers >= 0 }},
+		{Flags: "expect-all-hits", Want: "-cache", OK: func() bool { return c.cache != "" }},
+		{Flags: "degrees", Want: fmt.Sprintf("-job figure3 or degree and at most %d degrees, each in [1, nodes)", maxDegrees), OK: func() bool {
 			degs, err := parseDegrees(c.degrees)
-			return c.job != "gamma" && err == nil && !slices.ContainsFunc(degs, func(d int) bool { return d < 1 })
+			return c.job != "gamma" && err == nil && len(degs) <= maxDegrees &&
+				!slices.ContainsFunc(degs, func(d int) bool { return d < 1 || d >= c.nodes })
 		}},
 	}
-}
-
-// run executes the job locally, or on the -server.
-func (c *config) run(stdout io.Writer) error {
-	degs, err := parseDegrees(c.degrees)
-	if err != nil {
-		return err
-	}
-	if c.server != "" {
-		return c.runRemote(stdout, experiments.SweepJobParams{Nodes: c.nodes, Rounds: c.rounds, Seed: c.seed, Degrees: degs})
-	}
-	return c.runLocal(stdout, degs)
 }
 
 // parseDegrees reads -degrees; empty leaves each job its own default axis
@@ -117,9 +109,13 @@ func parseDegrees(s string) ([]int, error) {
 	return degs, nil
 }
 
-// runLocal executes the job in-process, with an optional on-disk memo
-// store so repeated local runs skip computed cells just like the service.
-func (c *config) runLocal(stdout io.Writer, degs []int) error {
+// run executes the job in-process, with an optional on-disk memo store so
+// repeated runs skip computed cells.
+func (c *config) run(stdout io.Writer) error {
+	degs, err := parseDegrees(c.degrees)
+	if err != nil {
+		return err
+	}
 	o := experiments.Options{Nodes: c.nodes, Rounds: c.rounds, Seed: c.seed, Out: stdout}
 	if c.cache != "" || c.workers != 0 {
 		var store sweep.Store
@@ -153,50 +149,10 @@ func (c *config) runLocal(stdout io.Writer, degs []int) error {
 	default:
 		return fmt.Errorf("unknown job %q (want figure3, gamma, or degree)", c.job)
 	}
-	if o.Sweep != nil {
-		fmt.Fprintf(stdout, "sweep: %s\n", o.Sweep.Stats())
+	if o.Sweep == nil {
+		return nil
 	}
-	return nil
-}
-
-// runRemote submits the job to a sweepd server and renders the reply.
-func (c *config) runRemote(stdout io.Writer, params experiments.SweepJobParams) error {
-	kind := map[string]string{"gamma": experiments.JobGammaGrid, "degree": experiments.JobDegreeGrid}[c.job]
-	if kind == "" {
-		return fmt.Errorf("job %q cannot run on a server (want gamma or degree)", c.job)
-	}
-	client, err := sweep.Dial(c.server)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-
-	var onEvent func(obs.Event)
-	if c.progress {
-		onEvent = func(ev obs.Event) {
-			if ev.Kind == obs.KindCell {
-				fmt.Fprintf(stdout, "cell %-60s %8.1fms\n", ev.Label, float64(ev.WallNs)/1e6)
-			}
-		}
-	}
-	raw, stats, err := client.Do(kind, params, onEvent)
-	if err != nil {
-		return err
-	}
-	switch kind {
-	case experiments.JobGammaGrid:
-		var rows []experiments.GammaHarvestRow
-		if err := json.Unmarshal(raw, &rows); err != nil {
-			return fmt.Errorf("decode %s reply: %w", kind, err)
-		}
-		experiments.RenderGammaHarvestRows(stdout, rows)
-	case experiments.JobDegreeGrid:
-		var res experiments.DegreeGammaResult
-		if err := json.Unmarshal(raw, &res); err != nil {
-			return fmt.Errorf("decode %s reply: %w", kind, err)
-		}
-		res.Render(stdout)
-	}
+	stats := o.Sweep.Stats()
 	fmt.Fprintf(stdout, "sweep: %s\n", stats)
 	if c.expectAllHits && !stats.AllHits() {
 		return fmt.Errorf("expected a fully warm cache, got %s", stats)

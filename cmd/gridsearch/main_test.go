@@ -1,13 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cli/clitest"
-	"repro/internal/experiments"
-	"repro/internal/par"
-	"repro/internal/sweep"
 )
 
 // TestGolden pins stdout byte for byte for Figure 3 and the memoized
@@ -36,34 +41,60 @@ func TestFigure3Cache(t *testing.T) {
 	clitest.Line(t, run, "sweep: cells=16 hits=0 misses=16 shared=0", append(args, "-workers", "1")...)
 }
 
-// serve starts an in-memory sweep daemon on a loopback port.
-func serve(t *testing.T) string {
-	srv, err := sweep.NewServer("127.0.0.1:0", sweep.NewMemStore(0), par.NewPool(1))
-	if err != nil {
-		t.Fatal(err)
+// TestConcurrentProcesses runs the harvest Γ search twice at once on one
+// cold directory, each run with its own store as two processes would
+// have. Both print what the uncached run prints, whoever computed which
+// cell, and a third run is served every cell.
+func TestConcurrentProcesses(t *testing.T) {
+	args := []string{"-job", "gamma", "-nodes", "8", "-rounds", "4"}
+	_, plain := clitest.Exec(t, run, args...)
+	cached := append(args, "-cache", t.TempDir())
+	outs := make([]string, 2)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var stdout bytes.Buffer
+			if code := run(cached, &stdout, io.Discard); code != 0 {
+				t.Errorf("run %d: exit %d", i, code)
+			}
+			outs[i] = stdout.String()
+		}()
 	}
-	experiments.RegisterSweepHandlers(srv)
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
-	return srv.Addr()
+	wg.Wait()
+	sweepLine := regexp.MustCompile(`^sweep: cells=80 hits=\d+ misses=\d+ shared=0\n$`)
+	for i, out := range outs {
+		if rest, ok := strings.CutPrefix(out, plain); !ok || !sweepLine.MatchString(rest) {
+			t.Errorf("run %d: want the uncached output and a sweep line over 80 cells, got:\n%s", i, out)
+		}
+	}
+	clitest.Line(t, run, "sweep: cells=80 hits=80 misses=0 shared=0", append(cached, "-expect-all-hits")...)
+}
+
+// TestExpectAllHits: a cold directory fails the check after printing its
+// tables, a warm one passes it.
+func TestExpectAllHits(t *testing.T) {
+	args := []string{"-job", "gamma", "-nodes", "8", "-rounds", "2", "-cache", t.TempDir(), "-expect-all-hits"}
+	if code, out := clitest.Exec(t, run, args...); code != 1 || !strings.Contains(out, "sweep: cells=80 hits=0 misses=80 shared=0\n") {
+		t.Errorf("cold %q: exit %d, want 1 after the tables, got:\n%s", args, code, out)
+	}
+	clitest.Line(t, run, "sweep: cells=80 hits=80 misses=0 shared=0", args...)
 }
 
 // TestFlagTable sets every flag of the table once where it does not apply
-// (a usage error) and once where it does (a run that succeeds): the
-// server-only flags against a loopback daemon.
+// (a usage error) and once where it does (a run that succeeds).
 func TestFlagTable(t *testing.T) {
-	addr := serve(t)
-	clitest.Exit(t, run, 0, "-server", addr, "-job", "gamma", "-nodes", "8", "-rounds", "2")
+	warm := t.TempDir()
+	clitest.Exit(t, run, 0, "-job", "gamma", "-nodes", "8", "-rounds", "2", "-cache", warm)
 	cases := map[string]struct {
 		without, with []string
 	}{
 		"nodes":           {[]string{"-job", "gamma", "-nodes", "0"}, []string{"-job", "gamma", "-nodes", "12"}},
 		"rounds":          {[]string{"-job", "gamma", "-rounds", "0"}, []string{"-job", "gamma", "-rounds", "1"}},
 		"seed":            {[]string{"-job", "gamma", "-seed", "0"}, []string{"-job", "gamma", "-seed", "7"}},
-		"cache":           {[]string{"-server", addr, "-job", "gamma", "-cache", "TMP"}, []string{"-job", "gamma", "-cache", "TMP"}},
-		"workers":         {[]string{"-server", addr, "-job", "gamma", "-workers", "1"}, []string{"-job", "gamma", "-workers", "1"}},
-		"expect-all-hits": {[]string{"-job", "gamma", "-expect-all-hits"}, []string{"-server", addr, "-job", "gamma", "-expect-all-hits"}},
-		"progress":        {[]string{"-job", "gamma", "-progress"}, []string{"-server", addr, "-job", "degree", "-degrees", "4", "-progress"}},
+		"workers":         {[]string{"-job", "gamma", "-workers", "-1"}, []string{"-job", "gamma", "-workers", "1"}},
+		"expect-all-hits": {[]string{"-job", "gamma", "-expect-all-hits"}, []string{"-job", "gamma", "-cache", warm, "-expect-all-hits"}},
 		"degrees":         {[]string{"-job", "gamma", "-degrees", "4"}, []string{"-degrees", "4"}},
 	}
 	var flags []string
@@ -90,18 +121,33 @@ func TestUsageErrors(t *testing.T) {
 	clitest.Exit(t, run, 2, "-nodes", "8", "extra", "-rounds", "2")
 	clitest.Exit(t, run, 2, "-degrees", "4,x")
 	// Each of these once ran: seed 0 as seed 42, a zero scale as the
-	// default one, negative workers as GOMAXPROCS, or built a world before
-	// failing on a zero degree.
+	// default one, negative workers as GOMAXPROCS, a job too large to
+	// finish or fit in memory, or built a world before failing on a degree
+	// the graph cannot have.
 	for _, args := range [][]string{
 		{"-job", "gamma", "-seed", "0"},
 		{"-job", "gamma", "-nodes", "0"},
 		{"-job", "gamma", "-rounds", "0"},
 		{"-job", "gamma", "-workers", "-3"},
+		{"-job", "gamma", "-expect-all-hits"},
+		{"-job", "gamma", "-nodes", "4097"},
+		{"-job", "gamma", "-nodes", "1099511627776"},
+		{"-job", "gamma", "-nodes", "8", "-rounds", "60001"},
 		{"-job", "figure3", "-degrees", "0"},
 		{"-job", "degree", "-degrees", "4,0"},
+		{"-job", "degree", "-nodes", "8", "-degrees", "4,8"},
+		{"-job", "degree", "-degrees", "2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2"},
 	} {
 		if code, out := clitest.Exec(t, run, args...); code != 2 || out != "" {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
+		}
+	}
+	// An oversized job is refused before its cache directory is made.
+	dir := filepath.Join(t.TempDir(), "cache")
+	for _, nodes := range []string{"4097", "1099511627776"} {
+		clitest.Exit(t, run, 2, "-job", "gamma", "-nodes", nodes, "-cache", dir)
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("-nodes %s: the cache directory was made (%v)", nodes, err)
 		}
 	}
 }

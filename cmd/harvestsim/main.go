@@ -163,9 +163,9 @@ func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
 }
 
 // rules is the flag table: each flag that does not apply to every run,
-// with the condition under which it does, and the values -nodes, -rounds,
-// -seed, -trace, -policy, -peak, -fhorizon, -fnoise, -gt, -gs and -rejoin
-// take. -grid runs the experiment package's standard grid world (6-regular
+// with the condition under which it does, and the values the scale,
+// learning, battery, trace, policy, schedule and rejoin flags take, so a
+// value no run takes is refused before the world is built. -grid runs the experiment package's standard grid world (6-regular
 // topology, shared fleet shape and policy) and searches the schedule
 // itself, reading seed 0 as 42; -async has no per-round dropout or rejoin
 // rule.
@@ -187,7 +187,15 @@ func (c *config) rules() []cli.Rule {
 		{Flags: "period", Want: "-trace diurnal or an mpc policy", OK: func() bool { return c.trace == "diurnal" || c.plans() }},
 		{Flags: "async", Want: "no -grid and no -policy mpc-persist, which learns from per-round observations the event-driven engine does not make",
 			OK: func() bool { return !c.grid && c.policy != "mpc-persist" }},
-		{Flags: "degree eval capacity initsoc cutoff idle", Want: "a single run (no -grid)", OK: func() bool { return !c.grid }},
+		{Flags: "degree", Want: "a single run (no -grid) and a value in [1, nodes)", OK: func() bool { return !c.grid && c.degree >= 1 && c.degree < c.nodes }},
+		{Flags: "eval", Want: "a single run (no -grid) and a value ≥ 0", OK: func() bool { return !c.grid && c.evalInt >= 0 }},
+		{Flags: "capacity", Want: "a single run (no -grid) and a finite value ≥ 0", OK: func() bool { return !c.grid && c.capacity >= 0 && c.capacity <= math.MaxFloat64 }},
+		{Flags: "initsoc", Want: "a single run (no -grid) and a value in [0, 1]", OK: func() bool { return !c.grid && c.initSoC >= 0 && c.initSoC <= 1 }},
+		{Flags: "cutoff", Want: "a single run (no -grid) and a value in [0, 1)", OK: func() bool { return !c.grid && c.cutoff >= 0 && c.cutoff < 1 }},
+		{Flags: "idle", Want: "a single run (no -grid) and a finite value ≥ 0", OK: func() bool { return !c.grid && c.idle >= 0 && c.idle <= math.MaxFloat64 }},
+		{Flags: "lr", Want: "a finite value > 0", OK: func() bool { return c.lr > 0 && c.lr <= math.MaxFloat64 }},
+		{Flags: "batch", Want: "a value ≥ 1", OK: func() bool { return c.batch >= 1 }},
+		{Flags: "steps", Want: "a value ≥ 1", OK: func() bool { return c.steps >= 1 }},
 		{Flags: "policy", Want: "a single run (no -grid) and a policy -h lists", OK: func() bool { return !c.grid && policies[c.policy].build != nil }},
 		{Flags: "gt", Want: "a single run (no -grid) and a value ≥ 1", OK: func() bool { return !c.grid && c.gt >= 1 }},
 		{Flags: "gs", Want: "a single run (no -grid), -gt > 0 and a value ≥ 0", OK: func() bool { return !c.grid && c.gt > 0 && c.gs >= 0 }},

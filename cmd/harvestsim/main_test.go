@@ -68,9 +68,12 @@ func TestFlagTable(t *testing.T) {
 		"fhorizon":  {"4", nil, []string{"-policy", "mpc-persist"}},
 		"fnoise":    {"0.2", []string{"-policy", "mpc-persist"}, []string{"-policy", "mpc"}},
 		"events":    {"TMP", nil, []string{"-telemetry"}},
+		"lr":        {"0.1", nil, nil},
+		"batch":     {"8", nil, nil},
+		"steps":     {"2", nil, nil},
 	}
 	// Flags that apply everywhere are refused at a value they do not take.
-	bad := map[string]string{"nodes": "0", "rounds": "0"}
+	bad := map[string]string{"nodes": "0", "rounds": "0", "lr": "0", "batch": "0", "steps": "0"}
 	var flags []string
 	for _, r := range new(config).rules() {
 		flags = append(flags, strings.Fields(r.Flags)...)
@@ -114,6 +117,36 @@ func TestUsageErrors(t *testing.T) {
 		{"-nodes", "0"},
 		{"-async", "-rounds", "0"},
 	} {
+		if code, out := clitest.Exec(t, run, args...); code != 2 || out != "" {
+			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
+		}
+	}
+	// Each of these once ran as "final round only" or as the grid's
+	// default, or failed with exit 1 only after the world was built.
+	for _, args := range [][]string{
+		{"-eval", "-1"},
+		{"-async", "-eval", "-3"},
+		{"-batch", "0"},
+		{"-async", "-steps", "0"},
+		{"-grid", "-batch", "0"},
+		{"-grid", "-steps", "0"},
+		{"-degree", "0"},
+		{"-degree", "8"},
+		{"-async", "-degree", "9"},
+		{"-lr", "0"},
+		{"-lr", "NaN"},
+		{"-async", "-lr", "+Inf"},
+		{"-grid", "-lr", "-1"},
+		{"-capacity", "-1"},
+		{"-async", "-capacity", "+Inf"},
+		{"-initsoc", "1.5"},
+		{"-async", "-initsoc", "-0.1"},
+		{"-cutoff", "1"},
+		{"-async", "-cutoff", "NaN"},
+		{"-idle", "-1"},
+		{"-async", "-idle", "+Inf"},
+	} {
+		args = append([]string{"-nodes", "8", "-rounds", "2"}, args...)
 		if code, out := clitest.Exec(t, run, args...); code != 2 || out != "" {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
 		}

@@ -74,7 +74,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // rules is the flag table: where each single-run flag applies, and the
-// values -nodes, -rounds, -seed, -lr, -gt and -gs take. A single run keeps
+// values -nodes, -rounds, -seed, -degree, -batch, -steps, -lr, -eval, -gt
+// and -gs take. A single run keeps
 // seed 0 as seed 0; the experiments read it as 42, so -exp refuses it.
 func (c *config) rules() []cli.Rule {
 	single := func() bool { return c.exp == "" }
@@ -86,10 +87,13 @@ func (c *config) rules() []cli.Rule {
 		{Flags: "nodes", Want: "a value ≥ 1", OK: func() bool { return c.nodes >= 1 }},
 		{Flags: "rounds", Want: "a value ≥ 1", OK: func() bool { return c.rounds >= 1 }},
 		{Flags: "seed", Want: "a single run (no -exp) or a value ≥ 1 (the experiments read seed 0 as 42)", OK: func() bool { return single() || c.seed != 0 }},
-		{Flags: "algo dataset degree batch steps", Want: "a single run (no -exp)", OK: single},
+		{Flags: "algo dataset", Want: "a single run (no -exp)", OK: single},
+		{Flags: "degree", Want: "a single run (no -exp) and a value in [1, nodes)", OK: func() bool { return single() && c.degree >= 1 && c.degree < c.nodes }},
+		{Flags: "batch", Want: "a single run (no -exp) and a value ≥ 1", OK: func() bool { return single() && c.batch >= 1 }},
+		{Flags: "steps", Want: "a single run (no -exp) and a value ≥ 1", OK: func() bool { return single() && c.steps >= 1 }},
 		{Flags: "lr", Want: "a single run (no -exp) and a finite value > 0", OK: func() bool { return single() && c.lr > 0 && c.lr <= math.MaxFloat64 }},
-		{Flags: "eval", Want: "a synchronous -algo (the async engine evaluates eight times a run)",
-			OK: func() bool { return single() && !strings.HasPrefix(c.algo, "async") }},
+		{Flags: "eval", Want: "a synchronous -algo (the async engine evaluates eight times a run) and a value ≥ 0",
+			OK: func() bool { return single() && !strings.HasPrefix(c.algo, "async") && c.evalInt >= 0 }},
 		{Flags: "gt", Want: gamma + " and a value ≥ 1", OK: func() bool { return scheduled() && c.gt >= 1 }},
 		{Flags: "gs", Want: gamma + " and a value ≥ 0", OK: func() bool { return scheduled() && c.gs >= 0 }},
 	}

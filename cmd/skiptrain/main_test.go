@@ -91,4 +91,22 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
 		}
 	}
+	// A negative -eval once ran as "final round only"; the others failed
+	// with exit 1 only after the data set was generated.
+	for _, args := range [][]string{
+		{"-eval", "-1"},
+		{"-algo", "greedy", "-eval", "-3"},
+		{"-batch", "0"},
+		{"-algo", "async", "-batch", "0"},
+		{"-steps", "0"},
+		{"-algo", "async-skiptrain", "-steps", "-2"},
+		{"-degree", "0"},
+		{"-degree", "8"},
+		{"-algo", "async", "-degree", "9"},
+	} {
+		args = append([]string{"-nodes", "8", "-rounds", "4"}, args...)
+		if code, out := clitest.Exec(t, run, args...); code != 2 || out != "" {
+			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
+		}
+	}
 }

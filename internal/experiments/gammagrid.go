@@ -205,7 +205,9 @@ type regimeIdentity struct {
 // samples no trace, hashes no manifest. The key is the whole completed
 // Options less its three handles, plus the degree, so a field cellManifest
 // hashes one day is already in it. A full memo is cleared (rederiving is
-// one graph build and always right); a nil memo remembers nothing.
+// one graph build and always right); a nil memo remembers nothing. It is
+// kept only for the server's jobs (sweepjobs.go) that the frozen
+// bench/sweepd.go runs.
 type identityMemo struct {
 	mu       sync.Mutex
 	m        map[identityKey]*gridIdentity
@@ -436,7 +438,7 @@ func TableGammaHarvest(o Options) ([]GammaHarvestRow, error) {
 	for _, res := range grids {
 		res.Render(o.Out)
 	}
-	RenderGammaHarvestRows(o.Out, rows)
+	renderGammaHarvestRows(o.Out, rows)
 	return rows, nil
 }
 
@@ -459,10 +461,8 @@ func gammaHarvest(w *world, memo *identityMemo) (grids []*GammaGridResult, rows 
 	return grids, rows, nil
 }
 
-// RenderGammaHarvestRows writes the per-regime summary table. It is
-// shared by TableGammaHarvest and the gridsearch client, which receives
-// rows from a sweep server and renders them locally.
-func RenderGammaHarvestRows(out io.Writer, rows []GammaHarvestRow) {
+// renderGammaHarvestRows writes the per-regime summary table.
+func renderGammaHarvestRows(out io.Writer, rows []GammaHarvestRow) {
 	tb := report.NewTable("Harvest-aware Γ-schedule search: best (Γtrain, Γsync) per regime (sim scale)",
 		"Regime", "Trace", "Γt", "Γs", "Acc %", "Particip %", "Harvested Wh", "Consumed Wh", "Wasted %")
 	for _, r := range rows {

@@ -1,3 +1,8 @@
+// The sweep server's grid jobs. This file is kept only for the frozen
+// bench/sweepd.go, until ROADMAP item 1(b) replaces sweepd_warm and item
+// 15 deletes it; until then decodeSweepJobParams keeps its own copy of
+// gridsearch's size bounds.
+
 package experiments
 
 import (

@@ -12,7 +12,9 @@ import (
 
 // Client submits jobs to a sweep server over one persistent connection.
 // Do is serialized (one job in flight per client); open a second client
-// for concurrent submissions.
+// for concurrent submissions. It is kept only for the frozen
+// bench/sweepd.go, until ROADMAP item 1(b) replaces sweepd_warm and item
+// 15 deletes it.
 type Client struct {
 	mu   sync.Mutex
 	fc   *frameConn
@@ -20,7 +22,8 @@ type Client struct {
 	dead error // the mid-job failure that left the stream out of step
 }
 
-// Dial connects to a sweep server at addr.
+// Dial connects to a sweep server at addr. Like Client, it is kept only
+// for the frozen bench/sweepd.go (ROADMAP items 1(b) and 15).
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

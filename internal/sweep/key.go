@@ -1,13 +1,17 @@
-// Package sweep is the memoized sweep service: grid experiments submit
+// Package sweep is the memoized cell scheduler: grid experiments submit
 // cells content-addressed by their obs.RunManifest hash, cached results
 // are served instantly (a cell's bytes are the contract; the memory tier
 // also keeps the value decoded from them, so a hit is a copy), uncached
 // cells fan out across a bounded internal/par pool, and per-cell progress
-// streams through internal/obs sinks. A Server/Client pair exposes the scheduler over the
-// internal/transport wire format so long-running sweepd daemons absorb
-// repeated and overlapping sweeps from many clients — the "heavy traffic"
-// path where the same (config, seed, revision) cell is computed once,
-// ever.
+// streams through internal/obs sinks. The cache is a directory: a
+// FileStore writes each cell through a temporary file and a rename, so
+// any number of processes (gridsearch -cache DIR) may share one, and a
+// corrupt cell file reads as a miss and is recomputed.
+//
+// Server, Client, Dial and the protocol serve the same scheduler over the
+// internal/transport wire. They are kept only for the benchmark's
+// sweepd_warm workload (bench/sweepd.go), until ROADMAP item 1(b) replaces
+// that workload and item 15 deletes them.
 package sweep
 
 import (

@@ -13,6 +13,9 @@ import (
 	"repro/internal/transport"
 )
 
+// The protocol is kept only for the frozen bench/sweepd.go, until ROADMAP
+// item 1(b) replaces sweepd_warm and item 15 deletes it.
+//
 // The sweep service speaks the transport wire format: each frame is one
 // transport byte frame carrying a JSON document, Round echoing the
 // client's job sequence number.
@@ -27,8 +30,8 @@ import (
 // encodes and sends nothing per cell. Frames are encoded in place, one
 // buffer per direction; a document read off the wire aliases the read
 // buffer until the next read. Mixed versions: a client from before
-// Progress never sets it, so its `gridsearch -progress` prints no cell
-// lines; this client discards an older server's unasked-for progress.
+// Progress never sets it, so it is sent no progress; this client discards
+// an older server's unasked-for progress.
 
 // JobRequest names a registered workload and carries its parameters.
 type JobRequest struct {

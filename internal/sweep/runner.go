@@ -24,7 +24,7 @@ type Stats struct {
 }
 
 // AllHits reports whether every cell was served from the cache — the
-// assertion CI's warm-rerun smoke makes.
+// assertion gridsearch -expect-all-hits makes.
 func (s Stats) AllHits() bool { return s.Cells > 0 && s.Hits == s.Cells }
 
 func (s Stats) String() string {

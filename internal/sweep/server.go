@@ -19,9 +19,11 @@ import (
 // Runner.
 type Handler func(r *Runner, params json.RawMessage) (any, error)
 
-// Server is the sweepd core: it accepts connections, reads job frames,
-// dispatches registered handlers through a shared memoizing Runner, and
-// streams per-cell progress back to the submitting client.
+// Server accepts connections, reads job frames, dispatches registered
+// handlers through a shared memoizing Runner, and streams per-cell
+// progress back to the submitting client. It is kept only for the frozen
+// bench/sweepd.go, until ROADMAP item 1(b) replaces sweepd_warm and item
+// 15 deletes it.
 type Server struct {
 	ln     net.Listener
 	runner *Runner

@@ -108,8 +108,8 @@ func (s *MemStore) Len() int {
 
 // FileStore is a durable Store: one JSON document per cell under dir,
 // written atomically (temp file + rename) so a crash mid-write leaves
-// either the old entry or none.
-// Entries persist across daemon restarts; invalidation is structural —
+// either the old entry or none, and any number of processes can share
+// one dir. Entries persist across processes; invalidation is structural —
 // a new code revision derives new keys, it never rewrites old entries.
 type FileStore struct {
 	dir string
@@ -179,9 +179,9 @@ func (s *FileStore) Put(res CellResult) error {
 }
 
 // Tiered layers a fast store over a durable one: Gets hit mem first and
-// promote disk hits into mem; Puts write through to both. This is the
-// daemon's default shape — an LRU absorbing the hot working set over a
-// FileStore that survives restarts.
+// promote disk hits into mem; Puts write through to both. This is
+// gridsearch -cache's shape — an LRU absorbing the hot working set over a
+// FileStore that outlives the process.
 func Tiered(mem, disk Store) Store { return &tiered{mem: mem, disk: disk} }
 
 type tiered struct {

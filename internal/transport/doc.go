@@ -1,10 +1,11 @@
 // Package transport is the sweep service's wire: a message codec and the
 // byte frames built on it, plus an in-process channel network that the
-// benchmark still times.
+// benchmark still times. It is kept only for the frozen bench/, until
+// ROADMAP item 1(b) replaces sweepd_warm and item 15 deletes it.
 //
 // # Byte frames
 //
-// The sweep service (internal/sweep, cmd/sweepd) sends JSON documents in
+// The sweep server (internal/sweep) sends JSON documents in
 // the message codec's frames (codec.go): a 21-byte header, then a float64
 // payload whose element 0 is the document's byte length and whose other
 // elements carry 8 document bytes each. FinishBytesFrame and ReadBytesFrame

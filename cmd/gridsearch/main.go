@@ -65,22 +65,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return cli.Exit(stderr, err)
 }
 
-// The largest job the flag table takes. A grid cell builds every node's
-// model and data and runs every round, so these bound what one command
-// line can make the process allocate and compute.
-const (
-	maxNodes   = 4096
-	maxRounds  = 60000
-	maxDegrees = 16
-)
+// The most degrees the flag table takes: each is a grid of its own.
+const maxDegrees = 16
 
 // rules is the flag table: the values the scale flags take, and the flags
 // that need another. The experiments read seed 0 as seed 42, so -seed 0 is
 // refused rather than silently renamed.
 func (c *config) rules() []cli.Rule {
-	return []cli.Rule{
-		{Flags: "nodes", Want: fmt.Sprintf("a value in [1, %d]", maxNodes), OK: func() bool { return c.nodes >= 1 && c.nodes <= maxNodes }},
-		{Flags: "rounds", Want: fmt.Sprintf("a value in [1, %d]", maxRounds), OK: func() bool { return c.rounds >= 1 && c.rounds <= maxRounds }},
+	return append(cli.Scale(&c.nodes, &c.rounds), []cli.Rule{
 		{Flags: "seed", Want: "a value ≥ 1 (the experiments read seed 0 as 42)", OK: func() bool { return c.seed != 0 }},
 		{Flags: "workers", Want: "a value ≥ 0", OK: func() bool { return c.workers >= 0 }},
 		{Flags: "expect-all-hits", Want: "-cache", OK: func() bool { return c.cache != "" }},
@@ -89,7 +81,7 @@ func (c *config) rules() []cli.Rule {
 			return c.job != "gamma" && err == nil && len(degs) <= maxDegrees &&
 				!slices.ContainsFunc(degs, func(d int) bool { return d < 1 || d >= c.nodes })
 		}},
-	}
+	}...)
 }
 
 // parseDegrees reads -degrees; empty leaves each job its own default axis

@@ -174,9 +174,7 @@ func (c *config) rules() []cli.Rule {
 	policyIs := func(name string) func() bool {
 		return func() bool { return !c.grid && c.policy == name }
 	}
-	return []cli.Rule{
-		{Flags: "nodes", Want: "a value ≥ 1", OK: func() bool { return c.nodes >= 1 }},
-		{Flags: "rounds", Want: "a value ≥ 1", OK: func() bool { return c.rounds >= 1 }},
+	return append(cli.Scale(&c.nodes, &c.rounds), []cli.Rule{
 		{Flags: "seed", Want: "a single run (no -grid) or a value ≥ 1", OK: func() bool { return !c.grid || c.seed != 0 }},
 		{Flags: "trace", Want: "diurnal, constant, markov, or csv with -tracefile", OK: func() bool {
 			return c.trace == "diurnal" || c.trace == "constant" || c.trace == "markov" || c.trace == "csv" && c.traceFile != ""
@@ -211,7 +209,7 @@ func (c *config) rules() []cli.Rule {
 		{Flags: "fnoise", Want: "-policy mpc (mpc-persist forecasts from observations) and a finite value ≥ 0",
 			OK: func() bool { return !c.grid && c.policy == "mpc" && c.fnoise >= 0 && c.fnoise <= math.MaxFloat64 }},
 		{Flags: "events", Want: "-telemetry", OK: func() bool { return c.telemetry }},
-	}
+	}...)
 }
 
 // plans reports whether a single run uses one of the mpc policies, which

@@ -109,13 +109,18 @@ func TestUsageErrors(t *testing.T) {
 	clitest.Exit(t, run, 2, "-trace", "bogus")
 	clitest.Exit(t, run, 2, "-grid", "-async")
 	// Each of these once ran: the grid as seed 42 or as "0 nodes" over a
-	// 48-node world, and single runs until a world was built.
+	// 48-node world, single runs until a world was built, and jobs too
+	// large to finish or fit in memory until the runtime ran out of it.
 	for _, args := range [][]string{
 		{"-grid", "-seed", "0"},
 		{"-grid", "-nodes", "0"},
 		{"-grid", "-rounds", "0"},
 		{"-nodes", "0"},
 		{"-async", "-rounds", "0"},
+		{"-nodes", "1099511627776"},
+		{"-grid", "-nodes", "4097"},
+		{"-async", "-nodes", "1099511627776"},
+		{"-nodes", "8", "-rounds", "60001"},
 	} {
 		if code, out := clitest.Exec(t, run, args...); code != 2 || out != "" {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)

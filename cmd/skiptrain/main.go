@@ -83,9 +83,7 @@ func (c *config) rules() []cli.Rule {
 		return single() && (c.algo == "skiptrain" || c.algo == "constrained" || c.algo == "async-skiptrain")
 	}
 	const gamma = "-algo skiptrain, constrained or async-skiptrain"
-	return []cli.Rule{
-		{Flags: "nodes", Want: "a value ≥ 1", OK: func() bool { return c.nodes >= 1 }},
-		{Flags: "rounds", Want: "a value ≥ 1", OK: func() bool { return c.rounds >= 1 }},
+	return append(cli.Scale(&c.nodes, &c.rounds), []cli.Rule{
 		{Flags: "seed", Want: "a single run (no -exp) or a value ≥ 1 (the experiments read seed 0 as 42)", OK: func() bool { return single() || c.seed != 0 }},
 		{Flags: "algo dataset", Want: "a single run (no -exp)", OK: single},
 		{Flags: "degree", Want: "a single run (no -exp) and a value in [1, nodes)", OK: func() bool { return single() && c.degree >= 1 && c.degree < c.nodes }},
@@ -96,7 +94,7 @@ func (c *config) rules() []cli.Rule {
 			OK: func() bool { return single() && !strings.HasPrefix(c.algo, "async") && c.evalInt >= 0 }},
 		{Flags: "gt", Want: gamma + " and a value ≥ 1", OK: func() bool { return scheduled() && c.gt >= 1 }},
 		{Flags: "gs", Want: gamma + " and a value ≥ 0", OK: func() bool { return scheduled() && c.gs >= 0 }},
-	}
+	}...)
 }
 
 // runExperiment runs the whole paper experiment -exp names.

@@ -85,8 +85,12 @@ func TestUsageErrors(t *testing.T) {
 		clitest.Exit(t, run, 2, append([]string{"-nodes", "8", "-rounds", "4"}, args...)...)
 	}
 	// A negative node count once reached a whole experiment, which panicked,
-	// and seed 0 once ran an experiment as seed 42.
-	for _, args := range [][]string{{"-exp", "fig3", "-nodes", "-4"}, {"-exp", "tables", "-rounds", "-4"}, {"-exp", "fig1", "-seed", "0"}} {
+	// seed 0 once ran an experiment as seed 42, and a job too large to
+	// finish or fit in memory ran until the runtime ran out of it.
+	for _, args := range [][]string{
+		{"-exp", "fig3", "-nodes", "-4"}, {"-exp", "tables", "-rounds", "-4"}, {"-exp", "fig1", "-seed", "0"},
+		{"-nodes", "1099511627776"}, {"-exp", "fig3", "-nodes", "4097"}, {"-nodes", "8", "-rounds", "60001"},
+	} {
 		if code, out := clitest.Exec(t, run, args...); code != 2 || out != "" {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
 		}

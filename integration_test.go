@@ -63,7 +63,7 @@ func TestGlobalModelCheckpointDeployment(t *testing.T) {
 		t.Fatal("FinalGlobalParams missing with EvalGlobalModel set")
 	}
 	deployed := factory(-1, rng.New(2))
-	deployed.SetParams(res.FinalGlobalParams)
+	deployed.Use(res.FinalGlobalParams)
 	acc := deployed.Accuracy(test.Inputs(), test.Labels())
 	if math.Abs(acc-res.FinalGlobalAcc) > 1e-12 {
 		t.Fatalf("deployed model accuracy %.6f != engine-reported %.6f", acc, res.FinalGlobalAcc)

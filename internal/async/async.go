@@ -60,6 +60,9 @@ type Config struct {
 	// may take (0 = unbounded within the horizon).
 	StepsPerNode int
 
+	// ModelFactory is called once, with node -1; Network.Init draws node
+	// i's weights from its model stream, so every layer must draw from the
+	// r it is given.
 	ModelFactory func(node int, r *rng.RNG) *nn.Network
 	LR           float64
 	BatchSize    int
@@ -279,10 +282,10 @@ func (s *snapshots) take(src tensor.Vector) tensor.Vector {
 	return buf
 }
 
-// merge averages a node's model vector (its net.Params(), written in place)
-// with every queued model, in queue order, then empties the queue into the
-// free list. The queue's slots are cleared with it, so no queue can still
-// reach a buffer that take may hand out again.
+// merge averages a node's model vector, in place, with every queued model,
+// in queue order, then empties the queue into the free list. The queue's
+// slots are cleared with it, so no queue can still reach a buffer that take
+// may hand out again.
 //
 // Known defect, kept because every async result is pinned to it (ROADMAP,
 // "Async merge drops the node's own model"): MeanVectorTo zeroes params
@@ -296,10 +299,9 @@ func (s *snapshots) merge(params tensor.Vector, queue *[]tensor.Vector) {
 }
 
 type asyncNode struct {
-	*learner.Node
 	id       int
 	gossip   *rng.RNG
-	incoming []tensor.Vector // models pushed by peers since last step
+	incoming []tensor.Vector // models pushed by peers since last step; first a window of a per-run slab
 
 	// Harvest-run state.
 	down        bool    // browned out (a brownout event was emitted)
@@ -314,16 +316,16 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(&spec); err != nil {
 		return nil, err
 	}
-	ln, err := spec.NewNodes(0xa51c)
-	if err != nil {
-		return nil, fmt.Errorf("async: %w", err)
+	ln := spec.NewNodes(0xa51c) // the event loop trains on one network at a time; evaluation scores nodes in parallel
+	n, edges := cfg.Graph.N, 0
+	for i := range n {
+		edges += cfg.Graph.Degree(i)
 	}
-	n := cfg.Graph.N
-	nodes := make([]asyncNode, n)
-	grads := tensor.NewVector(ln.ParamCount) // the event loop is serial: one gradient vector serves every node
+	nodes, gossip, queues := make([]asyncNode, n), make([]rng.RNG, n), make([]tensor.Vector, edges)
 	for i := range nodes {
-		ln.Node[i].Net.LendGrads(grads)
-		nodes[i] = asyncNode{Node: &ln.Node[i], id: i, gossip: rng.Derive(cfg.Seed, uint64(i), 0x905517)}
+		rng.DeriveTo(&gossip[i], cfg.Seed, uint64(i), 0x905517)
+		nodes[i] = asyncNode{id: i, gossip: &gossip[i], incoming: queues[:0:cfg.Graph.Degree(i)]}
+		queues = queues[cap(nodes[i].incoming):]
 	}
 
 	// Per-node step durations and the step-count horizon threaded into
@@ -347,6 +349,7 @@ func Run(cfg Config) (*Result, error) {
 		if roundSec == 0 {
 			roundSec = energy.MeanTrainRoundSeconds(cfg.Devices, cfg.Workload)
 		}
+		var err error
 		vf, err = harvest.NewVFleet(cfg.Devices, cfg.Workload, cfg.Trace, cfg.FleetOptions, roundSec)
 		if err != nil {
 			return nil, err
@@ -527,7 +530,7 @@ func Run(cfg Config) (*Result, error) {
 		// 1. Merge everything that arrived while we were busy (AD-PSGD
 		//    pairwise averaging, generalized to k pending models).
 		if len(nd.incoming) > 0 {
-			snaps.merge(nd.Net.Params(), &nd.incoming)
+			snaps.merge(ln.Params[nd.id], &nd.incoming)
 		}
 
 		// 2. Decide the step kind from the node's own step counter — the
@@ -561,7 +564,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		if trainingStep {
-			spec.Train(nd.Node)
+			spec.Train(&ln, nd.id)
 			trainWh += cfg.Devices[nd.id].TrainRoundWh(cfg.Workload)
 			res.TrainedSteps[nd.id]++
 			trained++
@@ -588,8 +591,8 @@ func Run(cfg Config) (*Result, error) {
 			res.DroppedGossips++
 			probe.DroppedSends(vf.TraceRound(now), 1)
 		} else {
-			nodes[peer].incoming = append(nodes[peer].incoming, snaps.take(nd.Net.Params()))
-			nd.incoming = append(nd.incoming, snaps.take(nodes[peer].Net.Params()))
+			nodes[peer].incoming = append(nodes[peer].incoming, snaps.take(ln.Params[nd.id]))
+			nd.incoming = append(nd.incoming, snaps.take(ln.Params[peer]))
 			res.GossipsSent++
 		}
 

@@ -66,6 +66,23 @@ type Rule struct {
 	OK          func() bool
 }
 
+// The largest job a flag table takes. A run builds every node's model and
+// data and runs every round, so these bound what one command line can make
+// the process allocate and compute.
+const (
+	maxNodes  = 4096
+	maxRounds = 60000
+)
+
+// Scale is the flag-table rows of -nodes and -rounds: a value in
+// [1, maxNodes] and one in [1, maxRounds].
+func Scale(nodes, rounds *int) []Rule {
+	return []Rule{
+		{Flags: "nodes", Want: fmt.Sprintf("a value in [1, %d]", maxNodes), OK: func() bool { return *nodes >= 1 && *nodes <= maxNodes }},
+		{Flags: "rounds", Want: fmt.Sprintf("a value in [1, %d]", maxRounds), OK: func() bool { return *rounds >= 1 && *rounds <= maxRounds }},
+	}
+}
+
 // Check returns a UsageError naming every flag set in fs whose rule fails.
 func Check(fs *flag.FlagSet, rules []Rule) error {
 	var bad []string

@@ -10,7 +10,7 @@ import (
 // The paper's orderings (Figures 5 and 6, Tables 3 and 4) as one gate, at
 // the default scale (48 nodes × 64 rounds, CIFAR-like data) on seeds
 // 42–46 and degrees 6 and 10. Each tolerance is a measured margin, not a
-// tuned one; measured on 2 vCPUs, the whole file runs in about 7 s.
+// tuned one; measured on 2 vCPUs, the whole file runs in about 9.5 s.
 //
 // The direction reproduces, the size does not: the paper reports SkipTrain
 // about 6 pp above D-PSGD and SkipTrain-constrained up to 9 pp above
@@ -96,6 +96,43 @@ func TestPaperClaimFigure5SkipTrainVsDPSGD(t *testing.T) {
 				t.Errorf("seed %d degree 6: SkipTrain − D-PSGD = %+.2f pp, want > 0", seed, lead)
 			case deg == 10 && (lead < -tieDeg10PP || lead > tieDeg10PP):
 				t.Errorf("seed %d degree 10: SkipTrain − D-PSGD = %+.2f pp, want within ±%.2f", seed, lead, tieDeg10PP)
+			}
+		}
+	}
+}
+
+// asyncGapPP is the least gap TestPaperClaimAsyncWithinSyncBand takes as
+// the async merge defect still present; the measured gap is 33.3–43.5 pp.
+const asyncGapPP = 20
+
+// TestPaperClaimAsyncWithinSyncBand: "async accuracy is within the sync
+// band on the same trace" — an expected failure. snapshots.merge drops a
+// node's own model from its average (ROADMAP item 3(a)), and on seeds
+// 42–46 at default scale the event engine trails the round engine by
+// 33.3 to 43.5 pp in all 10 (seed, regime) pairs of TableAsyncHarvest
+// (seed 46 diurnal: sync 58.26%, async 24.98%). The test asserts that the
+// gap is there; once a change closes it, the test fails, and item 3's
+// re-pin turns it into the claim itself.
+func TestPaperClaimAsyncWithinSyncBand(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default-scale TableAsyncHarvest on five seeds")
+	}
+	for _, seed := range claimSeeds {
+		rows, err := TableAsyncHarvest(claimOptions(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := map[[2]string]float64{}
+		for _, r := range rows {
+			acc[[2]string{r.Regime, r.Engine}] = r.FinalAcc
+		}
+		for _, regime := range []string{"diurnal", "markov"} {
+			sync, async := acc[[2]string{regime, "sync-round"}], acc[[2]string{regime, "async-event"}]
+			gap := sync - async
+			t.Logf("seed %d %s: sync %.2f%% − async %.2f%% = %+.2f pp", seed, regime, sync, async, gap)
+			if gap <= asyncGapPP {
+				t.Errorf("seed %d %s: async trails sync by %+.2f pp, not the > %d pp of the merge defect: "+
+					"the gap has closed, so ROADMAP item 3(a)'s re-pin must make this test assert the claim", seed, regime, gap, asyncGapPP)
 			}
 		}
 	}

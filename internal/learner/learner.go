@@ -7,6 +7,7 @@ package learner
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"repro/internal/core"
@@ -46,6 +47,8 @@ func (s *Spec) Validate() error {
 	switch {
 	case s.Graph == nil:
 		return fmt.Errorf("nil graph")
+	case s.Graph.N < 1:
+		return fmt.Errorf("graph has no nodes")
 	case s.ModelFactory == nil:
 		return fmt.Errorf("nil model factory")
 	case !(s.LR > 0 && s.LR < math.Inf(1)):
@@ -92,50 +95,52 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Node is one node's learner state; each engine's per-node state embeds a
-// pointer to it.
-type Node struct {
-	Net     *nn.Network
-	Batcher *dataset.Batcher
-	Policy  *rng.RNG // what the participation policy draws from
-}
-
-// Nodes is every node's learner state. Params[i] is Node[i].Net.Params(),
-// node i's only model vector, for good.
+// Nodes is every node's learner state and the networks that run it.
+// Params[i] is node i's model vector x_i, its only model-sized state, for
+// good: a window of one per-run vector whose capacity ends with it. Nets is
+// the free list of worker networks: Train and the evaluator take one, Use
+// a node's model, and put it back.
 type Nodes struct {
-	Node       []Node
 	Params     []tensor.Vector
 	ParamCount int
+	Nets       chan *nn.Network
+	batchers   []dataset.Batcher
+	policy     []rng.RNG // what node i's participation policy draws from
 	forecast   []float64 // node i's forecast window is the i-th ForecastHorizon elements
 }
 
-// NewNodes builds every node: its model under the engine's own salt (which
-// keeps each engine's bits), batcher, policy RNG and forecast window. Every
-// model must have node 0's parameter count. Past the models, nodes cost no
-// allocation of their own: their streams and batchers are per-run slabs.
-func (s *Spec) NewNodes(salt uint64) (Nodes, error) {
+// NewNodes builds min(GOMAXPROCS, N) worker networks with
+// ModelFactory(-1, ·) and every node: its model drawn by Network.Init from
+// its model stream under the engine's own salt (which keeps each engine's
+// bits), its batcher, policy RNG and forecast window, all of them per-run
+// slabs.
+func (s *Spec) NewNodes(salt uint64) Nodes {
 	n := s.Graph.N
-	ns := Nodes{Node: make([]Node, n), Params: make([]tensor.Vector, n)}
-	if s.Forecast != nil {
-		ns.forecast = make([]float64, n*s.ForecastHorizon)
-	}
-	rs := make([]rng.RNG, 3*n)
+	rs := make([]rng.RNG, 3*n+1)
 	for i := range n {
 		rng.DeriveTo(&rs[i], s.Seed, uint64(i), salt)
 		rng.DeriveTo(&rs[n+i], s.Seed, uint64(i), 0xba7c4)
 		rng.DeriveTo(&rs[2*n+i], s.Seed, uint64(i), 0x90a1c)
 	}
-	batchers := dataset.NewBatchers(s.Partition, rs[n:2*n], s.BatchSize)
-	for i := range ns.Node {
-		net := s.ModelFactory(i, &rs[i])
-		if p := net.ParamCount(); i > 0 && p != ns.ParamCount {
-			return Nodes{}, fmt.Errorf("node %d model has %d params, node 0 has %d", i, p, ns.ParamCount)
-		}
-		ns.ParamCount = net.ParamCount()
-		ns.Node[i] = Node{Net: net, Batcher: &batchers[i], Policy: &rs[2*n+i]}
-		ns.Params[i] = net.Params()
+	// A worker's own weights are never read (its first Use makes them its
+	// gradient vector), so they come from a copy of node 0's model stream.
+	rs[3*n] = rs[0]
+	net := s.ModelFactory(-1, &rs[3*n])
+	p := net.ParamCount()
+	ns := Nodes{Params: make([]tensor.Vector, n), ParamCount: p, Nets: make(chan *nn.Network, min(runtime.GOMAXPROCS(0), n)),
+		batchers: dataset.NewBatchers(s.Partition, rs[n:2*n], s.BatchSize), policy: rs[2*n : 3*n]}
+	if s.Forecast != nil {
+		ns.forecast = make([]float64, n*s.ForecastHorizon)
 	}
-	return ns, nil
+	slab := tensor.NewVector(n * p)
+	for i := range n {
+		ns.Params[i] = slab[i*p : (i+1)*p : (i+1)*p]
+		net.Init(ns.Params[i], &rs[i])
+	}
+	for ns.Nets <- net; len(ns.Nets) < cap(ns.Nets); {
+		ns.Nets <- s.ModelFactory(-1, &rs[3*n])
+	}
+	return ns
 }
 
 // Participate asks the policy whether node i trains in ctx, its forecast
@@ -145,16 +150,19 @@ func (s *Spec) Participate(ns *Nodes, i int, ctx core.RoundContext, round int) b
 		ctx.Forecast = ns.forecast[i*h : (i+1)*h : (i+1)*h]
 		s.Forecast.Forecast(i, round, ctx.Forecast)
 	}
-	return s.Algo.Policy.Participate(i, ctx, ns.Node[i].Policy)
+	return s.Algo.Policy.Participate(i, ctx, &ns.policy[i])
 }
 
-// Train runs E local SGD steps (Algorithm 1, lines 4-6) on a network that
-// holds a gradient vector no one else uses meanwhile.
-func (s *Spec) Train(nd *Node) {
+// Train runs E local SGD steps (Algorithm 1, lines 4-6) on node i's model
+// with a worker network from the free list.
+func (s *Spec) Train(ns *Nodes, i int) {
+	net := <-ns.Nets
+	net.Use(ns.Params[i])
 	for e := 0; e < s.LocalSteps; e++ {
-		xs, ys := nd.Batcher.Next(s.BatchSize)
-		nd.Net.TrainBatch(xs, ys, s.LR)
+		xs, ys := ns.batchers[i].Next(s.BatchSize)
+		net.TrainBatch(xs, ys, s.LR)
 	}
+	ns.Nets <- net
 }
 
 // Manifest starts the run's manifest with the fields both engines hash.
@@ -185,7 +193,7 @@ type Evaluator struct {
 	ns        Nodes
 	test      *dataset.Dataset
 	consensus bool
-	global    *nn.Network // holds the mean model; nil when not asked for
+	mean      tensor.Vector // the mean model Score.Global scores; nil when not asked for
 	draw      *rng.RNG
 	xs        []tensor.Vector
 	ys        []int
@@ -195,11 +203,11 @@ type Evaluator struct {
 
 // NewEvaluator scores ns; consensus and global ask for those Score fields.
 func (s *Spec) NewEvaluator(ns Nodes, consensus, global bool) *Evaluator {
-	ev := &Evaluator{Accs: make([]float64, len(ns.Node)), ns: ns, test: s.Test, consensus: consensus,
+	ev := &Evaluator{Accs: make([]float64, len(ns.Params)), ns: ns, test: s.Test, consensus: consensus,
 		draw: rng.Derive(s.Seed, 0xe7a1)}
 	ev.score = ev.scoreNode
 	if global {
-		ev.global = s.ModelFactory(-1, rng.Derive(s.Seed, 0xe7a1, 1))
+		ev.mean = tensor.NewVector(ns.ParamCount)
 	}
 	if k := s.EvalSubsample; k > 0 && k < s.Test.Len() {
 		ev.xs, ev.ys, ev.perm = make([]tensor.Vector, k), make([]int, k), make([]int, s.Test.Len())
@@ -209,8 +217,17 @@ func (s *Spec) NewEvaluator(ns Nodes, consensus, global bool) *Evaluator {
 	return ev
 }
 
+// accuracy scores model x with a worker network from the free list.
+func (ev *Evaluator) accuracy(x tensor.Vector) float64 {
+	net := <-ev.ns.Nets
+	net.Use(x)
+	acc := net.Accuracy(ev.xs, ev.ys)
+	ev.ns.Nets <- net
+	return acc
+}
+
 // scoreNode writes Accs[i] only: nodes score in parallel to the same bits.
-func (ev *Evaluator) scoreNode(i int) { ev.Accs[i] = ev.ns.Node[i].Net.Accuracy(ev.xs, ev.ys) }
+func (ev *Evaluator) scoreNode(i int) { ev.Accs[i] = ev.accuracy(ev.ns.Params[i]) }
 
 // Evaluate draws this evaluation's samples (rng.Perm's draws) and scores.
 func (ev *Evaluator) Evaluate() Score {
@@ -226,9 +243,9 @@ func (ev *Evaluator) Evaluate() Score {
 	if ev.consensus {
 		sc.Consensus = metrics.ConsensusDistance(ev.ns.Params)
 	}
-	if ev.global != nil {
-		tensor.MeanVectorTo(ev.global.Params(), ev.ns.Params)
-		sc.Global = ev.global.Accuracy(ev.xs, ev.ys)
+	if ev.mean != nil {
+		tensor.MeanVectorTo(ev.mean, ev.ns.Params)
+		sc.Global = ev.accuracy(ev.mean)
 	}
 	return sc
 }

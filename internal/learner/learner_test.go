@@ -2,9 +2,11 @@ package learner_test
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/async"
 	"repro/internal/core"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/graph"
 	"repro/internal/harvest"
+	"repro/internal/learner"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -189,15 +192,10 @@ func TestSharedValidation(t *testing.T) {
 			f.battery()
 			*f.forecast = oracle(t)
 		}},
-		{"horizon without a forecaster", "ForecastHorizon 4 given without a Forecast", func(_ *testing.T, f fields) { *f.fhorizon = 4 }},
-		{"models of two sizes", "node 3 model has 45 params, node 0 has 54", func(_ *testing.T, f fields) {
-			*f.factory = func(node int, r *rng.RNG) *nn.Network {
-				if node == 3 {
-					return nn.LogisticRegression(8, 5, r)
-				}
-				return nn.LogisticRegression(8, 6, r)
-			}
+		{"empty graph", "graph has no nodes", func(_ *testing.T, f fields) {
+			*f.graph, *f.part, *f.devices = &graph.Graph{}, dataset.Partition{}, nil
 		}},
+		{"horizon without a forecaster", "ForecastHorizon 4 given without a Forecast", func(_ *testing.T, f fields) { *f.fhorizon = 4 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newWorld(t, 4)
@@ -225,5 +223,41 @@ func TestSharedValidation(t *testing.T) {
 				t.Fatalf("sim.Run: %q, async.Run: %q; want one message containing %q after each engine's prefix", serr, aerr, tc.want)
 			}
 		})
+	}
+}
+
+// NewNodes makes every node's model a window of one vector, in node order
+// and with its capacity ending where the next begins, holding the weights a
+// network of the node's own drew from its model stream; the worker networks
+// wait in the free list, one per GOMAXPROCS. Training and scoring through
+// them leaves the other nodes' windows alone.
+func TestNodesAreWindowsOfOneVector(t *testing.T) {
+	w := newWorld(t, 5)
+	sc := simConfig(w, 5)
+	spec := learner.Spec{Graph: sc.Graph, Algo: sc.Algo, ModelFactory: model, LR: sc.LR,
+		BatchSize: sc.BatchSize, LocalSteps: sc.LocalSteps, Partition: sc.Partition, Test: sc.Test, Seed: 5}
+	const salt, workers = 0x1417, 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	ns := spec.NewNodes(salt)
+	if len(ns.Nets) != workers || ns.ParamCount != 54 {
+		t.Fatalf("%d worker networks, %d parameters; want %d and 54", len(ns.Nets), ns.ParamCount, workers)
+	}
+	p := ns.ParamCount
+	for i, x := range ns.Params {
+		if len(x) != p || cap(x) != p {
+			t.Fatalf("node %d: model has len %d, cap %d; want %d", i, len(x), cap(x), p)
+		}
+		if i > 0 && uintptr(unsafe.Pointer(&x[0])) != uintptr(unsafe.Pointer(&ns.Params[i-1][0]))+uintptr(8*p) {
+			t.Fatalf("node %d: model does not follow node %d's in one vector", i, i-1)
+		}
+		if own := model(i, rng.Derive(5, uint64(i), salt)).Params(); !slices.Equal(x, own) {
+			t.Fatalf("node %d: model differs from the one its own network draws", i)
+		}
+	}
+	before := slices.Clone(ns.Params[4])
+	spec.Train(&ns, 3)
+	spec.Train(&ns, 5)
+	if !slices.Equal(ns.Params[4], before) || len(ns.Nets) != workers {
+		t.Fatal("training nodes 3 and 5 wrote node 4's model, or kept a worker network")
 	}
 }

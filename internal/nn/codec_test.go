@@ -20,7 +20,7 @@ import (
 //
 // Only parameters are stored — architecture is code, so the reader validates
 // the parameter count against the receiving network (Network.Params is the
-// vector to write, SetParams takes the one read). The tests pin the flat
+// vector to write, Use takes the one read). The tests pin the flat
 // parameter layout through this format (testdata/mini_gnlenet_stepped.skpt).
 
 const (

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/rng"
@@ -16,7 +17,7 @@ type Conv2D struct {
 	outC, kH, kW  int
 	pad           int
 	outH, outW    int
-	r             *rng.RNG      // draws the initial kernels in Bind
+	r             *rng.RNG      // the stream New draws the initial kernels from
 	K             tensor.Vector // kernels, len outC*inC*kH*kW
 	B             tensor.Vector // len outC
 	gK, gB        tensor.Vector
@@ -130,16 +131,23 @@ func (l *Conv2D) Backward(dOut tensor.Vector) tensor.Vector {
 
 func (l *Conv2D) ParamSize() int { return l.outC*l.inC*l.kH*l.kW + l.outC }
 
-func (l *Conv2D) bindGrads(grads tensor.Vector) { l.gK, l.gB = grads[:len(l.K)], grads[len(l.K):] }
-
-func (l *Conv2D) Bind(params, work tensor.Vector) {
-	nk := len(params) - l.outC
-	l.K, l.B = params[:nk:nk], params[nk:]
-	normalInit(l.K, 2.0/float64(l.inC*l.kH*l.kW), l.r)
+func (l *Conv2D) Bind(work tensor.Vector) {
 	l.outBuf = take(&work, l.OutSize())
 	if !l.first {
 		l.dIn = work
 	}
+}
+
+func (l *Conv2D) use(params tensor.Vector) {
+	nk := len(params) - l.outC
+	l.K, l.B = params[:nk:nk], params[nk:]
+}
+
+func (l *Conv2D) bindGrads(grads tensor.Vector) { l.gK, l.gB = grads[:len(l.K)], grads[len(l.K):] }
+
+func (l *Conv2D) init(r *rng.RNG) {
+	normalInit(l.K, 2.0/float64(l.inC*l.kH*l.kW), cmp.Or(r, l.r))
+	clear(l.B)
 }
 
 // MaxPool2D is a max-pooling layer with square window and equal stride
@@ -171,7 +179,7 @@ func (l *MaxPool2D) OutSize() int   { return l.c * l.outH * l.outW }
 func (l *MaxPool2D) ParamSize() int { return 0 }
 func (l *MaxPool2D) WorkSize() int  { return 2*l.OutSize() + l.InSize() }
 
-func (l *MaxPool2D) Bind(_, work tensor.Vector) {
+func (l *MaxPool2D) Bind(work tensor.Vector) {
 	n := l.OutSize()
 	l.outBuf, l.argmax = take(&work, n), take(&work, n)
 	l.dIn = work

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"cmp"
+
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -12,9 +14,9 @@ type Dense struct {
 	in, out  int
 	withBias bool
 	glorot   bool          // Glorot-normal weights: the classifier of LogisticRegression and MLP
-	r        *rng.RNG      // draws the initial weights in Bind
+	r        *rng.RNG      // the stream New draws the initial weights from
 	W        tensor.Matrix // out x in; a header over the network's vector, held by value
-	B        tensor.Vector // nil when bias is disabled
+	B        tensor.Vector // empty when bias is disabled
 	gW       tensor.Matrix
 	gB       tensor.Vector // empty when bias is disabled
 
@@ -27,7 +29,8 @@ type Dense struct {
 // NewDense returns a Dense layer whose weights New draws He-normal from r,
 // the right default for ReLU networks. Pass withBias=false to omit the bias.
 func NewDense(in, out int, withBias bool, r *rng.RNG) *Dense {
-	return &Dense{in: in, out: out, withBias: withBias, r: r}
+	return &Dense{in: in, out: out, withBias: withBias, r: r,
+		W: tensor.Matrix{Rows: out, Cols: in}, gW: tensor.Matrix{Rows: out, Cols: in}}
 }
 
 func (l *Dense) InSize() int   { return l.in }
@@ -45,7 +48,7 @@ func (l *Dense) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("Dense", len(in), l.in)
 	l.lastIn = in
 	tensor.MatVecTo(l.outBuf, &l.W, in)
-	if l.B != nil {
+	if l.withBias {
 		for i := range l.outBuf {
 			l.outBuf[i] += l.B[i]
 		}
@@ -56,7 +59,7 @@ func (l *Dense) Forward(in tensor.Vector) tensor.Vector {
 func (l *Dense) Backward(dOut tensor.Vector) tensor.Vector {
 	checkSize("Dense", len(dOut), l.out)
 	tensor.OuterAcc(&l.gW, dOut, l.lastIn)
-	if l.B != nil {
+	if l.withBias {
 		tensor.AXPY(l.gB, 1, dOut)
 	}
 	if l.first {
@@ -73,27 +76,30 @@ func (l *Dense) ParamSize() int {
 	return l.out * l.in
 }
 
-func (l *Dense) Bind(params, work tensor.Vector) {
-	nw := l.out * l.in
-	l.W = tensor.Matrix{Rows: l.out, Cols: l.in, Data: params[:nw:nw]}
-	if l.glorot {
-		l.r.SkipNormals(nw) // the stream position these models' Glorot weights are pinned at
-		normalInit(l.W.Data, 2.0/float64(l.in+l.out), l.r)
-	} else {
-		normalInit(l.W.Data, 2.0/float64(l.in), l.r)
-	}
-	if l.withBias {
-		l.B = params[nw:]
-	}
+func (l *Dense) Bind(work tensor.Vector) {
 	l.outBuf = take(&work, l.out)
 	if !l.first {
 		l.dIn = work
 	}
 }
 
+// use and bindGrads split at out*in: weights, then the bias (empty without).
+func (l *Dense) use(params tensor.Vector) {
+	l.W.Data, l.B = params[:l.out*l.in:l.out*l.in], params[l.out*l.in:]
+}
+
 func (l *Dense) bindGrads(grads tensor.Vector) {
-	nw := l.out * l.in
-	l.gW, l.gB = tensor.Matrix{Rows: l.out, Cols: l.in, Data: grads[:nw]}, grads[nw:]
+	l.gW.Data, l.gB = grads[:l.out*l.in], grads[l.out*l.in:]
+}
+
+func (l *Dense) init(r *rng.RNG) {
+	r, variance := cmp.Or(r, l.r), 2.0/float64(l.in)
+	if l.glorot {
+		r.SkipNormals(len(l.W.Data)) // the stream position these models' Glorot weights are pinned at
+		variance = 2.0 / float64(l.in+l.out)
+	}
+	normalInit(l.W.Data, variance, r)
+	clear(l.B)
 }
 
 // normalInit fills w with N(0, variance) weights: He-normal at 2/fanIn,

@@ -9,7 +9,9 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -45,7 +47,7 @@ func blocks(net *Network) [][]float64 {
 		switch l := l.(type) {
 		case *Dense:
 			out = append(out, l.W.Data)
-			if l.B != nil {
+			if l.withBias {
 				out = append(out, l.B)
 			}
 		case *Conv2D:
@@ -58,8 +60,8 @@ func blocks(net *Network) [][]float64 {
 }
 
 // TestNetworkFlatViews pins the flat layout: every layer's parameters are
-// windows of Network.Params in checkpoint order, a SetParams is visible
-// in each of them, and the bytes writeVector writes — at initialisation and
+// windows of Network.Params in checkpoint order, a vector passed to Use
+// shows in each of them, and the bytes writeVector writes — at initialisation and
 // after a training step — are the ones the per-layer implementation wrote
 // (digests recorded at commit 968df6c, before the layout changed).
 func TestNetworkFlatViews(t *testing.T) {
@@ -96,14 +98,14 @@ func TestNetworkFlatViews(t *testing.T) {
 			for i := range ramp {
 				ramp[i] = float64(i)
 			}
-			net.SetParams(ramp)
+			net.Use(ramp)
 			off := 0
 			for k, b := range blocks(net) {
 				if &b[0] != &net.Params()[off] {
 					t.Fatalf("block %d is not the window of Params at %d", k, off)
 				}
 				if b[0] != float64(off) || b[len(b)-1] != float64(off+len(b)-1) {
-					t.Fatalf("block %d does not show SetParams: [%v..%v] at offset %d", k, b[0], b[len(b)-1], off)
+					t.Fatalf("block %d does not show the vector in use: [%v..%v] at offset %d", k, b[0], b[len(b)-1], off)
 				}
 				off += len(b)
 			}
@@ -134,7 +136,7 @@ func TestFlatLayoutLoadsOldParameterFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded.SetParams(params)
+	loaded.Use(params)
 	if !bytes.Equal(savedBytes(t, loaded), old) {
 		t.Fatal("old parameter file does not round-trip through the flat layout")
 	}
@@ -170,7 +172,7 @@ func TestModelTrafficAllocatesNothing(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"TrainBatch":   func() { net.TrainBatch(xs, ys, 0.05) },
 		"CopyParamsTo": func() { net.CopyParamsTo(buf) },
-		"SetParams":    func() { net.SetParams(buf) },
+		"Use":          func() { net.Use(buf) },
 	} {
 		fn() // warm-up: the first train step allocates the gradient vector
 		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
@@ -183,7 +185,7 @@ func sameBits(a, b tensor.Vector) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// testNets are the architectures the mix and lending tests run on: every
+// testNets are the architectures the mix and Use tests run on: every
 // parameterised layer kind, with and without a layer below it.
 var testNets = map[string]func(seed uint64) *Network{
 	"logreg":   func(s uint64) *Network { return LogisticRegression(32, 10, rng.New(s)) },
@@ -197,8 +199,8 @@ var testNets = map[string]func(seed uint64) *Network{
 
 // mixAll is Mix over the whole parameter range with scratch of its own.
 func mixAll(rows []MixRow) {
-	p := rows[0].Net.ParamCount()
-	Mix(rows, 0, p, tensor.NewVector(len(rows)*min(MixBlock, p)), make([]tensor.Vector, 8))
+	p := len(rows[0].X)
+	Mix(rows, 0, p, tensor.NewVector(len(rows)*MixBlockLen(p)), make([]tensor.Vector, 8))
 }
 
 // TestMixInPlace pins what Mix does to the one model vector: the W-weighted
@@ -216,7 +218,7 @@ func TestMixInPlace(t *testing.T) {
 			weights := []float64{0.5, 0.3, 0.2}
 			model := net.Params()
 			others := []tensor.Vector{build(8).Params(), build(9).Params()}
-			rows := []MixRow{{net, weights, []tensor.Vector{model, others[0], others[1]}}}
+			rows := []MixRow{{model, weights, []tensor.Vector{model, others[0], others[1]}}}
 			kept := []tensor.Vector{others[0].Clone(), others[1].Clone()}
 			for mixes := 1; mixes <= 2; mixes++ {
 				want := tensor.NewVector(len(model))
@@ -245,7 +247,7 @@ func TestMixInPlace(t *testing.T) {
 				if off != len(got) {
 					t.Fatalf("mix %d: blocks cover %d of %d parameters", mixes, off, len(got))
 				}
-				fresh.SetParams(want)
+				fresh.Use(want)
 				if !sameBits(net.Forward(xs[0]), fresh.Forward(xs[0])) || net.Accuracy(xs, ys) != fresh.Accuracy(xs, ys) {
 					t.Fatalf("mix %d: Forward does not run on the mixed model", mixes)
 				}
@@ -256,7 +258,7 @@ func TestMixInPlace(t *testing.T) {
 				}
 			}
 
-			sums, ops := tensor.NewVector(min(MixBlock, len(model))), make([]tensor.Vector, 3)
+			sums, ops := tensor.NewVector(MixBlockLen(len(model))), make([]tensor.Vector, 3)
 			if allocs := testing.AllocsPerRun(20, func() { Mix(rows, 0, len(model), sums, ops) }); allocs != 0 {
 				t.Errorf("Mix allocates %v objects per call", allocs)
 			}
@@ -281,9 +283,9 @@ func TestMixInPlace(t *testing.T) {
 				a, b, c := build(11), build(12), build(13)
 				pa, pb, pc := a.Params().Clone(), b.Params().Clone(), c.Params().Clone()
 				three := []MixRow{
-					{a, []float64{0.6, 0.4}, []tensor.Vector{a.Params(), b.Params()}},
-					{b, []float64{0.7, 0.3}, []tensor.Vector{b.Params(), a.Params()}},
-					{Net: c},
+					{a.Params(), []float64{0.6, 0.4}, []tensor.Vector{a.Params(), b.Params()}},
+					{b.Params(), []float64{0.7, 0.3}, []tensor.Vector{b.Params(), a.Params()}},
+					{X: c.Params()},
 				}
 				for k := 1; k < len(cuts); k++ {
 					Mix(three, cuts[k-1], cuts[k], tensor.NewVector(3*MixBlock), make([]tensor.Vector, 2))
@@ -309,49 +311,150 @@ func trainSteps(net *Network, xs []tensor.Vector, ys []int) (losses [3]float64) 
 	return losses
 }
 
-// TestLentGradsMatchOwned: New allocates no gradient vector; a network
-// trains into one it was lent, or into its own from the first accumulation
-// on, to the same bits; two networks taking turns on one lent vector match
-// two that each own theirs; and lending allocates nothing.
-func TestLentGradsMatchOwned(t *testing.T) {
+// TestUseMatchesOwned: New allocates no gradient vector; one network that
+// Uses two models in turn, windows of one vector, trains each to the bits
+// two networks that own theirs reach, into one gradient vector, its own
+// former parameters; every parameter block is then a window of the model
+// in use; and Use allocates nothing and refuses a vector of another
+// length.
+func TestUseMatchesOwned(t *testing.T) {
 	for name, build := range testNets {
 		t.Run(name, func(t *testing.T) {
 			xs, ys := toyBatch(rng.New(5), 32, 10, 6)
-			ownA, ownB, lentA, lentB := build(7), build(8), build(7), build(8)
-			if ownA.grads != nil {
+			ownA, ownB, worker := build(7), build(8), build(1)
+			if ownA.grads != nil || worker.grads != nil {
 				t.Fatal("New allocated a gradient vector")
 			}
+			p := ownA.ParamCount()
+			slab := tensor.NewVector(2 * p)
+			a, b := slab[:p:p], slab[p:]
+			copy(a, ownA.Params())
+			copy(b, ownB.Params())
 
-			g := tensor.NewVector(ownA.ParamCount())
-			lentA.LendGrads(g)
-			if trainSteps(ownA, xs, ys) != trainSteps(lentA, xs, ys) || !sameBits(ownA.Params(), lentA.Params()) {
-				t.Fatal("training into a lent gradient vector differs from training into an owned one")
-			}
-			if len(ownA.grads) != ownA.ParamCount() || &lentA.grads[0] != &g[0] {
-				t.Fatal("the owning network has no gradient vector of its own, or the lent one is not in use")
-			}
-
+			grads := worker.Params()
 			for turn := 0; turn < 3; turn++ {
-				lentA.LendGrads(g)
-				la, oa := trainSteps(lentA, xs, ys), trainSteps(ownA, xs, ys)
-				lentB.LendGrads(g)
-				lb, ob := trainSteps(lentB, xs, ys), trainSteps(ownB, xs, ys)
-				if la != oa || lb != ob || !sameBits(lentA.Params(), ownA.Params()) || !sameBits(lentB.Params(), ownB.Params()) {
-					t.Fatalf("turn %d: two networks sharing one lent vector differ from two owning theirs", turn)
+				worker.Use(a)
+				la, oa := trainSteps(worker, xs, ys), trainSteps(ownA, xs, ys)
+				worker.Use(b)
+				lb, ob := trainSteps(worker, xs, ys), trainSteps(ownB, xs, ys)
+				if la != oa || lb != ob || !sameBits(a, ownA.Params()) || !sameBits(b, ownB.Params()) {
+					t.Fatalf("turn %d: one network training two models in turn differs from two owning theirs", turn)
+				}
+				if len(worker.grads) != p || &worker.grads[0] != &grads[0] {
+					t.Fatalf("turn %d: the gradient vector is not the network's own former parameters", turn)
 				}
 			}
-			if allocs := testing.AllocsPerRun(20, func() { lentA.LendGrads(g) }); allocs != 0 {
-				t.Errorf("LendGrads allocates %v objects per call", allocs)
+			if got := worker.Params(); &got[0] != &b[0] || len(got) != p {
+				t.Fatal("Params is not the model in use")
+			}
+			off := 0
+			for k, blk := range blocks(worker) {
+				if &blk[0] != &b[off] || cap(blk) != len(blk) {
+					t.Fatalf("block %d is not a window of the model in use at %d", k, off)
+				}
+				off += len(blk)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { worker.Use(a) }); allocs != 0 {
+				t.Errorf("Use allocates %v objects per call", allocs)
 			}
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Error("LendGrads accepted a vector of the wrong length")
+						t.Error("Use accepted a vector of the wrong length")
 					}
 				}()
-				lentA.LendGrads(g[1:])
+				worker.Use(slab[1 : p+2])
 			}()
 		})
+	}
+}
+
+// TestInitMatchesConstructor: Init draws into any vector, whatever it held,
+// the bits the constructor draws from a stream in the same state, and
+// leaves the stream where the constructor does, for the paper's two CNNs
+// and the simulator's models; it allocates nothing.
+func TestInitMatchesConstructor(t *testing.T) {
+	for name, build := range map[string]func(r *rng.RNG) *Network{
+		"logreg":  func(r *rng.RNG) *Network { return LogisticRegression(32, 10, r) },
+		"mlp":     func(r *rng.RNG) *Network { return MLP(32, []int{64, 16}, 10, r) },
+		"cifar":   CIFARGNLeNet,
+		"femnist": FEMNISTCNN,
+	} {
+		t.Run(name, func(t *testing.T) {
+			built, rb := build(rng.New(21)), rng.New(21)
+			want := built.Params()
+			built = build(rb) // rb now stands where the constructor leaves it
+			worker := build(rng.New(3))
+			x := tensor.NewVector(len(want))
+			for i := range x {
+				x[i] = math.NaN()
+			}
+			ri := rng.New(21)
+			worker.Init(x, ri)
+			if !sameBits(x, want) || !sameBits(built.Params(), want) {
+				t.Fatal("Init drew other bits than the constructor")
+			}
+			if ri.Uint64() != rb.Uint64() {
+				t.Fatal("Init left the stream elsewhere than the constructor")
+			}
+			if &worker.Params()[0] != &x[0] {
+				t.Fatal("Init did not use the vector it drew into")
+			}
+			if allocs := testing.AllocsPerRun(2, func() { worker.Init(x, ri) }); allocs != 0 {
+				t.Errorf("Init allocates %v objects per call", allocs)
+			}
+		})
+	}
+}
+
+// TestParallelTrainingOnSlabWindows: eight models that are adjacent windows
+// of one vector, trained concurrently by three networks shared through a
+// free list, end with the bits eight networks that own their models reach
+// one after another, at GOMAXPROCS 1 and 8; under -race, no two trainings
+// touch the same memory.
+func TestParallelTrainingOnSlabWindows(t *testing.T) {
+	const nodes, workers = 8, 3
+	build := func(r *rng.RNG) *Network { return MLP(32, []int{16}, 10, r) }
+	xs, ys := toyBatch(rng.New(5), 32, 10, 6)
+	want := make([]tensor.Vector, nodes)
+	for i := range want {
+		net := build(rng.New(uint64(100 + i)))
+		trainSteps(net, xs, ys)
+		want[i] = net.Params()
+	}
+	for _, procs := range []int{1, 8} {
+		old := runtime.GOMAXPROCS(procs)
+		free := make(chan *Network, workers)
+		for range workers {
+			free <- build(rng.New(1))
+		}
+		p := len(want[0])
+		slab := tensor.NewVector(nodes * p)
+		models := make([]tensor.Vector, nodes)
+		for i := range models {
+			models[i] = slab[i*p : (i+1)*p : (i+1)*p]
+			net := <-free
+			net.Init(models[i], rng.New(uint64(100+i)))
+			free <- net
+		}
+		var wg sync.WaitGroup
+		for i := range models {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				net := <-free
+				net.Use(models[i])
+				trainSteps(net, xs, ys)
+				free <- net
+			}()
+		}
+		wg.Wait()
+		runtime.GOMAXPROCS(old)
+		for i := range models {
+			if !sameBits(models[i], want[i]) {
+				t.Errorf("GOMAXPROCS %d: node %d differs from a network that owns its model", procs, i)
+			}
+		}
 	}
 }
 

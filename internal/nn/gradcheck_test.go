@@ -19,15 +19,15 @@ func numericalGrad(net *Network, xs []tensor.Vector, ys []int) tensor.Vector {
 	for i := 0; i < n; i++ {
 		orig := params[i]
 		params[i] = orig + h
-		net.SetParams(params)
+		net.Use(params)
 		lossPlus := meanLoss(net, xs, ys)
 		params[i] = orig - h
-		net.SetParams(params)
+		net.Use(params)
 		lossMinus := meanLoss(net, xs, ys)
 		params[i] = orig
 		grad[i] = (lossPlus - lossMinus) / (2 * h)
 	}
-	net.SetParams(params)
+	net.Use(params)
 	return grad
 }
 

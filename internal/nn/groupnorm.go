@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -115,14 +116,19 @@ func (l *GroupNorm) Backward(dOut tensor.Vector) tensor.Vector {
 
 func (l *GroupNorm) ParamSize() int { return 2 * l.c }
 
-func (l *GroupNorm) Bind(params, work tensor.Vector) {
+func (l *GroupNorm) Bind(work tensor.Vector) {
 	n := l.InSize()
-	l.gamma, l.beta = params[:l.c:l.c], params[l.c:]
 	l.xhat, l.invStd, l.outBuf = take(&work, n), take(&work, l.groups), take(&work, n)
 	l.dIn = work
+}
+
+func (l *GroupNorm) use(params tensor.Vector) { l.gamma, l.beta = params[:l.c:l.c], params[l.c:] }
+
+func (l *GroupNorm) bindGrads(grads tensor.Vector) { l.gGamma, l.gBeta = grads[:l.c], grads[l.c:] }
+
+func (l *GroupNorm) init(*rng.RNG) {
 	for i := range l.gamma {
 		l.gamma[i] = 1
 	}
+	clear(l.beta)
 }
-
-func (l *GroupNorm) bindGrads(grads tensor.Vector) { l.gGamma, l.gBeta = grads[:l.c], grads[l.c:] }

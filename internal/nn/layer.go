@@ -5,9 +5,9 @@
 //
 // The library works one sample at a time with manual backpropagation; a
 // batch is a loop that accumulates gradients. This keeps layers simple and
-// allocation-free after construction, which matters when 256 simulated
-// nodes each own a model. Networks are NOT safe for concurrent use; in the
-// simulator every node goroutine owns its own Network.
+// allocation-free after construction. Networks are NOT safe for concurrent
+// use; in the simulator each worker owns one and runs node after node
+// through it (Use).
 //
 // # Flat parameter layout
 //
@@ -16,17 +16,23 @@
 // parameters, then the softmax scratch, then every layer's buffers (its
 // output and input gradient, and GroupNorm's and MaxPool2D's scratch),
 // each a window whose capacity ends where the next begins.
-// New binds every parameterised layer to its window of the parameters, in
+// Every parameterised layer works on its window of a model vector, in
 // layer order and, within a layer, weights before bias (Dense W then B,
-// Conv2D K then B, GroupNorm gamma then beta), and the layer draws its
-// initial weights there — so the constructors' RNG is consumed by New, in
-// layer order. The parameters are the model x_i the nodes exchange and a
-// parameter file stores, so CopyParamsTo, SetParams and the SGD update are
-// one pass over one slice, and a write through SetParams is at once visible
-// to every layer. Only nn writes them — TrainBatch, SetParams and Mix,
-// which averages neighborhoods in place — whereas Params hands out the same
-// memory read-only. They are a node's only model-sized state: gradients,
-// laid out the same way, go into a vector the network is lent (LendGrads).
+// Conv2D K then B, GroupNorm gamma then beta). New points the layers at
+// the network's own parameters and draws the initial weights there, from
+// the constructors' RNG in layer order; Init draws the same weights from a
+// given stream into any vector. The parameters are the model x_i the nodes
+// exchange and a parameter file stores, so CopyParamsTo and the SGD update
+// are one pass over one slice.
+//
+// Use re-points every layer's window into another vector of the same
+// length, so one network trains and scores many models in turn and a
+// node is its model vector alone (learner.NewNodes). Only nn writes a
+// model — TrainBatch and Mix, which averages neighborhoods in place —
+// whereas Params hands out the vector in use read-only. Gradients, laid
+// out the same way, go into a vector the network keeps: its own former
+// parameters once it Uses another vector, else one allocated at its first
+// train step.
 //
 // Between Forward and Backward, Dense and Conv2D hold the slice they were
 // given, not a copy: a sample or the buffer of the layer below, neither of
@@ -37,6 +43,7 @@ package nn
 import (
 	"fmt"
 
+	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -58,14 +65,20 @@ type Layer interface {
 	// length of the buffers Forward and Backward write.
 	ParamSize() int
 	WorkSize() int
-	// Bind gives the layer its storage, two windows of its network's
-	// vector: params, of length ParamSize, becomes its parameters and it
-	// initialises them there; work, of length WorkSize, becomes its
-	// buffers. New calls it once, in layer order; a layer cannot run before
-	// that. A layer with parameters also has the unexported bindGrads,
-	// through which LendGrads hands it the window of the gradient vector
-	// Backward accumulates into.
-	Bind(params, work tensor.Vector)
+	// Bind gives the layer its buffers: work, of length WorkSize, a window
+	// of its network's vector. New calls it once, in layer order; a layer
+	// cannot run before that. A layer with parameters is also a paramLayer.
+	Bind(work tensor.Vector)
+}
+
+// paramLayer is a layer with parameters. use and bindGrads point it at its
+// windows of a model vector and of the gradient vector; init writes initial
+// parameters into the window in use, drawing from r or, when r is nil,
+// from the stream the layer was built on.
+type paramLayer interface {
+	use(params tensor.Vector)
+	bindGrads(grads tensor.Vector)
+	init(r *rng.RNG)
 }
 
 // ReLU applies max(0, x) element-wise.
@@ -77,11 +90,11 @@ type ReLU struct {
 // NewReLU returns a ReLU over vectors of length n.
 func NewReLU(n int) *ReLU { return &ReLU{n: n} }
 
-func (l *ReLU) InSize() int                { return l.n }
-func (l *ReLU) OutSize() int               { return l.n }
-func (l *ReLU) ParamSize() int             { return 0 }
-func (l *ReLU) WorkSize() int              { return 2 * l.n }
-func (l *ReLU) Bind(_, work tensor.Vector) { l.out, l.dIn = work[:l.n:l.n], work[l.n:] }
+func (l *ReLU) InSize() int             { return l.n }
+func (l *ReLU) OutSize() int            { return l.n }
+func (l *ReLU) ParamSize() int          { return 0 }
+func (l *ReLU) WorkSize() int           { return 2 * l.n }
+func (l *ReLU) Bind(work tensor.Vector) { l.out, l.dIn = work[:l.n:l.n], work[l.n:] }
 
 func (l *ReLU) Forward(in tensor.Vector) tensor.Vector {
 	checkSize("ReLU", len(in), l.n)

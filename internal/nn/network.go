@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
@@ -15,16 +16,18 @@ func exp(x float64) float64  { return math.Exp(x) }
 // Section 4.2). The zero value is not usable; build with New.
 type Network struct {
 	layers []Layer
-	// params and grads hold every layer's block back to back, in layer order;
-	// the layers work on windows of them. grads is nil until it is needed.
+	// params (the model in use, see Use) and grads hold every layer's block
+	// back to back, in layer order; the layers work on windows of them.
+	// grads is nil until the first train step or the first Use of another
+	// vector.
 	params, grads tensor.Vector
 	probs         tensor.Vector // softmax scratch, len = class count
 }
 
 // New builds a network: it validates that consecutive layer sizes chain,
 // allocates the parameters, the softmax scratch and every layer's buffers
-// as one vector — no gradient vector, see LendGrads — and binds each layer
-// to its windows of it in layer order (which is when weights are drawn).
+// as one vector — no gradient vector, see ZeroGrads — binds each layer to
+// its windows of it and draws the initial weights, in layer order.
 // Nothing reads the first layer's input gradient: it is skipped.
 func New(layers ...Layer) *Network {
 	if len(layers) == 0 {
@@ -48,9 +51,45 @@ func New(layers ...Layer) *Network {
 	params := take(&buf, size)
 	n := &Network{layers: layers, params: params, probs: take(&buf, classes)}
 	for _, l := range layers {
-		l.Bind(take(&params, l.ParamSize()), take(&buf, l.WorkSize()))
+		l.Bind(take(&buf, l.WorkSize()))
 	}
+	n.Init(params, nil)
 	return n
+}
+
+// Use makes x, of length ParamCount, the model the network runs, trains
+// and hands out as Params: every layer's parameter window is re-pointed
+// into x, in the layout New gave the network's own. When x is first
+// another vector and the network has no gradient vector yet, its own
+// parameters become its gradient vector, so a worker network costs one
+// model vector, not two: a caller must not read or Use them after that.
+// It allocates nothing.
+func (n *Network) Use(x tensor.Vector) {
+	checkSize("Network params", len(x), len(n.params))
+	if n.grads == nil && len(x) > 0 && &x[0] != &n.params[0] {
+		n.grads = n.params
+		n.each(n.grads, paramLayer.bindGrads)
+	}
+	n.params = x
+	n.each(x, paramLayer.use)
+}
+
+// Init uses x and writes initial parameters into it, layer by layer as New
+// does, drawing every layer's weights from r: for a network whose layers
+// were all built on one stream, these are the bits New drew from that
+// stream in the same state. It allocates nothing.
+func (n *Network) Init(x tensor.Vector, r *rng.RNG) {
+	n.Use(x)
+	n.each(x, func(p paramLayer, _ tensor.Vector) { p.init(r) })
+}
+
+// each hands every parameterised layer its window of v, in layer order.
+func (n *Network) each(v tensor.Vector, fn func(paramLayer, tensor.Vector)) {
+	for _, l := range n.layers {
+		if p, ok := l.(paramLayer); ok {
+			fn(p, take(&v, l.ParamSize()))
+		}
+	}
 }
 
 // InSize returns the flat input length the network expects.
@@ -63,10 +102,10 @@ func (n *Network) OutSize() int { return n.layers[len(n.layers)-1].OutSize() }
 // Table 1 in the paper.
 func (n *Network) ParamCount() int { return len(n.params) }
 
-// Params returns the model vector x_i itself, not a copy: the same slice
-// for the network's life. It changes whenever the network trains or SetParams
-// or Mix runs; only the network's owner writes it in place (async's merge,
-// the evaluator's mean model), and everyone else reads it only.
+// Params returns the model vector in use, not a copy: the network's own
+// or the last one passed to Use. It changes whenever the network trains or
+// Mix runs; only the vector's owner writes it in place (async's merge, the
+// rejoin rule), and everyone else reads it only.
 func (n *Network) Params() tensor.Vector { return n.params }
 
 // Forward runs the network and returns the logits (an internal buffer).
@@ -79,43 +118,45 @@ func (n *Network) Forward(x tensor.Vector) tensor.Vector {
 }
 
 // CopyParamsTo serializes all parameters into dst, which must have length
-// ParamCount. This is the model vector x_i that nodes exchange.
+// ParamCount. This is the model vector x_i that nodes exchange; Use runs
+// the network on such a vector, a loaded parameter file among them.
 func (n *Network) CopyParamsTo(dst tensor.Vector) {
 	checkSize("Network params", len(dst), len(n.params))
 	copy(dst, n.params)
 }
 
-// SetParams loads all parameters from src (length ParamCount), the inverse
-// of CopyParamsTo. Aggregated neighbor averages re-enter the model here.
-func (n *Network) SetParams(src tensor.Vector) {
-	checkSize("Network params", len(src), len(n.params))
-	copy(n.params, src)
-}
-
-// MixBlock is how many elements of every model Mix sums before it writes
-// them back. With 16 nodes of a few hundred parameters (a Γ-grid cell) a
-// longer scratch is more memory than the gradient vectors LendGrads saves.
+// MixBlock bounds how many elements of every model Mix sums before it
+// writes them back. With 16 nodes of a few hundred parameters (a Γ-grid
+// cell) a longer scratch is more memory than the models themselves.
 const MixBlock = 256
 
-// MixRow has Mix make Net's model sum_k W[k]*V[k], or with no operands keep it.
+// MixBlockLen is the block Mix cuts a span of n elements into: equal
+// blocks of at most MixBlock, so 330 elements mix as 165 + 165.
+func MixBlockLen(n int) int {
+	k := (n-1)/MixBlock + 1
+	return (n + k - 1) / k
+}
+
+// MixRow has Mix make X sum_k W[k]*V[k], or with no operands keep it.
 type MixRow struct {
-	Net *Network
-	W   []float64
-	V   []tensor.Vector
+	X tensor.Vector
+	W []float64
+	V []tensor.Vector
 }
 
 // Mix is Algorithm 1's aggregation (line 8) over elements [lo, hi) of every
-// row's network at once, each summed in operand order (tensor.WeightedSumTo).
+// row's model at once, each summed in operand order (tensor.WeightedSumTo).
 // It sums a block for every row, into sums, before it writes that block to
-// any network: by then nothing has the block left to read, so operands may
-// be the networks' own Params and the mix is in place. sums holds
-// len(rows)*min(MixBlock, hi-lo) elements, ops as many as the longest V.
+// any model: by then nothing has the block left to read, so operands may
+// be the rows' own models and the mix is in place. sums holds
+// len(rows)*MixBlockLen(hi-lo) elements, ops as many as the longest V.
 func Mix(rows []MixRow, lo, hi int, sums tensor.Vector, ops []tensor.Vector) {
-	for ; lo < hi; lo += MixBlock {
-		n := min(MixBlock, hi-lo)
+	block := MixBlockLen(hi - lo)
+	for ; lo < hi; lo += block {
+		n := min(block, hi-lo)
 		for i, row := range rows {
 			for k, v := range row.V {
-				checkSize("Mix operand", len(v), len(row.Net.params))
+				checkSize("Mix operand", len(v), len(row.X))
 				ops[k] = v[lo : lo+n]
 			}
 			if len(row.V) > 0 {
@@ -124,30 +165,20 @@ func Mix(rows []MixRow, lo, hi int, sums tensor.Vector, ops []tensor.Vector) {
 		}
 		for i, row := range rows {
 			if len(row.V) > 0 {
-				copy(row.Net.params[lo:lo+n], sums[i*n:(i+1)*n])
+				copy(row.X[lo:lo+n], sums[i*n:(i+1)*n])
 			}
 		}
 	}
 }
 
-// LendGrads makes g, of length ParamCount, the vector the network
-// accumulates gradients into. A gradient is live only from its accumulation
-// to the update that follows, so networks that train in turn can share one.
-func (n *Network) LendGrads(g tensor.Vector) {
-	checkSize("Network gradients", len(g), len(n.params))
-	n.grads = g
-	for _, l := range n.layers {
-		if size := l.ParamSize(); size > 0 {
-			l.(interface{ bindGrads(tensor.Vector) }).bindGrads(g[:size])
-			g = g[size:]
-		}
-	}
-}
-
-// ZeroGrads clears the gradient vector; a network lent none allocates one.
+// ZeroGrads clears the gradient vector; a network that has none yet (it
+// trains the parameters New gave it) allocates one. A network keeps its
+// gradient vector whichever model it uses: a gradient is live only from
+// its accumulation to the update that follows.
 func (n *Network) ZeroGrads() {
 	if n.grads == nil {
-		n.LendGrads(tensor.NewVector(len(n.params)))
+		n.grads = tensor.NewVector(len(n.params))
+		n.each(n.grads, paramLayer.bindGrads)
 	}
 	n.grads.Zero()
 }
@@ -199,7 +230,7 @@ func (n *Network) TrainBatch(xs []tensor.Vector, ys []int, lr float64) {
 	tensor.AXPY(n.params, -lr/float64(len(xs)), n.grads)
 }
 
-// accumulate zeroes the gradient vector (a lent one holds another network's
+// accumulate zeroes the gradient vector (it holds the last batch's
 // gradients), then accumulates dLoss/dTheta summed over the batch (not
 // averaged). With withLoss it returns the mean loss; without, it skips the
 // one logarithm per sample the loss costs and returns 0.

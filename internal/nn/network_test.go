@@ -30,7 +30,7 @@ func TestParamRoundTrip(t *testing.T) {
 	for i := range mutated {
 		mutated[i] += 1.5
 	}
-	net.SetParams(mutated)
+	net.Use(mutated)
 	p2 := tensor.NewVector(net.ParamCount())
 	net.CopyParamsTo(p2)
 	for i := range p2 {
@@ -38,7 +38,7 @@ func TestParamRoundTrip(t *testing.T) {
 			t.Fatalf("round trip failed at %d", i)
 		}
 	}
-	net.SetParams(p1)
+	net.Use(p1)
 	net.CopyParamsTo(p2)
 	for i := range p2 {
 		if p2[i] != p1[i] {
@@ -47,7 +47,7 @@ func TestParamRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSetParamsChangesForward(t *testing.T) {
+func TestUseChangesForward(t *testing.T) {
 	net := LogisticRegression(4, 3, rng.New(2))
 	x := tensor.Vector{1, 2, 3, 4}
 	before := net.Forward(x).Clone()
@@ -56,7 +56,7 @@ func TestSetParamsChangesForward(t *testing.T) {
 	for i := range p {
 		p[i] = 0
 	}
-	net.SetParams(p)
+	net.Use(p)
 	after := net.Forward(x)
 	allZero := true
 	for _, v := range after {
@@ -235,7 +235,7 @@ func TestMixingTwoModelsAverages(t *testing.T) {
 	b.CopyParamsTo(pb)
 	avg := tensor.NewVector(len(pa))
 	tensor.WeightedSumTo(avg, []float64{0.5, 0.5}, []tensor.Vector{pa, pb})
-	a.SetParams(avg)
+	a.Use(avg)
 	lavg := a.Forward(x)
 	for i := range lavg {
 		want := (la[i] + lb[i]) / 2

@@ -25,7 +25,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := MLP(6, []int{10}, 4, rng.New(99)) // different init
-	dst.SetParams(params)
+	dst.Use(params)
 	ps := tensor.NewVector(src.ParamCount())
 	pd := tensor.NewVector(dst.ParamCount())
 	src.CopyParamsTo(ps)
@@ -58,7 +58,7 @@ func TestCheckpointWrongArchitecture(t *testing.T) {
 			t.Fatal("mismatched parameter count must be rejected")
 		}
 	}()
-	dst.SetParams(params)
+	dst.Use(params)
 }
 
 func TestCheckpointCorruption(t *testing.T) {

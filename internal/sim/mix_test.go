@@ -139,9 +139,9 @@ func TestPostAggregationReadersPinned(t *testing.T) {
 // like the wide-model benchmark (32 nodes, a 44 042-parameter MLP, one tiny
 // train step, evaluation after the last round only): a node owns its
 // parameters and nothing else the size of a model — it publishes them in
-// place, mixes into them block by block and trains into a gradient vector
-// the run lends it — and nothing that size is allocated once the rounds
-// have started.
+// place, mixes into them block by block and is trained and scored by a
+// worker network that Uses them — and nothing that size is allocated once
+// the rounds have started.
 func TestRunHoldsOneModelVectorPerNode(t *testing.T) {
 	const nodes, hidden = 32, 1024
 	g, err := graph.Regular(nodes, 6, 7)
@@ -181,11 +181,15 @@ func TestRunHoldsOneModelVectorPerNode(t *testing.T) {
 		return float64(after.TotalAlloc - before.TotalAlloc)
 	}
 	short, long := allocated(8), allocated(16)
-	// 1.3 per node with one worker: the model, 1/32 of the lent gradient
-	// vector and the layers' activations; each further worker is lent its own.
+	// 1.1 per node with one worker: the model and 1/32 of the worker
+	// network, whose own parameters become its gradients, activations and
+	// mix scratch (1.046 measured). Each further worker adds a network and
+	// a share of the mix scratch: 1.33 vectors measured. The budget is
+	// never looser than the one of the per-node networks before, 1.3 per
+	// node and one vector per further worker.
 	extra := float64(min(runtime.GOMAXPROCS(0), nodes) - 1)
-	if budget := (1.3*nodes + extra) * vecBytes; short > budget {
-		t.Errorf("an 8-round run allocated %.2f model vectors per node (%.0f bytes), budget 1.3 and %v for the workers", short/(nodes*vecBytes), short, extra)
+	if budget := min(1.1*nodes+1.4*extra, 1.3*nodes+extra) * vecBytes; short > budget {
+		t.Errorf("an 8-round run allocated %.2f model vectors per node (%.0f bytes), budget %.2f", short/(nodes*vecBytes), short, budget/(nodes*vecBytes))
 	}
 	if long-short >= vecBytes {
 		t.Errorf("8 more rounds allocated %.0f more bytes: a model vector (%.0f bytes) or more inside the round loop", long-short, vecBytes)
@@ -221,11 +225,11 @@ func churn(t, n int) []bool {
 }
 
 // mixConfig is a sync-only run over mixGraph of models with exactly p
-// parameters. It also returns the networks the run will build and a copy of
-// each one's initial model.
-func mixConfig(p int) (Config, []*nn.Network, []tensor.Vector) {
+// parameters. It also returns the model vectors the run will draw, which
+// hold the final models once it returns, and a copy of each initial model.
+func mixConfig(p int) (Config, []tensor.Vector, []tensor.Vector) {
 	g := mixGraph()
-	nets, initial := make([]*nn.Network, g.N), make([]tensor.Vector, g.N)
+	models, initial := make([]tensor.Vector, g.N), make([]tensor.Vector, g.N)
 	data := &dataset.Dataset{Samples: []dataset.Sample{{X: tensor.NewVector(p)}}, NumClasses: 1, Dim: p}
 	part := make(dataset.Partition, g.N)
 	for i := range part {
@@ -233,18 +237,20 @@ func mixConfig(p int) (Config, []*nn.Network, []tensor.Vector) {
 	}
 	return Config{
 		Graph: g, Weights: graph.Metropolis(g),
-		Algo:   core.Algorithm{Label: "mix", Schedule: syncOnly{}, Policy: core.AlwaysTrain{}},
-		Rounds: 3,
-		ModelFactory: func(node int, r *rng.RNG) *nn.Network {
-			nets[node] = nn.New(nn.NewDense(p, 1, false, r))
-			initial[node] = nets[node].Params().Clone()
-			return nets[node]
-		},
-		LR: 0.1, BatchSize: 1, LocalSteps: 1,
+		Algo:         core.Algorithm{Label: "mix", Schedule: syncOnly{}, Policy: core.AlwaysTrain{}},
+		Rounds:       3,
+		ModelFactory: func(_ int, r *rng.RNG) *nn.Network { return nn.New(nn.NewDense(p, 1, false, r)) },
+		LR:           0.1, BatchSize: 1, LocalSteps: 1,
 		Partition: part, Test: data,
 		DropDeadNodes: true, Liveness: func(t int) []bool { return churn(t, g.N) },
 		Seed: 9,
-	}, nets, initial
+		seeModels: func(drawn []tensor.Vector) {
+			copy(models, drawn)
+			for i, x := range drawn {
+				initial[i] = x.Clone()
+			}
+		},
+	}, models, initial
 }
 
 // mixReference advances models by one round of cfg the plain way: one
@@ -282,13 +288,14 @@ func sameBits(a, b tensor.Vector) bool {
 // every node with the bits a per-node whole-vector weighted sum over private
 // copies gives, for model lengths around and far beyond the block length,
 // with isolated nodes, with nodes down (renormalized rows, frozen models)
-// and all live, serial and fanned out. Every node's model is also still the
-// slice it was built with.
+// and all live, serial and fanned out. The vectors compared are the ones
+// the run drew at set-up, so every node's model is still the slice it was
+// built with.
 func TestBlockedMixMatchesPerNodeSum(t *testing.T) {
-	for _, p := range []int{1, nn.MixBlock - 1, nn.MixBlock, nn.MixBlock + 1, 1000, 44042} {
+	for _, p := range []int{1, nn.MixBlock - 1, nn.MixBlock, nn.MixBlock + 1, 330, 1000, 44042} {
 		for _, procs := range []int{1, 8} {
 			name := fmt.Sprintf("p=%d/procs=%d", p, procs)
-			cfg, nets, initial := mixConfig(p)
+			cfg, models, initial := mixConfig(p)
 			old := runtime.GOMAXPROCS(procs)
 			_, err := Run(cfg)
 			runtime.GOMAXPROCS(old)
@@ -299,8 +306,8 @@ func TestBlockedMixMatchesPerNodeSum(t *testing.T) {
 			for round := 0; round < cfg.Rounds; round++ {
 				want = mixReference(&cfg, round, want)
 			}
-			for i, net := range nets {
-				if !sameBits(net.Params(), want[i]) {
+			for i, x := range models {
+				if !sameBits(x, want[i]) {
 					t.Errorf("%s: node %d differs from the per-node weighted sum", name, i)
 				}
 			}

@@ -13,11 +13,13 @@
 //     block and written over the models in place (nn.Mix);
 //  3. (optionally) evaluation on the shared test set.
 //
-// A node's model vector is its only model-sized state. It is written in
-// phase 1 and in phase 2's mix, where a block of it is written only once
-// every average that reads the block is summed, so its neighbors may read
-// it in place; the gradient vectors belong to the run, one per train
-// worker. See docs/ARCHITECTURE.md for who may write which vector when.
+// A node's model vector is its only model-sized state: a window of one
+// per-run vector (learner.NewNodes). It is written in phase 1 and in phase
+// 2's mix, where a block of it is written only once every average that
+// reads the block is summed, so its neighbors may read it in place. The
+// networks belong to the run, one per worker: a worker Uses a node's
+// vector to train or score it. See docs/ARCHITECTURE.md for who may write
+// which vector when.
 //
 // When a harvest fleet is attached (Config.Harvest), every round also closes
 // with a battery update — idle and communication draw, then ambient energy
@@ -40,7 +42,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -62,7 +63,9 @@ type Config struct {
 	Algo    core.Algorithm
 	Rounds  int
 
-	// Model and training hyperparameters (Table 1).
+	// Model and training hyperparameters (Table 1). ModelFactory is called
+	// once per worker with node -1; Network.Init draws node i's weights from
+	// its model stream, so every layer must draw from the r it is given.
 	ModelFactory func(node int, r *rng.RNG) *nn.Network
 	LR           float64
 	BatchSize    int
@@ -152,6 +155,10 @@ type Config struct {
 	Probe *obs.Probe
 
 	Seed uint64
+
+	// seeModels, when set, is shown the nodes' model vectors as soon as
+	// they are drawn; the in-package tests read runs' models through it.
+	seeModels func(models []tensor.Vector)
 }
 
 // spec is the part of c both engines share (internal/learner).
@@ -268,7 +275,7 @@ type Result struct {
 	FinalNodeAccs []float64
 	// FinalGlobalParams is the average of all node models after the last
 	// round when EvalGlobalModel or TrackConsensus is set (nil otherwise).
-	// It is the deployable consensus model: Network.SetParams loads it.
+	// It is the deployable consensus model: Network.Use runs a network on it.
 	FinalGlobalParams tensor.Vector
 	// Energy totals.
 	TotalTrainWh, TotalCommWh float64
@@ -327,11 +334,9 @@ type run struct {
 	// Devices); node i writes only index i.
 	trained         []int
 	trainWh, commWh []float64
-	// grads is the free list of gradient vectors, one per train worker: a
-	// node takes one for its train call and puts it back.
-	grads chan tensor.Vector
 	// collect lists node i's operands in rows[i] (none: it holds its model);
-	// each mix worker averages through its own share of sums and ops.
+	// each of the cap(ln.Nets) mix workers averages through its own share
+	// of sums and ops.
 	rows []nn.MixRow
 	sums tensor.Vector
 	ops  []tensor.Vector
@@ -424,15 +429,12 @@ func (r *run) rejoin(i, stale int, live []bool) bool {
 // its private forecast window — so decisions are independent of worker
 // interleaving.
 func (r *run) train(i int) {
-	cfg, nd, ctx := r.cfg, &r.ln.Node[i], r.ctx
+	cfg, ctx := r.cfg, r.ctx
 	ctx.Trained = r.trained[i]
 	if ctx.Kind != core.RoundTrain || r.down(i) || !r.spec.Participate(&r.ln, i, ctx, ctx.Round) {
 		return
 	}
-	g := <-r.grads
-	nd.Net.LendGrads(g)
-	r.spec.Train(nd)
-	r.grads <- g
+	r.spec.Train(&r.ln, i)
 	r.trained[i]++
 	if cfg.Devices != nil {
 		r.trainWh[i] += cfg.Devices[i].TrainRoundWh(cfg.Workload)
@@ -457,11 +459,11 @@ func (r *run) collect(i int) {
 	}
 }
 
-// mix is the second half: worker w, of as many as there are gradient vectors,
+// mix is the second half: worker w, of as many as there are networks,
 // averages its share of the elements of every model, in place (nn.Mix).
 func (r *run) mix(w int) {
-	k := cap(r.grads)
-	p, s, o := r.rows[0].Net.ParamCount(), len(r.sums)/k, len(r.ops)/k
+	k := cap(r.ln.Nets)
+	p, s, o := r.ln.ParamCount, len(r.sums)/k, len(r.ops)/k
 	nn.Mix(r.rows, w*p/k, (w+1)*p/k, r.sums[w*s:(w+1)*s], r.ops[w*o:(w+1)*o])
 }
 
@@ -472,11 +474,13 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(&r.spec); err != nil {
 		return nil, err
 	}
-	ln, err := r.spec.NewNodes(0x1417)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+	g, n := cfg.Graph, cfg.Graph.N
+	ln := r.spec.NewNodes(0x1417)
+	workers := cap(ln.Nets)
+	models, paramCount := ln.Params, ln.ParamCount
+	if cfg.seeModels != nil {
+		cfg.seeModels(models)
 	}
-	g, n, models, paramCount := cfg.Graph, cfg.Graph.N, ln.Params, ln.ParamCount
 
 	maxDeg, edges := 0, 0
 	for i := 0; i < n; i++ {
@@ -488,25 +492,23 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Node state is the learner's nodes plus every list of vectors and of
-	// weights as windows of two slices. Each train and mix worker has a
-	// gradient vector and a scratch.
-	workers := min(runtime.GOMAXPROCS(0), n)
+	// weights as windows of two slices. Each worker has a network and a mix
+	// scratch sized to the longest block of its share.
 	result := &Result{TrainedRounds: make([]int, n), History: make([]RoundMetrics, 0, cfg.Rounds)}
 	r.ln, r.trained = ln, result.TrainedRounds
 	if cfg.Devices != nil {
 		r.trainWh, r.commWh = make([]float64, n), make([]float64, n)
 	}
-	r.grads, r.rows = make(chan tensor.Vector, workers), make([]nn.MixRow, n)
+	r.rows = make([]nn.MixRow, n)
 	vecs, ws := make([]tensor.Vector, edges+n+workers*(maxDeg+1)), make([]float64, edges+n)
 	for i := 0; i < n; i++ {
 		d := g.Degree(i)
-		r.rows[i] = nn.MixRow{Net: ln.Node[i].Net, W: ws[: 0 : d+1], V: vecs[: 0 : d+1]}
+		r.rows[i] = nn.MixRow{X: models[i], W: ws[: 0 : d+1], V: vecs[: 0 : d+1]}
 		vecs, ws = vecs[d+1:], ws[d+1:]
 	}
-	r.sums, r.ops = tensor.NewVector(workers*n*min(nn.MixBlock, paramCount)), vecs
-	for w := 0; w < workers; w++ {
-		r.grads <- tensor.NewVector(paramCount)
-	}
+	// A worker's share of the elements is p/workers rounded down or up.
+	block := max(nn.MixBlockLen(paramCount/workers), nn.MixBlockLen((paramCount+workers-1)/workers))
+	r.sums, r.ops = tensor.NewVector(workers*n*block), vecs
 	train, collect, mix := r.train, r.collect, r.mix
 
 	evaluator := r.spec.NewEvaluator(ln, cfg.TrackConsensus, cfg.EvalGlobalModel)
@@ -555,7 +557,7 @@ func Run(cfg Config) (*Result, error) {
 	var adoptMean func(i int)
 	if cfg.Algo.Aggregation == core.AggGlobal {
 		globalMean = tensor.NewVector(paramCount)
-		adoptMean = func(i int) { ln.Node[i].Net.SetParams(globalMean) }
+		adoptMean = func(i int) { copy(models[i], globalMean) }
 	}
 
 	r.ctx = core.RoundContext{Horizon: cfg.Rounds, Schedule: cfg.Algo.Schedule}

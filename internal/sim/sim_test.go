@@ -444,19 +444,6 @@ func TestBudgetPolicyServesManyRuns(t *testing.T) {
 	}
 }
 
-func TestMixedModelArchitecturesRejected(t *testing.T) {
-	cfg := testConfig(t, 17)
-	cfg.ModelFactory = func(node int, r *rng.RNG) *nn.Network {
-		if node == 3 {
-			return nn.LogisticRegression(8, 5, r) // wrong class count
-		}
-		return nn.LogisticRegression(8, 6, r)
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("heterogeneous parameter counts must be rejected")
-	}
-}
-
 func TestMeanModelPreservationProperty(t *testing.T) {
 	// Engine-level invariant: on sync-only rounds the average of all model
 	// vectors is invariant (doubly stochastic W). Verified through the

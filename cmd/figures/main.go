@@ -27,7 +27,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	paper := fs.Bool("paper", false, "run at full paper scale (256 nodes; slow)")
 	err := cli.Parse(fs, args)
 	if err == nil {
-		err = cli.Check(fs, append(cli.Scale(nodes, rounds), []cli.Rule{
+		err = cli.Check(fs, append(cli.Scale(nodes, rounds, experiments.PaperDegrees), []cli.Rule{
 			{Flags: "nodes rounds", Want: "no -paper, which sets the scale", OK: func() bool { return !*paper }},
 			{Flags: "seed", Want: "a value ≥ 1 (the experiments read seed 0 as 42)", OK: func() bool { return *seed != 0 }},
 		}...))

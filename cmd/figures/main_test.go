@@ -32,6 +32,9 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nodes", "-3"}, {"-nodes", "0"}, {"-rounds", "-4"}, {"-rounds", "0"}, {"-seed", "0"},
 		{"-nodes", "4097"}, {"-nodes", "1099511627776"}, {"-nodes", "8", "-rounds", "60001"},
+		// Figures 3, 5 and 6 run 10-regular topologies, which 5 nodes cannot
+		// hold: this once printed the first tables, then failed.
+		{"-nodes", "5", "-rounds", "2"},
 	} {
 		if code, out := clitest.Exec(t, run, append(args, "-out", "TMP")...); code != 2 || out != "" {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/experiments"
+	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/sweep"
 )
@@ -72,16 +73,33 @@ const maxDegrees = 16
 // that need another. The experiments read seed 0 as seed 42, so -seed 0 is
 // refused rather than silently renamed.
 func (c *config) rules() []cli.Rule {
-	return append(cli.Scale(&c.nodes, &c.rounds), []cli.Rule{
+	return append(cli.Scale(&c.nodes, &c.rounds, c.jobDegrees), []cli.Rule{
 		{Flags: "seed", Want: "a value ≥ 1 (the experiments read seed 0 as 42)", OK: func() bool { return c.seed != 0 }},
 		{Flags: "workers", Want: "a value ≥ 0", OK: func() bool { return c.workers >= 0 }},
 		{Flags: "expect-all-hits", Want: "-cache", OK: func() bool { return c.cache != "" }},
-		{Flags: "degrees", Want: fmt.Sprintf("-job figure3 or degree and at most %d degrees, each in [1, nodes)", maxDegrees), OK: func() bool {
+		{Flags: "degrees", Want: fmt.Sprintf("-job figure3 or degree and at most %d degrees, each a regular topology's d (%s)", maxDegrees, cli.Topology), OK: func() bool {
 			degs, err := parseDegrees(c.degrees)
 			return c.job != "gamma" && err == nil && len(degs) <= maxDegrees &&
-				!slices.ContainsFunc(degs, func(d int) bool { return d < 1 || d >= c.nodes })
+				!slices.ContainsFunc(degs, func(d int) bool { return graph.CheckRegular(c.nodes, d) != nil })
 		}},
 	}...)
+}
+
+// jobDegrees are the topology degrees the job builds: -degrees, or the
+// job's own axis. A -degrees the degrees rule refuses counts as the default.
+func (c *config) jobDegrees() []int {
+	degs, _ := parseDegrees(c.degrees)
+	switch {
+	case c.job == "gamma":
+		return []int{experiments.PaperDegree}
+	case len(degs) > 0:
+		return degs
+	case c.job == "figure3":
+		return experiments.PaperDegrees()
+	case c.job == "degree":
+		return experiments.DefaultDegreeGrid()
+	}
+	return nil
 }
 
 // parseDegrees reads -degrees; empty leaves each job its own default axis

@@ -142,10 +142,14 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
 		}
 	}
-	// An oversized job is refused before its cache directory is made.
+	// An oversized job, or one whose 6-regular topology 5 nodes cannot
+	// hold (which once made the directory, then failed), is refused before
+	// its cache directory is made.
 	dir := filepath.Join(t.TempDir(), "cache")
-	for _, nodes := range []string{"4097", "1099511627776"} {
-		clitest.Exit(t, run, 2, "-job", "gamma", "-nodes", nodes, "-cache", dir)
+	for _, nodes := range []string{"4097", "1099511627776", "5"} {
+		if code, out := clitest.Exec(t, run, "-job", "gamma", "-nodes", nodes, "-cache", dir); code != 2 || out != "" {
+			t.Errorf("-nodes %s: exit %d, want 2, and stdout %q", nodes, code, out)
+		}
 		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
 			t.Errorf("-nodes %s: the cache directory was made (%v)", nodes, err)
 		}

@@ -174,7 +174,7 @@ func (c *config) rules() []cli.Rule {
 	policyIs := func(name string) func() bool {
 		return func() bool { return !c.grid && c.policy == name }
 	}
-	return append(cli.Scale(&c.nodes, &c.rounds), []cli.Rule{
+	return append(cli.Scale(&c.nodes, &c.rounds, c.degrees), []cli.Rule{
 		{Flags: "seed", Want: "a single run (no -grid) or a value ≥ 1", OK: func() bool { return !c.grid || c.seed != 0 }},
 		{Flags: "trace", Want: "diurnal, constant, markov, or csv with -tracefile", OK: func() bool {
 			return c.trace == "diurnal" || c.trace == "constant" || c.trace == "markov" || c.trace == "csv" && c.traceFile != ""
@@ -185,7 +185,8 @@ func (c *config) rules() []cli.Rule {
 		{Flags: "period", Want: "-trace diurnal or an mpc policy", OK: func() bool { return c.trace == "diurnal" || c.plans() }},
 		{Flags: "async", Want: "no -grid and no -policy mpc-persist, which learns from per-round observations the event-driven engine does not make",
 			OK: func() bool { return !c.grid && c.policy != "mpc-persist" }},
-		{Flags: "degree", Want: "a single run (no -grid) and a value in [1, nodes)", OK: func() bool { return !c.grid && c.degree >= 1 && c.degree < c.nodes }},
+		{Flags: "degree", Want: "a single run (no -grid) and a regular topology of degree d (" + cli.Topology + ")",
+			OK: func() bool { return !c.grid && graph.CheckRegular(c.nodes, c.degree) == nil }},
 		{Flags: "eval", Want: "a single run (no -grid) and a value ≥ 0", OK: func() bool { return !c.grid && c.evalInt >= 0 }},
 		{Flags: "capacity", Want: "a single run (no -grid) and a finite value ≥ 0", OK: func() bool { return !c.grid && c.capacity >= 0 && c.capacity <= math.MaxFloat64 }},
 		{Flags: "initsoc", Want: "a single run (no -grid) and a value in [0, 1]", OK: func() bool { return !c.grid && c.initSoC >= 0 && c.initSoC <= 1 }},
@@ -210,6 +211,14 @@ func (c *config) rules() []cli.Rule {
 			OK: func() bool { return !c.grid && c.policy == "mpc" && c.fnoise >= 0 && c.fnoise <= math.MaxFloat64 }},
 		{Flags: "events", Want: "-telemetry", OK: func() bool { return c.telemetry }},
 	}...)
+}
+
+// degrees is the topology degree the run builds: -degree, or the grid's.
+func (c *config) degrees() []int {
+	if c.grid {
+		return []int{experiments.PaperDegree}
+	}
+	return []int{c.degree}
 }
 
 // plans reports whether a single run uses one of the mpc policies, which

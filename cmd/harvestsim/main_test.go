@@ -121,6 +121,10 @@ func TestUsageErrors(t *testing.T) {
 		{"-grid", "-nodes", "4097"},
 		{"-async", "-nodes", "1099511627776"},
 		{"-nodes", "8", "-rounds", "60001"},
+		// A 1-regular topology, and a 3-regular one on an odd node count,
+		// cannot be built: both once built the world, then failed.
+		{"-degree", "1"},
+		{"-nodes", "7", "-degree", "3"},
 	} {
 		if code, out := clitest.Exec(t, run, args...); code != 2 || out != "" {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)

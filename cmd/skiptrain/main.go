@@ -83,10 +83,11 @@ func (c *config) rules() []cli.Rule {
 		return single() && (c.algo == "skiptrain" || c.algo == "constrained" || c.algo == "async-skiptrain")
 	}
 	const gamma = "-algo skiptrain, constrained or async-skiptrain"
-	return append(cli.Scale(&c.nodes, &c.rounds), []cli.Rule{
+	return append(cli.Scale(&c.nodes, &c.rounds, c.degrees), []cli.Rule{
 		{Flags: "seed", Want: "a single run (no -exp) or a value ≥ 1 (the experiments read seed 0 as 42)", OK: func() bool { return single() || c.seed != 0 }},
 		{Flags: "algo dataset", Want: "a single run (no -exp)", OK: single},
-		{Flags: "degree", Want: "a single run (no -exp) and a value in [1, nodes)", OK: func() bool { return single() && c.degree >= 1 && c.degree < c.nodes }},
+		{Flags: "degree", Want: "a single run (no -exp) and a regular topology of degree d (" + cli.Topology + ")",
+			OK: func() bool { return single() && graph.CheckRegular(c.nodes, c.degree) == nil }},
 		{Flags: "batch", Want: "a single run (no -exp) and a value ≥ 1", OK: func() bool { return single() && c.batch >= 1 }},
 		{Flags: "steps", Want: "a single run (no -exp) and a value ≥ 1", OK: func() bool { return single() && c.steps >= 1 }},
 		{Flags: "lr", Want: "a single run (no -exp) and a finite value > 0", OK: func() bool { return single() && c.lr > 0 && c.lr <= math.MaxFloat64 }},
@@ -95,6 +96,20 @@ func (c *config) rules() []cli.Rule {
 		{Flags: "gt", Want: gamma + " and a value ≥ 1", OK: func() bool { return scheduled() && c.gt >= 1 }},
 		{Flags: "gs", Want: gamma + " and a value ≥ 0", OK: func() bool { return scheduled() && c.gs >= 0 }},
 	}...)
+}
+
+// degrees are the topology degrees the run builds: -degree, or those of
+// the -exp experiment (none for Figures 2 and 7, which build no topology).
+func (c *config) degrees() []int {
+	switch strings.ToLower(c.exp) {
+	case "":
+		return []int{c.degree}
+	case "fig1", "fig4":
+		return []int{experiments.PaperDegree}
+	case "fig3", "fig5", "fig6", "tables":
+		return experiments.PaperDegrees()
+	}
+	return nil
 }
 
 // runExperiment runs the whole paper experiment -exp names.

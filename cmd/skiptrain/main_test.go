@@ -90,6 +90,9 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "fig3", "-nodes", "-4"}, {"-exp", "tables", "-rounds", "-4"}, {"-exp", "fig1", "-seed", "0"},
 		{"-nodes", "1099511627776"}, {"-exp", "fig3", "-nodes", "4097"}, {"-nodes", "8", "-rounds", "60001"},
+		// The default 6-regular topology does not fit on 5 nodes: this once
+		// generated the data set, then failed.
+		{"-nodes", "5"},
 	} {
 		if code, out := clitest.Exec(t, run, args...); code != 2 || out != "" {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)

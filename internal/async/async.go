@@ -392,7 +392,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	trainWh, steps, trained := 0.0, 0, 0 // fleet totals
-	evaluator := spec.NewEvaluator(ln, true, false)
+	evaluator := spec.NewEvaluator(ln, make([]float64, n), true, false)
 	evaluate := func(t float64) {
 		sc := evaluator.Evaluate()
 		res.History = append(res.History, Snapshot{
@@ -642,16 +642,16 @@ func Run(cfg Config) (*Result, error) {
 // the event loop is serial and bit-reproducible regardless).
 func buildManifest(cfg *Config, spec *learner.Spec, paramCount int, roundSec float64) obs.RunManifest {
 	b := spec.Manifest("async", 0, paramCount).
-		Setf("horizon_s", "%g", cfg.Horizon).
-		Setf("steps_per_node", "%d", cfg.StepsPerNode).
-		Setf("sync_speedup", "%g", float64(syncSpeedup)).
-		Setf("eval_every_s", "%g", cfg.EvalEverySeconds)
+		SetFloat("horizon_s", cfg.Horizon).
+		SetInt("steps_per_node", cfg.StepsPerNode).
+		SetFloat("sync_speedup", float64(syncSpeedup)).
+		SetFloat("eval_every_s", cfg.EvalEverySeconds)
 	if cfg.Trace != nil {
 		b = b.Set("trace", cfg.Trace.Name()).
-			Setf("round_seconds", "%g", roundSec)
+			SetFloat("round_seconds", roundSec)
 		if cfg.Forecast != nil {
 			b = b.Set("forecaster", cfg.Forecast.Name()).
-				Setf("fhorizon", "%d", cfg.ForecastHorizon)
+				SetInt("fhorizon", cfg.ForecastHorizon)
 		}
 	}
 	return b.Build()

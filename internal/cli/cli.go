@@ -15,6 +15,8 @@ import (
 	"io"
 	"slices"
 	"strings"
+
+	"repro/internal/graph"
 )
 
 // UsageError is a mistake in how a binary was invoked: a bad flag, a
@@ -75,13 +77,22 @@ const (
 )
 
 // Scale is the flag-table rows of -nodes and -rounds: a value in
-// [1, maxNodes] and one in [1, maxRounds].
-func Scale(nodes, rounds *int) []Rule {
+// [1, maxNodes] on which graph.Regular builds every degree the job runs,
+// degrees(), and one in [1, maxRounds].
+func Scale(nodes, rounds *int, degrees func() []int) []Rule {
 	return []Rule{
-		{Flags: "nodes", Want: fmt.Sprintf("a value in [1, %d]", maxNodes), OK: func() bool { return *nodes >= 1 && *nodes <= maxNodes }},
+		{Flags: "nodes", Want: fmt.Sprintf("a value in [1, %d] with a regular topology of every degree d the job runs (%s)", maxNodes, Topology),
+			OK: func() bool {
+				return *nodes >= 1 && *nodes <= maxNodes &&
+					!slices.ContainsFunc(degrees(), func(d int) bool { return graph.CheckRegular(*nodes, d) != nil })
+			}},
 		{Flags: "rounds", Want: fmt.Sprintf("a value in [1, %d]", maxRounds), OK: func() bool { return *rounds >= 1 && *rounds <= maxRounds }},
 	}
 }
+
+// Topology is what graph.CheckRegular asks of a degree d on -nodes, as a
+// flag table states it.
+const Topology = "2 ≤ d < nodes and nodes·d even"
 
 // Check returns a UsageError naming every flag set in fs whose rule fails.
 func Check(fs *flag.FlagSet, rules []Rule) error {

@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/rng"
 )
@@ -113,7 +114,9 @@ func (g Gamma) Kind(t int) RoundKind {
 }
 
 // Name returns e.g. "skiptrain(3,3)".
-func (g Gamma) Name() string { return fmt.Sprintf("skiptrain(%d,%d)", g.GammaTrain, g.GammaSync) }
+func (g Gamma) Name() string {
+	return "skiptrain(" + strconv.Itoa(g.GammaTrain) + "," + strconv.Itoa(g.GammaSync) + ")"
+}
 
 // CountTrainRounds returns the exact number of coordinated training rounds
 // a schedule yields over horizon T. For Gamma schedules this is the exact

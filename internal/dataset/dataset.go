@@ -11,8 +11,9 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/rng"
@@ -68,16 +69,6 @@ func (d *Dataset) ClassHistogram() []int {
 	return h
 }
 
-// Subset returns a dataset sharing sample storage with d, restricted to the
-// given indices.
-func (d *Dataset) Subset(idx []int) *Dataset {
-	out := &Dataset{NumClasses: d.NumClasses, Dim: d.Dim, Samples: make([]Sample, len(idx))}
-	for i, j := range idx {
-		out.Samples[i] = d.Samples[j]
-	}
-	return out
-}
-
 // Split partitions d into two datasets of sizes n and Len()-n, in order.
 // It panics if n is out of range. The paper builds its validation set this
 // way: "extracting 50% of the samples from the test set" (Section 4.2).
@@ -88,16 +79,6 @@ func (d *Dataset) Split(n int) (*Dataset, *Dataset) {
 	a := &Dataset{NumClasses: d.NumClasses, Dim: d.Dim, Samples: d.Samples[:n]}
 	b := &Dataset{NumClasses: d.NumClasses, Dim: d.Dim, Samples: d.Samples[n:]}
 	return a, b
-}
-
-// Shuffled returns a copy of d with samples in random order.
-func (d *Dataset) Shuffled(r *rng.RNG) *Dataset {
-	out := &Dataset{NumClasses: d.NumClasses, Dim: d.Dim, Samples: make([]Sample, d.Len())}
-	copy(out.Samples, d.Samples)
-	r.Shuffle(len(out.Samples), func(i, j int) {
-		out.Samples[i], out.Samples[j] = out.Samples[j], out.Samples[i]
-	})
-	return out
 }
 
 // Batcher yields minibatches by sampling without replacement per epoch,
@@ -180,6 +161,6 @@ func sortByLabel(d *Dataset) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return d.Samples[idx[a]].Y < d.Samples[idx[b]].Y })
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(d.Samples[a].Y, d.Samples[b].Y) })
 	return idx
 }

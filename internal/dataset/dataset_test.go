@@ -327,3 +327,13 @@ func TestGenerateWritersValidation(t *testing.T) {
 		t.Fatal("want error for inverted per-writer range")
 	}
 }
+
+// Subset returns a dataset sharing sample storage with d, restricted to
+// the given indices.
+func (d *Dataset) Subset(idx []int) *Dataset {
+	out := &Dataset{NumClasses: d.NumClasses, Dim: d.Dim, Samples: make([]Sample, len(idx))}
+	for i, j := range idx {
+		out.Samples[i] = d.Samples[j]
+	}
+	return out
+}

@@ -23,28 +23,27 @@ func ShardPartition(d *Dataset, n, shardsPerNode int, seed uint64) (Partition, e
 	if d.Len() < totalShards {
 		return nil, fmt.Errorf("dataset: %d samples cannot fill %d shards", d.Len(), totalShards)
 	}
-	byLabel := sortByLabel(d)
-	// Cut into contiguous shards of (nearly) equal size.
-	shardSize := d.Len() / totalShards
-	shards := make([][]int, totalShards)
-	for s := 0; s < totalShards; s++ {
-		lo := s * shardSize
-		hi := lo + shardSize
-		if s == totalShards-1 {
-			hi = d.Len() // last shard absorbs the remainder
-		}
-		shards[s] = byLabel[lo:hi]
-	}
-	// Deal shards out at random, shardsPerNode each.
-	r := rng.Derive(seed, 0x54a2d)
-	order := r.Perm(totalShards)
+	// Cut the label-sorted samples into contiguous shards of (nearly) equal
+	// size, the last absorbing the remainder, and deal them out at random,
+	// shardsPerNode each: node i's samples are a window of one slab.
+	byLabel, shardSize := sortByLabel(d), d.Len()/totalShards
+	var r rng.RNG
+	rng.DeriveTo(&r, seed, 0x54a2d)
+	order, samples, ds := r.Perm(totalShards), make([]Sample, 0, d.Len()), make([]Dataset, n)
 	p := make(Partition, n)
-	for i := 0; i < n; i++ {
-		var idx []int
-		for k := 0; k < shardsPerNode; k++ {
-			idx = append(idx, shards[order[i*shardsPerNode+k]]...)
+	for i := range p {
+		start := len(samples)
+		for _, s := range order[i*shardsPerNode : (i+1)*shardsPerNode] {
+			hi := (s + 1) * shardSize
+			if s == totalShards-1 {
+				hi = d.Len()
+			}
+			for _, j := range byLabel[s*shardSize : hi] {
+				samples = append(samples, d.Samples[j])
+			}
 		}
-		p[i] = d.Subset(idx)
+		p[i] = &ds[i]
+		p[i].NumClasses, p[i].Dim, p[i].Samples = d.NumClasses, d.Dim, samples[start:len(samples):len(samples)]
 	}
 	return p, nil
 }

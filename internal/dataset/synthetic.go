@@ -45,9 +45,9 @@ func FEMNISTLike(seed uint64) SyntheticConfig {
 // entries are N(0,1), giving expected pairwise distance sqrt(2*Dim) —
 // classes overlap through the Noise but remain learnable.
 func prototypes(cfg SyntheticConfig, r *rng.RNG) []tensor.Vector {
-	protos := make([]tensor.Vector, cfg.Classes)
+	protos, slab := make([]tensor.Vector, cfg.Classes), tensor.NewVector(cfg.Classes*cfg.Dim)
 	for c := range protos {
-		p := tensor.NewVector(cfg.Dim)
+		p := slab[c*cfg.Dim : (c+1)*cfg.Dim : (c+1)*cfg.Dim]
 		for i := range p {
 			p[i] = r.NormFloat64()
 		}
@@ -56,15 +56,28 @@ func prototypes(cfg SyntheticConfig, r *rng.RNG) []tensor.Vector {
 	return protos
 }
 
-func drawSample(proto tensor.Vector, noise float64, r *rng.RNG, extra tensor.Vector) Sample {
-	x := tensor.NewVector(len(proto))
-	for i := range x {
-		x[i] = proto[i] + noise*r.NormFloat64()
-		if extra != nil {
-			x[i] += extra[i]
+// drawSplit draws n samples from r into one slab, each input a window
+// capped at its own length: sample i is label(i)'s prototype plus noise
+// plus extra (nil for none), its label drawn before its inputs.
+func drawSplit(cfg SyntheticConfig, n int, protos []tensor.Vector, r *rng.RNG, extra tensor.Vector, label func(i int) int) *Dataset {
+	d, slab := &Dataset{NumClasses: cfg.Classes, Dim: cfg.Dim, Samples: make([]Sample, n)}, tensor.NewVector(n*cfg.Dim)
+	for i := range d.Samples {
+		y, x := label(i), slab[i*cfg.Dim:(i+1)*cfg.Dim:(i+1)*cfg.Dim]
+		for k := range x {
+			x[k] = protos[y][k] + cfg.Noise*r.NormFloat64()
+			if extra != nil {
+				x[k] += extra[k]
+			}
 		}
+		d.Samples[i] = Sample{X: x, Y: y}
 	}
-	return Sample{X: x}
+	return d
+}
+
+// shuffle puts d's samples in random order, in place.
+func (d *Dataset) shuffle(r *rng.RNG) *Dataset {
+	r.Shuffle(len(d.Samples), func(i, j int) { d.Samples[i], d.Samples[j] = d.Samples[j], d.Samples[i] })
+	return d
 }
 
 // Generate builds balanced train and test datasets from the configuration.
@@ -75,20 +88,10 @@ func Generate(cfg SyntheticConfig) (train, test *Dataset, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	r := rng.Derive(cfg.Seed, 0xda7a)
-	protos := prototypes(cfg, r)
-	make1 := func(n int, stream *rng.RNG) *Dataset {
-		d := &Dataset{NumClasses: cfg.Classes, Dim: cfg.Dim, Samples: make([]Sample, n)}
-		for i := 0; i < n; i++ {
-			y := i % cfg.Classes
-			s := drawSample(protos[y], cfg.Noise, stream, nil)
-			s.Y = y
-			d.Samples[i] = s
-		}
-		return d
-	}
-	train = make1(cfg.Train, rng.Derive(cfg.Seed, 0xda7a, 1)).Shuffled(rng.Derive(cfg.Seed, 0xda7a, 2))
-	test = make1(cfg.Test, rng.Derive(cfg.Seed, 0xda7a, 3)).Shuffled(rng.Derive(cfg.Seed, 0xda7a, 4))
+	protos := prototypes(cfg, rng.Derive(cfg.Seed, 0xda7a))
+	cycle := func(i int) int { return i % cfg.Classes }
+	train = drawSplit(cfg, cfg.Train, protos, rng.Derive(cfg.Seed, 0xda7a, 1), nil, cycle).shuffle(rng.Derive(cfg.Seed, 0xda7a, 2))
+	test = drawSplit(cfg, cfg.Test, protos, rng.Derive(cfg.Seed, 0xda7a, 3), nil, cycle).shuffle(rng.Derive(cfg.Seed, 0xda7a, 4))
 	return train, test, nil
 }
 
@@ -137,13 +140,13 @@ func GenerateWriters(cfg WritersConfig) (writers []WriterData, test *Dataset, er
 	if cfg.MinPerWriter < 1 || cfg.MaxPerWriter < cfg.MinPerWriter {
 		return nil, nil, fmt.Errorf("dataset: bad per-writer range [%d,%d]", cfg.MinPerWriter, cfg.MaxPerWriter)
 	}
-	r := rng.Derive(cfg.Seed, 0x3717e5)
-	protos := prototypes(cfg.SyntheticConfig, r)
-
+	protos := prototypes(cfg.SyntheticConfig, rng.Derive(cfg.Seed, 0x3717e5))
+	// Every writer draws its style and label weights into the same scratch.
+	style, weights := tensor.NewVector(cfg.Dim), make([]float64, cfg.Classes)
 	writers = make([]WriterData, cfg.Writers)
+	var wr rng.RNG
 	for w := 0; w < cfg.Writers; w++ {
-		wr := rng.Derive(cfg.Seed, 0x3717e5, uint64(w)+1)
-		style := tensor.NewVector(cfg.Dim)
+		rng.DeriveTo(&wr, cfg.Seed, 0x3717e5, uint64(w)+1)
 		for i := range style {
 			style[i] = cfg.StyleStd * wr.NormFloat64()
 		}
@@ -151,7 +154,6 @@ func GenerateWriters(cfg WritersConfig) (writers []WriterData, test *Dataset, er
 		// draws, approximated with sums of exponentials for alpha<1 using
 		// the Ahrens-Dieter-free trick: weight = u^(1/alpha) works well
 		// enough for skew purposes and keeps the generator tiny.
-		weights := make([]float64, cfg.Classes)
 		sum := 0.0
 		for c := range weights {
 			u := wr.Float64()
@@ -162,9 +164,8 @@ func GenerateWriters(cfg WritersConfig) (writers []WriterData, test *Dataset, er
 			sum += weights[c]
 		}
 		n := cfg.MinPerWriter + wr.Intn(cfg.MaxPerWriter-cfg.MinPerWriter+1)
-		d := &Dataset{NumClasses: cfg.Classes, Dim: cfg.Dim, Samples: make([]Sample, n)}
-		for i := 0; i < n; i++ {
-			// Sample class from the skewed distribution.
+		// Each sample's class is drawn from the skewed distribution.
+		d := drawSplit(cfg.SyntheticConfig, n, protos, &wr, style, func(int) int {
 			target := wr.Float64() * sum
 			y, acc := 0, 0.0
 			for c, wgt := range weights {
@@ -174,24 +175,15 @@ func GenerateWriters(cfg WritersConfig) (writers []WriterData, test *Dataset, er
 					break
 				}
 			}
-			s := drawSample(protos[y], cfg.Noise, wr, style)
-			s.Y = y
-			d.Samples[i] = s
-		}
+			return y
+		})
 		writers[w] = WriterData{Writer: w, Samples: d}
 	}
 	// Sort by descending sample count (stable on writer id for determinism).
 	sortWriters(writers)
 
-	tr := rng.Derive(cfg.Seed, 0x3717e5, 0xffff)
-	test = &Dataset{NumClasses: cfg.Classes, Dim: cfg.Dim, Samples: make([]Sample, cfg.Test)}
-	for i := 0; i < cfg.Test; i++ {
-		y := i % cfg.Classes
-		s := drawSample(protos[y], cfg.Noise, tr, nil)
-		s.Y = y
-		test.Samples[i] = s
-	}
-	test = test.Shuffled(rng.Derive(cfg.Seed, 0x3717e5, 0xfffe))
+	test = drawSplit(cfg.SyntheticConfig, cfg.Test, protos, rng.Derive(cfg.Seed, 0x3717e5, 0xffff), nil,
+		func(i int) int { return i % cfg.Classes }).shuffle(rng.Derive(cfg.Seed, 0x3717e5, 0xfffe))
 	return writers, test, nil
 }
 

@@ -37,7 +37,7 @@ type AsyncHarvestRow struct {
 // see the same stretch of the ambient process.
 func TableAsyncHarvest(o Options) ([]AsyncHarvestRow, error) {
 	o = o.Defaults()
-	w := newWorld(o, cifar, 6)
+	w := newWorld(o, cifar, PaperDegree)
 	rows, err := brownoutGrid(w, 2, func(regime GammaRegime, leg int) (AsyncHarvestRow, error) {
 		return asyncHarvestLeg(w, regime, []string{"sync", "async"}[leg])
 	})

@@ -65,7 +65,7 @@ func brownoutGrid[R any](w *world, arms int, run func(regime GammaRegime, arm in
 // snapshotted once per round, so rows are identical at any GOMAXPROCS.
 func TableBrownout(o Options) ([]BrownoutRow, error) {
 	o = o.Defaults()
-	w := newWorld(o, cifar, 6)
+	w := newWorld(o, cifar, PaperDegree)
 	modes := []string{"route-through-dead", "drop-and-renormalize"}
 	rows, err := brownoutGrid(w, len(modes), func(regime GammaRegime, arm int) (BrownoutRow, error) {
 		mode := modes[arm]

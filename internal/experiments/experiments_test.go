@@ -247,6 +247,11 @@ func TestFigure7Renders(t *testing.T) {
 	if !strings.Contains(out, "CIFAR-like") || !strings.Contains(out, "FEMNIST-like") {
 		t.Fatalf("figure 7 output incomplete:\n%s", out)
 	}
+	// Fewer than ten nodes plot every node; this once indexed past them.
+	o.Nodes = 5
+	if err := Figure7(o); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestTable1Renders(t *testing.T) {

@@ -27,7 +27,7 @@ type Section51Result struct {
 // accuracy.
 func Section51Fairness(o Options) (*Section51Result, error) {
 	o = o.Defaults()
-	w := newWorld(o, cifar, 6)
+	w := newWorld(o, cifar, PaperDegree)
 	algos := []core.Algorithm{
 		core.SkipTrainConstrained(GammaForDegree(6), o.Rounds, w.budgets()),
 		core.DPSGD(),

@@ -32,7 +32,7 @@ type Figure1Result struct {
 // The paper reports an ~10% accuracy boost for all-reduce.
 func Figure1(o Options) (*Figure1Result, error) {
 	o = o.Defaults()
-	w := newWorld(o, cifar, 6)
+	w := newWorld(o, cifar, PaperDegree)
 	algos := []core.Algorithm{core.DPSGD(), core.AllReduce()}
 	runs, err := sweep.Grid(o.Sweep, len(algos), nil, func(i int) (*sim.Result, error) {
 		cfg, err := w.config(algos[i])
@@ -140,7 +140,7 @@ type Figure3Result struct {
 func Figure3(o Options, degrees []int) (*Figure3Result, error) {
 	o = o.Defaults()
 	if len(degrees) == 0 {
-		degrees = []int{6, 8, 10}
+		degrees = PaperDegrees()
 	}
 	res := &Figure3Result{Degrees: degrees}
 	base := newWorld(o, cifar, degrees[0])
@@ -240,7 +240,7 @@ func Figure4(o Options) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := newWorld(o, cifar, 6).config(core.SkipTrain(gamma))
+	cfg, err := newWorld(o, cifar, PaperDegree).config(core.SkipTrain(gamma))
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +358,7 @@ type namedAlgo struct {
 // paper's 6, 8 and 10; no datasets means both.
 func armGrid[A any](o Options, datasets []string, degrees []int, algos []namedAlgo, arm func(*world, namedAlgo) (A, error)) ([]A, error) {
 	if len(degrees) == 0 {
-		degrees = []int{6, 8, 10}
+		degrees = PaperDegrees()
 	}
 	if len(datasets) == 0 {
 		datasets = []string{cifar.name, femnist.name}
@@ -519,9 +519,10 @@ func Figure7(o Options) error {
 	if err != nil {
 		return err
 	}
-	// counts are the first ten nodes' histograms over the first classes.
+	// counts are the first ten nodes' (or every node's, of fewer)
+	// histograms over the first classes.
 	counts := func(p dataset.Partition, classes int) [][]int {
-		out := make([][]int, 10)
+		out := make([][]int, min(10, len(p)))
 		for i := range out {
 			out[i] = p[i].ClassHistogram()[:classes]
 		}

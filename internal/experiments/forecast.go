@@ -76,7 +76,7 @@ func forecastArms() []forecastArm {
 // any GOMAXPROCS.
 func TableForecast(o Options) ([]ForecastRow, error) {
 	o = o.Defaults()
-	w := newWorld(o, cifar, 6)
+	w := newWorld(o, cifar, PaperDegree)
 	arms := forecastArms()
 	rows, err := brownoutGrid(w, len(arms), func(regime GammaRegime, i int) (ForecastRow, error) {
 		arm := arms[i]

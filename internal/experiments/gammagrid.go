@@ -253,7 +253,7 @@ func (m *identityMemo) put(o Options, degree int, id *gridIdentity) {
 // is bit-identical at any GOMAXPROCS.
 func RunGammaGrid(o Options, regime GammaRegime) (*GammaGridResult, error) {
 	o = o.Defaults()
-	g, err := newGammaGrid(newWorld(o, cifar, 6), []GammaRegime{regime}, nil)
+	g, err := newGammaGrid(newWorld(o, cifar, PaperDegree), []GammaRegime{regime}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -306,14 +306,14 @@ func newGammaGrid(w *world, regimes []GammaRegime, memo *identityMemo) (*gammaGr
 func tuningManifest(o Options, engine, label string, fingerprint uint64) *obs.ManifestBuilder {
 	return obs.NewManifest(engine, label, o.Seed).
 		Scale(o.Nodes, o.Rounds).
-		Setf("graph", "%016x", fingerprint).
-		Setf("lr", "%g", o.LR).
-		Setf("batch", "%d", o.BatchSize).
-		Setf("local_steps", "%d", o.LocalSteps).
-		Setf("train_per_node", "%d", o.TrainPerNode).
-		Setf("test_samples", "%d", o.TestSamples).
-		Setf("noise", "%g", o.Noise).
-		Setf("eval_subsample", "%d", o.EvalSubsample)
+		SetHex("graph", fingerprint).
+		SetFloat("lr", o.LR).
+		SetInt("batch", o.BatchSize).
+		SetInt("local_steps", o.LocalSteps).
+		SetInt("train_per_node", o.TrainPerNode).
+		SetInt("test_samples", o.TestSamples).
+		SetFloat("noise", o.Noise).
+		SetInt("eval_subsample", o.EvalSubsample)
 }
 
 // cellManifest is the identity of one (regime, Γt, Γs) cell of a harvest
@@ -324,9 +324,9 @@ func (g *gammaGrid) cellManifest(regime GammaRegime, traceName string, gt, gs in
 		Set("regime", regime.Name).
 		Set("trace", traceName).
 		Set("policy", "soc-threshold").
-		Setf("min_soc", "%g", gammaGridMinSoC).
-		Setf("fleet_capacity_rounds", "%g", fo.CapacityRounds).
-		Setf("fleet_initial_soc", "%g", fo.InitialSoC).
+		SetFloat("min_soc", gammaGridMinSoC).
+		SetFloat("fleet_capacity_rounds", fo.CapacityRounds).
+		SetFloat("fleet_initial_soc", fo.InitialSoC).
 		Set("gamma_train", strconv.Itoa(gt)).Set("gamma_sync", strconv.Itoa(gs))
 }
 
@@ -354,7 +354,7 @@ func (g *gammaGrid) runRegime(ri int) (*GammaGridResult, error) {
 	if p.Enabled() {
 		manifest := tuningManifest(g.o, "gammagrid", regime.Name, g.id.fingerprint).
 			Set("trace", id.trace).
-			Setf("grid", "%dx%d", gammaGridMax, gammaGridMax).
+			Set("grid", strconv.Itoa(gammaGridMax)+"x"+strconv.Itoa(gammaGridMax)).
 			Build()
 		p.RunStart(&manifest, 0)
 	}
@@ -397,7 +397,7 @@ func (g *gammaGrid) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, e
 	if err != nil {
 		return fail(err)
 	}
-	cfg, err := g.tuneConfig(core.Algorithm{Label: regime.Name + "/" + gamma.Name(), Schedule: gamma, Policy: policy})
+	cfg, err := g.tuneConfig(core.Algorithm{Label: regime.Name, Schedule: gamma, Policy: policy})
 	if err != nil {
 		return fail(err)
 	}
@@ -431,7 +431,7 @@ func (g *gammaGrid) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, e
 // stochastic state is per-node.
 func TableGammaHarvest(o Options) ([]GammaHarvestRow, error) {
 	o = o.Defaults()
-	grids, rows, err := gammaHarvest(newWorld(o, cifar, 6), nil)
+	grids, rows, err := gammaHarvest(newWorld(o, cifar, PaperDegree), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -274,3 +274,46 @@ func countKind(events []obs.Event, kind string) int {
 	}
 	return n
 }
+
+// TestGammaCellAllocsIndependentOfNodes: past the world a grid shares (its
+// data and topology, built here first), a Γ-grid cell builds everything
+// per sample, per node and per field as windows of per-call slabs, so a
+// cell of 300 nodes allocates exactly as often as one of 8 under every
+// standard regime (at GOMAXPROCS 1; above it par.ForOn spawns workers).
+func TestGammaCellAllocsIndependentOfNodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	grid := func(nodes int) *gammaGrid {
+		w := newWorld(Options{Nodes: nodes, Rounds: 4, Seed: 7}.Defaults(), cifar, 6)
+		if _, err := w.data(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.buildTopology(); err != nil {
+			t.Fatal(err)
+		}
+		return &gammaGrid{world: w, regimes: gammaGridRegimes}
+	}
+	small, large := grid(8), grid(300)
+	for _, regime := range gammaGridRegimes {
+		// The least of a few measurements: a collection in mid-cell empties
+		// fmt's sync.Pool and adds a stray allocation.
+		allocs := func(g *gammaGrid) float64 {
+			least := math.Inf(1)
+			for range 5 {
+				least = min(least, testing.AllocsPerRun(1, func() {
+					if _, err := g.runCell(regime, 1, 3); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			return least
+		}
+		if s, l := allocs(small), allocs(large); s != l {
+			t.Errorf("%s: a cell allocates %v times at 8 nodes, %v at 300", regime.Name, s, l)
+		} else {
+			t.Logf("%s: %v allocations a cell", regime.Name, s)
+		}
+	}
+}

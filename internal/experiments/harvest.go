@@ -42,7 +42,7 @@ type HarvestRow struct {
 // Markov source, a constant trickle charger, and the no-recharge baseline.
 func TableHarvest(o Options) ([]HarvestRow, error) {
 	o = o.Defaults()
-	w := newWorld(o, cifar, 6)
+	w := newWorld(o, cifar, PaperDegree)
 	// Each scenario pairs a regime with a policy. Policies are fleet-free —
 	// they read battery state through the round context — so the
 	// hysteresis constructor needs only the fleet size.

@@ -124,8 +124,8 @@ func TestManifestEngineAndBatteryShapeHashed(t *testing.T) {
 	build := func(engine string, capacity, initial float64) string {
 		return obs.NewManifest(engine, "", 7).
 			Scale(16, 20).
-			Setf("fleet_capacity_rounds", "%g", capacity).
-			Setf("fleet_initial_soc", "%g", initial).
+			SetFloat("fleet_capacity_rounds", capacity).
+			SetFloat("fleet_initial_soc", initial).
 			Build().ConfigHash
 	}
 	base := build("sim", 12, 0.75)

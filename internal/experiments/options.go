@@ -25,6 +25,14 @@ import (
 // PaperNodes is the node count of every experiment in the paper.
 const PaperNodes = 256
 
+// PaperDegree is the topology degree of every experiment on one topology:
+// the paper's 6-regular graph.
+const PaperDegree = 6
+
+// PaperDegrees are the degrees Figures 3, 5 and 6 and Tables 3 and 4 run
+// on by default, the paper's.
+func PaperDegrees() []int { return []int{6, 8, 10} }
+
 // PaperRoundsCIFAR and PaperRoundsFEMNIST are the paper's horizons.
 const (
 	PaperRoundsCIFAR   = 1000

@@ -91,7 +91,7 @@ func BestCatchUpHalfLife(rows []RejoinRow, regime string) float64 {
 // the frozen start-of-round state in node order.
 func TableRejoin(o Options) ([]RejoinRow, error) {
 	o = o.Defaults()
-	w := newWorld(o, cifar, 6)
+	w := newWorld(o, cifar, PaperDegree)
 	rows, err := brownoutGrid(w, 2+len(CatchUpHalfLives), func(regime GammaRegime, arm int) (RejoinRow, error) {
 		fail := func(err error) (RejoinRow, error) {
 			return RejoinRow{}, fmt.Errorf("experiments: rejoin %s: %w", regime.Name, err)

@@ -86,7 +86,7 @@ func registerSweepHandlers(s *sweep.Server, memo *identityMemo) {
 		if err != nil {
 			return nil, err
 		}
-		_, rows, err := gammaHarvest(newWorld(p.options(r), cifar, 6), memo)
+		_, rows, err := gammaHarvest(newWorld(p.options(r), cifar, PaperDegree), memo)
 		return rows, err
 	})
 	s.Handle(JobDegreeGrid, func(r *sweep.Runner, raw json.RawMessage) (any, error) {

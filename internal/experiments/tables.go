@@ -72,7 +72,7 @@ func Table3(o Options, fig5 *Figure5Result) []Table3Row {
 	for _, ds := range []datasetSpec{cifar, femnist} {
 		for _, algo := range []string{"SkipTrain", "D-PSGD"} {
 			row := Table3Row{Algo: algo, Dataset: ds.name, EnergyWh: map[int]float64{}, Acc: map[int]float64{}}
-			for _, deg := range []int{6, 8, 10} {
+			for _, deg := range PaperDegrees() {
 				trainRounds := ds.paperRounds
 				if algo == "SkipTrain" {
 					trainRounds = core.CountTrainRounds(GammaForDegree(deg), ds.paperRounds)
@@ -126,7 +126,7 @@ func Table4(o Options, fig6 *Figure6Result) []Table4Row {
 	for _, ds := range []string{"cifar", "femnist"} {
 		for _, algo := range []string{"SkipTrain-constrained", "Greedy", "D-PSGD"} {
 			row := Table4Row{Algo: algo, Dataset: ds, EnergyWh: map[int]float64{}, Acc: map[int]float64{}}
-			for _, deg := range []int{6, 8, 10} {
+			for _, deg := range PaperDegrees() {
 				arm := fig6.Arm(algo, ds, deg)
 				if arm == nil {
 					continue
@@ -174,7 +174,7 @@ func SummaryHeadline(o Options, t3 []Table3Row, t4 []Table4Row) {
 	st, dp := cifarRow(t3, "SkipTrain"), cifarRow(t3, "D-PSGD")
 	sc, dc := cifarRow(t4, "SkipTrain-constrained"), cifarRow(t4, "D-PSGD")
 	var bestGainU, bestGainC, energyRatio float64
-	for _, deg := range []int{6, 8, 10} {
+	for _, deg := range PaperDegrees() {
 		if dp.EnergyWh != nil && st.EnergyWh != nil && dp.EnergyWh[deg] > 0 {
 			bestGainU = max(bestGainU, st.Acc[deg]-dp.Acc[deg])
 			if r := st.EnergyWh[deg] / dp.EnergyWh[deg]; energyRatio == 0 || r < energyRatio {

@@ -31,11 +31,16 @@ type datasetSpec struct {
 	paperRounds int
 	budgetShare float64 // battery share of the constrained setting (Table 2)
 	build       func(Options) (part dataset.Partition, val, test *dataset.Dataset, err error)
+	// model is every run's ModelFactory: logistic regression over the
+	// 32-dimensional inputs onto the classes.
+	model func(node int, r *rng.RNG) *nn.Network
 }
 
 var (
-	cifar   = datasetSpec{"cifar", 10, energy.CIFAR10Workload(), PaperRoundsCIFAR, 0.10, CIFARLikeData}
-	femnist = datasetSpec{"femnist", 62, energy.FEMNISTWorkload(), PaperRoundsFEMNIST, 0.50, femnistLikeData}
+	cifar = datasetSpec{"cifar", 10, energy.CIFAR10Workload(), PaperRoundsCIFAR, 0.10, CIFARLikeData,
+		func(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(32, 10, r) }}
+	femnist = datasetSpec{"femnist", 62, energy.FEMNISTWorkload(), PaperRoundsFEMNIST, 0.50, femnistLikeData,
+		func(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(32, 62, r) }}
 	// datasetSpecs looks the datasets of Figures 5 and 6 up by name.
 	datasetSpecs = map[string]datasetSpec{cifar.name: cifar, femnist.name: femnist}
 )
@@ -116,7 +121,7 @@ func (w *world) config(algo core.Algorithm) (sim.Config, error) {
 		Graph: w.graph, Weights: w.weights,
 		Algo:         algo,
 		Rounds:       o.Rounds,
-		ModelFactory: func(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(32, w.ds.classes, r) },
+		ModelFactory: w.ds.model,
 		LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
 		Partition: d.part, Test: d.test,
 		EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample,

@@ -130,16 +130,25 @@ func Circulant(n int, offsets []int) (*Graph, error) {
 	return g, nil
 }
 
+// CheckRegular reports why Regular cannot build a d-regular graph on n
+// nodes, or nil when it can: it needs 2 ≤ d < n and n·d even.
+func CheckRegular(n, d int) error {
+	if d < 2 || d >= n {
+		return fmt.Errorf("graph: degree %d invalid for %d nodes", d, n)
+	}
+	if n%2 != 0 && d%2 != 0 {
+		return fmt.Errorf("graph: n*d must be even (n=%d, d=%d)", n, d)
+	}
+	return nil
+}
+
 // Regular returns a connected d-regular graph on n nodes. It first tries
 // random regular graphs via stub matching (the standard pairing model) and
 // falls back to a circulant construction if sampling fails repeatedly.
-// n*d must be even and d < n.
+// CheckRegular(n, d) must hold.
 func Regular(n, d int, seed uint64) (*Graph, error) {
-	if d < 2 || d >= n {
-		return nil, fmt.Errorf("graph: degree %d invalid for %d nodes", d, n)
-	}
-	if n*d%2 != 0 {
-		return nil, fmt.Errorf("graph: n*d must be even (n=%d, d=%d)", n, d)
+	if err := CheckRegular(n, d); err != nil {
+		return nil, err
 	}
 	r := rng.Derive(seed, 0x9a4f)
 	for attempt := 0; attempt < 100; attempt++ {

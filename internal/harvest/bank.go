@@ -104,6 +104,8 @@ type bank struct {
 // two time models cannot drift in how a fleet shape is interpreted. It
 // rewinds a stateful trace (TraceResetter): a fleet starts from the trace's
 // first round, not from wherever a previous fleet on it left its chains.
+// Its eight per-node rows are windows of one slab; an engine keeps its own
+// rows in another.
 func newBank(devices []energy.Device, w energy.Workload, trace Trace, opt Options) (bank, error) {
 	if len(devices) == 0 {
 		return bank{}, fmt.Errorf("harvest: fleet needs at least one device")
@@ -122,17 +124,9 @@ func newBank(devices []energy.Device, w energy.Workload, trace Trace, opt Option
 	}
 	opt = opt.defaults()
 	n := len(devices)
-	b := bank{
-		chargeWh:   make([]float64, n),
-		capacityWh: make([]float64, n),
-		cutoffWh:   make([]float64, n),
-		trainWh:    make([]float64, n),
-		commWh:     make([]float64, n),
-		idleWh:     opt.IdleWh,
-		harvested:  make([]float64, n),
-		consumed:   make([]float64, n),
-		wasted:     make([]float64, n),
-	}
+	rows := make([]float64, 8*n)
+	b := bank{chargeWh: row(&rows, n), capacityWh: row(&rows, n), cutoffWh: row(&rows, n), trainWh: row(&rows, n),
+		commWh: row(&rows, n), idleWh: opt.IdleWh, harvested: row(&rows, n), consumed: row(&rows, n), wasted: row(&rows, n)}
 	for i, d := range devices {
 		b.trainWh[i] = d.TrainRoundWh(w)
 		b.commWh[i] = b.trainWh[i] * opt.CommFrac
@@ -159,6 +153,14 @@ func newBank(devices []energy.Device, w energy.Workload, trace Trace, opt Option
 		b.chargeWh[i], _ = store(0, capacity, initial)
 	}
 	return b, nil
+}
+
+// row cuts the next n-long row, capped at its length, off the front of
+// *slab.
+func row(slab *[]float64, n int) []float64 {
+	r := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return r
 }
 
 // consume spends wh from node i on a load it may refuse — a training round,

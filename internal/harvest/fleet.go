@@ -43,14 +43,8 @@ func NewFleet(devices []energy.Device, w energy.Workload, trace Trace, opt Optio
 		return nil, err
 	}
 	n := len(devices)
-	f := &Fleet{
-		bank:         b,
-		initialWh:    make([]float64, n),
-		trace:        trace,
-		roundHarvest: make([]float64, n),
-		roundArrived: make([]float64, n),
-		liveMask:     make([]bool, n),
-	}
+	rows := make([]float64, 3*n)
+	f := &Fleet{bank: b, initialWh: row(&rows, n), trace: trace, roundHarvest: row(&rows, n), roundArrived: row(&rows, n), liveMask: make([]bool, n)}
 	copy(f.initialWh, b.chargeWh)
 	return f, nil
 }

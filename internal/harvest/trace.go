@@ -3,6 +3,7 @@ package harvest
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/rng"
 )
@@ -99,8 +100,13 @@ func (d *Diurnal) ForecastWh(node, t int, out []float64) {
 
 // Name returns e.g. "diurnal(peak=0.01,period=24)".
 func (d *Diurnal) Name() string {
-	return fmt.Sprintf("diurnal(peak=%g,period=%d)", d.peakWh, d.period)
+	b := appendG(append(make([]byte, 0, 64), "diurnal(peak="...), d.peakWh)
+	return string(append(strconv.AppendInt(append(b, ",period="...), int64(d.period), 10), ')'))
 }
+
+// appendG appends v as fmt's %g writes it: a name formatted this way
+// allocates only its string.
+func appendG(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
 
 // LongitudePhase spreads n nodes evenly around the globe: node i sits at
 // phase i/n of a day. Use as the phase function of NewDiurnal.
@@ -116,8 +122,9 @@ type MarkovOnOff struct {
 	onWh           float64
 	pOnOff, pOffOn float64
 	on             []bool
-	rngs           []*rng.RNG
-	start          []rng.RNG // each stream's state at construction
+	// rngs[i] is node i's stream and rngs[n+i] its state at construction:
+	// both halves are windows of one slice.
+	rngs []rng.RNG
 }
 
 // markovStreamTag derives the per-node chain streams from the seed.
@@ -133,11 +140,9 @@ func NewMarkovOnOff(n int, onWh, pOnOff, pOffOn float64, seed uint64) (*MarkovOn
 	case !(pOnOff >= 0 && pOnOff <= 1 && pOffOn >= 0 && pOffOn <= 1):
 		return nil, fmt.Errorf("harvest: markov probabilities (%v, %v) outside [0,1]", pOnOff, pOffOn)
 	}
-	m := &MarkovOnOff{onWh: onWh, pOnOff: pOnOff, pOffOn: pOffOn,
-		on: make([]bool, n), rngs: make([]*rng.RNG, n), start: make([]rng.RNG, n)}
-	for i := range m.rngs {
-		m.rngs[i] = rng.Derive(seed, uint64(i), markovStreamTag)
-		m.start[i] = *m.rngs[i]
+	m := &MarkovOnOff{onWh: onWh, pOnOff: pOnOff, pOffOn: pOffOn, on: make([]bool, n), rngs: make([]rng.RNG, 2*n)}
+	for i := range n {
+		rng.DeriveTo(&m.rngs[n+i], seed, uint64(i), markovStreamTag)
 	}
 	m.ResetTrace()
 	return m, nil
@@ -150,14 +155,14 @@ func NewMarkovOnOff(n int, onWh, pOnOff, pOffOn float64, seed uint64) (*MarkovOn
 func (m *MarkovOnOff) ResetTrace() {
 	for i := range m.on {
 		m.on[i] = true
-		*m.rngs[i] = m.start[i]
 	}
+	copy(m.rngs, m.rngs[len(m.on):])
 }
 
 // HarvestWh advances node's chain one step and returns its harvest. It must
 // be called exactly once per (node, round); see Trace.
 func (m *MarkovOnOff) HarvestWh(node, _ int) float64 {
-	r := m.rngs[node]
+	r := &m.rngs[node]
 	if m.on[node] {
 		if r.Bernoulli(m.pOnOff) {
 			m.on[node] = false
@@ -171,8 +176,8 @@ func (m *MarkovOnOff) HarvestWh(node, _ int) float64 {
 	return 0
 }
 
-// ForecastWh forks node's chain — a copy of its on/off state and a Clone
-// of its RNG stream — and replays it len(out) steps into the future
+// ForecastWh forks node's chain — a copy of its on/off state and of its
+// RNG stream — and replays it len(out) steps into the future
 // (Lookahead). The live chain is never touched, so forecasting any number
 // of times leaves the subsequently realized trajectory bit-identical, and
 // the forecast itself is exactly what HarvestWh will return for those
@@ -181,8 +186,7 @@ func (m *MarkovOnOff) HarvestWh(node, _ int) float64 {
 // round the next HarvestWh call realizes — see Lookahead). Safe for
 // concurrent use across distinct nodes.
 func (m *MarkovOnOff) ForecastWh(node, _ int, out []float64) {
-	r := m.rngs[node].Clone()
-	on := m.on[node]
+	r, on := m.rngs[node], m.on[node]
 	for k := range out {
 		if on {
 			if r.Bernoulli(m.pOnOff) {
@@ -201,7 +205,9 @@ func (m *MarkovOnOff) ForecastWh(node, _ int, out []float64) {
 
 // Name returns e.g. "markov(on=0.01,p10=0.2,p01=0.3)".
 func (m *MarkovOnOff) Name() string {
-	return fmt.Sprintf("markov(on=%g,p10=%g,p01=%g)", m.onWh, m.pOnOff, m.pOffOn)
+	b := appendG(append(make([]byte, 0, 64), "markov(on="...), m.onWh)
+	b = appendG(append(appendG(append(b, ",p10="...), m.pOnOff), ",p01="...), m.pOffOn)
+	return string(append(b, ')'))
 }
 
 // Replay plays back a recorded harvest schedule: wh[t][node] watt-hours,

@@ -3,7 +3,10 @@ package harvest
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // TestDiurnalGoldenValues pins the diurnal generator to hand-computed
@@ -246,6 +249,47 @@ func TestMarkovResetTraceReplaysBitIdentical(t *testing.T) {
 			}
 			if got := fresh.HarvestWh(node, tt); got != replayed {
 				t.Fatalf("node %d round %d: reset trace %v, fresh trace %v", node, tt, replayed, got)
+			}
+		}
+	}
+}
+
+// TestMarkovChainsAdvanceConcurrently: every node's chain draws from its
+// own element of the trace's one stream slice, so distinct nodes advance
+// concurrently, one goroutine each (-race checks the elements are
+// disjoint), along exactly the trajectory of a serial reference chain on
+// rng.Derive(seed, node, markovStreamTag), and fork from it to the same
+// forecast.
+func TestMarkovChainsAdvanceConcurrently(t *testing.T) {
+	const nodes, rounds, horizon = 16, 300, 8
+	m, err := NewMarkovOnOff(nodes, 0.01, 0.3, 0.4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]float64, nodes)
+	var wg sync.WaitGroup
+	for node := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[node] = make([]float64, rounds+horizon)
+			for tt := range rounds {
+				got[node][tt] = m.HarvestWh(node, tt)
+			}
+			m.ForecastWh(node, rounds, got[node][rounds:])
+		}()
+	}
+	wg.Wait()
+	for node := range nodes {
+		r, on := rng.Derive(11, uint64(node), markovStreamTag), true
+		for tt, wh := range got[node] {
+			if on {
+				on = !r.Bernoulli(0.3)
+			} else {
+				on = r.Bernoulli(0.4)
+			}
+			if want := map[bool]float64{true: 0.01}[on]; wh != want {
+				t.Fatalf("node %d round %d: harvest %v, the reference chain %v", node, tt, wh, want)
 			}
 		}
 	}

@@ -170,14 +170,14 @@ func (s *Spec) Manifest(engine string, rounds, paramCount int) *obs.ManifestBuil
 	b := obs.NewManifest(engine, s.Algo.Label, s.Seed).Scale(s.Graph.N, rounds).
 		Set("schedule", s.Algo.Schedule.Name()).
 		Set("policy", s.Algo.Policy.Name()).
-		Setf("graph", "%016x", s.Graph.Fingerprint()).
-		Setf("lr", "%g", s.LR).
-		Setf("batch", "%d", s.BatchSize).
-		Setf("local_steps", "%d", s.LocalSteps).
-		Setf("params", "%d", paramCount).
-		Setf("eval_subsample", "%d", s.EvalSubsample)
+		SetHex("graph", s.Graph.Fingerprint()).
+		SetFloat("lr", s.LR).
+		SetInt("batch", s.BatchSize).
+		SetInt("local_steps", s.LocalSteps).
+		SetInt("params", paramCount).
+		SetInt("eval_subsample", s.EvalSubsample)
 	if s.Devices != nil {
-		b.Setf("devices", "%d", len(s.Devices))
+		b.SetInt("devices", len(s.Devices))
 	}
 	return b
 }
@@ -187,25 +187,24 @@ func (s *Spec) Manifest(engine string, rounds, paramCount int) *obs.ManifestBuil
 type Score struct{ Mean, Std, Consensus, Global float64 }
 
 // Evaluator scores every node on the test set or on EvalSubsample samples
-// redrawn per evaluation. Accs holds each node's last accuracy.
+// redrawn per evaluation, each node's last accuracy into its row of accs.
 type Evaluator struct {
-	Accs      []float64
+	accs      []float64
 	ns        Nodes
 	test      *dataset.Dataset
 	consensus bool
 	mean      tensor.Vector // the mean model Score.Global scores; nil when not asked for
-	draw      *rng.RNG
+	draw      rng.RNG
 	xs        []tensor.Vector
 	ys        []int
-	perm      []int       // the redraw's permutation of the test set; nil = no redraw
-	score     func(i int) // scoreNode, bound once
+	perm      []int // the redraw's permutation of the test set; nil = no redraw
 }
 
-// NewEvaluator scores ns; consensus and global ask for those Score fields.
-func (s *Spec) NewEvaluator(ns Nodes, consensus, global bool) *Evaluator {
-	ev := &Evaluator{Accs: make([]float64, len(ns.Params)), ns: ns, test: s.Test, consensus: consensus,
-		draw: rng.Derive(s.Seed, 0xe7a1)}
-	ev.score = ev.scoreNode
+// NewEvaluator scores ns into accs, one row per node; consensus and global
+// ask for those Score fields.
+func (s *Spec) NewEvaluator(ns Nodes, accs []float64, consensus, global bool) Evaluator {
+	ev := Evaluator{accs: accs, ns: ns, test: s.Test, consensus: consensus}
+	rng.DeriveTo(&ev.draw, s.Seed, 0xe7a1)
 	if global {
 		ev.mean = tensor.NewVector(ns.ParamCount)
 	}
@@ -226,8 +225,8 @@ func (ev *Evaluator) accuracy(x tensor.Vector) float64 {
 	return acc
 }
 
-// scoreNode writes Accs[i] only: nodes score in parallel to the same bits.
-func (ev *Evaluator) scoreNode(i int) { ev.Accs[i] = ev.accuracy(ev.ns.Params[i]) }
+// scoreNode writes accs[i] only: nodes score in parallel to the same bits.
+func (ev *Evaluator) scoreNode(i int) { ev.accs[i] = ev.accuracy(ev.ns.Params[i]) }
 
 // Evaluate draws this evaluation's samples (rng.Perm's draws) and scores.
 func (ev *Evaluator) Evaluate() Score {
@@ -237,9 +236,9 @@ func (ev *Evaluator) Evaluate() Score {
 			ev.xs[i], ev.ys[i] = ev.test.Samples[j].X, ev.test.Samples[j].Y
 		}
 	}
-	par.For(len(ev.Accs), 0, ev.score)
+	par.ForOn(len(ev.accs), 0, ev, (*Evaluator).scoreNode)
 	var sc Score
-	sc.Mean, sc.Std = metrics.MeanStd(ev.Accs)
+	sc.Mean, sc.Std = metrics.MeanStd(ev.accs)
 	if ev.consensus {
 		sc.Consensus = metrics.ConsensusDistance(ev.ns.Params)
 	}

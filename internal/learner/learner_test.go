@@ -147,7 +147,7 @@ func TestSharedValidation(t *testing.T) {
 		{"short partition", "partition for 4 nodes, graph has 12", func(_ *testing.T, f fields) { *f.part = (*f.part)[:4] }},
 		{"empty shard", "node 3 has empty partition", func(_ *testing.T, f fields) {
 			p := slices.Clone(*f.part)
-			p[3] = p[3].Subset(nil)
+			p[3] = &dataset.Dataset{NumClasses: p[3].NumClasses, Dim: p[3].Dim}
 			*f.part = p
 		}},
 		{"nil test set", "empty test set", func(_ *testing.T, f fields) { *f.test = nil }},

@@ -3,7 +3,6 @@ package obs
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -52,25 +51,29 @@ type RunManifest struct {
 // ManifestBuilder accumulates config fields and derives the stable hash.
 // Every "key=value\n" line is appended to one buffer after the hashed head,
 // "engine=…\nseed=…\n"; fields indexes the lines in key order — the order
-// they are hashed in — so setting a field formats nothing but its value.
+// they are hashed in — so setting a field formats nothing but its value,
+// straight into the buffer. The builder is one allocation: buf and fields
+// start as windows of its own arrays, which the engines' manifests fit.
 type ManifestBuilder struct {
-	m      RunManifest // the identity fields; Build fills in the rest
-	buf    []byte      // the head, then the lines as set
-	head   int         // len of the head in buf
-	fields []field     // the lines, buf[start:end] with the '\n', sorted by key
+	m          RunManifest // the identity fields; Build fills in the rest
+	buf        []byte      // the head, then the lines as set
+	head       int         // len of the head in buf
+	fields     []field     // the lines, buf[start:end] with the '\n', sorted by key
+	bufSpace   [768]byte
+	fieldSpace [24]field
 }
 
 type field struct {
 	key        string
-	start, end int
+	start, end int32 // 24 bytes a field: the builder fits the 1 536-byte size class
 }
 
 // NewManifest starts a manifest for one run of the named engine.
 func NewManifest(engine, label string, seed uint64) *ManifestBuilder {
 	b := &ManifestBuilder{m: RunManifest{Engine: engine, Label: label, Seed: seed}}
-	b.buf = append(append(make([]byte, 0, 768), "engine="...), engine...) // the engines' manifests fit
-	b.buf = append(strconv.AppendUint(append(b.buf, "\nseed="...), seed, 10), '\n')
-	b.head, b.fields = len(b.buf), make([]field, 0, 24)
+	b.buf = append(append(append(b.bufSpace[:0], "engine="...), engine...), "\nseed="...)
+	b.buf = append(strconv.AppendUint(b.buf, seed, 10), '\n')
+	b.head, b.fields = len(b.buf), b.fieldSpace[:0]
 	return b
 }
 
@@ -78,25 +81,43 @@ func NewManifest(engine, label string, seed uint64) *ManifestBuilder {
 // fields).
 func (b *ManifestBuilder) Scale(nodes, rounds int) *ManifestBuilder {
 	b.m.Nodes, b.m.Rounds = nodes, rounds
-	return b.Set("nodes", strconv.Itoa(nodes)).Set("rounds", strconv.Itoa(rounds))
+	return b.SetInt("nodes", nodes).SetInt("rounds", rounds)
 }
 
 // Set records one config field. Last write per key wins; keys are sorted
 // before hashing, so call order never matters.
 func (b *ManifestBuilder) Set(key, value string) *ManifestBuilder {
-	return b.put(key, len(b.buf), append(append(append(b.buf, key...), '='), value...))
+	return b.put(key, append(b.line(key), value...))
 }
 
-// Setf records one config field with fmt formatting.
-func (b *ManifestBuilder) Setf(key, format string, args ...any) *ManifestBuilder {
-	return b.put(key, len(b.buf), fmt.Appendf(append(append(b.buf, key...), '='), format, args...))
+// SetInt records one integer config field as fmt's %d writes it.
+func (b *ManifestBuilder) SetInt(key string, v int) *ManifestBuilder {
+	return b.put(key, strconv.AppendInt(b.line(key), int64(v), 10))
 }
 
-// put files key's line, appended to buf from start, in key order; a re-set
-// key's old line stays in buf as dead bytes.
-func (b *ManifestBuilder) put(key string, start int, buf []byte) *ManifestBuilder {
+// SetFloat records one float config field as fmt's %g writes it.
+func (b *ManifestBuilder) SetFloat(key string, v float64) *ManifestBuilder {
+	return b.put(key, strconv.AppendFloat(b.line(key), v, 'g', -1, 64))
+}
+
+// SetHex records one 64-bit config field as fmt's %016x writes it.
+func (b *ManifestBuilder) SetHex(key string, v uint64) *ManifestBuilder {
+	line := b.line(key)
+	for shift := 60; shift >= 0; shift -= 4 {
+		line = append(line, "0123456789abcdef"[v>>shift&15])
+	}
+	return b.put(key, line)
+}
+
+// line starts key's line at the end of buf.
+func (b *ManifestBuilder) line(key string) []byte { return append(append(b.buf, key...), '=') }
+
+// put files key's line, the bytes of buf past its old end, in key order; a
+// re-set key's old line stays in buf as dead bytes.
+func (b *ManifestBuilder) put(key string, buf []byte) *ManifestBuilder {
+	start := len(b.buf)
 	b.buf = append(buf, '\n')
-	f := field{key, start, len(b.buf)}
+	f := field{key, int32(start), int32(len(b.buf))}
 	if i, ok := slices.BinarySearchFunc(b.fields, key, func(f field, key string) int { return strings.Compare(f.key, key) }); ok {
 		b.fields[i] = f
 	} else {
@@ -117,20 +138,26 @@ func (b *ManifestBuilder) config(dst []byte) []byte {
 // ConfigHash is Build().ConfigHash with no manifest built around it — all
 // a cache lookup needs: the digest of head and the "key=value\n" lines.
 func (b *ManifestBuilder) ConfigHash() string {
-	sum := sha256.Sum256(b.config(make([]byte, 0, 1024)))
 	var digest [32]byte
-	hex.Encode(digest[:], sum[:16])
-	return string(digest[:])
+	return string(b.digest(digest[:0]))
+}
+
+// digest appends the 32 hex digits of the hashed text's digest to dst.
+func (b *ManifestBuilder) digest(dst []byte) []byte {
+	sum := sha256.Sum256(b.config(make([]byte, 0, 1024)))
+	return hex.AppendEncode(dst, sum[:16])
 }
 
 // Build finalizes the manifest: hashes the sorted fields with the engine
-// name and seed, and stamps the build identity.
+// name and seed, and stamps the build identity. The digest and the lines
+// are substrings of one string.
 func (b *ManifestBuilder) Build() RunManifest {
 	m := b.m
-	m.ConfigHash, m.Config = b.ConfigHash(), make([]string, len(b.fields))
-	lines := string(b.config(make([]byte, 0, 1024))[b.head:])
+	text := string(b.config(b.digest(make([]byte, 0, 1024))))
+	m.ConfigHash, m.Config = text[:32], make([]string, len(b.fields))
+	lines := text[32+b.head:]
 	for i, f := range b.fields {
-		n := f.end - f.start
+		n := int(f.end - f.start)
 		m.Config[i], lines = lines[:n-1], lines[n:]
 	}
 	m.GoVersion = runtime.Version()

@@ -3,8 +3,11 @@ package obs
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"math"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -89,16 +92,15 @@ func eighteenFields() *ManifestBuilder {
 	for i, k := range []string{"regime", "trace", "graph", "gamma_train", "gamma_sync", "lr", "batch",
 		"local_steps", "train_per_node", "test_samples", "noise", "eval_subsample", "policy", "min_soc",
 		"fleet_capacity_rounds", "fleet_initial_soc"} {
-		b.Setf(k, "v%d", i)
+		b.Set(k, "v"+strconv.Itoa(i))
 	}
 	return b
 }
 
 // Setting a field formats into the builder's one buffer: NewManifest, Scale
-// and the sweep cell manifest's sixteen Set/Setf calls allocate as often as
-// NewManifest and Scale alone: the builder, its buffer and its index. (A boxed
-// Setf argument of 256 or more is the caller's allocation, not the
-// builder's; these are smaller.)
+// and the sweep cell manifest's sixteen Set/SetInt/SetFloat/SetHex calls
+// allocate as often as NewManifest and Scale alone, once: the builder, with
+// its buffer and its index inside it, at any node count.
 func TestManifestSetAllocsIndependentOfFields(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation counts do not hold under the race detector")
@@ -108,11 +110,16 @@ func TestManifestSetAllocsIndependentOfFields(t *testing.T) {
 		"fleet_capacity_rounds", "fleet_initial_soc"}
 	allocs := func(fields int) float64 {
 		return testing.AllocsPerRun(50, func() {
-			b := NewManifest("gammacell", "markov-lo", 7).Scale(16, 20)
+			b := NewManifest("gammacell", "markov-lo", 7).Scale(300, 1000)
 			for i, k := range keys[:fields] {
-				if i%2 == 0 {
-					b.Setf(k, "v%d", i)
-				} else {
+				switch i % 4 {
+				case 0:
+					b.SetInt(k, 1000+i)
+				case 1:
+					b.SetHex(k, 0xfedcba9876543210+uint64(i))
+				case 2:
+					b.SetFloat(k, 0.1*float64(i))
+				default:
 					b.Set(k, "value")
 				}
 			}
@@ -125,8 +132,31 @@ func TestManifestSetAllocsIndependentOfFields(t *testing.T) {
 			t.Fatalf("%d more fields: %v allocations, %v with none", n, got, base)
 		}
 	}
-	if base != 3 {
-		t.Fatalf("NewManifest and Scale allocate %v times, want 3", base)
+	if base != 1 {
+		t.Fatalf("NewManifest and Scale allocate %v times, want 1", base)
+	}
+}
+
+// The typed setters write exactly the bytes fmt's verbs did, so every
+// ConfigHash they feed, and every cache key, holds.
+func TestTypedSettersMatchFmt(t *testing.T) {
+	line := func(b *ManifestBuilder) string { return b.Build().Config[2] } // after nodes and rounds
+	start := func() *ManifestBuilder { return NewManifest("sim", "", 1).Scale(1, 1) }
+	for _, v := range []int{0, 7, 255, 256, 300, -1, -4096, math.MaxInt64, math.MinInt64} {
+		if got, want := line(start().SetInt("v", v)), fmt.Sprintf("v=%d", v); got != want {
+			t.Errorf("SetInt(%d) wrote %q, %%d %q", v, got, want)
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), 0.05, 2.5, 1e21, 1e-7, 123456789, 1.0 / 3, -0.75,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if got, want := line(start().SetFloat("v", v)), fmt.Sprintf("v=%g", v); got != want {
+			t.Errorf("SetFloat(%v) wrote %q, %%g %q", v, got, want)
+		}
+	}
+	for _, v := range []uint64{0, 1, 0xabc, 0x0123456789abcdef, math.MaxUint64} {
+		if got, want := line(start().SetHex("v", v)), fmt.Sprintf("v=%016x", v); got != want {
+			t.Errorf("SetHex(%#x) wrote %q, %%016x %q", v, got, want)
+		}
 	}
 }
 

@@ -47,9 +47,9 @@ func TestSketchQuantileWithinOneBin(t *testing.T) {
 		for _, q := range []float64{0.5, 0.9, 0.99} {
 			got := sk.Quantile(q)
 			want := exactQuantile(sorted, q)
-			if math.Abs(got-want) > sk.width {
+			if math.Abs(got-want) > binWidth {
 				t.Fatalf("trial %d (n=%d shape=%d): q%.2f = %.5f, exact %.5f, off by more than one bin (%.5f)",
-					trial, n, shape, q, got, want, sk.width)
+					trial, n, shape, q, got, want, binWidth)
 			}
 		}
 	}
@@ -69,10 +69,10 @@ func TestSketchClampsOutOfRange(t *testing.T) {
 	if n := sk.n; n != 2 {
 		t.Fatalf("count = %d, want 2", n)
 	}
-	if q := sk.Quantile(0.01); q > sk.width {
+	if q := sk.Quantile(0.01); q > binWidth {
 		t.Fatalf("low outlier landed at %v, want first bin", q)
 	}
-	if q := sk.Quantile(0.99); q < 1-sk.width {
+	if q := sk.Quantile(0.99); q < 1-binWidth {
 		t.Fatalf("high outlier landed at %v, want last bin", q)
 	}
 }
@@ -87,7 +87,7 @@ func TestSketchResetClears(t *testing.T) {
 		t.Fatalf("count after reset = %d", sk.n)
 	}
 	sk.Observe(0.75)
-	if q := sk.Quantile(0.5); math.Abs(q-0.75) > sk.width {
+	if q := sk.Quantile(0.5); math.Abs(q-0.75) > binWidth {
 		t.Fatalf("post-reset quantile %v remembers pre-reset data", q)
 	}
 }

@@ -24,7 +24,7 @@ type Pool struct {
 }
 
 // NewPool returns a pool bounded to the given worker count. workers <= 0
-// means "track GOMAXPROCS at call time", as the package-level For does.
+// means "track GOMAXPROCS at call time", as ForOn does.
 func NewPool(workers int) *Pool {
 	if workers < 0 {
 		workers = 0
@@ -48,7 +48,7 @@ func (p *Pool) Workers() int {
 // body takes 50–60 ns (215–300 ns an index fanned out). A caller whose
 // body takes under a microsecond runs it in a plain loop instead.
 func (p *Pool) For(n, minSerial int, fn func(i int)) {
-	p.forIndices(n, minSerial, fn)
+	forIndices(p, n, minSerial, fn, call)
 }
 
 // ForErr is For with a fallible body: every fn(i) runs to completion (no
@@ -59,7 +59,7 @@ func (p *Pool) For(n, minSerial int, fn func(i int)) {
 // GOMAXPROCS tests.
 func (p *Pool) ForErr(n, minSerial int, fn func(i int) error) error {
 	errs := make([]error, n)
-	p.forIndices(n, minSerial, func(i int) {
+	p.For(n, minSerial, func(i int) {
 		errs[i] = fn(i)
 	})
 	for _, err := range errs {
@@ -70,19 +70,23 @@ func (p *Pool) ForErr(n, minSerial int, fn func(i int) error) error {
 	return nil
 }
 
-// For runs fn on the default (GOMAXPROCS-wide) pool. See Pool.For.
-func For(n, minSerial int, fn func(i int)) {
-	(*Pool)(nil).For(n, minSerial, fn)
+// ForOn runs fn(t, 0..n-1) on the default (GOMAXPROCS-wide) pool, as
+// Pool.For runs fn(i): a method expression and its receiver make no
+// closure, so on the serial path it allocates nothing.
+func ForOn[T any](n, minSerial int, t T, fn func(t T, i int)) {
+	forIndices(nil, n, minSerial, t, fn)
 }
 
-func (p *Pool) forIndices(n, minSerial int, fn func(i int)) {
+func call(fn func(int), i int) { fn(i) }
+
+func forIndices[T any](p *Pool, n, minSerial int, t T, fn func(T, int)) {
 	workers := p.Workers()
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 || n < minSerial {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(t, i)
 		}
 		return
 	}
@@ -97,7 +101,7 @@ func (p *Pool) forIndices(n, minSerial int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				fn(i)
+				fn(t, i)
 			}
 		}()
 	}

@@ -10,14 +10,14 @@ import (
 func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, minSerial := range []int{0, 1000} { // parallel and serial paths
 		counts := make([]int64, 257)
-		For(len(counts), minSerial, func(i int) { atomic.AddInt64(&counts[i], 1) })
+		ForOn(len(counts), minSerial, counts, func(counts []int64, i int) { atomic.AddInt64(&counts[i], 1) })
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("minSerial=%d: index %d visited %d times", minSerial, i, c)
 			}
 		}
 	}
-	For(0, 0, func(int) { t.Fatal("must not call fn for n=0") })
+	ForOn(0, 0, t, func(t *testing.T, _ int) { t.Fatal("must not call fn for n=0") })
 }
 
 func TestForErrReturnsLowestIndexError(t *testing.T) {

@@ -180,13 +180,3 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
-
-// Clone returns an independent copy of the generator at its current state:
-// the clone produces the exact variate stream the original would, without
-// advancing it. It is the fork primitive behind oracle forecasting — a
-// stochastic process can be replayed into the future while the live stream
-// stays untouched.
-func (r *RNG) Clone() *RNG {
-	cp := *r
-	return &cp
-}

@@ -42,6 +42,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -322,12 +323,13 @@ func (r *Result) Evaluations() []RoundMetrics {
 
 // run is what the phase bodies of one Run share: the node slab and the
 // current round's view, which the loop writes between barriers and the
-// bodies only read. The bodies are methods, bound once before the loop, so
-// a round allocates no closure; each writes node-i state only.
+// bodies only read. The bodies are methods, run by par.ForOn as method
+// expressions, so no phase makes a closure; each writes node-i state only.
 type run struct {
-	cfg  *Config
+	cfg  Config
 	spec learner.Spec
 	ln   learner.Nodes
+	eval learner.Evaluator
 	// trained[i] counts the rounds node i trained (Result.TrainedRounds):
 	// the budget it has spent, which its RoundContext.Trained carries.
 	// trainWh and commWh are the per-node Eq. 3 ledger (nil without
@@ -353,6 +355,8 @@ type run struct {
 	// source. nbrMean is the rejoin rule's neighbor mean (Config.Rejoin).
 	lastLive []int
 	nbrMean  tensor.Vector
+	// globalMean is the all-reduce's fleet mean (core.AggGlobal only).
+	globalMean tensor.Vector
 }
 
 // down reports that node i is browned out on a round that drops dead nodes:
@@ -429,7 +433,7 @@ func (r *run) rejoin(i, stale int, live []bool) bool {
 // its private forecast window — so decisions are independent of worker
 // interleaving.
 func (r *run) train(i int) {
-	cfg, ctx := r.cfg, r.ctx
+	cfg, ctx := &r.cfg, r.ctx
 	ctx.Trained = r.trained[i]
 	if ctx.Kind != core.RoundTrain || r.down(i) || !r.spec.Participate(&r.ln, i, ctx, ctx.Round) {
 		return
@@ -467,10 +471,15 @@ func (r *run) mix(w int) {
 	nn.Mix(r.rows, w*p/k, (w+1)*p/k, r.sums[w*s:(w+1)*s], r.ops[w*o:(w+1)*o])
 }
 
+// adoptMean is AggGlobal's phase 2: node i takes the fleet mean.
+func (r *run) adoptMean(i int) { copy(r.ln.Params[i], r.globalMean) }
+
 // Run executes the experiment. Everything a round needs is allocated before
 // the first one; see "Allocation discipline" in docs/ARCHITECTURE.md.
-func Run(cfg Config) (*Result, error) {
-	r := &run{cfg: &cfg, spec: cfg.spec()}
+func Run(c Config) (*Result, error) {
+	r := &run{cfg: c}
+	cfg := &r.cfg
+	r.spec = cfg.spec()
 	if err := cfg.validate(&r.spec); err != nil {
 		return nil, err
 	}
@@ -491,34 +500,44 @@ func Run(cfg Config) (*Result, error) {
 		liveWeights = graph.NewWeights(g)
 	}
 
-	// Node state is the learner's nodes plus every list of vectors and of
-	// weights as windows of two slices. Each worker has a network and a mix
-	// scratch sized to the longest block of its share.
-	result := &Result{TrainedRounds: make([]int, n), History: make([]RoundMetrics, 0, cfg.Rounds)}
+	// Node state is the learner's nodes plus every per-node row as a window
+	// of a slab: of ints, of vectors, of weights and ledger floats, and of
+	// the floats the result keeps. Each worker has a network and a mix
+	// scratch sized to the longest block of its share (p/workers rounded
+	// down or up); that and every model-sized vector stay allocations of
+	// their own, as a large slab rounds up to whole pages.
+	haveLiveSource := cfg.Liveness != nil || cfg.Harvest != nil
+	block := max(nn.MixBlockLen(paramCount/workers), nn.MixBlockLen((paramCount+workers-1)/workers))
+	floats := tensor.NewVector(2*n*b2i(cfg.Devices != nil) + edges + n)
+	kept := tensor.NewVector(n + n*b2i(cfg.Harvest != nil))
+	cut := func(slab *tensor.Vector, k int) tensor.Vector {
+		v := (*slab)[:k:k]
+		*slab = (*slab)[k:]
+		return v
+	}
+	ints := make([]int, n+2*n*b2i(haveLiveSource))
+	result := &Result{TrainedRounds: ints[:n:n], History: make([]RoundMetrics, 0, cfg.Rounds)}
 	r.ln, r.trained = ln, result.TrainedRounds
 	if cfg.Devices != nil {
-		r.trainWh, r.commWh = make([]float64, n), make([]float64, n)
+		r.trainWh, r.commWh = cut(&floats, n), cut(&floats, n)
 	}
 	r.rows = make([]nn.MixRow, n)
-	vecs, ws := make([]tensor.Vector, edges+n+workers*(maxDeg+1)), make([]float64, edges+n)
+	vecs, ws := make([]tensor.Vector, edges+n+workers*(maxDeg+1)), cut(&floats, edges+n)
 	for i := 0; i < n; i++ {
 		d := g.Degree(i)
 		r.rows[i] = nn.MixRow{X: models[i], W: ws[: 0 : d+1], V: vecs[: 0 : d+1]}
 		vecs, ws = vecs[d+1:], ws[d+1:]
 	}
-	// A worker's share of the elements is p/workers rounded down or up.
-	block := max(nn.MixBlockLen(paramCount/workers), nn.MixBlockLen((paramCount+workers-1)/workers))
 	r.sums, r.ops = tensor.NewVector(workers*n*block), vecs
-	train, collect, mix := r.train, r.collect, r.mix
-
-	evaluator := r.spec.NewEvaluator(ln, cfg.TrackConsensus, cfg.EvalGlobalModel)
+	accs := cut(&kept, n)
+	r.eval = r.spec.NewEvaluator(ln, accs, cfg.TrackConsensus, cfg.EvalGlobalModel)
 	cumHarvestWh, trainedTotal := 0.0, 0
 
 	// Every run carries its content-addressable identity; the probe (when
 	// attached) additionally streams it on run_start. Telemetry below is
 	// strictly read-only and RNG-silent: probe calls observe engine state
 	// and wall clocks, never stochastic or model state.
-	result.Manifest = buildManifest(&cfg, &r.spec, paramCount)
+	result.Manifest = buildManifest(cfg, &r.spec, paramCount)
 	// Harvest-coupled runs stamp the fleet's initial total charge on
 	// run_start: the baseline the energy-conservation audit (obs/analyze)
 	// integrates the round_end ledgers from.
@@ -531,19 +550,15 @@ func Run(cfg Config) (*Result, error) {
 	// The SoC quantile sketch streams per-round charge percentiles without
 	// materializing a per-node slice; allocated once, reset per round.
 	var socSketch *obs.Sketch
-	var observeSoC func(float64)
 	if cfg.Harvest != nil {
 		socSketch = obs.NewSoCSketch()
-		observeSoC = socSketch.Observe // bound once: a method value allocates
 	}
 	// Scratch for the live-set phase's component scan, and the lastLive
 	// record, which shares the scan queue's slab.
 	var seen []bool
 	var queue []int
-	haveLiveSource := cfg.Liveness != nil || cfg.Harvest != nil
 	if haveLiveSource {
-		slab := make([]int, 2*n)
-		seen, queue, r.lastLive = make([]bool, n), slab[:0:n], slab[n:]
+		seen, queue, r.lastLive = make([]bool, n), ints[n:n:2*n], ints[2*n:]
 		for i := range r.lastLive {
 			r.lastLive[i] = -1
 		}
@@ -551,13 +566,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Rejoin != nil {
 		r.nbrMean = tensor.NewVector(paramCount)
 	}
-
 	// Scratch for the all-reduce aggregation: the fleet mean.
-	var globalMean tensor.Vector
-	var adoptMean func(i int)
 	if cfg.Algo.Aggregation == core.AggGlobal {
-		globalMean = tensor.NewVector(paramCount)
-		adoptMean = func(i int) { copy(models[i], globalMean) }
+		r.globalMean = tensor.NewVector(paramCount)
 	}
 
 	r.ctx = core.RoundContext{Horizon: cfg.Rounds, Schedule: cfg.Algo.Schedule}
@@ -617,7 +628,7 @@ func Run(cfg Config) (*Result, error) {
 
 		// Phase 1: local training (run.train).
 		probe.PhaseStart(obs.PhaseTrain)
-		par.For(n, 0, train)
+		par.ForOn(n, 0, r, (*run).train)
 		for _, c := range r.trained {
 			m.TrainedCount += c
 		}
@@ -631,11 +642,11 @@ func Run(cfg Config) (*Result, error) {
 		case core.AggGlobal:
 			// Hypothetical all-reduce (Figure 1): global average of all
 			// half-step models, applied everywhere.
-			tensor.MeanVectorTo(globalMean, models)
-			par.For(n, 0, adoptMean)
+			tensor.MeanVectorTo(r.globalMean, models)
+			par.ForOn(n, 0, r, (*run).adoptMean)
 		default:
-			par.For(n, 0, collect)
-			par.For(workers, 0, mix)
+			par.ForOn(n, 0, r, (*run).collect)
+			par.ForOn(workers, 0, r, (*run).mix)
 		}
 		probe.PhaseEnd(t, obs.PhaseAggregate)
 		if cfg.Devices != nil {
@@ -667,7 +678,7 @@ func Run(cfg Config) (*Result, error) {
 			// One pass over the batteries yields mean/min/depleted and feeds
 			// the quantile sketch, without a per-node snapshot.
 			socSketch.Reset()
-			m.MeanSoC, m.MinSoC, m.Depleted = cfg.Harvest.SoCStats(observeSoC)
+			m.MeanSoC, m.MinSoC, m.Depleted = cfg.Harvest.SoCStats(socSketch.Observe)
 			m.SoCP50 = socSketch.Quantile(0.50)
 			m.SoCP90 = socSketch.Quantile(0.90)
 			m.SoCP99 = socSketch.Quantile(0.99)
@@ -683,9 +694,9 @@ func Run(cfg Config) (*Result, error) {
 		// Phase 3: evaluation.
 		if shouldEval(t, cfg.Rounds, cfg.EvalEvery) {
 			probe.PhaseStart(obs.PhaseEval)
-			sc := evaluator.Evaluate()
+			sc := r.eval.Evaluate()
 			m.Evaluated, m.MeanAcc, m.StdAcc, m.Consensus, m.GlobalAcc = true, sc.Mean, sc.Std, sc.Consensus, sc.Global
-			result.FinalNodeAccs = evaluator.Accs
+			result.FinalNodeAccs = accs
 			result.FinalMeanAcc, result.FinalStdAcc, result.FinalGlobalAcc = m.MeanAcc, m.StdAcc, m.GlobalAcc
 			probe.PhaseEnd(t, obs.PhaseEval)
 			probe.Eval(t, m.MeanAcc, m.StdAcc)
@@ -698,7 +709,10 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Harvest != nil {
 		result.TotalHarvestWh = cumHarvestWh
 		result.TotalWastedWh = cfg.Harvest.WastedWh()
-		result.FinalSoC = cfg.Harvest.SoCs()
+		result.FinalSoC = cut(&kept, n)
+		for i := range result.FinalSoC {
+			result.FinalSoC[i] = cfg.Harvest.SoC(i)
+		}
 	}
 	if cfg.EvalGlobalModel || cfg.TrackConsensus {
 		result.FinalGlobalParams = tensor.NewVector(paramCount)
@@ -731,10 +745,10 @@ func roundEnd(h []RoundMetrics) obs.Event {
 // be, or equivalent runs stop sharing a cache key.
 func buildManifest(cfg *Config, spec *learner.Spec, paramCount int) obs.RunManifest {
 	b := spec.Manifest("sim", cfg.Rounds, paramCount).
-		Setf("aggregation", "%d", cfg.Algo.Aggregation).
-		Setf("eval_every", "%d", cfg.EvalEvery).
-		Setf("eval_global", "%t", cfg.EvalGlobalModel).
-		Setf("drop_dead", "%t", cfg.DropDeadNodes)
+		SetInt("aggregation", int(cfg.Algo.Aggregation)).
+		SetInt("eval_every", cfg.EvalEvery).
+		Set("eval_global", strconv.FormatBool(cfg.EvalGlobalModel)).
+		Set("drop_dead", strconv.FormatBool(cfg.DropDeadNodes))
 	if cfg.Harvest != nil {
 		b.Set("trace", cfg.Harvest.TraceName())
 		// The battery spec is experiment identity too: capacity, cutoff,
@@ -749,14 +763,14 @@ func buildManifest(cfg *Config, spec *learner.Spec, paramCount int) obs.RunManif
 			cutWh += cfg.Harvest.CutoffWh(i)
 			ovWh += cfg.Harvest.OverheadWh(i)
 		}
-		b.Setf("fleet_capacity_wh", "%g", capWh).
-			Setf("fleet_cutoff_wh", "%g", cutWh).
-			Setf("fleet_overhead_wh", "%g", ovWh).
-			Setf("fleet_initial_wh", "%g", cfg.Harvest.TotalChargeWh())
+		b.SetFloat("fleet_capacity_wh", capWh).
+			SetFloat("fleet_cutoff_wh", cutWh).
+			SetFloat("fleet_overhead_wh", ovWh).
+			SetFloat("fleet_initial_wh", cfg.Harvest.TotalChargeWh())
 	}
 	if cfg.Forecast != nil {
 		b.Set("forecast", cfg.Forecast.Name()).
-			Setf("forecast_horizon", "%d", cfg.ForecastHorizon)
+			SetInt("forecast_horizon", cfg.ForecastHorizon)
 	}
 	if cfg.Rejoin != nil {
 		b.Set("rejoin", cfg.Rejoin.Name())
@@ -775,6 +789,14 @@ func sum(vs []float64) float64 {
 		t += v
 	}
 	return t
+}
+
+// b2i is 1 for true and 0 for false: how many of an optional row a slab holds.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func countTrue(bs []bool) int {

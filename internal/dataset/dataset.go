@@ -11,9 +11,7 @@
 package dataset
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/rng"
@@ -155,12 +153,25 @@ func (b *Batcher) Next(size int) ([]tensor.Vector, []int) {
 }
 
 // sortByLabel returns sample indices ordered by (label, original index) —
-// the deterministic "sort by label" step of the 2-shard partitioner.
-func sortByLabel(d *Dataset) []int {
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
+// the deterministic "sort by label" step of the 2-shard partitioner — by a
+// stable counting sort over [0, NumClasses). A label outside that range is
+// an error.
+func sortByLabel(d *Dataset) ([]int, error) {
+	n := d.Len()
+	buf := make([]int, n+max(d.NumClasses, 0)+1)
+	idx, start := buf[:n:n], buf[n:] // start[y+1] counts label y, then start[y] is its first slot
+	for i, s := range d.Samples {
+		if s.Y < 0 || s.Y >= d.NumClasses {
+			return nil, fmt.Errorf("dataset: sample %d has label %d outside [0, %d)", i, s.Y, d.NumClasses)
+		}
+		start[s.Y+1]++
 	}
-	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(d.Samples[a].Y, d.Samples[b].Y) })
-	return idx
+	for y := 1; y < len(start); y++ {
+		start[y] += start[y-1]
+	}
+	for i, s := range d.Samples {
+		idx[start[s.Y]] = i
+		start[s.Y]++
+	}
+	return idx, nil
 }

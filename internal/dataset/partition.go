@@ -14,7 +14,8 @@ type Partition []*Dataset
 // following McMahan et al.): samples are sorted by label, cut into
 // shardsPerNode*n contiguous shards, and each node receives shardsPerNode
 // shards chosen at random. With shardsPerNode=2 most nodes see only 2 of
-// the 10 labels — the "highly heterogeneous" regime of the paper.
+// the 10 labels — the "highly heterogeneous" regime of the paper. A sample
+// whose label lies outside [0, d.NumClasses) is an error.
 func ShardPartition(d *Dataset, n, shardsPerNode int, seed uint64) (Partition, error) {
 	if n < 1 || shardsPerNode < 1 {
 		return nil, fmt.Errorf("dataset: bad shard partition n=%d shards=%d", n, shardsPerNode)
@@ -26,7 +27,11 @@ func ShardPartition(d *Dataset, n, shardsPerNode int, seed uint64) (Partition, e
 	// Cut the label-sorted samples into contiguous shards of (nearly) equal
 	// size, the last absorbing the remainder, and deal them out at random,
 	// shardsPerNode each: node i's samples are a window of one slab.
-	byLabel, shardSize := sortByLabel(d), d.Len()/totalShards
+	byLabel, err := sortByLabel(d)
+	if err != nil {
+		return nil, err
+	}
+	shardSize := d.Len() / totalShards
 	var r rng.RNG
 	rng.DeriveTo(&r, seed, 0x54a2d)
 	order, samples, ds := r.Perm(totalShards), make([]Sample, 0, d.Len()), make([]Dataset, n)

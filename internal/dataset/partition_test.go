@@ -1,8 +1,14 @@
 package dataset
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func genFor(t *testing.T, classes, train int, seed uint64) *Dataset {
@@ -153,5 +159,62 @@ func TestShardPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardPartitionRejectsOutOfRangeLabels: a hand-built dataset with a
+// label below 0 or at NumClasses or past it is an error, not an index
+// panic and not a silent partition.
+func TestShardPartitionRejectsOutOfRangeLabels(t *testing.T) {
+	for _, bad := range []int{-1, 3, 1 << 40} {
+		d := &Dataset{NumClasses: 3, Dim: 1}
+		for i := range 8 {
+			d.Samples = append(d.Samples, Sample{X: []float64{float64(i)}, Y: i % 3})
+		}
+		d.Samples[5].Y = bad
+		p, err := ShardPartition(d, 2, 2, 1)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("sample 5 has label %d", bad)) {
+			t.Errorf("label %d: ShardPartition = %v, %v; want an error naming sample 5", bad, p, err)
+		}
+	}
+}
+
+// TestSortByLabelMatchesStableSort: the counting sort returns the order
+// the stable comparison sort it replaced returned, on random label vectors
+// with empty classes, a single class, a single sample and no samples among
+// them.
+func TestSortByLabelMatchesStableSort(t *testing.T) {
+	reference := func(d *Dataset) []int {
+		idx := make([]int, d.Len())
+		for i := range idx {
+			idx[i] = i
+		}
+		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(d.Samples[a].Y, d.Samples[b].Y) })
+		return idx
+	}
+	r := rng.New(17)
+	for trial := range 300 {
+		classes, n := 1+r.Intn(12), r.Intn(400)
+		switch trial % 5 {
+		case 0:
+			n = 1
+		case 1:
+			classes = 1
+		case 2:
+			n = 0
+		}
+		// Labels come from a random subset of the classes, so some are empty.
+		labels := r.Perm(classes)[:1+r.Intn(classes)]
+		d := &Dataset{NumClasses: classes, Dim: 1, Samples: make([]Sample, n)}
+		for i := range d.Samples {
+			d.Samples[i].Y = labels[r.Intn(len(labels))]
+		}
+		got, err := sortByLabel(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := reference(d); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d classes, %d samples): counting sort %v, stable sort %v", trial, classes, n, got, want)
+		}
 	}
 }

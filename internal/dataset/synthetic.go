@@ -46,25 +46,24 @@ func FEMNISTLike(seed uint64) SyntheticConfig {
 // classes overlap through the Noise but remain learnable.
 func prototypes(cfg SyntheticConfig, r *rng.RNG) []tensor.Vector {
 	protos, slab := make([]tensor.Vector, cfg.Classes), tensor.NewVector(cfg.Classes*cfg.Dim)
+	r.Normals(slab)
 	for c := range protos {
-		p := slab[c*cfg.Dim : (c+1)*cfg.Dim : (c+1)*cfg.Dim]
-		for i := range p {
-			p[i] = r.NormFloat64()
-		}
-		protos[c] = p
+		protos[c] = slab[c*cfg.Dim : (c+1)*cfg.Dim : (c+1)*cfg.Dim]
 	}
 	return protos
 }
 
 // drawSplit draws n samples from r into one slab, each input a window
 // capped at its own length: sample i is label(i)'s prototype plus noise
-// plus extra (nil for none), its label drawn before its inputs.
+// plus extra (nil for none), its label drawn before its inputs. The noise
+// is drawn into the window and scaled there.
 func drawSplit(cfg SyntheticConfig, n int, protos []tensor.Vector, r *rng.RNG, extra tensor.Vector, label func(i int) int) *Dataset {
 	d, slab := &Dataset{NumClasses: cfg.Classes, Dim: cfg.Dim, Samples: make([]Sample, n)}, tensor.NewVector(n*cfg.Dim)
 	for i := range d.Samples {
 		y, x := label(i), slab[i*cfg.Dim:(i+1)*cfg.Dim:(i+1)*cfg.Dim]
-		for k := range x {
-			x[k] = protos[y][k] + cfg.Noise*r.NormFloat64()
+		r.Normals(x)
+		for k, z := range x {
+			x[k] = protos[y][k] + cfg.Noise*z
 			if extra != nil {
 				x[k] += extra[k]
 			}
@@ -147,8 +146,9 @@ func GenerateWriters(cfg WritersConfig) (writers []WriterData, test *Dataset, er
 	var wr rng.RNG
 	for w := 0; w < cfg.Writers; w++ {
 		rng.DeriveTo(&wr, cfg.Seed, 0x3717e5, uint64(w)+1)
-		for i := range style {
-			style[i] = cfg.StyleStd * wr.NormFloat64()
+		wr.Normals(style)
+		for i, z := range style {
+			style[i] = cfg.StyleStd * z
 		}
 		// Skewed label weights: symmetric Dirichlet via normalized Gamma
 		// draws, approximated with sums of exponentials for alpha<1 using

@@ -72,9 +72,7 @@ func (w *Weights) SpectralGap(g *Graph, iters int, seed uint64) float64 {
 	r := rng.Derive(seed, 0x57ec)
 	x := make([]float64, g.N)
 	y := make([]float64, g.N)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
+	r.Normals(x)
 	deflate(x)
 	normalize(x)
 	lambda := 0.0

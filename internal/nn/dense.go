@@ -106,7 +106,8 @@ func (l *Dense) init(r *rng.RNG) {
 // Glorot-normal at 2/(fanIn+fanOut).
 func normalInit(w []float64, variance float64, r *rng.RNG) {
 	std := sqrt(variance)
-	for i := range w {
-		w[i] = r.NormFloat64() * std
+	r.Normals(w)
+	for i, z := range w {
+		w[i] = z * std
 	}
 }

@@ -15,7 +15,8 @@ import "math"
 // with New or Derive.
 type RNG struct {
 	s0, s1, s2, s3 uint64
-	// cached second normal variate from the Box-Muller transform.
+	// cached second normal variate from the Box-Muller transform; gauss is
+	// 0 whenever haveGauss is false, so equal states compare equal.
 	haveGauss bool
 	gauss     float64
 }
@@ -118,26 +119,53 @@ func mul64(a, b uint64) (hi, lo uint64) {
 // transform. Variates are produced in pairs; the second is cached.
 func (r *RNG) NormFloat64() float64 {
 	if r.haveGauss {
-		r.haveGauss = false
-		return r.gauss
+		v := r.gauss
+		r.haveGauss, r.gauss = false, 0
+		return v
 	}
+	sin, cos := r.pair()
+	r.gauss, r.haveGauss = sin, true
+	return cos
+}
+
+// Normals fills dst with the next len(dst) normal variates: exactly what
+// len(dst) calls of NormFloat64 would return, leaving r where they would
+// leave it. A variate cached before the call comes first; an odd remainder
+// leaves the pair's second variate cached. Whole pairs go straight into dst.
+func (r *RNG) Normals(dst []float64) {
+	i := 0
+	if len(dst) > 0 && r.haveGauss {
+		dst[0], r.haveGauss, r.gauss = r.gauss, false, 0
+		i = 1
+	}
+	for ; i+1 < len(dst); i += 2 {
+		dst[i+1], dst[i] = r.pair()
+	}
+	if i < len(dst) {
+		r.gauss, dst[i] = r.pair()
+		r.haveGauss = true
+	}
+}
+
+// pair draws one Box-Muller pair, (mag*sin, mag*cos) of the same angle.
+func (r *RNG) pair() (sin, cos float64) {
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
 	v := r.Float64()
 	mag := math.Sqrt(-2 * math.Log(u))
-	sin, cos := math.Sincos(2 * math.Pi * v) // bit for bit math.Sin and math.Cos: one reduction, the same polynomials
-	r.gauss = mag * sin
-	r.haveGauss = true
-	return mag * cos
+	// v is in [0, 1), so the angle is in [0, 2π): sincos's whole domain.
+	// There it is bit for bit math.Sincos (TestSincosMatchesMath).
+	sin, cos = sincos(2 * math.Pi * v)
+	return mag * sin, mag * cos
 }
 
 // SkipNormals advances r exactly as k calls of NormFloat64 would, but
 // computes only the variate an odd k leaves cached.
 func (r *RNG) SkipNormals(k int) {
 	if k > 0 && r.haveGauss {
-		r.haveGauss, k = false, k-1
+		r.haveGauss, r.gauss, k = false, 0, k-1
 	}
 	for ; k > 1; k -= 2 {
 		for r.Uint64()>>11 == 0 { // NormFloat64's rejection of u == 0

@@ -360,3 +360,52 @@ func TestSkipNormalsMatchesDraws(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkNormals(b *testing.B) {
+	r, dst := New(1), make([]float64, 32)
+	for i := 0; i < b.N; i += len(dst) {
+		r.Normals(dst)
+	}
+}
+
+// FuzzNormals: a script of Normals fills (0 to 65 variates), NormFloat64
+// calls and SkipNormals(k) equals its replay through NormFloat64 alone,
+// value for value, and leaves the generator in the replay's state — the
+// cached variate included — after every step. A fill writes nothing past
+// its length.
+func FuzzNormals(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 5, 1, 0, 0, 6, 2, 3, 0, 0, 0, 65})
+	f.Add(uint64(7), []byte{1, 0, 0, 1, 2, 1, 0, 64, 1, 0, 0, 2})
+	f.Fuzz(func(t *testing.T, seed uint64, script []byte) {
+		got, want := New(seed), New(seed)
+		var buf [66 + 1]float64
+		for i := 0; i+1 < len(script); i += 2 {
+			op, n := script[i]%3, int(script[i+1]%66)
+			switch op {
+			case 0:
+				buf[n] = math.Inf(-1)
+				got.Normals(buf[:n])
+				if !math.IsInf(buf[n], -1) {
+					t.Fatalf("step %d: Normals of %d wrote past its end", i/2, n)
+				}
+				for k, v := range buf[:n] {
+					if w := want.NormFloat64(); math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("step %d: Normals of %d gives %v at %d, NormFloat64 %v", i/2, n, v, k, w)
+					}
+				}
+			case 1:
+				if v, w := got.NormFloat64(), want.NormFloat64(); math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("step %d: NormFloat64 gives %v, its replay %v", i/2, v, w)
+				}
+			case 2:
+				got.SkipNormals(n)
+				for range n {
+					want.NormFloat64()
+				}
+			}
+			if *got != *want {
+				t.Fatalf("step %d (op %d, n %d): state %+v, replay %+v", i/2, op, n, *got, *want)
+			}
+		}
+	})
+}

@@ -166,10 +166,13 @@ type Result struct {
 	History      []Snapshot
 	FinalMeanAcc float64
 	FinalStdAcc  float64
-	TotalTrainWh float64
-	StepsPerNode []int // local steps completed per node
-	TrainedSteps []int // steps that included training
-	GossipsSent  int
+	// FinalGlobalAcc is the accuracy of the average of all node models at
+	// the horizon: the fleet mean every evaluation computes for Consensus.
+	FinalGlobalAcc float64
+	TotalTrainWh   float64
+	StepsPerNode   []int // local steps completed per node
+	TrainedSteps   []int // steps that included training
+	GossipsSent    int
 
 	// Harvest-run outcomes (zero without a trace):
 	// Brownouts counts brown-out interrupts — in-flight work hitting the
@@ -392,14 +395,22 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	trainWh, steps, trained := 0.0, 0, 0 // fleet totals
-	evaluator := spec.NewEvaluator(ln, make([]float64, n), true, false)
+	// One fleet mean per run, which consensus and the mean model's score
+	// both read, and one snapshot per evaluation: the periodic ones, at
+	// most Horizon/EvalEverySeconds, then the horizon's.
+	evaluator := spec.NewEvaluator(ln, make([]float64, n), tensor.NewVector(ln.ParamCount), true, true)
+	evals := 1
+	if cfg.EvalEverySeconds > 0 && cfg.EvalEverySeconds < cfg.Horizon {
+		evals += int(cfg.Horizon / cfg.EvalEverySeconds)
+	}
+	res.History = make([]Snapshot, 0, evals)
 	evaluate := func(t float64) {
 		sc := evaluator.Evaluate()
 		res.History = append(res.History, Snapshot{
 			Time: t, MeanAcc: sc.Mean, StdAcc: sc.Std, Consensus: sc.Consensus,
 			StepsTotal: steps, TrainWh: trainWh,
 		})
-		res.FinalMeanAcc, res.FinalStdAcc = sc.Mean, sc.Std
+		res.FinalMeanAcc, res.FinalStdAcc, res.FinalGlobalAcc = sc.Mean, sc.Std, sc.Global
 		probe.Emit(obs.Event{
 			Kind: obs.KindEval, Round: len(res.History) - 1, Node: -1,
 			VTime: t, MeanAcc: sc.Mean, StdAcc: sc.Std, Steps: steps,

@@ -118,3 +118,36 @@ func TestAsyncRecycledSnapshotsKeepResults(t *testing.T) {
 	run(8)
 	run(1) // replay
 }
+
+// TestAsyncAllocsIndependentOfEvaluations: every evaluation scores the
+// averaged model and the consensus distance from one fleet mean per run,
+// and the history is sized up front, so a run evaluated 20 times allocates
+// exactly as often as one evaluated 4 times. Under the race detector the
+// runs still go, counts unchecked.
+func TestAsyncAllocsIndependentOfEvaluations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocs := func(every float64) float64 {
+		least := math.Inf(1)
+		for try := 0; try < 5; try++ {
+			cfg := testConfig(t, 25)
+			cfg.EvalEverySeconds = every
+			least = min(least, testing.AllocsPerRun(2, func() {
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := int(cfg.Horizon / every); len(res.History) != want || res.FinalGlobalAcc == 0 {
+					t.Fatalf("%d evaluations, want %d; averaged model scored %v", len(res.History), want, res.FinalGlobalAcc)
+				}
+			}))
+		}
+		return least
+	}
+	few, many := allocs(50), allocs(10)
+	if raceEnabled {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
+	if many != few {
+		t.Fatalf("4 evaluations allocate %v times, 20 evaluations %v", few, many)
+	}
+}

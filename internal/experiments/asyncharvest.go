@@ -23,7 +23,8 @@ import (
 type AsyncHarvestRow struct {
 	Regime        string  // harvest regime: "diurnal" or "markov"
 	Engine        string  // "sync-round" or "async-event"
-	FinalAcc      float64 // mean final test accuracy, %
+	FinalAcc      float64 // final test accuracy, % (readout)
+	Node          NodeColumn
 	Steps         int     // local step slots processed (sync: nodes x rounds)
 	Trained       int     // steps that included local SGD
 	BrownoutShare float64 // share of node-time below cutoff, %
@@ -46,13 +47,14 @@ func TableAsyncHarvest(o Options) ([]AsyncHarvestRow, error) {
 	}
 
 	tb := report.NewTable("Intermittency engines: round-synchronous vs event-driven under identical harvest traces (sim scale)",
-		"Regime", "Engine", "Acc %", "Steps", "Trained", "Brown-out %", "Harvested Wh", "Consumed Wh")
+		"Regime", "Engine", "Acc %", nodeHeader, "Steps", "Trained", "Brown-out %", "Harvested Wh", "Consumed Wh")
 	for _, r := range rows {
-		tb.AddRowf("%s|%s|%.2f|%d|%d|%.1f|%.4f|%.4f",
-			r.Regime, r.Engine, r.FinalAcc, r.Steps, r.Trained,
+		tb.AddRowf("%s|%s|%.2f|%s|%d|%d|%.1f|%.4f|%.4f",
+			r.Regime, r.Engine, r.FinalAcc, r.Node, r.Steps, r.Trained,
 			r.BrownoutShare, r.HarvestedWh, r.ConsumedWh)
 	}
 	tb.Render(o.Out)
+	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
 	return rows, nil
 }
 
@@ -88,7 +90,8 @@ func asyncHarvestLeg(w *world, regime GammaRegime, leg string) (AsyncHarvestRow,
 		return AsyncHarvestRow{
 			Regime:        regime.Name,
 			Engine:        "sync-round",
-			FinalAcc:      res.FinalMeanAcc * 100,
+			FinalAcc:      readout(res),
+			Node:          nodeColumn(res, cfg.Algo.Schedule, cfg.Rounds),
 			Steps:         w.o.Nodes * w.o.Rounds,
 			Trained:       t.trained,
 			BrownoutShare: t.deadShare,
@@ -127,7 +130,8 @@ func asyncHarvestLeg(w *world, regime GammaRegime, leg string) (AsyncHarvestRow,
 	return AsyncHarvestRow{
 		Regime:        regime.Name,
 		Engine:        "async-event",
-		FinalAcc:      res.FinalMeanAcc * 100,
+		FinalAcc:      readout(res),
+		Node:          nodeColumn(res, cfg.Algo.Schedule, cfg.Rounds),
 		Steps:         steps,
 		Trained:       trained,
 		BrownoutShare: 100 * res.BrownoutShare,

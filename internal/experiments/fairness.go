@@ -73,4 +73,5 @@ func (r *Section51Result) render(o Options) {
 		fmt.Fprintf(o.Out, "  %-26s constrained %.2f%%  baseline %.2f%%\n",
 			n, r.Constrained.AccByGroup[n]*100, r.Baseline.AccByGroup[n]*100)
 	}
+	fmt.Fprintln(o.Out, readoutNote("each node's own accuracy", evalSamples(o, testSplit(o))))
 }

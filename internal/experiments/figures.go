@@ -23,7 +23,7 @@ type Series struct {
 // Figure1Result holds the D-PSGD vs all-reduce comparison.
 type Figure1Result struct {
 	DPSGD     Series // mean accuracy across nodes
-	AllReduce Series // accuracy of the global average model
+	AllReduce Series // accuracy of the global average model (the readout)
 	FinalGap  float64
 }
 
@@ -39,7 +39,6 @@ func Figure1(o Options) (*Figure1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.EvalGlobalModel = algos[i].Aggregation == core.AggGlobal
 		return sim.Run(cfg)
 	})
 	if err != nil {
@@ -56,9 +55,9 @@ func Figure1(o Options) (*Figure1Result, error) {
 	}
 	for _, m := range aRes.Evaluations() {
 		out.AllReduce.X = append(out.AllReduce.X, float64(m.Round+1))
-		out.AllReduce.Y = append(out.AllReduce.Y, m.GlobalAcc*100)
+		out.AllReduce.Y = append(out.AllReduce.Y, readout(m))
 	}
-	out.FinalGap = aRes.FinalGlobalAcc*100 - dRes.FinalMeanAcc*100
+	out.FinalGap = readout(aRes) - dRes.FinalMeanAcc*100
 
 	tb := report.NewTable("Figure 1: D-PSGD vs all-reduce (test accuracy %, 6-regular)",
 		"round", "D-PSGD", "All reduce")
@@ -69,6 +68,7 @@ func Figure1(o Options) (*Figure1Result, error) {
 	fmt.Fprintf(o.Out, "final gap: %+.2f pp (paper: ~ +10 pp)\n", out.FinalGap)
 	fmt.Fprintf(o.Out, "D-PSGD    %s\nAllReduce %s\n",
 		report.Sparkline(out.DPSGD.Y), report.Sparkline(out.AllReduce.Y))
+	fmt.Fprintln(o.Out, readoutNote("D-PSGD mean node accuracy, all-reduce averaged model's accuracy", evalSamples(o, testSplit(o))))
 	return out, nil
 }
 
@@ -120,7 +120,7 @@ func Figure2(o Options) error {
 // Figure3Cell is one grid-search point.
 type Figure3Cell struct {
 	GammaTrain, GammaSync int
-	ValAcc                float64 // validation accuracy [%] at sim scale
+	ValAcc                float64 // validation accuracy [%] at sim scale (readout)
 	PaperEnergyWh         float64 // exact energy at paper scale (256 nodes, T=1000)
 }
 
@@ -168,7 +168,7 @@ func Figure3(o Options, degrees []int) (*Figure3Result, error) {
 			}
 			return Figure3Cell{
 				GammaTrain: gt, GammaSync: gs,
-				ValAcc:        r.FinalMeanAcc * 100,
+				ValAcc:        readout(r),
 				PaperEnergyWh: paperEnergyWh(core.CountTrainRounds(gamma, PaperRoundsCIFAR), energy.CIFAR10Workload()),
 			}, nil
 		})
@@ -207,6 +207,7 @@ func (r *Figure3Result) render(o Options) {
 		fmt.Fprintf(o.Out, "best: Γtrain=%d Γsync=%d (%.1f%%, %.0f Wh at paper scale)\n\n",
 			best.GammaTrain, best.GammaSync, best.ValAcc, best.PaperEnergyWh)
 	}
+	fmt.Fprintf(o.Out, "%s\n\n", averagedNote(evalSamples(o, valSplit(o))))
 	// Energy heatmap (schedule-only, identical for every topology).
 	eh := gammaHeatmap("Figure 3 (right): Energy [Wh] at paper scale",
 		r.Grid[0], func(c Figure3Cell) float64 { return c.PaperEnergyWh })
@@ -279,6 +280,7 @@ func Figure4(o Options) (*Figure4Result, error) {
 	tb.Render(o.Out)
 	fmt.Fprintf(o.Out, "mean Δacc entering sync rounds: %+.3f pp; entering train rounds: %+.3f pp\n",
 		out.MeanDeltaIntoSync, out.MeanDeltaIntoTrain)
+	fmt.Fprintln(o.Out, readoutNote("mean node accuracy", evalSamples(o, testSplit(o))))
 	return out, nil
 }
 
@@ -288,8 +290,9 @@ type Figure5Arm struct {
 	Dataset     string
 	Degree      int
 	AccVsRound  Series
-	AccVsEnergy Series // x = cumulative paper-scale Wh
-	FinalAcc    float64
+	AccVsEnergy Series  // x = cumulative paper-scale Wh
+	FinalAcc    float64 // the readout, %
+	Node        NodeColumn
 	// PaperEnergyWh is the total training energy at paper scale.
 	PaperEnergyWh float64
 }
@@ -389,7 +392,7 @@ func figure5Arm(w *world, a namedAlgo) (Figure5Arm, error) {
 	if err != nil {
 		return Figure5Arm{}, err
 	}
-	arm := Figure5Arm{Algo: a.name, Dataset: w.ds.name, Degree: w.degree, FinalAcc: r.FinalMeanAcc * 100}
+	arm := Figure5Arm{Algo: a.name, Dataset: w.ds.name, Degree: w.degree, FinalAcc: readout(r), Node: nodeColumn(r, algo.Schedule, cfg.Rounds)}
 	arm.AccVsRound.Label, arm.AccVsEnergy.Label = a.name, a.name
 	// Energy per scheduled train round at paper scale.
 	perRound := energy.NetworkRoundWh(PaperNodes, energy.Devices(), w.ds.workload)
@@ -404,13 +407,13 @@ func figure5Arm(w *world, a namedAlgo) (Figure5Arm, error) {
 			continue
 		}
 		arm.AccVsRound.X = append(arm.AccVsRound.X, float64(m.Round+1))
-		arm.AccVsRound.Y = append(arm.AccVsRound.Y, m.MeanAcc*100)
+		arm.AccVsRound.Y = append(arm.AccVsRound.Y, readout(m))
 		// Scale the round axis to the paper horizon for the energy axis:
 		// fraction of schedule elapsed times the paper's total schedule
 		// energy.
 		frac := float64(trainedSoFar) / float64(simTrainRounds)
 		arm.AccVsEnergy.X = append(arm.AccVsEnergy.X, frac*float64(paperTrainRounds)*perRound)
-		arm.AccVsEnergy.Y = append(arm.AccVsEnergy.Y, m.MeanAcc*100)
+		arm.AccVsEnergy.Y = append(arm.AccVsEnergy.Y, readout(m))
 	}
 	arm.PaperEnergyWh = float64(paperTrainRounds) * perRound
 	return arm, nil
@@ -418,14 +421,15 @@ func figure5Arm(w *world, a namedAlgo) (Figure5Arm, error) {
 
 func (r *Figure5Result) render(o Options) {
 	tb := report.NewTable("Figure 5: SkipTrain vs D-PSGD (final test accuracy %, paper-scale energy)",
-		"dataset", "degree", "algorithm", "acc %", "energy Wh")
+		"dataset", "degree", "algorithm", "acc %", "energy Wh", nodeHeader)
 	for _, a := range r.Arms {
-		tb.AddRowf("%s|%d|%s|%.2f|%.2f", a.Dataset, a.Degree, a.Algo, a.FinalAcc, a.PaperEnergyWh)
+		tb.AddRowf("%s|%d|%s|%.2f|%.2f|%s", a.Dataset, a.Degree, a.Algo, a.FinalAcc, a.PaperEnergyWh, a.Node)
 	}
 	tb.Render(o.Out)
 	for _, a := range r.Arms {
 		fmt.Fprintf(o.Out, "%-8s d=%-2d %-22s %s\n", a.Dataset, a.Degree, a.Algo, report.Sparkline(a.AccVsRound.Y))
 	}
+	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
 }
 
 // Figure6Arm is one constrained-setting run.
@@ -434,7 +438,8 @@ type Figure6Arm struct {
 	Dataset       string
 	Degree        int
 	AccVsEnergy   Series
-	FinalAcc      float64
+	FinalAcc      float64 // the readout, %
+	Node          NodeColumn
 	ConsumedWh    float64 // actual training energy consumed at paper scale
 	TrainedRounds []int
 }
@@ -470,7 +475,8 @@ func Figure6(o Options, degrees []int, datasets []string) (*Figure6Result, error
 }
 
 func figure6Arm(w *world, a namedAlgo) (Figure6Arm, error) {
-	cfg, err := w.config(a.build(w))
+	algo := a.build(w)
+	cfg, err := w.config(algo)
 	if err != nil {
 		return Figure6Arm{}, err
 	}
@@ -481,7 +487,8 @@ func figure6Arm(w *world, a namedAlgo) (Figure6Arm, error) {
 	arm := Figure6Arm{
 		Algo: a.name, Dataset: w.ds.name, Degree: w.degree,
 		AccVsEnergy:   Series{Label: a.name},
-		FinalAcc:      r.FinalMeanAcc * 100,
+		FinalAcc:      readout(r),
+		Node:          nodeColumn(r, algo.Schedule, cfg.Rounds),
 		TrainedRounds: r.TrainedRounds,
 	}
 	// Scale consumed energy to paper scale: each scaled train round
@@ -493,18 +500,19 @@ func figure6Arm(w *world, a namedAlgo) (Figure6Arm, error) {
 			continue
 		}
 		arm.AccVsEnergy.X = append(arm.AccVsEnergy.X, m.CumTrainWh*scale)
-		arm.AccVsEnergy.Y = append(arm.AccVsEnergy.Y, m.MeanAcc*100)
+		arm.AccVsEnergy.Y = append(arm.AccVsEnergy.Y, readout(m))
 	}
 	return arm, nil
 }
 
 func (r *Figure6Result) render(o Options) {
 	tb := report.NewTable("Figure 6: energy-constrained comparison (final test accuracy %, paper-scale consumed Wh)",
-		"dataset", "degree", "algorithm", "acc %", "consumed Wh")
+		"dataset", "degree", "algorithm", "acc %", "consumed Wh", nodeHeader)
 	for _, a := range r.Arms {
-		tb.AddRowf("%s|%d|%s|%.2f|%.2f", a.Dataset, a.Degree, a.Algo, a.FinalAcc, a.ConsumedWh)
+		tb.AddRowf("%s|%d|%s|%.2f|%.2f|%s", a.Dataset, a.Degree, a.Algo, a.FinalAcc, a.ConsumedWh, a.Node)
 	}
 	tb.Render(o.Out)
+	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
 }
 
 // Figure7 renders the class distributions of the first ten nodes under the

@@ -27,7 +27,8 @@ type ForecastRow struct {
 	Policy        string  // row label (policy family)
 	Forecaster    string  // forecaster identity, "-" for forecast-free rows
 	Horizon       int     // forecast window in rounds (0 = none)
-	FinalAcc      float64 // mean final test accuracy, %
+	FinalAcc      float64 // final test accuracy, % (readout)
+	Node          NodeColumn
 	Participation float64 // trained rounds / coordinated training slots, %
 	DeadShare     float64 // mean share of the fleet below cutoff, %
 	WastedWh      float64 // harvest that arrived on full batteries (sim scale)
@@ -105,7 +106,8 @@ func TableForecast(o Options) ([]ForecastRow, error) {
 			Policy:        arm.name,
 			Forecaster:    fname,
 			Horizon:       cfg.ForecastHorizon,
-			FinalAcc:      res.FinalMeanAcc * 100,
+			FinalAcc:      readout(res),
+			Node:          nodeColumn(res, cfg.Algo.Schedule, cfg.Rounds),
 			Participation: t.participation,
 			DeadShare:     t.deadShare,
 			WastedWh:      res.TotalWastedWh,
@@ -116,16 +118,17 @@ func TableForecast(o Options) ([]ForecastRow, error) {
 	}
 
 	tb := report.NewTable("Forecast-aware participation: MPC planning vs reactive SoC rules (drop-and-renormalize, sim scale)",
-		"Regime", "Policy", "Forecaster", "Window", "Acc %", "Particip %", "Dead %", "Wasted Wh")
+		"Regime", "Policy", "Forecaster", "Window", "Acc %", nodeHeader, "Particip %", "Dead %", "Wasted Wh")
 	for _, r := range rows {
 		window := "-"
 		if r.Horizon > 0 {
 			window = strconv.Itoa(r.Horizon)
 		}
-		tb.AddRowf("%s|%s|%s|%s|%.2f|%.1f|%.1f|%.4f",
-			r.Regime, r.Policy, r.Forecaster, window, r.FinalAcc,
+		tb.AddRowf("%s|%s|%s|%s|%.2f|%s|%.1f|%.1f|%.4f",
+			r.Regime, r.Policy, r.Forecaster, window, r.FinalAcc, r.Node,
 			r.Participation, r.DeadShare, r.WastedWh)
 	}
 	tb.Render(o.Out)
+	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
 	return rows, nil
 }

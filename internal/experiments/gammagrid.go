@@ -153,7 +153,7 @@ const gammaGridMinSoC = 0.2
 // compared with == in reproducibility tests.
 type GammaHarvestCell struct {
 	GammaTrain, GammaSync int
-	FinalAcc              float64 // mean final validation accuracy, %
+	FinalAcc              float64 // final validation accuracy, % (readout)
 	Participation         float64 // trained rounds / scheduled train slots, %
 	HarvestedWh           float64 // stored ambient energy (sim scale)
 	ConsumedWh            float64 // battery drain: train + comm + idle (sim scale)
@@ -169,6 +169,8 @@ type GammaGridResult struct {
 	Trace  string
 	Grid   [][]GammaHarvestCell // Grid[gs-1][gt-1]
 	Best   GammaHarvestCell
+	// samples is how many validation samples an evaluation scored.
+	samples int
 }
 
 // GammaHarvestRow is one regime's summary line of TableGammaHarvest.
@@ -297,7 +299,8 @@ func newGammaGrid(w *world, regimes []GammaRegime, memo *identityMemo) (*gammaGr
 // tuningManifest starts the manifest of Γ-tuning work — a grid's run or
 // one cell — on o and the graph: every Options field that changes the
 // computed bits, so sweep.KeyFromBuilder of a finished cell manifest is a
-// safe cache key.
+// safe cache key, and the readout, which decides what a cell's accuracy
+// means.
 // Deliberately excluded, because they cannot change the bits: Probe/Out
 // (telemetry is read-only), EvalEvery (tuning cells always run with
 // EvalEvery 0), and worker count (GOMAXPROCS is unhashed by design). Each
@@ -313,7 +316,8 @@ func tuningManifest(o Options, engine, label string, fingerprint uint64) *obs.Ma
 		SetInt("train_per_node", o.TrainPerNode).
 		SetInt("test_samples", o.TestSamples).
 		SetFloat("noise", o.Noise).
-		SetInt("eval_subsample", o.EvalSubsample)
+		SetInt("eval_subsample", o.EvalSubsample).
+		Set("readout", readoutName)
 }
 
 // cellManifest is the identity of one (regime, Γt, Γs) cell of a harvest
@@ -376,9 +380,10 @@ func (g *gammaGrid) runRegime(ri int) (*GammaGridResult, error) {
 	}
 	p.RunEnd(gammaGridMax*gammaGridMax, 0)
 	return &GammaGridResult{
-		Regime: regime.Name,
-		Trace:  id.trace,
-		Grid:   grid,
+		Regime:  regime.Name,
+		Trace:   id.trace,
+		Grid:    grid,
+		samples: evalSamples(g.o, valSplit(g.o)),
 		Best: bestGammaCell(grid,
 			func(c GammaHarvestCell) float64 { return c.FinalAcc },
 			func(c GammaHarvestCell) float64 { return c.ConsumedWh }),
@@ -415,7 +420,7 @@ func (g *gammaGrid) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, e
 	}
 	return GammaHarvestCell{
 		GammaTrain: gt, GammaSync: gs,
-		FinalAcc:      res.FinalMeanAcc * 100,
+		FinalAcc:      readout(res),
 		Participation: tallyRun(cfg, res).participation,
 		HarvestedWh:   res.TotalHarvestWh,
 		ConsumedWh:    cfg.Harvest.ConsumedWh(),
@@ -436,9 +441,11 @@ func TableGammaHarvest(o Options) ([]GammaHarvestRow, error) {
 		return nil, err
 	}
 	for _, res := range grids {
-		res.Render(o.Out)
+		res.render(o.Out)
+		fmt.Fprintln(o.Out)
 	}
 	renderGammaHarvestRows(o.Out, rows)
+	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, valSplit(o))))
 	return rows, nil
 }
 
@@ -474,14 +481,21 @@ func renderGammaHarvestRows(out io.Writer, rows []GammaHarvestRow) {
 }
 
 // Render writes the regime's validation-accuracy heatmap (best cell
-// starred) and the best-cell summary line.
+// starred), the best-cell summary line and the readout.
 func (r *GammaGridResult) Render(out io.Writer) {
+	r.render(out)
+	fmt.Fprintf(out, "%s\n\n", averagedNote(r.samples))
+}
+
+// render is Render without the readout, which a table of several grids
+// names once.
+func (r *GammaGridResult) render(out io.Writer) {
 	h := gammaHeatmap(fmt.Sprintf("Γ grid under %s (%s): validation accuracy [%%]", r.Regime, r.Trace),
 		r.Grid, func(c GammaHarvestCell) float64 { return c.FinalAcc })
 	h.HigherIsBetter = true
 	h.SetMark(r.Best.GammaSync-1, r.Best.GammaTrain-1)
 	h.Render(out)
-	fmt.Fprintf(out, "best: Γtrain=%d Γsync=%d (%.1f%%, harvested %.4f Wh, consumed %.4f Wh, wasted %.1f%%)\n\n",
+	fmt.Fprintf(out, "best: Γtrain=%d Γsync=%d (%.1f%%, harvested %.4f Wh, consumed %.4f Wh, wasted %.1f%%)\n",
 		r.Best.GammaTrain, r.Best.GammaSync, r.Best.FinalAcc,
 		r.Best.HarvestedWh, r.Best.ConsumedWh, 100*r.Best.WastedFrac)
 }

@@ -22,7 +22,8 @@ type HarvestRow struct {
 	Scenario      string
 	Trace         string
 	Policy        string
-	FinalAcc      float64 // mean final test accuracy, %
+	FinalAcc      float64 // final test accuracy, % (readout)
+	Node          NodeColumn
 	Participation float64 // trained rounds / coordinated training slots, %
 	MeanFinalSoC  float64 // fleet-average SoC after the last round
 	Depleted      int     // nodes below cutoff at the end
@@ -95,7 +96,8 @@ func TableHarvest(o Options) ([]HarvestRow, error) {
 			Scenario:       sc.regime.Name,
 			Trace:          fleet.TraceName(),
 			Policy:         cfg.Algo.Policy.Name(),
-			FinalAcc:       res.FinalMeanAcc * 100,
+			FinalAcc:       readout(res),
+			Node:           nodeColumn(res, cfg.Algo.Schedule, cfg.Rounds),
 			Participation:  tallyRun(cfg, res).participation,
 			MeanFinalSoC:   meanSoC,
 			Depleted:       res.History[len(res.History)-1].Depleted,
@@ -110,14 +112,15 @@ func TableHarvest(o Options) ([]HarvestRow, error) {
 	}
 
 	tb := report.NewTable("Harvesting scenarios: charge-aware policies under ambient energy (sim scale)",
-		"Scenario", "Trace", "Policy", "Acc %", "Participation %", "Mean final SoC", "Depleted", "Harvested Wh", "Consumed Wh", "Train Gini", "Harvest-acc corr")
+		"Scenario", "Trace", "Policy", "Acc %", nodeHeader, "Participation %", "Mean final SoC", "Depleted", "Harvested Wh", "Consumed Wh", "Train Gini", "Harvest-acc corr")
 	for _, r := range rows {
-		tb.AddRowf("%s|%s|%s|%.2f|%.1f|%.3f|%d|%.4f|%.4f|%.3f|%+.3f",
-			r.Scenario, r.Trace, r.Policy, r.FinalAcc, r.Participation,
+		tb.AddRowf("%s|%s|%s|%.2f|%s|%.1f|%.3f|%d|%.4f|%.4f|%.3f|%+.3f",
+			r.Scenario, r.Trace, r.Policy, r.FinalAcc, r.Node, r.Participation,
 			r.MeanFinalSoC, r.Depleted, r.HarvestedWh, r.ConsumedWh,
 			r.TrainGini, r.HarvestAccCorr)
 	}
 	tb.Render(o.Out)
+	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
 	return rows, nil
 }
 

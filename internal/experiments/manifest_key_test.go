@@ -143,25 +143,40 @@ func TestManifestEngineAndBatteryShapeHashed(t *testing.T) {
 	}
 }
 
-// TestCellKeyGoldenBytes pins the key bytes themselves. The literals were
-// produced by the commit before cell keys stopped going through
-// ManifestBuilder.Build (a map of fields, sorted, Fprintf'd into the
-// hasher); every cache directory users filled since is addressed by them.
+// TestCellKeyGoldenBytes pins the key bytes themselves: every cache
+// directory users filled is addressed by them. The literals move only when
+// a cached payload changes meaning; they last moved when the cell manifest
+// gained readout=averaged-model, the day a cell's accuracy became the
+// averaged model's instead of the mean of the nodes' own. The keys from
+// before that (readoutBefore) address cells whose FinalAcc is the old
+// number, so no key may equal one of them: a build that forgot the readout
+// field would serve those cells as the new readout.
 // TestCellManifestKeyStability above would still pass if every hash moved
 // together — this is the test a key-derivation refactor that silently
 // orphans those caches fails.
 func TestCellKeyGoldenBytes(t *testing.T) {
+	readoutBefore := map[string]bool{
+		"4f2b59064732e32ab7ed7d161e8bb2f9": true,
+		"efce7301298c4b4eecf97a69721f30b7": true,
+		"45cf57a39a8f55f82adf5807dde99e51": true,
+		"802bc313d43416ee10345aff6c136464": true,
+		"e5d85a2da33424a9d89e69bbf26deb94": true,
+	}
 	for _, g := range []struct {
 		degree, regime, gt, gs int
 		hash                   string
 	}{
-		{6, 1, 2, 3, "4f2b59064732e32ab7ed7d161e8bb2f9"},
-		{6, 0, 1, 1, "efce7301298c4b4eecf97a69721f30b7"},
-		{4, 3, 4, 2, "45cf57a39a8f55f82adf5807dde99e51"},
-		{8, 4, 3, 4, "802bc313d43416ee10345aff6c136464"},
-		{6, 2, 4, 4, "e5d85a2da33424a9d89e69bbf26deb94"},
+		{6, 1, 2, 3, "fbd9ce441c51997dfd7ab82ebf6ec010"},
+		{6, 0, 1, 1, "660d46ff1bc1a65f7c415a92029a75dc"},
+		{4, 3, 4, 2, "da6019c993583d2ad083af53ad213ac9"},
+		{8, 4, 3, 4, "14e60004b94ae4fc01051a654ee48d8e"},
+		{6, 2, 4, 4, "e800e8cb7c73f083efcd5b8920397b35"},
 	} {
-		if h := cellHash(t, tiny(), g.degree, g.regime, g.gt, g.gs); h != g.hash {
+		h := cellHash(t, tiny(), g.degree, g.regime, g.gt, g.gs)
+		if readoutBefore[h] {
+			t.Errorf("degree %d regime %d Γt=%d Γs=%d: ConfigHash %s addresses a cell stored under the mean-node readout", g.degree, g.regime, g.gt, g.gs, h)
+		}
+		if h != g.hash {
 			t.Errorf("degree %d regime %d Γt=%d Γs=%d: ConfigHash %s, golden %s", g.degree, g.regime, g.gt, g.gs, h, g.hash)
 		}
 	}

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -8,131 +11,234 @@ import (
 )
 
 // The paper's orderings (Figures 5 and 6, Tables 3 and 4) as one gate, at
-// the default scale (48 nodes × 64 rounds, CIFAR-like data) on seeds
-// 42–46 and degrees 6 and 10. Each tolerance is a measured margin, not a
-// tuned one; measured on 2 vCPUs, the whole file runs in about 9.5 s.
+// the default scale (48 nodes, CIFAR-like data) and at two horizons,
+// T = 60 and T = 64, which flip the end phase of both Γ = (4,4) and
+// Γ = (4,2). Every claim is scored on the readout, the averaged model's
+// accuracy, and holds with the same verdict at both horizons. Each bound
+// is a measured margin counted in evaluation samples: an evaluation scores
+// 320 test samples, so one sample is 0.3125 pp (the quantum, derived from
+// EvalSubsample and logged beside every bound). Measured on 2 vCPUs, the
+// whole file runs in about 21 s.
 //
-// The direction reproduces, the size does not: the paper reports SkipTrain
-// about 6 pp above D-PSGD and SkipTrain-constrained up to 9 pp above
-// Greedy on CIFAR-10. On the synthetic stand-in SkipTrain leads D-PSGD by
-// +1.32 to +3.10 pp at degree 6 and ties it (−0.14 to +0.12 pp) at degree
-// 10, and SkipTrain-constrained leads Greedy by +0.93 to +5.87 pp.
+// The direction reproduces, the size does not. The paper reports
+// SkipTrain about 6 pp above D-PSGD at half its energy, and
+// SkipTrain-constrained up to 9 pp above Greedy on CIFAR-10. On the
+// synthetic stand-in, over seeds 42–53, both horizons and degrees 6 and
+// 10, SkipTrain matches D-PSGD at 0.5 (degree 6) and 0.668 (degree 10) of
+// its energy: the 48 leads lie in −0.62 … +1.87 pp with no phase pattern,
+// never more than two samples behind. SkipTrain-constrained leads Greedy
+// by +0.31 to +7.81 pp.
 //
-// Figure 3 is not asserted here. Within one seed the 16 Γ cells lie
-// within a few pp of each other, the seed moves the whole grid by up to
-// 12 pp, and on seeds 45–46 the best cell leads Section 4.3's Γ by up to
-// 2.95 pp (seed 46, degree 10), with one grid's spread reaching 4.36 pp.
+// The mean of the nodes' own accuracies at T, the tables' secondary
+// column, reads where T falls in Γ's period instead. SkipTrain minus
+// D-PSGD on it, seeds 42–46:
+//
+//	T   Γ = (4,4) ends on   degree 6, pp    Γ = (4,2) ends on   degree 10, pp
+//	60  4 train rounds      −0.11 … +0.16   a full sync phase   +0.04 … +1.30
+//	62  2 sync rounds       +1.07 … +2.72   2 train rounds      −0.01 … +0.29
+//	64  a full sync phase   +1.32 … +3.10   4 train rounds      −0.14 … +0.12
+//	66  2 train rounds      −0.03 … +0.68   a full sync phase   +0.27 … +1.11
+//
+// A run that ends on sync rounds has just gossiped without training, so
+// its nodes sit closer to consensus and each scores higher; that is the
+// mechanism claim below, not a lead of the algorithm.
+//
+// Figure 3 is not asserted: the grid is flat at sim scale. On the readout,
+// over seeds 42–53 at T = 60 and T = 64 and degrees 6, 8 and 10, every
+// cell's mean offset from its grid's mean lies within −0.33 … +0.29 pp,
+// about one sample, while one grid spans 0.62 … 2.19 pp. Section 4.3's
+// cell sits 0 … 1.88 pp below its grid's best and ranks anywhere from 1st
+// to 16th of 16. The energy heatmap is exact and pinned by
+// TestFigure3GridAndEnergy.
 
-// claimSeeds and claimDegrees are the measured set.
+// claimSeeds, figure5Seeds, claimDegrees and claimHorizons are the
+// measured set: Figure 5's bound is asserted on all twelve seeds it was
+// measured on.
 var (
-	claimSeeds   = []uint64{42, 43, 44, 45, 46}
-	claimDegrees = []int{6, 10}
+	claimSeeds    = []uint64{42, 43, 44, 45, 46}
+	figure5Seeds  = []uint64{42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53}
+	claimDegrees  = []int{6, 10}
+	claimHorizons = []int{60, 64}
 )
 
-// tieDeg10PP bounds SkipTrain minus D-PSGD at degree 10, measured −0.14
-// to +0.12 pp.
-const tieDeg10PP = 0.5
+// matchSamples bounds how far SkipTrain may trail D-PSGD on the readout,
+// in samples: measured −0.625 pp, two samples, at worst.
+const matchSamples = 2
 
-// claimOptions is the default scale at one seed.
-func claimOptions(seed uint64) Options { return Options{Seed: seed} }
+// nodeTieSamples bounds SkipTrain minus D-PSGD on the mean node accuracy
+// where SkipTrain's run ends on a training round, in readout samples:
+// measured −0.16 … +0.25 pp, within one.
+const nodeTieSamples = 1
+
+// asyncGapPP is the least gap, in mean node accuracy, that
+// TestPaperClaimAsyncWithinSyncBand takes as the async merge defect still
+// present; the measured gap is 32.7–43.5 pp.
+const asyncGapPP = 20
+
+// claimOptions is the default scale at one seed and horizon.
+func claimOptions(seed uint64, rounds int) Options { return Options{Seed: seed, Rounds: rounds} }
+
+// quantum is one evaluation sample's worth of readout, in pp.
+func quantum() float64 {
+	o := Options{}.Defaults()
+	return 100 / float64(evalSamples(o, testSplit(o)))
+}
+
+// figure5Runs runs Figure 5 once for every seed and horizon both Figure 5
+// claims read, keyed by {seed, T}.
+var figure5Runs = sync.OnceValues(func() (map[[2]int]*Figure5Result, error) {
+	runs := map[[2]int]*Figure5Result{}
+	for _, seed := range figure5Seeds {
+		for _, rounds := range claimHorizons {
+			res, err := Figure5(claimOptions(seed, rounds), claimDegrees, []string{"cifar"})
+			if err != nil {
+				return nil, err
+			}
+			runs[[2]int{int(seed), rounds}] = res
+		}
+	}
+	return runs, nil
+})
 
 // TestPaperClaimFigure6ConstrainedBeatsGreedy: Figure 6 / Table 4.
-// SkipTrain-constrained beats Greedy in every (seed, degree) pair; the
-// smallest measured lead is +0.93 pp (seed 45, degree 6).
+// SkipTrain-constrained beats Greedy in every (seed, degree, T) triple;
+// the smallest measured lead is one sample, +0.31 pp (seed 45, degree 10,
+// T = 64).
 func TestPaperClaimFigure6ConstrainedBeatsGreedy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("default-scale Figure 6 on five seeds")
+		t.Skip("default-scale Figure 6 on five seeds at two horizons")
 	}
-	for _, seed := range claimSeeds {
-		res, err := Figure6(claimOptions(seed), claimDegrees, []string{"cifar"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, deg := range claimDegrees {
-			sc := res.Arm("SkipTrain-constrained", "cifar", deg)
-			gr := res.Arm("Greedy", "cifar", deg)
-			lead := sc.FinalAcc - gr.FinalAcc
-			t.Logf("seed %d degree %d: SkipTrain-constrained %.2f%% − Greedy %.2f%% = %+.2f pp", seed, deg, sc.FinalAcc, gr.FinalAcc, lead)
-			if lead <= 0 {
-				t.Errorf("seed %d degree %d: SkipTrain-constrained − Greedy = %+.2f pp, want > 0", seed, deg, lead)
+	t.Logf("bound: lead > 0 (1 sample = %.4g pp)", quantum())
+	for _, rounds := range claimHorizons {
+		for _, seed := range claimSeeds {
+			res, err := Figure6(claimOptions(seed, rounds), claimDegrees, []string{"cifar"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, deg := range claimDegrees {
+				sc := res.Arm("SkipTrain-constrained", "cifar", deg)
+				gr := res.Arm("Greedy", "cifar", deg)
+				lead := sc.FinalAcc - gr.FinalAcc
+				t.Logf("T %d seed %d degree %d: SkipTrain-constrained %.2f%% − Greedy %.2f%% = %+.2f pp", rounds, seed, deg, sc.FinalAcc, gr.FinalAcc, lead)
+				if lead <= 0 {
+					t.Errorf("T %d seed %d degree %d: SkipTrain-constrained − Greedy = %+.2f pp, want > 0", rounds, seed, deg, lead)
+				}
 			}
 		}
 	}
 }
 
 // TestPaperClaimFigure5SkipTrainVsDPSGD: Figure 5 / Table 3. SkipTrain
-// beats D-PSGD on every seed at degree 6 (the smallest measured lead is
-// +1.32 pp, seed 46) and ties it at degree 10. Its
-// paper-scale energy is one network round's energy times its training
-// rounds of the paper's 1 000 (D-PSGD trains all 1 000): half D-PSGD's at
-// degree 6 (Γ = (4,4), 500 rounds), but 0.668 of it at degree 10
-// (Γ = (4,2), 668 rounds).
+// matches D-PSGD — trails it by at most matchSamples samples on the
+// readout — on seeds 42–53 at both horizons, at a paper-scale energy of
+// one network round's energy times its training rounds of the paper's
+// 1 000 (D-PSGD trains all 1 000): half D-PSGD's at degree 6 (Γ = (4,4),
+// 500 rounds), 0.668 of it at degree 10 (Γ = (4,2), 668 rounds).
 func TestPaperClaimFigure5SkipTrainVsDPSGD(t *testing.T) {
 	if testing.Short() {
-		t.Skip("default-scale Figure 5 on five seeds")
+		t.Skip("default-scale Figure 5 on twelve seeds at two horizons")
 	}
+	runs, err := figure5Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := quantum()
+	bound := -matchSamples * q
+	t.Logf("bound: lead ≥ %+.4g pp, %d samples (1 sample = %.4g pp)", bound, matchSamples, q)
 	perRound := energy.NetworkRoundWh(PaperNodes, energy.Devices(), energy.CIFAR10Workload())
 	trainedRounds := map[int]int{6: 500, 10: 668}
-	for _, seed := range claimSeeds {
-		res, err := Figure5(claimOptions(seed), claimDegrees, []string{"cifar"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, deg := range claimDegrees {
-			s := res.Arm("SkipTrain", "cifar", deg)
-			d := res.Arm("D-PSGD", "cifar", deg)
-			trained := core.CountTrainRounds(core.SkipTrain(GammaForDegree(deg)).Schedule, PaperRoundsCIFAR)
-			if trained != trainedRounds[deg] {
-				t.Errorf("degree %d: SkipTrain trains %d of %d paper rounds, want %d", deg, trained, PaperRoundsCIFAR, trainedRounds[deg])
-			}
-			if d.PaperEnergyWh != PaperRoundsCIFAR*perRound || s.PaperEnergyWh != float64(trained)*perRound {
-				t.Errorf("seed %d degree %d: energy D-PSGD %v Wh, SkipTrain %v Wh; want %d and %d rounds of %v Wh",
-					seed, deg, d.PaperEnergyWh, s.PaperEnergyWh, PaperRoundsCIFAR, trained, perRound)
-			}
-			lead := s.FinalAcc - d.FinalAcc
-			t.Logf("seed %d degree %d: SkipTrain %.2f%% − D-PSGD %.2f%% = %+.2f pp at %d/%d of its energy", seed, deg, s.FinalAcc, d.FinalAcc, lead, trained, PaperRoundsCIFAR)
-			switch {
-			case deg == 6 && lead <= 0:
-				t.Errorf("seed %d degree 6: SkipTrain − D-PSGD = %+.2f pp, want > 0", seed, lead)
-			case deg == 10 && (lead < -tieDeg10PP || lead > tieDeg10PP):
-				t.Errorf("seed %d degree 10: SkipTrain − D-PSGD = %+.2f pp, want within ±%.2f", seed, lead, tieDeg10PP)
+	for _, rounds := range claimHorizons {
+		for _, seed := range figure5Seeds {
+			res := runs[[2]int{int(seed), rounds}]
+			for _, deg := range claimDegrees {
+				s := res.Arm("SkipTrain", "cifar", deg)
+				d := res.Arm("D-PSGD", "cifar", deg)
+				trained := core.CountTrainRounds(core.SkipTrain(GammaForDegree(deg)).Schedule, PaperRoundsCIFAR)
+				if trained != trainedRounds[deg] {
+					t.Errorf("degree %d: SkipTrain trains %d of %d paper rounds, want %d", deg, trained, PaperRoundsCIFAR, trainedRounds[deg])
+				}
+				if d.PaperEnergyWh != PaperRoundsCIFAR*perRound || s.PaperEnergyWh != float64(trained)*perRound {
+					t.Errorf("T %d seed %d degree %d: energy D-PSGD %v Wh, SkipTrain %v Wh; want %d and %d rounds of %v Wh",
+						rounds, seed, deg, d.PaperEnergyWh, s.PaperEnergyWh, PaperRoundsCIFAR, trained, perRound)
+				}
+				lead := s.FinalAcc - d.FinalAcc
+				t.Logf("T %d seed %d degree %d: SkipTrain %.2f%% − D-PSGD %.2f%% = %+.2f pp at %d/%d of its energy", rounds, seed, deg, s.FinalAcc, d.FinalAcc, lead, trained, PaperRoundsCIFAR)
+				if math.Round(lead/q) < -matchSamples {
+					t.Errorf("T %d seed %d degree %d: SkipTrain − D-PSGD = %+.2f pp, want ≥ %+.4g pp", rounds, seed, deg, lead, bound)
+				}
 			}
 		}
 	}
 }
 
-// asyncGapPP is the least gap TestPaperClaimAsyncWithinSyncBand takes as
-// the async merge defect still present; the measured gap is 33.3–43.5 pp.
-const asyncGapPP = 20
+// TestPaperClaimFigure5LeadIsTheEndPhase: the mechanism behind the former
+// readout's SkipTrain lead, on the secondary column. Wherever SkipTrain's
+// run ends on a sync round (Γ = (4,4) at T = 64, Γ = (4,2) at T = 60), its
+// nodes' mean accuracy leads D-PSGD's (smallest measured lead +0.04 pp,
+// seed 45, degree 10, T = 60); wherever it ends on a training round, the
+// two are within nodeTieSamples readout samples.
+func TestPaperClaimFigure5LeadIsTheEndPhase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default-scale Figure 5 on twelve seeds at two horizons")
+	}
+	runs, err := figure5Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := quantum()
+	t.Logf("bounds: lead > 0 ending on sync, |lead| ≤ %.4g pp ending on train, %d sample (1 sample = %.4g pp)", nodeTieSamples*q, nodeTieSamples, q)
+	for _, rounds := range claimHorizons {
+		for _, seed := range figure5Seeds {
+			res := runs[[2]int{int(seed), rounds}]
+			for _, deg := range claimDegrees {
+				s := res.Arm("SkipTrain", "cifar", deg)
+				d := res.Arm("D-PSGD", "cifar", deg)
+				lead := s.Node.Acc - d.Node.Acc
+				t.Logf("T %d seed %d degree %d: SkipTrain %s − D-PSGD %s: %+.2f pp", rounds, seed, deg, s.Node, d.Node, lead)
+				switch endsSync := strings.HasPrefix(s.Node.EndPhase, "ends sync"); {
+				case endsSync && lead <= 0:
+					t.Errorf("T %d seed %d degree %d: SkipTrain %s, mean node lead %+.2f pp, want > 0", rounds, seed, deg, s.Node.EndPhase, lead)
+				case !endsSync && (lead < -nodeTieSamples*q || lead > nodeTieSamples*q):
+					t.Errorf("T %d seed %d degree %d: SkipTrain %s, mean node lead %+.2f pp, want within ±%.4g", rounds, seed, deg, s.Node.EndPhase, lead, nodeTieSamples*q)
+				}
+			}
+		}
+	}
+}
 
 // TestPaperClaimAsyncWithinSyncBand: "async accuracy is within the sync
 // band on the same trace" — an expected failure. snapshots.merge drops a
 // node's own model from its average (ROADMAP item 3(a)), and on seeds
-// 42–46 at default scale the event engine trails the round engine by
-// 33.3 to 43.5 pp in all 10 (seed, regime) pairs of TableAsyncHarvest
-// (seed 46 diurnal: sync 58.26%, async 24.98%). The test asserts that the
-// gap is there; once a change closes it, the test fails, and item 3's
-// re-pin turns it into the claim itself.
+// 42–46 at both horizons the event engine's nodes trail the round
+// engine's by 32.7 to 43.5 pp in mean node accuracy in all 20 (seed,
+// regime, T) triples of TableAsyncHarvest. The averaged model hides most
+// of the defect: on the readout the gap is −2.8 … +18.4 pp. The test
+// asserts that the node gap is there; once a change closes it, the test
+// fails, and item 3's re-pin turns it into the claim itself.
 func TestPaperClaimAsyncWithinSyncBand(t *testing.T) {
 	if testing.Short() {
-		t.Skip("default-scale TableAsyncHarvest on five seeds")
+		t.Skip("default-scale TableAsyncHarvest on five seeds at two horizons")
 	}
-	for _, seed := range claimSeeds {
-		rows, err := TableAsyncHarvest(claimOptions(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc := map[[2]string]float64{}
-		for _, r := range rows {
-			acc[[2]string{r.Regime, r.Engine}] = r.FinalAcc
-		}
-		for _, regime := range []string{"diurnal", "markov"} {
-			sync, async := acc[[2]string{regime, "sync-round"}], acc[[2]string{regime, "async-event"}]
-			gap := sync - async
-			t.Logf("seed %d %s: sync %.2f%% − async %.2f%% = %+.2f pp", seed, regime, sync, async, gap)
-			if gap <= asyncGapPP {
-				t.Errorf("seed %d %s: async trails sync by %+.2f pp, not the > %d pp of the merge defect: "+
-					"the gap has closed, so ROADMAP item 3(a)'s re-pin must make this test assert the claim", seed, regime, gap, asyncGapPP)
+	t.Logf("bound: mean node gap > %d pp (1 readout sample = %.4g pp)", asyncGapPP, quantum())
+	for _, rounds := range claimHorizons {
+		for _, seed := range claimSeeds {
+			rows, err := TableAsyncHarvest(claimOptions(seed, rounds))
+			if err != nil {
+				t.Fatal(err)
+			}
+			legs := map[[2]string]AsyncHarvestRow{}
+			for _, r := range rows {
+				legs[[2]string{r.Regime, r.Engine}] = r
+			}
+			for _, regime := range []string{"diurnal", "markov"} {
+				sy, as := legs[[2]string{regime, "sync-round"}], legs[[2]string{regime, "async-event"}]
+				gap := sy.Node.Acc - as.Node.Acc
+				t.Logf("T %d seed %d %s: sync %.2f%% − async %.2f%% = %+.2f pp; readout %.2f%% − %.2f%% = %+.2f pp",
+					rounds, seed, regime, sy.Node.Acc, as.Node.Acc, gap, sy.FinalAcc, as.FinalAcc, sy.FinalAcc-as.FinalAcc)
+				if gap <= asyncGapPP {
+					t.Errorf("T %d seed %d %s: async nodes trail sync by %+.2f pp, not the > %d pp of the merge defect: "+
+						"the gap has closed, so ROADMAP item 3(a)'s re-pin must make this test assert the claim", rounds, seed, regime, gap, asyncGapPP)
+				}
 			}
 		}
 	}

@@ -106,8 +106,10 @@ func (w *world) buildTopology() error {
 }
 
 // config is the sim.Config of one run of algo on w, evaluated on the test
-// split every o.EvalEvery rounds. The caller sets only what its arms vary:
-// the fleet, DropDeadNodes, Rejoin or Forecast.
+// split every o.EvalEvery rounds: its readout, the averaged model, and the
+// node models' consensus distance, which the secondary column prints. The
+// caller sets only what its arms vary: the fleet, DropDeadNodes, Rejoin or
+// Forecast.
 func (w *world) config(algo core.Algorithm) (sim.Config, error) {
 	d, err := w.data()
 	if err != nil {
@@ -125,6 +127,7 @@ func (w *world) config(algo core.Algorithm) (sim.Config, error) {
 		LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
 		Partition: d.part, Test: d.test,
 		EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample,
+		EvalGlobalModel: true, TrackConsensus: true,
 		Devices: d.devices, Workload: w.ds.workload,
 		Seed: o.Seed,
 	}, nil

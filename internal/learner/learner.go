@@ -189,25 +189,22 @@ type Score struct{ Mean, Std, Consensus, Global float64 }
 // Evaluator scores every node on the test set or on EvalSubsample samples
 // redrawn per evaluation, each node's last accuracy into its row of accs.
 type Evaluator struct {
-	accs      []float64
-	ns        Nodes
-	test      *dataset.Dataset
-	consensus bool
-	mean      tensor.Vector // the mean model Score.Global scores; nil when not asked for
-	draw      rng.RNG
-	xs        []tensor.Vector
-	ys        []int
-	perm      []int // the redraw's permutation of the test set; nil = no redraw
+	accs              []float64
+	ns                Nodes
+	test              *dataset.Dataset
+	consensus, global bool
+	mean              tensor.Vector // the fleet mean both read
+	draw              rng.RNG
+	xs                []tensor.Vector
+	ys                []int
+	perm              []int // the redraw's permutation of the test set; nil = no redraw
 }
 
 // NewEvaluator scores ns into accs, one row per node; consensus and global
-// ask for those Score fields.
-func (s *Spec) NewEvaluator(ns Nodes, accs []float64, consensus, global bool) Evaluator {
-	ev := Evaluator{accs: accs, ns: ns, test: s.Test, consensus: consensus}
+// ask for those Score fields, both read off the fleet mean Evaluate writes.
+func (s *Spec) NewEvaluator(ns Nodes, accs []float64, mean tensor.Vector, consensus, global bool) Evaluator {
+	ev := Evaluator{accs: accs, ns: ns, test: s.Test, consensus: consensus, global: global, mean: mean}
 	rng.DeriveTo(&ev.draw, s.Seed, 0xe7a1)
-	if global {
-		ev.mean = tensor.NewVector(ns.ParamCount)
-	}
 	if k := s.EvalSubsample; k > 0 && k < s.Test.Len() {
 		ev.xs, ev.ys, ev.perm = make([]tensor.Vector, k), make([]int, k), make([]int, s.Test.Len())
 	} else {
@@ -239,11 +236,13 @@ func (ev *Evaluator) Evaluate() Score {
 	par.ForOn(len(ev.accs), 0, ev, (*Evaluator).scoreNode)
 	var sc Score
 	sc.Mean, sc.Std = metrics.MeanStd(ev.accs)
-	if ev.consensus {
-		sc.Consensus = metrics.ConsensusDistance(ev.ns.Params)
-	}
-	if ev.mean != nil {
+	if ev.consensus || ev.global {
 		tensor.MeanVectorTo(ev.mean, ev.ns.Params)
+	}
+	if ev.consensus {
+		sc.Consensus = metrics.ConsensusDistance(ev.ns.Params, ev.mean)
+	}
+	if ev.global {
 		sc.Global = ev.accuracy(ev.mean)
 	}
 	return sc

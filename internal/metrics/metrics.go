@@ -26,14 +26,13 @@ func MeanStd(xs []float64) (mean, std float64) {
 }
 
 // ConsensusDistance returns the average L2 distance of the given model
-// vectors from their mean — the "variance between nodes" whose reduction
-// through synchronization rounds is SkipTrain's mechanism (Section 3.1).
-func ConsensusDistance(models []tensor.Vector) float64 {
+// vectors from their mean, which it reads and does not allocate — the
+// "variance between nodes" whose reduction through synchronization rounds
+// is SkipTrain's mechanism (Section 3.1).
+func ConsensusDistance(models []tensor.Vector, mean tensor.Vector) float64 {
 	if len(models) == 0 {
 		return 0
 	}
-	mean := tensor.NewVector(len(models[0]))
-	tensor.MeanVectorTo(mean, models)
 	total := 0.0
 	for _, m := range models {
 		total += tensor.Dist2(m, mean)

@@ -18,9 +18,19 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
+// consensus is ConsensusDistance of models from their own mean.
+func consensus(models []tensor.Vector) float64 {
+	if len(models) == 0 {
+		return ConsensusDistance(nil, nil)
+	}
+	mean := tensor.NewVector(len(models[0]))
+	tensor.MeanVectorTo(mean, models)
+	return ConsensusDistance(models, mean)
+}
+
 func TestConsensusDistanceZeroAtConsensus(t *testing.T) {
 	models := []tensor.Vector{{1, 2}, {1, 2}, {1, 2}}
-	if d := ConsensusDistance(models); d != 0 {
+	if d := consensus(models); d != 0 {
 		t.Fatalf("consensus distance = %v at consensus", d)
 	}
 }
@@ -28,7 +38,7 @@ func TestConsensusDistanceZeroAtConsensus(t *testing.T) {
 func TestConsensusDistanceSymmetricPair(t *testing.T) {
 	models := []tensor.Vector{{0, 0}, {2, 0}}
 	// Mean is (1,0); each model is distance 1 away.
-	if d := ConsensusDistance(models); math.Abs(d-1) > 1e-12 {
+	if d := consensus(models); math.Abs(d-1) > 1e-12 {
 		t.Fatalf("consensus distance = %v, want 1", d)
 	}
 }
@@ -36,18 +46,31 @@ func TestConsensusDistanceSymmetricPair(t *testing.T) {
 func TestConsensusDistanceShrinksUnderAveraging(t *testing.T) {
 	a := tensor.Vector{0, 0}
 	b := tensor.Vector{4, 0}
-	before := ConsensusDistance([]tensor.Vector{a, b})
+	before := consensus([]tensor.Vector{a, b})
 	// One mixing step with weights 0.75/0.25 (row-stochastic).
 	a2 := tensor.Vector{0.75*a[0] + 0.25*b[0], 0}
 	b2 := tensor.Vector{0.25*a[0] + 0.75*b[0], 0}
-	after := ConsensusDistance([]tensor.Vector{a2, b2})
+	after := consensus([]tensor.Vector{a2, b2})
 	if after >= before {
 		t.Fatalf("mixing did not shrink consensus distance: %v -> %v", before, after)
 	}
 }
 
 func TestConsensusDistanceEmpty(t *testing.T) {
-	if ConsensusDistance(nil) != 0 {
+	if consensus(nil) != 0 {
 		t.Fatal("empty consensus distance should be 0")
+	}
+}
+
+// ConsensusDistance reads the mean it is given and allocates nothing: an
+// evaluation that tracks consensus costs no allocation.
+func TestConsensusDistanceAllocatesNothing(t *testing.T) {
+	models := []tensor.Vector{{0, 1, 2}, {2, 1, 0}, {1, 1, 1}}
+	mean := tensor.Vector{1, 1, 1}
+	if a := testing.AllocsPerRun(10, func() { ConsensusDistance(models, mean) }); a != 0 {
+		t.Fatalf("ConsensusDistance allocates %v times a call", a)
+	}
+	if d, want := ConsensusDistance(models, mean), (2*math.Sqrt2+0)/3; math.Abs(d-want) > 1e-15 {
+		t.Fatalf("consensus distance = %v, want %v", d, want)
 	}
 }

@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 // gridCellConfig is a Γ-grid cell in miniature: Γ(1,3) with a
@@ -164,6 +167,119 @@ func TestHoistedRoundStateBitIdentical(t *testing.T) {
 		}
 		if serial, wide := digest(1), digest(8); serial != wide {
 			t.Errorf("%s: digest %s at GOMAXPROCS 1, %s at 8", name, serial, wide)
+		}
+	}
+}
+
+// gridShapedConfig is a Γ-grid cell's shape: 16 nodes on a 6-regular
+// graph, logistic regression from 32 inputs onto 10 classes (330
+// parameters), Γ(4,4), eight local steps, evaluated once on a subsample.
+func gridShapedConfig(t *testing.T, seed uint64) Config { return gridShapedNodes(t, seed, 16) }
+
+// gridShapedNodes is gridShapedConfig on another number of nodes, at
+// most 6 neighbors each.
+func gridShapedNodes(t *testing.T, seed uint64, nodes int) Config {
+	t.Helper()
+	g, err := graph.Regular(nodes, min(6, nodes-1), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test, err := dataset.Generate(dataset.SyntheticConfig{Classes: 10, Dim: 32, Train: 40 * nodes, Test: 160, Noise: 2.5, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := dataset.ShardPartition(train, nodes, 2, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamma, err := core.NewGamma(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+		Graph: g, Weights: graph.Metropolis(g), Algo: core.SkipTrain(gamma), Rounds: 12,
+		ModelFactory: func(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(32, 10, r) },
+		LR:           0.2, BatchSize: 16, LocalSteps: 8,
+		Partition: part, Test: test, EvalSubsample: 80, Seed: seed,
+	}
+}
+
+// TestFleetMeanAllocatesNothing: the fleet mean is a window of the mix
+// scratch, so a Γ-grid-shaped run that scores the averaged model and
+// tracks consensus allocates exactly as often as one that does neither.
+// Under the race detector the runs still go, counts unchecked.
+func TestFleetMeanAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocs := func(mean bool) float64 {
+		least := math.Inf(1)
+		for try := 0; try < 5; try++ {
+			cfg := gridShapedConfig(t, 87)
+			cfg.EvalGlobalModel, cfg.TrackConsensus = mean, mean
+			least = min(least, testing.AllocsPerRun(2, func() {
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mean && (res.FinalGlobalAcc == 0 || res.History[len(res.History)-1].Consensus == 0) {
+					t.Fatal("the averaged model was not scored or consensus not tracked")
+				}
+			}))
+		}
+		return least
+	}
+	plain, mean := allocs(false), allocs(true)
+	if raceEnabled {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
+	if mean != plain {
+		t.Fatalf("a run allocates %v times, %v with EvalGlobalModel and TrackConsensus", plain, mean)
+	}
+}
+
+// TestFinalGlobalParamsIsTheFleetMean: FinalGlobalParams is, bit for bit,
+// tensor.MeanVectorTo of the final node models, p long and capped there —
+// in a Γ-grid-shaped run, with consensus tracking alone, under all-reduce,
+// and with a model longer than the mix scratch would be without it — at
+// GOMAXPROCS 1 and 8.
+func TestFinalGlobalParamsIsTheFleetMean(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		edit  func(*Config)
+	}{
+		{"grid-shaped", 16, func(c *Config) { c.EvalGlobalModel = true }},
+		{"consensus-only", 16, func(c *Config) { c.TrackConsensus = true }},
+		{"all-reduce", 16, func(c *Config) { c.Algo, c.EvalGlobalModel, c.TrackConsensus = core.AllReduce(), true, true }},
+		// 3 412 parameters on 4 nodes: the mix scratch alone would be 4
+		// blocks of at most 256 per worker.
+		{"wider-than-mix", 4, func(c *Config) {
+			c.ModelFactory = func(_ int, r *rng.RNG) *nn.Network { return nn.MLP(32, []int{64}, 20, r) }
+			c.EvalGlobalModel = true
+		}},
+	} {
+		for _, procs := range []int{1, 8} {
+			old := runtime.GOMAXPROCS(procs)
+			cfg := gridShapedNodes(t, 88, tc.nodes)
+			tc.edit(&cfg)
+			var models []tensor.Vector
+			cfg.seeModels = func(ms []tensor.Vector) { models = ms }
+			res, err := Run(cfg)
+			runtime.GOMAXPROCS(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := len(models[0])
+			want := tensor.NewVector(p)
+			tensor.MeanVectorTo(want, models)
+			got := res.FinalGlobalParams
+			if len(got) != p || cap(got) != p {
+				t.Fatalf("%s at GOMAXPROCS %d: FinalGlobalParams has len %d, cap %d; want %d", tc.name, procs, len(got), cap(got), p)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s at GOMAXPROCS %d: FinalGlobalParams[%d] = %v, the mean of the final models %v", tc.name, procs, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -274,9 +274,9 @@ type Result struct {
 	// FinalNodeAccs holds each node's accuracy at the last evaluation,
 	// enabling the fairness analyses of the paper's Section 5.1.
 	FinalNodeAccs []float64
-	// FinalGlobalParams is the average of all node models after the last
-	// round when EvalGlobalModel or TrackConsensus is set (nil otherwise).
-	// It is the deployable consensus model: Network.Use runs a network on it.
+	// FinalGlobalParams is the fleet mean the last evaluation read when
+	// EvalGlobalModel or TrackConsensus is set (nil otherwise), the
+	// deployable consensus model: Network.Use runs a network on it.
 	FinalGlobalParams tensor.Vector
 	// Energy totals.
 	TotalTrainWh, TotalCommWh float64
@@ -338,10 +338,12 @@ type run struct {
 	trainWh, commWh []float64
 	// collect lists node i's operands in rows[i] (none: it holds its model);
 	// each of the cap(ln.Nets) mix workers averages through its own share
-	// of sums and ops.
+	// of sums and ops. mean, the one fleet mean (nil if unread), is sums[:p:p]:
+	// only AggGlobal's phase 2 and phase 3, which never run beside a mix, use it.
 	rows []nn.MixRow
 	sums tensor.Vector
 	ops  []tensor.Vector
+	mean tensor.Vector
 
 	ctx core.RoundContext // Round and Kind are the current round's
 	// dead is the live mask on rounds where the topology actually loses
@@ -355,8 +357,6 @@ type run struct {
 	// source. nbrMean is the rejoin rule's neighbor mean (Config.Rejoin).
 	lastLive []int
 	nbrMean  tensor.Vector
-	// globalMean is the all-reduce's fleet mean (core.AggGlobal only).
-	globalMean tensor.Vector
 }
 
 // down reports that node i is browned out on a round that drops dead nodes:
@@ -472,7 +472,7 @@ func (r *run) mix(w int) {
 }
 
 // adoptMean is AggGlobal's phase 2: node i takes the fleet mean.
-func (r *run) adoptMean(i int) { copy(r.ln.Params[i], r.globalMean) }
+func (r *run) adoptMean(i int) { copy(r.ln.Params[i], r.mean) }
 
 // Run executes the experiment. Everything a round needs is allocated before
 // the first one; see "Allocation discipline" in docs/ARCHITECTURE.md.
@@ -504,8 +504,9 @@ func Run(c Config) (*Result, error) {
 	// of a slab: of ints, of vectors, of weights and ledger floats, and of
 	// the floats the result keeps. Each worker has a network and a mix
 	// scratch sized to the longest block of its share (p/workers rounded
-	// down or up); that and every model-sized vector stay allocations of
-	// their own, as a large slab rounds up to whole pages.
+	// down or up), long enough for the fleet mean when a run reads it; that
+	// and every model-sized vector stay allocations of their own, as a large
+	// slab rounds up to whole pages.
 	haveLiveSource := cfg.Liveness != nil || cfg.Harvest != nil
 	block := max(nn.MixBlockLen(paramCount/workers), nn.MixBlockLen((paramCount+workers-1)/workers))
 	floats := tensor.NewVector(2*n*b2i(cfg.Devices != nil) + edges + n)
@@ -528,9 +529,13 @@ func Run(c Config) (*Result, error) {
 		r.rows[i] = nn.MixRow{X: models[i], W: ws[: 0 : d+1], V: vecs[: 0 : d+1]}
 		vecs, ws = vecs[d+1:], ws[d+1:]
 	}
-	r.sums, r.ops = tensor.NewVector(workers*n*block), vecs
+	needMean := cfg.EvalGlobalModel || cfg.TrackConsensus || cfg.Algo.Aggregation == core.AggGlobal
+	r.sums, r.ops = tensor.NewVector(max(workers*n*block, paramCount*b2i(needMean))), vecs
+	if needMean {
+		r.mean = r.sums[:paramCount:paramCount]
+	}
 	accs := cut(&kept, n)
-	r.eval = r.spec.NewEvaluator(ln, accs, cfg.TrackConsensus, cfg.EvalGlobalModel)
+	r.eval = r.spec.NewEvaluator(ln, accs, r.mean, cfg.TrackConsensus, cfg.EvalGlobalModel)
 	cumHarvestWh, trainedTotal := 0.0, 0
 
 	// Every run carries its content-addressable identity; the probe (when
@@ -565,10 +570,6 @@ func Run(c Config) (*Result, error) {
 	}
 	if cfg.Rejoin != nil {
 		r.nbrMean = tensor.NewVector(paramCount)
-	}
-	// Scratch for the all-reduce aggregation: the fleet mean.
-	if cfg.Algo.Aggregation == core.AggGlobal {
-		r.globalMean = tensor.NewVector(paramCount)
 	}
 
 	r.ctx = core.RoundContext{Horizon: cfg.Rounds, Schedule: cfg.Algo.Schedule}
@@ -642,7 +643,7 @@ func Run(c Config) (*Result, error) {
 		case core.AggGlobal:
 			// Hypothetical all-reduce (Figure 1): global average of all
 			// half-step models, applied everywhere.
-			tensor.MeanVectorTo(r.globalMean, models)
+			tensor.MeanVectorTo(r.mean, models)
 			par.ForOn(n, 0, r, (*run).adoptMean)
 		default:
 			par.ForOn(n, 0, r, (*run).collect)
@@ -715,8 +716,7 @@ func Run(c Config) (*Result, error) {
 		}
 	}
 	if cfg.EvalGlobalModel || cfg.TrackConsensus {
-		result.FinalGlobalParams = tensor.NewVector(paramCount)
-		tensor.MeanVectorTo(result.FinalGlobalParams, models)
+		result.FinalGlobalParams = r.mean // the last round always evaluates
 	}
 	probe.RunEnd(cfg.Rounds, trainedTotal)
 	return result, nil

@@ -118,6 +118,8 @@ type Config struct {
 // (communication is cheap).
 const syncSpeedup = 10
 
+const mailChunkBytes = 16 << 10 // 12 rows of a 170-parameter model, so a run wastes at most one chunk's tail
+
 // spec is the part of c both engines share (internal/learner).
 func (c *Config) spec() learner.Spec {
 	return learner.Spec{Graph: c.Graph, Algo: c.Algo, ModelFactory: c.ModelFactory, LR: c.LR,
@@ -132,6 +134,10 @@ func (c *Config) validate(s *learner.Spec) error {
 		return fmt.Errorf("async: %w", err)
 	}
 	_, learns := c.Forecast.(harvest.ForecastObserver)
+	slots, every := 0.0, c.EvalEverySeconds // the fleet's step slots bound the evaluations a history is sized for
+	for _, d := range c.Devices {
+		slots += math.Ceil(c.Horizon / d.TrainRoundSeconds(c.Workload))
+	}
 	switch {
 	case !(c.Horizon > 0 && c.Horizon < math.Inf(1)):
 		return fmt.Errorf("async: horizon %v is not positive and finite", c.Horizon)
@@ -143,6 +149,8 @@ func (c *Config) validate(s *learner.Spec) error {
 		return fmt.Errorf("async: round duration %v is not finite and non-negative", c.RoundSeconds)
 	case !(c.EvalEverySeconds >= 0):
 		return fmt.Errorf("async: evaluation period %v is negative or NaN", c.EvalEverySeconds)
+	case every > 0 && every < c.Horizon && (c.Horizon+every == c.Horizon || c.Horizon/every > slots):
+		return fmt.Errorf("async: evaluation period %v asks for %.4g evaluations in horizon %v, more than the fleet's %.0f step slots", every, c.Horizon/every, c.Horizon, slots)
 	case learns:
 		return fmt.Errorf("async: forecaster %s learns from per-round observations, which the event-driven engine does not produce", c.Forecast.Name())
 	}
@@ -265,52 +273,77 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// snapshots hands out the copies of a model that gossip queues on a peer.
-// The copies are real — the sender keeps training while its model waits in
-// the peer's queue — but their buffers are recycled: merge returns a
-// drained queue's buffers, and take reuses them before allocating.
-type snapshots struct {
-	free []tensor.Vector
-	vecs []tensor.Vector // merge's operand list, reused
+// mailbox holds the model copies gossip queues on a node until its next
+// step merges them (the sender trains on meanwhile), each a row of a
+// per-run chunk of mailChunkBytes. A node's queue is a FIFO list through
+// the rows; a merge frees the drained rows, which push reuses before it
+// cuts a chunk. Rows count from 1: row 0 ends a list.
+type mailbox struct {
+	p, perChunk int
+	chunks      []tensor.Vector
+	next        []int           // per row, the next row on its list
+	head, tail  []int           // per node, the first and last queued row
+	free        int             // the free list's first row
+	vecs        []tensor.Vector // merge's operand list, reused
 }
 
-func (s *snapshots) take(src tensor.Vector) tensor.Vector {
-	var buf tensor.Vector
-	if k := len(s.free); k > 0 {
-		buf, s.free = s.free[k-1], s.free[:k-1]
-	} else {
-		buf = tensor.NewVector(len(src))
+func newMailbox(n, p int) *mailbox {
+	ends := make([]int, 2*n)
+	return &mailbox{p: p, perChunk: max(1, mailChunkBytes/(8*p)), next: []int{0}, head: ends[:n], tail: ends[n:], vecs: make([]tensor.Vector, 0, n+1)}
+}
+
+func (m *mailbox) row(r int) tensor.Vector {
+	o := (r - 1) % m.perChunk * m.p
+	return m.chunks[(r-1)/m.perChunk][o : o+m.p : o+m.p]
+}
+
+// push queues a copy of src on node i.
+func (m *mailbox) push(i int, src tensor.Vector) {
+	if m.free == 0 { // every row is queued: cut a chunk, its rows the free list
+		m.free = len(m.next)
+		m.chunks = append(m.chunks, tensor.NewVector(m.perChunk*m.p))
+		for r := m.free + 1; r < m.free+m.perChunk; r++ {
+			m.next = append(m.next, r)
+		}
+		m.next = append(m.next, 0)
 	}
-	copy(buf, src)
-	return buf
+	r := m.free
+	m.free, m.next[r] = m.next[r], 0
+	copy(m.row(r), src)
+	if m.next[m.tail[i]] = r; m.head[i] == 0 { // an empty queue links from row 0
+		m.head[i] = r
+	}
+	m.tail[i] = r
 }
 
-// merge averages a node's model vector, in place, with every queued model,
-// in queue order, then empties the queue into the free list. The queue's
-// slots are cleared with it, so no queue can still reach a buffer that take
-// may hand out again.
+// merge averages node i's model, in place, with its queue in arrival order.
 //
-// Known defect, kept because every async result is pinned to it (ROADMAP,
-// "Async merge drops the node's own model"): MeanVectorTo zeroes params
-// before reading it back as the first operand.
-func (s *snapshots) merge(params tensor.Vector, queue *[]tensor.Vector) {
-	s.vecs = append(append(s.vecs[:0], params), *queue...)
-	tensor.MeanVectorTo(params, s.vecs)
-	s.free = append(s.free, *queue...)
-	clear(*queue)
-	*queue = (*queue)[:0]
+// Known defect, kept because every async result is pinned to it (ROADMAP
+// item 3(a), "Async merge drops the node's own model"): MeanVectorTo zeroes
+// params before reading it back as the first operand.
+func (m *mailbox) merge(i int, params tensor.Vector) {
+	if m.head[i] == 0 {
+		return
+	}
+	m.vecs = append(m.vecs[:0], params)
+	for r := m.head[i]; r != 0; r = m.next[r] {
+		m.vecs = append(m.vecs, m.row(r))
+	}
+	tensor.MeanVectorTo(params, m.vecs)
+	m.next[m.tail[i]] = m.free
+	m.free, m.head[i], m.tail[i] = m.head[i], 0, 0
 }
 
 type asyncNode struct {
-	id       int
-	gossip   *rng.RNG
-	incoming []tensor.Vector // models pushed by peers since last step; first a window of a per-run slab
+	id     int
+	gossip *rng.RNG
 
 	// Harvest-run state.
 	down        bool    // browned out (a brownout event was emitted)
 	downSince   float64 // virtual time the current outage began
 	downTotal   float64 // accumulated outage seconds
 	wakePending bool    // an evWake is already on the heap
+	sleptWh     float64 // the charge when that wake was scheduled
 }
 
 // Run executes the asynchronous simulation.
@@ -320,15 +353,11 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	ln := spec.NewNodes(0xa51c) // the event loop trains on one network at a time; evaluation scores nodes in parallel
-	n, edges := cfg.Graph.N, 0
-	for i := range n {
-		edges += cfg.Graph.Degree(i)
-	}
-	nodes, gossip, queues := make([]asyncNode, n), make([]rng.RNG, n), make([]tensor.Vector, edges)
+	n := cfg.Graph.N
+	nodes, gossip := make([]asyncNode, n), make([]rng.RNG, n)
 	for i := range nodes {
 		rng.DeriveTo(&gossip[i], cfg.Seed, uint64(i), 0x905517)
-		nodes[i] = asyncNode{id: i, gossip: &gossip[i], incoming: queues[:0:cfg.Graph.Degree(i)]}
-		queues = queues[cap(nodes[i].incoming):]
+		nodes[i] = asyncNode{id: i, gossip: &gossip[i]}
 	}
 
 	// Per-node step durations and the step-count horizon threaded into
@@ -366,13 +395,13 @@ func Run(cfg Config) (*Result, error) {
 		chargeWh = vf.TotalChargeWh()
 	}
 	probe.RunStart(&res.Manifest, chargeWh)
-	queue := &eventQueue{}
+	queue := make(eventQueue, 0, 3*n+1) // a node's step or wake, and up to two brown-outs; the eval tick
 	seq := 0
 	push := func(t float64, kind eventKind, node int) {
 		queue.push(event{time: t, kind: kind, node: node, seq: seq})
 		seq++
 	}
-	var snaps snapshots
+	mail := newMailbox(n, ln.ParamCount)
 	for i := 0; i < n; i++ {
 		// Stagger starts by a fraction of the node's own step time so the
 		// fleet does not begin in lockstep.
@@ -458,21 +487,24 @@ func Run(cfg Config) (*Result, error) {
 	// the trajectory dips first, a brown-out event at that crossing. A
 	// node whose trajectory can never afford the cost within the horizon
 	// gets no wake — it parks (its outage accounting closes at run end).
+	var ev event // the event being processed
 	sleep := func(nd *asyncNode, t, costWh float64) {
 		wake, brown := vf.ScanAfford(nd.id, costWh, cfg.Horizon)
 		if !nd.down && brown < wake && !math.IsInf(brown, 1) {
 			push(brown, evBrownout, nd.id)
 		}
 		if !math.IsInf(wake, 1) {
-			// Progress guard: the scan mirrors the realized float ops, but
-			// association differs, so a realized wake can land a few ulps
-			// short and re-solve to "now". Nudge to the next trace-round
-			// boundary so virtual time always advances.
-			if wake <= t {
-				wake = (math.Floor(t/vf.RoundSeconds()) + 1) * vf.RoundSeconds()
+			// Progress guard: the scan's float association differs from the
+			// realized one, so a wake can land a few ulps short and re-solve
+			// to "now", or so close that the charge does not move. Then wait
+			// for the first trace-round boundary after t (at t = k·R, t/R may round below k).
+			if wake <= t || (ev.kind == evWake && ev.time == t && vf.ChargeWh(nd.id) == nd.sleptWh) {
+				if wake = max(wake, (math.Floor(t/vf.RoundSeconds())+1)*vf.RoundSeconds()); wake <= t {
+					wake += vf.RoundSeconds()
+				}
 			}
 			push(wake, evWake, nd.id)
-			nd.wakePending = true
+			nd.wakePending, nd.sleptWh = true, vf.ChargeWh(nd.id)
 		}
 	}
 
@@ -485,8 +517,8 @@ func Run(cfg Config) (*Result, error) {
 		return vf.CommCostWh(nd.id)
 	}
 
-	for len(*queue) > 0 {
-		ev := queue.pop()
+	for len(queue) > 0 {
+		ev = queue.pop()
 		if ev.time > cfg.Horizon {
 			break
 		}
@@ -540,9 +572,7 @@ func Run(cfg Config) (*Result, error) {
 
 		// 1. Merge everything that arrived while we were busy (AD-PSGD
 		//    pairwise averaging, generalized to k pending models).
-		if len(nd.incoming) > 0 {
-			snaps.merge(ln.Params[nd.id], &nd.incoming)
-		}
+		mail.merge(nd.id, ln.Params[nd.id])
 
 		// 2. Decide the step kind from the node's own step counter — the
 		//    same Γ pattern and policy contract as the synchronous engine,
@@ -602,8 +632,8 @@ func Run(cfg Config) (*Result, error) {
 			res.DroppedGossips++
 			probe.DroppedSends(vf.TraceRound(now), 1)
 		} else {
-			nodes[peer].incoming = append(nodes[peer].incoming, snaps.take(ln.Params[nd.id]))
-			nd.incoming = append(nd.incoming, snaps.take(ln.Params[peer]))
+			mail.push(peer, ln.Params[nd.id])
+			mail.push(nd.id, ln.Params[peer])
 			res.GossipsSent++
 		}
 

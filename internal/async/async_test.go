@@ -1,6 +1,7 @@
 package async
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -305,6 +306,33 @@ func TestAsyncNonFiniteFloatsRejected(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("%s: want validation error", tc.name)
 		}
+	}
+}
+
+// An evaluation period is bounded by the run's own inputs: one that does
+// not advance the clock at the horizon, or that asks for more evaluations
+// than the fleet has step slots, is refused with both values named instead
+// of sizing a history from Horizon/EvalEverySeconds. A period of one
+// second (200 evaluations against 693 slots) still runs.
+func TestAsyncRejectsEvalPeriodBeyondStepSlots(t *testing.T) {
+	for _, every := range []float64{1e-15, 1e-300, 5e-324, 0.05} {
+		cfg := testConfig(t, 8)
+		cfg.EvalEverySeconds = every
+		_, err := Run(cfg)
+		if err == nil {
+			t.Fatalf("period %v: want an error", every)
+		}
+		for _, v := range []float64{every, cfg.Horizon} {
+			if !strings.Contains(err.Error(), fmt.Sprint(v)) {
+				t.Fatalf("period %v: error %q does not name %v", every, err, v)
+			}
+		}
+	}
+	cfg := testConfig(t, 8)
+	cfg.EvalEverySeconds = 1
+	res, err := Run(cfg)
+	if err != nil || len(res.History) != 200 {
+		t.Fatalf("period 1: %v", err)
 	}
 }
 

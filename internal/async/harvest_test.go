@@ -2,12 +2,20 @@ package async
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/energy"
+	"repro/internal/graph"
 	"repro/internal/harvest"
+	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/obs/obstest"
+	"repro/internal/rng"
 )
 
 // harvestConfig is testConfig plus a trace sized so batteries genuinely
@@ -309,4 +317,139 @@ func TestAsyncTraceReuseReplays(t *testing.T) {
 		t.Fatalf("second run on the same trace differs: harvested %v vs %v Wh, accuracy %v vs %v, brown-outs %d vs %d",
 			first.HarvestedWh, again.HarvestedWh, first.FinalMeanAcc, again.FinalMeanAcc, first.Brownouts, again.Brownouts)
 	}
+}
+
+// FuzzAsyncSchedule draws a topology of 2–8 nodes, a trace (constant,
+// diurnal or Markov), a participation policy, a cutoff and Γ, and runs the
+// event engine at GOMAXPROCS 1 and 8: the two results must be deeply
+// equal but for the manifest's GOMAXPROCS stamp, and each probe stream must
+// pass every analyze.Auditor invariant.
+// Sleeping nodes, brown-outs and uneven pacing drive the mailbox through
+// queue depths that no golden reaches.
+func FuzzAsyncSchedule(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(10), uint8(0x11), uint64(1))   // two nodes, constant trace, SkipTrain
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(20), uint8(0x32), uint64(2))   // five-node complete graph, diurnal, threshold
+	f.Add(uint8(11), uint8(2), uint8(2), uint8(30), uint8(0x03), uint64(3))  // six-node ring, Markov, hysteresis
+	f.Add(uint8(20), uint8(1), uint8(3), uint8(80), uint8(0x23), uint64(4))  // eight-node 2-regular, diurnal, proportional, idle draw
+	f.Add(uint8(26), uint8(2), uint8(4), uint8(15), uint8(0x10), uint64(5))  // seven-node complete graph, Markov, horizon plan
+	f.Add(uint8(41), uint8(0), uint8(5), uint8(101), uint8(0x21), uint64(6)) // eight-node 3-regular, constant, Greedy
+	f.Add(uint8(36), uint8(1), uint8(6), uint8(5), uint8(0x13), uint64(7))   // three-node 2-regular, diurnal, SkipTrain-constrained
+	// Eight-node 2-regular graph, diurnal trace, Γ = (4,1), cutoff 0.06: a
+	// sleeping node's scan finds the training cost affordable while
+	// TryTrain refuses it by an ulp, and its wake was nudged to the trace
+	// round boundary 12·R, which equals the current time because t/R
+	// rounds below 12. The run never advanced its clock.
+	f.Add(uint8(20), uint8(43), uint8(0), uint8(6), uint8(0x43), uint64(165))
+	// Two nodes, diurnal trace, hysteresis, cutoff 0.45 with idle draw: a
+	// node that cannot pay its gossip wakes at the solved crossing an ulp
+	// away, where the realized harvest rounds to nothing; it slept and
+	// woke an ulp at a time.
+	f.Add(uint8(7), uint8(1), uint8(2), uint8(0x5f), uint8(0x01), uint64(157))
+	f.Fuzz(func(t *testing.T, nodes, trace, policy, cutoff, gamma uint8, seed uint64) {
+		run := func(procs int) *Result {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			cfg := fuzzScheduleConfig(t, nodes, trace, policy, cutoff, gamma, seed)
+			auditor := analyze.NewAuditor()
+			cfg.Probe = obs.NewProbe(auditor)
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("procs=%d: %v", procs, err)
+			}
+			auditor.Close()
+			if !auditor.Ok() {
+				t.Fatalf("procs=%d: auditor found violations:\n%s", procs, auditor.Summary())
+			}
+			res.Manifest.GOMAXPROCS = 0 // provenance, outside the config hash
+			return res
+		}
+		if one, eight := run(1), run(8); !reflect.DeepEqual(one, eight) {
+			t.Fatalf("GOMAXPROCS 1 and 8 differ:\n%+v\n%+v", one, eight)
+		}
+	})
+}
+
+// fuzzScheduleConfig builds the run FuzzAsyncSchedule draws. Every input
+// maps onto a valid configuration, so an error from Run is a finding.
+func fuzzScheduleConfig(t *testing.T, nodes, trace, policy, cutoff, gamma uint8, seed uint64) Config {
+	t.Helper()
+	n := 2 + int(nodes%7)
+	var g *graph.Graph
+	var err error
+	switch kind, d := nodes/7%3, 2+int(nodes/21)%max(1, n-2); {
+	case n == 2 || kind == 0:
+		g, err = graph.Complete(n)
+	case kind == 1:
+		g, err = graph.Ring(n)
+	default:
+		if n*d%2 == 1 {
+			d--
+		}
+		g, err = graph.Regular(n, d, seed)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test, err := dataset.Generate(dataset.SyntheticConfig{Classes: 4, Dim: 6, Train: 40 * n, Test: 60, Noise: 1.5, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := dataset.ShardPartition(train, n, 2, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm := core.Gamma{GammaTrain: 1 + int(gamma&3), GammaSync: 1 + int(gamma>>4&3)}
+	cfg := Config{
+		Graph: g, Algo: core.SkipTrain(gm), Horizon: 120,
+		ModelFactory: func(node int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(6, 4, r) },
+		LR:           0.1, BatchSize: 8, LocalSteps: 1,
+		Partition: part, Test: test,
+		Devices: energy.AssignDevices(n, energy.Devices()), Workload: energy.CIFAR10Workload(),
+		EvalEverySeconds: 20, EvalSubsample: 60, Seed: seed,
+	}
+	step := meanStepWh(cfg)
+	cfg.FleetOptions = harvest.Options{CapacityRounds: 4 + float64(cutoff>>6), InitialSoC: 0.4, CutoffSoC: float64(cutoff%50) / 100}
+	if cutoff&0x40 != 0 {
+		cfg.FleetOptions.IdleWh = 0.3 * step
+	}
+	switch trace % 3 {
+	case 0:
+		cfg.Trace = harvest.Constant{Wh: step * float64(1+cutoff%4) / 2}
+	case 1:
+		cfg.Trace, err = harvest.NewDiurnal(1.2*step, 12, harvest.LongitudePhase(n))
+	default:
+		cfg.Trace, err = harvest.NewMarkovOnOff(n, 1.5*step, 0.3, 0.3, seed)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p core.Policy
+	tau := make([]int, n)
+	for i := range tau {
+		tau[i] = 3 + i%4
+	}
+	switch policy % 7 {
+	case 1:
+		p, err = harvest.NewSoCThreshold(0.2)
+	case 2:
+		p, err = harvest.NewSoCHysteresis(n, 0.15, 0.4)
+	case 3:
+		p, err = harvest.NewSoCProportional(1)
+	case 4:
+		p, err = harvest.NewHorizonPlan(0.05)
+		if err == nil {
+			cfg.Forecast, err = harvest.NewOracle(cfg.Trace)
+			cfg.ForecastHorizon = 6
+		}
+	case 5:
+		cfg.Algo = core.Greedy(tau)
+	case 6:
+		cfg.Algo = core.SkipTrainConstrained(gm, 20, tau)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != nil {
+		cfg.Algo.Policy = p
+	}
+	return cfg
 }

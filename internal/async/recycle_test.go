@@ -41,42 +41,140 @@ func TestEventQueuePopsByTimeThenSeq(t *testing.T) {
 	}
 }
 
-// merge must leave nothing behind in the queue it drained: a buffer on the
-// free list is about to be overwritten by take, so no incoming queue may
-// still reach it.
-func TestSnapshotsRecycleDrainedQueue(t *testing.T) {
-	var s snapshots
-	own, peer := tensor.Vector{1, 3}, tensor.Vector{3, 5}
-	queue := []tensor.Vector{s.take(peer), s.take(peer), s.take(peer)}
-	queued := append([]tensor.Vector(nil), queue...)
-	peer[0] = 100 // the peer trains on; its queued snapshots must not move
-	// The arithmetic is the engine's own from before the free list, taken
-	// over unchanged (results are pinned to the bit): MeanVectorTo with the
-	// destination as first operand.
-	want := own.Clone()
-	tensor.MeanVectorTo(want, []tensor.Vector{want, {3, 5}, {3, 5}, {3, 5}})
-	s.merge(own, &queue)
-	if own[0] != want[0] || own[1] != want[1] {
-		t.Fatalf("merged model %v, want %v", own, want)
+// FuzzMailbox drives the mailbox with scripts of pushes, merges and
+// overwrites of a sender's model over 1–8 nodes, against a reference that
+// queues Clone()d models in per-node slices and merges them through
+// MeanVectorTo with the node's own model as the first operand, as the
+// engine did before the mailbox. Every merge matches the reference bit for
+// bit. After every operation each row sits on exactly one list, a node's
+// queue or the free list, so no queue reaches a row that push may hand out
+// again; and a chunk is cut only when every row is queued, so a drained row
+// is always reused first.
+//
+// A script byte packs the operation (low two bits: 0 and 3 push, 1 merge,
+// 2 overwrite), the node it acts on (bits 2–4) and the sender (bits 5–7).
+func FuzzMailbox(f *testing.F) {
+	f.Add(uint8(1), uint16(2), uint64(1), []byte{0x20, 0x01})                                              // two nodes: one queued model, merged
+	f.Add(uint8(2), uint16(2047), uint64(2), []byte{0x20, 0x40, 0x22, 0x01, 0x24, 0x29, 0x05, 0x20, 0x01}) // one row a chunk
+	f.Add(uint8(7), uint16(600), uint64(3), []byte{0xe0, 0xc4, 0xa8, 0x8c, 0x70, 0x54, 0x38, 0x1c, 0x01, 0x05, 0x09, 0xe2, 0x20, 0x0d, 0x21, 0x1d})
+	f.Add(uint8(0), uint16(169), uint64(4), []byte{0x00, 0x00, 0x02, 0x01, 0x01, 0x03, 0x03, 0x01})
+	f.Fuzz(func(t *testing.T, nodes uint8, width uint16, seed uint64, script []byte) {
+		n, p := 1+int(nodes%8), 1+int(width%2304)
+		r := rng.New(seed)
+		models := make([]tensor.Vector, n)
+		for i := range models {
+			models[i] = tensor.NewVector(p)
+			r.Normals(models[i])
+		}
+		m, ref := newMailbox(n, p), make([][]tensor.Vector, n)
+		if want := max(1, mailChunkBytes/(8*p)); m.perChunk != want {
+			t.Fatalf("p=%d: %d rows a chunk, want %d", p, m.perChunk, want)
+		}
+		queued, peak := 0, 0
+		for k, op := range script[:min(len(script), 512)] {
+			i, src := int(op>>2&7)%n, int(op>>5)%n
+			switch op & 3 {
+			case 0, 3:
+				m.push(i, models[src])
+				ref[i] = append(ref[i], models[src].Clone())
+				queued++
+				peak = max(peak, queued)
+			case 1:
+				want := models[i].Clone()
+				if len(ref[i]) > 0 {
+					tensor.MeanVectorTo(want, append([]tensor.Vector{want}, ref[i]...))
+				}
+				m.merge(i, models[i])
+				for j := range want {
+					if math.Float64bits(models[i][j]) != math.Float64bits(want[j]) {
+						t.Fatalf("op %d: node %d merged %v at %d, the reference %v", k, i, models[i][j], j, want[j])
+					}
+					if len(ref[i]) == 1 && models[i][j] != ref[i][0][j]/2 {
+						t.Fatalf("op %d: a one-model merge gave %v at %d, want q/2 = %v: ROADMAP item 3(a)'s pinned defect drops the node's own model, and item 3 turns this into (x+q)/2", k, models[i][j], j, ref[i][0][j]/2)
+					}
+				}
+				queued -= len(ref[i])
+				ref[i] = ref[i][:0]
+			case 2: // the sender trains on; what it queued must not move
+				r.Normals(models[src])
+			}
+			checkMailboxLists(t, k, m, ref, queued, k == len(script)-1 || k == 511)
+			if cut := (peak + m.perChunk - 1) / m.perChunk; len(m.chunks) != cut {
+				t.Fatalf("op %d: %d chunks cut for at most %d rows queued at once, want %d", k, len(m.chunks), peak, cut)
+			}
+		}
+	})
+}
+
+// checkMailboxLists walks every node's queue and the free list: each row
+// is on exactly one of them and a queue's tail is its last row. With
+// contents set, a queue's rows must also hold its reference models, in
+// arrival order.
+func checkMailboxLists(t *testing.T, k int, m *mailbox, ref [][]tensor.Vector, queued int, contents bool) {
+	t.Helper()
+	if len(m.next) != 1+len(m.chunks)*m.perChunk {
+		t.Fatalf("op %d: %d rows linked in %d chunks of %d", k, len(m.next)-1, len(m.chunks), m.perChunk)
 	}
-	if len(queue) != 0 || len(s.free) != 3 {
-		t.Fatalf("after merge: %d queued, %d free, want 0 and 3", len(queue), len(s.free))
+	seen := make([]bool, len(m.next))
+	walk := func(list string, r int) (rows, last int) {
+		for ; r != 0; last, r = r, m.next[r] {
+			if seen[r] {
+				t.Fatalf("op %d: row %d is on two lists (again on %s)", k, r, list)
+			}
+			seen[r] = true
+			rows++
+		}
+		return rows, last
 	}
-	for i, v := range queue[:3] {
-		if v != nil {
-			t.Fatalf("drained queue still references recycled buffer %d", i)
+	for i, q := range ref {
+		rows, last := walk("a queue", m.head[i])
+		if rows != len(q) || last != m.tail[i] {
+			t.Fatalf("op %d: node %d queues %d rows ending at %d (tail %d), want %d", k, i, rows, last, m.tail[i], len(q))
+		}
+		for j, r := 0, m.head[i]; contents && r != 0; j, r = j+1, m.next[r] {
+			for x, v := range m.row(r) {
+				if math.Float64bits(v) != math.Float64bits(q[j][x]) {
+					t.Fatalf("op %d: node %d's queued model %d moved at %d", k, i, j, x)
+				}
+			}
 		}
 	}
-	again := s.take(tensor.Vector{7, 8})
-	reused := false
-	for _, v := range queued {
-		reused = reused || &again[0] == &v[0]
+	if free, _ := walk("the free list", m.free); free+queued != len(m.next)-1 {
+		t.Fatalf("op %d: %d rows free and %d queued of %d", k, free, queued, len(m.next)-1)
 	}
-	if !reused || len(s.free) != 2 {
-		t.Fatalf("take allocated instead of reusing a recycled buffer (reused=%t, free=%d)", reused, len(s.free))
+}
+
+// TestAsyncAllocsIndependentOfGossips: a gossip queues two model copies in
+// rows of the run's mailbox, the event heap and the merge's operand list
+// are sized at set-up, so a run that gossips 1 235 times allocates exactly
+// as often as one that gossips 19 991 times, and at most 50 times. Under
+// the race detector the runs still go, counts unchecked.
+func TestAsyncAllocsIndependentOfGossips(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocs := func(horizon float64, gossips int) float64 {
+		least := math.Inf(1)
+		for try := 0; try < 3; try++ {
+			cfg := testConfig(t, 25)
+			cfg.Horizon = horizon
+			least = min(least, testing.AllocsPerRun(1, func() {
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.GossipsSent != gossips {
+					t.Fatalf("horizon %v: %d gossips, want %d", horizon, res.GossipsSent, gossips)
+				}
+			}))
+		}
+		return least
 	}
-	if again[0] != 7 || again[1] != 8 {
-		t.Fatalf("recycled snapshot holds %v, want {7 8}", again)
+	short, long := allocs(200, 1235), allocs(3200, 19991)
+	t.Logf("%v allocations at 1 235 gossips, %v at 19 991", short, long)
+	if raceEnabled {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
+	if short != long || long > 50 {
+		t.Fatalf("1 235 gossips allocate %v times, 19 991 gossips %v; want equal and at most 50", short, long)
 	}
 }
 

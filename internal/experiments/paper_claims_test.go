@@ -207,8 +207,8 @@ func TestPaperClaimFigure5LeadIsTheEndPhase(t *testing.T) {
 }
 
 // TestPaperClaimAsyncWithinSyncBand: "async accuracy is within the sync
-// band on the same trace" — an expected failure. snapshots.merge drops a
-// node's own model from its average (ROADMAP item 3(a)), and on seeds
+// band on the same trace" — an expected failure. The async mailbox merge
+// drops a node's own model from its average (ROADMAP item 3(a)), and on seeds
 // 42–46 at both horizons the event engine's nodes trail the round
 // engine's by 32.7 to 43.5 pp in mean node accuracy in all 20 (seed,
 // regime, T) triples of TableAsyncHarvest. The averaged model hides most

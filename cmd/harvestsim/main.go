@@ -21,8 +21,9 @@
 // run's duration.
 //
 // With -async, the round engine is replaced by the event-driven one
-// (internal/async): batteries evolve on a continuous virtual clock, an
-// unaffordable node sleeps until its solved charge-arrival crossing, and a
+// (internal/async): batteries evolve on a continuous virtual clock, a node
+// that cannot pay for training gossips and one that cannot pay for a
+// gossip sleeps until its solved charge-arrival crossing, and a
 // brown-out interrupts an in-flight training step at the exact cutoff
 // crossing — the computation is discarded but its partial energy stays
 // spent. One trace round spans the fleet-mean step duration, so -rounds,

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -172,5 +174,46 @@ func TestUsageErrors(t *testing.T) {
 				clitest.Exit(t, run, 2, args...)
 			}
 		}
+	}
+}
+
+// TestAsyncFleetResumesAfterNight: on the 8-node, 1 500-round diurnal run
+// the fleet keeps stepping through the second half of the horizon, and the
+// sun does not fill batteries that no node drains: waste stays under 1% of
+// arrivals. Sleeping nodes once settled the rest of the horizon at the
+// night round their clock's quotient named, never woke, and left a second
+// half of no steps and 16 Wh wasted.
+func TestAsyncFleetResumesAfterNight(t *testing.T) {
+	code, out := clitest.Exec(t, run, "-async", "-nodes", "8", "-rounds", "1500", "-cutoff", "0.25", "-idle", "0.2", "-eval", "750")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	var steps []float64 // the fleet's step count at each evaluation: mid-horizon, then the horizon
+	var harvested, consumed, wasted float64
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 5 && strings.Trim(f[0], "0123456789") == "":
+			n, err := strconv.ParseFloat(f[3], 64)
+			if err != nil {
+				t.Fatalf("evaluation row %q: %v", line, err)
+			}
+			steps = append(steps, n)
+		case strings.HasPrefix(line, "final: "):
+			if _, err := fmt.Sscanf(line[strings.Index(line, "harvested"):], "harvested %f Wh, consumed %f Wh, wasted %f Wh", &harvested, &consumed, &wasted); err != nil {
+				t.Fatalf("final line %q: %v", line, err)
+			}
+		}
+	}
+	if len(steps) != 2 || steps[1] == 0 {
+		t.Fatalf("step counts %v, want two evaluations of a fleet that steps:\n%s", steps, out)
+	}
+	share := (steps[1] - steps[0]) / steps[1]
+	t.Logf("last-half step share %.3f, wasted %.4f of %.4f Wh arrived", share, wasted, harvested+wasted)
+	if share <= 0.3 {
+		t.Errorf("last-half step share %.3f, want > 0.3: the fleet stopped stepping", share)
+	}
+	if wasted >= 0.01*(harvested+wasted) {
+		t.Errorf("wasted %.4f of %.4f Wh arrived, want under 1%%", wasted, harvested+wasted)
 	}
 }

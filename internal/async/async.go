@@ -77,10 +77,10 @@ type Config struct {
 
 	// Trace attaches an energy-harvesting trace: nodes then run on real
 	// battery state (harvest.VFleet) instead of the pure step clock —
-	// training steps drain the battery continuously, unaffordable steps
-	// put the node to sleep until the solved charge-arrival crossing, and
-	// brown-outs interrupt in-flight work. Nil keeps the energy-oblivious
-	// engine.
+	// training steps drain the battery continuously, an unaffordable one
+	// becomes a gossip step, an unaffordable gossip puts the node to sleep
+	// until the solved charge-arrival crossing, and brown-outs interrupt
+	// in-flight work. Nil keeps the energy-oblivious engine.
 	Trace harvest.Trace
 	// FleetOptions shape the batteries when Trace is set (same knobs as
 	// the synchronous engines).
@@ -149,6 +149,8 @@ func (c *Config) validate(s *learner.Spec) error {
 		return fmt.Errorf("async: round duration %v is not finite and non-negative", c.RoundSeconds)
 	case !(c.EvalEverySeconds >= 0):
 		return fmt.Errorf("async: evaluation period %v is negative or NaN", c.EvalEverySeconds)
+	case c.StepsPerNode <= 0 && !(slots < math.MaxInt64):
+		return fmt.Errorf("async: horizon %v holds %.4g step slots, more than an int counts; cap them with StepsPerNode", c.Horizon, slots)
 	case every > 0 && every < c.Horizon && (c.Horizon+every == c.Horizon || c.Horizon/every > slots):
 		return fmt.Errorf("async: evaluation period %v asks for %.4g evaluations in horizon %v, more than the fleet's %.0f step slots", every, c.Horizon/every, c.Horizon, slots)
 	case learns:
@@ -285,11 +287,12 @@ type mailbox struct {
 	head, tail  []int           // per node, the first and last queued row
 	free        int             // the free list's first row
 	vecs        []tensor.Vector // merge's operand list, reused
+	ws          []float64       // merge's weight row, reused; the caller's slab
 }
 
-func newMailbox(n, p int) *mailbox {
+func newMailbox(n, p int, ws []float64) *mailbox {
 	ends := make([]int, 2*n)
-	return &mailbox{p: p, perChunk: max(1, mailChunkBytes/(8*p)), next: []int{0}, head: ends[:n], tail: ends[n:], vecs: make([]tensor.Vector, 0, n+1)}
+	return &mailbox{p: p, perChunk: max(1, mailChunkBytes/(8*p)), next: []int{0}, head: ends[:n], tail: ends[n:], vecs: make([]tensor.Vector, 0, n+1), ws: ws}
 }
 
 func (m *mailbox) row(r int) tensor.Vector {
@@ -316,11 +319,8 @@ func (m *mailbox) push(i int, src tensor.Vector) {
 	m.tail[i] = r
 }
 
-// merge averages node i's model, in place, with its queue in arrival order.
-//
-// Known defect, kept because every async result is pinned to it (ROADMAP
-// item 3(a), "Async merge drops the node's own model"): MeanVectorTo zeroes
-// params before reading it back as the first operand.
+// merge averages node i's model, in place, with its queue: the uniform
+// mean of its own model and then each queued one in arrival order.
 func (m *mailbox) merge(i int, params tensor.Vector) {
 	if m.head[i] == 0 {
 		return
@@ -329,7 +329,11 @@ func (m *mailbox) merge(i int, params tensor.Vector) {
 	for r := m.head[i]; r != 0; r = m.next[r] {
 		m.vecs = append(m.vecs, m.row(r))
 	}
-	tensor.MeanVectorTo(params, m.vecs)
+	m.ws = m.ws[:0]
+	for range m.vecs {
+		m.ws = append(m.ws, 1/float64(len(m.vecs)))
+	}
+	tensor.WeightedSumTo(params, m.ws, m.vecs)
 	m.next[m.tail[i]] = m.free
 	m.free, m.head[i], m.tail[i] = m.head[i], 0, 0
 }
@@ -360,17 +364,17 @@ func Run(cfg Config) (*Result, error) {
 		nodes[i] = asyncNode{id: i, gossip: &gossip[i]}
 	}
 
-	// Per-node step durations and the step-count horizon threaded into
-	// every round context: how many training-step durations fit in the
-	// virtual horizon (or the explicit cap, whichever binds), so
-	// horizon-aware schedules see a real T instead of 0.
-	stepSec := make([]float64, n)
+	// Per-node step durations (the floats after them are the merge's
+	// weights) and the step-count horizon every round context carries: how
+	// many steps fit in the horizon, or the cap, whichever binds.
+	floats := make([]float64, 2*n+1)
+	stepSec := floats[:n:n]
 	hsteps := make([]int, n)
 	for i := range stepSec {
 		stepSec[i] = cfg.Devices[i].TrainRoundSeconds(cfg.Workload)
-		hsteps[i] = int(math.Ceil(cfg.Horizon / stepSec[i]))
-		if cfg.StepsPerNode > 0 && cfg.StepsPerNode < hsteps[i] {
-			hsteps[i] = cfg.StepsPerNode
+		hsteps[i] = cfg.StepsPerNode
+		if h := math.Ceil(cfg.Horizon / stepSec[i]); cfg.StepsPerNode <= 0 || h < float64(cfg.StepsPerNode) {
+			hsteps[i] = int(h)
 		}
 	}
 
@@ -401,7 +405,7 @@ func Run(cfg Config) (*Result, error) {
 		queue.push(event{time: t, kind: kind, node: node, seq: seq})
 		seq++
 	}
-	mail := newMailbox(n, ln.ParamCount)
+	mail := newMailbox(n, ln.ParamCount, floats[n:n])
 	for i := 0; i < n; i++ {
 		// Stagger starts by a fraction of the node's own step time so the
 		// fleet does not begin in lockstep.
@@ -472,16 +476,6 @@ func Run(cfg Config) (*Result, error) {
 		ticks++
 	}
 
-	// markDown transitions node i into an outage at virtual time t.
-	markDown := func(nd *asyncNode, t float64) {
-		nd.down = true
-		nd.downSince = t
-		res.Brownouts++
-		probe.Emit(obs.Event{
-			Kind: obs.KindBrownout, Round: vf.TraceRound(t), Node: nd.id, VTime: t,
-		})
-	}
-
 	// sleep schedules node i's future after it cannot afford costWh at
 	// time t: a wake event at the solved charge-arrival crossing and, if
 	// the trajectory dips first, a brown-out event at that crossing. A
@@ -497,24 +491,13 @@ func Run(cfg Config) (*Result, error) {
 			// Progress guard: the scan's float association differs from the
 			// realized one, so a wake can land a few ulps short and re-solve
 			// to "now", or so close that the charge does not move. Then wait
-			// for the first trace-round boundary after t (at t = k·R, t/R may round below k).
+			// for the end of the trace round that holds t.
 			if wake <= t || (ev.kind == evWake && ev.time == t && vf.ChargeWh(nd.id) == nd.sleptWh) {
-				if wake = max(wake, (math.Floor(t/vf.RoundSeconds())+1)*vf.RoundSeconds()); wake <= t {
-					wake += vf.RoundSeconds()
-				}
+				wake = max(wake, float64(vf.TraceRound(t)+1)*vf.RoundSeconds())
 			}
 			push(wake, evWake, nd.id)
 			nd.wakePending, nd.sleptWh = true, vf.ChargeWh(nd.id)
 		}
-	}
-
-	// nextCostWh is the energy the node's next step slot needs — what a
-	// sleeping node must be able to afford before waking.
-	nextCostWh := func(nd *asyncNode) float64 {
-		if cfg.Algo.Schedule.Kind(res.StepsPerNode[nd.id]) == core.RoundTrain {
-			return vf.TrainCostWh(nd.id)
-		}
-		return vf.CommCostWh(nd.id)
 	}
 
 	for len(queue) > 0 {
@@ -542,9 +525,15 @@ func Run(cfg Config) (*Result, error) {
 				continue
 			}
 			vf.AdvanceNode(nd.id, now)
-			markDown(nd, now)
-			if !nd.wakePending {
-				sleep(nd, now, nextCostWh(nd))
+			nd.down, nd.downSince = true, now
+			res.Brownouts++
+			probe.Emit(obs.Event{Kind: obs.KindBrownout, Round: vf.TraceRound(now), Node: nd.id, VTime: now})
+			if !nd.wakePending { // sleep until the node affords its next step slot
+				cost := vf.CommCostWh(nd.id)
+				if cfg.Algo.Schedule.Kind(res.StepsPerNode[nd.id]) == core.RoundTrain {
+					cost = vf.TrainCostWh(nd.id)
+				}
+				sleep(nd, now, cost)
 			}
 			continue
 		}
@@ -587,14 +576,11 @@ func Run(cfg Config) (*Result, error) {
 		trainingStep := ctx.Kind == core.RoundTrain && spec.Participate(&ln, nd.id, ctx, round)
 		dur := stepSec[nd.id]
 
+		// Battery policies admit via TryTrain themselves; admit on their
+		// behalf for energy-oblivious policies. A refused step gossips, as
+		// it does when a battery policy refuses, and as in the sync engine.
+		trainingStep = trainingStep && (vf == nil || vf.TryTrain(nd.id))
 		if trainingStep && vf != nil {
-			// Battery policies admit via TryTrain themselves; admit on
-			// their behalf for energy-oblivious policies. An unaffordable
-			// step puts the node to sleep until the charge arrives.
-			if !vf.TryTrain(nd.id) {
-				sleep(nd, now, vf.TrainCostWh(nd.id))
-				continue
-			}
 			stop, browned := vf.TrainStep(nd.id, now+dur)
 			if browned {
 				// The in-flight step hit the cutoff: computation discarded,

@@ -545,6 +545,26 @@ func TestAsyncContextCarriesHorizon(t *testing.T) {
 			}
 		}
 	}
+	// A horizon of 1e300 s holds more steps than an int counts: the cap is
+	// compared before the count is converted (it once came out as the
+	// minimum int, so T was negative), and without a cap the run is refused.
+	capped.Horizon, capped.EvalEverySeconds = 1e300, 0
+	rec3 := &horizonRecorder{}
+	capped.Algo = core.Algorithm{Label: "rec", Schedule: core.AllTrain{}, Policy: rec3}
+	if _, err := Run(capped); err != nil {
+		t.Fatal(err)
+	}
+	for node, hs := range rec3.horizons {
+		for _, h := range hs {
+			if h != 3 {
+				t.Fatalf("node %d saw horizon %d in a 1e300 s horizon with StepsPerNode 3", node, h)
+			}
+		}
+	}
+	capped.StepsPerNode = 0
+	if _, err := Run(capped); err == nil || !strings.Contains(err.Error(), "StepsPerNode") {
+		t.Fatalf("uncapped 1e300 s horizon: %v, want an error naming StepsPerNode", err)
+	}
 }
 
 // countKind counts the events of the given kind.

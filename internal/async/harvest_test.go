@@ -335,10 +335,11 @@ func FuzzAsyncSchedule(f *testing.F) {
 	f.Add(uint8(41), uint8(0), uint8(5), uint8(101), uint8(0x21), uint64(6)) // eight-node 3-regular, constant, Greedy
 	f.Add(uint8(36), uint8(1), uint8(6), uint8(5), uint8(0x13), uint64(7))   // three-node 2-regular, diurnal, SkipTrain-constrained
 	// Eight-node 2-regular graph, diurnal trace, Γ = (4,1), cutoff 0.06: a
-	// sleeping node's scan finds the training cost affordable while
-	// TryTrain refuses it by an ulp, and its wake was nudged to the trace
-	// round boundary 12·R, which equals the current time because t/R
-	// rounds below 12. The run never advanced its clock.
+	// sleeping node's scan found the training cost affordable while
+	// TryTrain refused it by an ulp (two roundings of one test), and its
+	// wake was nudged to the trace round boundary 12·R, which equalled the
+	// current time because t/R rounded below 12. The run never advanced
+	// its clock.
 	f.Add(uint8(20), uint8(43), uint8(0), uint8(6), uint8(0x43), uint64(165))
 	// Two nodes, diurnal trace, hysteresis, cutoff 0.45 with idle draw: a
 	// node that cannot pay its gossip wakes at the solved crossing an ulp
@@ -452,4 +453,47 @@ func fuzzScheduleConfig(t *testing.T, nodes, trace, policy, cutoff, gamma uint8,
 		cfg.Algo.Policy = p
 	}
 	return cfg
+}
+
+// TestAsyncRefusedTrainingStepGossips: two nodes in the dark whose
+// batteries hold half a training step above the cutoff. The engine's own
+// TryTrain refuses every training step of the energy-oblivious D-PSGD, and
+// each refused slot becomes a gossip step the battery can pay — the rule a
+// charge-aware policy's refusal and the sync engine follow — instead of a
+// sleep that waits for charge that never arrives.
+func TestAsyncRefusedTrainingStepGossips(t *testing.T) {
+	g, err := graph.Complete(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test, err := dataset.Generate(dataset.SyntheticConfig{Classes: 4, Dim: 6, Train: 80, Test: 40, Noise: 1.5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := dataset.ShardPartition(train, 2, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Graph: g, Algo: core.DPSGD(), Horizon: 30,
+		ModelFactory: func(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(6, 4, r) },
+		LR:           0.1, BatchSize: 8, LocalSteps: 1,
+		Partition: part, Test: test,
+		Devices: energy.AssignDevices(2, energy.Devices()), Workload: energy.CIFAR10Workload(),
+		Trace:        harvest.Constant{Wh: 0},
+		FleetOptions: harvest.Options{CapacityRounds: 4, InitialRounds: 0.5},
+		Seed:         3,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, steps := range res.StepsPerNode {
+		if steps == 0 || res.TrainedSteps[i] != 0 {
+			t.Fatalf("node %d: %d steps, %d trained; want gossip steps only", i, steps, res.TrainedSteps[i])
+		}
+	}
+	if res.GossipsSent == 0 || res.ConsumedWh == 0 || res.Brownouts != 0 {
+		t.Fatalf("%d gossips, %v Wh consumed, %d brown-outs; want gossips paid from the battery", res.GossipsSent, res.ConsumedWh, res.Brownouts)
+	}
 }

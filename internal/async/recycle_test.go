@@ -43,10 +43,10 @@ func TestEventQueuePopsByTimeThenSeq(t *testing.T) {
 
 // FuzzMailbox drives the mailbox with scripts of pushes, merges and
 // overwrites of a sender's model over 1–8 nodes, against a reference that
-// queues Clone()d models in per-node slices and merges them through
-// MeanVectorTo with the node's own model as the first operand, as the
-// engine did before the mailbox. Every merge matches the reference bit for
-// bit. After every operation each row sits on exactly one list, a node's
+// queues Clone()d models in per-node slices and merges k of them by a plain
+// loop: Σ v/(k+1) over the node's own model, then the queue in arrival
+// order. Every merge matches the reference bit for bit, and a one-model
+// merge of x and q is (x+q)/2 exactly. After every operation each row sits on exactly one list, a node's
 // queue or the free list, so no queue reaches a row that push may hand out
 // again; and a chunk is cut only when every row is queued, so a drained row
 // is always reused first.
@@ -66,7 +66,7 @@ func FuzzMailbox(f *testing.F) {
 			models[i] = tensor.NewVector(p)
 			r.Normals(models[i])
 		}
-		m, ref := newMailbox(n, p), make([][]tensor.Vector, n)
+		m, ref := newMailbox(n, p, make([]float64, 0, n+1)), make([][]tensor.Vector, n)
 		if want := max(1, mailChunkBytes/(8*p)); m.perChunk != want {
 			t.Fatalf("p=%d: %d rows a chunk, want %d", p, m.perChunk, want)
 		}
@@ -80,17 +80,23 @@ func FuzzMailbox(f *testing.F) {
 				queued++
 				peak = max(peak, queued)
 			case 1:
-				want := models[i].Clone()
+				own, want := models[i].Clone(), models[i].Clone()
 				if len(ref[i]) > 0 {
-					tensor.MeanVectorTo(want, append([]tensor.Vector{want}, ref[i]...))
+					w := 1 / float64(len(ref[i])+1)
+					for j := range want {
+						want[j] = w * own[j]
+						for _, q := range ref[i] {
+							want[j] += w * q[j]
+						}
+					}
 				}
 				m.merge(i, models[i])
 				for j := range want {
 					if math.Float64bits(models[i][j]) != math.Float64bits(want[j]) {
 						t.Fatalf("op %d: node %d merged %v at %d, the reference %v", k, i, models[i][j], j, want[j])
 					}
-					if len(ref[i]) == 1 && models[i][j] != ref[i][0][j]/2 {
-						t.Fatalf("op %d: a one-model merge gave %v at %d, want q/2 = %v: ROADMAP item 3(a)'s pinned defect drops the node's own model, and item 3 turns this into (x+q)/2", k, models[i][j], j, ref[i][0][j]/2)
+					if len(ref[i]) == 1 && models[i][j] != (own[j]+ref[i][0][j])/2 {
+						t.Fatalf("op %d: a one-model merge gave %v at %d, want (x+q)/2 = %v", k, models[i][j], j, (own[j]+ref[i][0][j])/2)
 					}
 				}
 				queued -= len(ref[i])
@@ -179,9 +185,10 @@ func TestAsyncAllocsIndependentOfGossips(t *testing.T) {
 }
 
 // The whole evaluation history of a harvest run — accuracy, spread and
-// consensus distance, to the bit — is what the cloning implementation
-// produced (values recorded at commit 968df6c), replays under the same
-// seed, and does not depend on GOMAXPROCS. The consensus distance reads
+// consensus distance, to the bit — is what the engine recorded when its
+// merge became the uniform mean of the own model and the queue and a
+// refused training step became a gossip, replays under the same seed, and
+// does not depend on GOMAXPROCS. The consensus distance reads
 // every parameter of every node, so one snapshot overwritten while still
 // queued would show.
 func TestAsyncRecycledSnapshotsKeepResults(t *testing.T) {
@@ -189,10 +196,10 @@ func TestAsyncRecycledSnapshotsKeepResults(t *testing.T) {
 		mean, std, consensus uint64
 		steps                int
 	}{
-		{0x3fdccccccccccccc, 0x3fbc578fcb5e8359, 0x3fce29c9ca850c4b, 165},
-		{0x3fd98e38e38e38e4, 0x3f9e76383b8f2775, 0x3fbd6e02edb68318, 281},
-		{0x3fd960b60b60b60c, 0x3fa458fc18df514b, 0x3fbd1ac7126584cd, 282},
-		{0x3fda0b60b60b60b7, 0x3fa0233ef26718df, 0x3fbd1ac7126584cd, 282},
+		{0x3fe26c16c16c16c1, 0x3f9d72ed1b900e19, 0x3fc480da24c792c9, 880},
+		{0x3fe4111111111111, 0x3f813e57da86961e, 0x3fbee462da909d89, 1902},
+		{0x3fe38e38e38e38e3, 0x3f841cfe93ff519f, 0x3fbc5b6060764f1f, 2933},
+		{0x3fe33e93e93e93e9, 0x3f9ab89bf28a226f, 0x3fc21e9d6c229fdc, 3876},
 	}
 	run := func(procs int) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -202,8 +209,8 @@ func TestAsyncRecycledSnapshotsKeepResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.History) != len(want) || res.GossipsSent != 282 {
-			t.Fatalf("procs=%d: %d evaluations, %d gossips, want %d and 282", procs, len(res.History), res.GossipsSent, len(want))
+		if len(res.History) != len(want) || res.GossipsSent != 3876 {
+			t.Fatalf("procs=%d: %d evaluations, %d gossips, want %d and 3876", procs, len(res.History), res.GossipsSent, len(want))
 		}
 		for i, h := range res.History {
 			got := [3]uint64{math.Float64bits(h.MeanAcc), math.Float64bits(h.StdAcc), math.Float64bits(h.Consensus)}

@@ -70,10 +70,16 @@ const matchSamples = 2
 // measured −0.16 … +0.25 pp, within one.
 const nodeTieSamples = 1
 
-// asyncGapPP is the least gap, in mean node accuracy, that
-// TestPaperClaimAsyncWithinSyncBand takes as the async merge defect still
-// present; the measured gap is 32.7–43.5 pp.
-const asyncGapPP = 20
+// asyncBandSamples bounds how far, in readout samples, the event engine's
+// averaged model may sit from the round engine's on the same trace:
+// measured −1.88 … +2.19 pp, seven samples, at worst.
+const asyncBandSamples = 7
+
+// asyncNodeGapSamples bounds how far the event engine's mean node accuracy
+// may trail the round engine's, in readout samples: measured +3.14 …
+// +6.06 pp, within 20 (6.25 pp). A merge that drops a node's own model
+// trailed by 32.7–43.5 pp.
+const asyncNodeGapSamples = 20
 
 // claimOptions is the default scale at one seed and horizon.
 func claimOptions(seed uint64, rounds int) Options { return Options{Seed: seed, Rounds: rounds} }
@@ -207,19 +213,20 @@ func TestPaperClaimFigure5LeadIsTheEndPhase(t *testing.T) {
 }
 
 // TestPaperClaimAsyncWithinSyncBand: "async accuracy is within the sync
-// band on the same trace" — an expected failure. The async mailbox merge
-// drops a node's own model from its average (ROADMAP item 3(a)), and on seeds
-// 42–46 at both horizons the event engine's nodes trail the round
-// engine's by 32.7 to 43.5 pp in mean node accuracy in all 20 (seed,
-// regime, T) triples of TableAsyncHarvest. The averaged model hides most
-// of the defect: on the readout the gap is −2.8 … +18.4 pp. The test
-// asserts that the node gap is there; once a change closes it, the test
-// fails, and item 3's re-pin turns it into the claim itself.
+// band on the same trace". On the readout, the averaged model's accuracy,
+// the event engine is within asyncBandSamples of the round engine in all
+// 20 (seed, regime, T) triples of TableAsyncHarvest on seeds 42–46 at
+// T = 60 and T = 64, on either side. On the secondary column, the mean of
+// the nodes' own accuracies, async trails by at most asyncNodeGapSamples:
+// gossip pairs mix more slowly than a W row, so its node models sit
+// further from consensus at the horizon.
 func TestPaperClaimAsyncWithinSyncBand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale TableAsyncHarvest on five seeds at two horizons")
 	}
-	t.Logf("bound: mean node gap > %d pp (1 readout sample = %.4g pp)", asyncGapPP, quantum())
+	q := quantum()
+	t.Logf("bounds: readout within ±%d samples (%.4g pp), node gap at most %d (%.4g pp); 1 sample = %.4g pp",
+		asyncBandSamples, asyncBandSamples*q, asyncNodeGapSamples, asyncNodeGapSamples*q, q)
 	for _, rounds := range claimHorizons {
 		for _, seed := range claimSeeds {
 			rows, err := TableAsyncHarvest(claimOptions(seed, rounds))
@@ -232,12 +239,14 @@ func TestPaperClaimAsyncWithinSyncBand(t *testing.T) {
 			}
 			for _, regime := range []string{"diurnal", "markov"} {
 				sy, as := legs[[2]string{regime, "sync-round"}], legs[[2]string{regime, "async-event"}]
-				gap := sy.Node.Acc - as.Node.Acc
-				t.Logf("T %d seed %d %s: sync %.2f%% − async %.2f%% = %+.2f pp; readout %.2f%% − %.2f%% = %+.2f pp",
-					rounds, seed, regime, sy.Node.Acc, as.Node.Acc, gap, sy.FinalAcc, as.FinalAcc, sy.FinalAcc-as.FinalAcc)
-				if gap <= asyncGapPP {
-					t.Errorf("T %d seed %d %s: async nodes trail sync by %+.2f pp, not the > %d pp of the merge defect: "+
-						"the gap has closed, so ROADMAP item 3(a)'s re-pin must make this test assert the claim", rounds, seed, regime, gap, asyncGapPP)
+				gap, nodeGap := sy.FinalAcc-as.FinalAcc, sy.Node.Acc-as.Node.Acc
+				t.Logf("T %d seed %d %s: readout sync %.2f%% − async %.2f%% = %+.2f pp; nodes %.2f%% − %.2f%% = %+.2f pp",
+					rounds, seed, regime, sy.FinalAcc, as.FinalAcc, gap, sy.Node.Acc, as.Node.Acc, nodeGap)
+				if math.Abs(math.Round(gap/q)) > asyncBandSamples {
+					t.Errorf("T %d seed %d %s: sync − async readout = %+.2f pp, want within ±%.4g pp", rounds, seed, regime, gap, asyncBandSamples*q)
+				}
+				if math.Round(nodeGap/q) > asyncNodeGapSamples {
+					t.Errorf("T %d seed %d %s: async nodes trail sync by %+.2f pp, want at most %.4g pp", rounds, seed, regime, nodeGap, asyncNodeGapSamples*q)
 				}
 			}
 		}

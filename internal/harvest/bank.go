@@ -83,8 +83,9 @@ func (o Options) validate() error {
 // as flat parallel slices, with its energy ledgers. It is the only
 // production battery state — Fleet drives it in round time, VFleet in
 // virtual time — and chargeWh changes only through the kernel (kernel.go),
-// in the two ledgered operations below. There is no per-node struct; node i
-// is index i.
+// in the two ledgered operations below, and in VFleet's snap onto the
+// cutoff at a solved brown-out. There is no per-node struct; node i is
+// index i.
 type bank struct {
 	chargeWh   []float64
 	capacityWh []float64

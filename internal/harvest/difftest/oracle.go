@@ -138,9 +138,11 @@ func (b *Battery) TimeToCutoff(loadRateWh float64) float64 {
 // whether it browned out, or the clock it left the node at. With detect the
 // fleet stops at its solved brown-out crossing (AdvanceDetect); without, it
 // runs to until (AdvanceNode). The oracle walks the same per-round-uniform
-// quantization: it splits at trace round boundaries and, with detect, stops
-// at the solved crossing with the round-off dust snapped onto the cutoff.
-// Charges are left for the caller to compare.
+// quantization: it splits at trace round boundaries — round k holds the
+// clocks c with k·roundSec ≤ c < (k+1)·roundSec as computed in floats,
+// found by stepping from floor(c/roundSec) — and, with detect, stops at the
+// solved crossing with the charge set onto the cutoff. Charges are left for
+// the caller to compare.
 func advanceVirtual(fleet *harvest.VFleet, b *Battery, trace harvest.ContinuousTrace, idleW, until float64, detect bool) (browned bool, err error) {
 	roundSec := fleet.RoundSeconds()
 	stop := until
@@ -151,16 +153,19 @@ func advanceVirtual(fleet *harvest.VFleet, b *Battery, trace harvest.ContinuousT
 	}
 	wantStop, wantBrowned := until, false
 	for b.clock < until && !wantBrowned {
-		k := int(b.clock / roundSec)
-		segEnd := math.Min(until, float64(k+1)*roundSec)
-		if segEnd <= b.clock {
-			segEnd = until
+		k := int(math.Floor(b.clock / roundSec))
+		for float64(k)*roundSec > b.clock {
+			k--
 		}
+		for float64(k+1)*roundSec <= b.clock {
+			k++
+		}
+		segEnd := math.Min(until, float64(k+1)*roundSec)
 		harvestW := trace.EnergyBetween(0, float64(k), float64(k+1)) / roundSec
 		if detect && b.Usable() {
 			if cross := b.clock + b.TimeToCutoff(idleW-harvestW); cross < segEnd {
 				b.AdvanceTo(cross, harvestW, idleW)
-				b.Drain(b.chargeWh - b.CutoffWh)
+				b.chargeWh = math.Min(b.chargeWh, b.CutoffWh)
 				wantStop, wantBrowned = cross, true
 				continue
 			}

@@ -2,7 +2,7 @@ package harvest
 
 import "math"
 
-// The battery kernel: five pure scalar functions that are the only place in
+// The battery kernel: six pure scalar functions that are the only place in
 // this package where a charge is moved or tested against its bounds. Fleet
 // (round time) and VFleet (virtual time) keep charge in a bank's flat slices
 // and reach the clamp at empty, the clamp at capacity and the all-or-nothing
@@ -37,16 +37,19 @@ func store(charge, capacity, wh float64) (float64, float64) {
 	return charge + wh, wh
 }
 
+// affords is the one affordability test: whether a store at charge can
+// spend wh on a load it may refuse without going below cutoff.
+func affords(charge, cutoff, wh float64) bool { return wh >= 0 && charge-wh >= cutoff }
+
 // tryConsume spends wh on a load a node may refuse (a training round, a
 // gossip). It is all-or-nothing and never takes the charge below cutoff: a
 // node must not brown out mid-round. A refusal returns charge unchanged.
 func tryConsume(charge, cutoff, wh float64) (float64, bool) {
-	left := charge - wh
-	ok := wh >= 0 && left >= cutoff
-	if !ok {
-		left = charge
+	ok := affords(charge, cutoff, wh)
+	if ok {
+		charge -= wh
 	}
-	return left, ok
+	return charge, ok
 }
 
 // timeToCharge solves the rising crossing: how long a store at charge takes

@@ -11,17 +11,15 @@ import (
 // VFleet is the virtual-time driver behind the event-driven async
 // simulator: the same bank of batteries as Fleet (same constructor core,
 // same ledgered consume/settle, same kernel), but advanced along a per-node
-// clock measured in virtual seconds instead of
-// closed in lockstep rounds. The engine maps wall-ish virtual seconds onto
-// trace rounds through RoundSeconds — trace round k spans seconds
-// [k·RoundSeconds, (k+1)·RoundSeconds) — and VFleet quantizes every trace
-// to a per-round-uniform rate whose round totals come from the trace's
-// continuous face (ContinuousTrace.EnergyBetween: exact closed form for
-// Constant/Diurnal, step integration for Markov/Replay). Within one trace
-// round the trajectory is therefore linear, which makes the brown-out and
-// charge-arrival crossings exactly solvable by the kernel's
-// timeToCharge/timeToCutoff: the engine schedules them as events instead
-// of polling per round.
+// clock in virtual seconds instead of closed in lockstep rounds. Trace
+// round k spans seconds [k·RoundSeconds, (k+1)·RoundSeconds) (TraceRound),
+// and VFleet quantizes every trace to a per-round-uniform rate whose round
+// totals come from the trace's continuous face (ContinuousTrace.EnergyBetween:
+// closed form for Constant/Diurnal, step integration for Markov/Replay).
+// Within one trace round the trajectory is therefore linear, so the
+// kernel's timeToCharge/timeToCutoff solve the brown-out and
+// charge-arrival crossings exactly, and the engine schedules them as
+// events instead of polling per round.
 //
 // Accounting model, mirroring the round fleet at finer granularity:
 // each settled sub-interval (at most one trace round) pays drain before
@@ -72,8 +70,17 @@ func NewVFleet(devices []energy.Device, w energy.Workload, trace Trace, opt Opti
 // RoundSeconds returns the virtual seconds one trace round spans.
 func (f *VFleet) RoundSeconds() float64 { return f.roundSec }
 
-// TraceRound returns the trace round in effect at virtual second t.
-func (f *VFleet) TraceRound(t float64) int { return int(t / f.roundSec) }
+// TraceRound returns the k with k·R ≤ t < (k+1)·R in floats, R the round
+// length: the quotient t/R can round across k (437·R/R < 437 at R = 3.913992).
+func (f *VFleet) TraceRound(t float64) int {
+	k := int(t / f.roundSec)
+	if float64(k)*f.roundSec > t {
+		k--
+	} else if float64(k+1)*f.roundSec <= t {
+		k++
+	}
+	return k
+}
 
 // Clock returns node i's virtual-time cursor in seconds.
 func (f *VFleet) Clock(i int) float64 { return f.clock[i] }
@@ -174,23 +181,19 @@ func (f *VFleet) run(i int, t float64, loadW float64, detect bool) (float64, boo
 	idleW := f.idleWh / f.roundSec
 	for f.clock[i] < t {
 		clock := f.clock[i]
-		k := int(clock / f.roundSec)
+		k := f.TraceRound(clock)
 		segEnd := math.Min(t, float64(k+1)*f.roundSec)
-		if segEnd <= clock { // float dust on a round boundary
-			segEnd = t
-		}
 		harvestW := f.rateWhPerSec(i, k)
 		drainW := idleW + loadW
 		if detect && f.Usable(i) {
 			if rel := timeToCutoff(f.chargeWh[i], f.cutoffWh[i], harvestW-drainW); clock+rel < segEnd {
 				cross := clock + rel
 				f.settle(i, cross, harvestW, drainW)
-				// The crossing time is exact in real arithmetic; float
-				// round-off can leave the charge a few ulps off the
-				// cutoff. Snap onto it, booking the dust, so a browned
-				// node is never Usable.
-				if f.Usable(i) {
-					f.bank.settle(i, f.chargeWh[i]-f.cutoffWh[i], 0)
+				// The crossing time is exact in real arithmetic; round-off
+				// can leave the charge a few ulps above the cutoff. Book
+				// the dust as drain and sit exactly on it.
+				if over := f.chargeWh[i] - f.cutoffWh[i]; over > 0 {
+					f.chargeWh[i], f.consumed[i] = f.cutoffWh[i], f.consumed[i]+over
 				}
 				return cross, true
 			}
@@ -215,16 +218,15 @@ func (f *VFleet) settle(i int, t, harvestW, drainW float64) {
 }
 
 // ScanAfford simulates node i forward from its current state under idle
-// draw and trace harvest and returns the first time its charge reaches
-// cutoff + costWh (wake — the charge-arrival crossing the engine turns
-// into a wake-up event) along with the first time it crosses its cutoff
-// on the way down (brown; +Inf when the trajectory never dips). The scan
-// replays exactly the lump arithmetic run will realize, is pure — battery
-// state and ledgers untouched — and is bounded by deadline: wake is +Inf
-// when the target is not reached by then. Scanning a stateful trace
-// samples its future rounds through the Integrator cache; that future is
-// simply realized early and replays identically when the clock reaches
-// it.
+// draw and trace harvest and returns the first time its charge affords
+// costWh (wake — the charge-arrival crossing the engine turns into a
+// wake-up event) along with the first time it crosses its cutoff on the
+// way down (brown; +Inf when the trajectory never dips). The scan replays
+// exactly the lump arithmetic run will realize, is pure — battery state
+// and ledgers untouched — and is bounded by deadline: wake is +Inf when
+// the target is not reached by then. Scanning a stateful trace samples its
+// future rounds through the Integrator cache; that future is simply
+// realized early and replays identically when the clock reaches it.
 func (f *VFleet) ScanAfford(i int, costWh, deadline float64) (wake, brown float64) {
 	capacity, cutoff := f.capacityWh[i], f.cutoffWh[i]
 	target := cutoff + costWh
@@ -232,15 +234,12 @@ func (f *VFleet) ScanAfford(i int, costWh, deadline float64) (wake, brown float6
 	clock := f.clock[i]
 	idleW := f.idleWh / f.roundSec
 	brown = math.Inf(1)
-	if charge >= target {
+	if affords(charge, cutoff, costWh) {
 		return clock, brown
 	}
 	for clock < deadline {
-		k := int(clock / f.roundSec)
+		k := f.TraceRound(clock)
 		segEnd := math.Min(deadline, float64(k+1)*f.roundSec)
-		if segEnd <= clock {
-			segEnd = deadline
-		}
 		harvestW := f.rateWhPerSec(i, k)
 		net := harvestW - idleW
 		if math.IsInf(brown, 1) && charge > cutoff {
@@ -256,7 +255,7 @@ func (f *VFleet) ScanAfford(i int, costWh, deadline float64) (wake, brown float6
 		charge, _ = drain(charge, idleW*dt)
 		charge, _ = store(charge, capacity, harvestW*dt)
 		clock = segEnd
-		if charge >= target {
+		if affords(charge, cutoff, costWh) {
 			return clock, brown
 		}
 	}

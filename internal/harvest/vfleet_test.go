@@ -264,3 +264,63 @@ func TestVFleetMatchesFleetOnRoundBoundaries(t *testing.T) {
 		t.Fatalf("consumed diverged: fleet %v vfleet %v", sync.ConsumedWh(), vf.ConsumedWh())
 	}
 }
+
+// At clock = 437·R for R = 3.913992 s, clock/R rounds to 436.99…: the
+// round boundary must still be read as the start of round 437, so an
+// advance over one round books round 437's energy (not round 436's) and a
+// scan from there finds the charge round 437 brings. Round 436 is dark,
+// round 437 on.
+func TestVFleetRoundBoundaryBelowQuotient(t *testing.T) {
+	const k = 437
+	R := 3.913992
+	at := func(r int) float64 { return float64(r) * R }
+	if q := at(k) / R; int(q) != k-1 {
+		t.Fatalf("fixture: %v/R = %v no longer rounds below %d", at(k), q, k)
+	}
+	rows := make([][]float64, k+4)
+	for r := range rows {
+		rows[r] = make([]float64, 4)
+		if r >= k {
+			rows[r] = []float64{0.02, 0.02, 0.02, 0.02}
+		}
+	}
+	mk := func() *VFleet {
+		trace, err := NewReplay(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := vfleetFixture(t, trace, Options{CapacityRounds: 8, StartEmpty: true, CutoffSoC: 0.1}, R)
+		f.AdvanceNode(0, at(k))
+		if f.HarvestedWh() != 0 {
+			t.Fatalf("dark rounds before %d harvested %v", k, f.HarvestedWh())
+		}
+		return f
+	}
+	f := mk()
+	round := f.TraceRound(f.Clock(0))
+	f.AdvanceNode(0, at(k+1))
+	if got := f.HarvestedWh(); math.Abs(got-0.02) > 1e-12 {
+		t.Fatalf("one round from %d·R harvested %v Wh, want round %d's 0.02", k, got, k)
+	}
+	if wake, _ := mk().ScanAfford(0, 0.001, at(k+4)); math.IsInf(wake, 1) || wake < at(k) {
+		t.Fatalf("scan from %d·R: wake %v, want a finite wake in round %d", k, wake, k)
+	}
+	if round != k {
+		t.Fatalf("TraceRound(%d·R) = %d", k, round)
+	}
+}
+
+// TraceRound(t) is the k with k·R ≤ t < (k+1)·R in floats, for times on,
+// just below and just above round boundaries with a non-dyadic R.
+func TestTraceRoundHoldsTime(t *testing.T) {
+	f := vfleetFixture(t, Constant{Wh: 0}, Options{}, 3.913992)
+	R := f.RoundSeconds()
+	for k := 0; k < 5000; k++ {
+		for _, at := range []float64{float64(k) * R, math.Nextafter(float64(k)*R, 0), math.Nextafter(float64(k)*R, math.Inf(1))} {
+			got := f.TraceRound(at)
+			if !(float64(got)*R <= at && at < float64(got+1)*R) {
+				t.Fatalf("TraceRound(%v) = %d, which does not hold it", at, got)
+			}
+		}
+	}
+}

@@ -61,14 +61,15 @@ func (c Constant) EnergyBetween(_ int, t0, t1 float64) float64 {
 // 1/π·PeakWh·Period (daylight half contributes (1−cos 2πx)/2π, night
 // contributes nothing). The per-round HarvestWh sample is this rate at the
 // round's start; the integral is exact for the continuous sun, not a sum
-// of the samples.
+// of the samples. A night interval's two cumulatives can differ by
+// round-off of either sign; it is never below 0.
 func (d *Diurnal) EnergyBetween(node int, t0, t1 float64) float64 {
 	if t1 <= t0 {
 		return 0
 	}
 	p := float64(d.period)
 	ph := d.phase(node)
-	return d.peakWh * p * (diurnalCum(t1/p+ph) - diurnalCum(t0/p+ph))
+	return max(0, d.peakWh*p*(diurnalCum(t1/p+ph)-diurnalCum(t0/p+ph)))
 }
 
 // diurnalCum is the closed-form cumulative ∫₀ˣ max(0, sin 2πv) dv: each

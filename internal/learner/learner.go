@@ -107,6 +107,7 @@ type Nodes struct {
 	batchers   []dataset.Batcher
 	policy     []rng.RNG // what node i's participation policy draws from
 	forecast   []float64 // node i's forecast window is the i-th ForecastHorizon elements
+	uniform    []float64 // N weights 1/N after the models in their slab: the fleet mean's W row
 }
 
 // NewNodes builds min(GOMAXPROCS, N) worker networks with
@@ -132,11 +133,13 @@ func (s *Spec) NewNodes(salt uint64) Nodes {
 	if s.Forecast != nil {
 		ns.forecast = make([]float64, n*s.ForecastHorizon)
 	}
-	slab := tensor.NewVector(n * p)
+	slab := tensor.NewVector(n*p + n)
 	for i := range n {
 		ns.Params[i] = slab[i*p : (i+1)*p : (i+1)*p]
 		net.Init(ns.Params[i], &rs[i])
+		slab[n*p+i] = 1 / float64(n)
 	}
+	ns.uniform = slab[n*p:]
 	for ns.Nets <- net; len(ns.Nets) < cap(ns.Nets); {
 		ns.Nets <- s.ModelFactory(-1, &rs[3*n])
 	}
@@ -225,6 +228,13 @@ func (ev *Evaluator) accuracy(x tensor.Vector) float64 {
 // scoreNode writes accs[i] only: nodes score in parallel to the same bits.
 func (ev *Evaluator) scoreNode(i int) { ev.accs[i] = ev.accuracy(ev.ns.Params[i]) }
 
+// FleetMean writes the mean of every node's model into the evaluator's mean
+// vector, summed in node order, and returns it.
+func (ev *Evaluator) FleetMean() tensor.Vector {
+	tensor.WeightedSumTo(ev.mean, ev.ns.uniform, ev.ns.Params)
+	return ev.mean
+}
+
 // Evaluate draws this evaluation's samples (rng.Perm's draws) and scores.
 func (ev *Evaluator) Evaluate() Score {
 	if ev.perm != nil {
@@ -237,7 +247,7 @@ func (ev *Evaluator) Evaluate() Score {
 	var sc Score
 	sc.Mean, sc.Std = metrics.MeanStd(ev.accs)
 	if ev.consensus || ev.global {
-		tensor.MeanVectorTo(ev.mean, ev.ns.Params)
+		ev.FleetMean()
 	}
 	if ev.consensus {
 		sc.Consensus = metrics.ConsensusDistance(ev.ns.Params, ev.mean)

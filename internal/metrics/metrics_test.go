@@ -24,7 +24,9 @@ func consensus(models []tensor.Vector) float64 {
 		return ConsensusDistance(nil, nil)
 	}
 	mean := tensor.NewVector(len(models[0]))
-	tensor.MeanVectorTo(mean, models)
+	for _, m := range models {
+		tensor.AXPY(mean, 1/float64(len(models)), m)
+	}
 	return ConsensusDistance(models, mean)
 }
 

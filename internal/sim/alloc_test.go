@@ -237,7 +237,7 @@ func TestFleetMeanAllocatesNothing(t *testing.T) {
 }
 
 // TestFinalGlobalParamsIsTheFleetMean: FinalGlobalParams is, bit for bit,
-// tensor.MeanVectorTo of the final node models, p long and capped there —
+// the mean of the final node models, Σ v/N in node order, p long and capped there —
 // in a Γ-grid-shaped run, with consensus tracking alone, under all-reduce,
 // and with a model longer than the mix scratch would be without it — at
 // GOMAXPROCS 1 and 8.
@@ -268,9 +268,14 @@ func TestFinalGlobalParamsIsTheFleetMean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := len(models[0])
+			p, w := len(models[0]), 1/float64(len(models))
 			want := tensor.NewVector(p)
-			tensor.MeanVectorTo(want, models)
+			for i := range want {
+				want[i] = w * models[0][i]
+				for _, m := range models[1:] {
+					want[i] += w * m[i]
+				}
+			}
 			got := res.FinalGlobalParams
 			if len(got) != p || cap(got) != p {
 				t.Fatalf("%s at GOMAXPROCS %d: FinalGlobalParams has len %d, cap %d; want %d", tc.name, procs, len(got), cap(got), p)

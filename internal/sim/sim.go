@@ -643,7 +643,7 @@ func Run(c Config) (*Result, error) {
 		case core.AggGlobal:
 			// Hypothetical all-reduce (Figure 1): global average of all
 			// half-step models, applied everywhere.
-			tensor.MeanVectorTo(r.mean, models)
+			r.eval.FleetMean()
 			par.ForOn(n, 0, r, (*run).adoptMean)
 		default:
 			par.ForOn(n, 0, r, (*run).collect)

@@ -82,15 +82,21 @@ func ArgMax(v Vector) int {
 // step of D-PSGD (Algorithm 1, line 8): the new model is the W-weighted
 // average of neighborhood models. Each element is summed in operand order,
 // ((w0*v0 + w1*v1) + w2*v2) + ..., as ScaleTo then one AXPY per further
-// operand would, in one pass over dst. It needs at least one operand, all of
-// dst's length and none aliasing dst, and checks that before it writes dst.
+// operand would, in one pass over dst; with uniform weights 1/k it is the
+// mean of the k operands. It needs at least one operand, all of dst's
+// length, and checks that before it writes dst. The first operand may be
+// dst itself (a node's own term, which every W row lists first, averaged
+// in place); a later operand must not be, and panics.
 func WeightedSumTo(dst Vector, weights []float64, vecs []Vector) {
 	if len(weights) != len(vecs) || len(vecs) == 0 {
 		panic(fmt.Sprintf("tensor: %d weights for %d vectors, want equal and at least one", len(weights), len(vecs)))
 	}
 	for k, v := range vecs {
-		if len(v) != len(dst) {
+		switch {
+		case len(v) != len(dst):
 			panic(fmt.Sprintf("tensor: weighted-sum operand %d has length %d, dst %d", k, len(v), len(dst)))
+		case k > 0 && len(v) > 0 && &v[0] == &dst[0]:
+			panic(fmt.Sprintf("tensor: weighted-sum operand %d is dst, which only the first operand may be", k))
 		}
 	}
 	const block = 1024 // 8 KB of dst and of three operands: first-level cache
@@ -109,19 +115,6 @@ func WeightedSumTo(dst Vector, weights []float64, vecs []Vector) {
 		for ; k < len(vecs); k++ {
 			AXPY(d, weights[k], vecs[k][lo:hi])
 		}
-	}
-}
-
-// MeanVectorTo computes dst = the element-wise mean of vecs, the all-reduce
-// consensus model. It panics when vecs is empty.
-func MeanVectorTo(dst Vector, vecs []Vector) {
-	if len(vecs) == 0 {
-		panic("tensor: mean of no vectors")
-	}
-	dst.Zero()
-	inv := 1.0 / float64(len(vecs))
-	for _, v := range vecs {
-		AXPY(dst, inv, v)
 	}
 }
 

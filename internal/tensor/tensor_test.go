@@ -106,11 +106,35 @@ func TestWeightedSumDoublyStochasticFixedPoint(t *testing.T) {
 	}
 }
 
+// TestMeanVector: uniform weights make WeightedSumTo the mean, in place when
+// the first operand is dst (a node averaging its own model with others).
 func TestMeanVector(t *testing.T) {
-	dst := NewVector(2)
-	MeanVectorTo(dst, []Vector{{1, 2}, {3, 4}, {5, 6}})
-	if dst[0] != 3 || dst[1] != 4 {
-		t.Fatalf("MeanVectorTo = %v", dst)
+	third := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
+	own := Vector{1.5, 3}
+	WeightedSumTo(own, third, []Vector{own, {3, 4.5}, {4.5, 7.5}})
+	if own[0] != 3 || own[1] != 5 {
+		t.Fatalf("in-place mean = %v, want [3 5]", own)
+	}
+}
+
+// An in-place sum (dst is the first operand) gives the bits of the same sum
+// into a separate vector, across the block boundary and every tail length.
+func TestWeightedSumInPlaceMatchesSeparateDst(t *testing.T) {
+	r := rng.New(3)
+	for _, n := range []int{1, 1023, 1025, 2500} {
+		for k := 1; k <= 6; k++ {
+			weights := make(Vector, k)
+			awkward(r, weights)
+			vecs := make([]Vector, k)
+			for i := range vecs {
+				vecs[i] = NewVector(n)
+				awkward(r, vecs[i])
+			}
+			want := NewVector(n)
+			WeightedSumTo(want, weights, vecs)
+			WeightedSumTo(vecs[0], weights, vecs)
+			sameBits(t, fmt.Sprintf("n=%d k=%d", n, k), vecs[0], want)
+		}
 	}
 }
 
@@ -346,7 +370,7 @@ func TestShapePanics(t *testing.T) {
 		"Outer":    func() { OuterAcc(NewMatrix(2, 2), NewVector(3), NewVector(2)) },
 		"MatMul":   func() { MatMulTo(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 2)) },
 		"Weighted": func() { WeightedSumTo(NewVector(1), []float64{1}, nil) },
-		"MeanVec":  func() { MeanVectorTo(NewVector(1), nil) },
+		"Aliased":  func() { v := NewVector(2); WeightedSumTo(v, []float64{0.5, 0.5}, []Vector{NewVector(2), v}) },
 	} {
 		func() {
 			defer func() {

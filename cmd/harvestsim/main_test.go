@@ -217,3 +217,25 @@ func TestAsyncFleetResumesAfterNight(t *testing.T) {
 		t.Errorf("wasted %.4f of %.4f Wh arrived, want under 1%%", wasted, harvested+wasted)
 	}
 }
+
+// TestAsyncEvaluationsLeaveRunUnchanged: how often -async evaluates does
+// not change what the run does. The 8-node, 1 500-round diurnal run prints
+// the same final line — accuracy, steps, gossips, brown-outs and energy
+// ledgers — at -eval 750, 12 and 5. Evaluation ticks once settled every
+// battery to their instant, and the run took 19 713, 19 576 and 19 543
+// steps.
+func TestAsyncEvaluationsLeaveRunUnchanged(t *testing.T) {
+	var want string
+	for _, every := range []string{"750", "12", "5"} {
+		code, out := clitest.Exec(t, run, "-async", "-nodes", "8", "-rounds", "1500", "-cutoff", "0.25", "-idle", "0.2", "-eval", every)
+		if code != 0 {
+			t.Fatalf("-eval %s: exit %d:\n%s", every, code, out)
+		}
+		final := out[strings.LastIndex(out, "final: "):]
+		if want == "" {
+			want = final
+		} else if final != want {
+			t.Errorf("-eval %s prints %q, -eval 750 %q", every, final, want)
+		}
+	}
+}

@@ -98,7 +98,8 @@ type Config struct {
 	ForecastHorizon int
 
 	// EvalEverySeconds evaluates all nodes at this virtual period
-	// (0 = final only). EvalSubsample bounds test samples per evaluation.
+	// (0 = final only); an evaluation reads the run and does not change it.
+	// EvalSubsample bounds test samples per evaluation.
 	EvalEverySeconds float64
 	EvalSubsample    int
 
@@ -117,8 +118,6 @@ type Config struct {
 // syncSpeedup is how much faster a gossip-only step is than a training step
 // (communication is cheap).
 const syncSpeedup = 10
-
-const mailChunkBytes = 16 << 10 // 12 rows of a 170-parameter model, so a run wastes at most one chunk's tail
 
 // spec is the part of c both engines share (internal/learner).
 func (c *Config) spec() learner.Spec {
@@ -275,67 +274,40 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// mailbox holds the model copies gossip queues on a node until its next
-// step merges them (the sender trains on meanwhile), each a row of a
-// per-run chunk of mailChunkBytes. A node's queue is a FIFO list through
-// the rows; a merge frees the drained rows, which push reuses before it
-// cuts a chunk. Rows count from 1: row 0 ends a list.
+// mailbox holds, per node, the running sum of the models gossip delivered
+// since its last step and how many there were: a push adds, a merge
+// divides. The sums are one per-run vector of N·p floats, so a gossip
+// allocates nothing and the mailbox does not grow however deep a slow
+// node's queue gets.
 type mailbox struct {
-	p, perChunk int
-	chunks      []tensor.Vector
-	next        []int           // per row, the next row on its list
-	head, tail  []int           // per node, the first and last queued row
-	free        int             // the free list's first row
-	vecs        []tensor.Vector // merge's operand list, reused
-	ws          []float64       // merge's weight row, reused; the caller's slab
+	p      int
+	sums   tensor.Vector // node i's sum is sums[i·p : (i+1)·p]
+	counts []int
 }
 
-func newMailbox(n, p int, ws []float64) *mailbox {
-	ends := make([]int, 2*n)
-	return &mailbox{p: p, perChunk: max(1, mailChunkBytes/(8*p)), next: []int{0}, head: ends[:n], tail: ends[n:], vecs: make([]tensor.Vector, 0, n+1), ws: ws}
+func newMailbox(n, p int) mailbox {
+	return mailbox{p: p, sums: tensor.NewVector(n * p), counts: make([]int, n)}
 }
 
-func (m *mailbox) row(r int) tensor.Vector {
-	o := (r - 1) % m.perChunk * m.p
-	return m.chunks[(r-1)/m.perChunk][o : o+m.p : o+m.p]
-}
-
-// push queues a copy of src on node i.
+// push adds src into node i's sum.
 func (m *mailbox) push(i int, src tensor.Vector) {
-	if m.free == 0 { // every row is queued: cut a chunk, its rows the free list
-		m.free = len(m.next)
-		m.chunks = append(m.chunks, tensor.NewVector(m.perChunk*m.p))
-		for r := m.free + 1; r < m.free+m.perChunk; r++ {
-			m.next = append(m.next, r)
-		}
-		m.next = append(m.next, 0)
-	}
-	r := m.free
-	m.free, m.next[r] = m.next[r], 0
-	copy(m.row(r), src)
-	if m.next[m.tail[i]] = r; m.head[i] == 0 { // an empty queue links from row 0
-		m.head[i] = r
-	}
-	m.tail[i] = r
+	tensor.AXPY(m.sums[i*m.p:(i+1)*m.p], 1, src)
+	m.counts[i]++
 }
 
-// merge averages node i's model, in place, with its queue: the uniform
-// mean of its own model and then each queued one in arrival order.
-func (m *mailbox) merge(i int, params tensor.Vector) {
-	if m.head[i] == 0 {
+// merge sets node i's model x, in place, to the uniform mean of x and the
+// k models queued on it, (x + Σq)/(k+1), and empties the sum.
+func (m *mailbox) merge(i int, x tensor.Vector) {
+	k := m.counts[i]
+	if k == 0 {
 		return
 	}
-	m.vecs = append(m.vecs[:0], params)
-	for r := m.head[i]; r != 0; r = m.next[r] {
-		m.vecs = append(m.vecs, m.row(r))
+	s, d := m.sums[i*m.p:(i+1)*m.p], float64(k+1)
+	for j := range s {
+		x[j] = (x[j] + s[j]) / d
+		s[j] = 0
 	}
-	m.ws = m.ws[:0]
-	for range m.vecs {
-		m.ws = append(m.ws, 1/float64(len(m.vecs)))
-	}
-	tensor.WeightedSumTo(params, m.ws, m.vecs)
-	m.next[m.tail[i]] = m.free
-	m.free, m.head[i], m.tail[i] = m.head[i], 0, 0
+	m.counts[i] = 0
 }
 
 type asyncNode struct {
@@ -364,11 +336,10 @@ func Run(cfg Config) (*Result, error) {
 		nodes[i] = asyncNode{id: i, gossip: &gossip[i]}
 	}
 
-	// Per-node step durations (the floats after them are the merge's
-	// weights) and the step-count horizon every round context carries: how
-	// many steps fit in the horizon, or the cap, whichever binds.
-	floats := make([]float64, 2*n+1)
-	stepSec := floats[:n:n]
+	// Per-node step durations and the step-count horizon every round
+	// context carries: how many steps fit in the horizon, or the cap,
+	// whichever binds.
+	stepSec := make([]float64, n)
 	hsteps := make([]int, n)
 	for i := range stepSec {
 		stepSec[i] = cfg.Devices[i].TrainRoundSeconds(cfg.Workload)
@@ -405,7 +376,7 @@ func Run(cfg Config) (*Result, error) {
 		queue.push(event{time: t, kind: kind, node: node, seq: seq})
 		seq++
 	}
-	mail := newMailbox(n, ln.ParamCount, floats[n:n])
+	mail := newMailbox(n, ln.ParamCount)
 	for i := 0; i < n; i++ {
 		// Stagger starts by a fraction of the node's own step time so the
 		// fleet does not begin in lockstep.
@@ -453,7 +424,11 @@ func Run(cfg Config) (*Result, error) {
 	// ledgerTick emits the fleet energy ledger as a VTime-stamped
 	// round_start/round_end pair — the roundless stream's conservation
 	// checkpoints. Deltas of the cumulative ledgers, like the synchronous
-	// engines; HarvestWh carries arrivals (stored + wasted).
+	// engines; HarvestWh carries arrivals (stored + wasted). An evaluation
+	// tick settles no battery, since splitting a node's settle interval
+	// there would round it differently and so change the run: each node's
+	// charge and ledgers are as its own last event left them. The
+	// horizon's tick comes after AdvanceAll settles every node to it.
 	ticks := 0
 	lastArrived, lastConsumed, lastWasted := 0.0, 0.0, 0.0
 	ledgerTick := func(t float64) {
@@ -506,9 +481,6 @@ func Run(cfg Config) (*Result, error) {
 			break
 		}
 		if ev.kind == evEval {
-			if vf != nil {
-				vf.AdvanceAll(ev.time)
-			}
 			evaluate(ev.time)
 			ledgerTick(ev.time)
 			if next := ev.time + cfg.EvalEverySeconds; next < cfg.Horizon {

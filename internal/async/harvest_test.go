@@ -497,3 +497,65 @@ func TestAsyncRefusedTrainingStepGossips(t *testing.T) {
 		t.Fatalf("%d gossips, %v Wh consumed, %d brown-outs; want gossips paid from the battery", res.GossipsSent, res.ConsumedWh, res.Brownouts)
 	}
 }
+
+// Evaluations read a run and do not change it: a harvest run with brown-
+// outs, sleeping nodes and idle draw takes the same steps, spends and
+// wastes the same energy to the bit and ends with the same models whether
+// it is evaluated at the horizon only, every 50 s or every 5 s. An
+// evaluation tick once settled every battery to its instant, which split
+// each node's settle interval there and rounded it differently. The final
+// models are compared through the averaged model's parameters — at
+// GOMAXPROCS 1 the run has one worker network and the averaged model is
+// the last vector it scores — and the consensus distance, which reads
+// every node's parameters. Accuracies are not compared: each evaluation
+// draws its own test subsample, so the horizon's is scored on other
+// samples when more evaluations came before it.
+func TestAsyncEvaluationsLeaveRunUnchanged(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	type outcome struct {
+		Steps, Trained              []int
+		Gossips, Dropped, Brownouts int
+		Ledger                      [5]float64 // down share, harvested, consumed, wasted, training Wh
+		Consensus                   float64
+		Mean                        []uint64 // the averaged model's bits
+	}
+	run := func(every float64) outcome {
+		cfg := harvestConfig(t, 22, nil)
+		cfg.Trace = scarceDiurnal(t, cfg)
+		cfg.FleetOptions = harvest.Options{CapacityRounds: 4, InitialSoC: 0.15, CutoffSoC: 0.25, IdleWh: 0.2 * meanStepWh(cfg)}
+		cfg.Horizon, cfg.EvalEverySeconds = 600, every
+		var nets []*nn.Network
+		factory := cfg.ModelFactory
+		cfg.ModelFactory = func(node int, r *rng.RNG) *nn.Network {
+			nets = append(nets, factory(node, r))
+			return nets[len(nets)-1]
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1 // the horizon's evaluation
+		if every > 0 {
+			want = int(600 / every)
+		}
+		if len(res.History) != want || len(nets) != 1 {
+			t.Fatalf("every %v s: %d evaluations and %d worker networks, want %d and 1", every, len(res.History), len(nets), want)
+		}
+		o := outcome{Steps: res.StepsPerNode, Trained: res.TrainedSteps, Gossips: res.GossipsSent, Dropped: res.DroppedGossips, Brownouts: res.Brownouts,
+			Ledger:    [5]float64{res.BrownoutShare, res.HarvestedWh, res.ConsumedWh, res.WastedWh, res.TotalTrainWh},
+			Consensus: res.History[len(res.History)-1].Consensus}
+		for _, v := range nets[0].Params() {
+			o.Mean = append(o.Mean, math.Float64bits(v))
+		}
+		return o
+	}
+	base := run(0)
+	if base.Brownouts == 0 {
+		t.Fatal("no brown-outs: the run never sleeps a node")
+	}
+	for _, every := range []float64{50, 5} {
+		if got := run(every); !reflect.DeepEqual(got, base) {
+			t.Errorf("every %v s: %+v\nwithout evaluations: %+v", every, got, base)
+		}
+	}
+}

@@ -142,9 +142,9 @@ func (f *VFleet) AdvanceDetect(i int, t float64) (stopT float64, browned bool) {
 }
 
 // AdvanceAll advances every node whose clock lags t — the whole-fleet
-// checkpoint the engine takes at eval ticks so the ledger snapshot is
-// consistent. Nodes mid-step have already realized their step eagerly
-// (clock ahead of t) and are left alone.
+// checkpoint the engine takes at the horizon so the final ledger is
+// settled to one instant. Nodes mid-step have already realized their step
+// eagerly (clock ahead of t) and are left alone.
 func (f *VFleet) AdvanceAll(t float64) {
 	for i := range f.clock {
 		if f.clock[i] < t {

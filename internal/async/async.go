@@ -451,14 +451,16 @@ func Run(cfg Config) (*Result, error) {
 		ticks++
 	}
 
-	// sleep schedules node i's future after it cannot afford costWh at
-	// time t: a wake event at the solved charge-arrival crossing and, if
-	// the trajectory dips first, a brown-out event at that crossing. A
-	// node whose trajectory can never afford the cost within the horizon
-	// gets no wake — it parks (its outage accounting closes at run end).
+	// sleep schedules node i's future after it stops at time t: a wake
+	// event at the solved crossing of the gossip cost, the cheapest step it
+	// can take, and, if the trajectory dips first, a brown-out event at
+	// that crossing. A woken node whose slot is a training slot still asks
+	// TryTrain, and gossips if training is unaffordable. A node whose
+	// trajectory can never afford a gossip within the horizon gets no wake
+	// — it parks (its outage accounting closes at run end).
 	var ev event // the event being processed
-	sleep := func(nd *asyncNode, t, costWh float64) {
-		wake, brown := vf.ScanAfford(nd.id, costWh, cfg.Horizon)
+	sleep := func(nd *asyncNode, t float64) {
+		wake, brown := vf.ScanAfford(nd.id, vf.CommCostWh(nd.id), cfg.Horizon)
 		if !nd.down && brown < wake && !math.IsInf(brown, 1) {
 			push(brown, evBrownout, nd.id)
 		}
@@ -500,12 +502,8 @@ func Run(cfg Config) (*Result, error) {
 			nd.down, nd.downSince = true, now
 			res.Brownouts++
 			probe.Emit(obs.Event{Kind: obs.KindBrownout, Round: vf.TraceRound(now), Node: nd.id, VTime: now})
-			if !nd.wakePending { // sleep until the node affords its next step slot
-				cost := vf.CommCostWh(nd.id)
-				if cfg.Algo.Schedule.Kind(res.StepsPerNode[nd.id]) == core.RoundTrain {
-					cost = vf.TrainCostWh(nd.id)
-				}
-				sleep(nd, now, cost)
+			if !nd.wakePending {
+				sleep(nd, now)
 			}
 			continue
 		}
@@ -558,7 +556,7 @@ func Run(cfg Config) (*Result, error) {
 				// The in-flight step hit the cutoff: computation discarded,
 				// partial energy spent, the slot retried after revival.
 				push(stop, evBrownout, nd.id)
-				sleep(nd, stop, vf.TrainCostWh(nd.id))
+				sleep(nd, stop)
 				continue
 			}
 		}
@@ -572,7 +570,7 @@ func Run(cfg Config) (*Result, error) {
 			if vf != nil {
 				vf.ClearPending(nd.id)
 				if !vf.TrySync(nd.id) {
-					sleep(nd, now, vf.CommCostWh(nd.id))
+					sleep(nd, now)
 					continue
 				}
 			}

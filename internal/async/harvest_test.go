@@ -498,6 +498,119 @@ func TestAsyncRefusedTrainingStepGossips(t *testing.T) {
 	}
 }
 
+// TestAsyncBrownedOutNodeWakesAtGossipCost: four D-PSGD nodes, every slot
+// a training slot, start in the dark with idle draw, so each browns out —
+// mid-training or during a refused step's gossip — before a training slot.
+// Each wakes at the solved crossing of its gossip cost, strictly before it
+// could afford training, and its first step after the revival gossips.
+// A replica fleet replays the battery calls the engine makes for the node
+// until the brown-out and solves the crossings from the same state.
+func TestAsyncBrownedOutNodeWakesAtGossipCost(t *testing.T) {
+	g, err := graph.Complete(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test, err := dataset.Generate(dataset.SyntheticConfig{Classes: 4, Dim: 6, Train: 160, Test: 40, Noise: 1.5, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := dataset.ShardPartition(train, 4, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Graph: g, Algo: core.DPSGD(), Horizon: 160, RoundSeconds: 4,
+		ModelFactory: func(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(6, 4, r) },
+		LR:           0.1, BatchSize: 8, LocalSteps: 1,
+		Partition: part, Test: test,
+		Devices: energy.AssignDevices(4, energy.Devices()), Workload: energy.CIFAR10Workload(),
+		Seed: 5,
+	}
+	step := meanStepWh(cfg)
+	cfg.FleetOptions = harvest.Options{CapacityRounds: 4, InitialRounds: 2.2, CutoffSoC: 0.25, IdleWh: 0.5 * step}
+	rows := make([][]float64, 40) // dark for three rounds, then a harvest above the idle draw
+	for k := range rows {
+		rows[k] = make([]float64, 4)
+		for i := range rows[k] {
+			rows[k][i] = step * float64(min(k/3, 1))
+		}
+	}
+	if cfg.Trace, err = harvest.NewReplay(rows); err != nil {
+		t.Fatal(err)
+	}
+	inFlight := 0
+	for i := range cfg.Devices {
+		f, err := harvest.NewVFleet(cfg.Devices, cfg.Workload, cfg.Trace, cfg.FleetOptions, cfg.RoundSeconds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stagger rng.RNG // Run starts node i at the first draw of its gossip stream
+		rng.DeriveTo(&stagger, cfg.Seed, uint64(i), 0x905517)
+		dur := cfg.Devices[i].TrainRoundSeconds(cfg.Workload)
+		now, done, trained, down, training := dur*stagger.Float64(), 0, 0, 0.0, false
+		for down == 0 {
+			f.AdvanceNode(i, now)
+			end, browned := 0.0, false
+			if training = f.TryTrain(i); training {
+				end, browned = f.TrainStep(i, now+dur)
+			} else if f.TrySync(i) {
+				end, browned = f.AdvanceDetect(i, now+dur/syncSpeedup)
+			} else {
+				t.Fatalf("node %d: gossip refused at %v s; it sleeps without browning out", i, now)
+			}
+			switch {
+			case browned:
+				down = end
+			case training:
+				trained++
+				fallthrough
+			default:
+				now, done = end, done+1
+			}
+		}
+		if training {
+			inFlight++
+		}
+		wake, _ := f.ScanAfford(i, f.CommCostWh(i), cfg.Horizon)
+		trainWake, _ := f.ScanAfford(i, f.TrainCostWh(i), cfg.Horizon)
+		if !(wake < trainWake) {
+			t.Fatalf("node %d: gossip crossing %v s, training crossing %v s; want the gossip strictly first", i, wake, trainWake)
+		}
+
+		// Cap the node one step past its brown-out: that step is the first
+		// it takes after the revival.
+		cfg.StepsPerNode = done + 1
+		mem := obstest.NewMemory()
+		cfg.Probe = obs.NewProbe(mem)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var brownouts, revivals []float64
+		for _, ev := range mem.Events() {
+			switch {
+			case ev.Node != i:
+			case ev.Kind == obs.KindBrownout:
+				brownouts = append(brownouts, ev.VTime)
+			case ev.Kind == obs.KindRevival:
+				revivals = append(revivals, ev.VTime)
+			}
+		}
+		if len(brownouts) == 0 || brownouts[0] != down {
+			t.Fatalf("node %d: brown-outs at %v s, replica browned out at %v s", i, brownouts, down)
+		}
+		if len(revivals) == 0 || revivals[0] != wake {
+			t.Errorf("node %d: revived at %v s, want the gossip crossing %v s (training crossing %v s)", i, revivals, wake, trainWake)
+		}
+		if res.StepsPerNode[i] != done+1 || res.TrainedSteps[i] != trained {
+			t.Errorf("node %d: %d steps, %d trained; want %d and %d, the last step a gossip after the revival", i, res.StepsPerNode[i], res.TrainedSteps[i], done+1, trained)
+		}
+	}
+	if inFlight == 0 || inFlight == len(cfg.Devices) {
+		t.Fatalf("%d of %d nodes browned out mid-training; want both brown-out paths", inFlight, len(cfg.Devices))
+	}
+}
+
 // Evaluations read a run and do not change it: a harvest run with brown-
 // outs, sleeping nodes and idle draw takes the same steps, spends and
 // wastes the same energy to the bit and ends with the same models whether

@@ -96,7 +96,7 @@ func FuzzMailbox(f *testing.F) {
 					for j := range ws {
 						ws[j] = 1 / d
 					}
-					tensor.WeightedSumTo(arrival, ws, append([]tensor.Vector{arrival}, q...))
+					tensor.WeightedSumTo(arrival, ws, append([]tensor.Vector{own}, q...))
 				}
 				m.merge(i, models[i])
 				for j, got := range models[i] {

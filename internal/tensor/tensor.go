@@ -84,9 +84,7 @@ func ArgMax(v Vector) int {
 // ((w0*v0 + w1*v1) + w2*v2) + ..., as ScaleTo then one AXPY per further
 // operand would, in one pass over dst; with uniform weights 1/k it is the
 // mean of the k operands. It needs at least one operand, all of dst's
-// length, and checks that before it writes dst. The first operand may be
-// dst itself (a node's own term, which every W row lists first, averaged
-// in place); a later operand must not be, and panics.
+// length, none of them dst itself, and checks that before it writes dst.
 func WeightedSumTo(dst Vector, weights []float64, vecs []Vector) {
 	if len(weights) != len(vecs) || len(vecs) == 0 {
 		panic(fmt.Sprintf("tensor: %d weights for %d vectors, want equal and at least one", len(weights), len(vecs)))
@@ -95,8 +93,8 @@ func WeightedSumTo(dst Vector, weights []float64, vecs []Vector) {
 		switch {
 		case len(v) != len(dst):
 			panic(fmt.Sprintf("tensor: weighted-sum operand %d has length %d, dst %d", k, len(v), len(dst)))
-		case k > 0 && len(v) > 0 && &v[0] == &dst[0]:
-			panic(fmt.Sprintf("tensor: weighted-sum operand %d is dst, which only the first operand may be", k))
+		case len(v) > 0 && &v[0] == &dst[0]:
+			panic(fmt.Sprintf("tensor: weighted-sum operand %d is dst", k))
 		}
 	}
 	const block = 1024 // 8 KB of dst and of three operands: first-level cache

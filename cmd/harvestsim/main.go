@@ -154,7 +154,7 @@ func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
 	fs.Float64Var(&c.lr, "lr", 0.2, "learning rate η")
 	fs.IntVar(&c.batch, "batch", 16, "batch size |ξ|")
 	fs.IntVar(&c.steps, "steps", 8, "local steps E")
-	fs.IntVar(&c.evalInt, "eval", 12, "evaluate every N rounds (and always after the last)")
+	fs.IntVar(&c.evalInt, "eval", 12, "evaluate every N rounds (and always each round of the last Γ period)")
 	fs.Uint64Var(&c.seed, "seed", 42, "experiment seed")
 	fs.BoolVar(&c.telemetry, "telemetry", false, "stream telemetry: a live progress line on stderr (internal/obs; see -events)")
 	fs.StringVar(&c.events, "events", "", "with -telemetry: write the JSONL event stream to this file")

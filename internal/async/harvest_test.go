@@ -620,16 +620,16 @@ func TestAsyncBrownedOutNodeWakesAtGossipCost(t *testing.T) {
 // models are compared through the averaged model's parameters — at
 // GOMAXPROCS 1 the run has one worker network and the averaged model is
 // the last vector it scores — and the consensus distance, which reads
-// every node's parameters. Accuracies are not compared: each evaluation
-// draws its own test subsample, so the horizon's is scored on other
-// samples when more evaluations came before it.
+// every node's parameters. The horizon's scores, the mean node accuracy
+// and the averaged model's, are equal too: every evaluation scores the one
+// test subsample drawn at set-up, which a redraw per evaluation did not.
 func TestAsyncEvaluationsLeaveRunUnchanged(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	type outcome struct {
 		Steps, Trained              []int
 		Gossips, Dropped, Brownouts int
 		Ledger                      [5]float64 // down share, harvested, consumed, wasted, training Wh
-		Consensus                   float64
+		Consensus, MeanAcc, Global  float64
 		Mean                        []uint64 // the averaged model's bits
 	}
 	run := func(every float64) outcome {
@@ -656,7 +656,7 @@ func TestAsyncEvaluationsLeaveRunUnchanged(t *testing.T) {
 		}
 		o := outcome{Steps: res.StepsPerNode, Trained: res.TrainedSteps, Gossips: res.GossipsSent, Dropped: res.DroppedGossips, Brownouts: res.Brownouts,
 			Ledger:    [5]float64{res.BrownoutShare, res.HarvestedWh, res.ConsumedWh, res.WastedWh, res.TotalTrainWh},
-			Consensus: res.History[len(res.History)-1].Consensus}
+			Consensus: res.History[len(res.History)-1].Consensus, MeanAcc: res.FinalMeanAcc, Global: res.FinalGlobalAcc}
 		for _, v := range nets[0].Params() {
 			o.Mean = append(o.Mean, math.Float64bits(v))
 		}

@@ -206,9 +206,10 @@ func TestAsyncMemoryIndependentOfQueueDepth(t *testing.T) {
 
 // The whole evaluation history of a harvest run — accuracy, spread and
 // consensus distance, to the bit — is what the engine recorded when its
-// merge became the mean of the own model and the running sum of the queue
-// and evaluations stopped settling batteries, replays under the same
-// seed, and does not depend on GOMAXPROCS. The consensus distance reads
+// merge became the mean of the own model and the running sum of the queue,
+// evaluations stopped settling batteries and every evaluation scored the
+// one test subsample drawn at set-up, replays under the same seed, and
+// does not depend on GOMAXPROCS. The consensus distance reads
 // every parameter of every node, so one queued model lost or counted
 // twice would show.
 func TestAsyncRecycledSnapshotsKeepResults(t *testing.T) {
@@ -217,9 +218,9 @@ func TestAsyncRecycledSnapshotsKeepResults(t *testing.T) {
 		steps                int
 	}{
 		{0x3fe26c16c16c16c1, 0x3f9d72ed1b900e19, 0x3fc480da24c792c9, 880},
-		{0x3fe4111111111111, 0x3f813e57da86961e, 0x3fbee462da909d87, 1902},
-		{0x3fe38e38e38e38e3, 0x3f841cfe93ff519f, 0x3fbc5b6060764f1c, 2933},
-		{0x3fe33e93e93e93e9, 0x3f9ab89bf28a226f, 0x3fc21e9d6c229fdc, 3876},
+		{0x3fe327d27d27d27d, 0x3f86eec1c63b594f, 0x3fbee462da909d87, 1902},
+		{0x3fe293e93e93e93f, 0x3f941cfe93ff519a, 0x3fbc5b6060764f1c, 2933},
+		{0x3fe24fa4fa4fa4fb, 0x3f941cfe93ff519a, 0x3fc21e9d6c229fdc, 3876},
 	}
 	run := func(procs int) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

@@ -133,6 +133,17 @@ func CountTrainRounds(s Schedule, T int) int {
 	return n
 }
 
+// Window is how many of a run's last rounds its readout averages: one full
+// period Γtrain+Γsync of a Gamma schedule with sync rounds, so each phase
+// counts once wherever the horizon falls in the period, and 1 for any
+// other schedule.
+func Window(s Schedule) int {
+	if g, ok := s.(Gamma); ok && g.GammaSync > 0 {
+		return g.GammaTrain + g.GammaSync
+	}
+	return 1
+}
+
 // TTrain returns Eq. (4): the nominal maximum number of training rounds
 // T_train = Γtrain/(Γtrain+Γsync) * T used to derive training
 // probabilities.

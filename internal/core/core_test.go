@@ -46,6 +46,19 @@ func TestAllTrain(t *testing.T) {
 	}
 }
 
+// TestWindow: a readout averages one full Γ period when the schedule has
+// sync rounds, and the last round otherwise.
+func TestWindow(t *testing.T) {
+	for _, c := range []struct {
+		s    Schedule
+		want int
+	}{{AllTrain{}, 1}, {Gamma{4, 0}, 1}, {Gamma{4, 4}, 8}, {Gamma{4, 2}, 6}, {Gamma{1, 3}, 4}} {
+		if got := Window(c.s); got != c.want {
+			t.Errorf("Window(%s) = %d, want %d", c.s.Name(), got, c.want)
+		}
+	}
+}
+
 // TestCountTrainRoundsPaperValues pins the exact round counts behind the
 // paper's energy table: over T=1000 rounds the Γ configurations of Figure 3
 // consume exactly the training-round counts that, multiplied by the

@@ -24,7 +24,7 @@ type AsyncHarvestRow struct {
 	Regime        string  // harvest regime: "diurnal" or "markov"
 	Engine        string  // "sync-round" or "async-event"
 	FinalAcc      float64 // final test accuracy, % (readout)
-	Node          NodeColumn
+	Model         ModelColumn
 	Steps         int     // local step slots processed (sync: nodes x rounds)
 	Trained       int     // steps that included local SGD
 	BrownoutShare float64 // share of node-time below cutoff, %
@@ -47,14 +47,14 @@ func TableAsyncHarvest(o Options) ([]AsyncHarvestRow, error) {
 	}
 
 	tb := report.NewTable("Intermittency engines: round-synchronous vs event-driven under identical harvest traces (sim scale)",
-		"Regime", "Engine", "Acc %", nodeHeader, "Steps", "Trained", "Brown-out %", "Harvested Wh", "Consumed Wh")
+		"Regime", "Engine", "Acc %", modelHeader, "Steps", "Trained", "Brown-out %", "Harvested Wh", "Consumed Wh")
 	for _, r := range rows {
 		tb.AddRowf("%s|%s|%.2f|%s|%d|%d|%.1f|%.4f|%.4f",
-			r.Regime, r.Engine, r.FinalAcc, r.Node, r.Steps, r.Trained,
+			r.Regime, r.Engine, r.FinalAcc, r.Model, r.Steps, r.Trained,
 			r.BrownoutShare, r.HarvestedWh, r.ConsumedWh)
 	}
 	tb.Render(o.Out)
-	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
+	fmt.Fprintln(o.Out, periodNote(evalSamples(o, testSplit(o))))
 	return rows, nil
 }
 
@@ -90,8 +90,8 @@ func asyncHarvestLeg(w *world, regime GammaRegime, leg string) (AsyncHarvestRow,
 		return AsyncHarvestRow{
 			Regime:        regime.Name,
 			Engine:        "sync-round",
-			FinalAcc:      readout(res),
-			Node:          nodeColumn(res, cfg.Algo.Schedule, cfg.Rounds),
+			FinalAcc:      readout(res, cfg.Algo.Schedule),
+			Model:         modelColumn(res),
 			Steps:         w.o.Nodes * w.o.Rounds,
 			Trained:       t.trained,
 			BrownoutShare: t.deadShare,
@@ -130,8 +130,8 @@ func asyncHarvestLeg(w *world, regime GammaRegime, leg string) (AsyncHarvestRow,
 	return AsyncHarvestRow{
 		Regime:        regime.Name,
 		Engine:        "async-event",
-		FinalAcc:      readout(res),
-		Node:          nodeColumn(res, cfg.Algo.Schedule, cfg.Rounds),
+		FinalAcc:      readout(res, cfg.Algo.Schedule),
+		Model:         modelColumn(res),
 		Steps:         steps,
 		Trained:       trained,
 		BrownoutShare: 100 * res.BrownoutShare,

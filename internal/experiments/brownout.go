@@ -25,7 +25,7 @@ type BrownoutRow struct {
 	Regime        string  // harvest regime: "diurnal" or "markov"
 	Mode          string  // "route-through-dead" or "drop-and-renormalize"
 	FinalAcc      float64 // final test accuracy, % (readout)
-	Node          NodeColumn
+	Model         ModelColumn
 	Participation float64 // trained rounds / coordinated training slots, %
 	MeanLivePct   float64 // mean live-node share across rounds, %
 	MinLive       int     // smallest live set seen in any round
@@ -90,8 +90,8 @@ func TableBrownout(o Options) ([]BrownoutRow, error) {
 		return BrownoutRow{
 			Regime:        regime.Name,
 			Mode:          mode,
-			FinalAcc:      readout(res),
-			Node:          nodeColumn(res, cfg.Algo.Schedule, cfg.Rounds),
+			FinalAcc:      readout(res, cfg.Algo.Schedule),
+			Model:         modelColumn(res),
 			Participation: tallyRun(cfg, res).participation,
 			MeanLivePct:   100 * liveSum / (nRounds * float64(o.Nodes)),
 			MinLive:       minLive,
@@ -106,13 +106,13 @@ func TableBrownout(o Options) ([]BrownoutRow, error) {
 	}
 
 	tb := report.NewTable("Brown-out communication model: routing through dead nodes vs dropping their edges (sim scale)",
-		"Regime", "Mode", "Acc %", nodeHeader, "Particip %", "Live %", "Min live", "Eff deg", "Components", "Dropped msgs", "Depleted")
+		"Regime", "Mode", "Acc %", modelHeader, "Particip %", "Live %", "Min live", "Eff deg", "Components", "Dropped msgs", "Depleted")
 	for _, r := range rows {
 		tb.AddRowf("%s|%s|%.2f|%s|%.1f|%.1f|%d|%.2f|%.2f|%d|%d",
-			r.Regime, r.Mode, r.FinalAcc, r.Node, r.Participation, r.MeanLivePct,
+			r.Regime, r.Mode, r.FinalAcc, r.Model, r.Participation, r.MeanLivePct,
 			r.MinLive, r.MeanLiveDeg, r.MeanComps, r.DroppedSends, r.DepletedEnd)
 	}
 	tb.Render(o.Out)
-	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
+	fmt.Fprintln(o.Out, periodNote(evalSamples(o, testSplit(o))))
 	return rows, nil
 }

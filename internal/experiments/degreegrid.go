@@ -54,7 +54,7 @@ func TableDegreeGamma(o Options, degrees []int) (*DegreeGammaResult, error) {
 		return nil, err
 	}
 	res.Render(o.Out)
-	fmt.Fprintf(o.Out, "%s\n\n", averagedNote(evalSamples(o, valSplit(o))))
+	fmt.Fprintf(o.Out, "%s\n\n", periodNote(evalSamples(o, valSplit(o))))
 	return res, nil
 }
 

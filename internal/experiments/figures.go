@@ -23,7 +23,7 @@ type Series struct {
 // Figure1Result holds the D-PSGD vs all-reduce comparison.
 type Figure1Result struct {
 	DPSGD     Series // mean accuracy across nodes
-	AllReduce Series // accuracy of the global average model (the readout)
+	AllReduce Series // mean accuracy across nodes, each holding the global average model
 	FinalGap  float64
 }
 
@@ -55,9 +55,9 @@ func Figure1(o Options) (*Figure1Result, error) {
 	}
 	for _, m := range aRes.Evaluations() {
 		out.AllReduce.X = append(out.AllReduce.X, float64(m.Round+1))
-		out.AllReduce.Y = append(out.AllReduce.Y, readout(m))
+		out.AllReduce.Y = append(out.AllReduce.Y, 100*m.MeanAcc)
 	}
-	out.FinalGap = readout(aRes) - dRes.FinalMeanAcc*100
+	out.FinalGap = readout(aRes, algos[1].Schedule) - readout(dRes, algos[0].Schedule)
 
 	tb := report.NewTable("Figure 1: D-PSGD vs all-reduce (test accuracy %, 6-regular)",
 		"round", "D-PSGD", "All reduce")
@@ -68,7 +68,7 @@ func Figure1(o Options) (*Figure1Result, error) {
 	fmt.Fprintf(o.Out, "final gap: %+.2f pp (paper: ~ +10 pp)\n", out.FinalGap)
 	fmt.Fprintf(o.Out, "D-PSGD    %s\nAllReduce %s\n",
 		report.Sparkline(out.DPSGD.Y), report.Sparkline(out.AllReduce.Y))
-	fmt.Fprintln(o.Out, readoutNote("D-PSGD mean node accuracy, all-reduce averaged model's accuracy", evalSamples(o, testSplit(o))))
+	fmt.Fprintln(o.Out, readoutNote("mean node accuracy", evalSamples(o, testSplit(o))))
 	return out, nil
 }
 
@@ -168,7 +168,7 @@ func Figure3(o Options, degrees []int) (*Figure3Result, error) {
 			}
 			return Figure3Cell{
 				GammaTrain: gt, GammaSync: gs,
-				ValAcc:        readout(r),
+				ValAcc:        readout(r, gamma),
 				PaperEnergyWh: paperEnergyWh(core.CountTrainRounds(gamma, PaperRoundsCIFAR), energy.CIFAR10Workload()),
 			}, nil
 		})
@@ -207,7 +207,7 @@ func (r *Figure3Result) render(o Options) {
 		fmt.Fprintf(o.Out, "best: Γtrain=%d Γsync=%d (%.1f%%, %.0f Wh at paper scale)\n\n",
 			best.GammaTrain, best.GammaSync, best.ValAcc, best.PaperEnergyWh)
 	}
-	fmt.Fprintf(o.Out, "%s\n\n", averagedNote(evalSamples(o, valSplit(o))))
+	fmt.Fprintf(o.Out, "%s\n\n", periodNote(evalSamples(o, valSplit(o))))
 	// Energy heatmap (schedule-only, identical for every topology).
 	eh := gammaHeatmap("Figure 3 (right): Energy [Wh] at paper scale",
 		r.Grid[0], func(c Figure3Cell) float64 { return c.PaperEnergyWh })
@@ -292,7 +292,7 @@ type Figure5Arm struct {
 	AccVsRound  Series
 	AccVsEnergy Series  // x = cumulative paper-scale Wh
 	FinalAcc    float64 // the readout, %
-	Node        NodeColumn
+	Model       ModelColumn
 	// PaperEnergyWh is the total training energy at paper scale.
 	PaperEnergyWh float64
 }
@@ -392,7 +392,7 @@ func figure5Arm(w *world, a namedAlgo) (Figure5Arm, error) {
 	if err != nil {
 		return Figure5Arm{}, err
 	}
-	arm := Figure5Arm{Algo: a.name, Dataset: w.ds.name, Degree: w.degree, FinalAcc: readout(r), Node: nodeColumn(r, algo.Schedule, cfg.Rounds)}
+	arm := Figure5Arm{Algo: a.name, Dataset: w.ds.name, Degree: w.degree, FinalAcc: readout(r, algo.Schedule), Model: modelColumn(r)}
 	arm.AccVsRound.Label, arm.AccVsEnergy.Label = a.name, a.name
 	// Energy per scheduled train round at paper scale.
 	perRound := energy.NetworkRoundWh(PaperNodes, energy.Devices(), w.ds.workload)
@@ -407,13 +407,13 @@ func figure5Arm(w *world, a namedAlgo) (Figure5Arm, error) {
 			continue
 		}
 		arm.AccVsRound.X = append(arm.AccVsRound.X, float64(m.Round+1))
-		arm.AccVsRound.Y = append(arm.AccVsRound.Y, readout(m))
+		arm.AccVsRound.Y = append(arm.AccVsRound.Y, 100*m.MeanAcc)
 		// Scale the round axis to the paper horizon for the energy axis:
 		// fraction of schedule elapsed times the paper's total schedule
 		// energy.
 		frac := float64(trainedSoFar) / float64(simTrainRounds)
 		arm.AccVsEnergy.X = append(arm.AccVsEnergy.X, frac*float64(paperTrainRounds)*perRound)
-		arm.AccVsEnergy.Y = append(arm.AccVsEnergy.Y, readout(m))
+		arm.AccVsEnergy.Y = append(arm.AccVsEnergy.Y, 100*m.MeanAcc)
 	}
 	arm.PaperEnergyWh = float64(paperTrainRounds) * perRound
 	return arm, nil
@@ -421,15 +421,15 @@ func figure5Arm(w *world, a namedAlgo) (Figure5Arm, error) {
 
 func (r *Figure5Result) render(o Options) {
 	tb := report.NewTable("Figure 5: SkipTrain vs D-PSGD (final test accuracy %, paper-scale energy)",
-		"dataset", "degree", "algorithm", "acc %", "energy Wh", nodeHeader)
+		"dataset", "degree", "algorithm", "acc %", "energy Wh", modelHeader)
 	for _, a := range r.Arms {
-		tb.AddRowf("%s|%d|%s|%.2f|%.2f|%s", a.Dataset, a.Degree, a.Algo, a.FinalAcc, a.PaperEnergyWh, a.Node)
+		tb.AddRowf("%s|%d|%s|%.2f|%.2f|%s", a.Dataset, a.Degree, a.Algo, a.FinalAcc, a.PaperEnergyWh, a.Model)
 	}
 	tb.Render(o.Out)
 	for _, a := range r.Arms {
 		fmt.Fprintf(o.Out, "%-8s d=%-2d %-22s %s\n", a.Dataset, a.Degree, a.Algo, report.Sparkline(a.AccVsRound.Y))
 	}
-	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
+	fmt.Fprintln(o.Out, periodNote(evalSamples(o, testSplit(o))))
 }
 
 // Figure6Arm is one constrained-setting run.
@@ -439,7 +439,7 @@ type Figure6Arm struct {
 	Degree        int
 	AccVsEnergy   Series
 	FinalAcc      float64 // the readout, %
-	Node          NodeColumn
+	Model         ModelColumn
 	ConsumedWh    float64 // actual training energy consumed at paper scale
 	TrainedRounds []int
 }
@@ -487,8 +487,8 @@ func figure6Arm(w *world, a namedAlgo) (Figure6Arm, error) {
 	arm := Figure6Arm{
 		Algo: a.name, Dataset: w.ds.name, Degree: w.degree,
 		AccVsEnergy:   Series{Label: a.name},
-		FinalAcc:      readout(r),
-		Node:          nodeColumn(r, algo.Schedule, cfg.Rounds),
+		FinalAcc:      readout(r, algo.Schedule),
+		Model:         modelColumn(r),
 		TrainedRounds: r.TrainedRounds,
 	}
 	// Scale consumed energy to paper scale: each scaled train round
@@ -500,19 +500,19 @@ func figure6Arm(w *world, a namedAlgo) (Figure6Arm, error) {
 			continue
 		}
 		arm.AccVsEnergy.X = append(arm.AccVsEnergy.X, m.CumTrainWh*scale)
-		arm.AccVsEnergy.Y = append(arm.AccVsEnergy.Y, readout(m))
+		arm.AccVsEnergy.Y = append(arm.AccVsEnergy.Y, 100*m.MeanAcc)
 	}
 	return arm, nil
 }
 
 func (r *Figure6Result) render(o Options) {
 	tb := report.NewTable("Figure 6: energy-constrained comparison (final test accuracy %, paper-scale consumed Wh)",
-		"dataset", "degree", "algorithm", "acc %", "consumed Wh", nodeHeader)
+		"dataset", "degree", "algorithm", "acc %", "consumed Wh", modelHeader)
 	for _, a := range r.Arms {
-		tb.AddRowf("%s|%d|%s|%.2f|%.2f|%s", a.Dataset, a.Degree, a.Algo, a.FinalAcc, a.ConsumedWh, a.Node)
+		tb.AddRowf("%s|%d|%s|%.2f|%.2f|%s", a.Dataset, a.Degree, a.Algo, a.FinalAcc, a.ConsumedWh, a.Model)
 	}
 	tb.Render(o.Out)
-	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
+	fmt.Fprintln(o.Out, periodNote(evalSamples(o, testSplit(o))))
 }
 
 // Figure7 renders the class distributions of the first ten nodes under the

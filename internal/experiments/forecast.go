@@ -28,7 +28,7 @@ type ForecastRow struct {
 	Forecaster    string  // forecaster identity, "-" for forecast-free rows
 	Horizon       int     // forecast window in rounds (0 = none)
 	FinalAcc      float64 // final test accuracy, % (readout)
-	Node          NodeColumn
+	Model         ModelColumn
 	Participation float64 // trained rounds / coordinated training slots, %
 	DeadShare     float64 // mean share of the fleet below cutoff, %
 	WastedWh      float64 // harvest that arrived on full batteries (sim scale)
@@ -106,8 +106,8 @@ func TableForecast(o Options) ([]ForecastRow, error) {
 			Policy:        arm.name,
 			Forecaster:    fname,
 			Horizon:       cfg.ForecastHorizon,
-			FinalAcc:      readout(res),
-			Node:          nodeColumn(res, cfg.Algo.Schedule, cfg.Rounds),
+			FinalAcc:      readout(res, cfg.Algo.Schedule),
+			Model:         modelColumn(res),
 			Participation: t.participation,
 			DeadShare:     t.deadShare,
 			WastedWh:      res.TotalWastedWh,
@@ -118,17 +118,17 @@ func TableForecast(o Options) ([]ForecastRow, error) {
 	}
 
 	tb := report.NewTable("Forecast-aware participation: MPC planning vs reactive SoC rules (drop-and-renormalize, sim scale)",
-		"Regime", "Policy", "Forecaster", "Window", "Acc %", nodeHeader, "Particip %", "Dead %", "Wasted Wh")
+		"Regime", "Policy", "Forecaster", "Window", "Acc %", modelHeader, "Particip %", "Dead %", "Wasted Wh")
 	for _, r := range rows {
 		window := "-"
 		if r.Horizon > 0 {
 			window = strconv.Itoa(r.Horizon)
 		}
 		tb.AddRowf("%s|%s|%s|%s|%.2f|%s|%.1f|%.1f|%.4f",
-			r.Regime, r.Policy, r.Forecaster, window, r.FinalAcc, r.Node,
+			r.Regime, r.Policy, r.Forecaster, window, r.FinalAcc, r.Model,
 			r.Participation, r.DeadShare, r.WastedWh)
 	}
 	tb.Render(o.Out)
-	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
+	fmt.Fprintln(o.Out, periodNote(evalSamples(o, testSplit(o))))
 	return rows, nil
 }

@@ -420,7 +420,7 @@ func (g *gammaGrid) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, e
 	}
 	return GammaHarvestCell{
 		GammaTrain: gt, GammaSync: gs,
-		FinalAcc:      readout(res),
+		FinalAcc:      readout(res, gamma),
 		Participation: tallyRun(cfg, res).participation,
 		HarvestedWh:   res.TotalHarvestWh,
 		ConsumedWh:    cfg.Harvest.ConsumedWh(),
@@ -445,7 +445,7 @@ func TableGammaHarvest(o Options) ([]GammaHarvestRow, error) {
 		fmt.Fprintln(o.Out)
 	}
 	renderGammaHarvestRows(o.Out, rows)
-	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, valSplit(o))))
+	fmt.Fprintln(o.Out, periodNote(evalSamples(o, valSplit(o))))
 	return rows, nil
 }
 
@@ -484,7 +484,7 @@ func renderGammaHarvestRows(out io.Writer, rows []GammaHarvestRow) {
 // starred), the best-cell summary line and the readout.
 func (r *GammaGridResult) Render(out io.Writer) {
 	r.render(out)
-	fmt.Fprintf(out, "%s\n\n", averagedNote(r.samples))
+	fmt.Fprintf(out, "%s\n\n", periodNote(r.samples))
 }
 
 // render is Render without the readout, which a table of several grids

@@ -23,7 +23,7 @@ type HarvestRow struct {
 	Trace         string
 	Policy        string
 	FinalAcc      float64 // final test accuracy, % (readout)
-	Node          NodeColumn
+	Model         ModelColumn
 	Participation float64 // trained rounds / coordinated training slots, %
 	MeanFinalSoC  float64 // fleet-average SoC after the last round
 	Depleted      int     // nodes below cutoff at the end
@@ -96,8 +96,8 @@ func TableHarvest(o Options) ([]HarvestRow, error) {
 			Scenario:       sc.regime.Name,
 			Trace:          fleet.TraceName(),
 			Policy:         cfg.Algo.Policy.Name(),
-			FinalAcc:       readout(res),
-			Node:           nodeColumn(res, cfg.Algo.Schedule, cfg.Rounds),
+			FinalAcc:       readout(res, cfg.Algo.Schedule),
+			Model:          modelColumn(res),
 			Participation:  tallyRun(cfg, res).participation,
 			MeanFinalSoC:   meanSoC,
 			Depleted:       res.History[len(res.History)-1].Depleted,
@@ -112,15 +112,15 @@ func TableHarvest(o Options) ([]HarvestRow, error) {
 	}
 
 	tb := report.NewTable("Harvesting scenarios: charge-aware policies under ambient energy (sim scale)",
-		"Scenario", "Trace", "Policy", "Acc %", nodeHeader, "Participation %", "Mean final SoC", "Depleted", "Harvested Wh", "Consumed Wh", "Train Gini", "Harvest-acc corr")
+		"Scenario", "Trace", "Policy", "Acc %", modelHeader, "Participation %", "Mean final SoC", "Depleted", "Harvested Wh", "Consumed Wh", "Train Gini", "Harvest-acc corr")
 	for _, r := range rows {
 		tb.AddRowf("%s|%s|%s|%.2f|%s|%.1f|%.3f|%d|%.4f|%.4f|%.3f|%+.3f",
-			r.Scenario, r.Trace, r.Policy, r.FinalAcc, r.Node, r.Participation,
+			r.Scenario, r.Trace, r.Policy, r.FinalAcc, r.Model, r.Participation,
 			r.MeanFinalSoC, r.Depleted, r.HarvestedWh, r.ConsumedWh,
 			r.TrainGini, r.HarvestAccCorr)
 	}
 	tb.Render(o.Out)
-	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
+	fmt.Fprintln(o.Out, periodNote(evalSamples(o, testSplit(o))))
 	return rows, nil
 }
 

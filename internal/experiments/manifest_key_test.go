@@ -146,16 +146,25 @@ func TestManifestEngineAndBatteryShapeHashed(t *testing.T) {
 // TestCellKeyGoldenBytes pins the key bytes themselves: every cache
 // directory users filled is addressed by them. The literals move only when
 // a cached payload changes meaning; they last moved when the cell manifest
-// gained readout=averaged-model, the day a cell's accuracy became the
-// averaged model's instead of the mean of the nodes' own. The keys from
-// before that (readoutBefore) address cells whose FinalAcc is the old
-// number, so no key may equal one of them: a build that forgot the readout
-// field would serve those cells as the new readout.
+// gained readout=node-mean-over-period, the day a cell's accuracy became
+// its nodes' mean accuracy over its last Γ period. The keys from before
+// (older) address cells whose FinalAcc is another number — the averaged
+// model's (readout=averaged-model), and before that the nodes' mean at T
+// (no readout field) — so no key may equal one of them: a build that
+// forgot or misnamed the readout field would serve those cells as the new
+// readout.
 // TestCellManifestKeyStability above would still pass if every hash moved
 // together — this is the test a key-derivation refactor that silently
 // orphans those caches fails.
 func TestCellKeyGoldenBytes(t *testing.T) {
-	readoutBefore := map[string]bool{
+	older := map[string]bool{
+		// readout=averaged-model
+		"fbd9ce441c51997dfd7ab82ebf6ec010": true,
+		"660d46ff1bc1a65f7c415a92029a75dc": true,
+		"da6019c993583d2ad083af53ad213ac9": true,
+		"14e60004b94ae4fc01051a654ee48d8e": true,
+		"e800e8cb7c73f083efcd5b8920397b35": true,
+		// no readout field: the nodes' mean at T
 		"4f2b59064732e32ab7ed7d161e8bb2f9": true,
 		"efce7301298c4b4eecf97a69721f30b7": true,
 		"45cf57a39a8f55f82adf5807dde99e51": true,
@@ -166,15 +175,15 @@ func TestCellKeyGoldenBytes(t *testing.T) {
 		degree, regime, gt, gs int
 		hash                   string
 	}{
-		{6, 1, 2, 3, "fbd9ce441c51997dfd7ab82ebf6ec010"},
-		{6, 0, 1, 1, "660d46ff1bc1a65f7c415a92029a75dc"},
-		{4, 3, 4, 2, "da6019c993583d2ad083af53ad213ac9"},
-		{8, 4, 3, 4, "14e60004b94ae4fc01051a654ee48d8e"},
-		{6, 2, 4, 4, "e800e8cb7c73f083efcd5b8920397b35"},
+		{6, 1, 2, 3, "a8a41dabc9da930c33db2c61051df582"},
+		{6, 0, 1, 1, "7d731ab4e1e84925ef39ede9821d12d2"},
+		{4, 3, 4, 2, "5063151408fd3120c055a80fb62dcc03"},
+		{8, 4, 3, 4, "56fd3a96adbd6a734cb4b1149973d0f5"},
+		{6, 2, 4, 4, "ee0461939709d41dd74df278535852bf"},
 	} {
 		h := cellHash(t, tiny(), g.degree, g.regime, g.gt, g.gs)
-		if readoutBefore[h] {
-			t.Errorf("degree %d regime %d Γt=%d Γs=%d: ConfigHash %s addresses a cell stored under the mean-node readout", g.degree, g.regime, g.gt, g.gs, h)
+		if older[h] {
+			t.Errorf("degree %d regime %d Γt=%d Γs=%d: ConfigHash %s addresses a cell stored under an older readout", g.degree, g.regime, g.gt, g.gs, h)
 		}
 		if h != g.hash {
 			t.Errorf("degree %d regime %d Γt=%d Γs=%d: ConfigHash %s, golden %s", g.degree, g.regime, g.gt, g.gs, h, g.hash)

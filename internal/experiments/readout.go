@@ -9,78 +9,62 @@ import (
 	"repro/internal/sim"
 )
 
-// Every table reports one accuracy per run, its readout: the accuracy of
-// the average of all node models, Figure 1's metric. The mean of the
-// nodes' own accuracies at T mostly records where T falls in Γ's period:
-// a run whose last rounds are sync rounds has just gossiped without
-// training, so its nodes sit closer to consensus and each scores higher.
-// The averaged model does not move with the phase. The tables that compare
-// runs print the mean node accuracy as a secondary column (NodeColumn),
-// beside the phase the run ended in and its consensus distance, so the
-// mechanism stays in view.
+// Every table reports one accuracy per run, its readout: the mean of the
+// nodes' own accuracies, averaged over the run's last core.Window rounds —
+// one full Γ period of a schedule with sync rounds, the last round of any
+// other. The window holds every phase of the period once, so the readout
+// does not record where T falls in it, and it sees a sync round: gossip
+// pulls the node models together, which the mean of their accuracies
+// shows and the averaged model cannot (Metropolis–Hastings W is doubly
+// stochastic, so a sync round leaves the fleet mean where it was). The
+// tables that compare runs print the averaged model's accuracy and the
+// consensus distance at T as a secondary column (ModelColumn).
 
 // readoutName names the readout in every cached cell's key
 // (tuningManifest), so a cell stored under another readout is a miss.
-const readoutName = "averaged-model"
+const readoutName = "node-mean-over-period"
 
-// readout is the accuracy a table reports for a run, or a curve for one
-// evaluated round, in %: the averaged model's. world.config asks every
-// sim run to score it; async.Run always does.
-func readout[R *sim.Result | *async.Result | sim.RoundMetrics](r R) float64 {
+// readout is the accuracy a table reports for a run of schedule s, in %.
+// sim.Run evaluates every round of the window whatever its EvalEvery. An
+// async run has no shared phase — each node follows s on its own step
+// count — so its readout is the horizon's mean node accuracy.
+func readout[R *sim.Result | *async.Result](r R, s core.Schedule) float64 {
 	switch r := any(r).(type) {
 	case *sim.Result:
-		return 100 * r.FinalGlobalAcc
+		h := r.History[len(r.History)-min(core.Window(s), len(r.History)):]
+		sum := 0.0
+		for _, m := range h {
+			sum += m.MeanAcc
+		}
+		return 100 * sum / float64(len(h))
 	case *async.Result:
-		return 100 * r.FinalGlobalAcc
-	case sim.RoundMetrics:
-		return 100 * r.GlobalAcc
+		return 100 * r.FinalMeanAcc
 	}
 	panic("unreachable")
 }
 
-// NodeColumn is a run's secondary accuracy column: the mean of the nodes'
-// own accuracies at T, the phase of its schedule the run ends in, and how
-// far the node models are from their mean at T.
-type NodeColumn struct {
-	Acc       float64 // mean node accuracy at T, %
-	EndPhase  string  // e.g. "ends sync 2/4": the second of Γsync = 4 sync rounds
+// ModelColumn is a run's secondary column: the accuracy of the average of
+// all node models at T, Figure 1's metric, and how far the node models are
+// from that average.
+type ModelColumn struct {
+	Acc       float64 // the averaged model's accuracy at T, %
 	Consensus float64 // mean L2 distance of the node models from their mean at T
 }
 
-// nodeHeader heads the secondary column in every table that prints it.
-const nodeHeader = "node acc % @T, end phase, consensus"
+// modelHeader heads the secondary column in every table that prints it.
+const modelHeader = "avg model acc % @T, consensus"
 
-func (c NodeColumn) String() string {
-	return fmt.Sprintf("%.2f %s cd %.3f", c.Acc, c.EndPhase, c.Consensus)
-}
+func (c ModelColumn) String() string { return fmt.Sprintf("%.2f cd %.3f", c.Acc, c.Consensus) }
 
-// nodeColumn reads the secondary column off a run of schedule s over
-// rounds rounds; an async run's rounds are the trace rounds it spans.
-func nodeColumn[R *sim.Result | *async.Result](res R, s core.Schedule, rounds int) NodeColumn {
-	c := NodeColumn{EndPhase: endPhase(s, rounds)}
+// modelColumn reads the secondary column off a run.
+func modelColumn[R *sim.Result | *async.Result](res R) ModelColumn {
 	switch r := any(res).(type) {
 	case *sim.Result:
-		c.Acc, c.Consensus = 100*r.FinalMeanAcc, r.History[len(r.History)-1].Consensus
+		return ModelColumn{100 * r.FinalGlobalAcc, r.History[len(r.History)-1].Consensus}
 	case *async.Result:
-		c.Acc, c.Consensus = 100*r.FinalMeanAcc, r.History[len(r.History)-1].Consensus
+		return ModelColumn{100 * r.FinalGlobalAcc, r.History[len(r.History)-1].Consensus}
 	}
-	return c
-}
-
-// endPhase names where the last of rounds falls in s's period: "ends train
-// 4/4" is the last of Γtrain = 4 training rounds, "ends sync 2/4" the
-// second of Γsync = 4 sync rounds. A schedule without sync rounds ends on
-// "train".
-func endPhase(s core.Schedule, rounds int) string {
-	g, ok := s.(core.Gamma)
-	if !ok || g.GammaSync == 0 {
-		return "ends train"
-	}
-	t := (rounds - 1) % (g.GammaTrain + g.GammaSync)
-	if t < g.GammaTrain {
-		return fmt.Sprintf("ends train %d/%d", t+1, g.GammaTrain)
-	}
-	return fmt.Sprintf("ends sync %d/%d", t-g.GammaTrain+1, g.GammaSync)
+	panic("unreachable")
 }
 
 // evalSamples is how many samples one evaluation of a split of n scores.
@@ -104,5 +88,7 @@ func readoutNote(what string, samples int) string {
 		strconv.FormatFloat(100/float64(samples), 'g', 4, 64) + " pp)"
 }
 
-// averagedNote is readoutNote of the readout.
-func averagedNote(samples int) string { return readoutNote("averaged model's accuracy", samples) }
+// periodNote is readoutNote of the readout.
+func periodNote(samples int) string {
+	return readoutNote("mean node accuracy over each run's last Γ period (its last round without sync rounds)", samples)
+}

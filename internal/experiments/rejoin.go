@@ -29,7 +29,7 @@ type RejoinRow struct {
 	Regime        string  // harvest regime: "diurnal" or "markov"
 	Rule          string  // rejoin rule name
 	FinalAcc      float64 // final test accuracy, % (readout)
-	Node          NodeColumn
+	Model         ModelColumn
 	Participation float64 // trained rounds / coordinated training slots, %
 	Revivals      int     // rejoin events over the run
 	Restores      int     // revivals that replaced the frozen model
@@ -71,18 +71,16 @@ func rejoinRule(i int) (sim.RejoinRule, error) {
 }
 
 // BestCatchUpHalfLife returns the CatchUp half-life among a regime's rows
-// whose nodes' own models score best at T (ties keep the smaller h), or 0
-// when the regime has no catch-up rows — the per-regime tuning answer the
-// sweep exists to give. It reads the secondary column, not the readout: a
-// rejoin rule rewrites a node's own model, and on the averaged model the
-// half-lives lie within a sample or two of each other.
+// whose readout is best (ties keep the smaller h), or 0 when the regime
+// has no catch-up rows — the per-regime tuning answer the sweep exists to
+// give.
 func BestCatchUpHalfLife(rows []RejoinRow, regime string) float64 {
 	best, bestAcc := 0.0, math.Inf(-1)
 	for _, h := range CatchUpHalfLives {
 		name := fmt.Sprintf("catch-up(h=%g)", h)
 		for _, r := range rows {
-			if r.Regime == regime && r.Rule == name && r.Node.Acc > bestAcc {
-				best, bestAcc = h, r.Node.Acc
+			if r.Regime == regime && r.Rule == name && r.FinalAcc > bestAcc {
+				best, bestAcc = h, r.FinalAcc
 			}
 		}
 	}
@@ -120,8 +118,8 @@ func TableRejoin(o Options) ([]RejoinRow, error) {
 		return RejoinRow{
 			Regime:        regime.Name,
 			Rule:          rule.Name(),
-			FinalAcc:      readout(res),
-			Node:          nodeColumn(res, cfg.Algo.Schedule, cfg.Rounds),
+			FinalAcc:      readout(res, cfg.Algo.Schedule),
+			Model:         modelColumn(res),
 			Participation: t.participation,
 			Revivals:      res.TotalRevivals,
 			Restores:      res.TotalRestores,
@@ -135,13 +133,13 @@ func TableRejoin(o Options) ([]RejoinRow, error) {
 	}
 
 	tb := report.NewTable("Rejoin after brown-out: what a revived node resumes with (drop-and-renormalize, sim scale)",
-		"Regime", "Rejoin rule", "Acc %", nodeHeader, "Particip %", "Revivals", "Restores", "Mean stale", "Max stale", "Dead %")
+		"Regime", "Rejoin rule", "Acc %", modelHeader, "Particip %", "Revivals", "Restores", "Mean stale", "Max stale", "Dead %")
 	for _, r := range rows {
 		tb.AddRowf("%s|%s|%.2f|%s|%.1f|%d|%d|%.2f|%d|%.1f",
-			r.Regime, r.Rule, r.FinalAcc, r.Node, r.Participation, r.Revivals,
+			r.Regime, r.Rule, r.FinalAcc, r.Model, r.Participation, r.Revivals,
 			r.Restores, r.MeanStaleness, r.MaxStaleness, r.DeadShare)
 	}
 	tb.Render(o.Out)
-	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
+	fmt.Fprintln(o.Out, periodNote(evalSamples(o, testSplit(o))))
 	return rows, nil
 }

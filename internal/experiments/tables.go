@@ -102,7 +102,7 @@ func renderSummary(o Options, title, energyVerb string, rows []Table3Row) {
 			r.Acc[6], r.Acc[8], r.Acc[10])
 	}
 	tb.Render(o.Out)
-	fmt.Fprintln(o.Out, averagedNote(evalSamples(o, testSplit(o))))
+	fmt.Fprintln(o.Out, periodNote(evalSamples(o, testSplit(o))))
 }
 
 // Table4Row is one (algorithm, dataset) row of the constrained summary,

@@ -106,10 +106,10 @@ func (w *world) buildTopology() error {
 }
 
 // config is the sim.Config of one run of algo on w, evaluated on the test
-// split every o.EvalEvery rounds: its readout, the averaged model, and the
-// node models' consensus distance, which the secondary column prints. The
-// caller sets only what its arms vary: the fleet, DropDeadNodes, Rejoin or
-// Forecast.
+// split every o.EvalEvery rounds and over the readout's window: the nodes,
+// and the averaged model and consensus distance the secondary column
+// prints. The caller sets only what its arms vary: the fleet,
+// DropDeadNodes, Rejoin or Forecast.
 func (w *world) config(algo core.Algorithm) (sim.Config, error) {
 	d, err := w.data()
 	if err != nil {
@@ -133,8 +133,8 @@ func (w *world) config(algo core.Algorithm) (sim.Config, error) {
 	}, nil
 }
 
-// tuneConfig is config evaluated once, at the end, on the validation
-// split: how Figure 3 and the harvest grids choose Γ.
+// tuneConfig is config evaluated over the readout's window only, on the
+// validation split: how Figure 3 and the harvest grids choose Γ.
 func (w *world) tuneConfig(algo core.Algorithm) (sim.Config, error) {
 	cfg, err := w.config(algo)
 	if err == nil {

@@ -189,27 +189,33 @@ func (s *Spec) Manifest(engine string, rounds, paramCount int) *obs.ManifestBuil
 // when asked for, their consensus distance and the mean model's accuracy.
 type Score struct{ Mean, Std, Consensus, Global float64 }
 
-// Evaluator scores every node on the test set or on EvalSubsample samples
-// redrawn per evaluation, each node's last accuracy into its row of accs.
+// Evaluator scores every node on the test set, or on EvalSubsample of its
+// samples drawn once at set-up, each node's last accuracy into its row of
+// accs: how often a run is evaluated never changes what it scores.
 type Evaluator struct {
 	accs              []float64
 	ns                Nodes
-	test              *dataset.Dataset
 	consensus, global bool
 	mean              tensor.Vector // the fleet mean both read
-	draw              rng.RNG
 	xs                []tensor.Vector
 	ys                []int
-	perm              []int // the redraw's permutation of the test set; nil = no redraw
 }
 
 // NewEvaluator scores ns into accs, one row per node; consensus and global
 // ask for those Score fields, both read off the fleet mean Evaluate writes.
+// A subsample is the first EvalSubsample of one rng.Perm of the test set,
+// drawn from the run's evaluation stream.
 func (s *Spec) NewEvaluator(ns Nodes, accs []float64, mean tensor.Vector, consensus, global bool) Evaluator {
-	ev := Evaluator{accs: accs, ns: ns, test: s.Test, consensus: consensus, global: global, mean: mean}
-	rng.DeriveTo(&ev.draw, s.Seed, 0xe7a1)
+	ev := Evaluator{accs: accs, ns: ns, consensus: consensus, global: global, mean: mean}
 	if k := s.EvalSubsample; k > 0 && k < s.Test.Len() {
-		ev.xs, ev.ys, ev.perm = make([]tensor.Vector, k), make([]int, k), make([]int, s.Test.Len())
+		var draw rng.RNG
+		rng.DeriveTo(&draw, s.Seed, 0xe7a1)
+		perm := make([]int, s.Test.Len())
+		draw.PermTo(perm)
+		ev.xs, ev.ys = make([]tensor.Vector, k), make([]int, k)
+		for i, j := range perm[:k] {
+			ev.xs[i], ev.ys[i] = s.Test.Samples[j].X, s.Test.Samples[j].Y
+		}
 	} else {
 		ev.xs, ev.ys = s.Test.Inputs(), s.Test.Labels()
 	}
@@ -235,14 +241,8 @@ func (ev *Evaluator) FleetMean() tensor.Vector {
 	return ev.mean
 }
 
-// Evaluate draws this evaluation's samples (rng.Perm's draws) and scores.
+// Evaluate scores every node and, when asked for, the fleet mean.
 func (ev *Evaluator) Evaluate() Score {
-	if ev.perm != nil {
-		ev.draw.PermTo(ev.perm)
-		for i, j := range ev.perm[:len(ev.xs)] {
-			ev.xs[i], ev.ys[i] = ev.test.Samples[j].X, ev.test.Samples[j].Y
-		}
-	}
 	par.ForOn(len(ev.accs), 0, ev, (*Evaluator).scoreNode)
 	var sc Score
 	sc.Mean, sc.Std = metrics.MeanStd(ev.accs)

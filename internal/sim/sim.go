@@ -76,9 +76,11 @@ type Config struct {
 	Partition dataset.Partition
 	Test      *dataset.Dataset
 
-	// Evaluation cadence: evaluate after every EvalEvery rounds (and always
-	// after the final round). 0 means final-round only. EvalSubsample
-	// bounds the number of test samples per evaluation (0 = all).
+	// Evaluation cadence: evaluate after every EvalEvery rounds, and always
+	// after each of the last core.Window(Algo.Schedule) rounds, the window a
+	// readout averages (the final round only without sync rounds). 0 means
+	// the window only. EvalSubsample bounds the test samples every
+	// evaluation scores, one sample drawn at set-up (0 = all).
 	EvalEvery     int
 	EvalSubsample int
 	// EvalGlobalModel also evaluates the average of all node models (the
@@ -573,6 +575,7 @@ func Run(c Config) (*Result, error) {
 	}
 
 	r.ctx = core.RoundContext{Horizon: cfg.Rounds, Schedule: cfg.Algo.Schedule}
+	window := core.Window(cfg.Algo.Schedule)
 	if cfg.Harvest != nil {
 		r.ctx.Battery = cfg.Harvest
 	}
@@ -693,7 +696,7 @@ func Run(c Config) (*Result, error) {
 		}
 
 		// Phase 3: evaluation.
-		if shouldEval(t, cfg.Rounds, cfg.EvalEvery) {
+		if t >= cfg.Rounds-window || (cfg.EvalEvery > 0 && (t+1)%cfg.EvalEvery == 0) {
 			probe.PhaseStart(obs.PhaseEval)
 			sc := r.eval.Evaluate()
 			m.Evaluated, m.MeanAcc, m.StdAcc, m.Consensus, m.GlobalAcc = true, sc.Mean, sc.Std, sc.Consensus, sc.Global
@@ -776,10 +779,6 @@ func buildManifest(cfg *Config, spec *learner.Spec, paramCount int) obs.RunManif
 		b.Set("rejoin", cfg.Rejoin.Name())
 	}
 	return b.Build()
-}
-
-func shouldEval(t, rounds, every int) bool {
-	return t == rounds-1 || (every > 0 && (t+1)%every == 0)
 }
 
 // sum adds vs in index order: the Eq. 3 totals are summed node by node.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/harvest/difftest"
 	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 // testConfig builds a small but non-trivial experiment: 8 nodes on a
@@ -312,6 +314,42 @@ func TestEvalEverySemantics(t *testing.T) {
 	if len(res2.Evaluations()) != 1 || res2.Evaluations()[0].Round != cfg2.Rounds-1 {
 		t.Fatal("EvalEvery=0 should evaluate only the final round")
 	}
+	// A schedule with sync rounds also evaluates its last full period, the
+	// readout's window, whatever EvalEvery is.
+	cfg3 := testConfig(t, 13)
+	cfg3.Rounds, cfg3.EvalEvery, cfg3.Algo = 10, 0, core.SkipTrain(core.Gamma{GammaTrain: 1, GammaSync: 3})
+	res3, _ := Run(cfg3)
+	rounds = rounds[:0]
+	for _, m := range res3.Evaluations() {
+		rounds = append(rounds, m.Round)
+	}
+	if !slices.Equal(rounds, []int{6, 7, 8, 9}) {
+		t.Fatalf("Γ = (1,3), EvalEvery 0: evaluated rounds %v, want the last period 6-9", rounds)
+	}
+}
+
+// TestEvaluationsLeaveRunUnchanged: with a subsample below the test split,
+// a run evaluated every round reports the same final scores as one
+// evaluated only at the end — every evaluation scores one sample drawn at
+// set-up, so how often a run is observed does not change what it reports.
+func TestEvaluationsLeaveRunUnchanged(t *testing.T) {
+	run := func(every int) *Result {
+		cfg := testConfig(t, 19)
+		cfg.EvalEvery, cfg.EvalSubsample, cfg.EvalGlobalModel = every, 40, true
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	once, every := run(0), run(1)
+	if len(once.Evaluations()) != 1 || len(every.Evaluations()) != once.History[len(once.History)-1].Round+1 {
+		t.Fatalf("%d and %d evaluations", len(once.Evaluations()), len(every.Evaluations()))
+	}
+	if once.FinalMeanAcc != every.FinalMeanAcc || once.FinalGlobalAcc != every.FinalGlobalAcc || !slices.Equal(once.FinalNodeAccs, every.FinalNodeAccs) {
+		t.Fatalf("evaluated once: mean %v, averaged model %v, nodes %v; every round: %v, %v, %v",
+			once.FinalMeanAcc, once.FinalGlobalAcc, once.FinalNodeAccs, every.FinalMeanAcc, every.FinalGlobalAcc, every.FinalNodeAccs)
+	}
 }
 
 func TestEvalSubsample(t *testing.T) {
@@ -463,6 +501,57 @@ func TestMeanModelPreservationProperty(t *testing.T) {
 	}
 	if a, b := run(1), run(5); a != b {
 		t.Fatalf("mean model changed across sync rounds: %.6f vs %.6f", a, b)
+	}
+}
+
+// TestSyncRoundLeavesFleetMeanUnchanged is why the readout averages node
+// accuracies and not the averaged model's: on a static graph, one sync
+// round moves the fleet mean by no more than its rounding. Each coordinate
+// c is held to γ(n+2d+4)·(Σ|x_i[c]| + Σ|x'_i[c]|)/n, γ(m) = m·u/(1−m·u)
+// and u = 2⁻⁵³, summed from the mix kernel's dot product of d+1 operands
+// (γ(d+1)), the Metropolis weights' column sums (1 − Σ of d weights, within
+// γ(d+1) of 1) and the two fleet means of n operands each (γ(n+1) apiece).
+// A training round moves the mean past that bound.
+func TestSyncRoundLeavesFleetMeanUnchanged(t *testing.T) {
+	run := func(rounds int) (models []tensor.Vector, mean tensor.Vector) {
+		cfg := testConfig(t, 20)
+		cfg.Rounds, cfg.Algo, cfg.EvalGlobalModel = rounds, core.SkipTrain(core.Gamma{GammaTrain: 2, GammaSync: 2}), true
+		cfg.seeModels = func(ms []tensor.Vector) { models = ms }
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return models, res.FinalGlobalParams
+	}
+	// worst is the largest move of a coordinate of the fleet mean between
+	// rounds-1 and rounds rounds, in units of its rounding bound.
+	worst := func(rounds int) (w float64) {
+		x, m := run(rounds - 1)
+		x2, m2 := run(rounds)
+		nodes, deg := float64(len(x)), 4.0 // testConfig's graph is 4-regular
+		const u = 0x1p-53
+		k := nodes + 2*deg + 4
+		gamma := k * u / (1 - k*u)
+		for c := range m {
+			abs := 0.0
+			for i := range x {
+				abs += math.Abs(x[i][c]) + math.Abs(x2[i][c])
+			}
+			w = max(w, math.Abs(m2[c]-m[c])/(gamma*abs/nodes))
+		}
+		return w
+	}
+	for _, rounds := range []int{3, 4} { // rounds 2 and 3 are Γ = (2,2)'s sync rounds
+		w := worst(rounds)
+		t.Logf("sync round %d: the fleet mean moved at most %.3g of its rounding bound", rounds-1, w)
+		if w > 1 {
+			t.Errorf("sync round %d moved the fleet mean %.3g times its rounding bound", rounds-1, w)
+		}
+	}
+	if w := worst(2); w <= 1 { // round 1 trains
+		t.Errorf("a training round moved the fleet mean only %.3g of the rounding bound", w)
+	} else {
+		t.Logf("training round 1: the fleet mean moved %.3g times the rounding bound", w)
 	}
 }
 

@@ -2,6 +2,11 @@
 // intermittently-powered fleet: per-node batteries, an ambient harvest
 // trace, and a charge-aware participation policy (internal/harvest).
 //
+// A single run, on either engine, is built by experiments' world, as every
+// table's run is; the flags add the trace, fleet shape, policy and
+// forecaster, and the final line prints the readout and the averaged
+// model's column, what a table row reports for the run.
+//
 // The default configuration is a 96-node diurnal fleet spread over all
 // longitudes — the sun sweeps around the globe and nodes train in waves —
 // but every piece is under flag control. harvestsim -h lists the traces,
@@ -73,16 +78,12 @@ import (
 	"repro/internal/async"
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/harvest"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/report"
-	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -427,13 +428,11 @@ func (c *config) buildTrace(nodes int, seed uint64, meanTrainWh float64) (harves
 	return nil, fmt.Errorf("unknown trace %q", c.trace)
 }
 
-// world is what a single run trains on, on either engine.
+// world is what a single run trains on, on either engine: experiments'
+// world, the one every table's run is built by, and what the flags add to
+// it.
 type world struct {
-	graph      *graph.Graph
-	part       dataset.Partition
-	test       *dataset.Dataset
-	devices    []energy.Device
-	workload   energy.Workload
+	*experiments.World
 	trace      harvest.Trace
 	fleet      harvest.Options
 	policy     core.Policy
@@ -444,20 +443,14 @@ type world struct {
 }
 
 func (c *config) buildWorld() (*world, error) {
-	g, err := graph.Regular(c.nodes, c.degree, c.seed)
+	o := experiments.Options{Nodes: c.nodes, Rounds: c.rounds, LR: c.lr, BatchSize: c.batch, LocalSteps: c.steps}.Defaults()
+	o.Seed, o.EvalEvery = c.seed, c.evalInt // Defaults reads 0 as 42 and 8; a single run keeps 0
+	ew, err := experiments.NewWorld(o, "cifar", c.degree)
 	if err != nil {
 		return nil, err
 	}
-	o := experiments.Options{Nodes: c.nodes}.Defaults()
-	o.Seed = c.seed // Defaults maps seed 0 to 42; -seed 0 is seed 0
-	part, _, test, err := experiments.CIFARLikeData(o)
-	if err != nil {
-		return nil, err
-	}
-	w := &world{graph: g, part: part, test: test,
-		devices: energy.AssignDevices(c.nodes, energy.Devices()), workload: energy.CIFAR10Workload()}
-	meanTrainWh := energy.NetworkRoundWh(c.nodes, energy.Devices(), w.workload) / float64(c.nodes)
-	if w.trace, err = c.buildTrace(c.nodes, c.seed, meanTrainWh); err != nil {
+	w := &world{World: ew}
+	if w.trace, err = c.buildTrace(c.nodes, c.seed, ew.MeanTrainWh); err != nil {
 		return nil, err
 	}
 	w.fleet = harvest.Options{
@@ -466,7 +459,7 @@ func (c *config) buildWorld() (*world, error) {
 		// Options treats InitialSoC 0 as "unset"; the flag's 0 means empty.
 		StartEmpty: c.initSoC == 0,
 		CutoffSoC:  c.cutoff,
-		IdleWh:     c.idle * meanTrainWh,
+		IdleWh:     c.idle * ew.MeanTrainWh,
 	}
 	spec := policies[c.policy] // the flag table refuses unknown names
 	if w.policy, err = spec.build(c); err != nil {
@@ -498,47 +491,33 @@ func (c *config) buildWorld() (*world, error) {
 	return w, err
 }
 
-// cifarModel is the model every node of a single run trains.
-func cifarModel(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(32, 10, r) }
-
 // runRound runs one simulation on the round engine.
 func (c *config) runRound(stdout io.Writer, probe *obs.Probe) error {
 	w, err := c.buildWorld()
 	if err != nil {
 		return err
 	}
-	fleet, err := harvest.NewFleet(w.devices, w.workload, w.trace, w.fleet)
+	cfg, err := w.Config(core.Algorithm{Label: "harvest-" + w.policy.Name(), Schedule: w.schedule, Policy: w.policy})
 	if err != nil {
+		return err
+	}
+	if cfg.Harvest, err = harvest.NewFleet(cfg.Devices, cfg.Workload, w.trace, w.fleet); err != nil {
 		return err
 	}
 	// A rejoin rule only makes sense when dead nodes freeze, i.e. under
 	// -dropdead, and the flag table has checked its name.
-	var rule sim.RejoinRule
 	if c.rejoin != "" {
-		if rule, err = sim.RuleByName(c.rejoin); err != nil {
+		if cfg.Rejoin, err = sim.RuleByName(c.rejoin); err != nil {
 			return err
 		}
 	}
-
-	res, err := sim.Run(sim.Config{
-		Graph: w.graph, Weights: graph.Metropolis(w.graph),
-		Algo:         core.Algorithm{Label: "harvest-" + w.policy.Name(), Schedule: w.schedule, Policy: w.policy},
-		Rounds:       c.rounds,
-		ModelFactory: cifarModel,
-		LR:           c.lr, BatchSize: c.batch, LocalSteps: c.steps,
-		Partition: w.part, Test: w.test,
-		EvalEvery: c.evalInt, EvalSubsample: 320,
-		Devices: w.devices, Workload: w.workload,
-		Harvest:  fleet,
-		Forecast: w.forecaster, ForecastHorizon: w.fhorizon,
-		DropDeadNodes: c.dropDead,
-		Rejoin:        rule,
-		Probe:         probe,
-		Seed:          c.seed,
-	})
+	cfg.Forecast, cfg.ForecastHorizon = w.forecaster, w.fhorizon
+	cfg.DropDeadNodes, cfg.Probe = c.dropDead, probe
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}
+	fleet, rule := cfg.Harvest, cfg.Rejoin
 
 	commModel := "route-through-dead"
 	if c.dropDead {
@@ -584,7 +563,7 @@ func (c *config) runRound(stdout io.Writer, probe *obs.Probe) error {
 	}
 	for i := 0; i < c.nodes; i++ {
 		tb.AddRowf("%d|%s|%s|%d|%.1f|%.1f|%.3f|%.3f",
-			i, w.devices[i].Name, phaseCell(i), res.TrainedRounds[i],
+			i, cfg.Devices[i].Name, phaseCell(i), res.TrainedRounds[i],
 			100*float64(res.TrainedRounds[i])/float64(trainSlots),
 			100*res.FinalSoC[i], 1000*fleet.NodeHarvestedWh(i), 1000*fleet.NodeConsumedWh(i))
 	}
@@ -594,8 +573,8 @@ func (c *config) runRound(stdout io.Writer, probe *obs.Probe) error {
 	for _, tr := range res.TrainedRounds {
 		trained += tr
 	}
-	fmt.Fprintf(stdout, "\nfinal: %.2f%% ± %.2f | participation %.1f%% | harvested %.4f Wh, consumed %.4f Wh, wasted %.4f Wh",
-		res.FinalMeanAcc*100, res.FinalStdAcc*100,
+	fmt.Fprintf(stdout, "\nfinal: %.2f%% | avg model %s | participation %.1f%% | harvested %.4f Wh, consumed %.4f Wh, wasted %.4f Wh",
+		experiments.Readout(res, w.schedule), experiments.ModelColumnOf(res),
 		100*float64(trained)/float64(c.nodes*trainSlots),
 		res.TotalHarvestWh, fleet.ConsumedWh(), fleet.WastedWh())
 	if c.dropDead {
@@ -621,31 +600,18 @@ func (c *config) runAsync(stdout io.Writer, probe *obs.Probe) error {
 	if err != nil {
 		return err
 	}
-	roundSec := energy.MeanTrainRoundSeconds(w.devices, w.workload)
-	horizon := float64(c.rounds) * roundSec
-	res, err := async.Run(async.Config{
-		Graph:        w.graph,
-		Algo:         core.Algorithm{Label: "async-harvest-" + w.policy.Name(), Schedule: w.schedule, Policy: w.policy},
-		Horizon:      horizon,
-		ModelFactory: cifarModel,
-		LR:           c.lr, BatchSize: c.batch, LocalSteps: c.steps,
-		Partition: w.part, Test: w.test,
-		Devices: w.devices, Workload: w.workload,
-		Trace:        w.trace,
-		FleetOptions: w.fleet,
-		RoundSeconds: roundSec,
-		Forecast:     w.forecaster, ForecastHorizon: w.fhorizon,
-		EvalEverySeconds: float64(c.evalInt) * roundSec,
-		EvalSubsample:    320,
-		Probe:            probe,
-		Seed:             c.seed,
-	})
+	cfg, err := w.AsyncConfig(core.Algorithm{Label: "async-harvest-" + w.policy.Name(), Schedule: w.schedule, Policy: w.policy}, w.trace, w.fleet)
+	if err != nil {
+		return err
+	}
+	cfg.Forecast, cfg.ForecastHorizon, cfg.Probe = w.forecaster, w.fhorizon, probe
+	res, err := async.Run(cfg)
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintf(stdout, "event-driven harvest fleet: %d nodes, %d-regular, horizon %.0fs (%d trace rounds of %.2fs) | trace %s | policy %s | capacity %g rounds\n",
-		c.nodes, c.degree, horizon, c.rounds, roundSec, w.trace.Name(), w.policyName, c.capacity)
+		c.nodes, c.degree, cfg.Horizon, c.rounds, cfg.RoundSeconds, w.trace.Name(), w.policyName, c.capacity)
 
 	var curve []float64
 	tb := report.NewTable("evaluations",
@@ -663,8 +629,8 @@ func (c *config) runAsync(stdout io.Writer, probe *obs.Probe) error {
 		steps += res.StepsPerNode[i]
 		trained += res.TrainedSteps[i]
 	}
-	fmt.Fprintf(stdout, "final: %.2f%% ± %.2f | %d steps (%d trained), %d gossips (%d dropped) | %d brown-outs, %.1f%% node-time down | harvested %.4f Wh, consumed %.4f Wh, wasted %.4f Wh\n",
-		res.FinalMeanAcc*100, res.FinalStdAcc*100, steps, trained,
+	fmt.Fprintf(stdout, "final: %.2f%% | avg model %s | %d steps (%d trained), %d gossips (%d dropped) | %d brown-outs, %.1f%% node-time down | harvested %.4f Wh, consumed %.4f Wh, wasted %.4f Wh\n",
+		experiments.Readout(res, w.schedule), experiments.ModelColumnOf(res), steps, trained,
 		res.GossipsSent, res.DroppedGossips,
 		res.Brownouts, 100*res.BrownoutShare,
 		res.HarvestedWh, res.ConsumedWh, res.WastedWh)

@@ -1,6 +1,9 @@
 // Command skiptrain runs a single decentralized-learning experiment from
 // flags: any of the paper's five algorithms on either dataset stand-in,
-// with the topology, schedule, and scale under CLI control.
+// with the topology, schedule, and scale under CLI control. A single run
+// is built by experiments' world, as every table's run is, and its final
+// line prints what a table row reports for it: the readout and the
+// averaged model's column.
 //
 // Examples:
 //
@@ -25,13 +28,10 @@ import (
 	"repro/internal/async"
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/graph"
-	"repro/internal/nn"
+	"repro/internal/harvest"
 	"repro/internal/report"
-	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -155,48 +155,18 @@ func (c *config) runExperiment(stdout io.Writer) error {
 	}
 }
 
-// run runs -exp, or else one algorithm on one dataset and topology.
+// run runs -exp, or else one algorithm on one dataset and topology, built
+// by experiments' world like every table's run.
 func (c *config) run(stdout io.Writer) error {
 	if c.exp != "" {
 		return c.runExperiment(stdout)
 	}
-	g, err := graph.Regular(c.nodes, c.degree, c.seed)
+	o := experiments.Options{Nodes: c.nodes, Rounds: c.rounds, LR: c.lr, BatchSize: c.batch, LocalSteps: c.steps}.Defaults()
+	o.Seed, o.EvalEvery = c.seed, c.evalInt // Defaults reads 0 as 42 and 8; a single run keeps 0
+	w, err := experiments.NewWorld(o, c.dataset, c.degree)
 	if err != nil {
 		return err
 	}
-
-	var part dataset.Partition
-	var test *dataset.Dataset
-	var classes int
-	var workload energy.Workload
-	var fraction float64
-	var paperRounds int
-	switch c.dataset {
-	case "cifar":
-		o := experiments.Options{Nodes: c.nodes}.Defaults()
-		o.Seed = c.seed // Defaults maps seed 0 to 42; -seed 0 is seed 0
-		if part, _, test, err = experiments.CIFARLikeData(o); err != nil {
-			return err
-		}
-		classes, workload, fraction, paperRounds = 10, energy.CIFAR10Workload(), 0.10, experiments.PaperRoundsCIFAR
-	case "femnist":
-		cfg := dataset.FEMNISTWriters(c.seed)
-		cfg.Writers = c.nodes + c.nodes/4
-		cfg.Noise = 2.5
-		writers, testAll, err := dataset.GenerateWriters(cfg)
-		if err != nil {
-			return err
-		}
-		part, err = dataset.WriterPartition(writers, c.nodes)
-		if err != nil {
-			return err
-		}
-		_, test = testAll.Split(testAll.Len() / 2)
-		classes, workload, fraction, paperRounds = 62, energy.FEMNISTWorkload(), 0.50, experiments.PaperRoundsFEMNIST
-	default:
-		return fmt.Errorf("unknown dataset %q", c.dataset)
-	}
-
 	gamma := experiments.GammaForDegree(c.degree)
 	if c.gt > 0 {
 		gamma.GammaTrain = c.gt
@@ -204,10 +174,6 @@ func (c *config) run(stdout io.Writer) error {
 	if c.gs >= 0 {
 		gamma.GammaSync = c.gs
 	}
-	budgets := func() []int {
-		return experiments.ScaledBudgets(c.nodes, c.rounds, paperRounds, workload, fraction)
-	}
-	model := func(node int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(32, classes, r) }
 
 	var a core.Algorithm
 	switch c.algo {
@@ -216,34 +182,23 @@ func (c *config) run(stdout io.Writer) error {
 	case "skiptrain":
 		a = core.SkipTrain(gamma)
 	case "constrained":
-		a = core.SkipTrainConstrained(gamma, c.rounds, budgets())
+		a = core.SkipTrainConstrained(gamma, c.rounds, w.Budgets())
 	case "greedy":
-		a = core.Greedy(budgets())
+		a = core.Greedy(w.Budgets())
 	case "allreduce":
 		a = core.AllReduce()
-	case "async", "async-skiptrain":
-		inner := core.DPSGD()
-		if c.algo == "async-skiptrain" {
-			inner = core.SkipTrain(gamma)
-		}
-		return c.runAsync(stdout, inner, g, part, test, model, workload)
+	case "async":
+		return c.runAsync(stdout, w, core.DPSGD())
+	case "async-skiptrain":
+		return c.runAsync(stdout, w, core.SkipTrain(gamma))
 	default:
 		return fmt.Errorf("unknown algorithm %q", c.algo)
 	}
-
-	res, err := sim.Run(sim.Config{
-		Graph: g, Weights: graph.Metropolis(g),
-		Algo:         a,
-		Rounds:       c.rounds,
-		ModelFactory: model,
-		LR:           c.lr, BatchSize: c.batch, LocalSteps: c.steps,
-		Partition: part, Test: test,
-		EvalEvery: c.evalInt, EvalSubsample: 320,
-		EvalGlobalModel: c.algo == "allreduce",
-		Devices:         energy.AssignDevices(c.nodes, energy.Devices()),
-		Workload:        workload,
-		Seed:            c.seed,
-	})
+	cfg, err := w.Config(a)
+	if err != nil {
+		return err
+	}
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}
@@ -259,49 +214,38 @@ func (c *config) run(stdout io.Writer) error {
 	}
 	tb.Render(stdout)
 	fmt.Fprintf(stdout, "accuracy trend: %s\n", report.Sparkline(curve))
-	fmt.Fprintf(stdout, "final: %.2f%% ± %.2f | train %.4f Wh, comm %.5f Wh (sim scale)\n",
-		res.FinalMeanAcc*100, res.FinalStdAcc*100, res.TotalTrainWh, res.TotalCommWh)
+	fmt.Fprintf(stdout, "final: %.2f%% | avg model %s | train %.4f Wh, comm %.5f Wh (sim scale)\n",
+		experiments.Readout(res, a.Schedule), experiments.ModelColumnOf(res), res.TotalTrainWh, res.TotalCommWh)
 	return nil
 }
 
-// runAsync executes the experiment on the asynchronous engine (the paper's
-// Section 5.3 future-work extension): rounds are reinterpreted as the
-// per-node step budget, and the horizon is sized so the slowest device can
-// finish them.
-func (c *config) runAsync(stdout io.Writer, a core.Algorithm, g *graph.Graph, part dataset.Partition,
-	test *dataset.Dataset, model func(int, *rng.RNG) *nn.Network, workload energy.Workload) error {
-	devices := energy.AssignDevices(g.N, energy.Devices())
-	slowest := 0.0
-	for _, d := range devices {
-		if s := d.TrainRoundSeconds(workload); s > slowest {
-			slowest = s
-		}
+// runAsync runs a on the asynchronous engine (the paper's Section 5.3
+// future-work extension): rounds are reinterpreted as the per-node step
+// budget, and the horizon is sized so the slowest device can finish them.
+func (c *config) runAsync(stdout io.Writer, w *experiments.World, a core.Algorithm) error {
+	cfg, err := w.AsyncConfig(a, nil, harvest.Options{})
+	if err != nil {
+		return err
 	}
-	res, err := async.Run(async.Config{
-		Graph:        g,
-		Algo:         a,
-		Horizon:      slowest * float64(c.rounds) * 1.2,
-		StepsPerNode: c.rounds,
-		ModelFactory: model,
-		LR:           c.lr, BatchSize: c.batch, LocalSteps: c.steps,
-		Partition: part, Test: test,
-		Devices: devices, Workload: workload,
-		EvalEverySeconds: slowest * float64(c.rounds) / 8,
-		EvalSubsample:    320,
-		Seed:             c.seed,
-	})
+	slowest := 0.0
+	for _, d := range cfg.Devices {
+		slowest = max(slowest, d.TrainRoundSeconds(cfg.Workload))
+	}
+	cfg.Horizon, cfg.StepsPerNode = slowest*float64(c.rounds)*1.2, c.rounds
+	cfg.EvalEverySeconds = slowest * float64(c.rounds) / 8
+	res, err := async.Run(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "asynchronous %s on %s-like data: %d nodes, virtual horizon %.0fs\n",
-		a.Label, c.dataset, g.N, slowest*float64(c.rounds)*1.2)
+		a.Label, c.dataset, c.nodes, cfg.Horizon)
 	tb := report.NewTable("", "virtual time s", "mean acc %", "std %", "steps", "train Wh")
 	for _, s := range res.History {
 		tb.AddRowf("%.0f|%.2f|%.2f|%d|%.4f",
 			s.Time, s.MeanAcc*100, s.StdAcc*100, s.StepsTotal, s.TrainWh)
 	}
 	tb.Render(stdout)
-	fmt.Fprintf(stdout, "final: %.2f%% ± %.2f | %d gossip messages | %.4f Wh\n",
-		res.FinalMeanAcc*100, res.FinalStdAcc*100, res.GossipsSent, res.TotalTrainWh)
+	fmt.Fprintf(stdout, "final: %.2f%% | avg model %s | %d gossip messages | %.4f Wh\n",
+		experiments.Readout(res, a.Schedule), experiments.ModelColumnOf(res), res.GossipsSent, res.TotalTrainWh)
 	return nil
 }

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/cli/clitest"
+	"repro/internal/experiments"
 )
 
 // TestGolden pins stdout byte for byte for every algorithm, both datasets,
@@ -23,6 +25,25 @@ func TestGolden(t *testing.T) {
 		"seed0":           {"-seed", "0"},
 	} {
 		clitest.Golden(t, run, name, append(args, tiny...)...)
+	}
+}
+
+// TestSingleRunIsATableCell: a single run is built by the world every
+// table's run is, and its final line prints what a table row reports for
+// it — the readout and the averaged-model column — here Figure 5's CIFAR
+// arms at the same Options. The final line once printed the nodes' mean
+// accuracy at T, 55.86% where the table read 55.08%.
+func TestSingleRunIsATableCell(t *testing.T) {
+	f5, err := experiments.Figure5(experiments.Options{Nodes: 8, Rounds: 8}, []int{6}, []string{"cifar"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for algo, arm := range map[string]string{"skiptrain": "SkipTrain", "dpsgd": "D-PSGD"} {
+		a := f5.Arm(arm, "cifar", 6)
+		want := fmt.Sprintf("final: %.2f%% | avg model %s | ", a.FinalAcc, a.Model)
+		if code, out := clitest.Exec(t, run, "-algo", algo, "-nodes", "8", "-rounds", "8"); code != 0 || !strings.Contains(out, "\n"+want) {
+			t.Errorf("-algo %s: exit %d, no line starting %q (Figure 5's %s arm) in:\n%s", algo, code, want, arm, out)
+		}
 	}
 }
 

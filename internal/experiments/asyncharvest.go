@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/harvest"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -64,7 +63,7 @@ func TableAsyncHarvest(o Options) ([]AsyncHarvestRow, error) {
 // physical dead-node model (dropped edges), the closest analogue of the
 // event engine's dropped gossips; the async leg's horizon spans the same
 // o.Rounds trace rounds at the fleet-mean step duration.
-func asyncHarvestLeg(w *world, regime GammaRegime, leg string) (AsyncHarvestRow, error) {
+func asyncHarvestLeg(w *World, regime GammaRegime, leg string) (AsyncHarvestRow, error) {
 	fail := func(err error) (AsyncHarvestRow, error) {
 		return AsyncHarvestRow{}, fmt.Errorf("experiments: async-harvest %s/%s: %w", leg, regime.Name, err)
 	}
@@ -72,13 +71,14 @@ func asyncHarvestLeg(w *world, regime GammaRegime, leg string) (AsyncHarvestRow,
 	if err != nil {
 		return fail(err)
 	}
-	cfg, err := w.config(core.Algorithm{Label: leg + "/" + regime.Name, Schedule: core.AllTrain{}, Policy: policy})
-	if err != nil {
-		return fail(err)
-	}
-	fleetOptions := brownoutFleetOptions(w.meanTrainWh)
+	algo := core.Algorithm{Label: leg + "/" + regime.Name, Schedule: core.AllTrain{}, Policy: policy}
+	fleetOptions := brownoutFleetOptions(w.MeanTrainWh)
 	if leg == "sync" {
-		if _, err := w.fleet(&cfg, regime, fleetOptions); err != nil {
+		cfg, err := w.Config(algo)
+		if err == nil {
+			_, err = w.fleet(&cfg, regime, fleetOptions)
+		}
+		if err != nil {
 			return fail(err)
 		}
 		cfg.DropDeadNodes = true
@@ -90,8 +90,8 @@ func asyncHarvestLeg(w *world, regime GammaRegime, leg string) (AsyncHarvestRow,
 		return AsyncHarvestRow{
 			Regime:        regime.Name,
 			Engine:        "sync-round",
-			FinalAcc:      readout(res, cfg.Algo.Schedule),
-			Model:         modelColumn(res),
+			FinalAcc:      Readout(res, algo.Schedule),
+			Model:         ModelColumnOf(res),
 			Steps:         w.o.Nodes * w.o.Rounds,
 			Trained:       t.trained,
 			BrownoutShare: t.deadShare,
@@ -99,26 +99,15 @@ func asyncHarvestLeg(w *world, regime GammaRegime, leg string) (AsyncHarvestRow,
 			ConsumedWh:    cfg.Harvest.ConsumedWh(),
 		}, nil
 	}
-	trace, err := regime.Trace(w.o, w.meanTrainWh)
+	trace, err := regime.Trace(w.o, w.MeanTrainWh)
 	if err != nil {
 		return fail(err)
 	}
-	meanStepSec := energy.MeanTrainRoundSeconds(cfg.Devices, cfg.Workload)
-	res, err := async.Run(async.Config{
-		Graph:        cfg.Graph,
-		Algo:         cfg.Algo,
-		Horizon:      float64(cfg.Rounds) * meanStepSec,
-		ModelFactory: cfg.ModelFactory,
-		LR:           cfg.LR, BatchSize: cfg.BatchSize, LocalSteps: cfg.LocalSteps,
-		Partition: cfg.Partition, Test: cfg.Test,
-		Devices: cfg.Devices, Workload: cfg.Workload,
-		Trace:            trace,
-		FleetOptions:     fleetOptions,
-		RoundSeconds:     meanStepSec,
-		EvalEverySeconds: float64(cfg.EvalEvery) * meanStepSec,
-		EvalSubsample:    cfg.EvalSubsample,
-		Seed:             cfg.Seed,
-	})
+	cfg, err := w.AsyncConfig(algo, trace, fleetOptions)
+	if err != nil {
+		return fail(err)
+	}
+	res, err := async.Run(cfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -130,8 +119,8 @@ func asyncHarvestLeg(w *world, regime GammaRegime, leg string) (AsyncHarvestRow,
 	return AsyncHarvestRow{
 		Regime:        regime.Name,
 		Engine:        "async-event",
-		FinalAcc:      readout(res, cfg.Algo.Schedule),
-		Model:         modelColumn(res),
+		FinalAcc:      Readout(res, algo.Schedule),
+		Model:         ModelColumnOf(res),
 		Steps:         steps,
 		Trained:       trained,
 		BrownoutShare: 100 * res.BrownoutShare,

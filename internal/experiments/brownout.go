@@ -53,7 +53,7 @@ func brownoutFleetOptions(meanTrainWh float64) harvest.Options {
 // TableAsyncHarvest all run on it, so all compare over identical fleets:
 // diurnal/solar (regular, predictable outages sweeping the fleet) and
 // bursty Markov (irregular outages of random length).
-func brownoutGrid[R any](w *world, arms int, run func(regime GammaRegime, arm int) (R, error)) ([]R, error) {
+func brownoutGrid[R any](w *World, arms int, run func(regime GammaRegime, arm int) (R, error)) ([]R, error) {
 	regimes := []GammaRegime{diurnalRegime("diurnal", 1.2), markovRegime("markov", 1.4, 0.25, 0.35)}
 	return sweep.Grid(w.o.Sweep, len(regimes)*arms, nil, func(i int) (R, error) {
 		return run(regimes[i/arms], i%arms)
@@ -70,7 +70,7 @@ func TableBrownout(o Options) ([]BrownoutRow, error) {
 	modes := []string{"route-through-dead", "drop-and-renormalize"}
 	rows, err := brownoutGrid(w, len(modes), func(regime GammaRegime, arm int) (BrownoutRow, error) {
 		mode := modes[arm]
-		cfg, res, err := w.harvestRun(regime.Name+"/"+mode, regime, brownoutFleetOptions(w.meanTrainWh), func(cfg *sim.Config, _ harvest.Trace) (err error) {
+		cfg, res, err := w.harvestRun(regime.Name+"/"+mode, regime, brownoutFleetOptions(w.MeanTrainWh), func(cfg *sim.Config, _ harvest.Trace) (err error) {
 			cfg.DropDeadNodes = mode == "drop-and-renormalize"
 			cfg.Algo.Policy, err = harvest.NewSoCThreshold(0.35)
 			return err
@@ -90,8 +90,8 @@ func TableBrownout(o Options) ([]BrownoutRow, error) {
 		return BrownoutRow{
 			Regime:        regime.Name,
 			Mode:          mode,
-			FinalAcc:      readout(res, cfg.Algo.Schedule),
-			Model:         modelColumn(res),
+			FinalAcc:      Readout(res, cfg.Algo.Schedule),
+			Model:         ModelColumnOf(res),
 			Participation: tallyRun(cfg, res).participation,
 			MeanLivePct:   100 * liveSum / (nRounds * float64(o.Nodes)),
 			MinLive:       minLive,

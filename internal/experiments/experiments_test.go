@@ -228,7 +228,7 @@ func TestFigure6BudgetsRespectedPerNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	gr := res.Arm("Greedy", "cifar", 4)
-	budget := ScaledBudgets(o.Nodes, o.Rounds, PaperRoundsCIFAR, energy.CIFAR10Workload(), 0.10)
+	budget := scaledBudgets(o.Nodes, o.Rounds, PaperRoundsCIFAR, energy.CIFAR10Workload(), 0.10)
 	for i, tr := range gr.TrainedRounds {
 		if tr > budget[i] {
 			t.Fatalf("greedy node %d trained %d rounds with budget %d", i, tr, budget[i])
@@ -391,7 +391,7 @@ func TestGammaForDegreeMatchesSection43(t *testing.T) {
 }
 
 func TestScaledBudgetsProfile(t *testing.T) {
-	b := ScaledBudgets(8, 100, 1000, energy.CIFAR10Workload(), 0.10)
+	b := scaledBudgets(8, 100, 1000, energy.CIFAR10Workload(), 0.10)
 	// tau values 272,324,681,272 scaled by 100/1000 -> 27,32,68,27.
 	want := []int{27, 32, 68, 27, 27, 32, 68, 27}
 	for i, w := range want {
@@ -895,7 +895,7 @@ func TestEntryPointsRefuseNegativeNodes(t *testing.T) {
 		"TableHarvest":      func() error { _, err := TableHarvest(o); return err },
 		"TableRejoin":       func() error { _, err := TableRejoin(o); return err },
 		"RunGammaGrid":      func() error { _, err := RunGammaGrid(o, GammaGridRegimes(o)[0]); return err },
-		"CIFARLikeData":     func() error { _, _, _, err := CIFARLikeData(o.Defaults()); return err },
+		"cifarLikeData":     func() error { _, _, _, err := cifarLikeData(o.Defaults()); return err },
 	} {
 		func() {
 			defer func() {

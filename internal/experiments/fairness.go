@@ -29,11 +29,11 @@ func Section51Fairness(o Options) (*Section51Result, error) {
 	o = o.Defaults()
 	w := newWorld(o, cifar, PaperDegree)
 	algos := []core.Algorithm{
-		core.SkipTrainConstrained(GammaForDegree(6), o.Rounds, w.budgets()),
+		core.SkipTrainConstrained(GammaForDegree(6), o.Rounds, w.Budgets()),
 		core.DPSGD(),
 	}
 	reports, err := sweep.Grid(o.Sweep, len(algos), nil, func(i int) (*metrics.FairnessReport, error) {
-		cfg, err := w.config(algos[i])
+		cfg, err := w.Config(algos[i])
 		if err != nil {
 			return nil, err
 		}

@@ -35,7 +35,7 @@ func Figure1(o Options) (*Figure1Result, error) {
 	w := newWorld(o, cifar, PaperDegree)
 	algos := []core.Algorithm{core.DPSGD(), core.AllReduce()}
 	runs, err := sweep.Grid(o.Sweep, len(algos), nil, func(i int) (*sim.Result, error) {
-		cfg, err := w.config(algos[i])
+		cfg, err := w.Config(algos[i])
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +57,7 @@ func Figure1(o Options) (*Figure1Result, error) {
 		out.AllReduce.X = append(out.AllReduce.X, float64(m.Round+1))
 		out.AllReduce.Y = append(out.AllReduce.Y, 100*m.MeanAcc)
 	}
-	out.FinalGap = readout(aRes, algos[1].Schedule) - readout(dRes, algos[0].Schedule)
+	out.FinalGap = Readout(aRes, algos[1].Schedule) - Readout(dRes, algos[0].Schedule)
 
 	tb := report.NewTable("Figure 1: D-PSGD vs all-reduce (test accuracy %, 6-regular)",
 		"round", "D-PSGD", "All reduce")
@@ -168,7 +168,7 @@ func Figure3(o Options, degrees []int) (*Figure3Result, error) {
 			}
 			return Figure3Cell{
 				GammaTrain: gt, GammaSync: gs,
-				ValAcc:        readout(r, gamma),
+				ValAcc:        Readout(r, gamma),
 				PaperEnergyWh: paperEnergyWh(core.CountTrainRounds(gamma, PaperRoundsCIFAR), energy.CIFAR10Workload()),
 			}, nil
 		})
@@ -187,7 +187,7 @@ func Figure3(o Options, degrees []int) (*Figure3Result, error) {
 // figure3Keys are the keys of w's Figure 3 cells when o.Sweep can serve
 // them, zero otherwise. Their engine, "figure3cell", is their own: no
 // Figure 3 cell answers for a harvest grid's cell of the same Γ.
-func figure3Keys(w *world) (keys gammaKeys, err error) {
+func figure3Keys(w *World) (keys gammaKeys, err error) {
 	if w.o.Sweep != nil {
 		if err = w.buildTopology(); err == nil {
 			keys = gridKeys(tuningManifest(w.o, "figure3cell", "", w.graph.Fingerprint()))
@@ -241,7 +241,7 @@ func Figure4(o Options) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := newWorld(o, cifar, PaperDegree).config(core.SkipTrain(gamma))
+	cfg, err := newWorld(o, cifar, PaperDegree).Config(core.SkipTrain(gamma))
 	if err != nil {
 		return nil, err
 	}
@@ -337,8 +337,8 @@ func GammaForDegree(deg int) core.Gamma {
 func Figure5(o Options, degrees []int, datasets []string) (*Figure5Result, error) {
 	o = o.Defaults()
 	arms, err := armGrid(o, datasets, degrees, []namedAlgo{
-		{"D-PSGD", func(*world) core.Algorithm { return core.DPSGD() }},
-		{"SkipTrain", func(w *world) core.Algorithm { return core.SkipTrain(GammaForDegree(w.degree)) }},
+		{"D-PSGD", func(*World) core.Algorithm { return core.DPSGD() }},
+		{"SkipTrain", func(w *World) core.Algorithm { return core.SkipTrain(GammaForDegree(w.degree)) }},
 	}, figure5Arm)
 	if err != nil {
 		return nil, err
@@ -352,27 +352,26 @@ func Figure5(o Options, degrees []int, datasets []string) (*Figure5Result, error
 // figures and Tables 3 and 4 give it, built for a world.
 type namedAlgo struct {
 	name  string
-	build func(*world) core.Algorithm
+	build func(*World) core.Algorithm
 }
 
 // armGrid runs every algorithm on every (dataset, degree) world through
 // one fan-out and returns the arms dataset-major, then by degree, then by
 // algorithm. The worlds of a dataset share its data. No degrees means the
 // paper's 6, 8 and 10; no datasets means both.
-func armGrid[A any](o Options, datasets []string, degrees []int, algos []namedAlgo, arm func(*world, namedAlgo) (A, error)) ([]A, error) {
+func armGrid[A any](o Options, datasets []string, degrees []int, algos []namedAlgo, arm func(*World, namedAlgo) (A, error)) ([]A, error) {
 	if len(degrees) == 0 {
 		degrees = PaperDegrees()
 	}
 	if len(datasets) == 0 {
 		datasets = []string{cifar.name, femnist.name}
 	}
-	var worlds []*world
+	var worlds []*World
 	for _, name := range datasets {
-		ds, ok := datasetSpecs[name]
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown dataset %q", name)
+		base, err := NewWorld(o, name, degrees[0])
+		if err != nil {
+			return nil, err
 		}
-		base := newWorld(o, ds, degrees[0])
 		for _, deg := range degrees {
 			worlds = append(worlds, base.at(deg))
 		}
@@ -382,9 +381,9 @@ func armGrid[A any](o Options, datasets []string, degrees []int, algos []namedAl
 	})
 }
 
-func figure5Arm(w *world, a namedAlgo) (Figure5Arm, error) {
+func figure5Arm(w *World, a namedAlgo) (Figure5Arm, error) {
 	algo := a.build(w)
-	cfg, err := w.config(algo)
+	cfg, err := w.Config(algo)
 	if err != nil {
 		return Figure5Arm{}, err
 	}
@@ -392,7 +391,7 @@ func figure5Arm(w *world, a namedAlgo) (Figure5Arm, error) {
 	if err != nil {
 		return Figure5Arm{}, err
 	}
-	arm := Figure5Arm{Algo: a.name, Dataset: w.ds.name, Degree: w.degree, FinalAcc: readout(r, algo.Schedule), Model: modelColumn(r)}
+	arm := Figure5Arm{Algo: a.name, Dataset: w.ds.name, Degree: w.degree, FinalAcc: Readout(r, algo.Schedule), Model: ModelColumnOf(r)}
 	arm.AccVsRound.Label, arm.AccVsEnergy.Label = a.name, a.name
 	// Energy per scheduled train round at paper scale.
 	perRound := energy.NetworkRoundWh(PaperNodes, energy.Devices(), w.ds.workload)
@@ -427,9 +426,21 @@ func (r *Figure5Result) render(o Options) {
 	}
 	tb.Render(o.Out)
 	for _, a := range r.Arms {
-		fmt.Fprintf(o.Out, "%-8s d=%-2d %-22s %s\n", a.Dataset, a.Degree, a.Algo, report.Sparkline(a.AccVsRound.Y))
+		fmt.Fprintf(o.Out, "%-8s d=%-2d %-22s %s\n", a.Dataset, a.Degree, a.Algo, report.Sparkline(onCadence(o, a.AccVsRound)))
 	}
 	fmt.Fprintln(o.Out, periodNote(evalSamples(o, testSplit(o))))
+}
+
+// onCadence is s's accuracies at the rounds on the o.EvalEvery cadence and
+// at T: the readout's window rounds would crowd a sparkline at its end.
+func onCadence(o Options, s Series) []float64 {
+	var y []float64
+	for i, x := range s.X {
+		if r := int(x); r == o.Rounds || o.EvalEvery > 0 && r%o.EvalEvery == 0 {
+			y = append(y, s.Y[i])
+		}
+	}
+	return y
 }
 
 // Figure6Arm is one constrained-setting run.
@@ -460,10 +471,10 @@ func (r *Figure6Result) Arm(algo, ds string, degree int) *Figure6Arm {
 func Figure6(o Options, degrees []int, datasets []string) (*Figure6Result, error) {
 	o = o.Defaults()
 	arms, err := armGrid(o, datasets, degrees, []namedAlgo{
-		{"D-PSGD", func(*world) core.Algorithm { return core.DPSGD() }},
-		{"Greedy", func(w *world) core.Algorithm { return core.Greedy(w.budgets()) }},
-		{"SkipTrain-constrained", func(w *world) core.Algorithm {
-			return core.SkipTrainConstrained(GammaForDegree(w.degree), o.Rounds, w.budgets())
+		{"D-PSGD", func(*World) core.Algorithm { return core.DPSGD() }},
+		{"Greedy", func(w *World) core.Algorithm { return core.Greedy(w.Budgets()) }},
+		{"SkipTrain-constrained", func(w *World) core.Algorithm {
+			return core.SkipTrainConstrained(GammaForDegree(w.degree), o.Rounds, w.Budgets())
 		}},
 	}, figure6Arm)
 	if err != nil {
@@ -474,9 +485,9 @@ func Figure6(o Options, degrees []int, datasets []string) (*Figure6Result, error
 	return res, nil
 }
 
-func figure6Arm(w *world, a namedAlgo) (Figure6Arm, error) {
+func figure6Arm(w *World, a namedAlgo) (Figure6Arm, error) {
 	algo := a.build(w)
-	cfg, err := w.config(algo)
+	cfg, err := w.Config(algo)
 	if err != nil {
 		return Figure6Arm{}, err
 	}
@@ -487,8 +498,8 @@ func figure6Arm(w *world, a namedAlgo) (Figure6Arm, error) {
 	arm := Figure6Arm{
 		Algo: a.name, Dataset: w.ds.name, Degree: w.degree,
 		AccVsEnergy:   Series{Label: a.name},
-		FinalAcc:      readout(r, algo.Schedule),
-		Model:         modelColumn(r),
+		FinalAcc:      Readout(r, algo.Schedule),
+		Model:         ModelColumnOf(r),
 		TrainedRounds: r.TrainedRounds,
 	}
 	// Scale consumed energy to paper scale: each scaled train round
@@ -519,7 +530,7 @@ func (r *Figure6Result) render(o Options) {
 // CIFAR-like 2-shard partition and the FEMNIST-like writer partition.
 func Figure7(o Options) error {
 	o = o.Defaults()
-	cifarPart, _, _, err := CIFARLikeData(o)
+	cifarPart, _, _, err := cifarLikeData(o)
 	if err != nil {
 		return err
 	}

@@ -84,7 +84,7 @@ func TableForecast(o Options) ([]ForecastRow, error) {
 		// The fleet mirrors the brown-out world — supercap capacity, a
 		// real cutoff, always-on idle draw — so surviving the forecast
 		// trough is what the planner's lookahead is for.
-		cfg, res, err := w.harvestRun(regime.Name+"/"+arm.name, regime, brownoutFleetOptions(w.meanTrainWh), func(cfg *sim.Config, trace harvest.Trace) (err error) {
+		cfg, res, err := w.harvestRun(regime.Name+"/"+arm.name, regime, brownoutFleetOptions(w.MeanTrainWh), func(cfg *sim.Config, trace harvest.Trace) (err error) {
 			cfg.DropDeadNodes = true
 			if cfg.Algo.Policy, err = arm.policy(); err != nil || arm.forecaster == nil {
 				return err
@@ -106,8 +106,8 @@ func TableForecast(o Options) ([]ForecastRow, error) {
 			Policy:        arm.name,
 			Forecaster:    fname,
 			Horizon:       cfg.ForecastHorizon,
-			FinalAcc:      readout(res, cfg.Algo.Schedule),
-			Model:         modelColumn(res),
+			FinalAcc:      Readout(res, cfg.Algo.Schedule),
+			Model:         ModelColumnOf(res),
 			Participation: t.participation,
 			DeadShare:     t.deadShare,
 			WastedWh:      res.TotalWastedWh,

@@ -184,7 +184,7 @@ type GammaHarvestRow struct {
 // cache lookup needs; the world's topology and data are what only a
 // computing cell needs, each built by the first cell that does.
 type gammaGrid struct {
-	*world
+	*World
 	regimes []GammaRegime
 	id      *gridIdentity
 }
@@ -273,8 +273,8 @@ func RunGammaGrid(o Options, regime GammaRegime) (*GammaGridResult, error) {
 // for its fingerprint and kept for the cells, each regime's trace is
 // sampled once for its report name, a keyed grid derives its keys, and the
 // memo keeps the result — unless anything failed to build.
-func newGammaGrid(w *world, regimes []GammaRegime, memo *identityMemo) (*gammaGrid, error) {
-	g := &gammaGrid{world: w, regimes: regimes, id: memo.get(w.o, w.degree)}
+func newGammaGrid(w *World, regimes []GammaRegime, memo *identityMemo) (*gammaGrid, error) {
+	g := &gammaGrid{World: w, regimes: regimes, id: memo.get(w.o, w.degree)}
 	if g.id != nil {
 		return g, nil
 	}
@@ -283,7 +283,7 @@ func newGammaGrid(w *world, regimes []GammaRegime, memo *identityMemo) (*gammaGr
 	}
 	g.id = &gridIdentity{fingerprint: w.graph.Fingerprint(), regimes: make([]regimeIdentity, len(regimes))}
 	for ri, regime := range regimes {
-		sample, err := regime.Trace(w.o, w.meanTrainWh)
+		sample, err := regime.Trace(w.o, w.MeanTrainWh)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: gamma grid %s: %w", regime.Name, err)
 		}
@@ -420,7 +420,7 @@ func (g *gammaGrid) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, e
 	}
 	return GammaHarvestCell{
 		GammaTrain: gt, GammaSync: gs,
-		FinalAcc:      readout(res, gamma),
+		FinalAcc:      Readout(res, gamma),
 		Participation: tallyRun(cfg, res).participation,
 		HarvestedWh:   res.TotalHarvestWh,
 		ConsumedWh:    cfg.Harvest.ConsumedWh(),
@@ -451,7 +451,7 @@ func TableGammaHarvest(o Options) ([]GammaHarvestRow, error) {
 
 // gammaHarvest is TableGammaHarvest on w without the rendering — all the
 // sweep handlers, which have no reader, run, and they alone bring a memo.
-func gammaHarvest(w *world, memo *identityMemo) (grids []*GammaGridResult, rows []GammaHarvestRow, err error) {
+func gammaHarvest(w *World, memo *identityMemo) (grids []*GammaGridResult, rows []GammaHarvestRow, err error) {
 	regimes := gammaGridRegimes
 	g, err := newGammaGrid(w, regimes, memo)
 	if err != nil {

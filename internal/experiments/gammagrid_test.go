@@ -296,7 +296,7 @@ func TestGammaCellAllocsIndependentOfNodes(t *testing.T) {
 		if err := w.buildTopology(); err != nil {
 			t.Fatal(err)
 		}
-		return &gammaGrid{world: w, regimes: gammaGridRegimes}
+		return &gammaGrid{World: w, regimes: gammaGridRegimes}
 	}
 	small, large := grid(8), grid(300)
 	for _, regime := range gammaGridRegimes {

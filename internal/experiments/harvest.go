@@ -96,8 +96,8 @@ func TableHarvest(o Options) ([]HarvestRow, error) {
 			Scenario:       sc.regime.Name,
 			Trace:          fleet.TraceName(),
 			Policy:         cfg.Algo.Policy.Name(),
-			FinalAcc:       readout(res, cfg.Algo.Schedule),
-			Model:          modelColumn(res),
+			FinalAcc:       Readout(res, cfg.Algo.Schedule),
+			Model:          ModelColumnOf(res),
 			Participation:  tallyRun(cfg, res).participation,
 			MeanFinalSoC:   meanSoC,
 			Depleted:       res.History[len(res.History)-1].Depleted,

@@ -96,10 +96,9 @@ func (o Options) Defaults() Options {
 	return o
 }
 
-// CIFARLikeData builds the scaled CIFAR-10 stand-in: 10 classes, 2-shard
-// non-IID partition, IID validation/test halves. It reads o as given, so a
-// caller whose seed 0 means seed 0 sets Seed after Defaults.
-func CIFARLikeData(o Options) (part dataset.Partition, val, test *dataset.Dataset, err error) {
+// cifarLikeData builds the scaled CIFAR-10 stand-in: 10 classes, 2-shard
+// non-IID partition, IID validation/test halves.
+func cifarLikeData(o Options) (part dataset.Partition, val, test *dataset.Dataset, err error) {
 	cfg := dataset.SyntheticConfig{
 		Classes: 10,
 		Dim:     32,
@@ -148,11 +147,11 @@ func paperEnergyWh(trainRounds int, w energy.Workload) float64 {
 	return float64(trainRounds) * energy.NetworkRoundWh(PaperNodes, energy.Devices(), w)
 }
 
-// ScaledBudgets shrinks the paper's device round budgets to a scaled
+// scaledBudgets shrinks the paper's device round budgets to a scaled
 // horizon: tau_scaled = max(1, tau * rounds / paperRounds), preserving the
 // heterogeneity profile of Table 2. A negative node count has none; a
 // world refuses it when its data is built.
-func ScaledBudgets(nodes, rounds, paperRounds int, w energy.Workload, fraction float64) []int {
+func scaledBudgets(nodes, rounds, paperRounds int, w energy.Workload, fraction float64) []int {
 	if nodes < 0 {
 		return nil
 	}

@@ -233,7 +233,7 @@ func TestClaimHorizonPlateau(t *testing.T) {
 	want := map[uint64]int{42: 9, 43: 4, 44: 4, 45: 3, 46: 4}
 	q := quantum()
 	runs := bySeed(t, claimSeeds, func(o Options) (*sim.Result, error) {
-		cfg, err := newWorld(o.Defaults(), cifar, PaperDegree).config(core.DPSGD())
+		cfg, err := newWorld(o.Defaults(), cifar, PaperDegree).Config(core.DPSGD())
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Every table reports one accuracy per run, its readout: the mean of the
+// Every table, and every single run's final line, reports one accuracy per
+// run, its readout: the mean of the
 // nodes' own accuracies, averaged over the run's last core.Window rounds —
 // one full Γ period of a schedule with sync rounds, the last round of any
 // other. The window holds every phase of the period once, so the readout
@@ -18,17 +19,18 @@ import (
 // shows and the averaged model cannot (Metropolis–Hastings W is doubly
 // stochastic, so a sync round leaves the fleet mean where it was). The
 // tables that compare runs print the averaged model's accuracy and the
-// consensus distance at T as a secondary column (ModelColumn).
+// consensus distance at T as a secondary column (ModelColumn), and so does
+// a single run.
 
 // readoutName names the readout in every cached cell's key
 // (tuningManifest), so a cell stored under another readout is a miss.
 const readoutName = "node-mean-over-period"
 
-// readout is the accuracy a table reports for a run of schedule s, in %.
+// Readout is the accuracy a table reports for a run of schedule s, in %.
 // sim.Run evaluates every round of the window whatever its EvalEvery. An
 // async run has no shared phase — each node follows s on its own step
 // count — so its readout is the horizon's mean node accuracy.
-func readout[R *sim.Result | *async.Result](r R, s core.Schedule) float64 {
+func Readout[R *sim.Result | *async.Result](r R, s core.Schedule) float64 {
 	switch r := any(r).(type) {
 	case *sim.Result:
 		h := r.History[len(r.History)-min(core.Window(s), len(r.History)):]
@@ -56,8 +58,8 @@ const modelHeader = "avg model acc % @T, consensus"
 
 func (c ModelColumn) String() string { return fmt.Sprintf("%.2f cd %.3f", c.Acc, c.Consensus) }
 
-// modelColumn reads the secondary column off a run.
-func modelColumn[R *sim.Result | *async.Result](res R) ModelColumn {
+// ModelColumnOf reads the secondary column off a run.
+func ModelColumnOf[R *sim.Result | *async.Result](res R) ModelColumn {
 	switch r := any(res).(type) {
 	case *sim.Result:
 		return ModelColumn{100 * r.FinalGlobalAcc, r.History[len(r.History)-1].Consensus}

@@ -102,7 +102,7 @@ func TableRejoin(o Options) ([]RejoinRow, error) {
 		if err != nil {
 			return fail(err)
 		}
-		cfg, res, err := w.harvestRun(regime.Name+"/"+rule.Name(), regime, rejoinFleetOptions(w.meanTrainWh), func(cfg *sim.Config, _ harvest.Trace) (err error) {
+		cfg, res, err := w.harvestRun(regime.Name+"/"+rule.Name(), regime, rejoinFleetOptions(w.MeanTrainWh), func(cfg *sim.Config, _ harvest.Trace) (err error) {
 			cfg.DropDeadNodes, cfg.Rejoin = true, rule
 			cfg.Algo.Policy, err = harvest.NewSoCThreshold(0.45)
 			return err
@@ -118,8 +118,8 @@ func TableRejoin(o Options) ([]RejoinRow, error) {
 		return RejoinRow{
 			Regime:        regime.Name,
 			Rule:          rule.Name(),
-			FinalAcc:      readout(res, cfg.Algo.Schedule),
-			Model:         modelColumn(res),
+			FinalAcc:      Readout(res, cfg.Algo.Schedule),
+			Model:         ModelColumnOf(res),
 			Participation: t.participation,
 			Revivals:      res.TotalRevivals,
 			Restores:      res.TotalRestores,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/async"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/energy"
@@ -14,8 +15,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Every experiment that trains draws its inputs from one world, its run
-// configuration from world.config, and — when it has more than one run —
+// Every run that trains — a table's, a figure's, or a single run of
+// cmd/skiptrain or cmd/harvestsim — draws its inputs from one World and its
+// run configuration from World.Config (World.AsyncConfig on the
+// event-driven engine), and an experiment with more than one run takes —
 // its fan-out from sweep.Grid over o.Sweep: each run writes its own
 // preallocated slot, the lowest-index error is the one reported, and the
 // results are bit-identical at any GOMAXPROCS. Only the Γ grids key their
@@ -37,24 +40,24 @@ type datasetSpec struct {
 }
 
 var (
-	cifar = datasetSpec{"cifar", 10, energy.CIFAR10Workload(), PaperRoundsCIFAR, 0.10, CIFARLikeData,
+	cifar = datasetSpec{"cifar", 10, energy.CIFAR10Workload(), PaperRoundsCIFAR, 0.10, cifarLikeData,
 		func(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(32, 10, r) }}
 	femnist = datasetSpec{"femnist", 62, energy.FEMNISTWorkload(), PaperRoundsFEMNIST, 0.50, femnistLikeData,
 		func(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(32, 62, r) }}
-	// datasetSpecs looks the datasets of Figures 5 and 6 up by name.
+	// datasetSpecs looks the datasets up by name.
 	datasetSpecs = map[string]datasetSpec{cifar.name: cifar, femnist.name: femnist}
 )
 
-// world is what the runs of one experiment share on one d-regular
+// World is what the runs of one experiment share on one d-regular
 // topology: the graph, built by the first run that needs it, and the data
 // and device assignment, likewise — and shared with every other degree's
 // world made by at. Everything is read-only once built, so runs fan out
 // over it freely, and a run that is served from a cache builds neither.
-type world struct {
+type World struct {
 	o           Options
 	ds          datasetSpec
 	degree      int
-	meanTrainWh float64 // a node's mean per-round training cost, the unit of trace magnitudes
+	MeanTrainWh float64 // a node's mean per-round training cost, the unit of trace magnitudes
 	data        func() (*worldData, error)
 
 	topologyOnce sync.Once
@@ -69,12 +72,21 @@ type worldData struct {
 	devices   []energy.Device
 }
 
-// newWorld is ds's world on the d-regular topology; o must be completed by
-// Defaults.
-func newWorld(o Options, ds datasetSpec, degree int) *world {
-	return &world{
+// NewWorld is the named dataset's world ("cifar" or "femnist") on the
+// d-regular topology. o must be completed by Defaults; a single run whose
+// seed 0 or -eval 0 means 0 sets Seed and EvalEvery after it.
+func NewWorld(o Options, dataset string, degree int) (*World, error) {
+	ds, ok := datasetSpecs[dataset]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown dataset %q", dataset)
+	}
+	return newWorld(o, ds, degree), nil
+}
+
+func newWorld(o Options, ds datasetSpec, degree int) *World {
+	return &World{
 		o: o, ds: ds, degree: degree,
-		meanTrainWh: energy.NetworkRoundWh(o.Nodes, energy.Devices(), ds.workload) / float64(o.Nodes),
+		MeanTrainWh: energy.NetworkRoundWh(o.Nodes, energy.Devices(), ds.workload) / float64(o.Nodes),
 		data: sync.OnceValues(func() (*worldData, error) {
 			if o.Nodes < 0 {
 				return nil, fmt.Errorf("experiments: negative node count %d", o.Nodes)
@@ -89,11 +101,11 @@ func newWorld(o Options, ds datasetSpec, degree int) *world {
 }
 
 // at is the world on another degree: its own topology, the same data.
-func (w *world) at(degree int) *world {
-	return &world{o: w.o, ds: w.ds, degree: degree, meanTrainWh: w.meanTrainWh, data: w.data}
+func (w *World) at(degree int) *World {
+	return &World{o: w.o, ds: w.ds, degree: degree, MeanTrainWh: w.MeanTrainWh, data: w.data}
 }
 
-func (w *world) buildTopology() error {
+func (w *World) buildTopology() error {
 	w.topologyOnce.Do(func() {
 		g, err := graph.Regular(w.o.Nodes, w.degree, w.o.Seed)
 		if err != nil {
@@ -105,12 +117,12 @@ func (w *world) buildTopology() error {
 	return w.topologyErr
 }
 
-// config is the sim.Config of one run of algo on w, evaluated on the test
+// Config is the sim.Config of one run of algo on w, evaluated on the test
 // split every o.EvalEvery rounds and over the readout's window: the nodes,
 // and the averaged model and consensus distance the secondary column
 // prints. The caller sets only what its arms vary: the fleet,
-// DropDeadNodes, Rejoin or Forecast.
-func (w *world) config(algo core.Algorithm) (sim.Config, error) {
+// DropDeadNodes, Rejoin, Forecast or Probe.
+func (w *World) Config(algo core.Algorithm) (sim.Config, error) {
 	d, err := w.data()
 	if err != nil {
 		return sim.Config{}, err
@@ -133,10 +145,10 @@ func (w *world) config(algo core.Algorithm) (sim.Config, error) {
 	}, nil
 }
 
-// tuneConfig is config evaluated over the readout's window only, on the
+// tuneConfig is Config evaluated over the readout's window only, on the
 // validation split: how Figure 3 and the harvest grids choose Γ.
-func (w *world) tuneConfig(algo core.Algorithm) (sim.Config, error) {
-	cfg, err := w.config(algo)
+func (w *World) tuneConfig(algo core.Algorithm) (sim.Config, error) {
+	cfg, err := w.Config(algo)
 	if err == nil {
 		d, _ := w.data() // built by config
 		cfg.Test, cfg.EvalEvery = d.val, 0
@@ -146,8 +158,8 @@ func (w *world) tuneConfig(algo core.Algorithm) (sim.Config, error) {
 
 // fleet puts cfg on a fresh fleet — regime's trace, built for this run,
 // charging batteries shaped by opts — and returns the trace.
-func (w *world) fleet(cfg *sim.Config, regime GammaRegime, opts harvest.Options) (harvest.Trace, error) {
-	trace, err := regime.Trace(w.o, w.meanTrainWh)
+func (w *World) fleet(cfg *sim.Config, regime GammaRegime, opts harvest.Options) (harvest.Trace, error) {
+	trace, err := regime.Trace(w.o, w.MeanTrainWh)
 	if err != nil {
 		return nil, err
 	}
@@ -159,8 +171,8 @@ func (w *world) fleet(cfg *sim.Config, regime GammaRegime, opts harvest.Options)
 // on a fresh fleet of regime's trace shaped by opts. set fills in what the
 // arm varies — the policy always, and any of DropDeadNodes, Rejoin or
 // a forecaster of the run's trace.
-func (w *world) harvestRun(label string, regime GammaRegime, opts harvest.Options, set func(*sim.Config, harvest.Trace) error) (sim.Config, *sim.Result, error) {
-	cfg, err := w.config(core.Algorithm{Label: label, Schedule: core.AllTrain{}})
+func (w *World) harvestRun(label string, regime GammaRegime, opts harvest.Options, set func(*sim.Config, harvest.Trace) error) (sim.Config, *sim.Result, error) {
+	cfg, err := w.Config(core.Algorithm{Label: label, Schedule: core.AllTrain{}})
 	if err != nil {
 		return cfg, nil, err
 	}
@@ -175,10 +187,34 @@ func (w *world) harvestRun(label string, regime GammaRegime, opts harvest.Option
 	return cfg, res, err
 }
 
-// budgets are w's per-node round budgets of the constrained setting,
+// Budgets are w's per-node round budgets of the constrained setting,
 // scaled to the simulated horizon.
-func (w *world) budgets() []int {
-	return ScaledBudgets(w.o.Nodes, w.o.Rounds, w.ds.paperRounds, w.ds.workload, w.ds.budgetShare)
+func (w *World) Budgets() []int {
+	return scaledBudgets(w.o.Nodes, w.o.Rounds, w.ds.paperRounds, w.ds.workload, w.ds.budgetShare)
+}
+
+// AsyncConfig is Config(algo) on the event-driven engine: the horizon
+// spans o.Rounds trace rounds of the fleet-mean step duration, evaluated
+// every o.EvalEvery of them, and the batteries, shaped by fleet, charge
+// from trace (nil: no batteries). The caller sets Forecast or Probe.
+func (w *World) AsyncConfig(algo core.Algorithm, trace harvest.Trace, fleet harvest.Options) (async.Config, error) {
+	cfg, err := w.Config(algo)
+	if err != nil {
+		return async.Config{}, err
+	}
+	step := energy.MeanTrainRoundSeconds(cfg.Devices, cfg.Workload)
+	return async.Config{
+		Graph: cfg.Graph, Algo: algo,
+		Horizon:      float64(cfg.Rounds) * step,
+		ModelFactory: cfg.ModelFactory,
+		LR:           cfg.LR, BatchSize: cfg.BatchSize, LocalSteps: cfg.LocalSteps,
+		Partition: cfg.Partition, Test: cfg.Test,
+		Devices: cfg.Devices, Workload: cfg.Workload,
+		Trace: trace, FleetOptions: fleet, RoundSeconds: step,
+		EvalEverySeconds: float64(cfg.EvalEvery) * step,
+		EvalSubsample:    cfg.EvalSubsample,
+		Seed:             cfg.Seed,
+	}, nil
 }
 
 // tally is what the tables read off a finished run besides its accuracy.

@@ -178,6 +178,37 @@ func TestSoCProportionalProbabilityFollowsCharge(t *testing.T) {
 	}
 }
 
+// TestSoCProportionalParticipationUnbiased: on a battery that always
+// affords the step, a node trains at rate SoC^exponent, the share its
+// aggregation weight is scheduled at: within 4σ of the binomial for every
+// node's own rng.Derive stream, at each fixed SoC and exponent.
+func TestSoCProportionalParticipationUnbiased(t *testing.T) {
+	const nodes, draws = 4, 20000
+	for _, exponent := range []float64{1, 2} {
+		p, err := NewSoCProportional(exponent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, soc := range []float64{0.1, 0.5, 0.9} {
+			ctx := core.RoundContext{Kind: core.RoundTrain, Battery: &fakeBattery{charge: soc, capacity: 1}} // cost 0: always affords
+			want := math.Pow(soc, exponent)
+			sigma := math.Sqrt(want * (1 - want) / draws)
+			for node := 0; node < nodes; node++ {
+				r := rng.Derive(11, math.Float64bits(exponent), math.Float64bits(soc), uint64(node))
+				trained := 0
+				for range draws {
+					if p.Participate(node, ctx, r) {
+						trained++
+					}
+				}
+				if rate := float64(trained) / draws; math.Abs(rate-want) > 4*sigma {
+					t.Errorf("exponent %g, SoC %g, node %d: trained at rate %.4f, want %.4f ± %.4f (4σ)", exponent, soc, node, rate, want, 4*sigma)
+				}
+			}
+		}
+	}
+}
+
 func TestSoCProportionalConsumesOnlyWhenTraining(t *testing.T) {
 	f := policyFleet(t, Constant{0}, Options{InitialRounds: 100})
 	p, err := NewSoCProportional(1)

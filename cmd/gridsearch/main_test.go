@@ -15,11 +15,50 @@ import (
 	"repro/internal/cli/clitest"
 )
 
-// TestGolden pins stdout byte for byte for Figure 3 and the memoized
-// harvest Γ search, run locally.
+// TestGolden pins stdout byte for byte for Figure 3, the memoized harvest
+// Γ search and each extension table, run locally.
 func TestGolden(t *testing.T) {
 	clitest.Golden(t, run, "figure3", "-nodes", "12", "-rounds", "4", "-degrees", "4")
 	clitest.Golden(t, run, "gamma-cache", "-job", "gamma", "-nodes", "8", "-rounds", "4", "-cache", "TMP")
+	for _, job := range []string{"harvest", "brownout", "rejoin", "forecast", "async"} {
+		clitest.Golden(t, run, job, "-job", job, "-nodes", "8", "-rounds", "4")
+	}
+}
+
+// TestPaperJobsMatchFigures: each paper table and figure job prints its
+// section, or for tables Tables 1-4 and the headline, of cmd/figures'
+// golden at the same scale, byte for byte; figure3 then adds its tuned Γ
+// per degree.
+func TestPaperJobsMatchFigures(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "figures", "testdata", "tiny.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _, _ := strings.Cut(string(golden), "\nCSV series written to ")
+	sections := map[string]string{}
+	for _, chunk := range strings.Split(body, "\n===== ")[1:] {
+		name, text, _ := strings.Cut(chunk, " =====\n")
+		sections[name] = text
+	}
+	tuned := regexp.MustCompile(`^(tuned for \d+-regular: Γtrain=\d Γsync=\d\n){3}$`)
+	for job, names := range map[string][]string{
+		"figure1": {"Figure 1"}, "figure2": {"Figure 2"}, "figure3": {"Figure 3"}, "figure4": {"Figure 4"},
+		"figure5": {"Figure 5"}, "figure6": {"Figure 6"}, "figure7": {"Figure 7"},
+		"tables": {"Table 1", "Table 2", "Table 3", "Table 4", "Headline"},
+	} {
+		var want strings.Builder
+		for _, name := range names {
+			if sections[name] == "" {
+				t.Fatalf("no section %q in tiny.golden", name)
+			}
+			want.WriteString(sections[name])
+		}
+		code, got := clitest.Exec(t, run, "-job", job, "-nodes", "12", "-rounds", "4")
+		rest, ok := strings.CutPrefix(got, want.String())
+		if code != 0 || !ok || rest != "" && !(job == "figure3" && tuned.MatchString(rest)) {
+			t.Errorf("-job %s: exit %d, stdout is not %q of tiny.golden:\n%s", job, code, names, got)
+		}
+	}
 }
 
 // TestFigure3Cache runs Figure 3 through -cache twice: the first run
@@ -95,6 +134,8 @@ func TestFlagTable(t *testing.T) {
 		"seed":            {[]string{"-job", "gamma", "-seed", "0"}, []string{"-job", "gamma", "-seed", "7"}},
 		"workers":         {[]string{"-job", "gamma", "-workers", "-1"}, []string{"-job", "gamma", "-workers", "1"}},
 		"expect-all-hits": {[]string{"-job", "gamma", "-expect-all-hits"}, []string{"-job", "gamma", "-cache", warm, "-expect-all-hits"}},
+		"job":             {[]string{"-job", "bogus"}, []string{"-job", "harvest"}},
+		"cache":           {[]string{"-job", "harvest", "-cache", t.TempDir()}, []string{"-job", "gamma", "-cache", warm}},
 		"degrees":         {[]string{"-job", "gamma", "-degrees", "4"}, []string{"-degrees", "4"}},
 	}
 	var flags []string
@@ -123,13 +164,21 @@ func TestUsageErrors(t *testing.T) {
 	// Each of these once ran: seed 0 as seed 42, a zero scale as the
 	// default one, negative workers as GOMAXPROCS, a job too large to
 	// finish or fit in memory, or built a world before failing on a degree
-	// the graph cannot have.
+	// the graph cannot have. An unknown job once exited 1. A job whose
+	// cells are not keyed counts every run a cache miss, so -cache and
+	// -expect-all-hits would do nothing or always fail there.
 	for _, args := range [][]string{
 		{"-job", "gamma", "-seed", "0"},
 		{"-job", "gamma", "-nodes", "0"},
 		{"-job", "gamma", "-rounds", "0"},
 		{"-job", "gamma", "-workers", "-3"},
 		{"-job", "gamma", "-expect-all-hits"},
+		{"-job", "bogus"},
+		{"-job", "Figure3"},
+		{"-job", "harvest", "-expect-all-hits"},
+		{"-job", "tables", "-cache", t.TempDir(), "-expect-all-hits"},
+		{"-job", "rejoin", "-degrees", "4"},
+		{"-job", "async", "-nodes", "5"},
 		{"-job", "gamma", "-nodes", "4097"},
 		{"-job", "gamma", "-nodes", "1099511627776"},
 		{"-job", "gamma", "-nodes", "8", "-rounds", "60001"},
@@ -142,16 +191,21 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
 		}
 	}
-	// An oversized job, or one whose 6-regular topology 5 nodes cannot
-	// hold (which once made the directory, then failed), is refused before
-	// its cache directory is made.
+	// An oversized job, one whose 6-regular topology 5 nodes cannot hold
+	// (which once made the directory, then failed), and a job whose cells
+	// are not keyed are refused before the cache directory is made.
 	dir := filepath.Join(t.TempDir(), "cache")
-	for _, nodes := range []string{"4097", "1099511627776", "5"} {
-		if code, out := clitest.Exec(t, run, "-job", "gamma", "-nodes", nodes, "-cache", dir); code != 2 || out != "" {
-			t.Errorf("-nodes %s: exit %d, want 2, and stdout %q", nodes, code, out)
+	for _, args := range [][]string{
+		{"-job", "gamma", "-nodes", "4097"},
+		{"-job", "gamma", "-nodes", "1099511627776"},
+		{"-job", "gamma", "-nodes", "5"},
+		{"-job", "harvest"},
+	} {
+		if code, out := clitest.Exec(t, run, append(args, "-cache", dir)...); code != 2 || out != "" {
+			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
 		}
 		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
-			t.Errorf("-nodes %s: the cache directory was made (%v)", nodes, err)
+			t.Errorf("%q: the cache directory was made (%v)", args, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/cli/clitest"
 	"repro/internal/experiments"
@@ -47,6 +48,19 @@ func TestSingleRunIsATableCell(t *testing.T) {
 	}
 }
 
+// TestTrendPlotsTheCadence: the accuracy trend plots the rounds on the
+// -eval cadence and T, not the readout's window rounds, as Figure 5's
+// sparklines do. Rounds 8, 16, 22, 23 and 24 are evaluated here; the
+// trend once plotted all five.
+func TestTrendPlotsTheCadence(t *testing.T) {
+	code, out := clitest.Exec(t, run, "-gt", "2", "-gs", "1", "-nodes", "8", "-rounds", "24")
+	_, trend, _ := strings.Cut(out, "\naccuracy trend: ")
+	trend, _, _ = strings.Cut(trend, "\n")
+	if n := utf8.RuneCountInString(trend); code != 0 || n != 3 || !strings.Contains(out, "\n23 ") {
+		t.Errorf("exit %d, want rounds 8, 16 and 24 in the trend, got %d points in:\n%s", code, n, out)
+	}
+}
+
 // TestFlagTable sets every flag of the table once where it does not apply
 // or to a value it does not take (a usage error), and once where it does
 // (a run that succeeds).
@@ -56,12 +70,11 @@ func TestFlagTable(t *testing.T) {
 	}{
 		"nodes":   {[]string{"-nodes", "-4"}, []string{"-nodes", "8"}},
 		"rounds":  {[]string{"-rounds", "0"}, []string{"-rounds", "2"}},
-		"seed":    {[]string{"-exp", "fig1", "-seed", "0"}, []string{"-seed", "0"}},
-		"algo":    {[]string{"-exp", "fig9", "-algo", "dpsgd"}, []string{"-algo", "dpsgd"}},
-		"dataset": {[]string{"-exp", "fig9", "-dataset", "femnist"}, []string{"-dataset", "femnist"}},
-		"degree":  {[]string{"-exp", "fig9", "-degree", "4"}, []string{"-degree", "4"}},
-		"batch":   {[]string{"-exp", "fig9", "-batch", "8"}, []string{"-batch", "8"}},
-		"steps":   {[]string{"-exp", "fig9", "-steps", "2"}, []string{"-steps", "2"}},
+		"algo":    {[]string{"-algo", "bogus"}, []string{"-algo", "dpsgd"}},
+		"dataset": {[]string{"-dataset", "bogus"}, []string{"-dataset", "femnist"}},
+		"degree":  {[]string{"-degree", "1"}, []string{"-degree", "4"}},
+		"batch":   {[]string{"-batch", "0"}, []string{"-batch", "8"}},
+		"steps":   {[]string{"-steps", "0"}, []string{"-steps", "2"}},
 		"eval":    {[]string{"-algo", "async", "-eval", "2"}, []string{"-algo", "greedy", "-eval", "2"}},
 		"lr":      {[]string{"-lr", "NaN"}, []string{"-lr", "0.1"}},
 		"gt":      {[]string{"-algo", "dpsgd", "-gt", "3"}, []string{"-algo", "constrained", "-gt", "3"}},
@@ -105,12 +118,12 @@ func TestUsageErrors(t *testing.T) {
 	} {
 		clitest.Exit(t, run, 2, append([]string{"-nodes", "8", "-rounds", "4"}, args...)...)
 	}
-	// A negative node count once reached a whole experiment, which panicked,
-	// seed 0 once ran an experiment as seed 42, and a job too large to
-	// finish or fit in memory ran until the runtime ran out of it.
+	// A job too large to finish or fit in memory once ran until the runtime
+	// ran out of it, an unknown -algo or -dataset once exited 1, and the
+	// whole paper experiments moved to gridsearch -job.
 	for _, args := range [][]string{
-		{"-exp", "fig3", "-nodes", "-4"}, {"-exp", "tables", "-rounds", "-4"}, {"-exp", "fig1", "-seed", "0"},
-		{"-nodes", "1099511627776"}, {"-exp", "fig3", "-nodes", "4097"}, {"-nodes", "8", "-rounds", "60001"},
+		{"-nodes", "-4"}, {"-rounds", "-4"}, {"-nodes", "1099511627776"}, {"-nodes", "4097"}, {"-nodes", "8", "-rounds", "60001"},
+		{"-algo", "bogus"}, {"-algo", "DPSGD"}, {"-dataset", "bogus"}, {"-dataset", "cifar10"}, {"-exp", "tables"},
 		// The default 6-regular topology does not fit on 5 nodes: this once
 		// generated the data set, then failed.
 		{"-nodes", "5"},

@@ -752,7 +752,7 @@ func TestTableForecastOrderingAtScale(t *testing.T) {
 
 // TestTableRejoinCatchUpHalfLifeMovesWithRegime is the half-life sweep's
 // acceptance pin: at default scale the CatchUp half-life best for the
-// nodes' own models (BestCatchUpHalfLife) differs between the diurnal and
+// nodes' own models (bestCatchUpHalfLife) differs between the diurnal and
 // Markov regimes — outage-length distributions, not a global constant, set
 // how fast a revived node should abandon its own snapshot.
 func TestTableRejoinCatchUpHalfLifeMovesWithRegime(t *testing.T) {
@@ -763,8 +763,8 @@ func TestTableRejoinCatchUpHalfLifeMovesWithRegime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diurnal := BestCatchUpHalfLife(rows, "diurnal")
-	markov := BestCatchUpHalfLife(rows, "markov")
+	diurnal := bestCatchUpHalfLife(rows, "diurnal")
+	markov := bestCatchUpHalfLife(rows, "markov")
 	if diurnal == 0 || markov == 0 {
 		t.Fatalf("sweep missing catch-up rows: best h diurnal=%g markov=%g", diurnal, markov)
 	}

@@ -426,14 +426,14 @@ func (r *Figure5Result) render(o Options) {
 	}
 	tb.Render(o.Out)
 	for _, a := range r.Arms {
-		fmt.Fprintf(o.Out, "%-8s d=%-2d %-22s %s\n", a.Dataset, a.Degree, a.Algo, report.Sparkline(onCadence(o, a.AccVsRound)))
+		fmt.Fprintf(o.Out, "%-8s d=%-2d %-22s %s\n", a.Dataset, a.Degree, a.Algo, report.Sparkline(OnCadence(o, a.AccVsRound)))
 	}
 	fmt.Fprintln(o.Out, periodNote(evalSamples(o, testSplit(o))))
 }
 
-// onCadence is s's accuracies at the rounds on the o.EvalEvery cadence and
+// OnCadence is s's accuracies at the rounds on the o.EvalEvery cadence and
 // at T: the readout's window rounds would crowd a sparkline at its end.
-func onCadence(o Options, s Series) []float64 {
+func OnCadence(o Options, s Series) []float64 {
 	var y []float64
 	for i, x := range s.X {
 		if r := int(x); r == o.Rounds || o.EvalEvery > 0 && r%o.EvalEvery == 0 {

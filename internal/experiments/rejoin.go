@@ -70,11 +70,11 @@ func rejoinRule(i int) (sim.RejoinRule, error) {
 	return sim.NewCatchUp(CatchUpHalfLives[i-2])
 }
 
-// BestCatchUpHalfLife returns the CatchUp half-life among a regime's rows
+// bestCatchUpHalfLife returns the CatchUp half-life among a regime's rows
 // whose readout is best (ties keep the smaller h), or 0 when the regime
 // has no catch-up rows — the per-regime tuning answer the sweep exists to
 // give.
-func BestCatchUpHalfLife(rows []RejoinRow, regime string) float64 {
+func bestCatchUpHalfLife(rows []RejoinRow, regime string) float64 {
 	best, bestAcc := 0.0, math.Inf(-1)
 	for _, h := range CatchUpHalfLives {
 		name := fmt.Sprintf("catch-up(h=%g)", h)

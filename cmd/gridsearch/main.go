@@ -2,7 +2,7 @@
 // by -job from jobs: a paper figure (figure1 ... figure7; figure3 is the
 // default) or Tables 1-4 (tables), a harvest-coupled Γ search (gamma,
 // degree), or an extension table (harvest, brownout, rejoin, forecast,
-// async). For example, gridsearch -job degree -degrees 4,6,8.
+// async, fairness). For example, gridsearch -job degree -degrees 4,6,8.
 //
 // -cache memoizes the Γ-grid cells of figure3, gamma and degree in a
 // directory (internal/sweep) that several processes may share: a rerun
@@ -59,6 +59,7 @@ var (
 		"rejoin":   {run: quiet(experiments.TableRejoin), degrees: one},
 		"forecast": {run: quiet(experiments.TableForecast), degrees: one},
 		"async":    {run: quiet(experiments.TableAsyncHarvest), degrees: one},
+		"fairness": {run: quiet(experiments.Section51Fairness), degrees: one},
 	}
 )
 

@@ -25,7 +25,8 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestPaperJobsMatchFigures: each paper table and figure job prints its
+// TestPaperJobsMatchFigures: each job that cmd/figures also runs (the
+// paper's tables and figures, and Section 5.1 fairness) prints its
 // section, or for tables Tables 1-4 and the headline, of cmd/figures'
 // golden at the same scale, byte for byte; figure3 then adds its tuned Γ
 // per degree.
@@ -44,7 +45,8 @@ func TestPaperJobsMatchFigures(t *testing.T) {
 	for job, names := range map[string][]string{
 		"figure1": {"Figure 1"}, "figure2": {"Figure 2"}, "figure3": {"Figure 3"}, "figure4": {"Figure 4"},
 		"figure5": {"Figure 5"}, "figure6": {"Figure 6"}, "figure7": {"Figure 7"},
-		"tables": {"Table 1", "Table 2", "Table 3", "Table 4", "Headline"},
+		"tables":   {"Table 1", "Table 2", "Table 3", "Table 4", "Headline"},
+		"fairness": {"Section 5.1 fairness (extension)"},
 	} {
 		var want strings.Builder
 		for _, name := range names {

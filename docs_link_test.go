@@ -3,6 +3,8 @@ package repro
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -132,6 +134,55 @@ func TestHeadingAnchors(t *testing.T) {
 // followed by one or two exported identifiers.
 var docIdent = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 
+// codeSpan matches an inline code span; bareCamel, a span that is one
+// CamelCase identifier (a capital first, a lower-case letter after it).
+var (
+	codeSpan  = regexp.MustCompile("`([^`\n]+)`")
+	bareCamel = regexp.MustCompile(`^[A-Z]\w*[a-z]\w*$`)
+)
+
+// bareNamesNotInCode are the bare names the docs may use although no Go
+// file spells them, each with its reason.
+var bareNamesNotInCode = map[string]string{
+	"Worker": "DECOR's worker class, quoted from SNIPPETS.md",
+}
+
+// parseAll parses every source of the module, test files included, keyed
+// by path.
+func parseAll(sources map[string]string) (map[string]*ast.File, error) {
+	files := map[string]*ast.File{}
+	fset := token.NewFileSet()
+	for p, src := range sources {
+		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files[p] = f
+	}
+	return files, nil
+}
+
+// spelledIdents collects every identifier the files spell, and each test,
+// benchmark, fuzz target and example's name without its prefix too, as a
+// -run or -bench pattern names it.
+func spelledIdents(files map[string]*ast.File) map[string]bool {
+	spelled := map[string]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				spelled[id.Name] = true
+				for _, prefix := range []string{"Test", "Benchmark", "Fuzz", "Example"} {
+					if rest, ok := strings.CutPrefix(id.Name, prefix); ok && rest != "" {
+						spelled[rest] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return spelled
+}
+
 // declaredIdents collects what a package declares in its non-test files:
 // its package-level names and method names, and for each type its methods,
 // fields and interface methods, with those of same-package embedded types
@@ -214,7 +265,10 @@ func declaredIdents(pkg *goPackage) (names map[string]bool, members map[string]m
 // declares no such identifier in its non-test files — a doc left stale by a
 // rename or a deletion. Name may be a package-level name or a method name;
 // Member must be a method, field or interface method of type Name (or, when
-// Name is not a type, of some type of the package).
+// Name is not a type, of some type of the package). It also fails on a
+// code span that is one bare CamelCase name (`Dense`, `ModelColumn`) that
+// no .go file of the module spells, outside bareNamesNotInCode: a name
+// unexported or deleted without its package in the docs.
 func TestDocsIdentifiers(t *testing.T) {
 	module, sources := moduleSources(t)
 	pkgs, _, err := parseModule(module, sources)
@@ -225,7 +279,12 @@ func TestDocsIdentifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	files, err := parseAll(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spelled := spelledIdents(files)
+	checked, bare := 0, 0
 	for _, file := range []string{"README.md", "docs/ARCHITECTURE.md"} {
 		data, err := os.ReadFile(file)
 		if err != nil {
@@ -249,11 +308,21 @@ func TestDocsIdentifiers(t *testing.T) {
 				t.Errorf("%s: %s names member %s, which no type of package %s has", file, m[0], member, dir)
 			}
 		}
+		for _, m := range codeSpan.FindAllStringSubmatch(string(data), -1) {
+			name := m[1]
+			if !bareCamel.MatchString(name) {
+				continue
+			}
+			bare++
+			if _, ok := bareNamesNotInCode[name]; !ok && !spelled[name] {
+				t.Errorf("%s: `%s` is spelled by no .go file of the module", file, name)
+			}
+		}
 	}
-	if checked == 0 {
-		t.Fatal("no pkg.Name references found; the identifier checker is not seeing the docs")
+	if checked == 0 || bare == 0 {
+		t.Fatalf("%d pkg.Name references and %d bare names found; the identifier checker is not seeing the docs", checked, bare)
 	}
-	t.Logf("%d pkg.Name references checked", checked)
+	t.Logf("%d pkg.Name references and %d bare names checked", checked, bare)
 }
 
 // anyMember reports whether some type's members include member.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -13,10 +14,11 @@ func Table1(o Options) {
 	o = o.Defaults()
 	tb := report.NewTable("Table 1: Simulation hyperparameters", "Hyperparameter", "Description", "CIFAR-10", "FEMNIST")
 	tb.AddRow("η", "Learning rate", "0.1", "0.1")
-	tb.AddRow("|ξ|", "Batch size", "32", "16")
-	tb.AddRow("E", "Local steps", "20", "7")
-	tb.AddRow("|x|", "Model size", "89834", "1690046")
-	tb.AddRow("T", "Total rounds", "1000", "3000")
+	c, f := energy.CIFAR10Workload(), energy.FEMNISTWorkload()
+	tb.AddRow("|ξ|", "Batch size", strconv.Itoa(c.BatchSize), strconv.Itoa(f.BatchSize))
+	tb.AddRow("E", "Local steps", strconv.Itoa(c.LocalSteps), strconv.Itoa(f.LocalSteps))
+	tb.AddRow("|x|", "Model size", strconv.Itoa(c.Params), strconv.Itoa(f.Params))
+	tb.AddRow("T", "Total rounds", strconv.Itoa(PaperRoundsCIFAR), strconv.Itoa(PaperRoundsFEMNIST))
 	tb.Render(o.Out)
 }
 

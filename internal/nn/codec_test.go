@@ -20,8 +20,8 @@ import (
 //
 // Only parameters are stored — architecture is code, so the reader validates
 // the parameter count against the receiving network (Network.Params is the
-// vector to write, Use takes the one read). The tests pin the flat
-// parameter layout through this format (testdata/mini_gnlenet_stepped.skpt).
+// vector to write, Use takes the one read). TestNetworkFlatViews pins the
+// flat parameter layout through this format.
 
 const (
 	checkpointMagic   = 0x534b5054

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"os"
 	"reflect"
 	"runtime"
 	"slices"
@@ -20,7 +19,7 @@ import (
 )
 
 // stepOnce trains net on one fixed sample, so that every parameter block
-// (GroupNorm's affines included) leaves its initial value.
+// leaves its initial value.
 func stepOnce(net *Network) {
 	r := rng.New(99)
 	x := tensor.NewVector(net.InSize())
@@ -44,16 +43,11 @@ func savedBytes(t *testing.T, net *Network) []byte {
 func blocks(net *Network) [][]float64 {
 	var out [][]float64
 	for _, l := range net.layers {
-		switch l := l.(type) {
-		case *Dense:
+		if l, ok := l.(*Dense); ok {
 			out = append(out, l.W.Data)
 			if l.withBias {
 				out = append(out, l.B)
 			}
-		case *Conv2D:
-			out = append(out, l.K, l.B)
-		case *GroupNorm:
-			out = append(out, l.gamma, l.beta)
 		}
 	}
 	return out
@@ -74,12 +68,6 @@ func TestNetworkFlatViews(t *testing.T) {
 		{"mlp", MLP(32, []int{16}, 10, rng.New(7)), 698,
 			"32e895b6dee958bcef321f2aaa5341372f174d746d439ec7cedf9c8996bfc278",
 			"59364ac564a077bb5d509e1be82425dd29cff9e494b1f7f8d784e60355584fc1"},
-		{"gn-lenet", CIFARGNLeNet(rng.New(7)), 89834,
-			"4f065fce96a03792bcc947e1dcb546d581cfc3b16758ede329e90e94d6640a94",
-			"68db92fb389db5f92ac8796721818a6c7ac60e5980c540008f994ddc87006cd0"},
-		{"leaf-cnn", FEMNISTCNN(rng.New(7)), 1690046,
-			"837e40eda4466bdcdf61dca3f8b8cebafe019b640e1b818779cff6a65fabf969",
-			"80b3e0921413d71d222478ccd4c50465b8d5cd87fbd17b8843f109f139982932"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			net := c.net
@@ -113,37 +101,6 @@ func TestNetworkFlatViews(t *testing.T) {
 				t.Fatalf("blocks cover %d of %d parameters", off, c.params)
 			}
 		})
-	}
-}
-
-// A parameter file written by the per-layer implementation (commit
-// 968df6c: this network after stepOnce) loads into the flat layout and is
-// written back, and reproduced by training, to the same bytes.
-func TestFlatLayoutLoadsOldParameterFile(t *testing.T) {
-	old, err := os.ReadFile("testdata/mini_gnlenet_stepped.skpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func(seed uint64) *Network {
-		r := rng.New(seed)
-		return New(
-			NewConv2D(2, 8, 8, 4, 5, 5, 2, r), NewGroupNorm(4, 8, 8, 2), NewReLU(4*8*8), NewMaxPool2D(4, 8, 8, 2),
-			NewConv2D(4, 4, 4, 4, 3, 3, 1, r), NewGroupNorm(4, 4, 4, 2), NewReLU(4*4*4), NewMaxPool2D(4, 4, 4, 2),
-			NewDense(4*2*2, 4, true, r))
-	}
-	loaded := build(1)
-	params, err := readVector(bytes.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded.Use(params)
-	if !bytes.Equal(savedBytes(t, loaded), old) {
-		t.Fatal("old parameter file does not round-trip through the flat layout")
-	}
-	trained := build(7)
-	stepOnce(trained)
-	if !bytes.Equal(savedBytes(t, trained), old) {
-		t.Fatal("training in the flat layout no longer reproduces the old parameter file")
 	}
 }
 
@@ -185,15 +142,15 @@ func sameBits(a, b tensor.Vector) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// testNets are the architectures the mix and Use tests run on: every
-// parameterised layer kind, with and without a layer below it.
+// testNets are the architectures the mix and Use tests run on: Dense with
+// and without a layer below it, with and without a bias, and directly
+// under another Dense, whose input gradient it then receives.
 var testNets = map[string]func(seed uint64) *Network{
-	"logreg":   func(s uint64) *Network { return LogisticRegression(32, 10, rng.New(s)) },
-	"mlp":      func(s uint64) *Network { return MLP(32, []int{64}, 10, rng.New(s)) },
-	"smallcnn": func(s uint64) *Network { return smallCNN(2, 4, 4, 10, rng.New(s)) },
-	"conv-gn": func(s uint64) *Network {
+	"logreg": func(s uint64) *Network { return LogisticRegression(32, 10, rng.New(s)) },
+	"mlp":    func(s uint64) *Network { return MLP(32, []int{64}, 10, rng.New(s)) },
+	"dense-nobias": func(s uint64) *Network {
 		r := rng.New(s)
-		return New(NewConv2D(2, 4, 4, 4, 3, 3, 1, r), NewGroupNorm(4, 4, 4, 2), NewReLU(4*4*4), NewDense(4*4*4, 10, true, r))
+		return New(NewDense(32, 12, false, r), NewDense(12, 16, true, r), NewReLU(16), NewDense(16, 10, false, r))
 	},
 }
 
@@ -371,14 +328,12 @@ func TestUseMatchesOwned(t *testing.T) {
 
 // TestInitMatchesConstructor: Init draws into any vector, whatever it held,
 // the bits the constructor draws from a stream in the same state, and
-// leaves the stream where the constructor does, for the paper's two CNNs
-// and the simulator's models; it allocates nothing.
+// leaves the stream where the constructor does, for the simulator's
+// models; it allocates nothing.
 func TestInitMatchesConstructor(t *testing.T) {
 	for name, build := range map[string]func(r *rng.RNG) *Network{
-		"logreg":  func(r *rng.RNG) *Network { return LogisticRegression(32, 10, r) },
-		"mlp":     func(r *rng.RNG) *Network { return MLP(32, []int{64, 16}, 10, r) },
-		"cifar":   CIFARGNLeNet,
-		"femnist": FEMNISTCNN,
+		"logreg": func(r *rng.RNG) *Network { return LogisticRegression(32, 10, r) },
+		"mlp":    func(r *rng.RNG) *Network { return MLP(32, []int{64, 16}, 10, r) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			built, rb := build(rng.New(21)), rng.New(21)
@@ -504,8 +459,7 @@ func layerWindows(net *Network) map[string]tensor.Vector {
 // parallel share nothing.
 func TestWorkspacesDisjoint(t *testing.T) {
 	nets := map[string]func(seed uint64) *Network{
-		"cifar": func(s uint64) *Network { return CIFARGNLeNet(rng.New(s)) },
-		"mlp2":  func(s uint64) *Network { return MLP(6, []int{5, 4}, 3, rng.New(s)) },
+		"mlp2": func(s uint64) *Network { return MLP(6, []int{5, 4}, 3, rng.New(s)) },
 	}
 	maps.Copy(nets, testNets)
 	for name, build := range nets {

@@ -91,62 +91,3 @@ func TestGradCheckDenseNoBias(t *testing.T) {
 func TestGradCheckMLP(t *testing.T) {
 	checkGradients(t, "mlp", MLP(6, []int{9, 7}, 3, rng.New(4)), 4, 13)
 }
-
-func TestGradCheckConv(t *testing.T) {
-	r := rng.New(7)
-	conv := NewConv2D(2, 6, 6, 3, 3, 3, 1, r)
-	out := conv.OutSize()
-	net := New(conv, NewReLU(out), NewDense(out, 4, true, r))
-	checkGradients(t, "conv", net, 3, 15)
-}
-
-func TestGradCheckConvNoPad(t *testing.T) {
-	r := rng.New(8)
-	conv := NewConv2D(1, 5, 5, 2, 3, 3, 0, r)
-	net := New(conv, NewDense(conv.OutSize(), 3, true, r))
-	checkGradients(t, "conv-nopad", net, 3, 16)
-}
-
-func TestGradCheckMaxPool(t *testing.T) {
-	r := rng.New(9)
-	conv := NewConv2D(1, 6, 6, 2, 3, 3, 1, r)
-	pool := NewMaxPool2D(2, 6, 6, 2)
-	net := New(conv, pool, NewDense(pool.OutSize(), 3, true, r))
-	checkGradients(t, "maxpool", net, 3, 17)
-}
-
-func TestGradCheckGroupNorm(t *testing.T) {
-	r := rng.New(10)
-	conv := NewConv2D(1, 4, 4, 4, 3, 3, 1, r)
-	gn := NewGroupNorm(4, 4, 4, 2)
-	net := New(conv, gn, NewReLU(4*4*4), NewDense(4*4*4, 3, true, r))
-	checkGradients(t, "groupnorm", net, 3, 18)
-}
-
-func TestGradCheckGroupNormSingleGroup(t *testing.T) {
-	r := rng.New(11)
-	gn := NewGroupNorm(2, 3, 3, 1)
-	net := New(NewDense(4, 2*3*3, true, r), gn, NewDense(2*3*3, 3, true, r))
-	checkGradients(t, "groupnorm-1g", net, 3, 19)
-}
-
-func TestGradCheckSmallCNN(t *testing.T) {
-	checkGradients(t, "smallcnn", smallCNN(1, 6, 6, 3, rng.New(12)), 2, 20)
-}
-
-func TestGradCheckMiniGNLeNet(t *testing.T) {
-	// A shrunken version of the CIFAR GN-LeNet exercising the exact layer
-	// sequence (conv -> GN -> ReLU -> pool, x2, then FC) at checkable cost.
-	r := rng.New(13)
-	conv1 := NewConv2D(2, 8, 8, 4, 5, 5, 2, r)
-	gn1 := NewGroupNorm(4, 8, 8, 2)
-	relu1 := NewReLU(4 * 8 * 8)
-	pool1 := NewMaxPool2D(4, 8, 8, 2)
-	conv2 := NewConv2D(4, 4, 4, 4, 3, 3, 1, r)
-	gn2 := NewGroupNorm(4, 4, 4, 2)
-	relu2 := NewReLU(4 * 4 * 4)
-	pool2 := NewMaxPool2D(4, 4, 4, 2)
-	fc := NewDense(4*2*2, 4, true, r)
-	net := New(conv1, gn1, relu1, pool1, conv2, gn2, relu2, pool2, fc)
-	checkGradients(t, "mini-gnlenet", net, 2, 21)
-}

@@ -1,7 +1,6 @@
 // Package nn is a from-scratch neural-network library sufficient to train
-// the models of the SkipTrain paper: multinomial logistic regression, MLPs,
-// and the paper's two CNNs (the 89,834-parameter GN-LeNet for CIFAR-10 and
-// the 1,690,046-parameter LEAF CNN for FEMNIST).
+// the simulator's models: multinomial logistic regression and MLPs, built
+// from two layers, Dense and ReLU.
 //
 // The library works one sample at a time with manual backpropagation; a
 // batch is a loop that accumulates gradients. This keeps layers simple and
@@ -14,11 +13,9 @@
 // A Network is one allocation of floats, and layers own no storage: a
 // layer constructor allocates only its struct. The vector starts with the
 // parameters, then the softmax scratch, then every layer's buffers (its
-// output and input gradient, and GroupNorm's and MaxPool2D's scratch),
-// each a window whose capacity ends where the next begins.
-// Every parameterised layer works on its window of a model vector, in
-// layer order and, within a layer, weights before bias (Dense W then B,
-// Conv2D K then B, GroupNorm gamma then beta). New points the layers at
+// output and input gradient), each a window whose capacity ends where the
+// next begins. Every Dense layer works on its window of a model vector, in
+// layer order and, within a layer, W before B. New points the layers at
 // the network's own parameters and draws the initial weights there, from
 // the constructors' RNG in layer order; Init draws the same weights from a
 // given stream into any vector. The parameters are the model x_i the nodes
@@ -34,10 +31,10 @@
 // parameters once it Uses another vector, else one allocated at its first
 // train step.
 //
-// Between Forward and Backward, Dense and Conv2D hold the slice they were
-// given, not a copy: a sample or the buffer of the layer below, neither of
-// which changes meanwhile. A first-layer Dense or Conv2D computes no input
-// gradient and has no buffer for it (New).
+// Between Forward and Backward, Dense holds the slice it was given, not a
+// copy: a sample or the buffer of the layer below, neither of which
+// changes meanwhile. A first-layer Dense computes no input gradient and
+// has no buffer for it (New).
 package nn
 
 import (

@@ -19,7 +19,7 @@ import (
 const surfaceAllowlist = "testdata/surface_allowlist.txt"
 
 // maxSurfaceAllowlist caps the allowlist: it may only shrink.
-const maxSurfaceAllowlist = 6
+const maxSurfaceAllowlist = 4
 
 // stdlibMethods are method names a type implements for a standard-library
 // interface (fmt.Stringer, error, json.Marshaler/Unmarshaler, io.Reader,

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,13 +26,12 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestPaperJobsMatchFigures: each job that cmd/figures also runs (the
+// TestPaperJobsMatchFigures: each job that the paper job also runs (the
 // paper's tables and figures, and Section 5.1 fairness) prints its
-// section, or for tables Tables 1-4 and the headline, of cmd/figures'
-// golden at the same scale, byte for byte; figure3 then adds its tuned Γ
-// per degree.
+// section, or for tables Tables 1-4 and the headline, of paper.golden at
+// the same scale, byte for byte; figure3 then adds its tuned Γ per degree.
 func TestPaperJobsMatchFigures(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("..", "figures", "testdata", "tiny.golden"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "paper.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,15 +51,48 @@ func TestPaperJobsMatchFigures(t *testing.T) {
 		var want strings.Builder
 		for _, name := range names {
 			if sections[name] == "" {
-				t.Fatalf("no section %q in tiny.golden", name)
+				t.Fatalf("no section %q in paper.golden", name)
 			}
 			want.WriteString(sections[name])
 		}
 		code, got := clitest.Exec(t, run, "-job", job, "-nodes", "12", "-rounds", "4")
 		rest, ok := strings.CutPrefix(got, want.String())
 		if code != 0 || !ok || rest != "" && !(job == "figure3" && tuned.MatchString(rest)) {
-			t.Errorf("-job %s: exit %d, stdout is not %q of tiny.golden:\n%s", job, code, names, got)
+			t.Errorf("-job %s: exit %d, stdout is not %q of paper.golden:\n%s", job, code, names, got)
 		}
+	}
+}
+
+// TestPaperGolden pins stdout byte for byte for the whole paper
+// evaluation, and checks that -out writes one CSV file for each series of
+// Figures 1, 4, 5 (two algorithms) and 6 (three), the last two on two
+// datasets and three degrees.
+func TestPaperGolden(t *testing.T) {
+	clitest.Golden(t, run, "paper", "-job", "paper", "-nodes", "12", "-rounds", "4", "-out", "TMP")
+	dir := filepath.Join(t.TempDir(), "series")
+	clitest.Exit(t, run, 0, "-job", "paper", "-nodes", "12", "-rounds", "2", "-out", dir)
+	want := []string{"figure1.csv", "figure4.csv"}
+	for _, ds := range []string{"cifar", "femnist"} {
+		for _, d := range []string{"d10", "d6", "d8"} {
+			for _, algo := range []string{"D_PSGD", "SkipTrain"} {
+				want = append(want, "figure5_"+ds+"_"+d+"_"+algo+".csv")
+			}
+			for _, algo := range []string{"D_PSGD", "Greedy", "SkipTrain_constrained"} {
+				want = append(want, "figure6_"+ds+"_"+d+"_"+algo+".csv")
+			}
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("-out wrote %q, want %q", got, want)
 	}
 }
 
@@ -139,6 +172,7 @@ func TestFlagTable(t *testing.T) {
 		"job":             {[]string{"-job", "bogus"}, []string{"-job", "harvest"}},
 		"cache":           {[]string{"-job", "harvest", "-cache", t.TempDir()}, []string{"-job", "gamma", "-cache", warm}},
 		"degrees":         {[]string{"-job", "gamma", "-degrees", "4"}, []string{"-degrees", "4"}},
+		"out":             {[]string{"-job", "figure1", "-out", t.TempDir()}, []string{"-job", "paper", "-nodes", "12", "-out", t.TempDir()}},
 	}
 	var flags []string
 	for _, r := range new(config).rules() {
@@ -208,6 +242,35 @@ func TestUsageErrors(t *testing.T) {
 		}
 		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
 			t.Errorf("%q: the cache directory was made (%v)", args, err)
+		}
+	}
+}
+
+// TestPaperUsageErrors: the paper job is refused, with nothing printed and
+// the -out directory not made, on a positional argument (which once ended
+// flag parsing and wrote to ./results), a non-positive -nodes (which once
+// panicked after Tables 1 and 2), a non-positive -rounds (which once failed
+// after printing them), a zero seed, a job too large to finish or fit in
+// memory, and 5 nodes, which cannot hold the 10-regular topologies of
+// Figures 3, 5 and 6 (this once printed the first tables, then failed). A
+// job that writes no series refuses -out.
+func TestPaperUsageErrors(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "series")
+	for _, args := range [][]string{
+		{"-job", "paper", "-nodes", "12", "extra"},
+		{"-job", "paper", "-nodes", "-3"}, {"-job", "paper", "-nodes", "0"},
+		{"-job", "paper", "-rounds", "-4"}, {"-job", "paper", "-rounds", "0"},
+		{"-job", "paper", "-seed", "0"},
+		{"-job", "paper", "-nodes", "4097"}, {"-job", "paper", "-nodes", "1099511627776"},
+		{"-job", "paper", "-nodes", "8", "-rounds", "60001"},
+		{"-job", "paper", "-nodes", "5", "-rounds", "2"},
+		{"-job", "gamma"},
+	} {
+		if code, out := clitest.Exec(t, run, append(args, "-out", dir)...); code != 2 || out != "" {
+			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%q: the -out directory was made (%v)", args, err)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cli/clitest"
+	"repro/internal/experiments"
 )
 
 // TestGolden pins stdout byte for byte for one command line per mode and
@@ -32,6 +33,35 @@ func TestGolden(t *testing.T) {
 		{"grid-csv", []string{"-grid", "-trace", "csv", "-tracefile", "testdata/trace.csv", "-nodes", "8", "-rounds", "4"}},
 	} {
 		clitest.Golden(t, run, g.name, g.args...)
+	}
+}
+
+// TestHarvestSingleRunIsATableCell: a single run at the brown-out table's
+// settings is that table's cell, and its final line prints what the row
+// reports — the readout and the averaged-model column — on both regimes,
+// with dead nodes routed through and dropped.
+func TestHarvestSingleRunIsATableCell(t *testing.T) {
+	rows, err := experiments.TableBrownout(experiments.Options{Nodes: 12, Rounds: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("TableBrownout has %d rows, want 4", len(rows))
+	}
+	traces := map[string][]string{
+		"diurnal": {"-trace", "diurnal", "-peak", "1.2", "-period", "4"},
+		"markov":  {"-trace", "markov", "-peak", "1.4"},
+	}
+	for _, r := range rows {
+		args := append([]string{"-nodes", "12", "-rounds", "8", "-capacity", "10", "-initsoc", "0.6", "-cutoff", "0.25",
+			"-idle", "0.2", "-policy", "threshold", "-minsoc", "0.35"}, traces[r.Regime]...)
+		if r.Mode == "drop-and-renormalize" {
+			args = append(args, "-dropdead")
+		}
+		want := fmt.Sprintf("final: %.2f%% | avg model %s | ", r.FinalAcc, r.Model)
+		if code, out := clitest.Exec(t, run, args...); code != 0 || !strings.Contains(out, "\n"+want) {
+			t.Errorf("%q: exit %d, no line starting %q (the %s/%s row) in:\n%s", args, code, want, r.Regime, r.Mode, out)
+		}
 	}
 }
 

@@ -295,6 +295,47 @@ func TestProbabilisticPolicyRate(t *testing.T) {
 	}
 }
 
+// TestProbabilisticPolicyParticipationUnbiased: while a node has budget
+// left (Trained < τᵢ) it trains in a coordinated round at rate
+// pᵢ = TrainingProbability(τᵢ, Γ.TTrain(T)), within 4σ, on several Γ, T
+// and τ; at p = 1 it trains every time.
+func TestProbabilisticPolicyParticipationUnbiased(t *testing.T) {
+	const draws = 20000
+	for _, c := range []struct {
+		train, sync, horizon int
+		tau                  []int
+	}{
+		{1, 1, 100, []int{5, 25, 50, 80}},
+		{2, 3, 1000, []int{40, 200, 399, 400}},
+		{4, 1, 250, []int{1, 100, 199, 1000}},
+		{3, 0, 60, []int{6, 30, 60}},
+	} {
+		g, err := NewGamma(c.train, c.sync)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewProbabilisticPolicy(g, c.horizon, c.tau)
+		for node, tau := range c.tau {
+			want := TrainingProbability(tau, g.TTrain(c.horizon))
+			sigma := math.Sqrt(want * (1 - want) / draws)
+			for _, trained := range []int{0, tau - 1} {
+				ctx := RoundContext{Kind: RoundTrain, Horizon: c.horizon, Trained: trained}
+				r := rng.Derive(12, uint64(c.train), uint64(c.sync), uint64(c.horizon), uint64(node), uint64(trained))
+				n := 0
+				for range draws {
+					if p.Participate(node, ctx, r) {
+						n++
+					}
+				}
+				if rate := float64(n) / draws; math.Abs(rate-want) > 4*sigma {
+					t.Errorf("Γ=(%d,%d) T=%d τ=%d trained=%d: rate %.4f, want %.4f ± %.4f (4σ)",
+						c.train, c.sync, c.horizon, tau, trained, rate, want, 4*sigma)
+				}
+			}
+		}
+	}
+}
+
 func TestProbabilisticDeterministicPerSeed(t *testing.T) {
 	g, _ := NewGamma(2, 2)
 	run := func() []bool {

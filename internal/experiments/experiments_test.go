@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -282,6 +284,23 @@ func TestTable2MatchesPaper(t *testing.T) {
 		if r.CIFARRounds != w[0] || r.FEMNISTRounds != w[1] {
 			t.Fatalf("%s budgets (%d,%d), paper (%d,%d)", r.Device, r.CIFARRounds, r.FEMNISTRounds, w[0], w[1])
 		}
+	}
+}
+
+// TestTable2Golden pins the printed bytes of Table 2: the device table,
+// the paper-scale network's D-PSGD totals and the trace derivation. None
+// of it depends on the simulation scale.
+func TestTable2Golden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "table2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	o := tiny()
+	o.Out = &sb
+	Table2(o)
+	if sb.String() != string(want) {
+		t.Errorf("Table 2 differs from testdata/table2.golden:\n%s", sb.String())
 	}
 }
 

@@ -38,7 +38,7 @@ func renderExtensions(t *testing.T) string {
 }
 
 // TestExtensionTablesGolden pins the rendered bytes of the extension
-// tables, which cmd/figures' golden does not cover.
+// tables, which gridsearch's paper golden does not cover.
 func TestExtensionTablesGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "extensions.golden"))
 	if err != nil {

@@ -33,24 +33,35 @@ type Table2Row struct {
 
 // Table2 regenerates the energy traces (paper Table 2): per-device,
 // per-round training energy for both workloads and the battery-bounded
-// round budgets.
+// round budgets. Under the table it prints a paper-scale network's
+// D-PSGD totals and the derivation of every trace value.
 func Table2(o Options) []Table2Row {
 	o = o.Defaults()
+	c, f, devices := energy.CIFAR10Workload(), energy.FEMNISTWorkload(), energy.Devices()
 	var rows []Table2Row
 	tb := report.NewTable("Table 2: Energy traces",
 		"Device", "CIFAR-10 mWh", "FEMNIST mWh", "CIFAR-10 rounds (10%)", "FEMNIST rounds (50%)")
-	for _, d := range energy.Devices() {
+	derivation := report.NewTable("\nTrace derivation (Eq. 2: E = P * Δ; Δ = 3 x inference x params-ratio x batch x steps)",
+		"Device", "Power W", "MobileNet-v2 infer ms", "CIFAR Δ s", "FEMNIST Δ s", "Battery Wh")
+	for _, d := range devices {
 		row := Table2Row{
 			Device:        d.Name,
-			CIFARmWh:      d.TrainRoundWh(energy.CIFAR10Workload()) * 1000,
-			FEMNISTmWh:    d.TrainRoundWh(energy.FEMNISTWorkload()) * 1000,
-			CIFARRounds:   d.RoundBudget(energy.CIFAR10Workload(), 0.10),
-			FEMNISTRounds: d.RoundBudget(energy.FEMNISTWorkload(), 0.50),
+			CIFARmWh:      d.TrainRoundWh(c) * 1000,
+			FEMNISTmWh:    d.TrainRoundWh(f) * 1000,
+			CIFARRounds:   d.RoundBudget(c, 0.10),
+			FEMNISTRounds: d.RoundBudget(f, 0.50),
 		}
 		rows = append(rows, row)
 		tb.AddRowf("%s|%.1f|%.1f|%d|%d", row.Device, row.CIFARmWh, row.FEMNISTmWh, row.CIFARRounds, row.FEMNISTRounds)
+		derivation.AddRowf("%s|%.1f|%.1f|%.2f|%.2f|%.2f", d.Name, d.PowerWatts, d.InferenceSeconds*1000,
+			d.TrainRoundSeconds(c), d.TrainRoundSeconds(f), d.BatteryWh)
 	}
 	tb.Render(o.Out)
+	roundC, roundF := energy.NetworkRoundWh(PaperNodes, devices, c), energy.NetworkRoundWh(PaperNodes, devices, f)
+	fmt.Fprintf(o.Out, "\nnetwork of %d nodes, one training round: CIFAR-10 %.4f Wh, FEMNIST %.4f Wh\n", PaperNodes, roundC, roundF)
+	fmt.Fprintf(o.Out, "D-PSGD totals: CIFAR-10 %.2f Wh over %d rounds (paper: 1510.04), FEMNIST %.2f Wh over %d rounds (paper: 14914.38)\n",
+		roundC*PaperRoundsCIFAR, PaperRoundsCIFAR, roundF*PaperRoundsFEMNIST, PaperRoundsFEMNIST)
+	derivation.Render(o.Out)
 	return rows
 }
 

@@ -64,16 +64,13 @@ func FuzzBatteryKernel(f *testing.F) {
 }
 
 // checkCharge requires the production charge to equal the oracle's bit for
-// bit and to sit inside the battery. Filling up adds the rounded room
-// capacity − c back onto c, which can land one ulp above capacity (the last
-// seed); that is pinned arithmetic every golden carries, so the upper bound
-// allows exactly that ulp.
+// bit and to sit inside the battery, capacity included.
 func checkCharge(t *testing.T, got float64, b *Battery, step int, what string) {
 	t.Helper()
 	if got != b.ChargeWh() {
 		t.Fatalf("step %d after %s: charge %v, oracle %v", step, what, got, b.ChargeWh())
 	}
-	if !(got >= 0 && got <= math.Nextafter(b.CapacityWh, math.Inf(1))) {
+	if !(got >= 0 && got <= b.CapacityWh) {
 		t.Fatalf("step %d after %s: charge %v outside [0, capacity %v]", step, what, got, b.CapacityWh)
 	}
 }

@@ -51,12 +51,13 @@ func (b *Battery) Harvest(wh float64) float64 {
 	if wh <= 0 {
 		return 0
 	}
-	stored := wh
-	if room := b.CapacityWh - b.chargeWh; stored > room {
-		stored = room
+	room := b.CapacityWh - b.chargeWh
+	if wh >= room {
+		b.chargeWh = b.CapacityWh
+		return room
 	}
-	b.chargeWh += stored
-	return stored
+	b.chargeWh += wh
+	return wh
 }
 
 // Drain removes up to wh watt-hours for loads the node cannot refuse (idle

@@ -27,14 +27,19 @@ func drain(charge, wh float64) (float64, float64) {
 
 // store adds up to wh to a store holding charge, clamping at capacity. It
 // returns the new charge and the amount actually stored — the remainder
-// arrived on a full battery and is wasted; non-positive wh is ignored.
+// arrived on a full battery and is wasted; non-positive wh is ignored. A
+// store that fills the battery leaves exactly capacity: charge plus the
+// rounded room can land one ulp above it.
 func store(charge, capacity, wh float64) (float64, float64) {
+	next := capacity
 	if wh <= 0 {
-		wh = 0
-	} else if room := capacity - charge; wh > room {
+		wh, next = 0, charge
+	} else if room := capacity - charge; wh < room {
+		next = charge + wh
+	} else {
 		wh = room
 	}
-	return charge + wh, wh
+	return next, wh
 }
 
 // affords is the one affordability test: whether a store at charge can

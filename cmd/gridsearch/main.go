@@ -31,7 +31,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/sweep"
 )
@@ -215,7 +214,7 @@ func armFile(figure int, dataset string, degree int, algo string) string {
 
 // config is the parsed command line; the flags bind straight into it.
 type config struct {
-	nodes, rounds, workers   int
+	nodes, rounds            int
 	seed                     uint64
 	degrees, job, cache, out string
 	expectAllHits            bool
@@ -232,7 +231,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&c.job, "job", "figure3", strings.Join(slices.Sorted(maps.Keys(jobs)), " | "))
 	fs.StringVar(&c.cache, "cache", "", "memoize figure3, gamma or degree cells in this directory")
 	fs.StringVar(&c.out, "out", "", "with -job paper: write the figures' CSV series into this directory")
-	fs.IntVar(&c.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.BoolVar(&c.expectAllHits, "expect-all-hits", false, "with -cache: exit 1 unless every cell was a cache hit")
 	err := cli.Parse(fs, args)
 	if err == nil {
@@ -254,7 +252,6 @@ func (c *config) rules() []cli.Rule {
 	return append(cli.Scale(&c.nodes, &c.rounds, c.builds), []cli.Rule{
 		{Flags: "job", Want: "a job -h lists", OK: func() bool { _, ok := jobs[c.job]; return ok }},
 		{Flags: "seed", Want: "a value ≥ 1 (the experiments read seed 0 as 42)", OK: func() bool { return c.seed != 0 }},
-		{Flags: "workers", Want: "a value ≥ 0", OK: func() bool { return c.workers >= 0 }},
 		{Flags: "cache", Want: "a job whose cells are keyed: figure3, gamma or degree", OK: func() bool { return jobs[c.job].keyed }},
 		{Flags: "expect-all-hits", Want: "-cache", OK: func() bool { return c.cache != "" }},
 		{Flags: "out", Want: "-job paper", OK: func() bool { return c.job == "paper" }},
@@ -295,16 +292,12 @@ func parseDegrees(s string) ([]int, error) {
 // repeated runs skip computed cells.
 func (c *config) run(stdout io.Writer) error {
 	o := experiments.Options{Nodes: c.nodes, Rounds: c.rounds, Seed: c.seed, Out: stdout}
-	if c.cache != "" || c.workers != 0 {
-		var store sweep.Store
-		if c.cache != "" {
-			disk, err := sweep.NewFileStore(c.cache)
-			if err != nil {
-				return err
-			}
-			store = sweep.Tiered(sweep.NewMemStore(0), disk)
+	if c.cache != "" {
+		disk, err := sweep.NewFileStore(c.cache)
+		if err != nil {
+			return err
 		}
-		o.Sweep = sweep.NewRunner(store, par.NewPool(c.workers))
+		o.Sweep = sweep.NewRunner(sweep.Tiered(sweep.NewMemStore(0), disk), nil)
 	}
 	if err := jobs[c.job].run(o, c.builds(), c.out); err != nil || o.Sweep == nil {
 		return err

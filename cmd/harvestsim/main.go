@@ -10,7 +10,9 @@
 // The default configuration is a 96-node diurnal fleet spread over all
 // longitudes — the sun sweeps around the globe and nodes train in waves —
 // but every piece is under flag control. harvestsim -h lists the traces,
-// policies and rejoin rules, and a scenario command line for each.
+// policies and rejoin rules, and a scenario command line for each; traces
+// and policies are one registry each, which the flag table, the help and
+// the world builder read.
 //
 // With -telemetry, the run streams structured telemetry (internal/obs): a
 // live progress line on stderr with per-round participation and streamed
@@ -35,12 +37,9 @@
 // -peak, and -period describe the same ambient process as the round
 // engine.
 //
-// With -grid, instead of a single run the command evaluates the full 4x4
-// Γtrain x Γsync grid under the harvest regime selected by -trace (each
-// cell a fresh-fleet simulation, cells fanned out across workers) and
-// reports the best schedule — the harvest-aware version of the paper's
-// Figure 3 search. -trace constant -peak 0 recovers the fixed-budget
-// baseline.
+// The harvest-aware version of the paper's Figure 3 search, the 4x4
+// Γtrain x Γsync grid under each standard harvest regime, is gridsearch
+// -job gamma.
 //
 // With -dropdead, a node whose battery sits at or below the -cutoff
 // state of charge is browned out for the round: it neither trains nor
@@ -56,13 +55,13 @@
 // blend).
 //
 // A flag set where it has no effect — a round-engine flag with -async, a
-// single-run flag with -grid, a policy knob under another policy — is a
-// usage error (exit status 2), not a silent no-op; config.rules is the
+// policy knob under another policy — is a usage error (exit status 2), not a silent no-op; config.rules is the
 // table. Runs are deterministic: the same seed and flags reproduce the
 // same output bit-for-bit.
 package main
 
 import (
+	"cmp"
 	_ "expvar" // registers /debug/vars on the -pprof server
 	"flag"
 	"fmt"
@@ -74,6 +73,7 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the -pprof server
 	"os"
 	"slices"
+	"strings"
 
 	"repro/internal/async"
 	"repro/internal/cli"
@@ -113,16 +113,14 @@ type config struct {
 	capacity, initSoC             float64
 	minSoC, lowSoC, highSoC       float64
 	exponent, cutoff, idle        float64
-	dropDead                      bool
+	dropDead, async               bool
 	rejoin                        string
-	grid, async                   bool
 	gt, gs                        int
 	lr                            float64
 	batch, steps, evalInt         int
 	seed                          uint64
 	telemetry, audit              bool
 	events, pprofAddr             string
-	replay                        *harvest.Replay // -tracefile, read once
 }
 
 func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
@@ -133,9 +131,9 @@ func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
 	fs.IntVar(&c.rounds, "rounds", 96, "total rounds T")
 	fs.IntVar(&c.period, "period", 24, "rounds per simulated day (diurnal trace)")
 	fs.Float64Var(&c.peak, "peak", 1.5, "trace magnitude as a multiple of the mean per-round training cost")
-	fs.StringVar(&c.trace, "trace", "diurnal", "diurnal | constant | markov | csv")
+	fs.StringVar(&c.trace, "trace", "diurnal", strings.Join(slices.Sorted(maps.Keys(traces)), " | "))
 	fs.StringVar(&c.traceFile, "tracefile", "", "replay CSV for -trace csv (round,node,harvest_wh)")
-	fs.StringVar(&c.policy, "policy", "proportional", "proportional | threshold | hysteresis | mpc | mpc-persist")
+	fs.StringVar(&c.policy, "policy", "proportional", strings.Join(slices.Sorted(maps.Keys(policies)), " | "))
 	fs.IntVar(&c.fhorizon, "fhorizon", 0, "mpc policies: forecast window in rounds (0 = one -period day)")
 	fs.Float64Var(&c.fnoise, "fnoise", 0, "-policy mpc: multiplicative forecast noise sigma (0 = exact oracle)")
 	fs.Float64Var(&c.capacity, "capacity", 12, "battery capacity in training-rounds of energy")
@@ -148,7 +146,6 @@ func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
 	fs.Float64Var(&c.idle, "idle", 0, "always-on idle draw per round, as a multiple of the mean training cost")
 	fs.BoolVar(&c.dropDead, "dropdead", false, "silence browned-out nodes: drop their edges and re-normalize the mixing matrix each round")
 	fs.StringVar(&c.rejoin, "rejoin", "", "what a revived node resumes with: stale | restore | catchup (requires -dropdead; empty = off)")
-	fs.BoolVar(&c.grid, "grid", false, "run the 4x4 Γtrain x Γsync grid search under the -trace regime instead of a single run")
 	fs.BoolVar(&c.async, "async", false, "run the event-driven intermittency engine (internal/async): batteries on a continuous virtual clock, solved wake/brown-out crossings instead of round-boundary settlement")
 	fs.IntVar(&c.gt, "gt", 0, "Γtrain (0 = all-train schedule)")
 	fs.IntVar(&c.gs, "gs", 0, "Γsync (needs -gt > 0: SkipTrain schedule)")
@@ -167,76 +164,86 @@ func (c *config) flagSet(stderr io.Writer) *flag.FlagSet {
 // rules is the flag table: each flag that does not apply to every run,
 // with the condition under which it does, and the values the scale,
 // learning, battery, trace, policy, schedule and rejoin flags take, so a
-// value no run takes is refused before the world is built. -grid runs the experiment package's standard grid world (6-regular
-// topology, shared fleet shape and policy) and searches the schedule
-// itself, reading seed 0 as 42; -async has no per-round dropout or rejoin
-// rule.
+// value no run takes is refused before the world is built. -async has no
+// per-round dropout or rejoin rule.
 func (c *config) rules() []cli.Rule {
-	roundEngine := func() bool { return !c.grid && !c.async }
-	policyIs := func(name string) func() bool {
-		return func() bool { return !c.grid && c.policy == name }
-	}
-	return append(cli.Scale(&c.nodes, &c.rounds, c.degrees), []cli.Rule{
-		{Flags: "seed", Want: "a single run (no -grid) or a value ≥ 1", OK: func() bool { return !c.grid || c.seed != 0 }},
-		{Flags: "trace", Want: "diurnal, constant, markov, or csv with -tracefile", OK: func() bool {
-			return c.trace == "diurnal" || c.trace == "constant" || c.trace == "markov" || c.trace == "csv" && c.traceFile != ""
-		}},
+	plans := func() bool { return policies[c.policy].forecast != nil }
+	return append(cli.Scale(&c.nodes, &c.rounds, func() []int { return []int{c.degree} }), []cli.Rule{
+		{Flags: "trace", Want: "a trace -h lists, and csv with -tracefile",
+			OK: func() bool { return traces[c.trace].build != nil && (c.trace != "csv" || c.traceFile != "") }},
 		{Flags: "tracefile", Want: "-trace csv", OK: func() bool { return c.trace == "csv" }},
-		{Flags: "peak", Want: "a finite value ≥ 0 and -trace diurnal, constant or markov",
+		{Flags: "peak", Want: "a finite value ≥ 0 and a trace other than csv",
 			OK: func() bool { return c.trace != "csv" && c.peak >= 0 && c.peak <= math.MaxFloat64 }},
-		{Flags: "period", Want: "-trace diurnal or an mpc policy", OK: func() bool { return c.trace == "diurnal" || c.plans() }},
-		{Flags: "async", Want: "no -grid and no -policy mpc-persist, which learns from per-round observations the event-driven engine does not make",
-			OK: func() bool { return !c.grid && c.policy != "mpc-persist" }},
-		{Flags: "degree", Want: "a single run (no -grid) and a regular topology of degree d (" + cli.Topology + ")",
-			OK: func() bool { return !c.grid && graph.CheckRegular(c.nodes, c.degree) == nil }},
-		{Flags: "eval", Want: "a single run (no -grid) and a value ≥ 0", OK: func() bool { return !c.grid && c.evalInt >= 0 }},
-		{Flags: "capacity", Want: "a single run (no -grid) and a finite value ≥ 0", OK: func() bool { return !c.grid && c.capacity >= 0 && c.capacity <= math.MaxFloat64 }},
-		{Flags: "initsoc", Want: "a single run (no -grid) and a value in [0, 1]", OK: func() bool { return !c.grid && c.initSoC >= 0 && c.initSoC <= 1 }},
-		{Flags: "cutoff", Want: "a single run (no -grid) and a value in [0, 1)", OK: func() bool { return !c.grid && c.cutoff >= 0 && c.cutoff < 1 }},
-		{Flags: "idle", Want: "a single run (no -grid) and a finite value ≥ 0", OK: func() bool { return !c.grid && c.idle >= 0 && c.idle <= math.MaxFloat64 }},
+		{Flags: "period", Want: "-trace diurnal or an mpc policy", OK: func() bool { return c.trace == "diurnal" || plans() }},
+		{Flags: "async", Want: "no -policy mpc-persist, which learns from per-round observations the event-driven engine does not make",
+			OK: func() bool { return c.policy != "mpc-persist" }},
+		{Flags: "degree", Want: "a regular topology of degree d (" + cli.Topology + ")",
+			OK: func() bool { return graph.CheckRegular(c.nodes, c.degree) == nil }},
+		{Flags: "eval", Want: "a value ≥ 0", OK: func() bool { return c.evalInt >= 0 }},
+		{Flags: "capacity", Want: "a finite value ≥ 0", OK: func() bool { return c.capacity >= 0 && c.capacity <= math.MaxFloat64 }},
+		{Flags: "initsoc", Want: "a value in [0, 1]", OK: func() bool { return c.initSoC >= 0 && c.initSoC <= 1 }},
+		{Flags: "cutoff", Want: "a value in [0, 1)", OK: func() bool { return c.cutoff >= 0 && c.cutoff < 1 }},
+		{Flags: "idle", Want: "a finite value ≥ 0", OK: func() bool { return c.idle >= 0 && c.idle <= math.MaxFloat64 }},
 		{Flags: "lr", Want: "a finite value > 0", OK: func() bool { return c.lr > 0 && c.lr <= math.MaxFloat64 }},
 		{Flags: "batch", Want: "a value ≥ 1", OK: func() bool { return c.batch >= 1 }},
 		{Flags: "steps", Want: "a value ≥ 1", OK: func() bool { return c.steps >= 1 }},
-		{Flags: "policy", Want: "a single run (no -grid) and a policy -h lists", OK: func() bool { return !c.grid && policies[c.policy].build != nil }},
-		{Flags: "gt", Want: "a single run (no -grid) and a value ≥ 1", OK: func() bool { return !c.grid && c.gt >= 1 }},
-		{Flags: "gs", Want: "a single run (no -grid), -gt > 0 and a value ≥ 0", OK: func() bool { return !c.grid && c.gt > 0 && c.gs >= 0 }},
-		{Flags: "dropdead", Want: "the round engine (no -grid or -async)", OK: roundEngine},
+		{Flags: "policy", Want: "a policy -h lists", OK: func() bool { return policies[c.policy].build != nil }},
+		{Flags: "gt", Want: "a value ≥ 1", OK: func() bool { return c.gt >= 1 }},
+		{Flags: "gs", Want: "-gt > 0 and a value ≥ 0", OK: func() bool { return c.gt > 0 && c.gs >= 0 }},
+		{Flags: "dropdead", Want: "the round engine (no -async)", OK: func() bool { return !c.async }},
 		{Flags: "rejoin", Want: "-dropdead on the round engine and stale, restore, or catchup", OK: func() bool {
 			_, err := sim.RuleByName(c.rejoin)
-			return roundEngine() && c.dropDead && err == nil
+			return !c.async && c.dropDead && err == nil
 		}},
-		{Flags: "minsoc", Want: "-policy threshold", OK: policyIs("threshold")},
-		{Flags: "low high", Want: "-policy hysteresis", OK: policyIs("hysteresis")},
-		{Flags: "exponent", Want: "-policy proportional", OK: policyIs("proportional")},
-		{Flags: "fhorizon", Want: "an mpc policy and a value ≥ 0", OK: func() bool { return c.plans() && c.fhorizon >= 0 }},
+		{Flags: "minsoc", Want: "-policy threshold", OK: func() bool { return c.policy == "threshold" }},
+		{Flags: "low high", Want: "-policy hysteresis", OK: func() bool { return c.policy == "hysteresis" }},
+		{Flags: "exponent", Want: "-policy proportional", OK: func() bool { return c.policy == "proportional" }},
+		{Flags: "fhorizon", Want: "an mpc policy and a value ≥ 0", OK: func() bool { return plans() && c.fhorizon >= 0 }},
 		{Flags: "fnoise", Want: "-policy mpc (mpc-persist forecasts from observations) and a finite value ≥ 0",
-			OK: func() bool { return !c.grid && c.policy == "mpc" && c.fnoise >= 0 && c.fnoise <= math.MaxFloat64 }},
+			OK: func() bool { return c.policy == "mpc" && c.fnoise >= 0 && c.fnoise <= math.MaxFloat64 }},
 		{Flags: "events", Want: "-telemetry", OK: func() bool { return c.telemetry }},
 	}...)
 }
 
-// degrees is the topology degree the run builds: -degree, or the grid's.
-func (c *config) degrees() []int {
-	if c.grid {
-		return []int{experiments.PaperDegree}
-	}
-	return []int{c.degree}
+// traceSpec is one -trace registry entry: its usage text and its builder,
+// which reads -peak in units of meanTrainWh, the fleet's mean per-round
+// training cost.
+type traceSpec struct {
+	summary string
+	build   func(c *config, meanTrainWh float64) (harvest.Trace, error)
 }
 
-// plans reports whether a single run uses one of the mpc policies, which
-// plan over a forecast of the trace.
-func (c *config) plans() bool { return !c.grid && policies[c.policy].mpc }
+// traces is the -trace registry.
+var traces = map[string]traceSpec{
+	"diurnal": {summary: `solar sinusoid; each node's phase is its longitude, so the
+                sun sweeps the fleet and nodes train in waves (-peak, -period)`,
+		build: func(c *config, wh float64) (harvest.Trace, error) {
+			return harvest.NewDiurnal(c.peak*wh, c.period, harvest.LongitudePhase(c.nodes))
+		}},
+	"constant": {summary: `steady trickle of -peak x mean training cost per round;
+                -peak 0 is the paper's no-recharge setting`,
+		build: func(c *config, wh float64) (harvest.Trace, error) { return harvest.Constant{Wh: c.peak * wh}, nil }},
+	"markov": {summary: `two-state on/off chain per node: bursty ambient sources (RF,
+                wind); on-state harvest is -peak x mean training cost`,
+		build: func(c *config, wh float64) (harvest.Trace, error) {
+			return harvest.NewMarkovOnOff(c.nodes, c.peak*wh, 0.25, 0.35, c.seed)
+		}},
+	"csv": {summary: `replay a recorded per-node trace from -tracefile
+                (CSV rows: round,node,harvest_wh)`,
+		build: (*config).readReplay},
+}
 
 // mpcReserveSoC is the HorizonPlan safety margin: the planned trajectory
 // keeps this much capacity above the brown-out cutoff.
 const mpcReserveSoC = 0.05
 
-// policySpec is one -policy registry entry: its usage text, whether the
-// policy plans over a forecast, and its builder.
+// policySpec is one -policy registry entry: its usage text, its builder,
+// and, for a policy that plans over a forecast of the run's trace, the
+// forecaster's.
 type policySpec struct {
-	summary string
-	mpc     bool
-	build   func(c *config) (core.Policy, error)
+	summary  string
+	build    func(c *config) (core.Policy, error)
+	forecast func(c *config, trace harvest.Trace) (harvest.Forecaster, error)
 }
 
 // policies is the -policy registry. Policies read battery state through the
@@ -249,14 +256,23 @@ var policies = map[string]policySpec{
 		build: func(c *config) (core.Policy, error) { return harvest.NewSoCThreshold(c.minSoC) }},
 	"hysteresis": {summary: "go dormant below -low, resume above -high",
 		build: func(c *config) (core.Policy, error) { return harvest.NewSoCHysteresis(c.nodes, c.lowSoC, c.highSoC) }},
-	"mpc": {mpc: true, summary: `forecast-aware MPC: plan a greedy training knapsack over an
+	"mpc": {summary: `forecast-aware MPC: plan a greedy training knapsack over an
                 oracle forecast of the trace (-fhorizon rounds, default one
                 -period day; -fnoise corrupts the oracle), execute the first
                 decision, replan next round`,
-		build: func(*config) (core.Policy, error) { return harvest.NewHorizonPlan(mpcReserveSoC) }},
-	"mpc-persist": {mpc: true, summary: `the same planner over a learned forecast: tomorrow looks
+		build: func(*config) (core.Policy, error) { return harvest.NewHorizonPlan(mpcReserveSoC) },
+		forecast: func(c *config, tr harvest.Trace) (harvest.Forecaster, error) {
+			if c.fnoise > 0 {
+				return harvest.NewNoisyOracle(tr, c.fnoise, c.seed)
+			}
+			return harvest.NewOracle(tr)
+		}},
+	"mpc-persist": {summary: `the same planner over a learned forecast: tomorrow looks
                 like today (per-node persistence of observed arrivals)`,
-		build: func(*config) (core.Policy, error) { return harvest.NewHorizonPlan(mpcReserveSoC) }},
+		build: func(*config) (core.Policy, error) { return harvest.NewHorizonPlan(mpcReserveSoC) },
+		forecast: func(c *config, _ harvest.Trace) (harvest.Forecaster, error) {
+			return harvest.NewPersistence(c.nodes, c.period)
+		}},
 }
 
 // usage prints the flag defaults plus the scenario list: which trace and
@@ -272,17 +288,11 @@ Usage:
   harvestsim [flags]
 
 Traces (-trace):
-  diurnal   solar sinusoid; each node's phase is its longitude, so the
-            sun sweeps the fleet and nodes train in waves (-peak, -period)
-  constant  steady trickle of -peak x mean training cost per round;
-            -peak 0 is the paper's no-recharge setting
-  markov    two-state on/off chain per node: bursty ambient sources (RF,
-            wind); on-state harvest is -peak x mean training cost
-  csv       replay a recorded per-node trace from -tracefile
-            (CSV rows: round,node,harvest_wh)
-
-Policies (-policy):
 `)
+	for _, name := range slices.Sorted(maps.Keys(traces)) {
+		fmt.Fprintf(out, "  %-13s %s\n", name, traces[name].summary)
+	}
+	fmt.Fprint(out, "\nPolicies (-policy):\n")
 	for _, name := range slices.Sorted(maps.Keys(policies)) {
 		fmt.Fprintf(out, "  %-13s %s\n", name, policies[name].summary)
 	}
@@ -307,13 +317,13 @@ Scenarios:
                                                # plan against the sun: MPC
   harvestsim -policy mpc -fnoise 0.3           # ... with a noisy forecast
   harvestsim -policy mpc-persist               # ... with a learned forecast
-  harvestsim -grid -trace diurnal              # Γ-schedule search (4x4 grid)
-  harvestsim -grid -trace constant -peak 0     # ... under a fixed budget
   harvestsim -async -cutoff 0.25 -idle 0.2     # event-driven engine: solved
                                                # wake/brown-out crossings
   harvestsim -async -telemetry -audit          # ... with the live auditor
   harvestsim -telemetry -events run.jsonl      # live progress + JSONL events
   harvestsim -telemetry -pprof localhost:6060  # ... with pprof/expvar served
+
+The Γ-schedule search under each harvest regime is gridsearch -job gamma.
 
 Flags:
 
@@ -321,8 +331,8 @@ Flags:
 	fs.PrintDefaults()
 }
 
-// run serves pprof, reads the replay CSV, assembles the telemetry sink
-// chain, and runs the selected mode.
+// run serves pprof, builds the world, assembles the telemetry sink chain,
+// and runs the selected engine on the world.
 func (c *config) run(stdout, stderr io.Writer) error {
 	// Bind the pprof listener up front so a bad address is a usage error,
 	// not a mid-run surprise. The DefaultServeMux carries the pprof and
@@ -336,12 +346,10 @@ func (c *config) run(stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "pprof/expvar on http://%s/debug/pprof/\n", ln.Addr())
 		go http.Serve(ln, nil)
 	}
-	if c.trace == "csv" {
-		if err := c.readReplay(); err != nil {
-			return err
-		}
+	w, err := c.buildWorld()
+	if err != nil {
+		return err
 	}
-
 	// The telemetry sink chain: a live progress line on stderr plus the
 	// JSONL event stream when -events is set, and the streaming invariant
 	// auditor when -audit is set (independently of -telemetry). A nil sink
@@ -362,20 +370,13 @@ func (c *config) run(stdout, stderr io.Writer) error {
 		auditor = analyze.NewAuditor()
 		sinks = append(sinks, auditor)
 	}
-	var sink obs.Sink
-	if len(sinks) > 0 {
-		sink = obs.Multi(sinks...)
-	}
+	sink := obs.Multi(sinks...)
 	probe := obs.NewProbe(sink)
 
-	var err error
-	switch {
-	case c.grid:
-		err = c.runGrid(stdout, probe)
-	case c.async:
-		err = c.runAsync(stdout, probe)
-	default:
-		err = c.runRound(stdout, probe)
+	if c.async {
+		err = c.runAsync(stdout, w, probe)
+	} else {
+		err = c.runRound(stdout, w, probe)
 	}
 	if sink != nil {
 		if cerr := sink.Close(); cerr != nil && err == nil {
@@ -393,39 +394,22 @@ func (c *config) run(stdout, stderr io.Writer) error {
 	return err
 }
 
-// readReplay reads the -tracefile CSV once; every mode shares the replay,
-// which is stateless.
-func (c *config) readReplay() error {
+// readReplay is the csv trace's builder: it reads -tracefile, whose rows
+// are in watt-hours already.
+func (c *config) readReplay(float64) (harvest.Trace, error) {
 	fh, err := os.Open(c.traceFile)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer fh.Close()
-	if c.replay, err = harvest.ReadReplay(fh); err != nil {
-		return err
+	replay, err := harvest.ReadReplay(fh)
+	if err != nil {
+		return nil, err
 	}
-	if c.replay.Nodes() < c.nodes {
-		return fmt.Errorf("replay covers %d nodes, fleet has %d", c.replay.Nodes(), c.nodes)
+	if replay.Nodes() < c.nodes {
+		return nil, fmt.Errorf("replay covers %d nodes, fleet has %d", replay.Nodes(), c.nodes)
 	}
-	return nil
-}
-
-// buildTrace constructs the ambient trace selected by -trace for a fleet
-// of nodes, with magnitudes in units of meanTrainWh, the fleet's mean
-// per-round training cost. A single run calls it once; -grid once per
-// cell, since stateful traces must start fresh in every cell.
-func (c *config) buildTrace(nodes int, seed uint64, meanTrainWh float64) (harvest.Trace, error) {
-	switch c.trace {
-	case "diurnal":
-		return harvest.NewDiurnal(c.peak*meanTrainWh, c.period, harvest.LongitudePhase(nodes))
-	case "constant":
-		return harvest.Constant{Wh: c.peak * meanTrainWh}, nil
-	case "markov":
-		return harvest.NewMarkovOnOff(nodes, c.peak*meanTrainWh, 0.25, 0.35, seed)
-	case "csv":
-		return c.replay, nil
-	}
-	return nil, fmt.Errorf("unknown trace %q", c.trace)
+	return replay, nil
 }
 
 // world is what a single run trains on, on either engine: experiments'
@@ -450,7 +434,7 @@ func (c *config) buildWorld() (*world, error) {
 		return nil, err
 	}
 	w := &world{World: ew}
-	if w.trace, err = c.buildTrace(c.nodes, c.seed, ew.MeanTrainWh); err != nil {
+	if w.trace, err = traces[c.trace].build(c, ew.MeanTrainWh); err != nil {
 		return nil, err
 	}
 	w.fleet = harvest.Options{
@@ -466,25 +450,13 @@ func (c *config) buildWorld() (*world, error) {
 		return nil, err
 	}
 	w.policyName = w.policy.Name()
-	// The mpc policies plan over a forecast of the run's own trace: exact
-	// (oracle), corrupted (-fnoise), or learned (persistence). The window
-	// defaults to one simulated day.
-	if spec.mpc {
-		w.fhorizon = c.fhorizon
-		if w.fhorizon == 0 {
-			w.fhorizon = c.period
-		}
-		switch {
-		case c.policy == "mpc-persist":
-			w.forecaster, err = harvest.NewPersistence(c.nodes, c.period)
-		case c.fnoise > 0:
-			w.forecaster, err = harvest.NewNoisyOracle(w.trace, c.fnoise, c.seed)
-		default:
-			w.forecaster, err = harvest.NewOracle(w.trace)
-		}
-		if err != nil {
+	// A planning policy plans over a forecast of the run's own trace, in a
+	// window that defaults to one simulated day.
+	if spec.forecast != nil {
+		if w.forecaster, err = spec.forecast(c, w.trace); err != nil {
 			return nil, err
 		}
+		w.fhorizon = cmp.Or(c.fhorizon, c.period)
 		w.policyName += fmt.Sprintf(" [%s, window %d]", w.forecaster.Name(), w.fhorizon)
 	}
 	w.schedule, err = core.ScheduleFromGammaFlags(c.gt, c.gs)
@@ -492,11 +464,7 @@ func (c *config) buildWorld() (*world, error) {
 }
 
 // runRound runs one simulation on the round engine.
-func (c *config) runRound(stdout io.Writer, probe *obs.Probe) error {
-	w, err := c.buildWorld()
-	if err != nil {
-		return err
-	}
+func (c *config) runRound(stdout io.Writer, w *world, probe *obs.Probe) error {
 	cfg, err := w.Config(core.Algorithm{Label: "harvest-" + w.policy.Name(), Schedule: w.schedule, Policy: w.policy})
 	if err != nil {
 		return err
@@ -561,7 +529,9 @@ func (c *config) runRound(stdout io.Writer, probe *obs.Probe) error {
 		phase := harvest.LongitudePhase(c.nodes)
 		phaseCell = func(i int) string { return fmt.Sprintf("%.3f", phase(i)) }
 	}
+	trained := 0
 	for i := 0; i < c.nodes; i++ {
+		trained += res.TrainedRounds[i]
 		tb.AddRowf("%d|%s|%s|%d|%.1f|%.1f|%.3f|%.3f",
 			i, cfg.Devices[i].Name, phaseCell(i), res.TrainedRounds[i],
 			100*float64(res.TrainedRounds[i])/float64(trainSlots),
@@ -569,10 +539,6 @@ func (c *config) runRound(stdout io.Writer, probe *obs.Probe) error {
 	}
 	tb.Render(stdout)
 
-	trained := 0
-	for _, tr := range res.TrainedRounds {
-		trained += tr
-	}
 	fmt.Fprintf(stdout, "\nfinal: %.2f%% | avg model %s | participation %.1f%% | harvested %.4f Wh, consumed %.4f Wh, wasted %.4f Wh",
 		experiments.Readout(res, w.schedule), experiments.ModelColumnOf(res),
 		100*float64(trained)/float64(c.nodes*trainSlots),
@@ -595,11 +561,7 @@ func (c *config) runRound(stdout io.Writer, probe *obs.Probe) error {
 // crossing. One trace round spans the fleet-mean training-step duration,
 // so -rounds covers the same stretch of the ambient process as the round
 // engine.
-func (c *config) runAsync(stdout io.Writer, probe *obs.Probe) error {
-	w, err := c.buildWorld()
-	if err != nil {
-		return err
-	}
+func (c *config) runAsync(stdout io.Writer, w *world, probe *obs.Probe) error {
 	cfg, err := w.AsyncConfig(core.Algorithm{Label: "async-harvest-" + w.policy.Name(), Schedule: w.schedule, Policy: w.policy}, w.trace, w.fleet)
 	if err != nil {
 		return err
@@ -634,35 +596,5 @@ func (c *config) runAsync(stdout io.Writer, probe *obs.Probe) error {
 		res.GossipsSent, res.DroppedGossips,
 		res.Brownouts, 100*res.BrownoutShare,
 		res.HarvestedWh, res.ConsumedWh, res.WastedWh)
-	return nil
-}
-
-// runGrid runs the harvest-aware Γ-schedule search (-grid): the 4x4
-// Γtrain x Γsync grid under the regime selected by -trace, every cell a
-// full harvest-coupled simulation on a fresh fleet, cells fanned out
-// across workers. The -peak, -period, and -seed flags parameterize the
-// regime; topology, data, and fleet shape use the experiment package's
-// standard grid world, so results line up with experiments.TableGammaHarvest.
-func (c *config) runGrid(stdout io.Writer, probe *obs.Probe) error {
-	name := c.trace
-	switch {
-	case c.trace == "csv":
-		name = "replay"
-	case c.trace == "constant" && c.peak == 0:
-		name = "fixed-budget" // the paper's Figure 3 setting
-	}
-	res, err := experiments.RunGammaGrid(experiments.Options{
-		Nodes: c.nodes, Rounds: c.rounds, Seed: c.seed,
-		LR: c.lr, BatchSize: c.batch, LocalSteps: c.steps,
-		Probe: probe,
-	}, experiments.GammaRegime{Name: name, Trace: func(o experiments.Options, meanTrainWh float64) (harvest.Trace, error) {
-		return c.buildTrace(o.Nodes, o.Seed, meanTrainWh)
-	}})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "Γ-schedule grid search: %d nodes, %d rounds | regime %s | trace %s\n\n",
-		c.nodes, c.rounds, res.Regime, res.Trace)
-	res.Render(stdout)
 	return nil
 }

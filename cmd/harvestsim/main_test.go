@@ -12,7 +12,7 @@ import (
 
 // TestGolden pins stdout byte for byte for one command line per mode and
 // code path: the round engine under each trace and policy family, dead-node
-// dropout, a rejoin rule, the event-driven engine, and the grid search.
+// dropout, a rejoin rule, and the event-driven engine.
 // -telemetry and -audit write to stderr only, and an audit violation would
 // fail the run.
 func TestGolden(t *testing.T) {
@@ -28,9 +28,6 @@ func TestGolden(t *testing.T) {
 		{"rejoin-catchup", []string{"-nodes", "8", "-rounds", "12", "-period", "6", "-cutoff", "0.3", "-idle", "0.25", "-dropdead", "-rejoin", "catchup"}},
 		{"async", []string{"-async", "-telemetry", "-audit", "-nodes", "8", "-rounds", "24", "-period", "6", "-cutoff", "0.25", "-idle", "0.2"}},
 		{"async-mpc", []string{"-async", "-policy", "mpc", "-fnoise", "0.3", "-nodes", "8", "-rounds", "24", "-period", "6", "-cutoff", "0.25", "-idle", "0.2"}},
-		{"grid-fixed-budget", []string{"-grid", "-audit", "-trace", "constant", "-peak", "0", "-nodes", "8", "-rounds", "4"}},
-		{"grid-markov", []string{"-grid", "-trace", "markov", "-nodes", "8", "-rounds", "4", "-seed", "42"}},
-		{"grid-csv", []string{"-grid", "-trace", "csv", "-tracefile", "testdata/trace.csv", "-nodes", "8", "-rounds", "4"}},
 	} {
 		clitest.Golden(t, run, g.name, g.args...)
 	}
@@ -76,20 +73,19 @@ func TestFlagTable(t *testing.T) {
 	}{
 		"nodes":     {"8", nil, nil},
 		"rounds":    {"2", nil, nil},
-		"seed":      {"0", []string{"-grid"}, nil},
 		"trace":     {"csv", nil, []string{"-tracefile", csv}},
 		"tracefile": {csv, nil, []string{"-trace", "csv"}},
 		"peak":      {"2", []string{"-trace", "csv", "-tracefile", csv}, nil},
 		"period":    {"6", []string{"-trace", "markov"}, []string{"-trace", "constant", "-policy", "mpc"}},
 		"async":     {"true", []string{"-policy", "mpc-persist"}, nil},
-		"degree":    {"4", []string{"-grid"}, nil},
-		"eval":      {"1", []string{"-grid"}, nil},
-		"capacity":  {"6", []string{"-grid"}, nil},
-		"initsoc":   {"0.8", []string{"-grid"}, nil},
-		"cutoff":    {"0.1", []string{"-grid"}, []string{"-async"}},
-		"idle":      {"0.1", []string{"-grid"}, nil},
-		"policy":    {"threshold", []string{"-grid"}, nil},
-		"gt":        {"2", []string{"-grid"}, nil},
+		"degree":    {"4", nil, nil},
+		"eval":      {"1", nil, nil},
+		"capacity":  {"6", nil, nil},
+		"initsoc":   {"0.8", nil, nil},
+		"cutoff":    {"0.1", nil, []string{"-async"}},
+		"idle":      {"0.1", nil, nil},
+		"policy":    {"threshold", nil, nil},
+		"gt":        {"2", nil, nil},
 		"gs":        {"1", nil, []string{"-gt", "2"}},
 		"dropdead":  {"true", []string{"-async"}, nil},
 		"rejoin":    {"restore", nil, []string{"-dropdead"}},
@@ -105,7 +101,8 @@ func TestFlagTable(t *testing.T) {
 		"steps":     {"2", nil, nil},
 	}
 	// Flags that apply everywhere are refused at a value they do not take.
-	bad := map[string]string{"nodes": "0", "rounds": "0", "lr": "0", "batch": "0", "steps": "0"}
+	bad := map[string]string{"nodes": "0", "rounds": "0", "lr": "0", "batch": "0", "steps": "0",
+		"degree": "1", "eval": "-1", "capacity": "-1", "initsoc": "1.5", "cutoff": "1", "idle": "-1", "policy": "bogus", "gt": "-1"}
 	var flags []string
 	for _, r := range new(config).rules() {
 		flags = append(flags, strings.Fields(r.Flags)...)
@@ -139,18 +136,15 @@ func TestUsageErrors(t *testing.T) {
 	clitest.Exit(t, run, 2, "-policy", "bogus")
 	clitest.Exit(t, run, 2, "-dropdead", "-rejoin", "bogus")
 	clitest.Exit(t, run, 2, "-trace", "bogus")
-	clitest.Exit(t, run, 2, "-grid", "-async")
-	// Each of these once ran: the grid as seed 42 or as "0 nodes" over a
-	// 48-node world, single runs until a world was built, and jobs too
+	// -grid ran the Γ search that gridsearch -job gamma runs. Each of the
+	// others once ran: single runs until a world was built, and jobs too
 	// large to finish or fit in memory until the runtime ran out of it.
 	for _, args := range [][]string{
-		{"-grid", "-seed", "0"},
-		{"-grid", "-nodes", "0"},
-		{"-grid", "-rounds", "0"},
+		{"-grid"},
 		{"-nodes", "0"},
 		{"-async", "-rounds", "0"},
 		{"-nodes", "1099511627776"},
-		{"-grid", "-nodes", "4097"},
+		{"-nodes", "4097"},
 		{"-async", "-nodes", "1099511627776"},
 		{"-nodes", "8", "-rounds", "60001"},
 		// A 1-regular topology, and a 3-regular one on an odd node count,
@@ -162,22 +156,20 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("%q: exit %d, want 2, and stdout %q", args, code, out)
 		}
 	}
-	// Each of these once ran as "final round only" or as the grid's
-	// default, or failed with exit 1 only after the world was built.
+	// Each of these once ran as "final round only", or failed with exit 1
+	// only after the world was built.
 	for _, args := range [][]string{
 		{"-eval", "-1"},
 		{"-async", "-eval", "-3"},
 		{"-batch", "0"},
 		{"-async", "-steps", "0"},
-		{"-grid", "-batch", "0"},
-		{"-grid", "-steps", "0"},
 		{"-degree", "0"},
 		{"-degree", "8"},
 		{"-async", "-degree", "9"},
 		{"-lr", "0"},
 		{"-lr", "NaN"},
 		{"-async", "-lr", "+Inf"},
-		{"-grid", "-lr", "-1"},
+		{"-lr", "-1"},
 		{"-capacity", "-1"},
 		{"-async", "-capacity", "+Inf"},
 		{"-initsoc", "1.5"},
@@ -193,8 +185,8 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 	// harvest.Constant is a literal, so the CLI checks -peak itself: a NaN
-	// peak once ran to "harvested NaN Wh" and picked a best Γ from NaNs.
-	for _, mode := range []string{"", "-async", "-grid"} {
+	// peak once ran to "harvested NaN Wh".
+	for _, mode := range []string{"", "-async"} {
 		for _, peak := range []string{"NaN", "+Inf", "-1"} {
 			for _, trace := range []string{"diurnal", "constant", "markov"} {
 				args := []string{"-nodes", "8", "-rounds", "2", "-trace", trace, "-peak", peak}

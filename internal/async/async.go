@@ -364,7 +364,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{StepsPerNode: make([]int, n), TrainedSteps: make([]int, n)}
-	res.Manifest = buildManifest(&cfg, &spec, ln.ParamCount, roundSec)
+	res.Manifest = buildManifest(&cfg, &spec, ln.ParamCount, vf)
 	probe, chargeWh := cfg.Probe, 0.0
 	if vf != nil {
 		chargeWh = vf.TotalChargeWh()
@@ -424,30 +424,38 @@ func Run(cfg Config) (*Result, error) {
 	// ledgerTick emits the fleet energy ledger as a VTime-stamped
 	// round_start/round_end pair — the roundless stream's conservation
 	// checkpoints. Deltas of the cumulative ledgers, like the synchronous
-	// engines; HarvestWh carries arrivals (stored + wasted). An evaluation
-	// tick settles no battery, since splitting a node's settle interval
-	// there would round it differently and so change the run: each node's
-	// charge and ledgers are as its own last event left them. The
-	// horizon's tick comes after AdvanceAll settles every node to it.
-	ticks := 0
+	// engines; HarvestWh carries arrivals (stored + wasted), Trained the
+	// steps trained since the last tick. An evaluation tick settles no
+	// battery, since splitting a node's settle interval there would round
+	// it differently and so change the run: each node's charge, ledgers
+	// and state of charge are as its own last event left them. The
+	// horizon's tick comes after AdvanceAll settles every node to it. The
+	// ledger exists for the probe alone, so without one there is none, and
+	// no SoC sketch.
+	var socSketch *obs.Sketch
+	if vf != nil && probe.Enabled() {
+		socSketch = obs.NewSoCSketch()
+	}
+	ticks, lastTrained := 0, 0
 	lastArrived, lastConsumed, lastWasted := 0.0, 0.0, 0.0
 	ledgerTick := func(t float64) {
-		if vf == nil {
+		if socSketch == nil {
 			return
 		}
 		arrived := vf.HarvestedWh() + vf.WastedWh()
 		consumed := vf.ConsumedWh()
 		wasted := vf.WastedWh()
-		live := vf.LiveCount()
+		socSketch.Reset()
+		meanSoC, _, depleted := vf.SoCStats(socSketch.Observe)
 		probe.Emit(obs.Event{Kind: obs.KindRoundStart, Round: ticks, Node: -1, Label: "tick", VTime: t})
 		probe.Emit(obs.Event{
 			Kind: obs.KindRoundEnd, Round: ticks, Node: -1, VTime: t,
-			Live: live, Depleted: vf.Nodes() - live,
+			Trained: trained - lastTrained, Live: vf.Nodes() - depleted, Depleted: depleted,
 			HarvestWh: arrived - lastArrived, ConsumedWh: consumed - lastConsumed,
 			WastedWh: wasted - lastWasted, ChargeWh: vf.TotalChargeWh(),
-			MeanSoC: vf.MeanSoC(),
+			MeanSoC: meanSoC, SoCP50: socSketch.Quantile(0.50), SoCP90: socSketch.Quantile(0.90), SoCP99: socSketch.Quantile(0.99),
 		})
-		lastArrived, lastConsumed, lastWasted = arrived, consumed, wasted
+		lastArrived, lastConsumed, lastWasted, lastTrained = arrived, consumed, wasted, trained
 		ticks++
 	}
 
@@ -626,26 +634,24 @@ func Run(cfg Config) (*Result, error) {
 		res.ConsumedWh = vf.ConsumedWh()
 		res.WastedWh = vf.WastedWh()
 	}
-	probe.Emit(obs.Event{
-		Kind: obs.KindRunEnd, Round: -1, Node: -1,
-		VTime: cfg.Horizon, Steps: steps, Trained: trained,
-		Gossips: res.GossipsSent,
-	})
+	probe.RunEnd(obs.Event{VTime: cfg.Horizon, Steps: steps, Trained: trained, Gossips: res.GossipsSent})
 	return res, nil
 }
 
 // buildManifest derives the async run's content-addressable identity from
 // the experiment-defining config fields (GOMAXPROCS and telemetry excluded:
 // the event loop is serial and bit-reproducible regardless).
-func buildManifest(cfg *Config, spec *learner.Spec, paramCount int, roundSec float64) obs.RunManifest {
+func buildManifest(cfg *Config, spec *learner.Spec, paramCount int, vf *harvest.VFleet) obs.RunManifest {
 	b := spec.Manifest("async", 0, paramCount).
 		SetFloat("horizon_s", cfg.Horizon).
 		SetInt("steps_per_node", cfg.StepsPerNode).
 		SetFloat("sync_speedup", float64(syncSpeedup)).
 		SetFloat("eval_every_s", cfg.EvalEverySeconds)
-	if cfg.Trace != nil {
+	if vf != nil {
+		// The battery spec is experiment identity too.
 		b = b.Set("trace", cfg.Trace.Name()).
-			SetFloat("round_seconds", roundSec)
+			SetFloat("round_seconds", vf.RoundSeconds())
+		vf.SetManifest(b)
 		if cfg.Forecast != nil {
 			b = b.Set("forecaster", cfg.Forecast.Name()).
 				SetInt("fhorizon", cfg.ForecastHorizon)

@@ -672,3 +672,73 @@ func TestAsyncEvaluationsLeaveRunUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// The manifest hashes the battery fleet's shape, as the round engine's
+// does: runs that differ only in capacity, cutoff, idle draw or initial
+// charge are different experiments with different config hashes. The
+// async manifest once hashed none of them, so all five runs below shared
+// one hash.
+func TestAsyncManifestHashesTheFleet(t *testing.T) {
+	base := harvestConfig(t, 31, nil)
+	base.Trace = scarceDiurnal(t, base)
+	base.Horizon = 30
+	step := meanStepWh(base)
+	seen := map[string]string{}
+	for name, set := range map[string]func(*harvest.Options){
+		"base":     func(*harvest.Options) {},
+		"capacity": func(o *harvest.Options) { o.CapacityRounds = 6 },
+		"cutoff":   func(o *harvest.Options) { o.CutoffSoC = 0.25 },
+		"idle":     func(o *harvest.Options) { o.IdleWh = 0.2 * step },
+		"initial":  func(o *harvest.Options) { o.InitialSoC = 0.9 },
+	} {
+		cfg := base
+		set(&cfg.FleetOptions)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if other, dup := seen[res.Manifest.ConfigHash]; dup {
+			t.Errorf("%s and %s share config hash %s", name, other, res.Manifest.ConfigHash)
+		}
+		seen[res.Manifest.ConfigHash] = name
+	}
+}
+
+// A ledger tick's round_end carries what the engine measured: the fleet's
+// SoC quantiles from the charges as last settled, and the steps trained
+// since the previous tick, which sum to the run's; run_end carries the
+// run's wall clock. Ticks once left the quantiles and the trained count at
+// zero and run_end without a wall clock, so a report printed zeros for
+// them.
+func TestAsyncTicksCarryWhatTheyMeasure(t *testing.T) {
+	cfg := harvestConfig(t, 25, nil)
+	cfg.Trace = scarceDiurnal(t, cfg)
+	mem := obstest.NewMemory()
+	cfg.Probe = obs.NewProbe(mem)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, ticks := 0, 0
+	for _, ev := range mem.Events() {
+		switch ev.Kind {
+		case obs.KindRoundEnd:
+			ticks++
+			trained += ev.Trained
+			if !(ev.SoCP50 > 0 && ev.SoCP50 <= ev.SoCP90 && ev.SoCP90 <= ev.SoCP99 && ev.SoCP99 <= 1) {
+				t.Errorf("tick %d: SoC quantiles p50=%g p90=%g p99=%g (mean %g)", ev.Round, ev.SoCP50, ev.SoCP90, ev.SoCP99, ev.MeanSoC)
+			}
+		case obs.KindRunEnd:
+			if ev.WallNs <= 0 || ev.Trained != trained {
+				t.Errorf("run_end %+v: want a wall clock and the ticks' %d trained steps", ev, trained)
+			}
+		}
+	}
+	want := 0
+	for _, n := range res.TrainedSteps {
+		want += n
+	}
+	if ticks < 2 || trained != want {
+		t.Errorf("%d ticks carry %d trained steps, the run trained %d", ticks, trained, want)
+	}
+}

@@ -169,8 +169,6 @@ type GammaGridResult struct {
 	Trace  string
 	Grid   [][]GammaHarvestCell // Grid[gs-1][gt-1]
 	Best   GammaHarvestCell
-	// samples is how many validation samples an evaluation scored.
-	samples int
 }
 
 // GammaHarvestRow is one regime's summary line of TableGammaHarvest.
@@ -378,12 +376,11 @@ func (g *gammaGrid) runRegime(ri int) (*GammaGridResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.RunEnd(gammaGridMax*gammaGridMax, 0)
+	p.RunEnd(obs.Event{Steps: gammaGridMax * gammaGridMax})
 	return &GammaGridResult{
-		Regime:  regime.Name,
-		Trace:   id.trace,
-		Grid:    grid,
-		samples: evalSamples(g.o, valSplit(g.o)),
+		Regime: regime.Name,
+		Trace:  id.trace,
+		Grid:   grid,
 		Best: bestGammaCell(grid,
 			func(c GammaHarvestCell) float64 { return c.FinalAcc },
 			func(c GammaHarvestCell) float64 { return c.ConsumedWh }),
@@ -480,15 +477,9 @@ func renderGammaHarvestRows(out io.Writer, rows []GammaHarvestRow) {
 	tb.Render(out)
 }
 
-// Render writes the regime's validation-accuracy heatmap (best cell
-// starred), the best-cell summary line and the readout.
-func (r *GammaGridResult) Render(out io.Writer) {
-	r.render(out)
-	fmt.Fprintf(out, "%s\n\n", periodNote(r.samples))
-}
-
-// render is Render without the readout, which a table of several grids
-// names once.
+// render writes the regime's validation-accuracy heatmap (best cell
+// starred) and the best-cell summary line; the table of several grids
+// names the readout once.
 func (r *GammaGridResult) render(out io.Writer) {
 	h := gammaHeatmap(fmt.Sprintf("Γ grid under %s (%s): validation accuracy [%%]", r.Regime, r.Trace),
 		r.Grid, func(c GammaHarvestCell) float64 { return c.FinalAcc })

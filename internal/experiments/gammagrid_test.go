@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/internal/obs/obstest"
 )
 
@@ -91,6 +92,28 @@ func TestRunGammaGridSingleRegime(t *testing.T) {
 	}
 	if res.Trace == "" || !strings.Contains(res.Trace, "diurnal") {
 		t.Fatalf("trace name %q", res.Trace)
+	}
+	// On each standard regime, RunGammaGrid is that regime's grid of the
+	// table: the same cells and the same best cell.
+	grids, rows, err := gammaHarvest(newWorld(o.Defaults(), cifar, PaperDegree), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, regime := range GammaGridRegimes(o) {
+		res, err := RunGammaGrid(o, regime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Regime != rows[i].Regime || res.Best != rows[i].Best {
+			t.Errorf("%s: RunGammaGrid best %+v, the table's row %s %+v", regime.Name, res.Best, rows[i].Regime, rows[i].Best)
+		}
+		for gs := range res.Grid {
+			for gt, c := range res.Grid[gs] {
+				if c != grids[i].Grid[gs][gt] {
+					t.Errorf("%s cell Γt=%d Γs=%d: RunGammaGrid %+v, the table %+v", regime.Name, gt+1, gs+1, c, grids[i].Grid[gs][gt])
+				}
+			}
+		}
 	}
 }
 
@@ -224,8 +247,8 @@ func TestTableGammaHarvestScheduleMovesWithRegime(t *testing.T) {
 }
 
 // With a probe attached, the grid runner emits one run_start/run_end pair
-// and exactly one cell event per grid cell — and the probe must not change
-// the computed grid.
+// and exactly one cell event per grid cell, a stream the auditor passes —
+// and the probe must not change the computed grid.
 func TestGammaGridCellEvents(t *testing.T) {
 	o := tiny()
 	o.Rounds = 8
@@ -234,11 +257,14 @@ func TestGammaGridCellEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := obstest.NewMemory()
-	o.Probe = obs.NewProbe(mem)
+	mem, auditor := obstest.NewMemory(), analyze.NewAuditor()
+	o.Probe = obs.NewProbe(obs.Multi(mem, auditor))
 	probed, err := RunGammaGrid(o, regime)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := auditor.Close(); err != nil || !auditor.Ok() {
+		t.Errorf("audit of the grid's stream: %v\n%s", err, auditor.Summary())
 	}
 	for gs := 0; gs < gammaGridMax; gs++ {
 		for gt := 0; gt < gammaGridMax; gt++ {

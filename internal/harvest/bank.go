@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/energy"
+	"repro/internal/obs"
 )
 
 // Options tunes a Fleet or VFleet. The zero value is completed with
@@ -226,27 +227,47 @@ func (b *bank) OverheadWh(i int) float64 { return b.idleWh + b.commWh[i] }
 // at or below the cutoff cannot power the node.
 func (b *bank) Usable(i int) bool { return b.chargeWh[i] > b.cutoffWh[i] }
 
-// DepletedCount returns how many nodes sit at or below their cutoff.
-func (b *bank) DepletedCount() int {
-	n := 0
+// SoCStats computes the fleet's whole-population charge statistics in one
+// pass over the charges as last settled: mean and minimum state of charge
+// plus the depleted count (nodes at or below their cutoff), summing in
+// index order. When observe is non-nil it receives every
+// node's SoC in the same pass — the hook an engine points at a streaming
+// quantile sketch (internal/obs) so SoC percentiles exist without
+// materializing a per-node slice.
+func (b *bank) SoCStats(observe func(soc float64)) (mean, min float64, depleted int) {
+	sum := 0.0
+	min = b.SoC(0)
 	for i := range b.chargeWh {
+		s := b.SoC(i)
+		sum += s
+		if s < min {
+			min = s
+		}
 		if !b.Usable(i) {
-			n++
+			depleted++
+		}
+		if observe != nil {
+			observe(s)
 		}
 	}
-	return n
+	return sum / float64(len(b.chargeWh)), min, depleted
 }
 
-// LiveCount returns how many nodes are above their brown-out cutoff.
-func (b *bank) LiveCount() int { return len(b.chargeWh) - b.DepletedCount() }
-
-// MeanSoC returns the fleet-average state of charge.
-func (b *bank) MeanSoC() float64 {
-	s := 0.0
+// SetManifest records the fleet's battery shape in a run's manifest: the
+// fleet sums of capacity, cutoff and per-round overhead, and the charge
+// held now, the initial charge before a run. They decide who trains and
+// who browns out; per-node values follow from the device mix and Options,
+// so the sums are a compact fingerprint, and without them runs that differ
+// only in (say) the cutoff would share one cache key.
+func (b *bank) SetManifest(m *obs.ManifestBuilder) {
+	overheadWh := 0.0
 	for i := range b.chargeWh {
-		s += b.SoC(i)
+		overheadWh += b.OverheadWh(i)
 	}
-	return s / float64(len(b.chargeWh))
+	m.SetFloat("fleet_capacity_wh", sum(b.capacityWh)).
+		SetFloat("fleet_cutoff_wh", sum(b.cutoffWh)).
+		SetFloat("fleet_overhead_wh", overheadWh).
+		SetFloat("fleet_initial_wh", b.TotalChargeWh())
 }
 
 // TotalChargeWh returns the fleet's total stored energy — the audit

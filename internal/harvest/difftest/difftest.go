@@ -417,7 +417,6 @@ func compare(t int, s Scenario, f *harvest.Fleet, ref *refFleet) error {
 		name      string
 		got, want float64
 	}{
-		{"MeanSoC", f.MeanSoC(), meanSoC},
 		{"HarvestedWh", f.HarvestedWh(), total(ref.harvested)},
 		{"ConsumedWh", f.ConsumedWh(), total(ref.consumed)},
 		{"WastedWh", f.WastedWh(), total(ref.wasted)},
@@ -425,12 +424,6 @@ func compare(t int, s Scenario, f *harvest.Fleet, ref *refFleet) error {
 		if p.got != p.want {
 			return fail("%s: fleet %v, reference %v", p.name, p.got, p.want)
 		}
-	}
-	if got := f.DepletedCount(); got != depleted {
-		return fail("DepletedCount: fleet %d, reference %d", got, depleted)
-	}
-	if got := f.LiveCount(); got != n-depleted {
-		return fail("LiveCount: fleet %d, reference %d", got, n-depleted)
 	}
 	if err := compareRows("SoCs", t, s, f.SoCs(), socs); err != nil {
 		return err

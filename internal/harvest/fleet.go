@@ -176,31 +176,6 @@ func (f *Fleet) SweepThreshold(t int, minSoC float64) SweepStats {
 // The slice is reused by the next EndRound call.
 func (f *Fleet) RoundArrivedWh() []float64 { return f.roundArrived }
 
-// SoCStats computes the fleet's whole-population charge statistics in one
-// pass: mean and minimum state of charge plus the depleted count, visiting
-// nodes in index order so the mean is bit-identical to MeanSoC. When
-// observe is non-nil it receives every node's SoC in the same pass — the
-// hook the engine points at a streaming quantile sketch (internal/obs) so
-// SoC percentiles exist without materializing a per-node slice.
-func (f *Fleet) SoCStats(observe func(soc float64)) (mean, min float64, depleted int) {
-	sum := 0.0
-	min = f.SoC(0)
-	for i := range f.chargeWh {
-		s := f.SoC(i)
-		sum += s
-		if s < min {
-			min = s
-		}
-		if !f.Usable(i) {
-			depleted++
-		}
-		if observe != nil {
-			observe(s)
-		}
-	}
-	return sum / float64(len(f.chargeWh)), min, depleted
-}
-
 // SoCs returns a snapshot of every node's state of charge.
 func (f *Fleet) SoCs() []float64 {
 	out := make([]float64, len(f.chargeWh))

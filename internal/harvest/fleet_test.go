@@ -112,18 +112,19 @@ func TestFleetWastedWh(t *testing.T) {
 
 func TestFleetDepletedCountAndStats(t *testing.T) {
 	f := testFleet(t, Constant{0}, Options{InitialRounds: 1, IdleWh: 1})
-	if f.DepletedCount() != 0 {
+	if _, _, depleted := f.SoCStats(nil); depleted != 0 {
 		t.Fatal("fresh fleet should have no depleted nodes")
 	}
 	for i := 0; i < f.Nodes(); i++ {
 		f.TryTrain(i)
 	}
 	f.EndRound(0) // the huge idle draw empties what's left
-	if got := f.DepletedCount(); got != f.Nodes() {
-		t.Fatalf("depleted %d, want all %d", got, f.Nodes())
+	mean, min, depleted := f.SoCStats(nil)
+	if depleted != f.Nodes() {
+		t.Fatalf("depleted %d, want all %d", depleted, f.Nodes())
 	}
-	if _, min, _ := f.SoCStats(nil); min > 1e-9 || f.MeanSoC() > 1e-9 {
-		t.Fatalf("stats nonzero on empty fleet: min=%v mean=%v", min, f.MeanSoC())
+	if min > 1e-9 || mean > 1e-9 {
+		t.Fatalf("stats nonzero on empty fleet: min=%v mean=%v", min, mean)
 	}
 	socs := f.SoCs()
 	if len(socs) != f.Nodes() {
@@ -256,8 +257,8 @@ func TestFleetLiveSnapshot(t *testing.T) {
 			t.Fatalf("full node %d reported dead", i)
 		}
 	}
-	if f.LiveCount() != f.Nodes() {
-		t.Fatalf("LiveCount = %d, want %d", f.LiveCount(), f.Nodes())
+	if _, _, depleted := f.SoCStats(nil); depleted != 0 {
+		t.Fatalf("%d nodes depleted, want none", depleted)
 	}
 	// Brown node 0 out (idle draw can push past the cutoff where training
 	// cannot): it leaves the live set, others stay.
@@ -269,8 +270,8 @@ func TestFleetLiveSnapshot(t *testing.T) {
 	if !live[1] {
 		t.Fatal("node 1 should still be live")
 	}
-	if f.LiveCount() != f.Nodes()-1 {
-		t.Fatalf("LiveCount = %d, want %d", f.LiveCount(), f.Nodes()-1)
+	if _, _, depleted := f.SoCStats(nil); depleted != 1 {
+		t.Fatalf("%d nodes depleted, want 1", depleted)
 	}
 	// The snapshot is a copy: mutating it does not touch fleet state.
 	live[1] = false
@@ -328,8 +329,8 @@ func driveFleet(f *Fleet, rounds int) (trained []int, meanSoC []float64) {
 			}
 		}
 		f.EndRound(t)
-		trained = append(trained, n)
-		meanSoC = append(meanSoC, f.MeanSoC())
+		mean, _, _ := f.SoCStats(nil)
+		trained, meanSoC = append(trained, n), append(meanSoC, mean)
 	}
 	return trained, meanSoC
 }
@@ -508,8 +509,8 @@ func TestFleetConsumedByTrainingRound(t *testing.T) {
 	}
 }
 
-// SoCStats must be bit-identical to the single-statistic passes it replaces
-// (the minimum recomputed here from the snapshot), and feed every SoC to the
+// SoCStats must be bit-identical to the statistics recomputed here from the
+// snapshot (the mean summed in index order), and feed every SoC to the
 // observer in index order.
 func TestFleetSoCStats(t *testing.T) {
 	trace, err := NewDiurnal(0.01, 8, LongitudePhase(8))
@@ -525,13 +526,18 @@ func TestFleetSoCStats(t *testing.T) {
 		var observed []float64
 		mean, min, depleted := f.SoCStats(func(s float64) { observed = append(observed, s) })
 		socs := f.SoCs()
-		wantMin := socs[0]
-		for _, s := range socs {
+		wantMean, wantMin, wantDepleted := 0.0, socs[0], 0
+		for i, s := range socs {
+			wantMean += s
 			wantMin = math.Min(wantMin, s)
+			if !f.Usable(i) {
+				wantDepleted++
+			}
 		}
-		if mean != f.MeanSoC() || min != wantMin || depleted != f.DepletedCount() {
+		wantMean /= float64(len(socs))
+		if mean != wantMean || min != wantMin || depleted != wantDepleted {
 			t.Fatalf("round %d: SoCStats (%v, %v, %d) != (%v, %v, %d)",
-				r, mean, min, depleted, f.MeanSoC(), wantMin, f.DepletedCount())
+				r, mean, min, depleted, wantMean, wantMin, wantDepleted)
 		}
 		if len(observed) != len(socs) {
 			t.Fatalf("round %d: observer saw %d values, fleet has %d", r, len(observed), len(socs))
@@ -543,8 +549,9 @@ func TestFleetSoCStats(t *testing.T) {
 		}
 	}
 	// A nil observer is the stats-only fast path.
-	if mean, _, _ := f.SoCStats(nil); mean != f.MeanSoC() {
-		t.Fatal("nil-observer SoCStats disagrees with MeanSoC")
+	withObserver, _, _ := f.SoCStats(func(float64) {})
+	if mean, _, _ := f.SoCStats(nil); mean != withObserver {
+		t.Fatal("nil-observer SoCStats disagrees with the observed pass")
 	}
 }
 
@@ -654,7 +661,8 @@ const sweepAll = -1
 func driveSweep(f *Fleet, rounds int) (trained []int, meanSoC []float64) {
 	for t := 0; t < rounds; t++ {
 		trained = append(trained, f.SweepThreshold(t, sweepAll).Trained)
-		meanSoC = append(meanSoC, f.MeanSoC())
+		mean, _, _ := f.SoCStats(nil)
+		meanSoC = append(meanSoC, mean)
 	}
 	return trained, meanSoC
 }

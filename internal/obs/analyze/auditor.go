@@ -254,14 +254,16 @@ func (a *Auditor) Emit(ev obs.Event) {
 	a.seq++
 }
 
-// checkCounters validates a round_end's participation counters. Callers
-// hold a.mu.
+// checkCounters validates a round_end's participation counters. A
+// VTime-stamped round_end counts the steps trained since the last tick,
+// which a node takes many of, so only a round's trained count is bounded
+// by the fleet. Callers hold a.mu.
 func (a *Auditor) checkCounters(ev obs.Event) {
 	if ev.Trained < 0 || ev.Live < 0 || ev.Depleted < 0 {
 		a.violate(ev.Round, -1, ClassCounter, "negative counter (trained=%d live=%d depleted=%d)", ev.Trained, ev.Live, ev.Depleted)
 	}
 	if a.fleetSize > 0 {
-		if ev.Trained > a.fleetSize || ev.Live > a.fleetSize || ev.Depleted > a.fleetSize {
+		if !a.vtime && ev.Trained > a.fleetSize || ev.Live > a.fleetSize || ev.Depleted > a.fleetSize {
 			a.violate(ev.Round, -1, ClassCounter, "counter exceeds fleet size %d (trained=%d live=%d depleted=%d)", a.fleetSize, ev.Trained, ev.Live, ev.Depleted)
 		}
 	}

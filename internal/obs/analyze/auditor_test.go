@@ -239,9 +239,11 @@ func TestAuditorDetectsEachInvariantClass(t *testing.T) {
 }
 
 // asyncStream is a well-formed event-driven (roundless, VTime-stamped)
-// harvest run: eval-tick ledger checkpoints, one brown-out/wake cycle,
-// and a run_end whose Steps total is an event-loop count, not a tick
-// count — legal only because the segment carries virtual time.
+// harvest run: eval-tick ledger checkpoints, each counting the steps
+// trained since the last (more than the fleet's four nodes), one
+// brown-out/wake cycle, and a run_end whose Steps total is an event-loop
+// count, not a tick count — legal only because the segment carries
+// virtual time.
 func asyncStream() []obs.Event {
 	b := &streamBuilder{}
 	b.add(obs.Event{Kind: obs.KindRunStart, Round: -1, Node: -1, Manifest: testManifest(4), ChargeWh: 2.0})
@@ -249,20 +251,21 @@ func asyncStream() []obs.Event {
 	b.add(obs.Event{Kind: obs.KindEval, Round: 0, Node: -1, MeanAcc: 0.4, VTime: 50})
 	b.add(obs.Event{Kind: obs.KindRoundStart, Round: 0, Node: -1, Label: "tick", VTime: 50})
 	// Dyadic values, conservation float-exact: 2.0 + 0.5 - 0.25 - 0.125.
-	b.add(obs.Event{Kind: obs.KindRoundEnd, Round: 0, Node: -1, Live: 3, Depleted: 1,
+	b.add(obs.Event{Kind: obs.KindRoundEnd, Round: 0, Node: -1, Trained: 13, Live: 3, Depleted: 1,
 		HarvestWh: 0.5, ConsumedWh: 0.25, WastedWh: 0.125, ChargeWh: 2.125, VTime: 50})
 	b.add(obs.Event{Kind: obs.KindRevival, Round: 1, Node: 1, Staleness: 2, VTime: 75})
 	b.add(obs.Event{Kind: obs.KindEval, Round: 1, Node: -1, MeanAcc: 0.5, VTime: 100})
 	b.add(obs.Event{Kind: obs.KindRoundStart, Round: 1, Node: -1, Label: "tick", VTime: 100})
 	// 2.125 + 0.25 - 0.5 = 1.875.
-	b.add(obs.Event{Kind: obs.KindRoundEnd, Round: 1, Node: -1, Live: 4,
+	b.add(obs.Event{Kind: obs.KindRoundEnd, Round: 1, Node: -1, Trained: 8, Live: 4,
 		HarvestWh: 0.25, ConsumedWh: 0.5, ChargeWh: 1.875, VTime: 100})
 	b.add(obs.Event{Kind: obs.KindRunEnd, Round: -1, Node: -1, Steps: 37, Trained: 21, VTime: 100})
 	return b.events
 }
 
 // The event-driven stream must audit clean: two ledger ticks against 37
-// loop steps is not a counter violation once the segment is VTime-stamped.
+// loop steps, and 13 steps trained by four nodes between two ticks, are
+// not counter violations once the segment is VTime-stamped.
 func TestAuditorAcceptsVTimeStreamWithTickLedgers(t *testing.T) {
 	if a := audit(asyncStream()); !a.Ok() {
 		t.Fatalf("async stream flagged: %v", a.Violations())
@@ -525,7 +528,7 @@ func TestJSONLRoundTripAuditsClean(t *testing.T) {
 		p.Eval(round, 0.7, 0.05)
 		p.RoundEnd(obs.Event{Round: round, Trained: 3, Live: 4, MeanSoC: 0.5, SoCP50: 0.5, SoCP90: 0.8, SoCP99: 0.9})
 	}
-	p.RunEnd(2, 6)
+	p.RunEnd(obs.Event{Steps: 2, Trained: 6})
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}

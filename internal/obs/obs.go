@@ -199,16 +199,15 @@ func (p *Probe) RunStart(m *RunManifest, chargeWh float64) {
 	p.sink.Emit(Event{Kind: KindRunStart, Round: -1, Node: -1, Manifest: m, ChargeWh: chargeWh})
 }
 
-// RunEnd closes the run with its total wall clock and counters.
-func (p *Probe) RunEnd(rounds, trained int) {
+// RunEnd emits ev, the run's counters (Steps: its rounds, or the async
+// engine's steps), as a run_end event: it stamps the kind, the round and
+// node (-1) and the run's wall clock.
+func (p *Probe) RunEnd(ev Event) {
 	if p == nil {
 		return
 	}
-	p.sink.Emit(Event{
-		Kind: KindRunEnd, Round: -1, Node: -1,
-		WallNs: time.Since(p.runStart).Nanoseconds(),
-		Steps:  rounds, Trained: trained,
-	})
+	ev.Kind, ev.Round, ev.Node, ev.WallNs = KindRunEnd, -1, -1, time.Since(p.runStart).Nanoseconds()
+	p.sink.Emit(ev)
 }
 
 // RoundStart marks the beginning of round t (kind is the coordinated

@@ -18,7 +18,7 @@ func TestNilProbeIsSafe(t *testing.T) {
 	p.DroppedSends(0, 5)
 	p.Eval(0, 0.5, 0.1)
 	p.RoundEnd(Event{})
-	p.RunEnd(1, 1)
+	p.RunEnd(Event{Steps: 1, Trained: 1})
 	p.Emit(Event{Kind: KindRunStart})
 	if NewProbe(nil) != nil {
 		t.Fatal("NewProbe(nil) should return the disabled (nil) probe")

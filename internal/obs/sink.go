@@ -118,7 +118,11 @@ func (s *ProgressSink) Emit(ev Event) {
 		fmt.Fprintf(s.w, "cell %s: %.2f (%.1f ms)\n", ev.Label, ev.Value, float64(ev.WallNs)/1e6)
 	case KindRunEnd:
 		s.newline()
-		fmt.Fprintf(s.w, "run done: %d rounds in %.2fs\n", ev.Steps, float64(ev.WallNs)/1e9)
+		unit := "rounds"
+		if ev.VTime > 0 { // the event engine counts steps
+			unit = "steps"
+		}
+		fmt.Fprintf(s.w, "run done: %d %s in %.2fs\n", ev.Steps, unit, float64(ev.WallNs)/1e9)
 	}
 }
 
@@ -139,8 +143,14 @@ func (s *ProgressSink) Close() error {
 }
 
 // Multi fans every event out to all sinks; Close closes each and returns
-// the first error.
-func Multi(sinks ...Sink) Sink { return multiSink(sinks) }
+// the first error. Multi of no sinks is nil, which NewProbe reads as a
+// disabled probe.
+func Multi(sinks ...Sink) Sink {
+	if len(sinks) == 0 {
+		return nil
+	}
+	return multiSink(sinks)
+}
 
 type multiSink []Sink
 

@@ -98,7 +98,25 @@ func TestProgressSinkShowsNodeThroughput(t *testing.T) {
 	}
 }
 
-// countKind counts the events of the given kind.
+// The run's close names what it counted: the round engine's rounds, the
+// event engine's steps (its run_end carries virtual time). An async run
+// once printed its step count as rounds.
+func TestProgressSinkRunDoneUnit(t *testing.T) {
+	for _, tc := range []struct {
+		ev   Event
+		want string
+	}{
+		{Event{Kind: KindRunEnd, Steps: 12, WallNs: 2e9}, "run done: 12 rounds in 2.00s\n"},
+		{Event{Kind: KindRunEnd, Steps: 1428, VTime: 300, WallNs: 5e7}, "run done: 1428 steps in 0.05s\n"},
+	} {
+		var buf bytes.Buffer
+		NewProgress(&buf).Emit(tc.ev)
+		if buf.String() != tc.want {
+			t.Errorf("%+v prints %q, want %q", tc.ev, buf.String(), tc.want)
+		}
+	}
+}
+
 // recorder is this package's test sink; obstest.MemorySink imports obs, so
 // obs's own tests cannot use it.
 type recorder struct{ events []Event }
@@ -106,6 +124,7 @@ type recorder struct{ events []Event }
 func (r *recorder) Emit(ev Event) { r.events = append(r.events, ev) }
 func (r *recorder) Close() error  { return nil }
 
+// countKind counts the events of the given kind.
 func countKind(events []Event, kind string) int {
 	n := 0
 	for _, ev := range events {

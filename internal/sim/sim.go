@@ -721,7 +721,7 @@ func Run(c Config) (*Result, error) {
 	if cfg.EvalGlobalModel || cfg.TrackConsensus {
 		result.FinalGlobalParams = r.mean // the last round always evaluates
 	}
-	probe.RunEnd(cfg.Rounds, trainedTotal)
+	probe.RunEnd(obs.Event{Steps: cfg.Rounds, Trained: trainedTotal})
 	return result, nil
 }
 
@@ -753,23 +753,9 @@ func buildManifest(cfg *Config, spec *learner.Spec, paramCount int) obs.RunManif
 		Set("eval_global", strconv.FormatBool(cfg.EvalGlobalModel)).
 		Set("drop_dead", strconv.FormatBool(cfg.DropDeadNodes))
 	if cfg.Harvest != nil {
+		// The battery spec is experiment identity too.
 		b.Set("trace", cfg.Harvest.TraceName())
-		// The battery spec is experiment identity too: capacity, cutoff,
-		// idle draw, and starting charge decide who trains and who browns
-		// out. Fleet-level sums are a compact fingerprint — per-node values
-		// follow deterministically from the device mix and options — and
-		// without them runs differing only in (say) -cutoff would collide
-		// on one cache key.
-		var capWh, cutWh, ovWh float64
-		for i := 0; i < cfg.Harvest.Nodes(); i++ {
-			capWh += cfg.Harvest.CapacityWh(i)
-			cutWh += cfg.Harvest.CutoffWh(i)
-			ovWh += cfg.Harvest.OverheadWh(i)
-		}
-		b.SetFloat("fleet_capacity_wh", capWh).
-			SetFloat("fleet_cutoff_wh", cutWh).
-			SetFloat("fleet_overhead_wh", ovWh).
-			SetFloat("fleet_initial_wh", cfg.Harvest.TotalChargeWh())
+		cfg.Harvest.SetManifest(b)
 	}
 	if cfg.Forecast != nil {
 		b.Set("forecast", cfg.Forecast.Name()).

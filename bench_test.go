@@ -407,8 +407,7 @@ func BenchmarkConsensusContraction(b *testing.B) {
 			},
 			LR: 0.2, BatchSize: 16, LocalSteps: 8,
 			Partition: part, Test: test,
-			EvalEvery: 1, EvalSubsample: 120,
-			TrackConsensus: true, EvalGlobalModel: true,
+			EvalEvery: 1, EvalSubsample: 120, EvalGlobalModel: true,
 			Seed: 47,
 		})
 		if err != nil {

@@ -266,7 +266,7 @@ func declaredIdents(pkg *goPackage) (names map[string]bool, members map[string]m
 // rename or a deletion. Name may be a package-level name or a method name;
 // Member must be a method, field or interface method of type Name (or, when
 // Name is not a type, of some type of the package). It also fails on a
-// code span that is one bare CamelCase name (`Dense`, `ModelColumn`) that
+// code span that is one bare CamelCase name (`Network`, `ModelColumn`) that
 // no .go file of the module spells, outside bareNamesNotInCode: a name
 // unexported or deleted without its package in the docs.
 func TestDocsIdentifiers(t *testing.T) {

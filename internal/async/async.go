@@ -402,7 +402,7 @@ func Run(cfg Config) (*Result, error) {
 	// One fleet mean per run, which consensus and the mean model's score
 	// both read, and one snapshot per evaluation: the periodic ones, at
 	// most Horizon/EvalEverySeconds, then the horizon's.
-	evaluator := spec.NewEvaluator(ln, make([]float64, n), tensor.NewVector(ln.ParamCount), true, true)
+	evaluator := spec.NewEvaluator(ln, make([]float64, n), tensor.NewVector(ln.ParamCount), true)
 	evals := 1
 	if cfg.EvalEverySeconds > 0 && cfg.EvalEverySeconds < cfg.Horizon {
 		evals += int(cfg.Horizon / cfg.EvalEverySeconds)

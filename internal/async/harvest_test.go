@@ -481,7 +481,7 @@ func TestAsyncRefusedTrainingStepGossips(t *testing.T) {
 		Partition: part, Test: test,
 		Devices: energy.AssignDevices(2, energy.Devices()), Workload: energy.CIFAR10Workload(),
 		Trace:        harvest.Constant{Wh: 0},
-		FleetOptions: harvest.Options{CapacityRounds: 4, InitialRounds: 0.5},
+		FleetOptions: harvest.Options{CapacityRounds: 4, InitialSoC: 0.125},
 		Seed:         3,
 	}
 	res, err := Run(cfg)
@@ -527,7 +527,7 @@ func TestAsyncBrownedOutNodeWakesAtGossipCost(t *testing.T) {
 		Seed: 5,
 	}
 	step := meanStepWh(cfg)
-	cfg.FleetOptions = harvest.Options{CapacityRounds: 4, InitialRounds: 2.2, CutoffSoC: 0.25, IdleWh: 0.5 * step}
+	cfg.FleetOptions = harvest.Options{CapacityRounds: 4, InitialSoC: 0.55, CutoffSoC: 0.25, IdleWh: 0.5 * step}
 	rows := make([][]float64, 40) // dark for three rounds, then a harvest above the idle draw
 	for k := range rows {
 		rows[k] = make([]float64, 4)

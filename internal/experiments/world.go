@@ -138,8 +138,7 @@ func (w *World) Config(algo core.Algorithm) (sim.Config, error) {
 		ModelFactory: w.ds.model,
 		LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
 		Partition: d.part, Test: d.test,
-		EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample,
-		EvalGlobalModel: true, TrackConsensus: true,
+		EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample, EvalGlobalModel: true,
 		Devices: d.devices, Workload: w.ds.workload,
 		Seed: o.Seed,
 	}, nil

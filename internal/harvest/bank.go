@@ -19,18 +19,14 @@ type Options struct {
 	// handful of rounds. Set this to put SoC — and the SoC-driven policies
 	// — on a meaningful scale. 0 keeps the device battery.
 	CapacityRounds float64
-	// InitialRounds sets every node's initial charge to this many training
-	// rounds' worth of energy on its own device (clamped to capacity). It
-	// takes precedence over InitialSoC and is the natural unit for scaled
-	// simulations where full smartphone batteries would never bind.
-	InitialRounds float64
 	// InitialSoC is the initial state of charge as a fraction of capacity
-	// in [0, 1]. Ignored when InitialRounds > 0. The zero value means
-	// "unset" and defaults to 1 (full); set StartEmpty for batteries that
-	// begin the mission drained.
+	// in [0, 1]; with CapacityRounds, InitialSoC·CapacityRounds is the
+	// initial charge in training rounds. The zero value means "unset" and
+	// defaults to 1 (full); set StartEmpty for batteries that begin the
+	// mission drained.
 	InitialSoC float64
 	// StartEmpty starts every battery at zero charge (a wake-with-the-sun
-	// deployment), overriding InitialSoC and InitialRounds.
+	// deployment), overriding InitialSoC.
 	StartEmpty bool
 	// CutoffSoC is the brown-out level as a fraction of capacity.
 	// Default 0 (batteries usable down to empty).
@@ -45,7 +41,7 @@ type Options struct {
 }
 
 func (o Options) defaults() Options {
-	if o.InitialRounds <= 0 && o.InitialSoC == 0 {
+	if o.InitialSoC == 0 {
 		o.InitialSoC = 1
 	}
 	if o.CommFrac == 0 {
@@ -72,8 +68,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("harvest: capacity rounds %v is not finite and non-negative", o.CapacityRounds)
 	case !(o.InitialSoC >= 0 && o.InitialSoC <= 1):
 		return fmt.Errorf("harvest: initial SoC %v outside [0, 1]", o.InitialSoC)
-	case !(o.InitialRounds >= 0 && finite(o.InitialRounds)):
-		return fmt.Errorf("harvest: initial rounds %v is not finite and non-negative", o.InitialRounds)
 	case !finite(o.CommFrac):
 		return fmt.Errorf("harvest: comm fraction %v is not finite", o.CommFrac)
 	}
@@ -140,9 +134,6 @@ func newBank(devices []energy.Device, w energy.Workload, trace Trace, opt Option
 			return bank{}, fmt.Errorf("harvest: node %d (%s): capacity %v is not a finite positive Wh", i, d.Name, capacity)
 		}
 		initial := opt.InitialSoC * capacity
-		if opt.InitialRounds > 0 {
-			initial = opt.InitialRounds * b.trainWh[i]
-		}
 		if opt.StartEmpty {
 			initial = 0
 		}

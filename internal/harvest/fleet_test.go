@@ -39,8 +39,10 @@ func TestNewFleetValidates(t *testing.T) {
 	}
 }
 
+// TestFleetInitialRounds: a full battery of four rounds' capacity holds
+// four training rounds' charge and affords exactly four rounds.
 func TestFleetInitialRounds(t *testing.T) {
-	f := testFleet(t, Constant{0}, Options{InitialRounds: 4})
+	f := testFleet(t, Constant{0}, Options{CapacityRounds: 4, InitialSoC: 1})
 	for i := 0; i < f.Nodes(); i++ {
 		want := 4 * f.TrainCostWh(i)
 		if got := f.ChargeWh(i); math.Abs(got-want) > 1e-12 {
@@ -74,7 +76,7 @@ func TestFleetEnergyConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := testFleet(t, trace, Options{InitialRounds: 3, IdleWh: 0.0002})
+	f := testFleet(t, trace, Options{CapacityRounds: 6, InitialSoC: 0.5, IdleWh: 0.0002})
 	initial := make([]float64, f.Nodes())
 	for i := range initial {
 		initial[i] = f.ChargeWh(i)
@@ -111,7 +113,7 @@ func TestFleetWastedWh(t *testing.T) {
 }
 
 func TestFleetDepletedCountAndStats(t *testing.T) {
-	f := testFleet(t, Constant{0}, Options{InitialRounds: 1, IdleWh: 1})
+	f := testFleet(t, Constant{0}, Options{CapacityRounds: 1, InitialSoC: 1, IdleWh: 1})
 	if _, _, depleted := f.SoCStats(nil); depleted != 0 {
 		t.Fatal("fresh fleet should have no depleted nodes")
 	}
@@ -145,7 +147,7 @@ func TestFleetParallelTryTrainDeterministic(t *testing.T) {
 		return d
 	}
 	run := func(parallel bool) [][]float64 {
-		f := testFleet(t, trace(), Options{InitialRounds: 2})
+		f := testFleet(t, trace(), Options{CapacityRounds: 4, InitialSoC: 0.5})
 		var history [][]float64
 		for round := 0; round < 40; round++ {
 			if parallel {
@@ -207,9 +209,6 @@ func TestFleetInitialOptionsValidationAndStartEmpty(t *testing.T) {
 	}
 	if _, err := NewFleet(devices, w, Constant{0}, Options{InitialSoC: -0.2}); err == nil {
 		t.Fatal("negative InitialSoC should error")
-	}
-	if _, err := NewFleet(devices, w, Constant{0}, Options{InitialRounds: -1}); err == nil {
-		t.Fatal("negative InitialRounds should error")
 	}
 	f, err := NewFleet(devices, w, Constant{0}, Options{InitialSoC: 0.8, StartEmpty: true})
 	if err != nil {
@@ -443,24 +442,6 @@ func mustReplay(t *testing.T) Trace {
 		t.Fatal(err)
 	}
 	return r
-}
-
-// TestFleetResetRestoresClampedInitialCharge pins that Reset restores the
-// post-clamp construction charge, not the raw option value.
-func TestFleetResetRestoresClampedInitialCharge(t *testing.T) {
-	// InitialRounds beyond capacity clamps to full at construction.
-	f := testFleet(t, Constant{0}, Options{CapacityRounds: 4, InitialRounds: 100})
-	if f.SoC(0) != 1 {
-		t.Fatalf("construction SoC %v, want clamped full", f.SoC(0))
-	}
-	f.TryTrain(0)
-	f.EndRound(0)
-	if err := f.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if f.SoC(0) != 1 {
-		t.Fatalf("Reset SoC %v, want clamped full", f.SoC(0))
-	}
 }
 
 // TestFleetConsumedByTryTrainOnly: training drain alone (no EndRound ever
@@ -703,25 +684,6 @@ func TestSoAFleetResetAfterPartialRound(t *testing.T) {
 		if trained1[i] != trained2[i] || soc1[i] != soc2[i] {
 			t.Fatalf("round %d differs after Reset: (%d, %v) vs (%d, %v)",
 				i, trained1[i], soc1[i], trained2[i], soc2[i])
-		}
-	}
-}
-
-// TestSoAFleetResetRestoresClampedInitialCharge pins that Reset after a
-// sweep restores the post-clamp construction charge, not the raw option
-// value.
-func TestSoAFleetResetRestoresClampedInitialCharge(t *testing.T) {
-	f := testFleet(t, Constant{Wh: 0}, Options{CapacityRounds: 4, InitialRounds: 100})
-	if f.SoC(0) != 1 {
-		t.Fatalf("construction SoC %v, want clamped full", f.SoC(0))
-	}
-	f.SweepThreshold(0, sweepAll)
-	if err := f.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < f.Nodes(); i++ {
-		if f.SoC(i) != 1 {
-			t.Fatalf("node %d Reset SoC %v, want clamped full", i, f.SoC(i))
 		}
 	}
 }

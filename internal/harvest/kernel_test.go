@@ -31,12 +31,12 @@ func TestNewBatteryValidates(t *testing.T) {
 	if err != nil || !(f.CutoffWh(0) < f.CapacityWh(0)) {
 		t.Fatalf("cutoff SoC one ulp under 1: err %v", err)
 	}
-	f, err = build(dev, Options{CapacityRounds: 10, InitialRounds: 99, CutoffSoC: 0.1})
+	f, err = build(dev, Options{CapacityRounds: 10, InitialSoC: 1, CutoffSoC: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.ChargeWh(0) != f.CapacityWh(0) {
-		t.Fatalf("initial charge not clamped to capacity: %v of %v", f.ChargeWh(0), f.CapacityWh(0))
+		t.Fatalf("a full battery holds %v of %v", f.ChargeWh(0), f.CapacityWh(0))
 	}
 	if c, _ := store(0, 10, -3); c != 0 {
 		t.Fatalf("initial charge not clamped at 0: %v", c)
@@ -97,7 +97,7 @@ func TestBatteryTryConsumeRespectsCutoff(t *testing.T) {
 
 func TestBatterySoC(t *testing.T) {
 	f, err := NewFleet(energy.Devices()[:1], energy.CIFAR10Workload(), Constant{Wh: 0},
-		Options{CapacityRounds: 20, InitialRounds: 5})
+		Options{CapacityRounds: 20, InitialSoC: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,6 @@ func TestOptionsRejectNonFinite(t *testing.T) {
 	w := energy.CIFAR10Workload()
 	fields := map[string]func(*Options, float64){
 		"CapacityRounds": func(o *Options, v float64) { o.CapacityRounds = v },
-		"InitialRounds":  func(o *Options, v float64) { o.InitialRounds = v },
 		"InitialSoC":     func(o *Options, v float64) { o.InitialSoC = v },
 		"CutoffSoC":      func(o *Options, v float64) { o.CutoffSoC = v },
 		"IdleWh":         func(o *Options, v float64) { o.IdleWh = v },

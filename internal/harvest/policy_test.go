@@ -65,7 +65,7 @@ func TestSoCThreshold(t *testing.T) {
 }
 
 func TestSoCThresholdDrainsExactlyOnTrain(t *testing.T) {
-	f := policyFleet(t, Constant{0}, Options{InitialRounds: 2})
+	f := policyFleet(t, Constant{0}, Options{CapacityRounds: 2, InitialSoC: 1})
 	p, err := NewSoCThreshold(0)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestSoCProportionalParticipationUnbiased(t *testing.T) {
 }
 
 func TestSoCProportionalConsumesOnlyWhenTraining(t *testing.T) {
-	f := policyFleet(t, Constant{0}, Options{InitialRounds: 100})
+	f := policyFleet(t, Constant{0}, Options{CapacityRounds: 100, InitialSoC: 1})
 	p, err := NewSoCProportional(1)
 	if err != nil {
 		t.Fatal(err)

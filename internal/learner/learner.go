@@ -193,20 +193,21 @@ type Score struct{ Mean, Std, Consensus, Global float64 }
 // samples drawn once at set-up, each node's last accuracy into its row of
 // accs: how often a run is evaluated never changes what it scores.
 type Evaluator struct {
-	accs              []float64
-	ns                Nodes
-	consensus, global bool
-	mean              tensor.Vector // the fleet mean both read
-	xs                []tensor.Vector
-	ys                []int
+	accs   []float64
+	ns     Nodes
+	global bool
+	mean   tensor.Vector // the fleet mean global reads
+	xs     []tensor.Vector
+	ys     []int
 }
 
-// NewEvaluator scores ns into accs, one row per node; consensus and global
-// ask for those Score fields, both read off the fleet mean Evaluate writes.
+// NewEvaluator scores ns into accs, one row per node; global asks for the
+// Score fields Consensus and Global, both read off the fleet mean Evaluate
+// writes.
 // A subsample is the first EvalSubsample of one rng.Perm of the test set,
 // drawn from the run's evaluation stream.
-func (s *Spec) NewEvaluator(ns Nodes, accs []float64, mean tensor.Vector, consensus, global bool) Evaluator {
-	ev := Evaluator{accs: accs, ns: ns, consensus: consensus, global: global, mean: mean}
+func (s *Spec) NewEvaluator(ns Nodes, accs []float64, mean tensor.Vector, global bool) Evaluator {
+	ev := Evaluator{accs: accs, ns: ns, global: global, mean: mean}
 	if k := s.EvalSubsample; k > 0 && k < s.Test.Len() {
 		var draw rng.RNG
 		rng.DeriveTo(&draw, s.Seed, 0xe7a1)
@@ -246,13 +247,9 @@ func (ev *Evaluator) Evaluate() Score {
 	par.ForOn(len(ev.accs), 0, ev, (*Evaluator).scoreNode)
 	var sc Score
 	sc.Mean, sc.Std = metrics.MeanStd(ev.accs)
-	if ev.consensus || ev.global {
-		ev.FleetMean()
-	}
-	if ev.consensus {
-		sc.Consensus = metrics.ConsensusDistance(ev.ns.Params, ev.mean)
-	}
 	if ev.global {
+		ev.FleetMean()
+		sc.Consensus = metrics.ConsensusDistance(ev.ns.Params, ev.mean)
 		sc.Global = ev.accuracy(ev.mean)
 	}
 	return sc

@@ -22,7 +22,7 @@ import (
 // leaves its initial value.
 func stepOnce(net *Network) {
 	r := rng.New(99)
-	x := tensor.NewVector(net.InSize())
+	x := tensor.NewVector(net.layers[0].in)
 	for i := range x {
 		x[i] = r.NormFloat64()
 	}
@@ -43,11 +43,9 @@ func savedBytes(t *testing.T, net *Network) []byte {
 func blocks(net *Network) [][]float64 {
 	var out [][]float64
 	for _, l := range net.layers {
-		if l, ok := l.(*Dense); ok {
-			out = append(out, l.W.Data)
-			if l.withBias {
-				out = append(out, l.B)
-			}
+		out = append(out, l.W.Data)
+		if l.bias {
+			out = append(out, l.B)
 		}
 	}
 	return out
@@ -142,15 +140,16 @@ func sameBits(a, b tensor.Vector) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// testNets are the architectures the mix and Use tests run on: Dense with
-// and without a layer below it, with and without a bias, and directly
-// under another Dense, whose input gradient it then receives.
+// testNets are the architectures the mix and Use tests run on: a layer with
+// and without one below it, with and without a bias and a ReLU, and one
+// with neither directly under another, whose input gradient it then
+// receives unmasked.
 var testNets = map[string]func(seed uint64) *Network{
 	"logreg": func(s uint64) *Network { return LogisticRegression(32, 10, rng.New(s)) },
 	"mlp":    func(s uint64) *Network { return MLP(32, []int{64}, 10, rng.New(s)) },
 	"dense-nobias": func(s uint64) *Network {
 		r := rng.New(s)
-		return New(NewDense(32, 12, false, r), NewDense(12, 16, true, r), NewReLU(16), NewDense(16, 10, false, r))
+		return newNetwork(r, dense{in: 32, out: 12}, dense{in: 12, out: 16, bias: true, relu: true}, dense{in: 16, out: 10})
 	},
 }
 
@@ -268,7 +267,7 @@ func trainSteps(net *Network, xs []tensor.Vector, ys []int) (losses [3]float64) 
 	return losses
 }
 
-// TestUseMatchesOwned: New allocates no gradient vector; one network that
+// TestUseMatchesOwned: a build allocates no gradient vector; one network that
 // Uses two models in turn, windows of one vector, trains each to the bits
 // two networks that own theirs reach, into one gradient vector, its own
 // former parameters; every parameter block is then a window of the model
@@ -280,7 +279,7 @@ func TestUseMatchesOwned(t *testing.T) {
 			xs, ys := toyBatch(rng.New(5), 32, 10, 6)
 			ownA, ownB, worker := build(7), build(8), build(1)
 			if ownA.grads != nil || worker.grads != nil {
-				t.Fatal("New allocated a gradient vector")
+				t.Fatal("a build allocated a gradient vector")
 			}
 			p := ownA.ParamCount()
 			slab := tensor.NewVector(2 * p)
@@ -414,7 +413,7 @@ func TestParallelTrainingOnSlabWindows(t *testing.T) {
 }
 
 // The parameter vector and the softmax scratch are one allocation, the
-// scratch right after the parameters (nn.New); Params' capacity ends where
+// scratch right after the parameters (newNetwork); Params' capacity ends where
 // the scratch begins, so an append to a model vector copies it instead of
 // writing the scratch.
 func TestParamsCapacityEndsAtScratch(t *testing.T) {
@@ -435,8 +434,8 @@ func TestParamsCapacityEndsAtScratch(t *testing.T) {
 // adds without the test naming it.
 func layerWindows(net *Network) map[string]tensor.Vector {
 	out := map[string]tensor.Vector{"probs": net.probs}
-	for i, l := range net.layers {
-		v := reflect.ValueOf(l).Elem()
+	for i := range net.layers {
+		v := reflect.ValueOf(&net.layers[i]).Elem()
 		for j := range v.NumField() {
 			f := v.Field(j)
 			name := fmt.Sprintf("layer %d %s.%s", i, v.Type().Name(), v.Type().Field(j).Name)
@@ -452,7 +451,7 @@ func layerWindows(net *Network) map[string]tensor.Vector {
 }
 
 // TestWorkspacesDisjoint extends TestParamsCapacityEndsAtScratch to every
-// window: right after New, each layer's parameters and buffers and the
+// window: right after a build, each layer's parameters and buffers and the
 // softmax scratch are disjoint windows of the network's one vector that
 // together tile it, and each window's capacity ends with it — so no write
 // or append through one reaches another, and networks that train in
@@ -464,9 +463,9 @@ func TestWorkspacesDisjoint(t *testing.T) {
 	maps.Copy(nets, testNets)
 	for name, build := range nets {
 		net := build(5)
-		total := net.ParamCount() + net.OutSize()
+		total := net.ParamCount() + len(net.probs) - net.layers[0].in
 		for _, l := range net.layers {
-			total += l.WorkSize()
+			total += l.out + l.in
 		}
 		base, covered := uintptr(unsafe.Pointer(&net.params[0])), 0
 		type span struct {

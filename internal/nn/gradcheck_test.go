@@ -35,14 +35,14 @@ func numericalGrad(net *Network, xs []tensor.Vector, ys []int) tensor.Vector {
 // accumulated mean gradient (without applying an update).
 func analyticGrad(net *Network, xs []tensor.Vector, ys []int) tensor.Vector {
 	net.ZeroGrads()
-	probs := tensor.NewVector(net.OutSize())
+	probs := tensor.NewVector(len(net.probs))
 	for i, x := range xs {
 		logits := net.Forward(x)
 		copy(probs, logits)
 		SoftmaxCrossEntropy(probs, ys[i], probs)
 		d := tensor.Vector(probs)
 		for j := len(net.layers) - 1; j >= 0; j-- {
-			d = net.layers[j].Backward(d)
+			d = net.layers[j].backward(d)
 		}
 	}
 	grad := tensor.NewVector(net.ParamCount())
@@ -56,11 +56,11 @@ func checkGradients(t *testing.T, name string, net *Network, batch int, seed uin
 	xs := make([]tensor.Vector, batch)
 	ys := make([]int, batch)
 	for i := range xs {
-		xs[i] = tensor.NewVector(net.InSize())
+		xs[i] = tensor.NewVector(net.layers[0].in)
 		for j := range xs[i] {
 			xs[i][j] = r.NormFloat64()
 		}
-		ys[i] = r.Intn(net.OutSize())
+		ys[i] = r.Intn(len(net.probs))
 	}
 	num := numericalGrad(net, xs, ys)
 	ana := analyticGrad(net, xs, ys)
@@ -84,7 +84,7 @@ func TestGradCheckLogisticRegression(t *testing.T) {
 }
 
 func TestGradCheckDenseNoBias(t *testing.T) {
-	net := New(NewDense(6, 5, false, rng.New(2)), NewReLU(5), NewDense(5, 3, true, rng.New(3)))
+	net := newNetwork(rng.New(2), dense{in: 6, out: 5, relu: true}, dense{in: 5, out: 3, bias: true})
 	checkGradients(t, "dense-nobias", net, 4, 12)
 }
 

@@ -11,20 +11,15 @@ import "repro/internal/rng"
 // regression). It is the cheapest model that still exhibits the non-IID
 // bias/mixing dynamics the paper studies.
 func LogisticRegression(dim, classes int, r *rng.RNG) *Network {
-	l := NewDense(dim, classes, true, r)
-	l.glorot = true
-	return New(l)
+	return newNetwork(r, dense{in: dim, out: classes, bias: true, glorot: true})
 }
 
 // MLP builds dim -> hidden... -> classes with ReLU between linear layers.
 func MLP(dim int, hidden []int, classes int, r *rng.RNG) *Network {
-	layers := make([]Layer, 0, 2*len(hidden)+1)
-	in := dim
+	layers := make([]dense, 0, len(hidden)+1)
 	for _, h := range hidden {
-		layers = append(layers, NewDense(in, h, true, r), NewReLU(h))
-		in = h
+		layers = append(layers, dense{in: dim, out: h, bias: true, relu: true})
+		dim = h
 	}
-	out := NewDense(in, classes, true, r)
-	out.glorot = true
-	return New(append(layers, out)...)
+	return newNetwork(r, append(layers, dense{in: dim, out: classes, bias: true, glorot: true})...)
 }

@@ -1,3 +1,41 @@
+// Package nn is a from-scratch neural-network library sufficient to train
+// the simulator's models: multinomial logistic regression and MLPs, each a
+// stack of dense layers, ReLU-rectified below the classifier.
+//
+// The library works one sample at a time with manual backpropagation; a
+// batch is a loop that accumulates gradients. This keeps the layers simple
+// and allocation-free after construction. Networks are NOT safe for
+// concurrent use; in the simulator each worker owns one and runs node after
+// node through it (Use).
+//
+// # Flat parameter layout
+//
+// A Network is one allocation of floats beside its struct and its layer
+// list. The vector starts with the parameters, then the softmax scratch,
+// then every layer's output and input gradient, each a window whose
+// capacity ends where the next begins. Every layer works on its window of a
+// model vector, in layer order and, within a layer, W before B. A
+// constructor points the layers at the network's own parameters and draws
+// the initial weights there, from its RNG in layer order; Init draws the
+// same weights from a given stream into any vector. The parameters are the
+// model x_i the nodes exchange and a parameter file stores, so CopyParamsTo
+// and the SGD update are one pass over one slice.
+//
+// Use re-points every layer's window into another vector of the same
+// length, so one network trains and scores many models in turn and a
+// node is its model vector alone (learner.NewNodes). Only nn writes a
+// model — TrainBatch and Mix, which averages neighborhoods in place —
+// whereas Params hands out the vector in use read-only. Gradients, laid
+// out the same way, go into a vector the network keeps: its own former
+// parameters once it Uses another vector, else one allocated at its first
+// train step.
+//
+// Between forward and backward, a layer holds the slice it was given, not
+// a copy: a sample or the output of the layer below, neither of which
+// changes meanwhile. A ReLU rectifies its layer's output in place and, on
+// the way back, masks in place the gradient the layer above handed down;
+// the classifier has none, so the softmax scratch is never masked. The
+// first layer computes no input gradient and has no buffer for it.
 package nn
 
 import (
@@ -11,11 +49,12 @@ import (
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 func exp(x float64) float64  { return math.Exp(x) }
 
-// Network is an ordered stack of layers trained with softmax cross-entropy,
-// exactly the loss/optimizer combination of the paper (SGD + Cross-Entropy,
-// Section 4.2). The zero value is not usable; build with New.
+// Network is an ordered stack of dense layers trained with softmax
+// cross-entropy, exactly the loss/optimizer combination of the paper (SGD +
+// Cross-Entropy, Section 4.2). The zero value is not usable; build with
+// LogisticRegression or MLP.
 type Network struct {
-	layers []Layer
+	layers []dense
 	// params (the model in use, see Use) and grads hold every layer's block
 	// back to back, in layer order; the layers work on windows of them.
 	// grads is nil until the first train step or the first Use of another
@@ -24,42 +63,37 @@ type Network struct {
 	probs         tensor.Vector // softmax scratch, len = class count
 }
 
-// New builds a network: it validates that consecutive layer sizes chain,
-// allocates the parameters, the softmax scratch and every layer's buffers
-// as one vector — no gradient vector, see ZeroGrads — binds each layer to
-// its windows of it and draws the initial weights, in layer order.
-// Nothing reads the first layer's input gradient: it is skipped.
-func New(layers ...Layer) *Network {
-	if len(layers) == 0 {
-		panic("nn: empty network")
-	}
-	for i := 1; i < len(layers); i++ {
-		if layers[i-1].OutSize() != layers[i].InSize() {
-			panic(fmt.Sprintf("nn: layer %d outputs %d but layer %d expects %d",
-				i-1, layers[i-1].OutSize(), i, layers[i].InSize()))
+// newNetwork builds a network of layers: it validates that consecutive
+// layer sizes chain, allocates the parameters, the softmax scratch and
+// every layer's output and input gradient as one vector — no gradient
+// vector, see ZeroGrads — and draws the initial weights from r, in layer
+// order. Nothing reads the first layer's input gradient: it is skipped.
+func newNetwork(r *rng.RNG, layers ...dense) *Network {
+	size, work := 0, -layers[0].in
+	for i, l := range layers {
+		if i > 0 && layers[i-1].out != l.in {
+			panic(fmt.Sprintf("nn: layer %d outputs %d but layer %d expects %d", i-1, layers[i-1].out, i, l.in))
 		}
+		size += l.paramSize()
+		work += l.out + l.in
 	}
-	if l, ok := layers[0].(interface{ noLayerBelow() }); ok {
-		l.noLayerBelow()
-	}
-	size, classes, work := 0, layers[len(layers)-1].OutSize(), 0
-	for _, l := range layers {
-		size += l.ParamSize()
-		work += l.WorkSize()
-	}
+	classes := layers[len(layers)-1].out
 	buf := tensor.NewVector(size + classes + work)
 	params := take(&buf, size)
 	n := &Network{layers: layers, params: params, probs: take(&buf, classes)}
-	for _, l := range layers {
-		l.Bind(take(&buf, l.WorkSize()))
+	for i := range layers {
+		layers[i].y = take(&buf, layers[i].out)
+		if i > 0 {
+			layers[i].dx = take(&buf, layers[i].in)
+		}
 	}
-	n.Init(params, nil)
+	n.Init(params, r)
 	return n
 }
 
 // Use makes x, of length ParamCount, the model the network runs, trains
 // and hands out as Params: every layer's parameter window is re-pointed
-// into x, in the layout New gave the network's own. When x is first
+// into x, in the layout newNetwork gave the network's own. When x is first
 // another vector and the network has no gradient vector yet, its own
 // parameters become its gradient vector, so a worker network costs one
 // model vector, not two: a caller must not read or Use them after that.
@@ -68,35 +102,28 @@ func (n *Network) Use(x tensor.Vector) {
 	checkSize("Network params", len(x), len(n.params))
 	if n.grads == nil && len(x) > 0 && &x[0] != &n.params[0] {
 		n.grads = n.params
-		n.each(n.grads, paramLayer.bindGrads)
+		n.each(n.grads, (*dense).bindGrads)
 	}
 	n.params = x
-	n.each(x, paramLayer.use)
+	n.each(x, (*dense).use)
 }
 
-// Init uses x and writes initial parameters into it, layer by layer as New
-// does, drawing every layer's weights from r: for a network whose layers
-// were all built on one stream, these are the bits New drew from that
-// stream in the same state. It allocates nothing.
+// Init uses x and writes initial parameters into it, layer by layer,
+// drawing every layer's weights from r: the bits the model's constructor
+// drew from that stream in the same state. It allocates nothing.
 func (n *Network) Init(x tensor.Vector, r *rng.RNG) {
 	n.Use(x)
-	n.each(x, func(p paramLayer, _ tensor.Vector) { p.init(r) })
-}
-
-// each hands every parameterised layer its window of v, in layer order.
-func (n *Network) each(v tensor.Vector, fn func(paramLayer, tensor.Vector)) {
-	for _, l := range n.layers {
-		if p, ok := l.(paramLayer); ok {
-			fn(p, take(&v, l.ParamSize()))
-		}
+	for i := range n.layers {
+		n.layers[i].init(r)
 	}
 }
 
-// InSize returns the flat input length the network expects.
-func (n *Network) InSize() int { return n.layers[0].InSize() }
-
-// OutSize returns the number of output logits (classes).
-func (n *Network) OutSize() int { return n.layers[len(n.layers)-1].OutSize() }
+// each hands every layer its window of v, in layer order.
+func (n *Network) each(v tensor.Vector, fn func(*dense, tensor.Vector)) {
+	for i := range n.layers {
+		fn(&n.layers[i], take(&v, n.layers[i].paramSize()))
+	}
+}
 
 // ParamCount returns the total number of trainable parameters, the |x| of
 // Table 1 in the paper.
@@ -110,11 +137,10 @@ func (n *Network) Params() tensor.Vector { return n.params }
 
 // Forward runs the network and returns the logits (an internal buffer).
 func (n *Network) Forward(x tensor.Vector) tensor.Vector {
-	out := x
-	for _, l := range n.layers {
-		out = l.Forward(out)
+	for i := range n.layers {
+		x = n.layers[i].forward(x)
 	}
-	return out
+	return x
 }
 
 // CopyParamsTo serializes all parameters into dst, which must have length
@@ -172,13 +198,13 @@ func Mix(rows []MixRow, lo, hi int, sums tensor.Vector, ops []tensor.Vector) {
 }
 
 // ZeroGrads clears the gradient vector; a network that has none yet (it
-// trains the parameters New gave it) allocates one. A network keeps its
+// trains the parameters it was built with) allocates one. A network keeps its
 // gradient vector whichever model it uses: a gradient is live only from
 // its accumulation to the update that follows.
 func (n *Network) ZeroGrads() {
 	if n.grads == nil {
 		n.grads = tensor.NewVector(len(n.params))
-		n.each(n.grads, paramLayer.bindGrads)
+		n.each(n.grads, (*dense).bindGrads)
 	}
 	n.grads.Zero()
 }
@@ -248,7 +274,7 @@ func (n *Network) accumulate(xs []tensor.Vector, ys []int, withLoss bool) float6
 		}
 		d := n.probs
 		for j := len(n.layers) - 1; j >= 0; j-- {
-			d = n.layers[j].Backward(d)
+			d = n.layers[j].backward(d)
 		}
 	}
 	return total / float64(len(xs))

@@ -197,7 +197,7 @@ func TestNewValidation(t *testing.T) {
 		}
 	}()
 	r := rng.New(7)
-	New(NewDense(3, 4, true, r), NewDense(5, 2, true, r))
+	newNetwork(r, dense{in: 3, out: 4, bias: true}, dense{in: 5, out: 2, bias: true})
 }
 
 func TestLabelOutOfRangePanics(t *testing.T) {

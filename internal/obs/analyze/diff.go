@@ -74,8 +74,10 @@ func DiffReports(a, b *Report) *Diff {
 		d.Metrics = append(d.Metrics, MetricDelta{Name: name, A: av, B: bv})
 	}
 	add("rounds", float64(a.Rounds), float64(b.Rounds))
+	add("steps", float64(a.Steps), float64(b.Steps))
 	add("wall_s", float64(a.WallNs)/1e9, float64(b.WallNs)/1e9)
 	add("rounds_per_sec", a.RoundsPerSec, b.RoundsPerSec)
+	add("steps_per_sec", a.StepsPerSec, b.StepsPerSec)
 	add("trainings", float64(a.TotalTrained), float64(b.TotalTrained))
 	add("final_acc", a.FinalAcc(), b.FinalAcc())
 	add("harvest_wh", a.HarvestWh, b.HarvestWh)

@@ -58,9 +58,19 @@ func (r *Report) write(w io.Writer, md bool) {
 		}
 	}
 	kv("events", "%d", r.Events)
-	kv("rounds", "%d", r.Rounds)
+	per := "round"
+	if r.VTime > 0 {
+		per = "tick"
+		kv("steps", "%d", r.Steps)
+		kv("virtual time", "%.2fs", r.VTime)
+	} else {
+		kv("rounds", "%d", r.Rounds)
+	}
 	if r.WallNs > 0 {
 		kv("wall time", "%.3fs", float64(r.WallNs)/1e9)
+	}
+	if r.StepsPerSec > 0 {
+		kv("throughput", "%.1f steps/s", r.StepsPerSec)
 	}
 	if r.RoundsPerSec > 0 {
 		kv("throughput", "%.1f rounds/s", r.RoundsPerSec)
@@ -77,8 +87,8 @@ func (r *Report) write(w io.Writer, md bool) {
 
 	if len(r.Trained) > 1 {
 		h("Participation")
-		kv("trained/round", "%s", report.Sparkline(r.Trained))
-		kv("live/round", "%s", report.Sparkline(r.Live))
+		kv("trained/"+per, "%s", report.Sparkline(r.Trained))
+		kv("live/"+per, "%s", report.Sparkline(r.Live))
 	}
 
 	if len(r.SoCRounds) > 1 {
@@ -140,7 +150,11 @@ func (r *Report) write(w io.Writer, md bool) {
 	if len(r.Evals) > 0 {
 		h("Evaluations")
 		for _, e := range r.Evals {
-			kv(fmt.Sprintf("round %d", e.Round+1), "%.2f%% ± %.2f", 100*e.MeanAcc, 100*e.StdAcc)
+			at := fmt.Sprintf("round %d", e.Round+1)
+			if e.VTime > 0 {
+				at = fmt.Sprintf("t=%.2fs", e.VTime)
+			}
+			kv(at, "%.2f%% ± %.2f", 100*e.MeanAcc, 100*e.StdAcc)
 		}
 	}
 }

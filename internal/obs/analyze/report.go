@@ -8,9 +8,11 @@ import (
 	"repro/internal/obs"
 )
 
-// EvalPoint is one evaluation from the stream.
+// EvalPoint is one evaluation from the stream. The event engine's carries
+// its virtual time, and its Round counts evaluations, not rounds.
 type EvalPoint struct {
 	Round   int     `json:"round"`
+	VTime   float64 `json:"vtime,omitempty"`
 	MeanAcc float64 `json:"mean_acc"`
 	StdAcc  float64 `json:"std_acc"`
 }
@@ -29,14 +31,23 @@ type OutageEpisode struct {
 // breakdown, outage episodes, SoC percentile timelines, energy totals.
 // Build one from buffered events via FromEvents or offline from JSONL via
 // ReadReport.
+//
+// Rounds counts the round engine's round_end events. The event engine's
+// events carry a virtual time and its stream has no rounds: its round_end
+// events are ledger ticks, and its size is Steps, the event-loop steps its
+// run_end counts, with StepsPerSec for throughput. Each engine leaves the
+// other's fields 0.
 type Report struct {
 	Manifest *obs.RunManifest `json:"manifest,omitempty"`
 	Runs     int              `json:"runs"`
 	Events   int              `json:"events"`
 	Rounds   int              `json:"rounds"`
+	Steps    int              `json:"steps,omitempty"`
+	VTime    float64          `json:"vtime,omitempty"` // the last virtual time, in seconds
 
 	WallNs       int64   `json:"wall_ns"`
 	RoundsPerSec float64 `json:"rounds_per_sec"`
+	StepsPerSec  float64 `json:"steps_per_sec,omitempty"`
 	TotalTrained int     `json:"total_trained"`
 	DroppedSends int     `json:"dropped_sends"`
 
@@ -129,11 +140,17 @@ func (b *reportBuilder) add(ev obs.Event) {
 		b.downSince = map[int]int{}
 	case obs.KindRunEnd:
 		b.rep.WallNs += ev.WallNs
+		if ev.VTime > 0 {
+			b.rep.Steps += ev.Steps
+			b.rep.VTime = max(b.rep.VTime, ev.VTime)
+		}
 		if ev.Trained > b.rep.TotalTrained {
 			b.rep.TotalTrained = ev.Trained
 		}
 	case obs.KindRoundEnd:
-		b.rep.Rounds++
+		if ev.VTime == 0 {
+			b.rep.Rounds++
+		}
 		b.lastRound = ev.Round
 		b.rep.Trained = append(b.rep.Trained, float64(ev.Trained))
 		b.rep.Live = append(b.rep.Live, float64(ev.Live))
@@ -167,7 +184,7 @@ func (b *reportBuilder) add(ev obs.Event) {
 	case obs.KindDropped:
 		b.rep.DroppedSends += ev.Dropped
 	case obs.KindEval:
-		b.rep.Evals = append(b.rep.Evals, EvalPoint{Round: ev.Round, MeanAcc: ev.MeanAcc, StdAcc: ev.StdAcc})
+		b.rep.Evals = append(b.rep.Evals, EvalPoint{Round: ev.Round, VTime: ev.VTime, MeanAcc: ev.MeanAcc, StdAcc: ev.StdAcc})
 	}
 }
 
@@ -189,8 +206,9 @@ func (b *reportBuilder) finish() *Report {
 		}
 		return a.Node < c.Node
 	})
-	if b.rep.WallNs > 0 && b.rep.Rounds > 0 {
-		b.rep.RoundsPerSec = float64(b.rep.Rounds) / (float64(b.rep.WallNs) / 1e9)
+	if wall := float64(b.rep.WallNs) / 1e9; wall > 0 {
+		b.rep.RoundsPerSec = float64(b.rep.Rounds) / wall
+		b.rep.StepsPerSec = float64(b.rep.Steps) / wall
 	}
 	if len(b.rep.PhaseNs) == 0 {
 		b.rep.PhaseNs = nil

@@ -89,6 +89,35 @@ func TestReportRendersTextAndMarkdown(t *testing.T) {
 	}
 }
 
+// The event engine's stream reports its size in event-loop steps and
+// virtual time: its round_end events are ledger ticks, which a report once
+// printed as "rounds 2" and "rounds/s", with a node throughput of 0.00M.
+func TestReportAsyncCountsSteps(t *testing.T) {
+	evs := asyncStream()
+	evs[len(evs)-1].WallNs = 2e6
+	rep := FromEvents(evs)
+	if rep.Rounds != 0 || rep.RoundsPerSec != 0 || rep.Steps != 37 || rep.VTime != 100 || rep.StepsPerSec != 18500 {
+		t.Fatalf("rounds %d (%v/s), steps %d (%v/s), vtime %v; want 0 rounds, 37 steps at 18500/s, vtime 100",
+			rep.Rounds, rep.RoundsPerSec, rep.Steps, rep.StepsPerSec, rep.VTime)
+	}
+	var txt bytes.Buffer
+	rep.WriteText(&txt)
+	for _, want := range []string{"steps              37\n", "virtual time       100.00s\n", "18500.0 steps/s\n", "trained/tick", "t=100.00s"} {
+		if !strings.Contains(txt.String(), want) {
+			t.Errorf("async report missing %q:\n%s", want, txt.String())
+		}
+	}
+	for _, bad := range []string{"rounds ", "rounds/s", "node-rounds", "/round"} {
+		if strings.Contains(txt.String(), bad) {
+			t.Errorf("async report prints %q:\n%s", bad, txt.String())
+		}
+	}
+	if d := DiffReports(rep, rep); !slices.ContainsFunc(d.Metrics, func(m MetricDelta) bool { return m.Name == "steps_per_sec" }) ||
+		slices.ContainsFunc(d.Metrics, func(m MetricDelta) bool { return strings.HasPrefix(m.Name, "rounds") }) {
+		t.Errorf("async diff metrics: %+v", d.Metrics)
+	}
+}
+
 func TestReadReportRoundtripsJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&nopCloser{&buf})

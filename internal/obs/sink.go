@@ -102,6 +102,9 @@ func (s *ProgressSink) Emit(ev Event) {
 			total = fmt.Sprint(s.rounds)
 		}
 		line := fmt.Sprintf("\rround %d/%s  trained=%d live=%d", ev.Round+1, total, ev.Trained, ev.Live)
+		if ev.VTime > 0 { // the event engine's ledger tick: no rounds to count
+			line = fmt.Sprintf("\rt=%.2fs  trained=%d live=%d", ev.VTime, ev.Trained, ev.Live)
+		}
 		if ev.SoCP50 != 0 || ev.SoCP99 != 0 || ev.MeanSoC != 0 {
 			line += fmt.Sprintf("  soc p50=%.3f p90=%.3f p99=%.3f", ev.SoCP50, ev.SoCP90, ev.SoCP99)
 		}
@@ -112,7 +115,11 @@ func (s *ProgressSink) Emit(ev Event) {
 		s.dirty = true
 	case KindEval:
 		s.newline()
-		fmt.Fprintf(s.w, "eval round %d: %.2f%% ± %.2f\n", ev.Round+1, 100*ev.MeanAcc, 100*ev.StdAcc)
+		at := fmt.Sprintf("round %d", ev.Round+1)
+		if ev.VTime > 0 {
+			at = fmt.Sprintf("t=%.2fs", ev.VTime)
+		}
+		fmt.Fprintf(s.w, "eval %s: %.2f%% ± %.2f\n", at, 100*ev.MeanAcc, 100*ev.StdAcc)
 	case KindCell:
 		s.newline()
 		fmt.Fprintf(s.w, "cell %s: %.2f (%.1f ms)\n", ev.Label, ev.Value, float64(ev.WallNs)/1e6)

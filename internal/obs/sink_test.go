@@ -98,6 +98,20 @@ func TestProgressSinkShowsNodeThroughput(t *testing.T) {
 	}
 }
 
+// The event engine's ledger tick and evaluation have no round to count:
+// their lines show the virtual time, where they once read "round 2/?" and
+// "eval round 2".
+func TestProgressSinkAsyncTickLine(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewProgress(&buf)
+	s.Emit(Event{Kind: KindEval, Round: 1, Node: -1, MeanAcc: 0.5, StdAcc: 0.04, VTime: 93.9358})
+	s.Emit(Event{Kind: KindRoundEnd, Round: 1, Node: -1, Trained: 43, Live: 8, VTime: 93.9358})
+	s.Close()
+	if out := buf.String(); !strings.HasPrefix(out, "eval t=93.94s: 50.00% ± 4.00\n\rt=93.94s  trained=43 live=8") || strings.Contains(out, "round") {
+		t.Fatalf("async progress lines: %q", out)
+	}
+}
+
 // The run's close names what it counted: the round engine's rounds, the
 // event engine's steps (its run_end carries virtual time). An async run
 // once printed its step count as rounds.

@@ -214,7 +214,7 @@ func TestFleetMeanAllocatesNothing(t *testing.T) {
 		least := math.Inf(1)
 		for try := 0; try < 5; try++ {
 			cfg := gridShapedConfig(t, 87)
-			cfg.EvalGlobalModel, cfg.TrackConsensus = mean, mean
+			cfg.EvalGlobalModel = mean
 			least = min(least, testing.AllocsPerRun(2, func() {
 				res, err := Run(cfg)
 				if err != nil {
@@ -232,13 +232,13 @@ func TestFleetMeanAllocatesNothing(t *testing.T) {
 		t.Skip("exact allocation counts do not hold under the race detector")
 	}
 	if mean != plain {
-		t.Fatalf("a run allocates %v times, %v with EvalGlobalModel and TrackConsensus", plain, mean)
+		t.Fatalf("a run allocates %v times, %v with EvalGlobalModel", plain, mean)
 	}
 }
 
 // TestFinalGlobalParamsIsTheFleetMean: FinalGlobalParams is, bit for bit,
 // the mean of the final node models, Σ v/N in node order, p long and capped there —
-// in a Γ-grid-shaped run, with consensus tracking alone, under all-reduce,
+// in a Γ-grid-shaped run, under all-reduce,
 // and with a model longer than the mix scratch would be without it — at
 // GOMAXPROCS 1 and 8.
 func TestFinalGlobalParamsIsTheFleetMean(t *testing.T) {
@@ -248,8 +248,7 @@ func TestFinalGlobalParamsIsTheFleetMean(t *testing.T) {
 		edit  func(*Config)
 	}{
 		{"grid-shaped", 16, func(c *Config) { c.EvalGlobalModel = true }},
-		{"consensus-only", 16, func(c *Config) { c.TrackConsensus = true }},
-		{"all-reduce", 16, func(c *Config) { c.Algo, c.EvalGlobalModel, c.TrackConsensus = core.AllReduce(), true, true }},
+		{"all-reduce", 16, func(c *Config) { c.Algo, c.EvalGlobalModel = core.AllReduce(), true }},
 		// 3 412 parameters on 4 nodes: the mix scratch alone would be 4
 		// blocks of at most 256 per worker.
 		{"wider-than-mix", 4, func(c *Config) {

@@ -119,7 +119,7 @@ func TestPostAggregationReadersPinned(t *testing.T) {
 		for _, procs := range []int{1, 8} {
 			old := runtime.GOMAXPROCS(procs)
 			cfg := tc.config()
-			cfg.EvalGlobalModel, cfg.TrackConsensus = true, true
+			cfg.EvalGlobalModel = true
 			res, err := Run(cfg)
 			runtime.GOMAXPROCS(old)
 			if err != nil {
@@ -230,7 +230,7 @@ func churn(t, n int) []bool {
 func mixConfig(p int) (Config, []tensor.Vector, []tensor.Vector) {
 	g := mixGraph()
 	models, initial := make([]tensor.Vector, g.N), make([]tensor.Vector, g.N)
-	data := &dataset.Dataset{Samples: []dataset.Sample{{X: tensor.NewVector(p)}}, NumClasses: 1, Dim: p}
+	data := &dataset.Dataset{Samples: []dataset.Sample{{X: tensor.NewVector(p - 1)}}, NumClasses: 1, Dim: p - 1}
 	part := make(dataset.Partition, g.N)
 	for i := range part {
 		part[i] = data
@@ -239,7 +239,7 @@ func mixConfig(p int) (Config, []tensor.Vector, []tensor.Vector) {
 		Graph: g, Weights: graph.Metropolis(g),
 		Algo:         core.Algorithm{Label: "mix", Schedule: syncOnly{}, Policy: core.AlwaysTrain{}},
 		Rounds:       3,
-		ModelFactory: func(_ int, r *rng.RNG) *nn.Network { return nn.New(nn.NewDense(p, 1, false, r)) },
+		ModelFactory: func(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(p-1, 1, r) },
 		LR:           0.1, BatchSize: 1, LocalSteps: 1,
 		Partition: part, Test: data,
 		DropDeadNodes: true, Liveness: func(t int) []bool { return churn(t, g.N) },
@@ -247,6 +247,7 @@ func mixConfig(p int) (Config, []tensor.Vector, []tensor.Vector) {
 		seeModels: func(drawn []tensor.Vector) {
 			copy(models, drawn)
 			for i, x := range drawn {
+				x[p-1] = float64(i) // the bias, zero as drawn: distinct models even at p = 1
 				initial[i] = x.Clone()
 			}
 		},

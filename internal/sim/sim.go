@@ -64,9 +64,11 @@ type Config struct {
 	Algo    core.Algorithm
 	Rounds  int
 
-	// Model and training hyperparameters (Table 1). ModelFactory is called
-	// once per worker with node -1; Network.Init draws node i's weights from
-	// its model stream, so every layer must draw from the r it is given.
+	// Model and training hyperparameters (Table 1). ModelFactory builds
+	// one of nn's models, nn.LogisticRegression or nn.MLP, on the r it is
+	// given. It is called once per worker with node -1; Network.Init draws
+	// node i's weights from its model stream, the bits
+	// ModelFactory(i, r_i) would draw.
 	ModelFactory func(node int, r *rng.RNG) *nn.Network
 	LR           float64
 	BatchSize    int
@@ -84,10 +86,9 @@ type Config struct {
 	EvalEvery     int
 	EvalSubsample int
 	// EvalGlobalModel also evaluates the average of all node models (the
-	// all-reduce consensus model of Figure 1).
+	// all-reduce consensus model of Figure 1) and records the consensus
+	// distance, both read off the one fleet mean, every evaluation.
 	EvalGlobalModel bool
-	// TrackConsensus records the consensus distance every evaluation.
-	TrackConsensus bool
 
 	// Energy model: per-node devices (use energy.AssignDevices) and the
 	// per-round workload. Both optional; when absent energy is not tracked.
@@ -277,8 +278,8 @@ type Result struct {
 	// enabling the fairness analyses of the paper's Section 5.1.
 	FinalNodeAccs []float64
 	// FinalGlobalParams is the fleet mean the last evaluation read when
-	// EvalGlobalModel or TrackConsensus is set (nil otherwise), the
-	// deployable consensus model: Network.Use runs a network on it.
+	// EvalGlobalModel is set (nil otherwise), the deployable consensus
+	// model: Network.Use runs a network on it.
 	FinalGlobalParams tensor.Vector
 	// Energy totals.
 	TotalTrainWh, TotalCommWh float64
@@ -531,13 +532,13 @@ func Run(c Config) (*Result, error) {
 		r.rows[i] = nn.MixRow{X: models[i], W: ws[: 0 : d+1], V: vecs[: 0 : d+1]}
 		vecs, ws = vecs[d+1:], ws[d+1:]
 	}
-	needMean := cfg.EvalGlobalModel || cfg.TrackConsensus || cfg.Algo.Aggregation == core.AggGlobal
+	needMean := cfg.EvalGlobalModel || cfg.Algo.Aggregation == core.AggGlobal
 	r.sums, r.ops = tensor.NewVector(max(workers*n*block, paramCount*b2i(needMean))), vecs
 	if needMean {
 		r.mean = r.sums[:paramCount:paramCount]
 	}
 	accs := cut(&kept, n)
-	r.eval = r.spec.NewEvaluator(ln, accs, r.mean, cfg.TrackConsensus, cfg.EvalGlobalModel)
+	r.eval = r.spec.NewEvaluator(ln, accs, r.mean, cfg.EvalGlobalModel)
 	cumHarvestWh, trainedTotal := 0.0, 0
 
 	// Every run carries its content-addressable identity; the probe (when
@@ -718,7 +719,7 @@ func Run(c Config) (*Result, error) {
 			result.FinalSoC[i] = cfg.Harvest.SoC(i)
 		}
 	}
-	if cfg.EvalGlobalModel || cfg.TrackConsensus {
+	if cfg.EvalGlobalModel {
 		result.FinalGlobalParams = r.mean // the last round always evaluates
 	}
 	probe.RunEnd(obs.Event{Steps: cfg.Rounds, Trained: trainedTotal})

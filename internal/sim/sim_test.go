@@ -220,7 +220,6 @@ func TestSyncOnlyPreservesMeanAndContracts(t *testing.T) {
 	cfg.Algo = core.Greedy(make([]int, 8))
 	cfg.EvalEvery = 1
 	cfg.EvalGlobalModel = true
-	cfg.TrackConsensus = true
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -913,7 +912,7 @@ func TestHarvestBatteriesBindParticipation(t *testing.T) {
 	devices := energy.AssignDevices(cfg.Graph.N, energy.Devices())
 	const initialRounds = 4
 	fleet, err := harvest.NewFleet(devices, energy.CIFAR10Workload(), harvest.Constant{Wh: 0},
-		harvest.Options{InitialRounds: initialRounds, CommFrac: -1})
+		harvest.Options{CapacityRounds: initialRounds, InitialSoC: 1, CommFrac: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

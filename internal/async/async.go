@@ -328,7 +328,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(&spec); err != nil {
 		return nil, err
 	}
-	ln := spec.NewNodes(0xa51c) // the event loop trains on one network at a time; evaluation scores nodes in parallel
+	ln := spec.NewNodes(learner.Nodes{}, 0xa51c) // the event loop trains on one network at a time; evaluation scores nodes in parallel
 	n := cfg.Graph.N
 	nodes, gossip := make([]asyncNode, n), make([]rng.RNG, n)
 	for i := range nodes {
@@ -402,7 +402,7 @@ func Run(cfg Config) (*Result, error) {
 	// One fleet mean per run, which consensus and the mean model's score
 	// both read, and one snapshot per evaluation: the periodic ones, at
 	// most Horizon/EvalEverySeconds, then the horizon's.
-	evaluator := spec.NewEvaluator(ln, make([]float64, n), tensor.NewVector(ln.ParamCount), true)
+	evaluator := spec.NewEvaluator(learner.Evaluator{}, ln, make([]float64, n), tensor.NewVector(ln.ParamCount), true)
 	evals := 1
 	if cfg.EvalEverySeconds > 0 && cfg.EvalEverySeconds < cfg.Horizon {
 		evals += int(cfg.Horizon / cfg.EvalEverySeconds)

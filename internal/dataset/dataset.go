@@ -95,17 +95,30 @@ func NewBatcher(ds *Dataset, r *rng.RNG) *Batcher {
 	return new(Batcher).init(ds, r, make([]int, ds.Len()), nil, nil)
 }
 
-// NewBatchers is NewBatcher+Reserve(size) over every ds[i] with stream rs[i]
-// in four allocations: the permutations and batch slices are slab windows.
-func NewBatchers(ds []*Dataset, rs []rng.RNG, size int) []Batcher {
+// Batchers is a batcher per dataset, Of[i] over ds[i], whose permutations
+// and batch slices are windows of three slabs.
+type Batchers struct {
+	Of    []Batcher
+	order []int
+	xs    []tensor.Vector
+	ys    []int
+}
+
+// NewBatchers is NewBatcher+Reserve(size) over every ds[i] with stream rs[i],
+// built into into's storage: its four slices grow only when ds needs more,
+// so into's zero value costs four allocations and a set of the same shape
+// again none. Every batcher starts on its first epoch as a new one would.
+func NewBatchers(into Batchers, ds []*Dataset, rs []rng.RNG, size int) Batchers {
 	total, reserved := 0, 0
 	for _, d := range ds {
 		total, reserved = total+d.Len(), reserved+min(size, d.Len())
 	}
-	bs, order, xs, ys := make([]Batcher, len(ds)), make([]int, total), make([]tensor.Vector, reserved), make([]int, reserved)
+	bs := Batchers{Of: grow(into.Of, len(ds)), order: grow(into.order, total),
+		xs: grow(into.xs, reserved), ys: grow(into.ys, reserved)}
+	order, xs, ys := bs.order, bs.xs, bs.ys
 	for i, d := range ds {
 		n, k := d.Len(), min(size, d.Len())
-		bs[i].init(d, &rs[i], order[:n:n], xs[:0:k], ys[:0:k])
+		bs.Of[i].init(d, &rs[i], order[:n:n], xs[:0:k], ys[:0:k])
 		order, xs, ys = order[n:], xs[k:], ys[k:]
 	}
 	return bs
@@ -116,7 +129,7 @@ func (b *Batcher) init(ds *Dataset, r *rng.RNG, order []int, xs []tensor.Vector,
 	if ds.Len() == 0 {
 		panic("dataset: batcher over empty dataset")
 	}
-	b.ds, b.r, b.order, b.xs, b.ys = ds, r, order, xs, ys
+	*b = Batcher{ds: ds, r: r, order: order, xs: xs, ys: ys}
 	r.PermTo(order)
 	return b
 }
@@ -174,4 +187,13 @@ func sortByLabel(d *Dataset) ([]int, error) {
 		start[s.Y]++
 	}
 	return idx, nil
+}
+
+// grow is s with n elements, in s's array when it holds them; the elements
+// are s's, not cleared.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
 }

@@ -198,7 +198,8 @@ func TestBatcherSizesItsSlicesOnce(t *testing.T) {
 // over three epochs of every shard, a shard shorter than the batch among
 // them, while all of them draw in turn: a batcher writing its neighbour's
 // window of the permutation or batch slabs shows as a wrong batch. The
-// whole set costs four allocations, and Next none.
+// whole set costs four allocations, and Next none. Rebuilt into its own
+// storage after a draw, the set allocates nothing and batches the same again.
 func TestNewBatchersMatchNewBatcher(t *testing.T) {
 	cfg := SyntheticConfig{Classes: 4, Dim: 3, Train: 64, Test: 4, Noise: 1, Seed: 8}
 	train, _ := mustGenerate(t, cfg)
@@ -215,33 +216,43 @@ func TestNewBatchersMatchNewBatcher(t *testing.T) {
 	for i := range rs {
 		rng.DeriveTo(&rs[i], 9, uint64(i), 0xba7c4)
 	}
-	slab := NewBatchers(shards, rs, size)
-	ref := make([]*Batcher, len(shards))
-	for i, d := range shards {
-		ref[i] = NewBatcher(d, rng.Derive(9, uint64(i), 0xba7c4))
-		ref[i].Reserve(size)
-	}
-	xs, ys := make([][]tensor.Vector, len(slab)), make([][]int, len(slab))
-	for call := range 3*39/size + 1 { // three epochs of the longest shard
-		for i := range slab { // every batcher draws before any batch is checked
-			xs[i], ys[i] = slab[i].Next(size)
+	bs := NewBatchers(Batchers{}, shards, rs, size)
+	for pass := range 2 {
+		ref := make([]*Batcher, len(shards))
+		for i, d := range shards {
+			ref[i] = NewBatcher(d, rng.Derive(9, uint64(i), 0xba7c4))
+			ref[i].Reserve(size)
 		}
-		for i := range slab {
-			wx, wy := ref[i].Next(size)
-			if len(xs[i]) != len(wx) || len(ys[i]) != len(wy) {
-				t.Fatalf("shard %d call %d: batch of %d, want %d", i, call, len(xs[i]), len(wx))
+		slab := bs.Of
+		xs, ys := make([][]tensor.Vector, len(slab)), make([][]int, len(slab))
+		for call := range 3*39/size + 1 { // three epochs of the longest shard
+			for i := range slab { // every batcher draws before any batch is checked
+				xs[i], ys[i] = slab[i].Next(size)
 			}
-			for k := range wx {
-				if &xs[i][k][0] != &wx[k][0] || ys[i][k] != wy[k] {
-					t.Fatalf("shard %d (len %d) call %d: sample %d differs", i, shards[i].Len(), call, k)
+			for i := range slab {
+				wx, wy := ref[i].Next(size)
+				if len(xs[i]) != len(wx) || len(ys[i]) != len(wy) {
+					t.Fatalf("pass %d shard %d call %d: batch of %d, want %d", pass, i, call, len(xs[i]), len(wx))
+				}
+				for k := range wx {
+					if &xs[i][k][0] != &wx[k][0] || ys[i][k] != wy[k] {
+						t.Fatalf("pass %d shard %d (len %d) call %d: sample %d differs", pass, i, shards[i].Len(), call, k)
+					}
 				}
 			}
 		}
+		for i := range rs {
+			rng.DeriveTo(&rs[i], 9, uint64(i), 0xba7c4)
+		}
+		bs = NewBatchers(bs, shards, rs, size)
 	}
-	if n := testing.AllocsPerRun(4, func() { NewBatchers(shards, rs, size) }); n != 4 {
+	if n := testing.AllocsPerRun(4, func() { NewBatchers(Batchers{}, shards, rs, size) }); n != 4 {
 		t.Fatalf("NewBatchers over %d shards made %v allocations, want 4", len(shards), n)
 	}
-	if n := testing.AllocsPerRun(8, func() { slab[3].Next(size) }); n != 0 {
+	if n := testing.AllocsPerRun(4, func() { bs = NewBatchers(bs, shards, rs, size) }); n != 0 {
+		t.Fatalf("NewBatchers into storage of the same shape made %v allocations", n)
+	}
+	if n := testing.AllocsPerRun(8, func() { bs.Of[3].Next(size) }); n != 0 {
 		t.Fatalf("Next on a slab batcher made %v allocations", n)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/harvest"
 	"repro/internal/report"
-	"repro/internal/sim"
 )
 
 // The async-harvest table compares the two intermittency engines on
@@ -82,7 +81,7 @@ func asyncHarvestLeg(w *World, regime GammaRegime, leg string) (AsyncHarvestRow,
 			return fail(err)
 		}
 		cfg.DropDeadNodes = true
-		res, err := sim.Run(cfg)
+		res, err := w.run(cfg)
 		if err != nil {
 			return fail(err)
 		}

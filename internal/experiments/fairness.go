@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -38,7 +37,7 @@ func Section51Fairness(o Options) (*Section51Result, error) {
 			return nil, err
 		}
 		cfg.EvalEvery = 0
-		res, err := sim.Run(cfg)
+		res, err := w.run(cfg)
 		if err != nil {
 			return nil, err
 		}

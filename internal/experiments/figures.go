@@ -39,7 +39,7 @@ func Figure1(o Options) (*Figure1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return sim.Run(cfg)
+		return w.run(cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -162,7 +162,7 @@ func Figure3(o Options, degrees []int) (*Figure3Result, error) {
 			if err != nil {
 				return Figure3Cell{}, err
 			}
-			r, err := sim.Run(cfg)
+			r, err := w.run(cfg)
 			if err != nil {
 				return Figure3Cell{}, err
 			}
@@ -241,12 +241,13 @@ func Figure4(o Options) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := newWorld(o, cifar, PaperDegree).Config(core.SkipTrain(gamma))
+	w := newWorld(o, cifar, PaperDegree)
+	cfg, err := w.Config(core.SkipTrain(gamma))
 	if err != nil {
 		return nil, err
 	}
 	cfg.EvalEvery = 1
-	res, err := sim.Run(cfg)
+	res, err := w.run(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +388,7 @@ func figure5Arm(w *World, a namedAlgo) (Figure5Arm, error) {
 	if err != nil {
 		return Figure5Arm{}, err
 	}
-	r, err := sim.Run(cfg)
+	r, err := w.run(cfg)
 	if err != nil {
 		return Figure5Arm{}, err
 	}
@@ -491,7 +492,7 @@ func figure6Arm(w *World, a namedAlgo) (Figure6Arm, error) {
 	if err != nil {
 		return Figure6Arm{}, err
 	}
-	r, err := sim.Run(cfg)
+	r, err := w.run(cfg)
 	if err != nil {
 		return Figure6Arm{}, err
 	}

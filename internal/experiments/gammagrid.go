@@ -13,7 +13,6 @@ import (
 	"repro/internal/harvest"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -406,7 +405,7 @@ func (g *gammaGrid) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, e
 	if _, err := g.fleet(&cfg, regime, gammaGridFleetOptions()); err != nil {
 		return fail(err)
 	}
-	res, err := sim.Run(cfg)
+	res, err := g.run(cfg)
 	if err != nil {
 		return fail(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/obs/obstest"
+	"repro/internal/rng"
 )
 
 func TestTableGammaHarvestStructure(t *testing.T) {
@@ -306,6 +307,11 @@ func countKind(events []obs.Event, kind string) int {
 // per sample, per node and per field as windows of per-call slabs, so a
 // cell of 300 nodes allocates exactly as often as one of 8 under every
 // standard regime (at GOMAXPROCS 1; above it par.ForOn spawns workers).
+// The cells measured are warm: they run on the engine the world's first
+// cell left in its free list, so their node state — models, streams,
+// batchers, mix rows and scratch — is the engine's, and what a warm cell
+// allocates per node (its fleet, its result's rows) stays under a tenth of
+// a model vector.
 // The validation split is 32 samples, not 320: a cell scores every node on
 // all of it in each round of its readout's window, which allocates nothing
 // and would only make the 300-node cells slow.
@@ -325,24 +331,38 @@ func TestGammaCellAllocsIndependentOfNodes(t *testing.T) {
 		return &gammaGrid{World: w, regimes: gammaGridRegimes}
 	}
 	small, large := grid(8), grid(300)
+	vecBytes := 8 * float64(cifar.model(0, rng.New(1)).ParamCount())
 	for _, regime := range gammaGridRegimes {
+		cell := func(g *gammaGrid) func() {
+			return func() {
+				if _, err := g.runCell(regime, 1, 3); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		// The least of a few measurements: a collection in mid-cell empties
 		// fmt's sync.Pool and adds a stray allocation.
-		allocs := func(g *gammaGrid) float64 {
-			least := math.Inf(1)
+		allocs := func(g *gammaGrid) (count, bytes float64) {
+			count, bytes = math.Inf(1), math.Inf(1)
 			for range 5 {
-				least = min(least, testing.AllocsPerRun(1, func() {
-					if _, err := g.runCell(regime, 1, 3); err != nil {
-						t.Fatal(err)
-					}
-				}))
+				count = min(count, testing.AllocsPerRun(1, cell(g)))
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				cell(g)()
+				runtime.ReadMemStats(&after)
+				bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
 			}
-			return least
+			return count, bytes
 		}
-		if s, l := allocs(small), allocs(large); s != l {
+		s, sb := allocs(small)
+		l, lb := allocs(large)
+		perNode := (lb - sb) / 292
+		if s != l {
 			t.Errorf("%s: a cell allocates %v times at 8 nodes, %v at 300", regime.Name, s, l)
+		} else if perNode >= 0.1*vecBytes {
+			t.Errorf("%s: a warm cell allocates %.0f bytes at 8 nodes, %.0f at 300: %.0f a node, over a tenth of a model vector (%.0f)", regime.Name, sb, lb, perNode, vecBytes)
 		} else {
-			t.Logf("%s: %v allocations a cell", regime.Name, s)
+			t.Logf("%s: %v allocations a cell; %.0f bytes at 8 nodes, %.0f a further node", regime.Name, s, sb, perNode)
 		}
 	}
 }

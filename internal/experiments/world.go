@@ -66,10 +66,16 @@ type World struct {
 	topologyErr  error
 }
 
+// worldData is what the worlds of one dataset share: the data, the device
+// assignment, and the free list of the engines their runs share
+// (World.run), which holds as many as ran at once.
 type worldData struct {
 	part      dataset.Partition
 	val, test *dataset.Dataset
 	devices   []energy.Device
+
+	enginesMu sync.Mutex
+	engines   []*sim.Engine
 }
 
 // NewWorld is the named dataset's world ("cifar" or "femnist") on the
@@ -95,7 +101,7 @@ func newWorld(o Options, ds datasetSpec, degree int) *World {
 			if err != nil {
 				return nil, err
 			}
-			return &worldData{part, val, test, energy.AssignDevices(o.Nodes, energy.Devices())}, nil
+			return &worldData{part: part, val: val, test: test, devices: energy.AssignDevices(o.Nodes, energy.Devices())}, nil
 		}),
 	}
 }
@@ -166,6 +172,33 @@ func (w *World) fleet(cfg *sim.Config, regime GammaRegime, opts harvest.Options)
 	return trace, err
 }
 
+// run executes cfg, a Config of w's, on an engine from the free list its
+// data keeps, or a new one when the list is empty, and puts the engine
+// back: the cells of a grid share one engine per worker, so a cell after
+// the first of its shape builds no node state, and a grid served from a
+// cache, which builds no data, makes no engine. Every sim run of the
+// experiments goes through here.
+func (w *World) run(cfg sim.Config) (*sim.Result, error) {
+	d, err := w.data()
+	if err != nil {
+		return nil, err
+	}
+	var e *sim.Engine
+	d.enginesMu.Lock()
+	if k := len(d.engines); k > 0 {
+		e, d.engines = d.engines[k-1], d.engines[:k-1]
+	}
+	d.enginesMu.Unlock()
+	if e == nil {
+		e = new(sim.Engine)
+	}
+	res, err := e.Run(cfg)
+	d.enginesMu.Lock()
+	d.engines = append(d.engines, e)
+	d.enginesMu.Unlock()
+	return res, err
+}
+
 // harvestRun is one run of a harvest table: label training every round
 // on a fresh fleet of regime's trace shaped by opts. set fills in what the
 // arm varies — the policy always, and any of DropDeadNodes, Rejoin or
@@ -182,7 +215,7 @@ func (w *World) harvestRun(label string, regime GammaRegime, opts harvest.Option
 	if err != nil {
 		return cfg, nil, err
 	}
-	res, err := sim.Run(cfg)
+	res, err := w.run(cfg)
 	return cfg, res, err
 }
 

@@ -97,27 +97,33 @@ func (s *Spec) Validate() error {
 
 // Nodes is every node's learner state and the networks that run it.
 // Params[i] is node i's model vector x_i, its only model-sized state, for
-// good: a window of one per-run vector whose capacity ends with it. Nets is
+// good: a window of one vector whose capacity ends with it. Nets is
 // the free list of worker networks: Train and the evaluator take one, Use
 // a node's model, and put it back.
 type Nodes struct {
 	Params     []tensor.Vector
 	ParamCount int
 	Nets       chan *nn.Network
-	batchers   []dataset.Batcher
+	streams    []rng.RNG     // every node's model, batch and policy stream, then the worker networks'
+	slab       tensor.Vector // the models, then uniform
+	batchers   dataset.Batchers
 	policy     []rng.RNG // what node i's participation policy draws from
 	forecast   []float64 // node i's forecast window is the i-th ForecastHorizon elements
-	uniform    []float64 // N weights 1/N after the models in their slab: the fleet mean's W row
+	uniform    []float64 // N weights 1/N: the fleet mean's W row
 }
 
 // NewNodes builds min(GOMAXPROCS, N) worker networks with
 // ModelFactory(-1, ·) and every node: its model drawn by Network.Init from
 // its model stream under the engine's own salt (which keeps each engine's
-// bits), its batcher, policy RNG and forecast window, all of them per-run
-// slabs.
-func (s *Spec) NewNodes(salt uint64) Nodes {
+// bits), its batcher, policy RNG and forecast window, all of them windows
+// of slabs. The slabs are into's, grown only where this spec needs more,
+// and into's worker networks serve again when they are as many and of the
+// model's shape (a worker's weights are never read), so nodes built into
+// the storage of nodes of the same shape allocate one network, the one that
+// draws their models; every node starts as in new storage.
+func (s *Spec) NewNodes(into Nodes, salt uint64) Nodes {
 	n := s.Graph.N
-	rs := make([]rng.RNG, 3*n+1)
+	rs := grow(into.streams, 3*n+1)
 	for i := range n {
 		rng.DeriveTo(&rs[i], s.Seed, uint64(i), salt)
 		rng.DeriveTo(&rs[n+i], s.Seed, uint64(i), 0xba7c4)
@@ -128,20 +134,32 @@ func (s *Spec) NewNodes(salt uint64) Nodes {
 	rs[3*n] = rs[0]
 	net := s.ModelFactory(-1, &rs[3*n])
 	p := net.ParamCount()
-	ns := Nodes{Params: make([]tensor.Vector, n), ParamCount: p, Nets: make(chan *nn.Network, min(runtime.GOMAXPROCS(0), n)),
-		batchers: dataset.NewBatchers(s.Partition, rs[n:2*n], s.BatchSize), policy: rs[2*n : 3*n]}
+	ns := Nodes{Params: grow(into.Params, n), ParamCount: p, Nets: into.Nets, streams: rs,
+		batchers: dataset.NewBatchers(into.batchers, s.Partition, rs[n:2*n], s.BatchSize), policy: rs[2*n : 3*n],
+		forecast: into.forecast}
+	workers := min(runtime.GOMAXPROCS(0), n)
+	keep := cap(ns.Nets) == workers && len(ns.Nets) == workers
+	if keep {
+		old := <-ns.Nets
+		ns.Nets <- old
+		keep = old.SameShape(net)
+	}
 	if s.Forecast != nil {
-		ns.forecast = make([]float64, n*s.ForecastHorizon)
+		ns.forecast = grow(ns.forecast, n*s.ForecastHorizon)
+		clear(ns.forecast)
 	}
-	slab := tensor.NewVector(n*p + n)
+	ns.slab = grow(into.slab, n*p+n)
 	for i := range n {
-		ns.Params[i] = slab[i*p : (i+1)*p : (i+1)*p]
+		ns.Params[i] = ns.slab[i*p : (i+1)*p : (i+1)*p]
 		net.Init(ns.Params[i], &rs[i])
-		slab[n*p+i] = 1 / float64(n)
+		ns.slab[n*p+i] = 1 / float64(n)
 	}
-	ns.uniform = slab[n*p:]
-	for ns.Nets <- net; len(ns.Nets) < cap(ns.Nets); {
-		ns.Nets <- s.ModelFactory(-1, &rs[3*n])
+	ns.uniform = ns.slab[n*p:]
+	if !keep {
+		ns.Nets = make(chan *nn.Network, workers)
+		for ns.Nets <- net; len(ns.Nets) < workers; {
+			ns.Nets <- s.ModelFactory(-1, &rs[3*n])
+		}
 	}
 	return ns
 }
@@ -149,7 +167,7 @@ func (s *Spec) NewNodes(salt uint64) Nodes {
 // Participate asks the policy whether node i trains in ctx, its forecast
 // window filled from trace round on. It writes node-i state only.
 func (s *Spec) Participate(ns *Nodes, i int, ctx core.RoundContext, round int) bool {
-	if h := s.ForecastHorizon; ns.forecast != nil {
+	if h := s.ForecastHorizon; s.Forecast != nil {
 		ctx.Forecast = ns.forecast[i*h : (i+1)*h : (i+1)*h]
 		s.Forecast.Forecast(i, round, ctx.Forecast)
 	}
@@ -162,7 +180,7 @@ func (s *Spec) Train(ns *Nodes, i int) {
 	net := <-ns.Nets
 	net.Use(ns.Params[i])
 	for e := 0; e < s.LocalSteps; e++ {
-		xs, ys := ns.batchers[i].Next(s.BatchSize)
+		xs, ys := ns.batchers.Of[i].Next(s.BatchSize)
 		net.TrainBatch(xs, ys, s.LR)
 	}
 	ns.Nets <- net
@@ -193,28 +211,39 @@ type Score struct{ Mean, Std, Consensus, Global float64 }
 // samples drawn once at set-up, each node's last accuracy into its row of
 // accs: how often a run is evaluated never changes what it scores.
 type Evaluator struct {
-	accs   []float64
-	ns     Nodes
-	global bool
-	mean   tensor.Vector // the fleet mean global reads
-	xs     []tensor.Vector
-	ys     []int
+	accs    []float64
+	models  []tensor.Vector // the nodes' Params, scored through nets
+	nets    chan *nn.Network
+	uniform []float64
+	global  bool
+	mean    tensor.Vector // the fleet mean global reads
+	xs      []tensor.Vector
+	ys      []int
+	// The subsample's storage: the permutation it is cut from and the
+	// samples xs and ys then hold. Without a subsample they hold the test
+	// set's own columns, which no evaluator writes.
+	perm  []int
+	subXs []tensor.Vector
+	subYs []int
 }
 
 // NewEvaluator scores ns into accs, one row per node; global asks for the
 // Score fields Consensus and Global, both read off the fleet mean Evaluate
 // writes.
 // A subsample is the first EvalSubsample of one rng.Perm of the test set,
-// drawn from the run's evaluation stream.
-func (s *Spec) NewEvaluator(ns Nodes, accs []float64, mean tensor.Vector, global bool) Evaluator {
-	ev := Evaluator{accs: accs, ns: ns, global: global, mean: mean}
+// drawn from the run's evaluation stream, into into's subsample storage,
+// grown only when this spec needs more.
+func (s *Spec) NewEvaluator(into Evaluator, ns Nodes, accs []float64, mean tensor.Vector, global bool) Evaluator {
+	ev := Evaluator{accs: accs, models: ns.Params, nets: ns.Nets, uniform: ns.uniform, global: global, mean: mean,
+		perm: into.perm, subXs: into.subXs, subYs: into.subYs}
 	if k := s.EvalSubsample; k > 0 && k < s.Test.Len() {
 		var draw rng.RNG
 		rng.DeriveTo(&draw, s.Seed, 0xe7a1)
-		perm := make([]int, s.Test.Len())
-		draw.PermTo(perm)
-		ev.xs, ev.ys = make([]tensor.Vector, k), make([]int, k)
-		for i, j := range perm[:k] {
+		ev.perm = grow(ev.perm, s.Test.Len())
+		draw.PermTo(ev.perm)
+		ev.subXs, ev.subYs = grow(ev.subXs, k), grow(ev.subYs, k)
+		ev.xs, ev.ys = ev.subXs, ev.subYs
+		for i, j := range ev.perm[:k] {
 			ev.xs[i], ev.ys[i] = s.Test.Samples[j].X, s.Test.Samples[j].Y
 		}
 	} else {
@@ -225,20 +254,20 @@ func (s *Spec) NewEvaluator(ns Nodes, accs []float64, mean tensor.Vector, global
 
 // accuracy scores model x with a worker network from the free list.
 func (ev *Evaluator) accuracy(x tensor.Vector) float64 {
-	net := <-ev.ns.Nets
+	net := <-ev.nets
 	net.Use(x)
 	acc := net.Accuracy(ev.xs, ev.ys)
-	ev.ns.Nets <- net
+	ev.nets <- net
 	return acc
 }
 
 // scoreNode writes accs[i] only: nodes score in parallel to the same bits.
-func (ev *Evaluator) scoreNode(i int) { ev.accs[i] = ev.accuracy(ev.ns.Params[i]) }
+func (ev *Evaluator) scoreNode(i int) { ev.accs[i] = ev.accuracy(ev.models[i]) }
 
 // FleetMean writes the mean of every node's model into the evaluator's mean
 // vector, summed in node order, and returns it.
 func (ev *Evaluator) FleetMean() tensor.Vector {
-	tensor.WeightedSumTo(ev.mean, ev.ns.uniform, ev.ns.Params)
+	tensor.WeightedSumTo(ev.mean, ev.uniform, ev.models)
 	return ev.mean
 }
 
@@ -249,8 +278,17 @@ func (ev *Evaluator) Evaluate() Score {
 	sc.Mean, sc.Std = metrics.MeanStd(ev.accs)
 	if ev.global {
 		ev.FleetMean()
-		sc.Consensus = metrics.ConsensusDistance(ev.ns.Params, ev.mean)
+		sc.Consensus = metrics.ConsensusDistance(ev.models, ev.mean)
 		sc.Global = ev.accuracy(ev.mean)
 	}
 	return sc
+}
+
+// grow is s with n elements, in s's array when it holds them; the elements
+// are s's, not cleared.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
 }

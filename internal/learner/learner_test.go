@@ -238,7 +238,7 @@ func TestNodesAreWindowsOfOneVector(t *testing.T) {
 		BatchSize: sc.BatchSize, LocalSteps: sc.LocalSteps, Partition: sc.Partition, Test: sc.Test, Seed: 5}
 	const salt, workers = 0x1417, 3
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-	ns := spec.NewNodes(salt)
+	ns := spec.NewNodes(learner.Nodes{}, salt)
 	if len(ns.Nets) != workers || ns.ParamCount != 54 {
 		t.Fatalf("%d worker networks, %d parameters; want %d and 54", len(ns.Nets), ns.ParamCount, workers)
 	}
@@ -259,5 +259,24 @@ func TestNodesAreWindowsOfOneVector(t *testing.T) {
 	spec.Train(&ns, 5)
 	if !slices.Equal(ns.Params[4], before) || len(ns.Nets) != workers {
 		t.Fatal("training nodes 3 and 5 wrote node 4's model, or kept a worker network")
+	}
+	// Built again into their own storage, the nodes are the same windows,
+	// drawn afresh, served by the same worker networks.
+	nets := map[*nn.Network]bool{}
+	for range workers {
+		net := <-ns.Nets
+		nets[net] = true
+		ns.Nets <- net
+	}
+	again := spec.NewNodes(ns, salt)
+	for i, x := range again.Params {
+		if &x[0] != &ns.Params[i][0] || !slices.Equal(x, model(i, rng.Derive(5, uint64(i), salt)).Params()) {
+			t.Fatalf("node %d: rebuilt model is not its old window drawn afresh", i)
+		}
+	}
+	for range workers {
+		if net := <-again.Nets; !nets[net] {
+			t.Fatal("rebuilt nodes made a new worker network for a model of the same shape")
+		}
 	}
 }

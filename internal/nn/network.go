@@ -41,6 +41,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -123,6 +124,15 @@ func (n *Network) each(v tensor.Vector, fn func(*dense, tensor.Vector)) {
 	for i := range n.layers {
 		fn(&n.layers[i], take(&v, n.layers[i].paramSize()))
 	}
+}
+
+// SameShape reports whether o stacks the same layers as n, size for size:
+// then every vector one of them Uses the other can, and either can train
+// or score it in the other's place.
+func (n *Network) SameShape(o *Network) bool {
+	return slices.EqualFunc(n.layers, o.layers, func(a, b dense) bool {
+		return a.in == b.in && a.out == b.out && a.bias == b.bias && a.relu == b.relu
+	})
 }
 
 // ParamCount returns the total number of trainable parameters, the |x| of

@@ -244,3 +244,25 @@ func TestMixingTwoModelsAverages(t *testing.T) {
 		}
 	}
 }
+
+// SameShape holds exactly when two networks stack the same layers: weights
+// drawn from other streams do not matter, while another class count, a
+// hidden layer, or other hidden layers with as many parameters in all do.
+func TestSameShape(t *testing.T) {
+	lr := LogisticRegression(4, 3, rng.New(1))
+	for _, tc := range []struct {
+		a, b *Network
+		same bool
+	}{
+		{lr, LogisticRegression(4, 3, rng.New(2)), true},
+		{lr, LogisticRegression(4, 2, rng.New(1)), false},
+		{lr, MLP(4, []int{3}, 3, rng.New(1)), false},
+		{MLP(4, []int{6, 2}, 3, rng.New(1)), MLP(4, []int{6, 2}, 3, rng.New(3)), true},
+		// 43 parameters each: 4·1+1 + 1·7+7 + 7·3+3 and 4·5+5 + 5·3+3.
+		{MLP(4, []int{1, 7}, 3, rng.New(1)), MLP(4, []int{5}, 3, rng.New(1)), false},
+	} {
+		if got := tc.a.SameShape(tc.b); got != tc.same || tc.b.SameShape(tc.a) != tc.same {
+			t.Errorf("SameShape of %d- and %d-parameter networks = %v, want %v", tc.a.ParamCount(), tc.b.ParamCount(), got, tc.same)
+		}
+	}
+}

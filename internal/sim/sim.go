@@ -14,12 +14,12 @@
 //  3. (optionally) evaluation on the shared test set.
 //
 // A node's model vector is its only model-sized state: a window of one
-// per-run vector (learner.NewNodes). It is written in phase 1 and in phase
-// 2's mix, where a block of it is written only once every average that
-// reads the block is summed, so its neighbors may read it in place. The
-// networks belong to the run, one per worker: a worker Uses a node's
-// vector to train or score it. See docs/ARCHITECTURE.md for who may write
-// which vector when.
+// vector (learner.NewNodes) that the Engine keeps for its next run. It is
+// written in phase 1 and in phase 2's mix, where a block of it is written
+// only once every average that reads the block is summed, so its neighbors
+// may read it in place. The networks belong to the Engine, one per worker:
+// a worker Uses a node's vector to train or score it. See
+// docs/ARCHITECTURE.md for who may write which vector when.
 //
 // When a harvest fleet is attached (Config.Harvest), every round also closes
 // with a battery update — idle and communication draw, then ambient energy
@@ -324,11 +324,20 @@ func (r *Result) Evaluations() []RoundMetrics {
 	return out
 }
 
-// run is what the phase bodies of one Run share: the node slab and the
-// current round's view, which the loop writes between barriers and the
-// bodies only read. The bodies are methods, run by par.ForOn as method
-// expressions, so no phase makes a closure; each writes node-i state only.
-type run struct {
+// Engine is the round engine. A run is what its phase bodies share: the
+// node slab and the current round's view, which the loop writes between
+// barriers and the bodies only read. The bodies are methods, run by
+// par.ForOn as method expressions, so no phase makes a closure; each writes
+// node-i state only.
+//
+// Run keeps every buffer of a run that its Result does not keep for the
+// next run, which re-derives or clears each as a fresh run would and grows
+// one only when it needs more: after the first, a run of the same shape
+// allocates its result and the network that draws its models, not its
+// node state. The zero Engine is ready to run; an Engine runs one run at a
+// time, and a Result never aliases it. See "What a run owns" in
+// docs/ARCHITECTURE.md.
+type Engine struct {
 	cfg  Config
 	spec learner.Spec
 	ln   learner.Nodes
@@ -341,8 +350,8 @@ type run struct {
 	trainWh, commWh []float64
 	// collect lists node i's operands in rows[i] (none: it holds its model);
 	// each of the cap(ln.Nets) mix workers averages through its own share
-	// of sums and ops. mean, the one fleet mean (nil if unread), is sums[:p:p]:
-	// only AggGlobal's phase 2 and phase 3, which never run beside a mix, use it.
+	// of sums and ops. mean is the one fleet mean (nil if unread), which
+	// the Result keeps.
 	rows []nn.MixRow
 	sums tensor.Vector
 	ops  []tensor.Vector
@@ -356,17 +365,29 @@ type run struct {
 	dead    []bool
 	weights *graph.Weights
 	// lastLive[i] is the last round node i was live, -1 before round 0
-	// (every node counts as live before the run); nil without a live-set
-	// source. nbrMean is the rejoin rule's neighbor mean (Config.Rejoin).
+	// (every node counts as live before the run); it is read only with a
+	// live-set source. nbrMean is the rejoin rule's neighbor mean
+	// (Config.Rejoin).
 	lastLive []int
 	nbrMean  tensor.Vector
+
+	// The storage the slices above are windows of, kept for the next run:
+	// the ledger and weight floats (the ledger rows, every row's W weights,
+	// the renormalized matrix), every row's operands and then each mix
+	// worker's, and the live-set scan's queue beside lastLive.
+	floats tensor.Vector
+	vecs   []tensor.Vector
+	ints   []int
+	seen   []bool        // the live-set scan's marks
+	live   graph.Weights // drop rounds renormalize into it
+	soc    *obs.Sketch   // the SoC quantile sketch, reset per round
 }
 
 // down reports that node i is browned out on a round that drops dead nodes:
 // unpowered, it neither trains nor mixes, no neighbor reads its model, and
 // it holds that model (W's row is the identity) until it recharges past the
 // cutoff.
-func (r *run) down(i int) bool { return r.dead != nil && !r.dead[i] }
+func (r *Engine) down(i int) bool { return r.dead != nil && !r.dead[i] }
 
 // alive reads a live mask, where nil means every node is live.
 func alive(live []bool, i int) bool { return live == nil || live[i] }
@@ -376,7 +397,7 @@ func alive(live []bool, i int) bool { return live == nil || live[i] }
 // staleness t-1-lastLive[i]) and counts the sends live nodes owe dead
 // neighbors on drop rounds. lastLive moves to t only after the pass, so a
 // node that revives this round is never read as a live neighbor.
-func (r *run) transitions(live []bool, m *RoundMetrics) {
+func (r *Engine) transitions(live []bool, m *RoundMetrics) {
 	g, probe, t := r.cfg.Graph, r.cfg.Probe, r.ctx.Round
 	for i, last := range r.lastLive {
 		if !alive(live, i) {
@@ -411,7 +432,7 @@ func (r *run) transitions(live []bool, m *RoundMetrics) {
 // rejoin applies the rejoin rule to node i's frozen model, in place, with
 // the mean of its continuously-live neighbors (live this round and the
 // last: their models are round t-1's aggregates, and no rule writes them).
-func (r *run) rejoin(i, stale int, live []bool) bool {
+func (r *Engine) rejoin(i, stale int, live []bool) bool {
 	if r.cfg.Rejoin == nil {
 		return false
 	}
@@ -435,7 +456,7 @@ func (r *run) rejoin(i, stale int, live []bool) bool {
 // — the shared start-of-round view (round, horizon, schedule, battery) plus
 // its private forecast window — so decisions are independent of worker
 // interleaving.
-func (r *run) train(i int) {
+func (r *Engine) train(i int) {
 	cfg, ctx := &r.cfg, r.ctx
 	ctx.Trained = r.trained[i]
 	if ctx.Kind != core.RoundTrain || r.down(i) || !r.spec.Participate(&r.ln, i, ctx, ctx.Round) {
@@ -452,7 +473,7 @@ func (r *run) train(i int) {
 // W-row average (Algorithm 1, line 8) — the renormalized row on drop rounds
 // — own term first, then each live neighbor's model vector, read in place,
 // in adjacency order. A down node lists none: it holds its model.
-func (r *run) collect(i int) {
+func (r *Engine) collect(i int) {
 	row, models := &r.rows[i], r.ln.Params
 	row.W, row.V = row.W[:0], row.V[:0]
 	if r.down(i) {
@@ -468,28 +489,32 @@ func (r *run) collect(i int) {
 
 // mix is the second half: worker w, of as many as there are networks,
 // averages its share of the elements of every model, in place (nn.Mix).
-func (r *run) mix(w int) {
+func (r *Engine) mix(w int) {
 	k := cap(r.ln.Nets)
 	p, s, o := r.ln.ParamCount, len(r.sums)/k, len(r.ops)/k
 	nn.Mix(r.rows, w*p/k, (w+1)*p/k, r.sums[w*s:(w+1)*s], r.ops[w*o:(w+1)*o])
 }
 
 // adoptMean is AggGlobal's phase 2: node i takes the fleet mean.
-func (r *run) adoptMean(i int) { copy(r.ln.Params[i], r.mean) }
+func (r *Engine) adoptMean(i int) { copy(r.ln.Params[i], r.mean) }
+
+// Run executes the experiment on an Engine of its own.
+func Run(c Config) (*Result, error) { return new(Engine).Run(c) }
 
 // Run executes the experiment. Everything a round needs is allocated before
-// the first one; see "Allocation discipline" in docs/ARCHITECTURE.md.
-func Run(c Config) (*Result, error) {
-	r := &run{cfg: c}
+// the first one, and only what r does not already hold; see "Allocation
+// discipline" in docs/ARCHITECTURE.md.
+func (r *Engine) Run(c Config) (*Result, error) {
+	r.cfg = c
 	cfg := &r.cfg
 	r.spec = cfg.spec()
 	if err := cfg.validate(&r.spec); err != nil {
 		return nil, err
 	}
 	g, n := cfg.Graph, cfg.Graph.N
-	ln := r.spec.NewNodes(0x1417)
-	workers := cap(ln.Nets)
-	models, paramCount := ln.Params, ln.ParamCount
+	r.ln = r.spec.NewNodes(r.ln, 0x1417)
+	workers := cap(r.ln.Nets)
+	models, paramCount := r.ln.Params, r.ln.ParamCount
 	if cfg.seeModels != nil {
 		cfg.seeModels(models)
 	}
@@ -498,47 +523,57 @@ func Run(c Config) (*Result, error) {
 	for i := 0; i < n; i++ {
 		maxDeg, edges = max(maxDeg, g.Degree(i)), edges+g.Degree(i)
 	}
-	var liveWeights *graph.Weights // drop rounds renormalize into it
-	if cfg.DropDeadNodes {
-		liveWeights = graph.NewWeights(g)
-	}
 
 	// Node state is the learner's nodes plus every per-node row as a window
-	// of a slab: of ints, of vectors, of weights and ledger floats, and of
-	// the floats the result keeps. Each worker has a network and a mix
-	// scratch sized to the longest block of its share (p/workers rounded
-	// down or up), long enough for the fleet mean when a run reads it; that
-	// and every model-sized vector stay allocations of their own, as a large
+	// of a slab the engine keeps: of ints, of vectors, of weights and ledger
+	// floats. The result keeps its trained rounds and one float slab: the
+	// nodes' accuracies, their final charges and the fleet mean when a run
+	// reads it. Each worker has a network and a mix scratch sized to the
+	// longest block of its share (p/workers rounded down or up); that and
+	// every model-sized vector stay allocations of their own, as a large
 	// slab rounds up to whole pages.
 	haveLiveSource := cfg.Liveness != nil || cfg.Harvest != nil
+	needMean := cfg.EvalGlobalModel || cfg.Algo.Aggregation == core.AggGlobal
 	block := max(nn.MixBlockLen(paramCount/workers), nn.MixBlockLen((paramCount+workers-1)/workers))
-	floats := tensor.NewVector(2*n*b2i(cfg.Devices != nil) + edges + n)
-	kept := tensor.NewVector(n + n*b2i(cfg.Harvest != nil))
+	r.floats = grow(r.floats, 2*n*b2i(cfg.Devices != nil)+(edges+n)*(1+b2i(cfg.DropDeadNodes)))
+	floats := r.floats
+	kept := tensor.NewVector(n + n*b2i(cfg.Harvest != nil) + paramCount*b2i(needMean))
 	cut := func(slab *tensor.Vector, k int) tensor.Vector {
 		v := (*slab)[:k:k]
 		*slab = (*slab)[k:]
 		return v
 	}
-	ints := make([]int, n+2*n*b2i(haveLiveSource))
-	result := &Result{TrainedRounds: ints[:n:n], History: make([]RoundMetrics, 0, cfg.Rounds)}
-	r.ln, r.trained = ln, result.TrainedRounds
+	result := &Result{TrainedRounds: make([]int, n), History: make([]RoundMetrics, 0, cfg.Rounds)}
+	r.trained, r.trainWh, r.commWh = result.TrainedRounds, nil, nil
 	if cfg.Devices != nil {
 		r.trainWh, r.commWh = cut(&floats, n), cut(&floats, n)
+		clear(r.trainWh)
+		clear(r.commWh)
 	}
-	r.rows = make([]nn.MixRow, n)
-	vecs, ws := make([]tensor.Vector, edges+n+workers*(maxDeg+1)), cut(&floats, edges+n)
+	r.rows, r.vecs = grow(r.rows, n), grow(r.vecs, edges+n+workers*(maxDeg+1))
+	vecs, ws := r.vecs, cut(&floats, edges+n)
 	for i := 0; i < n; i++ {
 		d := g.Degree(i)
 		r.rows[i] = nn.MixRow{X: models[i], W: ws[: 0 : d+1], V: vecs[: 0 : d+1]}
 		vecs, ws = vecs[d+1:], ws[d+1:]
 	}
-	needMean := cfg.EvalGlobalModel || cfg.Algo.Aggregation == core.AggGlobal
-	r.sums, r.ops = tensor.NewVector(max(workers*n*block, paramCount*b2i(needMean))), vecs
-	if needMean {
-		r.mean = r.sums[:paramCount:paramCount]
+	r.sums, r.ops = grow(r.sums, workers*n*block), vecs
+	if cfg.DropDeadNodes {
+		r.live.Self, r.live.Nbr = cut(&floats, n), grow(r.live.Nbr, n)
+		for i := range n {
+			r.live.Nbr[i] = cut(&floats, g.Degree(i))
+		}
 	}
 	accs := cut(&kept, n)
-	r.eval = r.spec.NewEvaluator(ln, accs, r.mean, cfg.EvalGlobalModel)
+	var finalSoC tensor.Vector
+	if cfg.Harvest != nil {
+		finalSoC = cut(&kept, n)
+	}
+	r.mean = nil
+	if needMean {
+		r.mean = cut(&kept, paramCount)
+	}
+	r.eval = r.spec.NewEvaluator(r.eval, r.ln, accs, r.mean, cfg.EvalGlobalModel)
 	cumHarvestWh, trainedTotal := 0.0, 0
 
 	// Every run carries its content-addressable identity; the probe (when
@@ -557,22 +592,21 @@ func Run(c Config) (*Result, error) {
 
 	// The SoC quantile sketch streams per-round charge percentiles without
 	// materializing a per-node slice; allocated once, reset per round.
-	var socSketch *obs.Sketch
-	if cfg.Harvest != nil {
-		socSketch = obs.NewSoCSketch()
+	if cfg.Harvest != nil && r.soc == nil {
+		r.soc = obs.NewSoCSketch()
 	}
 	// Scratch for the live-set phase's component scan, and the lastLive
 	// record, which shares the scan queue's slab.
-	var seen []bool
 	var queue []int
 	if haveLiveSource {
-		seen, queue, r.lastLive = make([]bool, n), ints[n:n:2*n], ints[2*n:]
+		r.seen, r.ints = grow(r.seen, n), grow(r.ints, 2*n)
+		queue, r.lastLive = r.ints[:0:n], r.ints[n:]
 		for i := range r.lastLive {
 			r.lastLive[i] = -1
 		}
 	}
 	if cfg.Rejoin != nil {
-		r.nbrMean = tensor.NewVector(paramCount)
+		r.nbrMean = grow(r.nbrMean, paramCount)
 	}
 
 	r.ctx = core.RoundContext{Horizon: cfg.Rounds, Schedule: cfg.Algo.Schedule}
@@ -607,14 +641,14 @@ func Run(c Config) (*Result, error) {
 				m.LiveCount = countTrue(live)
 			}
 			m.MeanLiveDegree = g.MeanLiveDegree(live)
-			m.LiveComponents = g.LiveComponentsScratch(live, seen, queue)
+			m.LiveComponents = g.LiveComponentsScratch(live, r.seen, queue)
 		}
 		// A round drops dead nodes only when some node is in fact dead (see
 		// run.dead); all-live rounds keep the configured Weights.
 		r.dead, r.weights = nil, cfg.Weights
 		if cfg.DropDeadNodes && live != nil && m.LiveCount < n {
-			r.dead, r.weights = live, liveWeights
-			graph.RenormalizeLiveTo(liveWeights, g, live)
+			r.dead, r.weights = live, &r.live
+			graph.RenormalizeLiveTo(&r.live, g, live)
 		}
 		probe.PhaseEnd(t, obs.PhaseLiveSet)
 
@@ -633,7 +667,7 @@ func Run(c Config) (*Result, error) {
 
 		// Phase 1: local training (run.train).
 		probe.PhaseStart(obs.PhaseTrain)
-		par.ForOn(n, 0, r, (*run).train)
+		par.ForOn(n, 0, r, (*Engine).train)
 		for _, c := range r.trained {
 			m.TrainedCount += c
 		}
@@ -648,10 +682,10 @@ func Run(c Config) (*Result, error) {
 			// Hypothetical all-reduce (Figure 1): global average of all
 			// half-step models, applied everywhere.
 			r.eval.FleetMean()
-			par.ForOn(n, 0, r, (*run).adoptMean)
+			par.ForOn(n, 0, r, (*Engine).adoptMean)
 		default:
-			par.ForOn(n, 0, r, (*run).collect)
-			par.ForOn(workers, 0, r, (*run).mix)
+			par.ForOn(n, 0, r, (*Engine).collect)
+			par.ForOn(workers, 0, r, (*Engine).mix)
 		}
 		probe.PhaseEnd(t, obs.PhaseAggregate)
 		if cfg.Devices != nil {
@@ -682,11 +716,11 @@ func Run(c Config) (*Result, error) {
 			}
 			// One pass over the batteries yields mean/min/depleted and feeds
 			// the quantile sketch, without a per-node snapshot.
-			socSketch.Reset()
-			m.MeanSoC, m.MinSoC, m.Depleted = cfg.Harvest.SoCStats(socSketch.Observe)
-			m.SoCP50 = socSketch.Quantile(0.50)
-			m.SoCP90 = socSketch.Quantile(0.90)
-			m.SoCP99 = socSketch.Quantile(0.99)
+			r.soc.Reset()
+			m.MeanSoC, m.MinSoC, m.Depleted = cfg.Harvest.SoCStats(r.soc.Observe)
+			m.SoCP50 = r.soc.Quantile(0.50)
+			m.SoCP90 = r.soc.Quantile(0.90)
+			m.SoCP99 = r.soc.Quantile(0.99)
 			m.CumHarvestWh = cumHarvestWh
 			for _, wh := range arrived {
 				m.ArrivedWh += wh
@@ -714,7 +748,7 @@ func Run(c Config) (*Result, error) {
 	if cfg.Harvest != nil {
 		result.TotalHarvestWh = cumHarvestWh
 		result.TotalWastedWh = cfg.Harvest.WastedWh()
-		result.FinalSoC = cut(&kept, n)
+		result.FinalSoC = finalSoC
 		for i := range result.FinalSoC {
 			result.FinalSoC[i] = cfg.Harvest.SoC(i)
 		}
@@ -775,6 +809,15 @@ func sum(vs []float64) float64 {
 		t += v
 	}
 	return t
+}
+
+// grow is s with n elements, in s's array when it holds them; the elements
+// are s's, not cleared.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
 }
 
 // b2i is 1 for true and 0 for false: how many of an optional row a slab holds.

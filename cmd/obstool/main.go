@@ -46,7 +46,7 @@ func usage(out io.Writer) {
 Usage:
 
   obstool report [-md] file.jsonl
-      Audit a stream (harvestsim -events) against the analyze invariants
+      Audit a stream (skiptrain -events) against the analyze invariants
       (stream structure and known event kinds, a manifest config hash on
       every run_start, round bracketing, energy conservation,
       brownout/revival alternation, counter monotonicity, phase-time

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/energy"
+	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/report"
@@ -35,10 +36,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func quickstart(stdout io.Writer) error {
 	const (
-		nodes  = 16
-		degree = 4
-		rounds = 40
-		seed   = 1
+		nodes     = 16
+		degree    = 4
+		rounds    = 40
+		evalEvery = 4
+		seed      = 1
 	)
 
 	// 1. Build the communication topology and its mixing matrix.
@@ -73,36 +75,42 @@ func quickstart(stdout io.Writer) error {
 			},
 			LR: 0.2, BatchSize: 16, LocalSteps: 8,
 			Partition: part, Test: test,
-			EvalEvery: 4,
+			EvalEvery: evalEvery,
 			Devices:   energy.AssignDevices(nodes, energy.Devices()),
 			Workload:  energy.CIFAR10Workload(),
 			Seed:      seed,
 		})
 	}
-	dpsgd, err := simulate(core.DPSGD())
+	dpsgdAlgo, skipAlgo := core.DPSGD(), core.SkipTrain(core.Gamma{GammaTrain: 2, GammaSync: 2})
+	dpsgd, err := simulate(dpsgdAlgo)
 	if err != nil {
 		return err
 	}
-	skip, err := simulate(core.SkipTrain(core.Gamma{GammaTrain: 2, GammaSync: 2}))
+	skip, err := simulate(skipAlgo)
 	if err != nil {
 		return err
 	}
 
-	// 4. Compare.
+	// 4. Compare. Round 40 ends one of SkipTrain's sync phases, so the
+	//    accuracy compared is the readout every table reports: the nodes'
+	//    mean accuracy over each run's last Γ period (one round for
+	//    D-PSGD), which the engine always evaluates.
 	tb := report.NewTable("Quickstart: 16 nodes, 4-regular, 40 rounds",
-		"algorithm", "final acc %", "acc std %", "training Wh", "trained rounds/node")
-	tb.AddRowf("D-PSGD|%.2f|%.2f|%.4f|%d",
-		dpsgd.FinalMeanAcc*100, dpsgd.FinalStdAcc*100, dpsgd.TotalTrainWh, dpsgd.TrainedRounds[0])
-	tb.AddRowf("SkipTrain(2,2)|%.2f|%.2f|%.4f|%d",
-		skip.FinalMeanAcc*100, skip.FinalStdAcc*100, skip.TotalTrainWh, skip.TrainedRounds[0])
+		"algorithm", "readout acc %", "training Wh", "trained rounds/node")
+	tb.AddRowf("D-PSGD|%.2f|%.4f|%d",
+		experiments.Readout(dpsgd, dpsgdAlgo.Schedule), dpsgd.TotalTrainWh, dpsgd.TrainedRounds[0])
+	tb.AddRowf("SkipTrain(2,2)|%.2f|%.4f|%d",
+		experiments.Readout(skip, skipAlgo.Schedule), skip.TotalTrainWh, skip.TrainedRounds[0])
 	tb.Render(stdout)
 
+	// The curves plot the rounds on the evaluation cadence, not the
+	// readout's window rounds, so both have one point per 4 rounds.
 	curve := func(r *sim.Result) []float64 {
-		var ys []float64
+		var s experiments.Series
 		for _, m := range r.Evaluations() {
-			ys = append(ys, m.MeanAcc)
+			s.X, s.Y = append(s.X, float64(m.Round+1)), append(s.Y, m.MeanAcc)
 		}
-		return ys
+		return experiments.OnCadence(experiments.Options{Rounds: rounds, EvalEvery: evalEvery}, s)
 	}
 	fmt.Fprintf(stdout, "\nD-PSGD    %s\nSkipTrain %s\n", report.Sparkline(curve(dpsgd)), report.Sparkline(curve(skip)))
 	fmt.Fprintf(stdout, "\nSkipTrain used %.0f%% of D-PSGD's training energy.\n",

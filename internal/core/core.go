@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/rng"
@@ -75,34 +76,14 @@ type Gamma struct {
 	GammaSync  int
 }
 
-// NewGamma validates and returns a Gamma schedule.
+// NewGamma validates and returns a Gamma schedule: Γtrain ≥ 1, Γsync ≥ 0,
+// and a period Γtrain+Γsync that does not overflow int, which Kind and
+// Window add.
 func NewGamma(gammaTrain, gammaSync int) (Gamma, error) {
-	if gammaTrain < 1 || gammaSync < 0 {
+	if gammaTrain < 1 || gammaSync < 0 || gammaTrain > math.MaxInt-gammaSync {
 		return Gamma{}, fmt.Errorf("core: invalid gamma schedule train=%d sync=%d", gammaTrain, gammaSync)
 	}
 	return Gamma{GammaTrain: gammaTrain, GammaSync: gammaSync}, nil
-}
-
-// ScheduleFromGammaFlags resolves the CLI convention shared by the cmd/
-// binaries: -gt 0 -gs 0 selects the all-train (D-PSGD) schedule, and
-// -gt > 0 selects SkipTrain(Γtrain, Γsync). Every other combination is a
-// user error and is rejected — in particular a -gs given without -gt,
-// which earlier versions silently ignored, and negative values, which
-// earlier versions accepted.
-func ScheduleFromGammaFlags(gammaTrain, gammaSync int) (Schedule, error) {
-	switch {
-	case gammaTrain < 0 || gammaSync < 0:
-		return nil, fmt.Errorf("core: negative gamma flags train=%d sync=%d", gammaTrain, gammaSync)
-	case gammaTrain == 0 && gammaSync == 0:
-		return AllTrain{}, nil
-	case gammaTrain == 0:
-		return nil, fmt.Errorf("core: gamma sync=%d given without train (-gs needs -gt > 0)", gammaSync)
-	}
-	g, err := NewGamma(gammaTrain, gammaSync)
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // Kind implements the Algorithm 2 round test.

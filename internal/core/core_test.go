@@ -375,30 +375,19 @@ func TestRoundKindString(t *testing.T) {
 	}
 }
 
-func TestScheduleFromGammaFlags(t *testing.T) {
-	s, err := ScheduleFromGammaFlags(0, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestNewGammaRejectsOverflowingPeriod: a period Γtrain+Γsync past
+// MaxInt once wrapped negative in Kind and Window, and a readout over the
+// "last Γ period" of a run sliced out of range and panicked.
+func TestNewGammaRejectsOverflowingPeriod(t *testing.T) {
+	for _, g := range [][2]int{{math.MaxInt, 1}, {1, math.MaxInt}, {math.MaxInt / 2, math.MaxInt/2 + 2}, {0, 1}, {2, -1}} {
+		if _, err := NewGamma(g[0], g[1]); err == nil {
+			t.Errorf("NewGamma(%d, %d) = nil error", g[0], g[1])
+		}
 	}
-	if _, ok := s.(AllTrain); !ok {
-		t.Fatalf("(0,0) gave %T, want AllTrain", s)
-	}
-	s, err = ScheduleFromGammaFlags(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, ok := s.(Gamma); !ok || g.GammaTrain != 4 || g.GammaSync != 2 {
-		t.Fatalf("(4,2) gave %#v", s)
-	}
-	// The bugs the validation exists for: -gs without -gt was silently
-	// ignored, and negative values were accepted.
-	if _, err := ScheduleFromGammaFlags(0, 3); err == nil {
-		t.Fatal("sync without train must error")
-	}
-	if _, err := ScheduleFromGammaFlags(-1, 2); err == nil {
-		t.Fatal("negative train must error")
-	}
-	if _, err := ScheduleFromGammaFlags(2, -1); err == nil {
-		t.Fatal("negative sync must error")
+	for _, g := range [][2]int{{math.MaxInt, 0}, {math.MaxInt - 3, 3}, {1000000000, 1}, {1, 0}} {
+		s, err := NewGamma(g[0], g[1])
+		if err != nil || Window(s) < 1 || s.Kind(0) != RoundTrain {
+			t.Errorf("NewGamma(%d, %d) = %v, %v", g[0], g[1], s, err)
+		}
 	}
 }

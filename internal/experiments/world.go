@@ -16,7 +16,7 @@ import (
 )
 
 // Every run that trains — a table's, a figure's, or a single run of
-// cmd/skiptrain or cmd/harvestsim — draws its inputs from one World and its
+// cmd/skiptrain — draws its inputs from one World and its
 // run configuration from World.Config (World.AsyncConfig on the
 // event-driven engine), and an experiment with more than one run takes —
 // its fan-out from sweep.Grid over o.Sweep: each run writes its own

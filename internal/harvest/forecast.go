@@ -2,6 +2,7 @@ package harvest
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -107,8 +108,8 @@ type NoisyOracle struct {
 
 // NewNoisyOracle validates sigma >= 0 and wraps the trace's oracle.
 func NewNoisyOracle(trace Trace, sigma float64, seed uint64) (*NoisyOracle, error) {
-	if sigma < 0 {
-		return nil, fmt.Errorf("harvest: negative forecast noise %v", sigma)
+	if !(sigma >= 0 && sigma <= math.MaxFloat64) {
+		return nil, fmt.Errorf("harvest: forecast noise %v is not finite and ≥ 0", sigma)
 	}
 	oracle, err := NewOracle(trace)
 	if err != nil {

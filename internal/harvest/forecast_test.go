@@ -211,8 +211,10 @@ func TestNoisyOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewNoisyOracle(d, -0.1, 1); err == nil {
-		t.Fatal("negative sigma should error")
+	for _, sigma := range []float64{-0.1, math.NaN(), math.Inf(1)} {
+		if _, err := NewNoisyOracle(d, sigma, 1); err == nil {
+			t.Fatalf("sigma %v should error", sigma)
+		}
 	}
 	// sigma = 0: byte-identical to the oracle.
 	exact, err := NewOracle(d)

@@ -28,7 +28,7 @@ type SoCThreshold struct {
 
 // NewSoCThreshold validates and returns a threshold policy.
 func NewSoCThreshold(minSoC float64) (*SoCThreshold, error) {
-	if minSoC < 0 || minSoC > 1 {
+	if !(minSoC >= 0 && minSoC <= 1) {
 		return nil, fmt.Errorf("harvest: threshold SoC %v outside [0, 1]", minSoC)
 	}
 	return &SoCThreshold{MinSoC: minSoC}, nil
@@ -64,7 +64,7 @@ func NewSoCHysteresis(nodes int, low, high float64) (*SoCHysteresis, error) {
 	if nodes < 1 {
 		return nil, fmt.Errorf("harvest: hysteresis policy for %d nodes", nodes)
 	}
-	if low < 0 || high > 1 || low >= high {
+	if !(low >= 0 && low < high && high <= 1) {
 		return nil, fmt.Errorf("harvest: hysteresis band [%v, %v] invalid", low, high)
 	}
 	return &SoCHysteresis{low: low, high: high, dormant: make([]bool, nodes)}, nil
@@ -130,8 +130,8 @@ type SoCProportional struct {
 
 // NewSoCProportional validates and returns a proportional policy.
 func NewSoCProportional(exponent float64) (*SoCProportional, error) {
-	if exponent <= 0 {
-		return nil, fmt.Errorf("harvest: non-positive exponent %v", exponent)
+	if !(exponent > 0 && exponent <= math.MaxFloat64) {
+		return nil, fmt.Errorf("harvest: exponent %v is not positive and finite", exponent)
 	}
 	return &SoCProportional{Exponent: exponent}, nil
 }

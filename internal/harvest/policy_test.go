@@ -64,6 +64,38 @@ func TestSoCThreshold(t *testing.T) {
 	}
 }
 
+// TestPolicyKnobsRefuseNonFinite: every knob is checked by the range it
+// must lie in, so NaN fails it. A NaN exponent, threshold or hysteresis
+// bound once built a policy, and a NaN exponent ran at 12.5%
+// participation where the default ran at 47.9%.
+func TestPolicyKnobsRefuseNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, v := range []float64{nan, inf, -inf, 1.5, -0.1} {
+		if _, err := NewSoCThreshold(v); err == nil {
+			t.Errorf("NewSoCThreshold(%v) = nil error", v)
+		}
+	}
+	for _, band := range [][2]float64{{nan, 0.4}, {0.1, nan}, {nan, nan}, {-inf, 0.4}, {0.1, inf}, {0.5, 0.2}, {0.3, 0.3}, {-0.1, 0.4}, {0.1, 1.1}} {
+		if _, err := NewSoCHysteresis(4, band[0], band[1]); err == nil {
+			t.Errorf("NewSoCHysteresis(4, %v, %v) = nil error", band[0], band[1])
+		}
+	}
+	for _, v := range []float64{nan, inf, 0, -1, -inf} {
+		if _, err := NewSoCProportional(v); err == nil {
+			t.Errorf("NewSoCProportional(%v) = nil error", v)
+		}
+	}
+	if _, err := NewSoCThreshold(1); err != nil {
+		t.Error(err)
+	}
+	if _, err := NewSoCHysteresis(4, 0, 1); err != nil {
+		t.Error(err)
+	}
+	if _, err := NewSoCProportional(math.MaxFloat64); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestSoCThresholdDrainsExactlyOnTrain(t *testing.T) {
 	f := policyFleet(t, Constant{0}, Options{CapacityRounds: 2, InitialSoC: 1})
 	p, err := NewSoCThreshold(0)

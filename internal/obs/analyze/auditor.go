@@ -90,7 +90,7 @@ func (v Violation) String() string {
 const maxViolations = 64
 
 // Auditor is an obs.Sink that checks streaming invariants as events
-// arrive — attach it live (harvestsim -audit) or replay a JSONL file
+// arrive — attach it live (skiptrain -audit) or replay a JSONL file
 // through it offline (ReadEvents, `obstool report`). It is tolerant of
 // every emitting engine's stream shape: runs without rounds (async, the
 // grid runner), multiple run_start/run_end segments in one stream (the

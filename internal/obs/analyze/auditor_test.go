@@ -512,7 +512,7 @@ func TestAuditorRejectsBadJSONLStreams(t *testing.T) {
 
 // A probe's stream, written by the JSONL sink and read back by ReadEvents,
 // must audit clean with every event kind intact: the round trip behind
-// `harvestsim -events` and `obstool report`.
+// `skiptrain -events` and `obstool report`.
 func TestJSONLRoundTripAuditsClean(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)

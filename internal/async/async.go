@@ -642,7 +642,7 @@ func Run(cfg Config) (*Result, error) {
 // the experiment-defining config fields (GOMAXPROCS and telemetry excluded:
 // the event loop is serial and bit-reproducible regardless).
 func buildManifest(cfg *Config, spec *learner.Spec, paramCount int, vf *harvest.VFleet) obs.RunManifest {
-	b := spec.Manifest("async", 0, paramCount).
+	b := spec.Manifest("async", 0, paramCount, cfg.Partition.Fingerprint(), cfg.Test.Fingerprint()).
 		SetFloat("horizon_s", cfg.Horizon).
 		SetInt("steps_per_node", cfg.StepsPerNode).
 		SetFloat("sync_speedup", float64(syncSpeedup)).
@@ -652,10 +652,6 @@ func buildManifest(cfg *Config, spec *learner.Spec, paramCount int, vf *harvest.
 		b = b.Set("trace", cfg.Trace.Name()).
 			SetFloat("round_seconds", vf.RoundSeconds())
 		vf.SetManifest(b)
-		if cfg.Forecast != nil {
-			b = b.Set("forecaster", cfg.Forecast.Name()).
-				SetInt("fhorizon", cfg.ForecastHorizon)
-		}
 	}
 	return b.Build()
 }

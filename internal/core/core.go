@@ -125,6 +125,11 @@ func Window(s Schedule) int {
 	return 1
 }
 
+// ReadoutName names the readout, the nodes' mean accuracy over a run's last
+// Window rounds, in every run's manifest, so a result cached under another
+// readout is a miss.
+const ReadoutName = "node-mean-over-period"
+
 // TTrain returns Eq. (4): the nominal maximum number of training rounds
 // T_train = Γtrain/(Γtrain+Γsync) * T used to derive training
 // probabilities.

@@ -26,16 +26,32 @@ type Sample struct {
 
 // Dataset is an in-memory set of samples with shared metadata.
 type Dataset struct {
-	Samples    []Sample
-	NumClasses int
-	Dim        int
-	columns    sync.Once // makes xs and ys on the first Inputs or Labels
-	xs         []tensor.Vector
-	ys         []int
+	Samples     []Sample
+	NumClasses  int
+	Dim         int
+	fingerprint uint64
+	columns     sync.Once // makes xs and ys on the first Inputs or Labels
+	xs          []tensor.Vector
+	ys          []int
 }
 
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Samples) }
+
+// Fingerprint identifies d by every field of the config that drew it and
+// which split, shard or writer of the draw it is (0: built otherwise). A
+// twin of each stamping function computes it from configs alone.
+func (d *Dataset) Fingerprint() uint64 { return d.fingerprint }
+
+// mix folds vs into h, FNV-1a over their little-endian bytes.
+func mix(h uint64, vs ...uint64) uint64 {
+	for _, v := range vs {
+		for k := 0; k < 64; k += 8 {
+			h = (h ^ v>>k&0xff) * 1099511628211
+		}
+	}
+	return h
+}
 
 // Inputs returns the sample inputs as a slice of vectors (views, not
 // copies), made once and shared: callers only read it, and Samples must
@@ -74,9 +90,16 @@ func (d *Dataset) Split(n int) (*Dataset, *Dataset) {
 	if n < 0 || n > d.Len() {
 		panic(fmt.Sprintf("dataset: split point %d out of range [0,%d]", n, d.Len()))
 	}
-	a := &Dataset{NumClasses: d.NumClasses, Dim: d.Dim, Samples: d.Samples[:n]}
-	b := &Dataset{NumClasses: d.NumClasses, Dim: d.Dim, Samples: d.Samples[n:]}
+	fa, fb := SplitFingerprints(d.fingerprint, n)
+	a := &Dataset{NumClasses: d.NumClasses, Dim: d.Dim, Samples: d.Samples[:n], fingerprint: fa}
+	b := &Dataset{NumClasses: d.NumClasses, Dim: d.Dim, Samples: d.Samples[n:], fingerprint: fb}
 	return a, b
+}
+
+// SplitFingerprints are the fingerprints Split(n) stamps on the two parts of
+// a dataset of fingerprint fp.
+func SplitFingerprints(fp uint64, n int) (a, b uint64) {
+	return mix(fp, uint64(n), 0), mix(fp, uint64(n), 1)
 }
 
 // Batcher yields minibatches by sampling without replacement per epoch,

@@ -49,8 +49,37 @@ func ShardPartition(d *Dataset, n, shardsPerNode int, seed uint64) (Partition, e
 		}
 		p[i] = &ds[i]
 		p[i].NumClasses, p[i].Dim, p[i].Samples = d.NumClasses, d.Dim, samples[start:len(samples):len(samples)]
+		p[i].fingerprint = shard(d.fingerprint, n, shardsPerNode, seed, i)
 	}
 	return p, nil
+}
+
+// ShardPartitionFingerprint is ShardPartition(d, n, shardsPerNode,
+// seed).Fingerprint() for a d of fingerprint fp.
+func ShardPartitionFingerprint(fp uint64, n, shardsPerNode int, seed uint64) uint64 {
+	return fold(n, func(i int) uint64 { return shard(fp, n, shardsPerNode, seed, i) })
+}
+
+func shard(fp uint64, n, shardsPerNode int, seed uint64, i int) uint64 {
+	return mix(fp, uint64(n), uint64(shardsPerNode), seed, uint64(i))
+}
+
+// WriterPartitionFingerprint is WriterPartition(writers, n).Fingerprint()
+// for GenerateWriters(c)'s writers, fp the first of c.Fingerprints().
+func WriterPartitionFingerprint(fp uint64, n int) uint64 {
+	return fold(n, func(i int) uint64 { return mix(fp, uint64(i)) })
+}
+
+// Fingerprint identifies p by its datasets' fingerprints in node order.
+func (p Partition) Fingerprint() uint64 {
+	return fold(len(p), func(i int) uint64 { return p[i].fingerprint })
+}
+
+func fold(n int, fp func(i int) uint64) (h uint64) {
+	for i := range n {
+		h = mix(h, fp(i))
+	}
+	return h
 }
 
 // WriterPartition maps the top-n writers (by sample count) to nodes,

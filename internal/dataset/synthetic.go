@@ -34,6 +34,12 @@ func (c SyntheticConfig) Validate() error {
 	return nil
 }
 
+// Fingerprints are those Generate(c) stamps on its train and test sets.
+func (c SyntheticConfig) Fingerprints() (train, test uint64) {
+	h := mix(14695981039346656037, uint64(c.Classes), uint64(c.Dim), uint64(c.Train), uint64(c.Test), math.Float64bits(c.Noise), c.Seed)
+	return mix(h, 0), mix(h, 1)
+}
+
 // FEMNISTLike returns the default 62-class configuration standing in for
 // FEMNIST at simulation scale. Samples are generated per writer via
 // GenerateWriters; this config sets the shared geometry.
@@ -91,6 +97,7 @@ func Generate(cfg SyntheticConfig) (train, test *Dataset, err error) {
 	cycle := func(i int) int { return i % cfg.Classes }
 	train = drawSplit(cfg, cfg.Train, protos, rng.Derive(cfg.Seed, 0xda7a, 1), nil, cycle).shuffle(rng.Derive(cfg.Seed, 0xda7a, 2))
 	test = drawSplit(cfg, cfg.Test, protos, rng.Derive(cfg.Seed, 0xda7a, 3), nil, cycle).shuffle(rng.Derive(cfg.Seed, 0xda7a, 4))
+	train.fingerprint, test.fingerprint = cfg.Fingerprints()
 	return train, test, nil
 }
 
@@ -122,6 +129,14 @@ func FEMNISTWriters(seed uint64) WritersConfig {
 		StyleStd:        0.35,
 		LabelSkewAlpha:  0.5,
 	}
+}
+
+// Fingerprints are those GenerateWriters(c) stamps: test on its test set,
+// and writers mixed with r on its writer of rank r by sample count.
+func (c WritersConfig) Fingerprints() (writers, test uint64) {
+	h, _ := c.SyntheticConfig.Fingerprints()
+	h = mix(h, uint64(c.Writers), uint64(c.MinPerWriter), uint64(c.MaxPerWriter), math.Float64bits(c.StyleStd), math.Float64bits(c.LabelSkewAlpha))
+	return mix(h, 0), mix(h, 1)
 }
 
 // GenerateWriters builds a per-writer corpus plus an IID test set drawn from
@@ -181,9 +196,14 @@ func GenerateWriters(cfg WritersConfig) (writers []WriterData, test *Dataset, er
 	}
 	// Sort by descending sample count (stable on writer id for determinism).
 	sortWriters(writers)
+	fp, testFP := cfg.Fingerprints()
+	for r := range writers {
+		writers[r].Samples.fingerprint = mix(fp, uint64(r))
+	}
 
 	test = drawSplit(cfg.SyntheticConfig, cfg.Test, protos, rng.Derive(cfg.Seed, 0x3717e5, 0xffff), nil,
 		func(i int) int { return i % cfg.Classes }).shuffle(rng.Derive(cfg.Seed, 0x3717e5, 0xfffe))
+	test.fingerprint = testFP
 	return writers, test, nil
 }
 

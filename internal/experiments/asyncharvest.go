@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harvest"
 	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 // The async-harvest table compares the two intermittency engines on
@@ -66,22 +67,14 @@ func asyncHarvestLeg(w *World, regime GammaRegime, leg string) (AsyncHarvestRow,
 	fail := func(err error) (AsyncHarvestRow, error) {
 		return AsyncHarvestRow{}, fmt.Errorf("experiments: async-harvest %s/%s: %w", leg, regime.Name, err)
 	}
-	policy, err := harvest.NewSoCThreshold(0.35)
-	if err != nil {
-		return fail(err)
-	}
-	algo := core.Algorithm{Label: leg + "/" + regime.Name, Schedule: core.AllTrain{}, Policy: policy}
+	algo := core.Algorithm{Label: leg + "/" + regime.Name, Schedule: core.AllTrain{}, Policy: &harvest.SoCThreshold{MinSoC: 0.35}}
 	fleetOptions := brownoutFleetOptions(w.MeanTrainWh)
 	if leg == "sync" {
-		cfg, err := w.Config(algo)
-		if err == nil {
-			_, err = w.fleet(&cfg, regime, fleetOptions)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		cfg.DropDeadNodes = true
-		res, err := w.run(cfg)
+		cfg, res, err := w.runOf(algo, func(cfg *sim.Config) (err error) {
+			cfg.DropDeadNodes = true
+			_, err = w.fleet(cfg, regime, fleetOptions)
+			return err
+		})
 		if err != nil {
 			return fail(err)
 		}

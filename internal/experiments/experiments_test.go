@@ -914,7 +914,7 @@ func TestEntryPointsRefuseNegativeNodes(t *testing.T) {
 		"TableHarvest":      func() error { _, err := TableHarvest(o); return err },
 		"TableRejoin":       func() error { _, err := TableRejoin(o); return err },
 		"RunGammaGrid":      func() error { _, err := RunGammaGrid(o, GammaGridRegimes(o)[0]); return err },
-		"cifarLikeData":     func() error { _, _, _, err := cifarLikeData(o.Defaults()); return err },
+		"cifarLikeData":     func() error { _, _, err := cifarLikeData(o.Defaults()); return err },
 	} {
 		func() {
 			defer func() {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -32,12 +33,10 @@ func Section51Fairness(o Options) (*Section51Result, error) {
 		core.DPSGD(),
 	}
 	reports, err := sweep.Grid(o.Sweep, len(algos), nil, func(i int) (*metrics.FairnessReport, error) {
-		cfg, err := w.Config(algos[i])
-		if err != nil {
-			return nil, err
-		}
-		cfg.EvalEvery = 0
-		res, err := w.run(cfg)
+		cfg, res, err := w.runOf(algos[i], func(cfg *sim.Config) error {
+			cfg.EvalEvery = 0
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -35,29 +35,22 @@ func Figure1(o Options) (*Figure1Result, error) {
 	w := newWorld(o, cifar, PaperDegree)
 	algos := []core.Algorithm{core.DPSGD(), core.AllReduce()}
 	runs, err := sweep.Grid(o.Sweep, len(algos), nil, func(i int) (*sim.Result, error) {
-		cfg, err := w.Config(algos[i])
-		if err != nil {
-			return nil, err
-		}
-		return w.run(cfg)
+		_, res, err := w.runOf(algos[i], nil)
+		return res, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	dRes, aRes := runs[0], runs[1]
 	out := &Figure1Result{
 		DPSGD:     Series{Label: "D-PSGD"},
 		AllReduce: Series{Label: "All reduce"},
 	}
-	for _, m := range dRes.Evaluations() {
-		out.DPSGD.X = append(out.DPSGD.X, float64(m.Round+1))
-		out.DPSGD.Y = append(out.DPSGD.Y, m.MeanAcc*100)
+	for i, s := range []*Series{&out.DPSGD, &out.AllReduce} {
+		for _, m := range runs[i].Evaluations() {
+			s.X, s.Y = append(s.X, float64(m.Round+1)), append(s.Y, 100*m.MeanAcc)
+		}
 	}
-	for _, m := range aRes.Evaluations() {
-		out.AllReduce.X = append(out.AllReduce.X, float64(m.Round+1))
-		out.AllReduce.Y = append(out.AllReduce.Y, 100*m.MeanAcc)
-	}
-	out.FinalGap = Readout(aRes, algos[1].Schedule) - Readout(dRes, algos[0].Schedule)
+	out.FinalGap = Readout(runs[1], algos[1].Schedule) - Readout(runs[0], algos[0].Schedule)
 
 	tb := report.NewTable("Figure 1: D-PSGD vs all-reduce (test accuracy %, 6-regular)",
 		"round", "D-PSGD", "All reduce")
@@ -76,10 +69,7 @@ func Figure1(o Options) (*Figure1Result, error) {
 // are train vs sync for D-PSGD, SkipTrain and SkipTrain-constrained.
 func Figure2(o Options) error {
 	o = o.Defaults()
-	gamma, err := core.NewGamma(2, 2)
-	if err != nil {
-		return err
-	}
+	gamma := core.Gamma{GammaTrain: 2, GammaSync: 2}
 	horizon := 12
 	render := func(title string, pattern func(node, t int) string, nodes int) {
 		fmt.Fprintf(o.Out, "%s\n", title)
@@ -146,23 +136,15 @@ func Figure3(o Options, degrees []int) (*Figure3Result, error) {
 	base := newWorld(o, cifar, degrees[0])
 	for _, deg := range degrees {
 		w := base.at(deg)
-		keys, err := figure3Keys(w)
+		// Cells run on the shared grid runner (gammagrid.go), keyed when
+		// o.Sweep can serve them, the best seeded from a real cell.
+		keys, err := w.gridKeys(core.SkipTrain(core.Gamma{GammaTrain: 1, GammaSync: 1}), GammaRegime{})
 		if err != nil {
 			return nil, err
 		}
-		// Cells run on the shared grid runner (gammagrid.go), keyed when
-		// o.Sweep can serve them, with the best cell seeded from a real
-		// cell.
-		grid, err := gammaCells(o.Sweep, &keys, func(gt, gs int) (Figure3Cell, error) {
-			gamma, err := core.NewGamma(gt, gs)
-			if err != nil {
-				return Figure3Cell{}, err
-			}
-			cfg, err := w.tuneConfig(core.SkipTrain(gamma))
-			if err != nil {
-				return Figure3Cell{}, err
-			}
-			r, err := w.run(cfg)
+		grid, err := gammaCells(o.Sweep, &keys, func(gt, gs int, k sweep.CellKey) (Figure3Cell, error) {
+			gamma := core.Gamma{GammaTrain: gt, GammaSync: gs}
+			_, r, err := w.tuneRun(core.SkipTrain(gamma), GammaRegime{}, k)
 			if err != nil {
 				return Figure3Cell{}, err
 			}
@@ -182,18 +164,6 @@ func Figure3(o Options, degrees []int) (*Figure3Result, error) {
 	}
 	res.render(o)
 	return res, nil
-}
-
-// figure3Keys are the keys of w's Figure 3 cells when o.Sweep can serve
-// them, zero otherwise. Their engine, "figure3cell", is their own: no
-// Figure 3 cell answers for a harvest grid's cell of the same Γ.
-func figure3Keys(w *World) (keys gammaKeys, err error) {
-	if w.o.Sweep != nil {
-		if err = w.buildTopology(); err == nil {
-			keys = gridKeys(tuningManifest(w.o, "figure3cell", "", w.graph.Fingerprint()))
-		}
-	}
-	return keys, err
 }
 
 func (r *Figure3Result) render(o Options) {
@@ -237,17 +207,11 @@ type Figure4Result struct {
 // and dropping during train rounds, with the std doing the opposite.
 func Figure4(o Options) (*Figure4Result, error) {
 	o = o.Defaults()
-	gamma, err := core.NewGamma(4, 4)
-	if err != nil {
-		return nil, err
-	}
-	w := newWorld(o, cifar, PaperDegree)
-	cfg, err := w.Config(core.SkipTrain(gamma))
-	if err != nil {
-		return nil, err
-	}
-	cfg.EvalEvery = 1
-	res, err := w.run(cfg)
+	gamma := core.Gamma{GammaTrain: 4, GammaSync: 4}
+	_, res, err := newWorld(o, cifar, PaperDegree).runOf(core.SkipTrain(gamma), func(cfg *sim.Config) error {
+		cfg.EvalEvery = 1
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -384,11 +348,7 @@ func armGrid[A any](o Options, datasets []string, degrees []int, algos []namedAl
 
 func figure5Arm(w *World, a namedAlgo) (Figure5Arm, error) {
 	algo := a.build(w)
-	cfg, err := w.Config(algo)
-	if err != nil {
-		return Figure5Arm{}, err
-	}
-	r, err := w.run(cfg)
+	cfg, r, err := w.runOf(algo, nil)
 	if err != nil {
 		return Figure5Arm{}, err
 	}
@@ -488,11 +448,7 @@ func Figure6(o Options, degrees []int, datasets []string) (*Figure6Result, error
 
 func figure6Arm(w *World, a namedAlgo) (Figure6Arm, error) {
 	algo := a.build(w)
-	cfg, err := w.Config(algo)
-	if err != nil {
-		return Figure6Arm{}, err
-	}
-	r, err := w.run(cfg)
+	_, r, err := w.runOf(algo, nil)
 	if err != nil {
 		return Figure6Arm{}, err
 	}
@@ -531,11 +487,11 @@ func (r *Figure6Result) render(o Options) {
 // CIFAR-like 2-shard partition and the FEMNIST-like writer partition.
 func Figure7(o Options) error {
 	o = o.Defaults()
-	cifarPart, _, _, err := cifarLikeData(o)
+	cifarPart, _, err := cifarLikeData(o)
 	if err != nil {
 		return err
 	}
-	femnistPart, _, _, err := femnistLikeData(o)
+	femnistPart, _, err := femnistLikeData(o)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -41,16 +40,16 @@ type gammaKeys [gammaGridMax][gammaGridMax]sweep.CellKey
 
 // gammaCells executes the Γ grid through the sweep scheduler: cells with
 // a key are served from the runner's cache when present and computed
-// (then cached) otherwise; a nil runner or zero keys degrade to the plain
-// pool fan-out. The grid's layout is grid[gs-1][gt-1], like
-// Figure3Result, and the reported error is the lowest-indexed cell's.
-// Cached and computed cells are interchangeable
+// (then cached) by run, given the key, otherwise; a nil runner or zero
+// keys degrade to the plain pool fan-out. The grid's layout is
+// grid[gs-1][gt-1], like Figure3Result, and the reported error is the
+// lowest-indexed cell's. Cached and computed cells are interchangeable
 // bit-for-bit (see sweep.Grid), so a grid's values are independent of
 // which cells hit.
-func gammaCells[C any](r *sweep.Runner, keys *gammaKeys, run func(gt, gs int) (C, error)) ([][]C, error) {
-	cells, err := sweep.Grid(r, gammaGridMax*gammaGridMax,
-		func(k int) sweep.CellKey { return keys[k/gammaGridMax][k%gammaGridMax] },
-		func(k int) (C, error) { return run(k%gammaGridMax+1, k/gammaGridMax+1) })
+func gammaCells[C any](r *sweep.Runner, keys *gammaKeys, run func(gt, gs int, k sweep.CellKey) (C, error)) ([][]C, error) {
+	key := func(k int) sweep.CellKey { return keys[k/gammaGridMax][k%gammaGridMax] }
+	cells, err := sweep.Grid(r, gammaGridMax*gammaGridMax, key,
+		func(k int) (C, error) { return run(k%gammaGridMax+1, k/gammaGridMax+1, key(k)) })
 	if err != nil {
 		return nil, err
 	}
@@ -142,10 +141,11 @@ func gammaGridFleetOptions() harvest.Options {
 	return harvest.Options{CapacityRounds: 12, InitialSoC: 0.75}
 }
 
-// gammaGridMinSoC is the shared charge-aware policy threshold. One policy
-// across all regimes keeps the comparison clean: any difference in the
-// selected schedule is attributable to the arrival process.
-const gammaGridMinSoC = 0.2
+// gammaGridPolicy is the shared charge-aware policy, stateless, so every
+// cell runs it. One policy across all regimes keeps the comparison clean:
+// any difference in the selected schedule is attributable to the arrival
+// process.
+var gammaGridPolicy = &harvest.SoCThreshold{MinSoC: 0.2}
 
 // GammaHarvestCell is one evaluated (Γtrain, Γsync) point of the
 // harvest-coupled search. All fields are comparable, so whole rows can be
@@ -177,39 +177,23 @@ type GammaHarvestRow struct {
 	Best   GammaHarvestCell
 }
 
-// gammaGrid is one world's Γ search under a list of regimes: id is what a
-// cache lookup needs; the world's topology and data are what only a
-// computing cell needs, each built by the first cell that does.
-type gammaGrid struct {
-	*World
-	regimes []GammaRegime
-	id      *gridIdentity
-}
-
-// gridIdentity is what a grid needs before any cell runs, a pure function
-// of the completed Options, the degree and the build: a few KB with no
-// graph or data behind them, safe to hand to every later job.
-type gridIdentity struct {
-	fingerprint uint64           // of the topology
-	regimes     []regimeIdentity // parallel to the world's regimes
-}
-
+// regimeIdentity is what a regime's grid needs before any cell runs — its
+// trace's report name and its cells' keys — a pure function of the Options,
+// the degree and the build, safe to hand to every later job.
 type regimeIdentity struct {
-	trace string // the trace's report name
+	trace string
 	keys  gammaKeys
 }
 
 // identityMemo keeps the identities of the keyed standard-regime grids one
-// sweep server has served: a repeated or overlapping job builds no graph,
-// samples no trace, hashes no manifest. The key is the whole completed
-// Options less its three handles, plus the degree, so a field cellManifest
-// hashes one day is already in it. A full memo is cleared (rederiving is
-// one graph build and always right); a nil memo remembers nothing. It is
-// kept only for the server's jobs (sweepjobs.go) that the frozen
-// bench/sweepd.go runs.
+// sweep server has served, so a repeated or overlapping job builds no
+// graph, samples no trace, hashes no manifest. The key is the whole
+// completed Options less its three handles, plus the degree, so any field
+// a run's manifest hashes is in it. A full memo is cleared; a nil memo
+// remembers nothing. It serves only the frozen bench/sweepd.go's jobs.
 type identityMemo struct {
 	mu       sync.Mutex
-	m        map[identityKey]*gridIdentity
+	m        map[identityKey][]regimeIdentity
 	capacity int // identityMemoCap, entries of about 6 KB, when zero
 }
 
@@ -225,7 +209,7 @@ func memoKey(o Options, degree int) identityKey {
 	return identityKey{o, degree}
 }
 
-func (m *identityMemo) get(o Options, degree int) *gridIdentity {
+func (m *identityMemo) get(o Options, degree int) []regimeIdentity {
 	if m == nil || o.Sweep == nil {
 		return nil
 	}
@@ -234,14 +218,14 @@ func (m *identityMemo) get(o Options, degree int) *gridIdentity {
 	return m.m[memoKey(o, degree)]
 }
 
-func (m *identityMemo) put(o Options, degree int, id *gridIdentity) {
+func (m *identityMemo) put(o Options, degree int, id []regimeIdentity) {
 	if m == nil || o.Sweep == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.m == nil || len(m.m) >= cmp.Or(m.capacity, identityMemoCap) {
-		m.m = map[identityKey]*gridIdentity{}
+		m.m = map[identityKey][]regimeIdentity{}
 	}
 	m.m[memoKey(o, degree)] = id
 }
@@ -251,117 +235,79 @@ func (m *identityMemo) put(o Options, degree int, id *gridIdentity) {
 // validation split like Figure 3. Cells fan out across workers; the result
 // is bit-identical at any GOMAXPROCS.
 func RunGammaGrid(o Options, regime GammaRegime) (*GammaGridResult, error) {
-	o = o.Defaults()
-	g, err := newGammaGrid(newWorld(o, cifar, PaperDegree), []GammaRegime{regime}, nil)
+	w := newWorld(o.Defaults(), cifar, PaperDegree)
+	id, err := w.gridIdentity([]GammaRegime{regime}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return g.runRegime(0)
+	return w.runRegime(regime, &id[0])
 }
 
-// newGammaGrid searches w's topology — its degree is the degree axis of
-// the degree-coupled grid (TableDegreeGamma), 6 the paper's. The graph
-// fingerprint in each cell manifest covers the degree, so cells from
-// different degrees never collide in the cache while identical (degree,
-// regime, Γ) cells from overlapping sweeps dedupe.
-//
-// A memo that holds the grid's identity supplies it and nothing is built
-// (regimes must then be gammaGridRegimes). Otherwise the graph is built
-// for its fingerprint and kept for the cells, each regime's trace is
-// sampled once for its report name, a keyed grid derives its keys, and the
-// memo keeps the result — unless anything failed to build.
-func newGammaGrid(w *World, regimes []GammaRegime, memo *identityMemo) (*gammaGrid, error) {
-	g := &gammaGrid{World: w, regimes: regimes, id: memo.get(w.o, w.degree)}
-	if g.id != nil {
-		return g, nil
+// gridIdentity is the identity of w's Γ grids under regimes (w's degree is
+// TableDegreeGamma's axis, 6 the paper's): a memo's, building nothing, when
+// it holds it (regimes must then be gammaGridRegimes), else derived — each
+// trace sampled once for its name, keyed grids' keys — and memoized.
+func (w *World) gridIdentity(regimes []GammaRegime, memo *identityMemo) ([]regimeIdentity, error) {
+	if id := memo.get(w.o, w.degree); id != nil {
+		return id, nil
 	}
-	if err := w.buildTopology(); err != nil {
-		return nil, err
-	}
-	g.id = &gridIdentity{fingerprint: w.graph.Fingerprint(), regimes: make([]regimeIdentity, len(regimes))}
+	id := make([]regimeIdentity, len(regimes))
 	for ri, regime := range regimes {
 		sample, err := regime.Trace(w.o, w.MeanTrainWh)
+		if err == nil {
+			id[ri].keys, err = w.gridKeys(cellAlgo(regime, 1, 1), regime)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: gamma grid %s: %w", regime.Name, err)
 		}
-		g.id.regimes[ri].trace = sample.Name()
-		if w.o.Sweep != nil { // keyed cells cache under their content hash, an unkeyed grid runs as it always did
-			g.id.regimes[ri].keys = gridKeys(g.cellManifest(regime, sample.Name(), 1, 1))
-		}
+		id[ri].trace = sample.Name()
 	}
-	memo.put(w.o, w.degree, g.id)
-	return g, nil
+	memo.put(w.o, w.degree, id)
+	return id, nil
 }
 
-// tuningManifest starts the manifest of Γ-tuning work — a grid's run or
-// one cell — on o and the graph: every Options field that changes the
-// computed bits, so sweep.KeyFromBuilder of a finished cell manifest is a
-// safe cache key, and the readout, which decides what a cell's accuracy
-// means.
-// Deliberately excluded, because they cannot change the bits: Probe/Out
-// (telemetry is read-only), EvalEvery (tuning cells always run with
-// EvalEvery 0), and worker count (GOMAXPROCS is unhashed by design). Each
-// kind of cell hashes under its own engine name, so no two kinds share a
-// key.
-func tuningManifest(o Options, engine, label string, fingerprint uint64) *obs.ManifestBuilder {
-	return obs.NewManifest(engine, label, o.Seed).
-		Scale(o.Nodes, o.Rounds).
-		SetHex("graph", fingerprint).
-		SetFloat("lr", o.LR).
-		SetInt("batch", o.BatchSize).
-		SetInt("local_steps", o.LocalSteps).
-		SetInt("train_per_node", o.TrainPerNode).
-		SetInt("test_samples", o.TestSamples).
-		SetFloat("noise", o.Noise).
-		SetInt("eval_subsample", o.EvalSubsample).
-		Set("readout", readoutName)
+// cellAlgo is the algorithm of regime's cell (gt, gs).
+func cellAlgo(regime GammaRegime, gt, gs int) core.Algorithm {
+	return core.Algorithm{Label: regime.Name, Schedule: core.Gamma{GammaTrain: gt, GammaSync: gs}, Policy: gammaGridPolicy}
 }
 
-// cellManifest is the identity of one (regime, Γt, Γs) cell of a harvest
-// grid: tuningManifest plus every regime and fleet field.
-func (g *gammaGrid) cellManifest(regime GammaRegime, traceName string, gt, gs int) *obs.ManifestBuilder {
-	fo := gammaGridFleetOptions()
-	return tuningManifest(g.o, "gammacell", regime.Name, g.id.fingerprint).
-		Set("regime", regime.Name).
-		Set("trace", traceName).
-		Set("policy", "soc-threshold").
-		SetFloat("min_soc", gammaGridMinSoC).
-		SetFloat("fleet_capacity_rounds", fo.CapacityRounds).
-		SetFloat("fleet_initial_soc", fo.InitialSoC).
-		Set("gamma_train", strconv.Itoa(gt)).Set("gamma_sync", strconv.Itoa(gs))
-}
-
-// gridKeys derives sixteen cell keys (keys[gs-1][gt-1]) off one builder,
-// Γs re-set per row and Γt per cell: a regime's, off its cellManifest,
-// each the config hash and revision of cellManifest(..., gt, gs).Build().
-func gridKeys(b *obs.ManifestBuilder) (keys gammaKeys) {
+// gridKeys are the keys (keys[gs-1][gt-1]) of a Γ grid of tuneRun(algo,
+// regime, ·) cells when o.Sweep can serve them: the config hashes their
+// runs stamp, off one builder, only the schedule line (Γ) re-set.
+func (w *World) gridKeys(algo core.Algorithm, regime GammaRegime) (keys gammaKeys, err error) {
+	if w.o.Sweep == nil {
+		return keys, nil
+	}
+	b, err := w.tuneManifest(algo, regime)
+	if err != nil {
+		return keys, err
+	}
 	for gs := range keys {
-		b.Set("gamma_sync", strconv.Itoa(gs+1))
 		for gt := range keys[gs] {
-			keys[gs][gt] = sweep.KeyFromBuilder(b.Set("gamma_train", strconv.Itoa(gt+1)))
+			keys[gs][gt] = sweep.KeyFromBuilder(b.Set("schedule", core.Gamma{GammaTrain: gt + 1, GammaSync: gs + 1}.Name()))
 		}
 	}
-	return keys
+	return keys, nil
 }
 
-func (g *gammaGrid) runRegime(ri int) (*GammaGridResult, error) {
-	regime, id := g.regimes[ri], &g.id.regimes[ri]
+func (w *World) runRegime(regime GammaRegime, id *regimeIdentity) (*GammaGridResult, error) {
 	// One run_start/run_end pair per regime; each completed cell emits one
 	// cell event. Cells fan out across workers, so cell events arrive in
 	// wall-clock order — the probe's sinks are concurrency-safe, and the
 	// grid itself stays bit-identical (preallocated slots, no probe inside
-	// the per-cell sims).
-	p := g.o.Probe
+	// the per-cell sims). run_start carries a cell's manifest, re-engined.
+	p := w.o.Probe
 	if p.Enabled() {
-		manifest := tuningManifest(g.o, "gammagrid", regime.Name, g.id.fingerprint).
-			Set("trace", id.trace).
-			Set("grid", strconv.Itoa(gammaGridMax)+"x"+strconv.Itoa(gammaGridMax)).
-			Build()
+		b, err := w.tuneManifest(cellAlgo(regime, 1, 1), regime)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: gamma grid %s: %w", regime.Name, err)
+		}
+		manifest := b.Derive("gammagrid", regime.Name).Set("schedule", "skiptrain grid 4x4").Build()
 		p.RunStart(&manifest, 0)
 	}
-	grid, err := gammaCells(g.o.Sweep, &id.keys, func(gt, gs int) (GammaHarvestCell, error) {
+	grid, err := gammaCells(w.o.Sweep, &id.keys, func(gt, gs int, k sweep.CellKey) (GammaHarvestCell, error) {
 		start := time.Now()
-		cell, err := g.runCell(regime, gt, gs)
+		cell, err := w.runCell(regime, k, gt, gs)
 		if err == nil && p.Enabled() {
 			p.Emit(obs.Event{
 				Kind: obs.KindCell, Round: -1, Node: -1,
@@ -386,28 +332,11 @@ func (g *gammaGrid) runRegime(ri int) (*GammaGridResult, error) {
 	}, nil
 }
 
-func (g *gammaGrid) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, error) {
-	fail := func(err error) (GammaHarvestCell, error) {
+// runCell runs regime's cell (gt, gs), looked up by key k (zero: unkeyed).
+func (w *World) runCell(regime GammaRegime, k sweep.CellKey, gt, gs int) (GammaHarvestCell, error) {
+	cfg, res, err := w.tuneRun(cellAlgo(regime, gt, gs), regime, k)
+	if err != nil {
 		return GammaHarvestCell{}, fmt.Errorf("experiments: gamma grid %s Γt=%d Γs=%d: %w", regime.Name, gt, gs, err)
-	}
-	gamma, err := core.NewGamma(gt, gs)
-	if err != nil {
-		return fail(err)
-	}
-	policy, err := harvest.NewSoCThreshold(gammaGridMinSoC)
-	if err != nil {
-		return fail(err)
-	}
-	cfg, err := g.tuneConfig(core.Algorithm{Label: regime.Name, Schedule: gamma, Policy: policy})
-	if err != nil {
-		return fail(err)
-	}
-	if _, err := g.fleet(&cfg, regime, gammaGridFleetOptions()); err != nil {
-		return fail(err)
-	}
-	res, err := g.run(cfg)
-	if err != nil {
-		return fail(err)
 	}
 	arrived := res.TotalHarvestWh + res.TotalWastedWh
 	wastedFrac := 0.0
@@ -416,7 +345,7 @@ func (g *gammaGrid) runCell(regime GammaRegime, gt, gs int) (GammaHarvestCell, e
 	}
 	return GammaHarvestCell{
 		GammaTrain: gt, GammaSync: gs,
-		FinalAcc:      Readout(res, gamma),
+		FinalAcc:      Readout(res, cfg.Algo.Schedule),
 		Participation: tallyRun(cfg, res).participation,
 		HarvestedWh:   res.TotalHarvestWh,
 		ConsumedWh:    cfg.Harvest.ConsumedWh(),
@@ -448,13 +377,12 @@ func TableGammaHarvest(o Options) ([]GammaHarvestRow, error) {
 // gammaHarvest is TableGammaHarvest on w without the rendering — all the
 // sweep handlers, which have no reader, run, and they alone bring a memo.
 func gammaHarvest(w *World, memo *identityMemo) (grids []*GammaGridResult, rows []GammaHarvestRow, err error) {
-	regimes := gammaGridRegimes
-	g, err := newGammaGrid(w, regimes, memo)
+	id, err := w.gridIdentity(gammaGridRegimes, memo)
 	if err != nil {
 		return nil, nil, err
 	}
-	for ri := range regimes {
-		res, err := g.runRegime(ri)
+	for ri, regime := range gammaGridRegimes {
+		res, err := w.runRegime(regime, &id[ri])
 		if err != nil {
 			return nil, nil, err
 		}

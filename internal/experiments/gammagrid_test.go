@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs/analyze"
 	"repro/internal/obs/obstest"
 	"repro/internal/rng"
+	"repro/internal/sweep"
 )
 
 func TestTableGammaHarvestStructure(t *testing.T) {
@@ -124,7 +125,7 @@ func TestRunGammaGridSingleRegime(t *testing.T) {
 // 0 Wh as "best". Seeded from the first cell, the tie-break toward lower
 // energy must pick the cheapest real cell.
 func TestBestGammaCellSeedsFromFirstCell(t *testing.T) {
-	grid, err := gammaCells(nil, new(gammaKeys), func(gt, gs int) (Figure3Cell, error) {
+	grid, err := gammaCells(nil, new(gammaKeys), func(gt, gs int, _ sweep.CellKey) (Figure3Cell, error) {
 		return Figure3Cell{
 			GammaTrain: gt, GammaSync: gs,
 			ValAcc:        0, // every cell ties at zero accuracy
@@ -145,7 +146,7 @@ func TestBestGammaCellSeedsFromFirstCell(t *testing.T) {
 		t.Fatalf("tie-break picked %+v, want the cheapest cell (1,1)", best)
 	}
 	// With distinct accuracies the maximum wins regardless of energy.
-	grid2, err := gammaCells(nil, new(gammaKeys), func(gt, gs int) (Figure3Cell, error) {
+	grid2, err := gammaCells(nil, new(gammaKeys), func(gt, gs int, _ sweep.CellKey) (Figure3Cell, error) {
 		return Figure3Cell{GammaTrain: gt, GammaSync: gs,
 			ValAcc: float64(10*gt + gs), PaperEnergyWh: 1}, nil
 	})
@@ -161,7 +162,7 @@ func TestBestGammaCellSeedsFromFirstCell(t *testing.T) {
 }
 
 func TestGammaCellsSurfaceLowestCellError(t *testing.T) {
-	_, err := gammaCells(nil, new(gammaKeys), func(gt, gs int) (Figure3Cell, error) {
+	_, err := gammaCells(nil, new(gammaKeys), func(gt, gs int, _ sweep.CellKey) (Figure3Cell, error) {
 		if gs >= 3 {
 			return Figure3Cell{}, &cellErr{gt, gs}
 		}
@@ -320,7 +321,7 @@ func TestGammaCellAllocsIndependentOfNodes(t *testing.T) {
 		t.Skip("exact allocation counts do not hold under the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	grid := func(nodes int) *gammaGrid {
+	grid := func(nodes int) *World {
 		w := newWorld(Options{Nodes: nodes, Rounds: 4, Seed: 7, TestSamples: 64}.Defaults(), cifar, 6)
 		if _, err := w.data(); err != nil {
 			t.Fatal(err)
@@ -328,21 +329,21 @@ func TestGammaCellAllocsIndependentOfNodes(t *testing.T) {
 		if err := w.buildTopology(); err != nil {
 			t.Fatal(err)
 		}
-		return &gammaGrid{World: w, regimes: gammaGridRegimes}
+		return w
 	}
 	small, large := grid(8), grid(300)
 	vecBytes := 8 * float64(cifar.model(0, rng.New(1)).ParamCount())
 	for _, regime := range gammaGridRegimes {
-		cell := func(g *gammaGrid) func() {
+		cell := func(g *World) func() {
 			return func() {
-				if _, err := g.runCell(regime, 1, 3); err != nil {
+				if _, err := g.runCell(regime, sweep.CellKey{}, 1, 3); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		// The least of a few measurements: a collection in mid-cell empties
 		// fmt's sync.Pool and adds a stray allocation.
-		allocs := func(g *gammaGrid) (count, bytes float64) {
+		allocs := func(g *World) (count, bytes float64) {
 			count, bytes = math.Inf(1), math.Inf(1)
 			for range 5 {
 				count = min(count, testing.AllocsPerRun(1, cell(g)))

@@ -69,11 +69,11 @@ type Options struct {
 	// Sweep optionally routes every experiment's runs through the memoized
 	// sweep scheduler (internal/sweep): they fan out on its pool, and the
 	// Γ grids' cells — Figure 3's and the harvest searches' — are
-	// content-addressed by their manifest hash, so cached results are
-	// served instead of recomputed and overlapping grids dedupe. Nil runs
-	// every cell fresh on the default pool. Sweep never affects computed
-	// values — cached cells are bit-identical to fresh ones — so, like
-	// Probe, it is not part of any cell's cache key.
+	// content-addressed by their runs' manifest hash, so cached results
+	// are served instead of recomputed and overlapping grids dedupe. Nil
+	// runs every cell fresh on the default pool. Sweep never affects
+	// computed values — cached cells are bit-identical to fresh ones — so,
+	// like Probe, it is not part of any cell's cache key.
 	Sweep *sweep.Runner
 }
 
@@ -97,47 +97,48 @@ func (o Options) Defaults() Options {
 }
 
 // cifarLikeData builds the scaled CIFAR-10 stand-in: 10 classes, 2-shard
-// non-IID partition, IID validation/test halves.
-func cifarLikeData(o Options) (part dataset.Partition, val, test *dataset.Dataset, err error) {
-	cfg := dataset.SyntheticConfig{
-		Classes: 10,
-		Dim:     32,
-		Train:   o.Nodes * o.TrainPerNode,
-		Test:    o.TestSamples,
-		Noise:   o.Noise,
-		Seed:    o.Seed,
-	}
-	train, testAll, err := dataset.Generate(cfg)
+// non-IID partition, an IID test set (a world halves it: validation, test).
+func cifarLikeData(o Options) (dataset.Partition, *dataset.Dataset, error) {
+	train, test, err := dataset.Generate(cifarLikeConfig(o))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	part, err = dataset.ShardPartition(train, o.Nodes, 2, o.Seed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	val, test = testAll.Split(testAll.Len() / 2)
-	return part, val, test, nil
+	part, err := dataset.ShardPartition(train, o.Nodes, 2, o.Seed)
+	return part, test, err
+}
+
+// cifarLikeFingerprints are cifarLikeData(o)'s, from its configs alone.
+func cifarLikeFingerprints(o Options) (part, test uint64) {
+	train, test := cifarLikeConfig(o).Fingerprints()
+	return dataset.ShardPartitionFingerprint(train, o.Nodes, 2, o.Seed), test
+}
+
+func cifarLikeConfig(o Options) dataset.SyntheticConfig {
+	return dataset.SyntheticConfig{Classes: 10, Dim: 32, Train: o.Nodes * o.TrainPerNode, Test: o.TestSamples, Noise: o.Noise, Seed: o.Seed}
 }
 
 // femnistLikeData builds the scaled FEMNIST stand-in: 62 classes, natural
-// writer partition over the top-N writers.
-func femnistLikeData(o Options) (part dataset.Partition, val, test *dataset.Dataset, err error) {
+// writer partition over the top-N writers, an IID test set.
+func femnistLikeData(o Options) (dataset.Partition, *dataset.Dataset, error) {
+	writers, test, err := dataset.GenerateWriters(femnistLikeConfig(o))
+	if err != nil {
+		return nil, nil, err
+	}
+	part, err := dataset.WriterPartition(writers, o.Nodes)
+	return part, test, err
+}
+
+// femnistLikeFingerprints are femnistLikeData(o)'s fingerprints.
+func femnistLikeFingerprints(o Options) (part, test uint64) {
+	writers, test := femnistLikeConfig(o).Fingerprints()
+	return dataset.WriterPartitionFingerprint(writers, o.Nodes), test
+}
+
+func femnistLikeConfig(o Options) dataset.WritersConfig {
 	cfg := dataset.FEMNISTWriters(o.Seed)
-	cfg.Writers = o.Nodes + o.Nodes/4
-	cfg.MinPerWriter = o.TrainPerNode / 2
-	cfg.MaxPerWriter = o.TrainPerNode * 2
-	cfg.Test = o.TestSamples
-	cfg.Noise = o.Noise
-	writers, testAll, err := dataset.GenerateWriters(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	part, err = dataset.WriterPartition(writers, o.Nodes)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	val, test = testAll.Split(testAll.Len() / 2)
-	return part, val, test, nil
+	cfg.Writers, cfg.MinPerWriter, cfg.MaxPerWriter = o.Nodes+o.Nodes/4, o.TrainPerNode/2, o.TrainPerNode*2
+	cfg.Test, cfg.Noise = o.TestSamples, o.Noise
+	return cfg
 }
 
 // paperEnergyWh returns the exact network training energy at paper scale

@@ -20,11 +20,7 @@ import (
 // stochastic, so a sync round leaves the fleet mean where it was). The
 // tables that compare runs print the averaged model's accuracy and the
 // consensus distance at T as a secondary column (ModelColumn), and so does
-// a single run.
-
-// readoutName names the readout in every cached cell's key
-// (tuningManifest), so a cell stored under another readout is a miss.
-const readoutName = "node-mean-over-period"
+// a single run. Every run's manifest names the readout (core.ReadoutName).
 
 // Readout is the accuracy a table reports for a run of schedule s, in %.
 // sim.Run evaluates every round of the window whatever its EvalEvery. An

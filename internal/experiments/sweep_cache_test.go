@@ -369,7 +369,7 @@ func TestSweepWarmPathCheapAndLazy(t *testing.T) {
 		}
 	})
 	dataset := allocatedBytes(func() {
-		if _, _, _, err := cifarLikeData(o.Defaults()); err != nil {
+		if _, _, err := cifarLikeData(o.Defaults()); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -496,17 +496,18 @@ func TestSweepLastCellOnlyMissBuildsWorldMidGrid(t *testing.T) {
 	o = o.Defaults()
 	regimes := GammaGridRegimes(o)
 	o.Sweep = sweep.NewRunner(store, nil)
-	if _, err := newGammaGrid(newWorld(o, cifar, 6), regimes, memo); err != nil {
+	if _, err := newWorld(o, cifar, 6).gridIdentity(regimes, memo); err != nil {
 		t.Fatal(err)
 	}
 	for _, procs := range []int{1, 8} {
 		old := runtime.GOMAXPROCS(procs)
 		o.Sweep = sweep.NewRunner(&holeStore{Store: store, hole: last}, nil)
-		w, err := newGammaGrid(newWorld(o, cifar, 6), regimes, memo)
+		w := newWorld(o, cifar, 6)
+		id, err := w.gridIdentity(regimes, memo)
 		if err != nil || w.graph != nil {
 			t.Fatalf("world over a memoized identity: graph built = %v, err %v", w.graph != nil, err)
 		}
-		got, err := w.runRegime(3)
+		got, err := w.runRegime(regimes[3], &id[3])
 		runtime.GOMAXPROCS(old)
 		if err != nil {
 			t.Fatal(err)

@@ -11,8 +11,10 @@ import (
 	"repro/internal/graph"
 	"repro/internal/harvest"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // Every run that trains — a table's, a figure's, or a single run of
@@ -22,8 +24,8 @@ import (
 // its fan-out from sweep.Grid over o.Sweep: each run writes its own
 // preallocated slot, the lowest-index error is the one reported, and the
 // results are bit-identical at any GOMAXPROCS. Only the Γ grids key their
-// cells (gammagrid.go); every other run passes the zero key and is
-// computed fresh.
+// cells, by the config hash their runs stamp (World.tuneManifest); every
+// other run passes the zero key and is computed fresh.
 
 // datasetSpec is one dataset's scaled stand-in and the paper setting it
 // stands for.
@@ -33,16 +35,19 @@ type datasetSpec struct {
 	workload    energy.Workload
 	paperRounds int
 	budgetShare float64 // battery share of the constrained setting (Table 2)
-	build       func(Options) (part dataset.Partition, val, test *dataset.Dataset, err error)
+	// build draws the partition and the test set the world halves into
+	// validation and test splits; fingerprints are theirs, from Options.
+	build        func(Options) (dataset.Partition, *dataset.Dataset, error)
+	fingerprints func(Options) (part, test uint64)
 	// model is every run's ModelFactory: logistic regression over the
-	// 32-dimensional inputs onto the classes.
+	// 32-dimensional inputs onto the classes, (32+1)·classes parameters.
 	model func(node int, r *rng.RNG) *nn.Network
 }
 
 var (
-	cifar = datasetSpec{"cifar", 10, energy.CIFAR10Workload(), PaperRoundsCIFAR, 0.10, cifarLikeData,
+	cifar = datasetSpec{"cifar", 10, energy.CIFAR10Workload(), PaperRoundsCIFAR, 0.10, cifarLikeData, cifarLikeFingerprints,
 		func(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(32, 10, r) }}
-	femnist = datasetSpec{"femnist", 62, energy.FEMNISTWorkload(), PaperRoundsFEMNIST, 0.50, femnistLikeData,
+	femnist = datasetSpec{"femnist", 62, energy.FEMNISTWorkload(), PaperRoundsFEMNIST, 0.50, femnistLikeData, femnistLikeFingerprints,
 		func(_ int, r *rng.RNG) *nn.Network { return nn.LogisticRegression(32, 62, r) }}
 	// datasetSpecs looks the datasets up by name.
 	datasetSpecs = map[string]datasetSpec{cifar.name: cifar, femnist.name: femnist}
@@ -97,10 +102,11 @@ func newWorld(o Options, ds datasetSpec, degree int) *World {
 			if o.Nodes < 0 {
 				return nil, fmt.Errorf("experiments: negative node count %d", o.Nodes)
 			}
-			part, val, test, err := ds.build(o)
+			part, test, err := ds.build(o)
 			if err != nil {
 				return nil, err
 			}
+			val, test := test.Split(test.Len() / 2)
 			return &worldData{part: part, val: val, test: test, devices: energy.AssignDevices(o.Nodes, energy.Devices())}, nil
 		}),
 	}
@@ -133,6 +139,13 @@ func (w *World) Config(algo core.Algorithm) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
+	cfg, err := w.config(algo, d.devices)
+	cfg.Partition, cfg.Test = d.part, d.test
+	return cfg, err
+}
+
+// config is Config without the data, on the given devices.
+func (w *World) config(algo core.Algorithm, devices []energy.Device) (sim.Config, error) {
 	if err := w.buildTopology(); err != nil {
 		return sim.Config{}, err
 	}
@@ -143,22 +156,53 @@ func (w *World) Config(algo core.Algorithm) (sim.Config, error) {
 		Rounds:       o.Rounds,
 		ModelFactory: w.ds.model,
 		LR:           o.LR, BatchSize: o.BatchSize, LocalSteps: o.LocalSteps,
-		Partition: d.part, Test: d.test,
 		EvalEvery: o.EvalEvery, EvalSubsample: o.EvalSubsample, EvalGlobalModel: true,
-		Devices: d.devices, Workload: w.ds.workload,
+		Devices: devices, Workload: w.ds.workload,
 		Seed: o.Seed,
 	}, nil
 }
 
-// tuneConfig is Config evaluated over the readout's window only, on the
-// validation split: how Figure 3 and the harvest grids choose Γ.
-func (w *World) tuneConfig(algo core.Algorithm) (sim.Config, error) {
+// tuneRun runs algo as a Γ-grid cell (tune) on the validation split; a run
+// that stamps another config hash than its valid key k is an error.
+func (w *World) tuneRun(algo core.Algorithm, regime GammaRegime, k sweep.CellKey) (sim.Config, *sim.Result, error) {
 	cfg, err := w.Config(algo)
+	var res *sim.Result
 	if err == nil {
-		d, _ := w.data() // built by config
-		cfg.Test, cfg.EvalEvery = d.val, 0
+		d, _ := w.data() // built by Config
+		cfg.Test = d.val
+		if err = w.tune(&cfg, regime); err == nil {
+			res, err = w.run(cfg)
+		}
 	}
-	return cfg, err
+	if err == nil && k.Valid() && k.ConfigHash != res.Manifest.ConfigHash {
+		err = fmt.Errorf("experiments: cell keyed %s stamped config hash %s", k.ConfigHash, res.Manifest.ConfigHash)
+	}
+	return cfg, res, err
+}
+
+// tune evaluates cfg over the readout's window only, on a fresh fleet of
+// regime's trace unless regime has none (Figure 3's cells).
+func (w *World) tune(cfg *sim.Config, regime GammaRegime) (err error) {
+	cfg.EvalEvery = 0
+	if regime.Trace != nil {
+		_, err = w.fleet(cfg, regime, gammaGridFleetOptions())
+	}
+	return err
+}
+
+// tuneManifest is the builder sim.Run stamps tuneRun(algo, regime, ·) with,
+// its data by the fingerprints w.ds computes from Options: no data built.
+func (w *World) tuneManifest(algo core.Algorithm, regime GammaRegime) (*obs.ManifestBuilder, error) {
+	cfg, err := w.config(algo, energy.AssignDevices(w.o.Nodes, energy.Devices()))
+	if err == nil {
+		err = w.tune(&cfg, regime)
+	}
+	if err != nil {
+		return nil, err
+	}
+	part, test := w.ds.fingerprints(w.o)
+	val, _ := dataset.SplitFingerprints(test, w.o.TestSamples/2)
+	return sim.Manifest(&cfg, (32+1)*w.ds.classes, part, val), nil // the model's parameters
 }
 
 // fleet puts cfg on a fresh fleet — regime's trace, built for this run,
@@ -199,24 +243,32 @@ func (w *World) run(cfg sim.Config) (*sim.Result, error) {
 	return res, err
 }
 
-// harvestRun is one run of a harvest table: label training every round
-// on a fresh fleet of regime's trace shaped by opts. set fills in what the
-// arm varies — the policy always, and any of DropDeadNodes, Rejoin or
-// a forecaster of the run's trace.
-func (w *World) harvestRun(label string, regime GammaRegime, opts harvest.Options, set func(*sim.Config, harvest.Trace) error) (sim.Config, *sim.Result, error) {
-	cfg, err := w.Config(core.Algorithm{Label: label, Schedule: core.AllTrain{}})
-	if err != nil {
-		return cfg, nil, err
-	}
-	trace, err := w.fleet(&cfg, regime, opts)
-	if err == nil {
-		err = set(&cfg, trace)
+// runOf runs algo on w, set filling in what the arm varies (nil: nothing)
+// on its Config.
+func (w *World) runOf(algo core.Algorithm, set func(*sim.Config) error) (sim.Config, *sim.Result, error) {
+	cfg, err := w.Config(algo)
+	if err == nil && set != nil {
+		err = set(&cfg)
 	}
 	if err != nil {
 		return cfg, nil, err
 	}
 	res, err := w.run(cfg)
 	return cfg, res, err
+}
+
+// harvestRun is one run of a harvest table: label training every round
+// on a fresh fleet of regime's trace shaped by opts. set fills in what the
+// arm varies — the policy always, and any of DropDeadNodes, Rejoin or
+// a forecaster of the run's trace.
+func (w *World) harvestRun(label string, regime GammaRegime, opts harvest.Options, set func(*sim.Config, harvest.Trace) error) (sim.Config, *sim.Result, error) {
+	return w.runOf(core.Algorithm{Label: label, Schedule: core.AllTrain{}}, func(cfg *sim.Config) error {
+		trace, err := w.fleet(cfg, regime, opts)
+		if err == nil {
+			err = set(cfg, trace)
+		}
+		return err
+	})
 }
 
 // Budgets are w's per-node round budgets of the constrained setting,

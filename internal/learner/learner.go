@@ -187,11 +187,14 @@ func (s *Spec) Train(ns *Nodes, i int) {
 }
 
 // Manifest starts the run's manifest with the fields both engines hash.
-func (s *Spec) Manifest(engine string, rounds, paramCount int) *obs.ManifestBuilder {
+func (s *Spec) Manifest(engine string, rounds, paramCount int, partition, test uint64) *obs.ManifestBuilder {
 	b := obs.NewManifest(engine, s.Algo.Label, s.Seed).Scale(s.Graph.N, rounds).
 		Set("schedule", s.Algo.Schedule.Name()).
 		Set("policy", s.Algo.Policy.Name()).
 		SetHex("graph", s.Graph.Fingerprint()).
+		SetHex("partition", partition).
+		SetHex("test_set", test).
+		Set("readout", core.ReadoutName).
 		SetFloat("lr", s.LR).
 		SetInt("batch", s.BatchSize).
 		SetInt("local_steps", s.LocalSteps).
@@ -199,6 +202,9 @@ func (s *Spec) Manifest(engine string, rounds, paramCount int) *obs.ManifestBuil
 		SetInt("eval_subsample", s.EvalSubsample)
 	if s.Devices != nil {
 		b.SetInt("devices", len(s.Devices))
+	}
+	if s.Forecast != nil {
+		b.Set("forecast", s.Forecast.Name()).SetInt("forecast_horizon", s.ForecastHorizon)
 	}
 	return b
 }

@@ -53,14 +53,17 @@ type RunManifest struct {
 // "engine=…\nseed=…\n"; fields indexes the lines in key order — the order
 // they are hashed in — so setting a field formats nothing but its value,
 // straight into the buffer. The builder is one allocation: buf and fields
-// start as windows of its own arrays, which the engines' manifests fit.
+// start as windows of its own arrays, which the engines' manifests fit —
+// 26 fields, the widest (a fleet run with a forecaster and a rejoin rule),
+// and 720 bytes, above the longest text measured (644, an async fleet run
+// with a forecaster).
 type ManifestBuilder struct {
 	m          RunManifest // the identity fields; Build fills in the rest
 	buf        []byte      // the head, then the lines as set
 	head       int         // len of the head in buf
 	fields     []field     // the lines, buf[start:end] with the '\n', sorted by key
-	bufSpace   [768]byte
-	fieldSpace [24]field
+	bufSpace   [720]byte
+	fieldSpace [26]field
 }
 
 type field struct {
@@ -112,18 +115,39 @@ func (b *ManifestBuilder) SetHex(key string, v uint64) *ManifestBuilder {
 // line starts key's line at the end of buf.
 func (b *ManifestBuilder) line(key string) []byte { return append(append(b.buf, key...), '=') }
 
-// put files key's line, the bytes of buf past its old end, in key order; a
-// re-set key's old line stays in buf as dead bytes.
+// put files key's line, the bytes of buf past its old end, in key order. A
+// re-set key's new line overwrites its old one when they are as long, so
+// re-setting one field over and over — a grid's keys re-set the schedule —
+// grows nothing; otherwise the old line stays in buf as dead bytes.
 func (b *ManifestBuilder) put(key string, buf []byte) *ManifestBuilder {
 	start := len(b.buf)
 	b.buf = append(buf, '\n')
 	f := field{key, int32(start), int32(len(b.buf))}
-	if i, ok := slices.BinarySearchFunc(b.fields, key, func(f field, key string) int { return strings.Compare(f.key, key) }); ok {
-		b.fields[i] = f
-	} else {
+	i, ok := slices.BinarySearchFunc(b.fields, key, func(f field, key string) int { return strings.Compare(f.key, key) })
+	switch {
+	case !ok:
 		b.fields = slices.Insert(b.fields, i, f)
+	case b.fields[i].end-b.fields[i].start == f.end-f.start:
+		copy(b.buf[b.fields[i].start:], b.buf[start:])
+		b.buf = b.buf[:start]
+	default:
+		b.fields[i] = f
 	}
 	return b
+}
+
+// Derive starts the manifest of another engine's work made of b's runs —
+// a grid of them — with b's seed, scale and fields, which the caller
+// re-sets where the work differs from one run.
+func (b *ManifestBuilder) Derive(engine, label string) *ManifestBuilder {
+	d := NewManifest(engine, label, b.m.Seed)
+	d.m.Nodes, d.m.Rounds = b.m.Nodes, b.m.Rounds
+	for _, f := range b.fields {
+		start := len(d.buf)
+		d.buf = append(d.buf, b.buf[f.start:f.end]...)
+		d.fields = append(d.fields, field{f.key, int32(start), int32(len(d.buf))})
+	}
+	return d
 }
 
 // config appends the hashed text to dst: the head, then the lines by key.

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func buildTestManifest(seed uint64) RunManifest {
@@ -98,9 +100,9 @@ func eighteenFields() *ManifestBuilder {
 }
 
 // Setting a field formats into the builder's one buffer: NewManifest, Scale
-// and the sweep cell manifest's sixteen Set/SetInt/SetFloat/SetHex calls
-// allocate as often as NewManifest and Scale alone, once: the builder, with
-// its buffer and its index inside it, at any node count.
+// and sixteen Set/SetInt/SetFloat/SetHex calls allocate as often as
+// NewManifest and Scale alone, once: the builder, with its buffer and its
+// index inside it, at any node count.
 func TestManifestSetAllocsIndependentOfFields(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation counts do not hold under the race detector")
@@ -195,13 +197,34 @@ func TestManifestConfigHashFormat(t *testing.T) {
 	}
 }
 
+// widest is a builder of the widest manifest an engine stamps — a sim
+// fleet run with a forecaster and a rejoin rule, 26 fields — with 660
+// bytes of text, more than the longest measured (644, an async fleet run
+// with a forecaster).
+func widest() *ManifestBuilder {
+	const long = "noisy-oracle(sigma=0.25,markov(on=0.000712,p10=0.45,p01=0.15))"
+	b := NewManifest("sim", "diurnal/oracle-mpc", 42).Scale(256, 1000)
+	for _, k := range []string{"aggregation", "batch", "devices", "drop_dead", "eval_every", "eval_global",
+		"eval_subsample", "graph", "local_steps", "lr", "params", "partition", "test_set", "policy",
+		"readout", "schedule", "fleet_capacity_wh", "fleet_cutoff_wh", "fleet_overhead_wh", "fleet_initial_wh",
+		"forecast_horizon", "rejoin"} {
+		b.Set(k, "0.012345678")
+	}
+	return b.Set("forecast", long).Set("trace", long[24:])
+}
+
 // The VCS revision is read once per process: two Builds agree with each
 // other and with GitRevision, and a Build no longer pays for a
-// debug.ParseBuildInfo — measured 2 allocations on an 18-field builder
+// debug.ParseBuildInfo — measured 2 allocations on the widest builder
 // (the Config slice and the digest string, hex-encoded on the stack),
-// against 50 when every Build re-parsed the build info.
+// against 50 when every Build re-parsed the build info. The widest
+// manifest fits the builder's own arrays: building it is one allocation,
+// the builder, in the 1 536-byte size class.
 func TestManifestRevisionReadOnce(t *testing.T) {
-	b := eighteenFields()
+	b := widest()
+	if m := b.Build(); len(m.Config) != 26 || len(b.config(nil)) < 660 {
+		t.Fatalf("widest builder has %d fields and %d bytes of text", len(m.Config), len(b.config(nil)))
+	}
 	if a, c := b.Build(), b.Build(); a.GitRevision != c.GitRevision || a.GitRevision != GitRevision() {
 		t.Fatalf("revision moved between Builds: %q, %q, GitRevision() %q", a.GitRevision, c.GitRevision, GitRevision())
 	}
@@ -210,5 +233,36 @@ func TestManifestRevisionReadOnce(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = b.ConfigHash() }); n > 1 {
 		t.Fatalf("ConfigHash allocates %v times, budget 1 (the digest string)", n)
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { widest() }); n != 1 || unsafe.Sizeof(ManifestBuilder{}) != 1536 {
+		t.Fatalf("the widest manifest takes %v allocations, a builder of %d bytes", n, unsafe.Sizeof(ManifestBuilder{}))
+	}
+}
+
+// A re-set field of its old length overwrites its line, so re-setting one
+// field sixteen times, as a grid's keys re-set the schedule, grows the
+// buffer by the first re-set's line alone, and each hashes as a builder
+// that set its value once; Derive copies every
+// field under another engine.
+func TestManifestResetAndDerive(t *testing.T) {
+	b := widest()
+	size := len(b.buf)
+	for gt := 1; gt <= 4; gt++ {
+		for gs := 1; gs <= 4; gs++ {
+			b.Set("schedule", "skiptrain("+strconv.Itoa(gt)+","+strconv.Itoa(gs)+")")
+			if want := widest().Set("schedule", "skiptrain("+strconv.Itoa(gt)+","+strconv.Itoa(gs)+")").ConfigHash(); b.ConfigHash() != want {
+				t.Fatalf("Γ (%d, %d): re-set hash %s, set-once hash %s", gt, gs, b.ConfigHash(), want)
+			}
+		}
+	}
+	if grown := len(b.buf) - size; grown != len("schedule=skiptrain(1,1)\n") {
+		t.Fatalf("sixteen re-sets grew the buffer by %d bytes, the first one's line", grown)
+	}
+	d := b.Derive("gammagrid", "grid").Build()
+	if m := b.Build(); d.Engine != "gammagrid" || !slices.Equal(d.Config, m.Config) || d.ConfigHash == m.ConfigHash || d.Nodes != m.Nodes {
+		t.Fatalf("derived manifest %+v of %+v", d, m)
 	}
 }

@@ -580,7 +580,7 @@ func (r *Engine) Run(c Config) (*Result, error) {
 	// attached) additionally streams it on run_start. Telemetry below is
 	// strictly read-only and RNG-silent: probe calls observe engine state
 	// and wall clocks, never stochastic or model state.
-	result.Manifest = buildManifest(cfg, &r.spec, paramCount)
+	result.Manifest = Manifest(cfg, paramCount, cfg.Partition.Fingerprint(), cfg.Test.Fingerprint()).Build()
 	// Harvest-coupled runs stamp the fleet's initial total charge on
 	// run_start: the baseline the energy-conservation audit (obs/analyze)
 	// integrates the round_end ledgers from.
@@ -777,12 +777,13 @@ func roundEnd(h []RoundMetrics) obs.Event {
 	}
 }
 
-// buildManifest derives the run's content-addressable identity from every
-// experiment-defining config field. Anything that changes the computed bits
-// must be hashed here; anything that cannot (GOMAXPROCS, telemetry) must not
-// be, or equivalent runs stop sharing a cache key.
-func buildManifest(cfg *Config, spec *learner.Spec, paramCount int) obs.RunManifest {
-	b := spec.Manifest("sim", cfg.Rounds, paramCount).
+// Manifest is the builder Run stamps cfg's run with, for a model of
+// paramCount parameters and data of the fingerprints partition and test:
+// it reads no data, so a run is keyed with none built. What changes the
+// bits must be hashed here, and what cannot (GOMAXPROCS, telemetry) not.
+func Manifest(cfg *Config, paramCount int, partition, test uint64) *obs.ManifestBuilder {
+	s := cfg.spec()
+	b := s.Manifest("sim", cfg.Rounds, paramCount, partition, test).
 		SetInt("aggregation", int(cfg.Algo.Aggregation)).
 		SetInt("eval_every", cfg.EvalEvery).
 		Set("eval_global", strconv.FormatBool(cfg.EvalGlobalModel)).
@@ -792,14 +793,10 @@ func buildManifest(cfg *Config, spec *learner.Spec, paramCount int) obs.RunManif
 		b.Set("trace", cfg.Harvest.TraceName())
 		cfg.Harvest.SetManifest(b)
 	}
-	if cfg.Forecast != nil {
-		b.Set("forecast", cfg.Forecast.Name()).
-			SetInt("forecast_horizon", cfg.ForecastHorizon)
-	}
 	if cfg.Rejoin != nil {
 		b.Set("rejoin", cfg.Rejoin.Name())
 	}
-	return b.Build()
+	return b
 }
 
 // sum adds vs in index order: the Eq. 3 totals are summed node by node.

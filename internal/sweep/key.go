@@ -23,11 +23,13 @@ import (
 )
 
 // CellKey is the cache identity of one sweep cell:
-// RunManifest.ConfigHash × GitRevision. The config hash already folds in
-// the engine name, seed, and every bits-affecting config field (and
-// deliberately excludes GOMAXPROCS, labels, and telemetry state — see
-// obs.RunManifest); the revision ties the entry to the code that computed
-// it, so a rebuild from different sources never serves stale bits.
+// RunManifest.ConfigHash × GitRevision of the manifest the cell's run
+// stamps. The config hash folds in the engine name, seed and the fields
+// the engine hashes — the data among them, by the partition's and test
+// set's fingerprints — and deliberately excludes GOMAXPROCS, labels and
+// telemetry state (see obs.RunManifest); the revision ties the entry to
+// the code that computed it, so a rebuild from different sources never
+// serves stale bits.
 type CellKey struct {
 	ConfigHash string `json:"config_hash"`
 	// Revision is the VCS revision of the computing binary. Empty when the
